@@ -13,7 +13,6 @@ import (
 	"pinbcast/internal/pinwheel"
 	"pinbcast/internal/rtdb"
 	"pinbcast/internal/server"
-	"pinbcast/internal/sim"
 )
 
 // Broadcast-disk specification and construction (internal/core).
@@ -151,8 +150,6 @@ func DensityTestCC(s TaskSystem) bool { return pinwheel.DensityTestCC(s) }
 type (
 	// BroadcastCondition is bc(i, m, d⃗) from §4.
 	BroadcastCondition = algebra.BC
-	// PinwheelCondition is pc(i, a, b) from §4.
-	PinwheelCondition = algebra.PC
 	// NiceConjunct is a nice conjunct of pinwheel conditions.
 	NiceConjunct = algebra.NiceConjunct
 )
@@ -161,14 +158,9 @@ type (
 // implying the broadcast condition, certified by the forcing engine.
 func ConvertCondition(b BroadcastCondition) (NiceConjunct, error) { return algebra.Convert(b) }
 
-// Simulation (internal/sim, internal/channel, internal/client).
+// Retrieval protocol and channel faults (internal/client,
+// internal/channel).
 type (
-	// SimConfig configures an end-to-end simulation.
-	SimConfig = sim.Config
-	// SimReport is a simulation outcome.
-	SimReport = sim.Report
-	// ClientSpec places a client in a simulation.
-	ClientSpec = sim.ClientSpec
 	// Request asks a client to retrieve one file by a deadline.
 	Request = client.Request
 	// Result records the outcome of one request: completion, latency,
@@ -205,9 +197,6 @@ func RandomPolicy(rng *rand.Rand) CachePolicy { return cache.NewRandom(rng) }
 // BroadcastFrequencies returns each file's slots per period in the
 // program — the x of the PIX policy.
 func BroadcastFrequencies(p *Program) map[string]float64 { return cache.BroadcastFrequencies(p) }
-
-// Simulate runs an end-to-end broadcast simulation.
-func Simulate(cfg SimConfig) (*SimReport, error) { return sim.Run(cfg) }
 
 // NoFaults returns the fault-free channel.
 func NoFaults() FaultModel { return channel.None{} }

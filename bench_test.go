@@ -23,7 +23,6 @@ import (
 	"pinbcast/internal/core"
 	"pinbcast/internal/exp"
 	"pinbcast/internal/pinwheel"
-	"pinbcast/internal/sim"
 	"pinbcast/internal/workload"
 )
 
@@ -201,11 +200,11 @@ func BenchmarkEndToEndSimulation(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := sim.Run(sim.Config{
+		_, err := pinbcast.Simulate(pinbcast.SimConfig{
 			Program:  prog,
 			Contents: contents,
 			Fault:    pinbcast.BernoulliFaults(0.05, int64(i)),
-			Clients: []sim.ClientSpec{
+			Clients: []pinbcast.ClientSpec{
 				{Start: i % 16, Requests: []pinbcast.Request{{File: "A"}, {File: "B"}}},
 			},
 		})

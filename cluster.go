@@ -44,48 +44,19 @@ const (
 	ShardBalanced = "balanced"
 )
 
-var (
-	shardMu       sync.RWMutex
-	shardRegistry = map[string]Shard{}
-)
+var shards = newRegistry[Shard]("shard policy")
 
 // RegisterShard adds a shard policy to the global registry, making it
 // selectable by name in WithShardName and the cmd/ binaries. It returns
 // ErrBadSpec when the name is empty or already taken.
-func RegisterShard(s Shard) error {
-	name := s.Name()
-	if name == "" {
-		return fmt.Errorf("pinbcast: shard policy has no name: %w", ErrBadSpec)
-	}
-	shardMu.Lock()
-	defer shardMu.Unlock()
-	if _, dup := shardRegistry[name]; dup {
-		return fmt.Errorf("pinbcast: shard policy %q already registered: %w", name, ErrBadSpec)
-	}
-	shardRegistry[name] = s
-	return nil
-}
+func RegisterShard(s Shard) error { return shards.register(s) }
 
 // LookupShard returns the registered shard policy with the given name.
-func LookupShard(name string) (Shard, bool) {
-	shardMu.RLock()
-	defer shardMu.RUnlock()
-	s, ok := shardRegistry[name]
-	return s, ok
-}
+func LookupShard(name string) (Shard, bool) { return shards.lookup(name) }
 
 // ShardNames returns the names of all registered shard policies,
 // sorted.
-func ShardNames() []string {
-	shardMu.RLock()
-	defer shardMu.RUnlock()
-	names := make([]string, 0, len(shardRegistry))
-	for name := range shardRegistry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func ShardNames() []string { return shards.names() }
 
 func init() {
 	for _, s := range []Shard{HashShard(), HotColdShard(), BalancedShard()} {
@@ -164,8 +135,8 @@ type ClusterContract struct {
 }
 
 // NewCluster plans and builds a sharded broadcast cluster from
-// functional options. At least WithClusterFile (or WithClusterFiles +
-// WithClusterContents) and WithChannels are needed; the shard policy
+// functional options. At least WithClusterFiles, WithClusterContents
+// and WithChannels are needed; the shard policy
 // defaults to BalancedShard, replication to min(2, K) copies of the
 // hottest ¼ of the catalog.
 //

@@ -35,9 +35,9 @@
 // them); the heap profile is captured after the run completes.
 //
 // -metrics-out writes a JSON snapshot of the metrics registry after
-// the run, and -trace-out drains the slot-event trace ring to a JSONL
-// file (one event per line); both apply to the live -fanout and
-// -cluster modes only.
+// the run (simulation, -fanout and -cluster modes), and -trace-out
+// drains the slot-event trace ring to a JSONL file (one event per
+// line; the live -fanout and -cluster modes only).
 package main
 
 import (
@@ -276,10 +276,10 @@ func validateFlags(set map[string]bool, stream int, fanout bool, clusterK, repli
 		"replicas": {"cluster"},
 		"shard":    {"cluster"},
 		"kill":     {"cluster"},
-		// The observability outputs snapshot the live data plane; the pure
-		// simulation and slot-printing modes never touch it, so asking for
-		// them there would write empty files.
-		"metrics-out": {"fanout", "cluster"},
+		// The observability outputs snapshot the instrumented planes: the
+		// simulation runs Receivers, which count into the registry, but no
+		// Station, so its trace would be empty; -stream touches neither.
+		"metrics-out": {"sim", "fanout", "cluster"},
 		"trace-out":   {"fanout", "cluster"},
 	}
 	for name, modes := range allowed {

@@ -101,9 +101,14 @@ func TestValidateFlags(t *testing.T) {
 	if msg := validateFlags(map[string]bool{"kill": true}, 0, false, 0, 2, 1, 8, 25, "balanced"); msg == "" {
 		t.Error("-kill without -cluster accepted")
 	}
-	// The observability outputs only make sense against the live planes.
-	if msg := validateFlags(map[string]bool{"metrics-out": true}, 0, false, 0, 2, -1, 8, 25, "balanced"); msg == "" {
-		t.Error("-metrics-out in sim mode accepted")
+	// The observability outputs only make sense where an instrumented
+	// plane runs: receivers in the simulation, everything in the live
+	// modes, nothing in -stream.
+	if msg := validateFlags(map[string]bool{"metrics-out": true}, 0, false, 0, 2, -1, 8, 25, "balanced"); msg != "" {
+		t.Errorf("-metrics-out in sim mode rejected: %s", msg)
+	}
+	if msg := validateFlags(map[string]bool{"trace-out": true}, 0, false, 0, 2, -1, 8, 25, "balanced"); msg == "" {
+		t.Error("-trace-out in sim mode accepted")
 	}
 	if msg := validateFlags(map[string]bool{"trace-out": true}, 64, false, 0, 2, -1, 8, 25, "balanced"); msg == "" {
 		t.Error("-trace-out with -stream accepted")
@@ -176,6 +181,55 @@ func TestObservabilityOutputs(t *testing.T) {
 	for _, want := range []string{"slot_served", "frame_flushed"} {
 		if kinds[want] == 0 {
 			t.Errorf("trace-out has no %q events (kinds: %v)", want, kinds)
+		}
+	}
+}
+
+// counterSnapshot writes a -metrics-out snapshot and returns the summed
+// value of each counter family in it.
+func counterSnapshot(t *testing.T) map[string]int64 {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "metrics.json")
+	if err := writeMetricsOut(path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fams []struct {
+		Name   string `json:"name"`
+		Series []struct {
+			Value *int64 `json:"value"`
+		} `json:"series"`
+	}
+	if err := json.Unmarshal(raw, &fams); err != nil {
+		t.Fatalf("metrics-out is not a JSON family list: %v", err)
+	}
+	out := map[string]int64{}
+	for _, f := range fams {
+		for _, s := range f.Series {
+			if s.Value != nil {
+				out[f.Name] += *s.Value
+			}
+		}
+	}
+	return out
+}
+
+// TestSimModeMetricsOut: the default (simulation) mode runs Receivers,
+// so its -metrics-out snapshot carries what they consumed. The registry
+// is process-wide and other tests feed it, so the run's own
+// contribution is read as a difference.
+func TestSimModeMetricsOut(t *testing.T) {
+	before := counterSnapshot(t)
+	if err := run(4, 6, 0.05, false, 1, 3, nil); err != nil {
+		t.Fatal(err)
+	}
+	after := counterSnapshot(t)
+	for _, name := range []string{"pin_receiver_slots_total", "pin_receiver_blocks_total"} {
+		if after[name] <= before[name] {
+			t.Errorf("%s did not advance over a sim-mode run: %d → %d", name, before[name], after[name])
 		}
 	}
 }

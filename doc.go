@@ -178,9 +178,8 @@
 // word-wide path) over a systematic dispersal matrix — the first m
 // blocks of every file are verbatim source blocks, so encode pays only
 // for redundancy and a fault-free decode is a copy — at multiple GB/s
-// per core, with cross-file batch encoding (ida.Codec.DisperseBatch /
-// ReconstructBatch) amortizing coefficient-table loads across a whole
-// program's files (see the Performance section of README.md for the
+// per core, with cross-file batch encoding (ida.Codec.DisperseBatch)
+// amortizing coefficient-table loads across a whole program's files (see the Performance section of README.md for the
 // measured series and the buffer-ownership rules of the streaming
 // APIs). Benchmarks: the MBps series in internal/ida,
 // BenchmarkStationServe, BenchmarkReceiverSlots, BenchmarkMultiTuner
@@ -220,7 +219,9 @@
 // with errors.Is regardless of the originating layer.
 //
 // One-shot construction (without a service lifecycle) goes through
-// Build, Simulate and BuildGeneralizedProgram.
+// Build and BuildGeneralizedProgram; Simulate runs a client population
+// as Receivers on a virtual clock — one emitting server, no transport,
+// no goroutines — so seeded runs are exactly reproducible.
 //
 // The top-level package is a facade over the implementation packages:
 //
@@ -238,7 +239,6 @@
 //	internal/airindex  (1, m) indexing on air
 //	internal/transport framed TCP fan-out
 //	internal/cluster   shard policies, replica planning, channel health
-//	internal/sim       end-to-end simulation
 //	internal/obs       metrics registry, trace ring, exposition
 //	internal/rtdb      real-time database layer
 //	internal/workload  scenario generators

@@ -54,7 +54,7 @@ const (
 )
 
 // Client collects blocks for a set of requests. The zero value is not
-// usable; construct with New or NewSubscriber.
+// usable; construct with NewSubscriber.
 type Client struct {
 	start    int // first observed slot; -1 until the client hears the channel
 	now      int
@@ -96,29 +96,11 @@ type pendingFile struct {
 	done      bool
 }
 
-// New returns a client that starts listening at absolute slot start and
-// wants the given requests. names maps server file IDs to names (the
-// paper's self-identifying blocks carry the ID; a directory of names is
-// application metadata).
-func New(start int, names map[uint32]string, reqs []Request) (*Client, error) {
-	if len(reqs) == 0 {
-		return nil, fmt.Errorf("client: no requests")
-	}
-	c := NewSubscriber(names)
-	c.start = start
-	c.now = start - 1 // nothing observed yet: requests activate at start
-	for _, r := range reqs {
-		if err := c.Add(r); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
 // NewSubscriber returns a client with no initial requests: it fixes its
 // start at the first slot it observes ("tuning in"), learns directory
-// entries with Learn, and accepts requests over time with Add. This is
-// the constructor the public Receiver builds on.
+// entries with Learn, and accepts requests over time with Add. names
+// maps server file IDs to names (the paper's self-identifying blocks
+// carry the ID; a directory of names is application metadata).
 func NewSubscriber(names map[uint32]string) *Client {
 	c := &Client{
 		start:    -1,
@@ -148,26 +130,19 @@ func (c *Client) Add(r Request) error {
 	if c.start >= 0 && c.now >= c.start {
 		from = c.now + 1 // already listening: the clock starts next slot
 	}
-	if p := c.pending[r.File]; p != nil && p.done {
-		// Re-request of a completed file: the entry (and its block map)
-		// is reused in place.
-		p.req = r
-		p.from = from
-		p.corrupted = 0
-		p.done = false
-		return nil
-	}
-	if n := len(c.freePending) - 1; n >= 0 {
-		p := c.freePending[n]
-		c.freePending = c.freePending[:n]
-		p.req = r
-		p.from = from
-		p.corrupted = 0
-		p.done = false
+	// A completed file's entry (and its block map) is reused in place,
+	// as is a cancelled request's recycled one.
+	p := c.pending[r.File]
+	if p == nil {
+		if n := len(c.freePending) - 1; n >= 0 {
+			p = c.freePending[n]
+			c.freePending = c.freePending[:n]
+		} else {
+			p = &pendingFile{blocks: make(map[uint16]*ida.Block)}
+		}
 		c.pending[r.File] = p
-		return nil
 	}
-	c.pending[r.File] = &pendingFile{req: r, from: from, blocks: make(map[uint16]*ida.Block)}
+	p.req, p.from, p.corrupted, p.done = r, from, 0, false
 	return nil
 }
 
@@ -384,10 +359,13 @@ func (c *Client) finish(name string, p *pendingFile) {
 	c.blockScratch = blocks[:0]
 }
 
-// NoteCorruption is called by the simulator when it knows slot t's
-// transmission (for the given file name) was destroyed; the client
-// itself may be unable to attribute it. Used for per-file loss
-// accounting in reports.
+// NoteCorruption is called by a receiver that knows whose transmission
+// a destroyed slot carried (the in-process transport and the simulator
+// name each slot's file); the client itself cannot attribute a block
+// that fails its checksum. Used for per-file loss accounting in
+// results.
+//
+//pinlint:hotpath
 func (c *Client) NoteCorruption(name string) {
 	if p, ok := c.pending[name]; ok && !p.done {
 		p.corrupted++

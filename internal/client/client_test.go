@@ -15,14 +15,29 @@ func disperse(t *testing.T, id uint32, data []byte, m, n int) []*ida.Block {
 	return blocks
 }
 
-func TestNewValidation(t *testing.T) {
-	if _, err := New(0, nil, nil); err == nil {
-		t.Fatal("no requests accepted")
+// tuned returns a subscriber wanting reqs that has tuned in at slot
+// start (an idle slot), so latencies count from there.
+func tuned(t *testing.T, start int, names map[uint32]string, reqs ...Request) *Client {
+	t.Helper()
+	c := NewSubscriber(names)
+	for _, r := range reqs {
+		if err := c.Add(r); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := New(0, nil, []Request{{File: ""}}); err == nil {
+	c.Observe(start, nil)
+	return c
+}
+
+func TestNewValidation(t *testing.T) {
+	c := NewSubscriber(nil)
+	if err := c.Add(Request{File: ""}); err == nil {
 		t.Fatal("empty file name accepted")
 	}
-	if _, err := New(0, nil, []Request{{File: "A"}, {File: "A"}}); err == nil {
+	if err := c.Add(Request{File: "A"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Add(Request{File: "A"}); err == nil {
 		t.Fatal("duplicate request accepted")
 	}
 }
@@ -30,10 +45,7 @@ func TestNewValidation(t *testing.T) {
 func TestCollectAndReconstruct(t *testing.T) {
 	data := []byte("reconstruct me from any three blocks")
 	blocks := disperse(t, 1, data, 3, 6)
-	c, err := New(0, map[uint32]string{1: "F"}, []Request{{File: "F", Deadline: 10}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := tuned(t, 0, map[uint32]string{1: "F"}, Request{File: "F", Deadline: 10})
 	c.Observe(0, blocks[5].Marshal())
 	c.Observe(1, nil) // idle slot
 	c.Observe(2, blocks[1].Marshal())
@@ -63,7 +75,7 @@ func TestCollectAndReconstruct(t *testing.T) {
 func TestDuplicateBlocksDoNotComplete(t *testing.T) {
 	data := []byte("duplicates should not count")
 	blocks := disperse(t, 1, data, 3, 6)
-	c, _ := New(0, map[uint32]string{1: "F"}, []Request{{File: "F"}})
+	c := tuned(t, 0, map[uint32]string{1: "F"}, Request{File: "F"})
 	c.Observe(0, blocks[0].Marshal())
 	c.Observe(1, blocks[0].Marshal())
 	c.Observe(2, blocks[0].Marshal())
@@ -75,7 +87,7 @@ func TestDuplicateBlocksDoNotComplete(t *testing.T) {
 func TestCorruptedBlockIgnored(t *testing.T) {
 	data := []byte("checksums protect the client")
 	blocks := disperse(t, 1, data, 2, 4)
-	c, _ := New(0, map[uint32]string{1: "F"}, []Request{{File: "F"}})
+	c := tuned(t, 0, map[uint32]string{1: "F"}, Request{File: "F"})
 	raw := blocks[0].Marshal()
 	raw[len(raw)-1] ^= 0xff
 	c.Observe(0, raw)
@@ -92,7 +104,7 @@ func TestCorruptedBlockIgnored(t *testing.T) {
 func TestBlocksBeforeStartIgnored(t *testing.T) {
 	data := []byte("early blocks don't count")
 	blocks := disperse(t, 1, data, 2, 4)
-	c, _ := New(5, map[uint32]string{1: "F"}, []Request{{File: "F"}})
+	c := tuned(t, 5, map[uint32]string{1: "F"}, Request{File: "F"})
 	c.Observe(0, blocks[0].Marshal())
 	c.Observe(1, blocks[1].Marshal())
 	if c.Done() {
@@ -112,7 +124,7 @@ func TestUnknownAndUnwantedFilesIgnored(t *testing.T) {
 	wanted := disperse(t, 1, []byte("wanted file"), 2, 4)
 	unwanted := disperse(t, 2, []byte("unwanted file"), 2, 4)
 	unknown := disperse(t, 9, []byte("unknown id"), 2, 4)
-	c, _ := New(0, map[uint32]string{1: "F", 2: "G"}, []Request{{File: "F"}})
+	c := tuned(t, 0, map[uint32]string{1: "F", 2: "G"}, Request{File: "F"})
 	c.Observe(0, unwanted[0].Marshal())
 	c.Observe(1, unknown[0].Marshal())
 	if c.Done() {
@@ -128,7 +140,7 @@ func TestUnknownAndUnwantedFilesIgnored(t *testing.T) {
 func TestDeadlineMissRecorded(t *testing.T) {
 	data := []byte("late delivery")
 	blocks := disperse(t, 1, data, 2, 4)
-	c, _ := New(0, map[uint32]string{1: "F"}, []Request{{File: "F", Deadline: 2}})
+	c := tuned(t, 0, map[uint32]string{1: "F"}, Request{File: "F", Deadline: 2})
 	c.Observe(0, blocks[0].Marshal())
 	c.Observe(7, blocks[1].Marshal())
 	r := c.Results()[0]
@@ -141,7 +153,7 @@ func TestDeadlineMissRecorded(t *testing.T) {
 }
 
 func TestFlushIncomplete(t *testing.T) {
-	c, _ := New(0, map[uint32]string{}, []Request{{File: "F", Deadline: 4}})
+	c := tuned(t, 0, map[uint32]string{}, Request{File: "F", Deadline: 4})
 	c.NoteCorruption("F")
 	res := c.Flush(9)
 	if len(res) != 1 {
@@ -229,12 +241,31 @@ func TestSubscriberDynamicRequests(t *testing.T) {
 	if c.Done() {
 		t.Fatal("re-request should reopen the file")
 	}
+
+	// PendingCount follows every way a request can end: cancelled,
+	// flushed, and (above) completed.
+	if err := c.Add(Request{File: "F"}); err != nil {
+		t.Fatal(err)
+	}
+	if c.PendingCount() != 2 {
+		t.Fatalf("pending count = %d, want 2 (%v)", c.PendingCount(), c.Pending())
+	}
+	if !c.Cancel("G") || c.Cancel("G") || c.PendingCount() != 1 {
+		t.Fatalf("after cancelling G: pending %v", c.Pending())
+	}
+	c.Flush(20)
+	if !c.Done() || c.PendingCount() != 0 || len(c.Pending()) != 0 {
+		t.Fatalf("after flush: pending %v", c.Pending())
+	}
+	if err := c.Add(Request{File: "F"}); err != nil || c.PendingCount() != 1 {
+		t.Fatalf("re-request after flush: err %v, pending %v", err, c.Pending())
+	}
 }
 
 func TestMultipleRequests(t *testing.T) {
 	fa := disperse(t, 1, []byte("file F"), 1, 2)
 	ga := disperse(t, 2, []byte("file G"), 1, 2)
-	c, _ := New(0, map[uint32]string{1: "F", 2: "G"}, []Request{{File: "F"}, {File: "G"}})
+	c := tuned(t, 0, map[uint32]string{1: "F", 2: "G"}, Request{File: "F"}, Request{File: "G"})
 	c.Observe(0, fa[0].Marshal())
 	if c.Done() {
 		t.Fatal("done after one of two requests")

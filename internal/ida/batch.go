@@ -14,12 +14,6 @@ import "pinbcast/internal/gf256"
 // greedily packed into tiles of at most batchTileBytes of payload
 // (small files batch wide, large files degrade to the per-file order
 // that keeps their own blocks resident).
-//
-// ReconstructBatch is the decode-side counterpart for callers that
-// recover many files at once (a client draining a cycle's worth of
-// completed files): one call amortizes the codec's pooled scratch and
-// keeps the §2.1 inverse cache line hot across files that arrived over
-// the same row subset.
 
 // batchTileBytes bounds the payload working set of one encode tile:
 // every source and redundant block of the tile's files should stay
@@ -94,48 +88,4 @@ func (c *Codec) DisperseBatch(files [][]byte, dst [][][]byte) ([][][]byte, error
 		lo = hi
 	}
 	return dst, nil
-}
-
-// A ReconstructJob is one file recovery within a ReconstructBatch call.
-// The caller fills Shards, DataLen and (optionally) a reusable Dst;
-// ReconstructBatch sets Out and Err per job.
-type ReconstructJob struct {
-	// Shards are the received blocks, at least m with distinct
-	// sequence numbers (extras are ignored, as in ReconstructInto).
-	Shards []Shard
-	// DataLen is the original file length in bytes.
-	DataLen int
-	// Dst is the caller-owned output buffer, grown when too small.
-	// After a successful job it is updated to the (possibly grown)
-	// backing buffer so the next batch reuses it.
-	Dst []byte
-	// Out is the recovered file — DataLen bytes aliasing Dst — or nil
-	// when Err is set.
-	Out []byte
-	// Err reports this job's failure without aborting the batch.
-	Err error
-}
-
-// ReconstructBatch runs every job, writing each result into the job's
-// caller-owned Dst. Jobs fail independently: one malformed job sets its
-// Err and the rest still decode. The returned error is the first job
-// error (nil when all succeed), so callers that treat any failure as
-// fatal need not scan the jobs.
-//
-//pinlint:hotpath
-func (c *Codec) ReconstructBatch(jobs []ReconstructJob) error {
-	var firstErr error
-	for i := range jobs {
-		j := &jobs[i]
-		j.Out, j.Err = c.ReconstructInto(j.Shards, j.DataLen, j.Dst)
-		if j.Err != nil {
-			j.Out = nil
-			if firstErr == nil {
-				firstErr = j.Err
-			}
-			continue
-		}
-		j.Dst = j.Out[:cap(j.Out)]
-	}
-	return firstErr
 }

@@ -64,24 +64,18 @@ func TestDisperseBatchRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reconstruct every file from redundant rows only — the hardest
-	// subset — via the batch decode path.
-	jobs := make([]ReconstructJob, len(files))
+	// subset.
 	for f, data := range files {
 		shards := make([]Shard, 0, 4)
 		for s := 5; s < 9; s++ {
 			shards = append(shards, Shard{Seq: s, Data: batch[f][s]})
 		}
-		jobs[f] = ReconstructJob{Shards: shards, DataLen: len(data)}
-	}
-	if err := c.ReconstructBatch(jobs); err != nil {
-		t.Fatalf("ReconstructBatch: %v", err)
-	}
-	for f, data := range files {
-		if jobs[f].Err != nil {
-			t.Fatalf("file %d: %v", f, jobs[f].Err)
+		out, err := c.ReconstructInto(shards, len(data), nil)
+		if err != nil {
+			t.Fatalf("file %d: %v", f, err)
 		}
-		if !bytes.Equal(jobs[f].Out, data) {
-			t.Fatalf("file %d: round trip through batch encode/decode corrupted data", f)
+		if !bytes.Equal(out, data) {
+			t.Fatalf("file %d: round trip through batch encode corrupted data", f)
 		}
 	}
 }
@@ -103,70 +97,6 @@ func TestDisperseBatchReusesBuffers(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state DisperseBatch allocates %.1f times per call, want 0", allocs)
-	}
-}
-
-func TestReconstructBatchReportsPerJobErrors(t *testing.T) {
-	c, err := NewCodec(4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := batchFiles(4)[5]
-	payloads, err := c.Disperse(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := make([]Shard, 0, 4)
-	for s := 0; s < 4; s++ {
-		good = append(good, Shard{Seq: s, Data: payloads[s]})
-	}
-	jobs := []ReconstructJob{
-		{Shards: good, DataLen: len(data)},
-		{Shards: good[:2], DataLen: len(data)}, // too few shards
-		{Shards: good, DataLen: len(data)},
-	}
-	err = c.ReconstructBatch(jobs)
-	if !errors.Is(err, ErrNotEnough) {
-		t.Fatalf("batch error = %v, want ErrNotEnough", err)
-	}
-	if jobs[0].Err != nil || !bytes.Equal(jobs[0].Out, data) {
-		t.Fatalf("job 0 should succeed despite job 1 failing: err=%v", jobs[0].Err)
-	}
-	if !errors.Is(jobs[1].Err, ErrNotEnough) || jobs[1].Out != nil {
-		t.Fatalf("job 1: err=%v out=%v, want ErrNotEnough and nil", jobs[1].Err, jobs[1].Out)
-	}
-	if jobs[2].Err != nil || !bytes.Equal(jobs[2].Out, data) {
-		t.Fatalf("job 2 should succeed despite job 1 failing: err=%v", jobs[2].Err)
-	}
-}
-
-func TestReconstructBatchReusesDst(t *testing.T) {
-	c, err := NewCodec(4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := batchFiles(4)[5]
-	payloads, err := c.Disperse(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards := make([]Shard, 0, 4)
-	for s := 2; s < 6; s++ {
-		shards = append(shards, Shard{Seq: s, Data: payloads[s]})
-	}
-	jobs := []ReconstructJob{{Shards: shards, DataLen: len(data)}}
-	if err := c.ReconstructBatch(jobs); err != nil {
-		t.Fatal(err)
-	}
-	first := &jobs[0].Dst[0]
-	if err := c.ReconstructBatch(jobs); err != nil {
-		t.Fatal(err)
-	}
-	if &jobs[0].Dst[0] != first {
-		t.Fatal("second batch did not reuse the job's Dst buffer")
-	}
-	if !bytes.Equal(jobs[0].Out, data) {
-		t.Fatal("reused-buffer reconstruction corrupted data")
 	}
 }
 

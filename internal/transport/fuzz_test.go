@@ -9,15 +9,13 @@ import (
 // FuzzReadFrame hammers the frame decoder with arbitrary byte strings:
 // truncated headers, truncated payloads, corrupt and oversized declared
 // lengths. The decoder must never panic or over-allocate; any frame it
-// does accept must round-trip through WriteFrame bit-identically.
+// does accept must round-trip through AppendFrame bit-identically.
 func FuzzReadFrame(f *testing.F) {
 	// A well-formed data frame and a well-formed idle frame.
-	var seed bytes.Buffer
-	WriteFrame(&seed, 7, []byte("self-identifying block"))
-	f.Add(append([]byte(nil), seed.Bytes()...))
-	seed.Reset()
-	WriteFrame(&seed, 9, nil)
-	f.Add(append([]byte(nil), seed.Bytes()...))
+	data, _ := AppendFrame(nil, 7, []byte("self-identifying block"))
+	f.Add(data)
+	idle, _ := AppendFrame(nil, 9, nil)
+	f.Add(idle)
 	// Truncated header, truncated payload, oversized declared length.
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 4, 'a', 'b'})
@@ -26,7 +24,9 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(over[:])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		slot, payload, err := ReadFrame(bytes.NewReader(data))
+		// A 16-byte buffer puts the header and short payloads on the
+		// reuse path and longer payloads on the grow path.
+		slot, payload, err := ReadFrame(bytes.NewReader(data), make([]byte, 0, 16))
 		if err != nil {
 			return // rejected input: only invariant is "no panic"
 		}
@@ -39,12 +39,12 @@ func FuzzReadFrame(f *testing.F) {
 		if want := binary.BigEndian.Uint32(data[4:]); int(want) != len(payload) {
 			t.Fatalf("payload length %d != declared %d", len(payload), want)
 		}
-		var out bytes.Buffer
-		if err := WriteFrame(&out, slot, payload); err != nil {
+		out, err := AppendFrame(nil, slot, payload)
+		if err != nil {
 			t.Fatalf("re-encoding accepted frame: %v", err)
 		}
-		if !bytes.Equal(out.Bytes(), data[:frameHeaderSize+len(payload)]) {
-			t.Fatalf("round-trip mismatch:\n in  %x\n out %x", data[:frameHeaderSize+len(payload)], out.Bytes())
+		if !bytes.Equal(out, data[:frameHeaderSize+len(payload)]) {
+			t.Fatalf("round-trip mismatch:\n in  %x\n out %x", data[:frameHeaderSize+len(payload)], out)
 		}
 	})
 }

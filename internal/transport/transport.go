@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"pinbcast/internal/obs"
-	"pinbcast/internal/server"
 )
 
 // Fan-out plane instruments, registered once against the process-wide
@@ -69,61 +68,34 @@ func AppendFrame(dst []byte, slot int, payload []byte) ([]byte, error) {
 	if len(payload) > MaxFramePayload {
 		return dst, fmt.Errorf("transport: payload %d exceeds limit", len(payload)) //pinlint:allow hotpath allocprove — oversized frame, cold error path
 	}
-	var hdr [frameHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(slot))
-	binary.BigEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	dst = append(dst, hdr[:]...)
+	dst = appendHeader(dst, slot, len(payload))
 	dst = append(dst, payload...)
 	return dst, nil
 }
 
-// WriteFrame writes one slot frame to w.
-func WriteFrame(w io.Writer, slot int, payload []byte) error {
-	if len(payload) > MaxFramePayload {
-		return fmt.Errorf("transport: payload %d exceeds limit", len(payload))
-	}
-	var hdr [frameHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(slot))
-	binary.BigEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadFrame reads one slot frame from r. An idle slot yields a nil
-// payload. The payload is freshly allocated; use ReadFrameInto in
-// receive loops that can reuse a buffer.
+// appendHeader appends one frame header — the only place the header
+// layout is encoded.
 //
 //pinlint:hotpath
-func ReadFrame(r io.Reader) (slot int, payload []byte, err error) {
-	return ReadFrameInto(r, nil)
+func appendHeader(dst []byte, slot, n int) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(slot))
+	return binary.BigEndian.AppendUint32(dst, uint32(n))
 }
 
-// ReadFrameInto reads one slot frame from r, reusing buf's backing
-// array for the payload when it has capacity (growing it otherwise).
-// The returned payload aliases buf — it is valid only until the
-// caller's next reuse of the buffer. An idle slot yields a nil payload.
+// ReadFrame reads one slot frame from r, reusing buf's backing array
+// for the payload when it has capacity (growing it otherwise; a nil buf
+// yields a freshly allocated payload). The returned payload aliases buf
+// — it is valid only until the caller's next reuse of the buffer. An
+// idle slot yields a nil payload.
 //
 // The header is also read through buf when possible: a stack header
 // array would escape through the io.Reader interface call and cost a
-// heap allocation per frame, which is exactly what this entry point
-// exists to avoid.
+// heap allocation per frame.
 //
 //pinlint:hotpath
-func ReadFrameInto(r io.Reader, buf []byte) (slot int, payload []byte, err error) {
-	var hdr []byte
-	if cap(buf) >= frameHeaderSize {
-		hdr = buf[:frameHeaderSize]
-	} else {
-		hdr = make([]byte, frameHeaderSize) //pinlint:allow allocprove — fallback when the caller's buffer is below header size; steady-state readers never take it
-	}
-	if _, err := io.ReadFull(r, hdr); err != nil {
+func ReadFrame(r io.Reader, buf []byte) (slot int, payload []byte, err error) {
+	hdr, err := readN(r, buf, frameHeaderSize)
+	if err != nil {
 		return 0, nil, err
 	}
 	slot = int(binary.BigEndian.Uint32(hdr[0:]))
@@ -136,15 +108,23 @@ func ReadFrameInto(r io.Reader, buf []byte) (slot int, payload []byte, err error
 	}
 	// The header bytes are already decoded, so the payload may overwrite
 	// them in the shared buffer.
-	if uint32(cap(buf)) >= n {
-		payload = buf[:n]
-	} else {
-		payload = make([]byte, n) //pinlint:allow allocprove — grow-once fallback for an undersized caller buffer; the reader reuses it on the next frame
-	}
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if payload, err = readN(r, buf, int(n)); err != nil {
 		return 0, nil, err
 	}
 	return slot, payload, nil
+}
+
+// readN reads exactly n bytes from r into buf's backing array, or into
+// a fresh slice when buf is too small.
+//
+//pinlint:hotpath
+func readN(r io.Reader, buf []byte, n int) ([]byte, error) {
+	if cap(buf) < n {
+		buf = make([]byte, n) //pinlint:allow allocprove — grow-once fallback for an undersized caller buffer; a reader that keeps the result reuses it on the next frame
+	}
+	buf = buf[:n]
+	_, err := io.ReadFull(r, buf)
+	return buf, err
 }
 
 // Fanout multiplexes an externally supplied slot stream to every
@@ -279,11 +259,8 @@ func (f *Fanout) writeLoop(s *subscriber) {
 					return
 				}
 				off := len(hdrs)
-				hdrs = append(hdrs, 0, 0, 0, 0, 0, 0, 0, 0)
-				h := hdrs[off : off+frameHeaderSize]
-				binary.BigEndian.PutUint32(h[0:], uint32(fr.slot))
-				binary.BigEndian.PutUint32(h[4:], uint32(len(fr.payload)))
-				vec = append(vec, h)
+				hdrs = appendHeader(hdrs, fr.slot, len(fr.payload))
+				vec = append(vec, hdrs[off:])
 				if len(fr.payload) > 0 {
 					vec = append(vec, fr.payload)
 				}
@@ -436,52 +413,6 @@ func (f *Fanout) Close() error {
 	return err
 }
 
-// Broadcaster pushes a broadcast server's block stream to every
-// connected client: a Fanout wired to a server-driven slot clock.
-type Broadcaster struct {
-	src *server.Server
-	f   *Fanout
-}
-
-// NewBroadcaster starts accepting clients on ln. Call Run to start the
-// slot clock and Close to shut everything down.
-func NewBroadcaster(ln net.Listener, src *server.Server) *Broadcaster {
-	return &Broadcaster{src: src, f: NewFanout(ln, DefaultWriteTimeout)}
-}
-
-// Addr returns the listening address.
-func (b *Broadcaster) Addr() net.Addr { return b.f.Addr() }
-
-// ClientCount returns the number of connected clients.
-func (b *Broadcaster) ClientCount() int { return b.f.ClientCount() }
-
-// Run broadcasts `slots` consecutive slots, pacing them `interval`
-// apart (zero for as fast as possible). Clients whose connections
-// error are dropped.
-func (b *Broadcaster) Run(slots int, interval time.Duration) error {
-	if slots < 1 {
-		return errors.New("transport: nothing to broadcast")
-	}
-	var tick *time.Ticker
-	if interval > 0 {
-		tick = time.NewTicker(interval)
-		defer tick.Stop()
-	}
-	for t := 0; t < slots; t++ {
-		if err := b.f.Send(t, b.src.Emit(t)); err != nil {
-			return errors.New("transport: broadcaster closed")
-		}
-		if tick != nil {
-			<-tick.C
-		}
-	}
-	return nil
-}
-
-// Close stops accepting, disconnects every client and waits for the
-// accept loop.
-func (b *Broadcaster) Close() error { return b.f.Close() }
-
 // receiveBufferSize is the Receiver's read-ahead buffer: large enough
 // to swallow a full writev batch from the fan-out in one read syscall.
 const receiveBufferSize = 128 << 10
@@ -493,18 +424,17 @@ const receiveBufferSize = 128 << 10
 type Receiver struct {
 	conn net.Conn
 	br   *bufio.Reader
-	buf  []byte // NextReuse's frame buffer
+	buf  []byte // Next's frame buffer
 }
 
-// Dial connects to a broadcaster.
+// Dial connects to a fan-out.
 func Dial(addr string) (*Receiver, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	// Seed the reuse buffer so even the first NextReuse frames (and
-	// idle frames before any payload sizes it) read their header
-	// without allocating.
+	// Seed the frame buffer so even the first frames (and idle frames
+	// before any payload sizes it) read their header without allocating.
 	return &Receiver{
 		conn: conn,
 		br:   bufio.NewReaderSize(conn, receiveBufferSize),
@@ -514,27 +444,17 @@ func Dial(addr string) (*Receiver, error) {
 
 // Next returns the next slot frame. It blocks until a frame arrives,
 // the deadline passes, or the stream closes (io.EOF). The payload is
-// freshly allocated and owned by the caller.
+// read into the receiver's internal buffer: it is valid only until the
+// following Next call, so a caller that retains it must copy it out.
+// Receive loops that decode each frame before fetching the next are
+// allocation-free.
 //
 //pinlint:hotpath
 func (r *Receiver) Next(deadline time.Duration) (slot int, payload []byte, err error) {
 	if deadline > 0 {
 		r.conn.SetReadDeadline(time.Now().Add(deadline))
 	}
-	return ReadFrame(r.br)
-}
-
-// NextReuse is Next with the payload read into the receiver's internal
-// buffer: the returned payload is valid only until the following Next
-// or NextReuse call. It is the allocation-free receive path for loops
-// that decode each frame before fetching the next.
-//
-//pinlint:hotpath
-func (r *Receiver) NextReuse(deadline time.Duration) (slot int, payload []byte, err error) {
-	if deadline > 0 {
-		r.conn.SetReadDeadline(time.Now().Add(deadline))
-	}
-	slot, payload, err = ReadFrameInto(r.br, r.buf)
+	slot, payload, err = ReadFrame(r.br, r.buf)
 	if cap(payload) > cap(r.buf) {
 		r.buf = payload[:cap(payload)]
 	}

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"io"
 	"net"
 	"testing"
 	"time"
@@ -13,32 +12,35 @@ import (
 )
 
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	payload := []byte("block payload")
-	if err := WriteFrame(&buf, 42, payload); err != nil {
+	wire, err := AppendFrame(nil, 42, payload)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(&buf, 43, nil); err != nil {
+	if wire, err = AppendFrame(wire, 43, nil); err != nil {
 		t.Fatal(err)
 	}
-	slot, got, err := ReadFrame(&buf)
+	r := bytes.NewReader(wire)
+	buf := make([]byte, 0, 64)
+	slot, got, err := ReadFrame(r, buf)
 	if err != nil || slot != 42 || !bytes.Equal(got, payload) {
 		t.Fatalf("frame 1: slot=%d err=%v", slot, err)
 	}
-	slot, got, err = ReadFrame(&buf)
+	if &got[0] != &buf[:1][0] {
+		t.Fatal("payload that fits the buffer was not read into it")
+	}
+	slot, got, err = ReadFrame(r, buf)
 	if err != nil || slot != 43 || got != nil {
 		t.Fatalf("frame 2: slot=%d payload=%v err=%v", slot, got, err)
 	}
 }
 
 func TestReadFrameShort(t *testing.T) {
-	if _, _, err := ReadFrame(bytes.NewReader([]byte{1, 2})); err == nil {
+	if _, _, err := ReadFrame(bytes.NewReader([]byte{1, 2}), nil); err == nil {
 		t.Fatal("short header accepted")
 	}
-	var buf bytes.Buffer
-	WriteFrame(&buf, 1, []byte("abcdef"))
-	trunc := buf.Bytes()[:buf.Len()-2]
-	if _, _, err := ReadFrame(bytes.NewReader(trunc)); err == nil {
+	wire, _ := AppendFrame(nil, 1, []byte("abcdef"))
+	if _, _, err := ReadFrame(bytes.NewReader(wire[:len(wire)-2]), nil); err == nil {
 		t.Fatal("truncated payload accepted")
 	}
 }
@@ -46,18 +48,22 @@ func TestReadFrameShort(t *testing.T) {
 func TestReadFrameOversized(t *testing.T) {
 	var hdr [8]byte
 	hdr[4] = 0xff // declared length 0xff000000
-	if _, _, err := ReadFrame(bytes.NewReader(hdr[:])); err == nil {
+	if _, _, err := ReadFrame(bytes.NewReader(hdr[:]), nil); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
 
+// TestWriteFrameOversized: the write side of the codec (AppendFrame)
+// refuses a payload the read side would reject.
 func TestWriteFrameOversized(t *testing.T) {
-	if err := WriteFrame(io.Discard, 0, make([]byte, MaxFramePayload+1)); err == nil {
+	if _, err := AppendFrame(nil, 0, make([]byte, MaxFramePayload+1)); err == nil {
 		t.Fatal("oversized payload accepted")
 	}
 }
 
-func newBroadcaster(t *testing.T) (*Broadcaster, *server.Server, map[string][]byte) {
+// newBroadcast returns a fan-out plus the server whose slots the tests
+// push through it.
+func newBroadcast(t *testing.T) (*Fanout, *server.Server, map[string][]byte) {
 	prog, err := core.FlatSpread([]core.FileSpec{
 		{Name: "A", Blocks: 5, Latency: 1, DispersalWidth: 10},
 		{Name: "B", Blocks: 3, Latency: 1, DispersalWidth: 6},
@@ -77,32 +83,40 @@ func newBroadcaster(t *testing.T) (*Broadcaster, *server.Server, map[string][]by
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewBroadcaster(ln, srv), srv, contents
+	return NewFanout(ln, DefaultWriteTimeout), srv, contents
+}
+
+// broadcast sends the server's first n slots through the fan-out.
+func broadcast(f *Fanout, srv *server.Server, n int) error {
+	for t := 0; t < n; t++ {
+		if err := f.Send(t, srv.Emit(t)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func TestBroadcastOverTCP(t *testing.T) {
-	b, srv, contents := newBroadcaster(t)
-	defer b.Close()
+	f, srv, contents := newBroadcast(t)
+	defer f.Close()
 
-	recv, err := Dial(b.Addr().String())
+	recv, err := Dial(f.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer recv.Close()
-	waitClients(t, b, 1)
+	waitClients(t, f, 1)
 
-	go func() {
-		if err := b.Run(32, 0); err != nil {
-			t.Error(err)
-		}
-	}()
+	sent := make(chan error, 1)
+	go func() { sent <- broadcast(f, srv, 32) }()
 
 	// Feed received frames into the standard client until both files
 	// reconstruct.
-	c, err := client.New(0, srv.Names(),
-		[]client.Request{{File: "A"}, {File: "B"}})
-	if err != nil {
-		t.Fatal(err)
+	c := client.NewSubscriber(srv.Names())
+	for _, file := range []string{"A", "B"} {
+		if err := c.Add(client.Request{File: file}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for !c.Done() {
 		slot, payload, err := recv.Next(2 * time.Second)
@@ -116,30 +130,33 @@ func TestBroadcastOverTCP(t *testing.T) {
 			t.Fatalf("file %q corrupted over network", r.File)
 		}
 	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestBroadcastFanOutTwoClients(t *testing.T) {
-	b, srv, contents := newBroadcaster(t)
-	defer b.Close()
+	f, srv, contents := newBroadcast(t)
+	defer f.Close()
 
-	r1, err := Dial(b.Addr().String())
+	r1, err := Dial(f.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r1.Close()
-	r2, err := Dial(b.Addr().String())
+	r2, err := Dial(f.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	waitClients(t, b, 2)
+	waitClients(t, f, 2)
 
-	go b.Run(32, 0)
+	sent := make(chan error, 1)
+	go func() { sent <- broadcast(f, srv, 32) }()
 
 	for i, recv := range []*Receiver{r1, r2} {
-		c, err := client.New(0, srv.Names(),
-			[]client.Request{{File: "A"}})
-		if err != nil {
+		c := client.NewSubscriber(srv.Names())
+		if err := c.Add(client.Request{File: "A"}); err != nil {
 			t.Fatal(err)
 		}
 		for !c.Done() {
@@ -153,25 +170,28 @@ func TestBroadcastFanOutTwoClients(t *testing.T) {
 			t.Fatalf("client %d got wrong bytes", i)
 		}
 	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestDeadClientDropped(t *testing.T) {
-	b, _, _ := newBroadcaster(t)
-	defer b.Close()
+	f, srv, _ := newBroadcast(t)
+	defer f.Close()
 
-	recv, err := Dial(b.Addr().String())
+	recv, err := Dial(f.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitClients(t, b, 1)
+	waitClients(t, f, 1)
 	recv.Close() // client goes away without telling anyone
 
 	// Broadcasting enough data must eventually notice and drop it.
-	if err := b.Run(4096, 0); err != nil {
+	if err := broadcast(f, srv, 4096); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for b.ClientCount() != 0 {
+	for f.ClientCount() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("dead client never dropped")
 		}
@@ -180,12 +200,12 @@ func TestDeadClientDropped(t *testing.T) {
 }
 
 func TestCloseUnblocksEverything(t *testing.T) {
-	b, _, _ := newBroadcaster(t)
-	if err := b.Close(); err != nil {
+	f, srv, _ := newBroadcast(t)
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Run(8, 0); err == nil {
-		t.Fatal("Run after Close succeeded")
+	if err := broadcast(f, srv, 8); err != ErrClosed {
+		t.Fatalf("broadcast after Close: err = %v, want ErrClosed", err)
 	}
 }
 
@@ -246,7 +266,7 @@ func TestFanoutSlowClientEvicted(t *testing.T) {
 	}
 }
 
-func waitClients(t *testing.T, b *Broadcaster, n int) {
+func waitClients(t *testing.T, b *Fanout, n int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for b.ClientCount() < n {

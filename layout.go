@@ -1,10 +1,6 @@
 package pinbcast
 
 import (
-	"fmt"
-	"sort"
-	"sync"
-
 	"pinbcast/internal/core"
 	"pinbcast/internal/multidisk"
 )
@@ -57,47 +53,18 @@ func NewLayout(name string, plan func(files []FileSpec, bandwidth int) (*Program
 	return layoutFunc{name: name, plan: plan}
 }
 
-var (
-	layoutMu       sync.RWMutex
-	layoutRegistry = map[string]Layout{}
-)
+var layouts = newRegistry[Layout]("layout")
 
 // RegisterLayout adds a layout to the global registry, making it
 // selectable by name in WithLayoutName and the cmd/ binaries. It
 // returns ErrBadSpec when the name is empty or already taken.
-func RegisterLayout(l Layout) error {
-	name := l.Name()
-	if name == "" {
-		return fmt.Errorf("pinbcast: layout has no name: %w", ErrBadSpec)
-	}
-	layoutMu.Lock()
-	defer layoutMu.Unlock()
-	if _, dup := layoutRegistry[name]; dup {
-		return fmt.Errorf("pinbcast: layout %q already registered: %w", name, ErrBadSpec)
-	}
-	layoutRegistry[name] = l
-	return nil
-}
+func RegisterLayout(l Layout) error { return layouts.register(l) }
 
 // LookupLayout returns the registered layout with the given name.
-func LookupLayout(name string) (Layout, bool) {
-	layoutMu.RLock()
-	defer layoutMu.RUnlock()
-	l, ok := layoutRegistry[name]
-	return l, ok
-}
+func LookupLayout(name string) (Layout, bool) { return layouts.lookup(name) }
 
 // LayoutNames returns the names of all registered layouts, sorted.
-func LayoutNames() []string {
-	layoutMu.RLock()
-	defer layoutMu.RUnlock()
-	names := make([]string, 0, len(layoutRegistry))
-	for name := range layoutRegistry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func LayoutNames() []string { return layouts.names() }
 
 // Built-in layout names.
 const (

@@ -48,11 +48,13 @@ type MultiTuner struct {
 
 	mu        sync.Mutex
 	reqs      map[string]*mtRequest
+	open      int // requests not yet finished
 	results   []ClusterResult
 	hops      int
 	completed int  // finished requests by outcome; results itself may be
 	failed    int  // drained by RunInto, so Metrics counts separately
 	started   bool // the persistent channel drivers are running
+	closed    bool // Close has run: no run may wake a driver any more
 
 	// Run-lifecycle plumbing, kept allocation-free per Run: the channel
 	// drivers are persistent goroutines woken by a token per Run rather
@@ -63,36 +65,25 @@ type MultiTuner struct {
 	runWG    sync.WaitGroup
 	runDone  atomic.Bool
 	done     chan struct{} // cap 1: a token arrives when every request completes
-	shutdown chan struct{} // closed by Close: parked drivers exit
-	closing  sync.Once
+	shutdown chan struct{} // closed by Close (under mu, with closed): parked drivers exit
 }
 
-// runToken wakes one channel's persistent driver for one Run.
-type runToken struct{ ctx context.Context }
-
-// mtChannel is one subscribed channel: its source, its protocol client,
-// its own reception-fault process, and its consumption counters. Each
-// channel has its own lock so the K receive loops never serialize on
-// one mutex in the per-slot path — the tuner-wide lock (MultiTuner.mu)
-// is taken only for request bookkeeping (attach, hop, completion). The
-// lock order is MultiTuner.mu before mtChannel.mu; the per-slot path
-// takes mtChannel.mu alone and re-enters through MultiTuner.mu only
-// after releasing it.
+// mtChannel is one subscribed channel: a Receiver — the retrieval
+// engine, with the channel's source, directory, reception-fault process
+// and counters — behind the channel's own lock. The K receive loops
+// never serialize on one mutex in the per-slot path: the tuner-wide
+// lock (MultiTuner.mu) is taken only for request bookkeeping (attach,
+// hop, completion). The lock order is MultiTuner.mu before
+// mtChannel.mu; the per-slot path takes mtChannel.mu alone and
+// re-enters through MultiTuner.mu only after releasing it.
 type mtChannel struct {
-	src  Source
-	wake chan runToken // cap 1: one token per Run wakes the driver
+	wake chan context.Context // cap 1: each Run wakes the driver with its context
 
-	mu       sync.Mutex
-	cli      *client.Client
-	fault    FaultModel
-	slots    int
-	injected int
-	// corruptBuf is the reusable scratch an injected fault garbles into,
-	// exactly as in Receiver: the shared wire payload is never mutated.
-	corruptBuf []byte
-	// resBuf is the scratch observe drains the client's completions
+	mu  sync.Mutex
+	rcv *Receiver // rcv.src is read without mu: it never changes
+	// resBuf is the scratch observe drains the receiver's completions
 	// into, so taking a result off the protocol layer does not allocate.
-	resBuf []client.Result
+	resBuf []Result
 }
 
 // mtRequest tracks one logical retrieval across channels.
@@ -141,7 +132,7 @@ type multiTunerConfig struct {
 type MultiTunerOption func(*multiTunerConfig) error
 
 // WithTunerDirectory supplies the merged id→name directory
-// (Cluster.Directory). Every channel's protocol client shares it, so a
+// (Cluster.Directory). Every channel's receiver starts from it, so a
 // file is resolvable whichever channel its blocks arrive on.
 func WithTunerDirectory(names map[uint32]string) MultiTunerOption {
 	return func(c *multiTunerConfig) error {
@@ -233,15 +224,16 @@ func NewMultiTuner(srcs []Source, opts ...MultiTunerOption) (*MultiTuner, error)
 		shutdown: make(chan struct{}),
 	}
 	for i, src := range srcs {
-		mc := &mtChannel{
-			src:  src,
-			wake: make(chan runToken, 1),
-			cli:  client.NewSubscriber(cfg.names),
-		}
+		rc := &receiverConfig{names: cfg.names}
 		if cfg.faults != nil {
-			mc.fault = cfg.faults[i]
+			rc.fault = cfg.faults[i]
 		}
-		mt.chans = append(mt.chans, mc)
+		rcv, err := newReceiver(src, rc)
+		if err != nil {
+			return nil, err
+		}
+		rcv.channel = i
+		mt.chans = append(mt.chans, &mtChannel{wake: make(chan context.Context, 1), rcv: rcv})
 		if src == nil {
 			mt.det.Fail(i)
 		}
@@ -283,26 +275,19 @@ func (mt *MultiTuner) RequestVia(file string, deadline int, order []int) error {
 				file, ch, len(mt.chans), ErrBadSpec)
 		}
 	}
+	// A completed file's entry and its tried set are reused rather than
+	// reallocated per retrieval.
 	req := mt.reqs[file]
-	if req != nil {
-		// Re-request of a completed file: reuse the entry and its
-		// tried set instead of reallocating per retrieval.
-		clear(req.tried)
-		req.deadline = deadline
-		req.order = order
-		req.attached = req.attached[:0]
-		req.done = false
-	} else {
-		req = &mtRequest{file: file, deadline: deadline, order: order, tried: map[int]bool{}}
+	if req == nil {
+		req = &mtRequest{file: file, tried: map[int]bool{}}
 		mt.reqs[file] = req
 	}
+	clear(req.tried)
+	req.deadline, req.order, req.attached, req.done = deadline, order, req.attached[:0], false
+	mt.open++
 	mt.attachLocked(req)
 	if len(req.attached) == 0 {
-		// No live channel at all: fail immediately rather than hang.
-		mt.finishLocked(req, ClusterResult{
-			Result:  Result{File: file, Deadline: deadline},
-			Channel: -1,
-		})
+		mt.failLocked(req) // no live channel at all: fail now rather than hang
 	}
 	return nil
 }
@@ -329,7 +314,7 @@ func (mt *MultiTuner) attachLocked(req *mtRequest) {
 func (mt *MultiTuner) attachToLocked(req *mtRequest, ch int) {
 	mc := mt.chans[ch]
 	mc.mu.Lock()
-	err := mc.cli.Add(client.Request{File: req.file, Deadline: req.deadline})
+	err := mc.rcv.Request(req.file, req.deadline)
 	mc.mu.Unlock()
 	if err != nil {
 		return // already pending there (re-request after cancel race)
@@ -345,7 +330,7 @@ func (mt *MultiTuner) attachToLocked(req *mtRequest, ch int) {
 func (mt *MultiTuner) cancelOn(ch int, file string) {
 	mc := mt.chans[ch]
 	mc.mu.Lock()
-	mc.cli.Cancel(file)
+	mc.rcv.Cancel(file)
 	mc.mu.Unlock()
 }
 
@@ -371,10 +356,8 @@ func (mt *MultiTuner) finishLocked(req *mtRequest, res ClusterResult) {
 		mt.failed++
 		tunFailed.Inc()
 	}
-	for _, r := range mt.reqs {
-		if !r.done {
-			return
-		}
+	if mt.open--; mt.open > 0 {
+		return
 	}
 	// Every request is done: end the run. Drivers notice the flag at the
 	// next slot boundary; the token releases the Run call itself.
@@ -385,16 +368,26 @@ func (mt *MultiTuner) finishLocked(req *mtRequest, res ClusterResult) {
 	}
 }
 
+// failLocked finishes a request no live channel can serve. Caller holds
+// mu.
+func (mt *MultiTuner) failLocked(req *mtRequest) {
+	mt.finishLocked(req, ClusterResult{
+		Result:  Result{File: req.file, Deadline: req.deadline},
+		Channel: -1,
+	})
+}
+
 // Run drives every channel concurrently until each request has
 // completed, the context is cancelled, or no live channel remains.
-// Exactly like Receiver.Run, requests still pending when the run ends
+// As with Receiver.Run, requests still pending when the run ends
 // — whatever ended it — are flushed as failures with Channel −1: a
 // cancelled context is the caller's deadline on the whole run, not a
 // pause. A tuner left running accepts further Request calls (including
 // re-requests of flushed files) and can be Run again.
 //
 // The first Run parks one persistent driver goroutine per channel;
-// they stay parked between runs and are released by Close. Retrieval
+// they stay parked between runs and are released by Close. A run on a
+// closed tuner wakes nobody and flushes its requests at once. Retrieval
 // loops that must not accumulate history use RunInto instead — Run
 // returns a fresh copy of the tuner's full result history each call.
 func (mt *MultiTuner) Run(ctx context.Context) ([]ClusterResult, error) {
@@ -429,7 +422,7 @@ func (mt *MultiTuner) Recycle(res ClusterResult) {
 	}
 	mc := mt.chans[res.Channel]
 	mc.mu.Lock()
-	mc.cli.Recycle(res.Data)
+	mc.rcv.Recycle(res.Result)
 	mc.mu.Unlock()
 }
 
@@ -438,13 +431,7 @@ func (mt *MultiTuner) Recycle(res ClusterResult) {
 func (mt *MultiTuner) run(ctx context.Context) (int, error) {
 	mt.mu.Lock()
 	mark := len(mt.results)
-	pending := 0
-	for _, r := range mt.reqs {
-		if !r.done {
-			pending++
-		}
-	}
-	if pending == 0 {
+	if mt.open == 0 {
 		mt.mu.Unlock()
 		return mark, nil
 	}
@@ -453,28 +440,30 @@ func (mt *MultiTuner) run(ctx context.Context) (int, error) {
 	case <-mt.done: // drop a stale token left by a previous run
 	default:
 	}
-	if !mt.started {
-		mt.started = true
-		for i := range mt.chans {
-			if mt.chans[i].src != nil {
-				go mt.driver(i)
+	woken := 0
+	if !mt.closed {
+		if !mt.started {
+			mt.started = true
+			for i := range mt.chans {
+				if mt.chans[i].rcv.src != nil {
+					go mt.driver(i)
+				}
 			}
 		}
-	}
-	woken := 0
-	for i := range mt.chans {
-		if mt.chans[i].src == nil || !mt.det.Alive(i) {
-			continue
-		}
-		mt.runWG.Add(1)
-		select {
-		case mt.chans[i].wake <- runToken{ctx}:
-			woken++
-		default:
-			// Unreachable by construction — the previous run's token was
-			// consumed before its runWG.Wait returned — but never block
-			// holding mu on a full wake buffer.
-			mt.runWG.Done()
+		for i := range mt.chans {
+			if mt.chans[i].rcv.src == nil || !mt.det.Alive(i) {
+				continue
+			}
+			mt.runWG.Add(1)
+			select {
+			case mt.chans[i].wake <- ctx:
+				woken++
+			default:
+				// Unreachable by construction — the previous run's token was
+				// consumed before its runWG.Wait returned — but never block
+				// holding mu on a full wake buffer.
+				mt.runWG.Done()
+			}
 		}
 	}
 	mt.mu.Unlock()
@@ -493,10 +482,7 @@ func (mt *MultiTuner) run(ctx context.Context) (int, error) {
 	mt.mu.Lock()
 	for _, req := range mt.reqs {
 		if !req.done {
-			mt.finishLocked(req, ClusterResult{
-				Result:  Result{File: req.file, Deadline: req.deadline},
-				Channel: -1,
-			})
+			mt.failLocked(req)
 		}
 	}
 	mt.mu.Unlock()
@@ -507,14 +493,23 @@ func (mt *MultiTuner) run(ctx context.Context) (int, error) {
 // runs and consumes its source for the duration of each. A dead
 // channel's driver simply stays parked — run never wakes it again.
 func (mt *MultiTuner) driver(ch int) {
+	wake := mt.chans[ch].wake
 	for {
+		var ctx context.Context
 		select {
+		case ctx = <-wake:
 		case <-mt.shutdown:
-			return
-		case tok := <-mt.chans[ch].wake:
-			mt.drive(tok.ctx, ch)
-			mt.runWG.Done()
+			// run wakes drivers only under mu while open, so a token sent
+			// just before Close is already buffered; its run is still owed
+			// a drive, which the closed source ends at once.
+			select {
+			case ctx = <-wake:
+			default:
+				return
+			}
 		}
+		mt.drive(ctx, ch)
+		mt.runWG.Done()
 	}
 }
 
@@ -530,7 +525,7 @@ func (mt *MultiTuner) drive(ctx context.Context, ch int) {
 			return
 		default:
 		}
-		slot, err := mt.chans[ch].src.Next()
+		slot, err := mt.chans[ch].rcv.src.Next()
 		if err != nil {
 			if !errors.Is(err, io.EOF) && transport.IsTimeout(err) {
 				if mt.det.Miss(ch) {
@@ -553,38 +548,23 @@ func (mt *MultiTuner) drive(ctx context.Context, ch int) {
 	}
 }
 
-// observe delivers one slot to the channel's client and reports whether
-// the slot's numbering gap just killed the channel. Only the channel's
-// own lock is held for the protocol work; the tuner-wide lock is taken
-// after it is released, and only when a reconstruction completed.
+// observe delivers one slot to the channel's receiver and reports
+// whether the slot's numbering gap just killed the channel. Only the
+// channel's own lock is held for the protocol work; the tuner-wide lock
+// is taken after it is released, and only when a reconstruction
+// completed.
 func (mt *MultiTuner) observe(ch int, slot Slot) (died bool) {
 	died = mt.det.Observe(ch, slot.T)
 	mc := mt.chans[ch]
 	mc.mu.Lock()
-	mc.slots++
-	if slot.File != "" && slot.Block != nil {
-		mc.cli.Learn(slot.Block.FileID, slot.File)
-	}
-	payload := slot.Payload
-	// The fault process is a property of the channel: it advances once
-	// per transmitted block whether or not a request is pending, like
-	// Receiver's injection.
-	if len(payload) > 0 && mc.fault != nil && mc.fault.Corrupts(slot.T) {
-		mc.corruptBuf = append(mc.corruptBuf[:0], payload...)
-		payload = mc.corruptBuf
-		payload[len(payload)/2] ^= 0x5a // garble so the checksum fails
-		mc.injected++
-		traceRing.Emit(obs.BlockCorrupted, ch, 0, uint64(slot.T), 0)
-	}
 	var res Result
-	completed := false
-	if mc.cli.Observe(slot.T, payload) == client.Completed {
-		// Drain the completion off the protocol client (into reused
-		// scratch) rather than copying its whole history: the tuner's
-		// own bookkeeping is the single record of outcomes.
-		mc.resBuf = mc.cli.TakeResults(mc.resBuf[:0])
+	completed := mc.rcv.observe(slot) == client.Completed
+	if completed {
+		// Drain the completion off the receiver (into reused scratch)
+		// rather than copying its whole history: the tuner's own
+		// bookkeeping is the single record of outcomes.
+		mc.resBuf = mc.rcv.cli.TakeResults(mc.resBuf[:0])
 		res = mc.resBuf[len(mc.resBuf)-1]
-		completed = true
 	}
 	mc.mu.Unlock()
 	if completed {
@@ -627,10 +607,7 @@ func (mt *MultiTuner) channelDied(ch int) {
 			traceRing.Emit(obs.ChannelHop, ch, 0, 0, 0)
 			mt.attachLocked(req)
 			if len(req.attached) == 0 {
-				mt.finishLocked(req, ClusterResult{
-					Result:  Result{File: req.file, Deadline: req.deadline},
-					Channel: -1,
-				})
+				mt.failLocked(req)
 			}
 		}
 	}
@@ -663,12 +640,7 @@ func (mt *MultiTuner) Pending() []string {
 func (mt *MultiTuner) Done() bool {
 	mt.mu.Lock()
 	defer mt.mu.Unlock()
-	for _, req := range mt.reqs {
-		if !req.done {
-			return false
-		}
-	}
-	return true
+	return mt.open == 0
 }
 
 // Directory returns the merged id→name directory over every channel —
@@ -677,7 +649,7 @@ func (mt *MultiTuner) Directory() map[uint32]string {
 	out := map[uint32]string{}
 	for _, mc := range mt.chans {
 		mc.mu.Lock()
-		for id, name := range mc.cli.Directory() {
+		for id, name := range mc.rcv.Directory() {
 			out[id] = name
 		}
 		mc.mu.Unlock()
@@ -693,9 +665,10 @@ func (mt *MultiTuner) Metrics() MultiTunerMetrics {
 	}
 	for i, mc := range mt.chans {
 		mc.mu.Lock()
-		m.SlotsPerChannel[i] = mc.slots
-		m.Injected += mc.injected
+		rm := mc.rcv.Metrics()
 		mc.mu.Unlock()
+		m.SlotsPerChannel[i] = rm.Slots
+		m.Injected += rm.Injected
 	}
 	mt.mu.Lock()
 	m.Hops = mt.hops
@@ -705,15 +678,21 @@ func (mt *MultiTuner) Metrics() MultiTunerMetrics {
 	return m
 }
 
-// Close releases every source and the parked channel drivers.
+// Close releases every source and the parked channel drivers. A run in
+// flight ends as its channels' streams do; a later Run fails at once.
 func (mt *MultiTuner) Close() error {
-	mt.closing.Do(func() { close(mt.shutdown) })
+	mt.mu.Lock()
+	if !mt.closed {
+		mt.closed = true
+		close(mt.shutdown)
+	}
+	mt.mu.Unlock()
 	var first error
 	for _, mc := range mt.chans {
-		if mc.src == nil {
+		if mc.rcv.src == nil {
 			continue
 		}
-		if err := mc.src.Close(); err != nil && first == nil {
+		if err := mc.rcv.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
+	"time"
 )
 
 // recordChannels serves each station of the cluster into a Recording
@@ -164,5 +166,150 @@ func TestMultiTunerValidation(t *testing.T) {
 	}
 	if err := mt.RequestVia("x", 0, []int{7}); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("out-of-range plan: %v", err)
+	}
+}
+
+// TestMultiTunerMatchesReceiver pins the single retrieval engine: a
+// one-channel MultiTuner and a plain Receiver replaying the same
+// recording under the same adversary must agree on every outcome and
+// every counter, because both run Receiver.observe.
+func TestMultiTunerMatchesReceiver(t *testing.T) {
+	c := testCluster(t)
+	rec := recordChannels(t, c, 256)[0]
+	// The first two files channel 0 carries, and an adversary that
+	// destroys the first and third transmission of each.
+	var files []string
+	var kill []int
+	sent := map[string]int{}
+	for _, s := range rec.Slots() {
+		if s.File == "" {
+			continue
+		}
+		if sent[s.File] == 0 && len(files) < 2 {
+			files = append(files, s.File)
+		}
+		sent[s.File]++
+		wanted := len(files) > 0 && s.File == files[0] || len(files) > 1 && s.File == files[1]
+		if wanted && (sent[s.File] == 1 || sent[s.File] == 3) {
+			kill = append(kill, s.T)
+		}
+	}
+	if len(files) != 2 || len(kill) != 4 {
+		t.Fatalf("recording too thin: files %v, kill %v", files, kill)
+	}
+	reqs := []Request{{File: files[0], Deadline: 40}, {File: files[1], Deadline: 3}}
+
+	rcv, err := Subscribe(rec.Source(),
+		WithDirectory(c.Directory()),
+		WithReceiverFaults(SlotFaults(kill...)),
+		WithRequests(reqs...),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := rcv.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mt, err := NewMultiTuner([]Source{rec.Source()},
+		WithTunerDirectory(c.Directory()),
+		WithTunerFaults(SlotFaults(kill...)),
+		WithTunerRequests(reqs...),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mt.Close()
+	got, err := mt.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if len(got) != len(want) || len(want) != 2 {
+		t.Fatalf("tuner %d results, receiver %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Channel != 0 || !reflect.DeepEqual(got[i].Result, want[i]) {
+			t.Fatalf("result %d:\n tuner    %+v\n receiver %+v", i, got[i], want[i])
+		}
+		if !want[i].Completed || want[i].Corrupted == 0 {
+			t.Fatalf("result %d did not exercise the adversary: %+v", i, want[i])
+		}
+	}
+	rm, tm := rcv.Metrics(), mt.Metrics()
+	if tm.SlotsPerChannel[0] != rm.Slots || tm.Injected != rm.Injected || rm.Injected == 0 {
+		t.Fatalf("counters diverge: tuner %+v, receiver %+v", tm, rm)
+	}
+}
+
+// TestMultiTunerRunAfterClose: a run on a closed tuner must return at
+// once with its requests flushed as failures on Channel -1, whether or
+// not the channel drivers were ever started.
+func TestMultiTunerRunAfterClose(t *testing.T) {
+	c := testCluster(t)
+	recs := recordChannels(t, c, 256)
+	for _, started := range []bool{true, false} {
+		srcs := make([]Source, len(recs))
+		for i, rec := range recs {
+			srcs[i] = &loopingSource{slots: rec.Slots()}
+		}
+		mt, err := NewMultiTuner(srcs, WithTunerDirectory(c.Directory()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		history := 0
+		if started {
+			if err := mt.Request("hot-a", 0); err != nil {
+				t.Fatal(err)
+			}
+			if res, err := mt.Run(context.Background()); err != nil || len(res) != 1 || !res[0].Completed {
+				t.Fatalf("run before Close: %+v, %v", res, err)
+			}
+			history = 1
+		}
+		if err := mt.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := mt.Close(); err != nil {
+			t.Fatalf("second Close: %v", err)
+		}
+
+		type outcome struct {
+			res []ClusterResult
+			err error
+		}
+		runs := []func() ([]ClusterResult, error){
+			func() ([]ClusterResult, error) {
+				res, err := mt.Run(context.Background())
+				return res[history:], err
+			},
+			func() ([]ClusterResult, error) { return mt.RunInto(context.Background(), nil) },
+		}
+		for i, run := range runs {
+			if err := mt.Request("warm", 7); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				res, err := run()
+				done <- outcome{res, err}
+			}()
+			select {
+			case out := <-done:
+				if out.err != nil || len(out.res) != 1 {
+					t.Fatalf("started=%v run %d after Close: %+v, %v", started, i, out.res, out.err)
+				}
+				if r := out.res[0]; r.Completed || r.Channel != -1 || r.File != "warm" || r.Deadline != 7 {
+					t.Fatalf("started=%v run %d after Close: flushed %+v", started, i, r)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("started=%v: run %d after Close still blocked", started, i)
+			}
+			history++
+		}
+		if !mt.Done() {
+			t.Fatalf("started=%v: requests left pending after the flush", started)
+		}
 	}
 }

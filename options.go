@@ -78,10 +78,9 @@ func WithSchedulers(schedulers ...Scheduler) Option {
 func WithSchedulerNames(names ...string) Option {
 	return func(c *stationConfig) error {
 		for _, name := range names {
-			s, ok := LookupScheduler(name)
-			if !ok {
-				return fmt.Errorf("pinbcast: unknown scheduler %q (registered: %v): %w",
-					name, SchedulerNames(), ErrBadSpec)
+			s, err := schedulers.named(name)
+			if err != nil {
+				return err
 			}
 			c.schedulers = append(c.schedulers, s)
 		}
@@ -108,13 +107,9 @@ func WithLayout(l Layout) Option {
 // WithLayoutName selects a registered layout by name.
 func WithLayoutName(name string) Option {
 	return func(c *stationConfig) error {
-		l, ok := LookupLayout(name)
-		if !ok {
-			return fmt.Errorf("pinbcast: unknown layout %q (registered: %v): %w",
-				name, LayoutNames(), ErrBadSpec)
-		}
+		l, err := layouts.named(name)
 		c.layout = l
-		return nil
+		return err
 	}
 }
 
@@ -228,31 +223,17 @@ func WithShard(s Shard) ClusterOption {
 // WithShardName selects a registered shard policy by name.
 func WithShardName(name string) ClusterOption {
 	return func(c *clusterConfig) error {
-		s, ok := LookupShard(name)
-		if !ok {
-			return fmt.Errorf("pinbcast: unknown shard policy %q (registered: %v): %w",
-				name, ShardNames(), ErrBadSpec)
-		}
+		s, err := shards.named(name)
 		c.shard = s
-		return nil
+		return err
 	}
 }
 
 // WithClusterFiles appends broadcast file specifications to the cluster
-// catalog; supply contents through WithClusterContents or
-// WithClusterFile.
+// catalog; supply contents through WithClusterContents.
 func WithClusterFiles(files ...FileSpec) ClusterOption {
 	return func(c *clusterConfig) error {
 		c.files = append(c.files, files...)
-		return nil
-	}
-}
-
-// WithClusterFile appends one catalog file together with its contents.
-func WithClusterFile(f FileSpec, contents []byte) ClusterOption {
-	return func(c *clusterConfig) error {
-		c.files = append(c.files, f)
-		c.contents[f.Name] = contents
 		return nil
 	}
 }

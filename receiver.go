@@ -26,9 +26,10 @@ import (
 // A Receiver is single-goroutine: Run, Step and Request must not be
 // called concurrently.
 type Receiver struct {
-	src   Source
-	cli   *client.Client
-	fault FaultModel
+	src     Source
+	cli     *client.Client
+	fault   FaultModel
+	channel int // trace-event label: the MultiTuner channel, -1 standing alone
 
 	// corruptBuf is the reusable scratch an injected fault garbles into,
 	// so the shared wire payload is never mutated and fault injection
@@ -197,11 +198,20 @@ func Subscribe(src Source, opts ...ReceiverOption) (*Receiver, error) {
 			return nil, err
 		}
 	}
+	return newReceiver(src, cfg)
+}
+
+// newReceiver builds a receiver from collected options. MultiTuner (a
+// nil src for a channel known dead) and Simulate (no source at all)
+// call it directly and drive observe themselves.
+func newReceiver(src Source, cfg *receiverConfig) (*Receiver, error) {
 	r := &Receiver{
-		src:   src,
-		cli:   client.NewSubscriber(cfg.names),
-		fault: cfg.fault,
-		lastT: -1,
+		src:      src,
+		cli:      client.NewSubscriber(cfg.names),
+		fault:    cfg.fault,
+		channel:  -1,
+		schedule: cfg.schedule,
+		lastT:    -1,
 	}
 	if cfg.policy != nil {
 		c, err := cache.New(cfg.capacity, cfg.policy)
@@ -211,7 +221,6 @@ func Subscribe(src Source, opts ...ReceiverOption) (*Receiver, error) {
 		r.cache = c
 		r.store = make(map[string][]byte, cfg.capacity)
 	}
-	r.schedule = cfg.schedule
 	for _, req := range cfg.requests {
 		if err := r.Request(req.File, req.Deadline); err != nil {
 			return nil, err
@@ -256,9 +265,9 @@ func (r *Receiver) Request(file string, deadline int) error {
 
 // Cancel withdraws a pending request without recording a result,
 // discarding any blocks collected for it. It reports whether the file
-// was actually pending. A MultiTuner uses the same operation on its
-// per-channel clients to release the losing channels once any channel
-// completes a request.
+// was actually pending. A MultiTuner cancels on its per-channel
+// receivers to release the losing channels once any channel completes a
+// request.
 func (r *Receiver) Cancel(file string) bool { return r.cli.Cancel(file) }
 
 // Step consumes one slot from the source and advances the protocol. It
@@ -272,9 +281,19 @@ func (r *Receiver) Cancel(file string) bool { return r.cli.Cancel(file) }
 //pinlint:hotpath
 func (r *Receiver) Step() (done bool, err error) {
 	slot, err := r.src.Next()
-	if err != nil {
-		return r.cli.Done(), err
+	if err == nil {
+		r.observe(slot)
 	}
+	return r.cli.Done(), err
+}
+
+// observe is the retrieval engine: everything a receiver does with one
+// slot once it is off the air. Step, each MultiTuner channel driver and
+// Simulate all feed it, so a fault, a dozed slot and a counter mean the
+// same thing on every path.
+//
+//pinlint:hotpath
+func (r *Receiver) observe(slot Slot) client.Outcome {
 	r.m.Slots++
 	rcvSlots.Inc()
 	r.lastT = slot.T
@@ -303,17 +322,15 @@ func (r *Receiver) Step() (done bool, err error) {
 
 	// The fault process is a property of the channel, not of what the
 	// receiver does with it: stateful models (Gilbert–Elliott bursts)
-	// advance once per transmitted block, exactly as internal/sim
-	// drives them, whether or not this receiver is listening.
+	// advance once per transmitted block, whether or not this receiver
+	// is listening.
 	corrupted := len(slot.Payload) > 0 && r.fault != nil && r.fault.Corrupts(slot.T)
 
-	pending := r.cli.PendingCount()
-	if pending == 0 {
+	if r.cli.PendingCount() == 0 {
 		// Nothing requested: the radio idles but the tune-in clock
 		// keeps ticking, so a later Request measures latency from its
 		// own activation slot, not from a stale one.
-		r.cli.Observe(slot.T, nil)
-		return true, nil
+		return r.cli.Observe(slot.T, nil)
 	}
 
 	// Doze: with schedule knowledge the receiver wakes only for slots
@@ -323,8 +340,7 @@ func (r *Receiver) Step() (done bool, err error) {
 			r.m.Dozed++
 			// The latency clock keeps ticking while the radio sleeps —
 			// dozing saves tuning time, never access time.
-			r.cli.Observe(slot.T, nil)
-			return false, nil
+			return r.cli.Observe(slot.T, nil)
 		}
 	}
 	r.m.Listened++
@@ -335,29 +351,31 @@ func (r *Receiver) Step() (done bool, err error) {
 		payload = r.corruptBuf
 		payload[len(payload)/2] ^= 0x5a // garble so the checksum fails
 		r.m.Injected++
-		traceRing.Emit(obs.BlockCorrupted, -1, 0, uint64(slot.T), 0)
+		if slot.File != "" {
+			// A garbled block cannot say whose it was; the slot can.
+			r.cli.NoteCorruption(slot.File)
+		}
+		traceRing.Emit(obs.BlockCorrupted, r.channel, 0, uint64(slot.T), 0)
 	}
 
-	switch r.cli.Observe(slot.T, payload) {
-	case client.Corrupt:
+	out := r.cli.Observe(slot.T, payload)
+	if out == client.Corrupt {
 		r.m.Corrupted++
 		rcvCorrupted.Inc()
+		return out
+	}
+	if payload != nil { // every other outcome of a transmitted block heard it
+		r.m.Blocks++
+		rcvBlocks.Inc()
+	}
+	switch out {
 	case client.Unknown:
 		r.m.Unknown++
-		r.m.Blocks++
-		rcvBlocks.Inc()
-	case client.Ignored, client.Stored:
-		if payload != nil {
-			r.m.Blocks++
-			rcvBlocks.Inc()
-		}
 	case client.Completed:
-		r.m.Blocks++
-		rcvBlocks.Inc()
 		r.m.Reconstructions++
 		r.cacheCompleted() //pinlint:allow hotpath — completion path, runs once per reconstructed file
 	}
-	return r.cli.Done(), nil
+	return out
 }
 
 // cacheCompleted inserts the just-reconstructed file into the cache.
@@ -397,11 +415,8 @@ func (r *Receiver) Run(ctx context.Context) ([]Result, error) {
 		if errors.Is(err, io.EOF) {
 			return r.cli.Flush(r.lastT), nil
 		}
-		if err != nil {
+		if err != nil || done {
 			return r.cli.Results(), err
-		}
-		if done {
-			return r.cli.Results(), nil
 		}
 	}
 }

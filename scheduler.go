@@ -3,8 +3,6 @@ package pinbcast
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 
 	"pinbcast/internal/pinwheel"
 )
@@ -41,48 +39,19 @@ func NewScheduler(name string, run func(TaskSystem) (*Schedule, error)) Schedule
 	return schedulerFunc{name: name, run: run}
 }
 
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Scheduler{}
-)
+var schedulers = newRegistry[Scheduler]("scheduler")
 
 // RegisterScheduler adds a scheduler to the global registry, making it
 // selectable by name in WithSchedulerNames and the cmd/ binaries. It
 // returns ErrBadSpec when the name is empty or already taken.
-func RegisterScheduler(s Scheduler) error {
-	name := s.Name()
-	if name == "" {
-		return fmt.Errorf("pinbcast: scheduler has no name: %w", ErrBadSpec)
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		return fmt.Errorf("pinbcast: scheduler %q already registered: %w", name, ErrBadSpec)
-	}
-	registry[name] = s
-	return nil
-}
+func RegisterScheduler(s Scheduler) error { return schedulers.register(s) }
 
 // LookupScheduler returns the registered scheduler with the given name.
-func LookupScheduler(name string) (Scheduler, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	s, ok := registry[name]
-	return s, ok
-}
+func LookupScheduler(name string) (Scheduler, bool) { return schedulers.lookup(name) }
 
 // SchedulerNames returns the names of all registered schedulers,
 // sorted.
-func SchedulerNames() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func SchedulerNames() []string { return schedulers.names() }
 
 // Built-in scheduler names.
 const (
@@ -107,18 +76,6 @@ func init() {
 			panic(err)
 		}
 	}
-}
-
-// DefaultSchedulers returns the built-in chain in portfolio order. A
-// Station configured without WithSchedulers uses the portfolio driver
-// directly, which is equivalent.
-func DefaultSchedulers() []Scheduler {
-	var out []Scheduler
-	for _, name := range []string{SchedulerSx, SchedulerTwoDistinct, SchedulerEDF, SchedulerExact} {
-		s, _ := LookupScheduler(name)
-		out = append(out, s)
-	}
-	return out
 }
 
 // solveChain runs the schedulers in order and returns the first

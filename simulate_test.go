@@ -1,17 +1,14 @@
-package sim
+package pinbcast
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
-
-	"pinbcast/internal/channel"
-	"pinbcast/internal/client"
-	"pinbcast/internal/core"
 )
 
-func fig6Program(t testing.TB) *core.Program {
-	p, err := core.FlatSpread([]core.FileSpec{
+func simFig6Program(t testing.TB) *Program {
+	p, err := FlatSpread([]FileSpec{
 		{Name: "A", Blocks: 5, Latency: 1, DispersalWidth: 10},
 		{Name: "B", Blocks: 3, Latency: 1, DispersalWidth: 6},
 	})
@@ -21,7 +18,7 @@ func fig6Program(t testing.TB) *core.Program {
 	return p
 }
 
-func contents() map[string][]byte {
+func simFig6Contents() map[string][]byte {
 	return map[string][]byte{
 		"A": []byte("file A holds forty-two bytes of road data!!"),
 		"B": []byte("file B: tank positions"),
@@ -29,11 +26,11 @@ func contents() map[string][]byte {
 }
 
 func TestFaultFreeRetrievalByteExact(t *testing.T) {
-	rep, err := Run(Config{
-		Program:  fig6Program(t),
-		Contents: contents(),
+	rep, err := Simulate(SimConfig{
+		Program:  simFig6Program(t),
+		Contents: simFig6Contents(),
 		Clients: []ClientSpec{
-			{Start: 0, Requests: []client.Request{{File: "A"}, {File: "B"}}},
+			{Start: 0, Requests: []Request{{File: "A"}, {File: "B"}}},
 		},
 	})
 	if err != nil {
@@ -46,7 +43,7 @@ func TestFaultFreeRetrievalByteExact(t *testing.T) {
 		if !r.Completed {
 			t.Fatalf("request %q incomplete", r.File)
 		}
-		if !bytes.Equal(r.Data, contents()[r.File]) {
+		if !bytes.Equal(r.Data, simFig6Contents()[r.File]) {
 			t.Fatalf("file %q content mismatch", r.File)
 		}
 	}
@@ -61,18 +58,18 @@ func TestFaultFreeRetrievalByteExact(t *testing.T) {
 
 func TestClientStartsMidProgram(t *testing.T) {
 	for start := 0; start < 16; start++ {
-		rep, err := Run(Config{
-			Program:  fig6Program(t),
-			Contents: contents(),
+		rep, err := Simulate(SimConfig{
+			Program:  simFig6Program(t),
+			Contents: simFig6Contents(),
 			Clients: []ClientSpec{
-				{Start: start, Requests: []client.Request{{File: "A"}}},
+				{Start: start, Requests: []Request{{File: "A"}}},
 			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := rep.Results[0]
-		if !r.Completed || !bytes.Equal(r.Data, contents()["A"]) {
+		if !r.Completed || !bytes.Equal(r.Data, simFig6Contents()["A"]) {
 			t.Fatalf("start %d: retrieval failed", start)
 		}
 		if r.Latency > 8 {
@@ -85,21 +82,21 @@ func TestAdversarialErrorWithinTolerance(t *testing.T) {
 	// Destroy one A-block reception: with dispersal 10-of-5 the client
 	// just uses the next block; latency grows by at most δ_A·1 = 2
 	// (Lemma 2), and content is still exact.
-	prog := fig6Program(t)
+	prog := simFig6Program(t)
 	occ := prog.Occurrences(0)
-	rep, err := Run(Config{
+	rep, err := Simulate(SimConfig{
 		Program:  prog,
-		Contents: contents(),
-		Fault:    channel.SlotSet{occ[4]: true}, // kill the 5th A reception
+		Contents: simFig6Contents(),
+		Fault:    SlotFaults(occ[4]), // kill the 5th A reception
 		Clients: []ClientSpec{
-			{Start: 0, Requests: []client.Request{{File: "A", Deadline: 10}}},
+			{Start: 0, Requests: []Request{{File: "A", Deadline: 10}}},
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := rep.Results[0]
-	if !r.Completed || !bytes.Equal(r.Data, contents()["A"]) {
+	if !r.Completed || !bytes.Equal(r.Data, simFig6Contents()["A"]) {
 		t.Fatal("retrieval under single fault failed")
 	}
 	base := 8 // fault-free completion from slot 0
@@ -114,7 +111,7 @@ func TestAdversarialErrorWithinTolerance(t *testing.T) {
 func TestFlatProgramPaysFullPeriod(t *testing.T) {
 	// The same single fault against a non-dispersed flat program forces
 	// the client to wait for the block's retransmission next period.
-	prog, err := core.FlatSpread([]core.FileSpec{
+	prog, err := FlatSpread([]FileSpec{
 		{Name: "A", Blocks: 5, Latency: 1},
 		{Name: "B", Blocks: 3, Latency: 1},
 	})
@@ -123,12 +120,12 @@ func TestFlatProgramPaysFullPeriod(t *testing.T) {
 	}
 	occ := prog.Occurrences(0)
 	killed := occ[4]
-	rep, err := Run(Config{
+	rep, err := Simulate(SimConfig{
 		Program:  prog,
-		Contents: contents(),
-		Fault:    channel.SlotSet{killed: true},
+		Contents: simFig6Contents(),
+		Fault:    SlotFaults(killed),
 		Clients: []ClientSpec{
-			{Start: 0, Requests: []client.Request{{File: "A"}}},
+			{Start: 0, Requests: []Request{{File: "A"}}},
 		},
 	})
 	if err != nil {
@@ -145,17 +142,17 @@ func TestFlatProgramPaysFullPeriod(t *testing.T) {
 }
 
 func TestDeadlineMissAccounting(t *testing.T) {
-	prog := fig6Program(t)
+	prog := simFig6Program(t)
 	occ := prog.Occurrences(1) // B occurrences
 	// Destroy three consecutive B receptions; the fourth is at slot 9,
 	// so a deadline of 7 must be missed.
-	faults := channel.SlotSet{occ[0]: true, occ[1]: true, occ[2]: true}
-	rep, err := Run(Config{
+	faults := SlotFaults(occ[0], occ[1], occ[2])
+	rep, err := Simulate(SimConfig{
 		Program:  prog,
-		Contents: contents(),
+		Contents: simFig6Contents(),
 		Fault:    faults,
 		Clients: []ClientSpec{
-			{Start: 0, Requests: []client.Request{{File: "B", Deadline: 7}}},
+			{Start: 0, Requests: []Request{{File: "B", Deadline: 7}}},
 		},
 	})
 	if err != nil {
@@ -174,18 +171,18 @@ func TestDeadlineMissAccounting(t *testing.T) {
 }
 
 func TestBernoulliPopulationStatistics(t *testing.T) {
-	prog := fig6Program(t)
+	prog := simFig6Program(t)
 	var clients []ClientSpec
 	for i := 0; i < 40; i++ {
 		clients = append(clients, ClientSpec{
 			Start:    i * 3,
-			Requests: []client.Request{{File: "A", Deadline: 16}, {File: "B", Deadline: 16}},
+			Requests: []Request{{File: "A", Deadline: 16}, {File: "B", Deadline: 16}},
 		})
 	}
-	rep, err := Run(Config{
+	rep, err := Simulate(SimConfig{
 		Program:  prog,
-		Contents: contents(),
-		Fault:    channel.NewBernoulli(0.05, 13),
+		Contents: simFig6Contents(),
+		Fault:    BernoulliFaults(0.05, 13),
 		Clients:  clients,
 		Horizon:  4096,
 	})
@@ -209,16 +206,22 @@ func TestBernoulliPopulationStatistics(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
-		t.Fatal("empty config accepted")
+	if _, err := Simulate(SimConfig{}); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("empty config: err = %v, want ErrBadSpec", err)
 	}
-	if _, err := Run(Config{Program: fig6Program(t), Contents: contents()}); err == nil {
-		t.Fatal("no clients accepted")
+	if _, err := Simulate(SimConfig{Program: simFig6Program(t), Contents: simFig6Contents()}); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("no clients: err = %v, want ErrBadSpec", err)
 	}
-	if _, err := Run(Config{
-		Program:  fig6Program(t),
+	if _, err := Simulate(SimConfig{
+		Program: simFig6Program(t), Contents: simFig6Contents(),
+		Clients: []ClientSpec{{Start: 2}},
+	}); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("client without requests: err = %v, want ErrBadSpec", err)
+	}
+	if _, err := Simulate(SimConfig{
+		Program:  simFig6Program(t),
 		Contents: map[string][]byte{"A": []byte("x")}, // missing B
-		Clients:  []ClientSpec{{Requests: []client.Request{{File: "A"}}}},
+		Clients:  []ClientSpec{{Requests: []Request{{File: "A"}}}},
 	}); err == nil {
 		t.Fatal("missing contents accepted")
 	}
@@ -227,11 +230,11 @@ func TestRunValidation(t *testing.T) {
 func TestEndToEndPinwheelProgram(t *testing.T) {
 	// Full pipeline: spec → Eq 2 bandwidth → pinwheel program → server →
 	// lossy channel → client, byte-for-byte.
-	files := []core.FileSpec{
+	files := []FileSpec{
 		{Name: "A", Blocks: 5, Latency: 10, Faults: 2},
 		{Name: "B", Blocks: 3, Latency: 6, Faults: 1},
 	}
-	prog, err := core.BuildProgramAuto(files)
+	prog, err := Build(BuildConfig{Files: files})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,13 +242,13 @@ func TestEndToEndPinwheelProgram(t *testing.T) {
 		"A": bytes.Repeat([]byte("IVHS segment data "), 20),
 		"B": []byte("alert: accident at exit 14"),
 	}
-	rep, err := Run(Config{
+	rep, err := Simulate(SimConfig{
 		Program:  prog,
 		Contents: data,
-		Fault:    channel.NewBernoulli(0.02, 99),
+		Fault:    BernoulliFaults(0.02, 99),
 		Clients: []ClientSpec{
-			{Start: 0, Requests: []client.Request{{File: "A"}, {File: "B"}}},
-			{Start: 17, Requests: []client.Request{{File: "B"}}},
+			{Start: 0, Requests: []Request{{File: "A"}, {File: "B"}}},
+			{Start: 17, Requests: []Request{{File: "B"}}},
 		},
 		Horizon: 8192,
 	})
@@ -266,11 +269,11 @@ func TestManyStartsExhaustiveDeadlines(t *testing.T) {
 	// The designed guarantee: with r ≤ Faults adversarial errors, every
 	// client meets latency T regardless of start slot. Exercise every
 	// start over one data cycle with the worst single fault.
-	files := []core.FileSpec{
+	files := []FileSpec{
 		{Name: "A", Blocks: 3, Latency: 6, Faults: 1},
 		{Name: "B", Blocks: 2, Latency: 5, Faults: 1},
 	}
-	prog, err := core.BuildProgramAuto(files)
+	prog, err := Build(BuildConfig{Files: files})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,12 +291,12 @@ func TestManyStartsExhaustiveDeadlines(t *testing.T) {
 					kill = slot
 				}
 			}
-			rep, err := Run(Config{
+			rep, err := Simulate(SimConfig{
 				Program:  prog,
 				Contents: data,
-				Fault:    channel.SlotSet{kill: true},
+				Fault:    SlotFaults(kill),
 				Clients: []ClientSpec{
-					{Start: start, Requests: []client.Request{{File: f.Name, Deadline: b * f.Latency}}},
+					{Start: start, Requests: []Request{{File: f.Name, Deadline: b * f.Latency}}},
 				},
 			})
 			if err != nil {
@@ -308,7 +311,7 @@ func TestManyStartsExhaustiveDeadlines(t *testing.T) {
 	}
 }
 
-func indexOf(p *core.Program, name string) int {
+func indexOf(p *Program, name string) int {
 	for i, f := range p.Files {
 		if f.Name == name {
 			return i
@@ -318,16 +321,16 @@ func indexOf(p *core.Program, name string) int {
 }
 
 func BenchmarkSimulation(b *testing.B) {
-	prog := fig6Program(b)
-	data := contents()
+	prog := simFig6Program(b)
+	data := simFig6Contents()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, err := Run(Config{
+		_, err := Simulate(SimConfig{
 			Program:  prog,
 			Contents: data,
-			Fault:    channel.NewBernoulli(0.05, int64(i)),
+			Fault:    BernoulliFaults(0.05, int64(i)),
 			Clients: []ClientSpec{
-				{Start: 0, Requests: []client.Request{{File: "A"}, {File: "B"}}},
+				{Start: 0, Requests: []Request{{File: "A"}, {File: "B"}}},
 			},
 		})
 		if err != nil {

@@ -1,6 +1,7 @@
 package pinbcast
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -95,11 +96,11 @@ type TCPSource struct {
 	r *transport.Receiver
 	// Timeout bounds each Next call; zero blocks indefinitely.
 	Timeout time.Duration
-	// Reuse makes Next read each frame into a buffer reused across
-	// calls: the returned Slot's Payload is then valid only until the
-	// following Next. A Receiver decodes every slot before advancing,
-	// so subscription loops can enable it to receive allocation-free —
-	// but leave it off when slots are retained (Record does).
+	// Reuse hands out each frame's Payload in the connection's one read
+	// buffer, valid only until the following Next. A Receiver decodes
+	// every slot before advancing, so subscription loops can enable it
+	// to receive allocation-free. Left false, Next copies the payload
+	// out of that buffer and the Slot may be retained (Record does).
 	Reuse bool
 }
 
@@ -116,21 +117,14 @@ func DialSource(addr string) (*TCPSource, error) {
 //
 //pinlint:hotpath
 func (s *TCPSource) Next() (Slot, error) {
-	var (
-		t       int
-		payload []byte
-		err     error
-	)
-	if s.Reuse {
-		t, payload, err = s.r.NextReuse(s.Timeout)
-	} else {
-		t, payload, err = s.r.Next(s.Timeout)
-	}
+	t, payload, err := s.r.Next(s.Timeout)
 	if err != nil {
 		return Slot{}, err
 	}
-	slot := Slot{T: t, Payload: payload}
-	return slot, nil
+	if !s.Reuse {
+		payload = bytes.Clone(payload) //pinlint:allow allocprove — the retaining mode's per-frame copy (nil, an idle slot, stays nil); allocation-free loops set Reuse
+	}
+	return Slot{T: t, Payload: payload}, nil
 }
 
 // Close closes the connection.

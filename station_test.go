@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"pinbcast/internal/channel"
-	"pinbcast/internal/client"
 )
 
 // lifecycleStation returns a small two-file station with headroom for
@@ -33,35 +32,28 @@ func lifecycleStation(t *testing.T, opts ...Option) (*Station, map[string][]byte
 	return st, contents
 }
 
-// retrieve feeds the slot stream into a reconstructing client under the
-// fault model until every request completes (or the stream ends), and
-// returns the results.
-func retrieve(t *testing.T, st *Station, slots <-chan Slot, fault FaultModel, names []string) []client.Result {
+// retrieve runs a Receiver over the slot stream under the fault model
+// until every request completes, and returns the results.
+func retrieve(t *testing.T, st *Station, slots <-chan Slot, fault FaultModel, names []string) []Result {
 	t.Helper()
-	reqs := make([]client.Request, len(names))
-	for i, name := range names {
-		reqs[i] = client.Request{File: name}
+	opts := []ReceiverOption{WithDirectory(st.Directory()), WithReceiverFaults(fault)}
+	for _, name := range names {
+		opts = append(opts, WithRequest(name, 0))
 	}
-	var c *client.Client
-	for slot := range slots {
-		if c == nil {
-			var err error
-			if c, err = client.New(slot.T, st.Directory(), reqs); err != nil {
-				t.Fatal(err)
-			}
-		}
-		raw := slot.Payload
-		if raw != nil && fault != nil && fault.Corrupts(slot.T) {
-			raw = append([]byte(nil), raw...)
-			raw[len(raw)/2] ^= 0x5a // garble so the checksum fails
-		}
-		c.Observe(slot.T, raw)
-		if c.Done() {
-			return c.Results()
+	rcv, err := Subscribe(SlotSource(slots), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := rcv.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		if !r.Completed {
+			t.Fatal("stream ended before retrieval completed")
 		}
 	}
-	t.Fatal("stream ended before retrieval completed")
-	return nil
+	return results
 }
 
 // TestStationLifecycle is the end-to-end acceptance path: build →
