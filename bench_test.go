@@ -218,7 +218,15 @@ func BenchmarkEndToEndSimulation(b *testing.B) {
 // drained per second from a consumer-paced Serve stream. This is the
 // hot path of the Station service API and the series tracked by CI in
 // BENCH_station.json.
-func BenchmarkStationServe(b *testing.B) {
+func BenchmarkStationServe(b *testing.B) { benchmarkStationServe(b, 0) }
+
+// BenchmarkStationServePaced is the same stream paced at 100 µs a
+// slot: rate_ratio is the achieved slot rate over the nominal one (1.0
+// when every slot leaves on its deadline), and the paced branch of the
+// loop — clock read, pacer, timer reset — must stay at 0 allocs/op.
+func BenchmarkStationServePaced(b *testing.B) { benchmarkStationServe(b, 100*time.Microsecond) }
+
+func benchmarkStationServe(b *testing.B, interval time.Duration) {
 	files := []pinbcast.FileSpec{
 		{Name: "A", Blocks: 4, Latency: 8, Faults: 1},
 		{Name: "B", Blocks: 8, Latency: 40},
@@ -227,6 +235,7 @@ func BenchmarkStationServe(b *testing.B) {
 		pinbcast.WithFiles(files...),
 		pinbcast.WithContents(workload.Contents(files, 256, 5)),
 		pinbcast.WithSlotBuffer(256),
+		pinbcast.WithSlotInterval(interval),
 	)
 	if err != nil {
 		b.Fatal(err)
@@ -243,6 +252,9 @@ func BenchmarkStationServe(b *testing.B) {
 		if _, ok := <-slots; !ok {
 			b.Fatal("stream closed")
 		}
+	}
+	if interval > 0 {
+		b.ReportMetric(float64(b.N)*float64(interval)/float64(b.Elapsed()), "rate_ratio")
 	}
 }
 

@@ -272,13 +272,6 @@ func (c *Cluster) Alive(i int) bool {
 	return i >= 0 && i < len(c.stations) && !c.dead[i]
 }
 
-// Live returns the indices of the channels still serving.
-func (c *Cluster) Live() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.liveLocked()
-}
-
 func (c *Cluster) liveLocked() []int {
 	var out []int
 	for i := range c.stations {

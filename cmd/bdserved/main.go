@@ -18,11 +18,13 @@
 // "pinbcast" var) and pprof at /debug/pprof.
 //
 // On SIGTERM or SIGINT the daemon drains gracefully: each channel
-// keeps broadcasting until its next data-cycle boundary — so every
-// in-flight window guarantee of the current program completes — then
-// the fan-outs close, the ops listener shuts down, and the process
-// exits 0. A channel that cannot reach its boundary within
-// drain.timeout is cut off hard.
+// keeps broadcasting until its next data-cycle boundary, where the
+// program's block rotation ends — a window that began early enough in
+// the cycle completes on air; a retrieval straddling a boundary (this
+// one, or a generation swap) is bounded by one window per generation it
+// touched (bdload finding 6; the ROADMAP's conformance oracle owns the
+// bound) — then the fan-outs close, the ops listener shuts down, and the
+// process exits 0; past drain.timeout a channel is cut off hard.
 package main
 
 import (
@@ -247,8 +249,8 @@ func buildChannels(ctx context.Context, cfg Config, files []pinbcast.FileSpec, c
 // drain closes and the next data-cycle boundary is reached (or the
 // serve context is cancelled — the drain deadline's hard cutoff). The
 // boundary rule is the same one online admission lands on: stopping at
-// slot T with (T+1) divisible by the data cycle means every window
-// guarantee of the running program completed on air.
+// slot T with (T+1) divisible by the data cycle ends on a whole block
+// rotation (see the package comment for what that promises a reader).
 func pumpChannel(ctx context.Context, i int, c channel, drain <-chan struct{}) {
 	draining := false
 	for {

@@ -38,9 +38,9 @@
 //
 // Files are admitted and evicted online — station.Admit runs the
 // paper's density-based admission control and swaps in the rebuilt
-// program at the next data-cycle boundary (§2.3), so every guarantee
-// of the outgoing program completes first. See ExampleStation for a
-// complete runnable lifecycle.
+// program at the next data-cycle boundary (§2.3), where the outgoing
+// block rotation ends (a retrieval across the swap: one window per
+// generation it touched). See ExampleStation for a runnable lifecycle.
 //
 // Schedulers are pluggable: the paper's portfolio members (Sa, Sx,
 // EDF, the two-distinct specialization, exact search) are registered

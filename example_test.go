@@ -54,7 +54,7 @@ func ExampleStation() {
 	fmt.Printf("reconstructed intact: %v\n", bytes.Equal(data, bulletin))
 
 	// Admit a third file online; the swap lands on the next data-cycle
-	// boundary, preserving every in-flight guarantee.
+	// boundary, where the outgoing block rotation ends.
 	if err := station.Admit(pinbcast.FileSpec{Name: "alerts", Blocks: 2, Latency: 20}, []byte("storm cell NE")); err != nil {
 		log.Fatal(err)
 	}

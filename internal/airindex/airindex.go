@@ -48,12 +48,6 @@ type Program struct {
 	isIndexStart map[int]bool
 }
 
-// IndexStarts returns the slots (within one indexed period) at which
-// index copies begin — what a doze-mode client wakes for first.
-func (p *Program) IndexStarts() []int {
-	return append([]int(nil), p.indexStarts...)
-}
-
 // EntriesPerSlot is how many directory entries fit in one index slot;
 // with a handful of files one or two slots suffice, matching the
 // paper-era assumption that the index is small next to the data.

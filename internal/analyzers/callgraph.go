@@ -214,36 +214,3 @@ func (g *callGraph) implementations(fn *types.Func) []*cgNode {
 	}
 	return out
 }
-
-// reachableFrom returns every node reachable (over static edges,
-// resolved dynamic dispatch, go, and defer) from the nodes seed
-// accepts.
-func (g *callGraph) reachableFrom(seed func(*cgNode) bool) map[*cgNode]bool {
-	seen := map[*cgNode]bool{}
-	var stack []*cgNode
-	for _, n := range g.nodes {
-		if seed(n) {
-			seen[n] = true
-			stack = append(stack, n)
-		}
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range n.Out {
-			for _, c := range s.Callees {
-				if !seen[c] {
-					seen[c] = true
-					stack = append(stack, c)
-				}
-			}
-		}
-	}
-	return seen
-}
-
-// exportedEntry reports whether n is an API entry point: an exported
-// function or method, or a main function.
-func exportedEntry(n *cgNode) bool {
-	return n.Decl.Name.IsExported() || n.Fn.Name() == "main"
-}

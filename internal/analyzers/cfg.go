@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"strings"
 )
 
 // This file is the reusable intra-procedural CFG/dataflow layer the
@@ -496,17 +495,4 @@ func isPanicCall(e ast.Expr) bool {
 	}
 	id, ok := unparen(call.Fun).(*ast.Ident)
 	return ok && id.Name == "panic"
-}
-
-// dump renders the CFG for tests: one line per block with successors.
-func (g *CFG) dump(fset *token.FileSet) string {
-	var sb strings.Builder
-	for _, b := range g.Blocks {
-		fmt.Fprintf(&sb, "%s:", b)
-		for _, s := range b.Succs {
-			fmt.Fprintf(&sb, " ->%d", s.Index)
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

@@ -1,6 +1,7 @@
 package analyzers
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -123,4 +124,17 @@ func TestFuncLitsSkipDefer(t *testing.T) {
 	if len(lits) != 2 {
 		t.Fatalf("funcLits found %d literals, want 2 (deferred one excluded)", len(lits))
 	}
+}
+
+// dump renders the CFG for tests: one line per block with successors.
+func (g *CFG) dump(fset *token.FileSet) string {
+	var sb strings.Builder
+	for _, b := range g.Blocks {
+		fmt.Fprintf(&sb, "%s:", b)
+		for _, s := range b.Succs {
+			fmt.Fprintf(&sb, " ->%d", s.Index)
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
 }

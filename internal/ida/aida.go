@@ -1,14 +1,6 @@
 package ida
 
-import (
-	"fmt"
-
-	"pinbcast/internal/gf256"
-)
-
-// mulAdd accumulates c·src into dst; it is the shared inner loop of
-// dispersal and reconstruction.
-func mulAdd(c byte, src, dst []byte) { gf256.MulAddSlice(c, src, dst) }
+import "fmt"
 
 // Allocation is the AIDA bandwidth-allocation step of Figure 4: after a
 // file has been dispersed into N blocks, the server chooses how many of

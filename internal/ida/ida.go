@@ -57,7 +57,6 @@ const DefaultInverseCacheLimit = 128
 // Dispersal parameter errors.
 var (
 	ErrBadParams      = errors.New("ida: need 1 ≤ m ≤ n ≤ 256")
-	ErrBadDst         = errors.New("ida: destination shape mismatch")
 	ErrNotEnough      = errors.New("ida: fewer than m distinct blocks available")
 	ErrEmptyFile      = errors.New("ida: cannot disperse an empty file")
 	ErrWrongBlockSize = errors.New("ida: blocks have inconsistent sizes")
@@ -138,10 +137,6 @@ func (c *Codec) N() int { return c.n }
 func (c *Codec) shardLen(dataLen int) int {
 	return (dataLen + c.m - 1) / c.m
 }
-
-// ShardLen returns the payload length of each dispersed block for a
-// file of dataLen bytes.
-func (c *Codec) ShardLen(dataLen int) int { return c.shardLen(dataLen) }
 
 // Disperse splits data into m source blocks (zero-padding the tail) and
 // returns the n dispersed payloads. Payload i is Σⱼ mat[i][j]·sourceⱼ,

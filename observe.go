@@ -17,6 +17,10 @@ var (
 		"Slots emitted by station serve loops, idle slots included.")
 	stIdleSlots = obs.Default().Counter("pin_station_idle_slots_total",
 		"Idle slots emitted by station serve loops.")
+	stLateness = obs.Default().Histogram("pin_station_slot_lateness_us",
+		"How far past its due time each paced slot left the serve loop, in microseconds.")
+	stResyncs = obs.Default().Counter("pin_station_pacer_resyncs_total",
+		"Times a paced serve loop fell too far behind to catch up and re-anchored its schedule.")
 	stSwaps = obs.Default().Counter("pin_station_generation_swaps_total",
 		"Program generations swapped in at data-cycle boundaries.")
 	stBuildMicros = obs.Default().Histogram("pin_station_build_duration_us",

@@ -128,10 +128,15 @@ func WithDatabase(db *RTDatabase, mode Mode) Option {
 	}
 }
 
-// WithSlotInterval paces the Serve loop: one slot is emitted per
-// interval, matching a physical channel rate. Zero (the default) means
-// consumer-paced — the loop emits as fast as the receiver drains the
-// channel, which is what simulations want.
+// WithSlotInterval paces the Serve loop to a physical channel rate on
+// absolute deadlines: slot k is due k+1 intervals after Serve started
+// and is never emitted earlier. A loop that wakes late emits at once
+// and catches up back to back, so lateness (pin_station_slot_lateness_us)
+// does not accumulate and the long-run rate is exactly nominal. A loop
+// over pacerMaxBehind = 64 intervals behind (a stalled consumer, a
+// stopped process) does not burst: it restarts the schedule from now and
+// increments pin_station_pacer_resyncs_total. Zero (the default) means
+// consumer-paced: the loop emits as fast as the receiver drains it.
 func WithSlotInterval(d time.Duration) Option {
 	return func(c *stationConfig) error {
 		if d < 0 {

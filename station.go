@@ -55,8 +55,9 @@ type generation struct {
 // construction (through a configurable scheduler chain), the dispersed
 // file database, and a context-aware streaming broadcast loop. Files
 // can be admitted and evicted online; changes take effect at the next
-// data-cycle boundary (§2.3) so that every in-flight guarantee of the
-// current program completes before the program changes.
+// data-cycle boundary (§2.3), where the outgoing program's block
+// rotation ends; a retrieval in flight across the swap is bounded by
+// one window per generation it touched.
 //
 // A Station is safe for concurrent use: Admit and Evict may be called
 // while Serve streams.
@@ -66,6 +67,7 @@ type Station struct {
 	layout     Layout
 	interval   time.Duration
 	buffer     int
+	clock      clock // nil unless paced; the pacing tests swap in a fake
 
 	// buildMu serializes mutations (Admit, Evict); mu guards the
 	// generation pointers and the serving flag. Builds run outside mu
@@ -115,6 +117,9 @@ func New(opts ...Option) (*Station, error) {
 		buffer:     cfg.buffer,
 		contents:   cfg.contents,
 		qos:        map[string]qosEntry{},
+	}
+	if st.interval > 0 {
+		st.clock = wallClock{time.NewTimer(st.interval)} // Serve is single-flight: one timer does
 	}
 	gen, err := st.build(cfg.files)
 	if err != nil {
@@ -221,6 +226,11 @@ func (st *Station) Directory() map[uint32]string {
 //
 // Idle program slots are delivered as Slots with a nil Block so that
 // consumers observe real slot timing.
+//
+// A paced stream never skips a slot: a consumer that stops reading
+// stalls the loop, and on resuming gets the buffered slots, then those
+// that fell due meanwhile back to back — or, past pacerMaxBehind
+// intervals, a schedule restarted then (see WithSlotInterval).
 func (st *Station) Serve(ctx context.Context) (<-chan Slot, error) {
 	st.mu.Lock()
 	if st.serving {
@@ -235,6 +245,58 @@ func (st *Station) Serve(ctx context.Context) (<-chan Slot, error) {
 	return out, nil
 }
 
+// pacerMaxBehind bounds the catch-up burst of a late paced serve loop.
+const pacerMaxBehind = 64
+
+// pacer schedules paced slots on absolute deadlines: slot k since the
+// epoch is due at epoch + (k+1)·interval, however late slot k-1 left,
+// so a late wake-up costs lateness and never a slot or the phase.
+type pacer struct {
+	interval time.Duration
+	due      time.Time // when the next slot may leave
+}
+
+// next schedules one slot, asked at time now. Early, it returns the
+// wait until the slot is due; late, no wait and the lateness, so a loop
+// that fell behind emits its backlog back to back and regains its phase.
+// Over pacerMaxBehind intervals late it re-anchors the epoch at now.
+//
+//pinlint:hotpath
+func (p *pacer) next(now time.Time) (wait, late time.Duration, resynced bool) {
+	late = now.Sub(p.due)
+	if resynced = late > pacerMaxBehind*p.interval; resynced {
+		p.due = now
+	}
+	p.due = p.due.Add(p.interval)
+	if late < 0 {
+		return -late, 0, false
+	}
+	return 0, late, resynced
+}
+
+// clock is the paced serve loop's time source: the wall clock and one
+// reused timer in production, a hand-advanced fake in the pacing tests.
+type clock interface {
+	Now() time.Time
+	// SleepUntil returns how far past due it woke; !ok if ctx ended first.
+	SleepUntil(ctx context.Context, due time.Time) (late time.Duration, ok bool)
+}
+
+type wallClock struct{ timer *time.Timer }
+
+func (wallClock) Now() time.Time { return time.Now() }
+
+//pinlint:hotpath
+func (c wallClock) SleepUntil(ctx context.Context, due time.Time) (time.Duration, bool) {
+	c.timer.Reset(time.Until(due))
+	select {
+	case <-ctx.Done():
+		return 0, false
+	case <-c.timer.C:
+		return time.Since(due), true
+	}
+}
+
 // serveLoop is the per-slot broadcast path; BenchmarkStationServe
 // asserts it streams at 0 allocs/op in steady state.
 //
@@ -246,17 +308,18 @@ func (st *Station) serveLoop(ctx context.Context, out chan<- Slot) {
 		st.serving = false
 		st.mu.Unlock()
 	}()
-	var tick *time.Ticker
-	if st.interval > 0 {
-		tick = time.NewTicker(st.interval)
-		defer tick.Stop()
+	clk, pace := st.clock, pacer{interval: st.interval}
+	if clk != nil {
+		pace.due = clk.Now().Add(st.interval)
 	}
 	localT := 0 // slot index within the active generation
 	for t := 0; ; t++ {
 		st.mu.Lock()
 		// Program changes take effect exactly at data-cycle boundaries:
-		// every window guarantee of the outgoing program is complete and
-		// the block rotation of the incoming program starts aligned.
+		// the outgoing block rotation ends, the incoming starts aligned.
+		// A window that began early enough in the cycle completes; a
+		// retrieval straddling the swap is bounded by one window per
+		// generation it touched (bdload finding 6, ROADMAP oracle item).
 		if st.pending != nil && localT%st.gen.cycle == 0 {
 			st.gen = st.pending
 			st.pending = nil
@@ -272,24 +335,34 @@ func (st *Station) serveLoop(ctx context.Context, out chan<- Slot) {
 			slot.Seq = seq
 			slot.Block = gen.srv.EmitBlock(localT)
 			slot.Payload = gen.srv.Emit(localT)
-			traceRing.Emit(obs.SlotServed, -1, slot.Block.FileID, uint64(t), uint64(gen.id))
-		} else {
-			stIdleSlots.Inc()
 		}
-		stSlots.Inc()
 		localT++
 
-		if tick != nil {
-			select {
-			case <-ctx.Done():
-				return
-			case <-tick.C:
+		if clk != nil {
+			now := clk.Now()
+			wait, late, resynced := pace.next(now)
+			if wait > 0 {
+				var ok bool
+				if late, ok = clk.SleepUntil(ctx, now.Add(wait)); !ok {
+					return
+				}
+			}
+			stLateness.Observe(uint64(late.Microseconds()))
+			if resynced {
+				stResyncs.Inc()
 			}
 		}
 		select {
 		case <-ctx.Done():
 			return
 		case out <- slot:
+		}
+		// Counted once on air: a slot cancelled mid-wait was never served.
+		stSlots.Inc()
+		if slot.Block == nil {
+			stIdleSlots.Inc()
+		} else {
+			traceRing.Emit(obs.SlotServed, -1, slot.Block.FileID, uint64(t), uint64(gen.id))
 		}
 	}
 }

@@ -81,17 +81,6 @@ func (t *Tuner) Query(file string, at, blocks int) (TuneReport, error) {
 	return t.ip.Query(i, at, need), nil
 }
 
-// QueryContinuous simulates the paper's self-identifying-blocks client
-// for the same arrival: it listens continuously, so tuning time equals
-// access latency — the baseline the index is traded against.
-func (t *Tuner) QueryContinuous(file string, at, blocks int) (TuneReport, error) {
-	i, need, err := t.file(file, blocks)
-	if err != nil {
-		return TuneReport{}, err
-	}
-	return t.ip.QueryUnindexed(i, at, need), nil
-}
-
 // Sweep averages Query over every arrival slot of one indexed period
 // and returns mean access latency and mean tuning time.
 func (t *Tuner) Sweep(file string, blocks int) (meanLatency, meanTuning float64, err error) {
