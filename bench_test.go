@@ -15,6 +15,7 @@ package pinbcast_test
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -512,5 +513,105 @@ func BenchmarkAdmitTxn(b *testing.B) {
 		if err := st.ReleaseTxn(txn.Name); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkControlPlane measures the control plane on the admit-churn
+// catalogue shape of cmd/bdload (workload.Random(n, 8, 10, 80, 0, 1),
+// one tolerated fault per file, 1 KiB blocks) at 16, 256 and 1024
+// files: service construction, Negotiate of one more file, an
+// AdmitTxn/ReleaseTxn round trip over four reads, Evict, and
+// FailChannel of a two-channel cluster over the first quarter of the
+// catalogue. Whatever resets the station between iterations runs with
+// the timer stopped.
+func BenchmarkControlPlane(b *testing.B) {
+	churn := pinbcast.FileSpec{Name: "churn", Blocks: 4, Latency: 40, Faults: 1}
+	for _, n := range []int{16, 256, 1024} {
+		files := workload.Random(n, 8, 10, 80, 0, 1)
+		for i := range files {
+			files[i].Faults = 1
+		}
+		contents := workload.Contents(files, 1<<10, 1)
+		churnData := make([]byte, churn.Blocks<<10)
+		size := fmt.Sprintf("files=%d", n)
+		station := func(b *testing.B) *pinbcast.Station {
+			st, err := pinbcast.New(pinbcast.WithFiles(files...), pinbcast.WithContents(contents))
+			if err != nil {
+				b.Fatal(err)
+			}
+			return st
+		}
+		check := func(b *testing.B, err error) {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run("New/"+size, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				station(b)
+			}
+		})
+		b.Run("Negotiate/"+size, func(b *testing.B) {
+			st := station(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, err := st.Negotiate(churn, churnData)
+				check(b, err)
+				b.StopTimer()
+				check(b, st.ReleaseTxn(churn.Name))
+				check(b, st.Evict(churn.Name))
+				b.StartTimer()
+			}
+		})
+		b.Run("AdmitTxn/"+size, func(b *testing.B) {
+			st := station(b)
+			txn := pinbcast.Txn{
+				Name:     "txn",
+				Reads:    []string{files[0].Name, files[n/3].Name, files[n/2].Name, files[n-1].Name},
+				Deadline: 1 << 30,
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, err := st.AdmitTxn(txn)
+				check(b, err)
+				check(b, st.ReleaseTxn(txn.Name))
+			}
+		})
+		b.Run("Evict/"+size, func(b *testing.B) {
+			st := station(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				check(b, st.Admit(churn, churnData))
+				b.StartTimer()
+				check(b, st.Evict(churn.Name))
+			}
+		})
+		b.Run("FailChannel/"+size, func(b *testing.B) {
+			sub := files[:n/4]
+			bw := pinbcast.SufficientBandwidth(sub)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				cl, err := pinbcast.NewCluster(
+					pinbcast.WithChannels(2),
+					pinbcast.WithReplicas(2),
+					pinbcast.WithClusterBandwidth(bw),
+					pinbcast.WithClusterFiles(sub...),
+					pinbcast.WithClusterContents(contents),
+				)
+				check(b, err)
+				_, err = cl.Negotiate(pinbcast.Txn{Name: "ctxn", Reads: []string{sub[0].Name}, Deadline: 1 << 30})
+				check(b, err)
+				b.StartTimer()
+				_, err = cl.FailChannel(1)
+				check(b, err)
+			}
+		})
 	}
 }

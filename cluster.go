@@ -460,8 +460,8 @@ func (c *Cluster) Broadcast(ctx context.Context, sinks ...Sink) error {
 func (st *Station) fileBound(name string) (int, error) {
 	st.buildMu.Lock()
 	defer st.buildMu.Unlock()
-	gen := st.latest()
-	return st.guaranteeBound(gen, Txn{Name: name, Reads: []string{name}, Deadline: 1 << 30})
+	bound, _, err := st.guaranteeBound(st.latest(), Txn{Name: name, Reads: []string{name}, Deadline: 1 << 30})
+	return bound, err
 }
 
 // Negotiate admits a cluster-wide read transaction: every read file

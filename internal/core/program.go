@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"pinbcast/internal/bcerr"
@@ -25,6 +26,15 @@ type FileInfo struct {
 // (or nothing, for Idle). Which block of the file is transmitted follows
 // AIDA rotation: the k-th transmission of file i overall carries
 // dispersed block k mod Nᵢ, producing the program data cycle of §2.3.
+//
+// NewProgram builds one sparse occurrence index in a single O(Period)
+// pass (pinwheel.IndexSlots) and every query reads it: occ[i] is the
+// ascending list of file i's slot offsets within one period — all lists
+// are sub-slices of one []int32 slab — and rank[t] is slot t's position
+// in its file's list, so BlockAt is two loads and window verification,
+// gaps and latency profiles cost O(len(occ[i])) per file. The index
+// takes 8 bytes per slot plus a slice header and a name-table entry per
+// file: O(Period + files) memory, whatever the file count.
 type Program struct {
 	Files     []FileInfo
 	Period    int
@@ -32,13 +42,13 @@ type Program struct {
 	Bandwidth int   // blocks per time unit; 0 when latencies were given in slots
 	Origin    string
 
-	// perPeriod[i] is the number of slots of file i per period;
-	// prefix[i][t] counts slots of file i in [0, t); cycle is the
-	// precomputed data-cycle length in slots (overflow-checked at
-	// construction, so DataCycle stays a plain accessor).
-	perPeriod []int
-	prefix    [][]int32
-	cycle     int
+	occ    [][]int32
+	rank   []int32
+	byName map[string]int // first file of each name
+	// cycle is the precomputed data-cycle length in slots
+	// (overflow-checked at construction, so DataCycle stays a plain
+	// accessor).
+	cycle int
 }
 
 // NewProgram assembles a program and precomputes its occurrence index.
@@ -49,32 +59,20 @@ func NewProgram(files []FileInfo, slots []int, bandwidth int, origin string) (*P
 		Slots:     slots,
 		Bandwidth: bandwidth,
 		Origin:    origin,
+		byName:    make(map[string]int, len(files)),
 	}
 	if p.Period == 0 {
 		return nil, fmt.Errorf("core: empty program")
 	}
-	p.perPeriod = make([]int, len(files))
-	p.prefix = make([][]int32, len(files))
-	for i := range files {
-		p.prefix[i] = make([]int32, p.Period+1)
+	var err error
+	if p.occ, p.rank, err = pinwheel.IndexSlots(slots, len(files)); err != nil {
+		return nil, fmt.Errorf("core: program of %d files: %w", len(files), err)
 	}
-	for t, v := range slots {
-		for i := range files {
-			p.prefix[i][t+1] = p.prefix[i][t]
+	for i := len(files) - 1; i >= 0; i-- { // descending: the first of equal names wins
+		if len(p.occ[i]) == 0 {
+			return nil, fmt.Errorf("core: file %q never scheduled", files[i].Name)
 		}
-		if v == Idle {
-			continue
-		}
-		if v < 0 || v >= len(files) {
-			return nil, fmt.Errorf("core: slot %d names unknown file %d", t, v)
-		}
-		p.perPeriod[v]++
-		p.prefix[v][t+1]++
-	}
-	for i, f := range files {
-		if p.perPeriod[i] == 0 {
-			return nil, fmt.Errorf("core: file %q never scheduled", f.Name)
-		}
+		p.byName[files[i].Name] = i
 	}
 	// Precompute the data cycle (§2.3): the smallest multiple of the
 	// period after which every file's AIDA block rotation re-aligns
@@ -83,14 +81,12 @@ func NewProgram(files []FileInfo, slots []int, bandwidth int, origin string) (*P
 	// (large coprime dispersal widths) can push past the int range.
 	cycle := 1
 	for i := range files {
-		c, n := p.perPeriod[i], p.Files[i].N
+		c, n := len(p.occ[i]), p.Files[i].N
 		rep := n / slotmath.GCD(c, n)
-		var err error
 		if cycle, err = slotmath.LCM(cycle, rep); err != nil {
 			return nil, fmt.Errorf("core: data cycle of %d files overflows: %w", len(files), bcerr.ErrBadSpec)
 		}
 	}
-	var err error
 	if p.cycle, err = slotmath.Mul(cycle, p.Period); err != nil {
 		return nil, fmt.Errorf("core: data cycle %d × period %d overflows: %w", cycle, p.Period, bcerr.ErrBadSpec)
 	}
@@ -98,7 +94,7 @@ func NewProgram(files []FileInfo, slots []int, bandwidth int, origin string) (*P
 }
 
 // PerPeriod returns how many slots per period carry file i.
-func (p *Program) PerPeriod(i int) int { return p.perPeriod[i] }
+func (p *Program) PerPeriod(i int) int { return len(p.occ[i]) }
 
 // FileIndex returns the file-table index of the named file, or -1 when
 // the program does not carry it. Layouts may order the file table
@@ -106,10 +102,8 @@ func (p *Program) PerPeriod(i int) int { return p.perPeriod[i] }
 // files by frequency), so callers holding names should resolve indices
 // through this method rather than assuming specification order.
 func (p *Program) FileIndex(name string) int {
-	for i := range p.Files {
-		if p.Files[i].Name == name {
-			return i
-		}
+	if i, ok := p.byName[name]; ok {
+		return i
 	}
 	return -1
 }
@@ -125,53 +119,49 @@ func (p *Program) FileAt(t int) int { return p.Slots[t%p.Period] }
 //
 //pinlint:hotpath
 func (p *Program) BlockAt(t int) (file, seq int) {
-	f := p.FileAt(t)
+	off := t % p.Period
+	f := p.Slots[off]
 	if f == Idle {
 		return Idle, 0
 	}
-	k := (t / p.Period) * p.perPeriod[f] // full periods before t
-	k += int(p.prefix[f][t%p.Period])    // occurrences earlier in this period
+	// Occurrences in the full periods before t, then earlier in this one.
+	k := (t/p.Period)*len(p.occ[f]) + int(p.rank[off])
 	return f, k % p.Files[f].N
 }
 
 // Occurrences returns the slot offsets of file i within one period.
 func (p *Program) Occurrences(i int) []int {
-	var out []int
-	for t, v := range p.Slots {
-		if v == i {
-			out = append(out, t)
-		}
+	out := make([]int, len(p.occ[i]))
+	for k, t := range p.occ[i] {
+		out[k] = int(t)
 	}
 	return out
+}
+
+// gap returns the cyclic distance from the occurrence before the k-th
+// of file i to the k-th.
+func (p *Program) gap(i, k int) int {
+	occ := p.occ[i]
+	if k == 0 {
+		return int(occ[0]) + p.Period - int(occ[len(occ)-1])
+	}
+	return int(occ[k] - occ[k-1])
 }
 
 // Gaps returns the cyclic distances between consecutive occurrences of
 // file i, in occurrence order starting from the first; the last entry
 // wraps around the period. Sum of gaps equals the period.
 func (p *Program) Gaps(i int) []int {
-	occ := p.Occurrences(i)
-	if len(occ) == 0 {
-		return nil
+	gaps := make([]int, len(p.occ[i]))
+	for k := range gaps {
+		gaps[k] = p.gap(i, (k+1)%len(gaps))
 	}
-	gaps := make([]int, len(occ))
-	for k := 0; k < len(occ)-1; k++ {
-		gaps[k] = occ[k+1] - occ[k]
-	}
-	gaps[len(occ)-1] = occ[0] + p.Period - occ[len(occ)-1]
 	return gaps
 }
 
 // MaxGap returns δ for file i (Lemma 2): the maximum spacing between
 // consecutive blocks of the file in the broadcast.
-func (p *Program) MaxGap(i int) int {
-	max := 0
-	for _, g := range p.Gaps(i) {
-		if g > max {
-			max = g
-		}
-	}
-	return max
-}
+func (p *Program) MaxGap(i int) int { return slices.Max(p.Gaps(i)) }
 
 // DataCycle returns the length in slots of the program data cycle
 // (§2.3): the smallest multiple of the period after which every file's
@@ -183,28 +173,30 @@ func (p *Program) DataCycle() int { return p.cycle }
 // latency of file i over every start slot: the time until the file's
 // reconstruction threshold of M occurrences has passed (AIDA rotation
 // makes consecutive occurrences distinct). The profile is periodic, so
-// one period of start slots covers the infinite broadcast.
+// one period of start slots covers the infinite broadcast; every start
+// in the gap before occurrence k completes on occurrence k+M−1, so each
+// gap's latencies sum in closed form: O(occurrences) in all.
 func (p *Program) LatencyProfile(file int) (mean float64, worst int) {
-	occ := p.Occurrences(file)
-	need := p.Files[file].M
-	// occTime(k) is the absolute slot of the k-th occurrence of the
-	// file, counting across periods.
-	occTime := func(k int) int {
-		return occ[k%len(occ)] + (k/len(occ))*p.Period
-	}
+	occ := p.occ[file]
 	total := 0
-	next := 0 // index of the first occurrence at or after start
-	for start := 0; start < p.Period; start++ {
-		for next < len(occ) && occ[next] < start {
-			next++
-		}
-		lat := occTime(next+need-1) - start + 1
-		total += lat
-		if lat > worst {
-			worst = lat
+	for k := range occ {
+		last := k + p.Files[file].M - 1
+		// done is the wait from occurrence k to the completing one.
+		done := int(occ[last%len(occ)]) + last/len(occ)*p.Period - int(occ[k])
+		gap := p.gap(file, k)
+		total += gap*(done+1) + gap*(gap-1)/2
+		if done+gap > worst {
+			worst = done + gap
 		}
 	}
 	return float64(total) / float64(p.Period), worst
+}
+
+// WorstLatency returns the worst case of LatencyProfile: the longest
+// fault-free retrieval of the file over every start slot.
+func (p *Program) WorstLatency(file int) int {
+	_, worst := p.LatencyProfile(file)
+	return worst
 }
 
 // WeightedMeanLatency returns the access-probability-weighted mean
@@ -220,54 +212,28 @@ func (p *Program) WeightedMeanLatency(probs []float64) float64 {
 	return total
 }
 
-// VerifyWindows checks that every file receives at least `need`
+// VerifyWindows checks that the file receives at least `need`
 // occurrences in every cyclic window of `window` slots. It is the
 // broadcast-side analogue of pinwheel verification and is used to
-// validate constructed programs against their specifications.
+// validate constructed programs against their specifications. The
+// window the error names is one witness of the violation, not
+// necessarily the first (see pinwheel.CheckWindows).
 func (p *Program) VerifyWindows(file, need, window int) error {
-	total := p.perPeriod[file]
-	full := window / p.Period
-	rem := window % p.Period
-	for start := 0; start < p.Period; start++ {
-		got := full * total
-		if rem > 0 {
-			end := start + rem
-			if end <= p.Period {
-				got += int(p.prefix[file][end] - p.prefix[file][start])
-			} else {
-				got += int(p.prefix[file][p.Period]-p.prefix[file][start]) + int(p.prefix[file][end-p.Period])
-			}
-		}
-		if got < need {
-			return fmt.Errorf("core: file %q gets %d blocks in window at slot %d, needs %d in %d",
-				p.Files[file].Name, got, start, need, window)
-		}
+	if err := pinwheel.CheckWindows(p.occ[file], p.Period, need, window); err != nil {
+		return fmt.Errorf("core: file %q: %w", p.Files[file].Name, err)
 	}
 	return nil
 }
 
 // String renders one period of the program like the paper's figures,
 // e.g. "A1 A2 B1 A3 B2 A4 B3 A5" (sequence numbers are 1-based).
-func (p *Program) String() string {
-	parts := make([]string, 0, p.Period)
-	for t := 0; t < p.Period; t++ {
-		f, seq := p.BlockAt(t)
-		if f == Idle {
-			parts = append(parts, "⊔")
-			continue
-		}
-		name := p.Files[f].Name
-		if name == "" {
-			name = fmt.Sprintf("F%d", f)
-		}
-		parts = append(parts, fmt.Sprintf("%s%d", name, seq+1))
-	}
-	return strings.Join(parts, " ")
-}
+func (p *Program) String() string { return p.render(p.Period, "") }
 
 // RenderCycle renders the given number of slots of the infinite
 // program, exposing the data-cycle rotation of Figure 6.
-func (p *Program) RenderCycle(slots int) string {
+func (p *Program) RenderCycle(slots int) string { return p.render(slots, "'") }
+
+func (p *Program) render(slots int, mark string) string {
 	parts := make([]string, 0, slots)
 	for t := 0; t < slots; t++ {
 		f, seq := p.BlockAt(t)
@@ -279,7 +245,7 @@ func (p *Program) RenderCycle(slots int) string {
 		if name == "" {
 			name = fmt.Sprintf("F%d", f)
 		}
-		parts = append(parts, fmt.Sprintf("%s%d'", name, seq+1))
+		parts = append(parts, fmt.Sprintf("%s%d%s", name, seq+1, mark))
 	}
 	return strings.Join(parts, " ")
 }

@@ -2,6 +2,8 @@ package pinwheel
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -329,18 +331,35 @@ func BenchmarkEDF6Tasks(b *testing.B) {
 	}
 }
 
+// BenchmarkVerify certifies a solved schedule: a small random system,
+// and the pinwheel system of cmd/bdload's admit-churn catalogue with its
+// churn file on (workload.Random(256, 8, 10, 80, 0, 1)'s draws, one
+// tolerated fault each, Equation-2 bandwidth: 257 tasks, 2640 slots).
 func BenchmarkVerify(b *testing.B) {
-	rng := rand.New(rand.NewSource(37))
-	s := randomSystem(rng, 12, 0.5)
-	sch, err := Sa(s)
-	if err != nil {
-		b.Fatal(err)
+	churn := System{{A: 5, B: 40}}
+	density := 5.0 / 40
+	rng := rand.New(rand.NewSource(1))
+	for len(churn) < 257 {
+		blocks, latency := 1+rng.Intn(8), 10+rng.Intn(71)
+		rng.Intn(1) // the catalogue's fault draw
+		churn = append(churn, Task{A: blocks + 1, B: latency})
+		density += float64(blocks+1) / float64(latency)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sch.Verify(s); err != nil {
+	for i := range churn {
+		churn[i].B *= int(math.Ceil(10.0 / 7.0 * density))
+	}
+	for _, s := range []System{randomSystem(rand.New(rand.NewSource(37)), 12, 0.5), churn} {
+		sch, err := Solve(s, nil)
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.Run(fmt.Sprintf("tasks=%d/slots=%d", len(s), sch.Period), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := sch.Verify(s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package rtdb
 
 import (
 	"fmt"
+	"slices"
 
 	"pinbcast/internal/bcerr"
 	"pinbcast/internal/core"
@@ -45,28 +46,24 @@ func GuaranteeTxn(files []core.FileSpec, bandwidth int, x Txn) (bool, int, error
 	if err := x.Validate(); err != nil {
 		return false, 0, err
 	}
-	byName := make(map[string]core.FileSpec, len(files))
-	for _, f := range files {
-		byName[f.Name] = f
-	}
 	worst := 0
 	for _, name := range x.Reads {
-		f, ok := byName[name]
-		if !ok {
+		i := slices.IndexFunc(files, func(f core.FileSpec) bool { return f.Name == name })
+		if i < 0 {
 			return false, 0, fmt.Errorf("rtdb: transaction %q reads unknown item %q: %w",
 				x.Name, name, bcerr.ErrBadSpec)
 		}
-		if w := bandwidth * f.Latency; w > worst {
+		if w := bandwidth * files[i].Latency; w > worst {
 			worst = w
 		}
 	}
 	return worst <= x.Deadline, worst, nil
 }
 
-// TxnLatency returns the fault-free retrieval time of the transaction
-// when the client starts listening at the given slot: the time until
-// every read item's reconstruction threshold of blocks has passed.
-func TxnLatency(p *core.Program, x Txn, start int) (int, error) {
+// maxOverReads validates the transaction and returns the largest
+// latency over its read files; a concurrent client's retrieval time is
+// its slowest member's.
+func maxOverReads(p *core.Program, x Txn, latency func(file int) (int, error)) (int, error) {
 	if err := x.Validate(); err != nil {
 		return 0, err
 	}
@@ -76,42 +73,39 @@ func TxnLatency(p *core.Program, x Txn, start int) (int, error) {
 		if file < 0 {
 			return 0, fmt.Errorf("rtdb: item %q not on the broadcast disk: %w", name, bcerr.ErrBadSpec)
 		}
-		need := p.Files[file].M
-		seen := 0
-		t := start
-		for {
-			if p.FileAt(t) == file {
-				seen++
-				if seen == need {
-					break
-				}
-			}
-			t++
-			if t-start > (need+2)*p.Period*4 {
-				return 0, fmt.Errorf("rtdb: item %q starves on the program", name)
-			}
+		lat, err := latency(file)
+		if err != nil {
+			return 0, err
 		}
-		if lat := t - start + 1; lat > worst {
-			worst = lat
-		}
+		worst = max(worst, lat)
 	}
 	return worst, nil
 }
 
+// TxnLatency returns the fault-free retrieval time of the transaction
+// when the client starts listening at the given slot: the time until
+// every read item's reconstruction threshold of blocks has passed.
+func TxnLatency(p *core.Program, x Txn, start int) (int, error) {
+	return maxOverReads(p, x, func(file int) (int, error) {
+		need := p.Files[file].M
+		seen := 0
+		for t := start; t-start <= (need+2)*p.Period*4; t++ {
+			if p.FileAt(t) == file {
+				if seen++; seen == need {
+					return t - start + 1, nil
+				}
+			}
+		}
+		return 0, fmt.Errorf("rtdb: item %q starves on the program", p.Files[file].Name)
+	})
+}
+
 // TxnWorstLatency maximizes TxnLatency over every start slot of one
-// period.
+// period. The slowest read decides the transaction from any start, so
+// the maximum over starts of the maximum over reads is the maximum over
+// reads of each file's own worst case: no start-slot sweep.
 func TxnWorstLatency(p *core.Program, x Txn) (int, error) {
-	worst := 0
-	for start := 0; start < p.Period; start++ {
-		lat, err := TxnLatency(p, x, start)
-		if err != nil {
-			return 0, err
-		}
-		if lat > worst {
-			worst = lat
-		}
-	}
-	return worst, nil
+	return maxOverReads(p, x, func(file int) (int, error) { return p.WorstLatency(file), nil })
 }
 
 // MaxStaleness bounds the age of item data a client holds right after

@@ -1,8 +1,11 @@
 package rtdb
 
 import (
+	"errors"
+	"math/rand"
 	"testing"
 
+	"pinbcast/internal/bcerr"
 	"pinbcast/internal/core"
 )
 
@@ -103,6 +106,58 @@ func TestTxnLatencyDominatedBySlowestRead(t *testing.T) {
 	}
 	if multi < single {
 		t.Fatalf("adding reads reduced latency: %d < %d", multi, single)
+	}
+}
+
+// TestTxnWorstLatencyMatchesStartSweep holds TxnWorstLatency to what it
+// was before the occurrence index: TxnLatency — still a slot-by-slot
+// walk — maximized over every start slot of the period, on random
+// programs (idle slots, single-occurrence files) and multi-read
+// transactions.
+func TestTxnWorstLatencyMatchesStartSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.Intn(5)
+		infos := make([]core.FileInfo, n)
+		slots := make([]int, n+rng.Intn(30))
+		for s := range slots {
+			slots[s] = rng.Intn(n+1) - 1
+		}
+		x := Txn{Name: "x", Deadline: 1}
+		for i, s := range rng.Perm(len(slots))[:n] {
+			slots[s] = i
+			m := 1 + rng.Intn(4)
+			infos[i] = core.FileInfo{Name: string(rune('a' + i)), M: m, N: m + 1, Demand: m}
+			if i == 0 || rng.Intn(2) == 0 {
+				x.Reads = append(x.Reads, infos[i].Name)
+			}
+		}
+		p, err := core.NewProgram(infos, slots, 0, "random")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for start := range slots {
+			lat, err := TxnLatency(p, x, start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = max(want, lat)
+		}
+		if got, err := TxnWorstLatency(p, x); err != nil || got != want {
+			t.Fatalf("trial %d: TxnWorstLatency = %d, %v; start sweep gives %d (reads %v on %v)",
+				trial, got, err, want, x.Reads, slots)
+		}
+	}
+	p, err := core.NewProgram([]core.FileInfo{{Name: "a", M: 1, N: 1, Demand: 1}}, []int{0}, 0, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := TxnWorstLatency(p, Txn{Name: "x", Reads: []string{"ghost"}, Deadline: 1}); !errors.Is(err, bcerr.ErrBadSpec) {
+		t.Fatalf("unknown item: err = %v, want ErrBadSpec", err)
+	}
+	if _, err := TxnWorstLatency(p, Txn{Name: "x", Reads: []string{"a"}}); !errors.Is(err, bcerr.ErrBadSpec) {
+		t.Fatalf("no deadline: err = %v, want ErrBadSpec", err)
 	}
 }
 

@@ -180,18 +180,26 @@ func (s *Server) ID(i int) uint32 { return s.ids[i] }
 // fresh copy per call.
 func (s *Server) Names() map[uint32]string { return s.names }
 
+// Block returns dispersed block seq of file i of the program table and
+// its marshaled wire form — what Program.BlockAt resolved a slot to, so
+// the serve loop resolves each slot once. Both are the server's cached
+// immutable copies, shared across emissions of the same block: callers
+// must copy before mutating (fault injectors do).
+//
+//pinlint:hotpath
+func (s *Server) Block(file, seq int) (*ida.Block, []byte) {
+	return s.blocks[file][seq], s.payloads[file][seq]
+}
+
 // Emit returns the marshaled block transmitted in slot t, or nil for an
-// idle slot. The returned slice is the server's cached wire form,
-// shared across emissions of the same block — callers must copy before
-// mutating (fault injectors do).
+// idle slot (see Block for the sharing rule).
 //
 //pinlint:hotpath
 func (s *Server) Emit(t int) []byte {
-	file, seq := s.prog.BlockAt(t)
-	if file == core.Idle {
-		return nil
+	if file, seq := s.prog.BlockAt(t); file != core.Idle {
+		return s.payloads[file][seq]
 	}
-	return s.payloads[file][seq]
+	return nil
 }
 
 // EmitBlock returns the unmarshaled block for slot t (for tests and
@@ -199,9 +207,8 @@ func (s *Server) Emit(t int) []byte {
 //
 //pinlint:hotpath
 func (s *Server) EmitBlock(t int) *ida.Block {
-	file, seq := s.prog.BlockAt(t)
-	if file == core.Idle {
-		return nil
+	if file, seq := s.prog.BlockAt(t); file != core.Idle {
+		return s.blocks[file][seq]
 	}
-	return s.blocks[file][seq]
+	return nil
 }

@@ -71,7 +71,7 @@ func (st *Station) AdmitTxn(x Txn) (Contract, error) {
 		return Contract{}, fmt.Errorf("pinbcast: contract %q already issued: %w", x.Name, ErrBadSpec)
 	}
 	base := st.latest()
-	worst, err := st.guaranteeBound(base, x)
+	worst, refresh, err := st.guaranteeBound(base, x)
 	if err != nil {
 		return Contract{}, err
 	}
@@ -83,7 +83,7 @@ func (st *Station) AdmitTxn(x Txn) (Contract, error) {
 	c := Contract{
 		Name:              x.Name,
 		WorstLatencySlots: worst,
-		StalenessSlots:    MaxStaleness(worst, st.refreshBound(base, x.Reads)),
+		StalenessSlots:    MaxStaleness(worst, refresh),
 		EffectiveAt:       base.id,
 	}
 	st.storeContract(qosEntry{txn: x, c: c})
@@ -139,7 +139,7 @@ func (st *Station) Negotiate(f FileSpec, contents []byte) (Contract, error) {
 	// The new file's own guarantee, as a single-read transaction over
 	// the staged program.
 	read := Txn{Name: f.Name, Reads: []string{f.Name}, Deadline: 1 << 30}
-	worst, err := st.guaranteeBound(gen, read)
+	worst, refresh, err := st.guaranteeBound(gen, read)
 	if err != nil {
 		rollback()
 		return Contract{}, err
@@ -147,7 +147,7 @@ func (st *Station) Negotiate(f FileSpec, contents []byte) (Contract, error) {
 	c := Contract{
 		Name:              f.Name,
 		WorstLatencySlots: worst,
-		StalenessSlots:    MaxStaleness(worst, st.refreshBound(gen, read.Reads)),
+		StalenessSlots:    MaxStaleness(worst, refresh),
 		EffectiveAt:       gen.id,
 	}
 	read.Deadline = worst
@@ -192,45 +192,17 @@ func (st *Station) Contracts() []Contract {
 // bound dominates (VerifyWindows certifies it), so the contract stays
 // valid across every future pinwheel rebuild of these specs; measuring
 // as the floor keeps contracts sound even for a custom layout that
-// stamps a bandwidth on an uncertified program. Caller must hold
+// stamps a bandwidth on an uncertified program. refresh is the slowest
+// refresh interval over the read set: that same window bound max B·Tᵢ,
+// or one program period when the bandwidth is unknown. Caller must hold
 // buildMu.
-func (st *Station) guaranteeBound(gen *generation, x Txn) (int, error) {
-	measured, err := rtdb.TxnWorstLatency(gen.program, x)
-	if err != nil {
-		return 0, err
+func (st *Station) guaranteeBound(gen *generation, x Txn) (worst, refresh int, err error) {
+	worst, err = rtdb.TxnWorstLatency(gen.program, x)
+	if err != nil || gen.program.Bandwidth == 0 {
+		return worst, gen.program.Period, err
 	}
-	if gen.program.Bandwidth > 0 {
-		_, analytic, err := rtdb.GuaranteeTxn(gen.files, gen.program.Bandwidth, x)
-		if err != nil {
-			return 0, err
-		}
-		if analytic > measured {
-			return analytic, nil
-		}
-	}
-	return measured, nil
-}
-
-// refreshBound returns the slowest refresh interval over the read set:
-// the window B·Tᵢ when the program was built at a known bandwidth, else
-// one program period per item. Caller must hold buildMu.
-func (st *Station) refreshBound(gen *generation, reads []string) int {
-	worst := 0
-	for _, name := range reads {
-		refresh := gen.program.Period
-		if gen.program.Bandwidth > 0 {
-			for _, f := range gen.files {
-				if f.Name == name {
-					refresh = gen.program.Bandwidth * f.Latency
-					break
-				}
-			}
-		}
-		if refresh > worst {
-			worst = refresh
-		}
-	}
-	return worst
+	_, refresh, err = rtdb.GuaranteeTxn(gen.files, gen.program.Bandwidth, x)
+	return max(worst, refresh), refresh, err
 }
 
 // verifyContracts checks every issued contract against a candidate

@@ -333,8 +333,7 @@ func (st *Station) serveLoop(ctx context.Context, out chan<- Slot) {
 		if file, seq := gen.program.BlockAt(localT); file != core.Idle {
 			slot.File = gen.program.Files[file].Name
 			slot.Seq = seq
-			slot.Block = gen.srv.EmitBlock(localT)
-			slot.Payload = gen.srv.Emit(localT)
+			slot.Block, slot.Payload = gen.srv.Block(file, seq)
 		}
 		localT++
 
