@@ -194,7 +194,8 @@ func TestDaemonSmoke(t *testing.T) {
 	resp.Body.Close()
 	for _, family := range []string{
 		"pin_station_slots_total", "pin_station_slot_lateness_us",
-		"pin_station_pacer_resyncs_total", "pin_fanout_frames_total",
+		"pin_station_pacer_resyncs_total", "pin_station_files_encoded_total",
+		"pin_fanout_frames_total",
 		"pin_cluster_fault_budget_remaining", "pin_tuner_hops_total",
 		"pin_receiver_slots_total",
 	} {

@@ -181,7 +181,13 @@
 // per core, with cross-file batch encoding (ida.Codec.DisperseBatch)
 // amortizing coefficient-table loads across a whole program's files (see the Performance section of README.md for the
 // measured series and the buffer-ownership rules of the streaming
-// APIs). Benchmarks: the MBps series in internal/ida,
+// APIs). A file is encoded once: each block is written straight into
+// its wire frame (Block.Payload aliases the frame past its header) and
+// later generations carry unchanged files' frames over, so Admit, Evict
+// and Negotiate encode only what changed. Hence two rules: contents
+// handed to WithFile, WithContents, Admit or Negotiate belong to the
+// station and must not be mutated; a Slot's Block and Payload are
+// shared — copy before mutating. Benchmarks: the MBps series in internal/ida,
 // BenchmarkStationServe, BenchmarkReceiverSlots, BenchmarkMultiTuner
 // and BenchmarkServeFanoutPipeline at the package root; CI tracks them
 // as the BENCH_dataplane.json artifact and cmd/benchguard fails the

@@ -89,3 +89,42 @@ func (c *Codec) DisperseBatch(files [][]byte, dst [][][]byte) ([][][]byte, error
 	}
 	return dst, nil
 }
+
+// DisperseFrames disperses each files[f] under identifier ids[f]
+// straight into wire form. Each file gets one slab holding its n frames
+// back to back; DisperseBatch writes the payloads into the frames'
+// payload regions and every header and CRC-32 is then sealed in place,
+// so each block exists once: blocks[f][i].Payload aliases
+// frames[f][i][headerSize:]. Blocks and frames are meant to be shared
+// from here on — copy before mutating either.
+func (c *Codec) DisperseFrames(ids []uint32, files [][]byte) (blocks [][]*Block, frames [][][]byte, err error) {
+	blocks, frames = make([][]*Block, len(files)), make([][][]byte, len(files))
+	dst := make([][][]byte, len(files)) // the frames' payload regions
+	for f, data := range files {
+		wire := headerSize + c.shardLen(len(data))
+		slab, store := make([]byte, c.n*wire), make([]Block, c.n)
+		blocks[f], frames[f], dst[f] = make([]*Block, c.n), make([][]byte, c.n), make([][]byte, c.n)
+		for i := range store {
+			frames[f][i] = slab[i*wire : (i+1)*wire : (i+1)*wire]
+			dst[f][i] = frames[f][i][headerSize:]
+			store[i] = Block{
+				FileID:  ids[f],
+				Seq:     uint16(i),
+				M:       uint16(c.m),
+				N:       uint16(c.n),
+				Length:  uint32(len(data)),
+				Payload: dst[f][i],
+			}
+			blocks[f][i] = &store[i]
+		}
+	}
+	if _, err := c.DisperseBatch(files, dst); err != nil {
+		return nil, nil, err
+	}
+	for f := range files {
+		for i, b := range blocks[f] {
+			b.seal(frames[f][i])
+		}
+	}
+	return blocks, frames, nil
+}

@@ -209,3 +209,51 @@ func BenchmarkDispersePerFileLoopMBps(b *testing.B) {
 		}
 	}
 }
+
+// TestDisperseFramesMatchesMarshal holds the slab-direct encode to the
+// two-step one: payloads equal to Disperse's, every frame equal to the
+// block's MarshalInto, and the block's payload aliasing the frame.
+func TestDisperseFramesMatchesMarshal(t *testing.T) {
+	for _, mn := range [][2]int{{1, 1}, {1, 4}, {4, 4}, {8, 12}, {5, 13}} {
+		c, err := NewCodec(mn[0], mn[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := batchFiles(mn[0])
+		ids := make([]uint32, len(files))
+		for f := range ids {
+			ids[f] = uint32(1000 + f)
+		}
+		blocks, frames, err := c.DisperseFrames(ids, files)
+		if err != nil {
+			t.Fatalf("(%d,%d): DisperseFrames: %v", mn[0], mn[1], err)
+		}
+		for f, data := range files {
+			want, err := c.Disperse(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(blocks[f]) != c.N() || len(frames[f]) != c.N() {
+				t.Fatalf("(%d,%d) file %d: %d blocks, %d frames", mn[0], mn[1], f, len(blocks[f]), len(frames[f]))
+			}
+			for seq, b := range blocks[f] {
+				ref := Block{FileID: ids[f], Seq: uint16(seq), M: uint16(mn[0]), N: uint16(mn[1]),
+					Length: uint32(len(data)), Payload: want[seq]}
+				if !bytes.Equal(frames[f][seq], ref.Marshal()) {
+					t.Fatalf("(%d,%d) file %d frame %d differs from Marshal", mn[0], mn[1], f, seq)
+				}
+				if &b.Payload[0] != &frames[f][seq][headerSize] || cap(b.Payload) != len(b.Payload) {
+					t.Fatalf("(%d,%d) file %d block %d does not alias its frame", mn[0], mn[1], f, seq)
+				}
+				var back Block
+				if err := UnmarshalInto(frames[f][seq], &back); err != nil {
+					t.Fatalf("(%d,%d) file %d frame %d: %v", mn[0], mn[1], f, seq, err)
+				}
+			}
+		}
+	}
+	c, _ := NewCodec(2, 3)
+	if _, _, err := c.DisperseFrames([]uint32{1, 2}, [][]byte{{1}, {}}); !errors.Is(err, ErrEmptyFile) {
+		t.Fatalf("empty file: err = %v, want ErrEmptyFile", err)
+	}
+}

@@ -44,10 +44,6 @@ var (
 	ErrInconsistent = errors.New("ida: blocks disagree on file metadata")
 )
 
-// WireSize returns the number of bytes Marshal produces for the block:
-// header plus payload.
-func (b *Block) WireSize() int { return headerSize + len(b.Payload) }
-
 // Marshal encodes the block into a self-contained byte string with a
 // CRC-32 covering header and payload, allowing clients to detect blocks
 // clobbered by transmission errors (the paper's §3.2 error model: an
@@ -58,24 +54,29 @@ func (b *Block) Marshal() []byte {
 
 // MarshalInto appends the wire form of the block to dst and returns the
 // extended slice — Marshal without the per-call allocation when dst has
-// WireSize spare capacity. Pass dst[:0] of a reused buffer to overwrite
-// in place; the block itself is not retained.
+// the spare capacity. Pass dst[:0] of a reused buffer to overwrite in
+// place; the block itself is not retained.
 func (b *Block) MarshalInto(dst []byte) []byte {
 	start := len(dst)
 	dst = append(dst, make([]byte, headerSize)...)
-	buf := dst[start:]
-	binary.BigEndian.PutUint32(buf[0:], b.FileID)
-	binary.BigEndian.PutUint16(buf[4:], b.Seq)
-	binary.BigEndian.PutUint16(buf[6:], b.M)
-	binary.BigEndian.PutUint16(buf[8:], b.N)
-	binary.BigEndian.PutUint32(buf[10:], b.Length)
-	binary.BigEndian.PutUint32(buf[14:], uint32(len(b.Payload)))
 	dst = append(dst, b.Payload...)
-	buf = dst[start:]
-	crc := crc32.ChecksumIEEE(buf[:headerSize-4])
-	crc = crc32.Update(crc, crc32.IEEETable, buf[headerSize:])
-	binary.BigEndian.PutUint32(buf[18:], crc)
+	b.seal(dst[start:])
 	return dst
+}
+
+// seal writes the block's header and CRC-32 into frame[:headerSize]
+// around the payload already in place at frame[headerSize:] — the one
+// header writer behind Marshal, MarshalInto and DisperseFrames.
+func (b *Block) seal(frame []byte) {
+	binary.BigEndian.PutUint32(frame[0:], b.FileID)
+	binary.BigEndian.PutUint16(frame[4:], b.Seq)
+	binary.BigEndian.PutUint16(frame[6:], b.M)
+	binary.BigEndian.PutUint16(frame[8:], b.N)
+	binary.BigEndian.PutUint32(frame[10:], b.Length)
+	binary.BigEndian.PutUint32(frame[14:], uint32(len(frame)-headerSize))
+	crc := crc32.ChecksumIEEE(frame[:headerSize-4])
+	crc = crc32.Update(crc, crc32.IEEETable, frame[headerSize:])
+	binary.BigEndian.PutUint32(frame[18:], crc)
 }
 
 // Unmarshal decodes a block previously encoded with Marshal, verifying

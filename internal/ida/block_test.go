@@ -2,6 +2,7 @@ package ida
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -126,45 +127,6 @@ func TestReconstructFileEmpty(t *testing.T) {
 	}
 }
 
-func TestAllocate(t *testing.T) {
-	data := []byte("AIDA scales redundancy between m and N")
-	blocks, _ := DisperseFile(3, data, 3, 8)
-	for n := 3; n <= 8; n++ {
-		a, err := Allocate(blocks, n)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if a.N() != n || len(a.Blocks()) != n {
-			t.Fatalf("n=%d: allocation size wrong", n)
-		}
-		if a.Redundancy() != n-3 {
-			t.Fatalf("n=%d: redundancy = %d, want %d", n, a.Redundancy(), n-3)
-		}
-		// The allocated prefix must still reconstruct the file.
-		got, err := ReconstructFile(a.Blocks()[:3])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("n=%d: allocated blocks cannot reconstruct", n)
-		}
-	}
-}
-
-func TestAllocateOutOfRange(t *testing.T) {
-	data := []byte("range check")
-	blocks, _ := DisperseFile(3, data, 3, 8)
-	if _, err := Allocate(blocks, 2); err == nil {
-		t.Fatal("n < m accepted")
-	}
-	if _, err := Allocate(blocks, 9); err == nil {
-		t.Fatal("n > N accepted")
-	}
-	if _, err := Allocate(nil, 3); err == nil {
-		t.Fatal("empty block list accepted")
-	}
-}
-
 func TestScaleForFaults(t *testing.T) {
 	if got := ScaleForFaults(5, 0); got != 5 {
 		t.Fatalf("ScaleForFaults(5,0) = %d", got)
@@ -200,4 +162,42 @@ func BenchmarkBlockUnmarshal(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// FuzzBlockFrame: sealing a header around a payload already in place
+// produces exactly MarshalInto's bytes for any block, the frame decodes
+// back to the block, and UnmarshalInto on arbitrary bytes returns an
+// error or a block that re-marshals to those bytes — it never panics.
+func FuzzBlockFrame(f *testing.F) {
+	f.Add(uint32(7), uint16(1), uint16(2), uint16(4), uint32(9), []byte("payload"))
+	f.Add(uint32(0), uint16(0), uint16(0), uint16(0), uint32(0), []byte{})
+	f.Add(uint32(1), uint16(2), uint16(3), uint16(4), uint32(5), (&Block{FileID: 9, Payload: []byte{1, 2, 3}}).Marshal())
+	f.Fuzz(func(t *testing.T, id uint32, seq, m, n uint16, length uint32, payload []byte) {
+		b := Block{FileID: id, Seq: seq, M: m, N: n, Length: length, Payload: payload}
+		want := b.MarshalInto(nil)
+		frame := make([]byte, headerSize+len(payload))
+		copy(frame[headerSize:], payload)
+		b.seal(frame)
+		if !bytes.Equal(frame, want) {
+			t.Fatalf("sealed in place %x, MarshalInto %x", frame, want)
+		}
+		var got Block
+		if err := UnmarshalInto(frame, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.FileID != id || got.Seq != seq || got.M != m || got.N != n || got.Length != length ||
+			!bytes.Equal(got.Payload, payload) {
+			t.Fatalf("decoded %+v, sealed %+v", got, b)
+		}
+		if len(frame) > headerSize {
+			frame[len(frame)-1] ^= 1
+			if err := UnmarshalInto(frame, &got); !errors.Is(err, ErrBadChecksum) {
+				t.Fatalf("flipped payload bit: err = %v, want ErrBadChecksum", err)
+			}
+		}
+		var any Block
+		if err := UnmarshalInto(payload, &any); err == nil && !bytes.Equal(any.Marshal(), payload) {
+			t.Fatalf("arbitrary bytes %x decoded to a block marshaling to %x", payload, any.Marshal())
+		}
+	})
 }

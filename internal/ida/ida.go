@@ -438,22 +438,11 @@ func DisperseFile(fileID uint32, data []byte, m, n int) ([]*Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	payloads, err := c.Disperse(data)
+	blocks, _, err := c.DisperseFrames([]uint32{fileID}, [][]byte{data})
 	if err != nil {
 		return nil, err
 	}
-	blocks := make([]*Block, n)
-	for i, p := range payloads {
-		blocks[i] = &Block{
-			FileID:  fileID,
-			Seq:     uint16(i),
-			M:       uint16(m),
-			N:       uint16(n),
-			Length:  uint32(len(data)),
-			Payload: p,
-		}
-	}
-	return blocks, nil
+	return blocks[0], nil
 }
 
 // ReconstructFile recovers a file from self-identifying blocks. All

@@ -219,8 +219,8 @@ func TestMarshalIntoRoundTrip(t *testing.T) {
 	if got := blk.MarshalInto(nil); !bytes.Equal(got, wire) {
 		t.Fatal("MarshalInto(nil) differs from Marshal")
 	}
-	if got, want := blk.WireSize(), len(wire); got != want {
-		t.Fatalf("WireSize = %d, want %d", got, want)
+	if got, want := len(wire), headerSize+len(blk.Payload); got != want {
+		t.Fatalf("wire form is %d bytes, want %d", got, want)
 	}
 	// Appending after a prefix leaves the prefix intact.
 	buf := append([]byte("prefix"), 0)

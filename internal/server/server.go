@@ -14,13 +14,17 @@ import (
 	"pinbcast/internal/ida"
 )
 
-// Server holds the dispersed database and the broadcast program.
+// Server holds the dispersed database and the broadcast program. It
+// never changes after New, so successive Servers share the blocks and
+// frames of the files that did not change between them.
 type Server struct {
 	prog     *core.Program
 	ids      []uint32 // per file: the stable broadcast identifier
 	names    map[uint32]string
-	blocks   [][]*ida.Block // per file: the N transmitted (AIDA-allocated) blocks
-	payloads [][][]byte     // per file: the marshaled wire form of each block
+	data     [][]byte       // per file: the contents slice it was dispersed from
+	blocks   [][]*ida.Block // per file: the N transmitted blocks
+	payloads [][][]byte     // per file: the wire form of each block; blocks alias their payload regions
+	encoded  int            // files New dispersed; the rest were carried over
 }
 
 // FileID returns the stable broadcast identifier for a named file: the
@@ -64,11 +68,19 @@ func FileIDs(prog *core.Program) ([]uint32, error) {
 // program's per-file (M, N) parameters. Every file of the program must
 // have contents.
 //
+// A file that one of the from servers already dispersed — same
+// identifier, same (M, N), and the very same contents slice (backing
+// array and length; contents are never mutated once handed over, so
+// identity is equality, checked in O(1)) — is carried over: the new
+// server shares that server's immutable blocks and frames. Only the
+// rest is encoded; with no from server (nil ones are skipped) that is
+// every file.
+//
 // Files sharing dispersal parameters are batch-encoded: one
-// coefficient-major ida.DisperseBatch pass per distinct (M, N) pair
+// coefficient-major pass per distinct (M, N) pair (ida.DisperseFrames)
 // streams each product table through the cache once for the whole
 // group instead of once per file.
-func New(prog *core.Program, contents map[string][]byte) (*Server, error) {
+func New(prog *core.Program, contents map[string][]byte, from ...*Server) (*Server, error) {
 	ids, err := FileIDs(prog)
 	if err != nil {
 		return nil, err
@@ -77,16 +89,13 @@ func New(prog *core.Program, contents map[string][]byte) (*Server, error) {
 		prog:     prog,
 		ids:      ids,
 		names:    make(map[uint32]string, len(prog.Files)),
+		data:     make([][]byte, len(prog.Files)),
 		blocks:   make([][]*ida.Block, len(prog.Files)),
 		payloads: make([][][]byte, len(prog.Files)),
 	}
-	// Group the file table by (M, N), preserving table order within and
-	// across groups so dispersal failures attribute deterministically.
-	type encodeGroup struct {
-		files []int    // indices into prog.Files
-		datas [][]byte // contents, parallel to files
-	}
-	groups := make(map[[2]int]*encodeGroup)
+	// Group the files to encode by (M, N), preserving table order within
+	// and across groups so dispersal failures attribute deterministically.
+	groups := make(map[[2]int][]int) // indices into prog.Files
 	var order [][2]int
 	for i, info := range prog.Files {
 		s.names[ids[i]] = info.Name
@@ -97,80 +106,65 @@ func New(prog *core.Program, contents map[string][]byte) (*Server, error) {
 		if len(data) == 0 {
 			return nil, fmt.Errorf("server: dispersing %q: %w", info.Name, ida.ErrEmptyFile)
 		}
+		s.data[i] = data
+		if s.carry(i, from) {
+			continue
+		}
 		key := [2]int{info.M, info.N}
-		g := groups[key]
-		if g == nil {
-			g = new(encodeGroup)
-			groups[key] = g
+		if groups[key] == nil {
 			order = append(order, key)
 		}
-		g.files = append(g.files, i)
-		g.datas = append(g.datas, data)
+		groups[key] = append(groups[key], i)
 	}
 	for _, key := range order {
-		g := groups[key]
+		files := groups[key]
+		gids, datas := make([]uint32, len(files)), make([][]byte, len(files))
+		for k, i := range files {
+			gids[k], datas[k] = ids[i], s.data[i]
+		}
 		codec, err := ida.Shared(key[0], key[1])
 		if err != nil {
-			return nil, fmt.Errorf("server: dispersing %q: %w", prog.Files[g.files[0]].Name, err)
+			return nil, fmt.Errorf("server: dispersing %q: %w", prog.Files[files[0]].Name, err)
 		}
-		payloads, err := codec.DisperseBatch(g.datas, nil)
+		blocks, frames, err := codec.DisperseFrames(gids, datas)
 		if err != nil {
-			return nil, fmt.Errorf("server: dispersing %q: %w", prog.Files[g.files[0]].Name, err)
+			return nil, fmt.Errorf("server: dispersing %q: %w", prog.Files[files[0]].Name, err)
 		}
-		for k, i := range g.files {
-			if err := s.addFile(i, ids[i], prog.Files[i], g.datas[k], payloads[k]); err != nil {
-				return nil, err
-			}
+		for k, i := range files {
+			s.blocks[i], s.payloads[i] = blocks[k], frames[k]
 		}
+		s.encoded += len(files)
 	}
 	return s, nil
 }
 
-// addFile wraps one file's dispersed payloads into self-identifying
-// blocks, AIDA-allocates them across the full width N (the program
-// already encodes the redundancy decision through its slot counts), and
-// caches the marshaled wire forms.
-func (s *Server) addFile(i int, id uint32, info core.FileInfo, data []byte, payloads [][]byte) error {
-	blocks := make([]*ida.Block, len(payloads))
-	for seq, p := range payloads {
-		blocks[seq] = &ida.Block{
-			FileID:  id,
-			Seq:     uint16(seq),
-			M:       uint16(info.M),
-			N:       uint16(info.N),
-			Length:  uint32(len(data)),
-			Payload: p,
+// carry adopts file i's blocks and frames from the first of the from
+// servers that dispersed the same bytes the same way, and reports
+// whether one had.
+func (s *Server) carry(i int, from []*Server) bool {
+	info, data := s.prog.Files[i], s.data[i]
+	for _, b := range from {
+		if b == nil {
+			continue
+		}
+		j := b.prog.FileIndex(info.Name)
+		if j < 0 || b.ids[j] != s.ids[i] || b.prog.Files[j].M != info.M || b.prog.Files[j].N != info.N {
+			continue
+		}
+		if was := b.data[j]; len(was) == len(data) && &was[0] == &data[0] {
+			s.blocks[i], s.payloads[i] = b.blocks[j], b.payloads[j]
+			return true
 		}
 	}
-	alloc, err := ida.Allocate(blocks, info.N)
-	if err != nil {
-		return fmt.Errorf("server: allocating %q: %w", info.Name, err)
-	}
-	s.blocks[i] = alloc.Blocks()
-	// Blocks are immutable once allocated: marshal each one now so
-	// the broadcast loop reuses the wire form instead of allocating
-	// per slot. All wire forms of a file share one contiguous slab —
-	// one allocation per file instead of one per block, laid out in
-	// rotation order for the serve loop's access pattern.
-	s.payloads[i] = make([][]byte, len(s.blocks[i]))
-	slabLen := 0
-	for _, blk := range s.blocks[i] {
-		slabLen += blk.WireSize()
-	}
-	slab := make([]byte, 0, slabLen)
-	for seq, blk := range s.blocks[i] {
-		start := len(slab)
-		slab = blk.MarshalInto(slab)
-		s.payloads[i][seq] = slab[start:len(slab):len(slab)]
-	}
-	return nil
+	return false
 }
+
+// Encoded returns how many files New dispersed; the others were carried
+// over from the servers it was given.
+func (s *Server) Encoded() int { return s.encoded }
 
 // Program returns the broadcast program the server follows.
 func (s *Server) Program() *core.Program { return s.prog }
-
-// ID returns the broadcast identifier of file i of the program table.
-func (s *Server) ID(i int) uint32 { return s.ids[i] }
 
 // Names returns the directory mapping broadcast identifiers to file
 // names — the application metadata a client needs to resolve requests
@@ -183,8 +177,10 @@ func (s *Server) Names() map[uint32]string { return s.names }
 // Block returns dispersed block seq of file i of the program table and
 // its marshaled wire form — what Program.BlockAt resolved a slot to, so
 // the serve loop resolves each slot once. Both are the server's cached
-// immutable copies, shared across emissions of the same block: callers
-// must copy before mutating (fault injectors do).
+// immutable forms, shared across emissions of the same block and across
+// the servers that carried the file over, and they are one copy of the
+// bytes: Block.Payload aliases the wire form past its header. Callers
+// must copy before mutating either (fault injectors do).
 //
 //pinlint:hotpath
 func (s *Server) Block(file, seq int) (*ida.Block, []byte) {

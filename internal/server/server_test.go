@@ -1,12 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"pinbcast/internal/bcerr"
 	"pinbcast/internal/core"
 	"pinbcast/internal/ida"
+	"pinbcast/internal/workload"
 )
 
 func testProgram(t *testing.T) *core.Program {
@@ -44,9 +47,9 @@ func TestEmitFollowsProgram(t *testing.T) {
 			}
 			continue
 		}
-		if blk.FileID != srv.ID(wantFile) || int(blk.Seq) != wantSeq {
+		if want := FileID(prog.Files[wantFile].Name); blk.FileID != want || int(blk.Seq) != wantSeq {
 			t.Fatalf("slot %d: block (%d,%d), want (%d,%d)",
-				t0, blk.FileID, blk.Seq, srv.ID(wantFile), wantSeq)
+				t0, blk.FileID, blk.Seq, want, wantSeq)
 		}
 	}
 }
@@ -140,5 +143,117 @@ func TestFileIDCollisionRejected(t *testing.T) {
 		t.Fatal("colliding file IDs accepted")
 	} else if !errors.Is(err, bcerr.ErrBadSpec) {
 		t.Fatalf("err = %v, want ErrBadSpec", err)
+	}
+}
+
+// sameForms reports whether two servers hold byte-equal blocks and
+// frames for every file of their (equal) programs.
+func sameForms(t *testing.T, got, want *Server) {
+	t.Helper()
+	for i := range want.prog.Files {
+		if len(got.blocks[i]) != len(want.blocks[i]) {
+			t.Fatalf("file %d: %d blocks, want %d", i, len(got.blocks[i]), len(want.blocks[i]))
+		}
+		for seq := range want.blocks[i] {
+			g, gf := got.Block(i, seq)
+			w, wf := want.Block(i, seq)
+			if !bytes.Equal(gf, wf) {
+				t.Fatalf("file %d seq %d: frame differs from a from-scratch New", i, seq)
+			}
+			if g.FileID != w.FileID || g.Seq != w.Seq || g.M != w.M || g.N != w.N ||
+				g.Length != w.Length || !bytes.Equal(g.Payload, w.Payload) {
+				t.Fatalf("file %d seq %d: block %+v, want %+v", i, seq, g, w)
+			}
+		}
+	}
+}
+
+func TestNewCarriesUnchangedFiles(t *testing.T) {
+	prog := testProgram(t)
+	a, b := []byte("contents of file A for dispersal"), []byte("contents of B")
+	base, err := New(prog, map[string][]byte{"A": a, "B": b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Encoded() != 2 {
+		t.Fatalf("from-scratch New encoded %d files, want 2", base.Encoded())
+	}
+	wider, err := core.FlatSpread([]core.FileSpec{
+		{Name: "A", Blocks: 5, Latency: 1, DispersalWidth: 10},
+		{Name: "B", Blocks: 3, Latency: 1, DispersalWidth: 7},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2 := bytes.Clone(b) // equal bytes in another array: not known to be the same file
+	b3 := []byte("CONTENTS OF b")
+	for _, tc := range []struct {
+		name     string
+		prog     *core.Program
+		contents map[string][]byte
+		from     []*Server
+		encoded  int
+	}{
+		{"same slices", prog, map[string][]byte{"A": a, "B": b}, []*Server{base}, 0},
+		{"nil base", prog, map[string][]byte{"A": a, "B": b}, []*Server{nil}, 2},
+		{"other array", prog, map[string][]byte{"A": a, "B": b2}, []*Server{base}, 1},
+		{"same name and length, other bytes", prog, map[string][]byte{"A": a, "B": b3}, []*Server{base}, 1},
+		{"prefix of the same array", prog, map[string][]byte{"A": a[:20], "B": b}, []*Server{base}, 1},
+		{"N changed", wider, map[string][]byte{"A": a, "B": b}, []*Server{base}, 1},
+		{"second base has it", prog, map[string][]byte{"A": a, "B": b}, []*Server{nil, base}, 0},
+	} {
+		got, err := New(tc.prog, tc.contents, tc.from...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got.Encoded() != tc.encoded {
+			t.Errorf("%s: encoded %d files, want %d", tc.name, got.Encoded(), tc.encoded)
+		}
+		want, err := New(tc.prog, tc.contents)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameForms(t, got, want)
+	}
+}
+
+// BenchmarkServerRebuild builds the 256-file admit-churn catalogue's
+// server on top of a previous one in which all, all but one, or none of
+// the contents slices are the ones being built from; changed=256 is a
+// from-scratch New.
+func BenchmarkServerRebuild(b *testing.B) {
+	files := workload.Random(256, 8, 10, 80, 0, 1)
+	for i := range files {
+		files[i].Faults = 1
+	}
+	prog, err := core.BuildProgram(files, core.SufficientBandwidth(files))
+	if err != nil {
+		b.Fatal(err)
+	}
+	contents := workload.Contents(files, 1<<10, 1)
+	base, err := New(prog, contents)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, changed := range []int{0, 1, 256} {
+		next := make(map[string][]byte, len(contents))
+		for i, f := range files {
+			next[f.Name] = contents[f.Name]
+			if i < changed {
+				next[f.Name] = bytes.Clone(contents[f.Name])
+			}
+		}
+		b.Run(fmt.Sprintf("files=256/changed=%d", changed), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				srv, err := New(prog, next, base)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if srv.Encoded() != changed {
+					b.Fatalf("encoded %d files, want %d", srv.Encoded(), changed)
+				}
+			}
+		})
 	}
 }

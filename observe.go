@@ -25,6 +25,8 @@ var (
 		"Program generations swapped in at data-cycle boundaries.")
 	stBuildMicros = obs.Default().Histogram("pin_station_build_duration_us",
 		"Wall time of program generation builds, in microseconds.")
+	stFilesEncoded = obs.Default().Counter("pin_station_files_encoded_total",
+		"Files dispersed by program generation builds; unchanged files are carried over from the previous generation.")
 	stContracts = obs.Default().Gauge("pin_station_contracts",
 		"QoS contracts currently in force across stations.")
 

@@ -31,6 +31,8 @@ func WithFiles(files ...FileSpec) Option {
 }
 
 // WithFile appends one file specification together with its contents.
+// The station keeps the slice, not a copy: do not mutate it afterwards
+// (see Station.Admit).
 func WithFile(f FileSpec, contents []byte) Option {
 	return func(c *stationConfig) error {
 		c.files = append(c.files, f)
@@ -40,7 +42,8 @@ func WithFile(f FileSpec, contents []byte) Option {
 }
 
 // WithContents supplies file contents keyed by file name, merged over
-// any contents already configured.
+// any contents already configured. The station keeps the slices, not
+// copies: do not mutate them afterwards (see Station.Admit).
 func WithContents(contents map[string][]byte) Option {
 	return func(c *stationConfig) error {
 		for name, data := range contents {

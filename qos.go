@@ -101,59 +101,33 @@ func (st *Station) AdmitTxn(x Txn) (Contract, error) {
 // like an AdmitTxn contract, so later changes preserve it too (evicting
 // the file requires releasing its contract first). Rejections wrap
 // ErrAdmission and leave the schedule, the file set and all prior
-// contracts unchanged.
-func (st *Station) Negotiate(f FileSpec, contents []byte) (Contract, error) {
+// contracts unchanged. As with Admit, contents belongs to the station
+// from here on and must not be mutated.
+func (st *Station) Negotiate(f FileSpec, contents []byte) (c Contract, err error) {
 	st.buildMu.Lock()
 	defer st.buildMu.Unlock()
-	base := st.latest()
-	for _, existing := range base.files {
-		if existing.Name == f.Name {
-			return Contract{}, fmt.Errorf("pinbcast: file %q already broadcast: %w", f.Name, ErrBadSpec)
-		}
-	}
 	if _, dup := st.contractEntry(f.Name); dup {
 		return Contract{}, fmt.Errorf("pinbcast: contract %q already issued: %w", f.Name, ErrBadSpec)
 	}
-	files, err := rtdb.Admit(base.files, f, st.bandwidth)
-	if err != nil {
-		return Contract{}, err
-	}
-	prior, had := st.contents[f.Name]
-	st.contents[f.Name] = contents
-	rollback := func() {
-		if had {
-			st.contents[f.Name] = prior //pinlint:allow lockcheck — closure only runs under Negotiate's buildMu
-		} else {
-			delete(st.contents, f.Name) //pinlint:allow lockcheck — closure only runs under Negotiate's buildMu
+	err = st.admit(f, contents, func(gen *generation) error {
+		// The new file's own guarantee, as a single-read transaction
+		// over the staged program.
+		read := Txn{Name: f.Name, Reads: []string{f.Name}, Deadline: 1 << 30}
+		worst, refresh, err := st.guaranteeBound(gen, read)
+		if err != nil {
+			return err
 		}
-	}
-	gen, err := st.build(files)
-	if err != nil {
-		rollback()
-		return Contract{}, err
-	}
-	if err := st.verifyContracts(gen); err != nil {
-		rollback()
-		return Contract{}, err
-	}
-	// The new file's own guarantee, as a single-read transaction over
-	// the staged program.
-	read := Txn{Name: f.Name, Reads: []string{f.Name}, Deadline: 1 << 30}
-	worst, refresh, err := st.guaranteeBound(gen, read)
-	if err != nil {
-		rollback()
-		return Contract{}, err
-	}
-	c := Contract{
-		Name:              f.Name,
-		WorstLatencySlots: worst,
-		StalenessSlots:    MaxStaleness(worst, refresh),
-		EffectiveAt:       gen.id,
-	}
-	read.Deadline = worst
-	st.storeContract(qosEntry{txn: read, c: c})
-	st.stage(gen)
-	return c, nil
+		c = Contract{
+			Name:              f.Name,
+			WorstLatencySlots: worst,
+			StalenessSlots:    MaxStaleness(worst, refresh),
+			EffectiveAt:       gen.id,
+		}
+		read.Deadline = worst
+		st.storeContract(qosEntry{txn: read, c: c})
+		return nil
+	})
+	return c, err
 }
 
 // ReleaseTxn withdraws an issued contract, freeing later Admit, Evict
@@ -208,7 +182,7 @@ func (st *Station) guaranteeBound(gen *generation, x Txn) (worst, refresh int, e
 // verifyContracts checks every issued contract against a candidate
 // generation's program, rejecting the change when any promised bound
 // would stretch. Caller must hold buildMu.
-func (st *Station) verifyContracts(gen *generation) error {
+func (st *Station) verifyContracts(prog *Program) error {
 	st.mu.Lock()
 	entries := make([]qosEntry, 0, len(st.qos))
 	for _, e := range st.qos {
@@ -216,7 +190,7 @@ func (st *Station) verifyContracts(gen *generation) error {
 	}
 	st.mu.Unlock()
 	for _, e := range entries {
-		worst, err := rtdb.TxnWorstLatency(gen.program, e.txn)
+		worst, err := rtdb.TxnWorstLatency(prog, e.txn)
 		if err != nil {
 			return fmt.Errorf("pinbcast: change would void contract %q (%w): %w",
 				e.c.Name, err, ErrAdmission)

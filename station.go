@@ -34,7 +34,8 @@ type Slot struct {
 	Block *Block
 	// Payload is the marshaled block as transmitted on the wire, nil
 	// for idle slots. It is the station's cached wire form, shared
-	// across emissions of the same block — copy before mutating.
+	// across emissions and generations, and Block.Payload aliases it
+	// past the header: copy before mutating either.
 	Payload []byte
 }
 
@@ -121,7 +122,7 @@ func New(opts ...Option) (*Station, error) {
 	if st.interval > 0 {
 		st.clock = wallClock{time.NewTimer(st.interval)} // Serve is single-flight: one timer does
 	}
-	gen, err := st.build(cfg.files)
+	gen, err := st.build(cfg.files, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -130,22 +131,30 @@ func New(opts ...Option) (*Station, error) {
 }
 
 // build constructs a new program generation for the file set at the
-// station's bandwidth, using its layout and scheduler chain. Caller
-// must hold buildMu (or be the constructor).
+// station's bandwidth, using its layout and scheduler chain, and
+// rejects a program that would stretch an issued contract. Files whose
+// contents and dispersal parameters are those they have in base (the
+// server of the generation the change builds on; nil in the
+// constructor) keep base's encoded blocks: only what changed is
+// dispersed. Caller must hold buildMu (or be the constructor).
 //
 //pinlint:cycle-boundary
 //pinlint:holds buildMu
-func (st *Station) build(files []FileSpec) (*generation, error) {
+func (st *Station) build(files []FileSpec, base *server.Server) (*generation, error) {
 	start := time.Now()
 	prog, err := st.plan(files)
+	if err == nil {
+		err = st.verifyContracts(prog)
+	}
 	if err != nil {
 		return nil, err
 	}
-	srv, err := server.New(prog, st.contents)
+	srv, err := server.New(prog, st.contents, base)
 	if err != nil {
 		return nil, err
 	}
 	stBuildMicros.Observe(uint64(time.Since(start).Microseconds()))
+	stFilesEncoded.Add(uint64(srv.Encoded()))
 	st.nextID++
 	return &generation{
 		id:      st.nextID,
@@ -375,9 +384,26 @@ func (st *Station) serveLoop(ctx context.Context, out chan<- Slot) {
 // station is not serving). Rejections wrap ErrAdmission; invalid
 // candidates wrap ErrBadSpec. Use Negotiate to admit a file and receive
 // its own service contract.
+//
+// From here on contents belongs to the station and must not be mutated:
+// the file is dispersed once, later generations carry its encoded
+// blocks over, and the slice itself is how the station knows the bytes
+// again. To change a file, Evict it and Admit a new slice.
 func (st *Station) Admit(f FileSpec, contents []byte) error {
 	st.buildMu.Lock()
 	defer st.buildMu.Unlock()
+	return st.admit(f, contents, nil)
+}
+
+// admit is Admit and Negotiate under buildMu: admission control, the
+// candidate's contents installed, the generation rebuilt (which holds
+// it to every issued contract) and put to accept (nil accepts), then
+// staged. Any rejection restores the contents and leaves the program
+// and the contracts as they were.
+//
+//pinlint:cycle-boundary
+//pinlint:holds buildMu
+func (st *Station) admit(f FileSpec, contents []byte, accept func(*generation) error) error {
 	base := st.latest()
 	for _, existing := range base.files {
 		if existing.Name == f.Name {
@@ -390,9 +416,9 @@ func (st *Station) Admit(f FileSpec, contents []byte) error {
 	}
 	prior, had := st.contents[f.Name]
 	st.contents[f.Name] = contents
-	gen, err := st.build(files)
-	if err == nil {
-		err = st.verifyContracts(gen)
+	gen, err := st.build(files, base.srv)
+	if err == nil && accept != nil {
+		err = accept(gen)
 	}
 	if err != nil {
 		if had {
@@ -426,11 +452,8 @@ func (st *Station) Evict(name string) error {
 	case len(files) == 0:
 		return fmt.Errorf("pinbcast: cannot evict the last file %q: %w", name, ErrBadSpec)
 	}
-	gen, err := st.build(files)
+	gen, err := st.build(files, base.srv)
 	if err != nil {
-		return err
-	}
-	if err := st.verifyContracts(gen); err != nil {
 		return err
 	}
 	delete(st.contents, name)
