@@ -68,17 +68,24 @@ type BuildConfig struct {
 // for invalid files, ErrBandwidth when the bandwidth cannot carry the
 // file set, ErrInfeasible when scheduling is provably impossible.
 func Build(cfg BuildConfig) (*Program, error) {
-	if !isBuiltinPinwheel(cfg.Layout) {
-		return cfg.Layout.Plan(cfg.Files, cfg.Bandwidth)
+	return buildProgram(cfg.Files, cfg.Bandwidth, cfg.Layout, cfg.Schedulers)
+}
+
+// buildProgram is the one construction path behind Build and every
+// Station generation. The pinwheel construction — the default, and the
+// registered "pinwheel" layout when selected by name — composes with
+// the scheduler chain; any other layout owns construction entirely.
+func buildProgram(files []FileSpec, bw int, layout Layout, chain []Scheduler) (*Program, error) {
+	if !isBuiltinPinwheel(layout) {
+		return layout.Plan(files, bw)
 	}
-	bw := cfg.Bandwidth
 	if bw == 0 {
 		// Invalid files yield a meaningless sizing here, but
 		// BuildProgramWith validates them before using the bandwidth.
-		bw = core.SufficientBandwidth(cfg.Files)
+		bw = core.SufficientBandwidth(files)
 	}
-	return core.BuildProgramWith(cfg.Files, bw, func(sys pinwheel.System) (*pinwheel.Schedule, error) {
-		return solveChain(sys, cfg.Schedulers)
+	return core.BuildProgramWith(files, bw, func(sys pinwheel.System) (*pinwheel.Schedule, error) {
+		return solveChain(sys, chain)
 	})
 }
 
@@ -219,8 +226,9 @@ func BurstFaults(pGoodToBad, pBadToGood, pLossWhileBad float64, seed int64) Faul
 
 // BurstFaultsFrom is BurstFaults drawing from an injected generator
 // (nil for a fixed default seed). Like every fault model it plugs into
-// the whole fault seam: WithReceiverFaults on a Receiver, SimConfig on
-// a simulation, and the bdsim -burst channel.
+// the whole fault seam: WithReceiverFaults on a Receiver,
+// WithTunerFaults on a MultiTuner (one model and one generator per
+// channel: they are driven concurrently), SimConfig on a simulation.
 func BurstFaultsFrom(pGoodToBad, pBadToGood, pLossWhileBad float64, rng *rand.Rand) FaultModel {
 	return channel.NewGilbertElliottFrom(pGoodToBad, pBadToGood, pLossWhileBad, rng)
 }

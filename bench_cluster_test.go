@@ -1,8 +1,7 @@
 package pinbcast_test
 
 // Cluster-subsystem benchmarks: the multi-channel serve path and the
-// MultiTuner retrieval loop. CI tracks them as the BENCH_cluster.json
-// artifact; bench/BENCH_cluster.json is a committed snapshot.
+// MultiTuner retrieval loop.
 
 import (
 	"context"
@@ -12,6 +11,7 @@ import (
 	"testing"
 
 	"pinbcast"
+	"pinbcast/internal/zeroalloc"
 )
 
 // benchClusterFiles is a nine-file catalog sharded three ways with the
@@ -109,8 +109,8 @@ func (l *loopReplay) Close() error {
 // the tuner until reconstruction, drains the result with RunInto and
 // hands its buffer back with Recycle. One tuner serves every
 // iteration — with the drain/recycle pair nothing accumulates, and the
-// loop is allocation-free once the pools are warm (the 0 allocs/op
-// gate CI holds through BENCH_dataplane.json).
+// loop is allocation-free once the pools are warm, which the benchmark
+// checks itself.
 func BenchmarkMultiTuner(b *testing.B) {
 	c := benchCluster(b)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -138,8 +138,7 @@ func BenchmarkMultiTuner(b *testing.B) {
 	}
 	defer mt.Close()
 	var out []pinbcast.ClusterResult
-	b.ReportAllocs()
-	b.ResetTimer()
+	check := zeroalloc.Start(b)
 	for i := 0; i < b.N; i++ {
 		if err := mt.RequestVia("hot-a", 0, plan["hot-a"]); err != nil {
 			b.Fatal(err)
@@ -153,7 +152,7 @@ func BenchmarkMultiTuner(b *testing.B) {
 		}
 		mt.Recycle(out[0])
 	}
-	b.StopTimer()
+	check()
 	if got := mt.Metrics().Completed; got != b.N {
 		b.Fatalf("completed %d of %d retrievals", got, b.N)
 	}

@@ -25,6 +25,7 @@ import (
 	"pinbcast/internal/exp"
 	"pinbcast/internal/pinwheel"
 	"pinbcast/internal/workload"
+	"pinbcast/internal/zeroalloc"
 )
 
 // E1 — Figure 5: flat broadcast program construction.
@@ -217,8 +218,7 @@ func BenchmarkEndToEndSimulation(b *testing.B) {
 
 // BenchmarkStationServe measures the streaming broadcast loop: slots
 // drained per second from a consumer-paced Serve stream. This is the
-// hot path of the Station service API and the series tracked by CI in
-// BENCH_station.json.
+// hot path of the Station service API and must stay at 0 allocs/op.
 func BenchmarkStationServe(b *testing.B) { benchmarkStationServe(b, 0) }
 
 // BenchmarkStationServePaced is the same stream paced at 100 µs a
@@ -247,13 +247,13 @@ func benchmarkStationServe(b *testing.B, interval time.Duration) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
+	check := zeroalloc.Start(b)
 	for i := 0; i < b.N; i++ {
 		if _, ok := <-slots; !ok {
 			b.Fatal("stream closed")
 		}
 	}
+	check()
 	if interval > 0 {
 		b.ReportMetric(float64(b.N)*float64(interval)/float64(b.Elapsed()), "rate_ratio")
 	}
@@ -308,8 +308,7 @@ func benchRecording(b *testing.B) (*pinbcast.Station, *pinbcast.Recording) {
 
 // BenchmarkReceiverSlots measures the receiver protocol loop: slots
 // consumed per second while a request is pending (every slot decoded
-// and classified, none completing). Tracked by CI in
-// BENCH_receiver.json.
+// and classified, none completing), at 0 allocs/op.
 func BenchmarkReceiverSlots(b *testing.B) {
 	st, rec := benchRecording(b)
 	src := &loopSource{slots: rec.Slots()}
@@ -320,13 +319,13 @@ func BenchmarkReceiverSlots(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
+	check := zeroalloc.Start(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := r.Step(); err != nil {
 			b.Fatal(err)
 		}
 	}
+	check()
 }
 
 // BenchmarkReceiverReconstruct measures full retrievals per second:
@@ -357,8 +356,8 @@ func BenchmarkReceiverReconstruct(b *testing.B) {
 // in steady state: Station serve loop → Pump → TCP Fanout → framed
 // wire → TCPSource (buffer reuse on) → Receiver protocol step. MB/s is
 // wire payload throughput; the per-slot cost covers framing, one
-// loopback round, frame decode and block classification. Tracked by CI
-// in BENCH_dataplane.json.
+// loopback round, frame decode and block classification, at 0
+// allocs/op. cmd/bdload's fanout-steady workload is the gated form.
 func BenchmarkServeFanoutPipeline(b *testing.B) {
 	files := []pinbcast.FileSpec{
 		{Name: "A", Blocks: 4, Latency: 8, Faults: 1},
@@ -423,14 +422,13 @@ func BenchmarkServeFanoutPipeline(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(busy * len(blk[0].Marshal()) / cycle))
-	b.ReportAllocs()
-	b.ResetTimer()
+	check := zeroalloc.Start(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := r.Step(); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
+	check()
 	cancel()
 	r.Close()
 }
@@ -463,9 +461,8 @@ func BenchmarkGeneralizedConstruction(b *testing.B) {
 	}
 }
 
-// Workload/QoS benchmarks — the BENCH_workload.json series tracked by
-// CI: program construction per layout strategy and online transaction
-// admission on a live station.
+// Workload/QoS benchmarks: program construction per layout strategy
+// and online transaction admission on a live station.
 
 func benchmarkLayout(b *testing.B, name string) {
 	b.Helper()

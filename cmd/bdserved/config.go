@@ -6,7 +6,15 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"pinbcast/internal/transport"
 )
+
+// maxBlockSize is the largest station.block_size a subscriber can
+// receive: a block travels as one frame, its 22-byte header
+// (internal/ida) included, and frames past transport.MaxFramePayload
+// are refused on both ends of the wire.
+const maxBlockSize = transport.MaxFramePayload - 22
 
 // Config is bdserved's runtime configuration, loaded from a
 // TOML-subset file. Zero values select the documented defaults.
@@ -23,7 +31,7 @@ type Config struct {
 
 	// [listen]
 	Data string // TCP fan-out address; cluster channels listen on consecutive ports (port 0 = all ephemeral)
-	Ops  string // HTTP ops address (/metrics, /debug/vars, /debug/pprof)
+	Ops  string // HTTP ops address (/metrics, /debug/vars, /debug/pprof, /debug/trace)
 
 	// [drain]
 	Timeout time.Duration // hard deadline for the SIGTERM data-cycle drain
@@ -47,50 +55,73 @@ func DefaultConfig() Config {
 	}
 }
 
-// LoadConfig reads a TOML-subset configuration file: `[section]`
-// headers, `key = value` pairs with string ("..."), integer, boolean
-// and duration ("50ms") values, `#` comments, blank lines. This covers
-// the whole of bdserved's schema without pulling in a TOML dependency;
-// unknown sections and keys are errors so typos fail loudly at boot
-// rather than silently selecting a default.
+// LoadConfig reads and parses the configuration file at path (see
+// parseConfig for the format).
 func LoadConfig(path string) (Config, error) {
-	cfg := DefaultConfig()
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return cfg, err
+		return DefaultConfig(), err
 	}
+	cfg, err := parseConfig(raw)
+	if err != nil {
+		err = fmt.Errorf("%s: %w", path, err)
+	}
+	return cfg, err
+}
+
+// parseConfig parses a TOML-subset configuration: `[section]` headers,
+// `key = value` pairs with string ("..."), integer and duration
+// ("50ms") values, `#` comments, blank lines. This covers the whole of
+// bdserved's schema without pulling in a TOML dependency; unknown
+// sections and keys are errors so typos fail loudly at boot rather than
+// silently selecting a default. Every error names the offending line,
+// or the key whose value is out of range.
+func parseConfig(raw []byte) (Config, error) {
+	cfg := DefaultConfig()
 	section := ""
 	for i, line := range strings.Split(string(raw), "\n") {
-		if idx := strings.IndexByte(line, '#'); idx >= 0 && !strings.Contains(line[:idx], `"`) {
-			line = line[:idx]
-		}
-		line = strings.TrimSpace(line)
+		line = strings.TrimSpace(stripComment(line))
 		if line == "" {
 			continue
 		}
 		if strings.HasPrefix(line, "[") {
 			if !strings.HasSuffix(line, "]") {
-				return cfg, fmt.Errorf("%s:%d: malformed section header %q", path, i+1, line)
+				return cfg, fmt.Errorf("line %d: malformed section header %q", i+1, line)
 			}
 			section = strings.TrimSpace(line[1 : len(line)-1])
 			switch section {
 			case "station", "listen", "drain":
 			default:
-				return cfg, fmt.Errorf("%s:%d: unknown section [%s]", path, i+1, section)
+				return cfg, fmt.Errorf("line %d: unknown section [%s]", i+1, section)
 			}
 			continue
 		}
 		key, value, ok := strings.Cut(line, "=")
 		if !ok {
-			return cfg, fmt.Errorf("%s:%d: expected key = value, got %q", path, i+1, line)
+			return cfg, fmt.Errorf("line %d: expected key = value, got %q", i+1, line)
 		}
 		key = strings.TrimSpace(key)
 		value = strings.TrimSpace(value)
 		if err := cfg.set(section, key, value); err != nil {
-			return cfg, fmt.Errorf("%s:%d: %w", path, i+1, err)
+			return cfg, fmt.Errorf("line %d: %w", i+1, err)
 		}
 	}
 	return cfg, cfg.validate()
+}
+
+// stripComment cuts line at the first '#' outside a quoted string (the
+// subset has no escapes, so quotes simply alternate).
+func stripComment(line string) string {
+	quoted := false
+	for i := 0; i < len(line); i++ {
+		switch {
+		case line[i] == '"':
+			quoted = !quoted
+		case line[i] == '#' && !quoted:
+			return line[:i]
+		}
+	}
+	return line
 }
 
 // set applies one key = value pair to the configuration.
@@ -132,6 +163,9 @@ func (c *Config) validate() error {
 		return fmt.Errorf("station.faults %d: cannot be negative", c.Faults)
 	case c.BlockSize < 1:
 		return fmt.Errorf("station.block_size %d: need at least one byte", c.BlockSize)
+	case c.BlockSize > maxBlockSize:
+		return fmt.Errorf("station.block_size %d: at most %d, or the block's frame exceeds the %d-byte limit (transport.MaxFramePayload) and every subscriber is evicted",
+			c.BlockSize, maxBlockSize, transport.MaxFramePayload)
 	case c.SlotInterval <= 0:
 		return fmt.Errorf("station.slot_interval %s: a daemon needs a positive slot pace", c.SlotInterval)
 	case c.Channels < 1:

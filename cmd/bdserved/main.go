@@ -15,7 +15,9 @@
 // The ops listener serves Prometheus text-format metrics at /metrics
 // (station, fan-out, cluster and receiver families), expvar at
 // /debug/vars (including the full registry snapshot under the
-// "pinbcast" var) and pprof at /debug/pprof.
+// "pinbcast" var), pprof at /debug/pprof, and at /debug/trace the last
+// slot events (served, flushed, corrupted, hopped, …) as JSON Lines —
+// what happened just before now.
 //
 // On SIGTERM or SIGINT the daemon drains gracefully: each channel
 // keeps broadcasting until its next data-cycle boundary, where the

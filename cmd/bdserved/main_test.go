@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"os"
@@ -12,6 +14,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"pinbcast"
 )
 
 func TestLoadConfig(t *testing.T) {
@@ -21,14 +25,14 @@ func TestLoadConfig(t *testing.T) {
 [station]
 files = 6
 seed = 42            # trailing comment
-slot_interval = "1ms"
+slot_interval = "1ms"  # a comment after a closing quote
 channels = 2
 replicas = 1
 shard = "hash"
 
 [listen]
 data = "127.0.0.1:0"
-ops = "0.0.0.0:9091"
+ops = "0.0.0.0:9091" # not a "quoted # comment"
 
 [drain]
 timeout = "3s"
@@ -57,6 +61,9 @@ func TestLoadConfigErrors(t *testing.T) {
 		"bare value":      "[listen]\ndata = 127.0.0.1:0\n",
 		"bad range":       "[station]\nfiles = 0\n",
 		"bad replicas":    "[station]\nchannels = 2\nreplicas = 3\n",
+		"open string":     "[station]\nshard = \"ha#sh\n",
+		// A block that cannot fit a frame would evict every subscriber.
+		"oversized block": "[station]\nblock_size = 2000000\n",
 	} {
 		path := filepath.Join(t.TempDir(), "bad.toml")
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
@@ -104,15 +111,17 @@ func scrape(t *testing.T, base, metric string) float64 {
 }
 
 // TestDaemonSmoke is the in-process version of the CI smoke job: boot
-// a small single-station daemon on ephemeral ports, watch
+// the smoke configuration on ephemeral ports, watch
 // pin_station_slots_total advance across two scrapes, check the
-// /debug endpoints answer, then SIGTERM it and require a clean exit
+// /debug endpoints answer and /debug/trace shows the slots a
+// subscriber just received, then SIGTERM it and require a clean exit
 // within the drain deadline.
 func TestDaemonSmoke(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Files = 4
-	cfg.SlotInterval = 100 * time.Microsecond
-	cfg.Timeout = 10 * time.Second
+	cfg, err := parseConfig([]byte(smokeConfig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Ops = "127.0.0.1:0"
 
 	sigs := make(chan os.Signal, 1)
 	outR, outW := io.Pipe()
@@ -164,7 +173,6 @@ func TestDaemonSmoke(t *testing.T) {
 			t.Fatal("daemon did not print its listeners in time")
 		}
 	}
-	_ = dataAddr
 
 	// The station serves consumer-paced slots through the fan-out, so
 	// the counter advances even with no subscriber connected.
@@ -212,6 +220,57 @@ func TestDaemonSmoke(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != 200 {
 			t.Errorf("%s answered %d", path, resp.StatusCode)
+		}
+	}
+
+	// What happened just before now: a subscriber's slots leave through
+	// the fan-out, so the ring holds serve and flush events, and reading
+	// it twice shows it is a snapshot, not a drain.
+	src, err := pinbcast.DialSource(dataAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	for i := 0; i < 32; i++ {
+		if _, err := src.Next(); err != nil {
+			t.Fatalf("subscriber slot %d: %v", i, err)
+		}
+	}
+	for pass := 1; pass <= 2; pass++ {
+		resp, err := http.Get(opsURL + "/debug/trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds := map[string]int{}
+		var prev uint64
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			var ev map[string]json.RawMessage
+			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+				t.Fatalf("/debug/trace line %q: %v", sc.Text(), err)
+			}
+			fields := []string{"seq", "kind", "channel", "file", "t", "aux"}
+			for _, field := range fields {
+				if _, ok := ev[field]; !ok || len(ev) != len(fields) {
+					t.Fatalf("/debug/trace line %q: want exactly the fields %v", sc.Text(), fields)
+				}
+			}
+			var seq uint64
+			var kind string
+			if json.Unmarshal(ev["seq"], &seq) != nil || json.Unmarshal(ev["kind"], &kind) != nil || seq <= prev {
+				t.Fatalf("/debug/trace line %q after seq %d: want an increasing seq and a kind name", sc.Text(), prev)
+			}
+			prev = seq
+			kinds[kind]++
+		}
+		resp.Body.Close()
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{"slot_served", "frame_flushed"} {
+			if kinds[want] == 0 {
+				t.Errorf("/debug/trace pass %d has no %q events (kinds: %v)", pass, want, kinds)
+			}
 		}
 	}
 

@@ -143,8 +143,9 @@
 // (FailChannel lands them at the survivors' next data-cycle
 // boundaries, exactly like Admit) are still found. Contracts the
 // failover can no longer honor are revoked with errors wrapping
-// ErrDegraded rather than silently stretched. See examples/cluster and
-// `bdsim -cluster K -replicas R -kill i`.
+// ErrDegraded rather than silently stretched. See examples/cluster
+// (plan, negotiate, kill a channel, fail over, retrieve with hops) and,
+// for the daemon form, cmd/bdserved with station.channels > 1.
 //
 // # Transports
 //
@@ -189,10 +190,10 @@
 // station and must not be mutated; a Slot's Block and Payload are
 // shared — copy before mutating. Benchmarks: the MBps series in internal/ida,
 // BenchmarkStationServe, BenchmarkReceiverSlots, BenchmarkMultiTuner
-// and BenchmarkServeFanoutPipeline at the package root; CI tracks them
-// as the BENCH_dataplane.json artifact and cmd/benchguard fails the
-// build when they regress against the committed bench/ snapshot.
-// cmd/bdsim profiles a live pipeline via -cpuprofile/-memprofile.
+// and BenchmarkServeFanoutPipeline at the package root, each of which
+// fails by itself on a non-zero allocs/op (internal/zeroalloc). Speed
+// is gated end to end by cmd/bdload against BENCHMARK.json; to profile
+// a live pipeline use the daemon's /debug/pprof.
 //
 // # Observability
 //
@@ -210,13 +211,13 @@
 // Three consumers ship with the module. cmd/bdserved is the daemon
 // mode: a Station or Cluster broadcasting over TCP fan-out with the
 // registry served in Prometheus text format at /metrics (a hand-rolled,
-// golden-tested encoder — no client library), expvar at /debug/vars and
-// pprof at /debug/pprof, and a SIGTERM drain that stops each channel at
-// its next data-cycle boundary. cmd/bdsim dumps the same state post-run
-// with -metrics-out (JSON registry snapshot) and -trace-out (JSONL
-// event log). In-process, Receiver.Metrics and MultiTuner.Metrics
-// return the stable per-instance snapshots (ReceiverMetrics,
-// MultiTunerMetrics) the CLIs tabulate — per-instance counts for one
+// golden-tested encoder — no client library), expvar at /debug/vars,
+// pprof at /debug/pprof, the trace ring's last events as JSON Lines at
+// /debug/trace, and a SIGTERM drain that stops each channel at its next
+// data-cycle boundary. cmd/bdsim -metrics-out writes the registry's
+// JSON snapshot after a simulation. In-process, Receiver.Metrics and
+// MultiTuner.Metrics return the stable per-instance snapshots
+// (ReceiverMetrics, MultiTunerMetrics) — per-instance counts for one
 // receiver's outcome, the registry for whole-process rates. See the
 // README's Observability section for the metric and trace schemas.
 //

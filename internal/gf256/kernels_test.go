@@ -213,8 +213,8 @@ func FuzzKernelParity(f *testing.F) {
 	})
 }
 
-// BenchmarkGF256Kernels reports MB/s per available kernel so the
-// BENCH_dataplane.json artifact records which implementation ran. The
+// BenchmarkGF256Kernels reports MB/s per available kernel (cmd/bdload's
+// gf256.muladd_GBps is the gated number, for the selected kernel). The
 // 8 KiB slice matches the shard length of the 64 KiB (m=8) dataplane
 // series.
 func BenchmarkGF256Kernels(b *testing.B) {

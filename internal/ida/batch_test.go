@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"pinbcast/internal/zeroalloc"
 )
 
 // batchFiles builds a length-diverse file set: exact multiples of the
@@ -167,14 +169,14 @@ func BenchmarkDisperseBatchMBps(b *testing.B) {
 	var dst [][][]byte
 	logKernel(b)
 	b.SetBytes(nFiles * dataplaneSize)
-	b.ReportAllocs()
-	b.ResetTimer()
+	check := zeroalloc.Start(b)
 	for i := 0; i < b.N; i++ {
 		dst, err = c.DisperseBatch(files, dst)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
+	check()
 }
 
 // BenchmarkDispersePerFileLoopMBps is the per-file baseline for
@@ -198,8 +200,7 @@ func BenchmarkDispersePerFileLoopMBps(b *testing.B) {
 	dst := make([][][]byte, nFiles)
 	logKernel(b)
 	b.SetBytes(nFiles * dataplaneSize)
-	b.ReportAllocs()
-	b.ResetTimer()
+	check := zeroalloc.Start(b)
 	for i := 0; i < b.N; i++ {
 		for f, data := range files {
 			dst[f], err = c.DisperseInto(data, dst[f])
@@ -208,6 +209,7 @@ func BenchmarkDispersePerFileLoopMBps(b *testing.B) {
 			}
 		}
 	}
+	check()
 }
 
 // TestDisperseFramesMatchesMarshal holds the slab-direct encode to the

@@ -1,15 +1,17 @@
 package ida
 
-// Data-plane throughput benchmarks — the BENCH_dataplane.json series
-// tracked by CI. Reported in MB/s of original file bytes (b.SetBytes)
-// and B/op: the steady-state encode and decode loops reuse their
-// buffers through the *Into APIs, so both should report 0 allocs/op
-// once warm.
+// Data-plane throughput benchmarks, for measuring while working on the
+// codec (cmd/bdload's ida.disperse_MBps and ida.reconstruct_MBps are
+// the gated numbers). Reported in MB/s of original file bytes
+// (b.SetBytes) and B/op: the steady-state encode and decode loops reuse
+// their buffers through the *Into APIs, so each fails by itself
+// (zeroalloc) if it allocates once warm.
 
 import (
 	"testing"
 
 	"pinbcast/internal/gf256"
+	"pinbcast/internal/zeroalloc"
 )
 
 // dataplaneSize is the file size the MB/s series is measured at.
@@ -24,8 +26,8 @@ func dataplaneFile() []byte {
 }
 
 // logKernel records which GF(256) kernel produced a benchmark's
-// numbers, so the BENCH_dataplane.json series names it next to the
-// MB/s figures (SIMD and purego results are not comparable).
+// numbers next to the MB/s figures (SIMD and purego results are not
+// comparable).
 func logKernel(b *testing.B) {
 	b.Helper()
 	b.Logf("gf256 kernel: %s", gf256.Kernel())
@@ -43,14 +45,14 @@ func BenchmarkDisperseMBps(b *testing.B) {
 	var shards [][]byte
 	logKernel(b)
 	b.SetBytes(dataplaneSize)
-	b.ReportAllocs()
-	b.ResetTimer()
+	check := zeroalloc.Start(b)
 	for i := 0; i < b.N; i++ {
 		shards, err = c.DisperseInto(data, shards)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
+	check()
 }
 
 // BenchmarkReconstructMBps measures steady-state reconstruction of the
@@ -74,14 +76,14 @@ func BenchmarkReconstructMBps(b *testing.B) {
 	var dst []byte
 	logKernel(b)
 	b.SetBytes(dataplaneSize)
-	b.ReportAllocs()
-	b.ResetTimer()
+	check := zeroalloc.Start(b)
 	for i := 0; i < b.N; i++ {
 		dst, err = c.ReconstructInto(shards, dataplaneSize, dst[:0])
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
+	check()
 }
 
 // BenchmarkReconstructAllParityMBps is the worst case: every received
@@ -104,12 +106,12 @@ func BenchmarkReconstructAllParityMBps(b *testing.B) {
 	var dst []byte
 	logKernel(b)
 	b.SetBytes(dataplaneSize)
-	b.ReportAllocs()
-	b.ResetTimer()
+	check := zeroalloc.Start(b)
 	for i := 0; i < b.N; i++ {
 		dst, err = c.ReconstructInto(shards, dataplaneSize, dst[:0])
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
+	check()
 }

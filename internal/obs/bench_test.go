@@ -1,49 +1,57 @@
 package obs
 
-import "testing"
+import (
+	"testing"
 
-// The hot-path ops must stay at 0 allocs/op; CI appends these series
-// to BENCH_dataplane.json, so benchguard fails the build if an
-// allocation sneaks in.
+	"pinbcast/internal/zeroalloc"
+)
+
+// The hot-path ops must stay at 0 allocs/op: each benchmark fails by
+// itself if an allocation sneaks in.
 
 func BenchmarkObsCounterInc(b *testing.B) {
 	c := NewRegistry().Counter("pin_bench_total", "bench")
-	b.ReportAllocs()
+	check := zeroalloc.Start(b)
 	for i := 0; i < b.N; i++ {
 		c.Inc()
 	}
+	check()
 }
 
 func BenchmarkObsGaugeSet(b *testing.B) {
 	g := NewRegistry().Gauge("pin_bench_level", "bench")
-	b.ReportAllocs()
+	check := zeroalloc.Start(b)
 	for i := 0; i < b.N; i++ {
 		g.Set(int64(i))
 	}
+	check()
 }
 
 func BenchmarkObsHistogramObserve(b *testing.B) {
 	h := NewRegistry().Histogram("pin_bench_lat", "bench")
-	b.ReportAllocs()
+	check := zeroalloc.Start(b)
 	for i := 0; i < b.N; i++ {
 		h.Observe(uint64(i))
 	}
+	check()
 }
 
 func BenchmarkObsRingEmit(b *testing.B) {
 	r := NewRing(DefaultRingSize)
-	b.ReportAllocs()
+	check := zeroalloc.Start(b)
 	for i := 0; i < b.N; i++ {
 		r.Emit(SlotServed, 0, uint32(i), uint64(i), 0)
 	}
+	check()
 }
 
 func BenchmarkObsCounterIncParallel(b *testing.B) {
 	c := NewRegistry().Counter("pin_bench_par_total", "bench")
-	b.ReportAllocs()
+	check := zeroalloc.Start(b)
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			c.Inc()
 		}
 	})
+	check()
 }

@@ -174,8 +174,8 @@ type jsonFamily struct {
 }
 
 // WriteJSON writes the registry as a JSON array of metric families,
-// deterministically ordered — the format behind bdsim -metrics-out and
-// the /debug/vars "pinbcast" expvar.
+// deterministically ordered — the format behind the /debug/vars
+// "pinbcast" expvar and bdsim -metrics-out.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	fams := r.snap().fams
 	out := make([]jsonFamily, 0, len(fams))

@@ -8,8 +8,8 @@
 //
 // The package-level Default registry and Trace ring are what the
 // pinbcast planes (Station.Serve, transport.Fanout, Cluster,
-// MultiTuner, Receiver) instrument against; cmd/bdserved serves them
-// over HTTP and cmd/bdsim dumps them to files. Instruments are
+// MultiTuner, Receiver) instrument against; cmd/bdserved serves both
+// over HTTP (NewOpsMux). Instruments are
 // get-or-create by (name, label set), so every Station in a process
 // shares one aggregated family while labeled series (per-channel
 // cluster gauges) stay distinct.

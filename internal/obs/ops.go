@@ -32,6 +32,8 @@ var publishOnce sync.Once
 //	/debug/vars   expvar JSON, including a "pinbcast" var holding the
 //	              registry's JSON snapshot
 //	/debug/pprof  the standard pprof index and profiles
+//	/debug/trace  the slot-event ring's last events as JSON Lines (a
+//	              snapshot: reading it consumes nothing)
 func NewOpsMux(r *Registry) *http.ServeMux {
 	publishOnce.Do(func() {
 		expvar.Publish("pinbcast", expvar.Func(func() any {
@@ -47,6 +49,10 @@ func NewOpsMux(r *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", Handler(r))
 	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, req *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		_ = trace.WriteJSONL(w) // a write error is the client hanging up
+	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/json"
+	"io"
 	"sync/atomic"
 )
 
@@ -48,14 +50,17 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Event is one decoded slot trace record.
+// MarshalText makes the wire name the kind's JSON form.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// Event is one decoded slot trace record; the tags are its JSONL schema.
 type Event struct {
-	Seq     uint64 // global emission order (1-based, gaps = overwritten)
-	Kind    Kind
-	Channel int    // channel index, or -1 when not channel-scoped
-	File    uint32 // file ID, 0 when not file-scoped
-	T       uint64 // slot index on the emitting plane's clock
-	Aux     uint64 // kind-specific payload (batch size, txn, ...)
+	Seq     uint64 `json:"seq"`     // global emission order (1-based, gaps = overwritten)
+	Kind    Kind   `json:"kind"`    // encoded as its wire name ("slot_served", "channel_hop", …)
+	Channel int    `json:"channel"` // channel index, or -1 when not channel-scoped
+	File    uint32 `json:"file"`    // file ID, 0 when not file-scoped
+	T       uint64 `json:"t"`       // slot index on the emitting plane's clock
+	Aux     uint64 `json:"aux"`     // kind-specific payload (generation id, writev batch size, failed channel, …)
 }
 
 // noChannel is the packed sentinel for "not channel-scoped".
@@ -177,6 +182,21 @@ func (r *Ring) Snapshot(dst []Event) []Event {
 		}
 	}
 	return dst
+}
+
+// WriteJSONL writes a Snapshot of the ring as JSON Lines, one event
+// per line in emission order — the format behind /debug/trace. The
+// ring overwrites its oldest entries, so a long-running process yields
+// the trailing window, not the full history; Seq gaps mark the
+// overwritten span.
+func (r *Ring) WriteJSONL(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	for _, ev := range r.Snapshot(nil) {
+		if err := enc.Encode(ev); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Drain appends all events emitted since the previous Drain, oldest

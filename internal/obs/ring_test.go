@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"sync"
 	"testing"
 )
@@ -62,6 +65,64 @@ func TestRingOverwritesOldest(t *testing.T) {
 	if drained := r.Drain(nil); len(drained) != 4 || drained[0].Seq != 7 {
 		t.Fatalf("drain after overflow = %d events, first seq %d; want 4 events from seq 7",
 			len(drained), drained[0].Seq)
+	}
+}
+
+// TestRingWriteJSONL pins the /debug/trace format: one object per line
+// with the documented field names, kinds by wire name, seq strictly
+// increasing, the overwritten span visible as the first seq, and the
+// ring left intact by the dump.
+func TestRingWriteJSONL(t *testing.T) {
+	r := NewRing(4)
+	r.Emit(SlotServed, -1, 3, 0, 1)
+	r.Emit(FrameFlushed, -1, 0, 0, 128)
+	var first bytes.Buffer
+	if err := r.WriteJSONL(&first); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"seq":1,"kind":"slot_served","channel":-1,"file":3,"t":0,"aux":1}
+{"seq":2,"kind":"frame_flushed","channel":-1,"file":0,"t":0,"aux":128}
+`
+	if first.String() != want {
+		t.Fatalf("dump =\n%swant\n%s", first.String(), want)
+	}
+
+	for i := 1; i <= 8; i++ {
+		r.Emit(ChannelHop, 2, 0, uint64(i), 0)
+	}
+	var buf bytes.Buffer
+	if err := r.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := r.WriteJSONL(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		t.Fatal("a second dump differs: WriteJSONL consumed events")
+	}
+	var seqs []uint64
+	sc := bufio.NewScanner(&buf)
+	for sc.Scan() {
+		var ev struct {
+			Seq     uint64 `json:"seq"`
+			Kind    string `json:"kind"`
+			Channel int    `json:"channel"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("line %q: %v", sc.Text(), err)
+		}
+		if ev.Kind != "channel_hop" || ev.Channel != 2 {
+			t.Fatalf("line %q: want a channel_hop on channel 2", sc.Text())
+		}
+		if n := len(seqs); n > 0 && ev.Seq <= seqs[n-1] {
+			t.Fatalf("seq %d after %d: not increasing", ev.Seq, seqs[n-1])
+		}
+		seqs = append(seqs, ev.Seq)
+	}
+	// Ten events through four slots: 1–6 are overwritten, 7–10 remain.
+	if len(seqs) != 4 || seqs[0] != 7 || seqs[3] != 10 {
+		t.Fatalf("seqs after overwrite = %v, want [7 8 9 10]", seqs)
 	}
 }
 

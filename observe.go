@@ -67,6 +67,6 @@ var (
 		"Blocks receivers dropped for checksum failure.")
 
 	// traceRing is the package-level slot-event ring the planes emit
-	// into; bdsim -trace-out and bdserved snapshots drain it.
+	// into; bdserved serves its last events at /debug/trace.
 	traceRing = obs.Trace()
 )

@@ -8,7 +8,6 @@ import (
 
 	"pinbcast/internal/core"
 	"pinbcast/internal/obs"
-	"pinbcast/internal/pinwheel"
 	"pinbcast/internal/rtdb"
 	"pinbcast/internal/server"
 )
@@ -142,7 +141,7 @@ func New(opts ...Option) (*Station, error) {
 //pinlint:holds buildMu
 func (st *Station) build(files []FileSpec, base *server.Server) (*generation, error) {
 	start := time.Now()
-	prog, err := st.plan(files)
+	prog, err := buildProgram(files, st.bandwidth, st.layout, st.schedulers)
 	if err == nil {
 		err = st.verifyContracts(prog)
 	}
@@ -163,19 +162,6 @@ func (st *Station) build(files []FileSpec, base *server.Server) (*generation, er
 		srv:     srv,
 		cycle:   prog.DataCycle(),
 	}, nil
-}
-
-// plan runs the station's layout strategy. The pinwheel construction —
-// the default, and the registered "pinwheel" layout when selected by
-// name — composes with the station's scheduler chain; any other layout
-// owns program construction entirely.
-func (st *Station) plan(files []FileSpec) (*Program, error) {
-	if !isBuiltinPinwheel(st.layout) {
-		return st.layout.Plan(files, st.bandwidth)
-	}
-	return core.BuildProgramWith(files, st.bandwidth, func(sys pinwheel.System) (*pinwheel.Schedule, error) {
-		return solveChain(sys, st.schedulers)
-	})
 }
 
 // Layout returns the name of the station's layout strategy.
