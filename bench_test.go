@@ -1,7 +1,7 @@
 package pinbcast_test
 
 // One benchmark per table and figure of the paper's evaluation (the
-// experiment index in DESIGN.md), plus end-to-end performance
+// experiment index is exp.All), plus end-to-end performance
 // benchmarks of the primary pipeline. Each experiment benchmark runs
 // the generator that regenerates the corresponding artifact; run
 //

@@ -1,6 +1,6 @@
 // Command experiments regenerates every table and figure of the paper
-// (the experiment index of DESIGN.md) and prints them to stdout. Its
-// output is the source of EXPERIMENTS.md.
+// (exp.All is the experiment index) and prints them to stdout; README
+// "Mapping the API to the paper" names the sections they come from.
 //
 // Usage:
 //

@@ -4,32 +4,29 @@
 //	go run ./cmd/pinlint ./...
 //
 // It mechanically enforces the invariants the benchmarks and reviews
-// established by convention: zero-allocation hot paths (hotpath,
-// cross-checked against the compiler's escape analysis by allocprove),
-// injected randomness (norand), mutex-guarded field access (lockcheck),
-// deadlock-free lock ordering (lockorder), stoppable goroutines
-// (goroleak), mutation only at data-cycle boundaries (cycleboundary),
-// typed sentinel wrapping with %w / errors.Is (errwrap), the channel
-// close/ownership protocol (chansafe), cancellation gates on blocking
-// operations reachable from long-running entry points (cancelflow),
-// checked schedule-quantity arithmetic (slotmath), and justified,
-// live //pinlint:allow waivers (waiverlint).
+// established by convention: zero-allocation hot paths (hotpath: the
+// compiler's escape analysis over every //pinlint:hotpath function,
+// closed over the call graph), injected randomness (norand),
+// mutex-guarded field access (lockcheck), deadlock-free lock ordering
+// (lockorder), stoppable goroutines (goroleak), mutation only at
+// data-cycle boundaries (cycleboundary), typed sentinel wrapping with
+// %w / errors.Is (errwrap), the channel close/ownership protocol
+// (chansafe), cancellation gates on blocking operations reachable from
+// long-running entry points (cancelflow), checked schedule-quantity
+// arithmetic (slotmath), and justified, live //pinlint:allow waivers
+// (waiverlint).
 //
-// Flags: -list prints the analyzer inventory; -json emits diagnostics
-// as one JSON object per line for tooling; -sarif emits a SARIF 2.1.0
-// document for GitHub code-scanning upload; -waivers prints the
-// //pinlint:allow waiver inventory (file, line, analyzers, and
-// justification — the suppression debt, kept honest by waiverlint);
-// -escapes prints the module-wide heap-escape report (every compiler
-// escape diagnostic in packages containing hotpath annotations,
-// hottest first) instead of running the suite.
+// Diagnostics are printed one per line as file:line:col: analyzer:
+// message, the form .github/pinlint-problem-matcher.json turns into PR
+// annotations. Flags: -list prints the analyzer inventory; -waivers
+// prints the //pinlint:allow waiver inventory (file, line, analyzers,
+// and justification — the suppression debt, kept honest by waiverlint).
 //
 // Exit status: 0 when clean, 1 when any diagnostic is reported, 2 on
 // usage or load errors. CI runs pinlint as a required lint step.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -44,27 +41,13 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// jsonDiag is the machine-readable form of one diagnostic, one object
-// per output line (JSON Lines), stable for CI problem matchers.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	flags := flag.NewFlagSet("pinlint", flag.ContinueOnError)
 	flags.SetOutput(stderr)
 	list := flags.Bool("list", false, "list the analyzers and exit")
-	verbose := flags.Bool("v", false, "report the packages and analyzers as they run")
-	asJSON := flags.Bool("json", false, "emit diagnostics as JSON Lines")
-	asSARIF := flags.Bool("sarif", false, "emit diagnostics as a SARIF 2.1.0 document")
 	waivers := flags.Bool("waivers", false, "print the //pinlint:allow waiver inventory and exit")
-	escapes := flags.Bool("escapes", false, "print the module-wide heap-escape report and exit")
 	flags.Usage = func() {
-		fmt.Fprintf(stderr, "usage: pinlint [-list] [-v] [-json] [-sarif] [-waivers] [-escapes] [packages]\n")
+		fmt.Fprintf(stderr, "usage: pinlint [-list] [-waivers] [packages]\n")
 		flags.PrintDefaults()
 	}
 	if err := flags.Parse(args); err != nil {
@@ -76,35 +59,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	patterns := flags.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
 	wd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(stderr, "pinlint:", err)
 		return 2
 	}
-	pkgs, index, err := analyzers.LoadAndIndex(wd, patterns...)
+	pkgs, index, err := analyzers.Load(wd, flags.Args()...)
 	if err != nil {
 		fmt.Fprintln(stderr, "pinlint:", err)
 		return 2
 	}
-	if *escapes {
-		return escapeReport(pkgs, index, stdout, stderr)
-	}
-	root := moduleRoot(wd)
 	if *waivers {
-		return waiverReport(pkgs, root, stdout)
+		return waiverReport(pkgs, moduleRoot(wd), stdout)
 	}
-	enc := json.NewEncoder(stdout)
 	bad := false
-	var results []sarifResult
 	for _, pkg := range pkgs {
 		for _, a := range analyzers.All() {
-			if *verbose {
-				fmt.Fprintf(stderr, "pinlint: %s %s\n", a.Name, pkg.PkgPath)
-			}
 			diags, err := analyzers.Run(a, pkg, index)
 			if err != nil {
 				fmt.Fprintln(stderr, "pinlint:", err)
@@ -112,123 +82,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			for _, d := range diags {
 				bad = true
-				pos := pkg.Fset.Position(d.Pos)
-				switch {
-				case *asSARIF:
-					results = append(results, sarifResult{
-						RuleID:  d.Analyzer,
-						Level:   "error",
-						Message: sarifText{Text: d.Message},
-						Locations: []sarifLocation{{PhysicalLocation: sarifPhysical{
-							ArtifactLocation: sarifArtifact{URI: relURI(root, pos.Filename), URIBaseID: "%SRCROOT%"},
-							Region:           sarifRegion{StartLine: pos.Line, StartColumn: pos.Column},
-						}}},
-					})
-				case *asJSON:
-					enc.Encode(jsonDiag{
-						File:     pos.Filename,
-						Line:     pos.Line,
-						Col:      pos.Column,
-						Analyzer: d.Analyzer,
-						Message:  d.Message,
-					})
-				default:
-					fmt.Fprintf(stdout, "%s: %s: %s\n", pos, d.Analyzer, d.Message)
-				}
+				fmt.Fprintf(stdout, "%s: %s: %s\n", pkg.Fset.Position(d.Pos), d.Analyzer, d.Message)
 			}
-		}
-	}
-	if *asSARIF {
-		if err := writeSARIF(stdout, results); err != nil {
-			fmt.Fprintln(stderr, "pinlint:", err)
-			return 2
 		}
 	}
 	if bad {
 		return 1
 	}
 	return 0
-}
-
-// The sarif* types model the subset of SARIF 2.1.0 that GitHub code
-// scanning consumes: one run, one rule per analyzer, one result per
-// diagnostic, file URIs relative to the source root.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name  string      `json:"name"`
-	Rules []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string    `json:"id"`
-	ShortDescription sarifText `json:"shortDescription"`
-}
-
-type sarifText struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifText       `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI       string `json:"uri"`
-	URIBaseID string `json:"uriBaseId"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn"`
-}
-
-// writeSARIF emits the suite's diagnostics as one SARIF run, with the
-// full analyzer inventory as the rule table (results may be empty; the
-// rules are the tool's contract).
-func writeSARIF(stdout io.Writer, results []sarifResult) error {
-	var rules []sarifRule
-	for _, a := range analyzers.All() {
-		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifText{Text: a.Doc}})
-	}
-	if results == nil {
-		results = []sarifResult{}
-	}
-	enc := json.NewEncoder(stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs: []sarifRun{{
-			Tool:    sarifTool{Driver: sarifDriver{Name: "pinlint", Rules: rules}},
-			Results: results,
-		}},
-	})
 }
 
 // moduleRoot walks up from dir to the directory holding go.mod, so
@@ -247,21 +108,11 @@ func moduleRoot(dir string) string {
 	}
 }
 
-// relURI renders a diagnostic's file path relative to the module root
-// with forward slashes — the form code scanning matches against the
-// checkout.
-func relURI(root, file string) string {
-	if rel, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(rel, "..") {
-		file = rel
-	}
-	return filepath.ToSlash(file)
-}
-
 // waiverReport prints the //pinlint:allow inventory: every suppression
-// in the loaded packages with its analyzers and justification. Always
-// exits 0 — stale or unjustified waivers fail the suite itself, via
-// waiverlint.
-func waiverReport(pkgs []*analyzers.Package, wd string, stdout io.Writer) int {
+// in the loaded packages with its analyzers and justification, paths
+// relative to root. Always exits 0 — stale or unjustified waivers fail
+// the suite itself, via waiverlint.
+func waiverReport(pkgs []*analyzers.Package, root string, stdout io.Writer) int {
 	n := 0
 	for _, pkg := range pkgs {
 		for _, w := range analyzers.PackageWaivers(pkg) {
@@ -273,47 +124,14 @@ func waiverReport(pkgs []*analyzers.Package, wd string, stdout io.Writer) int {
 			if just == "" {
 				just = "(no justification)"
 			}
-			fmt.Fprintf(stdout, "%s:%d: %s — %s\n", relURI(wd, w.File), w.Line, names, just)
+			file := w.File
+			if rel, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(rel, "..") {
+				file = filepath.ToSlash(rel)
+			}
+			fmt.Fprintf(stdout, "%s:%d: %s — %s\n", file, w.Line, names, just)
 			n++
 		}
 	}
 	fmt.Fprintf(stdout, "%d waivers\n", n)
-	return 0
-}
-
-// escapeReport prints every compiler escape site in packages that carry
-// hotpath annotations, ranked: sites inside hotpath functions first
-// (these are lint failures unless waived), then the rest of the
-// retrieval path ordered by position. It is the allocation hunt's map.
-func escapeReport(pkgs []*analyzers.Package, index *analyzers.Index, stdout, stderr io.Writer) int {
-	var hot, cold []analyzers.EscapeSite
-	for _, pkg := range pkgs {
-		if !index.HasHotPath(pkg) {
-			continue
-		}
-		sites, err := analyzers.EscapeSites(pkg, index)
-		if err != nil {
-			fmt.Fprintln(stderr, "pinlint:", err)
-			return 2
-		}
-		for _, s := range sites {
-			if s.Hot {
-				hot = append(hot, s)
-			} else {
-				cold = append(cold, s)
-			}
-		}
-	}
-	print := func(label string, sites []analyzers.EscapeSite) {
-		for _, s := range sites {
-			fn := s.Func
-			if fn == "" {
-				fn = "(file scope)"
-			}
-			fmt.Fprintf(stdout, "%s %s:%d:%d: %s: %s\n", label, s.File, s.Line, s.Col, fn, s.Msg)
-		}
-	}
-	print("HOT ", hot)
-	print("cold", cold)
 	return 0
 }

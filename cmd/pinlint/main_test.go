@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -39,104 +38,15 @@ func TestListFlag(t *testing.T) {
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exit code = %d", code)
 	}
-	for _, name := range []string{"hotpath", "allocprove", "norand", "lockcheck", "lockorder", "goroleak", "cycleboundary", "errwrap", "chansafe", "cancelflow", "slotmath", "waiverlint"} {
-		if !strings.Contains(stdout.String(), name) {
-			t.Errorf("-list output missing %s:\n%s", name, stdout.String())
-		}
-	}
-}
-
-// TestJSONOutput pins the -json line format tooling depends on: one
-// object per diagnostic with file/line/col/analyzer/message.
-func TestJSONOutput(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-json", "pinbcast/internal/analyzers/testdata/src/norandbad"}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
-	}
+	names := []string{"hotpath", "norand", "lockcheck", "lockorder", "goroleak", "cycleboundary", "errwrap", "chansafe", "cancelflow", "slotmath", "waiverlint"}
 	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
-	if len(lines) == 0 {
-		t.Fatal("no JSON diagnostics emitted")
+	if len(lines) != len(names) {
+		t.Fatalf("-list printed %d analyzers, want %d:\n%s", len(lines), len(names), stdout.String())
 	}
-	for _, line := range lines {
-		var d struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Col      int    `json:"col"`
-			Analyzer string `json:"analyzer"`
-			Message  string `json:"message"`
+	for i, name := range names {
+		if !strings.HasPrefix(lines[i], name+" ") {
+			t.Errorf("-list line %d = %q, want analyzer %s", i, lines[i], name)
 		}
-		if err := json.Unmarshal([]byte(line), &d); err != nil {
-			t.Fatalf("bad JSON line %q: %v", line, err)
-		}
-		if d.File == "" || d.Line == 0 || d.Analyzer == "" || d.Message == "" {
-			t.Errorf("incomplete diagnostic: %q", line)
-		}
-	}
-}
-
-// TestSARIFOutput pins the -sarif document shape code scanning
-// ingests: version 2.1.0, the pinlint driver with the full rule
-// inventory, and one result per diagnostic with a relative file URI.
-func TestSARIFOutput(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-sarif", "pinbcast/internal/analyzers/testdata/src/norandbad"}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
-	}
-	var log sarifLog
-	if err := json.Unmarshal(stdout.Bytes(), &log); err != nil {
-		t.Fatalf("bad SARIF document: %v\n%s", err, stdout.String())
-	}
-	if log.Version != "2.1.0" || len(log.Runs) != 1 {
-		t.Fatalf("version %q with %d runs, want 2.1.0 with 1", log.Version, len(log.Runs))
-	}
-	run := log.Runs[0]
-	if run.Tool.Driver.Name != "pinlint" {
-		t.Errorf("driver name = %q, want pinlint", run.Tool.Driver.Name)
-	}
-	if len(run.Tool.Driver.Rules) != len(analyzerNames(t)) {
-		t.Errorf("rule table has %d entries, want %d", len(run.Tool.Driver.Rules), len(analyzerNames(t)))
-	}
-	if len(run.Results) == 0 {
-		t.Fatal("no results for the bad fixture")
-	}
-	for _, r := range run.Results {
-		if r.RuleID != "norand" {
-			t.Errorf("ruleId = %q, want norand", r.RuleID)
-		}
-		if len(r.Locations) != 1 {
-			t.Fatalf("result has %d locations, want 1", len(r.Locations))
-		}
-		uri := r.Locations[0].PhysicalLocation.ArtifactLocation.URI
-		if strings.HasPrefix(uri, "/") || strings.Contains(uri, `\`) {
-			t.Errorf("URI %q is not a relative slash path", uri)
-		}
-		if r.Locations[0].PhysicalLocation.Region.StartLine == 0 {
-			t.Errorf("result missing a start line: %+v", r)
-		}
-	}
-}
-
-func analyzerNames(t *testing.T) []string {
-	t.Helper()
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-list exit code = %d", code)
-	}
-	return strings.Split(strings.TrimSpace(stdout.String()), "\n")
-}
-
-// TestSARIFClean pins the clean-tree shape: an empty (non-null)
-// results array, so the upload step always has a valid document.
-func TestSARIFClean(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-sarif", "pinbcast/internal/analyzers/testdata/src/norandgood"}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit code = %d, want 0\nstderr: %s", code, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), `"results": []`) {
-		t.Errorf("clean run must serialize an empty results array:\n%s", stdout.String())
 	}
 }
 
@@ -154,22 +64,5 @@ func TestWaiverReport(t *testing.T) {
 	}
 	if !strings.Contains(out, "2 waivers") {
 		t.Errorf("inventory missing the count:\n%s", out)
-	}
-}
-
-// TestEscapeReport smokes -escapes: the bad fixture has escapes both
-// inside and outside hotpath functions, so both ranks must appear.
-func TestEscapeReport(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-escapes", "pinbcast/internal/analyzers/testdata/src/allocprovebad"}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit code = %d, want 0\nstderr: %s", code, stderr.String())
-	}
-	out := stdout.String()
-	if !strings.Contains(out, "HOT ") || !strings.Contains(out, "cold") {
-		t.Errorf("escape report missing a rank:\n%s", out)
-	}
-	if hot := strings.Index(out, "HOT "); hot > strings.Index(out, "cold") {
-		t.Errorf("hot sites must rank above cold ones:\n%s", out)
 	}
 }

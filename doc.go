@@ -258,11 +258,14 @@
 // # Machine-checked invariants
 //
 // Comments of the form //pinlint:... are machine-readable annotations
-// consumed by the static analyzer suite in internal/analyzers (run
+// consumed by the eleven static analyzers in internal/analyzers (run
 // with `go run ./cmd/pinlint ./...`, a required CI step):
 // //pinlint:hotpath marks a function that must not allocate per call
-// (enforced syntactically by hotpath and against the real compiler's
-// escape analysis by allocprove), //pinlint:cycle-boundary marks a
+// (one rule, hotpath: the real compiler's escape analysis decides what
+// reaches the heap, and five syntactic rules add what it cannot see —
+// a call to an un-annotated module function, append to an uncapped
+// local, string concatenation, fmt, a go statement; `go build
+// -gcflags=-m` is the ad-hoc listing), //pinlint:cycle-boundary marks a
 // program mutator reachable only from admission seams, //pinlint:holds
 // asserts a caller-held mutex (consumed by lockcheck for guarded-field
 // proofs and by lockorder to build the module-wide lock-acquisition

@@ -1,7 +1,7 @@
 // Package analyzers implements pinlint: a suite of static analyzers
 // that mechanically enforce the codebase's performance and correctness
-// invariants — zero-allocation hot paths (syntactically and against
-// the compiler's own escape analysis), injected randomness,
+// invariants — zero-allocation hot paths (the compiler's own escape
+// analysis, closed over the call graph), injected randomness,
 // mutex-guarded field access, deadlock-free lock ordering, stoppable
 // goroutines, cycle-boundary-only mutation, sentinel-error wrapping
 // discipline, the channel close/ownership protocol, cancellation gates
@@ -25,10 +25,10 @@
 //
 // Analyzers are driven by machine-readable comments:
 //
-//	//pinlint:hotpath        — function must not contain
-//	                           allocation-prone constructs, and may only
-//	                           call other hotpath functions within the
-//	                           module (see hotpath.go for exact rules)
+//	//pinlint:hotpath        — nothing in the function may escape to
+//	                           the heap, and it may only call other
+//	                           hotpath functions within the module
+//	                           (see hotpath.go for exact rules)
 //	//pinlint:cycle-boundary — function mutates broadcast-program state
 //	                           and may only be called from the admission
 //	                           seams (Admit/Evict/Negotiate/AdmitTxn/
@@ -77,12 +77,13 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 	// Index holds pinlint annotations for every function of every
-	// loaded package, so cross-package annotation lookups (is the
-	// callee a hotpath function?) work without facts machinery.
+	// loaded package and in-module dependency, so cross-package
+	// annotation lookups (is the callee a hotpath function?) work
+	// without facts machinery.
 	Index *Index
 
 	// pkg is the loaded package under analysis, for analyzers that
-	// need more than syntax and types (allocprove shells out to the
+	// need more than syntax and types (hotpath shells out to the
 	// compiler with the package's file list and export data).
 	pkg *Package
 
@@ -166,7 +167,7 @@ func (ix *Index) rawDiags(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 // WaiverLint runs last: by then the suite's raw diagnostics for the
 // package are already cached and staleness checks are free.
 func All() []*Analyzer {
-	return []*Analyzer{HotPath, AllocProve, NoRand, LockCheck, LockOrder, GoroLeak, CycleBoundary, ErrWrap,
+	return []*Analyzer{HotPath, NoRand, LockCheck, LockOrder, GoroLeak, CycleBoundary, ErrWrap,
 		ChanSafe, CancelFlow, SlotMath, WaiverLint}
 }
 

@@ -1,7 +1,10 @@
 package analyzers_test
 
 import (
+	"fmt"
 	"go/types"
+	"slices"
+	"strings"
 	"testing"
 
 	"pinbcast/internal/analyzers"
@@ -27,9 +30,11 @@ func TestLockCheck(t *testing.T) {
 	checktest.Run(t, analyzers.LockCheck, "testdata/src/lockcheckgood")
 }
 
+// TestAllocProve holds the compiler-backed half of hotpath to the
+// fixtures written for it when it was an analyzer of its own.
 func TestAllocProve(t *testing.T) {
-	checktest.Run(t, analyzers.AllocProve, "testdata/src/allocprovebad")
-	checktest.Run(t, analyzers.AllocProve, "testdata/src/allocprovegood")
+	checktest.Run(t, analyzers.HotPath, "testdata/src/allocprovebad")
+	checktest.Run(t, analyzers.HotPath, "testdata/src/allocprovegood")
 }
 
 func TestLockOrder(t *testing.T) {
@@ -80,19 +85,70 @@ func TestModuleClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	pkgs, index, err := analyzers.LoadAndIndex("../..", "pinbcast/...")
+	for pkg, diags := range fullRun(t) {
+		for _, d := range diags {
+			t.Errorf("%s: %s", pkg, d)
+		}
+	}
+}
+
+// fullRun is runSuite over the whole module, done once for the tests
+// that need it (they do not run in parallel).
+func fullRun(t *testing.T) map[string][]string {
+	if fullRunDiags == nil {
+		fullRunDiags = runSuite(t, "pinbcast/...")
+	}
+	return fullRunDiags
+}
+
+var fullRunDiags map[string][]string
+
+// runSuite loads the patterns from the module root and returns every
+// analyzer's diagnostics, rendered, by package path.
+func runSuite(t *testing.T, patterns ...string) map[string][]string {
+	t.Helper()
+	pkgs, index, err := analyzers.Load("../..", patterns...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := map[string][]string{}
 	for _, pkg := range pkgs {
+		out[pkg.PkgPath] = nil
 		for _, a := range analyzers.All() {
 			diags, err := analyzers.Run(a, pkg, index)
 			if err != nil {
 				t.Fatalf("%s on %s: %v", a.Name, pkg.PkgPath, err)
 			}
 			for _, d := range diags {
-				t.Errorf("%s: %s: %s", pkg.Fset.Position(d.Pos), d.Analyzer, d.Message)
+				out[pkg.PkgPath] = append(out[pkg.PkgPath], fmt.Sprintf("%s: %s: %s", pkg.Fset.Position(d.Pos), d.Analyzer, d.Message))
 			}
+		}
+	}
+	return out
+}
+
+// TestNarrowPatternMatchesFullRun pins what a pattern narrower than
+// ./... reports: a package loaded alone draws exactly its share of the
+// full-module run, because the annotations of its in-module
+// dependencies are indexed even though those packages are not analysed
+// — otherwise ida's calls into gf256 look like calls to un-annotated
+// functions and `pinlint ./internal/ida` fails on a clean tree.
+func TestNarrowPatternMatchesFullRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads and type-checks the whole module")
+	}
+	full := fullRun(t)
+	for _, path := range []string{"pinbcast/internal/ida", "pinbcast/internal/client", "pinbcast/internal/transport"} {
+		want, ok := full[path]
+		if !ok {
+			t.Fatalf("%s is not in the full run", path)
+		}
+		narrow := runSuite(t, path)
+		if len(narrow) != 1 {
+			t.Fatalf("loading %s alone analysed %d packages, want 1", path, len(narrow))
+		}
+		if got := narrow[path]; !slices.Equal(got, want) {
+			t.Errorf("%s alone:\n  %s\nin the full run:\n  %s", path, strings.Join(got, "\n  "), strings.Join(want, "\n  "))
 		}
 	}
 }
@@ -101,7 +157,7 @@ func TestModuleClean(t *testing.T) {
 // on for cross-package lookups: methods are keyed without the pointer,
 // so source-checked and export-data objects agree.
 func TestFuncKey(t *testing.T) {
-	pkgs, _, err := analyzers.LoadAndIndex("testdata/src/cycleboundarygood", ".")
+	pkgs, _, err := analyzers.Load("testdata/src/cycleboundarygood", ".")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,10 @@ import (
 const annotationPrefix = "//pinlint:"
 
 // An Index maps functions (by stable symbol key) to their pinlint
-// annotations, across every package of a load. It is how analyzers see
-// annotations on functions in other packages, where only export data —
-// not syntax — is available.
+// annotations, across every package of a load and every in-module
+// dependency of one. It is how analyzers see annotations on functions
+// in other packages, where only export data — not syntax — is
+// available.
 type Index struct {
 	// Module is the module path of the analyzed packages; calls to
 	// functions outside it (the standard library) are exempt from the
@@ -21,8 +22,8 @@ type Index struct {
 	Module string
 	// funcs maps FuncKey -> annotation name -> argument text.
 	funcs map[string]map[string]string
-	// pkgs are the loaded packages the index was built from, for the
-	// module-wide analyses (lockorder's acquisition graph).
+	// pkgs are the matched packages of the load, for the module-wide
+	// analyses (lockorder's acquisition graph).
 	pkgs []*Package
 	// lockG caches lockorder's module-wide acquisition graph.
 	lockG *lockGraph
@@ -30,7 +31,7 @@ type Index struct {
 	cg *callGraph
 	// raw caches each analyzer's unfiltered diagnostics per package, so
 	// waiverlint can test waivers for staleness without re-running the
-	// suite (allocprove in particular shells out to the compiler).
+	// suite (hotpath in particular shells out to the compiler).
 	raw map[*Package]map[string]rawResult
 	// sums caches interprocedural function summaries by analyzer name
 	// (chansafe's close/send facts, cancelflow's blocking sites).
@@ -53,32 +54,60 @@ func NewIndex(module string) *Index {
 	}
 }
 
-// AddPackage scans one loaded package's function declarations for
-// //pinlint: annotations and records them, and registers the package
-// for the module-wide analyses.
+// AddPackage registers one loaded package for the module-wide analyses
+// and indexes its annotations.
 func (ix *Index) AddPackage(pkg *Package) {
 	ix.pkgs = append(ix.pkgs, pkg)
 	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
-				continue
-			}
-			obj, ok := pkg.TypesInfo.Defs[fd.Name].(*types.Func)
+		ix.addAnnotations(pkg.PkgPath, f)
+	}
+}
+
+// addAnnotations records the //pinlint: annotations on one file's
+// function declarations. It reads syntax only, so it serves type-checked
+// targets and merely parsed in-module dependencies alike; the key it
+// builds is the one FuncKey derives from the type-checked object.
+func (ix *Index) addAnnotations(pkgPath string, f *ast.File) {
+	for _, decl := range f.Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok || fd.Doc == nil {
+			continue
+		}
+		key := pkgPath + "."
+		if fd.Recv != nil && len(fd.Recv.List) == 1 {
+			key += "(" + recvTypeName(fd.Recv.List[0].Type) + ")."
+		}
+		key += fd.Name.Name
+		for _, c := range fd.Doc.List {
+			name, arg, ok := parseAnnotation(c.Text)
 			if !ok {
 				continue
 			}
-			for _, c := range fd.Doc.List {
-				name, arg, ok := parseAnnotation(c.Text)
-				if !ok {
-					continue
-				}
-				key := FuncKey(obj)
-				if ix.funcs[key] == nil {
-					ix.funcs[key] = map[string]string{}
-				}
-				ix.funcs[key][name] = arg
+			if ix.funcs[key] == nil {
+				ix.funcs[key] = map[string]string{}
 			}
+			ix.funcs[key][name] = arg
+		}
+	}
+}
+
+// recvTypeName is the receiver's type name with the pointer, parentheses
+// and type parameters stripped: "Ring" for (r *Ring[T]).
+func recvTypeName(e ast.Expr) string {
+	for {
+		switch t := e.(type) {
+		case *ast.StarExpr:
+			e = t.X
+		case *ast.ParenExpr:
+			e = t.X
+		case *ast.IndexExpr:
+			e = t.X
+		case *ast.IndexListExpr:
+			e = t.X
+		case *ast.Ident:
+			return t.Name
+		default:
+			return ""
 		}
 	}
 }
@@ -92,22 +121,6 @@ func (ix *Index) Has(fn *types.Func, name string) bool {
 // Arg returns the annotation's argument text ("" when absent).
 func (ix *Index) Arg(fn *types.Func, name string) string {
 	return ix.funcs[FuncKey(fn)][name]
-}
-
-// HasHotPath reports whether any function declared in pkg carries the
-// //pinlint:hotpath annotation — the gate for paying a compiler run in
-// allocprove and for inclusion in the escape report.
-func (ix *Index) HasHotPath(pkg *Package) bool {
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok {
-				if fn, ok := pkg.TypesInfo.Defs[fd.Name].(*types.Func); ok && ix.Has(fn, "hotpath") {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }
 
 // InModule reports whether the function is declared inside the analyzed

@@ -41,7 +41,7 @@ func Run(t *testing.T, a *analyzers.Analyzer, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, index, err := analyzers.LoadAndIndex(abs, ".")
+	pkgs, index, err := analyzers.Load(abs, ".")
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}

@@ -1,45 +1,77 @@
 package analyzers
 
 import (
+	"bytes"
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strconv"
+	"strings"
 )
 
-// HotPath rejects allocation-prone constructs inside functions
-// annotated //pinlint:hotpath. These are the serve/fanout/receive/codec
-// paths whose benchmarks assert 0 allocs/op; the analyzer catches a
-// regression before the benchmark does.
+// HotPath holds every //pinlint:hotpath function to its zero-allocation
+// claim. These are the serve/fanout/receive/codec paths whose
+// benchmarks assert 0 allocs/op; the analyzer fails the regression
+// before the benchmark does.
 //
-// Inside a hotpath function the following are diagnosed:
+// The verdict on a value is the compiler's: each package that annotates
+// a hot path is compiled with `go tool compile -m` — dependencies
+// resolved from the same export data the loader type-checked against,
+// so no build cache can swallow the output — and every "escapes to
+// heap" / "moved to heap" diagnostic inside an annotated function is
+// reported. Literals, new, closures and interface boxing are therefore
+// flagged exactly when they cost an allocation and not when the value
+// stays on the stack. One class of site is exempt by rule: a string
+// constant escaping into an interface (a panic argument) is backed by
+// static data and never allocates at run time.
 //
+// Escape analysis is per function and sees only what is written, so
+// five syntactic rules cover what it cannot:
+//
+//   - a call to a module-local function that is not itself annotated
+//     //pinlint:hotpath, which closes the property over the call graph
+//     (standard-library calls other than fmt, and dynamic calls through
+//     an interface or a function value, are exempt);
 //   - append to a local slice that was not made with an explicit
 //     capacity in the same function (appending to a reslice like
 //     buf[:0], to a parameter, or to a struct field follows the
-//     caller-owned-buffer discipline and is allowed);
-//   - string concatenation (+ / += on strings);
-//   - map and slice composite literals, &T{...} and new(T) heap
-//     literals, and closure (func) literals;
-//   - implicit boxing of a concrete value into an interface, in call
-//     arguments, assignments, returns, and channel sends;
+//     caller-owned-buffer discipline and is allowed) — growth happens
+//     inside the runtime, where the compiler reports nothing;
+//   - string concatenation (+ / += on strings), likewise;
 //   - any call into package fmt;
 //   - go statements (a goroutine spawn per slot is an allocation and a
-//     scheduling hazard);
-//   - calls to module-local functions that are not themselves
-//     annotated //pinlint:hotpath, so the 0-alloc property is closed
-//     over the whole call graph. Standard-library calls (other than
-//     fmt) and dynamic interface-method calls are exempt.
+//     scheduling hazard).
 //
 // Cold paths inside hot functions (error construction, setup before
 // the loop, amortized refills) are waived line by line with
-// //pinlint:allow hotpath and a justification.
+//
+//	//pinlint:allow hotpath — <which calls pay, and why that is off the per-slot path>
+//
+// The justification is policy: it tells the next perf pass how to rank
+// the site. `go build -gcflags=-m ./internal/ida` is the ad-hoc escape
+// listing for code outside the annotated set.
 var HotPath = &Analyzer{
 	Name: "hotpath",
-	Doc:  "reject allocation-prone constructs in //pinlint:hotpath functions",
+	Doc:  "hold //pinlint:hotpath functions allocation-free: compiler escape analysis, closed over the call graph",
 	Run:  runHotPath,
 }
 
+// hotRange is one annotated function's extent in the sources, for
+// attributing compiler diagnostics (which carry only file:line:col).
+type hotRange struct {
+	file     string
+	from, to int // line range, inclusive
+	name     string
+}
+
 func runHotPath(pass *Pass) error {
+	var hot []hotRange
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -51,15 +83,22 @@ func runHotPath(pass *Pass) error {
 				continue
 			}
 			checkHotFunc(pass, fd, fn)
+			from, to := pass.Fset.Position(fd.Pos()), pass.Fset.Position(fd.Body.End())
+			hot = append(hot, hotRange{file: from.Filename, from: from.Line, to: to.Line, name: fn.Name()})
 		}
 	}
-	return nil
+	// Only packages that annotate hot paths pay the compile.
+	if len(hot) == 0 {
+		return nil
+	}
+	return reportEscapes(pass, hot)
 }
 
+// checkHotFunc applies the syntactic rules to one annotated function,
+// closures declared in it included.
 func checkHotFunc(pass *Pass, fd *ast.FuncDecl, fn *types.Func) {
 	info := pass.TypesInfo
 	capped := cappedSlices(info, fd.Body)
-	results := fn.Signature().Results()
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -73,35 +112,8 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl, fn *types.Func) {
 			if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && isString(info.TypeOf(n.Lhs[0])) {
 				pass.Reportf(n.TokPos, "string concatenation in hotpath function %s allocates", fn.Name())
 			}
-			checkBoxedAssign(pass, fn, n)
-		case *ast.CompositeLit:
-			switch info.TypeOf(n).Underlying().(type) {
-			case *types.Map:
-				pass.Reportf(n.Pos(), "map literal in hotpath function %s allocates", fn.Name())
-			case *types.Slice:
-				pass.Reportf(n.Pos(), "slice literal in hotpath function %s allocates", fn.Name())
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.AND {
-				if _, ok := n.X.(*ast.CompositeLit); ok {
-					pass.Reportf(n.Pos(), "&composite literal in hotpath function %s escapes to the heap", fn.Name())
-				}
-			}
-		case *ast.FuncLit:
-			pass.Reportf(n.Pos(), "closure literal in hotpath function %s allocates", fn.Name())
-			return false // the closure body is the closure's problem
 		case *ast.GoStmt:
 			pass.Reportf(n.Pos(), "go statement in hotpath function %s spawns per-call", fn.Name())
-		case *ast.SendStmt:
-			if ch, ok := info.TypeOf(n.Chan).Underlying().(*types.Chan); ok {
-				checkBoxing(pass, fn, n.Value, ch.Elem())
-			}
-		case *ast.ReturnStmt:
-			if results != nil && len(n.Results) == results.Len() {
-				for i, res := range n.Results {
-					checkBoxing(pass, fn, res, results.At(i).Type())
-				}
-			}
 		}
 		return true
 	})
@@ -116,14 +128,11 @@ func checkHotCall(pass *Pass, caller *types.Func, call *ast.CallExpr, capped map
 		return
 	}
 
-	// Builtins: append gets the capacity discipline, new allocates.
+	// Builtins: append gets the capacity discipline.
 	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "append":
+			if b.Name() == "append" {
 				checkAppend(pass, caller, call, capped)
-			case "new":
-				pass.Reportf(call.Pos(), "new(T) in hotpath function %s allocates", caller.Name())
 			}
 			return
 		}
@@ -135,12 +144,9 @@ func checkHotCall(pass *Pass, caller *types.Func, call *ast.CallExpr, capped map
 		// analysis cannot follow it.
 		return
 	}
-	sig := callee.Signature()
-	if recv := sig.Recv(); recv != nil {
+	if recv := callee.Signature().Recv(); recv != nil {
 		if _, ok := recv.Type().Underlying().(*types.Interface); ok {
-			// Dynamic dispatch: unresolvable statically, exempt.
-			checkCallArgs(pass, caller, call, sig)
-			return
+			return // dynamic dispatch: unresolvable statically, exempt
 		}
 	}
 	if pkg := callee.Pkg(); pkg != nil && pkg.Path() == "fmt" {
@@ -150,72 +156,6 @@ func checkHotCall(pass *Pass, caller *types.Func, call *ast.CallExpr, capped map
 	if pass.Index.InModule(callee) && !pass.Index.Has(callee, "hotpath") {
 		pass.Reportf(call.Pos(), "hotpath function %s calls %s, which is not annotated //pinlint:hotpath", caller.Name(), callee.Name())
 	}
-	checkCallArgs(pass, caller, call, sig)
-}
-
-// checkCallArgs flags concrete arguments passed to interface
-// parameters (boxing).
-func checkCallArgs(pass *Pass, caller *types.Func, call *ast.CallExpr, sig *types.Signature) {
-	params := sig.Params()
-	if params == nil {
-		return
-	}
-	for i, arg := range call.Args {
-		var pt types.Type
-		switch {
-		case sig.Variadic() && i >= params.Len()-1:
-			if call.Ellipsis.IsValid() {
-				continue // slice passed through, no per-element boxing
-			}
-			pt = params.At(params.Len() - 1).Type().(*types.Slice).Elem()
-		case i < params.Len():
-			pt = params.At(i).Type()
-		default:
-			continue
-		}
-		checkBoxing(pass, caller, arg, pt)
-	}
-}
-
-// checkBoxedAssign flags assignments that box a concrete value into an
-// interface-typed destination.
-func checkBoxedAssign(pass *Pass, caller *types.Func, n *ast.AssignStmt) {
-	if n.Tok != token.ASSIGN || len(n.Lhs) != len(n.Rhs) {
-		return
-	}
-	for i, lhs := range n.Lhs {
-		if lt := pass.TypesInfo.TypeOf(lhs); lt != nil {
-			checkBoxing(pass, caller, n.Rhs[i], lt)
-		}
-	}
-}
-
-// checkBoxing reports expr if its concrete value is converted to an
-// interface destination type.
-func checkBoxing(pass *Pass, caller *types.Func, expr ast.Expr, dst types.Type) {
-	if dst == nil {
-		return
-	}
-	if _, ok := dst.Underlying().(*types.Interface); !ok {
-		return
-	}
-	tv, ok := pass.TypesInfo.Types[expr]
-	if !ok || tv.IsNil() || tv.Type == nil {
-		return
-	}
-	if _, isIface := tv.Type.Underlying().(*types.Interface); isIface {
-		return // interface to interface: no new allocation
-	}
-	if _, isPtr := tv.Type.Underlying().(*types.Pointer); isPtr {
-		return // pointers box without copying the pointee
-	}
-	if tv.Value != nil {
-		// Constants box to interned or rodata-backed values; flagging
-		// every literal argument would drown the signal.
-		return
-	}
-	pass.Reportf(expr.Pos(), "value of type %s boxed into interface %s in hotpath function %s",
-		tv.Type, dst, caller.Name())
 }
 
 // checkAppend enforces the preallocated-capacity discipline: appending
@@ -322,4 +262,94 @@ func unparen(e ast.Expr) ast.Expr {
 		}
 		e = p.X
 	}
+}
+
+// escapeLineRE matches one compiler diagnostic line.
+var escapeLineRE = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): (.+)$`)
+
+// reportEscapes compiles the package under analysis with `go tool
+// compile -m` and reports each heap-escape diagnostic that falls inside
+// one of the hot ranges. The import map is the loader's export data, so
+// the compile needs no build cache warm-up and cannot be skipped by one.
+func reportEscapes(pass *Pass, hot []hotRange) error {
+	pkg := pass.pkg
+	tmp, err := os.MkdirTemp("", "pinlint-hotpath-*")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(tmp)
+
+	var cfg bytes.Buffer
+	var paths []string
+	for path := range pkg.Exports {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		fmt.Fprintf(&cfg, "packagefile %s=%s\n", path, pkg.Exports[path])
+	}
+	cfgFile := filepath.Join(tmp, "importcfg")
+	if err := os.WriteFile(cfgFile, cfg.Bytes(), 0o666); err != nil {
+		return err
+	}
+
+	args := append([]string{
+		"tool", "compile",
+		"-p", pkg.PkgPath,
+		"-importcfg", cfgFile,
+		"-o", filepath.Join(tmp, "out.o"),
+		"-m",
+	}, pkg.GoFiles()...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = pkg.Dir
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		return fmt.Errorf("go tool compile -m %s: %w\n%s", pkg.PkgPath, err, out)
+	}
+
+	for _, line := range strings.Split(string(out), "\n") {
+		m := escapeLineRE.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		msg := m[4]
+		if !strings.HasSuffix(msg, "escapes to heap") && !strings.HasPrefix(msg, "moved to heap") {
+			continue // inliner and "does not escape" lines
+		}
+		// A string *constant* "escaping" into an interface (a panic
+		// argument, almost always) is backed by static read-only data
+		// and costs nothing at run time; the diagnostic is formally
+		// true but operationally empty, so it is exempt by rule rather
+		// than by waiver.
+		if strings.HasPrefix(msg, `"`) && strings.HasSuffix(msg, `" escapes to heap`) {
+			continue
+		}
+		file := m[1]
+		if !filepath.IsAbs(file) {
+			file = filepath.Join(pkg.Dir, file)
+		}
+		lineNo, _ := strconv.Atoi(m[2])
+		colNo, _ := strconv.Atoi(m[3])
+		for _, h := range hot {
+			if h.file == file && h.from <= lineNo && lineNo <= h.to {
+				pass.Reportf(filePos(pkg, file, lineNo, colNo), "compiler escape in hotpath function %s: %s", h.name, msg)
+				break
+			}
+		}
+	}
+	return nil
+}
+
+// filePos converts a compiler (file, line, col) triple, known to lie
+// inside a function of the package, back into a token.Pos of its parsed
+// file. The shared FileSet also holds same-named entries registered by
+// the export-data importer with fake line info, so resolution goes
+// through the package's own syntax, not a FileSet scan.
+func filePos(pkg *Package, file string, line, col int) token.Pos {
+	for _, af := range pkg.Files {
+		if f := pkg.Fset.File(af.Pos()); f.Name() == file {
+			return f.LineStart(line) + token.Pos(col-1)
+		}
+	}
+	return token.NoPos
 }

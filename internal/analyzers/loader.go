@@ -27,7 +27,7 @@ type Package struct {
 	Types     *types.Package
 	TypesInfo *types.Info
 	// Exports maps import paths to compiler export data files for
-	// every package of the load (shared across packages). allocprove
+	// every package of the load (shared across packages). hotpath
 	// feeds it to `go tool compile -importcfg` so the real compiler's
 	// escape analysis runs against the same dependency snapshot the
 	// type checker saw, immune to build caching.
@@ -62,14 +62,24 @@ type listedPackage struct {
 	Error      *struct{ Err string }
 }
 
-// Load resolves the patterns with `go list -export` (run in dir, which
-// must lie inside a module), then parses and type-checks every matched
-// package from source. Dependencies — including dependencies between
-// matched packages — are imported from compiler export data out of the
-// build cache, the same way `go vet` loads types, so loading works
-// fully offline. The returned packages are sorted by import path; the
-// second result is the module path.
-func Load(dir string, patterns ...string) ([]*Package, string, error) {
+// Load resolves the patterns with `go list -export -deps` (run in dir,
+// which must lie inside a module), parses and type-checks every matched
+// package from source, and builds the annotation index the analyzers
+// share. Dependencies — including dependencies between matched packages
+// — are imported from compiler export data out of the build cache, the
+// same way `go vet` loads types, so loading works fully offline. The
+// returned packages are sorted by import path.
+//
+// A pattern narrower than ./... analyses only what it matches, but the
+// //pinlint: annotations of every in-module dependency are still
+// indexed (from syntax alone; dependencies are not type-checked), so an
+// annotated callee in another package is seen as annotated and a narrow
+// run reports exactly the matched packages' share of a full one. The
+// module-wide analyses are the exception: lockorder's acquisition graph
+// and the call graph behind chansafe and cancelflow are built from the
+// matched packages only, so an ordering cycle or a blocking path that
+// runs through an unmatched package shows up only under ./... .
+func Load(dir string, patterns ...string) ([]*Package, *Index, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -83,34 +93,38 @@ func Load(dir string, patterns ...string) ([]*Package, string, error) {
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, "", fmt.Errorf("go list %s: %w\n%s", strings.Join(patterns, " "), err, stderr.Bytes())
+		return nil, nil, fmt.Errorf("go list %s: %w\n%s", strings.Join(patterns, " "), err, stderr.Bytes())
 	}
 
 	exports := map[string]string{} // import path -> export data file
-	var targets []*listedPackage
-	module := ""
+	var targets, deps []*listedPackage
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
 		p := new(listedPackage)
 		if err := dec.Decode(p); errors.Is(err, io.EOF) {
 			break
 		} else if err != nil {
-			return nil, "", fmt.Errorf("go list: decoding output: %w", err)
+			return nil, nil, fmt.Errorf("go list: decoding output: %w", err)
 		}
 		if p.Error != nil {
-			return nil, "", fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
+			return nil, nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
 		}
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if !p.DepOnly && !p.Standard {
+		switch {
+		case p.Standard: // export data is all anyone needs of it
+		case p.DepOnly:
+			deps = append(deps, p)
+		default:
 			targets = append(targets, p)
-			if module == "" && p.Module != nil {
-				module = p.Module.Path
-			}
 		}
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
+	module := ""
+	if len(targets) > 0 && targets[0].Module != nil {
+		module = targets[0].Module.Path
+	}
 
 	fset := token.NewFileSet()
 	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
@@ -121,21 +135,35 @@ func Load(dir string, patterns ...string) ([]*Package, string, error) {
 		return os.Open(file)
 	})
 
+	index := NewIndex(module)
 	var pkgs []*Package
 	for _, t := range targets {
 		pkg, err := typeCheck(fset, imp, t)
 		if err != nil {
-			return nil, "", err
+			return nil, nil, err
 		}
 		pkg.Exports = exports
 		pkgs = append(pkgs, pkg)
+		index.AddPackage(pkg)
 	}
-	return pkgs, module, nil
+	for _, d := range deps {
+		if d.Module == nil || d.Module.Path != module {
+			continue
+		}
+		files, err := parseFiles(fset, d)
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, f := range files {
+			index.addAnnotations(d.ImportPath, f)
+		}
+	}
+	return pkgs, index, nil
 }
 
-// typeCheck parses one listed package's (non-test) files and
-// type-checks them against the shared importer.
-func typeCheck(fset *token.FileSet, imp types.Importer, t *listedPackage) (*Package, error) {
+// parseFiles parses one listed package's (non-test) files, comments
+// included.
+func parseFiles(fset *token.FileSet, t *listedPackage) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, name := range t.GoFiles {
 		f, err := parser.ParseFile(fset, filepath.Join(t.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -143,6 +171,16 @@ func typeCheck(fset *token.FileSet, imp types.Importer, t *listedPackage) (*Pack
 			return nil, fmt.Errorf("parsing %s: %w", name, err)
 		}
 		files = append(files, f)
+	}
+	return files, nil
+}
+
+// typeCheck parses one listed package and type-checks it against the
+// shared importer.
+func typeCheck(fset *token.FileSet, imp types.Importer, t *listedPackage) (*Package, error) {
+	files, err := parseFiles(fset, t)
+	if err != nil {
+		return nil, err
 	}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
@@ -164,19 +202,4 @@ func typeCheck(fset *token.FileSet, imp types.Importer, t *listedPackage) (*Pack
 		Types:     tpkg,
 		TypesInfo: info,
 	}, nil
-}
-
-// LoadAndIndex loads the patterns and builds the module-wide annotation
-// index over every loaded package in one step — the standard prelude
-// for running analyzers.
-func LoadAndIndex(dir string, patterns ...string) ([]*Package, *Index, error) {
-	pkgs, module, err := Load(dir, patterns...)
-	if err != nil {
-		return nil, nil, err
-	}
-	index := NewIndex(module)
-	for _, pkg := range pkgs {
-		index.AddPackage(pkg)
-	}
-	return pkgs, index, nil
 }

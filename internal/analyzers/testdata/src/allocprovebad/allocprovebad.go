@@ -1,5 +1,5 @@
-// Package allocprovebad exercises the allocprove diagnostics: the
-// compiler's escape analysis contradicting //pinlint:hotpath claims.
+// Package allocprovebad exercises hotpath's compiler half: the escape
+// analysis contradicting //pinlint:hotpath claims.
 package allocprovebad
 
 var sink any
@@ -8,7 +8,7 @@ var sink any
 //
 //pinlint:hotpath
 func Leak() *int {
-	v := 42 // want "compiler escape in hotpath function Leak" 2
+	v := 42 // want "compiler escape in hotpath function Leak: moved to heap: v"
 	return &v
 }
 
@@ -26,8 +26,7 @@ func BoxInt(n int) {
 	sink = n // want "compiler escape in hotpath function BoxInt: n escapes to heap"
 }
 
-// coldAlloc is not annotated: the same escapes are report-only there
-// (surfaced by `pinlint -escapes`, not diagnostics).
+// coldAlloc is not annotated: the same escape is no diagnostic there.
 func coldAlloc() *int {
 	v := 7
 	return &v

@@ -6,7 +6,7 @@ package allocprovegood
 
 // First returns the head of a non-empty slice. The panic string is a
 // constant: it "escapes" formally but is backed by static data, so
-// allocprove exempts it by rule.
+// hotpath exempts it by rule.
 //
 //pinlint:hotpath
 func First(xs []byte) byte {
@@ -32,7 +32,7 @@ func Fill(dst []byte, b byte) {
 //pinlint:hotpath
 func Grow(dst []byte, n int) []byte {
 	if cap(dst) < n {
-		dst = make([]byte, n) //pinlint:allow allocprove — amortized refill, callers reuse the grown buffer
+		dst = make([]byte, n) //pinlint:allow hotpath — amortized refill, callers reuse the grown buffer
 	}
 	return dst[:n]
 }

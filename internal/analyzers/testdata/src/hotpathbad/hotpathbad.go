@@ -9,6 +9,16 @@ func pairValue() pair { return pair{} }
 
 func cold(b []byte) {}
 
+// The sinks make a value outlive its function: what is stored here
+// escapes, which is what the compiler is asked about.
+var (
+	sinkMap   map[string]int
+	sinkSlice []int
+	sinkPair  *pair
+	sinkFunc  func()
+	sinkAny   interface{}
+)
+
 // emit is the per-slot path.
 //
 //pinlint:hotpath
@@ -20,22 +30,15 @@ func emit(out []byte, items []int) []byte {
 	s := "slot: " + string(buf) // want "string concatenation"
 	s += "!"                    // want "string concatenation"
 	_ = s
-	m := map[string]int{} // want "map literal"
-	_ = m
-	sl := []int{1, 2} // want "slice literal"
-	_ = sl
-	p := &pair{} // want "composite literal in hotpath function emit escapes"
-	_ = p
-	q := new(pair) // want "new.T. in hotpath function emit allocates"
-	_ = q
-	f := func() {} // want "closure literal"
-	_ = f
-	fmt.Println() // want "call to fmt.Println"
-	cold(out)     // want "calls cold, which is not annotated"
-	var sink interface{}
-	sink = pairValue() // want "boxed into interface" "calls pairValue"
-	_ = sink
-	go cold(nil) // want "go statement" "calls cold"
+	sinkMap = map[string]int{}    // want "compiler escape in hotpath function emit: map.string.int.. escapes to heap"
+	sinkSlice = []int{1, 2}       // want "compiler escape in hotpath function emit: ..int.\\.\\.\\.. escapes to heap"
+	sinkPair = &pair{}            // want "compiler escape in hotpath function emit: &pair.. escapes to heap"
+	sinkPair = new(pair)          // want "compiler escape in hotpath function emit: new.pair. escapes to heap"
+	sinkFunc = func() { _ = out } // want "compiler escape in hotpath function emit: func literal escapes to heap"
+	fmt.Println()                 // want "call to fmt.Println"
+	cold(out)                     // want "calls cold, which is not annotated"
+	sinkAny = pairValue()         // want "compiler escape in hotpath function emit: .* escapes to heap" "calls pairValue"
+	go cold(nil)                  // want "go statement" "calls cold"
 	return out
 }
 
@@ -43,5 +46,5 @@ func emit(out []byte, items []int) []byte {
 //
 //pinlint:hotpath
 func boxedReturn() interface{} {
-	return pairValue() // want "boxed into interface" "calls pairValue"
+	return pairValue() // want "compiler escape in hotpath function boxedReturn: .* escapes to heap" "calls pairValue"
 }

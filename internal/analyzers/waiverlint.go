@@ -118,7 +118,7 @@ func runWaiverLint(pass *Pass) error {
 		for _, a := range candidates {
 			diags, err := pass.Index.rawDiags(a, pass.pkg)
 			if err != nil {
-				// Indeterminate (e.g. the compiler backing allocprove
+				// Indeterminate (e.g. the compiler backing hotpath
 				// failed): never call a waiver stale on a guess.
 				live = true
 				break

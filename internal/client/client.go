@@ -301,7 +301,7 @@ func (c *Client) Observe(t int, raw []byte) Outcome {
 		*blk = c.scratch
 		blk.Payload = append(payload[:0], c.scratch.Payload...)
 	} else {
-		blk = c.scratch.Clone() //pinlint:allow hotpath allocprove — a block worth keeping is cloned out of scratch by design; one allocation per stored block until the recycle pool warms up
+		blk = c.scratch.Clone() //pinlint:allow hotpath — a block worth keeping is cloned out of scratch by design; one allocation per stored block until the recycle pool warms up
 	}
 	p.blocks[blk.Seq] = blk
 	if len(p.blocks) >= int(blk.M) {

@@ -213,12 +213,8 @@ func TestDetectorGapAndTimeout(t *testing.T) {
 	if got := d.Dead(); len(got) != 2 {
 		t.Fatalf("Dead() = %v", got)
 	}
-	if d.LiveCount() != 0 {
-		t.Fatalf("LiveCount = %d", d.LiveCount())
-	}
-	d.Revive(1)
-	if !d.Alive(1) || d.LiveCount() != 1 {
-		t.Fatal("revive failed")
+	if d.Alive(0) || d.Alive(1) {
+		t.Fatal("a dead channel came back")
 	}
 }
 
@@ -230,8 +226,8 @@ func TestDetectorFail(t *testing.T) {
 	if d.Fail(2) {
 		t.Fatal("second Fail should be idempotent")
 	}
-	if d.Alive(2) || d.LiveCount() != 2 {
-		t.Fatal("Fail did not kill the channel")
+	if d.Alive(2) || !d.Alive(0) || !d.Alive(1) {
+		t.Fatal("Fail must kill channel 2 and only channel 2")
 	}
 	// Observations on a dead channel change nothing.
 	if d.Observe(2, 5) || d.Miss(2) {

@@ -19,9 +19,9 @@ const DefaultMissThreshold = 4
 // numbers (frames the fan-out dropped for this laggard), a read
 // timeout (no frame within the subscriber's deadline), or a stream
 // error/EOF (the channel's transport died). Threshold consecutive
-// misses — or one hard failure — mark the channel dead; a dead channel
-// stays dead until Revive (the paper's fault model has no in-place
-// repair, matching Goemans–Lynch–Saias' no-repair regime).
+// misses — or one hard failure — mark the channel dead, and a dead
+// channel stays dead: the paper's fault model has no in-place repair,
+// matching Goemans–Lynch–Saias' no-repair regime.
 //
 // A Detector is safe for concurrent use, and channels are tracked
 // independently — one goroutine per channel is the intended drive
@@ -128,26 +128,4 @@ func (d *Detector) Dead() []int {
 		}
 	}
 	return out
-}
-
-// LiveCount returns how many channels are still live.
-func (d *Detector) LiveCount() int {
-	n := 0
-	for ch := range d.chans {
-		if !d.chans[ch].dead.Load() {
-			n++
-		}
-	}
-	return n
-}
-
-// Revive clears a channel's death mark and miss run — for deployments
-// that do repair channels, and for tests.
-func (d *Detector) Revive(ch int) {
-	c := &d.chans[ch]
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.dead.Store(false)
-	c.misses = 0
-	c.lastSlot = -1
 }

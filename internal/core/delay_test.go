@@ -84,8 +84,8 @@ func TestAIDADelayRejectsExcessErrors(t *testing.T) {
 func TestBuildDelayTableFigure7(t *testing.T) {
 	// Figure 7's comparison: the flat program loses r·8; the AIDA
 	// program loses at most r·δ with δ = max(δ_A, δ_B) = 3. The paper's
-	// exact table entries come from a coarser estimate (see
-	// EXPERIMENTS.md); the reproduction targets are (a) the without-IDA
+	// exact table entries come from a coarser estimate (see the notes
+	// exp.Figure7 prints); the reproduction targets are (a) the without-IDA
 	// column exactly, (b) the with-IDA column bounded by Lemma 2, and
 	// (c) the speedup factor τ/δ ≈ 2.7.
 	aida, err := FlatSpread(fig6Files())

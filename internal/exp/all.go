@@ -1,8 +1,8 @@
 package exp
 
-// All runs every experiment with default parameters, in DESIGN.md index
-// order. It is what cmd/experiments prints and what EXPERIMENTS.md
-// records.
+// All runs every experiment with default parameters, in ID order (E1,
+// E2, …). It is the experiment index, and what cmd/experiments
+// prints.
 func All() ([]*Table, error) {
 	var tables []*Table
 	run := func(t *Table, err error) error {

@@ -1,5 +1,5 @@
 // Package exp regenerates every table and figure of the paper's
-// evaluation (the experiment index of DESIGN.md): the broadcast-program
+// evaluation (All is the experiment index): the broadcast-program
 // figures 5 and 6, the worst-case delay table of figure 7, the
 // bandwidth bounds of equations 1 and 2, the pinwheel systems of
 // example 1, the algebra conversions of examples 2–6, the scheduler
@@ -14,7 +14,7 @@ import (
 
 // Table is a printable experiment result.
 type Table struct {
-	ID     string // experiment id from DESIGN.md, e.g. "E3"
+	ID     string // experiment id, its position in All, e.g. "E3"
 	Title  string
 	Header []string
 	Rows   [][]string

@@ -36,7 +36,7 @@ func (c *Codec) DisperseBatch(files [][]byte, dst [][][]byte) ([][][]byte, error
 	if cap(dst) >= len(files) {
 		dst = dst[:len(files)]
 	} else {
-		grown := make([][][]byte, len(files)) //pinlint:allow allocprove — first-cycle growth; steady state passes capacity back in
+		grown := make([][][]byte, len(files)) //pinlint:allow hotpath — first-cycle growth; steady state passes capacity back in
 		copy(grown, dst)
 		dst = grown
 	}
@@ -65,7 +65,7 @@ func (c *Codec) DisperseBatch(files [][]byte, dst [][][]byte) ([][][]byte, error
 		for f := lo; f < hi; f++ {
 			data := files[f]
 			l := c.shardLen(len(data))
-			out := c.growPayloads(dst[f], l) //pinlint:allow allocprove — first-cycle growth; steady state passes capacity back in
+			out := c.growPayloads(dst[f], l) //pinlint:allow hotpath — first-cycle growth; steady state passes capacity back in
 			dst[f] = out
 			for j := 0; j < c.m; j++ {
 				copySourceBlock(out[j], data, j, l)

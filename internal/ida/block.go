@@ -105,7 +105,7 @@ func UnmarshalInto(data []byte, b *Block) error {
 	payloadLen := binary.BigEndian.Uint32(data[14:])
 	if len(data) != headerSize+int(payloadLen) {
 		return fmt.Errorf("ida: block length %d does not match declared payload %d: %w", //pinlint:allow hotpath — malformed frame, cold path
-			len(data), payloadLen, ErrShortBlock) //pinlint:allow allocprove — the ints box only when the malformed-frame error is built
+			len(data), payloadLen, ErrShortBlock) //pinlint:allow hotpath — the ints box only when the malformed-frame error is built
 	}
 	crc := crc32.ChecksumIEEE(data[:headerSize-4])
 	crc = crc32.Update(crc, crc32.IEEETable, data[headerSize:])

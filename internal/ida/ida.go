@@ -164,7 +164,7 @@ func (c *Codec) DisperseInto(data []byte, dst [][]byte) ([][]byte, error) {
 		return nil, ErrEmptyFile
 	}
 	l := c.shardLen(len(data))
-	dst = c.growPayloads(dst, l) //pinlint:allow allocprove — first-cycle growth; steady state passes capacity back in
+	dst = c.growPayloads(dst, l) //pinlint:allow hotpath — first-cycle growth; steady state passes capacity back in
 
 	// Systematic prefix: payload j = source block j, zero-padded. The
 	// copies double as the encode sources below, so the partial tail
@@ -198,7 +198,7 @@ func (c *Codec) growPayloads(dst [][]byte, l int) [][]byte {
 	if cap(dst) >= c.n {
 		dst = dst[:c.n]
 	} else {
-		grown := make([][]byte, c.n) //pinlint:allow allocprove — first-cycle growth; steady state passes capacity back in
+		grown := make([][]byte, c.n) //pinlint:allow hotpath — first-cycle growth; steady state passes capacity back in
 		copy(grown, dst)
 		dst = grown
 	}
@@ -206,7 +206,7 @@ func (c *Codec) growPayloads(dst [][]byte, l int) [][]byte {
 		if cap(dst[i]) >= l {
 			dst[i] = dst[i][:l]
 		} else {
-			dst[i] = make([]byte, l) //pinlint:allow allocprove — first-cycle growth; steady state passes capacity back in
+			dst[i] = make([]byte, l) //pinlint:allow hotpath — first-cycle growth; steady state passes capacity back in
 		}
 	}
 	return dst
@@ -284,14 +284,14 @@ func (c *Codec) ReconstructInto(shards []Shard, dataLen int, dst []byte) ([]byte
 	if cap(sc.rowOf) >= c.n {
 		sc.rowOf = sc.rowOf[:c.n]
 	} else {
-		sc.rowOf = make([][]byte, c.n) //pinlint:allow allocprove — first use of a pooled scratch; amortized across reconstructions
+		sc.rowOf = make([][]byte, c.n) //pinlint:allow hotpath — first use of a pooled scratch; amortized across reconstructions
 	}
 	sc.seqs = sc.seqs[:0]
 	// Deduplicate by sequence number (first shard carrying a seq wins;
 	// duplicates carry equal data), ascending.
 	for _, s := range shards {
 		if s.Seq < 0 || s.Seq >= c.n {
-			return nil, fmt.Errorf("ida: shard seq %d out of range [0,%d)", s.Seq, c.n) //pinlint:allow hotpath allocprove — malformed shard, cold path
+			return nil, fmt.Errorf("ida: shard seq %d out of range [0,%d)", s.Seq, c.n) //pinlint:allow hotpath — malformed shard, cold path
 		}
 		if sc.rowOf[s.Seq] == nil {
 			sc.rowOf[s.Seq] = s.Data
@@ -299,7 +299,7 @@ func (c *Codec) ReconstructInto(shards []Shard, dataLen int, dst []byte) ([]byte
 		}
 	}
 	if len(sc.seqs) < c.m {
-		return nil, fmt.Errorf("%w: have %d, need %d", ErrNotEnough, len(sc.seqs), c.m) //pinlint:allow hotpath allocprove — too few shards, cold path
+		return nil, fmt.Errorf("%w: have %d, need %d", ErrNotEnough, len(sc.seqs), c.m) //pinlint:allow hotpath — too few shards, cold path
 	}
 	sort.Ints(sc.seqs)
 	sc.seqs = sc.seqs[:c.m]
@@ -308,13 +308,13 @@ func (c *Codec) ReconstructInto(shards []Shard, dataLen int, dst []byte) ([]byte
 	if cap(sc.rows) >= c.m {
 		sc.rows = sc.rows[:c.m]
 	} else {
-		sc.rows = make([][]byte, c.m) //pinlint:allow allocprove — first use of a pooled scratch; amortized across reconstructions
+		sc.rows = make([][]byte, c.m) //pinlint:allow hotpath — first use of a pooled scratch; amortized across reconstructions
 	}
 	for i, seq := range sc.seqs {
 		row := sc.rowOf[seq]
 		if len(row) != l {
-			return nil, fmt.Errorf("%w: shard %d has %d bytes, want %d", //pinlint:allow hotpath allocprove — malformed shard, cold path
-				ErrWrongBlockSize, seq, len(row), l) //pinlint:allow allocprove — the ints box only when the malformed-shard error is built
+			return nil, fmt.Errorf("%w: shard %d has %d bytes, want %d", //pinlint:allow hotpath — malformed shard, cold path
+				ErrWrongBlockSize, seq, len(row), l) //pinlint:allow hotpath — the ints box only when the malformed-shard error is built
 		}
 		sc.rows[i] = row
 	}
@@ -327,7 +327,7 @@ func (c *Codec) ReconstructInto(shards []Shard, dataLen int, dst []byte) ([]byte
 	if cap(dst) >= padded {
 		dst = dst[:padded]
 	} else {
-		dst = make([]byte, padded) //pinlint:allow allocprove — first-cycle growth; steady state passes capacity back in
+		dst = make([]byte, padded) //pinlint:allow hotpath — first-cycle growth; steady state passes capacity back in
 	}
 	// Reconstruction operation of Figure 3: source_j = Σᵢ inv[j][i]·rowᵢ.
 	// Rows of the inverse addressing received systematic shards are unit
@@ -369,8 +369,8 @@ func (c *Codec) inverse(seqs []int) (*gfmat.Matrix, error) {
 	}
 	c.mu.Unlock()
 
-	sub := c.mat.SelectRows(seqs) //pinlint:allow hotpath allocprove — cache miss, amortized by the LRU
-	inv, err := sub.Invert()      //pinlint:allow hotpath allocprove — cache miss, amortized by the LRU
+	sub := c.mat.SelectRows(seqs) //pinlint:allow hotpath — cache miss, amortized by the LRU
+	inv, err := sub.Invert()      //pinlint:allow hotpath — cache miss, amortized by the LRU
 	if err != nil {
 		// Cannot happen with a systematic Vandermonde matrix; guard anyway.
 		return nil, fmt.Errorf("ida: dispersal submatrix singular: %w", err) //pinlint:allow hotpath — unreachable guard
@@ -382,8 +382,8 @@ func (c *Codec) inverse(seqs []int) (*gfmat.Matrix, error) {
 		c.invLRU.MoveToFront(el)
 		inv = el.Value.(*invEntry).inv
 	} else {
-		ks := string(key)                                                 //pinlint:allow allocprove — cache miss, amortized by the LRU
-		c.invCache[ks] = c.invLRU.PushFront(&invEntry{key: ks, inv: inv}) //pinlint:allow hotpath allocprove — cache miss, amortized by the LRU
+		ks := string(key)                                                 //pinlint:allow hotpath — cache miss, amortized by the LRU
+		c.invCache[ks] = c.invLRU.PushFront(&invEntry{key: ks, inv: inv}) //pinlint:allow hotpath — cache miss, amortized by the LRU
 		for c.invLRU.Len() > c.invLimit {
 			oldest := c.invLRU.Back()
 			c.invLRU.Remove(oldest)

@@ -78,14 +78,13 @@ const DefaultRingSize = 1 << 14
 // Ring is a lock-free, fixed-capacity, overwrite-oldest trace buffer.
 // Writers claim a slot with one atomic add and publish it with an
 // atomic sequence store, so Emit never blocks and never allocates;
-// concurrent readers (Snapshot, Drain) validate each slot's sequence
+// concurrent readers (Snapshot) validate each slot's sequence
 // word before and after decoding it and skip slots caught mid-write.
 // Every slot access is an atomic word operation — the ring is clean
 // under the race detector without locks.
 type Ring struct {
 	mask uint64
 	head atomic.Uint64 // next sequence to claim (published seq = claim+1)
-	tail atomic.Uint64 // drain cursor; single drainer assumed
 	_    [48]byte
 	w    []atomic.Uint64 // cap*ringWords words
 }
@@ -197,24 +196,4 @@ func (r *Ring) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Drain appends all events emitted since the previous Drain, oldest
-// first, and advances the drain cursor. Events that were overwritten
-// before being drained are lost (their gap is visible as missing Seq
-// values). Drain assumes a single draining goroutine; it may run
-// concurrently with Emit.
-func (r *Ring) Drain(dst []Event) []Event {
-	head := r.head.Load()
-	n := r.tail.Load()
-	if head > r.mask+1 && n < head-(r.mask+1) {
-		n = head - (r.mask + 1)
-	}
-	for ; n < head; n++ {
-		if ev, ok := r.load(n); ok {
-			dst = append(dst, ev)
-		}
-	}
-	r.tail.Store(head)
-	return dst
 }

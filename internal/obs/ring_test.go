@@ -8,6 +8,8 @@ import (
 	"testing"
 )
 
+// TestRingEmitSnapshotDrain keeps its name from when the ring also had
+// a consuming Drain; Snapshot is the one reader now.
 func TestRingEmitSnapshotDrain(t *testing.T) {
 	r := NewRing(8)
 	r.Emit(SlotServed, 0, 42, 100, 0)
@@ -28,19 +30,14 @@ func TestRingEmitSnapshotDrain(t *testing.T) {
 		t.Fatalf("no-channel sentinel decoded to %d, want -1", snap[2].Channel)
 	}
 
-	// Snapshot does not consume; Drain does.
+	// Snapshot does not consume: a second one sees the same window,
+	// plus whatever was emitted since.
 	if again := r.Snapshot(nil); len(again) != 3 {
 		t.Fatalf("second snapshot = %d events, want 3", len(again))
 	}
-	if drained := r.Drain(nil); len(drained) != 3 {
-		t.Fatalf("drain = %d events, want 3", len(drained))
-	}
-	if rest := r.Drain(nil); len(rest) != 0 {
-		t.Fatalf("second drain = %d events, want 0", len(rest))
-	}
 	r.Emit(MissDetected, 1, 9, 103, 0)
-	if rest := r.Drain(nil); len(rest) != 1 || rest[0].Kind != MissDetected {
-		t.Fatalf("drain after new emit = %+v", rest)
+	if all := r.Snapshot(nil); len(all) != 4 || all[3].Kind != MissDetected {
+		t.Fatalf("snapshot after new emit = %+v", all)
 	}
 }
 
@@ -61,10 +58,8 @@ func TestRingOverwritesOldest(t *testing.T) {
 	if r.Emitted() != 10 {
 		t.Fatalf("emitted = %d, want 10", r.Emitted())
 	}
-	// Drain after overflow starts at the oldest survivor.
-	if drained := r.Drain(nil); len(drained) != 4 || drained[0].Seq != 7 {
-		t.Fatalf("drain after overflow = %d events, first seq %d; want 4 events from seq 7",
-			len(drained), drained[0].Seq)
+	if snap[0].Seq != 7 {
+		t.Fatalf("first surviving seq = %d, want 7", snap[0].Seq)
 	}
 }
 

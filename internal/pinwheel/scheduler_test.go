@@ -244,8 +244,8 @@ func TestPortfolioDensityAboveOne(t *testing.T) {
 }
 
 func TestPortfolioSchedulesAllCCWorkloads(t *testing.T) {
-	// The property the Bdisk construction relies on (DESIGN.md,
-	// substitution note): every workload passing the 7/10 density test
+	// The property the Bdisk construction relies on (README "Mapping the
+	// API to the paper", DensityTestCC): every workload passing the 7/10 test
 	// is actually scheduled by the portfolio.
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 150; trial++ {

@@ -66,7 +66,7 @@ func IsTimeout(err error) bool {
 //pinlint:hotpath
 func AppendFrame(dst []byte, slot int, payload []byte) ([]byte, error) {
 	if len(payload) > MaxFramePayload {
-		return dst, fmt.Errorf("transport: payload %d exceeds limit", len(payload)) //pinlint:allow hotpath allocprove — oversized frame, cold error path
+		return dst, fmt.Errorf("transport: payload %d exceeds limit", len(payload)) //pinlint:allow hotpath — oversized frame, cold error path
 	}
 	dst = appendHeader(dst, slot, len(payload))
 	dst = append(dst, payload...)
@@ -101,7 +101,7 @@ func ReadFrame(r io.Reader, buf []byte) (slot int, payload []byte, err error) {
 	slot = int(binary.BigEndian.Uint32(hdr[0:]))
 	n := binary.BigEndian.Uint32(hdr[4:])
 	if n > MaxFramePayload {
-		return 0, nil, fmt.Errorf("transport: frame payload %d exceeds limit", n) //pinlint:allow hotpath allocprove — corrupt header, cold error path
+		return 0, nil, fmt.Errorf("transport: frame payload %d exceeds limit", n) //pinlint:allow hotpath — corrupt header, cold error path
 	}
 	if n == 0 {
 		return slot, nil, nil
@@ -120,7 +120,7 @@ func ReadFrame(r io.Reader, buf []byte) (slot int, payload []byte, err error) {
 //pinlint:hotpath
 func readN(r io.Reader, buf []byte, n int) ([]byte, error) {
 	if cap(buf) < n {
-		buf = make([]byte, n) //pinlint:allow allocprove — grow-once fallback for an undersized caller buffer; a reader that keeps the result reuses it on the next frame
+		buf = make([]byte, n) //pinlint:allow hotpath — grow-once fallback for an undersized caller buffer; a reader that keeps the result reuses it on the next frame
 	}
 	buf = buf[:n]
 	_, err := io.ReadFull(r, buf)
@@ -243,9 +243,9 @@ func (f *Fanout) writeLoop(s *subscriber) {
 	// The vec entries alias hdrs, so hdrs has fixed capacity and is
 	// never appended past it: a reallocation mid-gather would strand
 	// the earlier headers in the old backing array.
-	hdrs := make([]byte, 0, flushBatch*frameHeaderSize) //pinlint:allow allocprove — one header arena per subscriber connection
-	vec := make(net.Buffers, 0, 2*flushBatch)           //pinlint:allow allocprove — one gather vector per subscriber connection
-	wv := new(net.Buffers)                              //pinlint:allow hotpath allocprove — one scratch slice header per subscriber connection
+	hdrs := make([]byte, 0, flushBatch*frameHeaderSize) //pinlint:allow hotpath — one header arena per subscriber connection
+	vec := make(net.Buffers, 0, 2*flushBatch)           //pinlint:allow hotpath — one gather vector per subscriber connection
+	wv := new(net.Buffers)                              //pinlint:allow hotpath — one scratch slice header per subscriber connection
 	for {
 		select {
 		case <-s.done:

@@ -122,7 +122,7 @@ func (s *TCPSource) Next() (Slot, error) {
 		return Slot{}, err
 	}
 	if !s.Reuse {
-		payload = bytes.Clone(payload) //pinlint:allow allocprove — the retaining mode's per-frame copy (nil, an idle slot, stays nil); allocation-free loops set Reuse
+		payload = bytes.Clone(payload) //pinlint:allow hotpath — the retaining mode's per-frame copy (nil, an idle slot, stays nil); allocation-free loops set Reuse
 	}
 	return Slot{T: t, Payload: payload}, nil
 }

@@ -297,7 +297,7 @@ func (c wallClock) SleepUntil(ctx context.Context, due time.Time) (time.Duration
 //
 //pinlint:hotpath
 func (st *Station) serveLoop(ctx context.Context, out chan<- Slot) {
-	defer func() { //pinlint:allow hotpath — one-time teardown closure, not per-slot
+	defer func() {
 		close(out)
 		st.mu.Lock()
 		st.serving = false
