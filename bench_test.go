@@ -277,11 +277,14 @@ func (s *loopSource) Close() error { return nil }
 // benchRecording captures a few data cycles of the standard two-file
 // station for replay-driven receiver benchmarks.
 func benchRecording(b *testing.B) (*pinbcast.Station, *pinbcast.Recording) {
-	b.Helper()
-	files := []pinbcast.FileSpec{
+	return benchRecordingOf(b, []pinbcast.FileSpec{
 		{Name: "A", Blocks: 4, Latency: 8, Faults: 1},
 		{Name: "B", Blocks: 8, Latency: 40},
-	}
+	})
+}
+
+func benchRecordingOf(b *testing.B, files []pinbcast.FileSpec) (*pinbcast.Station, *pinbcast.Recording) {
+	b.Helper()
 	st, err := pinbcast.New(
 		pinbcast.WithFiles(files...),
 		pinbcast.WithContents(workload.Contents(files, 256, 5)),
@@ -308,21 +311,73 @@ func benchRecording(b *testing.B) (*pinbcast.Station, *pinbcast.Recording) {
 
 // BenchmarkReceiverSlots measures the receiver protocol loop: slots
 // consumed per second while a request is pending (every slot decoded
-// and classified, none completing), at 0 allocs/op.
+// and classified, none completing), at 0 allocs/op. The history case
+// first retrieves 256 distinct files to completion: what a receiver has
+// finished must not cost its later slots anything, so the two cases
+// read the same.
 func BenchmarkReceiverSlots(b *testing.B) {
+	files := make([]pinbcast.FileSpec, 256)
+	for i := range files {
+		files[i] = pinbcast.FileSpec{Name: fmt.Sprintf("f%03d", i), Blocks: 1, Latency: 384}
+	}
+	st, rec := benchRecordingOf(b, files)
+	for _, history := range []int{0, 256} {
+		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
+			r, err := pinbcast.Subscribe(&loopSource{slots: rec.Slots()}, pinbcast.WithDirectory(st.Directory()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, f := range files[:history] {
+				if err := r.Request(f.Name, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for done := history == 0; !done; {
+				if done, err = r.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := r.Request("missing", 0); err != nil { // never broadcast: the loop never completes
+				b.Fatal(err)
+			}
+			check := zeroalloc.Start(b)
+			for i := 0; i < b.N; i++ {
+				if _, err := r.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			check()
+		})
+	}
+}
+
+// BenchmarkReceiverRetrieveCycle measures steady-state retrieval on one
+// receiver: request a file, step until it is rebuilt, hand the buffer
+// back, next file — the request entry leaves the pending set and a
+// pooled one re-enters it every iteration, at 0 allocs/op. (Only the
+// receiver's result history grows, by amortised doubling.)
+func BenchmarkReceiverRetrieveCycle(b *testing.B) {
 	st, rec := benchRecording(b)
-	src := &loopSource{slots: rec.Slots()}
-	r, err := pinbcast.Subscribe(src,
-		pinbcast.WithDirectory(st.Directory()),
-		pinbcast.WithRequest("missing", 0), // never broadcast: the loop never completes
-	)
+	r, err := pinbcast.Subscribe(&loopSource{slots: rec.Slots()}, pinbcast.WithDirectory(st.Directory()))
 	if err != nil {
 		b.Fatal(err)
 	}
+	names := []string{"A", "B"}
 	check := zeroalloc.Start(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Step(); err != nil {
+		if err := r.Request(names[i%len(names)], 0); err != nil {
 			b.Fatal(err)
+		}
+		for done := false; !done; {
+			if done, err = r.Step(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		results := r.Results()
+		if res := results[len(results)-1]; res.Completed {
+			r.Recycle(res)
+		} else {
+			b.Fatalf("iteration %d: %+v", i, res)
 		}
 	}
 	check()

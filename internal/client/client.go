@@ -6,7 +6,10 @@
 package client
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 
 	"pinbcast/internal/ida"
 )
@@ -58,7 +61,8 @@ const (
 type Client struct {
 	start    int // first observed slot; -1 until the client hears the channel
 	now      int
-	pending  map[string]*pendingFile
+	pending  map[string]*pendingFile // uncompleted requests only: PendingCount and Done are its length
+	nextSeq  uint64                  // stamp of the next request
 	results  []Result
 	fileName map[uint32]string // file ID -> name, learned from the server mapping
 
@@ -77,9 +81,10 @@ type Client struct {
 	// cancelled: Observe copies into a recycled block (payload buffer
 	// included) before paying for a fresh Clone. blockScratch is
 	// finish's reconstruction assembly slice, reused across files.
-	// freePending recycles cancelled request entries the same way —
-	// re-requesting under a multi-channel tuner is the steady state, not
-	// the exception. freeData holds reconstruction output buffers handed
+	// freePending recycles the entry (and emptied block map) of every
+	// request that leaves pending — completed, cancelled or flushed —
+	// and Add takes from it: re-requesting is the steady state, not the
+	// exception. freeData holds reconstruction output buffers handed
 	// back through Recycle, so steady-state retrieval (request, finish,
 	// recycle, repeat) reconstructs into the same buffer every cycle.
 	freeBlocks   []*ida.Block
@@ -90,10 +95,10 @@ type Client struct {
 
 type pendingFile struct {
 	req       Request
-	from      int // slot the deadline clock starts at; -1 = first observed slot
+	seq       uint64 // request order: Client.nextSeq at Add
+	from      int    // slot the deadline clock starts at; -1 = first observed slot
 	blocks    map[uint16]*ida.Block
 	corrupted int
-	done      bool
 }
 
 // NewSubscriber returns a client with no initial requests: it fixes its
@@ -123,27 +128,37 @@ func (c *Client) Add(r Request) error {
 	if r.File == "" {
 		return fmt.Errorf("client: request without a file name")
 	}
-	if p, dup := c.pending[r.File]; dup && !p.done {
+	if _, dup := c.pending[r.File]; dup {
 		return fmt.Errorf("client: duplicate request for %q", r.File)
 	}
 	from := c.start
 	if c.start >= 0 && c.now >= c.start {
 		from = c.now + 1 // already listening: the clock starts next slot
 	}
-	// A completed file's entry (and its block map) is reused in place,
-	// as is a cancelled request's recycled one.
-	p := c.pending[r.File]
-	if p == nil {
-		if n := len(c.freePending) - 1; n >= 0 {
-			p = c.freePending[n]
-			c.freePending = c.freePending[:n]
-		} else {
-			p = &pendingFile{blocks: make(map[uint16]*ida.Block)}
-		}
-		c.pending[r.File] = p
+	var p *pendingFile
+	if n := len(c.freePending) - 1; n >= 0 {
+		p = c.freePending[n]
+		c.freePending = c.freePending[:n]
+	} else {
+		p = &pendingFile{blocks: make(map[uint16]*ida.Block)}
 	}
-	p.req, p.from, p.corrupted, p.done = r, from, 0, false
+	p.req, p.seq, p.from, p.corrupted = r, c.nextSeq, from, 0
+	c.nextSeq++
+	c.pending[r.File] = p
 	return nil
+}
+
+// release takes a request out of pending — completed, cancelled or
+// flushed — and pools its entry and the blocks it still holds.
+//
+//pinlint:hotpath
+func (c *Client) release(p *pendingFile) {
+	delete(c.pending, p.req.File)
+	for _, b := range p.blocks {
+		c.freeBlocks = append(c.freeBlocks, b)
+	}
+	clear(p.blocks)
+	c.freePending = append(c.freePending, p)
 }
 
 // Cancel withdraws an uncompleted request without recording a result,
@@ -153,15 +168,10 @@ func (c *Client) Add(r Request) error {
 // it (or when it hops a request off a dead channel).
 func (c *Client) Cancel(name string) bool {
 	p, ok := c.pending[name]
-	if !ok || p.done {
+	if !ok {
 		return false
 	}
-	delete(c.pending, name)
-	for _, b := range p.blocks {
-		c.freeBlocks = append(c.freeBlocks, b)
-	}
-	clear(p.blocks)
-	c.freePending = append(c.freePending, p)
+	c.release(p)
 	return true
 }
 
@@ -202,45 +212,35 @@ func (c *Client) Start() int { return c.start }
 //
 //pinlint:hotpath
 func (c *Client) IsPending(name string) bool {
-	p, ok := c.pending[name]
-	return ok && !p.done
+	_, ok := c.pending[name]
+	return ok
 }
 
 // PendingCount returns the number of uncompleted requests.
 //
 //pinlint:hotpath
-func (c *Client) PendingCount() int {
-	n := 0
-	for _, p := range c.pending {
-		if !p.done {
-			n++
-		}
-	}
-	return n
-}
+func (c *Client) PendingCount() int { return len(c.pending) }
 
-// Pending returns the names of files with uncompleted requests.
+// Pending returns the names of files with uncompleted requests, in the
+// order they were requested.
 func (c *Client) Pending() []string {
 	var out []string
-	for name, p := range c.pending {
-		if !p.done {
-			out = append(out, name)
-		}
+	for _, p := range c.open() {
+		out = append(out, p.req.File)
 	}
 	return out
+}
+
+// open returns the uncompleted requests in request order — map
+// iteration order must never reach a caller.
+func (c *Client) open() []*pendingFile {
+	return slices.SortedFunc(maps.Values(c.pending), func(a, b *pendingFile) int { return cmp.Compare(a.seq, b.seq) })
 }
 
 // Done reports whether every request has been completed.
 //
 //pinlint:hotpath
-func (c *Client) Done() bool {
-	for _, p := range c.pending {
-		if !p.done {
-			return false
-		}
-	}
-	return true
-}
+func (c *Client) Done() bool { return len(c.pending) == 0 }
 
 // Observe delivers the raw channel contents of slot t to the client:
 // nil for an idle slot, otherwise the (possibly corrupted) marshaled
@@ -286,7 +286,7 @@ func (c *Client) Observe(t int, raw []byte) Outcome {
 		return Unknown
 	}
 	p, wanted := c.pending[name]
-	if !wanted || p.done {
+	if !wanted {
 		return Ignored
 	}
 	if _, dup := p.blocks[c.scratch.Seq]; dup {
@@ -305,7 +305,7 @@ func (c *Client) Observe(t int, raw []byte) Outcome {
 	}
 	p.blocks[blk.Seq] = blk
 	if len(p.blocks) >= int(blk.M) {
-		c.finish(name, p)
+		c.finish(p)
 		return Completed
 	}
 	return Stored
@@ -317,7 +317,7 @@ func (c *Client) Observe(t int, raw []byte) Outcome {
 // and the output buffer — a recycled one (Recycle) when available.
 //
 //pinlint:hotpath
-func (c *Client) finish(name string, p *pendingFile) {
+func (c *Client) finish(p *pendingFile) {
 	blocks := c.blockScratch[:0]
 	for _, b := range p.blocks {
 		blocks = append(blocks, b) //pinlint:allow hotpath — reuses blockScratch's capacity; grows only until the largest M seen
@@ -334,7 +334,7 @@ func (c *Client) finish(name string, p *pendingFile) {
 	}
 	latency := c.now - p.from + 1
 	res := Result{
-		File:       name,
+		File:       p.req.File,
 		Deadline:   p.req.Deadline,
 		Latency:    latency,
 		BlocksUsed: len(blocks),
@@ -345,14 +345,12 @@ func (c *Client) finish(name string, p *pendingFile) {
 		res.Data = data
 		res.DeadlineMet = p.req.Deadline == 0 || latency <= p.req.Deadline
 	}
-	p.done = true
 	c.results = append(c.results, res)
 	// The stored blocks are dead now that the file is rebuilt
 	// (ReconstructFile copies shard payloads out): recycle them and keep
 	// the assembly slice, with its references dropped, for the next
 	// reconstruction.
-	c.freeBlocks = append(c.freeBlocks, blocks...)
-	clear(p.blocks)
+	c.release(p)
 	for i := range blocks {
 		blocks[i] = nil
 	}
@@ -367,7 +365,7 @@ func (c *Client) finish(name string, p *pendingFile) {
 //
 //pinlint:hotpath
 func (c *Client) NoteCorruption(name string) {
-	if p, ok := c.pending[name]; ok && !p.done {
+	if p, ok := c.pending[name]; ok {
 		p.corrupted++
 	}
 }
@@ -407,24 +405,22 @@ func (c *Client) Recycle(buf []byte) {
 func (c *Client) AddResult(r Result) { c.results = append(c.results, r) }
 
 // Flush closes out incomplete requests as failures at the given final
-// slot and returns all results.
+// slot, in the order they were requested (their blocks are discarded),
+// and returns all results.
 func (c *Client) Flush(final int) []Result {
-	for name, p := range c.pending {
-		if p.done {
-			continue
-		}
+	for _, p := range c.open() {
 		from := p.from
 		if from < 0 {
 			from = final // never heard a slot: zero listening time
 		}
 		c.results = append(c.results, Result{
-			File:      name,
+			File:      p.req.File,
 			Completed: false,
 			Deadline:  p.req.Deadline,
 			Latency:   final - from + 1,
 			Corrupted: p.corrupted,
 		})
-		p.done = true
+		c.release(p)
 	}
 	return c.results
 }

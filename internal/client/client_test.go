@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"pinbcast/internal/ida"
@@ -276,5 +277,44 @@ func TestMultipleRequests(t *testing.T) {
 	}
 	if len(c.Results()) != 2 {
 		t.Fatalf("results = %d", len(c.Results()))
+	}
+}
+
+// TestFlushRequestOrder: flushed failures and Pending come out in the
+// order the requests were made, never in map-iteration order — on every
+// one of 200 fresh clients, with some requests completing in between.
+func TestFlushRequestOrder(t *testing.T) {
+	names := map[uint32]string{}
+	var order []string
+	var blocks [][]*ida.Block
+	for i := 0; i < 8; i++ {
+		name := string(rune('h' - i)) // request order is not name order
+		names[uint32(i+1)] = name
+		order = append(order, name)
+		blocks = append(blocks, disperse(t, uint32(i+1), []byte("file "+name), 1, 2))
+	}
+	open := []string{order[0], order[2], order[3], order[5], order[6]}
+	for run := 0; run < 200; run++ {
+		c := NewSubscriber(names)
+		for i, name := range order {
+			if err := c.Add(Request{File: name}); err != nil {
+				t.Fatal(err)
+			}
+			if i == 4 { // complete two of the first five while the rest are still to come
+				c.Observe(0, blocks[1][0].Marshal())
+				c.Observe(1, blocks[4][1].Marshal())
+			}
+		}
+		c.Observe(2, blocks[7][0].Marshal())
+		if got := c.Pending(); !slices.Equal(got, open) {
+			t.Fatalf("run %d: Pending = %v, want request order %v", run, got, open)
+		}
+		var flushed []string
+		for _, r := range c.Flush(9)[3:] {
+			flushed = append(flushed, r.File)
+		}
+		if !slices.Equal(flushed, open) {
+			t.Fatalf("run %d: flushed %v, want request order %v", run, flushed, open)
+		}
 	}
 }

@@ -1,11 +1,13 @@
 package pinbcast
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -47,8 +49,9 @@ type MultiTuner struct {
 	det   *cluster.Detector
 
 	mu        sync.Mutex
-	reqs      map[string]*mtRequest
-	open      int // requests not yet finished
+	reqs      map[string]*mtRequest // unfinished requests only, as in client.Client
+	freeReqs  []*mtRequest          // finished ones, their tried/attached storage kept
+	nextSeq   uint64                // stamp of the next request
 	results   []ClusterResult
 	hops      int
 	completed int  // finished requests by outcome; results itself may be
@@ -89,11 +92,11 @@ type mtChannel struct {
 // mtRequest tracks one logical retrieval across channels.
 type mtRequest struct {
 	file     string
+	seq      uint64 // request order: MultiTuner.nextSeq at RequestVia
 	deadline int
 	order    []int // fetch plan, cheapest first; nil = scan mode
 	attached []int // channels currently collecting the file
 	tried    map[int]bool
-	done     bool
 }
 
 // ClusterResult is a Result annotated with the channel that served it
@@ -266,7 +269,7 @@ func (mt *MultiTuner) RequestVia(file string, deadline int, order []int) error {
 	}
 	mt.mu.Lock()
 	defer mt.mu.Unlock()
-	if r, dup := mt.reqs[file]; dup && !r.done {
+	if _, dup := mt.reqs[file]; dup {
 		return fmt.Errorf("pinbcast: file %q already requested: %w", file, ErrBadSpec)
 	}
 	for _, ch := range order {
@@ -275,16 +278,16 @@ func (mt *MultiTuner) RequestVia(file string, deadline int, order []int) error {
 				file, ch, len(mt.chans), ErrBadSpec)
 		}
 	}
-	// A completed file's entry and its tried set are reused rather than
-	// reallocated per retrieval.
-	req := mt.reqs[file]
-	if req == nil {
-		req = &mtRequest{file: file, tried: map[int]bool{}}
-		mt.reqs[file] = req
+	var req *mtRequest
+	if n := len(mt.freeReqs) - 1; n >= 0 {
+		req = mt.freeReqs[n]
+		mt.freeReqs = mt.freeReqs[:n]
+	} else {
+		req = &mtRequest{tried: map[int]bool{}}
 	}
-	clear(req.tried)
-	req.deadline, req.order, req.attached, req.done = deadline, order, req.attached[:0], false
-	mt.open++
+	req.file, req.seq, req.deadline, req.order = file, mt.nextSeq, deadline, order
+	mt.nextSeq++
+	mt.reqs[file] = req
 	mt.attachLocked(req)
 	if len(req.attached) == 0 {
 		mt.failLocked(req) // no live channel at all: fail now rather than hang
@@ -334,19 +337,18 @@ func (mt *MultiTuner) cancelOn(ch int, file string) {
 	mc.mu.Unlock()
 }
 
-// finishLocked records a request's outcome and releases the other
-// channels collecting it. Caller holds mu.
+// finishLocked records an open request's outcome, releases the other
+// channels collecting it and retires it to the free list. Caller holds mu.
 func (mt *MultiTuner) finishLocked(req *mtRequest, res ClusterResult) {
-	if req.done {
-		return
-	}
-	req.done = true
 	for _, ch := range req.attached {
 		if ch != res.Channel {
 			mt.cancelOn(ch, req.file)
 		}
 	}
-	req.attached = req.attached[:0]
+	delete(mt.reqs, req.file)
+	clear(req.tried)
+	req.attached, req.order = req.attached[:0], nil
+	mt.freeReqs = append(mt.freeReqs, req)
 	mt.results = append(mt.results, res)
 	if res.Completed {
 		mt.completed++
@@ -356,7 +358,7 @@ func (mt *MultiTuner) finishLocked(req *mtRequest, res ClusterResult) {
 		mt.failed++
 		tunFailed.Inc()
 	}
-	if mt.open--; mt.open > 0 {
+	if len(mt.reqs) > 0 {
 		return
 	}
 	// Every request is done: end the run. Drivers notice the flag at the
@@ -380,10 +382,11 @@ func (mt *MultiTuner) failLocked(req *mtRequest) {
 // Run drives every channel concurrently until each request has
 // completed, the context is cancelled, or no live channel remains.
 // As with Receiver.Run, requests still pending when the run ends
-// — whatever ended it — are flushed as failures with Channel −1: a
-// cancelled context is the caller's deadline on the whole run, not a
-// pause. A tuner left running accepts further Request calls (including
-// re-requests of flushed files) and can be Run again.
+// — whatever ended it — are flushed as failures with Channel −1, in the
+// order they were requested: a cancelled context is the caller's
+// deadline on the whole run, not a pause. A tuner left running accepts
+// further Request calls (including re-requests of flushed files) and
+// can be Run again.
 //
 // The first Run parks one persistent driver goroutine per channel;
 // they stay parked between runs and are released by Close. A run on a
@@ -431,7 +434,7 @@ func (mt *MultiTuner) Recycle(res ClusterResult) {
 func (mt *MultiTuner) run(ctx context.Context) (int, error) {
 	mt.mu.Lock()
 	mark := len(mt.results)
-	if mt.open == 0 {
+	if len(mt.reqs) == 0 {
 		mt.mu.Unlock()
 		return mark, nil
 	}
@@ -480,13 +483,21 @@ func (mt *MultiTuner) run(ctx context.Context) (int, error) {
 	}
 
 	mt.mu.Lock()
-	for _, req := range mt.reqs {
-		if !req.done {
-			mt.failLocked(req)
-		}
+	for _, req := range mt.openLocked() {
+		mt.failLocked(req)
 	}
 	mt.mu.Unlock()
 	return mark, runErr
+}
+
+// openLocked returns the unfinished requests in request order — map
+// iteration order must never decide the order of results or hops.
+// Caller holds mu.
+func (mt *MultiTuner) openLocked() []*mtRequest {
+	if len(mt.reqs) == 0 {
+		return nil // every run ends here: the iterator below would allocate
+	}
+	return slices.SortedFunc(maps.Values(mt.reqs), func(a, b *mtRequest) int { return cmp.Compare(a.seq, b.seq) })
 }
 
 // driver is one channel's persistent drive goroutine: it parks between
@@ -569,7 +580,7 @@ func (mt *MultiTuner) observe(ch int, slot Slot) (died bool) {
 	mc.mu.Unlock()
 	if completed {
 		mt.mu.Lock()
-		if req, ok := mt.reqs[res.File]; ok && !req.done {
+		if req, ok := mt.reqs[res.File]; ok {
 			mt.finishLocked(req, ClusterResult{Result: res, Channel: ch})
 		}
 		mt.mu.Unlock()
@@ -583,10 +594,7 @@ func (mt *MultiTuner) observe(ch int, slot Slot) (died bool) {
 func (mt *MultiTuner) channelDied(ch int) {
 	mt.mu.Lock()
 	defer mt.mu.Unlock()
-	for _, req := range mt.reqs {
-		if req.done {
-			continue
-		}
+	for _, req := range mt.openLocked() {
 		attached := req.attached[:0]
 		wasHere := false
 		for _, a := range req.attached {
@@ -626,21 +634,14 @@ func (mt *MultiTuner) Results() []ClusterResult {
 func (mt *MultiTuner) Pending() []string {
 	mt.mu.Lock()
 	defer mt.mu.Unlock()
-	var out []string
-	for name, req := range mt.reqs {
-		if !req.done {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(mt.reqs))
 }
 
 // Done reports whether every request has completed.
 func (mt *MultiTuner) Done() bool {
 	mt.mu.Lock()
 	defer mt.mu.Unlock()
-	return mt.open == 0
+	return len(mt.reqs) == 0
 }
 
 // Directory returns the merged id→name directory over every channel —

@@ -313,3 +313,49 @@ func TestMultiTunerRunAfterClose(t *testing.T) {
 		}
 	}
 }
+
+// TestMultiTunerFlushRequestOrder: requests a run could not serve are
+// flushed in the order they were made, never in map-iteration order.
+// The context is cancelled before Run, so no driver reads a slot and
+// every request is flushed, on each of 50 fresh tuners.
+func TestMultiTunerFlushRequestOrder(t *testing.T) {
+	c := testCluster(t)
+	recs := recordChannels(t, c, 16)
+	plan := c.FetchPlan()
+	order := []string{"warm", "hot-b", "cold", "cool-a", "hot-a"}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for run := 0; run < 50; run++ {
+		srcs := make([]Source, len(recs))
+		for i, rec := range recs {
+			srcs[i] = rec.Source()
+		}
+		mt, err := NewMultiTuner(srcs, WithTunerDirectory(c.Directory()), WithTunerHomes(plan))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range order {
+			if err := mt.RequestVia(name, 0, plan[name]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		results, err := mt.Run(ctx)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("run %d: err = %v, want context.Canceled", run, err)
+		}
+		var got []string
+		for _, res := range results {
+			if res.Completed || res.Channel != -1 {
+				t.Fatalf("run %d: cancelled run produced %+v", run, res)
+			}
+			got = append(got, res.File)
+		}
+		if !reflect.DeepEqual(got, order) {
+			t.Fatalf("run %d: flushed %v, want request order %v", run, got, order)
+		}
+		if !mt.Done() || len(mt.Pending()) != 0 {
+			t.Fatalf("run %d: still pending %v", run, mt.Pending())
+		}
+		mt.Close()
+	}
+}

@@ -396,9 +396,10 @@ func (r *Receiver) cacheCompleted() {
 
 // Run consumes the source until every request has completed, the
 // context is cancelled, or the stream ends, and returns the results so
-// far. Pending requests are flushed as failures when the stream ends
-// or the context is cancelled; a receiver left running can accept
-// further Request calls and be Run again.
+// far. Pending requests are flushed as failures, in the order they were
+// requested, when the stream ends or the context is cancelled; a
+// receiver left running can accept further Request calls and be Run
+// again.
 //
 // Cancellation is observed between slots: a Source whose Next blocks
 // indefinitely (a TCPSource with zero Timeout on a silent connection)
@@ -438,7 +439,8 @@ func (r *Receiver) Recycle(res Result) {
 	r.cli.Recycle(res.Data)
 }
 
-// Pending returns the names of files still being collected.
+// Pending returns the names of files still being collected, in the
+// order they were requested.
 func (r *Receiver) Pending() []string { return r.cli.Pending() }
 
 // Done reports whether every request has completed.

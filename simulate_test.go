@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -335,6 +336,38 @@ func BenchmarkSimulation(b *testing.B) {
 		})
 		if err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestSimulateFlushRequestOrder: requests the horizon cannot satisfy are
+// reported in the order the client made them, run after run — the
+// report must not depend on map iteration.
+func TestSimulateFlushRequestOrder(t *testing.T) {
+	order := []string{"zeta", "B", "A"} // zeta is never broadcast
+	var reqs []Request
+	for _, name := range order {
+		reqs = append(reqs, Request{File: name, Deadline: 9})
+	}
+	for run := 0; run < 50; run++ {
+		rep, err := Simulate(SimConfig{
+			Program:  simFig6Program(t),
+			Contents: simFig6Contents(),
+			Clients:  []ClientSpec{{Start: 0, Requests: reqs}},
+			Horizon:  2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, r := range rep.Results {
+			if r.Completed {
+				t.Fatalf("run %d: %q completed inside a 2-slot horizon", run, r.File)
+			}
+			got = append(got, r.File)
+		}
+		if !slices.Equal(got, order) {
+			t.Fatalf("run %d: reported %v, want request order %v", run, got, order)
 		}
 	}
 }
