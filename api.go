@@ -128,7 +128,7 @@ func DisperseData(cfg DispersalConfig) ([]*Block, error) {
 }
 
 // Reconstruct recovers a file from at least Threshold of its blocks.
-func Reconstruct(blocks []*Block) ([]byte, error) { return ida.ReconstructFile(blocks) }
+func Reconstruct(blocks []*Block) ([]byte, error) { return ida.ReconstructFileInto(blocks, nil) }
 
 // FileID returns the stable name-derived broadcast identifier servers
 // stamp on a named file's blocks. It is invariant across program

@@ -216,49 +216,6 @@ func BenchmarkEndToEndSimulation(b *testing.B) {
 	}
 }
 
-// BenchmarkStationServe measures the streaming broadcast loop: slots
-// drained per second from a consumer-paced Serve stream. This is the
-// hot path of the Station service API and must stay at 0 allocs/op.
-func BenchmarkStationServe(b *testing.B) { benchmarkStationServe(b, 0) }
-
-// BenchmarkStationServePaced is the same stream paced at 100 µs a
-// slot: rate_ratio is the achieved slot rate over the nominal one (1.0
-// when every slot leaves on its deadline), and the paced branch of the
-// loop — clock read, pacer, timer reset — must stay at 0 allocs/op.
-func BenchmarkStationServePaced(b *testing.B) { benchmarkStationServe(b, 100*time.Microsecond) }
-
-func benchmarkStationServe(b *testing.B, interval time.Duration) {
-	files := []pinbcast.FileSpec{
-		{Name: "A", Blocks: 4, Latency: 8, Faults: 1},
-		{Name: "B", Blocks: 8, Latency: 40},
-	}
-	st, err := pinbcast.New(
-		pinbcast.WithFiles(files...),
-		pinbcast.WithContents(workload.Contents(files, 256, 5)),
-		pinbcast.WithSlotBuffer(256),
-		pinbcast.WithSlotInterval(interval),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	slots, err := st.Serve(ctx)
-	if err != nil {
-		b.Fatal(err)
-	}
-	check := zeroalloc.Start(b)
-	for i := 0; i < b.N; i++ {
-		if _, ok := <-slots; !ok {
-			b.Fatal("stream closed")
-		}
-	}
-	check()
-	if interval > 0 {
-		b.ReportMetric(float64(b.N)*float64(interval)/float64(b.Elapsed()), "rate_ratio")
-	}
-}
-
 // loopSource replays a recorded slot stream forever — the unbounded
 // source the receiver throughput benchmarks drain.
 type loopSource struct {

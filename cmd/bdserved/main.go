@@ -12,6 +12,11 @@
 //	data channel 0 listening on 127.0.0.1:40001
 //	ops listening on http://127.0.0.1:40002
 //
+// then, per channel, how much of the air its program leaves idle and how
+// much of that the paced station wins back (see pinbcast.WithSlotInterval):
+//
+//	channel 0 reclaims 75 of 77 idle slots per period
+//
 // The ops listener serves Prometheus text-format metrics at /metrics
 // (station, fan-out, cluster and receiver families), expvar at
 // /debug/vars (including the full registry snapshot under the
@@ -45,6 +50,7 @@ import (
 
 	"pinbcast"
 	"pinbcast/internal/obs"
+	"pinbcast/internal/reclaim"
 	"pinbcast/internal/workload"
 )
 
@@ -82,9 +88,11 @@ func mainRun(args []string, sigs <-chan os.Signal, stdout, stderr io.Writer) int
 	return 0
 }
 
-// channel is one broadcast channel's serving state: its slot stream,
-// its fan-out, and the data cycle its drain boundary snaps to.
+// channel is one broadcast channel's serving state: its station, its
+// slot stream, its fan-out, and the data cycle its drain boundary snaps
+// to.
 type channel struct {
+	st    *pinbcast.Station
 	slots <-chan pinbcast.Slot
 	fan   *pinbcast.Fanout
 	cycle int
@@ -122,6 +130,12 @@ func serve(cfg Config, sigs <-chan os.Signal, stdout io.Writer) error {
 	opsDone := make(chan error, 1)
 	go func() { opsDone <- srv.Serve(ops) }()
 	fmt.Fprintf(stdout, "ops listening on http://%s\n", ops.Addr())
+	for i, c := range chans {
+		// The plan is a pure function of what the station was built
+		// from, so this is the table the station serves.
+		fill := reclaim.Plan(c.st.Program(), c.st.Files(), c.st.Bandwidth())
+		fmt.Fprintf(stdout, "channel %d reclaims %d of %d idle slots per period\n", i, fill.Reclaimed, fill.Idle)
+	}
 
 	// Pump every channel until the drain completes; drain closes when a
 	// signal arrives, releasing each pump at its next cycle boundary.
@@ -206,7 +220,7 @@ func buildChannels(ctx context.Context, cfg Config, files []pinbcast.FileSpec, c
 		fan := pinbcast.NewFanout(ln, 0)
 		fmt.Fprintf(stdout, "data channel 0 listening on %s (bandwidth %d, data cycle %d)\n",
 			fan.Addr(), st.Bandwidth(), st.Program().DataCycle())
-		return []channel{{slots: slots, fan: fan, cycle: st.Program().DataCycle()}}, nil
+		return []channel{{st: st, slots: slots, fan: fan, cycle: st.Program().DataCycle()}}, nil
 	}
 
 	replicas := cfg.Replicas
@@ -242,7 +256,7 @@ func buildChannels(ctx context.Context, cfg Config, files []pinbcast.FileSpec, c
 		st := cl.Station(i)
 		fmt.Fprintf(stdout, "data channel %d listening on %s (bandwidth %d, data cycle %d)\n",
 			i, fan.Addr(), st.Bandwidth(), st.Program().DataCycle())
-		chans[i] = channel{slots: slots, fan: fan, cycle: st.Program().DataCycle()}
+		chans[i] = channel{st: st, slots: slots, fan: fan, cycle: st.Program().DataCycle()}
 	}
 	return chans, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"pinbcast"
+	"pinbcast/internal/workload"
 )
 
 func TestLoadConfig(t *testing.T) {
@@ -272,6 +274,87 @@ func TestDaemonSmoke(t *testing.T) {
 				t.Errorf("/debug/trace pass %d has no %q events (kinds: %v)", pass, want, kinds)
 			}
 		}
+	}
+
+	sigs <- syscall.SIGTERM
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("daemon failed after SIGTERM: %v", err)
+		}
+	case <-time.After(cfg.Timeout + 5*time.Second):
+		t.Fatal("daemon did not drain within the deadline")
+	}
+}
+
+// TestDaemonReclaimsIdleSlots boots a paced two-channel daemon and
+// reads where its air goes from its own outputs: after the listener
+// lines, one line per channel says how many of the program's idle slots
+// the channel reclaims — all but fewer than the smallest dispersal width
+// — and /metrics shows reclaimed slots going out while the slots that
+// still leave empty stay inside that bound.
+func TestDaemonReclaimsIdleSlots(t *testing.T) {
+	cfg, err := parseConfig([]byte("[station]\nfiles = 16\nslot_interval = \"50us\"\nchannels = 2\n[drain]\ntimeout = \"5s\"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	minWidth := 1 << 30 // min Nᵢ of the catalogue serve generates
+	for _, f := range workload.Random(cfg.Files, 6, 10, 80, 0, cfg.Seed) {
+		minWidth = min(minWidth, f.Blocks+cfg.Faults)
+	}
+
+	sigs := make(chan os.Signal, 1)
+	outR, outW := io.Pipe()
+	exited := make(chan error, 1)
+	go func() {
+		err := serve(cfg, sigs, outW)
+		outW.Close()
+		exited <- err
+	}()
+	opsURL, minCycle, reclaimLines := "", 1<<30, 0
+	sc := bufio.NewScanner(outR)
+	for reclaimLines < cfg.Channels && sc.Scan() {
+		var ch, bandwidth, cycle, reclaimed, idle int
+		var addr string
+		if n, _ := fmt.Sscanf(sc.Text(), "data channel %d listening on %s (bandwidth %d, data cycle %d)", &ch, &addr, &bandwidth, &cycle); n == 4 {
+			minCycle = min(minCycle, cycle)
+		} else if url, ok := strings.CutPrefix(sc.Text(), "ops listening on "); ok {
+			opsURL = url
+		} else if n, _ := fmt.Sscanf(sc.Text(), "channel %d reclaims %d of %d idle slots per period", &ch, &reclaimed, &idle); n == 3 {
+			if opsURL == "" || ch != reclaimLines {
+				t.Fatalf("%q printed out of order: it follows the listener lines, channel by channel", sc.Text())
+			}
+			if reclaimed <= 0 || idle-reclaimed >= minWidth {
+				t.Fatalf("%q: want all but fewer than %d idle slots reclaimed", sc.Text(), minWidth)
+			}
+			reclaimLines++
+		}
+	}
+	if reclaimLines < cfg.Channels {
+		t.Fatalf("daemon printed %d of %d reclaim lines", reclaimLines, cfg.Channels)
+	}
+	go io.Copy(io.Discard, outR) // the drain messages must not block the daemon
+
+	// The registry is the process's: read the daemon's share as deltas.
+	counters := func() (slots, idle, reclaimed float64) {
+		return scrape(t, opsURL, "pin_station_slots_total"), scrape(t, opsURL, "pin_station_idle_slots_total"),
+			scrape(t, opsURL, "pin_station_reclaimed_slots_total")
+	}
+	slots0, idle0, reclaimed0 := counters()
+	var slots, idle, reclaimed float64
+	for i := 0; i < 500 && slots < float64(8*minCycle); i++ {
+		time.Sleep(10 * time.Millisecond)
+		slots1, idle1, reclaimed1 := counters()
+		slots, idle, reclaimed = slots1-slots0, idle1-idle0, reclaimed1-reclaimed0
+	}
+	if reclaimed <= 0 {
+		t.Errorf("no reclaimed slot among %v emitted", slots)
+	}
+	// A data cycle is a whole number of periods, so at most minWidth-1
+	// slots per cycle go out empty; the two scrapes cut each channel's
+	// stream mid-period, hence the extra cycle per channel and end.
+	if bound := float64(minWidth-1) * (slots/float64(minCycle) + float64(2*cfg.Channels)); idle > bound {
+		t.Errorf("%v of %v slots went out empty, the reclaim tables allow %v", idle, slots, bound)
 	}
 
 	sigs <- syscall.SIGTERM

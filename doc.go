@@ -41,6 +41,9 @@
 // program at the next data-cycle boundary (§2.3), where the outgoing
 // block rotation ends (a retrieval across the swap: one window per
 // generation it touched). See ExampleStation for a runnable lifecycle.
+// Paced to a physical channel (WithSlotInterval), a station also sends
+// further blocks of its files in the slots the program leaves idle:
+// the emission is a superset of the program, so every bound holds.
 //
 // Schedulers are pluggable: the paper's portfolio members (Sa, Sx,
 // EDF, the two-distinct specialization, exact search) are registered

@@ -347,7 +347,7 @@ func (c *Client) finish(p *pendingFile) {
 	}
 	c.results = append(c.results, res)
 	// The stored blocks are dead now that the file is rebuilt
-	// (ReconstructFile copies shard payloads out): recycle them and keep
+	// (ReconstructFileInto copies shard payloads out): recycle them and keep
 	// the assembly slice, with its references dropped, for the next
 	// reconstruction.
 	c.release(p)

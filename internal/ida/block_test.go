@@ -102,7 +102,7 @@ func TestDisperseFileReconstructFile(t *testing.T) {
 		}
 	}
 	// Reconstruct from an arbitrary 4-subset, out of order.
-	got, err := ReconstructFile([]*Block{blocks[7], blocks[2], blocks[5], blocks[0]})
+	got, err := ReconstructFileInto([]*Block{blocks[7], blocks[2], blocks[5], blocks[0]}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +116,13 @@ func TestReconstructFileInconsistent(t *testing.T) {
 	dataB := []byte("file B contents")
 	ba, _ := DisperseFile(1, dataA, 2, 4)
 	bb, _ := DisperseFile(2, dataB, 2, 4)
-	if _, err := ReconstructFile([]*Block{ba[0], bb[1]}); err != ErrInconsistent {
+	if _, err := ReconstructFileInto([]*Block{ba[0], bb[1]}, nil); err != ErrInconsistent {
 		t.Fatalf("err = %v, want ErrInconsistent", err)
 	}
 }
 
 func TestReconstructFileEmpty(t *testing.T) {
-	if _, err := ReconstructFile(nil); err == nil {
+	if _, err := ReconstructFileInto(nil, nil); err == nil {
 		t.Fatal("empty block list accepted")
 	}
 }

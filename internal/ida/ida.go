@@ -394,30 +394,6 @@ func (c *Codec) inverse(seqs []int) (*gfmat.Matrix, error) {
 	return inv, nil
 }
 
-// SetInverseCacheLimit bounds the reconstruction-inverse LRU to at most
-// limit entries (minimum 1), evicting immediately if over. The default
-// is DefaultInverseCacheLimit.
-func (c *Codec) SetInverseCacheLimit(limit int) {
-	if limit < 1 {
-		limit = 1
-	}
-	c.mu.Lock()
-	c.invLimit = limit
-	for c.invLRU.Len() > c.invLimit {
-		oldest := c.invLRU.Back()
-		c.invLRU.Remove(oldest)
-		delete(c.invCache, oldest.Value.(*invEntry).key)
-	}
-	c.mu.Unlock()
-}
-
-// CachedInverses reports how many reconstruction matrices are cached.
-func (c *Codec) CachedInverses() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.invCache)
-}
-
 // packSubsetKey appends the 2-byte big-endian encoding of each sequence
 // number to b. With b backed by a stack array the packing allocates
 // nothing.
@@ -445,25 +421,18 @@ func DisperseFile(fileID uint32, data []byte, m, n int) ([]*Block, error) {
 	return blocks[0], nil
 }
 
-// ReconstructFile recovers a file from self-identifying blocks. All
-// blocks must agree on FileID, M, N and Length; at least M blocks with
-// distinct sequence numbers are required. The codec is the process-wide
-// shared one, so its §2.1 inverse cache persists across retrievals. The
-// result is freshly allocated; use ReconstructFileInto to reuse a
-// buffer.
-func ReconstructFile(blocks []*Block) ([]byte, error) {
-	return ReconstructFileInto(blocks, nil)
-}
-
 // shardPool recycles the shard views assembled by ReconstructFileInto.
 // It stores *[]Shard so Get/Put never box a slice header.
 var shardPool = sync.Pool{New: func() any { s := []Shard(nil); return &s }}
 
-// ReconstructFileInto is ReconstructFile writing into a caller-owned
-// buffer: dst is reused when it has capacity for the padded file and
-// grown otherwise, exactly as in ReconstructInto. Steady-state
-// retrieval loops that pass the previous file's buffer back in decode
-// with zero allocations.
+// ReconstructFileInto recovers a file from self-identifying blocks. All
+// blocks must agree on FileID, M, N and Length; at least M blocks with
+// distinct sequence numbers are required. The codec is the process-wide
+// shared one, so its §2.1 inverse cache persists across retrievals. dst
+// is reused when it has capacity for the padded file and grown (nil:
+// freshly allocated) otherwise, exactly as in ReconstructInto, so a
+// steady-state retrieval loop that passes the previous file's buffer
+// back in decodes with zero allocations.
 //
 //pinlint:hotpath
 func ReconstructFileInto(blocks []*Block, dst []byte) ([]byte, error) {

@@ -209,20 +209,20 @@ func TestInverseCache(t *testing.T) {
 		{Seq: 2, Data: payloads[2]},
 		{Seq: 4, Data: payloads[4]},
 	}
-	if c.CachedInverses() != 0 {
+	if len(c.invCache) != 0 {
 		t.Fatal("cache not empty initially")
 	}
 	if _, err := c.Reconstruct(shards, len(data)); err != nil {
 		t.Fatal(err)
 	}
-	if c.CachedInverses() != 1 {
-		t.Fatalf("cache size = %d, want 1", c.CachedInverses())
+	if len(c.invCache) != 1 {
+		t.Fatalf("cache size = %d, want 1", len(c.invCache))
 	}
 	if _, err := c.Reconstruct(shards, len(data)); err != nil {
 		t.Fatal(err)
 	}
-	if c.CachedInverses() != 1 {
-		t.Fatalf("cache size after repeat = %d, want 1", c.CachedInverses())
+	if len(c.invCache) != 1 {
+		t.Fatalf("cache size after repeat = %d, want 1", len(c.invCache))
 	}
 }
 

@@ -127,13 +127,13 @@ func TestReconstructIntoMatchesReconstruct(t *testing.T) {
 
 // TestInverseCacheLRUEviction demonstrates the bound under subset churn:
 // with a limit of 2, touching a third distinct subset evicts the least
-// recently used one, and CachedInverses never exceeds the limit.
+// recently used one, and the cache never exceeds the limit.
 func TestInverseCacheLRUEviction(t *testing.T) {
 	c, err := NewCodec(2, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetInverseCacheLimit(2)
+	c.invLimit = 2
 	data := []byte("bounded inverse cache under client churn")
 	payloads, err := c.Disperse(data)
 	if err != nil {
@@ -152,12 +152,12 @@ func TestInverseCacheLRUEviction(t *testing.T) {
 	}
 	recon(0, 1) // subset A
 	recon(2, 3) // subset B
-	if got := c.CachedInverses(); got != 2 {
+	if got := len(c.invCache); got != 2 {
 		t.Fatalf("cache size = %d, want 2", got)
 	}
 	recon(0, 1) // touch A: B becomes LRU
 	recon(4, 5) // subset C evicts B
-	if got := c.CachedInverses(); got != 2 {
+	if got := len(c.invCache); got != 2 {
 		t.Fatalf("cache size after churn = %d, want 2", got)
 	}
 	// Every subset still reconstructs correctly whether cached or not,
@@ -165,30 +165,9 @@ func TestInverseCacheLRUEviction(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		a := trial % 5
 		recon(a, a+1)
-		if got := c.CachedInverses(); got > 2 {
+		if got := len(c.invCache); got > 2 {
 			t.Fatalf("cache size %d exceeds limit 2", got)
 		}
-	}
-}
-
-// TestSetInverseCacheLimitShrinks evicts immediately when the limit
-// drops below the current population.
-func TestSetInverseCacheLimitShrinks(t *testing.T) {
-	c, _ := NewCodec(2, 8)
-	data := []byte("shrink the cache")
-	payloads, _ := c.Disperse(data)
-	for a := 0; a < 6; a += 2 {
-		shards := []Shard{{Seq: a, Data: payloads[a]}, {Seq: a + 1, Data: payloads[a+1]}}
-		if _, err := c.Reconstruct(shards, len(data)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := c.CachedInverses(); got != 3 {
-		t.Fatalf("cache size = %d, want 3", got)
-	}
-	c.SetInverseCacheLimit(1)
-	if got := c.CachedInverses(); got != 1 {
-		t.Fatalf("cache size after shrink = %d, want 1", got)
 	}
 }
 

@@ -89,7 +89,7 @@ func TestServerBlocksReconstruct(t *testing.T) {
 			got = append(got, blk)
 		}
 	}
-	out, err := ida.ReconstructFile(got)
+	out, err := ida.ReconstructFileInto(got, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,9 @@ var (
 	stSlots = obs.Default().Counter("pin_station_slots_total",
 		"Slots emitted by station serve loops, idle slots included.")
 	stIdleSlots = obs.Default().Counter("pin_station_idle_slots_total",
-		"Idle slots emitted by station serve loops.")
+		"Slots that went out empty: idle in the program and, on a paced station, not reclaimed.")
+	stReclaimed = obs.Default().Counter("pin_station_reclaimed_slots_total",
+		"Slots idle in the program in which a paced station sent a further block of a broadcast file.")
 	stLateness = obs.Default().Histogram("pin_station_slot_lateness_us",
 		"How far past its due time each paced slot left the serve loop, in microseconds.")
 	stResyncs = obs.Default().Counter("pin_station_pacer_resyncs_total",

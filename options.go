@@ -140,6 +140,16 @@ func WithDatabase(db *RTDatabase, mode Mode) Option {
 // stopped process) does not burst: it restarts the schedule from now and
 // increments pin_station_pacer_resyncs_total. Zero (the default) means
 // consumer-paced: the loop emits as fast as the receiver drains it.
+//
+// On a paced channel a slot the program leaves idle is air nobody uses,
+// so a paced station sends a further block of a file it already
+// broadcasts in all but a few of them (internal/reclaim has the plan;
+// pin_station_reclaimed_slots_total counts them). Every scheduled slot
+// still carries exactly the block Program.BlockAt names, so the
+// emission is a superset of the program and every bound computed from
+// the program — contracts, WorstLatency, admission — still holds;
+// reclaimed blocks are best effort and promised to nobody. A
+// consumer-paced stream is left alone: its idle slots take no time.
 func WithSlotInterval(d time.Duration) Option {
 	return func(c *stationConfig) error {
 		if d < 0 {

@@ -171,8 +171,11 @@ func WithCache(policy CachePolicy, capacity int) ReceiverOption {
 // one the station actually serves; if the stream carries a generation
 // swap (an online Admit/Evict re-aligned the program), the receiver
 // falls back to continuous listening, as a real client would until it
-// re-reads the index. Use NewTuner to analyze the index overhead
-// itself.
+// re-reads the index. The receiver decides from the program before it
+// looks at the block, so it sleeps through the blocks a paced station
+// sends in idle slots (WithSlotInterval): its tuning time is unchanged
+// and it gains nothing from them. Use NewTuner to analyze the index
+// overhead itself.
 func WithSchedule(prog *Program) ReceiverOption {
 	return func(c *receiverConfig) error {
 		if prog == nil {

@@ -8,13 +8,16 @@ import (
 
 	"pinbcast/internal/core"
 	"pinbcast/internal/obs"
+	"pinbcast/internal/reclaim"
 	"pinbcast/internal/rtdb"
 	"pinbcast/internal/server"
 )
 
 // Slot is one emission of the broadcast loop: slot T of the infinite
-// program carries one AIDA block of one file (or nothing, when the
-// program leaves the slot idle).
+// program carries one AIDA block of one file, or nothing when the
+// program leaves the slot idle — except on a paced station, which sends
+// a further block of one of its files in most such slots (see
+// WithSlotInterval).
 type Slot struct {
 	// T is the absolute slot index since Serve started, across program
 	// generations.
@@ -24,7 +27,8 @@ type Slot struct {
 	// data-cycle boundary.
 	Generation int
 	// File is the name of the file whose block occupies the slot, or ""
-	// for an idle slot.
+	// for an idle slot. In a slot Program.BlockAt calls idle, a block is
+	// a reclaimed one.
 	File string
 	// Seq is the dispersed block sequence number within the file's AIDA
 	// rotation (meaningless for idle slots).
@@ -48,7 +52,8 @@ type generation struct {
 	files   []FileSpec
 	program *Program
 	srv     *server.Server
-	cycle   int // program data cycle, the admission boundary
+	cycle   int            // program data cycle, the admission boundary
+	fill    *reclaim.Table // what a paced station sends in the program's idle slots; nil when unpaced
 }
 
 // Station is a long-lived broadcast-disk service: it owns schedule
@@ -57,7 +62,9 @@ type generation struct {
 // can be admitted and evicted online; changes take effect at the next
 // data-cycle boundary (§2.3), where the outgoing program's block
 // rotation ends; a retrieval in flight across the swap is bounded by
-// one window per generation it touched.
+// one window per generation it touched. A paced station (WithSlotInterval)
+// also fills the slots its program leaves idle; each generation plans
+// its own filling, which changes with the program at the same boundary.
 //
 // A Station is safe for concurrent use: Admit and Evict may be called
 // while Serve streams.
@@ -155,13 +162,19 @@ func (st *Station) build(files []FileSpec, base *server.Server) (*generation, er
 	stBuildMicros.Observe(uint64(time.Since(start).Microseconds()))
 	stFilesEncoded.Add(uint64(srv.Encoded()))
 	st.nextID++
-	return &generation{
+	gen := &generation{
 		id:      st.nextID,
 		files:   files,
 		program: prog,
 		srv:     srv,
 		cycle:   prog.DataCycle(),
-	}, nil
+	}
+	// An idle slot wastes air only where slots are time-division; on a
+	// consumer-paced stream it is an 8-byte frame that takes no time.
+	if st.interval > 0 {
+		gen.fill = reclaim.Plan(prog, files, st.bandwidth)
+	}
+	return gen, nil
 }
 
 // Layout returns the name of the station's layout strategy.
@@ -220,7 +233,8 @@ func (st *Station) Directory() map[uint32]string {
 // loop may be active at a time; a second call returns ErrServing.
 //
 // Idle program slots are delivered as Slots with a nil Block so that
-// consumers observe real slot timing.
+// consumers observe real slot timing (a paced station leaves few: see
+// WithSlotInterval).
 //
 // A paced stream never skips a slot: a consumer that stops reading
 // stalls the loop, and on resuming gets the buffered slots, then those
@@ -325,7 +339,12 @@ func (st *Station) serveLoop(ctx context.Context, out chan<- Slot) {
 		st.mu.Unlock()
 
 		slot := Slot{T: t, Generation: gen.id}
-		if file, seq := gen.program.BlockAt(localT); file != core.Idle {
+		file, seq := gen.program.BlockAt(localT)
+		reclaimed := file == core.Idle && gen.fill != nil
+		if reclaimed {
+			file, seq = gen.fill.At(localT % gen.program.Period)
+		}
+		if file != core.Idle {
 			slot.File = gen.program.Files[file].Name
 			slot.Seq = seq
 			slot.Block, slot.Payload = gen.srv.Block(file, seq)
@@ -355,9 +374,12 @@ func (st *Station) serveLoop(ctx context.Context, out chan<- Slot) {
 		stSlots.Inc()
 		if slot.Block == nil {
 			stIdleSlots.Inc()
-		} else {
-			traceRing.Emit(obs.SlotServed, -1, slot.Block.FileID, uint64(t), uint64(gen.id))
+			continue
 		}
+		if reclaimed {
+			stReclaimed.Inc()
+		}
+		traceRing.Emit(obs.SlotServed, -1, slot.Block.FileID, uint64(t), uint64(gen.id))
 	}
 }
 
