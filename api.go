@@ -1,11 +1,6 @@
 package pinbcast
 
 import (
-	"math/rand"
-	"time"
-
-	"pinbcast/internal/algebra"
-	"pinbcast/internal/cache"
 	"pinbcast/internal/channel"
 	"pinbcast/internal/client"
 	"pinbcast/internal/core"
@@ -99,9 +94,6 @@ func BuildGeneralizedProgram(files []GenFileSpec) (*GeneralizedResult, error) {
 // (Figures 5–6).
 func FlatSpread(files []FileSpec) (*Program, error) { return core.FlatSpread(files) }
 
-// FlatSequential builds the naive back-to-back flat baseline program.
-func FlatSequential(files []FileSpec) (*Program, error) { return core.FlatSequential(files) }
-
 // Information dispersal (internal/ida).
 type (
 	// Block is a self-identifying AIDA block.
@@ -146,24 +138,9 @@ type (
 	Schedule = pinwheel.Schedule
 )
 
-// SchedulePinwheel runs the scheduler portfolio on a pinwheel system.
-func SchedulePinwheel(s TaskSystem) (*Schedule, error) { return pinwheel.Solve(s, nil) }
-
 // DensityTestCC is Chan & Chin's sufficient schedulability test
 // (density ≤ 7/10).
 func DensityTestCC(s TaskSystem) bool { return pinwheel.DensityTestCC(s) }
-
-// Pinwheel algebra (internal/algebra).
-type (
-	// BroadcastCondition is bc(i, m, d⃗) from §4.
-	BroadcastCondition = algebra.BC
-	// NiceConjunct is a nice conjunct of pinwheel conditions.
-	NiceConjunct = algebra.NiceConjunct
-)
-
-// ConvertCondition searches for a minimum-density nice conjunct
-// implying the broadcast condition, certified by the forcing engine.
-func ConvertCondition(b BroadcastCondition) (NiceConjunct, error) { return algebra.Convert(b) }
 
 // Retrieval protocol and channel faults (internal/client,
 // internal/channel).
@@ -177,60 +154,12 @@ type (
 	FaultModel = channel.FaultModel
 )
 
-// Client cache management (internal/cache): replacement policies for a
-// Receiver's reconstructed-file cache (WithCache), after Acharya,
-// Franklin & Zdonik's broadcast-disk cache study cited in §1.
-type (
-	// CachePolicy chooses replacement victims for a receiver cache.
-	CachePolicy = cache.Policy
-)
-
-// LRUPolicy returns a least-recently-used replacement policy.
-func LRUPolicy() CachePolicy { return cache.NewLRU() }
-
-// LFUPolicy returns a least-frequently-used replacement policy.
-func LFUPolicy() CachePolicy { return cache.NewLFU() }
-
-// PIXPolicy returns Acharya et al.'s P-inverse-X policy: evict the item
-// with the lowest ratio of access probability to broadcast frequency —
-// an item broadcast often is cheap to lose even when popular. Get the
-// frequency map from BroadcastFrequencies.
-func PIXPolicy(frequency map[string]float64) CachePolicy { return cache.NewPIX(frequency) }
-
-// RandomPolicy returns the random-replacement baseline, drawing victims
-// from the injected generator (nil for a fixed default seed).
-func RandomPolicy(rng *rand.Rand) CachePolicy { return cache.NewRandom(rng) }
-
-// BroadcastFrequencies returns each file's slots per period in the
-// program — the x of the PIX policy.
-func BroadcastFrequencies(p *Program) map[string]float64 { return cache.BroadcastFrequencies(p) }
-
-// NoFaults returns the fault-free channel.
-func NoFaults() FaultModel { return channel.None{} }
-
 // BernoulliFaults returns the paper's independent block-error model.
 func BernoulliFaults(p float64, seed int64) FaultModel { return channel.NewBernoulli(p, seed) }
-
-// BernoulliFaultsFrom is BernoulliFaults drawing from an injected
-// generator (nil for a fixed default seed), so a simulation can share
-// one reproducible random stream across its fault models, cache
-// policies (RandomPolicy) and workload generators.
-func BernoulliFaultsFrom(p float64, rng *rand.Rand) FaultModel {
-	return channel.NewBernoulliFrom(p, rng)
-}
 
 // BurstFaults returns a Gilbert–Elliott bursty loss model.
 func BurstFaults(pGoodToBad, pBadToGood, pLossWhileBad float64, seed int64) FaultModel {
 	return channel.NewGilbertElliott(pGoodToBad, pBadToGood, pLossWhileBad, seed)
-}
-
-// BurstFaultsFrom is BurstFaults drawing from an injected generator
-// (nil for a fixed default seed). Like every fault model it plugs into
-// the whole fault seam: WithReceiverFaults on a Receiver,
-// WithTunerFaults on a MultiTuner (one model and one generator per
-// channel: they are driven concurrently), SimConfig on a simulation.
-func BurstFaultsFrom(pGoodToBad, pBadToGood, pLossWhileBad float64, rng *rand.Rand) FaultModel {
-	return channel.NewGilbertElliottFrom(pGoodToBad, pBadToGood, pLossWhileBad, rng)
 }
 
 // SlotFaults returns the deterministic adversary that corrupts exactly
@@ -252,16 +181,3 @@ type (
 	// Mode is an operation mode scaling per-item criticality.
 	Mode = rtdb.Mode
 )
-
-// NewRTDatabase returns a database with the given latency unit.
-func NewRTDatabase(unit time.Duration, items ...RTItem) *RTDatabase {
-	return &RTDatabase{Unit: unit, Items: items}
-}
-
-// Admit applies density-based admission control: candidate joins the
-// admitted set at bandwidth b only if every guarantee is preserved.
-// Rejections wrap ErrAdmission. For a running broadcast, use
-// Station.Admit, which also rebuilds and swaps the program.
-func Admit(admitted []FileSpec, candidate FileSpec, b int) ([]FileSpec, error) {
-	return rtdb.Admit(admitted, candidate, b)
-}

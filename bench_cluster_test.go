@@ -121,17 +121,16 @@ func BenchmarkMultiTuner(b *testing.B) {
 	}
 	srcs := make([]pinbcast.Source, len(slots))
 	for i, ch := range slots {
-		rec, err := pinbcast.Record(pinbcast.SlotSource(ch), 512)
-		if err != nil {
-			b.Fatal(err)
+		loop := &loopReplay{}
+		for len(loop.slots) < 512 {
+			loop.slots = append(loop.slots, <-ch)
 		}
-		srcs[i] = &loopReplay{slots: rec.Slots()}
+		srcs[i] = loop
 	}
 	cancel()
-	plan := c.FetchPlan()
 	mt, err := pinbcast.NewMultiTuner(srcs,
 		pinbcast.WithTunerDirectory(c.Directory()),
-		pinbcast.WithTunerHomes(plan),
+		pinbcast.WithTunerHomes(c.FetchPlan()),
 	)
 	if err != nil {
 		b.Fatal(err)
@@ -140,7 +139,7 @@ func BenchmarkMultiTuner(b *testing.B) {
 	var out []pinbcast.ClusterResult
 	check := zeroalloc.Start(b)
 	for i := 0; i < b.N; i++ {
-		if err := mt.RequestVia("hot-a", 0, plan["hot-a"]); err != nil {
+		if err := mt.Request("hot-a", 0); err != nil { // follows the plan of WithTunerHomes
 			b.Fatal(err)
 		}
 		out, err = mt.RunInto(context.Background(), out[:0])

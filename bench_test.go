@@ -127,28 +127,10 @@ func BenchmarkIDADispersalLevel(b *testing.B) {
 	}
 }
 
-// E11 — client cache policy comparison.
-func BenchmarkCachePolicies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.CachePolicies(1000, 9); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // E12 — multi-disk vs pinwheel layouts.
 func BenchmarkMultidiskVsPinwheel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := exp.MultidiskVsPinwheel(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// E13 — (1,m) air-index tradeoff.
-func BenchmarkAirIndexTradeoff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.AirIndexTradeoff([]int{1, 2, 4}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -256,9 +238,9 @@ func benchRecordingOf(b *testing.B, files []pinbcast.FileSpec) (*pinbcast.Statio
 	if err != nil {
 		b.Fatal(err)
 	}
-	rec, err := pinbcast.Record(pinbcast.SlotSource(slots), 4*st.Program().DataCycle())
-	if err != nil {
-		b.Fatal(err)
+	rec := &pinbcast.Recording{}
+	for n := 4 * st.Program().DataCycle(); rec.Len() < n; {
+		rec.Send(<-slots)
 	}
 	cancel()
 	for range slots {
@@ -365,7 +347,7 @@ func BenchmarkReceiverReconstruct(b *testing.B) {
 }
 
 // BenchmarkServeFanoutPipeline measures the full networked data plane
-// in steady state: Station serve loop → Pump → TCP Fanout → framed
+// in steady state: Station serve loop → Broadcast → TCP Fanout → framed
 // wire → TCPSource (buffer reuse on) → Receiver protocol step. MB/s is
 // wire payload throughput; the per-slot cost covers framing, one
 // loopback round, frame decode and block classification, at 0

@@ -312,8 +312,8 @@ func TestSharedFramesSurviveFaultInjection(t *testing.T) {
 	for _, f := range files {
 		reqs = append(reqs, Request{File: f.Name})
 	}
-	rcv, err := Subscribe(SlotSource(slots), WithRequests(reqs...),
-		WithReceiverFaults(BernoulliFaultsFrom(0.05, rand.New(rand.NewSource(5)))))
+	rcv, err := Subscribe(SlotSource(slots), withRequests(reqs...),
+		WithReceiverFaults(BernoulliFaults(0.05, 5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestSharedFramesSurviveFaultInjection(t *testing.T) {
 	rep, err := Simulate(SimConfig{
 		Program:  st.Program(),
 		Contents: contents,
-		Fault:    BernoulliFaultsFrom(0.05, rand.New(rand.NewSource(6))),
+		Fault:    BernoulliFaults(0.05, 6),
 		Clients:  []ClientSpec{{Requests: reqs}},
 	})
 	if err != nil {

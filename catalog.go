@@ -26,13 +26,6 @@ func IVHSCatalog(nSegments int, seed int64) []FileSpec {
 // item's AIDA redundancy.
 func AWACSCatalog() *RTDatabase { return workload.AWACS() }
 
-// VideoCatalog returns a video-on-demand workload (§1's interactive-TV
-// motivation): nStreams streams whose frames must arrive at a steady
-// cadence. Latencies are in frame times.
-func VideoCatalog(nStreams int, seed int64) []FileSpec {
-	return workload.Video(nStreams, seed)
-}
-
 // CatalogContents fabricates deterministic file contents sized to the
 // specs (blockSize bytes per block) — the dispersal payloads the
 // examples and simulations broadcast.

@@ -16,7 +16,6 @@ func catalogCases(t *testing.T) map[string][]FileSpec {
 	return map[string][]FileSpec{
 		"ivhs":  IVHSCatalog(1, 1),
 		"awacs": awacs,
-		"video": VideoCatalog(3, 1),
 	}
 }
 

@@ -14,42 +14,30 @@ import (
 
 // Shard is a catalog-partitioning policy: it maps each file of a
 // catalog to a primary broadcast channel in [0, K). Three policies ship
-// with the package — HashShard (stateless, name-addressable),
-// HotColdShard (frequency tiers on dedicated channels, after
-// Acharya–Franklin–Zdonik), and BalancedShard (levels per-channel
-// bandwidth demand, keeping the per-channel LatencyProfile as even as
-// the catalog allows) — and applications may register their own with
-// RegisterShard.
+// with the package, selected by name (WithShardName, LookupShard);
+// applications plug in their own by value with WithShard.
 type Shard = cluster.Shard
-
-// HashShard returns the stateless policy: FNV-32a of the file name
-// modulo K, so a file's home is computable from its name alone.
-func HashShard() Shard { return cluster.HashShard{} }
-
-// HotColdShard returns the frequency-tiered policy: the hotter half of
-// the catalog (by bandwidth share, the access-frequency proxy) is
-// spread over the first ⌈K/2⌉ channels, the cold half over the rest.
-func HotColdShard() Shard { return cluster.HotColdShard{} }
-
-// BalancedShard returns the latency-balancing policy: files are placed
-// hottest-first on the channel with the least accumulated bandwidth
-// demand, which keeps per-channel Equation-2 bandwidths — and with them
-// the per-channel latency profiles — as even as the catalog allows.
-func BalancedShard() Shard { return cluster.BalancedShard{} }
 
 // Built-in shard policy names.
 const (
-	ShardHash     = "hash"
-	ShardHotCold  = "hot-cold"
+	// ShardHash is the stateless policy: FNV-32a of the file name modulo
+	// K, so a file's home is computable from its name alone.
+	ShardHash = "hash"
+	// ShardHotCold is the frequency-tiered policy (after
+	// Acharya–Franklin–Zdonik): the hotter half of the catalog (by
+	// bandwidth share, the access-frequency proxy) is spread over the
+	// first ⌈K/2⌉ channels, the cold half over the rest.
+	ShardHotCold = "hot-cold"
+	// ShardBalanced is the latency-balancing policy: files are placed
+	// hottest-first on the channel with the least accumulated bandwidth
+	// demand, which keeps per-channel Equation-2 bandwidths — and with
+	// them the per-channel latency profiles — as even as the catalog
+	// allows.
 	ShardBalanced = "balanced"
 )
 
-var shards = newRegistry[Shard]("shard policy")
-
-// RegisterShard adds a shard policy to the global registry, making it
-// selectable by name in WithShardName and the cmd/ binaries. It returns
-// ErrBadSpec when the name is empty or already taken.
-func RegisterShard(s Shard) error { return shards.register(s) }
+var shards = newRegistry[Shard]("shard policy",
+	cluster.HashShard{}, cluster.HotColdShard{}, cluster.BalancedShard{})
 
 // LookupShard returns the registered shard policy with the given name.
 func LookupShard(name string) (Shard, bool) { return shards.lookup(name) }
@@ -57,14 +45,6 @@ func LookupShard(name string) (Shard, bool) { return shards.lookup(name) }
 // ShardNames returns the names of all registered shard policies,
 // sorted.
 func ShardNames() []string { return shards.names() }
-
-func init() {
-	for _, s := range []Shard{HashShard(), HotColdShard(), BalancedShard()} {
-		if err := RegisterShard(s); err != nil {
-			panic(err)
-		}
-	}
-}
 
 // Cluster is a sharded multi-channel broadcast deployment: a
 // coordinator that partitions one catalog across K Stations (one
@@ -136,9 +116,9 @@ type ClusterContract struct {
 
 // NewCluster plans and builds a sharded broadcast cluster from
 // functional options. At least WithClusterFiles, WithClusterContents
-// and WithChannels are needed; the shard policy
-// defaults to BalancedShard, replication to min(2, K) copies of the
-// hottest ¼ of the catalog.
+// and WithChannels are needed; the shard policy defaults to
+// ShardBalanced, replication to min(2, K) copies of the hottest ¼ of
+// the catalog.
 //
 //	c, err := pinbcast.NewCluster(
 //		pinbcast.WithChannels(3),
@@ -308,7 +288,7 @@ func (c *Cluster) Replicated(name string) bool {
 }
 
 // Lost returns the files the cluster no longer carries anywhere, with
-// the reason each was lost (wrapping ErrDegraded), sorted by name.
+// the reason each was lost (wrapping ErrDegraded), keyed by file name.
 func (c *Cluster) Lost() map[string]error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"net"
+	"slices"
 	"testing"
 	"time"
+
+	"pinbcast/internal/cluster"
 )
 
 // clusterCatalog is the deterministic six-file catalog the cluster
@@ -30,7 +33,7 @@ func testCluster(t *testing.T, opts ...ClusterOption) *Cluster {
 		WithChannels(3),
 		WithReplicas(2),
 		WithReplicateHottest(2),
-		WithShard(BalancedShard()),
+		WithShard(cluster.BalancedShard{}), // the by-value seam; the other tests go by name
 		WithClusterBandwidth(2),
 		WithClusterFiles(files...),
 		WithClusterContents(CatalogContents(files, 64, 1)),
@@ -116,18 +119,17 @@ func TestClusterBuildValidation(t *testing.T) {
 }
 
 func TestShardRegistry(t *testing.T) {
-	names := ShardNames()
 	want := []string{ShardBalanced, ShardHash, ShardHotCold}
-	if len(names) < 3 {
-		t.Fatalf("ShardNames = %v", names)
+	if names := ShardNames(); !slices.Equal(names, want) {
+		t.Fatalf("ShardNames = %v, want %v", names, want)
 	}
 	for _, w := range want {
 		if s, ok := LookupShard(w); !ok || s.Name() != w {
 			t.Fatalf("LookupShard(%q) = %v, %v", w, s, ok)
 		}
 	}
-	if err := RegisterShard(HashShard()); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("duplicate RegisterShard: %v", err)
+	if s, ok := LookupShard("mystery"); ok {
+		t.Fatalf("LookupShard of an unknown name found %v", s)
 	}
 }
 
@@ -448,7 +450,7 @@ func TestClusterFailoverLossAndRevocation(t *testing.T) {
 	c, err := NewCluster(
 		WithChannels(2),
 		WithReplicateHottest(1), // big-a replicated on both channels
-		WithShard(BalancedShard()),
+		WithShardName(ShardBalanced),
 		WithClusterFiles(files...),
 		WithClusterContents(CatalogContents(files, 32, 1)),
 	)

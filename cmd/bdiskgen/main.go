@@ -187,7 +187,7 @@ func runRegular(s spec, bandwidth int) error {
 		}
 		// Other layouts bound nothing: report the measured profile
 		// against the window the pinwheel layout would have guaranteed.
-		mean, worst := pinbcast.LatencyProfile(p, i)
+		mean, worst := p.LatencyProfile(i)
 		fmt.Printf("  %-12s m=%d r=%d mean=%.1f worst=%d (vs window %d) slots/period=%d δ=%d\n",
 			f.Name, f.Blocks, f.Faults, mean, worst, bandwidth*f.Latency, p.PerPeriod(i), p.MaxGap(i))
 	}

@@ -48,8 +48,9 @@ func goldenContracts(t *testing.T) map[string]any {
 		n := len(cat.files)
 		reads := []string{cat.files[0].Name, cat.files[n/3].Name, cat.files[n/2].Name, cat.files[n-1].Name}
 		for _, layout := range cat.layouts {
+			l, _ := pinbcast.LookupLayout(layout)
 			st, err := pinbcast.New(
-				pinbcast.WithFiles(cat.files...), pinbcast.WithContents(contents), pinbcast.WithLayoutName(layout))
+				pinbcast.WithFiles(cat.files...), pinbcast.WithContents(contents), pinbcast.WithLayout(l))
 			check(err)
 			var issued []pinbcast.Contract
 			c, err := st.Negotiate(churn, make([]byte, 4*64))

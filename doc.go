@@ -46,32 +46,34 @@
 // the emission is a superset of the program, so every bound holds.
 //
 // Schedulers are pluggable: the paper's portfolio members (Sa, Sx,
-// EDF, the two-distinct specialization, exact search) are registered
-// under names, selectable per Station with WithSchedulers or
-// WithSchedulerNames, and applications may register their own with
-// RegisterScheduler. Every schedule is re-verified against its task
-// system before a program is built from it.
+// EDF, the two-distinct specialization, exact search) are found by
+// name (LookupScheduler) and selected per Station with WithSchedulers,
+// which takes an application's own Scheduler by value just as well.
+// Every schedule is re-verified against its task system before a
+// program is built from it.
 //
 // # Workloads & QoS
 //
 // The declarative QoS pipeline is catalog → layout → negotiate →
 // guarantee. Catalogs export the paper's motivating workloads
-// (IVHSCatalog, AWACSCatalog, VideoCatalog); a Layout decides how the
-// broadcast program is constructed — the registry holds the paper's
+// (IVHSCatalog, AWACSCatalog); a Layout decides how the broadcast
+// program is constructed — LookupLayout finds the paper's
 // worst-case-bounded "pinwheel" construction (§3, the default), the
 // Acharya–Franklin–Zdonik "tiered" Broadcast-Disk layout it is argued
-// against in §1 (AutoTier, mean-latency optimal, bounds nothing), and
-// the "flat-spread"/"flat-sequential" baselines of Figures 5–6 —
-// selectable per build (BuildConfig.Layout), per Station (WithLayout,
-// WithLayoutName) or by name on the CLIs. LatencyProfile and
-// WeightedMeanLatency analyze any layout's program.
+// against in §1 (auto-tiered by latency, mean-latency optimal, bounds
+// nothing), and the "flat-spread"/"flat-sequential" baselines of
+// Figures 5–6 — passed by value per build (BuildConfig.Layout) or per
+// Station (WithLayout), chosen by name on the CLIs.
+// Program.LatencyProfile and Program.WeightedMeanLatency analyze any
+// layout's program.
 //
 // Transactions make the paper's headline guarantee concrete: a Txn is
-// a read set with a firm deadline in slots; GuaranteeTxn decides it
-// analytically from the windows B·Tᵢ, TxnLatency/TxnWorstLatency
-// measure it exactly on any program, and MaxStaleness composes
-// retrieval with refresh for §1's absolute temporal-consistency
-// constraints. On a live Station the same discipline runs online:
+// a read set with a firm deadline in slots, and
+// TxnLatency/TxnWorstLatency measure it exactly on any program. On a
+// live Station the guarantee is negotiated online — analytically from
+// the windows B·Tᵢ on the pinwheel layout, with retrieval and refresh
+// composed into a staleness bound for §1's absolute
+// temporal-consistency constraints:
 //
 //	contract, err := station.AdmitTxn(pinbcast.Txn{
 //		Name: "trip", Reads: []string{"traffic-00", "route-map"}, Deadline: 1800,
@@ -99,26 +101,23 @@
 //		pinbcast.WithDirectory(station.Directory()),
 //		pinbcast.WithRequest("traffic", deadline),
 //		pinbcast.WithReceiverFaults(pinbcast.BernoulliFaults(0.02, 1)),
-//		pinbcast.WithCache(pinbcast.PIXPolicy(freqs), 64),
 //	)
 //	results, err := receiver.Run(ctx) // collect until every request completes
 //
 // Reception faults are injected with the same fault models the
-// simulator uses; reconstructed files can be cached under pluggable
-// replacement policies (PIXPolicy, LRUPolicy, LFUPolicy, RandomPolicy
-// — the Acharya–Franklin–Zdonik cache-management axis §1 cites); and a
-// receiver given the broadcast schedule (WithSchedule) dozes through
-// irrelevant slots, splitting access latency from tuning time as in
-// Imielinski et al.'s (1, m) air indexing, which NewTuner analyzes
-// directly.
+// simulator uses, and a receiver given the broadcast schedule
+// (WithSchedule) dozes through irrelevant slots, splitting access
+// latency from tuning time as in Imielinski et al.'s (1, m) air
+// indexing.
 //
 // # The Cluster
 //
 // One channel is one Station; a production deployment runs many. The
 // Cluster shards a catalog across K Stations (coordinator → K channels
-// → MultiTuner) under a pluggable Shard policy (HashShard,
-// HotColdShard, BalancedShard, or RegisterShard your own), replicates
-// the hottest files (HottestFiles) on R ≥ 2 channels — quorum-style:
+// → MultiTuner) under a pluggable Shard policy (ShardHash,
+// ShardHotCold, ShardBalanced by name, or your own by value),
+// replicates the hottest files (HottestFiles) on R ≥ 2 channels —
+// quorum-style:
 // any K−R+1 live channels still carry every replicated file, so R−1
 // whole-channel deaths are survived without repair, the
 // Goemans–Lynch–Saias regime layered over the paper's per-channel IDA
@@ -163,8 +162,8 @@
 //   - recorded: Recording captures any stream (it is itself a Sink)
 //     and replays it any number of times via Recording.Source
 //
-// One Receiver runs unchanged against all three. Pump glues a served
-// stream to a sink; Station.Broadcast is Serve+Pump in one call.
+// One Receiver runs unchanged against all three. Station.Broadcast
+// serves a station's stream into a sink.
 //
 // # Performance
 //
@@ -245,8 +244,6 @@
 //	internal/server    broadcast server
 //	internal/channel   fault-injecting channel models
 //	internal/client    reconstructing client protocol
-//	internal/cache     client cache policies (PIX, LRU, LFU, random)
-//	internal/airindex  (1, m) indexing on air
 //	internal/transport framed TCP fan-out
 //	internal/cluster   shard policies, replica planning, channel health
 //	internal/obs       metrics registry, trace ring, exposition
@@ -283,7 +280,7 @@
 // closing a channel parameter must declare it send-only — chan<- T —
 // so ownership is visible in the signature); cancelflow requires every
 // blocking operation reachable from a long-running entry point (Serve,
-// Run, Drive, Broadcast, Pump) to be gated by a cancellation signal
+// Run, Drive, Broadcast) to be gated by a cancellation signal
 // (ctx.Done, a stop channel, a timer, or a select default) somewhere
 // on the path; slotmath requires schedule-quantity products and shifts
 // to go through the checked internal/slotmath helpers and divisions by

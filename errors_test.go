@@ -22,18 +22,21 @@ func TestErrBadSpecFromCore(t *testing.T) {
 }
 
 func TestErrBadSpecFromAlgebra(t *testing.T) {
-	_, err := ConvertCondition(BroadcastCondition{Task: "i", M: 0, D: []int{5}})
-	if !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("err = %v, want ErrBadSpec", err)
-	}
-	_, err = BuildGeneralizedProgram([]GenFileSpec{{Name: "A", Blocks: 2, Latencies: nil}})
-	if !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("generalized: err = %v, want ErrBadSpec", err)
+	// bc(i, 0, [5]) and a condition without a latency vector, through
+	// the generalized construction that converts them.
+	for _, bad := range []GenFileSpec{
+		{Name: "i", Blocks: 0, Latencies: []int{5}},
+		{Name: "A", Blocks: 2, Latencies: nil},
+	} {
+		if _, err := BuildGeneralizedProgram([]GenFileSpec{bad}); !errors.Is(err, ErrBadSpec) {
+			t.Fatalf("%+v: err = %v, want ErrBadSpec", bad, err)
+		}
 	}
 }
 
 func TestErrBadSpecFromPinwheel(t *testing.T) {
-	_, err := SchedulePinwheel(TaskSystem{{A: 0, B: 3}})
+	portfolio, _ := LookupScheduler(SchedulerPortfolio)
+	_, err := portfolio.Schedule(TaskSystem{{A: 0, B: 3}})
 	if !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("err = %v, want ErrBadSpec", err)
 	}
@@ -112,14 +115,17 @@ func TestErrSchedulerFailed(t *testing.T) {
 }
 
 func TestErrAdmission(t *testing.T) {
-	admitted := []FileSpec{{Name: "A", Blocks: 3, Latency: 10}}
-	_, err := Admit(admitted, FileSpec{Name: "flood", Blocks: 50, Latency: 10}, 1)
+	st, err := New(WithFile(FileSpec{Name: "A", Blocks: 3, Latency: 10}, make([]byte, 3)), WithBandwidth(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = st.Admit(FileSpec{Name: "flood", Blocks: 50, Latency: 10}, make([]byte, 50))
 	if !errors.Is(err, ErrAdmission) {
 		t.Fatalf("err = %v, want ErrAdmission", err)
 	}
 	// Candidates that cannot fit any window at the bandwidth are also
 	// admission failures, not crashes.
-	_, err = Admit(admitted, FileSpec{Name: "huge", Blocks: 300, Latency: 1}, 1)
+	err = st.Admit(FileSpec{Name: "huge", Blocks: 300, Latency: 1}, make([]byte, 300))
 	if !errors.Is(err, ErrAdmission) && !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("infeasible candidate: err = %v, want typed", err)
 	}

@@ -42,7 +42,7 @@ func main() {
 		pinbcast.WithChannels(3),
 		pinbcast.WithReplicas(2),
 		pinbcast.WithReplicateHottest(3),
-		pinbcast.WithShard(pinbcast.BalancedShard()),
+		pinbcast.WithShardName(pinbcast.ShardBalanced),
 		pinbcast.WithClusterBandwidth(bw),
 		pinbcast.WithClusterFiles(files...),
 		pinbcast.WithClusterContents(contents),
@@ -100,7 +100,7 @@ func main() {
 
 	fetch := func(label string, reqs ...string) {
 		for _, name := range reqs {
-			if err := mt.RequestVia(name, 0, stalePlan[name]); err != nil {
+			if err := mt.Request(name, 0); err != nil { // follows the plan of WithTunerHomes
 				log.Fatal(err)
 			}
 		}

@@ -49,8 +49,8 @@ func main() {
 	// resolve each catalog entry by name before profiling it.
 	fmt.Printf("\n%-14s %8s %14s %16s\n", "file", "window", "tiered worst", "pinwheel worst")
 	for _, f := range files[:3] {
-		_, tw := pinbcast.LatencyProfile(tieredProg, tieredProg.FileIndex(f.Name))
-		_, pw := pinbcast.LatencyProfile(pinProg, pinProg.FileIndex(f.Name))
+		_, tw := tieredProg.LatencyProfile(tieredProg.FileIndex(f.Name))
+		_, pw := pinProg.LatencyProfile(pinProg.FileIndex(f.Name))
 		fmt.Printf("%-14s %8d %14d %16d\n", f.Name, bw*f.Latency, tw, pw)
 	}
 	uniform := make([]float64, len(files))
@@ -58,8 +58,8 @@ func main() {
 		uniform[i] = 1.0 / float64(len(files))
 	}
 	fmt.Printf("uniform weighted mean: tiered %.1f vs pinwheel %.1f slots\n",
-		pinbcast.WeightedMeanLatency(tieredProg, uniform),
-		pinbcast.WeightedMeanLatency(pinProg, uniform))
+		tieredProg.WeightedMeanLatency(uniform),
+		pinProg.WeightedMeanLatency(uniform))
 
 	// A live station on the pinwheel layout: only it can back contracts
 	// with construction-certified windows.

@@ -18,8 +18,7 @@ import (
 //	ln, _ := net.Listen("tcp", "127.0.0.1:0")
 //	fan := pinbcast.NewFanout(ln, 0)
 //	defer fan.Close()
-//	slots, _ := station.Serve(ctx)
-//	go pinbcast.Pump(slots, fan)
+//	go station.Broadcast(ctx, fan)
 //	// elsewhere, N times over:
 //	src, _ := pinbcast.DialSource(fan.Addr().String())
 //	rcv, _ := pinbcast.Subscribe(src, ...)
@@ -56,8 +55,8 @@ func (f *Fanout) Send(s Slot) error { return f.f.Send(s.T, s.Payload) }
 func (f *Fanout) Close() error { return f.f.Close() }
 
 // Broadcast serves the station's slot stream into a sink until ctx is
-// cancelled or the sink fails: Serve and Pump in one call. Like Serve
-// it is single-flight — a concurrent broadcast returns ErrServing.
+// cancelled or the sink fails. Like Serve it is single-flight — a
+// concurrent broadcast returns ErrServing.
 func (st *Station) Broadcast(ctx context.Context, sink Sink) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -65,7 +64,7 @@ func (st *Station) Broadcast(ctx context.Context, sink Sink) error {
 	if err != nil {
 		return err
 	}
-	err = Pump(slots, sink)
+	err = pump(slots, sink)
 	if err != nil {
 		// The sink died mid-stream: stop the serve loop and drain it so
 		// the station is immediately serviceable again.

@@ -9,7 +9,7 @@ import (
 
 // CancelFlow is the interprocedural generalization of goroleak: every
 // potentially-blocking operation reachable from a long-running entry
-// point (Serve, Run, Drive, Broadcast, Pump) must be gated by a
+// point (Serve, Run, Drive, Broadcast) must be gated by a
 // cancellation signal somewhere on its path, or the fault-budget story
 // collapses — a blocked serve loop is a fault the system cannot repair.
 //
@@ -32,7 +32,7 @@ import (
 // must already have a termination path) and is not re-flagged here.
 var CancelFlow = &Analyzer{
 	Name: "cancelflow",
-	Doc:  "require a ctx.Done/stop-channel gate on every blocking op reachable from Serve/Run/Drive/Broadcast/Pump",
+	Doc:  "require a ctx.Done/stop-channel gate on every blocking op reachable from Serve/Run/Drive/Broadcast",
 	Run:  runCancelFlow,
 }
 
@@ -43,7 +43,6 @@ var cancelEntryPoints = map[string]bool{
 	"Run":       true,
 	"Drive":     true,
 	"Broadcast": true,
-	"Pump":      true,
 }
 
 // A blockSite is one ungated potentially-blocking operation.

@@ -7,9 +7,9 @@ import (
 )
 
 // NoRand enforces the injected-randomness discipline: outside _test.go
-// files, all randomness must flow through an injected *rand.Rand (the
-// BernoulliFaultsFrom convention), so simulations and fault models are
-// deterministic and race-free by construction.
+// files, all randomness must flow through a *rand.Rand built from an
+// explicit seed (the BernoulliFaults convention), so simulations and
+// fault models are deterministic and race-free by construction.
 //
 // Diagnosed:
 //

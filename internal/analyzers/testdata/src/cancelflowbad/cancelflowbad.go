@@ -31,9 +31,12 @@ func Drive(a, b chan int) {
 	}
 }
 
-// Pump performs a bare receive from a data channel.
-func Pump(in chan int) int {
-	return <-in // want "blocking channel receive is reachable from entry point Pump"
+// relay.Drive performs a bare receive from a data channel; a method is
+// an entry point by its name, like a function.
+type relay struct{}
+
+func (relay) Drive(in chan int) int {
+	return <-in // want "blocking channel receive is reachable from entry point Drive"
 }
 
 // Broadcast spawns a goroutine whose send nothing gates; the literal's

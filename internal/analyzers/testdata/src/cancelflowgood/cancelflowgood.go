@@ -30,9 +30,11 @@ func Run(out chan int) {
 	}
 }
 
-// Pump delegates to a helper that is itself gated; the summary carries
-// nothing back.
-func Pump(in chan int, stop chan struct{}) {
+// relay.Serve delegates to a helper that is itself gated; the summary
+// carries nothing back.
+type relay struct{}
+
+func (relay) Serve(in chan int, stop chan struct{}) {
 	drain(in, stop)
 }
 

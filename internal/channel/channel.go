@@ -40,20 +40,10 @@ type Bernoulli struct {
 // NewBernoulli returns an iid loss model with the given probability and
 // seed.
 func NewBernoulli(p float64, seed int64) *Bernoulli {
-	return NewBernoulliFrom(p, rand.New(rand.NewSource(seed)))
-}
-
-// NewBernoulliFrom is NewBernoulli drawing from an injected generator,
-// so several models (or a model and a workload generator) can share one
-// reproducible random stream. A nil rng selects a fixed default seed.
-func NewBernoulliFrom(p float64, rng *rand.Rand) *Bernoulli {
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("channel: probability %v out of range", p))
 	}
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
-	}
-	return &Bernoulli{P: p, rng: rng}
+	return &Bernoulli{P: p, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Corrupts flips the model's coin for this slot.
@@ -76,26 +66,16 @@ type GilbertElliott struct {
 // NewGilbertElliott returns a burst-loss model starting in the Good
 // state.
 func NewGilbertElliott(pGB, pBG, pLoss float64, seed int64) *GilbertElliott {
-	return NewGilbertElliottFrom(pGB, pBG, pLoss, rand.New(rand.NewSource(seed)))
-}
-
-// NewGilbertElliottFrom is NewGilbertElliott drawing from an injected
-// generator, for reproducible composition with other randomized
-// components. A nil rng selects a fixed default seed.
-func NewGilbertElliottFrom(pGB, pBG, pLoss float64, rng *rand.Rand) *GilbertElliott {
 	for _, p := range []float64{pGB, pBG, pLoss} {
 		if p < 0 || p > 1 {
 			panic(fmt.Sprintf("channel: probability %v out of range", p))
 		}
 	}
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
-	}
 	return &GilbertElliott{
 		PGoodToBad: pGB,
 		PBadToGood: pBG,
 		PLossBad:   pLoss,
-		rng:        rng,
+		rng:        rand.New(rand.NewSource(seed)),
 	}
 }
 

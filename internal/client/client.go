@@ -30,10 +30,6 @@ type Result struct {
 	Data        []byte
 	BlocksUsed  int
 	Corrupted   int // corrupted receptions observed for this file
-	// FromCache marks a request served instantly from a client-side
-	// cache of previously reconstructed files (the receiver layer sets
-	// it; the core protocol never does).
-	FromCache bool
 }
 
 // Outcome classifies what one observed slot did for the client.
@@ -399,10 +395,6 @@ func (c *Client) Recycle(buf []byte) {
 	}
 	c.freeData = append(c.freeData, buf[:0])
 }
-
-// AddResult appends an externally produced result (the receiver layer
-// records cache hits through it).
-func (c *Client) AddResult(r Result) { c.results = append(c.results, r) }
 
 // Flush closes out incomplete requests as failures at the given final
 // slot, in the order they were requested (their blocks are discarded),

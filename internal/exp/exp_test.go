@@ -187,8 +187,8 @@ func TestAllRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 15 {
-		t.Fatalf("tables = %d, want 15", len(tables))
+	if len(tables) != 13 {
+		t.Fatalf("tables = %d, want 13", len(tables))
 	}
 	for _, tbl := range tables {
 		if s := tbl.String(); !strings.Contains(s, tbl.ID) {

@@ -2,93 +2,21 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
 
 	"pinbcast"
-	"pinbcast/internal/airindex"
-	"pinbcast/internal/cache"
 	"pinbcast/internal/core"
+	"pinbcast/internal/multidisk"
 	"pinbcast/internal/pinwheel"
 )
 
-// Extension experiments beyond the paper's own tables: the related-work
-// systems §1 cites (client caching, multi-disk layouts, indexing on
-// air) built and measured against the pinwheel construction, plus an
-// ablation of the scheduler portfolio's effect on error-recovery
-// spacing.
-
-// CachePolicies (E11) compares replacement policies on a skewed
-// broadcast program for a client whose preferences deviate from the
-// broadcast profile — the setting of §1's cache-management citations.
-func CachePolicies(queries int, seed int64) (*Table, error) {
-	files := []core.FileSpec{
-		{Name: "hot", Blocks: 1, Latency: 2},
-		{Name: "warm", Blocks: 1, Latency: 8},
-		{Name: "cool", Blocks: 1, Latency: 16},
-		{Name: "cold-1", Blocks: 1, Latency: 32},
-		{Name: "cold-2", Blocks: 1, Latency: 32},
-		{Name: "cold-3", Blocks: 1, Latency: 32},
-	}
-	prog, err := core.BuildProgram(files, 1)
-	if err != nil {
-		return nil, err
-	}
-	freqs := cache.BroadcastFrequencies(prog)
-	ranking := []int{5, 4, 3, 2, 1, 0} // client loves what the disk spins slowest
-	t := &Table{
-		ID:     "E11",
-		Title:  "client cache management — policy vs hit ratio and latency",
-		Header: []string{"policy", "hit ratio", "mean latency", "max latency"},
-	}
-	policies := []cache.Policy{
-		cache.NewLRU(),
-		cache.NewLFU(),
-		cache.NewPIX(freqs),
-		cache.NewRandom(rand.New(rand.NewSource(seed))),
-	}
-	for _, p := range policies {
-		rep, err := cache.SimulateAccess(cache.AccessConfig{
-			Program:  prog,
-			Capacity: 2,
-			Policy:   p,
-			Queries:  queries,
-			ZipfS:    1.7,
-			Ranking:  ranking,
-			Seed:     seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(rep.Policy, rep.HitRatio(), rep.MeanLatency, rep.MaxLatency)
-	}
-	// Prefetching (§1's other client-side citation) on top of PIX
-	// valuation.
-	for _, prefetch := range []bool{false, true} {
-		rep, err := cache.SimulatePrefetch(cache.PrefetchConfig{
-			Program:  prog,
-			Capacity: 2,
-			Queries:  queries,
-			ZipfS:    1.7,
-			Ranking:  ranking,
-			Seed:     seed,
-			Prefetch: prefetch,
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(rep.Policy, rep.HitRatio(), rep.MeanLatency, rep.MaxLatency)
-	}
-	t.Notes = append(t.Notes,
-		"PIX weighs access probability against broadcast frequency (Acharya et al.);",
-		"it keeps the rarely-broadcast items this client loves; prefetching fills the",
-		"cache from passing traffic without paying misses")
-	return t, nil
-}
+// Extension experiments beyond the paper's own tables: the multi-disk
+// layout §1 cites, built and measured against the pinwheel
+// construction, plus an ablation of the scheduler portfolio's effect on
+// error-recovery spacing.
 
 // MultidiskVsPinwheel (E12) contrasts the average-latency-optimal
 // tiered layout with the worst-case-bounded pinwheel layout on the
-// same workload — the paper's §1 motivation made quantitative, driven
-// through the public Layout seam exactly as an application would.
+// same workload — the paper's §1 motivation made quantitative.
 func MultidiskVsPinwheel() (*Table, error) {
 	files := []pinbcast.FileSpec{
 		{Name: "hot", Blocks: 2, Latency: 4},
@@ -97,15 +25,16 @@ func MultidiskVsPinwheel() (*Table, error) {
 		{Name: "cold-b", Blocks: 4, Latency: 32},
 	}
 	// The classic hand-tiering of AFZ '95: spin ratios 4/2/1 chosen for
-	// the skew, deaf to the latency windows. (AutoTier — the "tiered"
-	// layout — picks 8/2/1 here, which happens to meet every window on
-	// this workload; the explicit tiers keep the paper's contrast sharp.)
-	disks := []pinbcast.Disk{
+	// the skew, deaf to the latency windows. (multidisk.AutoTier — the
+	// "tiered" layout — picks 8/2/1 here, which happens to meet every
+	// window on this workload; the explicit tiers keep the paper's
+	// contrast sharp.)
+	disks := []multidisk.Disk{
 		{Frequency: 4, Files: files[:1]},
 		{Frequency: 2, Files: files[1:2]},
 		{Frequency: 1, Files: files[2:]},
 	}
-	md, err := pinbcast.BuildTiered(disks)
+	md, err := multidisk.BuildProgram(disks)
 	if err != nil {
 		return nil, err
 	}
@@ -124,8 +53,8 @@ func MultidiskVsPinwheel() (*Table, error) {
 			"pinwheel mean", "pinwheel worst", "pinwheel within window"},
 	}
 	for i, f := range files {
-		mdMean, mdWorst := pinbcast.LatencyProfile(md, i)
-		pwMean, pwWorst := pinbcast.LatencyProfile(pw, i)
+		mdMean, mdWorst := md.LatencyProfile(i)
+		pwMean, pwWorst := pw.LatencyProfile(i)
 		window := bw * f.Latency
 		if pwWorst > window {
 			return nil, fmt.Errorf("exp: pinwheel worst %d exceeds window %d for %s",
@@ -136,39 +65,6 @@ func MultidiskVsPinwheel() (*Table, error) {
 	t.Notes = append(t.Notes,
 		"the tiered multi-disk layout minimizes skew-weighted mean latency but bounds",
 		"nothing; the pinwheel program keeps every file inside its real-time window")
-	return t, nil
-}
-
-// AirIndexTradeoff (E13) sweeps the (1, m) index-copy count and reports
-// the latency/tuning tradeoff versus the paper's self-identifying
-// continuous-listening client (footnote 3).
-func AirIndexTradeoff(copies []int) (*Table, error) {
-	files := make([]core.FileSpec, 8)
-	for i := range files {
-		files[i] = core.FileSpec{Name: fmt.Sprintf("f%d", i), Blocks: 2, Latency: 1}
-	}
-	base, err := core.FlatSpread(files)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		ID:    "E13",
-		Title: "indexing on air — (1,m) copies vs latency and tuning time",
-		Header: []string{"index copies", "overhead", "mean latency", "mean tuning",
-			"continuous latency", "continuous tuning"},
-	}
-	for _, m := range copies {
-		p, err := airindex.Build(base, m)
-		if err != nil {
-			return nil, err
-		}
-		lat, tun := p.Sweep(0, 2)
-		rawLat, rawTun := p.SweepUnindexed(0, 2)
-		t.AddRow(m, p.Overhead(), lat, tun, rawLat, rawTun)
-	}
-	t.Notes = append(t.Notes,
-		"more copies cut tuning (energy) at a small latency overhead; the continuous",
-		"client pays its whole latency in tuning — the tradeoff behind footnote 3")
 	return t, nil
 }
 

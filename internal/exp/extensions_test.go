@@ -5,48 +5,6 @@ import (
 	"testing"
 )
 
-func TestCachePoliciesTable(t *testing.T) {
-	tbl, err := CachePolicies(2000, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 6 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	// PIX must post a mean latency no worse than any other policy
-	// (frequency-oblivious LFU can tie it when popularity and broadcast
-	// rarity coincide, as they do for this client).
-	var pix float64 = -1
-	means := map[string]float64{}
-	for _, row := range tbl.Rows {
-		var v float64
-		if _, err := sscan(row[2], &v); err != nil {
-			t.Fatal(err)
-		}
-		means[row[0]] = v
-		if row[0] == "PIX" {
-			pix = v
-		}
-	}
-	if pix < 0 {
-		t.Fatal("PIX row missing")
-	}
-	for _, name := range []string{"LRU", "LFU", "random"} {
-		v, ok := means[name]
-		if !ok {
-			t.Fatalf("policy %s missing", name)
-		}
-		if pix > v+1e-9 {
-			t.Fatalf("PIX (%.2f) worse than %s (%.2f)", pix, name, v)
-		}
-	}
-	// Prefetching must not lose to its own demand-only baseline.
-	if means["PIX + prefetch"] > means["PIX demand-only"]+1e-9 {
-		t.Fatalf("prefetch (%.2f) worse than demand-only (%.2f)",
-			means["PIX + prefetch"], means["PIX demand-only"])
-	}
-}
-
 func TestMultidiskVsPinwheelTable(t *testing.T) {
 	tbl, err := MultidiskVsPinwheel()
 	if err != nil {
@@ -72,38 +30,6 @@ func TestMultidiskVsPinwheelTable(t *testing.T) {
 	}
 	if !violated {
 		t.Fatal("multi-disk met every window; comparison lost its point")
-	}
-}
-
-func TestAirIndexTradeoffTable(t *testing.T) {
-	tbl, err := AirIndexTradeoff([]int{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 3 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	// Overhead grows with copies; indexed tuning is always below the
-	// continuous client's.
-	prevOverhead := -1.0
-	for _, row := range tbl.Rows {
-		var overhead, tun, rawTun float64
-		if _, err := sscan(row[1], &overhead); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sscan(row[3], &tun); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sscan(row[5], &rawTun); err != nil {
-			t.Fatal(err)
-		}
-		if overhead <= prevOverhead {
-			t.Fatalf("overhead not increasing: %v", row)
-		}
-		prevOverhead = overhead
-		if tun >= rawTun {
-			t.Fatalf("indexed tuning %v not below continuous %v", tun, rawTun)
-		}
 	}
 }
 

@@ -79,23 +79,12 @@ func (b *Block) seal(frame []byte) {
 	binary.BigEndian.PutUint32(frame[18:], crc)
 }
 
-// Unmarshal decodes a block previously encoded with Marshal, verifying
-// its checksum. A corrupted block yields ErrBadChecksum. The returned
-// block owns a fresh copy of the payload; use UnmarshalInto to decode
-// into a reusable block.
-func Unmarshal(data []byte) (*Block, error) {
-	b := new(Block)
-	if err := UnmarshalInto(data, b); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
 // UnmarshalInto decodes a block previously encoded with Marshal into b,
-// verifying its checksum. b's existing Payload backing array is reused
-// when large enough, so a receive loop decoding into the same scratch
-// block runs allocation-free. The payload is copied out of data; b does
-// not alias it.
+// verifying its checksum (a corrupted block yields ErrBadChecksum). b's
+// existing Payload backing array is reused when large enough, so a
+// receive loop decoding into the same scratch block runs
+// allocation-free. The payload is copied out of data; b does not alias
+// it.
 //
 //pinlint:hotpath
 func UnmarshalInto(data []byte, b *Block) error {

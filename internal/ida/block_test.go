@@ -16,8 +16,8 @@ func TestBlockMarshalRoundTrip(t *testing.T) {
 		Length:  1234,
 		Payload: []byte("payload bytes"),
 	}
-	got, err := Unmarshal(b.Marshal())
-	if err != nil {
+	var got Block
+	if err := UnmarshalInto(b.Marshal(), &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.FileID != b.FileID || got.Seq != b.Seq || got.M != b.M ||
@@ -29,8 +29,8 @@ func TestBlockMarshalRoundTrip(t *testing.T) {
 func TestBlockMarshalRoundTripQuick(t *testing.T) {
 	f := func(id uint32, seq, m, n uint16, length uint32, payload []byte) bool {
 		b := &Block{FileID: id, Seq: seq, M: m, N: n, Length: length, Payload: payload}
-		got, err := Unmarshal(b.Marshal())
-		if err != nil {
+		var got Block
+		if err := UnmarshalInto(b.Marshal(), &got); err != nil {
 			return false
 		}
 		return got.FileID == id && got.Seq == seq && got.M == m && got.N == n &&
@@ -47,7 +47,7 @@ func TestUnmarshalDetectsCorruption(t *testing.T) {
 	for pos := 0; pos < len(raw); pos++ {
 		bad := append([]byte(nil), raw...)
 		bad[pos] ^= 0xff
-		if _, err := Unmarshal(bad); err == nil {
+		if err := UnmarshalInto(bad, new(Block)); err == nil {
 			// Flipping the payload-length field may produce a length error
 			// instead of a checksum error, but it must never succeed.
 			t.Fatalf("corruption at byte %d went undetected", pos)
@@ -56,7 +56,7 @@ func TestUnmarshalDetectsCorruption(t *testing.T) {
 }
 
 func TestUnmarshalShortBlock(t *testing.T) {
-	if _, err := Unmarshal([]byte{1, 2, 3}); err == nil {
+	if err := UnmarshalInto([]byte{1, 2, 3}, new(Block)); err == nil {
 		t.Fatal("short block accepted")
 	}
 }
@@ -64,7 +64,7 @@ func TestUnmarshalShortBlock(t *testing.T) {
 func TestUnmarshalTruncatedPayload(t *testing.T) {
 	b := &Block{FileID: 1, Seq: 0, M: 1, N: 1, Length: 4, Payload: []byte("abcd")}
 	raw := b.Marshal()
-	if _, err := Unmarshal(raw[:len(raw)-2]); err == nil {
+	if err := UnmarshalInto(raw[:len(raw)-2], new(Block)); err == nil {
 		t.Fatal("truncated block accepted")
 	}
 }
@@ -127,24 +127,6 @@ func TestReconstructFileEmpty(t *testing.T) {
 	}
 }
 
-func TestScaleForFaults(t *testing.T) {
-	if got := ScaleForFaults(5, 0); got != 5 {
-		t.Fatalf("ScaleForFaults(5,0) = %d", got)
-	}
-	if got := ScaleForFaults(5, 3); got != 8 {
-		t.Fatalf("ScaleForFaults(5,3) = %d", got)
-	}
-}
-
-func TestOverhead(t *testing.T) {
-	if got := Overhead(5, 10); got != 1.0 {
-		t.Fatalf("Overhead(5,10) = %v, want 1.0", got)
-	}
-	if got := Overhead(4, 5); got != 0.25 {
-		t.Fatalf("Overhead(4,5) = %v, want 0.25", got)
-	}
-}
-
 func BenchmarkBlockMarshal(b *testing.B) {
 	blk := &Block{FileID: 1, Seq: 2, M: 5, N: 10, Length: 4096, Payload: make([]byte, 820)}
 	b.ReportAllocs()
@@ -158,7 +140,7 @@ func BenchmarkBlockUnmarshal(b *testing.B) {
 	raw := blk.Marshal()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Unmarshal(raw); err != nil {
+		if err := UnmarshalInto(raw, new(Block)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -212,8 +212,8 @@ func TestMarshalIntoRoundTrip(t *testing.T) {
 	buf2 := blk.MarshalInto(nil)
 	blk2 := &Block{FileID: 7, Seq: 1, M: 1, N: 2, Length: 3, Payload: []byte("xyz")}
 	buf2 = blk2.MarshalInto(buf2[:0])
-	got2, err := Unmarshal(buf2)
-	if err != nil {
+	var got2 Block
+	if err := UnmarshalInto(buf2, &got2); err != nil {
 		t.Fatal(err)
 	}
 	if got2.FileID != 7 || !bytes.Equal(got2.Payload, []byte("xyz")) {

@@ -189,16 +189,3 @@ func Plan(files []core.FileSpec) (*core.Program, error) {
 	}
 	return BuildProgram(disks)
 }
-
-// LatencyProfile reports mean and worst-case fault-free retrieval
-// latency of a file over every start slot.
-func LatencyProfile(p *core.Program, file int) (mean float64, worst int) {
-	return p.LatencyProfile(file)
-}
-
-// WeightedMeanLatency returns the access-probability-weighted mean
-// latency over all files — the objective the multi-disk layout
-// optimizes. probs must sum to 1 across files.
-func WeightedMeanLatency(p *core.Program, probs []float64) float64 {
-	return p.WeightedMeanLatency(probs)
-}

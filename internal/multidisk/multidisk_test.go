@@ -62,8 +62,8 @@ func TestHotFilesHaveLowerMeanLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hotMean, _ := LatencyProfile(p, 0)
-	coldMean, _ := LatencyProfile(p, 2)
+	hotMean, _ := p.LatencyProfile(0)
+	coldMean, _ := p.LatencyProfile(2)
 	if hotMean >= coldMean {
 		t.Fatalf("hot mean %.1f not below cold mean %.1f", hotMean, coldMean)
 	}
@@ -98,7 +98,7 @@ func TestMultidiskVsPinwheelTradeoff(t *testing.T) {
 	}
 	// Pinwheel guarantees: every file's worst case is within its window.
 	for i, f := range files {
-		_, worst := LatencyProfile(pw, i)
+		_, worst := pw.LatencyProfile(i)
 		if worst > bw*f.Latency {
 			t.Fatalf("pinwheel worst case %d exceeds window %d for %s", worst, bw*f.Latency, f.Name)
 		}
@@ -107,7 +107,7 @@ func TestMultidiskVsPinwheelTradeoff(t *testing.T) {
 	// judged at the same slot rate (its period ignores deadlines).
 	violated := false
 	for i, f := range files {
-		_, worst := LatencyProfile(md, i)
+		_, worst := md.LatencyProfile(i)
 		if worst > bw*f.Latency {
 			violated = true
 			_ = i
@@ -126,8 +126,8 @@ func TestWeightedMeanLatency(t *testing.T) {
 	}
 	uniform := []float64{0.25, 0.25, 0.25, 0.25}
 	skewed := []float64{0.7, 0.2, 0.05, 0.05}
-	wUniform := WeightedMeanLatency(p, uniform)
-	wSkewed := WeightedMeanLatency(p, skewed)
+	wUniform := p.WeightedMeanLatency(uniform)
+	wSkewed := p.WeightedMeanLatency(skewed)
 	// The layout favors the hot file, so the skewed weighting (matching
 	// the layout) must yield a lower weighted mean.
 	if wSkewed >= wUniform {
@@ -166,8 +166,8 @@ func TestAutoTier(t *testing.T) {
 	}
 	// The hot file spins 8× as often as a cold one, so its mean
 	// retrieval latency must be lower.
-	hotMean, _ := LatencyProfile(p, 0)
-	coldMean, _ := LatencyProfile(p, 2)
+	hotMean, _ := p.LatencyProfile(0)
+	coldMean, _ := p.LatencyProfile(2)
 	if hotMean >= coldMean {
 		t.Fatalf("hot mean %.1f not below cold mean %.1f", hotMean, coldMean)
 	}

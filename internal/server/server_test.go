@@ -63,8 +63,8 @@ func TestEmitMarshalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := srv.Emit(0)
-	blk, err := ida.Unmarshal(raw)
-	if err != nil {
+	var blk ida.Block
+	if err := ida.UnmarshalInto(raw, &blk); err != nil {
 		t.Fatal(err)
 	}
 	if blk.FileID != FileID("A") {

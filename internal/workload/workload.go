@@ -1,8 +1,8 @@
 // Package workload generates the broadcast-disk workloads the paper's
 // introduction motivates: IVHS (Intelligent Vehicle Highway System)
-// traffic dissemination, AWACS battlefield data, and video-on-demand —
-// plus parameterized random workloads for sweeps. All generators are
-// seeded and reproducible.
+// traffic dissemination and AWACS battlefield data — plus parameterized
+// random workloads for sweeps. All generators are seeded and
+// reproducible.
 package workload
 
 import (
@@ -94,26 +94,6 @@ func AWACS() *rtdb.Database {
 			},
 		},
 	}
-}
-
-// Video returns a video-on-demand workload: nStreams streams whose
-// frames must arrive at a steady cadence (interactive-TV set-top boxes,
-// §1). Latencies in frame times.
-func Video(nStreams int, seed int64) []core.FileSpec {
-	if nStreams < 1 {
-		panic("workload: need at least one stream")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	files := make([]core.FileSpec, nStreams)
-	for i := range files {
-		files[i] = core.FileSpec{
-			Name:    fmt.Sprintf("stream-%02d", i),
-			Blocks:  4 + rng.Intn(4), // a group of pictures
-			Latency: 30 + rng.Intn(30),
-			Faults:  1,
-		}
-	}
-	return files
 }
 
 // Random returns n random file specifications with sizes in

@@ -48,16 +48,6 @@ func TestAWACSDatabase(t *testing.T) {
 	}
 }
 
-func TestVideoValidates(t *testing.T) {
-	files := Video(6, 3)
-	if err := core.ValidateAll(files); err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 6 {
-		t.Fatalf("streams = %d", len(files))
-	}
-}
-
 func TestRandomBounds(t *testing.T) {
 	files := Random(50, 8, 10, 100, 3, 99)
 	for _, f := range files {
@@ -99,7 +89,6 @@ func TestContentsSizedToSpecs(t *testing.T) {
 func TestPanicsOnBadParams(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"IVHS":   func() { IVHS(0, 1) },
-		"Video":  func() { Video(0, 1) },
 		"Random": func() { Random(0, 1, 1, 1, 0, 1) },
 		"Unit":   func() { RandomUnitSystemFiles(0, 0.5, 1) },
 	} {

@@ -25,9 +25,8 @@ import (
 //     Figures 5–6 (Bresenham spacing minimizes δ).
 //   - "flat-sequential" — the naive back-to-back flat baseline.
 //
-// Applications may register their own with RegisterLayout and select
-// them per Build (BuildConfig.Layout) or per Station (WithLayout /
-// WithLayoutName).
+// LookupLayout finds them by name; applications plug in their own by
+// value, per Build (BuildConfig.Layout) or per Station (WithLayout).
 type Layout interface {
 	// Name identifies the layout in registries and flags.
 	Name() string
@@ -48,17 +47,12 @@ func (l layoutFunc) Plan(files []FileSpec, bandwidth int) (*Program, error) {
 	return l.plan(files, bandwidth)
 }
 
-// NewLayout wraps a plain planning function as a Layout.
-func NewLayout(name string, plan func(files []FileSpec, bandwidth int) (*Program, error)) Layout {
-	return layoutFunc{name: name, plan: plan}
-}
-
-var layouts = newRegistry[Layout]("layout")
-
-// RegisterLayout adds a layout to the global registry, making it
-// selectable by name in WithLayoutName and the cmd/ binaries. It
-// returns ErrBadSpec when the name is empty or already taken.
-func RegisterLayout(l Layout) error { return layouts.register(l) }
+var layouts = newRegistry[Layout]("layout",
+	pinwheelLayout{},
+	layoutFunc{LayoutTiered, func(files []FileSpec, _ int) (*Program, error) { return multidisk.Plan(files) }},
+	layoutFunc{LayoutFlatSpread, func(files []FileSpec, _ int) (*Program, error) { return core.FlatSpread(files) }},
+	layoutFunc{LayoutFlatSequential, func(files []FileSpec, _ int) (*Program, error) { return core.FlatSequential(files) }},
+)
 
 // LookupLayout returns the registered layout with the given name.
 func LookupLayout(name string) (Layout, bool) { return layouts.lookup(name) }
@@ -75,7 +69,7 @@ const (
 )
 
 // pinwheelLayout is the registered "pinwheel" layout. It is a distinct
-// type (not a NewLayout closure) so that Build and Station.plan can
+// type (not a layoutFunc closure) so that Build and Station.plan can
 // recognize the built-in construction structurally and compose it with
 // the configured scheduler chain; a third-party layout that merely
 // reuses the name is dispatched like any other custom layout.
@@ -97,57 +91,4 @@ func isBuiltinPinwheel(l Layout) bool {
 	}
 	_, ok := l.(pinwheelLayout)
 	return ok
-}
-
-func init() {
-	for _, l := range []Layout{
-		pinwheelLayout{},
-		NewLayout(LayoutTiered, func(files []FileSpec, _ int) (*Program, error) {
-			return multidisk.Plan(files)
-		}),
-		NewLayout(LayoutFlatSpread, func(files []FileSpec, _ int) (*Program, error) {
-			return core.FlatSpread(files)
-		}),
-		NewLayout(LayoutFlatSequential, func(files []FileSpec, _ int) (*Program, error) {
-			return core.FlatSequential(files)
-		}),
-	} {
-		if err := RegisterLayout(l); err != nil {
-			panic(err)
-		}
-	}
-}
-
-// Tiered Broadcast Disks (internal/multidisk), promoted for direct use.
-type (
-	// Disk is one tier of a multi-disk broadcast: a relative spinning
-	// frequency and the files stored on it.
-	Disk = multidisk.Disk
-)
-
-// AutoTier partitions files into frequency-tiered disks by latency
-// constraint: a file of latency L lands on a disk of relative frequency
-// 2^⌊log₂ Lmax/L⌋, so tightly-constrained files spin fastest. This is
-// the partitioning the "tiered" layout applies.
-func AutoTier(files []FileSpec) ([]Disk, error) { return multidisk.AutoTier(files) }
-
-// BuildTiered builds the interleaved multi-disk program for explicit
-// tiers; use AutoTier (or the "tiered" layout) to derive tiers from
-// latency constraints.
-func BuildTiered(disks []Disk) (*Program, error) { return multidisk.BuildProgram(disks) }
-
-// LatencyProfile reports the mean and worst-case fault-free retrieval
-// latency of file i of the program over every start slot — the
-// analytics behind the paper's multi-disk-versus-pinwheel comparison,
-// applicable to any layout's program.
-func LatencyProfile(p *Program, file int) (mean float64, worst int) {
-	return p.LatencyProfile(file)
-}
-
-// WeightedMeanLatency returns the access-probability-weighted mean
-// retrieval latency over all files of the program — the objective the
-// tiered layout optimizes and the pinwheel construction deliberately
-// does not. probs must have one entry per file and sum to 1.
-func WeightedMeanLatency(p *Program, probs []float64) float64 {
-	return p.WeightedMeanLatency(probs)
 }

@@ -2,6 +2,7 @@ package pinbcast
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -18,15 +19,9 @@ func TestLayoutRegistry(t *testing.T) {
 	if _, ok := LookupLayout("no-such-layout"); ok {
 		t.Fatal("unknown layout resolved")
 	}
-	if err := RegisterLayout(NewLayout("", nil)); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("nameless layout: err = %v", err)
-	}
-	if err := RegisterLayout(NewLayout(LayoutPinwheel, nil)); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("duplicate layout: err = %v", err)
-	}
-	names := LayoutNames()
-	if len(names) < 4 {
-		t.Fatalf("registered layouts: %v", names)
+	want := []string{LayoutFlatSequential, LayoutFlatSpread, LayoutPinwheel, LayoutTiered}
+	if names := LayoutNames(); !slices.Equal(names, want) {
+		t.Fatalf("registered layouts: %v, want %v", names, want)
 	}
 }
 
@@ -47,7 +42,7 @@ func TestBuildWithEachLayout(t *testing.T) {
 		}
 		// Every layout's program answers the shared analytics.
 		for i := range files {
-			mean, worst := LatencyProfile(p, i)
+			mean, worst := p.LatencyProfile(i)
 			if mean <= 0 || worst < int(mean) {
 				t.Fatalf("layout %q file %d: mean %.1f worst %d", name, i, mean, worst)
 			}
@@ -68,8 +63,8 @@ func TestTieredLayoutFavorsHotFiles(t *testing.T) {
 	if p.PerPeriod(0) <= p.PerPeriod(1) {
 		t.Fatalf("hot %d slots vs cold %d: tiering lost", p.PerPeriod(0), p.PerPeriod(1))
 	}
-	hotMean, _ := LatencyProfile(p, 0)
-	coldMean, _ := LatencyProfile(p, 1)
+	hotMean, _ := p.LatencyProfile(0)
+	coldMean, _ := p.LatencyProfile(1)
 	if hotMean >= coldMean {
 		t.Fatalf("hot mean %.1f not below cold mean %.1f", hotMean, coldMean)
 	}
@@ -81,24 +76,20 @@ func TestTieredLayoutFavorsHotFiles(t *testing.T) {
 	}
 }
 
+// TestAutoTierFacade: the "tiered" layout is the façade of the
+// automatic tiering — latencies 2 and 16 land on disks spinning 8 : 1.
 func TestAutoTierFacade(t *testing.T) {
 	files := []FileSpec{
 		{Name: "hot", Blocks: 1, Latency: 2},
 		{Name: "cold", Blocks: 1, Latency: 16},
 	}
-	disks, err := AutoTier(files)
+	tiered, _ := LookupLayout(LayoutTiered)
+	p, err := tiered.Plan(files, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(disks) != 2 || disks[0].Frequency != 8 || disks[1].Frequency != 1 {
-		t.Fatalf("disks = %+v", disks)
-	}
-	p, err := BuildTiered(disks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.PerPeriod(0) != 8 {
-		t.Fatalf("hot slots per major cycle = %d", p.PerPeriod(0))
+	if hot, cold := p.PerPeriod(p.FileIndex("hot")), p.PerPeriod(p.FileIndex("cold")); hot != 8 || cold != 1 {
+		t.Fatalf("slots per major cycle: hot %d cold %d, want 8 and 1", hot, cold)
 	}
 }
 
@@ -108,7 +99,8 @@ func TestStationWithLayout(t *testing.T) {
 		{Name: "cold", Blocks: 2, Latency: 16},
 	}
 	contents := map[string][]byte{"hot": []byte("h"), "cold": []byte("cold data")}
-	st, err := New(WithFiles(files...), WithContents(contents), WithLayoutName(LayoutTiered))
+	tiered, _ := LookupLayout(LayoutTiered)
+	st, err := New(WithFiles(files...), WithContents(contents), WithLayout(tiered))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +119,6 @@ func TestStationWithLayout(t *testing.T) {
 		t.Fatalf("default layout = %q", def.Layout())
 	}
 	if _, err := New(WithFiles(files...), WithContents(contents),
-		WithLayoutName("no-such-layout")); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("unknown layout name: err = %v", err)
-	}
-	if _, err := New(WithFiles(files...), WithContents(contents),
 		WithLayout(nil)); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("nil layout: err = %v", err)
 	}
@@ -140,10 +128,10 @@ func TestCustomLayoutNamedPinwheelIsHonored(t *testing.T) {
 	// Only the built-in pinwheel layout is special-cased; a custom
 	// layout that reuses the name must still be dispatched.
 	called := false
-	custom := NewLayout(LayoutPinwheel, func(files []FileSpec, _ int) (*Program, error) {
+	custom := layoutFunc{LayoutPinwheel, func(files []FileSpec, _ int) (*Program, error) {
 		called = true
 		return FlatSpread(files)
-	})
+	}}
 	files := []FileSpec{{Name: "A", Blocks: 2, Latency: 4}}
 	p, err := Build(BuildConfig{Files: files, Layout: custom})
 	if err != nil {

@@ -47,6 +47,7 @@ import (
 type MultiTuner struct {
 	chans []*mtChannel
 	det   *cluster.Detector
+	homes map[string][]int // the fetch plan of WithTunerHomes; read-only after construction
 
 	mu        sync.Mutex
 	reqs      map[string]*mtRequest // unfinished requests only, as in client.Client
@@ -147,8 +148,10 @@ func WithTunerDirectory(names map[uint32]string) MultiTunerOption {
 }
 
 // WithTunerHomes supplies the fetch plan: for each file, the channels
-// carrying it, cheapest first (Cluster.FetchPlan). Requests for files
-// absent from the plan scan every live channel.
+// carrying it, cheapest first (Cluster.FetchPlan). Every request made
+// without a plan of its own — WithTunerRequest, MultiTuner.Request —
+// follows it; requests for files absent from the plan scan every live
+// channel.
 func WithTunerHomes(homes map[string][]int) MultiTunerOption {
 	return func(c *multiTunerConfig) error {
 		if c.homes == nil {
@@ -161,25 +164,19 @@ func WithTunerHomes(homes map[string][]int) MultiTunerOption {
 	}
 }
 
-// WithTunerRequests registers files to retrieve, with per-request
-// relative deadlines in slots (0 = none), clocked per attachment on the
-// serving channel.
-func WithTunerRequests(reqs ...Request) MultiTunerOption {
+// WithTunerRequest registers one file to retrieve by the given relative
+// deadline in slots (0 = none), clocked per attachment on the serving
+// channel.
+func WithTunerRequest(file string, deadline int) MultiTunerOption {
 	return func(c *multiTunerConfig) error {
-		c.requests = append(c.requests, reqs...)
+		c.requests = append(c.requests, Request{File: file, Deadline: deadline})
 		return nil
 	}
 }
 
-// WithTunerRequest registers one file to retrieve by the given relative
-// deadline in slots (0 = none).
-func WithTunerRequest(file string, deadline int) MultiTunerOption {
-	return WithTunerRequests(Request{File: file, Deadline: deadline})
-}
-
 // WithTunerFaults injects one reception fault model per channel —
 // independent media have independent fault processes, so stateful
-// models (BurstFaultsFrom) must not be shared across channels. Slots a
+// models (BurstFaults) must not be shared across channels. Slots a
 // model corrupts reach the channel's protocol as garbled blocks, which
 // the checksum rejects. The slice must have exactly one entry per
 // source (nil entries leave that channel fault-free).
@@ -222,6 +219,7 @@ func NewMultiTuner(srcs []Source, opts ...MultiTunerOption) (*MultiTuner, error)
 	}
 	mt := &MultiTuner{
 		det:      cluster.NewDetector(len(srcs), cfg.threshold),
+		homes:    cfg.homes,
 		reqs:     map[string]*mtRequest{},
 		done:     make(chan struct{}, 1),
 		shutdown: make(chan struct{}),
@@ -242,7 +240,7 @@ func NewMultiTuner(srcs []Source, opts ...MultiTunerOption) (*MultiTuner, error)
 		}
 	}
 	for _, req := range cfg.requests {
-		if err := mt.RequestVia(req.File, req.Deadline, cfg.homes[req.File]); err != nil {
+		if err := mt.Request(req.File, req.Deadline); err != nil {
 			return nil, err
 		}
 	}
@@ -250,19 +248,19 @@ func NewMultiTuner(srcs []Source, opts ...MultiTunerOption) (*MultiTuner, error)
 }
 
 // Request asks for one file with a relative deadline in slots (0 =
-// none), fetched in scan mode: every live channel collects it and the
-// first to complete wins. Use RequestVia with a fetch plan for the
-// cheapest-channel policy. Requesting a file already pending wraps
-// ErrBadSpec.
+// none), fetched by the tuner's plan for it (WithTunerHomes). A file the
+// plan does not name — every file, when no plan was given — is fetched
+// in scan mode: every live channel collects it and the first to
+// complete wins. Requesting a file already pending wraps ErrBadSpec.
 func (mt *MultiTuner) Request(file string, deadline int) error {
-	return mt.RequestVia(file, deadline, nil)
+	return mt.RequestVia(file, deadline, mt.homes[file])
 }
 
-// RequestVia asks for one file with an explicit fetch plan: the
-// channels carrying the file, cheapest first (one entry of
-// Cluster.FetchPlan). The request attaches to the first live channel of
-// the plan and hops down the plan as channels die; with the plan
-// exhausted (or nil) it scans every live channel.
+// RequestVia asks for one file with an explicit fetch plan, overriding
+// the tuner's own: the channels carrying the file, cheapest first (one
+// entry of Cluster.FetchPlan). The request attaches to the first live
+// channel of the plan and hops down the plan as channels die; with the
+// plan exhausted (or nil) it scans every live channel.
 func (mt *MultiTuner) RequestVia(file string, deadline int, order []int) error {
 	if file == "" {
 		return fmt.Errorf("pinbcast: request without a file name: %w", ErrBadSpec)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -21,7 +22,7 @@ func recordChannels(t *testing.T, c *Cluster, n int) []*Recording {
 	}
 	recs := make([]*Recording, len(slots))
 	for i, ch := range slots {
-		rec, err := Record(SlotSource(ch), n)
+		rec, err := recordN(SlotSource(ch), n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +77,7 @@ func TestMultiTunerHopOnEOF(t *testing.T) {
 	mt, err := NewMultiTuner(srcs,
 		WithTunerDirectory(c.Directory()),
 		WithTunerHomes(map[string][]int{"hot-a": plan["hot-a"]}),
-		WithTunerRequests(Request{File: "hot-a", Deadline: 0}),
+		WithTunerRequest("hot-a", 0),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +203,7 @@ func TestMultiTunerMatchesReceiver(t *testing.T) {
 	rcv, err := Subscribe(rec.Source(),
 		WithDirectory(c.Directory()),
 		WithReceiverFaults(SlotFaults(kill...)),
-		WithRequests(reqs...),
+		withRequests(reqs...),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +216,7 @@ func TestMultiTunerMatchesReceiver(t *testing.T) {
 	mt, err := NewMultiTuner([]Source{rec.Source()},
 		WithTunerDirectory(c.Directory()),
 		WithTunerFaults(SlotFaults(kill...)),
-		WithTunerRequests(reqs...),
+		withTunerRequests(reqs...),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +336,7 @@ func TestMultiTunerFlushRequestOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, name := range order {
-			if err := mt.RequestVia(name, 0, plan[name]); err != nil {
+			if err := mt.Request(name, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -357,5 +358,98 @@ func TestMultiTunerFlushRequestOrder(t *testing.T) {
 			t.Fatalf("run %d: still pending %v", run, mt.Pending())
 		}
 		mt.Close()
+	}
+}
+
+// TestMultiTunerRequestFollowsHomes: the plan of WithTunerHomes is the
+// tuner's, not the constructor's — a Request made after construction
+// attaches to the plan's first live channel only, exactly like
+// RequestVia with that plan, and a file the plan does not name scans
+// every live channel.
+func TestMultiTunerRequestFollowsHomes(t *testing.T) {
+	c := testCluster(t)
+	recs := recordChannels(t, c, 16)
+	plan := c.FetchPlan()
+	hot := plan["hot-a"]
+	if len(hot) != 2 {
+		t.Fatalf("hot-a plan = %v, want two carriers", hot)
+	}
+	attached := func(mt *MultiTuner, file string) []int {
+		mt.mu.Lock()
+		defer mt.mu.Unlock()
+		return append([]int(nil), mt.reqs[file].attached...)
+	}
+	for _, tc := range []struct {
+		name string
+		dead int // channel whose source is nil (known dead), -1 for none
+		want []int
+	}{
+		{"first carrier live", -1, hot[:1]},
+		{"first carrier dead", hot[0], hot[1:]},
+	} {
+		srcs := make([]Source, len(recs))
+		for i, rec := range recs {
+			if i != tc.dead {
+				srcs[i] = rec.Source()
+			}
+		}
+		mt, err := NewMultiTuner(srcs, WithTunerDirectory(c.Directory()),
+			WithTunerHomes(map[string][]int{"hot-a": hot}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mt.Request("hot-a", 0); err != nil {
+			t.Fatal(err)
+		}
+		if got := attached(mt, "hot-a"); !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("%s: planned request attached to %v, want %v", tc.name, got, tc.want)
+		}
+		if err := mt.Request("warm", 0); err != nil { // not in the plan: scan mode
+			t.Fatal(err)
+		}
+		if got, live := attached(mt, "warm"), len(recs)-len(mt.Metrics().DeadChannels); len(got) != live {
+			t.Fatalf("%s: unplanned request attached to %v, want all %d live channels", tc.name, got, live)
+		}
+		mt.Close()
+	}
+}
+
+// TestMultiTunerCloseMidRunOverRecordings: Close documents ending a run
+// in flight by closing its sources, which over Recording replays is a
+// Close concurrent with Next — a data race on the replay cursor until
+// Close took the recording's lock (run under -race).
+func TestMultiTunerCloseMidRunOverRecordings(t *testing.T) {
+	rec := &Recording{}
+	for i := 0; i < 1<<16; i++ {
+		rec.Send(Slot{T: i}) // idle air: the request below can never complete
+	}
+	mt, err := NewMultiTuner([]Source{rec.Source(), rec.Source()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mt.Request("never-broadcast", 0); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan []ClusterResult, 1)
+	go func() {
+		results, _ := mt.Run(context.Background())
+		done <- results
+	}()
+	for m := mt.Metrics(); m.SlotsPerChannel[0] == 0 || m.SlotsPerChannel[1] == 0; m = mt.Metrics() {
+		runtime.Gosched() // both drivers are inside their Next loops
+	}
+	if err := mt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case results := <-done:
+		if len(results) != 1 || results[0].Completed || results[0].Channel != -1 {
+			t.Fatalf("run ended by Close produced %+v", results)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("run still in flight 5 s after Close")
+	}
+	if m := mt.Metrics(); m.SlotsPerChannel[0] >= rec.Len() && m.SlotsPerChannel[1] >= rec.Len() {
+		t.Logf("both replays ran out before Close (%v slots): the race window was missed", m.SlotsPerChannel)
 	}
 }

@@ -77,20 +77,6 @@ func WithSchedulers(schedulers ...Scheduler) Option {
 	}
 }
 
-// WithSchedulerNames selects registered schedulers by name, in order.
-func WithSchedulerNames(names ...string) Option {
-	return func(c *stationConfig) error {
-		for _, name := range names {
-			s, err := schedulers.named(name)
-			if err != nil {
-				return err
-			}
-			c.schedulers = append(c.schedulers, s)
-		}
-		return nil
-	}
-}
-
 // WithLayout selects the broadcast-program construction strategy the
 // station (re)builds its programs with — on construction and on every
 // Admit, Evict and Negotiate. Without this option (or with the
@@ -104,15 +90,6 @@ func WithLayout(l Layout) Option {
 		}
 		c.layout = l
 		return nil
-	}
-}
-
-// WithLayoutName selects a registered layout by name.
-func WithLayoutName(name string) Option {
-	return func(c *stationConfig) error {
-		l, err := layouts.named(name)
-		c.layout = l
-		return err
 	}
 }
 
@@ -226,8 +203,8 @@ func WithReplicateHottest(n int) ClusterOption {
 	}
 }
 
-// WithShard selects the catalog-partitioning policy (default
-// BalancedShard).
+// WithShard selects the catalog-partitioning policy by value (default:
+// the ShardBalanced policy).
 func WithShard(s Shard) ClusterOption {
 	return func(c *clusterConfig) error {
 		if s == nil {

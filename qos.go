@@ -54,9 +54,9 @@ type qosEntry struct {
 // AdmitTxn negotiates a read-only transaction guarantee against the
 // current broadcast: the transaction is admitted only if every read
 // file's worst-case retrieval fits its deadline — analytically (the
-// pinwheel window bound B·Tᵢ of GuaranteeTxn) when the program was
-// built by the pinwheel layout, else by exact measurement on the
-// program. On success the returned Contract is recorded and every
+// pinwheel window bound B·Tᵢ) when the program was built by the
+// pinwheel layout, else by exact measurement on the program. On
+// success the returned Contract is recorded and every
 // future Admit, Evict and Negotiate is held to it. Rejections wrap
 // ErrAdmission (deadline unmeetable) or ErrBadSpec (malformed
 // transaction, unknown read item, duplicate contract name) and change
@@ -83,7 +83,7 @@ func (st *Station) AdmitTxn(x Txn) (Contract, error) {
 	c := Contract{
 		Name:              x.Name,
 		WorstLatencySlots: worst,
-		StalenessSlots:    MaxStaleness(worst, refresh),
+		StalenessSlots:    rtdb.MaxStaleness(worst, refresh),
 		EffectiveAt:       base.id,
 	}
 	st.storeContract(qosEntry{txn: x, c: c})
@@ -120,7 +120,7 @@ func (st *Station) Negotiate(f FileSpec, contents []byte) (c Contract, err error
 		c = Contract{
 			Name:              f.Name,
 			WorstLatencySlots: worst,
-			StalenessSlots:    MaxStaleness(worst, refresh),
+			StalenessSlots:    rtdb.MaxStaleness(worst, refresh),
 			EffectiveAt:       gen.id,
 		}
 		read.Deadline = worst

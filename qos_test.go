@@ -5,6 +5,9 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"pinbcast/internal/core"
+	"pinbcast/internal/rtdb"
 )
 
 func qosStation(t *testing.T, opts ...Option) *Station {
@@ -186,7 +189,7 @@ func TestNegotiateRejectionLeavesStationUnchanged(t *testing.T) {
 
 // TestContractGuaranteeAcrossStrategies is the cross-strategy property
 // test: for every layout × scheduler combination, a transaction
-// accepted by GuaranteeTxn/AdmitTxn never observes a measured latency
+// accepted by AdmitTxn never observes a measured latency
 // above its contracted WorstLatencySlots, from any start slot.
 func TestContractGuaranteeAcrossStrategies(t *testing.T) {
 	layouts := []string{LayoutPinwheel, LayoutTiered, LayoutFlatSpread, LayoutFlatSequential}
@@ -198,9 +201,9 @@ func TestContractGuaranteeAcrossStrategies(t *testing.T) {
 	x := Txn{Name: "probe", Reads: []string{"hot", "warm", "cold"}, Deadline: 10000}
 	for _, layout := range layouts {
 		for ci, chain := range chains {
-			opts := []Option{WithLayoutName(layout)}
+			opts := []Option{WithLayout(mustLayout(t, layout))}
 			if chain != nil {
-				opts = append(opts, WithSchedulerNames(chain...))
+				opts = append(opts, WithSchedulers(mustSchedulers(t, chain...)...))
 			}
 			st := qosStation(t, opts...)
 			c, err := st.AdmitTxn(x)
@@ -221,7 +224,7 @@ func TestContractGuaranteeAcrossStrategies(t *testing.T) {
 			if layout == LayoutPinwheel {
 				// The analytic admission-time guarantee holds on the
 				// program the station actually broadcasts.
-				ok, bound, err := GuaranteeTxn(st.Files(), st.Bandwidth(), x)
+				ok, bound, err := rtdb.GuaranteeTxn(st.Files(), st.Bandwidth(), x)
 				if err != nil || !ok {
 					t.Fatalf("%s/chain%d: GuaranteeTxn ok=%v err=%v", layout, ci, ok, err)
 				}
@@ -248,14 +251,14 @@ func boundsOf(t *testing.T, p *Program, x Txn) (mean, worst int) {
 // were never certified, an issued contract is at least the measured
 // worst case on that exact program.
 func TestContractNeverBelowMeasuredWorst(t *testing.T) {
-	sequentialStamped := NewLayout("sequential-stamped", func(files []FileSpec, bandwidth int) (*Program, error) {
-		p, err := FlatSequential(files)
+	sequentialStamped := layoutFunc{"sequential-stamped", func(files []FileSpec, bandwidth int) (*Program, error) {
+		p, err := core.FlatSequential(files)
 		if err != nil {
 			return nil, err
 		}
 		p.Bandwidth = 1 // claims a bandwidth without certifying windows
 		return p, nil
-	})
+	}}
 	files := []FileSpec{
 		{Name: "hot", Blocks: 2, Latency: 2},
 		{Name: "big", Blocks: 8, Latency: 40},

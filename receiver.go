@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"pinbcast/internal/cache"
 	"pinbcast/internal/client"
 	"pinbcast/internal/obs"
 )
@@ -17,11 +16,10 @@ import (
 // AIDA blocks for its pending requests, reconstructs each file as soon
 // as any M distinct blocks have arrived (so up to r lost transmissions
 // per window are tolerated, §2.3), and tracks per-request deadlines.
-// Reception faults can be injected (WithReceiverFaults), reconstructed
-// files can be cached under a pluggable replacement policy (WithCache,
-// per Acharya–Franklin–Zdonik), and a receiver that knows the broadcast
-// schedule (WithSchedule, as if learned from a (1, m) air index) dozes
-// through irrelevant slots, separating access latency from tuning time.
+// Reception faults can be injected (WithReceiverFaults), and a receiver
+// that knows the broadcast schedule (WithSchedule, as if learned from a
+// (1, m) air index) dozes through irrelevant slots, separating access
+// latency from tuning time.
 //
 // A Receiver is single-goroutine: Run, Step and Request must not be
 // called concurrently.
@@ -35,9 +33,6 @@ type Receiver struct {
 	// so the shared wire payload is never mutated and fault injection
 	// does not allocate per corrupted slot.
 	corruptBuf []byte
-
-	cache *cache.Cache
-	store map[string][]byte // reconstructed bytes of cached files
 
 	schedule *Program
 	// scheduleGen is the generation the schedule was observed under;
@@ -70,10 +65,6 @@ type ReceiverMetrics struct {
 	Injected int
 	// Unknown counts valid blocks of files absent from the directory.
 	Unknown int
-	// CacheHits and CacheMisses count requests served from the
-	// reconstructed-file cache versus sent to the air.
-	CacheHits   int
-	CacheMisses int
 	// Reconstructions counts files rebuilt from dispersed blocks.
 	Reconstructions int
 }
@@ -93,8 +84,6 @@ type receiverConfig struct {
 	names    map[uint32]string
 	requests []Request
 	fault    FaultModel
-	policy   CachePolicy
-	capacity int
 	schedule *Program
 }
 
@@ -115,49 +104,24 @@ func WithDirectory(names map[uint32]string) ReceiverOption {
 	}
 }
 
-// WithRequests registers files to retrieve, with per-request relative
-// deadlines in slots (0 = none). Deadline clocks start at the first
-// slot the receiver observes.
-func WithRequests(reqs ...Request) ReceiverOption {
+// WithRequest registers one file to retrieve by the given relative
+// deadline in slots (0 = none). Deadline clocks start at the first slot
+// the receiver observes.
+func WithRequest(file string, deadline int) ReceiverOption {
 	return func(c *receiverConfig) error {
-		c.requests = append(c.requests, reqs...)
+		c.requests = append(c.requests, Request{File: file, Deadline: deadline})
 		return nil
 	}
-}
-
-// WithRequest registers one file to retrieve by the given relative
-// deadline in slots (0 = none).
-func WithRequest(file string, deadline int) ReceiverOption {
-	return WithRequests(Request{File: file, Deadline: deadline})
 }
 
 // WithReceiverFaults injects a reception fault model: slots the model
 // corrupts reach the protocol as garbled blocks, which the checksum
 // rejects — the client then simply waits for the next useful block
-// (§2.3). Use BernoulliFaults, BurstFaults, SlotFaults or NoFaults.
+// (§2.3). Use BernoulliFaults, BurstFaults or SlotFaults; nil is
+// fault-free.
 func WithReceiverFaults(fm FaultModel) ReceiverOption {
 	return func(c *receiverConfig) error {
 		c.fault = fm
-		return nil
-	}
-}
-
-// WithCache keeps reconstructed files in a bounded client cache under
-// the given replacement policy (PIXPolicy, LRUPolicy, LFUPolicy,
-// RandomPolicy): a repeated Request for a cached file completes
-// instantly instead of waiting on the air. This is the client
-// cache-management axis of Acharya, Franklin & Zdonik that §1 of the
-// paper cites.
-func WithCache(policy CachePolicy, capacity int) ReceiverOption {
-	return func(c *receiverConfig) error {
-		if policy == nil {
-			return fmt.Errorf("pinbcast: nil cache policy: %w", ErrBadSpec)
-		}
-		if capacity < 1 {
-			return fmt.Errorf("pinbcast: cache capacity %d < 1: %w", capacity, ErrBadSpec)
-		}
-		c.policy = policy
-		c.capacity = capacity
 		return nil
 	}
 }
@@ -174,8 +138,7 @@ func WithCache(policy CachePolicy, capacity int) ReceiverOption {
 // re-reads the index. The receiver decides from the program before it
 // looks at the block, so it sleeps through the blocks a paced station
 // sends in idle slots (WithSlotInterval): its tuning time is unchanged
-// and it gains nothing from them. Use NewTuner to analyze the index
-// overhead itself.
+// and it gains nothing from them.
 func WithSchedule(prog *Program) ReceiverOption {
 	return func(c *receiverConfig) error {
 		if prog == nil {
@@ -189,7 +152,7 @@ func WithSchedule(prog *Program) ReceiverOption {
 // Subscribe tunes a new Receiver into a broadcast source at whatever
 // slot the stream is on — the paper's client may arrive at an
 // arbitrary point of the broadcast and still meets its latency window.
-// Requests can be registered up front (WithRequests) or over time
+// Requests can be registered up front (WithRequest) or over time
 // (Receiver.Request); Run drives the protocol until they complete.
 func Subscribe(src Source, opts ...ReceiverOption) (*Receiver, error) {
 	if src == nil {
@@ -216,14 +179,6 @@ func newReceiver(src Source, cfg *receiverConfig) (*Receiver, error) {
 		schedule: cfg.schedule,
 		lastT:    -1,
 	}
-	if cfg.policy != nil {
-		c, err := cache.New(cfg.capacity, cfg.policy)
-		if err != nil {
-			return nil, fmt.Errorf("pinbcast: %w: %w", ErrBadSpec, err)
-		}
-		r.cache = c
-		r.store = make(map[string][]byte, cfg.capacity)
-	}
 	for _, req := range cfg.requests {
 		if err := r.Request(req.File, req.Deadline); err != nil {
 			return nil, err
@@ -233,32 +188,15 @@ func newReceiver(src Source, cfg *receiverConfig) (*Receiver, error) {
 }
 
 // Request asks for one file with a relative deadline in slots (0 =
-// none). If the file sits in the receiver's cache the request completes
-// instantly (Latency 0, FromCache set); otherwise its deadline clock
-// starts at the next observed slot and Run/Step collect it from the
-// air. Requesting a file that is already pending wraps ErrBadSpec.
+// none). Its deadline clock starts at the next observed slot and
+// Run/Step collect it from the air. Requesting a file that is already
+// pending wraps ErrBadSpec.
 func (r *Receiver) Request(file string, deadline int) error {
 	if file == "" {
 		return fmt.Errorf("pinbcast: request without a file name: %w", ErrBadSpec)
 	}
 	if r.cli.IsPending(file) {
 		return fmt.Errorf("pinbcast: file %q already requested: %w", file, ErrBadSpec)
-	}
-	if r.cache != nil {
-		if data, ok := r.store[file]; ok {
-			r.cache.Get(file) // policy sees the hit
-			r.m.CacheHits++
-			r.cli.AddResult(client.Result{
-				File:        file,
-				Completed:   true,
-				Deadline:    deadline,
-				DeadlineMet: true,
-				Data:        data,
-				FromCache:   true,
-			})
-			return nil
-		}
-		r.m.CacheMisses++
 	}
 	if err := r.cli.Add(client.Request{File: file, Deadline: deadline}); err != nil {
 		return fmt.Errorf("pinbcast: %w: %w", ErrBadSpec, err)
@@ -376,25 +314,8 @@ func (r *Receiver) observe(slot Slot) client.Outcome {
 		r.m.Unknown++
 	case client.Completed:
 		r.m.Reconstructions++
-		r.cacheCompleted() //pinlint:allow hotpath — completion path, runs once per reconstructed file
 	}
 	return out
-}
-
-// cacheCompleted inserts the just-reconstructed file into the cache.
-func (r *Receiver) cacheCompleted() {
-	if r.cache == nil {
-		return
-	}
-	results := r.cli.Results()
-	res := results[len(results)-1]
-	if !res.Completed {
-		return
-	}
-	r.store[res.File] = res.Data
-	if evicted := r.cache.Put(res.File); evicted != "" {
-		delete(r.store, evicted)
-	}
 }
 
 // Run consumes the source until every request has completed, the
@@ -425,18 +346,16 @@ func (r *Receiver) Run(ctx context.Context) ([]Result, error) {
 	}
 }
 
-// Results returns the outcomes recorded so far (completed requests,
-// cache hits, and flushed failures).
+// Results returns the outcomes recorded so far (completed requests and
+// flushed failures).
 func (r *Receiver) Results() []Result { return r.cli.Results() }
 
 // Recycle hands a completed result's Data buffer back to the receiver
 // for reuse by a future reconstruction, making a request/retrieve/
 // recycle loop allocation-free once warm. Call it only when finished
-// with the result; neither it nor its Data may be used afterwards. A
-// caching receiver ignores the call — cached results share their
-// buffer with the cache, which still owns it.
+// with the result; neither it nor its Data may be used afterwards.
 func (r *Receiver) Recycle(res Result) {
-	if r.cache != nil || res.FromCache || !res.Completed || res.Data == nil {
+	if !res.Completed || res.Data == nil {
 		return
 	}
 	r.cli.Recycle(res.Data)

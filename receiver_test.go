@@ -43,7 +43,7 @@ func record(t testing.TB, st *Station, n int) *Recording {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Record(SlotSource(slots), n)
+	rec, err := recordN(SlotSource(slots), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestEndToEndFanout(t *testing.T) {
 		src.Timeout = 5 * time.Second
 		receivers[i], err = Subscribe(src,
 			WithDirectory(st.Directory()),
-			WithRequests(reqs...),
+			withRequests(reqs...),
 			WithReceiverFaults(BernoulliFaults(0.02, int64(i+1))),
 		)
 		if err != nil {
@@ -169,7 +169,7 @@ func TestReceiverSourceParity(t *testing.T) {
 
 	subscribe := func(src Source) *Receiver {
 		r, err := Subscribe(src,
-			WithRequests(Request{File: "A"}, Request{File: "B"}, Request{File: "C"}),
+			withRequests(Request{File: "A"}, Request{File: "B"}, Request{File: "C"}),
 			WithReceiverFaults(SlotFaults(0, 2, 5)),
 		)
 		if err != nil {
@@ -218,53 +218,6 @@ func TestReceiverSourceParity(t *testing.T) {
 		if len(r.Directory()) != 3 {
 			t.Fatalf("directory not learned from stream: %v", r.Directory())
 		}
-	}
-}
-
-// TestReceiverCache exercises the pluggable reconstructed-file cache:
-// a repeat request is served instantly from cache, and the policy
-// evicts when capacity is exceeded.
-func TestReceiverCache(t *testing.T) {
-	st, contents := receiverStation(t)
-	rec := record(t, st, 8*st.Program().DataCycle())
-
-	r, err := Subscribe(rec.Source(), WithCache(LRUPolicy(), 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fetch := func(file string) Result {
-		t.Helper()
-		if err := r.Request(file, 0); err != nil {
-			t.Fatal(err)
-		}
-		results, err := r.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := results[len(results)-1]
-		if !res.Completed || !bytes.Equal(res.Data, contents[file]) {
-			t.Fatalf("file %q not reconstructed (completed=%v)", file, res.Completed)
-		}
-		return res
-	}
-
-	if res := fetch("A"); res.FromCache {
-		t.Fatal("first retrieval claimed a cache hit")
-	}
-	if res := fetch("A"); !res.FromCache || res.Latency != 0 {
-		t.Fatalf("repeat retrieval not served from cache: %+v", res)
-	}
-	fetch("B")
-	fetch("C") // capacity 2: A (least recently used) is evicted
-	if res := fetch("A"); res.FromCache {
-		t.Fatal("evicted file still served from cache")
-	}
-	m := r.Metrics()
-	if m.CacheHits != 1 {
-		t.Fatalf("cache hits = %d, want 1", m.CacheHits)
-	}
-	if m.CacheMisses != 4 {
-		t.Fatalf("cache misses = %d, want 4", m.CacheMisses)
 	}
 }
 
@@ -379,12 +332,6 @@ func TestSubscribeValidation(t *testing.T) {
 		t.Fatalf("nil source: err = %v, want ErrBadSpec", err)
 	}
 	rec := &Recording{}
-	if _, err := Subscribe(rec.Source(), WithCache(nil, 4)); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("nil policy: err = %v, want ErrBadSpec", err)
-	}
-	if _, err := Subscribe(rec.Source(), WithCache(LRUPolicy(), 0)); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("zero capacity: err = %v, want ErrBadSpec", err)
-	}
 	if _, err := Subscribe(rec.Source(), WithSchedule(nil)); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("nil schedule: err = %v, want ErrBadSpec", err)
 	}
@@ -393,48 +340,6 @@ func TestSubscribeValidation(t *testing.T) {
 	}
 	if _, err := Subscribe(rec.Source(), WithRequest("A", 0), WithRequest("A", 0)); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("duplicate request: err = %v, want ErrBadSpec", err)
-	}
-}
-
-// TestTunerTradeoff checks the public (1, m) air-index analyzer: more
-// index copies cut tuning time below the continuous-listening
-// baseline, at a bounded bandwidth overhead.
-func TestTunerTradeoff(t *testing.T) {
-	st, _ := receiverStation(t)
-	prog := st.Program()
-	tuner, err := NewTuner(prog, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oh := tuner.Overhead(); oh <= 0 || oh >= 1 {
-		t.Fatalf("overhead = %v", oh)
-	}
-	if tuner.Copies() != 2 || tuner.Period() <= prog.Period {
-		t.Fatalf("indexed period %d (m=%d) not longer than base %d",
-			tuner.Period(), tuner.Copies(), prog.Period)
-	}
-	_, idxTuning, err := tuner.Sweep("B", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	contLatency, contTuning, err := tuner.SweepContinuous("B", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if contTuning != contLatency {
-		t.Fatalf("continuous client: tuning %v != latency %v", contTuning, contLatency)
-	}
-	if idxTuning >= contTuning {
-		t.Fatalf("indexed tuning %v not below continuous %v", idxTuning, contTuning)
-	}
-	if _, err := tuner.Query("no-such-file", 0, 1); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("unknown file: err = %v, want ErrBadSpec", err)
-	}
-	if _, err := NewTuner(nil, 1); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("nil program: err = %v, want ErrBadSpec", err)
-	}
-	if _, err := NewTuner(prog, 0); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("zero copies: err = %v, want ErrBadSpec", err)
 	}
 }
 

@@ -154,7 +154,7 @@ func TestReclaimedEmissionIsSupersetOfProgram(t *testing.T) {
 					continue // seconds of search on a random catalogue, to fall back to the portfolio
 				}
 				sched, _ := LookupScheduler(schedName)
-				opts := append(base[:len(base):len(base)], WithLayoutName(layoutName), WithSchedulers(sched, portfolio))
+				opts := append(base[:len(base):len(base)], WithLayout(mustLayout(t, layoutName)), WithSchedulers(sched, portfolio))
 				paced := station(t, true, opts...)
 				gen, prog := paced.gen, paced.gen.program
 				n := (min(2*gen.cycle, reclaimTestSlots) + prog.Period - 1) / prog.Period * prog.Period

@@ -2,48 +2,35 @@ package pinbcast
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"maps"
+	"slices"
 )
 
-// registry is the name → implementation table behind the scheduler,
-// layout and shard-policy registries.
+// registry is the read-only name → implementation table behind the
+// scheduler, layout and shard-policy lookups. Each is filled once, when
+// the package's variables initialise, and never written again, so reads
+// need no lock and no test can leak an entry into another's names.
 type registry[T interface{ Name() string }] struct {
 	kind   string // what error messages call an entry
-	mu     sync.RWMutex
-	byName map[string]T // guarded by mu
+	byName map[string]T
 }
 
-func newRegistry[T interface{ Name() string }](kind string) *registry[T] {
-	return &registry[T]{kind: kind, byName: map[string]T{}}
-}
-
-// register adds v under its name; an empty or taken name wraps
-// ErrBadSpec.
-func (r *registry[T]) register(v T) error {
-	name := v.Name()
-	if name == "" {
-		return fmt.Errorf("pinbcast: %s has no name: %w", r.kind, ErrBadSpec)
+func newRegistry[T interface{ Name() string }](kind string, entries ...T) registry[T] {
+	r := registry[T]{kind: kind, byName: make(map[string]T, len(entries))}
+	for _, v := range entries {
+		r.byName[v.Name()] = v
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.byName[name]; dup {
-		return fmt.Errorf("pinbcast: %s %q already registered: %w", r.kind, name, ErrBadSpec)
-	}
-	r.byName[name] = v
-	return nil
+	return r
 }
 
-func (r *registry[T]) lookup(name string) (T, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+func (r registry[T]) lookup(name string) (T, bool) {
 	v, ok := r.byName[name]
 	return v, ok
 }
 
-// named is lookup for the With…Name options: an unknown name wraps
-// ErrBadSpec and lists what is registered.
-func (r *registry[T]) named(name string) (T, error) {
+// named is lookup for WithShardName: an unknown name wraps ErrBadSpec
+// and lists what is registered.
+func (r registry[T]) named(name string) (T, error) {
 	v, ok := r.lookup(name)
 	if !ok {
 		return v, fmt.Errorf("pinbcast: unknown %s %q (registered: %v): %w", r.kind, name, r.names(), ErrBadSpec)
@@ -52,13 +39,4 @@ func (r *registry[T]) named(name string) (T, error) {
 }
 
 // names returns the registered names, sorted.
-func (r *registry[T]) names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.byName))
-	for name := range r.byName {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func (r registry[T]) names() []string { return slices.Sorted(maps.Keys(r.byName)) }

@@ -10,11 +10,11 @@ import (
 // Scheduler produces a cyclic schedule for a pinwheel task system. The
 // package registers the paper's portfolio members (Sa, Sx, EDF, the
 // two-distinct specialization, the exact search, and the combined
-// portfolio); applications may register their own implementations and
-// select or order them per Station with WithSchedulers. Every schedule
-// a Scheduler returns is re-verified against the system before use, so
-// a buggy third-party scheduler can fail a build but never corrupt a
-// broadcast program.
+// portfolio) under their names (LookupScheduler); applications plug in
+// their own implementations by value and select or order them per
+// Station with WithSchedulers. Every schedule a Scheduler returns is
+// re-verified against the system before use, so a buggy third-party
+// scheduler can fail a build but never corrupt a broadcast program.
 type Scheduler interface {
 	// Name identifies the scheduler in registries, flags and Origin
 	// strings.
@@ -34,17 +34,14 @@ type schedulerFunc struct {
 func (s schedulerFunc) Name() string                               { return s.name }
 func (s schedulerFunc) Schedule(sys TaskSystem) (*Schedule, error) { return s.run(sys) }
 
-// NewScheduler wraps a plain scheduling function as a Scheduler.
-func NewScheduler(name string, run func(TaskSystem) (*Schedule, error)) Scheduler {
-	return schedulerFunc{name: name, run: run}
-}
-
-var schedulers = newRegistry[Scheduler]("scheduler")
-
-// RegisterScheduler adds a scheduler to the global registry, making it
-// selectable by name in WithSchedulerNames and the cmd/ binaries. It
-// returns ErrBadSpec when the name is empty or already taken.
-func RegisterScheduler(s Scheduler) error { return schedulers.register(s) }
+var schedulers = newRegistry[Scheduler]("scheduler",
+	schedulerFunc{SchedulerSa, pinwheel.Sa},
+	schedulerFunc{SchedulerSx, pinwheel.Sx},
+	schedulerFunc{SchedulerTwoDistinct, pinwheel.TwoDistinct},
+	schedulerFunc{SchedulerEDF, func(sys TaskSystem) (*Schedule, error) { return pinwheel.EDF(sys, 0) }},
+	schedulerFunc{SchedulerExact, func(sys TaskSystem) (*Schedule, error) { return pinwheel.Exact(sys, 0) }},
+	schedulerFunc{SchedulerPortfolio, func(sys TaskSystem) (*Schedule, error) { return pinwheel.Solve(sys, nil) }},
+)
 
 // LookupScheduler returns the registered scheduler with the given name.
 func LookupScheduler(name string) (Scheduler, bool) { return schedulers.lookup(name) }
@@ -62,21 +59,6 @@ const (
 	SchedulerExact       = "exact"        // complete search over urgency states
 	SchedulerPortfolio   = "portfolio"    // the paper's combined portfolio
 )
-
-func init() {
-	for _, s := range []Scheduler{
-		NewScheduler(SchedulerSa, func(sys TaskSystem) (*Schedule, error) { return pinwheel.Sa(sys) }),
-		NewScheduler(SchedulerSx, func(sys TaskSystem) (*Schedule, error) { return pinwheel.Sx(sys) }),
-		NewScheduler(SchedulerTwoDistinct, func(sys TaskSystem) (*Schedule, error) { return pinwheel.TwoDistinct(sys) }),
-		NewScheduler(SchedulerEDF, func(sys TaskSystem) (*Schedule, error) { return pinwheel.EDF(sys, 0) }),
-		NewScheduler(SchedulerExact, func(sys TaskSystem) (*Schedule, error) { return pinwheel.Exact(sys, 0) }),
-		NewScheduler(SchedulerPortfolio, func(sys TaskSystem) (*Schedule, error) { return pinwheel.Solve(sys, nil) }),
-	} {
-		if err := RegisterScheduler(s); err != nil {
-			panic(err)
-		}
-	}
-}
 
 // solveChain runs the schedulers in order and returns the first
 // verified schedule. Like the portfolio, it returns ErrInfeasible only

@@ -61,7 +61,7 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 		return nil, fmt.Errorf("pinbcast: simulation without clients: %w", ErrBadSpec)
 	}
 	if cfg.Fault == nil {
-		cfg.Fault = NoFaults()
+		cfg.Fault = channel.None{}
 	}
 	srv, err := server.New(cfg.Program, cfg.Contents)
 	if err != nil {

@@ -2,7 +2,6 @@ package pinbcast
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -39,15 +38,13 @@ type Sink interface {
 	Close() error
 }
 
-// Pump drains a served slot stream into a sink until the stream closes
+// pump drains a served slot stream into a sink until the stream closes
 // (Station.Serve closes it when its context is cancelled) or the sink
-// fails. It is the glue between the Station and any transport:
-//
-//	slots, _ := station.Serve(ctx)
-//	go pinbcast.Pump(slots, fanout)
+// fails. It is the loop inside Station.Broadcast, the glue between the
+// Station and any transport.
 //
 //pinlint:hotpath
-func Pump(slots <-chan Slot, sink Sink) error {
+func pump(slots <-chan Slot, sink Sink) error {
 	for slot := range slots { //pinlint:allow cancelflow — the slot stream is the cancellation signal: Serve closes it when its ctx is cancelled
 		if err := sink.Send(slot); err != nil {
 			return err
@@ -100,7 +97,7 @@ type TCPSource struct {
 	// buffer, valid only until the following Next. A Receiver decodes
 	// every slot before advancing, so subscription loops can enable it
 	// to receive allocation-free. Left false, Next copies the payload
-	// out of that buffer and the Slot may be retained (Record does).
+	// out of that buffer and the Slot may be retained (a Recording does).
 	Reuse bool
 }
 
@@ -140,22 +137,6 @@ type Recording struct {
 	slots []Slot
 }
 
-// Record pulls n slots from a source into a new recording.
-func Record(src Source, n int) (*Recording, error) {
-	rec := &Recording{}
-	for i := 0; i < n; i++ {
-		slot, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		rec.slots = append(rec.slots, slot)
-	}
-	return rec, nil
-}
-
 // Send retains one slot; Recording is a Sink.
 func (rec *Recording) Send(s Slot) error {
 	rec.mu.Lock()
@@ -185,6 +166,8 @@ func (rec *Recording) Slots() []Slot {
 // call returns an independent replay cursor.
 func (rec *Recording) Source() Source { return &replaySource{rec: rec} }
 
+// replaySource is one replay cursor; pos and closed are read and
+// written under rec.mu.
 type replaySource struct {
 	rec    *Recording
 	pos    int
@@ -202,7 +185,11 @@ func (r *replaySource) Next() (Slot, error) {
 	return slot, nil
 }
 
+// Close may run concurrently with Next: MultiTuner.Close closes the
+// sources of a run in flight.
 func (r *replaySource) Close() error {
+	r.rec.mu.Lock()
 	r.closed = true
+	r.rec.mu.Unlock()
 	return nil
 }

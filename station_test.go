@@ -351,24 +351,14 @@ func TestStationSlotInterval(t *testing.T) {
 // checks that independent verification rejects its output and falls
 // through to the next chain member.
 func TestStationSchedulerChain(t *testing.T) {
-	broken := NewScheduler("broken", func(sys TaskSystem) (*Schedule, error) {
+	broken := schedulerFunc{"broken", func(sys TaskSystem) (*Schedule, error) {
 		// An all-idle schedule satisfies nothing.
 		return &Schedule{Period: 4, Slots: []int{Idle, Idle, Idle, Idle}, Origin: "broken"}, nil
-	})
+	}}
 	edf, _ := LookupScheduler(SchedulerEDF)
 	st, _ := lifecycleStation(t, WithSchedulers(broken, edf))
 	if origin := st.Program().Origin; origin != "pinwheel/EDF" {
 		t.Fatalf("program origin = %q, want the EDF fallback", origin)
-	}
-}
-
-func TestWithSchedulerNamesUnknown(t *testing.T) {
-	_, err := New(
-		WithFile(FileSpec{Name: "A", Blocks: 1, Latency: 2}, []byte("a")),
-		WithSchedulerNames("no-such-scheduler"),
-	)
-	if !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("err = %v, want ErrBadSpec", err)
 	}
 }
 
@@ -379,11 +369,11 @@ func TestSchedulerRegistry(t *testing.T) {
 			t.Fatalf("built-in scheduler %q not registered", name)
 		}
 	}
-	if err := RegisterScheduler(NewScheduler(SchedulerEDF, nil)); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("duplicate registration: err = %v, want ErrBadSpec", err)
+	if len(SchedulerNames()) != 6 {
+		t.Fatalf("registered schedulers: %v, want the six built-ins", SchedulerNames())
 	}
-	if err := RegisterScheduler(NewScheduler("", nil)); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("unnamed registration: err = %v, want ErrBadSpec", err)
+	if s, ok := LookupScheduler("no-such-scheduler"); ok {
+		t.Fatalf("unknown scheduler resolved to %v", s)
 	}
 	sys := TaskSystem{{A: 1, B: 2}, {A: 1, B: 4}}
 	for _, name := range SchedulerNames() {

@@ -15,18 +15,6 @@ import "pinbcast/internal/rtdb"
 // in slots.
 type Txn = rtdb.Txn
 
-// GuaranteeTxn decides analytically, at admission time, whether the
-// transaction's deadline is guaranteed by the pinwheel construction at
-// the given bandwidth: every read file's window B·Tᵢ (its worst-case
-// fault-tolerant retrieval bound) must fit in the deadline. It returns
-// the binding worst-case bound in slots. The analytic bound holds for
-// any program the pinwheel layout builds from these files at this
-// bandwidth; for other layouts, measure with TxnWorstLatency or
-// negotiate through Station.AdmitTxn.
-func GuaranteeTxn(files []FileSpec, bandwidth int, x Txn) (bool, int, error) {
-	return rtdb.GuaranteeTxn(files, bandwidth, x)
-}
-
 // TxnLatency returns the fault-free retrieval time of the transaction
 // on the program when the client starts listening at the given slot:
 // the time until every read file's reconstruction threshold of blocks
@@ -40,15 +28,4 @@ func TxnLatency(p *Program, x Txn, start int) (int, error) {
 // program, whatever layout built it.
 func TxnWorstLatency(p *Program, x Txn) (int, error) {
 	return rtdb.TxnWorstLatency(p, x)
-}
-
-// MaxStaleness bounds the age of item data a client holds right after
-// retrieving it, when the server refreshes the item every refreshSlots
-// slots and retrieval takes at most windowSlots: the copy captured on
-// the air may already be up to refreshSlots old when its last block
-// leaves the server, plus the retrieval time itself. The absolute
-// temporal-consistency constraint of §1 is met whenever the sum stays
-// within the item's constraint.
-func MaxStaleness(windowSlots, refreshSlots int) int {
-	return rtdb.MaxStaleness(windowSlots, refreshSlots)
 }
