@@ -215,14 +215,14 @@ func (s *loopSource) Close() error { return nil }
 
 // benchRecording captures a few data cycles of the standard two-file
 // station for replay-driven receiver benchmarks.
-func benchRecording(b *testing.B) (*pinbcast.Station, *pinbcast.Recording) {
+func benchRecording(b *testing.B) (*pinbcast.Station, []pinbcast.Slot) {
 	return benchRecordingOf(b, []pinbcast.FileSpec{
 		{Name: "A", Blocks: 4, Latency: 8, Faults: 1},
 		{Name: "B", Blocks: 8, Latency: 40},
 	})
 }
 
-func benchRecordingOf(b *testing.B, files []pinbcast.FileSpec) (*pinbcast.Station, *pinbcast.Recording) {
+func benchRecordingOf(b *testing.B, files []pinbcast.FileSpec) (*pinbcast.Station, []pinbcast.Slot) {
 	b.Helper()
 	st, err := pinbcast.New(
 		pinbcast.WithFiles(files...),
@@ -238,9 +238,9 @@ func benchRecordingOf(b *testing.B, files []pinbcast.FileSpec) (*pinbcast.Statio
 	if err != nil {
 		b.Fatal(err)
 	}
-	rec := &pinbcast.Recording{}
-	for n := 4 * st.Program().DataCycle(); rec.Len() < n; {
-		rec.Send(<-slots)
+	rec := make([]pinbcast.Slot, 4*st.Program().DataCycle())
+	for i := range rec {
+		rec[i] = <-slots
 	}
 	cancel()
 	for range slots {
@@ -262,7 +262,7 @@ func BenchmarkReceiverSlots(b *testing.B) {
 	st, rec := benchRecordingOf(b, files)
 	for _, history := range []int{0, 256} {
 		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
-			r, err := pinbcast.Subscribe(&loopSource{slots: rec.Slots()}, pinbcast.WithDirectory(st.Directory()))
+			r, err := pinbcast.Subscribe(&loopSource{slots: rec}, pinbcast.WithDirectory(st.Directory()))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -297,7 +297,7 @@ func BenchmarkReceiverSlots(b *testing.B) {
 // receiver's result history grows, by amortised doubling.)
 func BenchmarkReceiverRetrieveCycle(b *testing.B) {
 	st, rec := benchRecording(b)
-	r, err := pinbcast.Subscribe(&loopSource{slots: rec.Slots()}, pinbcast.WithDirectory(st.Directory()))
+	r, err := pinbcast.Subscribe(&loopSource{slots: rec}, pinbcast.WithDirectory(st.Directory()))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func BenchmarkReceiverReconstruct(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := pinbcast.Subscribe(rec.Source(),
+		r, err := pinbcast.Subscribe(&loopSource{slots: rec},
 			pinbcast.WithDirectory(dir), pinbcast.WithRequest("A", 0))
 		if err != nil {
 			b.Fatal(err)

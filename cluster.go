@@ -2,7 +2,6 @@ package pinbcast
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -71,13 +70,12 @@ type Cluster struct {
 	contents map[string][]byte // master copy, by file name
 	specs    map[string]FileSpec
 
-	mu         sync.Mutex
-	homes      map[string][]int                 // file -> carrying channels, primary first; guarded by mu
-	replicated map[string]bool                  // guarded by mu
-	dead       map[int]bool                     // guarded by mu
-	stops      []context.CancelFunc             // per-channel broadcast stops (while serving); guarded by mu
-	contracts  map[string]*clusterContractEntry // guarded by mu
-	lost       map[string]error                 // files no survivor could carry, wrapping ErrDegraded; guarded by mu
+	mu        sync.Mutex
+	homes     map[string][]int                 // file -> carrying channels, primary first; guarded by mu
+	dead      map[int]bool                     // guarded by mu
+	stops     []context.CancelFunc             // per-channel broadcast stops (while serving); guarded by mu
+	contracts map[string]*clusterContractEntry // guarded by mu
+	lost      map[string]error                 // files no survivor could carry, wrapping ErrDegraded; guarded by mu
 }
 
 // clusterContractEntry pairs an issued cluster contract with the
@@ -154,15 +152,14 @@ func NewCluster(opts ...ClusterOption) (*Cluster, error) {
 	}
 
 	c := &Cluster{
-		shard:      cfg.shard,
-		replicas:   cfg.replicas,
-		contents:   map[string][]byte{},
-		specs:      map[string]FileSpec{},
-		homes:      asn.Homes,
-		replicated: asn.Replicated,
-		dead:       map[int]bool{},
-		contracts:  map[string]*clusterContractEntry{},
-		lost:       map[string]error{},
+		shard:     cfg.shard,
+		replicas:  cfg.replicas,
+		contents:  map[string][]byte{},
+		specs:     map[string]FileSpec{},
+		homes:     asn.Homes,
+		dead:      map[int]bool{},
+		contracts: map[string]*clusterContractEntry{},
+		lost:      map[string]error{},
 	}
 	for _, f := range cfg.files {
 		c.specs[f.Name] = f
@@ -172,8 +169,13 @@ func NewCluster(opts ...ClusterOption) (*Cluster, error) {
 		}
 		c.contents[f.Name] = data
 	}
-	for _, chFiles := range asn.Channels {
-		stOpts := []Option{WithFiles(chFiles...)}
+	c.stations = make([]*Station, len(asn.Channels))
+	replicaOnly := c.replicaOnlyLocked()
+	for ch, chFiles := range asn.Channels {
+		stOpts := []Option{WithFiles(chFiles...), func(sc *stationConfig) error {
+			sc.replicaOnly = replicaOnly[ch]
+			return nil
+		}}
 		chContents := make(map[string][]byte, len(chFiles))
 		for _, f := range chFiles {
 			chContents[f.Name] = c.contents[f.Name]
@@ -185,9 +187,9 @@ func NewCluster(opts ...ClusterOption) (*Cluster, error) {
 		stOpts = append(stOpts, cfg.stationOpts...)
 		st, err := New(stOpts...)
 		if err != nil {
-			return nil, fmt.Errorf("pinbcast: building channel %d: %w", len(c.stations), err)
+			return nil, fmt.Errorf("pinbcast: building channel %d: %w", ch, err)
 		}
-		c.stations = append(c.stations, st)
+		c.stations[ch] = st
 	}
 	c.stops = make([]context.CancelFunc, len(c.stations))
 	for i := range c.stations {
@@ -245,13 +247,6 @@ func (c *Cluster) Station(i int) *Station {
 	return c.stations[i]
 }
 
-// Alive reports whether channel i has not been failed.
-func (c *Cluster) Alive(i int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return i >= 0 && i < len(c.stations) && !c.dead[i]
-}
-
 func (c *Cluster) liveLocked() []int {
 	var out []int
 	for i := range c.stations {
@@ -277,14 +272,6 @@ func (c *Cluster) Assignment() map[string][]int {
 		}
 	}
 	return out
-}
-
-// Replicated reports whether the file is carried by more than one
-// channel in the original plan.
-func (c *Cluster) Replicated(name string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.replicated[name]
 }
 
 // Lost returns the files the cluster no longer carries anywhere, with
@@ -322,6 +309,29 @@ func (c *Cluster) liveHomesLocked(name string) []int {
 		}
 	}
 	return out
+}
+
+// replicaOnlyLocked returns, per channel, the files it carries behind an
+// earlier live home. A replica is there to survive channel deaths, which
+// its scheduled slots already do: a file's spare air is planned once, on
+// its first live home, and a replica channel spends its own on the files
+// only it carries (Station.reclaimExcept). Caller holds mu, except the
+// constructor.
+//
+//pinlint:holds mu
+func (c *Cluster) replicaOnlyLocked() []map[string]bool {
+	sets := make([]map[string]bool, len(c.stations))
+	for ch := range sets {
+		sets[ch] = map[string]bool{}
+	}
+	for name := range c.homes {
+		if live := c.liveHomesLocked(name); len(live) > 1 {
+			for _, ch := range live[1:] {
+				sets[ch][name] = true
+			}
+		}
+	}
+	return sets
 }
 
 // FetchPlan returns, for each carried file, the live channels to fetch
@@ -396,43 +406,6 @@ func (c *Cluster) Serve(ctx context.Context) ([]<-chan Slot, error) {
 		c.stops[i] = cancel
 	}
 	return outs, nil
-}
-
-// Broadcast serves every live channel into its sink until ctx is
-// cancelled, every channel has been failed, or a sink errors —
-// Station.Broadcast fanned across the cluster. sinks must have exactly
-// one entry per channel (entries for already-failed channels are
-// ignored). FailChannel stops the failed channel's loop; the others
-// keep broadcasting.
-func (c *Cluster) Broadcast(ctx context.Context, sinks ...Sink) error {
-	if len(sinks) != len(c.stations) {
-		return fmt.Errorf("pinbcast: %d sinks for %d channels: %w", len(sinks), len(c.stations), ErrBadSpec)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(c.stations))
-	// Liveness check and stop registration under one lock: a concurrent
-	// FailChannel either cancels the registered context (the goroutine
-	// below then starts an already-cancelled broadcast, which exits
-	// immediately) or marks the channel dead before it is considered.
-	c.mu.Lock()
-	for i, st := range c.stations {
-		if c.dead[i] || sinks[i] == nil {
-			continue
-		}
-		cctx, cancel := context.WithCancel(ctx)
-		c.stops[i] = cancel
-		wg.Add(1)
-		go func(i int, st *Station, sink Sink) {
-			defer wg.Done()
-			defer cancel()
-			if err := st.Broadcast(cctx, sink); err != nil && !errors.Is(err, context.Canceled) {
-				errs[i] = fmt.Errorf("channel %d: %w", i, err)
-			}
-		}(i, st, sinks[i])
-	}
-	c.mu.Unlock()
-	wg.Wait()
-	return errors.Join(errs...)
 }
 
 // fileBound returns the worst-case single-file retrieval bound the
@@ -607,9 +580,10 @@ type FailoverReport struct {
 // next data-cycle boundary), and every cluster contract is re-verified
 // against the surviving channels: a contract whose re-computed bound
 // still fits its promised DegradedLatencySlots is kept, any other is
-// revoked with an error wrapping ErrDegraded. Failing an unknown or
-// already-failed channel wraps ErrBadSpec; failing the last live
-// channel is allowed and loses the catalog.
+// revoked with an error wrapping ErrDegraded. On paced stations the next
+// live home of each file the channel reclaimed for takes that over.
+// Failing an unknown or already-failed channel wraps ErrBadSpec; failing
+// the last live channel is allowed and loses the catalog.
 func (c *Cluster) FailChannel(i int) (*FailoverReport, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -628,21 +602,21 @@ func (c *Cluster) FailChannel(i int) (*FailoverReport, error) {
 	clFailovers.Inc()
 	rep := &FailoverReport{Channel: i, Readmitted: map[string]int{}}
 
+	// A file whose primary died is reclaimed for by its next live home,
+	// staged before the orphans are admitted on top of it. Best effort:
+	// a station that cannot re-plan keeps an emission that holds every
+	// bound all the same.
+	for ch, replicaOnly := range c.replicaOnlyLocked() {
+		if !c.dead[ch] {
+			_ = c.stations[ch].reclaimExcept(replicaOnly)
+		}
+	}
+
 	// Orphans: files whose every carrier is now dead, hottest first so
 	// the tightest guarantees get first claim on surviving capacity.
 	var orphans []FileSpec
-	for name, homes := range c.homes {
-		if c.lost[name] != nil {
-			continue
-		}
-		carried := false
-		for _, ch := range homes {
-			if !c.dead[ch] {
-				carried = true
-				break
-			}
-		}
-		if !carried {
+	for name := range c.homes {
+		if c.lost[name] == nil && len(c.liveHomesLocked(name)) == 0 {
 			orphans = append(orphans, c.specs[name])
 		}
 	}

@@ -52,12 +52,12 @@ func TestClusterPlan(t *testing.T) {
 	}
 	asn := c.Assignment()
 	for _, name := range []string{"hot-a", "hot-b"} {
-		if !c.Replicated(name) || len(asn[name]) != 2 {
+		if len(asn[name]) != 2 {
 			t.Fatalf("%s homes = %v, want 2 replicas", name, asn[name])
 		}
 	}
 	for _, name := range []string{"warm", "cool-a", "cool-b", "cold"} {
-		if c.Replicated(name) || len(asn[name]) != 1 {
+		if len(asn[name]) != 1 {
 			t.Fatalf("%s homes = %v, want 1", name, asn[name])
 		}
 	}
@@ -249,8 +249,14 @@ func TestClusterKillChannelE2E(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	broadcastDone := make(chan error, 1)
-	go func() { broadcastDone <- c.Broadcast(ctx, fans...) }()
+	streams, err := c.Serve(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broadcastDone := make(chan error, len(streams))
+	for i, slots := range streams {
+		go func() { broadcastDone <- pump(slots, fans[i]) }()
+	}
 
 	// The multi-tuner subscribes to all three channels.
 	srcs := make([]Source, c.Channels())
@@ -432,8 +438,10 @@ func TestClusterKillChannelE2E(t *testing.T) {
 	}
 
 	cancel()
-	if err := <-broadcastDone; err != nil {
-		t.Fatalf("broadcast: %v", err)
+	for range streams {
+		if err := <-broadcastDone; err != nil {
+			t.Fatalf("broadcast: %v", err)
+		}
 	}
 }
 

@@ -13,9 +13,11 @@
 //	ops listening on http://127.0.0.1:40002
 //
 // then, per channel, how much of the air its program leaves idle and how
-// much of that the paced station wins back (see pinbcast.WithSlotInterval):
+// much of that the paced station wins back (pinbcast.Station.Emission; a
+// cluster plans a replicated file's spare air on its first channel only):
 //
-//	channel 0 reclaims 75 of 77 idle slots per period
+//	channel 0 reclaims 76 of 77 idle slots per period
+//	channel 1 reclaims 75 of 75 idle slots per period
 //
 // The ops listener serves Prometheus text-format metrics at /metrics
 // (station, fan-out, cluster and receiver families), expvar at
@@ -50,7 +52,6 @@ import (
 
 	"pinbcast"
 	"pinbcast/internal/obs"
-	"pinbcast/internal/reclaim"
 	"pinbcast/internal/workload"
 )
 
@@ -131,10 +132,14 @@ func serve(cfg Config, sigs <-chan os.Signal, stdout io.Writer) error {
 	go func() { opsDone <- srv.Serve(ops) }()
 	fmt.Fprintf(stdout, "ops listening on http://%s\n", ops.Addr())
 	for i, c := range chans {
-		// The plan is a pure function of what the station was built
-		// from, so this is the table the station serves.
-		fill := reclaim.Plan(c.st.Program(), c.st.Files(), c.st.Bandwidth())
-		fmt.Fprintf(stdout, "channel %d reclaims %d of %d idle slots per period\n", i, fill.Reclaimed, fill.Idle)
+		// What is served against what is scheduled, not a plan re-derived.
+		prog, emission := c.st.Program(), c.st.Emission()
+		reclaimed, idle := 0, prog.Period
+		for f := range prog.Files {
+			idle -= prog.PerPeriod(f)
+			reclaimed += emission.PerPeriod(f) - prog.PerPeriod(f)
+		}
+		fmt.Fprintf(stdout, "channel %d reclaims %d of %d idle slots per period\n", i, reclaimed, idle)
 	}
 
 	// Pump every channel until the drain completes; drain closes when a

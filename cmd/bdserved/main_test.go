@@ -290,17 +290,59 @@ func TestDaemonSmoke(t *testing.T) {
 // TestDaemonReclaimsIdleSlots boots a paced two-channel daemon and
 // reads where its air goes from its own outputs: after the listener
 // lines, one line per channel says how many of the program's idle slots
-// the channel reclaims — all but fewer than the smallest dispersal width
-// — and /metrics shows reclaimed slots going out while the slots that
-// still leave empty stay inside that bound.
+// the channel reclaims — what its station's Emission fills of its
+// Program, all but fewer than the smallest dispersal width among the
+// files the channel reclaims for (those it is the first home of) — and
+// /metrics shows reclaimed slots going out while the slots that still
+// leave empty stay inside that bound.
 func TestDaemonReclaimsIdleSlots(t *testing.T) {
 	cfg, err := parseConfig([]byte("[station]\nfiles = 16\nslot_interval = \"50us\"\nchannels = 2\n[drain]\ntimeout = \"5s\"\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	minWidth := 1 << 30 // min Nᵢ of the catalogue serve generates
-	for _, f := range workload.Random(cfg.Files, 6, 10, 80, 0, cfg.Seed) {
-		minWidth = min(minWidth, f.Blocks+cfg.Faults)
+	// The cluster serve builds, built again: a plan is a pure function
+	// of the catalogue and the options.
+	files := workload.Random(cfg.Files, 6, 10, 80, 0, cfg.Seed)
+	for i := range files {
+		files[i].Faults = cfg.Faults
+	}
+	cl, err := pinbcast.NewCluster(
+		pinbcast.WithChannels(cfg.Channels), pinbcast.WithReplicas(cfg.Replicas), pinbcast.WithShardName(cfg.Shard),
+		pinbcast.WithClusterBandwidth(pinbcast.SufficientBandwidth(files)),
+		pinbcast.WithClusterFiles(files...), pinbcast.WithClusterContents(workload.Contents(files, cfg.BlockSize, cfg.Seed)),
+		pinbcast.WithStationOptions(pinbcast.WithSlotInterval(cfg.SlotInterval)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	homes := cl.Assignment()
+	want := make([][3]int, cfg.Channels) // per channel: reclaimed, idle, min Nᵢ it reclaims for
+	minWidth := 0                        // the largest of those widths: what bounds the empty slots of any channel
+	replicas := 0                        // files some channel carries and leaves to their first home
+	for ch := range want {
+		st := cl.Station(ch)
+		prog, emission := st.Program(), st.Emission()
+		for off, f := range prog.Slots {
+			if f == pinbcast.Idle {
+				want[ch][1]++
+				if emission.Slots[off] != pinbcast.Idle {
+					want[ch][0]++
+				}
+			}
+		}
+		want[ch][2] = 1 << 30
+		for _, f := range st.Files() {
+			if homes[f.Name][0] == ch {
+				want[ch][2] = min(want[ch][2], f.Blocks+f.Faults)
+			} else if i := prog.FileIndex(f.Name); emission.PerPeriod(i) != prog.PerPeriod(i) {
+				t.Fatalf("channel %d reclaims for %q, whose first home is channel %d", ch, f.Name, homes[f.Name][0])
+			} else {
+				replicas++
+			}
+		}
+		minWidth = max(minWidth, want[ch][2])
+	}
+	if replicas == 0 {
+		t.Fatal("no channel carries a file behind another: the per-channel bounds are not exercised")
 	}
 
 	sigs := make(chan os.Signal, 1)
@@ -324,8 +366,8 @@ func TestDaemonReclaimsIdleSlots(t *testing.T) {
 			if opsURL == "" || ch != reclaimLines {
 				t.Fatalf("%q printed out of order: it follows the listener lines, channel by channel", sc.Text())
 			}
-			if reclaimed <= 0 || idle-reclaimed >= minWidth {
-				t.Fatalf("%q: want all but fewer than %d idle slots reclaimed", sc.Text(), minWidth)
+			if reclaimed <= 0 || reclaimed != want[ch][0] || idle != want[ch][1] || idle-reclaimed >= want[ch][2] {
+				t.Fatalf("%q: want %d of %d, all but fewer than %d", sc.Text(), want[ch][0], want[ch][1], want[ch][2])
 			}
 			reclaimLines++
 		}

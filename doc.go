@@ -43,7 +43,7 @@
 // generation it touched). See ExampleStation for a runnable lifecycle.
 // Paced to a physical channel (WithSlotInterval), a station also sends
 // further blocks of its files in the slots the program leaves idle:
-// the emission is a superset of the program, so every bound holds.
+// Station.Emission is what it serves, and every bound still holds.
 //
 // Schedulers are pluggable: the paper's portfolio members (Sa, Sx,
 // EDF, the two-distinct specialization, exact search) are found by

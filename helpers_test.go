@@ -24,6 +24,14 @@ func withTunerRequests(reqs ...Request) MultiTunerOption {
 	}
 }
 
+// recorded returns a copy of the slots a recording holds, in capture
+// order.
+func recorded(rec *Recording) []Slot {
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	return append([]Slot(nil), rec.slots...)
+}
+
 // recordN pulls up to n slots from a source into a new recording.
 func recordN(src Source, n int) (*Recording, error) {
 	rec := &Recording{}

@@ -3,54 +3,47 @@
 // density ≤ 0.7, so a good part of every program is idle by
 // construction, and on a time-division channel that is air nobody uses.
 // A Table gives it to the files already on the air (AIDA's bandwidth
-// allocation, §2.3): more of a file's N blocks per period, so any m
-// arrive sooner. It never touches a scheduled slot, so the emission is a
-// superset of the program and every bound the program states still
-// holds; reclaimed slots are best effort and never promised.
+// allocation, §2.3): more transmissions of a file per period, so any m
+// of its N blocks arrive sooner. It never touches a scheduled slot and
+// names files only: the station numbers a file's blocks in one rotation
+// over all it sends (core.Program.BlockAt on the filled table).
+// Reclaimed slots are best effort and never promised.
 package reclaim
 
 import (
 	"container/heap"
+	"slices"
 
 	"pinbcast/internal/core"
 )
 
-// Table maps the idle offsets of one program period to the block sent
-// there instead. It is immutable once planned.
+// Table is one program period with its idle offsets filled.
 type Table struct {
-	file []int32 // per period offset: the file reclaiming it, or core.Idle
-	seq  []uint8 // per period offset: the block sequence number it sends
+	// Slots is the file sent at each period offset, the program's own or
+	// the one reclaiming it, or core.Idle where the slot stays empty.
+	Slots []int
 	// Idle is how many slots per period the program leaves idle and
 	// Reclaimed how many of them the table fills: all but fewer than the
-	// smallest dispersal width.
+	// smallest dispersal width among the files that reclaim.
 	Idle, Reclaimed int
 }
-
-// At returns the file and block sequence number reclaiming period
-// offset off, or (core.Idle, 0) where the slot stays empty. Only offsets
-// the program leaves idle are ever reclaimed.
-//
-//pinlint:hotpath
-func (t *Table) At(off int) (file, seq int) { return int(t.file[off]), int(t.seq[off]) }
 
 // Plan builds the table of prog, whose files have the latencies of
 // specs (matched by name: layouts reorder the file table) on a channel
 // of the given bandwidth. It is deterministic and costs
 // O((period + idle)·log files).
 //
-// Idle slots are handed out in batches of Nᵢ, so that every period
-// reclaims whole rotations of a file and the sequence numbers planned
-// for one period are right in all of them. Each batch goes to the file
-// whose expected retrieval mᵢ·period/(cᵢ+eᵢ) — cᵢ scheduled and eᵢ
-// reclaimed slots per period — is the largest share of its window B·Tᵢ,
-// until no file's batch fits. Then each idle slot in turn goes to the
-// file with quota left that is most overdue against its new spacing
-// period/(cᵢ+eᵢ), counting scheduled transmissions too, so reclaimed
-// blocks land in the program's gaps. Reclaimed blocks rotate on their
-// own, ⌈Nᵢ·cᵢ/(cᵢ+eᵢ)⌉ ahead of where the scheduled rotation starts: a
-// listener that has heard that many scheduled blocks hears the others.
+// Idle slots are handed out in batches of Nᵢ, so that a file is sent
+// cᵢ+eᵢ ≡ cᵢ (mod Nᵢ) times a period — cᵢ scheduled and eᵢ reclaimed
+// slots — and the filled table has the data cycle of the program. Each
+// batch goes to the file whose expected retrieval mᵢ·period/(cᵢ+eᵢ) is
+// the largest share of its window B·Tᵢ, until no file's batch fits.
+// Then each idle slot in turn goes to the file with quota left that is
+// most overdue against its new spacing period/(cᵢ+eᵢ), counting
+// scheduled transmissions too, so reclaimed blocks land in the
+// program's gaps.
 func Plan(prog *core.Program, specs []core.FileSpec, bandwidth int) *Table {
-	t := &Table{file: make([]int32, prog.Period), seq: make([]uint8, prog.Period)}
+	t := &Table{Slots: slices.Clone(prog.Slots)}
 	n := len(prog.Files)
 	window := make([]float64, n) // B·Tᵢ; 0 for a file no spec names, which reclaims nothing
 	for _, f := range specs {
@@ -94,25 +87,20 @@ func Plan(prog *core.Program, specs []core.FileSpec, bandwidth int) *Table {
 	// Placement. The heap orders the files with quota left by when
 	// their next transmission is due: one spacing after the last.
 	spacing := make([]float64, n)
-	next := make([]int, n) // sequence number of the file's next reclaimed block
-	for i, info := range prog.Files {
+	for i := range prog.Files {
 		if extra[i] > 0 {
-			c := prog.PerPeriod(i)
-			spacing[i] = float64(prog.Period) / float64(c+extra[i])
-			next[i] = (info.N*c + c + extra[i] - 1) / (c + extra[i]) % info.N
+			spacing[i] = float64(prog.Period) / float64(prog.PerPeriod(i)+extra[i])
 			h.key[i] = float64(last[i]-prog.Period) + spacing[i] // last sent in the period before
 			heap.Push(h, i)
 		}
 	}
 	for off, f := range prog.Slots {
-		t.file[off] = core.Idle
 		if f == core.Idle {
 			if h.Len() == 0 {
 				continue
 			}
 			f = h.files[0]
-			t.file[off], t.seq[off] = int32(f), uint8(next[f])
-			next[f] = (next[f] + 1) % prog.Files[f].N
+			t.Slots[off] = f
 			t.Reclaimed++
 			extra[f]--
 		}

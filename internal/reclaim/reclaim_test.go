@@ -11,19 +11,22 @@ import (
 
 // checkTable holds a table to everything Plan documents, reading only
 // the program and the table: nothing scheduled is touched, every
-// reclaimed slot names a block its file has, each file reclaims whole
-// rotations and walks them in order, fewer idle slots than the smallest
-// dispersal width stay empty, and the two counts say what the table does.
+// reclaimed slot goes to a file of the program, each file reclaims whole
+// rotations — so the filled table is a program with the data cycle of
+// the one it fills — fewer idle slots than the smallest dispersal width
+// stay empty, and the two counts say what the table does.
 func checkTable(t testing.TB, prog *core.Program, tbl *Table) {
 	t.Helper()
+	if len(tbl.Slots) != prog.Period {
+		t.Fatalf("table of %d slots for a period of %d", len(tbl.Slots), prog.Period)
+	}
 	perFile := make([]int, len(prog.Files))
-	last := make([]int, len(prog.Files))
 	idle, reclaimed := 0, 0
 	for off, f := range prog.Slots {
-		file, seq := tbl.At(off)
+		file := tbl.Slots[off]
 		if f != core.Idle {
-			if file != core.Idle {
-				t.Fatalf("offset %d is scheduled for file %d and reclaimed by file %d", off, f, file)
+			if file != f {
+				t.Fatalf("offset %d is scheduled for file %d and the table sends file %d", off, f, file)
 			}
 			continue
 		}
@@ -31,14 +34,10 @@ func checkTable(t testing.TB, prog *core.Program, tbl *Table) {
 			continue
 		}
 		reclaimed++
-		if file < 0 || file >= len(prog.Files) || seq < 0 || seq >= prog.Files[file].N {
-			t.Fatalf("offset %d reclaimed by block %d of file %d, outside the program", off, seq, file)
-		}
-		if perFile[file] > 0 && seq != (last[file]+1)%prog.Files[file].N {
-			t.Fatalf("offset %d: file %d sends block %d after block %d, not the next of its rotation", off, file, seq, last[file])
+		if file < 0 || file >= len(prog.Files) {
+			t.Fatalf("offset %d reclaimed by file %d, outside the program", off, file)
 		}
 		perFile[file]++
-		last[file] = seq
 	}
 	if tbl.Idle != idle || tbl.Reclaimed != reclaimed {
 		t.Fatalf("table says %d of %d idle slots reclaimed, the period has %d of %d", tbl.Reclaimed, tbl.Idle, reclaimed, idle)
@@ -50,6 +49,13 @@ func checkTable(t testing.TB, prog *core.Program, tbl *Table) {
 		if idle-reclaimed >= info.N {
 			t.Fatalf("%d idle slots left empty: a rotation of file %d (width %d) still fits", idle-reclaimed, i, info.N)
 		}
+	}
+	filled, err := core.NewProgram(prog.Files, tbl.Slots, prog.Bandwidth, prog.Origin)
+	if err != nil {
+		t.Fatalf("the filled table is no program: %v", err)
+	}
+	if filled.DataCycle() != prog.DataCycle() {
+		t.Fatalf("the filled table has a data cycle of %d slots, the program %d", filled.DataCycle(), prog.DataCycle())
 	}
 }
 
@@ -86,9 +92,9 @@ func TestPlanPrefersTheTightestFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := func(tbl *Table) (perFile [2]int) {
-		for off := range prog.Slots {
-			if f, _ := tbl.At(off); f != core.Idle {
-				perFile[f]++
+		for off, f := range prog.Slots {
+			if f == core.Idle && tbl.Slots[off] != core.Idle {
+				perFile[tbl.Slots[off]]++
 			}
 		}
 		return perFile

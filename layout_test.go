@@ -3,6 +3,7 @@ package pinbcast
 import (
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -104,9 +105,6 @@ func TestStationWithLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Layout() != LayoutTiered {
-		t.Fatalf("layout = %q", st.Layout())
-	}
 	if st.Program().Origin != "multidisk" {
 		t.Fatalf("origin = %q", st.Program().Origin)
 	}
@@ -115,8 +113,8 @@ func TestStationWithLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if def.Layout() != LayoutPinwheel {
-		t.Fatalf("default layout = %q", def.Layout())
+	if origin := def.Program().Origin; !strings.HasPrefix(origin, "pinwheel/") {
+		t.Fatalf("default origin = %q", origin)
 	}
 	if _, err := New(WithFiles(files...), WithContents(contents),
 		WithLayout(nil)); !errors.Is(err, ErrBadSpec) {

@@ -628,13 +628,6 @@ func (mt *MultiTuner) Results() []ClusterResult {
 	return append([]ClusterResult(nil), mt.results...)
 }
 
-// Pending returns the names of files still being collected, sorted.
-func (mt *MultiTuner) Pending() []string {
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
-	return slices.Sorted(maps.Keys(mt.reqs))
-}
-
 // Done reports whether every request has completed.
 func (mt *MultiTuner) Done() bool {
 	mt.mu.Lock()

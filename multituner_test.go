@@ -68,10 +68,10 @@ func TestMultiTunerHopOnEOF(t *testing.T) {
 	for i, rec := range recs {
 		if i == first {
 			short := &Recording{}
-			short.Send(rec.Slots()[0])
+			short.Send(recorded(rec)[0])
 			srcs[i] = short.Source()
 		} else {
-			srcs[i] = &loopingSource{slots: rec.Slots()}
+			srcs[i] = &loopingSource{slots: recorded(rec)}
 		}
 	}
 	mt, err := NewMultiTuner(srcs,
@@ -101,7 +101,7 @@ func TestMultiTunerHopOnEOF(t *testing.T) {
 	if m.Hops < 1 {
 		t.Fatalf("expected a hop, metrics %+v", m)
 	}
-	if !mt.Done() || len(mt.Pending()) != 0 {
+	if !mt.Done() {
 		t.Fatal("tuner not done after run")
 	}
 }
@@ -182,7 +182,7 @@ func TestMultiTunerMatchesReceiver(t *testing.T) {
 	var files []string
 	var kill []int
 	sent := map[string]int{}
-	for _, s := range rec.Slots() {
+	for _, s := range recorded(rec) {
 		if s.File == "" {
 			continue
 		}
@@ -253,7 +253,7 @@ func TestMultiTunerRunAfterClose(t *testing.T) {
 	for _, started := range []bool{true, false} {
 		srcs := make([]Source, len(recs))
 		for i, rec := range recs {
-			srcs[i] = &loopingSource{slots: rec.Slots()}
+			srcs[i] = &loopingSource{slots: recorded(rec)}
 		}
 		mt, err := NewMultiTuner(srcs, WithTunerDirectory(c.Directory()))
 		if err != nil {
@@ -354,8 +354,8 @@ func TestMultiTunerFlushRequestOrder(t *testing.T) {
 		if !reflect.DeepEqual(got, order) {
 			t.Fatalf("run %d: flushed %v, want request order %v", run, got, order)
 		}
-		if !mt.Done() || len(mt.Pending()) != 0 {
-			t.Fatalf("run %d: still pending %v", run, mt.Pending())
+		if !mt.Done() {
+			t.Fatalf("run %d: still pending %v", run, mt.reqs)
 		}
 		mt.Close()
 	}
@@ -449,7 +449,7 @@ func TestMultiTunerCloseMidRunOverRecordings(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("run still in flight 5 s after Close")
 	}
-	if m := mt.Metrics(); m.SlotsPerChannel[0] >= rec.Len() && m.SlotsPerChannel[1] >= rec.Len() {
+	if m := mt.Metrics(); m.SlotsPerChannel[0] >= len(recorded(rec)) && m.SlotsPerChannel[1] >= len(recorded(rec)) {
 		t.Logf("both replays ran out before Close (%v slots): the race window was missed", m.SlotsPerChannel)
 	}
 }

@@ -14,6 +14,8 @@ type stationConfig struct {
 	layout     Layout // nil = the pinwheel construction
 	interval   time.Duration
 	buffer     int
+
+	replicaOnly map[string]bool // NewCluster's alone: see Station.replicaOnly
 }
 
 // Option configures a Station under construction. Options are applied
@@ -120,13 +122,11 @@ func WithDatabase(db *RTDatabase, mode Mode) Option {
 //
 // On a paced channel a slot the program leaves idle is air nobody uses,
 // so a paced station sends a further block of a file it already
-// broadcasts in all but a few of them (internal/reclaim has the plan;
-// pin_station_reclaimed_slots_total counts them). Every scheduled slot
-// still carries exactly the block Program.BlockAt names, so the
-// emission is a superset of the program and every bound computed from
-// the program — contracts, WorstLatency, admission — still holds;
-// reclaimed blocks are best effort and promised to nobody. A
-// consumer-paced stream is left alone: its idle slots take no time.
+// broadcasts in all but a few of them (pin_station_reclaimed_slots_total
+// counts them). Every scheduled slot still carries the file the program
+// names and a file's blocks go out on one rotation, so every bound
+// computed from the program still holds: Station.Emission is what is
+// served. A consumer-paced stream is left alone: its idle slots are free.
 func WithSlotInterval(d time.Duration) Option {
 	return func(c *stationConfig) error {
 		if d < 0 {

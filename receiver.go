@@ -69,16 +69,6 @@ type ReceiverMetrics struct {
 	Reconstructions int
 }
 
-// TuningRatio returns Listened/Slots — the fraction of consumed slots
-// the receiver actually had to listen to (1.0 without schedule
-// knowledge).
-func (m ReceiverMetrics) TuningRatio() float64 {
-	if m.Slots == 0 {
-		return 0
-	}
-	return float64(m.Listened) / float64(m.Slots)
-}
-
 // receiverConfig collects the options a Receiver is built from.
 type receiverConfig struct {
 	names    map[uint32]string
@@ -135,10 +125,9 @@ func WithReceiverFaults(fm FaultModel) ReceiverOption {
 // one the station actually serves; if the stream carries a generation
 // swap (an online Admit/Evict re-aligned the program), the receiver
 // falls back to continuous listening, as a real client would until it
-// re-reads the index. The receiver decides from the program before it
-// looks at the block, so it sleeps through the blocks a paced station
-// sends in idle slots (WithSlotInterval): its tuning time is unchanged
-// and it gains nothing from them.
+// re-reads the index. The receiver decides from the schedule before it
+// looks at the block: given a paced station's Program it sleeps through
+// the reclaimed blocks, given its Emission it wakes for them too.
 func WithSchedule(prog *Program) ReceiverOption {
 	return func(c *receiverConfig) error {
 		if prog == nil {
@@ -213,8 +202,8 @@ func (r *Receiver) Cancel(file string) bool { return r.cli.Cancel(file) }
 
 // Step consumes one slot from the source and advances the protocol. It
 // reports whether every request has completed. The stream end
-// propagates as io.EOF (flush pending requests with Results afterwards
-// via Close or inspect them with Pending).
+// propagates as io.EOF (Run flushes the requests still pending then as
+// failures).
 //
 // Step is the per-slot receive path; BenchmarkReceiverSlots asserts
 // 0 allocs/op in steady state.
@@ -360,10 +349,6 @@ func (r *Receiver) Recycle(res Result) {
 	}
 	r.cli.Recycle(res.Data)
 }
-
-// Pending returns the names of files still being collected, in the
-// order they were requested.
-func (r *Receiver) Pending() []string { return r.cli.Pending() }
 
 // Done reports whether every request has completed.
 func (r *Receiver) Done() bool { return r.cli.Done() }

@@ -1,10 +1,15 @@
 package pinbcast
 
 import (
+	"bytes"
 	"context"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"pinbcast/internal/server"
 	"pinbcast/internal/workload"
 	"pinbcast/internal/zeroalloc"
 )
@@ -38,6 +43,38 @@ func station(t testing.TB, paced bool, opts ...Option) *Station {
 	return st
 }
 
+// daemonCluster builds the cluster bdserved boots for bdload's
+// daemon-paced workload — sixteen files with r = 1 on two channels of
+// the whole catalogue's Equation-2 bandwidth, the hottest quarter on
+// both — with opts over that; consumer-paced, or every station paced on
+// a freeClock of its own.
+func daemonCluster(t testing.TB, paced bool, opts ...ClusterOption) (*Cluster, []FileSpec) {
+	t.Helper()
+	files := workload.Random(16, 6, 10, 80, 0, 1)
+	for i := range files {
+		files[i].Faults = 1
+	}
+	stOpts := []Option{WithSlotBuffer(256)}
+	if paced {
+		stOpts = append(stOpts, WithSlotInterval(pacerTestInterval))
+	}
+	c, err := NewCluster(append([]ClusterOption{
+		WithChannels(2), WithReplicas(2), WithShardName(ShardBalanced),
+		WithClusterBandwidth(SufficientBandwidth(files)),
+		WithClusterFiles(files...), WithClusterContents(workload.Contents(files, 16, 1)),
+		WithStationOptions(stOpts...),
+	}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if paced {
+		for _, st := range c.stations {
+			st.clock = &freeClock{now: pacerTestEpoch}
+		}
+	}
+	return c, files
+}
+
 // air serves the first n slots of a station that has not served yet.
 func air(t testing.TB, st *Station, n int) []Slot {
 	t.Helper()
@@ -59,47 +96,70 @@ func air(t testing.TB, st *Station, n int) []Slot {
 // TestManyStartsExhaustiveDeadlines' subject, not these tests'.
 const reclaimTestSlots = 1 << 13
 
+// reclaimedPerPeriod counts the slots of a period the generation's
+// program leaves idle and its emission fills.
+func reclaimedPerPeriod(gen *generation) (n int) {
+	for off, f := range gen.program.Slots {
+		if f == Idle && gen.emission.Slots[off] != Idle {
+			n++
+		}
+	}
+	return n
+}
+
 // checkReclaimedEmission holds the slots a paced station emitted from
-// local slot 0 of gen to the superset rule: where the program schedules
-// a block, exactly that block; where it is idle, nothing or a block of a
-// file of this generation — resolved by name, layouts reorder the table
-// — served from the generation's own frames, every file reclaiming whole
-// rotations per period and fewer idle slots than the smallest dispersal
-// width going out empty.
-func checkReclaimedEmission(t *testing.T, gen *generation, slots []Slot) {
+// local slot 0 of gen to the emission rule. Where the program schedules
+// a file, exactly that file; where it is idle, nothing or a file of this
+// generation — resolved by name, layouts reorder the table; everywhere
+// the block gen.emission.BlockAt names, served from the generation's own
+// frames. The rotation itself: a file's successive transmissions on the
+// air, scheduled or reclaimed, carry successive blocks mod Nᵢ from block
+// 0 on, across periods. Every file reclaims whole rotations per period,
+// and fewer idle slots than the smallest dispersal width among the files
+// st reclaims for go out empty.
+func checkReclaimedEmission(t *testing.T, st *Station, gen *generation, slots []Slot) {
 	t.Helper()
 	prog := gen.program
-	if gen.fill == nil {
-		t.Fatal("a paced generation has no reclaim table")
+	if gen.emission == prog || gen.emission.DataCycle() != gen.cycle {
+		t.Fatalf("a paced generation serves %p with a data cycle of %d slots, its program is %p with %d",
+			gen.emission, gen.emission.DataCycle(), prog, gen.cycle)
 	}
-	minWidth := prog.Files[0].N
+	minWidth := 1 << 30
 	for _, info := range prog.Files {
-		minWidth = min(minWidth, info.N)
+		if !st.replicaOnly[info.Name] {
+			minWidth = min(minWidth, info.N)
+		}
 	}
+	sent := make([]int, len(prog.Files)) // transmissions so far, the rotation's position
 	perFile := make([]int, len(prog.Files))
 	empty := 0
 	for lt, slot := range slots {
 		if slot.Generation != gen.id {
 			t.Fatalf("slot %d is of generation %d, want %d", slot.T, slot.Generation, gen.id)
 		}
-		file, seq := prog.BlockAt(lt)
+		scheduled := prog.FileAt(lt)
+		file, seq := gen.emission.BlockAt(lt)
 		switch {
-		case file != Idle:
-			if slot.File != prog.Files[file].Name || slot.Seq != seq {
-				t.Fatalf("slot %d carries %s/%d, the program schedules %s/%d", slot.T, slot.File, slot.Seq, prog.Files[file].Name, seq)
+		case file == Idle:
+			if scheduled != Idle || slot.Block != nil {
+				t.Fatalf("slot %d carries %q, the emission leaves it empty and the program schedules file %d", slot.T, slot.File, scheduled)
 			}
-		case slot.Idle():
 			empty++
-		default:
-			if file = prog.FileIndex(slot.File); file < 0 || slot.Seq < 0 || slot.Seq >= prog.Files[file].N {
-				t.Fatalf("slot %d reclaimed by %q/%d, which generation %d does not broadcast", slot.T, slot.File, slot.Seq, gen.id)
-			}
-			seq = slot.Seq
-			perFile[file]++
+		case slot.File != prog.Files[file].Name || slot.Seq != seq:
+			t.Fatalf("slot %d carries %s/%d, the emission names %s/%d", slot.T, slot.File, slot.Seq, prog.Files[file].Name, seq)
+		case scheduled != Idle && scheduled != file:
+			t.Fatalf("slot %d carries %s, the program schedules %s", slot.T, slot.File, prog.Files[scheduled].Name)
+		case prog.FileIndex(slot.File) != file:
+			t.Fatalf("slot %d reclaimed by %q, which generation %d does not broadcast", slot.T, slot.File, gen.id)
+		case seq != sent[file]%prog.Files[file].N:
+			t.Fatalf("slot %d: transmission %d of %s carries block %d, not the next of its rotation of %d", slot.T, sent[file], slot.File, seq, prog.Files[file].N)
 		}
 		if file != Idle {
 			if b, payload := gen.srv.Block(file, seq); slot.Block != b || &slot.Payload[0] != &payload[0] {
 				t.Fatalf("slot %d: %s/%d is not served from the generation's own frames", slot.T, slot.File, seq)
+			}
+			if sent[file]++; scheduled == Idle {
+				perFile[file]++
 			}
 		}
 		if (lt+1)%prog.Period != 0 {
@@ -136,9 +196,11 @@ func reclaimCatalogues() [][]FileSpec {
 
 // TestReclaimedEmissionIsSupersetOfProgram is the correctness argument
 // of reclamation: over seeded random catalogues under every built-in
-// scheduler and layout, a paced station emits its program slot for slot
-// plus best-effort blocks in the idle slots, and the same station
-// without a slot interval emits the program and nothing else.
+// scheduler and layout, a paced station emits its program file for file
+// plus best-effort blocks in the idle slots, all of a file's on one
+// rotation, with the program's data cycle and every window the program
+// keeps; the same station without a slot interval emits the program and
+// nothing else.
 func TestReclaimedEmissionIsSupersetOfProgram(t *testing.T) {
 	portfolio, _ := LookupScheduler(SchedulerPortfolio)
 	reclaimed := 0
@@ -158,16 +220,22 @@ func TestReclaimedEmissionIsSupersetOfProgram(t *testing.T) {
 				paced := station(t, true, opts...)
 				gen, prog := paced.gen, paced.gen.program
 				n := (min(2*gen.cycle, reclaimTestSlots) + prog.Period - 1) / prog.Period * prog.Period
-				checkReclaimedEmission(t, gen, air(t, paced, n))
-				reclaimed += gen.fill.Reclaimed
-
-				plain := station(t, false, opts...)
-				if plain.gen.fill != nil {
-					t.Fatal("an unpaced generation has a reclaim table")
+				checkReclaimedEmission(t, paced, gen, air(t, paced, n))
+				reclaimed += reclaimedPerPeriod(gen)
+				for _, f := range files {
+					i, window := prog.FileIndex(f.Name), paced.bandwidth*f.Latency
+					kept := prog.VerifyWindows(i, f.Demand(), window)
+					if kept != nil && layoutName == LayoutPinwheel {
+						t.Fatalf("catalogue %d %s/%s: the program misses its own window: %v", c, layoutName, schedName, kept)
+					}
+					if err := gen.emission.VerifyWindows(i, f.Demand(), window); err != nil && kept == nil {
+						t.Fatalf("catalogue %d %s/%s: the emission misses a window the program keeps: %v", c, layoutName, schedName, err)
+					}
 				}
-				for lt, slot := range air(t, plain, n) {
+
+				for lt, slot := range air(t, station(t, false, opts...), n) {
 					file, seq := prog.BlockAt(lt)
-					if file == Idle && slot.Idle() {
+					if file == Idle && slot.Block == nil {
 						continue
 					}
 					if file == Idle || slot.File != prog.Files[file].Name || slot.Seq != seq {
@@ -194,7 +262,7 @@ func oracleLatency(emitted []Slot, start int, file string, m, faults int) int {
 	var have [256]bool
 	for k, got := 0, 0; start+k < len(emitted); k++ {
 		s := emitted[start+k]
-		if s.Idle() || s.File != file || have[s.Seq] {
+		if s.Block == nil || s.File != file || have[s.Seq] {
 			continue
 		}
 		if faults > 0 {
@@ -213,11 +281,22 @@ func oracleLatency(emitted []Slot, start int, file string, m, faults int) int {
 // cycle, fault-free and against the adversary with every file's r
 // faults, the oracle's latency on the paced emission is at most its
 // latency on the program alone, and where anything is reclaimed the
-// mean is strictly lower.
+// mean is strictly lower. The last pair is channel 1 of the daemon
+// cluster, which reclaims for some of its files only.
 func TestReclaimedEmissionDominatesProgram(t *testing.T) {
+	var pairs [][2]*Station
 	for c, files := range reclaimCatalogues() {
 		opts := []Option{WithFiles(files...), WithContents(workload.Contents(files, 16, int64(c))), WithSlotBuffer(256)}
-		paced, plain := station(t, true, opts...), station(t, false, opts...)
+		pairs = append(pairs, [2]*Station{station(t, true, opts...), station(t, false, opts...)})
+	}
+	pacedCluster, _ := daemonCluster(t, true)
+	plainCluster, _ := daemonCluster(t, false)
+	pairs = append(pairs, [2]*Station{pacedCluster.Station(1), plainCluster.Station(1)})
+	if len(pacedCluster.Station(1).replicaOnly) == 0 {
+		t.Fatal("channel 1 of the daemon cluster reclaims for every file it carries")
+	}
+	for c, pair := range pairs {
+		paced, plain, files := pair[0], pair[1], pair[0].gen.files
 		starts := min(paced.gen.cycle, reclaimTestSlots)
 		with, without := air(t, paced, 2*starts), air(t, plain, 2*starts)
 		for _, adversary := range []bool{false, true} {
@@ -236,19 +315,79 @@ func TestReclaimedEmissionDominatesProgram(t *testing.T) {
 					sumWith, sumWithout = sumWith+a, sumWithout+b
 				}
 			}
-			if paced.gen.fill.Reclaimed > 0 && sumWith >= sumWithout {
+			if reclaimed := reclaimedPerPeriod(paced.gen); reclaimed > 0 && sumWith >= sumWithout {
 				t.Fatalf("catalogue %d (adversary %v): %d slots reclaimed a period and the mean latency did not fall (%d against %d slots in all)",
-					c, adversary, paced.gen.fill.Reclaimed, sumWith, sumWithout)
+					c, adversary, reclaimed, sumWith, sumWithout)
 			}
 		}
 	}
 }
 
+// TestPacedClusterClosedLoopLatency is bdload's daemon-paced workload on
+// no clock: the daemon cluster's emissions walked in lock-step under one
+// closed-loop scan listener — files in seeded permutations, the next
+// request tuned in the slot after the last completed, every home of the
+// file collecting and the first to m distinct blocks winning. It guards,
+// in the slot domain, what the wall-clock gate measures: latency over
+// the window B·Tᵢ at the median and the 95th percentile (0.311 and 0.540
+// with a rotation per kind of slot and every station reclaiming for
+// everything), and that a listener never hears a block twice on the
+// channel that completes (14.6 % of the wanted file's blocks there).
+func TestPacedClusterClosedLoopLatency(t *testing.T) {
+	const retrievals = 20000
+	c, files := daemonCluster(t, true)
+	homes := c.Assignment()
+	rng := rand.New(rand.NewSource(1))
+	ratios := make([]float64, 0, retrievals)
+	heard, duplicates := 0, 0
+	for tune := 0; len(ratios) < retrievals; {
+		for _, k := range rng.Perm(len(files)) {
+			f, window := files[k], c.Station(0).Bandwidth()*files[k].Latency
+			have := make([][]bool, c.Channels()) // per channel, the blocks held
+			got, again := make([]int, c.Channels()), make([]int, c.Channels())
+			winner := -1
+			for lt := tune; winner < 0; lt++ {
+				if lt-tune >= window {
+					t.Fatalf("%q requested at slot %d is not retrieved within its window of %d slots", f.Name, tune, window)
+				}
+				for _, ch := range homes[f.Name] {
+					emission := c.Station(ch).Emission()
+					file, seq := emission.BlockAt(lt)
+					if file == Idle || emission.Files[file].Name != f.Name {
+						continue
+					}
+					if have[ch] == nil {
+						have[ch] = make([]bool, emission.Files[file].N)
+					}
+					if have[ch][seq] {
+						again[ch]++
+					} else if have[ch][seq], got[ch] = true, got[ch]+1; got[ch] == f.Blocks && winner < 0 {
+						winner = ch
+					}
+				}
+				if winner >= 0 {
+					ratios = append(ratios, float64(lt-tune+1)/float64(window))
+					heard, duplicates = heard+got[winner]+again[winner], duplicates+again[winner]
+					tune = lt + 1
+				}
+			}
+		}
+	}
+	slices.Sort(ratios)
+	p50, p95 := ratios[len(ratios)/2], ratios[len(ratios)*95/100]
+	t.Logf("p50 %.3f p95 %.3f of the window over %d retrievals, duplicates %d of %d blocks heard on the winning channel",
+		p50, p95, len(ratios), duplicates, heard)
+	if p50 > 0.26 || p95 > 0.42 || duplicates > 0 {
+		t.Fatalf("want p50 ≤ 0.26, p95 ≤ 0.42 and no duplicate")
+	}
+}
+
 // TestReclaimAcrossGenerationSwap: Admit and Evict while a paced station
 // streams. Each swap lands on a data-cycle boundary of the outgoing
-// generation, and from that slot on the incoming generation's own table
-// is the one in use: no slot, scheduled or reclaimed, carries a file the
-// new generation does not broadcast.
+// generation, and from that slot on the incoming generation's own
+// emission is the one in use, its rotations starting over: no slot,
+// scheduled or reclaimed, carries a file the new generation does not
+// broadcast.
 func TestReclaimAcrossGenerationSwap(t *testing.T) {
 	st := station(t, true,
 		WithFiles(FileSpec{Name: "A", Blocks: 2, Latency: 10, Faults: 1}, FileSpec{Name: "B", Blocks: 3, Latency: 20}),
@@ -269,7 +408,7 @@ func TestReclaimAcrossGenerationSwap(t *testing.T) {
 			t.Fatal(err)
 		}
 		next := st.latest()
-		if next == old || next.fill == old.fill {
+		if next == old || next.emission == old.emission {
 			t.Fatalf("step %d staged no generation of its own", step)
 		}
 		slot := <-stream
@@ -282,7 +421,7 @@ func TestReclaimAcrossGenerationSwap(t *testing.T) {
 		for len(slots) < 2*next.cycle {
 			slots = append(slots, <-stream)
 		}
-		checkReclaimedEmission(t, next, slots)
+		checkReclaimedEmission(t, st, next, slots)
 		for _, slot := range slots {
 			if step == 1 && slot.File == "A" {
 				t.Fatalf("slot %d still carries the evicted file", slot.T)
@@ -290,8 +429,172 @@ func TestReclaimAcrossGenerationSwap(t *testing.T) {
 		}
 		old = next
 	}
-	if old.fill.Reclaimed == 0 {
+	if reclaimedPerPeriod(old) == 0 {
 		t.Fatal("the last generation reclaims nothing: the swap was not checked on reclaimed slots")
+	}
+}
+
+// TestClusterFailoverPromotesReclaim: on the paced daemon cluster a
+// replicated file is reclaimed for by its first home alone, which is
+// also the channel FetchPlan ranks first; when that channel fails, the
+// surviving home takes the file's spare air over at its next data-cycle
+// boundary, with every window and every kept contract as before. Where
+// no file is orphaned the promotion is the survivor's only change: one
+// generation when paced, none when there is no air to plan.
+func TestClusterFailoverPromotesReclaim(t *testing.T) {
+	sent := func(p *Program, name string) int { return p.PerPeriod(p.FileIndex(name)) }
+	c, files := daemonCluster(t, true, WithStationOptions(WithSlotBuffer(0)))
+	homes, plan := c.Assignment(), c.FetchPlan()
+	var replicated []string
+	for _, f := range files {
+		h := homes[f.Name]
+		if len(h) < 2 {
+			continue
+		}
+		replicated = append(replicated, f.Name)
+		if plan[f.Name][0] != h[0] {
+			t.Fatalf("FetchPlan ranks channel %d first for %q, channel %d reclaims for it", plan[f.Name][0], f.Name, h[0])
+		}
+		if replica := c.Station(h[1]); sent(replica.Emission(), f.Name) != sent(replica.Program(), f.Name) {
+			t.Fatalf("channel %d reclaims for %q, which channel %d carries first", h[1], f.Name, h[0])
+		}
+	}
+	if len(replicated) == 0 {
+		t.Fatal("the daemon cluster replicates nothing")
+	}
+	promoted := replicated[0]
+	primary, survivor := homes[promoted][0], homes[promoted][1]
+	before, err := c.Negotiate(Txn{Name: "hot", Reads: replicated, Deadline: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	streams, err := c.Serve(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, stream := c.Station(survivor), streams[survivor]
+	old := st.gen
+	// The loop is then parked on slot 3 of generation 1, off any
+	// boundary: whatever FailChannel stages goes live together.
+	for i := 0; i < 3; i++ {
+		<-stream
+	}
+	rep, err := c.FailChannel(primary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := c.Contract("hot")
+	if err != nil || !slices.Contains(rep.Kept, "hot") ||
+		after.WorstLatencySlots != before.WorstLatencySlots || after.DegradedLatencySlots != before.DegradedLatencySlots {
+		t.Fatalf("contract %+v became %+v (%v) over a failover its reads survive", before, after, err)
+	}
+	next := st.latest()
+	slot := <-stream
+	for ; slot.Generation == old.id; slot = <-stream {
+	}
+	if slot.Generation != next.id || slot.T%old.cycle != 0 {
+		t.Fatalf("generation %d went live at slot %d, want %d on a %d-slot boundary", slot.Generation, slot.T, next.id, old.cycle)
+	}
+	slots := []Slot{slot}
+	for n := (min(2*next.cycle, reclaimTestSlots) + next.program.Period - 1) / next.program.Period * next.program.Period; len(slots) < n; {
+		slots = append(slots, <-stream)
+	}
+	checkReclaimedEmission(t, st, next, slots)
+	if sent(next.emission, promoted) <= sent(next.program, promoted) {
+		t.Fatalf("channel %d is the only home of %q and does not reclaim for it", survivor, promoted)
+	}
+	for _, f := range next.files {
+		if err := next.emission.VerifyWindows(next.emission.FileIndex(f.Name), f.Demand(), st.bandwidth*f.Latency); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, paced := range []bool{true, false} {
+		c, files := daemonCluster(t, paced, WithReplicateHottest(16))
+		st := c.Station(1)
+		if len(files) != 16 || len(st.replicaOnly) == 0 {
+			t.Fatalf("channel 1 is the first home of all it carries: nothing to promote")
+		}
+		gen, want := st.Generation(), st.Generation()
+		if paced {
+			want++
+		}
+		if _, err := c.FailChannel(0); err != nil {
+			t.Fatal(err)
+		}
+		if st.Generation() != want {
+			t.Fatalf("paced %v: the survivor went from generation %d to %d, want %d", paced, gen, st.Generation(), want)
+		}
+	}
+}
+
+// TestSimulateOnEmissionMatchesPacedStation: the paced air is simulated
+// by handing Simulate the station's Emission, nothing more. What
+// Simulate's server sends is slot for slot what the station serves, and
+// its clients end where a Receiver fed the live stream from slot 0 ends:
+// the same results in the same order, latencies and bytes included. A
+// receiver dozing on the emission loses nothing to its sleep.
+func TestSimulateOnEmissionMatchesPacedStation(t *testing.T) {
+	files := reclaimCatalogues()[1]
+	contents := workload.Contents(files, 16, 1)
+	st := station(t, true, WithFiles(files...), WithContents(contents), WithSlotBuffer(256))
+	var reqs []Request
+	for _, f := range files {
+		reqs = append(reqs, Request{File: f.Name, Deadline: st.bandwidth * f.Latency})
+	}
+	sim, err := Simulate(SimConfig{Program: st.Emission(), Contents: contents, Clients: []ClientSpec{{Requests: reqs}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(st.Emission(), contents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &Recording{}
+	for _, slot := range air(t, st, sim.Slots) {
+		if !bytes.Equal(slot.Payload, srv.Emit(slot.T)) {
+			t.Fatalf("slot %d: the station serves %s/%d, the simulated server something else", slot.T, slot.File, slot.Seq)
+		}
+		rec.Send(slot)
+	}
+	for _, opts := range [][]ReceiverOption{nil, {WithSchedule(st.Emission())}} {
+		live, err := Subscribe(rec.Source(), append(opts, withRequests(reqs...))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := live.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(results, sim.Results) {
+			t.Fatalf("a receiver on the paced stream ends with\n%+v\nSimulate on the emission with\n%+v", results, sim.Results)
+		}
+		if m := live.Metrics(); (m.Dozed > 0) != (opts != nil) || m.Slots != sim.Slots {
+			t.Fatalf("receiver metrics %+v over %d simulated slots (dozing: %v)", m, sim.Slots, opts != nil)
+		}
+	}
+	if sim.PerFile[files[0].Name].DeadlineMissed > 0 || sim.MissRatio() > 0 {
+		t.Fatalf("the simulated paced air misses a window: %+v", sim.PerFile)
+	}
+}
+
+// TestUnpacedEmissionIsTheProgram: with no slot interval there is no air
+// to plan, and Emission is Program — the same pointer, whatever the
+// layout; paced, it is a program of its own over the same file table.
+func TestUnpacedEmissionIsTheProgram(t *testing.T) {
+	files := reclaimCatalogues()[0]
+	for _, layoutName := range LayoutNames() {
+		opts := []Option{WithFiles(files...), WithContents(workload.Contents(files, 16, 0)), WithLayout(mustLayout(t, layoutName))}
+		if st := station(t, false, opts...); st.Emission() != st.Program() {
+			t.Fatalf("%s: an unpaced station serves %p, its program is %p", layoutName, st.Emission(), st.Program())
+		}
+		st := station(t, true, opts...)
+		if e, p := st.Emission(), st.Program(); e == p || e.Period != p.Period || &e.Files[0] != &p.Files[0] {
+			t.Fatalf("%s: a paced station serves %v for the program %v", layoutName, e, p)
+		}
 	}
 }
 
@@ -299,13 +602,13 @@ func TestReclaimAcrossGenerationSwap(t *testing.T) {
 // drained per second from a Serve stream, the hot path of the Station
 // service API, which must stay at 0 allocs/op — consumer-paced, and
 // paced on a clock that never waits, where the loop also runs the pacer
-// and fills the program's idle slots from the reclaim table.
+// and serves an emission with the program's idle slots filled.
 func BenchmarkStationServe(b *testing.B) {
 	b.Run("unpaced", func(b *testing.B) { benchmarkStationServe(b, station(b, false, serveBenchOptions()...)) })
 	b.Run("paced", func(b *testing.B) {
 		st := station(b, true, serveBenchOptions()...)
-		if fill := st.gen.fill; fill.Reclaimed*4 < st.gen.program.Period {
-			b.Fatalf("%d of %d slots reclaimed: the paced case needs a quarter of the air idle", fill.Reclaimed, st.gen.program.Period)
+		if reclaimed := reclaimedPerPeriod(st.gen); reclaimed*4 < st.gen.program.Period {
+			b.Fatalf("%d of %d slots reclaimed: the paced case needs a quarter of the air idle", reclaimed, st.gen.program.Period)
 		}
 		benchmarkStationServe(b, st)
 	})

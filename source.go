@@ -148,20 +148,6 @@ func (rec *Recording) Send(s Slot) error {
 // Close is a no-op; the recording stays usable for replay.
 func (rec *Recording) Close() error { return nil }
 
-// Len returns the number of recorded slots.
-func (rec *Recording) Len() int {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	return len(rec.slots)
-}
-
-// Slots returns a copy of the recorded slots in capture order.
-func (rec *Recording) Slots() []Slot {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	return append([]Slot(nil), rec.slots...)
-}
-
 // Source returns a replay of the recording from its first slot. Each
 // call returns an independent replay cursor.
 func (rec *Recording) Source() Source { return &replaySource{rec: rec} }

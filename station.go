@@ -3,6 +3,8 @@ package pinbcast
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -17,7 +19,7 @@ import (
 // program carries one AIDA block of one file, or nothing when the
 // program leaves the slot idle — except on a paced station, which sends
 // a further block of one of its files in most such slots (see
-// WithSlotInterval).
+// WithSlotInterval and Station.Emission).
 type Slot struct {
 	// T is the absolute slot index since Serve started, across program
 	// generations.
@@ -27,11 +29,12 @@ type Slot struct {
 	// data-cycle boundary.
 	Generation int
 	// File is the name of the file whose block occupies the slot, or ""
-	// for an idle slot. In a slot Program.BlockAt calls idle, a block is
-	// a reclaimed one.
+	// for an idle slot: the file the program schedules there, or in a
+	// slot the program leaves idle the one reclaiming it.
 	File string
-	// Seq is the dispersed block sequence number within the file's AIDA
-	// rotation (meaningless for idle slots).
+	// Seq is the dispersed block sequence number (meaningless for idle
+	// slots): the station's k-th transmission of a file, scheduled or
+	// reclaimed, carries block k mod N — Emission().BlockAt names it.
 	Seq int
 	// Block is the self-identifying block, nil for idle slots.
 	Block *Block
@@ -42,18 +45,15 @@ type Slot struct {
 	Payload []byte
 }
 
-// Idle reports whether the slot carries no block.
-func (s Slot) Idle() bool { return s.Block == nil }
-
 // generation is one immutable build of the broadcast pipeline: a
-// program, its dispersed database, and the file set it was built from.
+// program, what is served for it, its dispersed database and file set.
 type generation struct {
-	id      int
-	files   []FileSpec
-	program *Program
-	srv     *server.Server
-	cycle   int            // program data cycle, the admission boundary
-	fill    *reclaim.Table // what a paced station sends in the program's idle slots; nil when unpaced
+	id       int
+	files    []FileSpec
+	program  *Program
+	emission *Program // what is served: the program itself unless paced (see Station.emission)
+	srv      *server.Server
+	cycle    int // data cycle of program and emission alike, the admission boundary
 }
 
 // Station is a long-lived broadcast-disk service: it owns schedule
@@ -63,8 +63,8 @@ type generation struct {
 // data-cycle boundary (§2.3), where the outgoing program's block
 // rotation ends; a retrieval in flight across the swap is bounded by
 // one window per generation it touched. A paced station (WithSlotInterval)
-// also fills the slots its program leaves idle; each generation plans
-// its own filling, which changes with the program at the same boundary.
+// also fills the slots its program leaves idle: what it serves is its
+// Emission, planned per generation and changed at the same boundary.
 //
 // A Station is safe for concurrent use: Admit and Evict may be called
 // while Serve streams.
@@ -85,6 +85,10 @@ type Station struct {
 	pending *generation // guarded by mu
 	nextID  int         // guarded by buildMu
 	serving bool        // guarded by mu
+	// replicaOnly names the files a cluster station carries behind
+	// another live channel, which plans their spare air
+	// (Cluster.replicaOnlyLocked); guarded by buildMu.
+	replicaOnly map[string]bool
 	// contents is the authoritative dispersal source, owned by the
 	// station; guarded by buildMu.
 	contents map[string][]byte
@@ -117,13 +121,14 @@ func New(opts ...Option) (*Station, error) {
 		bw = core.SufficientBandwidth(cfg.files)
 	}
 	st := &Station{
-		bandwidth:  bw,
-		schedulers: cfg.schedulers,
-		layout:     cfg.layout,
-		interval:   cfg.interval,
-		buffer:     cfg.buffer,
-		contents:   cfg.contents,
-		qos:        map[string]qosEntry{},
+		bandwidth:   bw,
+		schedulers:  cfg.schedulers,
+		layout:      cfg.layout,
+		interval:    cfg.interval,
+		buffer:      cfg.buffer,
+		contents:    cfg.contents,
+		qos:         map[string]qosEntry{},
+		replicaOnly: cfg.replicaOnly,
 	}
 	if st.interval > 0 {
 		st.clock = wallClock{time.NewTimer(st.interval)} // Serve is single-flight: one timer does
@@ -155,6 +160,10 @@ func (st *Station) build(files []FileSpec, base *server.Server) (*generation, er
 	if err != nil {
 		return nil, err
 	}
+	emission, err := st.emission(prog, files, st.replicaOnly)
+	if err != nil {
+		return nil, err
+	}
 	srv, err := server.New(prog, st.contents, base)
 	if err != nil {
 		return nil, err
@@ -162,27 +171,73 @@ func (st *Station) build(files []FileSpec, base *server.Server) (*generation, er
 	stBuildMicros.Observe(uint64(time.Since(start).Microseconds()))
 	stFilesEncoded.Add(uint64(srv.Encoded()))
 	st.nextID++
-	gen := &generation{
-		id:      st.nextID,
-		files:   files,
-		program: prog,
-		srv:     srv,
-		cycle:   prog.DataCycle(),
-	}
-	// An idle slot wastes air only where slots are time-division; on a
-	// consumer-paced stream it is an 8-byte frame that takes no time.
-	if st.interval > 0 {
-		gen.fill = reclaim.Plan(prog, files, st.bandwidth)
-	}
-	return gen, nil
+	return &generation{
+		id:       st.nextID,
+		files:    files,
+		program:  prog,
+		emission: emission,
+		srv:      srv,
+		cycle:    prog.DataCycle(),
+	}, nil
 }
 
-// Layout returns the name of the station's layout strategy.
-func (st *Station) Layout() string {
-	if st.layout != nil {
-		return st.layout.Name()
+// emission returns what the station puts on the air for prog: prog
+// itself when consumer-paced (an idle slot wastes air only where slots
+// are time-division) and when paced prog's slot table with the idle
+// slots filled by reclaim.Plan for all of files but the replicaOnly.
+//
+// Every promise of prog holds on it. Scheduled slots keep their file, so
+// a window of B·Tᵢ slots still holds the mᵢ+rᵢ transmissions prog put
+// there. The filled table is a Program, so the file's k-th transmission
+// on the air, scheduled or reclaimed, carries block k mod Nᵢ: any
+// Nᵢ ≥ mᵢ+rᵢ consecutive ones are distinct, those of a window among
+// them, and a retrieval losing f ≤ rᵢ blocks ends on the (mᵢ+f)-th it
+// hears, never later here than on prog. Whole rotations are reclaimed,
+// so the data cycle, the swap and drain boundary, is prog's.
+func (st *Station) emission(prog *Program, files []FileSpec, replicaOnly map[string]bool) (*Program, error) {
+	if st.interval == 0 {
+		return prog, nil
 	}
-	return LayoutPinwheel
+	specs := slices.DeleteFunc(slices.Clone(files), func(f FileSpec) bool { return replicaOnly[f.Name] })
+	filled := reclaim.Plan(prog, specs, st.bandwidth).Slots
+	emission, err := core.NewProgram(prog.Files, filled, prog.Bandwidth, prog.Origin+"+reclaim")
+	if err == nil && emission.DataCycle() != prog.DataCycle() {
+		err = fmt.Errorf("data cycle %d, the program's is %d", emission.DataCycle(), prog.DataCycle())
+	}
+	if err != nil {
+		return nil, fmt.Errorf("pinbcast: internal error: reclaimed emission: %w", err)
+	}
+	for _, f := range files {
+		i, window := prog.FileIndex(f.Name), st.bandwidth*f.Latency
+		// Every window prog keeps: a layout may bound nothing.
+		if err := emission.VerifyWindows(i, f.Demand(), window); err != nil && prog.VerifyWindows(i, f.Demand(), window) == nil {
+			return nil, fmt.Errorf("pinbcast: internal error: reclaimed emission: %w", err)
+		}
+	}
+	return emission, nil
+}
+
+// reclaimExcept makes replicaOnly the files a paced station plans no
+// spare air for. Where the set changed, the latest generation is staged
+// again with its emission planned anew — same program, frames and
+// contracts, no solve, no encode — for the next data-cycle boundary.
+//
+//pinlint:cycle-boundary
+func (st *Station) reclaimExcept(replicaOnly map[string]bool) error {
+	st.buildMu.Lock()
+	defer st.buildMu.Unlock()
+	if st.interval == 0 || maps.Equal(st.replicaOnly, replicaOnly) {
+		return nil
+	}
+	gen := *st.latest()
+	emission, err := st.emission(gen.program, gen.files, replicaOnly)
+	if err == nil {
+		st.replicaOnly = replicaOnly
+		st.nextID++
+		gen.id, gen.emission = st.nextID, emission
+		st.stage(&gen)
+	}
+	return err
 }
 
 // Program returns the broadcast program of the active generation.
@@ -190,6 +245,18 @@ func (st *Station) Program() *Program {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.gen.program
+}
+
+// Emission returns what the active generation puts on the air, slot for
+// slot: Program itself on a consumer-paced station, on a paced one
+// (WithSlotInterval) the same program with its idle slots filled.
+// Simulate, LatencyProfile and WithSchedule take it like any Program;
+// contracts and admission read Program: a reclaimed slot is promised to
+// nobody.
+func (st *Station) Emission() *Program {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.gen.emission
 }
 
 // Bandwidth returns the channel bandwidth in blocks per time unit the
@@ -339,16 +406,13 @@ func (st *Station) serveLoop(ctx context.Context, out chan<- Slot) {
 		st.mu.Unlock()
 
 		slot := Slot{T: t, Generation: gen.id}
-		file, seq := gen.program.BlockAt(localT)
-		reclaimed := file == core.Idle && gen.fill != nil
-		if reclaimed {
-			file, seq = gen.fill.At(localT % gen.program.Period)
-		}
+		file, seq := gen.emission.BlockAt(localT)
 		if file != core.Idle {
-			slot.File = gen.program.Files[file].Name
+			slot.File = gen.emission.Files[file].Name
 			slot.Seq = seq
 			slot.Block, slot.Payload = gen.srv.Block(file, seq)
 		}
+		reclaimed := file != core.Idle && gen.program.FileAt(localT) == core.Idle
 		localT++
 
 		if clk != nil {
