@@ -274,18 +274,6 @@ func (c *Cluster) Assignment() map[string][]int {
 	return out
 }
 
-// Lost returns the files the cluster no longer carries anywhere, with
-// the reason each was lost (wrapping ErrDegraded), keyed by file name.
-func (c *Cluster) Lost() map[string]error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]error, len(c.lost))
-	for name, err := range c.lost {
-		out[name] = err
-	}
-	return out
-}
-
 // Directory returns the merged id→name directory over every channel —
 // what a MultiTuner needs to resolve any file of the catalog on any
 // channel (identifiers are name-derived, so replicas agree).
@@ -564,9 +552,10 @@ type FailoverReport struct {
 	// channel) to the surviving channel that admitted it; the file goes
 	// on air at that channel's next data-cycle boundary.
 	Readmitted map[string]int
-	// Lost lists orphaned files no survivor could admit; their reads are
-	// gone and their contracts revoked (ErrDegraded).
-	Lost []string
+	// Lost maps each orphaned file no survivor could admit to the reason
+	// (wrapping ErrDegraded), nil when there is none; its reads are gone
+	// and their contracts revoked.
+	Lost map[string]error
 	// Revoked lists cluster contracts revoked by this failover.
 	Revoked []string
 	// Kept lists cluster contracts re-verified and still in force.
@@ -642,11 +631,13 @@ func (c *Cluster) FailChannel(i int) (*FailoverReport, error) {
 		if !admitted {
 			c.lost[f.Name] = fmt.Errorf("pinbcast: file %q lost with channel %d (no survivor could admit it): %w",
 				f.Name, i, ErrDegraded)
-			rep.Lost = append(rep.Lost, f.Name)
+			if rep.Lost == nil {
+				rep.Lost = map[string]error{}
+			}
+			rep.Lost[f.Name] = c.lost[f.Name]
 			clFilesLost.Inc()
 		}
 	}
-	sort.Strings(rep.Lost)
 
 	// Re-verify every in-force cluster contract against the survivors.
 	names := make([]string, 0, len(c.contracts))

@@ -12,12 +12,15 @@
 //	data channel 0 listening on 127.0.0.1:40001
 //	ops listening on http://127.0.0.1:40002
 //
-// then, per channel, how much of the air its program leaves idle and how
+// then, per channel, how much of the air its program leaves idle, how
 // much of that the paced station wins back (pinbcast.Station.Emission; a
-// cluster plans a replicated file's spare air on its first channel only):
+// cluster plans a replicated file's spare air on its first channel only)
+// and what it buys: the expected retrieval latency over the window B·Tᵢ,
+// averaged over the channel's files, on what is served and on what is
+// scheduled:
 //
-//	channel 0 reclaims 76 of 77 idle slots per period
-//	channel 1 reclaims 75 of 75 idle slots per period
+//	channel 0 reclaims 76 of 77 idle slots per period: expected retrieval 0.29 of the window, 0.49 on the program alone
+//	channel 1 reclaims 75 of 75 idle slots per period: expected retrieval 0.29 of the window, 0.54 on the program alone
 //
 // The ops listener serves Prometheus text-format metrics at /metrics
 // (station, fan-out, cluster and receiver families), expvar at
@@ -99,6 +102,18 @@ type channel struct {
 	cycle int
 }
 
+// expectedShare returns the mean over the station's files of the
+// fault-free retrieval latency p gives a listener tuning in at a random
+// slot, as a share of the file's window B·Tᵢ.
+func expectedShare(p *pinbcast.Program, st *pinbcast.Station) (share float64) {
+	files := st.Files()
+	for _, f := range files {
+		mean, _ := p.LatencyProfile(p.FileIndex(f.Name))
+		share += mean / float64(st.Bandwidth()*f.Latency)
+	}
+	return share / float64(len(files))
+}
+
 // serve runs the daemon: build the catalog, bring up the data plane
 // (one Station or a Cluster of K), serve the ops endpoints, pump slots
 // until a signal arrives, then drain each channel to its data-cycle
@@ -139,7 +154,8 @@ func serve(cfg Config, sigs <-chan os.Signal, stdout io.Writer) error {
 			idle -= prog.PerPeriod(f)
 			reclaimed += emission.PerPeriod(f) - prog.PerPeriod(f)
 		}
-		fmt.Fprintf(stdout, "channel %d reclaims %d of %d idle slots per period\n", i, reclaimed, idle)
+		fmt.Fprintf(stdout, "channel %d reclaims %d of %d idle slots per period: expected retrieval %.2f of the window, %.2f on the program alone\n",
+			i, reclaimed, idle, expectedShare(emission, c.st), expectedShare(prog, c.st))
 	}
 
 	// Pump every channel until the drain completes; drain closes when a

@@ -293,8 +293,10 @@ func TestDaemonSmoke(t *testing.T) {
 // the channel reclaims — what its station's Emission fills of its
 // Program, all but fewer than the smallest dispersal width among the
 // files the channel reclaims for (those it is the first home of) — and
-// /metrics shows reclaimed slots going out while the slots that still
-// leave empty stay inside that bound.
+// what that buys, the expected retrieval over the window on the emission
+// and, strictly more, on the program alone; and /metrics shows reclaimed
+// slots going out while the slots that still leave empty stay inside
+// that bound.
 func TestDaemonReclaimsIdleSlots(t *testing.T) {
 	cfg, err := parseConfig([]byte("[station]\nfiles = 16\nslot_interval = \"50us\"\nchannels = 2\n[drain]\ntimeout = \"5s\"\n"))
 	if err != nil {
@@ -358,16 +360,23 @@ func TestDaemonReclaimsIdleSlots(t *testing.T) {
 	for reclaimLines < cfg.Channels && sc.Scan() {
 		var ch, bandwidth, cycle, reclaimed, idle int
 		var addr string
+		var served, scheduled float64
 		if n, _ := fmt.Sscanf(sc.Text(), "data channel %d listening on %s (bandwidth %d, data cycle %d)", &ch, &addr, &bandwidth, &cycle); n == 4 {
 			minCycle = min(minCycle, cycle)
 		} else if url, ok := strings.CutPrefix(sc.Text(), "ops listening on "); ok {
 			opsURL = url
-		} else if n, _ := fmt.Sscanf(sc.Text(), "channel %d reclaims %d of %d idle slots per period", &ch, &reclaimed, &idle); n == 3 {
+		} else if n, _ := fmt.Sscanf(sc.Text(), "channel %d reclaims %d of %d idle slots per period: expected retrieval %f of the window, %f on the program alone",
+			&ch, &reclaimed, &idle, &served, &scheduled); n == 5 {
 			if opsURL == "" || ch != reclaimLines {
 				t.Fatalf("%q printed out of order: it follows the listener lines, channel by channel", sc.Text())
 			}
 			if reclaimed <= 0 || reclaimed != want[ch][0] || idle != want[ch][1] || idle-reclaimed >= want[ch][2] {
 				t.Fatalf("%q: want %d of %d, all but fewer than %d", sc.Text(), want[ch][0], want[ch][1], want[ch][2])
+			}
+			st := cl.Station(ch)
+			e, p := expectedShare(st.Emission(), st), expectedShare(st.Program(), st)
+			if e >= p || fmt.Sprintf("%.2f %.2f", served, scheduled) != fmt.Sprintf("%.2f %.2f", e, p) {
+				t.Fatalf("%q: the rebuilt cluster expects %.4f of the window on the emission and %.4f on the program alone", sc.Text(), e, p)
 			}
 			reclaimLines++
 		}

@@ -147,4 +147,11 @@ func main() {
 	m := mt.Metrics()
 	fmt.Printf("\ntuner: %d hops, dead channels %v, slots per channel %v\n",
 		m.Hops, m.DeadChannels, m.SlotsPerChannel)
+
+	// The trip is over: its contract and the per-channel registrations
+	// behind it are withdrawn.
+	if err := c.Release("trip"); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("trip over: contract released, %d in force\n", len(c.Contracts()))
 }

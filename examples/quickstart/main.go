@@ -1,7 +1,8 @@
 // Quickstart: run a broadcast disk as a live Station service — build a
-// fault-tolerant real-time program for two files, stream it with
-// Serve(ctx), reconstruct a file from the slot stream, and admit a
-// third file online at a data-cycle boundary.
+// fault-tolerant real-time program for two files, stream it paced with
+// Serve(ctx), reconstruct a file from the slot stream, let a receiver
+// that knows the schedule doze through the rest, and admit a third file
+// online at a data-cycle boundary.
 package main
 
 import (
@@ -9,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"time"
 
 	"pinbcast"
 )
@@ -22,6 +24,7 @@ func main() {
 	station, err := pinbcast.New(
 		pinbcast.WithFile(pinbcast.FileSpec{Name: "traffic", Blocks: 4, Latency: 8, Faults: 1}, traffic),
 		pinbcast.WithFile(pinbcast.FileSpec{Name: "map", Blocks: 8, Latency: 40}, tiles),
+		pinbcast.WithSlotInterval(100*time.Microsecond),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -59,6 +62,23 @@ func main() {
 			}
 		}
 	}
+
+	// The station is paced, so what it sends is its Emission: the program
+	// with the idle slots filled by further blocks of its files. A
+	// receiver that knows it sleeps through every slot that cannot serve
+	// its request and loses nothing by it.
+	rcv, err := pinbcast.Subscribe(pinbcast.SlotSource(slots),
+		pinbcast.WithSchedule(station.Emission()), pinbcast.WithRequest("map", 0))
+	if err != nil {
+		log.Fatal(err)
+	}
+	results, err := rcv.Run(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	m := rcv.Metrics()
+	fmt.Printf("a dozing receiver got %q in %d slots, listening to %d of %d\n",
+		"map", results[0].Latency, m.Listened, m.Slots)
 
 	// Admit a third file online: admission control verifies the density
 	// guarantee, and the new program takes over at the next data-cycle

@@ -22,7 +22,6 @@ var uncalledExports = map[string]string{
 	"WithShard":         "the by-value seam for custom shard policies",
 	"LookupShard":       "the name → value half of the shard table, as LookupLayout and LookupScheduler are",
 	"ShardNames":        "what an unknown -shard flag lists, as LayoutNames and SchedulerNames do",
-	"WithSchedule":      "dozing, on Station.Program or, for the reclaimed blocks too, Station.Emission",
 	"WithMissThreshold": "the only knob of the missed-slot detector",
 	"WithTunerFaults":   "the MultiTuner end of the fault seam (WithReceiverFaults is the Receiver's)",
 	"WithTunerRequest":  "constructor-time requests, the MultiTuner twin of WithRequest",

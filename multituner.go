@@ -93,7 +93,7 @@ type mtChannel struct {
 // mtRequest tracks one logical retrieval across channels.
 type mtRequest struct {
 	file     string
-	seq      uint64 // request order: MultiTuner.nextSeq at RequestVia
+	seq      uint64 // request order: MultiTuner.nextSeq at requestVia
 	deadline int
 	order    []int // fetch plan, cheapest first; nil = scan mode
 	attached []int // channels currently collecting the file
@@ -253,15 +253,15 @@ func NewMultiTuner(srcs []Source, opts ...MultiTunerOption) (*MultiTuner, error)
 // in scan mode: every live channel collects it and the first to
 // complete wins. Requesting a file already pending wraps ErrBadSpec.
 func (mt *MultiTuner) Request(file string, deadline int) error {
-	return mt.RequestVia(file, deadline, mt.homes[file])
+	return mt.requestVia(file, deadline, mt.homes[file])
 }
 
-// RequestVia asks for one file with an explicit fetch plan, overriding
-// the tuner's own: the channels carrying the file, cheapest first (one
-// entry of Cluster.FetchPlan). The request attaches to the first live
+// requestVia asks for one file with an explicit fetch plan: the
+// channels carrying the file, cheapest first (one entry of
+// Cluster.FetchPlan). The request attaches to the first live
 // channel of the plan and hops down the plan as channels die; with the
 // plan exhausted (or nil) it scans every live channel.
-func (mt *MultiTuner) RequestVia(file string, deadline int, order []int) error {
+func (mt *MultiTuner) requestVia(file string, deadline int, order []int) error {
 	if file == "" {
 		return fmt.Errorf("pinbcast: request without a file name: %w", ErrBadSpec)
 	}

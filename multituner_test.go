@@ -165,7 +165,7 @@ func TestMultiTunerValidation(t *testing.T) {
 	if err := mt.Request("", 0); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("empty file: %v", err)
 	}
-	if err := mt.RequestVia("x", 0, []int{7}); !errors.Is(err, ErrBadSpec) {
+	if err := mt.requestVia("x", 0, []int{7}); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("out-of-range plan: %v", err)
 	}
 }
@@ -364,7 +364,7 @@ func TestMultiTunerFlushRequestOrder(t *testing.T) {
 // TestMultiTunerRequestFollowsHomes: the plan of WithTunerHomes is the
 // tuner's, not the constructor's — a Request made after construction
 // attaches to the plan's first live channel only, exactly like
-// RequestVia with that plan, and a file the plan does not name scans
+// requestVia with that plan, and a file the plan does not name scans
 // every live channel.
 func TestMultiTunerRequestFollowsHomes(t *testing.T) {
 	c := testCluster(t)

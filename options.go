@@ -123,10 +123,12 @@ func WithDatabase(db *RTDatabase, mode Mode) Option {
 // On a paced channel a slot the program leaves idle is air nobody uses,
 // so a paced station sends a further block of a file it already
 // broadcasts in all but a few of them (pin_station_reclaimed_slots_total
-// counts them). Every scheduled slot still carries the file the program
-// names and a file's blocks go out on one rotation, so every bound
-// computed from the program still holds: Station.Emission is what is
-// served. A consumer-paced stream is left alone: its idle slots are free.
+// counts them), placed evenly and then coalesced into bursts where that
+// lowers expected latency. Every scheduled slot still carries the file
+// the program names and a file's blocks go out on one rotation, so every
+// bound computed from the program still holds: Station.Emission is what
+// is served. A consumer-paced stream is left alone: its idle slots are
+// free.
 func WithSlotInterval(d time.Duration) Option {
 	return func(c *stationConfig) error {
 		if d < 0 {

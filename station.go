@@ -249,7 +249,8 @@ func (st *Station) Program() *Program {
 
 // Emission returns what the active generation puts on the air, slot for
 // slot: Program itself on a consumer-paced station, on a paced one
-// (WithSlotInterval) the same program with its idle slots filled.
+// (WithSlotInterval) the same program with its idle slots filled, in
+// bursts per file where that shortens the expected retrieval.
 // Simulate, LatencyProfile and WithSchedule take it like any Program;
 // contracts and admission read Program: a reclaimed slot is promised to
 // nobody.
