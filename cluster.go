@@ -3,12 +3,14 @@ package pinbcast
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"pinbcast/internal/cluster"
 	"pinbcast/internal/core"
 	"pinbcast/internal/obs"
+	"pinbcast/internal/server"
 )
 
 // Shard is a catalog-partitioning policy: it maps each file of a
@@ -57,6 +59,19 @@ func ShardNames() []string { return shards.names() }
 // issued contract and revoking (ErrDegraded) the ones it can no longer
 // honor.
 //
+// A replica is more blocks, not the same blocks again. A file planned on
+// R channels is dispersed once, R times as wide as its rotation (R·N
+// blocks, at most 256), and its j-th home rotates through blocks
+// [j·N, (j+1)·N) of that one code: the first home sends what a lone
+// station would, the others parity only, each block under its own number
+// (Slot.Seq, Block.Seq). Every home alone still sends N distinct blocks
+// any m of which rebuild the file, so every per-channel window, Contract
+// and ClusterContract bound holds as computed for that channel, while a
+// listener of several homes never hears a block twice and may pool what
+// they send (MultiTuner does) — a gain promised to nobody. The width is
+// fixed when the cluster is planned; a file FailChannel re-admits keeps
+// it and takes the lowest range no live home holds.
+//
 // The receiving counterpart is the MultiTuner, which subscribes to all
 // channels concurrently, retrieves each request from the cheapest live
 // channel, and hops channels on failure.
@@ -69,6 +84,7 @@ type Cluster struct {
 	stations []*Station
 	contents map[string][]byte // master copy, by file name
 	specs    map[string]FileSpec
+	widths   map[string]int // file -> channels it was planned on: its code is that many rotations wide
 
 	mu        sync.Mutex
 	homes     map[string][]int                 // file -> carrying channels, primary first; guarded by mu
@@ -156,6 +172,7 @@ func NewCluster(opts ...ClusterOption) (*Cluster, error) {
 		replicas:  cfg.replicas,
 		contents:  map[string][]byte{},
 		specs:     map[string]FileSpec{},
+		widths:    map[string]int{},
 		homes:     asn.Homes,
 		dead:      map[int]bool{},
 		contracts: map[string]*clusterContractEntry{},
@@ -168,12 +185,23 @@ func NewCluster(opts ...ClusterOption) (*Cluster, error) {
 			return nil, fmt.Errorf("pinbcast: no contents for file %q: %w", f.Name, ErrBadSpec)
 		}
 		c.contents[f.Name] = data
+		w := len(asn.Homes[f.Name])
+		if c.widths[f.Name] = w; w*f.Width() > 256 {
+			return nil, fmt.Errorf("pinbcast: file %q on %d channels needs a code %d blocks wide, more than 256: %w",
+				f.Name, w, w*f.Width(), ErrBadSpec)
+		}
 	}
 	c.stations = make([]*Station, len(asn.Channels))
 	replicaOnly := c.replicaOnlyLocked()
 	for ch, chFiles := range asn.Channels {
+		ranges := map[string]server.Range{}
+		for _, f := range chFiles {
+			if homes := asn.Homes[f.Name]; len(homes) > 1 {
+				ranges[f.Name] = server.Range{Index: slices.Index(homes, ch), Of: len(homes)}
+			}
+		}
 		stOpts := []Option{WithFiles(chFiles...), func(sc *stationConfig) error {
-			sc.replicaOnly = replicaOnly[ch]
+			sc.replicaOnly, sc.ranges = replicaOnly[ch], ranges
 			return nil
 		}}
 		chContents := make(map[string][]byte, len(chFiles))
@@ -619,7 +647,8 @@ func (c *Cluster) FailChannel(i int) (*FailoverReport, error) {
 	for _, f := range orphans {
 		admitted := false
 		for _, ch := range c.survivorsByHeadroomLocked() {
-			if err := c.stations[ch].Admit(f, c.contents[f.Name]); err == nil {
+			// An orphan has no live home, so range 0 of its code is free.
+			if err := c.stations[ch].admitRange(f, c.contents[f.Name], server.Range{Index: 0, Of: c.widths[f.Name]}); err == nil {
 				c.homes[f.Name] = append(c.homes[f.Name], ch)
 				rep.Readmitted[f.Name] = ch
 				admitted = true

@@ -1,6 +1,7 @@
 package pinbcast
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"pinbcast/internal/cluster"
+	"pinbcast/internal/workload"
 )
 
 // clusterCatalog is the deterministic six-file catalog the cluster
@@ -558,5 +560,124 @@ func TestClusterFailoverLossAndRevocation(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("lost-file request was not flushed as a failure")
+	}
+}
+
+// cycleOnAir serves one data cycle of the station's latest generation
+// from its first slot.
+func cycleOnAir(t *testing.T, st *Station) []Slot {
+	t.Helper()
+	return air(t, st, st.latest().cycle)
+}
+
+// checkDisjointRanges holds what the live channels of a cluster put on
+// the air over one data cycle each to the numbering rule: every live
+// home of a file sends exactly its N rotation positions' worth of
+// distinct block numbers, all of one range of a code as many rotations
+// wide as the file was planned on channels, and no two live homes share
+// a number. On every home of a file planned on several channels a plain
+// Receiver tuning in at any slot of the cycle still has the file, byte
+// for byte, inside B·Tᵢ. It returns how many such files it saw.
+func checkDisjointRanges(t *testing.T, c *Cluster, files []FileSpec, contents map[string][]byte) (replicated int) {
+	t.Helper()
+	cycles := make([][]Slot, c.Channels())
+	homes := c.Assignment()
+	for _, f := range files {
+		var held [256]int // block number -> 1 + the channel sending it
+		for _, ch := range homes[f.Name] {
+			if cycles[ch] == nil {
+				cycles[ch] = cycleOnAir(t, c.Station(ch))
+			}
+			sent, ranges := 0, map[int]bool{}
+			for _, slot := range cycles[ch] {
+				if slot.File != f.Name {
+					continue
+				}
+				if b := slot.Block; slot.Seq != int(b.Seq) || int(b.M) != f.Blocks || int(b.N) != c.widths[f.Name]*f.Width() {
+					t.Fatalf("channel %d slot %d: %s/%d is block %d, m %d of %d; planned on %d channels, rotation %d",
+						ch, slot.T, f.Name, slot.Seq, b.Seq, b.M, b.N, c.widths[f.Name], f.Width())
+				}
+				switch held[slot.Seq] {
+				case 0:
+					held[slot.Seq], sent = 1+ch, sent+1
+					ranges[slot.Seq/f.Width()] = true
+				case 1 + ch:
+				default:
+					t.Fatalf("channels %d and %d both send block %d of %q", held[slot.Seq]-1, ch, slot.Seq, f.Name)
+				}
+			}
+			if sent != f.Width() || len(ranges) != 1 {
+				t.Fatalf("channel %d sends %d distinct blocks of %q over ranges %v, want one range of %d", ch, sent, f.Name, ranges, f.Width())
+			}
+			if c.widths[f.Name] == 1 {
+				continue
+			}
+			window := c.Station(ch).Bandwidth() * f.Latency
+			for start := range cycles[ch] {
+				rcv, err := Subscribe(&loopingSource{slots: cycles[ch], pos: start},
+					WithDirectory(c.Directory()), WithRequest(f.Name, window))
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := rcv.Run(context.Background())
+				if err != nil || len(res) != 1 || !res[0].DeadlineMet || res[0].BlocksUsed != f.Blocks || !bytes.Equal(res[0].Data, contents[f.Name]) {
+					t.Fatalf("channel %d alone, %q from slot %d: %+v (%v), window %d", ch, f.Name, start, res, err, window)
+				}
+			}
+		}
+		if c.widths[f.Name] > 1 && len(homes[f.Name]) > 0 {
+			replicated++
+		}
+	}
+	return replicated
+}
+
+// TestClusterReplicasCarryDisjointRanges: on the paced daemon cluster and
+// on the three-channel test cluster every home of a replicated file
+// sends its own range of one code — before a channel fails, after its
+// orphans are re-admitted on the survivors, and when a replicated file
+// loses every home and is re-admitted with its planned width. A file
+// whose code would be wider than 256 blocks is refused when the cluster
+// is planned.
+func TestClusterReplicasCarryDisjointRanges(t *testing.T) {
+	daemon, daemonFiles := daemonCluster(t, true)
+	daemonContents := workload.Contents(daemonFiles, 16, 1)
+	if n := checkDisjointRanges(t, daemon, daemonFiles, daemonContents); n != 4 {
+		t.Fatalf("the daemon cluster replicates %d files, want 4", n)
+	}
+	rep, err := daemon.FailChannel(0)
+	if err != nil || len(rep.Readmitted) == 0 {
+		t.Fatalf("failing channel 0 re-admitted %v (%v)", rep, err)
+	}
+	checkDisjointRanges(t, daemon, daemonFiles, daemonContents)
+
+	files := clusterCatalog()
+	contents := CatalogContents(files, 64, 1)
+	c := testCluster(t)
+	if n := checkDisjointRanges(t, c, files, contents); n != 2 {
+		t.Fatalf("the test cluster replicates %d files, want 2", n)
+	}
+	homes := c.Assignment()["hot-a"]
+	for _, ch := range []int{homes[1], homes[0]} {
+		rep, err := c.FailChannel(ch)
+		if err != nil || len(rep.Readmitted) == 0 {
+			t.Fatalf("failing channel %d re-admitted %+v (%v)", ch, rep, err)
+		}
+		checkDisjointRanges(t, c, files, contents)
+	}
+	// hot-a lost both homes: the last channel sends range 0 of the code
+	// planned two rotations wide, which checkDisjointRanges has held it to.
+	if live := c.Assignment()["hot-a"]; len(live) != 1 || slices.Contains(homes, live[0]) {
+		t.Fatalf("hot-a was on %v, both failed, and is now on %v", homes, live)
+	}
+
+	wide := []FileSpec{{Name: "w", Blocks: 100, Latency: 300, Faults: 28}, {Name: "x", Blocks: 1, Latency: 300}}
+	for _, refused := range []bool{false, true} {
+		_, err = NewCluster(WithChannels(2), WithReplicas(2), WithReplicateHottest(1),
+			WithClusterFiles(wide...), WithClusterContents(CatalogContents(wide, 8, 1)))
+		if errors.Is(err, ErrBadSpec) != refused || !refused && err != nil {
+			t.Fatalf("a rotation of %d blocks on two channels: %v", wide[0].Width(), err)
+		}
+		wide[0].Faults++ // 129 blocks a rotation: a code of 258
 	}
 }

@@ -22,6 +22,12 @@
 //	channel 0 reclaims 76 of 77 idle slots per period: expected retrieval 0.29 of the window, 0.49 on the program alone
 //	channel 1 reclaims 75 of 75 idle slots per period: expected retrieval 0.29 of the window, 0.54 on the program alone
 //
+// and, for a cluster that carries files on several channels, that their
+// homes split one code between them (pinbcast.Cluster), which is what a
+// tuner listening to all of them pools:
+//
+//	cluster disperses 4 replicated files 2x wide: each home sends its own blocks
+//
 // The ops listener serves Prometheus text-format metrics at /metrics
 // (station, fan-out, cluster and receiver families), expvar at
 // /debug/vars (including the full registry snapshot under the
@@ -128,7 +134,7 @@ func serve(cfg Config, sigs <-chan os.Signal, stdout io.Writer) error {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	chans, err := buildChannels(ctx, cfg, files, contents, stdout)
+	chans, cl, err := buildChannels(ctx, cfg, files, contents, stdout)
 	if err != nil {
 		return err
 	}
@@ -156,6 +162,17 @@ func serve(cfg Config, sigs <-chan os.Signal, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "channel %d reclaims %d of %d idle slots per period: expected retrieval %.2f of the window, %.2f on the program alone\n",
 			i, reclaimed, idle, expectedShare(emission, c.st), expectedShare(prog, c.st))
+	}
+	replicated := 0
+	if cl != nil {
+		for _, homes := range cl.Assignment() {
+			if len(homes) > 1 {
+				replicated++
+			}
+		}
+	}
+	if replicated > 0 {
+		fmt.Fprintf(stdout, "cluster disperses %d replicated files %dx wide: each home sends its own blocks\n", replicated, cl.Replicas())
 	}
 
 	// Pump every channel until the drain completes; drain closes when a
@@ -198,11 +215,11 @@ func serve(cfg Config, sigs <-chan os.Signal, stdout io.Writer) error {
 }
 
 // buildChannels brings up the data plane: one Station when channels =
-// 1, a Cluster of K stations otherwise, each streaming through its own
-// TCP fan-out. The configured data address is the base: port 0 gives
-// every channel an ephemeral port, a fixed port p puts channel i on
-// p+i.
-func buildChannels(ctx context.Context, cfg Config, files []pinbcast.FileSpec, contents map[string][]byte, stdout io.Writer) ([]channel, error) {
+// 1, a Cluster of K stations otherwise (returned too; else nil), each
+// streaming through its own TCP fan-out. The configured data address is
+// the base: port 0 gives every channel an ephemeral port, a fixed port p
+// puts channel i on p+i.
+func buildChannels(ctx context.Context, cfg Config, files []pinbcast.FileSpec, contents map[string][]byte, stdout io.Writer) ([]channel, *pinbcast.Cluster, error) {
 	listen := func(i int) (net.Listener, error) {
 		host, portStr, err := net.SplitHostPort(cfg.Data)
 		if err != nil {
@@ -228,20 +245,20 @@ func buildChannels(ctx context.Context, cfg Config, files []pinbcast.FileSpec, c
 			pinbcast.WithContents(contents),
 		}, stOpts...)...)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		slots, err := st.Serve(ctx)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		ln, err := listen(0)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		fan := pinbcast.NewFanout(ln, 0)
 		fmt.Fprintf(stdout, "data channel 0 listening on %s (bandwidth %d, data cycle %d)\n",
 			fan.Addr(), st.Bandwidth(), st.Program().DataCycle())
-		return []channel{{st: st, slots: slots, fan: fan, cycle: st.Program().DataCycle()}}, nil
+		return []channel{{st: st, slots: slots, fan: fan, cycle: st.Program().DataCycle()}}, nil, nil
 	}
 
 	replicas := cfg.Replicas
@@ -258,11 +275,11 @@ func buildChannels(ctx context.Context, cfg Config, files []pinbcast.FileSpec, c
 		pinbcast.WithStationOptions(stOpts...),
 	)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	streams, err := cl.Serve(ctx)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	chans := make([]channel, len(streams))
 	for i, slots := range streams {
@@ -271,7 +288,7 @@ func buildChannels(ctx context.Context, cfg Config, files []pinbcast.FileSpec, c
 			for j := 0; j < i; j++ {
 				chans[j].fan.Close()
 			}
-			return nil, err
+			return nil, nil, err
 		}
 		fan := pinbcast.NewFanout(ln, 0)
 		st := cl.Station(i)
@@ -279,7 +296,7 @@ func buildChannels(ctx context.Context, cfg Config, files []pinbcast.FileSpec, c
 			i, fan.Addr(), st.Bandwidth(), st.Program().DataCycle())
 		chans[i] = channel{st: st, slots: slots, fan: fan, cycle: st.Program().DataCycle()}
 	}
-	return chans, nil
+	return chans, cl, nil
 }
 
 // pumpChannel streams one channel's slots into its fan-out until the

@@ -126,6 +126,16 @@
 // best replica, with a degraded bound that replication sustains
 // through channel loss.
 //
+// A replica is more blocks, not the same blocks again: a file on R
+// channels is dispersed once, R·N blocks wide (at most 256), and its
+// j-th home rotates through blocks [j·N, (j+1)·N) of that one code —
+// the first sends what a lone station would, the others parity, each
+// block under its own number (Slot.Seq is Block.Seq; Program.BlockAt
+// still counts rotation positions). Any home alone sends N distinct
+// blocks any m of which rebuild the file, so every per-channel window
+// and contract holds as computed; a listener of several homes never
+// hears a block twice and may pool them, which is promised to nobody.
+//
 //	c, err := pinbcast.NewCluster(
 //		pinbcast.WithChannels(3), pinbcast.WithReplicas(2),
 //		pinbcast.WithClusterFiles(files...),
@@ -137,7 +147,11 @@
 // The receiving half is the MultiTuner: one logical receiver
 // subscribed to every channel concurrently, merging directories,
 // retrieving each request from the cheapest live carrier
-// (Cluster.FetchPlan) and hopping channels on failure. Health comes
+// (Cluster.FetchPlan) and hopping channels on failure, with the blocks
+// the dead channel delivered. A request collecting on several channels
+// (scan mode) pools: the channel that stores a block takes over what
+// the others hold, and the retrieval ends on the slot that brings the
+// union to m distinct blocks (MultiTunerMetrics.Pooled). Health comes
 // from a missed-slot detector on the fan-out seam — slot-numbering
 // gaps and read timeouts accumulate toward a death threshold, EOF
 // kills a channel outright — and a request whose carriers all died

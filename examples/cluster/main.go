@@ -88,10 +88,22 @@ func main() {
 	for i, ch := range slots {
 		srcs[i] = pinbcast.SlotSource(ch)
 	}
+	// The vehicle's radio loses 2 % of what each channel sends, each on a
+	// fault process of its own, gives a channel up after 8 slots missing
+	// in a row, and wants the traffic bulletin from the moment it is on.
+	// Its fetch plan predates traffic-03: that one it will scan for.
 	stalePlan := c.FetchPlan()
+	delete(stalePlan, "traffic-03")
+	loss := make([]pinbcast.FaultModel, len(srcs))
+	for i := range loss {
+		loss[i] = pinbcast.BernoulliFaults(0.02, int64(7+i))
+	}
 	mt, err := pinbcast.NewMultiTuner(srcs,
 		pinbcast.WithTunerDirectory(c.Directory()),
 		pinbcast.WithTunerHomes(stalePlan),
+		pinbcast.WithTunerFaults(loss...),
+		pinbcast.WithMissThreshold(8),
+		pinbcast.WithTunerRequest("traffic-00", 0),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -104,16 +116,16 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		results, err := mt.Run(ctx)
+		results, err := mt.RunInto(ctx, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%s:\n", label)
-		for _, res := range results[len(results)-len(reqs):] {
+		for _, res := range results {
 			fmt.Printf("  %-12s channel %d, %3d slots\n", res.File, res.Channel, res.Latency)
 		}
 	}
-	fetch("normal service", "traffic-00", "route-map")
+	fetch("normal service", "route-map")
 
 	// A channel dies mid-broadcast. The coordinator fails it over:
 	// files it alone carried are re-admitted onto survivors at their
@@ -144,9 +156,16 @@ func main() {
 	// moved are found on their new homes by scanning the survivors.
 	fetch("service through the failure (stale plan)", "traffic-00", "route-map")
 
+	// No plan for traffic-03: both its homes collect it. Each sends its own
+	// range of one code, so what they hear pools into one reconstruction —
+	// where the channels tick together, as a paced daemon's do; these run
+	// as fast as each is read, and one usually has the file before the
+	// other has a block.
+	fetch("no plan (scan)", "traffic-03")
+
 	m := mt.Metrics()
-	fmt.Printf("\ntuner: %d hops, dead channels %v, slots per channel %v\n",
-		m.Hops, m.DeadChannels, m.SlotsPerChannel)
+	fmt.Printf("\ntuner: %d hops, %d of %d retrievals pooled over channels, dead channels %v, slots per channel %v\n",
+		m.Hops, m.Pooled, m.Completed, m.DeadChannels, m.SlotsPerChannel)
 
 	// The trip is over: its contract and the per-channel registrations
 	// behind it are withdrawn.

@@ -16,15 +16,12 @@ import (
 // with the reason it stays. The list may only shrink — give a new export
 // a caller instead of an entry here.
 var uncalledExports = map[string]string{
-	"DisperseData":      "§2.3's dispersal as a function: the counterpart of Reconstruct, which examples/quickstart calls",
-	"WithLayout":        "the by-value seam custom layouts plug in through, now that nothing registers",
-	"WithSchedulers":    "the by-value seam for custom scheduler chains",
-	"WithShard":         "the by-value seam for custom shard policies",
-	"LookupShard":       "the name → value half of the shard table, as LookupLayout and LookupScheduler are",
-	"ShardNames":        "what an unknown -shard flag lists, as LayoutNames and SchedulerNames do",
-	"WithMissThreshold": "the only knob of the missed-slot detector",
-	"WithTunerFaults":   "the MultiTuner end of the fault seam (WithReceiverFaults is the Receiver's)",
-	"WithTunerRequest":  "constructor-time requests, the MultiTuner twin of WithRequest",
+	"DisperseData":   "§2.3's dispersal as a function: the counterpart of Reconstruct, which examples/quickstart calls",
+	"WithLayout":     "the by-value seam custom layouts plug in through, now that nothing registers",
+	"WithSchedulers": "the by-value seam for custom scheduler chains",
+	"WithShard":      "the by-value seam for custom shard policies",
+	"LookupShard":    "the name → value half of the shard table, as LookupLayout and LookupScheduler are",
+	"ShardNames":     "what an unknown -shard flag lists, as LayoutNames and SchedulerNames do",
 }
 
 // TestExportsHaveCallers holds the public surface to what something

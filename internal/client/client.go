@@ -87,6 +87,11 @@ type Client struct {
 	blockScratch []*ida.Block
 	freePending  []*pendingFile
 	freeData     [][]byte
+
+	// lent counts the blocks taken in from other clients (Take) less those
+	// given up to them (Yield): how many of the blocks this client holds or
+	// pools are another's, until Settle evens the pools out.
+	lent int
 }
 
 type pendingFile struct {
@@ -169,6 +174,69 @@ func (c *Client) Cancel(name string) bool {
 	}
 	c.release(p)
 	return true
+}
+
+// Heard returns the name of the file whose block the last Observe that
+// decoded one carried: after a Stored outcome, the file the block was
+// stored for.
+//
+//pinlint:hotpath
+func (c *Client) Heard() string { return c.fileName[c.scratch.FileID] }
+
+// Yield and Take are the two halves of a hand-over between the clients
+// of one listener tuned to several channels that carry the same file:
+// any M distinct blocks rebuild it, whichever channel each came from.
+//
+// Yield gives up the blocks held for a pending file, appending them to
+// dst; the request stays open, its clock and corruption count as they
+// were.
+func (c *Client) Yield(name string, dst []*ida.Block) []*ida.Block {
+	if p, ok := c.pending[name]; ok {
+		for _, b := range p.blocks {
+			dst = append(dst, b)
+		}
+		c.lent -= len(p.blocks)
+		clear(p.blocks)
+	}
+	return dst
+}
+
+// Take takes blocks another client gave up into this client's pending
+// request for the file — a block already held (or any, with no such
+// request) is recycled — and reports whether the request completed: with
+// M distinct blocks held it finishes as on the slot that stores the last.
+func (c *Client) Take(name string, blocks []*ida.Block) (completed bool) {
+	c.lent += len(blocks)
+	p, open := c.pending[name]
+	for _, b := range blocks {
+		if open {
+			if _, dup := p.blocks[b.Seq]; !dup {
+				if p.blocks[b.Seq] = b; len(p.blocks) >= int(b.M) {
+					c.finish(p)
+					open, completed = false, true
+				}
+				continue
+			}
+		}
+		c.freeBlocks = append(c.freeBlocks, b)
+	}
+	return completed
+}
+
+// Settle evens the block pools out after hand-overs, so that no client's
+// pool grows at another's expense: a client that took in more blocks than
+// it gave up appends the difference, as far as it has them free, to spare;
+// one that gave up more keeps that many of spare. It returns what is left.
+func (c *Client) Settle(spare []*ida.Block) []*ida.Block {
+	for ; c.lent > 0 && len(c.freeBlocks) > 0; c.lent-- {
+		n := len(c.freeBlocks) - 1
+		spare, c.freeBlocks = append(spare, c.freeBlocks[n]), c.freeBlocks[:n]
+	}
+	for ; c.lent < 0 && len(spare) > 0; c.lent++ {
+		n := len(spare) - 1
+		c.freeBlocks, spare = append(c.freeBlocks, spare[n]), spare[:n]
+	}
+	return spare
 }
 
 // Learn adds one directory entry mapping a broadcast file identifier to

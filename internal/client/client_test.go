@@ -318,3 +318,62 @@ func TestFlushRequestOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestHandOver: two clients of one listener collect the same file on two
+// channels and hand what they hold back and forth. A block the taker
+// already holds is recycled, the request completes on the hand-over that
+// brings it to M distinct blocks with the latency of the taker's own
+// clock, the giver's request stays open, and once Settle has run no pool
+// has grown at the other's expense: the loop allocates nothing when warm.
+func TestHandOver(t *testing.T) {
+	data := []byte("any three blocks, from whichever channel")
+	blocks := disperse(t, 1, data, 3, 6)
+	frames := make([][]byte, len(blocks))
+	for i, b := range blocks {
+		frames[i] = b.Marshal()
+	}
+	names := map[uint32]string{1: "F"}
+	a, b := tuned(t, 0, names), tuned(t, 10, names)
+	var hand, results []Result
+	var moved []*ida.Block
+	round := func() {
+		a.Add(Request{File: "F"})
+		b.Add(Request{File: "F"})
+		if a.Observe(a.now+1, frames[0]) != Stored || a.Observe(a.now+1, frames[4]) != Stored || a.Heard() != "F" {
+			t.Fatal("the giver did not store its two blocks")
+		}
+		if b.Observe(b.now+1, frames[4]) != Stored {
+			t.Fatal("the taker did not store its block")
+		}
+		moved = a.Yield("F", moved[:0])
+		if len(moved) != 2 || !a.IsPending("F") || b.Take("F", moved) {
+			t.Fatalf("%d blocks handed over, one of them held already: the giver must stay open and the taker not complete", len(moved))
+		}
+		if a.Observe(a.now+1, frames[5]) != Stored {
+			t.Fatal("the giver stopped collecting")
+		}
+		if moved = a.Yield("F", moved[:0]); !b.Take("F", moved) || b.IsPending("F") {
+			t.Fatal("the third distinct block did not complete the taker")
+		}
+		a.Cancel("F")
+		if moved = a.Settle(b.Settle(moved[:0])); len(moved) != 0 || a.lent != 0 || b.lent != 0 {
+			t.Fatalf("after settling %d blocks are over, the giver is owed %d and the taker owes %d", len(moved), -a.lent, b.lent)
+		}
+		results = b.TakeResults(results[:0])
+		hand = append(hand[:0], results...)
+		b.Recycle(results[0].Data)
+	}
+	round()
+	if r := hand[0]; !r.Completed || r.BlocksUsed != 3 || r.Latency != 1 || !bytes.Equal(r.Data, data) {
+		t.Fatalf("pooled result %+v", r)
+	}
+	if b.Take("F", a.Yield("F", nil)) || b.Take("G", blocks[:1]) || len(b.freeBlocks) != 2 {
+		t.Fatalf("a hand-over with no request on either side did something: %d blocks pooled", len(b.freeBlocks))
+	}
+	b.freeBlocks, b.lent = b.freeBlocks[:1], 0 // blocks[0] is the test's, not a pool's
+	round()
+	free := len(a.freeBlocks) + len(b.freeBlocks)
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 || len(a.freeBlocks)+len(b.freeBlocks) != free || len(a.freeBlocks) != 3 {
+		t.Fatalf("a warm hand-over round allocates %.1f times; pools %d+%d blocks, %d before", allocs, len(a.freeBlocks), len(b.freeBlocks), free)
+	}
+}

@@ -1,6 +1,10 @@
 package ida
 
-import "pinbcast/internal/gf256"
+import (
+	"fmt"
+
+	"pinbcast/internal/gf256"
+)
 
 // Cross-file batch encoding. A broadcast server disperses every file of
 // the program through the same few codecs, and the per-file encode loop
@@ -33,6 +37,17 @@ const batchTileBytes = 256 << 10
 //
 //pinlint:hotpath
 func (c *Codec) DisperseBatch(files [][]byte, dst [][][]byte) ([][][]byte, error) {
+	return c.disperseRows(files, dst, 0, c.n)
+}
+
+// disperseRows is DisperseBatch for rows [first, end) of the dispersal
+// matrix only: dst[f] gets end−first payloads, payload k that of block
+// first+k. The rows of a systematic Vandermonde matrix do not depend on
+// n, so a row range of a wide codec is a share of one code that several
+// senders split between them — any m blocks of the union reconstruct.
+//
+//pinlint:hotpath
+func (c *Codec) disperseRows(files [][]byte, dst [][][]byte, first, end int) ([][][]byte, error) {
 	if cap(dst) >= len(files) {
 		dst = dst[:len(files)]
 	} else {
@@ -45,12 +60,13 @@ func (c *Codec) DisperseBatch(files [][]byte, dst [][][]byte) ([][][]byte, error
 			return nil, ErrEmptyFile
 		}
 	}
+	rows := end - first
 	for lo := 0; lo < len(files); {
 		// Greedily extend the tile while its payloads fit the budget.
 		hi := lo + 1
-		tile := c.n * c.shardLen(len(files[lo]))
+		tile := rows * c.shardLen(len(files[lo]))
 		for hi < len(files) {
-			next := tile + c.n*c.shardLen(len(files[hi]))
+			next := tile + rows*c.shardLen(len(files[hi]))
 			if next > batchTileBytes {
 				break
 			}
@@ -65,23 +81,33 @@ func (c *Codec) DisperseBatch(files [][]byte, dst [][][]byte) ([][][]byte, error
 		for f := lo; f < hi; f++ {
 			data := files[f]
 			l := c.shardLen(len(data))
-			out := c.growPayloads(dst[f], l) //pinlint:allow hotpath — first-cycle growth; steady state passes capacity back in
+			out := growPayloads(dst[f], rows, l) //pinlint:allow hotpath — first-cycle growth; steady state passes capacity back in
 			dst[f] = out
-			for j := 0; j < c.m; j++ {
-				copySourceBlock(out[j], data, j, l)
-			}
-			for i := c.m; i < c.n; i++ {
-				clear(out[i])
+			for k := range out {
+				if j := first + k; j < c.m {
+					copySourceBlock(out[k], data, j, l)
+				} else {
+					clear(out[k])
+				}
 			}
 		}
-		for i, tabs := range c.encTables {
-			for j, tab := range tabs {
+		for i := max(first, c.m); i < end; i++ {
+			for j, tab := range c.encTables[i-c.m] {
 				for f := lo; f < hi; f++ {
-					out := dst[f]
-					if j*len(out[0]) >= len(files[f]) {
+					out, data := dst[f], files[f]
+					l := len(out[0])
+					if j*l >= len(data) {
 						continue // all-zero source block of a short file
 					}
-					gf256.MulAddSliceTable(tab, out[j], out[c.m+i])
+					// A range without the systematic copy of block j reads
+					// the file itself: the zero padding adds nothing to a sum.
+					var src []byte
+					if k := j - first; k >= 0 && k < rows {
+						src = out[k]
+					} else {
+						src = data[j*l : min((j+1)*l, len(data))]
+					}
+					gf256.MulAddSliceTable(tab, src, out[i-first][:len(src)])
 				}
 			}
 		}
@@ -98,18 +124,30 @@ func (c *Codec) DisperseBatch(files [][]byte, dst [][][]byte) ([][][]byte, error
 // frames[f][i][headerSize:]. Blocks and frames are meant to be shared
 // from here on — copy before mutating either.
 func (c *Codec) DisperseFrames(ids []uint32, files [][]byte) (blocks [][]*Block, frames [][][]byte, err error) {
+	return c.DisperseFramesRange(ids, files, 0, c.n)
+}
+
+// DisperseFramesRange is DisperseFrames for blocks [first, end) of the
+// code only (0 ≤ first < end ≤ n): blocks[f][k] is block first+k, with
+// its own number in Seq and the codec's full width in N. A range that
+// starts at or past m holds no systematic block.
+func (c *Codec) DisperseFramesRange(ids []uint32, files [][]byte, first, end int) (blocks [][]*Block, frames [][][]byte, err error) {
+	if first < 0 || first >= end || end > c.n {
+		return nil, nil, fmt.Errorf("%w (blocks [%d,%d) of %d)", ErrBadParams, first, end, c.n)
+	}
+	rows := end - first
 	blocks, frames = make([][]*Block, len(files)), make([][][]byte, len(files))
 	dst := make([][][]byte, len(files)) // the frames' payload regions
 	for f, data := range files {
 		wire := headerSize + c.shardLen(len(data))
-		slab, store := make([]byte, c.n*wire), make([]Block, c.n)
-		blocks[f], frames[f], dst[f] = make([]*Block, c.n), make([][]byte, c.n), make([][]byte, c.n)
+		slab, store := make([]byte, rows*wire), make([]Block, rows)
+		blocks[f], frames[f], dst[f] = make([]*Block, rows), make([][]byte, rows), make([][]byte, rows)
 		for i := range store {
 			frames[f][i] = slab[i*wire : (i+1)*wire : (i+1)*wire]
 			dst[f][i] = frames[f][i][headerSize:]
 			store[i] = Block{
 				FileID:  ids[f],
-				Seq:     uint16(i),
+				Seq:     uint16(first + i),
 				M:       uint16(c.m),
 				N:       uint16(c.n),
 				Length:  uint32(len(data)),
@@ -118,7 +156,7 @@ func (c *Codec) DisperseFrames(ids []uint32, files [][]byte) (blocks [][]*Block,
 			blocks[f][i] = &store[i]
 		}
 	}
-	if _, err := c.DisperseBatch(files, dst); err != nil {
+	if _, err := c.disperseRows(files, dst, first, end); err != nil {
 		return nil, nil, err
 	}
 	for f := range files {

@@ -3,6 +3,7 @@ package ida
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 
 	"pinbcast/internal/zeroalloc"
@@ -257,5 +258,107 @@ func TestDisperseFramesMatchesMarshal(t *testing.T) {
 	c, _ := NewCodec(2, 3)
 	if _, _, err := c.DisperseFrames([]uint32{1, 2}, [][]byte{{1}, {}}); !errors.Is(err, ErrEmptyFile) {
 		t.Fatalf("empty file: err = %v, want ErrEmptyFile", err)
+	}
+}
+
+// TestDisperseRange holds the split of one code between R senders: over
+// an (m, w, R) grid, range 0 of the code of width R·w carries the
+// payloads of the code of width w (only the header's N differs), every
+// range is the share of the whole code it names, and any m blocks of the
+// union reconstruct — every m-subset where there are at most 5 000,
+// seeded random ones above.
+func TestDisperseRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	data := make([]byte, 1000+7)
+	rng.Read(data)
+	ids, files := []uint32{9, 10}, [][]byte{data, data[:3]} // the second leaves source blocks all padding
+	for _, g := range [][3]int{{1, 1, 2}, {1, 3, 3}, {2, 3, 2}, {3, 4, 2}, {3, 4, 3}, {4, 4, 2}, {5, 6, 2}, {6, 7, 3}, {8, 12, 2}} {
+		m, w, homes := g[0], g[1], g[2]
+		narrow, err := Shared(m, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wide, err := Shared(m, homes*w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone, _, err := narrow.DisperseFrames(ids, files)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, _, err := wide.DisperseFrames(ids, files)
+		if err != nil {
+			t.Fatal(err)
+		}
+		union := make([][]*Block, len(files))
+		for j := 0; j < homes; j++ {
+			blocks, frames, err := wide.DisperseFramesRange(ids, files, j*w, (j+1)*w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for f := range files {
+				for k, b := range blocks[f] {
+					if want := whole[f][j*w+k]; b.Seq != want.Seq || b.N != want.N || !bytes.Equal(b.Payload, want.Payload) || !bytes.Equal(frames[f][k], b.Marshal()) {
+						t.Fatalf("(%d,%d,%d) file %d: block %d of range %d is not block %d of the whole code", m, w, homes, f, k, j, j*w+k)
+					}
+					if j == 0 && !bytes.Equal(b.Payload, alone[f][k].Payload) {
+						t.Fatalf("(%d,%d,%d) file %d: block %d of range 0 differs from the code of width %d", m, w, homes, f, k, w)
+					}
+				}
+				union[f] = append(union[f], blocks[f]...)
+			}
+		}
+		n := homes * w
+		check := func(subset []int) {
+			for f, want := range files {
+				picked := make([]*Block, m)
+				for i, seq := range subset {
+					picked[i] = union[f][seq]
+				}
+				if got, err := ReconstructFileInto(picked, nil); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("(%d,%d,%d) file %d: blocks %v do not reconstruct: %v", m, w, homes, f, subset, err)
+				}
+			}
+		}
+		subsets := 1
+		for i := 0; i < m; i++ {
+			subsets = subsets * (n - i) / (i + 1)
+		}
+		if subsets > 5000 {
+			for i := 0; i < 500; i++ {
+				check(rng.Perm(n)[:m])
+			}
+			continue
+		}
+		subset := make([]int, m)
+		for i := range subset {
+			subset[i] = i
+		}
+		for {
+			check(subset)
+			i := m - 1
+			for i >= 0 && subset[i] == n-m+i {
+				i--
+			}
+			if i < 0 {
+				break
+			}
+			subset[i]++
+			for k := i + 1; k < m; k++ {
+				subset[k] = subset[k-1] + 1
+			}
+		}
+	}
+	// A range need not start on a multiple of its width: one that holds
+	// part of the systematic prefix encodes from the file for the rest.
+	c, _ := Shared(2, 6)
+	whole, _, _ := c.DisperseFrames(ids, files)
+	if part, _, err := c.DisperseFramesRange(ids, files, 1, 4); err != nil || !bytes.Equal(part[0][2].Payload, whole[0][3].Payload) {
+		t.Fatalf("blocks [1,4) of 6: block 3 differs from the whole code's (%v)", err)
+	}
+	for _, r := range [][2]int{{-1, 3}, {3, 3}, {4, 7}} {
+		if _, _, err := c.DisperseFramesRange(ids, files, r[0], r[1]); !errors.Is(err, ErrBadParams) {
+			t.Fatalf("range [%d,%d) of 6 blocks: %v", r[0], r[1], err)
+		}
 	}
 }

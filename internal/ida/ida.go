@@ -164,7 +164,7 @@ func (c *Codec) DisperseInto(data []byte, dst [][]byte) ([][]byte, error) {
 		return nil, ErrEmptyFile
 	}
 	l := c.shardLen(len(data))
-	dst = c.growPayloads(dst, l) //pinlint:allow hotpath — first-cycle growth; steady state passes capacity back in
+	dst = growPayloads(dst, c.n, l) //pinlint:allow hotpath — first-cycle growth; steady state passes capacity back in
 
 	// Systematic prefix: payload j = source block j, zero-padded. The
 	// copies double as the encode sources below, so the partial tail
@@ -194,11 +194,11 @@ func (c *Codec) DisperseInto(data []byte, dst [][]byte) ([][]byte, error) {
 // backing arrays with capacity and allocating the rest.
 //
 //pinlint:hotpath
-func (c *Codec) growPayloads(dst [][]byte, l int) [][]byte {
-	if cap(dst) >= c.n {
-		dst = dst[:c.n]
+func growPayloads(dst [][]byte, n, l int) [][]byte {
+	if cap(dst) >= n {
+		dst = dst[:n]
 	} else {
-		grown := make([][]byte, c.n) //pinlint:allow hotpath — first-cycle growth; steady state passes capacity back in
+		grown := make([][]byte, n) //pinlint:allow hotpath — first-cycle growth; steady state passes capacity back in
 		copy(grown, dst)
 		dst = grown
 	}

@@ -258,23 +258,42 @@ func TestUnmarshalIntoRejectsCorruption(t *testing.T) {
 }
 
 // FuzzDisperseReconstruct round-trips arbitrary data through the
-// streaming codec under a shard subset derived from the fuzz input.
+// streaming codec under a shard subset derived from the fuzz input. The
+// code is R ranges of w blocks wide, each range encoded on its own as a
+// cluster's homes do: together they are the code DisperseInto writes,
+// and any m blocks of the union reconstruct.
 func FuzzDisperseReconstruct(f *testing.F) {
 	f.Add([]byte("seed data for the codec"), uint8(3), uint8(2), uint16(0x2d))
 	f.Add([]byte{0}, uint8(1), uint8(1), uint16(1))
+	f.Add([]byte("two homes, parity on the second"), uint8(2), uint8(8+1), uint16(0x1f0))
+	f.Add([]byte("three homes"), uint8(4), uint8(16+3), uint16(0x9248))
 	f.Fuzz(func(t *testing.T, data []byte, mSeed, extra uint8, pick uint16) {
 		if len(data) == 0 {
 			return
 		}
 		m := 1 + int(mSeed)%8
-		n := m + int(extra)%8
+		w := m + int(extra)%8
+		n := w * (1 + int(extra>>3)%3)
 		c, err := Shared(m, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		payloads, err := c.DisperseInto(data, nil)
+		whole, err := c.DisperseInto(data, nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		payloads := make([][]byte, 0, n)
+		for first := 0; first < n; first += w {
+			blocks, _, err := c.DisperseFramesRange([]uint32{1}, [][]byte{data}, first, first+w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, b := range blocks[0] {
+				if int(b.Seq) != first+k || int(b.N) != n || !bytes.Equal(b.Payload, whole[first+k]) {
+					t.Fatalf("block %d of range [%d,%d) is %d of %d, or not the block the whole code has there (m=%d)", k, first, first+w, b.Seq, b.N, m)
+				}
+				payloads = append(payloads, b.Payload)
+			}
 		}
 		// Choose m distinct shards from the pick bitmask, topping up from
 		// the low sequence numbers when the mask is too sparse.

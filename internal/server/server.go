@@ -22,7 +22,8 @@ type Server struct {
 	ids      []uint32 // per file: the stable broadcast identifier
 	names    map[uint32]string
 	data     [][]byte       // per file: the contents slice it was dispersed from
-	blocks   [][]*ida.Block // per file: the N transmitted blocks
+	ranges   []Range        // per file: which N blocks of its code these are
+	blocks   [][]*ida.Block // per file: the N transmitted blocks, by rotation position
 	payloads [][][]byte     // per file: the wire form of each block; blocks alias their payload regions
 	encoded  int            // files New dispersed; the rest were carried over
 }
@@ -64,6 +65,13 @@ func FileIDs(prog *core.Program) ([]uint32, error) {
 	return ids, nil
 }
 
+// Range is a server's share of a file's code when the Of servers that
+// carry the file split one dispersal between them: of the code of width
+// Of·N it sends blocks [Index·N, (Index+1)·N), N being the file's
+// rotation width in the program. The zero Range is the whole code of
+// width N.
+type Range struct{ Index, Of int }
+
 // New disperses contents (keyed by file name) according to the
 // program's per-file (M, N) parameters. Every file of the program must
 // have contents.
@@ -81,6 +89,22 @@ func FileIDs(prog *core.Program) ([]uint32, error) {
 // streams each product table through the cache once for the whole
 // group instead of once per file.
 func New(prog *core.Program, contents map[string][]byte, from ...*Server) (*Server, error) {
+	return NewSplit(prog, contents, nil, from...)
+}
+
+// NewSplit is New for a server that sends only its Range of the files
+// ranges names (the others whole), and carries a file over only from a
+// server that sent the same range of it. The numbering rule: the program
+// still counts a file's rotation in positions 0…N−1, and position p is
+// block Index·N+p of the code of width Of·N, its own number in the
+// block's Seq. The rows of the systematic code do not depend on its
+// width, so range 0 holds the payloads an unsplit server sends and the
+// others parity only. Whatever its range a server sends N distinct
+// blocks of a code any M of which rebuild the file, so every window the
+// program keeps for a listener of this server alone still holds; a
+// listener of several servers may pool what it hears, since blocks of
+// different ranges are never the same block.
+func NewSplit(prog *core.Program, contents map[string][]byte, ranges map[string]Range, from ...*Server) (*Server, error) {
 	ids, err := FileIDs(prog)
 	if err != nil {
 		return nil, err
@@ -90,13 +114,19 @@ func New(prog *core.Program, contents map[string][]byte, from ...*Server) (*Serv
 		ids:      ids,
 		names:    make(map[uint32]string, len(prog.Files)),
 		data:     make([][]byte, len(prog.Files)),
+		ranges:   make([]Range, len(prog.Files)),
 		blocks:   make([][]*ida.Block, len(prog.Files)),
 		payloads: make([][][]byte, len(prog.Files)),
 	}
-	// Group the files to encode by (M, N), preserving table order within
-	// and across groups so dispersal failures attribute deterministically.
-	groups := make(map[[2]int][]int) // indices into prog.Files
-	var order [][2]int
+	// Group the files to encode by (M, N) and range, preserving table order
+	// within and across groups so dispersal failures attribute
+	// deterministically.
+	type group struct {
+		m, n int
+		r    Range
+	}
+	groups := make(map[group][]int) // indices into prog.Files
+	var order []group
 	for i, info := range prog.Files {
 		s.names[ids[i]] = info.Name
 		data, ok := contents[info.Name]
@@ -107,10 +137,13 @@ func New(prog *core.Program, contents map[string][]byte, from ...*Server) (*Serv
 			return nil, fmt.Errorf("server: dispersing %q: %w", info.Name, ida.ErrEmptyFile)
 		}
 		s.data[i] = data
+		if s.ranges[i] = ranges[info.Name]; s.ranges[i].Of == 0 {
+			s.ranges[i] = Range{Index: 0, Of: 1}
+		}
 		if s.carry(i, from) {
 			continue
 		}
-		key := [2]int{info.M, info.N}
+		key := group{info.M, info.N, s.ranges[i]}
 		if groups[key] == nil {
 			order = append(order, key)
 		}
@@ -122,11 +155,11 @@ func New(prog *core.Program, contents map[string][]byte, from ...*Server) (*Serv
 		for k, i := range files {
 			gids[k], datas[k] = ids[i], s.data[i]
 		}
-		codec, err := ida.Shared(key[0], key[1])
+		codec, err := ida.Shared(key.m, key.r.Of*key.n)
 		if err != nil {
 			return nil, fmt.Errorf("server: dispersing %q: %w", prog.Files[files[0]].Name, err)
 		}
-		blocks, frames, err := codec.DisperseFrames(gids, datas)
+		blocks, frames, err := codec.DisperseFramesRange(gids, datas, key.r.Index*key.n, (key.r.Index+1)*key.n)
 		if err != nil {
 			return nil, fmt.Errorf("server: dispersing %q: %w", prog.Files[files[0]].Name, err)
 		}
@@ -148,7 +181,7 @@ func (s *Server) carry(i int, from []*Server) bool {
 			continue
 		}
 		j := b.prog.FileIndex(info.Name)
-		if j < 0 || b.ids[j] != s.ids[i] || b.prog.Files[j].M != info.M || b.prog.Files[j].N != info.N {
+		if j < 0 || b.ids[j] != s.ids[i] || b.prog.Files[j].M != info.M || b.prog.Files[j].N != info.N || b.ranges[j] != s.ranges[i] {
 			continue
 		}
 		if was := b.data[j]; len(was) == len(data) && &was[0] == &data[0] {
@@ -174,13 +207,15 @@ func (s *Server) Program() *core.Program { return s.prog }
 // fresh copy per call.
 func (s *Server) Names() map[uint32]string { return s.names }
 
-// Block returns dispersed block seq of file i of the program table and
-// its marshaled wire form — what Program.BlockAt resolved a slot to, so
-// the serve loop resolves each slot once. Both are the server's cached
-// immutable forms, shared across emissions of the same block and across
-// the servers that carried the file over, and they are one copy of the
-// bytes: Block.Payload aliases the wire form past its header. Callers
-// must copy before mutating either (fault injectors do).
+// Block returns the dispersed block at rotation position seq of file i
+// of the program table and its marshaled wire form — what
+// Program.BlockAt resolved a slot to, so the serve loop resolves each
+// slot once; the block's own number is its Seq (see NewSplit). Both are
+// the server's cached immutable forms, shared across emissions of the
+// same block and across the servers that carried the file over, and they
+// are one copy of the bytes: Block.Payload aliases the wire form past
+// its header. Callers must copy before mutating either (fault injectors
+// do).
 //
 //pinlint:hotpath
 func (s *Server) Block(file, seq int) (*ida.Block, []byte) {

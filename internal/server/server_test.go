@@ -217,6 +217,71 @@ func TestNewCarriesUnchangedFiles(t *testing.T) {
 	}
 }
 
+// TestNewSplitCarriesOnEqualRange: a server that sends a range of a
+// file's code numbers its blocks in the wide code and serves them by
+// rotation position; range 0 carries the payloads of an unsplit server,
+// ranges of one code pool into a reconstruction, and a file is carried
+// over only from a server that sent the same range of it.
+func TestNewSplitCarriesOnEqualRange(t *testing.T) {
+	prog := testProgram(t)
+	contents := map[string][]byte{"A": []byte("contents of file A for dispersal"), "B": []byte("contents of B")}
+	whole, err := New(prog, contents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	homes := make([]*Server, 2)
+	for j := range homes {
+		if homes[j], err = NewSplit(prog, contents, map[string]Range{"A": {Index: j, Of: 2}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ia, n := prog.FileIndex("A"), prog.Files[prog.FileIndex("A")].N
+	var pooled []*ida.Block
+	for j, home := range homes {
+		for p := 0; p < n; p++ {
+			b, frame := home.Block(ia, p)
+			if int(b.Seq) != j*n+p || int(b.N) != 2*n || !bytes.Equal(frame, b.Marshal()) {
+				t.Fatalf("home %d position %d: block %d of %d, want %d of %d", j, p, b.Seq, b.N, j*n+p, 2*n)
+			}
+			if w, _ := whole.Block(ia, p); j == 0 && !bytes.Equal(b.Payload, w.Payload) {
+				t.Fatalf("home 0 position %d: payload differs from the unsplit server's", p)
+			}
+			if p < (prog.Files[ia].M+1-j)/2 { // the threshold, split between the homes
+				pooled = append(pooled, b)
+			}
+		}
+	}
+	if got, err := ida.ReconstructFileInto(pooled, nil); err != nil || !bytes.Equal(got, contents["A"]) {
+		t.Fatalf("%d blocks pooled from both homes do not reconstruct: %v", len(pooled), err)
+	}
+	sameForms(t, homes[1], mustSplit(t, prog, contents, Range{Index: 1, Of: 2}, homes[1]))
+	for _, tc := range []struct {
+		name    string
+		r       Range
+		from    *Server
+		encoded int
+	}{
+		{"same range", Range{Index: 1, Of: 2}, homes[1], 0},
+		{"other range of the same code", Range{Index: 1, Of: 2}, homes[0], 1},
+		{"unsplit to range 0", Range{Index: 0, Of: 2}, whole, 1},
+		{"range 0 to unsplit", Range{}, homes[0], 1},
+		{"whole code, spelled out", Range{Index: 0, Of: 1}, whole, 0},
+	} {
+		if got := mustSplit(t, prog, contents, tc.r, tc.from); got.Encoded() != tc.encoded {
+			t.Errorf("%s: encoded %d files, want %d", tc.name, got.Encoded(), tc.encoded)
+		}
+	}
+}
+
+func mustSplit(t *testing.T, prog *core.Program, contents map[string][]byte, r Range, from *Server) *Server {
+	t.Helper()
+	s, err := NewSplit(prog, contents, map[string]Range{"A": r}, from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // BenchmarkServerRebuild builds the 256-file admit-churn catalogue's
 // server on top of a previous one in which all, all but one, or none of
 // the contents slices are the ones being built from; changed=256 is a

@@ -13,6 +13,7 @@ import (
 
 	"pinbcast/internal/client"
 	"pinbcast/internal/cluster"
+	"pinbcast/internal/ida"
 	"pinbcast/internal/obs"
 	"pinbcast/internal/transport"
 )
@@ -30,6 +31,15 @@ import (
 // cluster re-admits elsewhere after a failover (Cluster.FailChannel)
 // is still found — the blocks are self-identifying, whichever channel
 // carries them.
+//
+// A request attached to several channels at once (scan mode) pools what
+// they hear: each home of a replicated file sends its own range of one
+// code (see Cluster), so the channel that stores a block takes over what
+// the others hold and the retrieval ends on the slot that brings the
+// union to m distinct blocks, credited to the channel that stored the
+// last. A request hopping off a dead channel takes along what that
+// channel delivered. Pooling is promised to nobody: a ClusterContract
+// bounds each channel on its own.
 //
 //	mt, err := pinbcast.NewMultiTuner(srcs,
 //		pinbcast.WithTunerDirectory(c.Directory()),
@@ -57,6 +67,7 @@ type MultiTuner struct {
 	hops      int
 	completed int  // finished requests by outcome; results itself may be
 	failed    int  // drained by RunInto, so Metrics counts separately
+	pooled    int  // completed ones rebuilt from blocks of several channels
 	started   bool // the persistent channel drivers are running
 	closed    bool // Close has run: no run may wake a driver any more
 
@@ -98,6 +109,8 @@ type mtRequest struct {
 	order    []int // fetch plan, cheapest first; nil = scan mode
 	attached []int // channels currently collecting the file
 	tried    map[int]bool
+	pooled   bool         // blocks have moved between its channels
+	hand     []*ida.Block // scratch of a hand-over, kept across requests
 }
 
 // ClusterResult is a Result annotated with the channel that served it
@@ -118,9 +131,12 @@ type MultiTunerMetrics struct {
 	// Injected counts corruptions introduced by the tuner's own fault
 	// models (WithTunerFaults) across all channels.
 	Injected int
-	// Completed and Failed count finished requests by outcome.
+	// Completed and Failed count finished requests by outcome; Pooled is
+	// how many of the completed were rebuilt from blocks of more than one
+	// channel.
 	Completed int
 	Failed    int
+	Pooled    int
 }
 
 // multiTunerConfig collects the options a MultiTuner is built from.
@@ -324,25 +340,37 @@ func (mt *MultiTuner) attachToLocked(req *mtRequest, ch int) {
 	req.attached = append(req.attached, ch)
 }
 
-// cancelOn withdraws a file's collection on one channel. Caller holds
-// mu (the mt.mu → mc.mu order).
+// cancelOn withdraws a file's collection on one channel and evens that
+// channel's block pool out against spare (client.Settle), returning what
+// is left of it. Caller holds mu (the mt.mu → mc.mu order).
 //
 //pinlint:holds mu
-func (mt *MultiTuner) cancelOn(ch int, file string) {
+func (mt *MultiTuner) cancelOn(ch int, file string, spare []*ida.Block) []*ida.Block {
 	mc := mt.chans[ch]
 	mc.mu.Lock()
 	mc.rcv.Cancel(file)
+	spare = mc.rcv.cli.Settle(spare)
 	mc.mu.Unlock()
+	return spare
 }
 
-// finishLocked records an open request's outcome, releases the other
-// channels collecting it and retires it to the free list. Caller holds mu.
+// finishLocked records an open request's outcome, releases the channels
+// collecting it and retires it to the free list. Where blocks moved
+// between its channels the block pools are evened out on the way: the
+// channel that finished, first, gives up what it took in, the others
+// keep what they gave. Caller holds mu.
 func (mt *MultiTuner) finishLocked(req *mtRequest, res ClusterResult) {
+	spare := req.hand[:0]
+	if res.Channel >= 0 {
+		spare = mt.cancelOn(res.Channel, req.file, spare)
+	}
 	for _, ch := range req.attached {
 		if ch != res.Channel {
-			mt.cancelOn(ch, req.file)
+			spare = mt.cancelOn(ch, req.file, spare)
 		}
 	}
+	clear(spare) // a channel the request left since is owed the rest
+	req.hand = spare[:0]
 	delete(mt.reqs, req.file)
 	clear(req.tried)
 	req.attached, req.order = req.attached[:0], nil
@@ -352,10 +380,15 @@ func (mt *MultiTuner) finishLocked(req *mtRequest, res ClusterResult) {
 		mt.completed++
 		tunCompleted.Inc()
 		tunLatencySlots.Observe(uint64(res.Latency))
+		if req.pooled {
+			mt.pooled++
+			tunPooled.Inc()
+		}
 	} else {
 		mt.failed++
 		tunFailed.Inc()
 	}
+	req.pooled = false
 	if len(mt.reqs) > 0 {
 		return
 	}
@@ -560,61 +593,116 @@ func (mt *MultiTuner) drive(ctx context.Context, ch int) {
 // observe delivers one slot to the channel's receiver and reports
 // whether the slot's numbering gap just killed the channel. Only the
 // channel's own lock is held for the protocol work; the tuner-wide lock
-// is taken after it is released, and only when a reconstruction
-// completed.
+// is taken after it is released, and only when a block was stored: to
+// record a completed reconstruction, or to pool the request's blocks on
+// this channel when it collects on others too.
 func (mt *MultiTuner) observe(ch int, slot Slot) (died bool) {
 	died = mt.det.Observe(ch, slot.T)
 	mc := mt.chans[ch]
 	mc.mu.Lock()
 	var res Result
-	completed := mc.rcv.observe(slot) == client.Completed
-	if completed {
-		// Drain the completion off the receiver (into reused scratch)
-		// rather than copying its whole history: the tuner's own
-		// bookkeeping is the single record of outcomes.
-		mc.resBuf = mc.rcv.cli.TakeResults(mc.resBuf[:0])
-		res = mc.resBuf[len(mc.resBuf)-1]
+	var file string
+	out := mc.rcv.observe(slot)
+	switch out {
+	case client.Completed:
+		res = mc.takeResult()
+		file = res.File
+	case client.Stored:
+		file = mc.rcv.cli.Heard()
 	}
 	mc.mu.Unlock()
-	if completed {
-		mt.mu.Lock()
-		if req, ok := mt.reqs[res.File]; ok {
-			mt.finishLocked(req, ClusterResult{Result: res, Channel: ch})
-		}
-		mt.mu.Unlock()
+	if file == "" {
+		return died
 	}
+	mt.mu.Lock()
+	req, open := mt.reqs[file]
+	switch {
+	case !open: // finished on another channel meanwhile
+	case out == client.Completed:
+		mt.finishLocked(req, ClusterResult{Result: res, Channel: ch})
+	case len(req.attached) > 1 && slices.Contains(req.attached, ch):
+		mt.handLocked(req, ch, req.attached...)
+	}
+	mt.mu.Unlock()
 	return died
+}
+
+// takeResult drains the completion the receiver just recorded (into
+// reused scratch) rather than copying its whole history: the tuner's own
+// bookkeeping is the single record of outcomes. Caller holds mc.mu.
+func (mc *mtChannel) takeResult() Result {
+	mc.resBuf = mc.rcv.cli.TakeResults(mc.resBuf[:0])
+	return mc.resBuf[len(mc.resBuf)-1]
+}
+
+// handLocked moves what the channels in from hold for the request to
+// channel to — one channel lock at a time, to itself skipped — and
+// records the completion when that brings to's receiver to m distinct
+// blocks, exactly as if its own slot had. Caller holds mu.
+func (mt *MultiTuner) handLocked(req *mtRequest, to int, from ...int) {
+	hand := req.hand[:0]
+	for _, ch := range from {
+		if ch != to {
+			mc := mt.chans[ch]
+			mc.mu.Lock()
+			hand = mc.rcv.cli.Yield(req.file, hand)
+			mc.mu.Unlock()
+		}
+	}
+	req.hand = hand[:0]
+	if len(hand) == 0 {
+		return
+	}
+	req.pooled = true
+	mc := mt.chans[to]
+	mc.mu.Lock()
+	var res Result
+	completed := mc.rcv.cli.Take(req.file, hand)
+	if completed {
+		mc.rcv.m.Reconstructions++
+		res = mc.takeResult()
+	}
+	mc.mu.Unlock()
+	clear(hand)
+	if completed {
+		mt.finishLocked(req, ClusterResult{Result: res, Channel: to})
+	}
 }
 
 // channelDied re-homes the dead channel's pending requests: each hops
 // to the next live carrier of its plan (or to scan mode), and a request
-// with no live channel left anywhere is flushed as a failure.
+// with no live channel left anywhere is flushed as a failure. A request
+// keeps the blocks the dead channel delivered — they go to the channel
+// it collects on now — so it needs the rest of m, not m again.
 func (mt *MultiTuner) channelDied(ch int) {
 	mt.mu.Lock()
 	defer mt.mu.Unlock()
 	for _, req := range mt.openLocked() {
+		file := req.file
 		attached := req.attached[:0]
 		wasHere := false
 		for _, a := range req.attached {
 			if a == ch {
 				wasHere = true
-				mt.cancelOn(ch, req.file)
 			} else if mt.det.Alive(a) {
 				attached = append(attached, a)
 			}
 		}
 		req.attached = attached
-		if !wasHere && len(attached) > 0 {
-			continue
-		}
 		if len(req.attached) == 0 {
 			mt.hops++
 			tunHops.Inc()
 			traceRing.Emit(obs.ChannelHop, ch, 0, 0, 0)
 			mt.attachLocked(req)
-			if len(req.attached) == 0 {
-				mt.failLocked(req)
+		}
+		if wasHere {
+			if len(req.attached) > 0 {
+				mt.handLocked(req, req.attached[0], ch)
 			}
+			mt.cancelOn(ch, file, nil)
+		}
+		if mt.reqs[file] == req && len(req.attached) == 0 {
+			mt.failLocked(req)
 		}
 	}
 }
@@ -666,6 +754,7 @@ func (mt *MultiTuner) Metrics() MultiTunerMetrics {
 	m.Hops = mt.hops
 	m.Completed = mt.completed
 	m.Failed = mt.failed
+	m.Pooled = mt.pooled
 	mt.mu.Unlock()
 	return m
 }

@@ -1,6 +1,7 @@
 package pinbcast
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -8,6 +9,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"pinbcast/internal/workload"
 )
 
 // recordChannels serves each station of the cluster into a Recording
@@ -451,5 +454,172 @@ func TestMultiTunerCloseMidRunOverRecordings(t *testing.T) {
 	}
 	if m := mt.Metrics(); m.SlotsPerChannel[0] >= len(recorded(rec)) && m.SlotsPerChannel[1] >= len(recorded(rec)) {
 		t.Logf("both replays ran out before Close (%v slots): the race window was missed", m.SlotsPerChannel)
+	}
+}
+
+// pooledModel is the pooled retrieval rule in block numbers, sharing no
+// code with the tuner: listening to every channel of cycles (one data
+// cycle each, replayed cyclically) in lock-step from slot start, it
+// returns the first slot count after which the distinct numbers of
+// file's blocks heard, whichever channel sent them, reach m, and the
+// channel that sent the last (the lowest, where several do in that slot).
+func pooledModel(cycles [][]Slot, start int, file string, m int) (latency, channel int) {
+	var have [256]bool
+	for k, got := 0, 0; ; k++ {
+		for ch, cycle := range cycles {
+			if s := cycle[(start+k)%len(cycle)]; s.File == file && !have[s.Seq] {
+				if have[s.Seq], got = true, got+1; got == m {
+					return k + 1, ch
+				}
+			}
+		}
+	}
+}
+
+// TestMultiTunerPoolsAcrossChannels: a scan-mode request on the paced
+// daemon cluster's two channels, walked in lock-step from every start
+// offset of a period, completes on the very slot the union of the two
+// homes' block numbers reaches m — on the channel that sent that block,
+// with exactly m blocks and the file's bytes — which for every replicated
+// file is, from some offsets, sooner than either home alone. A tuner run
+// on its own drivers over the same air, where the channels drift apart,
+// still rebuilds every file from m blocks.
+func TestMultiTunerPoolsAcrossChannels(t *testing.T) {
+	c, files := daemonCluster(t, true)
+	contents := workload.Contents(files, 16, 1)
+	cycles := make([][]Slot, c.Channels())
+	for ch := range cycles {
+		cycles[ch] = cycleOnAir(t, c.Station(ch))
+	}
+	sources := func(start int) []Source {
+		srcs := make([]Source, len(cycles))
+		for ch, cycle := range cycles {
+			srcs[ch] = &loopingSource{slots: cycle, pos: start}
+		}
+		return srcs
+	}
+	var replicated []FileSpec
+	for _, f := range files {
+		if len(c.Assignment()[f.Name]) < 2 {
+			continue
+		}
+		replicated = append(replicated, f)
+		pooled, sooner := 0, 0
+		for start := range cycles[0] {
+			srcs := sources(start)
+			mt, err := NewMultiTuner(srcs, WithTunerDirectory(c.Directory()), WithTunerRequest(f.Name, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for !mt.Done() {
+				for ch, src := range srcs {
+					slot, _ := src.Next()
+					mt.observe(ch, slot)
+				}
+			}
+			want, wantCh := pooledModel(cycles, start, f.Name, f.Blocks)
+			res := mt.Results()[0]
+			if !res.Completed || res.Latency != want || res.Channel != wantCh || res.BlocksUsed != f.Blocks || !bytes.Equal(res.Data, contents[f.Name]) {
+				t.Fatalf("%q from slot %d: %d slots on channel %d with %d blocks (completed %v), the union holds %d after %d slots, the last from channel %d",
+					f.Name, start, res.Latency, res.Channel, res.BlocksUsed, res.Completed, f.Blocks, want, wantCh)
+			}
+			alone := 1 << 30
+			for ch := range cycles {
+				l, _ := pooledModel(cycles[ch:ch+1], start, f.Name, f.Blocks)
+				alone = min(alone, l)
+			}
+			if want > alone {
+				t.Fatalf("%q from slot %d: %d slots pooled, %d on one channel alone", f.Name, start, want, alone)
+			}
+			if want < alone {
+				sooner++
+			}
+			pooled += mt.Metrics().Pooled
+			mt.Close()
+		}
+		if pooled == 0 || sooner == 0 {
+			t.Fatalf("%q: %d of %d retrievals pooled, %d sooner than the better home alone", f.Name, pooled, len(cycles[0]), sooner)
+		}
+	}
+	if len(replicated) == 0 {
+		t.Fatal("the daemon cluster replicates nothing")
+	}
+
+	mt, err := NewMultiTuner(sources(0), WithTunerDirectory(c.Directory()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mt.Close()
+	for round := 0; round < 20; round++ {
+		for _, f := range replicated {
+			if err := mt.Request(f.Name, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		results, err := mt.RunInto(context.Background(), nil)
+		if err != nil || len(results) != len(replicated) {
+			t.Fatalf("round %d: %d results (%v)", round, len(results), err)
+		}
+		for _, res := range results {
+			if !res.Completed || res.BlocksUsed != c.specs[res.File].Blocks || !bytes.Equal(res.Data, contents[res.File]) {
+				t.Fatalf("round %d: %+v", round, res)
+			}
+			mt.Recycle(res)
+		}
+	}
+}
+
+// TestMultiTunerHopKeepsBlocks: a planned request that loses its channel
+// after k < m blocks takes them along to the channel it hops to, and
+// completes there on m−k more — with m blocks used, the file's bytes,
+// and in fewer slots than a request made fresh at the hop.
+func TestMultiTunerHopKeepsBlocks(t *testing.T) {
+	c, files := daemonCluster(t, true)
+	contents := workload.Contents(files, 16, 1)
+	cycles := make([][]Slot, c.Channels())
+	for ch := range cycles {
+		cycles[ch] = cycleOnAir(t, c.Station(ch))
+	}
+	hopped := 0
+	for _, f := range files {
+		plan := c.FetchPlan()[f.Name]
+		if len(plan) < 2 || f.Blocks < 2 {
+			continue
+		}
+		first, second := plan[0], plan[1]
+		for k := 1; k < f.Blocks; k++ {
+			srcs := []Source{&loopingSource{slots: cycles[0]}, &loopingSource{slots: cycles[1]}}
+			mt, err := NewMultiTuner(srcs, WithTunerDirectory(c.Directory()), WithTunerHomes(c.FetchPlan()), WithTunerRequest(f.Name, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hop := 0 // the slot after the one that delivered the k-th block
+			for got := 0; got < k; hop++ {
+				slot, _ := srcs[first].Next()
+				if mt.observe(first, slot); slot.File == f.Name {
+					got++
+				}
+			}
+			mt.det.Fail(first) // what drive does when the stream ends
+			mt.channelDied(first)
+			fresh, _ := pooledModel(cycles[second:second+1], hop, f.Name, f.Blocks)
+			srcs[second].(*loopingSource).pos = hop
+			for !mt.Done() {
+				slot, _ := srcs[second].Next()
+				mt.observe(second, slot)
+			}
+			res, m := mt.Results()[0], mt.Metrics()
+			if !res.Completed || res.Channel != second || res.BlocksUsed != f.Blocks || !bytes.Equal(res.Data, contents[f.Name]) || m.Hops != 1 || m.Pooled != 1 {
+				t.Fatalf("%q hopping after %d blocks: %+v, metrics %+v", f.Name, k, res, m)
+			}
+			if res.Latency >= fresh {
+				t.Fatalf("%q hopping at slot %d with %d of %d blocks: %d slots on channel %d, a fresh request takes %d", f.Name, hop, k, f.Blocks, res.Latency, second, fresh)
+			}
+			hopped++
+			mt.Close()
+		}
+	}
+	if hopped == 0 {
+		t.Fatal("no replicated file of two blocks or more to hop with")
 	}
 }

@@ -56,6 +56,8 @@ var (
 		"Missed-slot detections that killed a channel.")
 	tunCompleted = obs.Default().Counter("pin_tuner_requests_completed_total",
 		"Multi-tuner requests completed with a reconstruction.")
+	tunPooled = obs.Default().Counter("pin_tuner_pooled_total",
+		"Multi-tuner requests completed with blocks of more than one channel.")
 	tunFailed = obs.Default().Counter("pin_tuner_requests_failed_total",
 		"Multi-tuner requests flushed as failures.")
 	tunLatencySlots = obs.Default().Histogram("pin_tuner_latency_slots",

@@ -3,6 +3,8 @@ package pinbcast
 import (
 	"fmt"
 	"time"
+
+	"pinbcast/internal/server"
 )
 
 // stationConfig collects the options a Station is built from.
@@ -15,7 +17,8 @@ type stationConfig struct {
 	interval   time.Duration
 	buffer     int
 
-	replicaOnly map[string]bool // NewCluster's alone: see Station.replicaOnly
+	replicaOnly map[string]bool         // NewCluster's alone: see Station.replicaOnly
+	ranges      map[string]server.Range // NewCluster's alone: see Station.ranges
 }
 
 // Option configures a Station under construction. Options are applied

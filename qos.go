@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"pinbcast/internal/rtdb"
+	"pinbcast/internal/server"
 )
 
 // Online QoS negotiation (§1's contract-before-service discipline, made
@@ -109,7 +110,7 @@ func (st *Station) Negotiate(f FileSpec, contents []byte) (c Contract, err error
 	if _, dup := st.contractEntry(f.Name); dup {
 		return Contract{}, fmt.Errorf("pinbcast: contract %q already issued: %w", f.Name, ErrBadSpec)
 	}
-	err = st.admit(f, contents, func(gen *generation) error {
+	err = st.admit(f, contents, server.Range{}, func(gen *generation) error {
 		// The new file's own guarantee, as a single-read transaction
 		// over the staged program.
 		read := Txn{Name: f.Name, Reads: []string{f.Name}, Deadline: 1 << 30}

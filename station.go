@@ -33,8 +33,11 @@ type Slot struct {
 	// slot the program leaves idle the one reclaiming it.
 	File string
 	// Seq is the dispersed block sequence number (meaningless for idle
-	// slots): the station's k-th transmission of a file, scheduled or
-	// reclaimed, carries block k mod N — Emission().BlockAt names it.
+	// slots), Block.Seq as an int: the station's k-th transmission of a
+	// file, scheduled or reclaimed, carries the block at position k mod N
+	// of its rotation — Emission().BlockAt names the position, which is
+	// the block's number except on a cluster channel that sends another
+	// range of a replicated file's code (see Cluster).
 	Seq int
 	// Block is the self-identifying block, nil for idle slots.
 	Block *Block
@@ -89,6 +92,10 @@ type Station struct {
 	// another live channel, which plans their spare air
 	// (Cluster.replicaOnlyLocked); guarded by buildMu.
 	replicaOnly map[string]bool
+	// ranges holds, for each replicated file of a cluster station, the
+	// share of the file's code this channel sends (see Cluster); guarded
+	// by buildMu.
+	ranges map[string]server.Range
 	// contents is the authoritative dispersal source, owned by the
 	// station; guarded by buildMu.
 	contents map[string][]byte
@@ -107,7 +114,7 @@ type Station struct {
 //		pinbcast.WithFile(pinbcast.FileSpec{Name: "map", Blocks: 8, Latency: 40}, tiles),
 //	)
 func New(opts ...Option) (*Station, error) {
-	cfg := &stationConfig{contents: map[string][]byte{}}
+	cfg := &stationConfig{contents: map[string][]byte{}, ranges: map[string]server.Range{}}
 	for _, opt := range opts {
 		if err := opt(cfg); err != nil {
 			return nil, err
@@ -129,6 +136,7 @@ func New(opts ...Option) (*Station, error) {
 		contents:    cfg.contents,
 		qos:         map[string]qosEntry{},
 		replicaOnly: cfg.replicaOnly,
+		ranges:      cfg.ranges,
 	}
 	if st.interval > 0 {
 		st.clock = wallClock{time.NewTimer(st.interval)} // Serve is single-flight: one timer does
@@ -164,7 +172,7 @@ func (st *Station) build(files []FileSpec, base *server.Server) (*generation, er
 	if err != nil {
 		return nil, err
 	}
-	srv, err := server.New(prog, st.contents, base)
+	srv, err := server.NewSplit(prog, st.contents, st.ranges, base)
 	if err != nil {
 		return nil, err
 	}
@@ -410,8 +418,8 @@ func (st *Station) serveLoop(ctx context.Context, out chan<- Slot) {
 		file, seq := gen.emission.BlockAt(localT)
 		if file != core.Idle {
 			slot.File = gen.emission.Files[file].Name
-			slot.Seq = seq
 			slot.Block, slot.Payload = gen.srv.Block(file, seq)
+			slot.Seq = int(slot.Block.Seq)
 		}
 		reclaimed := file != core.Idle && gen.program.FileAt(localT) == core.Idle
 		localT++
@@ -463,20 +471,29 @@ func (st *Station) serveLoop(ctx context.Context, out chan<- Slot) {
 // blocks over, and the slice itself is how the station knows the bytes
 // again. To change a file, Evict it and Admit a new slice.
 func (st *Station) Admit(f FileSpec, contents []byte) error {
+	return st.admitRange(f, contents, server.Range{})
+}
+
+// admitRange is Admit for one range of the file's code: how
+// Cluster.FailChannel re-admits a file planned on several channels.
+//
+//pinlint:cycle-boundary
+func (st *Station) admitRange(f FileSpec, contents []byte, r server.Range) error {
 	st.buildMu.Lock()
 	defer st.buildMu.Unlock()
-	return st.admit(f, contents, nil)
+	return st.admit(f, contents, r, nil)
 }
 
 // admit is Admit and Negotiate under buildMu: admission control, the
-// candidate's contents installed, the generation rebuilt (which holds
-// it to every issued contract) and put to accept (nil accepts), then
-// staged. Any rejection restores the contents and leaves the program
-// and the contracts as they were.
+// candidate's contents installed — and the range of its code to send,
+// when Cluster.FailChannel re-admits a file planned on several channels —
+// the generation rebuilt (which holds it to every issued contract) and
+// put to accept (nil accepts), then staged. Any rejection restores the
+// contents and leaves the program and the contracts as they were.
 //
 //pinlint:cycle-boundary
 //pinlint:holds buildMu
-func (st *Station) admit(f FileSpec, contents []byte, accept func(*generation) error) error {
+func (st *Station) admit(f FileSpec, contents []byte, r server.Range, accept func(*generation) error) error {
 	base := st.latest()
 	for _, existing := range base.files {
 		if existing.Name == f.Name {
@@ -489,11 +506,15 @@ func (st *Station) admit(f FileSpec, contents []byte, accept func(*generation) e
 	}
 	prior, had := st.contents[f.Name]
 	st.contents[f.Name] = contents
+	if r.Of > 1 {
+		st.ranges[f.Name] = r
+	}
 	gen, err := st.build(files, base.srv)
 	if err == nil && accept != nil {
 		err = accept(gen)
 	}
 	if err != nil {
+		delete(st.ranges, f.Name)
 		if had {
 			st.contents[f.Name] = prior
 		} else {
@@ -530,6 +551,7 @@ func (st *Station) Evict(name string) error {
 		return err
 	}
 	delete(st.contents, name)
+	delete(st.ranges, name)
 	st.stage(gen)
 	return nil
 }
