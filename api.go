@@ -100,25 +100,6 @@ type (
 	Block = ida.Block
 )
 
-// DispersalConfig describes one file dispersal.
-type DispersalConfig struct {
-	// FileID is the identifier stamped on every block; use FileID(name)
-	// for the stable name-derived identifier broadcast servers use.
-	FileID uint32
-	// Data is the file contents.
-	Data []byte
-	// Threshold is m: any Threshold blocks reconstruct the file.
-	Threshold int
-	// Width is n: the number of distinct blocks produced.
-	Width int
-}
-
-// DisperseData splits data into Width self-identifying blocks of which
-// any Threshold reconstruct it (Rabin's IDA over GF(2⁸)).
-func DisperseData(cfg DispersalConfig) ([]*Block, error) {
-	return ida.DisperseFile(cfg.FileID, cfg.Data, cfg.Threshold, cfg.Width)
-}
-
 // Reconstruct recovers a file from at least Threshold of its blocks.
 func Reconstruct(blocks []*Block) ([]byte, error) { return ida.ReconstructFileInto(blocks, nil) }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pinbcast/internal/core"
+	"pinbcast/internal/ida"
 	"pinbcast/internal/rtdb"
 )
 
@@ -60,7 +61,7 @@ func TestFacadeBandwidths(t *testing.T) {
 
 func TestFacadeIDA(t *testing.T) {
 	data := []byte("facade round trip")
-	blocks, err := DisperseData(DispersalConfig{FileID: 3, Data: data, Threshold: 2, Width: 5})
+	blocks, err := ida.DisperseFile(3, data, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,7 @@ import (
 	"pinbcast"
 	"pinbcast/internal/core"
 	"pinbcast/internal/exp"
+	"pinbcast/internal/ida"
 	"pinbcast/internal/pinwheel"
 	"pinbcast/internal/workload"
 	"pinbcast/internal/zeroalloc"
@@ -409,9 +410,7 @@ func BenchmarkServeFanoutPipeline(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	blk, err := pinbcast.DisperseData(pinbcast.DispersalConfig{
-		FileID: 1, Data: make([]byte, 4096), Threshold: 1, Width: 1,
-	})
+	blk, err := ida.DisperseFile(1, make([]byte, 4096), 1, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

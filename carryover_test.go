@@ -212,12 +212,9 @@ func TestCarryOverMatchesFromScratch(t *testing.T) {
 				contents := make(map[string][]byte, len(model))
 				for n, c := range model {
 					contents[n] = c.data
-					if own := st.contents[n]; len(own) != len(c.data) || &own[0] != &c.data[0] {
+					if own, _, _ := latest.srv.Source(n); len(own) != len(c.data) || &own[0] != &c.data[0] {
 						t.Fatalf("step %d (%s): the station's contents of %s are not the slice it was handed", step, kind, n)
 					}
-				}
-				if len(st.contents) != len(model) {
-					t.Fatalf("step %d (%s): the station holds %d contents for %d files", step, kind, len(st.contents), len(model))
 				}
 				if len(latest.program.Files) != len(model) {
 					t.Fatalf("step %d (%s): %d files on the air, model has %d", step, kind, len(latest.program.Files), len(model))

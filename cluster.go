@@ -1,15 +1,18 @@
 package pinbcast
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"pinbcast/internal/cluster"
 	"pinbcast/internal/core"
 	"pinbcast/internal/obs"
+	"pinbcast/internal/rtdb"
 	"pinbcast/internal/server"
 )
 
@@ -82,7 +85,6 @@ type Cluster struct {
 	replicas int
 
 	stations []*Station
-	contents map[string][]byte // master copy, by file name
 	specs    map[string]FileSpec
 	widths   map[string]int // file -> channels it was planned on: its code is that many rotations wide
 
@@ -170,7 +172,6 @@ func NewCluster(opts ...ClusterOption) (*Cluster, error) {
 	c := &Cluster{
 		shard:     cfg.shard,
 		replicas:  cfg.replicas,
-		contents:  map[string][]byte{},
 		specs:     map[string]FileSpec{},
 		widths:    map[string]int{},
 		homes:     asn.Homes,
@@ -180,11 +181,9 @@ func NewCluster(opts ...ClusterOption) (*Cluster, error) {
 	}
 	for _, f := range cfg.files {
 		c.specs[f.Name] = f
-		data, ok := cfg.contents[f.Name]
-		if !ok {
+		if _, ok := cfg.contents[f.Name]; !ok {
 			return nil, fmt.Errorf("pinbcast: no contents for file %q: %w", f.Name, ErrBadSpec)
 		}
-		c.contents[f.Name] = data
 		w := len(asn.Homes[f.Name])
 		if c.widths[f.Name] = w; w*f.Width() > 256 {
 			return nil, fmt.Errorf("pinbcast: file %q on %d channels needs a code %d blocks wide, more than 256: %w",
@@ -194,21 +193,17 @@ func NewCluster(opts ...ClusterOption) (*Cluster, error) {
 	c.stations = make([]*Station, len(asn.Channels))
 	replicaOnly := c.replicaOnlyLocked()
 	for ch, chFiles := range asn.Channels {
-		ranges := map[string]server.Range{}
+		ranges, chContents := map[string]server.Range{}, make(map[string][]byte, len(chFiles))
 		for _, f := range chFiles {
+			chContents[f.Name] = cfg.contents[f.Name]
 			if homes := asn.Homes[f.Name]; len(homes) > 1 {
 				ranges[f.Name] = server.Range{Index: slices.Index(homes, ch), Of: len(homes)}
 			}
 		}
-		stOpts := []Option{WithFiles(chFiles...), func(sc *stationConfig) error {
+		stOpts := []Option{WithFiles(chFiles...), WithContents(chContents), func(sc *stationConfig) error {
 			sc.replicaOnly, sc.ranges = replicaOnly[ch], ranges
 			return nil
 		}}
-		chContents := make(map[string][]byte, len(chFiles))
-		for _, f := range chFiles {
-			chContents[f.Name] = c.contents[f.Name]
-		}
-		stOpts = append(stOpts, WithContents(chContents))
 		if cfg.bandwidth > 0 {
 			stOpts = append(stOpts, WithBandwidth(cfg.bandwidth))
 		}
@@ -331,7 +326,7 @@ func (c *Cluster) liveHomesLocked(name string) []int {
 // earlier live home. A replica is there to survive channel deaths, which
 // its scheduled slots already do: a file's spare air is planned once, on
 // its first live home, and a replica channel spends its own on the files
-// only it carries (Station.reclaimExcept). Caller holds mu, except the
+// only it carries (change.replicaOnly). Caller holds mu, except the
 // constructor.
 //
 //pinlint:holds mu
@@ -591,16 +586,22 @@ type FailoverReport struct {
 }
 
 // FailChannel takes channel i out of the cluster: its broadcast loop is
-// stopped (if the cluster is serving), every file it alone carried is
-// re-admitted — hottest first — onto the surviving station with the
-// most bandwidth headroom that will take it (landing at that channel's
-// next data-cycle boundary), and every cluster contract is re-verified
-// against the surviving channels: a contract whose re-computed bound
-// still fits its promised DegradedLatencySlots is kept, any other is
-// revoked with an error wrapping ErrDegraded. On paced stations the next
-// live home of each file the channel reclaimed for takes that over.
-// Failing an unknown or already-failed channel wraps ErrBadSpec; failing
-// the last live channel is allowed and loses the catalog.
+// stopped (if the cluster is serving), the files it alone carried are
+// re-admitted on the survivors, and every cluster contract is
+// re-verified: one whose re-computed bound still fits its promised
+// DegradedLatencySlots is kept, any other revoked with an error wrapping
+// ErrDegraded. The orphans are planned hottest first, each on the
+// survivor with the most bandwidth headroom over its latest file set
+// (staged changes count) and what is planned for it, among those whose
+// density gate, Admit's, admits it. Each survivor then builds at most
+// one generation, live at its next data-cycle boundary: its orphans,
+// frames carried over from channel i's, and on a paced station the
+// spare air of files channel i was first to carry. A survivor whose
+// build is refused all the same (a custom layout, a contract) takes none
+// of its orphans: they are planned again over the others, which build
+// again to take them, and lost when none admits them. Failing an unknown
+// or already-failed channel wraps ErrBadSpec; failing the last live
+// channel loses the catalog.
 func (c *Cluster) FailChannel(i int) (*FailoverReport, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -619,52 +620,50 @@ func (c *Cluster) FailChannel(i int) (*FailoverReport, error) {
 	clFailovers.Inc()
 	rep := &FailoverReport{Channel: i, Readmitted: map[string]int{}}
 
-	// A file whose primary died is reclaimed for by its next live home,
-	// staged before the orphans are admitted on top of it. Best effort:
-	// a station that cannot re-plan keeps an emission that holds every
-	// bound all the same.
-	for ch, replicaOnly := range c.replicaOnlyLocked() {
-		if !c.dead[ch] {
-			_ = c.stations[ch].reclaimExcept(replicaOnly)
-		}
-	}
-
-	// Orphans: files whose every carrier is now dead, hottest first so
-	// the tightest guarantees get first claim on surviving capacity.
+	// Orphans: files whose every carrier is now dead.
 	var orphans []FileSpec
 	for name := range c.homes {
 		if c.lost[name] == nil && len(c.liveHomesLocked(name)) == 0 {
 			orphans = append(orphans, c.specs[name])
 		}
 	}
-	sort.SliceStable(orphans, func(a, b int) bool {
-		ha, hb := cluster.Heat(orphans[a]), cluster.Heat(orphans[b])
-		if ha != hb {
-			return ha > hb
-		}
-		return orphans[a].Name < orphans[b].Name
-	})
-	for _, f := range orphans {
-		admitted := false
-		for _, ch := range c.survivorsByHeadroomLocked() {
-			// An orphan has no live home, so range 0 of its code is free.
-			if err := c.stations[ch].admitRange(f, c.contents[f.Name], server.Range{Index: 0, Of: c.widths[f.Name]}); err == nil {
+	replicaOnly, failed := c.replicaOnlyLocked(), []*server.Server{c.stations[i].latest().srv}
+	survivors := c.liveLocked()
+	for round := 0; round == 0 || len(orphans) > 0; round++ {
+		batches := c.planLocked(orphans, survivors, i, rep)
+		orphans = nil
+		for _, ch := range slices.Clone(survivors) {
+			if round > 0 && len(batches[ch]) == 0 {
+				continue
+			}
+			st, chg := c.stations[ch], change{add: batches[ch], contents: map[string][]byte{}, ranges: map[string]server.Range{},
+				replicaOnly: replicaOnly[ch], carry: failed}
+			for _, f := range chg.add {
+				// Channel i carried every orphan; none has a live home, so
+				// range 0 of its code is free.
+				chg.contents[f.Name], _, _ = failed[0].Source(f.Name)
+				chg.ranges[f.Name] = server.Range{Index: 0, Of: c.widths[f.Name]}
+			}
+			// The spare-air change alone is best effort: an emission not
+			// planned anew still holds every bound.
+			st.buildMu.Lock()
+			refused := st.rebuild(chg) != nil && len(chg.add) > 0
+			if refused {
+				chg.add = nil
+				_ = st.rebuild(chg)
+			}
+			st.buildMu.Unlock()
+			if refused {
+				survivors = slices.DeleteFunc(survivors, func(s int) bool { return s == ch })
+				orphans = append(orphans, batches[ch]...)
+				continue
+			}
+			for _, f := range batches[ch] {
 				c.homes[f.Name] = append(c.homes[f.Name], ch)
 				rep.Readmitted[f.Name] = ch
-				admitted = true
 				clReadmitted.Inc()
 				traceRing.Emit(obs.FailoverReadmit, ch, FileID(f.Name), 0, uint64(i))
-				break
 			}
-		}
-		if !admitted {
-			c.lost[f.Name] = fmt.Errorf("pinbcast: file %q lost with channel %d (no survivor could admit it): %w",
-				f.Name, i, ErrDegraded)
-			if rep.Lost == nil {
-				rep.Lost = map[string]error{}
-			}
-			rep.Lost[f.Name] = c.lost[f.Name]
-			clFilesLost.Inc()
 		}
 	}
 
@@ -780,24 +779,43 @@ func (c *Cluster) reverifyLocked(e *clusterContractEntry) error {
 	return nil
 }
 
-// survivorsByHeadroomLocked returns the live channels ordered by
-// descending bandwidth headroom (channel bandwidth minus the necessary
-// bandwidth of its current file set). Caller holds mu.
-func (c *Cluster) survivorsByHeadroomLocked() []int {
-	live := c.liveLocked()
-	type hr struct {
-		ch       int
-		headroom float64
+// planLocked places the orphans of failed channel i on the survivors,
+// hottest first so the tightest guarantees get first claim on surviving
+// capacity: each goes to the survivor with the most bandwidth headroom
+// (its bandwidth minus the necessary bandwidth of its latest file set
+// and of what is planned for it) that the density gate admits it to,
+// the first in channel order on a tie. It returns each survivor's batch
+// and records an orphan no survivor admits as lost. Caller holds mu.
+func (c *Cluster) planLocked(orphans []FileSpec, survivors []int, i int, rep *FailoverReport) map[int][]FileSpec {
+	slices.SortFunc(orphans, func(a, b FileSpec) int {
+		return cmp.Or(cmp.Compare(cluster.Heat(b), cluster.Heat(a)), strings.Compare(a.Name, b.Name))
+	})
+	load := make(map[int][]FileSpec, len(survivors))
+	for _, ch := range survivors {
+		load[ch] = c.stations[ch].latest().files
 	}
-	ranked := make([]hr, 0, len(live))
-	for _, ch := range live {
-		st := c.stations[ch]
-		ranked = append(ranked, hr{ch, float64(st.Bandwidth()) - core.NecessaryBandwidth(st.Files())})
+	headroom := func(ch int) float64 {
+		return float64(c.stations[ch].Bandwidth()) - core.NecessaryBandwidth(load[ch])
 	}
-	sort.SliceStable(ranked, func(a, b int) bool { return ranked[a].headroom > ranked[b].headroom })
-	out := make([]int, len(ranked))
-	for i, r := range ranked {
-		out[i] = r.ch
+	batches, ranked := map[int][]FileSpec{}, slices.Clone(survivors)
+	for _, f := range orphans {
+		slices.SortFunc(ranked, func(a, b int) int { return cmp.Or(cmp.Compare(headroom(b), headroom(a)), a-b) })
+		placed := false
+		for _, ch := range ranked {
+			if next, err := rtdb.Admit(load[ch], f, c.stations[ch].Bandwidth()); err == nil {
+				load[ch], batches[ch], placed = next, append(batches[ch], f), true
+				break
+			}
+		}
+		if !placed {
+			c.lost[f.Name] = fmt.Errorf("pinbcast: file %q lost with channel %d (no survivor could admit it): %w",
+				f.Name, i, ErrDegraded)
+			if rep.Lost == nil {
+				rep.Lost = map[string]error{}
+			}
+			rep.Lost[f.Name] = c.lost[f.Name]
+			clFilesLost.Inc()
+		}
 	}
-	return out
+	return batches
 }

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"pinbcast"
+	"pinbcast/internal/ida"
 	"pinbcast/internal/transport"
 )
 
@@ -26,9 +26,7 @@ func TestMaxBlockSize(t *testing.T) {
 		size int
 		ok   bool
 	}{{maxBlockSize, true}, {maxBlockSize + 1, false}} {
-		blocks, err := pinbcast.DisperseData(pinbcast.DispersalConfig{
-			FileID: 1, Data: make([]byte, tc.size), Threshold: 1, Width: 1,
-		})
+		blocks, err := ida.DisperseFile(1, make([]byte, tc.size), 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,10 @@ import (
 // prefix tables and the start-slot sweep (01b5f70): goldenContracts
 // marshalled with json.MarshalIndent(…, "", " "). It is evidence, not
 // something to regenerate: a mismatch means a bound the control plane
-// issues has moved.
+// issues has moved. It was regenerated once, when FailChannel came to
+// build one generation per survivor: every bound, staleness and failover
+// entry stayed, and the */cluster-after EffectiveAt values fell to the
+// one generation the failover now builds.
 
 // goldenContracts negotiates on two catalogues — the IVHS scenario
 // under every built-in layout, and the 256-file random catalogue of

@@ -16,7 +16,6 @@ import (
 // with the reason it stays. The list may only shrink — give a new export
 // a caller instead of an entry here.
 var uncalledExports = map[string]string{
-	"DisperseData":   "§2.3's dispersal as a function: the counterpart of Reconstruct, which examples/quickstart calls",
 	"WithLayout":     "the by-value seam custom layouts plug in through, now that nothing registers",
 	"WithSchedulers": "the by-value seam for custom scheduler chains",
 	"WithShard":      "the by-value seam for custom shard policies",

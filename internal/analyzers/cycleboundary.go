@@ -8,9 +8,10 @@ import (
 // CycleBoundary enforces the mutation discipline of the broadcast
 // program: state swaps may only happen at data-cycle boundaries, which
 // in this codebase means they are reachable only through the admission
-// seams. Methods annotated //pinlint:cycle-boundary (Station.build,
-// Station.stage, the Cluster failover mutators, ...) may be called only
-// from
+// seams. Methods annotated //pinlint:cycle-boundary (Station.rebuild,
+// the one builder every file-set change goes through, and the
+// Station.build and Station.stage it calls, Cluster.reRegisterLocked,
+// ...) may be called only from
 //
 //   - functions that are themselves annotated //pinlint:cycle-boundary,
 //     or

@@ -44,25 +44,31 @@ func FileID(name string) uint32 {
 // two names — or a file table too large for the identifier space — is
 // reported as a specification error rather than silently truncated.
 func FileIDs(prog *core.Program) ([]uint32, error) {
-	ids := make([]uint32, len(prog.Files))
-	owner := make(map[uint32]int, len(prog.Files))
+	ids, _, err := directory(prog)
+	return ids, err
+}
+
+// directory is FileIDs with the map its check builds: each identifier's
+// file name, the server's directory.
+func directory(prog *core.Program) ([]uint32, map[uint32]string, error) {
+	ids, names := make([]uint32, len(prog.Files)), make(map[uint32]string, len(prog.Files))
 	for i, info := range prog.Files {
 		if info.Name == "" {
 			if uint64(i) > math.MaxUint32 {
-				return nil, fmt.Errorf("server: file table has %d entries, exceeding the uint32 identifier space: %w",
+				return nil, nil, fmt.Errorf("server: file table has %d entries, exceeding the uint32 identifier space: %w",
 					len(prog.Files), bcerr.ErrBadSpec)
 			}
 			ids[i] = uint32(i)
 		} else {
 			ids[i] = FileID(info.Name)
 		}
-		if prev, dup := owner[ids[i]]; dup {
-			return nil, fmt.Errorf("server: file ID collision between %q and %q (id %d): %w",
-				prog.Files[prev].Name, info.Name, ids[i], bcerr.ErrBadSpec)
+		if prev, dup := names[ids[i]]; dup {
+			return nil, nil, fmt.Errorf("server: file ID collision between %q and %q (id %d): %w",
+				prev, info.Name, ids[i], bcerr.ErrBadSpec)
 		}
-		owner[ids[i]] = i
+		names[ids[i]] = info.Name
 	}
-	return ids, nil
+	return ids, names, nil
 }
 
 // Range is a server's share of a file's code when the Of servers that
@@ -73,8 +79,10 @@ func FileIDs(prog *core.Program) ([]uint32, error) {
 type Range struct{ Index, Of int }
 
 // New disperses contents (keyed by file name) according to the
-// program's per-file (M, N) parameters. Every file of the program must
-// have contents.
+// program's per-file (M, N) parameters. A file contents does not name
+// is sent as the first of the from servers that carries it sends it:
+// the same bytes and the same Range. Every file of the program must be
+// in one or the other.
 //
 // A file that one of the from servers already dispersed — same
 // identifier, same (M, N), and the very same contents slice (backing
@@ -93,26 +101,27 @@ func New(prog *core.Program, contents map[string][]byte, from ...*Server) (*Serv
 }
 
 // NewSplit is New for a server that sends only its Range of the files
-// ranges names (the others whole), and carries a file over only from a
-// server that sent the same range of it. The numbering rule: the program
-// still counts a file's rotation in positions 0…N−1, and position p is
-// block Index·N+p of the code of width Of·N, its own number in the
-// block's Seq. The rows of the systematic code do not depend on its
-// width, so range 0 holds the payloads an unsplit server sends and the
-// others parity only. Whatever its range a server sends N distinct
-// blocks of a code any M of which rebuild the file, so every window the
-// program keeps for a listener of this server alone still holds; a
-// listener of several servers may pool what it hears, since blocks of
-// different ranges are never the same block.
+// of contents that ranges names (the others of contents whole, and a
+// file contents lacks as its from server does), and carries a file over
+// only from a server that sent the same range of it. The numbering
+// rule: the program still counts a file's rotation in positions 0…N−1,
+// and position p is block Index·N+p of the code of width Of·N, its own
+// number in the block's Seq. The rows of the systematic code do not
+// depend on its width, so range 0 holds the payloads an unsplit server
+// sends and the others parity only. Whatever its range a server sends
+// N distinct blocks of a code any M of which rebuild the file, so every
+// window the program keeps for a listener of this server alone still
+// holds; a listener of several servers may pool what it hears, since
+// blocks of different ranges are never the same block.
 func NewSplit(prog *core.Program, contents map[string][]byte, ranges map[string]Range, from ...*Server) (*Server, error) {
-	ids, err := FileIDs(prog)
+	ids, names, err := directory(prog)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		prog:     prog,
 		ids:      ids,
-		names:    make(map[uint32]string, len(prog.Files)),
+		names:    names,
 		data:     make([][]byte, len(prog.Files)),
 		ranges:   make([]Range, len(prog.Files)),
 		blocks:   make([][]*ida.Block, len(prog.Files)),
@@ -128,8 +137,15 @@ func NewSplit(prog *core.Program, contents map[string][]byte, ranges map[string]
 	groups := make(map[group][]int) // indices into prog.Files
 	var order []group
 	for i, info := range prog.Files {
-		s.names[ids[i]] = info.Name
 		data, ok := contents[info.Name]
+		if s.ranges[i] = ranges[info.Name]; s.ranges[i].Of == 0 {
+			s.ranges[i] = Range{Index: 0, Of: 1}
+		}
+		for _, b := range from {
+			if !ok && b != nil {
+				data, s.ranges[i], ok = b.Source(info.Name)
+			}
+		}
 		if !ok {
 			return nil, fmt.Errorf("server: no contents for file %q: %w", info.Name, bcerr.ErrBadSpec)
 		}
@@ -137,9 +153,6 @@ func NewSplit(prog *core.Program, contents map[string][]byte, ranges map[string]
 			return nil, fmt.Errorf("server: dispersing %q: %w", info.Name, ida.ErrEmptyFile)
 		}
 		s.data[i] = data
-		if s.ranges[i] = ranges[info.Name]; s.ranges[i].Of == 0 {
-			s.ranges[i] = Range{Index: 0, Of: 1}
-		}
 		if s.carry(i, from) {
 			continue
 		}
@@ -190,6 +203,16 @@ func (s *Server) carry(i int, from []*Server) bool {
 		}
 	}
 	return false
+}
+
+// Source returns the contents the server dispersed the named file from
+// and the Range of its code it sends, and whether it carries the file.
+func (s *Server) Source(name string) ([]byte, Range, bool) {
+	i := s.prog.FileIndex(name)
+	if i < 0 {
+		return nil, Range{}, false
+	}
+	return s.data[i], s.ranges[i], true
 }
 
 // Encoded returns how many files New dispersed; the others were carried

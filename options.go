@@ -17,8 +17,8 @@ type stationConfig struct {
 	interval   time.Duration
 	buffer     int
 
-	replicaOnly map[string]bool         // NewCluster's alone: see Station.replicaOnly
-	ranges      map[string]server.Range // NewCluster's alone: see Station.ranges
+	replicaOnly map[string]bool         // NewCluster's alone: see generation.replicaOnly
+	ranges      map[string]server.Range // NewCluster's alone: the share of each replicated file's code (see Cluster)
 }
 
 // Option configures a Station under construction. Options are applied

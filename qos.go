@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"pinbcast/internal/rtdb"
-	"pinbcast/internal/server"
 )
 
 // Online QoS negotiation (§1's contract-before-service discipline, made
@@ -40,8 +39,9 @@ type Contract struct {
 	// computed against and from which the contract is honored: the
 	// latest generation at issuance (the staged one when a swap is
 	// pending — it goes on air at the next data-cycle boundary), which
-	// Negotiate itself stages. Compare Slot.Generation to know when the
-	// contract is live on air.
+	// Negotiate itself stages. The contract is live on air once
+	// Slot.Generation ≥ EffectiveAt: ids only grow, and a staged
+	// generation may be replaced by a later one before it airs.
 	EffectiveAt int
 }
 
@@ -110,25 +110,25 @@ func (st *Station) Negotiate(f FileSpec, contents []byte) (c Contract, err error
 	if _, dup := st.contractEntry(f.Name); dup {
 		return Contract{}, fmt.Errorf("pinbcast: contract %q already issued: %w", f.Name, ErrBadSpec)
 	}
-	err = st.admit(f, contents, server.Range{}, func(gen *generation) error {
-		// The new file's own guarantee, as a single-read transaction
-		// over the staged program.
-		read := Txn{Name: f.Name, Reads: []string{f.Name}, Deadline: 1 << 30}
+	// The new file's own guarantee, as a single-read transaction over the
+	// staged program.
+	read := Txn{Name: f.Name, Reads: []string{f.Name}, Deadline: 1 << 30}
+	err = st.rebuild(change{add: []FileSpec{f}, contents: map[string][]byte{f.Name: contents}, accept: func(gen *generation) error {
 		worst, refresh, err := st.guaranteeBound(gen, read)
-		if err != nil {
-			return err
-		}
 		c = Contract{
 			Name:              f.Name,
 			WorstLatencySlots: worst,
 			StalenessSlots:    rtdb.MaxStaleness(worst, refresh),
 			EffectiveAt:       gen.id,
 		}
-		read.Deadline = worst
-		st.storeContract(qosEntry{txn: read, c: c})
-		return nil
-	})
-	return c, err
+		return err
+	}})
+	if err != nil {
+		return Contract{}, err
+	}
+	read.Deadline = c.WorstLatencySlots
+	st.storeContract(qosEntry{txn: read, c: c})
+	return c, nil
 }
 
 // ReleaseTxn withdraws an issued contract, freeing later Admit, Evict

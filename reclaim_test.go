@@ -134,7 +134,7 @@ func checkReclaimedEmission(t *testing.T, st *Station, gen *generation, slots []
 	}
 	minWidth := 1 << 30
 	for _, info := range prog.Files {
-		if !st.replicaOnly[info.Name] {
+		if !gen.replicaOnly[info.Name] {
 			minWidth = min(minWidth, info.N)
 		}
 	}
@@ -147,14 +147,15 @@ func checkReclaimedEmission(t *testing.T, st *Station, gen *generation, slots []
 		}
 		scheduled := prog.FileAt(lt)
 		file, seq := gen.emission.BlockAt(lt)
+		_, sends, _ := gen.srv.Source(slot.File)
 		switch {
 		case file == Idle:
 			if scheduled != Idle || slot.Block != nil {
 				t.Fatalf("slot %d carries %q, the emission leaves it empty and the program schedules file %d", slot.T, slot.File, scheduled)
 			}
 			empty++
-		case slot.File != prog.Files[file].Name || slot.Seq != st.ranges[slot.File].Index*prog.Files[file].N+seq || int(slot.Block.Seq) != slot.Seq:
-			t.Fatalf("slot %d carries %s/%d, the emission names position %d of %s, range %d", slot.T, slot.File, slot.Seq, seq, prog.Files[file].Name, st.ranges[slot.File].Index)
+		case slot.File != prog.Files[file].Name || slot.Seq != sends.Index*prog.Files[file].N+seq || int(slot.Block.Seq) != slot.Seq:
+			t.Fatalf("slot %d carries %s/%d, the emission names position %d of %s, range %d", slot.T, slot.File, slot.Seq, seq, prog.Files[file].Name, sends.Index)
 		case scheduled != Idle && scheduled != file:
 			t.Fatalf("slot %d carries %s, the program schedules %s", slot.T, slot.File, prog.Files[scheduled].Name)
 		case prog.FileIndex(slot.File) != file:
@@ -300,7 +301,7 @@ func TestReclaimedEmissionDominatesProgram(t *testing.T) {
 	pacedCluster, _ := daemonCluster(t, true)
 	plainCluster, _ := daemonCluster(t, false)
 	pairs = append(pairs, [2]*Station{pacedCluster.Station(1), plainCluster.Station(1)})
-	if len(pacedCluster.Station(1).replicaOnly) == 0 {
+	if len(pacedCluster.Station(1).gen.replicaOnly) == 0 {
 		t.Fatal("channel 1 of the daemon cluster reclaims for every file it carries")
 	}
 	for c, pair := range pairs {
@@ -520,7 +521,7 @@ func TestClusterFailoverPromotesReclaim(t *testing.T) {
 	for _, paced := range []bool{true, false} {
 		c, files := daemonCluster(t, paced, WithReplicateHottest(16))
 		st := c.Station(1)
-		if len(files) != 16 || len(st.replicaOnly) == 0 {
+		if len(files) != 16 || len(st.gen.replicaOnly) == 0 {
 			t.Fatalf("channel 1 is the first home of all it carries: nothing to promote")
 		}
 		gen, want := st.Generation(), st.Generation()

@@ -25,8 +25,11 @@ type Slot struct {
 	// generations.
 	T int
 	// Generation identifies the broadcast program the slot was emitted
-	// from; it increments each time an Admit or Evict takes effect at a
-	// data-cycle boundary.
+	// from. Ids number the generations the station built — each Admit,
+	// Evict and Negotiate, a FailChannel that changes the station, and a
+	// Negotiate whose contract refuses the build take one — so they only
+	// grow, and one replaced while staged never airs. A new generation
+	// takes effect at a data-cycle boundary.
 	Generation int
 	// File is the name of the file whose block occupies the slot, or ""
 	// for an idle slot: the file the program schedules there, or in a
@@ -50,6 +53,8 @@ type Slot struct {
 
 // generation is one immutable build of the broadcast pipeline: a
 // program, what is served for it, its dispersed database and file set.
+// It is the station's whole file state: each file's contents and the
+// range of its code the station sends are srv's (server.Source).
 type generation struct {
 	id       int
 	files    []FileSpec
@@ -57,6 +62,9 @@ type generation struct {
 	emission *Program // what is served: the program itself unless paced (see Station.emission)
 	srv      *server.Server
 	cycle    int // data cycle of program and emission alike, the admission boundary
+	// replicaOnly names the files of a cluster station whose spare air
+	// another live channel plans (Cluster.replicaOnlyLocked).
+	replicaOnly map[string]bool
 }
 
 // Station is a long-lived broadcast-disk service: it owns schedule
@@ -79,26 +87,15 @@ type Station struct {
 	buffer     int
 	clock      clock // nil unless paced; the pacing tests swap in a fake
 
-	// buildMu serializes mutations (Admit, Evict); mu guards the
-	// generation pointers and the serving flag. Builds run outside mu
-	// so the serve loop never waits on a scheduler.
+	// buildMu serializes mutations (rebuild); mu guards the generation
+	// pointers and the serving flag. Builds run outside mu so the serve
+	// loop never waits on a scheduler.
 	buildMu sync.Mutex
 	mu      sync.Mutex
 	gen     *generation // guarded by mu
 	pending *generation // guarded by mu
 	nextID  int         // guarded by buildMu
 	serving bool        // guarded by mu
-	// replicaOnly names the files a cluster station carries behind
-	// another live channel, which plans their spare air
-	// (Cluster.replicaOnlyLocked); guarded by buildMu.
-	replicaOnly map[string]bool
-	// ranges holds, for each replicated file of a cluster station, the
-	// share of the file's code this channel sends (see Cluster); guarded
-	// by buildMu.
-	ranges map[string]server.Range
-	// contents is the authoritative dispersal source, owned by the
-	// station; guarded by buildMu.
-	contents map[string][]byte
 	// qos holds the issued QoS contracts (AdmitTxn, Negotiate), keyed
 	// by contract name; guarded by mu (mutations additionally
 	// serialized by buildMu).
@@ -128,20 +125,17 @@ func New(opts ...Option) (*Station, error) {
 		bw = core.SufficientBandwidth(cfg.files)
 	}
 	st := &Station{
-		bandwidth:   bw,
-		schedulers:  cfg.schedulers,
-		layout:      cfg.layout,
-		interval:    cfg.interval,
-		buffer:      cfg.buffer,
-		contents:    cfg.contents,
-		qos:         map[string]qosEntry{},
-		replicaOnly: cfg.replicaOnly,
-		ranges:      cfg.ranges,
+		bandwidth:  bw,
+		schedulers: cfg.schedulers,
+		layout:     cfg.layout,
+		interval:   cfg.interval,
+		buffer:     cfg.buffer,
+		qos:        map[string]qosEntry{},
 	}
 	if st.interval > 0 {
 		st.clock = wallClock{time.NewTimer(st.interval)} // Serve is single-flight: one timer does
 	}
-	gen, err := st.build(cfg.files, nil)
+	gen, err := st.build(cfg.files, cfg.replicaOnly, cfg.contents, cfg.ranges)
 	if err != nil {
 		return nil, err
 	}
@@ -151,15 +145,15 @@ func New(opts ...Option) (*Station, error) {
 
 // build constructs a new program generation for the file set at the
 // station's bandwidth, using its layout and scheduler chain, and
-// rejects a program that would stretch an issued contract. Files whose
-// contents and dispersal parameters are those they have in base (the
-// server of the generation the change builds on; nil in the
-// constructor) keep base's encoded blocks: only what changed is
-// dispersed. Caller must hold buildMu (or be the constructor).
+// rejects a program that would stretch an issued contract. The files
+// contents names are dispersed from it, sending their ranges of it
+// (server.NewSplit); every other file is sent as the first from server
+// sends it, its encoded blocks carried over. Caller must hold buildMu
+// (or be the constructor).
 //
 //pinlint:cycle-boundary
 //pinlint:holds buildMu
-func (st *Station) build(files []FileSpec, base *server.Server) (*generation, error) {
+func (st *Station) build(files []FileSpec, replicaOnly map[string]bool, contents map[string][]byte, ranges map[string]server.Range, from ...*server.Server) (*generation, error) {
 	start := time.Now()
 	prog, err := buildProgram(files, st.bandwidth, st.layout, st.schedulers)
 	if err == nil {
@@ -168,11 +162,11 @@ func (st *Station) build(files []FileSpec, base *server.Server) (*generation, er
 	if err != nil {
 		return nil, err
 	}
-	emission, err := st.emission(prog, files, st.replicaOnly)
+	emission, err := st.emission(prog, files, replicaOnly)
 	if err != nil {
 		return nil, err
 	}
-	srv, err := server.NewSplit(prog, st.contents, st.ranges, base)
+	srv, err := server.NewSplit(prog, contents, ranges, from...)
 	if err != nil {
 		return nil, err
 	}
@@ -180,12 +174,13 @@ func (st *Station) build(files []FileSpec, base *server.Server) (*generation, er
 	stFilesEncoded.Add(uint64(srv.Encoded()))
 	st.nextID++
 	return &generation{
-		id:       st.nextID,
-		files:    files,
-		program:  prog,
-		emission: emission,
-		srv:      srv,
-		cycle:    prog.DataCycle(),
+		id:          st.nextID,
+		files:       files,
+		program:     prog,
+		emission:    emission,
+		srv:         srv,
+		cycle:       prog.DataCycle(),
+		replicaOnly: replicaOnly,
 	}, nil
 }
 
@@ -223,29 +218,6 @@ func (st *Station) emission(prog *Program, files []FileSpec, replicaOnly map[str
 		}
 	}
 	return emission, nil
-}
-
-// reclaimExcept makes replicaOnly the files a paced station plans no
-// spare air for. Where the set changed, the latest generation is staged
-// again with its emission planned anew — same program, frames and
-// contracts, no solve, no encode — for the next data-cycle boundary.
-//
-//pinlint:cycle-boundary
-func (st *Station) reclaimExcept(replicaOnly map[string]bool) error {
-	st.buildMu.Lock()
-	defer st.buildMu.Unlock()
-	if st.interval == 0 || maps.Equal(st.replicaOnly, replicaOnly) {
-		return nil
-	}
-	gen := *st.latest()
-	emission, err := st.emission(gen.program, gen.files, replicaOnly)
-	if err == nil {
-		st.replicaOnly = replicaOnly
-		st.nextID++
-		gen.id, gen.emission = st.nextID, emission
-		st.stage(&gen)
-	}
-	return err
 }
 
 // Program returns the broadcast program of the active generation.
@@ -471,59 +443,9 @@ func (st *Station) serveLoop(ctx context.Context, out chan<- Slot) {
 // blocks over, and the slice itself is how the station knows the bytes
 // again. To change a file, Evict it and Admit a new slice.
 func (st *Station) Admit(f FileSpec, contents []byte) error {
-	return st.admitRange(f, contents, server.Range{})
-}
-
-// admitRange is Admit for one range of the file's code: how
-// Cluster.FailChannel re-admits a file planned on several channels.
-//
-//pinlint:cycle-boundary
-func (st *Station) admitRange(f FileSpec, contents []byte, r server.Range) error {
 	st.buildMu.Lock()
 	defer st.buildMu.Unlock()
-	return st.admit(f, contents, r, nil)
-}
-
-// admit is Admit and Negotiate under buildMu: admission control, the
-// candidate's contents installed — and the range of its code to send,
-// when Cluster.FailChannel re-admits a file planned on several channels —
-// the generation rebuilt (which holds it to every issued contract) and
-// put to accept (nil accepts), then staged. Any rejection restores the
-// contents and leaves the program and the contracts as they were.
-//
-//pinlint:cycle-boundary
-//pinlint:holds buildMu
-func (st *Station) admit(f FileSpec, contents []byte, r server.Range, accept func(*generation) error) error {
-	base := st.latest()
-	for _, existing := range base.files {
-		if existing.Name == f.Name {
-			return fmt.Errorf("pinbcast: file %q already broadcast: %w", f.Name, ErrBadSpec)
-		}
-	}
-	files, err := rtdb.Admit(base.files, f, st.bandwidth)
-	if err != nil {
-		return err
-	}
-	prior, had := st.contents[f.Name]
-	st.contents[f.Name] = contents
-	if r.Of > 1 {
-		st.ranges[f.Name] = r
-	}
-	gen, err := st.build(files, base.srv)
-	if err == nil && accept != nil {
-		err = accept(gen)
-	}
-	if err != nil {
-		delete(st.ranges, f.Name)
-		if had {
-			st.contents[f.Name] = prior
-		} else {
-			delete(st.contents, f.Name)
-		}
-		return err
-	}
-	st.stage(gen)
-	return nil
+	return st.rebuild(change{add: []FileSpec{f}, contents: map[string][]byte{f.Name: contents}})
 }
 
 // Evict removes a file from the broadcast at the next data-cycle
@@ -533,31 +455,83 @@ func (st *Station) admit(f FileSpec, contents []byte, r server.Range, accept fun
 func (st *Station) Evict(name string) error {
 	st.buildMu.Lock()
 	defer st.buildMu.Unlock()
+	return st.rebuild(change{evict: name})
+}
+
+// change is one edit of a station's file set, the input of rebuild.
+type change struct {
+	add         []FileSpec
+	contents    map[string][]byte       // of each added file
+	ranges      map[string]server.Range // of each added file's code to send; absent, the whole code
+	evict       string                  // "" evicts nothing
+	replicaOnly map[string]bool         // nil keeps the latest generation's
+	carry       []*server.Server        // further servers an added file's frames may be carried from
+	accept      func(*generation) error // may refuse the built generation; nil accepts
+}
+
+// rebuild applies a change to the latest generation. Each added file
+// passes density-based admission at the station's bandwidth, and the new
+// file set is built (which holds it to every issued contract), put to
+// accept and staged; the files the latest generation carries keep its
+// contents, ranges and frames. A change of a paced station's
+// replica-only set alone keeps the latest program, frames and contracts
+// — no solve, no encode — and plans its emission anew; a change that
+// alters nothing on the air builds nothing. Nothing is written before
+// the stage, so a rejected change leaves the station as it was.
+//
+//pinlint:cycle-boundary
+//pinlint:holds buildMu
+func (st *Station) rebuild(ch change) (err error) {
 	base := st.latest()
-	files := make([]FileSpec, 0, len(base.files))
-	for _, f := range base.files {
-		if f.Name != name {
-			files = append(files, f)
+	replicaOnly, files := base.replicaOnly, base.files
+	if ch.replicaOnly != nil && st.interval > 0 {
+		replicaOnly = ch.replicaOnly
+	}
+	for _, f := range ch.add {
+		if slices.ContainsFunc(files, func(g FileSpec) bool { return g.Name == f.Name }) {
+			return fmt.Errorf("pinbcast: file %q already broadcast: %w", f.Name, ErrBadSpec)
+		}
+		if files, err = rtdb.Admit(files, f, st.bandwidth); err != nil {
+			return err
 		}
 	}
+	if ch.evict != "" {
+		i := slices.IndexFunc(files, func(f FileSpec) bool { return f.Name == ch.evict })
+		switch {
+		case i < 0:
+			return fmt.Errorf("pinbcast: file %q not broadcast: %w", ch.evict, ErrBadSpec)
+		case len(files) == 1:
+			return fmt.Errorf("pinbcast: cannot evict the last file %q: %w", ch.evict, ErrBadSpec)
+		}
+		files = slices.Delete(slices.Clone(files), i, i+1)
+	}
+
+	var gen *generation
 	switch {
-	case len(files) == len(base.files):
-		return fmt.Errorf("pinbcast: file %q not broadcast: %w", name, ErrBadSpec)
-	case len(files) == 0:
-		return fmt.Errorf("pinbcast: cannot evict the last file %q: %w", name, ErrBadSpec)
+	case len(ch.add) > 0 || ch.evict != "":
+		gen, err = st.build(files, replicaOnly, ch.contents, ch.ranges, append([]*server.Server{base.srv}, ch.carry...)...)
+	case maps.Equal(replicaOnly, base.replicaOnly):
+		return nil
+	default:
+		next := *base
+		if next.emission, err = st.emission(base.program, base.files, replicaOnly); err != nil {
+			return err
+		}
+		st.nextID++
+		next.id, next.replicaOnly, gen = st.nextID, replicaOnly, &next
 	}
-	gen, err := st.build(files, base.srv)
-	if err != nil {
-		return err
+	if err == nil && ch.accept != nil {
+		err = ch.accept(gen)
 	}
-	delete(st.contents, name)
-	delete(st.ranges, name)
-	st.stage(gen)
-	return nil
+	if err == nil {
+		st.stage(gen)
+	}
+	return err
 }
 
 // latest returns the generation new mutations build on: the staged one
-// if a swap is pending, else the active one. Caller must hold buildMu.
+// if a swap is pending, else the active one. A caller that builds on it
+// must hold buildMu; without, it reads a snapshot.
 func (st *Station) latest() *generation {
 	st.mu.Lock()
 	defer st.mu.Unlock()
