@@ -217,17 +217,17 @@ func (s *loopSource) Close() error { return nil }
 // benchRecording captures a few data cycles of the standard two-file
 // station for replay-driven receiver benchmarks.
 func benchRecording(b *testing.B) (*pinbcast.Station, []pinbcast.Slot) {
-	return benchRecordingOf(b, []pinbcast.FileSpec{
+	return benchRecordingOf(b, 256, []pinbcast.FileSpec{
 		{Name: "A", Blocks: 4, Latency: 8, Faults: 1},
 		{Name: "B", Blocks: 8, Latency: 40},
 	})
 }
 
-func benchRecordingOf(b *testing.B, files []pinbcast.FileSpec) (*pinbcast.Station, []pinbcast.Slot) {
+func benchRecordingOf(b *testing.B, blockSize int, files []pinbcast.FileSpec) (*pinbcast.Station, []pinbcast.Slot) {
 	b.Helper()
 	st, err := pinbcast.New(
 		pinbcast.WithFiles(files...),
-		pinbcast.WithContents(workload.Contents(files, 256, 5)),
+		pinbcast.WithContents(workload.Contents(files, blockSize, 5)),
 		pinbcast.WithSlotBuffer(256),
 	)
 	if err != nil {
@@ -260,7 +260,7 @@ func BenchmarkReceiverSlots(b *testing.B) {
 	for i := range files {
 		files[i] = pinbcast.FileSpec{Name: fmt.Sprintf("f%03d", i), Blocks: 1, Latency: 384}
 	}
-	st, rec := benchRecordingOf(b, files)
+	st, rec := benchRecordingOf(b, 256, files)
 	for _, history := range []int{0, 256} {
 		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
 			r, err := pinbcast.Subscribe(&loopSource{slots: rec}, pinbcast.WithDirectory(st.Directory()))
@@ -295,14 +295,31 @@ func BenchmarkReceiverSlots(b *testing.B) {
 // receiver: request a file, step until it is rebuilt, hand the buffer
 // back, next file — the request entry leaves the pending set and a
 // pooled one re-enters it every iteration, at 0 allocs/op. (Only the
-// receiver's result history grows, by amortised doubling.)
+// receiver's result history grows, by amortised doubling.) The 64 KiB
+// case has bdload lossy-bulk's shape — files of 2 to 8 blocks, r = 2, 5 %
+// of slots lost — and counts the bytes of the files rebuilt.
 func BenchmarkReceiverRetrieveCycle(b *testing.B) {
-	st, rec := benchRecording(b)
-	r, err := pinbcast.Subscribe(&loopSource{slots: rec}, pinbcast.WithDirectory(st.Directory()))
+	b.Run("block=256B", func(b *testing.B) {
+		st, rec := benchRecording(b)
+		retrieveCycle(b, st, rec, []string{"A", "B"})
+	})
+	b.Run("block=64KiB", func(b *testing.B) {
+		files := []pinbcast.FileSpec{
+			{Name: "A", Blocks: 2, Latency: 24, Faults: 2},
+			{Name: "B", Blocks: 5, Latency: 40, Faults: 2},
+			{Name: "C", Blocks: 8, Latency: 64, Faults: 2},
+		}
+		st, rec := benchRecordingOf(b, 64<<10, files)
+		b.SetBytes((2 + 5 + 8) * 64 << 10 / 3)
+		retrieveCycle(b, st, rec, []string{"A", "B", "C"}, pinbcast.WithReceiverFaults(pinbcast.BernoulliFaults(0.05, 1)))
+	})
+}
+
+func retrieveCycle(b *testing.B, st *pinbcast.Station, rec []pinbcast.Slot, names []string, opts ...pinbcast.ReceiverOption) {
+	r, err := pinbcast.Subscribe(&loopSource{slots: rec}, append(opts, pinbcast.WithDirectory(st.Directory()))...)
 	if err != nil {
 		b.Fatal(err)
 	}
-	names := []string{"A", "B"}
 	check := zeroalloc.Start(b)
 	for i := 0; i < b.N; i++ {
 		if err := r.Request(names[i%len(names)], 0); err != nil {

@@ -1,8 +1,11 @@
 // Package client implements the mobile client of a broadcast-disk
 // system: it listens to the channel, keeps the self-identifying blocks
-// relevant to its pending requests in a small cache, reconstructs files
-// with IDA as soon as any M distinct blocks have arrived, and tracks
-// retrieval deadlines.
+// relevant to its pending requests, reconstructs files with IDA as soon
+// as any M distinct blocks have arrived, and tracks retrieval deadlines.
+// The dispersal is systematic, so a kept block j < M is row j of the
+// file: it is written straight into its row of the output buffer, and
+// reconstruction computes only the rows still missing. A kept parity
+// block keeps the buffer it was decoded into.
 package client
 
 import (
@@ -27,9 +30,12 @@ type Result struct {
 	Latency     int // slots from request activation to reconstruction (valid if Completed)
 	Deadline    int
 	DeadlineMet bool
-	Data        []byte
-	BlocksUsed  int
-	Corrupted   int // corrupted receptions observed for this file
+	// Data is the reconstructed file, in the buffer its systematic
+	// blocks were written into as they arrived; the client never writes
+	// it again unless it is handed back through Recycle.
+	Data       []byte
+	BlocksUsed int
+	Corrupted  int // corrupted receptions observed for this file
 }
 
 // Outcome classifies what one observed slot did for the client.
@@ -69,20 +75,24 @@ type Client struct {
 	dirView map[uint32]string
 
 	// scratch is the decode target Observe reuses across slots, so
-	// classifying a block costs no allocation; only blocks worth keeping
-	// are cloned out of it.
+	// classifying a block costs no allocation; a systematic block worth
+	// keeping is copied out of it into its row, a parity block takes its
+	// payload buffer.
 	scratch ida.Block
 
-	// freeBlocks recycles stored blocks whose file has been finished or
-	// cancelled: Observe copies into a recycled block (payload buffer
-	// included) before paying for a fresh Clone. blockScratch is
-	// finish's reconstruction assembly slice, reused across files.
-	// freePending recycles the entry (and emptied block map) of every
-	// request that leaves pending — completed, cancelled or flushed —
-	// and Add takes from it: re-requesting is the steady state, not the
-	// exception. freeData holds reconstruction output buffers handed
-	// back through Recycle, so steady-state retrieval (request, finish,
-	// recycle, repeat) reconstructs into the same buffer every cycle.
+	// freeBlocks recycles the parity blocks (each with its payload
+	// buffer) of files finished or cancelled, and the blocks Take has
+	// placed in rows: a kept parity block trades buffers with the scratch
+	// rather than copying. blockScratch is finish's reconstruction
+	// assembly slice, reused across files. freePending recycles the entry
+	// (and emptied block map) of every request that leaves pending —
+	// completed, cancelled or flushed — and Add takes from it:
+	// re-requesting is the steady state, not the exception. freeData
+	// holds output buffers handed back through Recycle or left by a
+	// request that ended without a result; a file's first kept systematic
+	// block takes one as its row buffer, so steady-state retrieval
+	// (request, finish, recycle, repeat) writes into the same buffer
+	// every cycle.
 	freeBlocks   []*ida.Block
 	blockScratch []*ida.Block
 	freePending  []*pendingFile
@@ -100,6 +110,75 @@ type pendingFile struct {
 	from      int    // slot the deadline clock starts at; -1 = first observed slot
 	blocks    map[uint16]*ida.Block
 	corrupted int
+
+	// data is the file's padded output buffer, nil until its first kept
+	// systematic block: M rows of one payload length for a file of length
+	// bytes. rows[j] is the block stored for row j, its Payload that row.
+	data   []byte
+	rows   []ida.Block
+	length uint32
+}
+
+// inPlace reports whether b is the block stored for its row of the
+// output buffer, rather than one holding its own payload buffer.
+//
+//pinlint:hotpath
+func (p *pendingFile) inPlace(b *ida.Block) bool {
+	return int(b.Seq) < len(p.rows) && b == &p.rows[b.Seq]
+}
+
+// place writes the payload of b, a block kept for p, into its row of
+// p's output buffer — taken from the Recycle pool (else allocated) on
+// the file's first systematic block — and returns the block stored for
+// that row. It returns nil, leaving b to be kept as it is, for a parity
+// block and for one whose M, payload length or file length disagrees
+// with the rows already placed.
+//
+//pinlint:hotpath
+func (c *Client) place(p *pendingFile, b *ida.Block) *ida.Block {
+	m, l, j := int(b.M), len(b.Payload), int(b.Seq)
+	if j >= m || l == 0 {
+		return nil
+	}
+	if p.data == nil {
+		p.data, p.rows = slices.Grow(c.takeData()[:0], m*l)[:m*l], slices.Grow(p.rows[:0], m)[:m] //pinlint:allow hotpath — grows only a recycled buffer too small for the file, and the row blocks up to the largest M seen
+		p.length = b.Length
+	} else if len(p.rows) != m || len(p.data) != m*l || p.length != b.Length {
+		return nil
+	}
+	row := &p.rows[j]
+	*row = *b
+	row.Payload = p.data[j*l : (j+1)*l : (j+1)*l]
+	copy(row.Payload, b.Payload)
+	return row
+}
+
+// takeData pops an output buffer from the Recycle pool; nil when it is
+// empty.
+//
+//pinlint:hotpath
+func (c *Client) takeData() []byte {
+	n := len(c.freeData) - 1
+	if n < 0 {
+		return nil
+	}
+	buf := c.freeData[n]
+	c.freeData = c.freeData[:n]
+	return buf
+}
+
+// spareBlock pops a pooled block, payload buffer included; nil when the
+// pool is empty.
+//
+//pinlint:hotpath
+func (c *Client) spareBlock() *ida.Block {
+	n := len(c.freeBlocks) - 1
+	if n < 0 {
+		return nil
+	}
+	b := c.freeBlocks[n]
+	c.freeBlocks = c.freeBlocks[:n]
+	return b
 }
 
 // NewSubscriber returns a client with no initial requests: it fixes its
@@ -150,15 +229,24 @@ func (c *Client) Add(r Request) error {
 }
 
 // release takes a request out of pending — completed, cancelled or
-// flushed — and pools its entry and the blocks it still holds.
+// flushed — and pools its entry, the blocks it holds that are not rows,
+// and its output buffer unless a result took it.
 //
 //pinlint:hotpath
 func (c *Client) release(p *pendingFile) {
 	delete(c.pending, p.req.File)
 	for _, b := range p.blocks {
-		c.freeBlocks = append(c.freeBlocks, b)
+		if !p.inPlace(b) {
+			c.freeBlocks = append(c.freeBlocks, b)
+		}
 	}
 	clear(p.blocks)
+	clear(p.rows) // an idle entry must not point into a buffer it gave away
+	p.rows = p.rows[:0]
+	if p.data != nil {
+		c.freeData = append(c.freeData, p.data[:0])
+		p.data = nil
+	}
 	c.freePending = append(c.freePending, p)
 }
 
@@ -189,10 +277,21 @@ func (c *Client) Heard() string { return c.fileName[c.scratch.FileID] }
 //
 // Yield gives up the blocks held for a pending file, appending them to
 // dst; the request stays open, its clock and corruption count as they
-// were.
+// were. A block written into its row goes as a copy in a pooled block: a
+// row never leaves its owner's buffer.
 func (c *Client) Yield(name string, dst []*ida.Block) []*ida.Block {
 	if p, ok := c.pending[name]; ok {
 		for _, b := range p.blocks {
+			if p.inPlace(b) {
+				cp := c.spareBlock()
+				if cp == nil {
+					cp = new(ida.Block)
+				}
+				buf := cp.Payload
+				*cp = *b
+				cp.Payload = append(buf[:0], b.Payload...)
+				b = cp
+			}
 			dst = append(dst, b)
 		}
 		c.lent -= len(p.blocks)
@@ -202,23 +301,28 @@ func (c *Client) Yield(name string, dst []*ida.Block) []*ida.Block {
 }
 
 // Take takes blocks another client gave up into this client's pending
-// request for the file — a block already held (or any, with no such
-// request) is recycled — and reports whether the request completed: with
+// request for the file and reports whether the request completed: with
 // M distinct blocks held it finishes as on the slot that stores the last.
+// A systematic block is copied into its row, as Observe would; it, a
+// block already held and any with no such request are recycled.
 func (c *Client) Take(name string, blocks []*ida.Block) (completed bool) {
 	c.lent += len(blocks)
 	p, open := c.pending[name]
 	for _, b := range blocks {
-		if open {
-			if _, dup := p.blocks[b.Seq]; !dup {
-				if p.blocks[b.Seq] = b; len(p.blocks) >= int(b.M) {
-					c.finish(p)
-					open, completed = false, true
-				}
-				continue
+		var kept *ida.Block
+		if open && p.blocks[b.Seq] == nil {
+			if kept = c.place(p, b); kept == nil {
+				kept = b
 			}
+			p.blocks[b.Seq] = kept
 		}
-		c.freeBlocks = append(c.freeBlocks, b)
+		if kept != b {
+			c.freeBlocks = append(c.freeBlocks, b)
+		}
+		if kept != nil && len(p.blocks) >= int(b.M) {
+			c.finish(p)
+			open, completed = false, true
+		}
 	}
 	return completed
 }
@@ -337,8 +441,8 @@ func (c *Client) Observe(t int, raw []byte) Outcome {
 	}
 	// Decode into the reusable scratch block: most slots carry a block
 	// the client ignores (another file's, or a duplicate), and those
-	// must not cost an allocation. Only a block that is actually stored
-	// is cloned out of the scratch.
+	// must not cost an allocation. Only a block that is actually kept
+	// leaves the scratch.
 	if err := ida.UnmarshalInto(raw, &c.scratch); err != nil {
 		// The block is unreadable; we cannot even tell whose it was.
 		// Charge it to every still-pending file's corruption count is
@@ -356,16 +460,16 @@ func (c *Client) Observe(t int, raw []byte) Outcome {
 	if _, dup := p.blocks[c.scratch.Seq]; dup {
 		return Ignored
 	}
-	var blk *ida.Block
-	if n := len(c.freeBlocks) - 1; n >= 0 {
-		// Copy into a recycled block, reusing its payload buffer.
-		blk = c.freeBlocks[n]
-		c.freeBlocks = c.freeBlocks[:n]
-		payload := blk.Payload
+	blk := c.place(p, &c.scratch)
+	if blk == nil {
+		// A parity block keeps the buffer it was decoded into; the
+		// scratch takes the pooled block's.
+		if blk = c.spareBlock(); blk == nil {
+			blk = new(ida.Block) //pinlint:allow hotpath — one block per kept parity block until the recycle pool warms up
+		}
+		buf := blk.Payload
 		*blk = c.scratch
-		blk.Payload = append(payload[:0], c.scratch.Payload...)
-	} else {
-		blk = c.scratch.Clone() //pinlint:allow hotpath — a block worth keeping is cloned out of scratch by design; one allocation per stored block until the recycle pool warms up
+		c.scratch.Payload = buf[:0]
 	}
 	p.blocks[blk.Seq] = blk
 	if len(p.blocks) >= int(blk.M) {
@@ -375,27 +479,23 @@ func (c *Client) Observe(t int, raw []byte) Outcome {
 	return Stored
 }
 
-// finish reconstructs the file and records the result. It runs once
-// per completed request but sits on the per-slot path, so everything it
-// touches is pooled: the assembly slice, the stored blocks it releases,
-// and the output buffer — a recycled one (Recycle) when available.
+// finish reconstructs the file — only the rows no kept block was written
+// into — and records the result. It runs once per completed request but
+// sits on the per-slot path, so everything it touches is pooled: the
+// assembly slice, the stored blocks it releases, and the output buffer,
+// the rows' own or, when every kept block is parity, a recycled one.
 //
 //pinlint:hotpath
 func (c *Client) finish(p *pendingFile) {
-	blocks := c.blockScratch[:0]
+	c.blockScratch = c.blockScratch[:0]
 	for _, b := range p.blocks {
-		blocks = append(blocks, b) //pinlint:allow hotpath — reuses blockScratch's capacity; grows only until the largest M seen
+		c.blockScratch = append(c.blockScratch, b)
 	}
-	var buf []byte
-	if n := len(c.freeData) - 1; n >= 0 {
-		buf = c.freeData[n]
-		c.freeData = c.freeData[:n]
+	blocks := c.blockScratch
+	if p.data == nil {
+		p.data = c.takeData()
 	}
-	data, err := ida.ReconstructFileInto(blocks, buf)
-	if err != nil && buf != nil {
-		// The pooled buffer was not consumed; keep it for the next file.
-		c.freeData = append(c.freeData, buf)
-	}
+	data, err := ida.ReconstructFileInto(blocks, p.data)
 	latency := c.now - p.from + 1
 	res := Result{
 		File:       p.req.File,
@@ -408,17 +508,14 @@ func (c *Client) finish(p *pendingFile) {
 		res.Completed = true
 		res.Data = data
 		res.DeadlineMet = p.req.Deadline == 0 || latency <= p.req.Deadline
+		p.data = nil // the result's now
 	}
 	c.results = append(c.results, res)
-	// The stored blocks are dead now that the file is rebuilt
-	// (ReconstructFileInto copies shard payloads out): recycle them and keep
-	// the assembly slice, with its references dropped, for the next
-	// reconstruction.
+	// The stored blocks are dead now that the file is rebuilt: recycle
+	// them (and the buffer, if no result took it) and keep the assembly
+	// slice, with its references dropped, for the next reconstruction.
 	c.release(p)
-	for i := range blocks {
-		blocks[i] = nil
-	}
-	c.blockScratch = blocks[:0]
+	clear(blocks)
 }
 
 // NoteCorruption is called by a receiver that knows whose transmission
@@ -453,8 +550,9 @@ func (c *Client) TakeResults(dst []Result) []Result {
 }
 
 // Recycle hands a reconstructed file's Data buffer back to the client
-// for reuse by a future reconstruction. The caller must be finished
-// with the buffer — no Result it still holds may reference it.
+// for reuse: it becomes a later retrieval's row buffer, written from
+// that retrieval's first kept systematic block on. The caller must be
+// finished with the buffer — no Result it still holds may reference it.
 //
 //pinlint:hotpath
 func (c *Client) Recycle(buf []byte) {

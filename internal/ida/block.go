@@ -110,15 +110,6 @@ func UnmarshalInto(data []byte, b *Block) error {
 	return nil
 }
 
-// Clone returns a deep copy of the block (payload included) — what a
-// client stores when the block it decoded into scratch turns out to be
-// worth keeping.
-func (b *Block) Clone() *Block {
-	c := *b
-	c.Payload = append([]byte(nil), b.Payload...)
-	return &c
-}
-
 // Validate checks internal consistency of the block metadata.
 func (b *Block) Validate() error {
 	switch {

@@ -272,7 +272,10 @@ func (c *Codec) Reconstruct(shards []Shard, dataLen int) ([]byte, error) {
 //
 // Ownership: the returned slice aliases dst's backing array (or the
 // grown replacement); the codec retains no reference to it or to the
-// shard payloads.
+// shard payloads. A shard with sequence number j < m whose payload is
+// dst's own row j — the same backing bytes, dst[j·l : (j+1)·l] — is
+// taken as in place: that row is neither cleared nor written, only read.
+// No other shard may alias dst.
 //
 //pinlint:hotpath
 func (c *Codec) ReconstructInto(shards []Shard, dataLen int, dst []byte) ([]byte, error) {
@@ -331,15 +334,24 @@ func (c *Codec) ReconstructInto(shards []Shard, dataLen int, dst []byte) ([]byte
 	}
 	// Reconstruction operation of Figure 3: source_j = Σᵢ inv[j][i]·rowᵢ.
 	// Rows of the inverse addressing received systematic shards are unit
-	// vectors, so those source blocks reduce to the single c==1 XOR-copy
-	// fast path inside MulAddSlice; only genuinely missing blocks pay
-	// the full accumulation.
+	// vectors: such a source block is already in place when its shard is
+	// dst's row j, and otherwise costs one copy (MulSlice with c == 1).
+	// A missing block is set by its first nonzero term and accumulates
+	// the rest.
 	for j := 0; j < c.m; j++ {
 		out := dst[j*l : (j+1)*l]
-		clear(out)
+		if in := sc.rowOf[j]; len(in) == l && &in[0] == &out[0] {
+			continue
+		}
+		set := false
 		for i := 0; i < c.m; i++ {
-			if f := inv.At(j, i); f != 0 {
+			switch f := inv.At(j, i); {
+			case f == 0:
+			case set:
 				gf256.MulAddSlice(f, sc.rows[i], out)
+			default:
+				gf256.MulSlice(f, sc.rows[i], out)
+				set = true
 			}
 		}
 	}
@@ -432,7 +444,8 @@ var shardPool = sync.Pool{New: func() any { s := []Shard(nil); return &s }}
 // is reused when it has capacity for the padded file and grown (nil:
 // freshly allocated) otherwise, exactly as in ReconstructInto, so a
 // steady-state retrieval loop that passes the previous file's buffer
-// back in decodes with zero allocations.
+// back in decodes with zero allocations; a block whose Payload is its
+// own row of dst is taken as in place, as there.
 //
 //pinlint:hotpath
 func ReconstructFileInto(blocks []*Block, dst []byte) ([]byte, error) {

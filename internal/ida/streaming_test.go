@@ -125,6 +125,95 @@ func TestReconstructIntoMatchesReconstruct(t *testing.T) {
 	}
 }
 
+// TestReconstructInPlace: over an (m, n) grid — every m-subset where
+// C(n, m) ≤ 5 000, 500 random ones elsewhere — ReconstructInto with the
+// subset's systematic shards already in dst's own rows returns the bytes
+// it returns from copies and overwrites every other row. The rows in
+// place are only read: a goroutine reads them meanwhile, so under -race
+// a write to one is reported.
+func TestReconstructInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	grid := []struct{ m, n int }{{1, 1}, {1, 4}, {2, 2}, {2, 5}, {3, 6}, {4, 6}, {4, 12}, {5, 9}, {6, 14}, {8, 10}, {8, 16}}
+	for _, p := range grid {
+		c, err := NewCodec(p.m, p.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := make([]byte, 13*p.m-5)
+		rng.Read(data)
+		payloads, err := c.Disperse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := len(payloads[0])
+		for _, subset := range subsets(rng, p.n, p.m, 5000, 500) {
+			copies := make([]Shard, p.m)
+			shards := make([]Shard, p.m)
+			dst := bytes.Repeat([]byte{0xa5}, p.m*l)
+			var placed [][]byte
+			for i, s := range subset {
+				copies[i] = Shard{Seq: s, Data: payloads[s]}
+				shards[i] = copies[i]
+				if s < p.m {
+					row := dst[s*l : (s+1)*l]
+					copy(row, payloads[s])
+					shards[i].Data = row
+					placed = append(placed, row)
+				}
+			}
+			want, err := c.ReconstructInto(copies, len(data), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			read := make(chan byte)
+			go func() {
+				var x byte
+				for _, row := range placed {
+					for _, b := range row {
+						x ^= b
+					}
+				}
+				read <- x
+			}()
+			got, err := c.ReconstructInto(shards, len(data), dst)
+			<-read
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) || !bytes.Equal(got, data) || &got[0] != &dst[0] {
+				t.Fatalf("(%d,%d) subset %v: in-place reconstruction differs from the copies' or left dst", p.m, p.n, subset)
+			}
+		}
+	}
+}
+
+// subsets returns every k-subset of [0, n) when there are at most limit,
+// and otherwise sample random ones.
+func subsets(rng *rand.Rand, n, k, limit, sample int) [][]int {
+	var all [][]int
+	var walk func(from int, cur []int) bool
+	walk = func(from int, cur []int) bool {
+		if len(cur) == k {
+			all = append(all, append([]int(nil), cur...))
+			return len(all) <= limit
+		}
+		for s := from; s < n; s++ {
+			if !walk(s+1, append(cur, s)) {
+				return false
+			}
+		}
+		return true
+	}
+	if walk(0, nil) {
+		return all
+	}
+	all = all[:0]
+	for range sample {
+		all = append(all, rng.Perm(n)[:k])
+	}
+	return all
+}
+
 // TestInverseCacheLRUEviction demonstrates the bound under subset churn:
 // with a limit of 2, touching a third distinct subset evicts the least
 // recently used one, and the cache never exceeds the limit.
@@ -234,10 +323,10 @@ func TestMarshalIntoRoundTrip(t *testing.T) {
 	if !bytes.Equal(scratch.Payload, blk.Payload) {
 		t.Fatal("UnmarshalInto aliased the wire buffer")
 	}
-	clone := scratch.Clone()
-	scratch.Payload[0] ^= 0xff
-	if bytes.Equal(clone.Payload, scratch.Payload) {
-		t.Fatal("Clone aliased the scratch payload")
+	// Decoding again reuses the scratch's payload buffer.
+	kept := &scratch.Payload[0]
+	if err := UnmarshalInto(blk.Marshal(), &scratch); err != nil || &scratch.Payload[0] != kept {
+		t.Fatalf("second UnmarshalInto: err %v, payload buffer reused %v", err, &scratch.Payload[0] == kept)
 	}
 }
 
@@ -296,7 +385,9 @@ func FuzzDisperseReconstruct(f *testing.F) {
 			}
 		}
 		// Choose m distinct shards from the pick bitmask, topping up from
-		// the low sequence numbers when the mask is too sparse.
+		// the low sequence numbers when the mask is too sparse. A chosen
+		// systematic shard s is already in its row of dst when bit 8+s of
+		// pick is set.
 		var shards []Shard
 		used := make([]bool, n)
 		for s := 0; s < n && len(shards) < m; s++ {
@@ -310,12 +401,21 @@ func FuzzDisperseReconstruct(f *testing.F) {
 				shards = append(shards, Shard{Seq: s, Data: payloads[s]})
 			}
 		}
-		got, err := c.ReconstructInto(shards, len(data), nil)
+		l := len(payloads[0])
+		dst := make([]byte, m*l)
+		for i, sh := range shards {
+			if sh.Seq < m && pick&(1<<uint(8+sh.Seq)) != 0 {
+				row := dst[sh.Seq*l : (sh.Seq+1)*l]
+				copy(row, sh.Data)
+				shards[i].Data = row
+			}
+		}
+		got, err := c.ReconstructInto(shards, len(data), dst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("round trip mismatch (m=%d n=%d len=%d)", m, n, len(data))
+		if !bytes.Equal(got, data) || &got[0] != &dst[0] {
+			t.Fatalf("round trip mismatch or dst not reused (m=%d n=%d len=%d)", m, n, len(data))
 		}
 	})
 }

@@ -447,7 +447,8 @@ func (mt *MultiTuner) RunInto(ctx context.Context, dst []ClusterResult) ([]Clust
 }
 
 // Recycle hands a completed result's Data buffer back to the channel
-// that reconstructed it, to be reused by a future retrieval. Call it
+// that reconstructed it: it becomes a later retrieval's row buffer there,
+// written from that retrieval's first kept systematic block on. Call it
 // only when finished with the result; neither it nor its Data may be
 // used afterwards.
 func (mt *MultiTuner) Recycle(res ClusterResult) {

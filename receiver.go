@@ -340,8 +340,9 @@ func (r *Receiver) Run(ctx context.Context) ([]Result, error) {
 func (r *Receiver) Results() []Result { return r.cli.Results() }
 
 // Recycle hands a completed result's Data buffer back to the receiver
-// for reuse by a future reconstruction, making a request/retrieve/
-// recycle loop allocation-free once warm. Call it only when finished
+// for reuse, making a request/retrieve/recycle loop allocation-free once
+// warm: it becomes a later retrieval's row buffer, written from that
+// retrieval's first kept systematic block on. Call it only when finished
 // with the result; neither it nor its Data may be used afterwards.
 func (r *Receiver) Recycle(res Result) {
 	if !res.Completed || res.Data == nil {
