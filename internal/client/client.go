@@ -80,10 +80,10 @@ type Client struct {
 	// payload buffer.
 	scratch ida.Block
 
-	// freeBlocks recycles the parity blocks (each with its payload
-	// buffer) of files finished or cancelled, and the blocks Take has
-	// placed in rows: a kept parity block trades buffers with the scratch
-	// rather than copying. blockScratch is finish's reconstruction
+	// freeBlocks recycles the blocks that hold their own payload buffer —
+	// parity blocks and blocks taken from another client — of files
+	// finished or cancelled: a kept parity block trades buffers with the
+	// scratch rather than copying. blockScratch is finish's reconstruction
 	// assembly slice, reused across files. freePending recycles the entry
 	// (and emptied block map) of every request that leaves pending —
 	// completed, cancelled or flushed — and Add takes from it:
@@ -112,11 +112,10 @@ type pendingFile struct {
 	corrupted int
 
 	// data is the file's padded output buffer, nil until its first kept
-	// systematic block: M rows of one payload length for a file of length
-	// bytes. rows[j] is the block stored for row j, its Payload that row.
-	data   []byte
-	rows   []ida.Block
-	length uint32
+	// systematic block: M rows of one payload length. rows[j] is the block
+	// stored for row j, its Payload that row.
+	data []byte
+	rows []ida.Block
 }
 
 // inPlace reports whether b is the block stored for its row of the
@@ -131,19 +130,21 @@ func (p *pendingFile) inPlace(b *ida.Block) bool {
 // p's output buffer — taken from the Recycle pool (else allocated) on
 // the file's first systematic block — and returns the block stored for
 // that row. It returns nil, leaving b to be kept as it is, for a parity
-// block and for one whose M, payload length or file length disagrees
-// with the rows already placed.
+// block, for one whose M or payload length disagrees with the rows
+// already placed, and for one outside the codec's 1 ≤ M ≤ N ≤ 256. The
+// checksum is no authentication: a forged header sizes at most 256 of
+// its own payloads, the largest file the codec rebuilds from blocks that
+// size.
 //
 //pinlint:hotpath
 func (c *Client) place(p *pendingFile, b *ida.Block) *ida.Block {
 	m, l, j := int(b.M), len(b.Payload), int(b.Seq)
-	if j >= m || l == 0 {
+	if j >= m || int(b.N) < m || b.N > 256 || l == 0 {
 		return nil
 	}
 	if p.data == nil {
 		p.data, p.rows = slices.Grow(c.takeData()[:0], m*l)[:m*l], slices.Grow(p.rows[:0], m)[:m] //pinlint:allow hotpath — grows only a recycled buffer too small for the file, and the row blocks up to the largest M seen
-		p.length = b.Length
-	} else if len(p.rows) != m || len(p.data) != m*l || p.length != b.Length {
+	} else if len(p.rows) != m || len(p.data) != m*l {
 		return nil
 	}
 	row := &p.rows[j]
@@ -301,28 +302,25 @@ func (c *Client) Yield(name string, dst []*ida.Block) []*ida.Block {
 }
 
 // Take takes blocks another client gave up into this client's pending
-// request for the file and reports whether the request completed: with
+// request for the file — a block already held (or any, with no such
+// request) is recycled — and reports whether the request completed: with
 // M distinct blocks held it finishes as on the slot that stores the last.
-// A systematic block is copied into its row, as Observe would; it, a
-// block already held and any with no such request are recycled.
+// A taken block keeps its own buffer, so a block handed back and forth
+// between channels is copied at most once, when it first leaves a row.
 func (c *Client) Take(name string, blocks []*ida.Block) (completed bool) {
 	c.lent += len(blocks)
 	p, open := c.pending[name]
 	for _, b := range blocks {
-		var kept *ida.Block
-		if open && p.blocks[b.Seq] == nil {
-			if kept = c.place(p, b); kept == nil {
-				kept = b
+		if open {
+			if _, dup := p.blocks[b.Seq]; !dup {
+				if p.blocks[b.Seq] = b; len(p.blocks) >= int(b.M) {
+					c.finish(p)
+					open, completed = false, true
+				}
+				continue
 			}
-			p.blocks[b.Seq] = kept
 		}
-		if kept != b {
-			c.freeBlocks = append(c.freeBlocks, b)
-		}
-		if kept != nil && len(p.blocks) >= int(b.M) {
-			c.finish(p)
-			open, completed = false, true
-		}
+		c.freeBlocks = append(c.freeBlocks, b)
 	}
 	return completed
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -468,6 +469,47 @@ func TestRowsInPlace(t *testing.T) {
 			if !bytes.Equal(h.data, h.snapshot) {
 				t.Fatalf("step %d: a Data handed out was written before it was recycled", step)
 			}
+		}
+	}
+}
+
+// TestForgedHeaderNotPlaced: the checksum is no authentication, so a
+// frame can pass it with any header. A systematic block whose M and N lie
+// outside the codec's M ≤ N ≤ 256 is stored with its own buffer, as a
+// parity block is, instead of sizing a row buffer of M payloads; it fails
+// its retrieval, and the file's real blocks rebuild the file after it.
+func TestForgedHeaderNotPlaced(t *testing.T) {
+	const l = 1 << 10
+	data := bytes.Repeat([]byte("real file "), 3*l/10)
+	real := disperse(t, 1, data, 3, 5)
+	for _, forged := range []ida.Block{
+		{M: 65535, N: 65535},
+		{M: 300, N: 300},
+		{M: 200, N: 100},
+	} {
+		forged.FileID, forged.Length, forged.Payload = 1, uint32(forged.M)*l, make([]byte, l)
+		frame := forged.Marshal()
+		c := tuned(t, 0, map[uint32]string{1: "F"}, Request{File: "F"})
+		c.Observe(1, real[4].Marshal()) // with the forged block and one more, M = 3 are held
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out := c.Observe(2, frame)
+		runtime.ReadMemStats(&after)
+		if out != Stored {
+			t.Fatalf("M=%d N=%d: outcome %d, want the block stored", forged.M, forged.N, out)
+		}
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 16*l {
+			t.Fatalf("M=%d N=%d: one %d-byte block allocated %d bytes", forged.M, forged.N, l, grown)
+		}
+		if c.Observe(3, real[1].Marshal()) != Completed || c.Results()[0].Completed {
+			t.Fatalf("M=%d N=%d: a third block did not fail the retrieval on the forged one", forged.M, forged.N)
+		}
+		c.Add(Request{File: "F"})
+		for i, b := range real[:3] {
+			c.Observe(4+i, b.Marshal())
+		}
+		if res := c.Results(); len(res) != 2 || !res[1].Completed || !bytes.Equal(res[1].Data, data) {
+			t.Fatalf("M=%d N=%d: the real blocks did not rebuild the file: %+v", forged.M, forged.N, res)
 		}
 	}
 }
