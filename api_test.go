@@ -119,7 +119,11 @@ func TestFacadeRTDB(t *testing.T) {
 		Name: "pos", Velocity: 250, Accuracy: 100, Blocks: 2,
 		FaultsByMode: map[Mode]int{"combat": 1},
 	}}}
-	p, err := db.Program("combat")
+	files, err := db.FileSpecs("combat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.BuildProgram(files, core.SufficientBandwidth(files))
 	if err != nil {
 		t.Fatal(err)
 	}

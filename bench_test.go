@@ -431,7 +431,7 @@ func BenchmarkServeFanoutPipeline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(busy * len(blk[0].Marshal()) / cycle))
+	b.SetBytes(int64(busy * len(blk[0].MarshalInto(nil)) / cycle))
 	check := zeroalloc.Start(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := r.Step(); err != nil {

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"testing"
 
+	"pinbcast/internal/core"
 	"pinbcast/internal/ida"
 	"pinbcast/internal/server"
 	"pinbcast/internal/workload"
@@ -57,11 +58,11 @@ func differing(now, was map[string]carried) int {
 	return n
 }
 
-// sameForms fails unless got holds, for every file of want's program,
-// the same frames and the same Block fields as want.
-func sameForms(t *testing.T, when string, got, want *server.Server) {
+// sameForms fails unless got holds, for every file of prog, want's
+// program, the same frames and the same Block fields as want.
+func sameForms(t *testing.T, when string, prog *core.Program, got, want *server.Server) {
 	t.Helper()
-	for i, info := range want.Program().Files {
+	for i, info := range prog.Files {
 		for seq := 0; seq < info.N; seq++ {
 			gb, gf := got.Block(i, seq)
 			wb, wf := want.Block(i, seq)
@@ -223,7 +224,7 @@ func TestCarryOverMatchesFromScratch(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d (%s): from-scratch New: %v", step, kind, err)
 				}
-				sameForms(t, fmt.Sprintf("step %d (%s)", step, kind), latest.srv, want)
+				sameForms(t, fmt.Sprintf("step %d (%s)", step, kind), latest.program, latest.srv, want)
 				if latest == before {
 					continue
 				}
@@ -238,7 +239,7 @@ func TestCarryOverMatchesFromScratch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameForms(t, fmt.Sprintf("step %d (%s), carried from an older generation", step, kind), again, want)
+				sameForms(t, fmt.Sprintf("step %d (%s), carried from an older generation", step, kind), latest.program, again, want)
 				differ := differing(model, old.model)
 				if got := again.Encoded(); got != differ {
 					t.Fatalf("step %d (%s): dispersed %d files, %d differ from the older generation", step, kind, got, differ)

@@ -662,7 +662,7 @@ func (c *Cluster) FailChannel(i int) (*FailoverReport, error) {
 				c.homes[f.Name] = append(c.homes[f.Name], ch)
 				rep.Readmitted[f.Name] = ch
 				clReadmitted.Inc()
-				traceRing.Emit(obs.FailoverReadmit, ch, FileID(f.Name), 0, uint64(i))
+				traceRing.Emit(obs.FailoverReadmit, ch, FileID(f.Name), 0, 0, uint64(i))
 			}
 		}
 	}
@@ -687,7 +687,7 @@ func (c *Cluster) FailChannel(i int) (*FailoverReport, error) {
 			}
 			rep.Revoked = append(rep.Revoked, name)
 			clRevoked.Inc()
-			traceRing.Emit(obs.ContractRevoked, i, 0, 0, 0)
+			traceRing.Emit(obs.ContractRevoked, i, 0, 0, 0, 0)
 		} else {
 			c.reRegisterLocked(e)
 			rep.Kept = append(rep.Kept, name)

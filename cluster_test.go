@@ -285,7 +285,7 @@ func TestClusterKillChannelE2E(t *testing.T) {
 
 	// Phase 1: normal operation — both replicated files arrive within
 	// their contracted bounds.
-	results, err := mt.Run(ctx)
+	results, err := mt.RunInto(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestClusterKillChannelE2E(t *testing.T) {
 		if err := mt.requestVia("hot-a", ca.DegradedLatencySlots, hotPlan); err != nil {
 			t.Fatal(err)
 		}
-		results, err = mt.Run(runCtx)
+		results, err = mt.RunInto(runCtx, results)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -401,7 +401,7 @@ func TestClusterKillChannelE2E(t *testing.T) {
 	if err := mt.requestVia("hot-b", cb.DegradedLatencySlots, stalePlan["hot-b"]); err != nil {
 		t.Fatal(err)
 	}
-	results, err = mt.Run(runCtx)
+	results, err = mt.RunInto(runCtx, results)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestClusterKillChannelE2E(t *testing.T) {
 	if err := mt.requestVia("warm", 0, stalePlan["warm"]); err != nil {
 		t.Fatal(err)
 	}
-	results, err = mt.Run(runCtx)
+	results, err = mt.RunInto(runCtx, results)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +528,7 @@ func TestClusterFailoverLossAndRevocation(t *testing.T) {
 	}
 	runCtx, runCancel := context.WithTimeout(ctx, 10*time.Second)
 	defer runCancel()
-	results, err := mt.Run(runCtx)
+	results, err := mt.RunInto(runCtx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +545,7 @@ func TestClusterFailoverLossAndRevocation(t *testing.T) {
 	}
 	lostCtx, lostCancel := context.WithTimeout(ctx, 500*time.Millisecond)
 	defer lostCancel()
-	results, runErr := mt.Run(lostCtx)
+	results, runErr := mt.RunInto(lostCtx, nil)
 	if !errors.Is(runErr, context.DeadlineExceeded) {
 		t.Fatalf("lost-file run: %v", runErr)
 	}

@@ -30,7 +30,7 @@ func TestMaxBlockSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = transport.AppendFrame(nil, 0, blocks[0].Marshal())
+		_, err = transport.AppendFrame(nil, 0, blocks[0].MarshalInto(nil))
 		if (err == nil) != tc.ok {
 			t.Errorf("framing a %d-byte block: err = %v, want ok=%v", tc.size, err, tc.ok)
 		}

@@ -251,7 +251,7 @@ func TestDaemonSmoke(t *testing.T) {
 			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 				t.Fatalf("/debug/trace line %q: %v", sc.Text(), err)
 			}
-			fields := []string{"seq", "kind", "channel", "file", "t", "aux"}
+			fields := []string{"seq", "kind", "channel", "file", "block", "t", "aux"}
 			for _, field := range fields {
 				if _, ok := ev[field]; !ok || len(ev) != len(fields) {
 					t.Fatalf("/debug/trace line %q: want exactly the fields %v", sc.Text(), fields)

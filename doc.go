@@ -207,7 +207,9 @@
 // shared — copy before mutating. Benchmarks: the MBps series in internal/ida,
 // BenchmarkStationServe, BenchmarkReceiverSlots, BenchmarkMultiTuner
 // and BenchmarkServeFanoutPipeline at the package root, each of which
-// fails by itself on a non-zero allocs/op (internal/zeroalloc). Speed
+// fails by itself on a non-zero allocs/op (internal/zeroalloc). A
+// MultiTuner keeps no result history: RunInto hands each run's results
+// to the caller and forgets them. Speed
 // is gated end to end by cmd/bdload against BENCHMARK.json; to profile
 // a live pipeline use the daemon's /debug/pprof.
 //
@@ -218,7 +220,7 @@
 // power-of-two latency histograms — Inc/Observe are //pinlint:hotpath,
 // proven allocation-free, and padded against false sharing — plus a
 // lock-free overwrite-oldest ring of slot trace events (slot served,
-// frame flushed, block corrupted, miss detected, channel hop, failover
+// with the file and block it carried, frame flushed, block corrupted, miss detected, channel hop, failover
 // re-admit, contract revoked). The station, fan-out, cluster, receiver
 // and multi-tuner families (pin_station_*, pin_fanout_*, pin_cluster_*,
 // pin_receiver_*, pin_tuner_*) are registered by this package and

@@ -24,6 +24,13 @@ func withTunerRequests(reqs ...Request) MultiTunerOption {
 	}
 }
 
+// tunerDone reports whether every request of the tuner has finished.
+func tunerDone(mt *MultiTuner) bool {
+	mt.mu.Lock()
+	defer mt.mu.Unlock()
+	return len(mt.reqs) == 0
+}
+
 // recorded returns a copy of the slots a recording holds, in capture
 // order.
 func recorded(rec *Recording) []Slot {

@@ -1,15 +1,16 @@
 // Package algebra implements the pinwheel algebra of §4 of Baruah &
 // Bestavros: broadcast-file conditions bc(i, m, d⃗), pinwheel-task
-// conditions pc(i, a, b), the manipulation rules R0–R5, the
-// transformation rules TR1 and TR2, and a converter that searches for a
-// minimum-density *nice* conjunct of pinwheel conditions implying a
-// given broadcast-file condition.
+// conditions pc(i, a, b), the transformation rules TR1 and TR2, and a
+// converter that searches for a minimum-density *nice* conjunct of
+// pinwheel conditions implying a given broadcast-file condition.
 //
 // The package is built around a "forcing engine" (forcing.go): a sound,
 // mechanical procedure that lower-bounds how many grants a conjunct of
-// pinwheel conditions forces into every window of a given length. All
-// of the paper's hand-derived rules become checkable consequences of the
-// engine, and every conversion the converter emits is certified by it.
+// pinwheel conditions forces into every window of a given length. The
+// paper applies its manipulation rules R0–R5 (Figure 8) by hand; here
+// they are checkable consequences of the engine (rules_test.go certifies
+// every instance), and every conversion the converter emits is certified
+// by it.
 package algebra
 
 import (
@@ -95,10 +96,10 @@ func (b BC) Validate() error {
 	return nil
 }
 
-// Conditions expands the broadcast-file condition into its equivalent
+// conditions expands the broadcast-file condition into its equivalent
 // conjunct of pinwheel conditions (Equation 3):
 // bc(i, m, d⃗) ≡ ⋀ⱼ pc(i, m+j, d⁽ʲ⁾).
-func (b BC) Conditions() []PC {
+func (b BC) conditions() []PC {
 	out := make([]PC, len(b.D))
 	for j, d := range b.D {
 		out[j] = PC{Task: b.Task, A: b.M + j, B: d}
@@ -116,29 +117,6 @@ func (b BC) DensityLowerBound() float64 {
 		}
 	}
 	return lb
-}
-
-// Normalize drops pinwheel conditions implied by other conditions of the
-// same expansion (the paper's Example 5 uses rule R0 for this: when
-// d⁽ʲ⁾ = d⁽ʲ⁺¹⁾ the level-j condition is redundant). The result is an
-// equivalent, possibly shorter, conjunct.
-func (b BC) Normalize() []PC {
-	conds := b.Conditions()
-	var out []PC
-	for i, c := range conds {
-		implied := false
-		for k, o := range conds {
-			if k != i && Implies(o, c) && !(Implies(c, o) && k > i) {
-				// Keep the first of two mutually implying conditions.
-				implied = true
-				break
-			}
-		}
-		if !implied {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // Mapped is a pinwheel condition on a scheduler task together with the

@@ -43,10 +43,10 @@ func MinGrants(a, b, w int) int {
 	return g
 }
 
-// Implies reports whether pc p alone forces pc q (on the same stream):
+// implies reports whether pc p alone forces pc q (on the same stream):
 // every schedule satisfying p also satisfies q. It subsumes the paper's
 // rules R0, R1, R2 and R3 and their compositions.
-func Implies(p, q PC) bool {
+func implies(p, q PC) bool {
 	return MinGrants(p.A, p.B, q.B) >= q.A
 }
 

@@ -133,8 +133,8 @@ func TestImpliesKnownCases(t *testing.T) {
 		{PC{A: 1, B: 10}, PC{A: 1, B: 9}, false}, // cannot shrink a unit window
 	}
 	for _, c := range cases {
-		if got := Implies(c.p, c.q); got != c.want {
-			t.Errorf("Implies(%v, %v) = %v, want %v", c.p, c.q, got, c.want)
+		if got := implies(c.p, c.q); got != c.want {
+			t.Errorf("implies(%v, %v) = %v, want %v", c.p, c.q, got, c.want)
 		}
 	}
 }

@@ -24,7 +24,7 @@ func BenchmarkHandOver(b *testing.B) {
 	}
 	frames := make([][]byte, len(blocks))
 	for i, blk := range blocks {
-		frames[i] = blk.Marshal()
+		frames[i] = blk.MarshalInto(nil)
 	}
 	names := map[uint32]string{1: "F"}
 	homes := [2]*Client{NewSubscriber(names), NewSubscriber(names)}

@@ -68,12 +68,6 @@ type Client struct {
 	results  []Result
 	fileName map[uint32]string // file ID -> name, learned from the server mapping
 
-	// dirView is the copy-on-write snapshot Directory hands out: built
-	// lazily, shared across calls, and dropped (not mutated) when Learn
-	// changes the directory — so per-slot Directory callers allocate
-	// nothing in steady state.
-	dirView map[uint32]string
-
 	// scratch is the decode target Observe reuses across slots, so
 	// classifying a block costs no allocation; a systematic block worth
 	// keeping is copied out of it into its row, a parity block takes its
@@ -343,36 +337,11 @@ func (c *Client) Settle(spare []*ida.Block) []*ida.Block {
 
 // Learn adds one directory entry mapping a broadcast file identifier to
 // a name (e.g. gleaned from an air index or an in-process slot stream).
-// Re-learning an unchanged entry is free; a genuinely new or changed
-// entry invalidates the snapshot Directory hands out.
 //
 //pinlint:hotpath
 func (c *Client) Learn(id uint32, name string) {
-	if prev, ok := c.fileName[id]; ok && prev == name {
-		return
-	}
 	c.fileName[id] = name
-	c.dirView = nil
 }
-
-// Directory returns the client's current id→name directory as a shared
-// read-only snapshot: the same map is returned until the directory
-// changes (copy-on-write), so per-slot callers do not allocate. Callers
-// must not mutate it.
-func (c *Client) Directory() map[uint32]string {
-	if c.dirView == nil {
-		view := make(map[uint32]string, len(c.fileName))
-		for id, name := range c.fileName {
-			view[id] = name
-		}
-		c.dirView = view
-	}
-	return c.dirView
-}
-
-// Start returns the slot at which the client began listening (-1 if it
-// has not observed any slot yet).
-func (c *Client) Start() int { return c.start }
 
 // IsPending reports whether the named file has an uncompleted request.
 //
@@ -386,16 +355,6 @@ func (c *Client) IsPending(name string) bool {
 //
 //pinlint:hotpath
 func (c *Client) PendingCount() int { return len(c.pending) }
-
-// Pending returns the names of files with uncompleted requests, in the
-// order they were requested.
-func (c *Client) Pending() []string {
-	var out []string
-	for _, p := range c.open() {
-		out = append(out, p.req.File)
-	}
-	return out
-}
 
 // open returns the uncompleted requests in request order — map
 // iteration order must never reach a caller.

@@ -11,6 +11,16 @@ import (
 	"pinbcast/internal/ida"
 )
 
+// pendingNames returns the names of files with uncompleted requests, in
+// the order they were requested.
+func pendingNames(c *Client) []string {
+	var out []string
+	for _, p := range c.open() {
+		out = append(out, p.req.File)
+	}
+	return out
+}
+
 func disperse(t *testing.T, id uint32, data []byte, m, n int) []*ida.Block {
 	blocks, err := ida.DisperseFile(id, data, m, n)
 	if err != nil {
@@ -50,13 +60,13 @@ func TestCollectAndReconstruct(t *testing.T) {
 	data := []byte("reconstruct me from any three blocks")
 	blocks := disperse(t, 1, data, 3, 6)
 	c := tuned(t, 0, map[uint32]string{1: "F"}, Request{File: "F", Deadline: 10})
-	c.Observe(0, blocks[5].Marshal())
+	c.Observe(0, blocks[5].MarshalInto(nil))
 	c.Observe(1, nil) // idle slot
-	c.Observe(2, blocks[1].Marshal())
+	c.Observe(2, blocks[1].MarshalInto(nil))
 	if c.Done() {
 		t.Fatal("done with only two blocks")
 	}
-	c.Observe(3, blocks[3].Marshal())
+	c.Observe(3, blocks[3].MarshalInto(nil))
 	if !c.Done() {
 		t.Fatal("not done after three distinct blocks")
 	}
@@ -80,9 +90,9 @@ func TestDuplicateBlocksDoNotComplete(t *testing.T) {
 	data := []byte("duplicates should not count")
 	blocks := disperse(t, 1, data, 3, 6)
 	c := tuned(t, 0, map[uint32]string{1: "F"}, Request{File: "F"})
-	c.Observe(0, blocks[0].Marshal())
-	c.Observe(1, blocks[0].Marshal())
-	c.Observe(2, blocks[0].Marshal())
+	c.Observe(0, blocks[0].MarshalInto(nil))
+	c.Observe(1, blocks[0].MarshalInto(nil))
+	c.Observe(2, blocks[0].MarshalInto(nil))
 	if c.Done() {
 		t.Fatal("completed from duplicate blocks")
 	}
@@ -92,14 +102,14 @@ func TestCorruptedBlockIgnored(t *testing.T) {
 	data := []byte("checksums protect the client")
 	blocks := disperse(t, 1, data, 2, 4)
 	c := tuned(t, 0, map[uint32]string{1: "F"}, Request{File: "F"})
-	raw := blocks[0].Marshal()
+	raw := blocks[0].MarshalInto(nil)
 	raw[len(raw)-1] ^= 0xff
 	c.Observe(0, raw)
 	if c.Done() {
 		t.Fatal("corrupted block advanced the client")
 	}
-	c.Observe(1, blocks[1].Marshal())
-	c.Observe(2, blocks[2].Marshal())
+	c.Observe(1, blocks[1].MarshalInto(nil))
+	c.Observe(2, blocks[2].MarshalInto(nil))
 	if !c.Done() {
 		t.Fatal("clean blocks did not complete")
 	}
@@ -109,13 +119,13 @@ func TestBlocksBeforeStartIgnored(t *testing.T) {
 	data := []byte("early blocks don't count")
 	blocks := disperse(t, 1, data, 2, 4)
 	c := tuned(t, 5, map[uint32]string{1: "F"}, Request{File: "F"})
-	c.Observe(0, blocks[0].Marshal())
-	c.Observe(1, blocks[1].Marshal())
+	c.Observe(0, blocks[0].MarshalInto(nil))
+	c.Observe(1, blocks[1].MarshalInto(nil))
 	if c.Done() {
 		t.Fatal("blocks before start counted")
 	}
-	c.Observe(5, blocks[2].Marshal())
-	c.Observe(6, blocks[3].Marshal())
+	c.Observe(5, blocks[2].MarshalInto(nil))
+	c.Observe(6, blocks[3].MarshalInto(nil))
 	if !c.Done() {
 		t.Fatal("post-start blocks not counted")
 	}
@@ -129,13 +139,13 @@ func TestUnknownAndUnwantedFilesIgnored(t *testing.T) {
 	unwanted := disperse(t, 2, []byte("unwanted file"), 2, 4)
 	unknown := disperse(t, 9, []byte("unknown id"), 2, 4)
 	c := tuned(t, 0, map[uint32]string{1: "F", 2: "G"}, Request{File: "F"})
-	c.Observe(0, unwanted[0].Marshal())
-	c.Observe(1, unknown[0].Marshal())
+	c.Observe(0, unwanted[0].MarshalInto(nil))
+	c.Observe(1, unknown[0].MarshalInto(nil))
 	if c.Done() {
 		t.Fatal("unrelated blocks completed the request")
 	}
-	c.Observe(2, wanted[0].Marshal())
-	c.Observe(3, wanted[1].Marshal())
+	c.Observe(2, wanted[0].MarshalInto(nil))
+	c.Observe(3, wanted[1].MarshalInto(nil))
 	if !c.Done() {
 		t.Fatal("wanted blocks did not complete")
 	}
@@ -145,8 +155,8 @@ func TestDeadlineMissRecorded(t *testing.T) {
 	data := []byte("late delivery")
 	blocks := disperse(t, 1, data, 2, 4)
 	c := tuned(t, 0, map[uint32]string{1: "F"}, Request{File: "F", Deadline: 2})
-	c.Observe(0, blocks[0].Marshal())
-	c.Observe(7, blocks[1].Marshal())
+	c.Observe(0, blocks[0].MarshalInto(nil))
+	c.Observe(7, blocks[1].MarshalInto(nil))
 	r := c.Results()[0]
 	if !r.Completed {
 		t.Fatal("not completed")
@@ -179,8 +189,8 @@ func TestSubscriberDynamicRequests(t *testing.T) {
 	fa := disperse(t, 1, []byte("file F, two blocks"), 2, 4)
 	ga := disperse(t, 2, []byte("file G"), 1, 2)
 	c := NewSubscriber(nil)
-	if c.Start() != -1 {
-		t.Fatalf("start = %d before tuning in", c.Start())
+	if c.start != -1 {
+		t.Fatalf("start = %d before tuning in", c.start)
 	}
 	if !c.Done() {
 		t.Fatal("no requests yet should report done")
@@ -194,27 +204,27 @@ func TestSubscriberDynamicRequests(t *testing.T) {
 		t.Fatal("duplicate pending request accepted")
 	}
 	// Tune in at slot 7: the deadline clock starts here.
-	if got := c.Observe(7, fa[0].Marshal()); got != Stored {
+	if got := c.Observe(7, fa[0].MarshalInto(nil)); got != Stored {
 		t.Fatalf("outcome = %v, want Stored", got)
 	}
-	if c.Start() != 7 {
-		t.Fatalf("start = %d, want 7", c.Start())
+	if c.start != 7 {
+		t.Fatalf("start = %d, want 7", c.start)
 	}
 	if got := c.Observe(8, nil); got != Idle {
 		t.Fatalf("outcome = %v, want Idle", got)
 	}
-	if got := c.Observe(9, fa[0].Marshal()); got != Ignored {
+	if got := c.Observe(9, fa[0].MarshalInto(nil)); got != Ignored {
 		t.Fatalf("duplicate block outcome = %v, want Ignored", got)
 	}
-	if got := c.Observe(10, ga[0].Marshal()); got != Unknown {
+	if got := c.Observe(10, ga[0].MarshalInto(nil)); got != Unknown {
 		t.Fatalf("undirected block outcome = %v, want Unknown", got)
 	}
-	bad := fa[1].Marshal()
+	bad := fa[1].MarshalInto(nil)
 	bad[len(bad)-1] ^= 0xff
 	if got := c.Observe(11, bad); got != Corrupt {
 		t.Fatalf("garbled block outcome = %v, want Corrupt", got)
 	}
-	if got := c.Observe(11, fa[2].Marshal()); got != Completed {
+	if got := c.Observe(11, fa[2].MarshalInto(nil)); got != Completed {
 		t.Fatalf("outcome = %v, want Completed", got)
 	}
 	r := c.Results()[0]
@@ -228,9 +238,9 @@ func TestSubscriberDynamicRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.PendingCount() != 1 || !c.IsPending("G") {
-		t.Fatalf("pending = %v", c.Pending())
+		t.Fatalf("pending = %v", pendingNames(c))
 	}
-	if got := c.Observe(13, ga[1].Marshal()); got != Completed {
+	if got := c.Observe(13, ga[1].MarshalInto(nil)); got != Completed {
 		t.Fatalf("outcome = %v, want Completed", got)
 	}
 	r = c.Results()[1]
@@ -252,17 +262,17 @@ func TestSubscriberDynamicRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.PendingCount() != 2 {
-		t.Fatalf("pending count = %d, want 2 (%v)", c.PendingCount(), c.Pending())
+		t.Fatalf("pending count = %d, want 2 (%v)", c.PendingCount(), pendingNames(c))
 	}
 	if !c.Cancel("G") || c.Cancel("G") || c.PendingCount() != 1 {
-		t.Fatalf("after cancelling G: pending %v", c.Pending())
+		t.Fatalf("after cancelling G: pending %v", pendingNames(c))
 	}
 	c.Flush(20)
-	if !c.Done() || c.PendingCount() != 0 || len(c.Pending()) != 0 {
-		t.Fatalf("after flush: pending %v", c.Pending())
+	if !c.Done() || c.PendingCount() != 0 || len(pendingNames(c)) != 0 {
+		t.Fatalf("after flush: pending %v", pendingNames(c))
 	}
 	if err := c.Add(Request{File: "F"}); err != nil || c.PendingCount() != 1 {
-		t.Fatalf("re-request after flush: err %v, pending %v", err, c.Pending())
+		t.Fatalf("re-request after flush: err %v, pending %v", err, pendingNames(c))
 	}
 }
 
@@ -270,11 +280,11 @@ func TestMultipleRequests(t *testing.T) {
 	fa := disperse(t, 1, []byte("file F"), 1, 2)
 	ga := disperse(t, 2, []byte("file G"), 1, 2)
 	c := tuned(t, 0, map[uint32]string{1: "F", 2: "G"}, Request{File: "F"}, Request{File: "G"})
-	c.Observe(0, fa[0].Marshal())
+	c.Observe(0, fa[0].MarshalInto(nil))
 	if c.Done() {
 		t.Fatal("done after one of two requests")
 	}
-	c.Observe(1, ga[1].Marshal())
+	c.Observe(1, ga[1].MarshalInto(nil))
 	if !c.Done() {
 		t.Fatal("not done after both requests")
 	}
@@ -304,12 +314,12 @@ func TestFlushRequestOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			if i == 4 { // complete two of the first five while the rest are still to come
-				c.Observe(0, blocks[1][0].Marshal())
-				c.Observe(1, blocks[4][1].Marshal())
+				c.Observe(0, blocks[1][0].MarshalInto(nil))
+				c.Observe(1, blocks[4][1].MarshalInto(nil))
 			}
 		}
-		c.Observe(2, blocks[7][0].Marshal())
-		if got := c.Pending(); !slices.Equal(got, open) {
+		c.Observe(2, blocks[7][0].MarshalInto(nil))
+		if got := pendingNames(c); !slices.Equal(got, open) {
 			t.Fatalf("run %d: Pending = %v, want request order %v", run, got, open)
 		}
 		var flushed []string
@@ -333,7 +343,7 @@ func TestHandOver(t *testing.T) {
 	blocks := disperse(t, 1, data, 3, 6)
 	frames := make([][]byte, len(blocks))
 	for i, b := range blocks {
-		frames[i] = b.Marshal()
+		frames[i] = b.MarshalInto(nil)
 	}
 	names := map[uint32]string{1: "F"}
 	a, b := tuned(t, 0, names), tuned(t, 10, names)
@@ -405,7 +415,7 @@ func TestRowsInPlace(t *testing.T) {
 		f := file{name: fmt.Sprintf("f%d", i), data: make([]byte, 40*m+7*i)}
 		rng.Read(f.data)
 		for _, b := range disperse(t, uint32(i+1), f.data, m, m+2) {
-			f.frames = append(f.frames, b.Marshal())
+			f.frames = append(f.frames, b.MarshalInto(nil))
 		}
 		files = append(files, f)
 		names[uint32(i+1)] = f.name
@@ -488,9 +498,9 @@ func TestForgedHeaderNotPlaced(t *testing.T) {
 		{M: 200, N: 100},
 	} {
 		forged.FileID, forged.Length, forged.Payload = 1, uint32(forged.M)*l, make([]byte, l)
-		frame := forged.Marshal()
+		frame := forged.MarshalInto(nil)
 		c := tuned(t, 0, map[uint32]string{1: "F"}, Request{File: "F"})
-		c.Observe(1, real[4].Marshal()) // with the forged block and one more, M = 3 are held
+		c.Observe(1, real[4].MarshalInto(nil)) // with the forged block and one more, M = 3 are held
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		out := c.Observe(2, frame)
@@ -501,12 +511,12 @@ func TestForgedHeaderNotPlaced(t *testing.T) {
 		if grown := after.TotalAlloc - before.TotalAlloc; grown > 16*l {
 			t.Fatalf("M=%d N=%d: one %d-byte block allocated %d bytes", forged.M, forged.N, l, grown)
 		}
-		if c.Observe(3, real[1].Marshal()) != Completed || c.Results()[0].Completed {
+		if c.Observe(3, real[1].MarshalInto(nil)) != Completed || c.Results()[0].Completed {
 			t.Fatalf("M=%d N=%d: a third block did not fail the retrieval on the forged one", forged.M, forged.N)
 		}
 		c.Add(Request{File: "F"})
 		for i, b := range real[:3] {
-			c.Observe(4+i, b.Marshal())
+			c.Observe(4+i, b.MarshalInto(nil))
 		}
 		if res := c.Results(); len(res) != 2 || !res[1].Completed || !bytes.Equal(res[1].Data, data) {
 			t.Fatalf("M=%d N=%d: the real blocks did not rebuild the file: %+v", forged.M, forged.N, res)

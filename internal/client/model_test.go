@@ -151,7 +151,7 @@ func modelBroadcast(t testing.TB, n int) ([]modelFile, map[uint32]string) {
 			t.Fatal(err)
 		}
 		for _, b := range blocks {
-			f.raw = append(f.raw, b.Marshal())
+			f.raw = append(f.raw, b.MarshalInto(nil))
 		}
 		files[i] = f
 		if i < n {
@@ -252,11 +252,11 @@ func runModel(t testing.TB, files []modelFile, names map[uint32]string, ops []by
 		}
 
 		want := ref.pending()
-		if c.PendingCount() != len(want) || c.Done() != (len(want) == 0) || c.Start() != ref.start {
+		if c.PendingCount() != len(want) || c.Done() != (len(want) == 0) || c.start != ref.start {
 			t.Fatalf("step %d (%c): PendingCount %d Done %v Start %d, oracle pending %v start %d",
-				step, op, c.PendingCount(), c.Done(), c.Start(), want, ref.start)
+				step, op, c.PendingCount(), c.Done(), c.start, want, ref.start)
 		}
-		if got := c.Pending(); !reflect.DeepEqual(got, want) {
+		if got := pendingNames(c); !reflect.DeepEqual(got, want) {
 			t.Fatalf("step %d (%c): Pending = %v, oracle %v", step, op, got, want)
 		}
 		for _, df := range files {

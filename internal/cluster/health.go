@@ -59,9 +59,6 @@ func NewDetector(channels, threshold int) *Detector {
 	return d
 }
 
-// Channels returns the number of tracked channels.
-func (d *Detector) Channels() int { return len(d.chans) }
-
 // Observe records a delivered slot with number t on the channel. A
 // contiguous delivery clears the channel's miss run; a numbering gap
 // counts the skipped slots as misses. It returns true when this

@@ -31,12 +31,6 @@ func SufficientBandwidth(files []FileSpec) int {
 	return int(math.Ceil(10.0 / 7.0 * NecessaryBandwidth(files)))
 }
 
-// CCFeasible reports whether bandwidth B passes the Chan–Chin density
-// test for the files: Σ (mᵢ+rᵢ)/(B·Tᵢ) ≤ 7/10.
-func CCFeasible(files []FileSpec, b int) bool {
-	return pinwheel.DensityTestCC(TaskSystem(files, b))
-}
-
 // TaskSystem returns the pinwheel system of §3.2 for bandwidth B:
 // task i = (mᵢ+rᵢ, B·Tᵢ).
 func TaskSystem(files []FileSpec, b int) pinwheel.System {

@@ -66,15 +66,6 @@ func BuildProgramWith(files []FileSpec, bandwidth int, solve Solver) (*Program, 
 	return p, nil
 }
 
-// BuildProgramAuto sizes the bandwidth with Equation 1/2 and builds the
-// program at that bandwidth.
-func BuildProgramAuto(files []FileSpec) (*Program, error) {
-	if err := ValidateAll(files); err != nil {
-		return nil, err
-	}
-	return BuildProgram(files, SufficientBandwidth(files))
-}
-
 // GeneralizedResult carries the artifacts of a generalized-Bdisk
 // construction: the converted nice conjunct, its scheduler system, and
 // the resulting program.

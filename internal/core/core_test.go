@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"pinbcast/internal/pinwheel"
 )
 
 // fig5Files are the paper's running example: file A with 5 blocks and
@@ -171,10 +173,10 @@ func TestNecessaryAndSufficientBandwidth(t *testing.T) {
 		t.Fatalf("sufficient = %d, want 2", got)
 	}
 	// At the sufficient bandwidth the density test passes.
-	if !CCFeasible(files, 2) {
+	if !pinwheel.DensityTestCC(TaskSystem(files, 2)) {
 		t.Fatal("density test fails at sufficient bandwidth")
 	}
-	if CCFeasible(files, 1) {
+	if pinwheel.DensityTestCC(TaskSystem(files, 1)) {
 		t.Fatal("density test passes at necessary bandwidth (density 1 > 0.7)")
 	}
 }
@@ -258,7 +260,7 @@ func TestBuildProgramAuto(t *testing.T) {
 		{Name: "A", Blocks: 2, Latency: 4},
 		{Name: "B", Blocks: 1, Latency: 3},
 	}
-	p, err := BuildProgramAuto(files)
+	p, err := BuildProgram(files, SufficientBandwidth(files))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,19 +321,6 @@ func TestGapsSumToPeriod(t *testing.T) {
 		}
 		if sum != p.Period {
 			t.Fatalf("file %d gaps sum to %d, want %d", i, sum, p.Period)
-		}
-	}
-}
-
-func TestRegularEmbedding(t *testing.T) {
-	f := FileSpec{Name: "A", Blocks: 5, Latency: 10, Faults: 2}
-	g := f.Regular(3)
-	if g.Blocks != 5 || len(g.Latencies) != 3 {
-		t.Fatalf("Regular = %+v", g)
-	}
-	for _, d := range g.Latencies {
-		if d != 30 {
-			t.Fatalf("latency = %d, want 30", d)
 		}
 	}
 }

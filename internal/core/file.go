@@ -116,14 +116,3 @@ func (g GenFileSpec) Validate() error {
 
 // Faults returns the number of tolerated faults rᵢ.
 func (g GenFileSpec) Faults() int { return len(g.Latencies) - 1 }
-
-// Regular converts a uniform FileSpec into the generalized model by
-// repeating its latency (in slots, for bandwidth B) across all fault
-// levels — the embedding described in §4.1.
-func (f FileSpec) Regular(bandwidth int) GenFileSpec {
-	d := make([]int, f.Faults+1)
-	for j := range d {
-		d[j] = bandwidth * f.Latency
-	}
-	return GenFileSpec{Name: f.Name, Blocks: f.Blocks, Latencies: d}
-}

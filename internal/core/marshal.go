@@ -1,15 +1,11 @@
 package core
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "encoding/json"
 
 // Program serialization: a constructed broadcast program is a
-// deployment artifact — cmd/bdiskgen computes it offline and a server
-// loads it at startup. The JSON form carries exactly the fields needed
-// to rebuild the occurrence index; validation on load re-runs the same
-// checks as construction.
+// deployment artifact — cmd/bdiskgen computes it offline and prints it.
+// The JSON form carries exactly the fields NewProgram needs to rebuild
+// the occurrence index, re-running the checks of construction.
 
 // programJSON is the serialized form of a Program.
 type programJSON struct {
@@ -27,28 +23,4 @@ func (p *Program) MarshalJSON() ([]byte, error) {
 		Bandwidth: p.Bandwidth,
 		Origin:    p.Origin,
 	})
-}
-
-// UnmarshalJSON decodes and validates a program, rebuilding its
-// occurrence index.
-func (p *Program) UnmarshalJSON(data []byte) error {
-	var raw programJSON
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return fmt.Errorf("core: decoding program: %w", err)
-	}
-	rebuilt, err := NewProgram(raw.Files, raw.Slots, raw.Bandwidth, raw.Origin)
-	if err != nil {
-		return err
-	}
-	*p = *rebuilt
-	return nil
-}
-
-// LoadProgram decodes a serialized program.
-func LoadProgram(data []byte) (*Program, error) {
-	p := new(Program)
-	if err := json.Unmarshal(data, p); err != nil {
-		return nil, err
-	}
-	return p, nil
 }

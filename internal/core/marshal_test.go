@@ -5,12 +5,23 @@ import (
 	"testing"
 )
 
+// loadProgram rebuilds a serialized program: the JSON form carries
+// exactly what NewProgram needs, and NewProgram re-runs the checks of
+// construction.
+func loadProgram(data []byte) (*Program, error) {
+	var raw programJSON
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return nil, err
+	}
+	return NewProgram(raw.Files, raw.Slots, raw.Bandwidth, raw.Origin)
+}
+
 func TestProgramJSONRoundTrip(t *testing.T) {
 	files := []FileSpec{
 		{Name: "A", Blocks: 5, Latency: 10, Faults: 2},
 		{Name: "B", Blocks: 3, Latency: 6, Faults: 1},
 	}
-	p, err := BuildProgramAuto(files)
+	p, err := BuildProgram(files, SufficientBandwidth(files))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +29,7 @@ func TestProgramJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadProgram(data)
+	got, err := loadProgram(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +65,7 @@ func TestLoadProgramRejectsInvalid(t *testing.T) {
 		`{"files": [{"Name":"A","M":1,"N":1,"Demand":1}], "slots": [-1]}`, // never scheduled
 	}
 	for i, c := range cases {
-		if _, err := LoadProgram([]byte(c)); err == nil {
+		if _, err := loadProgram([]byte(c)); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}

@@ -7,7 +7,7 @@
 // XOR, and multiplication is carried out through discrete exp/log tables
 // so that a multiply costs two table lookups and one addition.
 //
-// All operations are total: Div and Inv panic on division by zero, which
+// All operations are total: Inv panics on the inverse of zero, which
 // in this codebase always indicates a programming error (the dispersal
 // matrices are constructed to be invertible).
 //
@@ -101,15 +101,8 @@ func init() {
 // encoding).
 func MulTable(c byte) *Table { return &mulTables[c] }
 
-// Add returns a + b in GF(2⁸). Addition and subtraction coincide.
-func Add(a, b byte) byte { return a ^ b }
-
-// Sub returns a − b in GF(2⁸); identical to Add because the field has
-// characteristic 2.
-func Sub(a, b byte) byte { return a ^ b }
-
-// Mul returns a · b in GF(2⁸).
-func Mul(a, b byte) byte {
+// mul returns a · b in GF(2⁸).
+func mul(a, b byte) byte {
 	if a == 0 || b == 0 {
 		return 0
 	}
@@ -135,40 +128,12 @@ func MulSlow(a, b byte) byte {
 	return p
 }
 
-// Div returns a / b in GF(2⁸). It panics if b is zero.
-func Div(a, b byte) byte {
-	if b == 0 {
-		panic("gf256: division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	return expTable[int(logTable[a])+255-int(logTable[b])]
-}
-
 // Inv returns the multiplicative inverse of a. It panics if a is zero.
 func Inv(a byte) byte {
 	if a == 0 {
 		panic("gf256: inverse of zero")
 	}
 	return expTable[255-int(logTable[a])]
-}
-
-// Exp returns Generator^e for e ≥ 0.
-func Exp(e int) byte {
-	if e < 0 {
-		panic("gf256: negative exponent")
-	}
-	return expTable[e%255]
-}
-
-// Log returns the discrete logarithm of a to base Generator.
-// It panics if a is zero, which has no logarithm.
-func Log(a byte) int {
-	if a == 0 {
-		panic("gf256: log of zero")
-	}
-	return int(logTable[a])
 }
 
 // Pow returns a^e in GF(2⁸) for e ≥ 0, with 0⁰ defined as 1.
@@ -207,17 +172,9 @@ func MulSlice(c byte, src, dst []byte) {
 	mulSliceTable(&mulTables[c], src, dst)
 }
 
-// MulSliceTable sets dst[i] = t[src[i]] for a table obtained from
-// MulTable — MulSlice with the coefficient lookup hoisted out.
+// mulSliceTable sets dst[i] = t[src[i]]: MulSlice with the coefficient
+// lookup hoisted out.
 //
-//pinlint:hotpath
-func MulSliceTable(t *Table, src, dst []byte) {
-	if len(src) != len(dst) {
-		panic("gf256: MulSliceTable length mismatch")
-	}
-	mulSliceTable(t, src, dst)
-}
-
 //pinlint:hotpath
 func mulSliceTable(t *Table, src, dst []byte) {
 	k := archMulSlice(t, src, dst)

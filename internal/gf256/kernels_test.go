@@ -92,10 +92,10 @@ func TestKernelParityLengthsAndOffsets(t *testing.T) {
 				for _, c := range coeffs {
 					got := make([]byte, n)
 					want := make([]byte, n)
-					MulSliceTable(MulTable(c), src, got)
+					mulSliceTable(MulTable(c), src, got)
 					slowMulSlice(c, src, want)
 					if !bytes.Equal(got, want) {
-						t.Fatalf("%s: MulSliceTable c=%#x len=%d off=%d diverges", kernel, c, n, off)
+						t.Fatalf("%s: mulSliceTable c=%#x len=%d off=%d diverges", kernel, c, n, off)
 					}
 					for i := range got {
 						got[i] = byte(i*13 + 1)
@@ -242,7 +242,7 @@ func BenchmarkGF256Kernels(b *testing.B) {
 			b.SetBytes(size)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				MulSliceTable(tab, src, dst)
+				mulSliceTable(tab, src, dst)
 			}
 		})
 		b.Run(fmt.Sprintf("%s/XorSlice", kernel), func(b *testing.B) {

@@ -32,23 +32,6 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]byte, rows*cols)}
 }
 
-// FromRows builds a matrix from explicit row slices. All rows must have
-// equal length. The data is copied.
-func FromRows(rows [][]byte) *Matrix {
-	if len(rows) == 0 {
-		return New(0, 0)
-	}
-	cols := len(rows[0])
-	m := New(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			panic(fmt.Sprintf("gfmat: ragged rows: row %d has %d cols, want %d", i, len(r), cols))
-		}
-		copy(m.Row(i), r)
-	}
-	return m
-}
-
 // Identity returns the n×n identity matrix.
 func Identity(n int) *Matrix {
 	m := New(n, n)
@@ -57,12 +40,6 @@ func Identity(n int) *Matrix {
 	}
 	return m
 }
-
-// Rows returns the number of rows.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
 
 // At returns the element at row i, column j.
 //
@@ -80,19 +57,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := New(m.rows, m.cols)
 	copy(c.data, m.data)
 	return c
-}
-
-// Equal reports whether m and o have identical shape and elements.
-func (m *Matrix) Equal(o *Matrix) bool {
-	if m.rows != o.rows || m.cols != o.cols {
-		return false
-	}
-	for i, v := range m.data {
-		if o.data[i] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the matrix in hexadecimal, one row per line.
@@ -126,22 +90,6 @@ func (m *Matrix) Mul(o *Matrix) *Matrix {
 		}
 	}
 	return p
-}
-
-// MulVec returns the matrix-vector product m·v.
-func (m *Matrix) MulVec(v []byte) []byte {
-	if m.cols != len(v) {
-		panic("gfmat: MulVec length mismatch")
-	}
-	out := make([]byte, m.rows)
-	for i := 0; i < m.rows; i++ {
-		var acc byte
-		for j, c := range m.Row(i) {
-			acc ^= gf256.Mul(c, v[j])
-		}
-		out[i] = acc
-	}
-	return out
 }
 
 // SelectRows returns a new matrix consisting of the given rows of m,

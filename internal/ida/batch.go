@@ -116,21 +116,16 @@ func (c *Codec) disperseRows(files [][]byte, dst [][][]byte, first, end int) ([]
 	return dst, nil
 }
 
-// DisperseFrames disperses each files[f] under identifier ids[f]
-// straight into wire form. Each file gets one slab holding its n frames
-// back to back; DisperseBatch writes the payloads into the frames'
-// payload regions and every header and CRC-32 is then sealed in place,
-// so each block exists once: blocks[f][i].Payload aliases
-// frames[f][i][headerSize:]. Blocks and frames are meant to be shared
+// DisperseFramesRange disperses blocks [first, end) of each files[f]
+// (0 ≤ first < end ≤ n; the whole code is 0, n) under identifier ids[f]
+// straight into wire form: blocks[f][k] is block first+k, with its own
+// number in Seq and the codec's full width in N. A range that starts at
+// or past m holds no systematic block. Each file gets one slab holding
+// its frames back to back; DisperseBatch writes the payloads into the
+// frames' payload regions and every header and CRC-32 is then sealed in
+// place, so each block exists once: blocks[f][k].Payload aliases
+// frames[f][k][headerSize:]. Blocks and frames are meant to be shared
 // from here on — copy before mutating either.
-func (c *Codec) DisperseFrames(ids []uint32, files [][]byte) (blocks [][]*Block, frames [][][]byte, err error) {
-	return c.DisperseFramesRange(ids, files, 0, c.n)
-}
-
-// DisperseFramesRange is DisperseFrames for blocks [first, end) of the
-// code only (0 ≤ first < end ≤ n): blocks[f][k] is block first+k, with
-// its own number in Seq and the codec's full width in N. A range that
-// starts at or past m holds no systematic block.
 func (c *Codec) DisperseFramesRange(ids []uint32, files [][]byte, first, end int) (blocks [][]*Block, frames [][][]byte, err error) {
 	if first < 0 || first >= end || end > c.n {
 		return nil, nil, fmt.Errorf("%w (blocks [%d,%d) of %d)", ErrBadParams, first, end, c.n)

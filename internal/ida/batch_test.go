@@ -227,22 +227,22 @@ func TestDisperseFramesMatchesMarshal(t *testing.T) {
 		for f := range ids {
 			ids[f] = uint32(1000 + f)
 		}
-		blocks, frames, err := c.DisperseFrames(ids, files)
+		blocks, frames, err := c.DisperseFramesRange(ids, files, 0, mn[1])
 		if err != nil {
-			t.Fatalf("(%d,%d): DisperseFrames: %v", mn[0], mn[1], err)
+			t.Fatalf("(%d,%d): DisperseFramesRange: %v", mn[0], mn[1], err)
 		}
 		for f, data := range files {
 			want, err := c.Disperse(data)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(blocks[f]) != c.N() || len(frames[f]) != c.N() {
+			if len(blocks[f]) != c.n || len(frames[f]) != c.n {
 				t.Fatalf("(%d,%d) file %d: %d blocks, %d frames", mn[0], mn[1], f, len(blocks[f]), len(frames[f]))
 			}
 			for seq, b := range blocks[f] {
 				ref := Block{FileID: ids[f], Seq: uint16(seq), M: uint16(mn[0]), N: uint16(mn[1]),
 					Length: uint32(len(data)), Payload: want[seq]}
-				if !bytes.Equal(frames[f][seq], ref.Marshal()) {
+				if !bytes.Equal(frames[f][seq], ref.MarshalInto(nil)) {
 					t.Fatalf("(%d,%d) file %d frame %d differs from Marshal", mn[0], mn[1], f, seq)
 				}
 				if &b.Payload[0] != &frames[f][seq][headerSize] || cap(b.Payload) != len(b.Payload) {
@@ -256,7 +256,7 @@ func TestDisperseFramesMatchesMarshal(t *testing.T) {
 		}
 	}
 	c, _ := NewCodec(2, 3)
-	if _, _, err := c.DisperseFrames([]uint32{1, 2}, [][]byte{{1}, {}}); !errors.Is(err, ErrEmptyFile) {
+	if _, _, err := c.DisperseFramesRange([]uint32{1, 2}, [][]byte{{1}, {}}, 0, 3); !errors.Is(err, ErrEmptyFile) {
 		t.Fatalf("empty file: err = %v, want ErrEmptyFile", err)
 	}
 }
@@ -282,11 +282,11 @@ func TestDisperseRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		alone, _, err := narrow.DisperseFrames(ids, files)
+		alone, _, err := narrow.DisperseFramesRange(ids, files, 0, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		whole, _, err := wide.DisperseFrames(ids, files)
+		whole, _, err := wide.DisperseFramesRange(ids, files, 0, homes*w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +298,7 @@ func TestDisperseRange(t *testing.T) {
 			}
 			for f := range files {
 				for k, b := range blocks[f] {
-					if want := whole[f][j*w+k]; b.Seq != want.Seq || b.N != want.N || !bytes.Equal(b.Payload, want.Payload) || !bytes.Equal(frames[f][k], b.Marshal()) {
+					if want := whole[f][j*w+k]; b.Seq != want.Seq || b.N != want.N || !bytes.Equal(b.Payload, want.Payload) || !bytes.Equal(frames[f][k], b.MarshalInto(nil)) {
 						t.Fatalf("(%d,%d,%d) file %d: block %d of range %d is not block %d of the whole code", m, w, homes, f, k, j, j*w+k)
 					}
 					if j == 0 && !bytes.Equal(b.Payload, alone[f][k].Payload) {
@@ -352,7 +352,7 @@ func TestDisperseRange(t *testing.T) {
 	// A range need not start on a multiple of its width: one that holds
 	// part of the systematic prefix encodes from the file for the rest.
 	c, _ := Shared(2, 6)
-	whole, _, _ := c.DisperseFrames(ids, files)
+	whole, _, _ := c.DisperseFramesRange(ids, files, 0, 6)
 	if part, _, err := c.DisperseFramesRange(ids, files, 1, 4); err != nil || !bytes.Equal(part[0][2].Payload, whole[0][3].Payload) {
 		t.Fatalf("blocks [1,4) of 6: block 3 differs from the whole code's (%v)", err)
 	}

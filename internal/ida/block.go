@@ -44,18 +44,12 @@ var (
 	ErrInconsistent = errors.New("ida: blocks disagree on file metadata")
 )
 
-// Marshal encodes the block into a self-contained byte string with a
-// CRC-32 covering header and payload, allowing clients to detect blocks
-// clobbered by transmission errors (the paper's §3.2 error model: an
-// error renders the entire block unreadable).
-func (b *Block) Marshal() []byte {
-	return b.MarshalInto(nil)
-}
-
 // MarshalInto appends the wire form of the block to dst and returns the
-// extended slice — Marshal without the per-call allocation when dst has
-// the spare capacity. Pass dst[:0] of a reused buffer to overwrite in
-// place; the block itself is not retained.
+// extended slice: a self-contained byte string with a CRC-32 covering
+// header and payload, allowing clients to detect blocks clobbered by
+// transmission errors (the paper's §3.2 error model: an error renders the
+// entire block unreadable). Pass nil for a fresh slice, or dst[:0] of a
+// reused buffer to overwrite in place; the block itself is not retained.
 func (b *Block) MarshalInto(dst []byte) []byte {
 	start := len(dst)
 	dst = append(dst, make([]byte, headerSize)...)
@@ -66,7 +60,7 @@ func (b *Block) MarshalInto(dst []byte) []byte {
 
 // seal writes the block's header and CRC-32 into frame[:headerSize]
 // around the payload already in place at frame[headerSize:] — the one
-// header writer behind Marshal, MarshalInto and DisperseFrames.
+// header writer behind MarshalInto and DisperseFramesRange.
 func (b *Block) seal(frame []byte) {
 	binary.BigEndian.PutUint32(frame[0:], b.FileID)
 	binary.BigEndian.PutUint16(frame[4:], b.Seq)

@@ -17,7 +17,7 @@ func TestBlockMarshalRoundTrip(t *testing.T) {
 		Payload: []byte("payload bytes"),
 	}
 	var got Block
-	if err := UnmarshalInto(b.Marshal(), &got); err != nil {
+	if err := UnmarshalInto(b.MarshalInto(nil), &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.FileID != b.FileID || got.Seq != b.Seq || got.M != b.M ||
@@ -30,7 +30,7 @@ func TestBlockMarshalRoundTripQuick(t *testing.T) {
 	f := func(id uint32, seq, m, n uint16, length uint32, payload []byte) bool {
 		b := &Block{FileID: id, Seq: seq, M: m, N: n, Length: length, Payload: payload}
 		var got Block
-		if err := UnmarshalInto(b.Marshal(), &got); err != nil {
+		if err := UnmarshalInto(b.MarshalInto(nil), &got); err != nil {
 			return false
 		}
 		return got.FileID == id && got.Seq == seq && got.M == m && got.N == n &&
@@ -43,7 +43,7 @@ func TestBlockMarshalRoundTripQuick(t *testing.T) {
 
 func TestUnmarshalDetectsCorruption(t *testing.T) {
 	b := &Block{FileID: 1, Seq: 0, M: 2, N: 4, Length: 10, Payload: []byte("0123456789")}
-	raw := b.Marshal()
+	raw := b.MarshalInto(nil)
 	for pos := 0; pos < len(raw); pos++ {
 		bad := append([]byte(nil), raw...)
 		bad[pos] ^= 0xff
@@ -63,7 +63,7 @@ func TestUnmarshalShortBlock(t *testing.T) {
 
 func TestUnmarshalTruncatedPayload(t *testing.T) {
 	b := &Block{FileID: 1, Seq: 0, M: 1, N: 1, Length: 4, Payload: []byte("abcd")}
-	raw := b.Marshal()
+	raw := b.MarshalInto(nil)
 	if err := UnmarshalInto(raw[:len(raw)-2], new(Block)); err == nil {
 		t.Fatal("truncated block accepted")
 	}
@@ -131,13 +131,13 @@ func BenchmarkBlockMarshal(b *testing.B) {
 	blk := &Block{FileID: 1, Seq: 2, M: 5, N: 10, Length: 4096, Payload: make([]byte, 820)}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		blk.Marshal()
+		blk.MarshalInto(nil)
 	}
 }
 
 func BenchmarkBlockUnmarshal(b *testing.B) {
 	blk := &Block{FileID: 1, Seq: 2, M: 5, N: 10, Length: 4096, Payload: make([]byte, 820)}
-	raw := blk.Marshal()
+	raw := blk.MarshalInto(nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := UnmarshalInto(raw, new(Block)); err != nil {
@@ -153,7 +153,7 @@ func BenchmarkBlockUnmarshal(b *testing.B) {
 func FuzzBlockFrame(f *testing.F) {
 	f.Add(uint32(7), uint16(1), uint16(2), uint16(4), uint32(9), []byte("payload"))
 	f.Add(uint32(0), uint16(0), uint16(0), uint16(0), uint32(0), []byte{})
-	f.Add(uint32(1), uint16(2), uint16(3), uint16(4), uint32(5), (&Block{FileID: 9, Payload: []byte{1, 2, 3}}).Marshal())
+	f.Add(uint32(1), uint16(2), uint16(3), uint16(4), uint32(5), (&Block{FileID: 9, Payload: []byte{1, 2, 3}}).MarshalInto(nil))
 	f.Fuzz(func(t *testing.T, id uint32, seq, m, n uint16, length uint32, payload []byte) {
 		b := Block{FileID: id, Seq: seq, M: m, N: n, Length: length, Payload: payload}
 		want := b.MarshalInto(nil)
@@ -178,8 +178,8 @@ func FuzzBlockFrame(f *testing.F) {
 			}
 		}
 		var any Block
-		if err := UnmarshalInto(payload, &any); err == nil && !bytes.Equal(any.Marshal(), payload) {
-			t.Fatalf("arbitrary bytes %x decoded to a block marshaling to %x", payload, any.Marshal())
+		if err := UnmarshalInto(payload, &any); err == nil && !bytes.Equal(any.MarshalInto(nil), payload) {
+			t.Fatalf("arbitrary bytes %x decoded to a block marshaling to %x", payload, any.MarshalInto(nil))
 		}
 	})
 }

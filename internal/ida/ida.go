@@ -124,12 +124,6 @@ func Shared(m, n int) (*Codec, error) {
 	return c, nil
 }
 
-// M returns the reconstruction threshold.
-func (c *Codec) M() int { return c.m }
-
-// N returns the dispersal width.
-func (c *Codec) N() int { return c.n }
-
 // shardLen returns the payload length of each dispersed block for a file
 // of dataLen bytes: the file is padded to m equal-length source blocks.
 //
@@ -426,7 +420,7 @@ func DisperseFile(fileID uint32, data []byte, m, n int) ([]*Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	blocks, _, err := c.DisperseFrames([]uint32{fileID}, [][]byte{data})
+	blocks, _, err := c.DisperseFramesRange([]uint32{fileID}, [][]byte{data}, 0, n)
 	if err != nil {
 		return nil, err
 	}

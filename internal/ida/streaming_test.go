@@ -283,7 +283,7 @@ func TestSharedCodecIdentity(t *testing.T) {
 // UnmarshalInto against Unmarshal, including scratch-payload reuse.
 func TestMarshalIntoRoundTrip(t *testing.T) {
 	blk := &Block{FileID: 42, Seq: 3, M: 2, N: 5, Length: 11, Payload: []byte("hello w")}
-	wire := blk.Marshal()
+	wire := blk.MarshalInto(nil)
 	if got := blk.MarshalInto(nil); !bytes.Equal(got, wire) {
 		t.Fatal("MarshalInto(nil) differs from Marshal")
 	}
@@ -325,7 +325,7 @@ func TestMarshalIntoRoundTrip(t *testing.T) {
 	}
 	// Decoding again reuses the scratch's payload buffer.
 	kept := &scratch.Payload[0]
-	if err := UnmarshalInto(blk.Marshal(), &scratch); err != nil || &scratch.Payload[0] != kept {
+	if err := UnmarshalInto(blk.MarshalInto(nil), &scratch); err != nil || &scratch.Payload[0] != kept {
 		t.Fatalf("second UnmarshalInto: err %v, payload buffer reused %v", err, &scratch.Payload[0] == kept)
 	}
 }
@@ -334,7 +334,7 @@ func TestMarshalIntoRoundTrip(t *testing.T) {
 // framing contracts on the scratch path.
 func TestUnmarshalIntoRejectsCorruption(t *testing.T) {
 	blk := &Block{FileID: 1, Seq: 0, M: 1, N: 1, Length: 4, Payload: []byte("data")}
-	wire := blk.Marshal()
+	wire := blk.MarshalInto(nil)
 	var scratch Block
 	if err := UnmarshalInto(wire[:headerSize-1], &scratch); err == nil {
 		t.Fatal("short block accepted")

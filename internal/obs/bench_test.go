@@ -40,7 +40,7 @@ func BenchmarkObsRingEmit(b *testing.B) {
 	r := NewRing(DefaultRingSize)
 	check := zeroalloc.Start(b)
 	for i := 0; i < b.N; i++ {
-		r.Emit(SlotServed, 0, uint32(i), uint64(i), 0)
+		r.Emit(SlotServed, 0, uint32(i), uint8(i), uint64(i), 0)
 	}
 	check()
 }

@@ -90,7 +90,7 @@ func TestDefaultRegistryAndTrace(t *testing.T) {
 	if Trace() == nil || Trace() != Trace() {
 		t.Fatal("Trace ring is not a stable singleton")
 	}
-	if Trace().Cap() != DefaultRingSize {
-		t.Fatalf("default ring capacity = %d, want %d", Trace().Cap(), DefaultRingSize)
+	if got := int(Trace().mask) + 1; got != DefaultRingSize {
+		t.Fatalf("default ring capacity = %d, want %d", got, DefaultRingSize)
 	}
 }

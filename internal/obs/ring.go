@@ -12,7 +12,7 @@ type Kind uint8
 // Trace event kinds, one per observable slot-plane transition.
 const (
 	KindUnknown Kind = iota
-	// SlotServed: the station emitted one slot (File/Seq valid).
+	// SlotServed: the station emitted one slot (File/Block valid).
 	SlotServed
 	// FrameFlushed: the fanout flushed a writev batch (Aux = frames).
 	FrameFlushed
@@ -59,6 +59,7 @@ type Event struct {
 	Kind    Kind   `json:"kind"`    // encoded as its wire name ("slot_served", "channel_hop", …)
 	Channel int    `json:"channel"` // channel index, or -1 when not channel-scoped
 	File    uint32 `json:"file"`    // file ID, 0 when not file-scoped
+	Block   uint8  `json:"block"`   // the served block's number (Seq of its code), 0 for other kinds
 	T       uint64 `json:"t"`       // slot index on the emitting plane's clock
 	Aux     uint64 `json:"aux"`     // kind-specific payload (generation id, writev batch size, failed channel, …)
 }
@@ -67,7 +68,8 @@ type Event struct {
 const noChannel = 0xFFFF
 
 // ringWords is the number of atomic words per slot:
-// [0] seq (0 = being written), [1] kind|channel|file, [2] T, [3] aux.
+// [0] seq (0 = being written), [1] block|kind|channel|file, [2] T,
+// [3] aux.
 const ringWords = 4
 
 // DefaultRingSize is the capacity of the package-level Trace ring:
@@ -111,19 +113,13 @@ var trace = NewRing(DefaultRingSize)
 // Trace returns the process-wide trace ring.
 func Trace() *Ring { return trace }
 
-// Cap returns the ring's capacity in events.
-func (r *Ring) Cap() int { return int(r.mask) + 1 }
-
-// Emitted returns the total number of events ever emitted, including
-// those since overwritten.
-func (r *Ring) Emitted() uint64 { return r.head.Load() }
-
 // Emit publishes one event. Channel −1 (or any negative) records the
 // not-channel-scoped sentinel; channels are truncated to 16 bits,
-// which bounds K at 65535 — far beyond any broadcast plan.
+// which bounds K at 65535 — far beyond any broadcast plan. A block
+// number fits its 8 bits because no code is wider than 256 blocks.
 //
 //pinlint:hotpath
-func (r *Ring) Emit(kind Kind, channel int, file uint32, t, aux uint64) {
+func (r *Ring) Emit(kind Kind, channel int, file uint32, block uint8, t, aux uint64) {
 	ch := uint64(noChannel)
 	if channel >= 0 {
 		ch = uint64(channel) & noChannel
@@ -133,7 +129,7 @@ func (r *Ring) Emit(kind Kind, channel int, file uint32, t, aux uint64) {
 	// Invalidate, fill, publish: a reader that loads seq==n+1 both
 	// before and after the field loads saw a fully written record.
 	r.w[base].Store(0)
-	r.w[base+1].Store(uint64(kind)<<48 | ch<<32 | uint64(file))
+	r.w[base+1].Store(uint64(block)<<56 | uint64(kind)<<48 | ch<<32 | uint64(file))
 	r.w[base+2].Store(t)
 	r.w[base+3].Store(aux)
 	r.w[base].Store(n + 1)
@@ -160,6 +156,7 @@ func (r *Ring) load(n uint64) (Event, bool) {
 		Kind:    Kind(packed >> 48),
 		Channel: ch,
 		File:    uint32(packed),
+		Block:   uint8(packed >> 56),
 		T:       t,
 		Aux:     aux,
 	}, true

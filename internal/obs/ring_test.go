@@ -12,15 +12,15 @@ import (
 // a consuming Drain; Snapshot is the one reader now.
 func TestRingEmitSnapshotDrain(t *testing.T) {
 	r := NewRing(8)
-	r.Emit(SlotServed, 0, 42, 100, 0)
-	r.Emit(ChannelHop, 2, 0, 101, 7)
-	r.Emit(FrameFlushed, -1, 0, 102, 128)
+	r.Emit(SlotServed, 0, 42, 255, 100, 0)
+	r.Emit(ChannelHop, 2, 0, 0, 101, 7)
+	r.Emit(FrameFlushed, -1, 0, 0, 102, 128)
 
 	snap := r.Snapshot(nil)
 	if len(snap) != 3 {
 		t.Fatalf("snapshot = %d events, want 3", len(snap))
 	}
-	if snap[0].Kind != SlotServed || snap[0].File != 42 || snap[0].T != 100 || snap[0].Channel != 0 {
+	if snap[0].Kind != SlotServed || snap[0].File != 42 || snap[0].Block != 255 || snap[0].T != 100 || snap[0].Channel != 0 {
 		t.Fatalf("event 0 = %+v", snap[0])
 	}
 	if snap[1].Kind != ChannelHop || snap[1].Channel != 2 || snap[1].Aux != 7 {
@@ -35,7 +35,7 @@ func TestRingEmitSnapshotDrain(t *testing.T) {
 	if again := r.Snapshot(nil); len(again) != 3 {
 		t.Fatalf("second snapshot = %d events, want 3", len(again))
 	}
-	r.Emit(MissDetected, 1, 9, 103, 0)
+	r.Emit(MissDetected, 1, 9, 0, 103, 0)
 	if all := r.Snapshot(nil); len(all) != 4 || all[3].Kind != MissDetected {
 		t.Fatalf("snapshot after new emit = %+v", all)
 	}
@@ -44,7 +44,7 @@ func TestRingEmitSnapshotDrain(t *testing.T) {
 func TestRingOverwritesOldest(t *testing.T) {
 	r := NewRing(4)
 	for i := 0; i < 10; i++ {
-		r.Emit(SlotServed, 0, uint32(i), uint64(i), 0)
+		r.Emit(SlotServed, 0, uint32(i), 0, uint64(i), 0)
 	}
 	snap := r.Snapshot(nil)
 	if len(snap) != 4 {
@@ -55,8 +55,8 @@ func TestRingOverwritesOldest(t *testing.T) {
 			t.Fatalf("event %d T = %d, want %d (oldest four overwritten)", i, ev.T, want)
 		}
 	}
-	if r.Emitted() != 10 {
-		t.Fatalf("emitted = %d, want 10", r.Emitted())
+	if r.head.Load() != 10 {
+		t.Fatalf("emitted = %d, want 10", r.head.Load())
 	}
 	if snap[0].Seq != 7 {
 		t.Fatalf("first surviving seq = %d, want 7", snap[0].Seq)
@@ -69,21 +69,21 @@ func TestRingOverwritesOldest(t *testing.T) {
 // ring left intact by the dump.
 func TestRingWriteJSONL(t *testing.T) {
 	r := NewRing(4)
-	r.Emit(SlotServed, -1, 3, 0, 1)
-	r.Emit(FrameFlushed, -1, 0, 0, 128)
+	r.Emit(SlotServed, -1, 3, 4, 0, 1)
+	r.Emit(FrameFlushed, -1, 0, 0, 0, 128)
 	var first bytes.Buffer
 	if err := r.WriteJSONL(&first); err != nil {
 		t.Fatal(err)
 	}
-	want := `{"seq":1,"kind":"slot_served","channel":-1,"file":3,"t":0,"aux":1}
-{"seq":2,"kind":"frame_flushed","channel":-1,"file":0,"t":0,"aux":128}
+	want := `{"seq":1,"kind":"slot_served","channel":-1,"file":3,"block":4,"t":0,"aux":1}
+{"seq":2,"kind":"frame_flushed","channel":-1,"file":0,"block":0,"t":0,"aux":128}
 `
 	if first.String() != want {
 		t.Fatalf("dump =\n%swant\n%s", first.String(), want)
 	}
 
 	for i := 1; i <= 8; i++ {
-		r.Emit(ChannelHop, 2, 0, uint64(i), 0)
+		r.Emit(ChannelHop, 2, 0, 0, uint64(i), 0)
 	}
 	var buf bytes.Buffer
 	if err := r.WriteJSONL(&buf); err != nil {
@@ -123,8 +123,8 @@ func TestRingWriteJSONL(t *testing.T) {
 
 func TestRingCapacityRounding(t *testing.T) {
 	for _, tc := range []struct{ ask, want int }{{0, 1}, {1, 1}, {3, 4}, {8, 8}, {9, 16}} {
-		if got := NewRing(tc.ask).Cap(); got != tc.want {
-			t.Fatalf("NewRing(%d).Cap() = %d, want %d", tc.ask, got, tc.want)
+		if got := int(NewRing(tc.ask).mask) + 1; got != tc.want {
+			t.Fatalf("NewRing(%d) holds %d, want %d", tc.ask, got, tc.want)
 		}
 	}
 }
@@ -132,7 +132,8 @@ func TestRingCapacityRounding(t *testing.T) {
 // TestRingConcurrent hammers one ring from several writers while a
 // reader snapshots continuously; under -race this proves the
 // seq-validated publication protocol is clean, and the decoded events
-// must all be internally consistent (File mirrors T for its writer).
+// must all be internally consistent (File and Block mirror T for its
+// writer).
 func TestRingConcurrent(t *testing.T) {
 	r := NewRing(64)
 	const writers, perWriter = 4, 2000
@@ -144,8 +145,8 @@ func TestRingConcurrent(t *testing.T) {
 		for {
 			buf = r.Snapshot(buf[:0])
 			for _, ev := range buf {
-				if uint64(ev.File) != ev.T {
-					t.Errorf("torn event: File=%d T=%d", ev.File, ev.T)
+				if uint64(ev.File) != ev.T || ev.Block != uint8(ev.T) {
+					t.Errorf("torn event: File=%d Block=%d T=%d", ev.File, ev.Block, ev.T)
 					return
 				}
 			}
@@ -163,14 +164,14 @@ func TestRingConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				v := uint64(w*perWriter + i)
-				r.Emit(SlotServed, w, uint32(v), v, 0)
+				r.Emit(SlotServed, w, uint32(v), uint8(v), v, 0)
 			}
 		}(w)
 	}
 	wg.Wait()
 	close(stop)
 	<-readerDone
-	if got := r.Emitted(); got != writers*perWriter {
+	if got := r.head.Load(); got != writers*perWriter {
 		t.Fatalf("emitted = %d, want %d", got, writers*perWriter)
 	}
 }

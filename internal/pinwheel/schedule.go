@@ -28,15 +28,6 @@ func NewSchedule(slots []int, origin string) *Schedule {
 	return &Schedule{Period: len(slots), Slots: slots, Origin: origin}
 }
 
-// At returns the task index scheduled in slot t ≥ 0 of the infinite
-// schedule, or Idle.
-func (s *Schedule) At(t int) int {
-	if t < 0 {
-		panic("pinwheel: negative slot index")
-	}
-	return s.Slots[t%s.Period]
-}
-
 // Grants returns the slot offsets within one period at which task i is
 // scheduled, in increasing order.
 func (s *Schedule) Grants(i int) []int {

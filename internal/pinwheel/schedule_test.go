@@ -102,10 +102,3 @@ func TestMaxGap(t *testing.T) {
 		t.Fatalf("MaxGap of absent task = %d, want 0", g)
 	}
 }
-
-func TestAtWrapsPeriod(t *testing.T) {
-	sch := NewSchedule([]int{0, 1}, "manual")
-	if sch.At(0) != 0 || sch.At(1) != 1 || sch.At(2) != 0 || sch.At(17) != 1 {
-		t.Fatal("At does not wrap cyclically")
-	}
-}

@@ -88,17 +88,6 @@ func (s System) Validate() error {
 	return nil
 }
 
-// MaxWindow returns the largest window size in the system.
-func (s System) MaxWindow() int {
-	max := 0
-	for _, t := range s {
-		if t.B > max {
-			max = t.B
-		}
-	}
-	return max
-}
-
 // MinWindow returns the smallest window size in the system.
 func (s System) MinWindow() int {
 	if len(s) == 0 {

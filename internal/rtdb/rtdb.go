@@ -141,26 +141,6 @@ func (db *Database) FileSpecs(mode Mode) ([]core.FileSpec, error) {
 	return files, nil
 }
 
-// Bandwidth returns the Eq-2 sufficient bandwidth (blocks per unit) for
-// the database in the given mode.
-func (db *Database) Bandwidth(mode Mode) (int, error) {
-	files, err := db.FileSpecs(mode)
-	if err != nil {
-		return 0, err
-	}
-	return core.SufficientBandwidth(files), nil
-}
-
-// Program builds the broadcast program for the mode at the Eq-2
-// bandwidth.
-func (db *Database) Program(mode Mode) (*core.Program, error) {
-	files, err := db.FileSpecs(mode)
-	if err != nil {
-		return nil, err
-	}
-	return core.BuildProgramAuto(files)
-}
-
 // Admission control (§1's admission-control citation [11]): an item may
 // join a broadcast disk of fixed bandwidth only if the resulting
 // pinwheel system still passes the Chan–Chin density test, preserving

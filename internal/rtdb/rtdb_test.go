@@ -94,26 +94,28 @@ func TestFileSpecsPerMode(t *testing.T) {
 
 func TestModeScalingChangesBandwidth(t *testing.T) {
 	db := &Database{Unit: 100 * time.Millisecond, Items: awacsItems()}
-	combat, err := db.Bandwidth("combat")
-	if err != nil {
-		t.Fatal(err)
+	bandwidth := func(mode Mode) int {
+		files, err := db.FileSpecs(mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return core.SufficientBandwidth(files)
 	}
-	landing, err := db.Bandwidth("landing")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if combat <= landing {
+	if combat, landing := bandwidth("combat"), bandwidth("landing"); combat <= landing {
 		t.Fatalf("combat bandwidth %d should exceed landing %d", combat, landing)
 	}
 }
 
 func TestProgramConstruction(t *testing.T) {
 	db := &Database{Unit: 100 * time.Millisecond, Items: awacsItems()}
-	p, err := db.Program("combat")
+	files, err := db.FileSpecs("combat")
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, _ := db.FileSpecs("combat")
+	p, err := core.BuildProgram(files, core.SufficientBandwidth(files))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, f := range files {
 		if err := p.VerifyWindows(i, f.Demand(), p.Bandwidth*f.Latency); err != nil {
 			t.Fatal(err)

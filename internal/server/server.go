@@ -39,17 +39,12 @@ func FileID(name string) uint32 {
 	return h.Sum32()
 }
 
-// FileIDs derives the identifier table for a program and validates it:
-// every file must map to a distinct uint32. A hash collision between
+// directory derives the identifier table for a program and validates
+// it: every file must map to a distinct uint32. A hash collision between
 // two names — or a file table too large for the identifier space — is
-// reported as a specification error rather than silently truncated.
-func FileIDs(prog *core.Program) ([]uint32, error) {
-	ids, _, err := directory(prog)
-	return ids, err
-}
-
-// directory is FileIDs with the map its check builds: each identifier's
-// file name, the server's directory.
+// reported as a specification error rather than silently truncated. The
+// map its check builds, each identifier's file name, is the server's
+// directory.
 func directory(prog *core.Program) ([]uint32, map[uint32]string, error) {
 	ids, names := make([]uint32, len(prog.Files)), make(map[uint32]string, len(prog.Files))
 	for i, info := range prog.Files {
@@ -93,7 +88,7 @@ type Range struct{ Index, Of int }
 // every file.
 //
 // Files sharing dispersal parameters are batch-encoded: one
-// coefficient-major pass per distinct (M, N) pair (ida.DisperseFrames)
+// coefficient-major pass per distinct (M, N) pair (ida.DisperseFramesRange)
 // streams each product table through the cache once for the whole
 // group instead of once per file.
 func New(prog *core.Program, contents map[string][]byte, from ...*Server) (*Server, error) {
@@ -218,9 +213,6 @@ func (s *Server) Source(name string) ([]byte, Range, bool) {
 // Encoded returns how many files New dispersed; the others were carried
 // over from the servers it was given.
 func (s *Server) Encoded() int { return s.encoded }
-
-// Program returns the broadcast program the server follows.
-func (s *Server) Program() *core.Program { return s.prog }
 
 // Names returns the directory mapping broadcast identifiers to file
 // names — the application metadata a client needs to resolve requests

@@ -100,7 +100,7 @@ func TestServerBlocksReconstruct(t *testing.T) {
 
 func TestFileIDsStableAndNamed(t *testing.T) {
 	prog := testProgram(t)
-	ids, err := FileIDs(prog)
+	ids, _, err := directory(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestFileIDsStableAndNamed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids2, err := FileIDs(swapped)
+	ids2, _, err := directory(swapped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestNewSplitCarriesOnEqualRange(t *testing.T) {
 	for j, home := range homes {
 		for p := 0; p < n; p++ {
 			b, frame := home.Block(ia, p)
-			if int(b.Seq) != j*n+p || int(b.N) != 2*n || !bytes.Equal(frame, b.Marshal()) {
+			if int(b.Seq) != j*n+p || int(b.N) != 2*n || !bytes.Equal(frame, b.MarshalInto(nil)) {
 				t.Fatalf("home %d position %d: block %d of %d, want %d of %d", j, p, b.Seq, b.N, j*n+p, 2*n)
 			}
 			if w, _ := whole.Block(ia, p); j == 0 && !bytes.Equal(b.Payload, w.Payload) {

@@ -285,7 +285,7 @@ func (f *Fanout) writeLoop(s *subscriber) {
 				return
 			}
 			fanoutBatchFrames.Observe(uint64(batch))
-			fanoutTrace.Emit(obs.FrameFlushed, -1, 0, uint64(fr.slot), uint64(batch))
+			fanoutTrace.Emit(obs.FrameFlushed, -1, 0, 0, uint64(fr.slot), uint64(batch))
 		}
 	}
 }

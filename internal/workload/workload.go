@@ -116,37 +116,6 @@ func Random(n int, maxBlocks, minLatency, maxLatency, maxFaults int, seed int64)
 	return files
 }
 
-// RandomUnitSystemFiles returns n unit-demand files (one block each)
-// whose total density approximates targetDensity at bandwidth 1 — the
-// instances of the scheduler density sweep (experiment E9).
-func RandomUnitSystemFiles(n int, targetDensity float64, seed int64) []core.FileSpec {
-	if n < 1 || targetDensity <= 0 {
-		panic("workload: invalid RandomUnitSystemFiles parameters")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	files := make([]core.FileSpec, n)
-	// Draw random weights and scale windows so Σ 1/bᵢ ≈ targetDensity.
-	weights := make([]float64, n)
-	sum := 0.0
-	for i := range weights {
-		weights[i] = 0.2 + rng.Float64()
-		sum += weights[i]
-	}
-	for i := range files {
-		share := targetDensity * weights[i] / sum
-		b := int(1.0/share + 0.5)
-		if b < 2 {
-			b = 2
-		}
-		files[i] = core.FileSpec{
-			Name:    fmt.Sprintf("u%03d", i),
-			Blocks:  1,
-			Latency: b,
-		}
-	}
-	return files
-}
-
 // Contents fabricates deterministic file contents sized to the specs
 // (blockSize bytes per block), for end-to-end simulations.
 func Contents(files []core.FileSpec, blockSize int, seed int64) map[string][]byte {

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math"
 	"testing"
 
 	"pinbcast/internal/core"
@@ -38,7 +37,11 @@ func TestAWACSDatabase(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []string{"combat", "landing"} {
-		p, err := db.Program(rtdb.Mode(mode))
+		files, err := db.FileSpecs(rtdb.Mode(mode))
+		if err != nil {
+			t.Fatalf("mode %s: %v", mode, err)
+		}
+		p, err := core.BuildProgram(files, core.SufficientBandwidth(files))
 		if err != nil {
 			t.Fatalf("mode %s: %v", mode, err)
 		}
@@ -66,16 +69,6 @@ func TestRandomBounds(t *testing.T) {
 	}
 }
 
-func TestRandomUnitSystemDensity(t *testing.T) {
-	for _, target := range []float64{0.3, 0.5, 0.7} {
-		files := RandomUnitSystemFiles(20, target, 5)
-		sys := core.TaskSystem(files, 1)
-		if d := sys.Density(); math.Abs(d-target) > 0.15 {
-			t.Fatalf("target %v: density %v too far off", target, d)
-		}
-	}
-}
-
 func TestContentsSizedToSpecs(t *testing.T) {
 	files := Random(5, 4, 10, 20, 1, 1)
 	data := Contents(files, 64, 2)
@@ -90,7 +83,6 @@ func TestPanicsOnBadParams(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"IVHS":   func() { IVHS(0, 1) },
 		"Random": func() { Random(0, 1, 1, 1, 0, 1) },
-		"Unit":   func() { RandomUnitSystemFiles(0, 0.5, 1) },
 	} {
 		func() {
 			defer func() {

@@ -80,7 +80,7 @@ func (pinwheelLayout) Plan(files []FileSpec, bandwidth int) (*Program, error) {
 	if bandwidth == 0 {
 		bandwidth = core.SufficientBandwidth(files)
 	}
-	return core.BuildProgramWith(files, bandwidth, nil)
+	return core.BuildProgram(files, bandwidth)
 }
 
 // isBuiltinPinwheel reports whether l is the built-in pinwheel layout

@@ -20,12 +20,12 @@ import (
 
 // MultiTuner is the receiving half of a Cluster: one logical receiver
 // subscribed to several broadcast Sources concurrently — one per
-// channel. It merges the channels' directories, retrieves each request
-// from the cheapest live channel carrying the file (per the fetch plan,
-// cheapest first), and hops a request to the next live carrier when its
-// channel dies. Channel health comes from a missed-slot detector on
-// the fan-out seam: gaps in a channel's slot numbering and read
-// timeouts accumulate toward a death threshold, and a stream error or
+// channel. Its channels share one merged directory, it retrieves each
+// request from the cheapest live channel carrying the file (per the
+// fetch plan, cheapest first), and it hops a request to the next live
+// carrier when its channel dies. Channel health comes from a
+// missed-slot detector on the fan-out seam: gaps in a channel's slot
+// numbering and read timeouts accumulate toward a death threshold, and a stream error or
 // EOF kills the channel outright. A request whose known carriers are
 // all dead falls back to scanning every live channel, so a file the
 // cluster re-admits elsewhere after a failover (Cluster.FailChannel)
@@ -46,11 +46,15 @@ import (
 //		pinbcast.WithTunerHomes(c.FetchPlan()),
 //		pinbcast.WithTunerRequest("traffic-00", deadline),
 //	)
-//	results, err := mt.Run(ctx)
+//	results, err := mt.RunInto(ctx, nil) // reuse results[:0] next run
+//	// ... use results, then hand each Data buffer back:
+//	for _, res := range results {
+//		mt.Recycle(res)
+//	}
 //
 // Deadlines are per-attachment: a hopped request's deadline clock
 // restarts on the serving channel, matching the per-channel Contract
-// bounds a ClusterContract composes. Like Receiver.Run, Run observes
+// bounds a ClusterContract composes. Like Receiver.Run, RunInto observes
 // cancellation between slots — give TCP sources a Timeout so a silent
 // channel cannot hold a drive loop forever (the timeout doubles as the
 // missed-slot clock).
@@ -63,17 +67,17 @@ type MultiTuner struct {
 	reqs      map[string]*mtRequest // unfinished requests only, as in client.Client
 	freeReqs  []*mtRequest          // finished ones, their tried/attached storage kept
 	nextSeq   uint64                // stamp of the next request
-	results   []ClusterResult
+	results   []ClusterResult       // recorded since the last RunInto drained them
 	hops      int
-	completed int  // finished requests by outcome; results itself may be
-	failed    int  // drained by RunInto, so Metrics counts separately
+	completed int  // finished requests by outcome, for Metrics: results
+	failed    int  // holds only the current run's
 	pooled    int  // completed ones rebuilt from blocks of several channels
 	started   bool // the persistent channel drivers are running
 	closed    bool // Close has run: no run may wake a driver any more
 
-	// Run-lifecycle plumbing, kept allocation-free per Run: the channel
-	// drivers are persistent goroutines woken by a token per Run rather
-	// than spawned per Run (a spawn costs a closure allocation each),
+	// Run-lifecycle plumbing, kept allocation-free per run: the channel
+	// drivers are persistent goroutines woken by a token per run rather
+	// than spawned per run (a spawn costs a closure allocation each),
 	// completion is a reusable cap-1 token channel rather than a remade
 	// close-once channel, and runDone is the flag drivers poll between
 	// slots to notice the run ending.
@@ -92,7 +96,7 @@ type MultiTuner struct {
 // mtChannel.mu; the per-slot path takes mtChannel.mu alone and
 // re-enters through MultiTuner.mu only after releasing it.
 type mtChannel struct {
-	wake chan context.Context // cap 1: each Run wakes the driver with its context
+	wake chan context.Context // cap 1: each run wakes the driver with its context
 
 	mu  sync.Mutex
 	rcv *Receiver // rcv.src is read without mu: it never changes
@@ -348,7 +352,7 @@ func (mt *MultiTuner) attachToLocked(req *mtRequest, ch int) {
 func (mt *MultiTuner) cancelOn(ch int, file string, spare []*ida.Block) []*ida.Block {
 	mc := mt.chans[ch]
 	mc.mu.Lock()
-	mc.rcv.Cancel(file)
+	mc.rcv.cli.Cancel(file)
 	spare = mc.rcv.cli.Settle(spare)
 	mc.mu.Unlock()
 	return spare
@@ -393,7 +397,7 @@ func (mt *MultiTuner) finishLocked(req *mtRequest, res ClusterResult) {
 		return
 	}
 	// Every request is done: end the run. Drivers notice the flag at the
-	// next slot boundary; the token releases the Run call itself.
+	// next slot boundary; the token releases the RunInto call itself.
 	mt.runDone.Store(true)
 	select {
 	case mt.done <- struct{}{}:
@@ -410,38 +414,28 @@ func (mt *MultiTuner) failLocked(req *mtRequest) {
 	})
 }
 
-// Run drives every channel concurrently until each request has
-// completed, the context is cancelled, or no live channel remains.
-// As with Receiver.Run, requests still pending when the run ends
-// — whatever ended it — are flushed as failures with Channel −1, in the
-// order they were requested: a cancelled context is the caller's
-// deadline on the whole run, not a pause. A tuner left running accepts
-// further Request calls (including re-requests of flushed files) and
-// can be Run again.
+// RunInto drives every channel concurrently until each request has
+// completed, the context is cancelled, or no live channel remains, and
+// appends the outcomes recorded since the last RunInto to dst, in
+// completion order. As with Receiver.Run, requests still pending when
+// the run ends — whatever ended it — are flushed as failures with
+// Channel −1, in the order they were requested: a cancelled context is
+// the caller's deadline on the whole run, not a pause. A tuner left
+// running accepts further Request calls (including re-requests of
+// flushed files) and can run again.
 //
-// The first Run parks one persistent driver goroutine per channel;
-// they stay parked between runs and are released by Close. A run on a
-// closed tuner wakes nobody and flushes its requests at once. Retrieval
-// loops that must not accumulate history use RunInto instead — Run
-// returns a fresh copy of the tuner's full result history each call.
-func (mt *MultiTuner) Run(ctx context.Context) ([]ClusterResult, error) {
-	_, err := mt.run(ctx)
-	return mt.Results(), err
-}
-
-// RunInto is Run for steady-state retrieval loops: it appends only
-// this run's results to dst and removes them from the tuner's history,
-// so a caller that reuses dst (and hands Data buffers back with
-// Recycle) retrieves indefinitely without either side accumulating —
-// the loop is allocation-free once warm. Results of earlier un-drained
-// runs stay in Results.
+// The tuner keeps no result history, so a caller that reuses dst (and
+// hands Data buffers back with Recycle) retrieves indefinitely without
+// either side accumulating — the loop is allocation-free once warm. The
+// first run parks one persistent driver goroutine per channel; they stay
+// parked between runs and are released by Close. A run on a closed tuner
+// wakes nobody and flushes its requests at once.
 func (mt *MultiTuner) RunInto(ctx context.Context, dst []ClusterResult) ([]ClusterResult, error) {
-	mark, err := mt.run(ctx)
+	err := mt.run(ctx)
 	mt.mu.Lock()
-	tail := mt.results[mark:]
-	dst = append(dst, tail...)
-	clear(tail) // drop the history's Data references: the caller owns them now
-	mt.results = mt.results[:mark]
+	dst = append(dst, mt.results...)
+	clear(mt.results) // drop the Data references: the caller owns them now
+	mt.results = mt.results[:0]
 	mt.mu.Unlock()
 	return dst, err
 }
@@ -461,14 +455,12 @@ func (mt *MultiTuner) Recycle(res ClusterResult) {
 	mc.mu.Unlock()
 }
 
-// run drives one Run to completion and returns the index of the first
-// result it produced — the mark RunInto drains from.
-func (mt *MultiTuner) run(ctx context.Context) (int, error) {
+// run drives one RunInto to completion.
+func (mt *MultiTuner) run(ctx context.Context) error {
 	mt.mu.Lock()
-	mark := len(mt.results)
 	if len(mt.reqs) == 0 {
 		mt.mu.Unlock()
-		return mark, nil
+		return nil
 	}
 	mt.runDone.Store(false)
 	select {
@@ -519,7 +511,7 @@ func (mt *MultiTuner) run(ctx context.Context) (int, error) {
 		mt.failLocked(req)
 	}
 	mt.mu.Unlock()
-	return mark, runErr
+	return runErr
 }
 
 // openLocked returns the unfinished requests in request order — map
@@ -573,7 +565,7 @@ func (mt *MultiTuner) drive(ctx context.Context, ch int) {
 			if !errors.Is(err, io.EOF) && transport.IsTimeout(err) {
 				if mt.det.Miss(ch) {
 					tunMisses.Inc()
-					traceRing.Emit(obs.MissDetected, ch, 0, 0, 0)
+					traceRing.Emit(obs.MissDetected, ch, 0, 0, 0, 0)
 					mt.channelDied(ch)
 					return
 				}
@@ -693,7 +685,7 @@ func (mt *MultiTuner) channelDied(ch int) {
 		if len(req.attached) == 0 {
 			mt.hops++
 			tunHops.Inc()
-			traceRing.Emit(obs.ChannelHop, ch, 0, 0, 0)
+			traceRing.Emit(obs.ChannelHop, ch, 0, 0, 0, 0)
 			mt.attachLocked(req)
 		}
 		if wasHere {
@@ -706,36 +698,6 @@ func (mt *MultiTuner) channelDied(ch int) {
 			mt.failLocked(req)
 		}
 	}
-}
-
-// Results returns the outcomes recorded so far, in completion order.
-// Outcomes drained by RunInto are not replayed here; Metrics counts
-// every outcome either way.
-func (mt *MultiTuner) Results() []ClusterResult {
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
-	return append([]ClusterResult(nil), mt.results...)
-}
-
-// Done reports whether every request has completed.
-func (mt *MultiTuner) Done() bool {
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
-	return len(mt.reqs) == 0
-}
-
-// Directory returns the merged id→name directory over every channel —
-// supplied entries plus whatever each channel's stream has taught.
-func (mt *MultiTuner) Directory() map[uint32]string {
-	out := map[uint32]string{}
-	for _, mc := range mt.chans {
-		mc.mu.Lock()
-		for id, name := range mc.rcv.Directory() {
-			out[id] = name
-		}
-		mc.mu.Unlock()
-	}
-	return out
 }
 
 // Metrics returns a snapshot of the tuner's counters.
@@ -761,7 +723,7 @@ func (mt *MultiTuner) Metrics() MultiTunerMetrics {
 }
 
 // Close releases every source and the parked channel drivers. A run in
-// flight ends as its channels' streams do; a later Run fails at once.
+// flight ends as its channels' streams do; a later RunInto fails at once.
 func (mt *MultiTuner) Close() error {
 	mt.mu.Lock()
 	if !mt.closed {

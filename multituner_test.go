@@ -86,7 +86,7 @@ func TestMultiTunerHopOnEOF(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mt.Close()
-	results, err := mt.Run(context.Background())
+	results, err := mt.RunInto(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestMultiTunerHopOnEOF(t *testing.T) {
 	if m.Hops < 1 {
 		t.Fatalf("expected a hop, metrics %+v", m)
 	}
-	if !mt.Done() {
+	if !tunerDone(mt) {
 		t.Fatal("tuner not done after run")
 	}
 }
@@ -131,7 +131,7 @@ func TestMultiTunerScanModeAndCancel(t *testing.T) {
 	if err := mt.Request("hot-a", 0); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("duplicate request: %v", err)
 	}
-	results, err := mt.Run(context.Background())
+	results, err := mt.RunInto(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +146,6 @@ func TestMultiTunerScanModeAndCancel(t *testing.T) {
 	m := mt.Metrics()
 	if m.Completed != 3 || m.Failed != 0 {
 		t.Fatalf("metrics %+v", m)
-	}
-	// The merged directory knows every file the channels taught.
-	if len(mt.Directory()) != 6 {
-		t.Fatalf("merged directory has %d entries", len(mt.Directory()))
 	}
 }
 
@@ -225,7 +221,7 @@ func TestMultiTunerMatchesReceiver(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mt.Close()
-	got, err := mt.Run(context.Background())
+	got, err := mt.RunInto(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,15 +258,13 @@ func TestMultiTunerRunAfterClose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		history := 0
 		if started {
 			if err := mt.Request("hot-a", 0); err != nil {
 				t.Fatal(err)
 			}
-			if res, err := mt.Run(context.Background()); err != nil || len(res) != 1 || !res[0].Completed {
+			if res, err := mt.RunInto(context.Background(), nil); err != nil || len(res) != 1 || !res[0].Completed {
 				t.Fatalf("run before Close: %+v, %v", res, err)
 			}
-			history = 1
 		}
 		if err := mt.Close(); err != nil {
 			t.Fatal(err)
@@ -283,20 +277,13 @@ func TestMultiTunerRunAfterClose(t *testing.T) {
 			res []ClusterResult
 			err error
 		}
-		runs := []func() ([]ClusterResult, error){
-			func() ([]ClusterResult, error) {
-				res, err := mt.Run(context.Background())
-				return res[history:], err
-			},
-			func() ([]ClusterResult, error) { return mt.RunInto(context.Background(), nil) },
-		}
-		for i, run := range runs {
+		for i := 0; i < 2; i++ {
 			if err := mt.Request("warm", 7); err != nil {
 				t.Fatal(err)
 			}
 			done := make(chan outcome, 1)
 			go func() {
-				res, err := run()
+				res, err := mt.RunInto(context.Background(), nil)
 				done <- outcome{res, err}
 			}()
 			select {
@@ -310,9 +297,8 @@ func TestMultiTunerRunAfterClose(t *testing.T) {
 			case <-time.After(5 * time.Second):
 				t.Fatalf("started=%v: run %d after Close still blocked", started, i)
 			}
-			history++
 		}
-		if !mt.Done() {
+		if !tunerDone(mt) {
 			t.Fatalf("started=%v: requests left pending after the flush", started)
 		}
 	}
@@ -343,7 +329,7 @@ func TestMultiTunerFlushRequestOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		results, err := mt.Run(ctx)
+		results, err := mt.RunInto(ctx, nil)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("run %d: err = %v, want context.Canceled", run, err)
 		}
@@ -357,7 +343,7 @@ func TestMultiTunerFlushRequestOrder(t *testing.T) {
 		if !reflect.DeepEqual(got, order) {
 			t.Fatalf("run %d: flushed %v, want request order %v", run, got, order)
 		}
-		if !mt.Done() {
+		if !tunerDone(mt) {
 			t.Fatalf("run %d: still pending %v", run, mt.reqs)
 		}
 		mt.Close()
@@ -435,7 +421,7 @@ func TestMultiTunerCloseMidRunOverRecordings(t *testing.T) {
 	}
 	done := make(chan []ClusterResult, 1)
 	go func() {
-		results, _ := mt.Run(context.Background())
+		results, _ := mt.RunInto(context.Background(), nil)
 		done <- results
 	}()
 	for m := mt.Metrics(); m.SlotsPerChannel[0] == 0 || m.SlotsPerChannel[1] == 0; m = mt.Metrics() {
@@ -511,14 +497,14 @@ func TestMultiTunerPoolsAcrossChannels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for !mt.Done() {
+			for !tunerDone(mt) {
 				for ch, src := range srcs {
 					slot, _ := src.Next()
 					mt.observe(ch, slot)
 				}
 			}
 			want, wantCh := pooledModel(cycles, start, f.Name, f.Blocks)
-			res := mt.Results()[0]
+			res := mt.results[0]
 			if !res.Completed || res.Latency != want || res.Channel != wantCh || res.BlocksUsed != f.Blocks || !bytes.Equal(res.Data, contents[f.Name]) {
 				t.Fatalf("%q from slot %d: %d slots on channel %d with %d blocks (completed %v), the union holds %d after %d slots, the last from channel %d",
 					f.Name, start, res.Latency, res.Channel, res.BlocksUsed, res.Completed, f.Blocks, want, wantCh)
@@ -604,11 +590,11 @@ func TestMultiTunerHopKeepsBlocks(t *testing.T) {
 			mt.channelDied(first)
 			fresh, _ := pooledModel(cycles[second:second+1], hop, f.Name, f.Blocks)
 			srcs[second].(*loopingSource).pos = hop
-			for !mt.Done() {
+			for !tunerDone(mt) {
 				slot, _ := srcs[second].Next()
 				mt.observe(second, slot)
 			}
-			res, m := mt.Results()[0], mt.Metrics()
+			res, m := mt.results[0], mt.Metrics()
 			if !res.Completed || res.Channel != second || res.BlocksUsed != f.Blocks || !bytes.Equal(res.Data, contents[f.Name]) || m.Hops != 1 || m.Pooled != 1 {
 				t.Fatalf("%q hopping after %d blocks: %+v, metrics %+v", f.Name, k, res, m)
 			}

@@ -193,13 +193,6 @@ func (r *Receiver) Request(file string, deadline int) error {
 	return nil
 }
 
-// Cancel withdraws a pending request without recording a result,
-// discarding any blocks collected for it. It reports whether the file
-// was actually pending. A MultiTuner cancels on its per-channel
-// receivers to release the losing channels once any channel completes a
-// request.
-func (r *Receiver) Cancel(file string) bool { return r.cli.Cancel(file) }
-
 // Step consumes one slot from the source and advances the protocol. It
 // reports whether every request has completed. The stream end
 // propagates as io.EOF (Run flushes the requests still pending then as
@@ -285,7 +278,7 @@ func (r *Receiver) observe(slot Slot) client.Outcome {
 			// A garbled block cannot say whose it was; the slot can.
 			r.cli.NoteCorruption(slot.File)
 		}
-		traceRing.Emit(obs.BlockCorrupted, r.channel, 0, uint64(slot.T), 0)
+		traceRing.Emit(obs.BlockCorrupted, r.channel, 0, 0, uint64(slot.T), 0)
 	}
 
 	out := r.cli.Observe(slot.T, payload)
@@ -353,16 +346,6 @@ func (r *Receiver) Recycle(res Result) {
 
 // Done reports whether every request has completed.
 func (r *Receiver) Done() bool { return r.cli.Done() }
-
-// Start returns the slot at which the receiver tuned in (-1 before the
-// first observed slot).
-func (r *Receiver) Start() int { return r.cli.Start() }
-
-// Directory returns the receiver's current id→name directory —
-// supplied entries merged with anything learned from the stream. The
-// returned map is a shared copy-on-write snapshot, reused across calls
-// until the directory changes: treat it as read-only.
-func (r *Receiver) Directory() map[uint32]string { return r.cli.Directory() }
 
 // Metrics returns a snapshot of the receiver's counters.
 func (r *Receiver) Metrics() ReceiverMetrics { return r.m }

@@ -3,10 +3,8 @@ package pinbcast
 import (
 	"bytes"
 	"context"
-	"errors"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -77,24 +75,21 @@ func daemonCluster(t testing.TB, paced bool, opts ...ClusterOption) (*Cluster, [
 	return c, files
 }
 
-// air serves the first n slots of a station's latest generation. The
-// station must not be serving; one that has just been stopped is waited
-// for.
+// air serves the first n slots of a station's latest generation, then
+// stops and drains the stream. The station must not be serving.
 func air(t testing.TB, st *Station, n int) []Slot {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	stream, err := st.Serve(ctx)
-	for errors.Is(err, ErrServing) {
-		runtime.Gosched()
-		stream, err = st.Serve(ctx)
-	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	slots := make([]Slot, n)
 	for i := range slots {
 		slots[i] = <-stream
+	}
+	cancel()
+	for range stream {
 	}
 	return slots
 }

@@ -360,10 +360,12 @@ func (c wallClock) SleepUntil(ctx context.Context, due time.Time) (time.Duration
 //pinlint:hotpath
 func (st *Station) serveLoop(ctx context.Context, out chan<- Slot) {
 	defer func() {
-		close(out)
+		// Free the station before the stream ends, so a caller that has
+		// drained it can Serve again at once.
 		st.mu.Lock()
 		st.serving = false
 		st.mu.Unlock()
+		close(out)
 	}()
 	clk, pace := st.clock, pacer{interval: st.interval}
 	if clk != nil {
@@ -424,7 +426,7 @@ func (st *Station) serveLoop(ctx context.Context, out chan<- Slot) {
 		if reclaimed {
 			stReclaimed.Inc()
 		}
-		traceRing.Emit(obs.SlotServed, -1, slot.Block.FileID, uint64(t), uint64(gen.id))
+		traceRing.Emit(obs.SlotServed, -1, slot.Block.FileID, uint8(slot.Seq), uint64(t), uint64(gen.id))
 	}
 }
 

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
 	"pinbcast/internal/channel"
+	"pinbcast/internal/obs"
 )
 
 // lifecycleStation returns a small two-file station with headroom for
@@ -312,19 +314,112 @@ func TestStationServeSingleFlight(t *testing.T) {
 	// After the loop drains, the station can serve again.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		slots2, err := st.Serve(ctx2)
-		if err == nil {
-			cancel2()
-			for range slots2 {
-			}
-			return
+	slots2, err := st.Serve(ctx2)
+	if err != nil {
+		t.Fatalf("re-Serve: %v", err)
+	}
+	cancel2()
+	for range slots2 {
+	}
+}
+
+// parkClock parks a paced serve loop in its first wait, tells the test
+// so, and ends the wait only with the stream's context.
+type parkClock struct{ parked chan struct{} }
+
+func (parkClock) Now() time.Time { return pacerTestEpoch }
+
+func (c parkClock) SleepUntil(ctx context.Context, _ time.Time) (time.Duration, bool) {
+	c.parked <- struct{}{}
+	<-ctx.Done()
+	return 0, false
+}
+
+// TestStationServesAgainOnceDrained holds Broadcast's promise that a
+// drained station is serviceable at once. First the serve loop ends
+// while the test holds the station's lock: the stream must not close
+// before the station is free. Then 10 000 rounds of serve, read a slot,
+// cancel, drain must each serve again without ErrServing, on four Ps.
+func TestStationServesAgainOnceDrained(t *testing.T) {
+	st, _ := lifecycleStation(t, WithSlotInterval(pacerTestInterval))
+	clk := parkClock{parked: make(chan struct{}, 1)}
+	st.clock = clk
+	ctx, cancel := context.WithCancel(context.Background())
+	slots, err := st.Serve(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-clk.parked // the loop holds no lock until the stream ends
+	drained := make(chan struct{})
+	go func() {
+		for range slots {
 		}
-		if !errors.Is(err, ErrServing) || time.Now().After(deadline) {
-			t.Fatalf("re-Serve: %v", err)
+		close(drained)
+	}()
+	st.mu.Lock()
+	cancel()
+	select {
+	case <-drained:
+		st.mu.Unlock()
+		t.Fatal("the stream closed while the station was still serving")
+	case <-time.After(100 * time.Millisecond): // the loop waits for the lock
+	}
+	st.mu.Unlock()
+	<-drained
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	st, _ = lifecycleStation(t)
+	for round := 0; round < 10000; round++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		slots, err := st.Serve(ctx)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
-		time.Sleep(time.Millisecond)
+		<-slots
+		cancel()
+		for range slots {
+		}
+	}
+}
+
+// TestSlotServedCarriesBlock: every slot_served trace event of a served
+// stream names the block its slot carried, so a trace dump says what
+// went on the air, not only which file.
+func TestSlotServedCarriesBlock(t *testing.T) {
+	st, _ := lifecycleStation(t)
+	var before uint64
+	if snap := traceRing.Snapshot(nil); len(snap) > 0 {
+		before = snap[len(snap)-1].Seq
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	slots, err := st.Serve(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent, served := map[uint64]Slot{}, 0
+	for len(sent) < 4*st.Program().DataCycle() {
+		slot := <-slots
+		sent[uint64(slot.T)] = slot
+		if slot.Block != nil {
+			served++
+		}
+	}
+	cancel()
+	for range slots {
+	}
+	checked := 0
+	for _, ev := range traceRing.Snapshot(nil) {
+		slot, ok := sent[ev.T]
+		if ev.Seq <= before || ev.Kind != obs.SlotServed || !ok || slot.Block == nil || ev.File != slot.Block.FileID {
+			continue
+		}
+		if int(ev.Block) != slot.Seq {
+			t.Fatalf("slot %d carried block %d of %q, its trace event says %d", slot.T, slot.Seq, slot.File, ev.Block)
+		}
+		checked++
+	}
+	if checked != served {
+		t.Fatalf("%d of %d served slots have a slot_served event", checked, served)
 	}
 }
 
