@@ -315,7 +315,7 @@ func TestSharedFramesSurviveFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := rcv.Run(ctx)
+	results, err := rcv.RunInto(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

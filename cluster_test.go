@@ -619,7 +619,7 @@ func checkDisjointRanges(t *testing.T, c *Cluster, files []FileSpec, contents ma
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := rcv.Run(context.Background())
+				res, err := rcv.RunInto(context.Background(), nil)
 				if err != nil || len(res) != 1 || !res[0].DeadlineMet || res[0].BlocksUsed != f.Blocks || !bytes.Equal(res[0].Data, contents[f.Name]) {
 					t.Fatalf("channel %d alone, %q from slot %d: %+v (%v), window %d", ch, f.Name, start, res, err, window)
 				}

@@ -102,7 +102,15 @@
 //		pinbcast.WithRequest("traffic", deadline),
 //		pinbcast.WithReceiverFaults(pinbcast.BernoulliFaults(0.02, 1)),
 //	)
-//	results, err := receiver.Run(ctx) // collect until every request completes
+//	results, err := receiver.RunInto(ctx, nil) // until every request completes
+//	// ... use results, then hand each Data buffer back:
+//	for _, res := range results {
+//		receiver.Recycle(res)
+//	}
+//
+// The receiver hands its results over and keeps none, so a loop that
+// reuses results[:0] and recycles each buffer holds only its open
+// requests and one output buffer, however long it runs.
 //
 // Reception faults are injected with the same fault models the
 // simulator uses, and a receiver given the broadcast schedule
@@ -207,9 +215,9 @@
 // shared — copy before mutating. Benchmarks: the MBps series in internal/ida,
 // BenchmarkStationServe, BenchmarkReceiverSlots, BenchmarkMultiTuner
 // and BenchmarkServeFanoutPipeline at the package root, each of which
-// fails by itself on a non-zero allocs/op (internal/zeroalloc). A
-// MultiTuner keeps no result history: RunInto hands each run's results
-// to the caller and forgets them. Speed
+// fails by itself on a non-zero allocs/op (internal/zeroalloc).
+// Neither a Receiver nor a MultiTuner keeps a result history: RunInto
+// hands each run's results to the caller and forgets them. Speed
 // is gated end to end by cmd/bdload against BENCHMARK.json; to profile
 // a live pipeline use the daemon's /debug/pprof.
 //

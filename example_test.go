@@ -100,13 +100,14 @@ func ExampleReceiver() {
 		log.Fatal(err)
 	}
 	defer receiver.Close()
-	results, err := receiver.Run(ctx)
+	results, err := receiver.RunInto(ctx, nil) // the receiver keeps none of them
 	if err != nil {
 		log.Fatal(err)
 	}
 	r := results[0]
 	fmt.Printf("reconstructed intact: %v, within its window: %v\n",
 		bytes.Equal(r.Data, bulletin), r.DeadlineMet)
+	receiver.Recycle(r) // the buffer is the receiver's again
 
 	// Output:
 	// reconstructed intact: true, within its window: true

@@ -59,7 +59,9 @@ func main() {
 				log.Fatal(err)
 			}
 			defer rcv.Close()
-			results, err := rcv.Run(context.Background())
+			// The receiver hands its results over and keeps none; Recycle
+			// gives the buffer back once the bytes have been checked.
+			results, err := rcv.RunInto(context.Background(), nil)
 			if err != nil {
 				log.Fatalf("receiver %d: %v", id, err)
 			}
@@ -70,6 +72,7 @@ func main() {
 			m := rcv.Metrics()
 			done <- fmt.Sprintf("receiver %d got %q intact after %d slots (%d blocks seen, %d corrupted)",
 				id, file, r.Latency, m.Blocks, m.Corrupted)
+			rcv.Recycle(r)
 		}(i, want)
 	}
 

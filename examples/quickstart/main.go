@@ -72,13 +72,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	results, err := rcv.Run(ctx)
+	// RunInto hands the results over: the receiver keeps none of them,
+	// and Recycle gives the buffer back for its next retrieval.
+	results, err := rcv.RunInto(ctx, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	m := rcv.Metrics()
 	fmt.Printf("a dozing receiver got %q in %d slots, listening to %d of %d\n",
 		"map", results[0].Latency, m.Listened, m.Slots)
+	rcv.Recycle(results[0])
 
 	// Admit a third file online: admission control verifies the density
 	// guarantee, and the new program takes over at the next data-cycle

@@ -35,8 +35,8 @@ var uncalledExports = map[string]string{
 //   - in the root package, a use by a non-test file of a cmd/ binary
 //     (cmd/bdload included), an examples/ program or a paper table in
 //     internal/exp;
-//   - in any other package but internal/analyzers (pinlint's framework),
-//     a use by a non-test file anywhere, its own package included.
+//   - in any other package, a use by a non-test file anywhere, its own
+//     package included.
 //
 // A method that implements a method of an interface the module declares
 // or imports counts as used, and so does anything on the allow-list
@@ -56,8 +56,7 @@ func TestExportsHaveCallers(t *testing.T) {
 	// types.Object.
 	exported := map[string]*types.Func{}
 	for _, pkg := range pkgs {
-		if pkg.PkgPath == "pinbcast/internal/analyzers" || strings.HasPrefix(pkg.PkgPath, "pinbcast/internal/analyzers/") ||
-			strings.HasPrefix(pkg.PkgPath, "pinbcast/cmd/bdload") {
+		if strings.HasPrefix(pkg.PkgPath, "pinbcast/cmd/bdload") {
 			continue
 		}
 		for _, f := range pkg.Files {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"pinbcast/internal/analyzers"
-	"pinbcast/internal/analyzers/checktest"
 )
 
 // Each analyzer is proven against a bad fixture (every diagnostic
@@ -16,65 +15,65 @@ import (
 // and a good fixture (zero diagnostics).
 
 func TestHotPath(t *testing.T) {
-	checktest.Run(t, analyzers.HotPath, "testdata/src/hotpathbad")
-	checktest.Run(t, analyzers.HotPath, "testdata/src/hotpathgood")
+	checkFixture(t, analyzers.HotPath, "testdata/src/hotpathbad")
+	checkFixture(t, analyzers.HotPath, "testdata/src/hotpathgood")
 }
 
 func TestNoRand(t *testing.T) {
-	checktest.Run(t, analyzers.NoRand, "testdata/src/norandbad")
-	checktest.Run(t, analyzers.NoRand, "testdata/src/norandgood")
+	checkFixture(t, analyzers.NoRand, "testdata/src/norandbad")
+	checkFixture(t, analyzers.NoRand, "testdata/src/norandgood")
 }
 
 func TestLockCheck(t *testing.T) {
-	checktest.Run(t, analyzers.LockCheck, "testdata/src/lockcheckbad")
-	checktest.Run(t, analyzers.LockCheck, "testdata/src/lockcheckgood")
+	checkFixture(t, analyzers.LockCheck, "testdata/src/lockcheckbad")
+	checkFixture(t, analyzers.LockCheck, "testdata/src/lockcheckgood")
 }
 
 // TestAllocProve holds the compiler-backed half of hotpath to the
 // fixtures written for it when it was an analyzer of its own.
 func TestAllocProve(t *testing.T) {
-	checktest.Run(t, analyzers.HotPath, "testdata/src/allocprovebad")
-	checktest.Run(t, analyzers.HotPath, "testdata/src/allocprovegood")
+	checkFixture(t, analyzers.HotPath, "testdata/src/allocprovebad")
+	checkFixture(t, analyzers.HotPath, "testdata/src/allocprovegood")
 }
 
 func TestLockOrder(t *testing.T) {
-	checktest.Run(t, analyzers.LockOrder, "testdata/src/lockorderbad")
-	checktest.Run(t, analyzers.LockOrder, "testdata/src/lockordergood")
+	checkFixture(t, analyzers.LockOrder, "testdata/src/lockorderbad")
+	checkFixture(t, analyzers.LockOrder, "testdata/src/lockordergood")
 }
 
 func TestGoroLeak(t *testing.T) {
-	checktest.Run(t, analyzers.GoroLeak, "testdata/src/goroleakbad")
-	checktest.Run(t, analyzers.GoroLeak, "testdata/src/goroleakgood")
+	checkFixture(t, analyzers.GoroLeak, "testdata/src/goroleakbad")
+	checkFixture(t, analyzers.GoroLeak, "testdata/src/goroleakgood")
 }
 
 func TestCycleBoundary(t *testing.T) {
-	checktest.Run(t, analyzers.CycleBoundary, "testdata/src/cycleboundarybad")
-	checktest.Run(t, analyzers.CycleBoundary, "testdata/src/cycleboundarygood")
+	checkFixture(t, analyzers.CycleBoundary, "testdata/src/cycleboundarybad")
+	checkFixture(t, analyzers.CycleBoundary, "testdata/src/cycleboundarygood")
 }
 
 func TestErrWrap(t *testing.T) {
-	checktest.Run(t, analyzers.ErrWrap, "testdata/src/errwrapbad")
-	checktest.Run(t, analyzers.ErrWrap, "testdata/src/errwrapgood")
+	checkFixture(t, analyzers.ErrWrap, "testdata/src/errwrapbad")
+	checkFixture(t, analyzers.ErrWrap, "testdata/src/errwrapgood")
 }
 
 func TestChanSafe(t *testing.T) {
-	checktest.Run(t, analyzers.ChanSafe, "testdata/src/chansafebad")
-	checktest.Run(t, analyzers.ChanSafe, "testdata/src/chansafegood")
+	checkFixture(t, analyzers.ChanSafe, "testdata/src/chansafebad")
+	checkFixture(t, analyzers.ChanSafe, "testdata/src/chansafegood")
 }
 
 func TestCancelFlow(t *testing.T) {
-	checktest.Run(t, analyzers.CancelFlow, "testdata/src/cancelflowbad")
-	checktest.Run(t, analyzers.CancelFlow, "testdata/src/cancelflowgood")
+	checkFixture(t, analyzers.CancelFlow, "testdata/src/cancelflowbad")
+	checkFixture(t, analyzers.CancelFlow, "testdata/src/cancelflowgood")
 }
 
 func TestSlotMath(t *testing.T) {
-	checktest.Run(t, analyzers.SlotMath, "testdata/src/slotmathbad")
-	checktest.Run(t, analyzers.SlotMath, "testdata/src/slotmathgood")
+	checkFixture(t, analyzers.SlotMath, "testdata/src/slotmathbad")
+	checkFixture(t, analyzers.SlotMath, "testdata/src/slotmathgood")
 }
 
 func TestWaiverLint(t *testing.T) {
-	checktest.Run(t, analyzers.WaiverLint, "testdata/src/waiverlintbad")
-	checktest.Run(t, analyzers.WaiverLint, "testdata/src/waiverlintgood")
+	checkFixture(t, analyzers.WaiverLint, "testdata/src/waiverlintbad")
+	checkFixture(t, analyzers.WaiverLint, "testdata/src/waiverlintgood")
 }
 
 // TestModuleClean is the suite's self-check: every analyzer over every

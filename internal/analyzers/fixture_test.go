@@ -1,20 +1,4 @@
-// Package checktest runs pinlint analyzers over fixture packages and
-// compares their diagnostics against `// want "regexp"` expectations,
-// mirroring golang.org/x/tools/go/analysis/analysistest on the
-// standard library alone.
-//
-// A fixture line may carry several expectations, and an expectation may
-// carry a count when one line produces the same diagnostic repeatedly:
-//
-//	x := rand.Intn(6)  // want "global math/rand"
-//	a, b := alloc()    // want "escapes" 2
-//
-// Every diagnostic must match an expectation on its line, and every
-// expectation must be matched exactly its count's worth of times (one,
-// when no count is given). On any mismatch the failure report includes
-// a line-sorted diff of got-vs-want for the whole package, so a fixture
-// edit that shifts lines reads as a diff rather than error confetti.
-package checktest
+package analyzers_test
 
 import (
 	"fmt"
@@ -32,10 +16,24 @@ import (
 
 var wantRE = regexp.MustCompile(`// want (.*)$`)
 
-// Run loads the fixture package at dir (relative to the test's working
-// directory), applies the analyzer, and reports mismatches between its
-// diagnostics and the fixture's want comments as test errors.
-func Run(t *testing.T, a *analyzers.Analyzer, dir string) {
+// checkFixture loads the fixture package at dir (relative to the test's
+// working directory), applies the analyzer, and reports mismatches
+// between its diagnostics and the fixture's `// want "regexp"`
+// expectations as test errors, as golang.org/x/tools' analysistest does
+// on the standard library alone.
+//
+// A fixture line may carry several expectations, and an expectation may
+// carry a count when one line produces the same diagnostic repeatedly:
+//
+//	x := rand.Intn(6)  // want "global math/rand"
+//	a, b := alloc()    // want "escapes" 2
+//
+// Every diagnostic must match an expectation on its line, and every
+// expectation must be matched exactly its count's worth of times (one,
+// when no count is given). On any mismatch the failure report includes
+// a line-sorted diff of got-vs-want for the whole package, so a fixture
+// edit that shifts lines reads as a diff rather than error confetti.
+func checkFixture(t *testing.T, a *analyzers.Analyzer, dir string) {
 	t.Helper()
 	abs, err := filepath.Abs(dir)
 	if err != nil {

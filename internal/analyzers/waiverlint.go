@@ -53,7 +53,7 @@ func PackageWaivers(pkg *Package) []Waiver {
 				if !ok || name != "allow" {
 					continue
 				}
-				// Fixture scaffolding: checktest want expectations share
+				// Fixture scaffolding: the fixtures' want expectations share
 				// the waiver's line comment and are not waiver content.
 				if i := strings.Index(arg, "// want"); i >= 0 {
 					arg = strings.TrimSpace(arg[:i])

@@ -11,7 +11,6 @@ package client
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 
 	"pinbcast/internal/ida"
@@ -65,8 +64,8 @@ type Client struct {
 	now      int
 	pending  map[string]*pendingFile // uncompleted requests only: PendingCount and Done are its length
 	nextSeq  uint64                  // stamp of the next request
-	results  []Result
-	fileName map[uint32]string // file ID -> name, learned from the server mapping
+	results  []Result                // the outbox: recorded and not yet taken
+	fileName map[uint32]string       // file ID -> name, learned from the server mapping
 
 	// scratch is the decode target Observe reuses across slots, so
 	// classifying a block costs no allocation; a systematic block worth
@@ -91,6 +90,7 @@ type Client struct {
 	blockScratch []*ida.Block
 	freePending  []*pendingFile
 	freeData     [][]byte
+	openBuf      []*pendingFile // open's result, reused by every Flush
 
 	// lent counts the blocks taken in from other clients (Take) less those
 	// given up to them (Yield): how many of the blocks this client holds or
@@ -149,7 +149,8 @@ func (c *Client) place(p *pendingFile, b *ida.Block) *ida.Block {
 }
 
 // takeData pops an output buffer from the Recycle pool; nil when it is
-// empty.
+// empty. The pool lets go of it: a buffer too small for the file that
+// takes it is superseded, and must not stay reachable from the pool.
 //
 //pinlint:hotpath
 func (c *Client) takeData() []byte {
@@ -158,6 +159,7 @@ func (c *Client) takeData() []byte {
 		return nil
 	}
 	buf := c.freeData[n]
+	c.freeData[n] = nil
 	c.freeData = c.freeData[:n]
 	return buf
 }
@@ -356,10 +358,15 @@ func (c *Client) IsPending(name string) bool {
 //pinlint:hotpath
 func (c *Client) PendingCount() int { return len(c.pending) }
 
-// open returns the uncompleted requests in request order — map
-// iteration order must never reach a caller.
+// open returns the uncompleted requests in request order, in scratch it
+// reuses — map iteration order must never reach a caller.
 func (c *Client) open() []*pendingFile {
-	return slices.SortedFunc(maps.Values(c.pending), func(a, b *pendingFile) int { return cmp.Compare(a.seq, b.seq) })
+	c.openBuf = c.openBuf[:0]
+	for _, p := range c.pending {
+		c.openBuf = append(c.openBuf, p)
+	}
+	slices.SortFunc(c.openBuf, func(a, b *pendingFile) int { return cmp.Compare(a.seq, b.seq) })
+	return c.openBuf
 }
 
 // Done reports whether every request has been completed.
@@ -488,15 +495,10 @@ func (c *Client) NoteCorruption(name string) {
 	}
 }
 
-// Results returns completed request outcomes; files still pending at
-// the end of a simulation are reported by Flush.
-func (c *Client) Results() []Result { return c.results }
-
-// TakeResults appends every recorded result to dst, removes them from
-// the client, and returns dst. The client keeps its history slice's
-// capacity, so a caller that drains completions as they happen (a
-// multi-channel tuner does, once per reconstruction) leaves neither
-// side accumulating.
+// TakeResults hands the outbox over: it appends every result recorded
+// since the last call to dst, removes them from the client, and returns
+// dst. The outbox keeps its capacity and drops its Data references, so
+// a client whose results are taken as they happen holds none of them.
 //
 //pinlint:hotpath
 func (c *Client) TakeResults(dst []Result) []Result {
@@ -521,7 +523,7 @@ func (c *Client) Recycle(buf []byte) {
 
 // Flush closes out incomplete requests as failures at the given final
 // slot, in the order they were requested (their blocks are discarded),
-// and returns all results.
+// and returns the outbox: every result not yet taken.
 func (c *Client) Flush(final int) []Result {
 	for _, p := range c.open() {
 		from := p.from

@@ -70,7 +70,7 @@ func TestCollectAndReconstruct(t *testing.T) {
 	if !c.Done() {
 		t.Fatal("not done after three distinct blocks")
 	}
-	res := c.Results()
+	res := c.results
 	if len(res) != 1 {
 		t.Fatalf("results = %d", len(res))
 	}
@@ -129,7 +129,7 @@ func TestBlocksBeforeStartIgnored(t *testing.T) {
 	if !c.Done() {
 		t.Fatal("post-start blocks not counted")
 	}
-	if r := c.Results()[0]; r.Latency != 2 {
+	if r := c.results[0]; r.Latency != 2 {
 		t.Fatalf("latency = %d, want 2 (relative to start)", r.Latency)
 	}
 }
@@ -157,7 +157,7 @@ func TestDeadlineMissRecorded(t *testing.T) {
 	c := tuned(t, 0, map[uint32]string{1: "F"}, Request{File: "F", Deadline: 2})
 	c.Observe(0, blocks[0].MarshalInto(nil))
 	c.Observe(7, blocks[1].MarshalInto(nil))
-	r := c.Results()[0]
+	r := c.results[0]
 	if !r.Completed {
 		t.Fatal("not completed")
 	}
@@ -227,7 +227,7 @@ func TestSubscriberDynamicRequests(t *testing.T) {
 	if got := c.Observe(11, fa[2].MarshalInto(nil)); got != Completed {
 		t.Fatalf("outcome = %v, want Completed", got)
 	}
-	r := c.Results()[0]
+	r := c.results[0]
 	if !r.Completed || r.Latency != 5 || !r.DeadlineMet {
 		t.Fatalf("result %+v, want completion at latency 5 within deadline", r)
 	}
@@ -243,7 +243,7 @@ func TestSubscriberDynamicRequests(t *testing.T) {
 	if got := c.Observe(13, ga[1].MarshalInto(nil)); got != Completed {
 		t.Fatalf("outcome = %v, want Completed", got)
 	}
-	r = c.Results()[1]
+	r = c.results[1]
 	if r.Latency != 2 || !r.DeadlineMet {
 		t.Fatalf("mid-stream request latency = %d (met=%v), want 2 within 3", r.Latency, r.DeadlineMet)
 	}
@@ -288,8 +288,8 @@ func TestMultipleRequests(t *testing.T) {
 	if !c.Done() {
 		t.Fatal("not done after both requests")
 	}
-	if len(c.Results()) != 2 {
-		t.Fatalf("results = %d", len(c.Results()))
+	if len(c.results) != 2 {
+		t.Fatalf("results = %d", len(c.results))
 	}
 }
 
@@ -511,14 +511,14 @@ func TestForgedHeaderNotPlaced(t *testing.T) {
 		if grown := after.TotalAlloc - before.TotalAlloc; grown > 16*l {
 			t.Fatalf("M=%d N=%d: one %d-byte block allocated %d bytes", forged.M, forged.N, l, grown)
 		}
-		if c.Observe(3, real[1].MarshalInto(nil)) != Completed || c.Results()[0].Completed {
+		if c.Observe(3, real[1].MarshalInto(nil)) != Completed || c.results[0].Completed {
 			t.Fatalf("M=%d N=%d: a third block did not fail the retrieval on the forged one", forged.M, forged.N)
 		}
 		c.Add(Request{File: "F"})
 		for i, b := range real[:3] {
 			c.Observe(4+i, b.MarshalInto(nil))
 		}
-		if res := c.Results(); len(res) != 2 || !res[1].Completed || !bytes.Equal(res[1].Data, data) {
+		if res := c.results; len(res) != 2 || !res[1].Completed || !bytes.Equal(res[1].Data, data) {
 			t.Fatalf("M=%d N=%d: the real blocks did not rebuild the file: %+v", forged.M, forged.N, res)
 		}
 	}

@@ -264,7 +264,7 @@ func runModel(t testing.TB, files []modelFile, names map[uint32]string, ops []by
 				t.Fatalf("step %d (%c): IsPending(%s) = %v, oracle disagrees", step, op, df.name, c.IsPending(df.name))
 			}
 		}
-		if got := c.Results(); !sameResults(got, ref.results) {
+		if got := c.results; !sameResults(got, ref.results) {
 			t.Fatalf("step %d (%c): Results = %+v, oracle %+v", step, op, got, ref.results)
 		}
 	}

@@ -125,7 +125,7 @@ func TestBroadcastOverTCP(t *testing.T) {
 		}
 		c.Observe(slot, payload)
 	}
-	for _, r := range c.Results() {
+	for _, r := range c.TakeResults(nil) {
 		if !r.Completed || !bytes.Equal(r.Data, contents[r.File]) {
 			t.Fatalf("file %q corrupted over network", r.File)
 		}
@@ -166,7 +166,7 @@ func TestBroadcastFanOutTwoClients(t *testing.T) {
 			}
 			c.Observe(slot, payload)
 		}
-		if got := c.Results()[0].Data; !bytes.Equal(got, contents["A"]) {
+		if got := c.TakeResults(nil)[0].Data; !bytes.Equal(got, contents["A"]) {
 			t.Fatalf("client %d got wrong bytes", i)
 		}
 	}

@@ -54,7 +54,7 @@ import (
 //
 // Deadlines are per-attachment: a hopped request's deadline clock
 // restarts on the serving channel, matching the per-channel Contract
-// bounds a ClusterContract composes. Like Receiver.Run, RunInto observes
+// bounds a ClusterContract composes. Like Receiver.RunInto, it observes
 // cancellation between slots — give TCP sources a Timeout so a silent
 // channel cannot hold a drive loop forever (the timeout doubles as the
 // missed-slot clock).
@@ -100,9 +100,6 @@ type mtChannel struct {
 
 	mu  sync.Mutex
 	rcv *Receiver // rcv.src is read without mu: it never changes
-	// resBuf is the scratch observe drains the receiver's completions
-	// into, so taking a result off the protocol layer does not allocate.
-	resBuf []Result
 }
 
 // mtRequest tracks one logical retrieval across channels.
@@ -417,8 +414,8 @@ func (mt *MultiTuner) failLocked(req *mtRequest) {
 // RunInto drives every channel concurrently until each request has
 // completed, the context is cancelled, or no live channel remains, and
 // appends the outcomes recorded since the last RunInto to dst, in
-// completion order. As with Receiver.Run, requests still pending when
-// the run ends — whatever ended it — are flushed as failures with
+// completion order. As with Receiver.RunInto, requests still pending
+// when the run ends — whatever ended it — are flushed as failures with
 // Channel −1, in the order they were requested: a cancelled context is
 // the caller's deadline on the whole run, not a pause. A tuner left
 // running accepts further Request calls (including re-requests of
@@ -620,12 +617,12 @@ func (mt *MultiTuner) observe(ch int, slot Slot) (died bool) {
 	return died
 }
 
-// takeResult drains the completion the receiver just recorded (into
-// reused scratch) rather than copying its whole history: the tuner's own
-// bookkeeping is the single record of outcomes. Caller holds mc.mu.
+// takeResult takes the completion the receiver just recorded through
+// the receiver's own hand-over: the tuner's bookkeeping is the single
+// record of outcomes. Caller holds mc.mu.
 func (mc *mtChannel) takeResult() Result {
-	mc.resBuf = mc.rcv.cli.TakeResults(mc.resBuf[:0])
-	return mc.resBuf[len(mc.resBuf)-1]
+	taken := mc.rcv.Results()
+	return taken[len(taken)-1]
 }
 
 // handLocked moves what the channels in from hold for the request to

@@ -207,7 +207,7 @@ func TestMultiTunerMatchesReceiver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := rcv.Run(context.Background())
+	want, err := rcv.RunInto(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,15 @@ import (
 // (1, m) air index) dozes through irrelevant slots, separating access
 // latency from tuning time.
 //
-// A Receiver is single-goroutine: Run, Step and Request must not be
-// called concurrently.
+// A Receiver holds blocks for its pending requests and nothing else, as
+// the paper's client does: a result leaves it when it is handed over
+// (RunInto, or Results after Step), and a buffer handed back with
+// Recycle becomes a later retrieval's. A long-lived receiver's memory is
+// its open requests and one output buffer, however many retrievals it
+// has served.
+//
+// A Receiver is single-goroutine: RunInto, Step, Results and Request
+// must not be called concurrently.
 type Receiver struct {
 	src     Source
 	cli     *client.Client
@@ -41,6 +48,9 @@ type Receiver struct {
 
 	lastT int
 	m     ReceiverMetrics
+
+	// taken is the slice Results hands over, reused from call to call.
+	taken []Result
 }
 
 // ReceiverMetrics counts what a receiver has seen and done. Slots vs
@@ -142,7 +152,7 @@ func WithSchedule(prog *Program) ReceiverOption {
 // slot the stream is on — the paper's client may arrive at an
 // arbitrary point of the broadcast and still meets its latency window.
 // Requests can be registered up front (WithRequest) or over time
-// (Receiver.Request); Run drives the protocol until they complete.
+// (Receiver.Request); RunInto drives the protocol until they complete.
 func Subscribe(src Source, opts ...ReceiverOption) (*Receiver, error) {
 	if src == nil {
 		return nil, fmt.Errorf("pinbcast: nil source: %w", ErrBadSpec)
@@ -178,7 +188,7 @@ func newReceiver(src Source, cfg *receiverConfig) (*Receiver, error) {
 
 // Request asks for one file with a relative deadline in slots (0 =
 // none). Its deadline clock starts at the next observed slot and
-// Run/Step collect it from the air. Requesting a file that is already
+// RunInto/Step collect it from the air. Requesting a file that is already
 // pending wraps ErrBadSpec.
 func (r *Receiver) Request(file string, deadline int) error {
 	if file == "" {
@@ -195,8 +205,8 @@ func (r *Receiver) Request(file string, deadline int) error {
 
 // Step consumes one slot from the source and advances the protocol. It
 // reports whether every request has completed. The stream end
-// propagates as io.EOF (Run flushes the requests still pending then as
-// failures).
+// propagates as io.EOF (RunInto flushes the requests still pending then
+// as failures); Results hands over what completed.
 //
 // Step is the per-slot receive path; BenchmarkReceiverSlots asserts
 // 0 allocs/op in steady state.
@@ -300,37 +310,58 @@ func (r *Receiver) observe(slot Slot) client.Outcome {
 	return out
 }
 
-// Run consumes the source until every request has completed, the
-// context is cancelled, or the stream ends, and returns the results so
-// far. Pending requests are flushed as failures, in the order they were
+// RunInto consumes the source until every request has completed, the
+// context is cancelled, or the stream ends, and appends to dst the
+// outcomes recorded since the last hand-over (this one or Results).
+// Pending requests are flushed as failures, in the order they were
 // requested, when the stream ends or the context is cancelled; a
-// receiver left running can accept further Request calls and be Run
-// again.
+// receiver left running can accept further Request calls and run again.
+//
+// The receiver keeps no result history: what RunInto appends is the
+// caller's, so a caller that reuses dst and hands each Data buffer back
+// with Recycle retrieves indefinitely in the memory of its open requests
+// and one output buffer, allocation-free once warm.
 //
 // Cancellation is observed between slots: a Source whose Next blocks
 // indefinitely (a TCPSource with zero Timeout on a silent connection)
-// holds Run with it. Give the source a timeout — the resulting error
-// returns from Run — when the broadcast may stall.
-func (r *Receiver) Run(ctx context.Context) ([]Result, error) {
+// holds RunInto with it. Give the source a timeout — the resulting error
+// returns from RunInto — when the broadcast may stall.
+func (r *Receiver) RunInto(ctx context.Context, dst []Result) ([]Result, error) {
+	err := r.run(ctx)
+	return r.cli.TakeResults(dst), err
+}
+
+// run drives one RunInto until its requests are done or it ends.
+func (r *Receiver) run(ctx context.Context) error {
 	for {
 		select {
 		case <-ctx.Done():
-			return r.cli.Flush(r.lastT), ctx.Err()
+			r.cli.Flush(r.lastT)
+			return ctx.Err()
 		default:
 		}
 		done, err := r.Step()
 		if errors.Is(err, io.EOF) {
-			return r.cli.Flush(r.lastT), nil
+			r.cli.Flush(r.lastT)
+			return nil
 		}
 		if err != nil || done {
-			return r.cli.Results(), err
+			return err
 		}
 	}
 }
 
-// Results returns the outcomes recorded so far (completed requests and
-// flushed failures).
-func (r *Receiver) Results() []Result { return r.cli.Results() }
+// Results hands over the outcomes recorded since the last hand-over
+// (completed requests and flushed failures), for a loop that drives the
+// receiver with Step. The slice is the receiver's and valid until the
+// next call; the receiver keeps nothing else of them.
+//
+//pinlint:hotpath
+func (r *Receiver) Results() []Result {
+	clear(r.taken) // the previous hand-over's Data is the caller's, not ours to pin
+	r.taken = r.cli.TakeResults(r.taken[:0])
+	return r.taken
+}
 
 // Recycle hands a completed result's Data buffer back to the receiver
 // for reuse, making a request/retrieve/recycle loop allocation-free once

@@ -113,7 +113,7 @@ func TestEndToEndFanout(t *testing.T) {
 		go func(i int, r *Receiver) {
 			defer wg.Done()
 			defer r.Close()
-			results[i], errs[i] = r.Run(context.Background())
+			results[i], errs[i] = r.RunInto(context.Background(), nil)
 		}(i, r)
 	}
 	wg.Wait()
@@ -173,7 +173,7 @@ func TestReceiverSourceParity(t *testing.T) {
 
 	// Replay transport.
 	replay := subscribe(rec.Source())
-	replayResults, err := replay.Run(context.Background())
+	replayResults, err := replay.RunInto(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestReceiverSourceParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	inproc := subscribe(SlotSource(slots))
-	inprocResults, err := inproc.Run(context.Background())
+	inprocResults, err := inproc.RunInto(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestReceiverDozing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := baseline.Run(context.Background())
+	base, err := baseline.RunInto(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestReceiverDozing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dozed, err := dozing.Run(context.Background())
+	dozed, err := dozing.RunInto(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestReceiverDozingSurvivesGenerationSwap(t *testing.T) {
 	}
 	runCtx, runCancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer runCancel()
-	results, err := r.Run(runCtx)
+	results, err := r.RunInto(runCtx, nil)
 	if err != nil {
 		t.Fatalf("receiver stuck dozing on a stale schedule: %v", err)
 	}
@@ -301,7 +301,7 @@ func TestReceiverFlushOnStreamEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := r.Run(context.Background())
+	results, err := r.RunInto(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestRecordingAsSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := r.Run(context.Background())
+	results, err := r.RunInto(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

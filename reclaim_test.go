@@ -566,7 +566,7 @@ func TestSimulateOnEmissionMatchesPacedStation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := live.Run(context.Background())
+		results, err := live.RunInto(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,7 +46,7 @@ func retrieve(t *testing.T, st *Station, slots <-chan Slot, fault FaultModel, na
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := rcv.Run(context.Background())
+	results, err := rcv.RunInto(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
