@@ -193,17 +193,20 @@
 // cached wire forms, the fan-out writer gathers queued frames into one
 // net.Buffers writev per flush, the TCP receive path reads through a
 // buffered layer and reuses its frame buffers (TCPSource.Reuse opts
-// the subscriber side in), and the receiver decodes every block into a
-// scratch buffer, cloning only the blocks it keeps. Retrieval loops
-// close the cycle with MultiTuner.RunInto/Recycle (or Receiver.Recycle)
-// so reconstruction output buffers circulate instead of accumulating.
-// Dispersal and reconstruction run through architecture-specific SIMD
-// GF(2⁸) kernels (amd64 SSSE3/AVX2 PSHUFB and arm64 NEON VTBL nibble
-// tables, selected at init; `-tags purego` keeps only the portable
-// word-wide path) over a systematic dispersal matrix — the first m
-// blocks of every file are verbatim source blocks, so encode pays only
-// for redundancy and a fault-free decode is a copy — at multiple GB/s
-// per core, with cross-file batch encoding (ida.Codec.DisperseBatch)
+// the subscriber side in), and the receiver decodes a block it keeps
+// straight into its row of the file's output buffer once the file's
+// first systematic block has placed that buffer, and every other block
+// into a scratch buffer. Retrieval loops close the cycle with
+// MultiTuner.RunInto/Recycle (or Receiver.Recycle) so reconstruction
+// output buffers circulate instead of accumulating. Dispersal and
+// reconstruction run through architecture-specific SIMD GF(2⁸) kernels
+// (amd64 GFNI/AVX-512 bit-matrix multiplies, which also rebuild each
+// missing row in one fused pass, then AVX2/SSSE3 PSHUFB and arm64 NEON
+// VTBL nibble tables, selected at init; `-tags purego` keeps only the
+// portable word-wide path) over a systematic dispersal matrix — the
+// first m blocks of every file are verbatim source blocks, so encode
+// pays only for redundancy and a fault-free decode is a copy — at
+// multiple GB/s per core, with cross-file batch encoding (ida.Codec.DisperseBatch)
 // amortizing coefficient-table loads across a whole program's files (see the Performance section of README.md for the
 // measured series and the buffer-ownership rules of the streaming
 // APIs). A file is encoded once: each block is written straight into

@@ -20,7 +20,6 @@ var uncalledExports = map[string]string{
 	"WithShard":                      "the by-value seam for custom shard policies",
 	"LookupShard":                    "the name → value half of the shard table, as LookupLayout and LookupScheduler are",
 	"ShardNames":                     "what an unknown -shard flag lists, as LayoutNames and SchedulerNames do",
-	"internal/gf256.MulSlow":         "the reference the kernels are fuzzed against",
 	"internal/slotmath.Shl":          "the helper the slotmath analyzer tells code to use",
 	"internal/ida.DisperseFile":      "the block fixture the tests of ida, client, cmd/bdserved and the root package build with",
 	"internal/ida.Block.MarshalInto": "the wire encoder those tests frame blocks (forged ones too) with; the server seals its frames in place",

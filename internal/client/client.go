@@ -3,9 +3,11 @@
 // relevant to its pending requests, reconstructs files with IDA as soon
 // as any M distinct blocks have arrived, and tracks retrieval deadlines.
 // The dispersal is systematic, so a kept block j < M is row j of the
-// file: it is written straight into its row of the output buffer, and
-// reconstruction computes only the rows still missing. A kept parity
-// block keeps the buffer it was decoded into.
+// file: once a file's first systematic block has placed its output
+// buffer, each later one is decoded straight into its row — its bytes
+// are written once, after the checksum has passed — and reconstruction
+// computes only the rows still missing, each in one fused pass. A kept
+// parity block keeps the buffer it was decoded into.
 package client
 
 import (
@@ -68,10 +70,11 @@ type Client struct {
 	fileName map[uint32]string       // file ID -> name, learned from the server mapping
 
 	// scratch is the decode target Observe reuses across slots, so
-	// classifying a block costs no allocation; a systematic block worth
-	// keeping is copied out of it into its row, a parity block takes its
-	// payload buffer.
+	// classifying a block costs no allocation; a file's first systematic
+	// block is copied out of it into its row, a parity block takes its
+	// payload buffer. heard is the file ID of the last block decoded.
 	scratch ida.Block
+	heard   uint32
 
 	// freeBlocks recycles the blocks that hold their own payload buffer —
 	// parity blocks and blocks taken from another client — of files
@@ -120,27 +123,43 @@ func (p *pendingFile) inPlace(b *ida.Block) bool {
 	return int(b.Seq) < len(p.rows) && b == &p.rows[b.Seq]
 }
 
-// place writes the payload of b, a block kept for p, into its row of
-// p's output buffer — taken from the Recycle pool (else allocated) on
-// the file's first systematic block — and returns the block stored for
-// that row. It returns nil, leaving b to be kept as it is, for a parity
-// block, for one whose M or payload length disagrees with the rows
-// already placed, and for one outside the codec's 1 ≤ M ≤ N ≤ 256. The
-// checksum is no authentication: a forged header sizes at most 256 of
-// its own payloads, the largest file the codec rebuilds from blocks that
-// size.
+// row returns the block of p's row a frame with header h and an l-byte
+// payload decodes straight into, its Payload that row of p's output
+// buffer: a systematic row not yet held, of a file whose rows are placed
+// with the same M and payload length. nil (also for a nil p) leaves the
+// frame to the scratch.
+//
+//pinlint:hotpath
+func (p *pendingFile) row(h *ida.Block, l int) *ida.Block {
+	if p == nil || h.Seq >= h.M || int(h.M) != len(p.rows) || l*len(p.rows) != len(p.data) {
+		return nil
+	}
+	if _, dup := p.blocks[h.Seq]; dup {
+		return nil
+	}
+	j := int(h.Seq)
+	row := &p.rows[j]
+	row.Payload = p.data[j*l : (j+1)*l : (j+1)*l]
+	return row
+}
+
+// place writes the payload of b, the first systematic block kept for p,
+// into its row of p's output buffer, taken from the Recycle pool (else
+// allocated), and returns the block stored for that row. It returns nil,
+// leaving b to be kept as it is, for any other block: one on a file whose
+// rows are placed (a block that fits them decodes into its row
+// directly), a parity block, and one outside the codec's 1 ≤ M ≤ N ≤ 256.
+// The checksum is no authentication: a forged header sizes at most 256
+// of its own payloads, the largest file the codec rebuilds from blocks
+// that size.
 //
 //pinlint:hotpath
 func (c *Client) place(p *pendingFile, b *ida.Block) *ida.Block {
 	m, l, j := int(b.M), len(b.Payload), int(b.Seq)
-	if j >= m || int(b.N) < m || b.N > 256 || l == 0 {
+	if p.data != nil || j >= m || int(b.N) < m || b.N > 256 || l == 0 {
 		return nil
 	}
-	if p.data == nil {
-		p.data, p.rows = slices.Grow(c.takeData()[:0], m*l)[:m*l], slices.Grow(p.rows[:0], m)[:m] //pinlint:allow hotpath — grows only a recycled buffer too small for the file, and the row blocks up to the largest M seen
-	} else if len(p.rows) != m || len(p.data) != m*l {
-		return nil
-	}
+	p.data, p.rows = slices.Grow(c.takeData()[:0], m*l)[:m*l], slices.Grow(p.rows[:0], m)[:m] //pinlint:allow hotpath — grows only a recycled buffer too small for the file, and the row blocks up to the largest M seen
 	row := &p.rows[j]
 	*row = *b
 	row.Payload = p.data[j*l : (j+1)*l : (j+1)*l]
@@ -266,7 +285,7 @@ func (c *Client) Cancel(name string) bool {
 // stored for.
 //
 //pinlint:hotpath
-func (c *Client) Heard() string { return c.fileName[c.scratch.FileID] }
+func (c *Client) Heard() string { return c.fileName[c.heard] }
 
 // Yield and Take are the two halves of a hand-over between the clients
 // of one listener tuned to several channels that carry the same file:
@@ -403,37 +422,46 @@ func (c *Client) Observe(t int, raw []byte) Outcome {
 	if raw == nil {
 		return Idle
 	}
-	// Decode into the reusable scratch block: most slots carry a block
-	// the client ignores (another file's, or a duplicate), and those
-	// must not cost an allocation. Only a block that is actually kept
-	// leaves the scratch.
-	if err := ida.UnmarshalInto(raw, &c.scratch); err != nil {
+	// The header, read before the checksum is checked, picks where the
+	// frame decodes: a new row of a file whose rows are placed straight
+	// into its row, anything else into the reusable scratch — most slots
+	// carry a block the client ignores, and those must not allocate.
+	// UnmarshalInto writes nothing unless the checksum passes, and once
+	// it passes the header is the block's.
+	var h ida.Block
+	l := h.ReadHeader(raw)
+	name, known := c.fileName[h.FileID]
+	p, wanted := c.pending[name]
+	blk := &c.scratch
+	if row := p.row(&h, l); row != nil {
+		blk = row
+	}
+	if err := ida.UnmarshalInto(raw, blk); err != nil {
 		// The block is unreadable; we cannot even tell whose it was.
 		// Charge it to every still-pending file's corruption count is
 		// wrong; charge nobody, as the paper's client simply waits.
 		return Corrupt
 	}
-	name, ok := c.fileName[c.scratch.FileID]
-	if !ok {
+	c.heard = h.FileID
+	switch {
+	case !known:
 		return Unknown
-	}
-	p, wanted := c.pending[name]
-	if !wanted {
+	case !wanted:
 		return Ignored
-	}
-	if _, dup := p.blocks[c.scratch.Seq]; dup {
-		return Ignored
-	}
-	blk := c.place(p, &c.scratch)
-	if blk == nil {
-		// A parity block keeps the buffer it was decoded into; the
-		// scratch takes the pooled block's.
-		if blk = c.spareBlock(); blk == nil {
-			blk = new(ida.Block) //pinlint:allow hotpath — one block per kept parity block until the recycle pool warms up
+	case blk == &c.scratch:
+		if _, dup := p.blocks[blk.Seq]; dup {
+			return Ignored
 		}
-		buf := blk.Payload
-		*blk = c.scratch
-		c.scratch.Payload = buf[:0]
+		if blk = c.place(p, blk); blk == nil {
+			// A parity block keeps the buffer it was decoded into; the
+			// scratch takes the pooled block's.
+			if blk = c.spareBlock(); blk == nil {
+				blk = new(ida.Block) //pinlint:allow hotpath — one block per kept parity block until the recycle pool warms up
+			}
+			buf := blk.Payload
+			*blk = c.scratch
+			c.scratch.Payload = buf[:0]
+		}
 	}
 	p.blocks[blk.Seq] = blk
 	if len(p.blocks) >= int(blk.M) {

@@ -523,3 +523,46 @@ func TestForgedHeaderNotPlaced(t *testing.T) {
 		}
 	}
 }
+
+// TestCorruptRowFrameWritesNothing: once a file's rows are placed, a
+// frame whose header names a wanted row decodes straight into that row —
+// but only after its checksum passes. A corrupted frame for row 2, and
+// one whose garbled header names row 3, arrive before the real blocks:
+// each is Corrupt and leaves the output buffer as it was, and the real
+// blocks then rebuild the file byte-exact, rows 2 and 3 decoded in place.
+func TestCorruptRowFrameWritesNothing(t *testing.T) {
+	const m, l = 4, 1 << 10
+	data := make([]byte, m*l)
+	rand.New(rand.NewSource(32)).Read(data)
+	blocks := disperse(t, 1, data, m, m+2)
+	c := tuned(t, 0, map[uint32]string{1: "F"}, Request{File: "F"})
+	if c.Observe(1, blocks[0].MarshalInto(nil)) != Stored {
+		t.Fatal("first systematic block not stored")
+	}
+	p := c.pending["F"]
+	corrupt := blocks[2].MarshalInto(nil)
+	corrupt[len(corrupt)-1] ^= 0xff
+	garbled := blocks[1].MarshalInto(nil)
+	garbled[5] = 3 // Seq 1 → 3, checksum left as it was
+	for i, raw := range [][]byte{corrupt, garbled} {
+		before := bytes.Clone(p.data)
+		if out := c.Observe(2+i, raw); out != Corrupt {
+			t.Fatalf("frame %d: outcome %d, want Corrupt", i, out)
+		}
+		if !bytes.Equal(p.data, before) || len(p.blocks) != 1 {
+			t.Fatalf("frame %d failed its checksum but was written or kept", i)
+		}
+	}
+	for i, j := range []int{2, 3, 1} {
+		out := c.Observe(4+i, blocks[j].MarshalInto(nil))
+		if c.Heard() != "F" || (j != 1 && !p.inPlace(p.blocks[uint16(j)])) {
+			t.Fatalf("row %d: heard %q, in place %v", j, c.Heard(), p.inPlace(p.blocks[uint16(j)]))
+		}
+		if j == 1 && out != Completed {
+			t.Fatalf("last row: outcome %d, want Completed", out)
+		}
+	}
+	if res := c.TakeResults(nil); len(res) != 1 || !res[0].Completed || !bytes.Equal(res[0].Data, data) {
+		t.Fatalf("file not rebuilt byte-exact: %+v", res)
+	}
+}

@@ -165,7 +165,7 @@ func modelBroadcast(t testing.TB, n int) ([]modelFile, map[uint32]string) {
 // open faster than they are flushed, and most blocks on the air are for
 // a file somebody is waiting for, so every way a request can end —
 // completed, cancelled, flushed — and every re-request is exercised.
-const modelOps = "AAAAAAAAOOOOOOOOOOBBBCCXXIUPNTTF"
+const modelOps = "AAAAAAAAOOOOOOOOOHBBBCCXXIUPNTTF"
 
 // runModel decodes ops three bytes at a time and applies each operation
 // to a Client and to the oracle, failing at the first step after which
@@ -212,6 +212,24 @@ func runModel(t testing.TB, files []modelFile, names map[uint32]string, ops []by
 			raw, s := block(f)
 			clock++
 			observe(clock, raw, s)
+		case 'H': // an open request's block, its header garbled under a stale checksum
+			if open := ref.pending(); len(open) > 0 {
+				f = byName[open[a%len(open)]]
+			}
+			raw, _ := block(f)
+			raw = append([]byte(nil), raw...)
+			switch b % 4 {
+			case 0: // Seq: names another row, wanted or not
+				raw[5] ^= byte(1 + b/4%4)
+			case 1: // M
+				raw[7] ^= byte(1 + b/4%4)
+			case 2: // FileID: another directory file's row
+				raw[3] ^= byte(1 + b/4%4)
+			case 3: // payload length
+				raw[17] ^= byte(1 + b/4%4)
+			}
+			clock++
+			observe(clock, raw, slot{kind: Corrupt})
 		case 'X':
 			raw, _ := block(f)
 			raw = append([]byte(nil), raw...)

@@ -1,36 +1,30 @@
-// Package gf256 implements arithmetic in the finite field GF(2⁸).
+// Package gf256 implements arithmetic in the finite field GF(2⁸), the
+// field Rabin's Information Dispersal Algorithm (package ida) does all
+// its linear algebra in: polynomials over GF(2) modulo the primitive
+// x⁸ + x⁴ + x³ + x² + 1 (0x11d), as in Reed–Solomon codes. Addition is
+// XOR; Inv, Pow and the product tables come from discrete exp/log
+// tables built once at init. Inv panics on the inverse of zero, always
+// a programming error here (the dispersal matrices are invertible).
 //
-// The field is realized as polynomials over GF(2) modulo the primitive
-// polynomial x⁸ + x⁴ + x³ + x² + 1 (0x11d), the polynomial commonly used
-// by Reed–Solomon codes. Rabin's Information Dispersal Algorithm (package
-// ida) performs all of its linear algebra over this field: addition is
-// XOR, and multiplication is carried out through discrete exp/log tables
-// so that a multiply costs two table lookups and one addition.
+// The bulk kernels MulSlice, MulAddSlice and MulSumSlice are the inner
+// loops of every dispersal, reconstruction and matrix inversion in the
+// system. MulSumSlice is a matrix row times a set of slices, dst =
+// Σᵢ cᵢ·srcᵢ, the row a reconstruction computes for each missing block.
+// The portable kernels are table-driven: mulTables[c] is the 256-entry
+// product table of c (64 KiB for all, built once at init), and the loops
+// assemble eight products into a uint64 per word-wide XOR. MulSlow is
+// the shift-and-reduce oracle the tables are verified against.
 //
-// All operations are total: Inv panics on the inverse of zero, which
-// in this codebase always indicates a programming error (the dispersal
-// matrices are constructed to be invertible).
-//
-// The bulk kernels MulSlice and MulAddSlice are the inner loops of every
-// dispersal, reconstruction and matrix inversion in the system. They are
-// table-driven: MulTable(c) yields the full 256-entry product table of a
-// coefficient (64 KiB for all 256 tables, built once at init), turning a
-// per-byte multiply into a single dependent load, and the loops assemble
-// eight products at a time into a uint64 so the accumulate into dst is
-// one word-wide XOR instead of eight read-modify-write byte stores.
-// MulSlow remains the shift-and-reduce oracle the tables are verified
-// against.
-//
-// On amd64 and arm64 the bulk of each slice is handed to
-// architecture-specific SIMD kernels (kernels_amd64.go /
-// kernels_arm64.go): PSHUFB/TBL nibble-table lookups process 16–64
-// bytes per step using the split low/high-nibble product tables in
-// nibTables. The kernel is selected once at init by CPU-feature
-// detection (AVX2 → SSSE3 → generic on amd64; NEON is baseline on
-// arm64) and Kernel reports the choice. Building with the `purego` tag
-// removes the assembly entirely and keeps the word-wide pure-Go path,
-// which also serves as the cross-check reference for the SIMD parity
-// tests and fuzzers.
+// On amd64 and arm64 the bulk of each slice goes to SIMD kernels
+// (kernels_amd64.go / kernels_arm64.go), selected once at init by CPU
+// feature and reported by Kernel: GFNI → AVX2 → SSSE3 → generic on
+// amd64, NEON (baseline) on arm64. PSHUFB/TBL look up 16–64 bytes per
+// step in the split nibble tables of nibTables; with GFNI and AVX-512
+// one VGF2P8AFFINEQB multiplies 64 bytes by c's 8×8 bit matrix, and
+// MulSumSlice is fused — each source read once, dst written once —
+// where the other levels run it source by source. The `purego` tag
+// removes the assembly and keeps the word-wide path, the reference of
+// the SIMD parity tests and fuzzers.
 package gf256
 
 import "encoding/binary"
@@ -43,19 +37,18 @@ const Poly = 0x11d
 // multiplicative group of the field.
 const Generator = 0x02
 
-// Table is the full product table of one fixed coefficient c:
-// Table[x] = c·x for every field element x. Indexing a *Table by a byte
+// table is the full product table of one fixed coefficient c:
+// table[x] = c·x for every field element x. Indexing a *table by a byte
 // never bounds-checks, which is what makes the bulk kernels fast.
-type Table [256]byte
+type table [256]byte
 
 var (
 	expTable [512]byte // expTable[i] = Generator^i, doubled to avoid mod 255
 	logTable [256]byte // logTable[x] = i such that Generator^i == x (x != 0)
 
-	// mulTables[c][x] = c·x. 64 KiB total, built once at init; every
-	// MulTable call returns a pointer into this array, so per-coefficient
-	// tables are cached process-wide and never recomputed.
-	mulTables [256]Table
+	// mulTables[c][x] = c·x. 64 KiB total, built once at init, so
+	// per-coefficient tables are cached process-wide.
+	mulTables [256]table
 
 	// nibTables[c] is the split nibble form of mulTables[c] the SIMD
 	// kernels consume: bytes 0–15 map a low nibble x to c·x, bytes 16–31
@@ -65,14 +58,11 @@ var (
 )
 
 func init() {
-	x := 1
+	x := byte(1)
 	for i := 0; i < 255; i++ {
-		expTable[i] = byte(x)
+		expTable[i] = x
 		logTable[x] = byte(i)
-		x <<= 1
-		if x&0x100 != 0 {
-			x ^= Poly
-		}
+		x = MulSlow(x, Generator)
 	}
 	for i := 255; i < 512; i++ {
 		expTable[i] = expTable[i-255]
@@ -92,21 +82,6 @@ func init() {
 			nt[16+x] = t[x<<4]
 		}
 	}
-}
-
-// MulTable returns the cached 256-entry product table of c: the returned
-// table maps x to c·x. The table is shared and read-only; callers must
-// not modify it. Holding the table amortizes the coefficient setup across
-// many MulAddSlice calls with the same c (the per-row pattern of matrix
-// encoding).
-func MulTable(c byte) *Table { return &mulTables[c] }
-
-// mul returns a · b in GF(2⁸).
-func mul(a, b byte) byte {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	return expTable[int(logTable[a])+int(logTable[b])]
 }
 
 // MulSlow multiplies by shift-and-reduce, without tables. It exists to
@@ -176,7 +151,7 @@ func MulSlice(c byte, src, dst []byte) {
 // lookup hoisted out.
 //
 //pinlint:hotpath
-func mulSliceTable(t *Table, src, dst []byte) {
+func mulSliceTable(t *table, src, dst []byte) {
 	k := archMulSlice(t, src, dst)
 	if k < len(src) {
 		mulSliceGeneric(t, src[k:], dst[k:])
@@ -189,7 +164,7 @@ func mulSliceTable(t *Table, src, dst []byte) {
 // kernels (which only consume multiples of their block size).
 //
 //pinlint:hotpath
-func mulSliceGeneric(t *Table, src, dst []byte) {
+func mulSliceGeneric(t *table, src, dst []byte) {
 	n := len(src) &^ 7
 	for i := 0; i < n; i += 8 {
 		s := src[i : i+8 : i+8]
@@ -214,26 +189,17 @@ func MulAddSlice(c byte, src, dst []byte) {
 		return
 	}
 	if c == 1 {
-		XorSlice(src, dst)
+		xorSlice(src, dst)
 		return
 	}
 	mulAddSliceTable(&mulTables[c], src, dst)
 }
 
-// MulAddSliceTable sets dst[i] ^= t[src[i]] for a table obtained from
-// MulTable — MulAddSlice with the coefficient lookup hoisted out, the
-// form the ida encode rows use.
+// mulAddSliceTable sets dst[i] ^= t[src[i]]: MulAddSlice with the
+// coefficient lookup hoisted out.
 //
 //pinlint:hotpath
-func MulAddSliceTable(t *Table, src, dst []byte) {
-	if len(src) != len(dst) {
-		panic("gf256: MulAddSliceTable length mismatch")
-	}
-	mulAddSliceTable(t, src, dst)
-}
-
-//pinlint:hotpath
-func mulAddSliceTable(t *Table, src, dst []byte) {
+func mulAddSliceTable(t *table, src, dst []byte) {
 	k := archMulAddSlice(t, src, dst)
 	if k < len(src) {
 		mulAddSliceGeneric(t, src[k:], dst[k:])
@@ -244,7 +210,7 @@ func mulAddSliceTable(t *Table, src, dst []byte) {
 // mulSliceGeneric.
 //
 //pinlint:hotpath
-func mulAddSliceGeneric(t *Table, src, dst []byte) {
+func mulAddSliceGeneric(t *table, src, dst []byte) {
 	n := len(src) &^ 7
 	for i := 0; i < n; i += 8 {
 		s := src[i : i+8 : i+8]
@@ -257,14 +223,11 @@ func mulAddSliceGeneric(t *Table, src, dst []byte) {
 	}
 }
 
-// XorSlice sets dst[i] ^= src[i] for every i — the c == 1 accumulate,
-// eight bytes per XOR. dst and src must have the same length.
+// xorSlice sets dst[i] ^= src[i] for every i — MulAddSlice's c == 1
+// accumulate, eight bytes per XOR. dst and src have the same length.
 //
 //pinlint:hotpath
-func XorSlice(src, dst []byte) {
-	if len(src) != len(dst) {
-		panic("gf256: XorSlice length mismatch")
-	}
+func xorSlice(src, dst []byte) {
 	k := archXorSlice(src, dst)
 	if k < len(src) {
 		xorSliceGeneric(src[k:], dst[k:])
@@ -286,7 +249,39 @@ func xorSliceGeneric(src, dst []byte) {
 	}
 }
 
-// Kernel reports which bulk-kernel implementation is active:
+// MulSumSlice sets dst = Σᵢ coefs[i]·srcs[i], byte by byte; with no
+// nonzero coefficient it clears dst. coefs and srcs have the same
+// length and every source dst's; sources may overlap each other, not
+// dst.
+//
+//pinlint:hotpath
+func MulSumSlice(coefs []byte, srcs [][]byte, dst []byte) {
+	if len(coefs) != len(srcs) {
+		panic("gf256: MulSumSlice coefficient count mismatch")
+	}
+	for _, src := range srcs {
+		if len(src) != len(dst) {
+			panic("gf256: MulSumSlice length mismatch")
+		}
+	}
+	k := archMulSum(coefs, srcs, dst)
+	set := false
+	for i, c := range coefs {
+		switch {
+		case c == 0:
+		case set:
+			MulAddSlice(c, srcs[i][k:], dst[k:])
+		default:
+			MulSlice(c, srcs[i][k:], dst[k:])
+			set = true
+		}
+	}
+	if !set {
+		clear(dst[k:])
+	}
+}
+
+// Kernel reports which bulk-kernel implementation is active: "gfni",
 // "avx2", "ssse3" (amd64), "neon" (arm64), or "purego" (the word-wide
 // pure-Go path, selected by the purego build tag, by an architecture
 // without assembly kernels, or by a CPU missing the required features).

@@ -1,12 +1,13 @@
 //go:build amd64 && !purego
 
-// GF(256) bulk kernels, amd64. All multiply kernels use the PSHUFB
-// nibble-table technique: tab points at a 32-byte table pair — 16
-// low-nibble products c·x, then 16 high-nibble products c·(x<<4) — and
-// each input byte b yields lo[b&15] ^ hi[b>>4] = c·b, 16 lanes at a
-// time (32 with AVX2). n is a positive multiple of the block size; the
-// Go wrappers mask slice lengths before calling, and the generic
-// word-wide loop handles the tail.
+// GF(256) bulk kernels, amd64. The SSSE3 and AVX2 multiply kernels use
+// the PSHUFB nibble-table technique: tab points at a 32-byte table pair
+// — 16 low-nibble products c·x, then 16 high-nibble products c·(x<<4) —
+// and each input byte b yields lo[b&15] ^ hi[b>>4] = c·b, 16 lanes at a
+// time (32 with AVX2). The GFNI kernels below multiply by a bit matrix
+// instead. n is a positive multiple of the block size; the Go wrappers
+// mask slice lengths before calling, and the generic word-wide loop
+// handles the tail.
 
 #include "textflag.h"
 
@@ -227,6 +228,173 @@ avx2XorTail:
 	VMOVDQU Y0, (DI)
 
 avx2XorDone:
+	VZEROUPPER
+	RET
+
+// GFNI kernels. VGF2P8AFFINEQB multiplies every byte of a register by
+// an 8×8 bit matrix over GF(2); mat points at the matrix of one
+// coefficient (gfniMatrices), so one instruction yields 64 products.
+// n is a positive multiple of 64.
+
+// func gfMulGFNI(mat *uint64, src, dst *byte, n int)
+TEXT ·gfMulGFNI(SB), NOSPLIT, $0-32
+	MOVQ         mat+0(FP), AX
+	MOVQ         src+8(FP), SI
+	MOVQ         dst+16(FP), DI
+	MOVQ         n+24(FP), CX
+	VPBROADCASTQ (AX), Z8
+	CMPQ         CX, $128
+	JB           gfniMulTail
+
+gfniMulLoop128:
+	VMOVDQU64      (SI), Z0
+	VMOVDQU64      64(SI), Z1
+	VGF2P8AFFINEQB $0, Z8, Z0, Z0
+	VGF2P8AFFINEQB $0, Z8, Z1, Z1
+	VMOVDQU64      Z0, (DI)
+	VMOVDQU64      Z1, 64(DI)
+	ADDQ           $128, SI
+	ADDQ           $128, DI
+	SUBQ           $128, CX
+	CMPQ           CX, $128
+	JAE            gfniMulLoop128
+
+gfniMulTail:
+	TESTQ CX, CX
+	JZ    gfniMulDone
+
+	// exactly one 64-byte block remains (n is a multiple of 64)
+	VMOVDQU64      (SI), Z0
+	VGF2P8AFFINEQB $0, Z8, Z0, Z0
+	VMOVDQU64      Z0, (DI)
+
+gfniMulDone:
+	VZEROUPPER
+	RET
+
+// func gfMulAddGFNI(mat *uint64, src, dst *byte, n int)
+TEXT ·gfMulAddGFNI(SB), NOSPLIT, $0-32
+	MOVQ         mat+0(FP), AX
+	MOVQ         src+8(FP), SI
+	MOVQ         dst+16(FP), DI
+	MOVQ         n+24(FP), CX
+	VPBROADCASTQ (AX), Z8
+	CMPQ         CX, $128
+	JB           gfniMulAddTail
+
+gfniMulAddLoop128:
+	VMOVDQU64      (SI), Z0
+	VMOVDQU64      64(SI), Z1
+	VGF2P8AFFINEQB $0, Z8, Z0, Z0
+	VGF2P8AFFINEQB $0, Z8, Z1, Z1
+	VPXORQ         (DI), Z0, Z0
+	VPXORQ         64(DI), Z1, Z1
+	VMOVDQU64      Z0, (DI)
+	VMOVDQU64      Z1, 64(DI)
+	ADDQ           $128, SI
+	ADDQ           $128, DI
+	SUBQ           $128, CX
+	CMPQ           CX, $128
+	JAE            gfniMulAddLoop128
+
+gfniMulAddTail:
+	TESTQ CX, CX
+	JZ    gfniMulAddDone
+
+	VMOVDQU64      (SI), Z0
+	VGF2P8AFFINEQB $0, Z8, Z0, Z0
+	VPXORQ         (DI), Z0, Z0
+	VMOVDQU64      Z0, (DI)
+
+gfniMulAddDone:
+	VZEROUPPER
+	RET
+
+// func gfMulSumGFNI(mats *[256]uint64, coefs *byte, srcs *[]byte, k int, dst *byte, n int)
+//
+// dst[:n] = Σᵢ coefs[i]·srcs[i][:n] over the k ≥ 1 sources: each 256
+// bytes of dst (64 at the end) are summed in registers over every
+// source and stored once, so each source is read once and dst is
+// written once. A zero coefficient skips its source.
+TEXT ·gfMulSumGFNI(SB), NOSPLIT, $0-48
+	MOVQ mats+0(FP), AX
+	MOVQ coefs+8(FP), BX
+	MOVQ k+24(FP), DX
+	MOVQ dst+32(FP), DI
+	MOVQ n+40(FP), CX
+	XORQ R8, R8                 // byte offset into dst and every source
+
+gfniSumBlock256:
+	MOVQ CX, R9
+	SUBQ R8, R9
+	CMPQ R9, $256
+	JB   gfniSumBlock64
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	MOVQ srcs+16(FP), SI        // the current source's slice header
+	XORQ R9, R9                 // source index
+
+gfniSumSource256:
+	MOVBQZX        (BX)(R9*1), R10
+	TESTQ          R10, R10
+	JZ             gfniSumNext256
+	VPBROADCASTQ   (AX)(R10*8), Z8
+	MOVQ           (SI), R11
+	ADDQ           R8, R11
+	VMOVDQU64      (R11), Z4
+	VMOVDQU64      64(R11), Z5
+	VMOVDQU64      128(R11), Z6
+	VMOVDQU64      192(R11), Z7
+	VGF2P8AFFINEQB $0, Z8, Z4, Z4
+	VGF2P8AFFINEQB $0, Z8, Z5, Z5
+	VGF2P8AFFINEQB $0, Z8, Z6, Z6
+	VGF2P8AFFINEQB $0, Z8, Z7, Z7
+	VPXORQ         Z4, Z0, Z0
+	VPXORQ         Z5, Z1, Z1
+	VPXORQ         Z6, Z2, Z2
+	VPXORQ         Z7, Z3, Z3
+
+gfniSumNext256:
+	ADDQ $24, SI
+	INCQ R9
+	CMPQ R9, DX
+	JB   gfniSumSource256
+	VMOVDQU64 Z0, (DI)(R8*1)
+	VMOVDQU64 Z1, 64(DI)(R8*1)
+	VMOVDQU64 Z2, 128(DI)(R8*1)
+	VMOVDQU64 Z3, 192(DI)(R8*1)
+	ADDQ      $256, R8
+	JMP       gfniSumBlock256
+
+gfniSumBlock64:
+	CMPQ   R8, CX
+	JAE    gfniSumDone
+	VPXORQ Z0, Z0, Z0
+	MOVQ   srcs+16(FP), SI
+	XORQ   R9, R9
+
+gfniSumSource64:
+	MOVBQZX        (BX)(R9*1), R10
+	TESTQ          R10, R10
+	JZ             gfniSumNext64
+	VPBROADCASTQ   (AX)(R10*8), Z8
+	MOVQ           (SI), R11
+	VMOVDQU64      (R11)(R8*1), Z4
+	VGF2P8AFFINEQB $0, Z8, Z4, Z4
+	VPXORQ         Z4, Z0, Z0
+
+gfniSumNext64:
+	ADDQ $24, SI
+	INCQ R9
+	CMPQ R9, DX
+	JB   gfniSumSource64
+	VMOVDQU64 Z0, (DI)(R8*1)
+	ADDQ      $64, R8
+	JMP       gfniSumBlock64
+
+gfniSumDone:
 	VZEROUPPER
 	RET
 

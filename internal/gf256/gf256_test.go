@@ -5,6 +5,14 @@ import (
 	"testing/quick"
 )
 
+// mul returns a · b in GF(2⁸) through the exp/log tables.
+func mul(a, b byte) byte {
+	if a == 0 || b == 0 {
+		return 0
+	}
+	return expTable[int(logTable[a])+int(logTable[b])]
+}
+
 func TestMulKnownValues(t *testing.T) {
 	// Hand-checked products under polynomial 0x11d.
 	cases := []struct{ a, b, want byte }{
@@ -206,7 +214,7 @@ func TestMulTableExhaustive(t *testing.T) {
 	// The cached product tables are the foundation of every bulk kernel:
 	// verify all 65536 entries against the shift-and-reduce oracle.
 	for c := 0; c < 256; c++ {
-		tab := MulTable(byte(c))
+		tab := &mulTables[c]
 		for x := 0; x < 256; x++ {
 			if got, want := tab[x], MulSlow(byte(c), byte(x)); got != want {
 				t.Fatalf("MulTable(%#x)[%#x] = %#x, want %#x", c, x, got, want)
@@ -273,7 +281,7 @@ func TestMulAddSliceMatchesSlowKernel(t *testing.T) {
 				}
 			}
 			gotT := append([]byte(nil), base...)
-			MulAddSliceTable(MulTable(c), src, gotT)
+			mulAddSliceTable(&mulTables[c], src, gotT)
 			for i := range gotT {
 				if gotT[i] != want[i] {
 					t.Fatalf("MulAddSliceTable c=%#x len=%d i=%d: got %#x want %#x", c, n, i, gotT[i], want[i])
@@ -293,7 +301,7 @@ func TestXorSliceMatchesSlowKernel(t *testing.T) {
 			got[i] = byte(i * 5)
 			want[i] = got[i] ^ src[i]
 		}
-		XorSlice(src, got)
+		xorSlice(src, got)
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("XorSlice len=%d i=%d: got %#x want %#x", n, i, got[i], want[i])
@@ -358,10 +366,10 @@ func BenchmarkMulAddSliceTable(b *testing.B) {
 	for i := range src {
 		src[i] = byte(i * 31)
 	}
-	tab := MulTable(0x8e)
+	tab := &mulTables[0x8e]
 	b.SetBytes(int64(len(src)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MulAddSliceTable(tab, src, dst)
+		mulAddSliceTable(tab, src, dst)
 	}
 }

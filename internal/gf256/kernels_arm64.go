@@ -25,25 +25,11 @@ func gfXorNEON(src, dst *byte, n int)
 
 var kernelName = "neon"
 
-// setKernelForTest forces the purego path (or restores neon) so parity
-// tests exercise both compiled paths on one machine. Test-only.
-func setKernelForTest(name string) bool {
-	switch name {
-	case "neon":
-		kernelName = "neon"
-		return true
-	case "purego":
-		kernelName = "purego"
-		return true
-	}
-	return false
-}
-
 // archMulSlice hands the aligned head of dst[i] = t[src[i]] to the
 // NEON kernel and returns how many bytes it consumed.
 //
 //pinlint:hotpath
-func archMulSlice(t *Table, src, dst []byte) int {
+func archMulSlice(t *table, src, dst []byte) int {
 	if kernelName != "neon" {
 		return 0
 	}
@@ -59,7 +45,7 @@ func archMulSlice(t *Table, src, dst []byte) int {
 // NEON kernel and returns how many bytes it consumed.
 //
 //pinlint:hotpath
-func archMulAddSlice(t *Table, src, dst []byte) int {
+func archMulAddSlice(t *table, src, dst []byte) int {
 	if kernelName != "neon" {
 		return 0
 	}
@@ -86,3 +72,9 @@ func archXorSlice(src, dst []byte) int {
 	gfXorNEON(&src[0], &dst[0], n)
 	return n
 }
+
+// archMulSum consumes nothing: NEON has no fused sum, so MulSumSlice
+// runs source by source.
+//
+//pinlint:hotpath
+func archMulSum(coefs []byte, srcs [][]byte, dst []byte) int { return 0 }

@@ -11,15 +11,14 @@ package gf256
 // per-kernel benchmark series.
 var kernelName = "purego"
 
-// setKernelForTest matches the SIMD configurations' test hook; only
-// the pure-Go kernel exists here.
-func setKernelForTest(name string) bool { return name == "purego" }
+//pinlint:hotpath
+func archMulSlice(t *table, src, dst []byte) int { return 0 }
 
 //pinlint:hotpath
-func archMulSlice(t *Table, src, dst []byte) int { return 0 }
-
-//pinlint:hotpath
-func archMulAddSlice(t *Table, src, dst []byte) int { return 0 }
+func archMulAddSlice(t *table, src, dst []byte) int { return 0 }
 
 //pinlint:hotpath
 func archXorSlice(src, dst []byte) int { return 0 }
+
+//pinlint:hotpath
+func archMulSum(coefs []byte, srcs [][]byte, dst []byte) int { return 0 }

@@ -50,6 +50,8 @@ func (m *Matrix) At(i, j int) byte { return m.data[i*m.cols+j] }
 func (m *Matrix) Set(i, j int, v byte) { m.data[i*m.cols+j] = v }
 
 // Row returns row i as a mutable slice aliasing the matrix storage.
+//
+//pinlint:hotpath
 func (m *Matrix) Row(i int) []byte { return m.data[i*m.cols : (i+1)*m.cols] }
 
 // Clone returns a deep copy of m.

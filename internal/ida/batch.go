@@ -92,7 +92,7 @@ func (c *Codec) disperseRows(files [][]byte, dst [][][]byte, first, end int) ([]
 			}
 		}
 		for i := max(first, c.m); i < end; i++ {
-			for j, tab := range c.encTables[i-c.m] {
+			for j, coef := range c.mat.Row(i) {
 				for f := lo; f < hi; f++ {
 					out, data := dst[f], files[f]
 					l := len(out[0])
@@ -107,7 +107,7 @@ func (c *Codec) disperseRows(files [][]byte, dst [][][]byte, first, end int) ([]
 					} else {
 						src = data[j*l : min((j+1)*l, len(data))]
 					}
-					gf256.MulAddSliceTable(tab, src, out[i-first][:len(src)])
+					gf256.MulAddSlice(coef, src, out[i-first][:len(src)])
 				}
 			}
 		}

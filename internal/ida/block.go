@@ -73,20 +73,43 @@ func (b *Block) seal(frame []byte) {
 	binary.BigEndian.PutUint32(frame[18:], crc)
 }
 
+// ReadHeader sets b's metadata fields from the header of a frame encoded
+// with MarshalInto, leaving Payload alone, and returns the payload length
+// the header declares; a frame too short to hold a header sets nothing
+// and returns -1. Nothing is verified: the fields are the frame's claim
+// until UnmarshalInto checks its checksum, which makes them good for
+// choosing where to decode it.
+//
+//pinlint:hotpath
+func (b *Block) ReadHeader(frame []byte) int {
+	if len(frame) < headerSize {
+		return -1
+	}
+	b.FileID = binary.BigEndian.Uint32(frame[0:])
+	b.Seq = binary.BigEndian.Uint16(frame[4:])
+	b.M = binary.BigEndian.Uint16(frame[6:])
+	b.N = binary.BigEndian.Uint16(frame[8:])
+	b.Length = binary.BigEndian.Uint32(frame[10:])
+	return int(binary.BigEndian.Uint32(frame[14:]))
+}
+
 // UnmarshalInto decodes a block previously encoded with Marshal into b,
-// verifying its checksum (a corrupted block yields ErrBadChecksum). b's
+// verifying its checksum (a corrupted block yields ErrBadChecksum) before
+// it writes anything: on error b and its payload bytes are untouched. b's
 // existing Payload backing array is reused when large enough, so a
 // receive loop decoding into the same scratch block runs
-// allocation-free. The payload is copied out of data; b does not alias
-// it.
+// allocation-free, and one whose Payload is a row of a larger buffer
+// decodes straight into that row. The payload is copied out of data; b
+// does not alias it.
 //
 //pinlint:hotpath
 func UnmarshalInto(data []byte, b *Block) error {
-	if len(data) < headerSize {
+	var h Block
+	payloadLen := h.ReadHeader(data)
+	if payloadLen < 0 {
 		return ErrShortBlock
 	}
-	payloadLen := binary.BigEndian.Uint32(data[14:])
-	if len(data) != headerSize+int(payloadLen) {
+	if len(data) != headerSize+payloadLen {
 		return fmt.Errorf("ida: block length %d does not match declared payload %d: %w", //pinlint:allow hotpath — malformed frame, cold path
 			len(data), payloadLen, ErrShortBlock) //pinlint:allow hotpath — the ints box only when the malformed-frame error is built
 	}
@@ -95,17 +118,13 @@ func UnmarshalInto(data []byte, b *Block) error {
 	if crc != binary.BigEndian.Uint32(data[18:]) {
 		return ErrBadChecksum
 	}
-	b.FileID = binary.BigEndian.Uint32(data[0:])
-	b.Seq = binary.BigEndian.Uint16(data[4:])
-	b.M = binary.BigEndian.Uint16(data[6:])
-	b.N = binary.BigEndian.Uint16(data[8:])
-	b.Length = binary.BigEndian.Uint32(data[10:])
-	b.Payload = append(b.Payload[:0], data[headerSize:]...)
+	h.Payload = append(b.Payload[:0], data[headerSize:]...)
+	*b = h
 	return nil
 }
 
-// Validate checks internal consistency of the block metadata.
-func (b *Block) Validate() error {
+// validate checks internal consistency of the block metadata.
+func (b *Block) validate() error {
 	switch {
 	case b.M == 0:
 		return errors.New("ida: block has M == 0")

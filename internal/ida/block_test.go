@@ -3,6 +3,7 @@ package ida
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -81,8 +82,8 @@ func TestBlockValidate(t *testing.T) {
 		{Block{M: 2, N: 4, Seq: 4}, false},
 	}
 	for i, c := range cases {
-		if err := c.b.Validate(); (err == nil) != c.ok {
-			t.Errorf("case %d: Validate() = %v, want ok=%v", i, err, c.ok)
+		if err := c.b.validate(); (err == nil) != c.ok {
+			t.Errorf("case %d: validate() = %v, want ok=%v", i, err, c.ok)
 		}
 	}
 }
@@ -149,7 +150,8 @@ func BenchmarkBlockUnmarshal(b *testing.B) {
 // FuzzBlockFrame: sealing a header around a payload already in place
 // produces exactly MarshalInto's bytes for any block, the frame decodes
 // back to the block, and UnmarshalInto on arbitrary bytes returns an
-// error or a block that re-marshals to those bytes — it never panics.
+// error or a block that re-marshals to those bytes — it never panics,
+// and when it returns an error it has written nothing into b.
 func FuzzBlockFrame(f *testing.F) {
 	f.Add(uint32(7), uint16(1), uint16(2), uint16(4), uint32(9), []byte("payload"))
 	f.Add(uint32(0), uint16(0), uint16(0), uint16(0), uint32(0), []byte{})
@@ -171,14 +173,25 @@ func FuzzBlockFrame(f *testing.F) {
 			!bytes.Equal(got.Payload, payload) {
 			t.Fatalf("decoded %+v, sealed %+v", got, b)
 		}
+		// On error b is untouched: its fields, and every byte of its
+		// payload's backing array (a receiver's row), capacity included.
+		decode := func(frame []byte) (Block, error) {
+			row := bytes.Repeat([]byte{0x5a}, 2*len(frame)+8)
+			b := Block{FileID: ^id, Seq: ^seq, M: ^m, N: ^n, Length: ^length, Payload: row[:len(frame)/2]}
+			was := b
+			err := UnmarshalInto(frame, &b)
+			if err != nil && (!reflect.DeepEqual(b, was) || bytes.Count(row, []byte{0x5a}) != len(row)) {
+				t.Fatalf("UnmarshalInto failed (%v) but wrote the block: %+v, was %+v", err, b, was)
+			}
+			return b, err
+		}
 		if len(frame) > headerSize {
 			frame[len(frame)-1] ^= 1
-			if err := UnmarshalInto(frame, &got); !errors.Is(err, ErrBadChecksum) {
+			if _, err := decode(frame); !errors.Is(err, ErrBadChecksum) {
 				t.Fatalf("flipped payload bit: err = %v, want ErrBadChecksum", err)
 			}
 		}
-		var any Block
-		if err := UnmarshalInto(payload, &any); err == nil && !bytes.Equal(any.MarshalInto(nil), payload) {
+		if any, err := decode(payload); err == nil && !bytes.Equal(any.MarshalInto(nil), payload) {
 			t.Fatalf("arbitrary bytes %x decoded to a block marshaling to %x", payload, any.MarshalInto(nil))
 		}
 	})

@@ -8,6 +8,7 @@ package ida
 // (zeroalloc) if it allocates once warm.
 
 import (
+	"bytes"
 	"testing"
 
 	"pinbcast/internal/gf256"
@@ -114,4 +115,47 @@ func BenchmarkReconstructAllParityMBps(b *testing.B) {
 		}
 	}
 	check()
+}
+
+// BenchmarkReconstructInPlace is a receiver's completing slot at bdload
+// lossy-bulk's shape: m = 8 rows of 64 KiB, six of them already written
+// into their rows of the output buffer, two missing and rebuilt from two
+// parity blocks — the missing rows are all the work, one fused pass
+// each.
+func BenchmarkReconstructInPlace(b *testing.B) {
+	const m, l = 8, 64 << 10
+	c, err := NewCodec(m, m+4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := make([]byte, m*l)
+	for i := range data {
+		data[i] = byte(i*7 + 3)
+	}
+	payloads, err := c.Disperse(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]byte, m*l)
+	var shards []Shard
+	for _, seq := range []int{0, 1, 3, 4, 6, 7, m, m + 1} {
+		shard := Shard{Seq: seq, Data: payloads[seq]}
+		if seq < m {
+			shard.Data = dst[seq*l : (seq+1)*l]
+			copy(shard.Data, payloads[seq])
+		}
+		shards = append(shards, shard)
+	}
+	logKernel(b)
+	b.SetBytes(m * l)
+	check := zeroalloc.Start(b)
+	for i := 0; i < b.N; i++ {
+		if _, err := c.ReconstructInto(shards, len(data), dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	check()
+	if !bytes.Equal(dst, data) {
+		b.Fatal("in-place reconstruction is not byte-exact")
+	}
 }

@@ -4,8 +4,10 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"pinbcast/internal/gf256"
 	"pinbcast/internal/gfmat"
@@ -31,15 +33,12 @@ type Codec struct {
 	m, n int
 	mat  *gfmat.Matrix // n×m systematic dispersal matrix [x_ij]
 
-	// encTables[i][j] is the cached product table of mat coefficient
-	// (m+i, j): the encode tables of redundant row m+i. Precomputed at
-	// construction so encoding never touches the log/exp tables.
-	encTables [][]*gf256.Table
-
 	mu       sync.Mutex
 	invCache map[string]*list.Element // key: packed sorted row indices
 	invLRU   list.List                // front = most recent; values are *invEntry
 	invLimit int
+
+	used atomic.Int64 // codecsClock at the last Shared that returned it
 }
 
 // invEntry is one cached reconstruction inverse with its LRU key.
@@ -69,58 +68,66 @@ func NewCodec(m, n int) (*Codec, error) {
 	if m < 1 || n < m || n > 256 {
 		return nil, fmt.Errorf("%w (m=%d, n=%d)", ErrBadParams, m, n)
 	}
-	c := &Codec{
+	return &Codec{
 		m:        m,
 		n:        n,
 		mat:      gfmat.SystematicVandermonde(n, m),
 		invCache: make(map[string]*list.Element),
 		invLimit: DefaultInverseCacheLimit,
-	}
-	c.encTables = make([][]*gf256.Table, n-m)
-	for i := range c.encTables {
-		row := c.mat.Row(m + i)
-		tabs := make([]*gf256.Table, m)
-		for j, coef := range row {
-			tabs[j] = gf256.MulTable(coef)
-		}
-		c.encTables[i] = tabs
-	}
-	return c, nil
+	}, nil
 }
 
 // codecs is the process-wide registry of shared codecs, keyed by (m, n).
-// The dispersal matrix, encode tables and inverse cache for a parameter
-// pair are immutable or internally synchronized, so one codec serves
-// every caller — and the §2.1 inverse cache actually accumulates across
-// retrievals instead of dying with a throwaway codec.
+// A codec's dispersal matrix is immutable and its inverse cache
+// synchronized, so one codec serves every caller — and the §2.1 inverse
+// cache accumulates across retrievals instead of dying with a throwaway
+// codec. The registry holds at most sharedCodecs and evicts the least
+// recently used: a block's checksum is no authentication, so a forged
+// header can name any of the ≈ 33 k valid pairs, and each would
+// otherwise stay for good.
 var (
-	codecsMu sync.RWMutex
-	codecs   = make(map[[2]int]*Codec)
+	codecsMu    sync.RWMutex
+	codecs      = make(map[[2]int]*Codec)
+	codecsClock atomic.Int64 // stamps Codec.used
 )
+
+// sharedCodecs bounds the registry, far above the pairs a station's
+// catalogue uses.
+const sharedCodecs = 64
 
 // Shared returns the process-wide codec for (m, n), constructing it on
 // first use. Codecs are safe for concurrent use, so sharing them
-// amortizes matrix construction, encode-table setup and the inverse
-// cache across every file with the same dispersal parameters.
+// amortizes matrix construction and the inverse cache across every file
+// with the same dispersal parameters.
 func Shared(m, n int) (*Codec, error) {
 	key := [2]int{m, n}
 	codecsMu.RLock()
 	c := codecs[key]
 	codecsMu.RUnlock()
-	if c != nil {
-		return c, nil
+	if c == nil {
+		fresh, err := NewCodec(m, n)
+		if err != nil {
+			return nil, err
+		}
+		codecsMu.Lock()
+		if c = codecs[key]; c == nil {
+			c = fresh
+			if len(codecs) >= sharedCodecs {
+				var lru [2]int
+				oldest := int64(math.MaxInt64)
+				for k, old := range codecs {
+					if at := old.used.Load(); at < oldest {
+						lru, oldest = k, at
+					}
+				}
+				delete(codecs, lru)
+			}
+			c.used.Store(codecsClock.Add(1)) // before another insert can see it
+			codecs[key] = c
+		}
+		codecsMu.Unlock()
 	}
-	c, err := NewCodec(m, n)
-	if err != nil {
-		return nil, err
-	}
-	codecsMu.Lock()
-	if prev := codecs[key]; prev != nil {
-		c = prev
-	} else {
-		codecs[key] = c
-	}
-	codecsMu.Unlock()
+	c.used.Store(codecsClock.Add(1))
 	return c, nil
 }
 
@@ -166,20 +173,12 @@ func (c *Codec) DisperseInto(data []byte, dst [][]byte) ([][]byte, error) {
 	for j := 0; j < c.m; j++ {
 		copySourceBlock(dst[j], data, j, l)
 	}
-	// Redundant rows: payload m+i = Σⱼ mat[m+i][j]·sourceⱼ, via the
-	// precomputed per-coefficient product tables. Source blocks past
-	// the end of data are entirely zero and contribute nothing, so the
-	// accumulation stops at the last block with data.
+	// Redundant rows: payload i = Σⱼ mat[i][j]·sourceⱼ, one fused pass
+	// each. Source blocks past the end of data are entirely zero and
+	// contribute nothing, so the sum stops at the last block with data.
 	live := (len(data) + l - 1) / l
-	for i, tabs := range c.encTables {
-		out := dst[c.m+i]
-		clear(out)
-		for j, tab := range tabs {
-			if j >= live {
-				break
-			}
-			gf256.MulAddSliceTable(tab, dst[j], out)
-		}
+	for i := c.m; i < c.n; i++ {
+		gf256.MulSumSlice(c.mat.Row(i)[:live], dst[:live], dst[i])
 	}
 	return dst, nil
 }
@@ -326,28 +325,17 @@ func (c *Codec) ReconstructInto(shards []Shard, dataLen int, dst []byte) ([]byte
 	} else {
 		dst = make([]byte, padded) //pinlint:allow hotpath — first-cycle growth; steady state passes capacity back in
 	}
-	// Reconstruction operation of Figure 3: source_j = Σᵢ inv[j][i]·rowᵢ.
-	// Rows of the inverse addressing received systematic shards are unit
-	// vectors: such a source block is already in place when its shard is
-	// dst's row j, and otherwise costs one copy (MulSlice with c == 1).
-	// A missing block is set by its first nonzero term and accumulates
-	// the rest.
+	// Reconstruction operation of Figure 3: source_j = Σᵢ inv[j][i]·rowᵢ,
+	// one fused pass per row. Rows of the inverse addressing received
+	// systematic shards are unit vectors: such a source block is already
+	// in place when its shard is dst's row j, and otherwise costs one
+	// copy.
 	for j := 0; j < c.m; j++ {
 		out := dst[j*l : (j+1)*l]
 		if in := sc.rowOf[j]; len(in) == l && &in[0] == &out[0] {
 			continue
 		}
-		set := false
-		for i := 0; i < c.m; i++ {
-			switch f := inv.At(j, i); {
-			case f == 0:
-			case set:
-				gf256.MulAddSlice(f, sc.rows[i], out)
-			default:
-				gf256.MulSlice(f, sc.rows[i], out)
-				set = true
-			}
-		}
+		gf256.MulSumSlice(inv.Row(j), sc.rows, out)
 	}
 	return dst[:dataLen], nil
 }
@@ -447,7 +435,7 @@ func ReconstructFileInto(blocks []*Block, dst []byte) ([]byte, error) {
 		return nil, ErrNotEnough
 	}
 	ref := blocks[0]
-	if err := ref.Validate(); err != nil { //pinlint:allow hotpath — malformed block, cold path
+	if err := ref.validate(); err != nil { //pinlint:allow hotpath — malformed block, cold path
 		return nil, err
 	}
 	sp := shardPool.Get().(*[]Shard)

@@ -3,6 +3,7 @@ package ida
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -276,6 +277,60 @@ func TestSharedCodecIdentity(t *testing.T) {
 	}
 	if _, err := Shared(0, 7); err == nil {
 		t.Fatal("Shared(0,7) succeeded")
+	}
+}
+
+// TestSharedRegistryBounded: a forged M = 1 block completes a
+// reconstruction on its own, so forged headers can name a new (M, N)
+// pair with every frame. Four goroutines forge the 511 pairs with M ≤ 2
+// between them: the registry never passes its cap and ends at it, and a
+// genuine retrieval running beside them stays byte-exact.
+func TestSharedRegistryBounded(t *testing.T) {
+	data := bytes.Repeat([]byte("genuine file "), 40)
+	genuine, err := DisperseFile(7, data, 4, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for pair := g; pair < 511; pair += 4 {
+				m, n := 1+pair/256, 1+pair/256+pair%256
+				forged := Block{FileID: 9, M: uint16(m), N: uint16(n), Length: uint32(5 * m)}
+				var blocks []*Block
+				for seq := 0; seq < m; seq++ {
+					forged.Seq, forged.Payload = uint16(seq), []byte("forge")
+					var b Block
+					if err := UnmarshalInto(forged.MarshalInto(nil), &b); err != nil {
+						t.Error(err)
+						return
+					}
+					blocks = append(blocks, &b)
+				}
+				if _, err := ReconstructFileInto(blocks, nil); err != nil {
+					t.Errorf("forged (%d, %d): %v", m, n, err)
+				}
+				codecsMu.RLock()
+				size := len(codecs)
+				codecsMu.RUnlock()
+				if size > sharedCodecs {
+					t.Errorf("after forged (%d, %d): %d codecs registered, cap %d", m, n, size, sharedCodecs)
+				}
+			}
+		}()
+	}
+	var dst []byte
+	for i := 0; i < 64; i++ {
+		if dst, err = ReconstructFileInto([]*Block{genuine[5], genuine[1], genuine[4], genuine[3]}, dst); err != nil || !bytes.Equal(dst, data) {
+			t.Errorf("retrieval %d beside the forgers: err %v, byte-exact %v", i, err, bytes.Equal(dst, data))
+			break
+		}
+	}
+	wg.Wait()
+	if len(codecs) != sharedCodecs {
+		t.Fatalf("%d codecs registered after 511 pairs, want the cap %d", len(codecs), sharedCodecs)
 	}
 }
 
