@@ -8,6 +8,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pinbcast"
@@ -79,15 +80,16 @@ func BenchmarkClusterServe(b *testing.B) {
 // benchmarks. Unlike a real transport it never blocks, so it yields
 // the processor periodically the way a blocking read would; without
 // that, one channel's replay can hog a P for a whole preemption
-// quantum while the serving channel waits.
+// quantum while the serving channel waits. Close may run while a
+// driver is inside Next.
 type loopReplay struct {
 	slots  []pinbcast.Slot
 	pos    int
-	closed bool
+	closed atomic.Bool
 }
 
 func (l *loopReplay) Next() (pinbcast.Slot, error) {
-	if l.closed || len(l.slots) == 0 {
+	if l.closed.Load() || len(l.slots) == 0 {
 		return pinbcast.Slot{}, io.EOF
 	}
 	s := l.slots[l.pos%len(l.slots)]
@@ -100,7 +102,7 @@ func (l *loopReplay) Next() (pinbcast.Slot, error) {
 }
 
 func (l *loopReplay) Close() error {
-	l.closed = true
+	l.closed.Store(true)
 	return nil
 }
 

@@ -167,9 +167,12 @@
 // (FailChannel lands them at the survivors' next data-cycle
 // boundaries, exactly like Admit) are still found. Contracts the
 // failover can no longer honor are revoked with errors wrapping
-// ErrDegraded rather than silently stretched. See examples/cluster
-// (plan, negotiate, kill a channel, fail over, retrieve with hops) and,
-// for the daemon form, cmd/bdserved with station.channels > 1.
+// ErrDegraded rather than silently stretched. A run starts its own
+// channel drivers and ends on the slot that completes its last request;
+// a driver still reading a losing channel hands that frame on and exits.
+// See examples/cluster (plan, negotiate, kill a channel, fail over,
+// retrieve with hops) and, for the daemon form, cmd/bdserved with
+// station.channels > 1.
 //
 // # Transports
 //
@@ -220,9 +223,10 @@
 // and BenchmarkServeFanoutPipeline at the package root, each of which
 // fails by itself on a non-zero allocs/op (internal/zeroalloc).
 // Neither a Receiver nor a MultiTuner keeps a result history: RunInto
-// hands each run's results to the caller and forgets them. Speed
-// is gated end to end by cmd/bdload against BENCHMARK.json; to profile
-// a live pipeline use the daemon's /debug/pprof.
+// hands each run's results to the caller and forgets them, and a run
+// spawns its drivers from func values built once, allocating nothing.
+// Speed is gated end to end by cmd/bdload against BENCHMARK.json; to
+// profile a live pipeline use the daemon's /debug/pprof.
 //
 // # Observability
 //

@@ -54,10 +54,10 @@ import (
 //
 // Deadlines are per-attachment: a hopped request's deadline clock
 // restarts on the serving channel, matching the per-channel Contract
-// bounds a ClusterContract composes. Like Receiver.RunInto, it observes
-// cancellation between slots — give TCP sources a Timeout so a silent
-// channel cannot hold a drive loop forever (the timeout doubles as the
-// missed-slot clock).
+// bounds a ClusterContract composes. A run ends on a cancelled context
+// at once, and its drivers notice between slots — give TCP sources a
+// Timeout so a silent channel cannot hold its driver in Next forever
+// (the timeout doubles as the missed-slot clock).
 type MultiTuner struct {
 	chans []*mtChannel
 	det   *cluster.Detector
@@ -72,19 +72,17 @@ type MultiTuner struct {
 	completed int  // finished requests by outcome, for Metrics: results
 	failed    int  // holds only the current run's
 	pooled    int  // completed ones rebuilt from blocks of several channels
-	started   bool // the persistent channel drivers are running
-	closed    bool // Close has run: no run may wake a driver any more
+	closed    bool // Close has run: no run spawns a driver any more
 
-	// Run-lifecycle plumbing, kept allocation-free per run: the channel
-	// drivers are persistent goroutines woken by a token per run rather
-	// than spawned per run (a spawn costs a closure allocation each),
-	// completion is a reusable cap-1 token channel rather than a remade
-	// close-once channel, and runDone is the flag drivers poll between
-	// slots to notice the run ending.
-	runWG    sync.WaitGroup
-	runDone  atomic.Bool
-	done     chan struct{} // cap 1: a token arrives when every request completes
-	shutdown chan struct{} // closed by Close (under mu, with closed): parked drivers exit
+	// Run-lifecycle plumbing, allocation-free per run. Each run spawns
+	// the drivers it needs as func values built once (mtChannel.drive):
+	// with Go 1.24, `go fn()` on such a value allocates nothing, where
+	// `go mt.drive(i)` allocates a closure per spawn. Completion is a
+	// reusable cap-1 token channel rather than a remade close-once
+	// channel, and runDone is the flag drivers poll between slots to
+	// notice the run ending.
+	runDone atomic.Bool
+	done    chan struct{} // cap 1: a token arrives when every request completes
 }
 
 // mtChannel is one subscribed channel: a Receiver — the retrieval
@@ -96,7 +94,8 @@ type MultiTuner struct {
 // mtChannel.mu; the per-slot path takes mtChannel.mu alone and
 // re-enters through MultiTuner.mu only after releasing it.
 type mtChannel struct {
-	wake chan context.Context // cap 1: each run wakes the driver with its context
+	drive   func() // the channel's driver, built once so a spawn allocates nothing
+	driving bool   // a driver runs; read and written under MultiTuner.mu
 
 	mu  sync.Mutex
 	rcv *Receiver // rcv.src is read without mu: it never changes
@@ -235,11 +234,10 @@ func NewMultiTuner(srcs []Source, opts ...MultiTunerOption) (*MultiTuner, error)
 			len(cfg.faults), len(srcs), ErrBadSpec)
 	}
 	mt := &MultiTuner{
-		det:      cluster.NewDetector(len(srcs), cfg.threshold),
-		homes:    cfg.homes,
-		reqs:     map[string]*mtRequest{},
-		done:     make(chan struct{}, 1),
-		shutdown: make(chan struct{}),
+		det:   cluster.NewDetector(len(srcs), cfg.threshold),
+		homes: cfg.homes,
+		reqs:  map[string]*mtRequest{},
+		done:  make(chan struct{}, 1),
 	}
 	for i, src := range srcs {
 		rc := &receiverConfig{names: cfg.names}
@@ -251,7 +249,7 @@ func NewMultiTuner(srcs []Source, opts ...MultiTunerOption) (*MultiTuner, error)
 			return nil, err
 		}
 		rcv.channel = i
-		mt.chans = append(mt.chans, &mtChannel{wake: make(chan context.Context, 1), rcv: rcv})
+		mt.chans = append(mt.chans, &mtChannel{drive: func() { mt.drive(i) }, rcv: rcv})
 		if src == nil {
 			mt.det.Fail(i)
 		}
@@ -423,10 +421,15 @@ func (mt *MultiTuner) failLocked(req *mtRequest) {
 //
 // The tuner keeps no result history, so a caller that reuses dst (and
 // hands Data buffers back with Recycle) retrieves indefinitely without
-// either side accumulating — the loop is allocation-free once warm. The
-// first run parks one persistent driver goroutine per channel; they stay
-// parked between runs and are released by Close. A run on a closed tuner
-// wakes nobody and flushes its requests at once.
+// either side accumulating — the loop is allocation-free once warm.
+//
+// A run starts a driver goroutine for each live channel that has none,
+// and returns on the slot that completes its last request, without
+// waiting for the other channels. A driver still blocked in its
+// source's Next then finishes that call, hands the frame to whatever is
+// pending — the next run's requests, or nothing — and exits unless a
+// run is active; Close ends such a call by closing the source. A run
+// on a closed tuner spawns nothing and flushes its requests at once.
 func (mt *MultiTuner) RunInto(ctx context.Context, dst []ClusterResult) ([]ClusterResult, error) {
 	err := mt.run(ctx)
 	mt.mu.Lock()
@@ -464,48 +467,29 @@ func (mt *MultiTuner) run(ctx context.Context) error {
 	case <-mt.done: // drop a stale token left by a previous run
 	default:
 	}
-	woken := 0
-	if !mt.closed {
-		if !mt.started {
-			mt.started = true
-			for i := range mt.chans {
-				if mt.chans[i].rcv.src != nil {
-					go mt.driver(i)
-				}
-			}
-		}
-		for i := range mt.chans {
-			if mt.chans[i].rcv.src == nil || !mt.det.Alive(i) {
-				continue
-			}
-			mt.runWG.Add(1)
-			select {
-			case mt.chans[i].wake <- ctx:
-				woken++
-			default:
-				// Unreachable by construction — the previous run's token was
-				// consumed before its runWG.Wait returned — but never block
-				// holding mu on a full wake buffer.
-				mt.runWG.Done()
+	closed := mt.closed
+	if !closed && ctx.Err() == nil {
+		for i, mc := range mt.chans {
+			if mc.rcv.src != nil && !mc.driving && mt.det.Alive(i) {
+				mc.driving = true
+				go mc.drive() //pinlint:allow goroleak — the driver returns once the run ends, its channel dies, or Close ends its source; a func value spawns without allocating
 			}
 		}
 	}
 	mt.mu.Unlock()
 
 	var runErr error
-	if woken > 0 {
+	if !closed {
 		select {
 		case <-ctx.Done():
 			runErr = ctx.Err()
-			mt.runDone.Store(true)
 		case <-mt.done:
 		}
-		mt.runWG.Wait()
 	}
 
 	mt.mu.Lock()
 	for _, req := range mt.openLocked() {
-		mt.failLocked(req)
+		mt.failLocked(req) // the last sets runDone
 	}
 	mt.mu.Unlock()
 	return runErr
@@ -521,63 +505,44 @@ func (mt *MultiTuner) openLocked() []*mtRequest {
 	return slices.SortedFunc(maps.Values(mt.reqs), func(a, b *mtRequest) int { return cmp.Compare(a.seq, b.seq) })
 }
 
-// driver is one channel's persistent drive goroutine: it parks between
-// runs and consumes its source for the duration of each. A dead
-// channel's driver simply stays parked — run never wakes it again.
-func (mt *MultiTuner) driver(ch int) {
-	wake := mt.chans[ch].wake
-	for {
-		var ctx context.Context
-		select {
-		case ctx = <-wake:
-		case <-mt.shutdown:
-			// run wakes drivers only under mu while open, so a token sent
-			// just before Close is already buffered; its run is still owed
-			// a drive, which the closed source ends at once.
-			select {
-			case ctx = <-wake:
-			default:
-				return
+// drive consumes one channel's source while a run is active, and
+// returns when no run is active any more or the channel dies. A frame
+// read as a run ends goes to whatever is pending then.
+func (mt *MultiTuner) drive(ch int) {
+	src := mt.chans[ch].rcv.src
+	for !mt.runDone.Load() || !mt.stopDriving(ch) {
+		slot, err := src.Next()
+		switch {
+		case err == nil:
+			if !mt.observe(ch, slot) {
+				continue
 			}
+		case !errors.Is(err, io.EOF) && transport.IsTimeout(err):
+			if !mt.det.Miss(ch) {
+				continue
+			}
+			tunMisses.Inc()
+			traceRing.Emit(obs.MissDetected, ch, 0, 0, 0, 0)
+		default:
+			// EOF or a hard receive error: the channel's stream is gone.
+			mt.det.Fail(ch)
 		}
-		mt.drive(ctx, ch)
-		mt.runWG.Done()
+		mt.channelDied(ch)
+		return
 	}
 }
 
-// drive consumes one channel's source until the run stops, the context
-// ends, or the channel dies.
-func (mt *MultiTuner) drive(ctx context.Context, ch int) {
-	for {
-		if mt.runDone.Load() {
-			return
-		}
-		select {
-		case <-ctx.Done():
-			return
-		default:
-		}
-		slot, err := mt.chans[ch].rcv.src.Next()
-		if err != nil {
-			if !errors.Is(err, io.EOF) && transport.IsTimeout(err) {
-				if mt.det.Miss(ch) {
-					tunMisses.Inc()
-					traceRing.Emit(obs.MissDetected, ch, 0, 0, 0, 0)
-					mt.channelDied(ch)
-					return
-				}
-				continue
-			}
-			// EOF or a hard receive error: the channel's stream is gone.
-			mt.det.Fail(ch)
-			mt.channelDied(ch)
-			return
-		}
-		if mt.observe(ch, slot) {
-			mt.channelDied(ch)
-			return
-		}
+// stopDriving reports whether channel ch's driver may exit, which it
+// may only once no run is active: a run that started meanwhile saw the
+// driver running and spawned none for ch.
+func (mt *MultiTuner) stopDriving(ch int) bool {
+	mt.mu.Lock()
+	defer mt.mu.Unlock()
+	if !mt.runDone.Load() {
+		return false
 	}
+	mt.chans[ch].driving = false
+	return true
 }
 
 // observe delivers one slot to the channel's receiver and reports
@@ -663,10 +628,12 @@ func (mt *MultiTuner) handLocked(req *mtRequest, to int, from ...int) {
 // to the next live carrier of its plan (or to scan mode), and a request
 // with no live channel left anywhere is flushed as a failure. A request
 // keeps the blocks the dead channel delivered — they go to the channel
-// it collects on now — so it needs the rest of m, not m again.
+// it collects on now — so it needs the rest of m, not m again. The
+// channel's driver exits after it.
 func (mt *MultiTuner) channelDied(ch int) {
 	mt.mu.Lock()
 	defer mt.mu.Unlock()
+	mt.chans[ch].driving = false
 	for _, req := range mt.openLocked() {
 		file := req.file
 		attached := req.attached[:0]
@@ -719,14 +686,12 @@ func (mt *MultiTuner) Metrics() MultiTunerMetrics {
 	return m
 }
 
-// Close releases every source and the parked channel drivers. A run in
-// flight ends as its channels' streams do; a later RunInto fails at once.
+// Close closes every source. A run in flight ends as its channels'
+// streams do, a driver still in Next returns with its stream's end, and
+// a later RunInto spawns nothing and flushes its requests at once.
 func (mt *MultiTuner) Close() error {
 	mt.mu.Lock()
-	if !mt.closed {
-		mt.closed = true
-		close(mt.shutdown)
-	}
+	mt.closed = true
 	mt.mu.Unlock()
 	var first error
 	for _, mc := range mt.chans {

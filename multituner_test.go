@@ -5,8 +5,13 @@ import (
 	"context"
 	"errors"
 	"io"
+	"maps"
+	"math/rand/v2"
 	"reflect"
 	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,15 +41,16 @@ func recordChannels(t *testing.T, c *Cluster, n int) []*Recording {
 
 // loopingSource replays a recording cyclically with a monotone slot
 // clock — a live channel stand-in that never ends, so tests of the
-// hop machinery don't race against replay exhaustion.
+// hop machinery don't race against replay exhaustion. Close may run
+// while a driver is inside Next.
 type loopingSource struct {
 	slots  []Slot
 	pos    int
-	closed bool
+	closed atomic.Bool
 }
 
 func (l *loopingSource) Next() (Slot, error) {
-	if l.closed || len(l.slots) == 0 {
+	if l.closed.Load() || len(l.slots) == 0 {
 		return Slot{}, io.EOF
 	}
 	s := l.slots[l.pos%len(l.slots)]
@@ -54,7 +60,7 @@ func (l *loopingSource) Next() (Slot, error) {
 }
 
 func (l *loopingSource) Close() error {
-	l.closed = true
+	l.closed.Store(true)
 	return nil
 }
 
@@ -607,5 +613,264 @@ func TestMultiTunerHopKeepsBlocks(t *testing.T) {
 	}
 	if hopped == 0 {
 		t.Fatal("no replicated file of two blocks or more to hop with")
+	}
+}
+
+// oneReader wraps a Source and counts the Next calls that overlap
+// another: a tuner must never have two goroutines reading one source.
+// Armed with cancelAfter, it cancels a context once it has delivered
+// that many more slots.
+type oneReader struct {
+	Source
+	inNext, overlaps atomic.Int32
+
+	mu     sync.Mutex
+	left   int
+	cancel context.CancelFunc
+}
+
+func (o *oneReader) Next() (Slot, error) {
+	if o.inNext.Add(1) > 1 {
+		o.overlaps.Add(1)
+	}
+	defer o.inNext.Add(-1)
+	slot, err := o.Source.Next()
+	if slot.T%64 == 63 {
+		runtime.Gosched() // a replay never blocks: yield the way a read would
+	}
+	o.mu.Lock()
+	if o.cancel != nil {
+		if o.left--; o.left <= 0 {
+			o.cancel()
+			o.cancel = nil
+		}
+	}
+	o.mu.Unlock()
+	return slot, err
+}
+
+// cancelAfter arms the reader to call cancel after n more slots; a nil
+// cancel disarms it.
+func (o *oneReader) cancelAfter(n int, cancel context.CancelFunc) {
+	o.mu.Lock()
+	o.left, o.cancel = n, cancel
+	o.mu.Unlock()
+}
+
+// gatedSource is a channel that sends only when the test opens its
+// gate: Next announces itself on entered, then blocks until a send on
+// gate (and returns an idle slot) or until Close (and returns io.EOF).
+type gatedSource struct {
+	gate, entered chan struct{}
+	closed        chan struct{}
+	closeOnce     sync.Once
+	sent          int
+}
+
+func newGatedSource() *gatedSource {
+	return &gatedSource{gate: make(chan struct{}), entered: make(chan struct{}, 8), closed: make(chan struct{})}
+}
+
+func (g *gatedSource) Next() (Slot, error) {
+	g.entered <- struct{}{}
+	select {
+	case <-g.gate:
+		g.sent++
+		return Slot{T: g.sent - 1}, nil
+	case <-g.closed:
+		return Slot{}, io.EOF
+	}
+}
+
+func (g *gatedSource) Close() error {
+	g.closeOnce.Do(func() { close(g.closed) })
+	return nil
+}
+
+// startAfter holds a source's first Next until start is closed, and
+// signals read (without blocking) before every Next.
+type startAfter struct {
+	Source
+	start <-chan struct{}
+	read  chan struct{}
+}
+
+func (s *startAfter) Next() (Slot, error) {
+	<-s.start
+	select {
+	case s.read <- struct{}{}:
+	default:
+	}
+	return s.Source.Next()
+}
+
+// TestMultiTunerRunEndsWithLastRequest: a run returns on the slot that
+// completes its last request, while a losing channel's driver is still
+// blocked in Next (bdload finding 8). That driver finishes its call
+// under the next run and hands it the frame — the slot is counted once
+// — and no second goroutine ever reads its source.
+func TestMultiTunerRunEndsWithLastRequest(t *testing.T) {
+	c := testCluster(t)
+	cycle := cycleOnAir(t, c.Station(0))
+	file := ""
+	for _, s := range cycle {
+		if s.File != "" {
+			file = s.File
+			break
+		}
+	}
+	gated := newGatedSource()
+	// Channel 0 reads its first slot only once channel 1's driver is
+	// blocked in Next, so the run cannot end before that.
+	waiting := make(chan struct{})
+	ch1 := &oneReader{Source: gated}
+	ch0 := &startAfter{Source: &loopingSource{slots: cycle}, start: waiting, read: make(chan struct{}, 1)}
+	mt, err := NewMultiTuner([]Source{ch0, ch1},
+		WithTunerDirectory(c.Directory()),
+		WithTunerHomes(map[string][]int{file: {0}, "only-on-1": {1}}),
+		WithTunerRequest(file, 0),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mt.Close()
+
+	type outcome struct {
+		res []ClusterResult
+		err error
+	}
+	runInto := func(ctx context.Context) <-chan outcome {
+		out := make(chan outcome, 1)
+		go func() {
+			res, err := mt.RunInto(ctx, nil)
+			out <- outcome{res, err}
+		}()
+		return out
+	}
+	first := runInto(context.Background())
+	<-gated.entered
+	close(waiting)
+	select {
+	case out := <-first:
+		if out.err != nil || len(out.res) != 1 || !out.res[0].Completed || out.res[0].Channel != 0 {
+			t.Fatalf("first run: %+v, %v", out.res, out.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("RunInto still waits for channel 1's driver blocked in Next after its last request completed")
+	}
+	if n := ch1.inNext.Load(); n != 1 {
+		t.Fatalf("%d goroutines in channel 1's Next after the run, want its one driver still blocked", n)
+	}
+	before := mt.Metrics().SlotsPerChannel[1]
+
+	// The next run's request can complete on channel 1 only, so the run
+	// is active until the test cancels it. Channel 0 reads only while a
+	// run is active, so its next read shows the second one started.
+	<-ch0.read // the token of the first run's reads
+	if err := mt.Request("only-on-1", 0); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	second := runInto(ctx)
+	<-ch0.read
+	gated.gate <- struct{}{} // one frame, to the driver blocked since the first run
+	<-gated.entered          // that driver observed it and reads on for the active run
+	if got := mt.Metrics().SlotsPerChannel[1]; got != before+1 {
+		t.Fatalf("channel 1 counted %d slots after one frame, had %d", got, before)
+	}
+	cancel()
+	out := <-second
+	if !errors.Is(out.err, context.Canceled) || len(out.res) != 1 || out.res[0].Completed || out.res[0].Channel != -1 {
+		t.Fatalf("second run: %+v, %v", out.res, out.err)
+	}
+	if n := ch1.overlaps.Load(); n != 0 {
+		t.Fatalf("%d overlapping Next calls on channel 1", n)
+	}
+}
+
+// TestMultiTunerOneReaderPerSource: over 2 000 seeded rounds of
+// Request → RunInto → Recycle — planned and scanning requests, some
+// runs cut short by a context cancelled after a random number of slots
+// — no two goroutines ever read one source at once, and every run hands
+// over one result per request. After Close a run flushes at once.
+func TestMultiTunerOneReaderPerSource(t *testing.T) {
+	c := testCluster(t)
+	recs := recordChannels(t, c, 256)
+	contents := CatalogContents(clusterCatalog(), 64, 1)
+	plan := c.FetchPlan()
+	names := slices.Sorted(maps.Keys(plan))
+	readers := make([]*oneReader, len(recs))
+	srcs := make([]Source, len(recs))
+	for i, rec := range recs {
+		readers[i] = &oneReader{Source: &loopingSource{slots: recorded(rec)}}
+		srcs[i] = readers[i]
+	}
+	mt, err := NewMultiTuner(srcs, WithTunerDirectory(c.Directory()), WithTunerHomes(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(33, 1))
+	var results []ClusterResult
+	for round := 0; round < 2000; round++ {
+		want := 0
+		for _, name := range names {
+			if rng.IntN(3) != 0 {
+				continue
+			}
+			var order []int // scan mode
+			if rng.IntN(2) == 0 {
+				order = plan[name]
+			}
+			if err := mt.requestVia(name, 0, order); err != nil {
+				t.Fatal(err)
+			}
+			want++
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		for _, r := range readers {
+			r.cancelAfter(0, nil)
+		}
+		if rng.IntN(4) == 0 {
+			readers[rng.IntN(len(readers))].cancelAfter(1+rng.IntN(64), cancel)
+		}
+		results, err = mt.RunInto(ctx, results[:0])
+		cancel()
+		if err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if len(results) != want {
+			t.Fatalf("round %d: %d results for %d requests", round, len(results), want)
+		}
+		for _, res := range results {
+			if res.Completed && !bytes.Equal(res.Data, contents[res.File]) || !res.Completed && (err == nil || res.Channel != -1) {
+				t.Fatalf("round %d (err %v): %+v", round, err, res)
+			}
+			mt.Recycle(res)
+		}
+	}
+	if err := mt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mt.Request("warm", 0); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan []ClusterResult, 1)
+	go func() {
+		res, _ := mt.RunInto(context.Background(), nil)
+		done <- res
+	}()
+	select {
+	case res := <-done:
+		if len(res) != 1 || res[0].Completed || res[0].Channel != -1 {
+			t.Fatalf("run after Close: %+v", res)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("run after Close still blocked")
+	}
+	for i, r := range readers {
+		if n := r.overlaps.Load(); n != 0 {
+			t.Fatalf("channel %d: %d overlapping Next calls", i, n)
+		}
 	}
 }
