@@ -5,10 +5,7 @@ package pinbcast_test
 
 import (
 	"context"
-	"io"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"pinbcast"
@@ -75,37 +72,6 @@ func BenchmarkClusterServe(b *testing.B) {
 	b.StopTimer()
 }
 
-// loopReplay replays recorded slots cyclically with a monotone slot
-// clock — a never-ending channel stand-in for steady-state receiver
-// benchmarks. Unlike a real transport it never blocks, so it yields
-// the processor periodically the way a blocking read would; without
-// that, one channel's replay can hog a P for a whole preemption
-// quantum while the serving channel waits. Close may run while a
-// driver is inside Next.
-type loopReplay struct {
-	slots  []pinbcast.Slot
-	pos    int
-	closed atomic.Bool
-}
-
-func (l *loopReplay) Next() (pinbcast.Slot, error) {
-	if l.closed.Load() || len(l.slots) == 0 {
-		return pinbcast.Slot{}, io.EOF
-	}
-	s := l.slots[l.pos%len(l.slots)]
-	s.T = l.pos
-	l.pos++
-	if l.pos%64 == 0 {
-		runtime.Gosched()
-	}
-	return s, nil
-}
-
-func (l *loopReplay) Close() error {
-	l.closed.Store(true)
-	return nil
-}
-
 // BenchmarkMultiTuner measures the steady-state retrieval loop: each
 // iteration requests one replicated file through the fetch plan, runs
 // the tuner until reconstruction, drains the result with RunInto and
@@ -123,9 +89,9 @@ func BenchmarkMultiTuner(b *testing.B) {
 	}
 	srcs := make([]pinbcast.Source, len(slots))
 	for i, ch := range slots {
-		loop := &loopReplay{}
-		for len(loop.slots) < 512 {
-			loop.slots = append(loop.slots, <-ch)
+		loop := &pinbcast.LoopReplay{}
+		for len(loop.Slots) < 512 {
+			loop.Slots = append(loop.Slots, <-ch)
 		}
 		srcs[i] = loop
 	}

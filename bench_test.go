@@ -199,21 +199,6 @@ func BenchmarkEndToEndSimulation(b *testing.B) {
 	}
 }
 
-// loopSource replays a recorded slot stream forever — the unbounded
-// source the receiver throughput benchmarks drain.
-type loopSource struct {
-	slots []pinbcast.Slot
-	i     int
-}
-
-func (s *loopSource) Next() (pinbcast.Slot, error) {
-	slot := s.slots[s.i%len(s.slots)]
-	s.i++
-	return slot, nil
-}
-
-func (s *loopSource) Close() error { return nil }
-
 // benchRecording captures a few data cycles of the standard two-file
 // station for replay-driven receiver benchmarks.
 func benchRecording(b *testing.B) (*pinbcast.Station, []pinbcast.Slot) {
@@ -263,7 +248,7 @@ func BenchmarkReceiverSlots(b *testing.B) {
 	st, rec := benchRecordingOf(b, 256, files)
 	for _, history := range []int{0, 256} {
 		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
-			r, err := pinbcast.Subscribe(&loopSource{slots: rec}, pinbcast.WithDirectory(st.Directory()))
+			r, err := pinbcast.Subscribe(&pinbcast.LoopReplay{Slots: rec}, pinbcast.WithDirectory(st.Directory()))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -316,7 +301,7 @@ func BenchmarkReceiverRetrieveCycle(b *testing.B) {
 }
 
 func retrieveCycle(b *testing.B, st *pinbcast.Station, rec []pinbcast.Slot, names []string, opts ...pinbcast.ReceiverOption) {
-	r, err := pinbcast.Subscribe(&loopSource{slots: rec}, append(opts, pinbcast.WithDirectory(st.Directory()))...)
+	r, err := pinbcast.Subscribe(&pinbcast.LoopReplay{Slots: rec}, append(opts, pinbcast.WithDirectory(st.Directory()))...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -349,7 +334,7 @@ func BenchmarkReceiverReconstruct(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := pinbcast.Subscribe(&loopSource{slots: rec},
+		r, err := pinbcast.Subscribe(&pinbcast.LoopReplay{Slots: rec},
 			pinbcast.WithDirectory(dir), pinbcast.WithRequest("A", 0))
 		if err != nil {
 			b.Fatal(err)

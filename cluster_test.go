@@ -570,6 +570,15 @@ func cycleOnAir(t *testing.T, st *Station) []Slot {
 	return air(t, st, st.latest().cycle)
 }
 
+// cyclesOnAir serves one data cycle of each channel of the cluster.
+func cyclesOnAir(t *testing.T, c *Cluster) [][]Slot {
+	cycles := make([][]Slot, c.Channels())
+	for ch := range cycles {
+		cycles[ch] = cycleOnAir(t, c.Station(ch))
+	}
+	return cycles
+}
+
 // checkDisjointRanges holds what the live channels of a cluster put on
 // the air over one data cycle each to the numbering rule: every live
 // home of a file sends exactly its N rotation positions' worth of
@@ -614,7 +623,7 @@ func checkDisjointRanges(t *testing.T, c *Cluster, files []FileSpec, contents ma
 			}
 			window := c.Station(ch).Bandwidth() * f.Latency
 			for start := range cycles[ch] {
-				rcv, err := Subscribe(&loopingSource{slots: cycles[ch], pos: start},
+				rcv, err := Subscribe(&LoopReplay{Slots: cycles[ch], Pos: start},
 					WithDirectory(c.Directory()), WithRequest(f.Name, window))
 				if err != nil {
 					t.Fatal(err)

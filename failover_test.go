@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math/bits"
+	"slices"
 	"testing"
 )
 
@@ -157,5 +159,65 @@ func TestFailChannelBuildsOncePerSurvivor(t *testing.T) {
 		if got, want := c.Station(0).Generation(), gens[0]+len(tc.want); got != want {
 			t.Errorf("limit %d: channel 0 is at generation %d, want %d", tc.limit, got, want)
 		}
+	}
+}
+
+// TestClusterQuorum checks the quorum exhaustively: with the replicated
+// files on R = 3 of K = 4 channels, any K−R+1 live channels carry each of
+// them ("A Novel Quorum Protocol"). For every set of fewer than R
+// channels, a fresh cluster negotiates a contract over the replicated
+// files and then loses the set. The contract is kept, every replicated
+// file keeps a live home, and on each live home's served data cycle,
+// from every start slot and against the file's r erasures, the oracle
+// stays within DegradedLatencySlots.
+func TestClusterQuorum(t *testing.T) {
+	const k, r = 4, 3
+	for set := 0; set < 1<<k; set++ {
+		if bits.OnesCount(uint(set)) >= r {
+			continue
+		}
+		c := failoverCluster(t, WithReplicas(r))
+		var reads []string
+		for name, homes := range c.Assignment() {
+			if len(homes) == r {
+				reads = append(reads, name)
+			}
+		}
+		slices.Sort(reads)
+		x := Txn{Name: "quorum", Reads: reads, Deadline: 1 << 20}
+		cc, err := c.Negotiate(x)
+		if err != nil || len(reads) == 0 {
+			t.Fatalf("negotiating over the replicated files %v: %v", reads, err)
+		}
+		for ch := range k {
+			if set&(1<<ch) == 0 {
+				continue
+			}
+			if rep, err := c.FailChannel(ch); err != nil || !slices.Contains(rep.Kept, x.Name) {
+				t.Fatalf("dead set %04b: failing channel %d kept %v (%v)", set, ch, rep, err)
+			}
+		}
+		if got, err := c.Contract(x.Name); err != nil || got.DegradedLatencySlots != cc.DegradedLatencySlots {
+			t.Fatalf("dead set %04b: contract %+v (%v), negotiated %+v", set, got, err, cc)
+		}
+		worst, homes := 0, c.Assignment()
+		for _, name := range reads {
+			f := c.specs[name]
+			if len(homes[name]) == 0 {
+				t.Fatalf("dead set %04b: %q has no live home", set, name)
+			}
+			for _, ch := range homes[name] {
+				cycle := cycleOnAir(t, c.Station(ch))
+				for start := range cycle {
+					got, ok := worstRetrieval(onAir(cycle), 1, start, cc.DegradedLatencySlots, name, f.Blocks, f.Faults)
+					if !ok {
+						t.Fatalf("dead set %04b: %q on channel %d from slot %d with %d faults: not within %d slots",
+							set, name, ch, start, f.Faults, cc.DegradedLatencySlots)
+					}
+					worst = max(worst, got.slots)
+				}
+			}
+		}
+		t.Logf("dead set %04b: contract %d/%d slots kept, oracle worst case %d", set, cc.WorstLatencySlots, cc.DegradedLatencySlots, worst)
 	}
 }

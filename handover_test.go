@@ -3,7 +3,6 @@ package pinbcast
 import (
 	"bytes"
 	"context"
-	"io"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -12,26 +11,6 @@ import (
 
 	"pinbcast/internal/workload"
 )
-
-// loopReplay replays a recording round and round, each lap's slot
-// numbers following the last's, until the slot index reaches end (0 =
-// never): the stream then ends with io.EOF.
-type loopReplay struct {
-	slots  []Slot
-	i, end int
-}
-
-func (s *loopReplay) Next() (Slot, error) {
-	if s.end > 0 && s.i >= s.end {
-		return Slot{}, io.EOF
-	}
-	slot := s.slots[s.i%len(s.slots)]
-	slot.T += s.i / len(s.slots) * len(s.slots)
-	s.i++
-	return slot, nil
-}
-
-func (s *loopReplay) Close() error { return nil }
 
 // TestReceiverHandsResultsOver: a receiver keeps only what it has not
 // handed over. Over 10 000 Step → Results → Recycle retrievals of 2-, 5-
@@ -53,7 +32,7 @@ func TestReceiverHandsResultsOver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := &loopReplay{slots: recorded(record(t, st, 4*st.Program().DataCycle()))}
+	src := &LoopReplay{Slots: air(t, st, 4*st.Program().DataCycle())}
 	r, err := Subscribe(src, WithDirectory(st.Directory()), WithReceiverFaults(BernoulliFaults(0.05, 1)))
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +86,7 @@ func TestReceiverHandsResultsOver(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	src.end = src.i + len(src.slots)
+	src.End = src.Pos + len(src.Slots)
 	dst, err := r.RunInto(context.Background(), []Result{{File: "earlier"}})
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +105,7 @@ func TestReceiverHandsResultsOver(t *testing.T) {
 	if got := r.Results(); len(got) != 0 {
 		t.Fatalf("RunInto handed %d results over, and Results found %d more", len(dst)-1, len(got))
 	}
-	src.end = 0
+	src.End = 0
 
 	// A cancelled context flushes every request, in request order, and so
 	// does a stream that has already ended.
@@ -148,9 +127,9 @@ func TestReceiverHandsResultsOver(t *testing.T) {
 	}
 	cancelledRun := func() { flush(cancelled, context.Canceled) }
 	endedRun := func() {
-		src.end = src.i
+		src.End = src.Pos
 		flush(context.Background(), nil)
-		src.end = 0
+		src.End = 0
 	}
 	if cancelledRun(); !flushedInOrder() {
 		t.Fatalf("a cancelled context flushed %+v, want zeta, C, alpha failed", dst)

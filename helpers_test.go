@@ -1,8 +1,9 @@
 package pinbcast
 
 import (
-	"errors"
 	"io"
+	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -39,22 +40,6 @@ func recorded(rec *Recording) []Slot {
 	return append([]Slot(nil), rec.slots...)
 }
 
-// recordN pulls up to n slots from a source into a new recording.
-func recordN(src Source, n int) (*Recording, error) {
-	rec := &Recording{}
-	for i := 0; i < n; i++ {
-		slot, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		rec.Send(slot)
-	}
-	return rec, nil
-}
-
 // mustLayout and mustSchedulers resolve registered strategies by name,
 // as every production caller does before passing them by value.
 func mustLayout(t testing.TB, name string) Layout {
@@ -77,4 +62,32 @@ func mustSchedulers(t testing.TB, names ...string) []Scheduler {
 		out[i] = s
 	}
 	return out
+}
+
+// LoopReplay replays recorded slots round and round, numbering them on
+// from slot Pos until slot End (0: never) — a live channel that keeps
+// the numbers of a recording made from slot 0, lap after lap. It never
+// blocks, so it yields every 64 slots the way a read would. Close may
+// run while a reader is inside Next.
+type LoopReplay struct {
+	Slots    []Slot
+	Pos, End int
+	closed   atomic.Bool
+}
+
+func (l *LoopReplay) Next() (Slot, error) {
+	if l.closed.Load() || len(l.Slots) == 0 || l.End > 0 && l.Pos >= l.End {
+		return Slot{}, io.EOF
+	}
+	s := l.Slots[l.Pos%len(l.Slots)]
+	s.T = l.Pos
+	if l.Pos++; l.Pos%64 == 0 {
+		runtime.Gosched()
+	}
+	return s, nil
+}
+
+func (l *LoopReplay) Close() error {
+	l.closed.Store(true)
+	return nil
 }

@@ -18,55 +18,18 @@ import (
 	"pinbcast/internal/workload"
 )
 
-// recordChannels serves each station of the cluster into a Recording
-// for n slots and returns one replay Source per channel.
-func recordChannels(t *testing.T, c *Cluster, n int) []*Recording {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	slots, err := c.Serve(ctx)
-	if err != nil {
-		t.Fatal(err)
+// clusterAir serves the first n slots of every channel of the cluster.
+func clusterAir(t *testing.T, c *Cluster, n int) [][]Slot {
+	airs := make([][]Slot, c.Channels())
+	for ch := range airs {
+		airs[ch] = air(t, c.Station(ch), n)
 	}
-	recs := make([]*Recording, len(slots))
-	for i, ch := range slots {
-		rec, err := recordN(SlotSource(ch), n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs[i] = rec
-	}
-	return recs
-}
-
-// loopingSource replays a recording cyclically with a monotone slot
-// clock — a live channel stand-in that never ends, so tests of the
-// hop machinery don't race against replay exhaustion. Close may run
-// while a driver is inside Next.
-type loopingSource struct {
-	slots  []Slot
-	pos    int
-	closed atomic.Bool
-}
-
-func (l *loopingSource) Next() (Slot, error) {
-	if l.closed.Load() || len(l.slots) == 0 {
-		return Slot{}, io.EOF
-	}
-	s := l.slots[l.pos%len(l.slots)]
-	s.T = l.pos
-	l.pos++
-	return s, nil
-}
-
-func (l *loopingSource) Close() error {
-	l.closed.Store(true)
-	return nil
+	return airs
 }
 
 func TestMultiTunerHopOnEOF(t *testing.T) {
 	c := testCluster(t)
-	recs := recordChannels(t, c, 256)
+	recs := clusterAir(t, c, 256)
 	plan := c.FetchPlan()
 
 	// hot-a is replicated; its cheapest-first plan starts on a channel
@@ -76,11 +39,9 @@ func TestMultiTunerHopOnEOF(t *testing.T) {
 	srcs := make([]Source, c.Channels())
 	for i, rec := range recs {
 		if i == first {
-			short := &Recording{}
-			short.Send(recorded(rec)[0])
-			srcs[i] = short.Source()
+			srcs[i] = &LoopReplay{Slots: rec, End: 1}
 		} else {
-			srcs[i] = &loopingSource{slots: recorded(rec)}
+			srcs[i] = &LoopReplay{Slots: rec}
 		}
 	}
 	mt, err := NewMultiTuner(srcs,
@@ -117,10 +78,10 @@ func TestMultiTunerHopOnEOF(t *testing.T) {
 
 func TestMultiTunerScanModeAndCancel(t *testing.T) {
 	c := testCluster(t)
-	recs := recordChannels(t, c, 256)
+	recs := clusterAir(t, c, 256)
 	srcs := make([]Source, len(recs))
 	for i, rec := range recs {
-		srcs[i] = rec.Source()
+		srcs[i] = &LoopReplay{Slots: rec, End: len(rec)}
 	}
 	// No fetch plan at all: every request scans all channels; the
 	// winning channel records the result and the losers are cancelled.
@@ -181,13 +142,13 @@ func TestMultiTunerValidation(t *testing.T) {
 // every counter, because both run Receiver.observe.
 func TestMultiTunerMatchesReceiver(t *testing.T) {
 	c := testCluster(t)
-	rec := recordChannels(t, c, 256)[0]
+	rec := clusterAir(t, c, 256)[0]
 	// The first two files channel 0 carries, and an adversary that
 	// destroys the first and third transmission of each.
 	var files []string
 	var kill []int
 	sent := map[string]int{}
-	for _, s := range recorded(rec) {
+	for _, s := range rec {
 		if s.File == "" {
 			continue
 		}
@@ -205,7 +166,7 @@ func TestMultiTunerMatchesReceiver(t *testing.T) {
 	}
 	reqs := []Request{{File: files[0], Deadline: 40}, {File: files[1], Deadline: 3}}
 
-	rcv, err := Subscribe(rec.Source(),
+	rcv, err := Subscribe(&LoopReplay{Slots: rec, End: len(rec)},
 		WithDirectory(c.Directory()),
 		WithReceiverFaults(SlotFaults(kill...)),
 		withRequests(reqs...),
@@ -218,7 +179,7 @@ func TestMultiTunerMatchesReceiver(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mt, err := NewMultiTuner([]Source{rec.Source()},
+	mt, err := NewMultiTuner([]Source{&LoopReplay{Slots: rec, End: len(rec)}},
 		WithTunerDirectory(c.Directory()),
 		WithTunerFaults(SlotFaults(kill...)),
 		withTunerRequests(reqs...),
@@ -254,11 +215,11 @@ func TestMultiTunerMatchesReceiver(t *testing.T) {
 // not the channel drivers were ever started.
 func TestMultiTunerRunAfterClose(t *testing.T) {
 	c := testCluster(t)
-	recs := recordChannels(t, c, 256)
+	recs := clusterAir(t, c, 256)
 	for _, started := range []bool{true, false} {
 		srcs := make([]Source, len(recs))
 		for i, rec := range recs {
-			srcs[i] = &loopingSource{slots: recorded(rec)}
+			srcs[i] = &LoopReplay{Slots: rec}
 		}
 		mt, err := NewMultiTuner(srcs, WithTunerDirectory(c.Directory()))
 		if err != nil {
@@ -316,7 +277,7 @@ func TestMultiTunerRunAfterClose(t *testing.T) {
 // every request is flushed, on each of 50 fresh tuners.
 func TestMultiTunerFlushRequestOrder(t *testing.T) {
 	c := testCluster(t)
-	recs := recordChannels(t, c, 16)
+	recs := clusterAir(t, c, 16)
 	plan := c.FetchPlan()
 	order := []string{"warm", "hot-b", "cold", "cool-a", "hot-a"}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -324,7 +285,7 @@ func TestMultiTunerFlushRequestOrder(t *testing.T) {
 	for run := 0; run < 50; run++ {
 		srcs := make([]Source, len(recs))
 		for i, rec := range recs {
-			srcs[i] = rec.Source()
+			srcs[i] = &LoopReplay{Slots: rec, End: len(rec)}
 		}
 		mt, err := NewMultiTuner(srcs, WithTunerDirectory(c.Directory()), WithTunerHomes(plan))
 		if err != nil {
@@ -363,7 +324,7 @@ func TestMultiTunerFlushRequestOrder(t *testing.T) {
 // every live channel.
 func TestMultiTunerRequestFollowsHomes(t *testing.T) {
 	c := testCluster(t)
-	recs := recordChannels(t, c, 16)
+	recs := clusterAir(t, c, 16)
 	plan := c.FetchPlan()
 	hot := plan["hot-a"]
 	if len(hot) != 2 {
@@ -385,7 +346,7 @@ func TestMultiTunerRequestFollowsHomes(t *testing.T) {
 		srcs := make([]Source, len(recs))
 		for i, rec := range recs {
 			if i != tc.dead {
-				srcs[i] = rec.Source()
+				srcs[i] = &LoopReplay{Slots: rec, End: len(rec)}
 			}
 		}
 		mt, err := NewMultiTuner(srcs, WithTunerDirectory(c.Directory()),
@@ -449,25 +410,6 @@ func TestMultiTunerCloseMidRunOverRecordings(t *testing.T) {
 	}
 }
 
-// pooledModel is the pooled retrieval rule in block numbers, sharing no
-// code with the tuner: listening to every channel of cycles (one data
-// cycle each, replayed cyclically) in lock-step from slot start, it
-// returns the first slot count after which the distinct numbers of
-// file's blocks heard, whichever channel sent them, reach m, and the
-// channel that sent the last (the lowest, where several do in that slot).
-func pooledModel(cycles [][]Slot, start int, file string, m int) (latency, channel int) {
-	var have [256]bool
-	for k, got := 0, 0; ; k++ {
-		for ch, cycle := range cycles {
-			if s := cycle[(start+k)%len(cycle)]; s.File == file && !have[s.Seq] {
-				if have[s.Seq], got = true, got+1; got == m {
-					return k + 1, ch
-				}
-			}
-		}
-	}
-}
-
 // TestMultiTunerPoolsAcrossChannels: a scan-mode request on the paced
 // daemon cluster's two channels, walked in lock-step from every start
 // offset of a period, completes on the very slot the union of the two
@@ -479,14 +421,11 @@ func pooledModel(cycles [][]Slot, start int, file string, m int) (latency, chann
 func TestMultiTunerPoolsAcrossChannels(t *testing.T) {
 	c, files := daemonCluster(t, true)
 	contents := workload.Contents(files, 16, 1)
-	cycles := make([][]Slot, c.Channels())
-	for ch := range cycles {
-		cycles[ch] = cycleOnAir(t, c.Station(ch))
-	}
+	cycles := cyclesOnAir(t, c)
 	sources := func(start int) []Source {
 		srcs := make([]Source, len(cycles))
 		for ch, cycle := range cycles {
-			srcs[ch] = &loopingSource{slots: cycle, pos: start}
+			srcs[ch] = &LoopReplay{Slots: cycle, Pos: start}
 		}
 		return srcs
 	}
@@ -509,21 +448,21 @@ func TestMultiTunerPoolsAcrossChannels(t *testing.T) {
 					mt.observe(ch, slot)
 				}
 			}
-			want, wantCh := pooledModel(cycles, start, f.Name, f.Blocks)
+			window := c.Station(0).Bandwidth() * f.Latency
+			want, ok := worstRetrieval(onAir(cycles...), len(cycles), start, window, f.Name, f.Blocks, 0)
 			res := mt.results[0]
-			if !res.Completed || res.Latency != want || res.Channel != wantCh || res.BlocksUsed != f.Blocks || !bytes.Equal(res.Data, contents[f.Name]) {
-				t.Fatalf("%q from slot %d: %d slots on channel %d with %d blocks (completed %v), the union holds %d after %d slots, the last from channel %d",
-					f.Name, start, res.Latency, res.Channel, res.BlocksUsed, res.Completed, f.Blocks, want, wantCh)
+			if !ok || !res.Completed || res.Latency != want.slots || res.Channel != want.channel || res.BlocksUsed != f.Blocks || !bytes.Equal(res.Data, contents[f.Name]) {
+				t.Fatalf("%q from slot %d: %d slots on channel %d with %d blocks (completed %v), the union holds %d after %d slots, the last from channel %d (within the window %v)",
+					f.Name, start, res.Latency, res.Channel, res.BlocksUsed, res.Completed, f.Blocks, want.slots, want.channel, ok)
 			}
 			alone := 1 << 30
-			for ch := range cycles {
-				l, _ := pooledModel(cycles[ch:ch+1], start, f.Name, f.Blocks)
-				alone = min(alone, l)
+			for _, cycle := range cycles {
+				l, ok := worstRetrieval(onAir(cycle), 1, start, window, f.Name, f.Blocks, 0)
+				if alone = min(alone, l.slots); !ok || want.slots > alone {
+					t.Fatalf("%q from slot %d: %d slots pooled, %d on one channel alone (within the window %v)", f.Name, start, want.slots, l.slots, ok)
+				}
 			}
-			if want > alone {
-				t.Fatalf("%q from slot %d: %d slots pooled, %d on one channel alone", f.Name, start, want, alone)
-			}
-			if want < alone {
+			if want.slots < alone {
 				sooner++
 			}
 			pooled += mt.Metrics().Pooled
@@ -568,10 +507,7 @@ func TestMultiTunerPoolsAcrossChannels(t *testing.T) {
 func TestMultiTunerHopKeepsBlocks(t *testing.T) {
 	c, files := daemonCluster(t, true)
 	contents := workload.Contents(files, 16, 1)
-	cycles := make([][]Slot, c.Channels())
-	for ch := range cycles {
-		cycles[ch] = cycleOnAir(t, c.Station(ch))
-	}
+	cycles := cyclesOnAir(t, c)
 	hopped := 0
 	for _, f := range files {
 		plan := c.FetchPlan()[f.Name]
@@ -580,7 +516,7 @@ func TestMultiTunerHopKeepsBlocks(t *testing.T) {
 		}
 		first, second := plan[0], plan[1]
 		for k := 1; k < f.Blocks; k++ {
-			srcs := []Source{&loopingSource{slots: cycles[0]}, &loopingSource{slots: cycles[1]}}
+			srcs := []Source{&LoopReplay{Slots: cycles[0]}, &LoopReplay{Slots: cycles[1]}}
 			mt, err := NewMultiTuner(srcs, WithTunerDirectory(c.Directory()), WithTunerHomes(c.FetchPlan()), WithTunerRequest(f.Name, 0))
 			if err != nil {
 				t.Fatal(err)
@@ -594,8 +530,8 @@ func TestMultiTunerHopKeepsBlocks(t *testing.T) {
 			}
 			mt.det.Fail(first) // what drive does when the stream ends
 			mt.channelDied(first)
-			fresh, _ := pooledModel(cycles[second:second+1], hop, f.Name, f.Blocks)
-			srcs[second].(*loopingSource).pos = hop
+			fresh, ok := worstRetrieval(onAir(cycles[second]), 1, hop, c.Station(0).Bandwidth()*f.Latency, f.Name, f.Blocks, 0)
+			srcs[second].(*LoopReplay).Pos = hop
 			for !tunerDone(mt) {
 				slot, _ := srcs[second].Next()
 				mt.observe(second, slot)
@@ -604,8 +540,9 @@ func TestMultiTunerHopKeepsBlocks(t *testing.T) {
 			if !res.Completed || res.Channel != second || res.BlocksUsed != f.Blocks || !bytes.Equal(res.Data, contents[f.Name]) || m.Hops != 1 || m.Pooled != 1 {
 				t.Fatalf("%q hopping after %d blocks: %+v, metrics %+v", f.Name, k, res, m)
 			}
-			if res.Latency >= fresh {
-				t.Fatalf("%q hopping at slot %d with %d of %d blocks: %d slots on channel %d, a fresh request takes %d", f.Name, hop, k, f.Blocks, res.Latency, second, fresh)
+			if !ok || res.Latency >= fresh.slots {
+				t.Fatalf("%q hopping at slot %d with %d of %d blocks: %d slots on channel %d, a fresh request takes %d (within the window %v)",
+					f.Name, hop, k, f.Blocks, res.Latency, second, fresh.slots, ok)
 			}
 			hopped++
 			mt.Close()
@@ -635,9 +572,6 @@ func (o *oneReader) Next() (Slot, error) {
 	}
 	defer o.inNext.Add(-1)
 	slot, err := o.Source.Next()
-	if slot.T%64 == 63 {
-		runtime.Gosched() // a replay never blocks: yield the way a read would
-	}
 	o.mu.Lock()
 	if o.cancel != nil {
 		if o.left--; o.left <= 0 {
@@ -724,7 +658,7 @@ func TestMultiTunerRunEndsWithLastRequest(t *testing.T) {
 	// blocked in Next, so the run cannot end before that.
 	waiting := make(chan struct{})
 	ch1 := &oneReader{Source: gated}
-	ch0 := &startAfter{Source: &loopingSource{slots: cycle}, start: waiting, read: make(chan struct{}, 1)}
+	ch0 := &startAfter{Source: &LoopReplay{Slots: cycle}, start: waiting, read: make(chan struct{}, 1)}
 	mt, err := NewMultiTuner([]Source{ch0, ch1},
 		WithTunerDirectory(c.Directory()),
 		WithTunerHomes(map[string][]int{file: {0}, "only-on-1": {1}}),
@@ -796,14 +730,14 @@ func TestMultiTunerRunEndsWithLastRequest(t *testing.T) {
 // over one result per request. After Close a run flushes at once.
 func TestMultiTunerOneReaderPerSource(t *testing.T) {
 	c := testCluster(t)
-	recs := recordChannels(t, c, 256)
+	recs := clusterAir(t, c, 256)
 	contents := CatalogContents(clusterCatalog(), 64, 1)
 	plan := c.FetchPlan()
 	names := slices.Sorted(maps.Keys(plan))
 	readers := make([]*oneReader, len(recs))
 	srcs := make([]Source, len(recs))
 	for i, rec := range recs {
-		readers[i] = &oneReader{Source: &loopingSource{slots: recorded(rec)}}
+		readers[i] = &oneReader{Source: &LoopReplay{Slots: rec}}
 		srcs[i] = readers[i]
 	}
 	mt, err := NewMultiTuner(srcs, WithTunerDirectory(c.Directory()), WithTunerHomes(plan))

@@ -1,0 +1,159 @@
+package pinbcast
+
+import (
+	"math/bits"
+	"math/rand/v2"
+	"slices"
+	"testing"
+)
+
+// retrieval is the oracle's account of a listener's worst case.
+type retrieval struct {
+	slots   int // from the start slot through the completing reception
+	channel int // the completing reception's channel
+	heard   int // receptions of the file through it, destroyed ones included
+	repeats int // of those, the ones whose block number was heard before
+}
+
+// worstRetrieval is the conformance oracle. A listener tunes in at slot
+// start of the air and needs m distinct block numbers of file, while an
+// adversary destroys the r receptions that hold it back longest. at(ch,
+// t) is what channel ch carries at slot t — a file name and a block
+// number, an idle slot any name no listener asks for — and the listener
+// hears the channels in lock-step, lower index first within a slot. ok
+// is false when some r destroyed receptions keep it short for all of
+// horizon slots.
+//
+// The rule is exact on any air, and assumes nothing of rotations,
+// ranges or distinct numbers. Through a reception the adversary can hold
+// the listener short if and only if destroying every copy of the D−m+1
+// least-heard of the D distinct numbers heard so far costs at most r
+// receptions; the listener completes on the first reception where it
+// costs more. With no number repeated that is the (m+r)-th arrival.
+func worstRetrieval(at func(ch, t int) (string, int), channels, start, horizon int, file string, m, r int) (retrieval, bool) {
+	var got retrieval
+	var numbers, copies, least []int // each distinct number heard, how often; scratch
+	for k := 0; k < horizon; k++ {
+		for ch := 0; ch < channels; ch++ {
+			name, block := at(ch, start+k)
+			if name != file {
+				continue
+			}
+			if got.heard++; slices.Contains(numbers, block) {
+				got.repeats++
+				copies[slices.Index(numbers, block)]++
+			} else {
+				numbers, copies = append(numbers, block), append(copies, 1)
+			}
+			if len(numbers) < m {
+				continue
+			}
+			least = append(least[:0], copies...)
+			slices.Sort(least)
+			cost := 0
+			for _, c := range least[:len(least)-m+1] {
+				cost += c
+			}
+			if cost > r {
+				got.slots, got.channel = k+1, ch
+				return got, true
+			}
+		}
+	}
+	return retrieval{}, false
+}
+
+// reception is one channel's slot in TestOracleIsExact's airs.
+type reception struct {
+	file  string
+	block int
+}
+
+// bruteForce is the oracle's definition enumerated: over every set of at
+// most r destroyed receptions of file, the latest on which the listener
+// first holds m distinct numbers, or ok false when some set keeps it
+// short to the end of the air. It takes at most 64 receptions of file,
+// numbered below 64.
+func bruteForce(air [][]reception, start int, file string, m, r int) (retrieval, bool) {
+	type rx struct{ slot, channel, block int }
+	var rxs []rx
+	for k := start; k < len(air[0]); k++ {
+		for ch := range air {
+			if s := air[ch][k]; s.file == file {
+				rxs = append(rxs, rx{k - start, ch, s.block})
+			}
+		}
+	}
+	completes := func(destroyed uint64) int {
+		var held uint64
+		for i, x := range rxs {
+			if destroyed&(1<<i) == 0 {
+				if held |= 1 << x.block; bits.OnesCount64(held) == m {
+					return i
+				}
+			}
+		}
+		return len(rxs)
+	}
+	latest := -1
+	var destroy func(from, left int, destroyed uint64)
+	destroy = func(from, left int, destroyed uint64) {
+		latest = max(latest, completes(destroyed))
+		for i := from; i < len(rxs) && left > 0 && latest < len(rxs); i++ {
+			destroy(i+1, left-1, destroyed|1<<i)
+		}
+	}
+	destroy(0, r, 0)
+	if latest == len(rxs) {
+		return retrieval{}, false
+	}
+	var heard uint64
+	for _, x := range rxs[:latest+1] {
+		heard |= 1 << x.block
+	}
+	last := rxs[latest]
+	return retrieval{last.slot + 1, last.channel, latest + 1, latest + 1 - bits.OnesCount64(heard)}, true
+}
+
+// TestOracleIsExact holds worstRetrieval to its definition: on seeded
+// airs of one to three channels and at most ten slots — block numbers 0
+// to 3 repeating, some slots idle or another file's — from every start,
+// for every m ≤ 4 and r ≤ 3, it reports what brute force over every set
+// of at most r destroyed receptions finds. On a, b, a, c, d with m = 2
+// and r = 1, destroying the earliest useful arrival (a) leaves the
+// listener complete on the second a; destroying b holds it to slot 4.
+func TestOracleIsExact(t *testing.T) {
+	fromAir := func(air [][]reception) func(ch, t int) (string, int) {
+		return func(ch, t int) (string, int) { return air[ch][t].file, air[ch][t].block }
+	}
+	abacd := [][]reception{{{"f", 0}, {"f", 1}, {"f", 0}, {"f", 2}, {"f", 3}}}
+	if got, ok := worstRetrieval(fromAir(abacd), 1, 0, 5, "f", 2, 1); !ok || got != (retrieval{slots: 4, heard: 4, repeats: 1}) {
+		t.Fatalf("a, b, a, c, d with m = 2 and r = 1: %+v (completes %v), want 4 slots", got, ok)
+	}
+	rng := rand.New(rand.NewPCG(1, 34))
+	cases := 0
+	for range 400 {
+		air := make([][]reception, 1+rng.IntN(3))
+		slots := 1 + rng.IntN(10)
+		for ch := range air {
+			air[ch] = make([]reception, slots)
+			for k := range air[ch] { // a fifth idle, a tenth another file's
+				air[ch][k] = reception{[]string{"", "", "g", "f", "f", "f", "f", "f", "f", "f"}[rng.IntN(10)], rng.IntN(4)}
+			}
+		}
+		for start := range slots {
+			for m := 1; m <= 4; m++ {
+				for r := 0; r <= 3; r++ {
+					got, ok := worstRetrieval(fromAir(air), len(air), start, slots-start, "f", m, r)
+					want, wantOK := bruteForce(air, start, "f", m, r)
+					if got != want || ok != wantOK {
+						t.Fatalf("air %v from slot %d, m %d, r %d: oracle %+v (completes %v), brute force %+v (completes %v)",
+							air, start, m, r, got, ok, want, wantOK)
+					}
+					cases++
+				}
+			}
+		}
+	}
+	t.Logf("the oracle agrees with brute force on all %d cases", cases)
+}

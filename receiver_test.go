@@ -36,19 +36,9 @@ func receiverStation(t testing.TB) (*Station, map[string][]byte) {
 
 // record captures n slots of a freshly served broadcast.
 func record(t testing.TB, st *Station, n int) *Recording {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	slots, err := st.Serve(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := recordN(SlotSource(slots), n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	for range slots {
+	rec := &Recording{}
+	for _, s := range air(t, st, n) {
+		rec.Send(s)
 	}
 	return rec
 }

@@ -94,6 +94,15 @@ func air(t testing.TB, st *Station, n int) []Slot {
 	return slots
 }
 
+// onAir is the oracle's view of served slots, one sequence per channel,
+// each replayed round and round.
+func onAir(airs ...[]Slot) func(ch, t int) (string, int) {
+	return func(ch, t int) (string, int) {
+		s := airs[ch][t%len(airs[ch])]
+		return s.File, s.Seq
+	}
+}
+
 // reclaimTestSlots bounds how much of a long data cycle a test walks:
 // the table repeats every period and the scheduled rotation is
 // TestManyStartsExhaustiveDeadlines' subject, not these tests'.
@@ -255,32 +264,6 @@ func TestReclaimedEmissionIsSupersetOfProgram(t *testing.T) {
 	}
 }
 
-// oracleLatency is a first piece of the ROADMAP's conformance oracle,
-// and shares no code with client, core or rtdb: a listener tunes in at
-// slot start of the emitted (file, block) sequence and needs m distinct
-// blocks of file, while an adversary erases the next block that would
-// help it, faults times over (optimal, because any m distinct blocks
-// reconstruct). It returns the slots that takes, or more than were
-// emitted when they do not hold a retrieval.
-func oracleLatency(emitted []Slot, start int, file string, m, faults int) int {
-	var have [256]bool
-	for k, got := 0, 0; start+k < len(emitted); k++ {
-		s := emitted[start+k]
-		if s.Block == nil || s.File != file || have[s.Seq] {
-			continue
-		}
-		if faults > 0 {
-			faults--
-			continue
-		}
-		have[s.Seq] = true
-		if got++; got == m {
-			return k + 1
-		}
-	}
-	return len(emitted) + 1
-}
-
 // TestReclaimedEmissionDominatesProgram: from every start slot of a data
 // cycle, fault-free and against the adversary with every file's r
 // faults, the oracle's latency on the paced emission is at most its
@@ -311,12 +294,13 @@ func TestReclaimedEmissionDominatesProgram(t *testing.T) {
 					faults = f.Faults
 				}
 				for start := 0; start < starts; start++ {
-					a, b := oracleLatency(with, start, f.Name, f.Blocks, faults), oracleLatency(without, start, f.Name, f.Blocks, faults)
-					if a > b || b > paced.bandwidth*f.Latency {
-						t.Fatalf("catalogue %d, %q from slot %d with %d faults: %d slots paced, %d on the program alone, window %d",
-							c, f.Name, start, faults, a, b, paced.bandwidth*f.Latency)
+					a, okWith := worstRetrieval(onAir(with), 1, start, len(with)-start, f.Name, f.Blocks, faults)
+					b, okWithout := worstRetrieval(onAir(without), 1, start, len(without)-start, f.Name, f.Blocks, faults)
+					if !okWith || !okWithout || a.slots > b.slots || b.slots > paced.bandwidth*f.Latency {
+						t.Fatalf("catalogue %d, %q from slot %d with %d faults: %d slots paced (completes %v), %d on the program alone (%v), window %d",
+							c, f.Name, start, faults, a.slots, okWith, b.slots, okWithout, paced.bandwidth*f.Latency)
 					}
-					sumWith, sumWithout = sumWith+a, sumWithout+b
+					sumWith, sumWithout = sumWith+a.slots, sumWithout+b.slots
 				}
 			}
 			if reclaimed := reclaimedPerPeriod(paced.gen); reclaimed > 0 && sumWith >= sumWithout {
@@ -328,50 +312,31 @@ func TestReclaimedEmissionDominatesProgram(t *testing.T) {
 }
 
 // TestPacedClusterClosedLoopLatency is bdload's daemon-paced workload on
-// no clock: the daemon cluster's emissions walked in lock-step under one
-// closed-loop scan listener — files in seeded permutations, the next
-// request tuned in the slot after the last completed, every home of the
-// file collecting and the retrieval over on the slot that brings the
-// union of what they sent to m distinct block numbers, as a MultiTuner
-// pools. It guards, in the slot domain, what the wall-clock gate
-// measures: latency over the window B·Tᵢ at the median and the 95th
-// percentile (0.217 and 0.405 with every home sending the same blocks
-// and the first to m of its own winning), and that a listener never
+// no clock: the oracle walks one served data cycle of each channel of the
+// daemon cluster, round and round, under one closed-loop scan listener —
+// files in seeded permutations, the next request tuned in the slot after
+// the last completed, both channels heard and the retrieval over on the
+// slot that brings the union of what the file's homes sent to m
+// distinct block numbers, as a MultiTuner pools. It guards, in the slot
+// domain, what the wall-clock gate measures: latency over the window
+// B·Tᵢ at the median and the 95th percentile, and that a listener never
 // hears a block twice, on one channel or across them.
 func TestPacedClusterClosedLoopLatency(t *testing.T) {
 	const retrievals = 20000
 	c, files := daemonCluster(t, true)
-	homes := c.Assignment()
+	cycles := cyclesOnAir(t, c)
 	rng := rand.New(rand.NewSource(1))
 	ratios := make([]float64, 0, retrievals)
 	heard, duplicates := 0, 0
 	for tune := 0; len(ratios) < retrievals; {
 		for _, k := range rng.Perm(len(files)) {
 			f, window := files[k], c.Station(0).Bandwidth()*files[k].Latency
-			var have [256]bool // the block numbers held, whichever home sent them
-			got := 0
-			for lt := tune; got < f.Blocks; lt++ {
-				if lt-tune >= window {
-					t.Fatalf("%q requested at slot %d is not retrieved within its window of %d slots", f.Name, tune, window)
-				}
-				for _, ch := range homes[f.Name] {
-					st := c.Station(ch)
-					file, pos := st.Emission().BlockAt(lt)
-					if file == Idle || st.Emission().Files[file].Name != f.Name || got == f.Blocks {
-						continue
-					}
-					block, _ := st.gen.srv.Block(file, pos)
-					if heard++; have[block.Seq] {
-						duplicates++
-					} else {
-						have[block.Seq], got = true, got+1
-					}
-				}
-				if got == f.Blocks {
-					ratios = append(ratios, float64(lt-tune+1)/float64(window))
-					tune = lt + 1
-				}
+			got, ok := worstRetrieval(onAir(cycles...), len(cycles), tune, window, f.Name, f.Blocks, 0)
+			if !ok {
+				t.Fatalf("%q requested at slot %d is not retrieved within its window of %d slots", f.Name, tune, window)
 			}
+			ratios = append(ratios, float64(got.slots)/float64(window))
+			heard, duplicates, tune = heard+got.heard, duplicates+got.repeats, tune+got.slots
 		}
 	}
 	slices.Sort(ratios)
