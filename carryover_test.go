@@ -112,7 +112,7 @@ func TestCarryOverMatchesFromScratch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := st.latest().srv.Encoded(); got != len(tc.files) {
+			if got := st.latest.Load().srv.Encoded(); got != len(tc.files) {
 				t.Fatalf("constructor dispersed %d of %d files", got, len(tc.files))
 			}
 			// off holds what is not broadcast: evicted files (with the
@@ -132,10 +132,10 @@ func TestCarryOverMatchesFromScratch(t *testing.T) {
 				return m[names[rng.Intn(len(names))]], true
 			}
 
-			history := []generationModel{{st.latest().srv, maps.Clone(model)}}
+			history := []generationModel{{st.latest.Load().srv, maps.Clone(model)}}
 			kinds, stale := map[string]int{}, 0
 			for step := 0; step < tc.steps; step++ {
-				before, prev := st.latest(), maps.Clone(model)
+				before, prev := st.latest.Load(), maps.Clone(model)
 				var kind string
 				var opErr error
 				k := rng.Intn(8)
@@ -170,7 +170,7 @@ func TestCarryOverMatchesFromScratch(t *testing.T) {
 						}
 						delete(contracted, n)
 					}
-					if st.latest() != before {
+					if st.latest.Load() != before {
 						t.Fatalf("step %d: ReleaseTxn built a generation", step)
 					}
 					continue
@@ -201,7 +201,7 @@ func TestCarryOverMatchesFromScratch(t *testing.T) {
 						t.Fatalf("step %d: duplicate %s admitted: err = %v", step, c.spec.Name, opErr)
 					}
 				}
-				latest := st.latest()
+				latest := st.latest.Load()
 				if opErr != nil {
 					if latest != before {
 						t.Fatalf("step %d (%s): rejected with %v yet the generation changed", step, kind, opErr)
@@ -276,7 +276,7 @@ func TestControlPlaneDispersesOnlyTheChange(t *testing.T) {
 	if _, err := st.Negotiate(churn, make([]byte, 4*64)); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.latest().srv.Encoded(); got != 1 {
+	if got := st.latest.Load().srv.Encoded(); got != 1 {
 		t.Errorf("Negotiate dispersed %d files, want 1", got)
 	}
 	if err := st.ReleaseTxn(churn.Name); err != nil {
@@ -285,7 +285,7 @@ func TestControlPlaneDispersesOnlyTheChange(t *testing.T) {
 	if err := st.Evict(churn.Name); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.latest().srv.Encoded(); got != 0 {
+	if got := st.latest.Load().srv.Encoded(); got != 0 {
 		t.Errorf("Evict dispersed %d files, want 0", got)
 	}
 }
@@ -344,7 +344,7 @@ func TestSharedFramesSurviveFaultInjection(t *testing.T) {
 		t.Fatal("the simulated channel corrupted nothing")
 	}
 
-	gen := st.latest()
+	gen := st.latest.Load()
 	var scratch ida.Block
 	for i, info := range gen.program.Files {
 		for seq := 0; seq < info.N; seq++ {

@@ -424,7 +424,7 @@ func (c *Cluster) Serve(ctx context.Context) ([]<-chan Slot, error) {
 func (st *Station) fileBound(name string) (int, error) {
 	st.buildMu.Lock()
 	defer st.buildMu.Unlock()
-	bound, _, err := st.guaranteeBound(st.latest(), Txn{Name: name, Reads: []string{name}, Deadline: 1 << 30})
+	bound, _, err := st.guaranteeBound(st.latest.Load(), Txn{Name: name, Reads: []string{name}, Deadline: 1 << 30})
 	return bound, err
 }
 
@@ -627,7 +627,7 @@ func (c *Cluster) FailChannel(i int) (*FailoverReport, error) {
 			orphans = append(orphans, c.specs[name])
 		}
 	}
-	replicaOnly, failed := c.replicaOnlyLocked(), []*server.Server{c.stations[i].latest().srv}
+	replicaOnly, failed := c.replicaOnlyLocked(), []*server.Server{c.stations[i].latest.Load().srv}
 	survivors := c.liveLocked()
 	for round := 0; round == 0 || len(orphans) > 0; round++ {
 		batches := c.planLocked(orphans, survivors, i, rep)
@@ -792,7 +792,7 @@ func (c *Cluster) planLocked(orphans []FileSpec, survivors []int, i int, rep *Fa
 	})
 	load := make(map[int][]FileSpec, len(survivors))
 	for _, ch := range survivors {
-		load[ch] = c.stations[ch].latest().files
+		load[ch] = c.stations[ch].latest.Load().files
 	}
 	headroom := func(ch int) float64 {
 		return float64(c.stations[ch].Bandwidth()) - core.NecessaryBandwidth(load[ch])

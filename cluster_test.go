@@ -567,7 +567,7 @@ func TestClusterFailoverLossAndRevocation(t *testing.T) {
 // from its first slot.
 func cycleOnAir(t *testing.T, st *Station) []Slot {
 	t.Helper()
-	return air(t, st, st.latest().cycle)
+	return air(t, st, st.latest.Load().cycle)
 }
 
 // cyclesOnAir serves one data cycle of each channel of the cluster.

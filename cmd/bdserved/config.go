@@ -25,7 +25,7 @@ type Config struct {
 	Seed         int64         // workload seed
 	BlockSize    int           // bytes per catalog file block
 	SlotInterval time.Duration // broadcast slot pacing
-	Channels     int           // 1 = single station, >1 = cluster of K channels
+	Channels     int           // K, the cluster's broadcast channels
 	Replicas     int           // R-way replication of the hottest files (cluster)
 	Shard        string        // shard policy name (cluster)
 

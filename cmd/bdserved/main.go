@@ -1,7 +1,7 @@
 // Command bdserved is the ops-grade daemon mode of the broadcast disk:
-// a long-running Station (or K-channel Cluster) broadcasting a
-// synthetic catalog over TCP fan-out, with the observability plane
-// served over HTTP:
+// a long-running K-channel Cluster (one channel by default)
+// broadcasting a synthetic catalog over TCP fan-out, with the
+// observability plane served over HTTP:
 //
 //	bdserved -config bdserved.toml
 //
@@ -121,7 +121,7 @@ func expectedShare(p *pinbcast.Program, st *pinbcast.Station) (share float64) {
 }
 
 // serve runs the daemon: build the catalog, bring up the data plane
-// (one Station or a Cluster of K), serve the ops endpoints, pump slots
+// (a Cluster of K stations), serve the ops endpoints, pump slots
 // until a signal arrives, then drain each channel to its data-cycle
 // boundary.
 func serve(cfg Config, sigs <-chan os.Signal, stdout io.Writer) error {
@@ -164,11 +164,9 @@ func serve(cfg Config, sigs <-chan os.Signal, stdout io.Writer) error {
 			i, reclaimed, idle, expectedShare(emission, c.st), expectedShare(prog, c.st))
 	}
 	replicated := 0
-	if cl != nil {
-		for _, homes := range cl.Assignment() {
-			if len(homes) > 1 {
-				replicated++
-			}
+	for _, homes := range cl.Assignment() {
+		if len(homes) > 1 {
+			replicated++
 		}
 	}
 	if replicated > 0 {
@@ -214,11 +212,10 @@ func serve(cfg Config, sigs <-chan os.Signal, stdout io.Writer) error {
 	return nil
 }
 
-// buildChannels brings up the data plane: one Station when channels =
-// 1, a Cluster of K stations otherwise (returned too; else nil), each
-// streaming through its own TCP fan-out. The configured data address is
-// the base: port 0 gives every channel an ephemeral port, a fixed port p
-// puts channel i on p+i.
+// buildChannels brings up the data plane: a Cluster of K stations (one
+// when channels = 1), each streaming through its own TCP fan-out. The
+// configured data address is the base: port 0 gives every channel an
+// ephemeral port, a fixed port p puts channel i on p+i.
 func buildChannels(ctx context.Context, cfg Config, files []pinbcast.FileSpec, contents map[string][]byte, stdout io.Writer) ([]channel, *pinbcast.Cluster, error) {
 	listen := func(i int) (net.Listener, error) {
 		host, portStr, err := net.SplitHostPort(cfg.Data)
@@ -235,35 +232,9 @@ func buildChannels(ctx context.Context, cfg Config, files []pinbcast.FileSpec, c
 		return net.Listen("tcp", net.JoinHostPort(host, strconv.Itoa(port)))
 	}
 
-	stOpts := []pinbcast.Option{
-		pinbcast.WithSlotBuffer(256),
-		pinbcast.WithSlotInterval(cfg.SlotInterval),
-	}
-	if cfg.Channels == 1 {
-		st, err := pinbcast.New(append([]pinbcast.Option{
-			pinbcast.WithFiles(files...),
-			pinbcast.WithContents(contents),
-		}, stOpts...)...)
-		if err != nil {
-			return nil, nil, err
-		}
-		slots, err := st.Serve(ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		ln, err := listen(0)
-		if err != nil {
-			return nil, nil, err
-		}
-		fan := pinbcast.NewFanout(ln, 0)
-		fmt.Fprintf(stdout, "data channel 0 listening on %s (bandwidth %d, data cycle %d)\n",
-			fan.Addr(), st.Bandwidth(), st.Program().DataCycle())
-		return []channel{{st: st, slots: slots, fan: fan, cycle: st.Program().DataCycle()}}, nil, nil
-	}
-
 	replicas := cfg.Replicas
-	if replicas > cfg.Channels {
-		replicas = cfg.Channels
+	if cfg.Channels == 1 {
+		replicas = 1 // station.replicas is read only with several channels
 	}
 	cl, err := pinbcast.NewCluster(
 		pinbcast.WithChannels(cfg.Channels),
@@ -272,7 +243,7 @@ func buildChannels(ctx context.Context, cfg Config, files []pinbcast.FileSpec, c
 		pinbcast.WithClusterBandwidth(pinbcast.SufficientBandwidth(files)),
 		pinbcast.WithClusterFiles(files...),
 		pinbcast.WithClusterContents(contents),
-		pinbcast.WithStationOptions(stOpts...),
+		pinbcast.WithStationOptions(pinbcast.WithSlotBuffer(256), pinbcast.WithSlotInterval(cfg.SlotInterval)),
 	)
 	if err != nil {
 		return nil, nil, err

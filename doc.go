@@ -260,8 +260,9 @@
 //
 // One-shot construction (without a service lifecycle) goes through
 // Build and BuildGeneralizedProgram; Simulate runs a client population
-// as Receivers on a virtual clock — one emitting server, no transport,
-// no goroutines — so seeded runs are exactly reproducible.
+// as Receivers on a virtual clock — the program read through the
+// station's own emitter, no transport, no goroutines — so seeded runs
+// are exactly reproducible.
 //
 // The top-level package is a facade over the implementation packages:
 //

@@ -107,7 +107,7 @@ func TestFailChannelBuildsOncePerSurvivor(t *testing.T) {
 				if got := c.Station(ch).Generation(); got != want {
 					t.Errorf("paced %v, channel %d failed: survivor %d went from generation %d to %d, want %d", paced, failed, ch, was, got, want)
 				}
-				if n := c.Station(ch).latest().srv.Encoded(); took[ch] && n != 0 {
+				if n := c.Station(ch).latest.Load().srv.Encoded(); took[ch] && n != 0 {
 					t.Errorf("paced %v, channel %d failed: survivor %d encoded %d files, the failed channel sent them all whole", paced, failed, ch, n)
 				}
 			}
@@ -153,7 +153,7 @@ func TestFailChannelBuildsOncePerSurvivor(t *testing.T) {
 		if !maps.Equal(rep.Readmitted, tc.want) || (tc.want == nil) != errors.Is(rep.Lost["h1"], ErrDegraded) {
 			t.Fatalf("limit %d: re-admitted %v, lost %v; want %v", tc.limit, rep.Readmitted, rep.Lost, tc.want)
 		}
-		if got := c.Station(2).Generation(); got != gens[1] || len(c.Station(2).latest().files) != 6 {
+		if got := c.Station(2).Generation(); got != gens[1] || len(c.Station(2).latest.Load().files) != 6 {
 			t.Errorf("limit %d: the refused survivor moved from generation %d to %d", tc.limit, gens[1], got)
 		}
 		if got, want := c.Station(0).Generation(), gens[0]+len(tc.want); got != want {

@@ -71,7 +71,7 @@ func (st *Station) AdmitTxn(x Txn) (Contract, error) {
 	if _, dup := st.contractEntry(x.Name); dup {
 		return Contract{}, fmt.Errorf("pinbcast: contract %q already issued: %w", x.Name, ErrBadSpec)
 	}
-	base := st.latest()
+	base := st.latest.Load()
 	worst, refresh, err := st.guaranteeBound(base, x)
 	if err != nil {
 		return Contract{}, err

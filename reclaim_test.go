@@ -231,7 +231,8 @@ func TestReclaimedEmissionIsSupersetOfProgram(t *testing.T) {
 				sched, _ := LookupScheduler(schedName)
 				opts := append(base[:len(base):len(base)], WithLayout(mustLayout(t, layoutName)), WithSchedulers(sched, portfolio))
 				paced := station(t, true, opts...)
-				gen, prog := paced.gen, paced.gen.program
+				gen := paced.onAir.Load()
+				prog := gen.program
 				n := (min(2*gen.cycle, reclaimTestSlots) + prog.Period - 1) / prog.Period * prog.Period
 				checkReclaimedEmission(t, paced, gen, air(t, paced, n))
 				reclaimed += reclaimedPerPeriod(gen)
@@ -279,12 +280,12 @@ func TestReclaimedEmissionDominatesProgram(t *testing.T) {
 	pacedCluster, _ := daemonCluster(t, true)
 	plainCluster, _ := daemonCluster(t, false)
 	pairs = append(pairs, [2]*Station{pacedCluster.Station(1), plainCluster.Station(1)})
-	if len(pacedCluster.Station(1).gen.replicaOnly) == 0 {
+	if len(pacedCluster.Station(1).onAir.Load().replicaOnly) == 0 {
 		t.Fatal("channel 1 of the daemon cluster reclaims for every file it carries")
 	}
 	for c, pair := range pairs {
-		paced, plain, files := pair[0], pair[1], pair[0].gen.files
-		starts := min(paced.gen.cycle, reclaimTestSlots)
+		paced, plain, files := pair[0], pair[1], pair[0].onAir.Load().files
+		starts := min(paced.onAir.Load().cycle, reclaimTestSlots)
 		with, without := air(t, paced, 2*starts), air(t, plain, 2*starts)
 		for _, adversary := range []bool{false, true} {
 			var sumWith, sumWithout int
@@ -303,7 +304,7 @@ func TestReclaimedEmissionDominatesProgram(t *testing.T) {
 					sumWith, sumWithout = sumWith+a.slots, sumWithout+b.slots
 				}
 			}
-			if reclaimed := reclaimedPerPeriod(paced.gen); reclaimed > 0 && sumWith >= sumWithout {
+			if reclaimed := reclaimedPerPeriod(paced.onAir.Load()); reclaimed > 0 && sumWith >= sumWithout {
 				t.Fatalf("catalogue %d (adversary %v): %d slots reclaimed a period and the mean latency did not fall (%d against %d slots in all)",
 					c, adversary, reclaimed, sumWith, sumWithout)
 			}
@@ -359,7 +360,7 @@ func TestReclaimAcrossGenerationSwap(t *testing.T) {
 		WithFiles(FileSpec{Name: "A", Blocks: 2, Latency: 10, Faults: 1}, FileSpec{Name: "B", Blocks: 3, Latency: 20}),
 		WithContents(map[string][]byte{"A": []byte("file A: the hot bulletin"), "B": []byte("file B: the colder map, three blocks")}),
 		WithSlotBuffer(16))
-	old := st.gen
+	old := st.onAir.Load()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	stream, err := st.Serve(ctx)
@@ -373,7 +374,7 @@ func TestReclaimAcrossGenerationSwap(t *testing.T) {
 		if err := mutate(); err != nil {
 			t.Fatal(err)
 		}
-		next := st.latest()
+		next := st.latest.Load()
 		if next == old || next.emission == old.emission {
 			t.Fatalf("step %d staged no generation of its own", step)
 		}
@@ -442,7 +443,7 @@ func TestClusterFailoverPromotesReclaim(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, stream := c.Station(survivor), streams[survivor]
-	old := st.gen
+	old := st.onAir.Load()
 	// The loop is then parked on slot 3 of generation 1, off any
 	// boundary: whatever FailChannel stages goes live together.
 	for i := 0; i < 3; i++ {
@@ -457,7 +458,7 @@ func TestClusterFailoverPromotesReclaim(t *testing.T) {
 		after.WorstLatencySlots != before.WorstLatencySlots || after.DegradedLatencySlots != before.DegradedLatencySlots {
 		t.Fatalf("contract %+v became %+v (%v) over a failover its reads survive", before, after, err)
 	}
-	next := st.latest()
+	next := st.latest.Load()
 	slot := <-stream
 	for ; slot.Generation == old.id; slot = <-stream {
 	}
@@ -481,7 +482,7 @@ func TestClusterFailoverPromotesReclaim(t *testing.T) {
 	for _, paced := range []bool{true, false} {
 		c, files := daemonCluster(t, paced, WithReplicateHottest(16))
 		st := c.Station(1)
-		if len(files) != 16 || len(st.gen.replicaOnly) == 0 {
+		if len(files) != 16 || len(st.onAir.Load().replicaOnly) == 0 {
 			t.Fatalf("channel 1 is the first home of all it carries: nothing to promote")
 		}
 		gen, want := st.Generation(), st.Generation()
@@ -573,8 +574,8 @@ func BenchmarkStationServe(b *testing.B) {
 	b.Run("unpaced", func(b *testing.B) { benchmarkStationServe(b, station(b, false, serveBenchOptions()...)) })
 	b.Run("paced", func(b *testing.B) {
 		st := station(b, true, serveBenchOptions()...)
-		if reclaimed := reclaimedPerPeriod(st.gen); reclaimed*4 < st.gen.program.Period {
-			b.Fatalf("%d of %d slots reclaimed: the paced case needs a quarter of the air idle", reclaimed, st.gen.program.Period)
+		if gen := st.onAir.Load(); reclaimedPerPeriod(gen)*4 < gen.program.Period {
+			b.Fatalf("%d of %d slots reclaimed: the paced case needs a quarter of the air idle", reclaimedPerPeriod(gen), gen.program.Period)
 		}
 		benchmarkStationServe(b, st)
 	})

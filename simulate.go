@@ -48,11 +48,12 @@ type SimReport struct {
 }
 
 // Simulate runs an end-to-end broadcast simulation on a virtual clock:
-// one server follows the program, the channel's fault model is drawn
-// once per transmitted block, and each client is a Receiver fed every
-// slot from its Start on. There are no goroutines and no transport, so
-// seeded runs are exactly reproducible. The run ends when every request
-// has completed, or at the horizon with the rest flushed as failures.
+// the program airs from slot 0 through the station's own emitter, the
+// channel's fault model is drawn once per transmitted block, and each
+// client is a Receiver fed every slot from its Start on. There are no
+// goroutines and no transport, so seeded runs are exactly reproducible.
+// The run ends when every request has completed, or at the horizon with
+// the rest flushed as failures.
 func Simulate(cfg SimConfig) (*SimReport, error) {
 	if cfg.Program == nil {
 		return nil, fmt.Errorf("pinbcast: simulation without a program: %w", ErrBadSpec)
@@ -60,19 +61,26 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 	if len(cfg.Clients) == 0 {
 		return nil, fmt.Errorf("pinbcast: simulation without clients: %w", ErrBadSpec)
 	}
+	if cfg.Horizon < 0 {
+		return nil, fmt.Errorf("pinbcast: simulation horizon %d: %w", cfg.Horizon, ErrBadSpec)
+	}
 	if cfg.Fault == nil {
 		cfg.Fault = channel.None{}
+	}
+	latest := 0
+	for i, cs := range cfg.Clients {
+		if cs.Start < 0 {
+			return nil, fmt.Errorf("pinbcast: simulated client %d starts at slot %d: %w", i, cs.Start, ErrBadSpec)
+		}
+		latest = max(latest, cs.Start)
+	}
+	horizon := cfg.Horizon
+	if horizon == 0 {
+		horizon = latest + 4*cfg.Program.DataCycle()
 	}
 	srv, err := server.New(cfg.Program, cfg.Contents)
 	if err != nil {
 		return nil, err
-	}
-	horizon := cfg.Horizon
-	if horizon == 0 {
-		for _, cs := range cfg.Clients {
-			horizon = max(horizon, cs.Start)
-		}
-		horizon += 4 * cfg.Program.DataCycle()
 	}
 
 	// lost is the fault seam every receiver shares: the channel's verdict
@@ -92,12 +100,12 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 	}
 
 	rep := &SimReport{PerFile: make(map[string]*FileStats), FaultModel: cfg.Fault.Name()}
+	air := airing{gen: &generation{program: cfg.Program, emission: cfg.Program, srv: srv}}
 	for t := 0; t < horizon; t++ {
-		slot := Slot{T: t, Payload: srv.Emit(t)}
+		// The slot's name lets a receiver charge a lost block to its request.
+		slot, _ := air.at(t)
 		if slot.Payload != nil {
 			rep.BlocksSent++
-			// The name lets a receiver charge a lost block to its request.
-			slot.File = cfg.Program.Files[cfg.Program.FileAt(t)].Name
 			if cfg.Fault.Corrupts(t) {
 				lost[t] = true
 				rep.BlocksCorrupted++

@@ -219,6 +219,15 @@ func TestRunValidation(t *testing.T) {
 	}); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("client without requests: err = %v, want ErrBadSpec", err)
 	}
+	for _, cfg := range []SimConfig{
+		{Horizon: -5, Clients: []ClientSpec{{Requests: []Request{{File: "A"}}}}},
+		{Clients: []ClientSpec{{Start: -1, Requests: []Request{{File: "A"}}}}},
+	} {
+		cfg.Program, cfg.Contents = simFig6Program(t), simFig6Contents()
+		if _, err := Simulate(cfg); !errors.Is(err, ErrBadSpec) {
+			t.Fatalf("horizon %d, start %d: err = %v, want ErrBadSpec", cfg.Horizon, cfg.Clients[0].Start, err)
+		}
+	}
 	if _, err := Simulate(SimConfig{
 		Program:  simFig6Program(t),
 		Contents: map[string][]byte{"A": []byte("x")}, // missing B

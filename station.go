@@ -6,6 +6,7 @@ import (
 	"maps"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pinbcast/internal/core"
@@ -67,6 +68,31 @@ type generation struct {
 	replicaOnly map[string]bool
 }
 
+// airing is a generation on the air from absolute slot from on.
+type airing struct {
+	gen  *generation
+	from int
+}
+
+// at resolves absolute slot t ≥ from to what the airing sends there:
+// the block the emission schedules at t − from, and whether the slot is
+// one the program leaves idle (reclaimed). It is the one place a slot is
+// resolved, for the serve loop and Simulate alike.
+//
+//pinlint:hotpath
+func (a airing) at(t int) (slot Slot, reclaimed bool) {
+	gen, local := a.gen, t-a.from
+	slot = Slot{T: t, Generation: gen.id}
+	file, seq := gen.emission.BlockAt(local)
+	if file == core.Idle {
+		return slot, false
+	}
+	slot.File = gen.emission.Files[file].Name
+	slot.Block, slot.Payload = gen.srv.Block(file, seq)
+	slot.Seq = int(slot.Block.Seq)
+	return slot, gen.emission != gen.program && gen.program.FileAt(local) == core.Idle
+}
+
 // Station is a long-lived broadcast-disk service: it owns schedule
 // construction (through a configurable scheduler chain), the dispersed
 // file database, and a context-aware streaming broadcast loop. Files
@@ -87,15 +113,18 @@ type Station struct {
 	buffer     int
 	clock      clock // nil unless paced; the pacing tests swap in a fake
 
-	// buildMu serializes mutations (rebuild); mu guards the generation
-	// pointers and the serving flag. Builds run outside mu so the serve
-	// loop never waits on a scheduler.
+	// latest is the generation mutations build on, stored by stage; the
+	// serve loop swaps it in at its next data-cycle boundary. onAir is
+	// the generation on the air, the one the accessors report: stored by
+	// stage while the station is idle, by the serve loop while it serves.
+	latest, onAir atomic.Pointer[generation]
+	// buildMu serializes mutations (rebuild); mu guards the serving flag
+	// and the contracts. Builds run outside mu so the serve loop never
+	// waits on a scheduler.
 	buildMu sync.Mutex
 	mu      sync.Mutex
-	gen     *generation // guarded by mu
-	pending *generation // guarded by mu
-	nextID  int         // guarded by buildMu
-	serving bool        // guarded by mu
+	nextID  int  // guarded by buildMu
+	serving bool // guarded by mu
 	// qos holds the issued QoS contracts (AdmitTxn, Negotiate), keyed
 	// by contract name; guarded by mu (mutations additionally
 	// serialized by buildMu).
@@ -139,7 +168,8 @@ func New(opts ...Option) (*Station, error) {
 	if err != nil {
 		return nil, err
 	}
-	st.gen = gen
+	st.latest.Store(gen)
+	st.onAir.Store(gen)
 	return st, nil
 }
 
@@ -221,11 +251,7 @@ func (st *Station) emission(prog *Program, files []FileSpec, replicaOnly map[str
 }
 
 // Program returns the broadcast program of the active generation.
-func (st *Station) Program() *Program {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.gen.program
-}
+func (st *Station) Program() *Program { return st.onAir.Load().program }
 
 // Emission returns what the active generation puts on the air, slot for
 // slot: Program itself on a consumer-paced station, on a paced one
@@ -234,11 +260,7 @@ func (st *Station) Program() *Program {
 // Simulate, LatencyProfile and WithSchedule take it like any Program;
 // contracts and admission read Program: a reclaimed slot is promised to
 // nobody.
-func (st *Station) Emission() *Program {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.gen.emission
-}
+func (st *Station) Emission() *Program { return st.onAir.Load().emission }
 
 // Bandwidth returns the channel bandwidth in blocks per time unit the
 // station was built at (fixed for the station's lifetime; admission
@@ -246,18 +268,10 @@ func (st *Station) Emission() *Program {
 func (st *Station) Bandwidth() int { return st.bandwidth }
 
 // Generation returns the identifier of the active program generation.
-func (st *Station) Generation() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.gen.id
-}
+func (st *Station) Generation() int { return st.onAir.Load().id }
 
 // Files returns the file specifications of the active generation.
-func (st *Station) Files() []FileSpec {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return append([]FileSpec(nil), st.gen.files...)
-}
+func (st *Station) Files() []FileSpec { return slices.Clone(st.onAir.Load().files) }
 
 // Directory returns the mapping from stable broadcast file identifiers
 // to file names for the active generation — the metadata a client needs
@@ -269,11 +283,7 @@ func (st *Station) Files() []FileSpec {
 // shared across calls so per-slot callers allocate nothing: treat it as
 // read-only. A later Admit or Evict produces a new generation with a
 // new map; maps already handed out are never mutated.
-func (st *Station) Directory() map[uint32]string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.gen.srv.Names()
-}
+func (st *Station) Directory() map[uint32]string { return st.onAir.Load().srv.Names() }
 
 // Serve starts the broadcast loop and returns the slot stream. The
 // loop runs until ctx is cancelled, then closes the channel. Delivery
@@ -371,32 +381,21 @@ func (st *Station) serveLoop(ctx context.Context, out chan<- Slot) {
 	if clk != nil {
 		pace.due = clk.Now().Add(st.interval)
 	}
-	localT := 0 // slot index within the active generation
+	air, boundary := airing{gen: st.onAir.Load()}, 0
 	for t := 0; ; t++ {
-		st.mu.Lock()
-		// Program changes take effect exactly at data-cycle boundaries:
-		// the outgoing block rotation ends, the incoming starts aligned.
-		// A window that began early enough in the cycle completes; a
+		// A staged generation goes on the air at the airing's next
+		// data-cycle boundary, its rotations starting afresh there; a
 		// retrieval straddling the swap is bounded by one window per
-		// generation it touched (bdload finding 6, ROADMAP oracle item).
-		if st.pending != nil && localT%st.gen.cycle == 0 {
-			st.gen = st.pending
-			st.pending = nil
-			localT = 0
-			stSwaps.Inc()
+		// generation it touched until ROADMAP item 2 keeps the rotation.
+		if t == boundary {
+			if next := st.latest.Load(); next != air.gen {
+				air = airing{gen: next, from: t}
+				st.onAir.Store(next)
+				stSwaps.Inc()
+			}
+			boundary += air.gen.cycle
 		}
-		gen := st.gen
-		st.mu.Unlock()
-
-		slot := Slot{T: t, Generation: gen.id}
-		file, seq := gen.emission.BlockAt(localT)
-		if file != core.Idle {
-			slot.File = gen.emission.Files[file].Name
-			slot.Block, slot.Payload = gen.srv.Block(file, seq)
-			slot.Seq = int(slot.Block.Seq)
-		}
-		reclaimed := file != core.Idle && gen.program.FileAt(localT) == core.Idle
-		localT++
+		slot, reclaimed := air.at(t)
 
 		if clk != nil {
 			now := clk.Now()
@@ -426,7 +425,7 @@ func (st *Station) serveLoop(ctx context.Context, out chan<- Slot) {
 		if reclaimed {
 			stReclaimed.Inc()
 		}
-		traceRing.Emit(obs.SlotServed, -1, slot.Block.FileID, uint8(slot.Seq), uint64(t), uint64(gen.id))
+		traceRing.Emit(obs.SlotServed, -1, slot.Block.FileID, uint8(slot.Seq), uint64(t), uint64(slot.Generation))
 	}
 }
 
@@ -484,7 +483,7 @@ type change struct {
 //pinlint:cycle-boundary
 //pinlint:holds buildMu
 func (st *Station) rebuild(ch change) (err error) {
-	base := st.latest()
+	base := st.latest.Load()
 	replicaOnly, files := base.replicaOnly, base.files
 	if ch.replicaOnly != nil && st.interval > 0 {
 		replicaOnly = ch.replicaOnly
@@ -531,30 +530,16 @@ func (st *Station) rebuild(ch change) (err error) {
 	return err
 }
 
-// latest returns the generation new mutations build on: the staged one
-// if a swap is pending, else the active one. A caller that builds on it
-// must hold buildMu; without, it reads a snapshot.
-func (st *Station) latest() *generation {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.pending != nil {
-		return st.pending
-	}
-	return st.gen
-}
-
-// stage installs a built generation: immediately when idle, or as the
-// pending swap picked up by the serve loop at the next data-cycle
-// boundary. Caller must hold buildMu.
+// stage installs a built generation as the latest: on the air at once
+// when idle, else at the serve loop's next data-cycle boundary. Caller
+// must hold buildMu.
 //
 //pinlint:cycle-boundary
 func (st *Station) stage(gen *generation) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.serving {
-		st.pending = gen
-	} else {
-		st.gen = gen
-		st.pending = nil
+	st.latest.Store(gen)
+	if !st.serving {
+		st.onAir.Store(gen)
 	}
 }

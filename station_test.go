@@ -482,3 +482,150 @@ func TestSchedulerRegistry(t *testing.T) {
 		}
 	}
 }
+
+// TestServedAirIsItsAirings: the air a station serves is a function of
+// (generation, first slot) alone. Admit, Negotiate and Evict on one
+// channel of a serving cluster, then FailChannel on another so that a
+// survivor rebuilds, consumer-paced and paced; every slot each channel
+// served is rebuilt from the generation the call staged and the first
+// slot its id was served in — file, block number, the very block and
+// frame, and whether the slot is one the program leaves idle — and
+// checked against the emission's own BlockAt there. Each generation goes
+// on the air a whole number of the previous one's data cycles after it.
+func TestServedAirIsItsAirings(t *testing.T) {
+	files := clusterCatalog()
+	for _, paced := range []bool{false, true} {
+		stOpts := []Option{WithSlotBuffer(8)}
+		if paced {
+			stOpts = append(stOpts, WithSlotInterval(pacerTestInterval))
+		}
+		c, err := NewCluster(WithChannels(3), WithReplicas(2), WithReplicateHottest(2),
+			WithClusterBandwidth(SufficientBandwidth(files)),
+			WithClusterFiles(files...), WithClusterContents(CatalogContents(files, 16, 1)),
+			WithStationOptions(stOpts...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// staged[ch][id] is what the call that staged id built on channel ch.
+		staged := make([]map[int]*generation, c.Channels())
+		for ch := range staged {
+			st := c.Station(ch)
+			if paced {
+				st.clock = &freeClock{now: pacerTestEpoch}
+			}
+			staged[ch] = map[int]*generation{st.onAir.Load().id: st.onAir.Load()}
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		streams, err := c.Serve(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make([][]Slot, c.Channels())
+		// record reads channel ch until its latest generation has been on
+		// the air for two of its data cycles, and reports whether that
+		// generation is new.
+		record := func(ch int) (fresh bool) {
+			gen := c.Station(ch).latest.Load()
+			_, seen := staged[ch][gen.id]
+			staged[ch][gen.id] = gen
+			from := -1
+			for from < 0 || len(served[ch])-from < 2*gen.cycle {
+				slot := <-streams[ch]
+				if from < 0 && slot.Generation == gen.id {
+					from = len(served[ch])
+				}
+				served[ch] = append(served[ch], slot)
+			}
+			return !seen
+		}
+		record(0)
+		st := c.Station(0)
+		for i, call := range []func() error{
+			func() error {
+				return st.Admit(FileSpec{Name: "admitted", Blocks: 2, Latency: 40}, []byte("admitted on a live channel"))
+			},
+			func() error {
+				_, err := st.Negotiate(FileSpec{Name: "negotiated", Blocks: 1, Latency: 60}, []byte("negotiated"))
+				return err
+			},
+			func() error { return st.Evict("admitted") },
+		} {
+			before := st.latest.Load()
+			if err := call(); err != nil {
+				t.Fatalf("paced %v, call %d: %v", paced, i, err)
+			}
+			if st.latest.Load() == before || !record(0) {
+				t.Fatalf("paced %v, call %d staged nothing", paced, i)
+			}
+		}
+		failed := 2
+		if _, err := c.FailChannel(failed); err != nil {
+			t.Fatal(err)
+		}
+		rebuilt := 0
+		for ch := range c.Channels() {
+			if ch != failed && record(ch) {
+				rebuilt++
+			}
+		}
+		if rebuilt == 0 {
+			t.Fatalf("paced %v: no survivor rebuilt for the failover", paced)
+		}
+		cancel()
+		for _, s := range streams {
+			for range s {
+			}
+		}
+
+		reclaimed := 0
+		for ch, slots := range served {
+			var air airing
+			for T, slot := range slots {
+				if slot.T != T {
+					t.Fatalf("channel %d served slot %d as slot %d", ch, T, slot.T)
+				}
+				if T == 0 || slot.Generation != air.gen.id {
+					next := airing{gen: staged[ch][slot.Generation], from: T}
+					switch {
+					case next.gen == nil:
+						t.Fatalf("channel %d slot %d: generation %d is none a call staged", ch, T, slot.Generation)
+					case air.gen != nil && (next.from-air.from)%air.gen.cycle != 0:
+						t.Fatalf("channel %d: generation %d went on the air at slot %d, %d slots into generation %d's %d-slot cycle",
+							ch, next.gen.id, T, (next.from-air.from)%air.gen.cycle, air.gen.id, air.gen.cycle)
+					}
+					air = next
+				}
+				want, wantReclaimed := air.at(T)
+				if want.File != slot.File || want.Seq != slot.Seq || want.Block != slot.Block ||
+					len(want.Payload) != len(slot.Payload) || len(want.Payload) > 0 && &want.Payload[0] != &slot.Payload[0] {
+					t.Fatalf("channel %d slot %d: served %s/%d, generation %d from slot %d sends %s/%d there",
+						ch, T, slot.File, slot.Seq, air.gen.id, air.from, want.File, want.Seq)
+				}
+				local := T - air.from
+				file, seq := air.gen.emission.BlockAt(local)
+				if file == Idle {
+					if slot.Block != nil || slot.File != "" || wantReclaimed {
+						t.Fatalf("channel %d slot %d: the emission is idle there, the air carries %q", ch, T, slot.File)
+					}
+					continue
+				}
+				name, width := air.gen.emission.Files[file].Name, air.gen.emission.Files[file].N
+				_, rng, _ := air.gen.srv.Source(name)
+				if slot.File != name || slot.Seq != rng.Index*width+seq {
+					t.Fatalf("channel %d slot %d: served %s/%d, the emission names %s at position %d of range %d",
+						ch, T, slot.File, slot.Seq, name, seq, rng.Index)
+				}
+				if wantReclaimed != (air.gen.program.FileAt(local) == Idle) {
+					t.Fatalf("channel %d slot %d: reclaimed %v, the program schedules file %d there", ch, T, wantReclaimed, air.gen.program.FileAt(local))
+				}
+				if wantReclaimed {
+					reclaimed++
+				}
+			}
+		}
+		if paced != (reclaimed > 0) {
+			t.Fatalf("paced %v: %d reclaimed slots served", paced, reclaimed)
+		}
+	}
+}
