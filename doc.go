@@ -209,9 +209,10 @@
 // portable word-wide path) over a systematic dispersal matrix — the
 // first m blocks of every file are verbatim source blocks, so encode
 // pays only for redundancy and a fault-free decode is a copy — at
-// multiple GB/s per core, with cross-file batch encoding (ida.Codec.DisperseBatch)
-// amortizing coefficient-table loads across a whole program's files (see the Performance section of README.md for the
-// measured series and the buffer-ownership rules of the streaming
+// multiple GB/s per core. Every encode, a station's included, runs one
+// loop: each file on its own, each redundant row one fused
+// gf256.MulSumSlice pass (see the Performance section of README.md for
+// the measured series and the buffer-ownership rules of the streaming
 // APIs). A file is encoded once: each block is written straight into
 // its wire frame (Block.Payload aliases the frame past its header) and
 // later generations carry unchanged files' frames over, so Admit, Evict

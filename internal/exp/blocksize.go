@@ -45,7 +45,7 @@ func BlockSizeTradeoff(fileBytes int, levels []int) (*Table, error) {
 		for i := range data {
 			data[i] = byte(i)
 		}
-		payloads, err := codec.Disperse(data)
+		payloads, err := codec.DisperseInto(data, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -66,7 +66,7 @@ func BenchmarkReconstructMBps(b *testing.B) {
 		b.Fatal(err)
 	}
 	data := dataplaneFile()
-	payloads, err := c.Disperse(data)
+	payloads, err := c.DisperseInto(data, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func BenchmarkReconstructAllParityMBps(b *testing.B) {
 		b.Fatal(err)
 	}
 	data := dataplaneFile()
-	payloads, err := c.Disperse(data)
+	payloads, err := c.DisperseInto(data, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func BenchmarkReconstructInPlace(b *testing.B) {
 	for i := range data {
 		data[i] = byte(i*7 + 3)
 	}
-	payloads, err := c.Disperse(data)
+	payloads, err := c.DisperseInto(data, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

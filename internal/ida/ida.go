@@ -26,9 +26,9 @@ import (
 // systematic prefix is a straight copy, while every m-row submatrix
 // remains invertible — the any-m-of-n property of §2.1 is unchanged.
 //
-// Disperse and Reconstruct allocate their results; the streaming
-// DisperseInto and ReconstructInto variants write into caller-owned
-// buffers so steady-state encode/decode loops run allocation-free.
+// DisperseInto and ReconstructInto write into caller-owned buffers, so
+// steady-state encode/decode loops run allocation-free; Reconstruct
+// allocates its result.
 type Codec struct {
 	m, n int
 	mat  *gfmat.Matrix // n×m systematic dispersal matrix [x_ij]
@@ -137,86 +137,6 @@ func Shared(m, n int) (*Codec, error) {
 //pinlint:hotpath
 func (c *Codec) shardLen(dataLen int) int {
 	return (dataLen + c.m - 1) / c.m
-}
-
-// Disperse splits data into m source blocks (zero-padding the tail) and
-// returns the n dispersed payloads. Payload i is Σⱼ mat[i][j]·sourceⱼ,
-// the dispersal operation of Figure 3. The payloads are freshly
-// allocated; use DisperseInto to reuse buffers.
-func (c *Codec) Disperse(data []byte) ([][]byte, error) {
-	return c.DisperseInto(data, nil)
-}
-
-// DisperseInto disperses data into dst, reusing dst's backing arrays
-// when they have capacity, and returns dst resliced to the n payloads
-// of shardLen(len(data)) bytes each. A nil dst (or one with too little
-// capacity) grows as needed, so steady-state callers that pass the
-// previous cycle's result back in disperse with zero allocations.
-//
-// Ownership: the returned payload slices belong to the caller; the
-// codec retains no reference to them or to data. Payload j < m aliases
-// nothing (it is a copy of source block j), so mutating data afterwards
-// does not corrupt the shards. Payloads must not alias data or each
-// other.
-//
-//pinlint:hotpath
-func (c *Codec) DisperseInto(data []byte, dst [][]byte) ([][]byte, error) {
-	if len(data) == 0 {
-		return nil, ErrEmptyFile
-	}
-	l := c.shardLen(len(data))
-	dst = growPayloads(dst, c.n, l) //pinlint:allow hotpath — first-cycle growth; steady state passes capacity back in
-
-	// Systematic prefix: payload j = source block j, zero-padded. The
-	// copies double as the encode sources below, so the partial tail
-	// block needs no separate scratch.
-	for j := 0; j < c.m; j++ {
-		copySourceBlock(dst[j], data, j, l)
-	}
-	// Redundant rows: payload i = Σⱼ mat[i][j]·sourceⱼ, one fused pass
-	// each. Source blocks past the end of data are entirely zero and
-	// contribute nothing, so the sum stops at the last block with data.
-	live := (len(data) + l - 1) / l
-	for i := c.m; i < c.n; i++ {
-		gf256.MulSumSlice(c.mat.Row(i)[:live], dst[:live], dst[i])
-	}
-	return dst, nil
-}
-
-// growPayloads reslices dst to n payloads of l bytes each, reusing
-// backing arrays with capacity and allocating the rest.
-//
-//pinlint:hotpath
-func growPayloads(dst [][]byte, n, l int) [][]byte {
-	if cap(dst) >= n {
-		dst = dst[:n]
-	} else {
-		grown := make([][]byte, n) //pinlint:allow hotpath — first-cycle growth; steady state passes capacity back in
-		copy(grown, dst)
-		dst = grown
-	}
-	for i := range dst {
-		if cap(dst[i]) >= l {
-			dst[i] = dst[i][:l]
-		} else {
-			dst[i] = make([]byte, l) //pinlint:allow hotpath — first-cycle growth; steady state passes capacity back in
-		}
-	}
-	return dst
-}
-
-// copySourceBlock writes source block j of data — bytes [j·l, (j+1)·l),
-// zero-padded past the end of data — into out (len l).
-//
-//pinlint:hotpath
-func copySourceBlock(out, data []byte, j, l int) {
-	lo := j * l
-	if lo >= len(data) {
-		clear(out)
-		return
-	}
-	n := copy(out, data[lo:])
-	clear(out[n:])
 }
 
 // Shard pairs a dispersed payload with its row index in the dispersal
@@ -408,11 +328,8 @@ func DisperseFile(fileID uint32, data []byte, m, n int) ([]*Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	blocks, _, err := c.DisperseFramesRange([]uint32{fileID}, [][]byte{data}, 0, n)
-	if err != nil {
-		return nil, err
-	}
-	return blocks[0], nil
+	blocks, _, err := c.DisperseFramesRange(fileID, data, 0, n)
+	return blocks, err
 }
 
 // shardPool recycles the shard views assembled by ReconstructFileInto.

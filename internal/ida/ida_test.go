@@ -2,6 +2,7 @@ package ida
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -34,7 +35,7 @@ func TestDisperseReconstructAllBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := []byte("the quick brown fox jumps over the lazy dog")
-	payloads, err := c.Disperse(data)
+	payloads, err := c.DisperseInto(data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestReconstructFromAnyMSubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := []byte("broadcast disks emulate storage with bandwidth")
-	payloads, err := c.Disperse(data)
+	payloads, err := c.DisperseInto(data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestReconstructFromAnyMSubset(t *testing.T) {
 func TestReconstructTooFewBlocks(t *testing.T) {
 	c, _ := NewCodec(4, 8)
 	data := []byte("0123456789abcdef")
-	payloads, _ := c.Disperse(data)
+	payloads, _ := c.DisperseInto(data, nil)
 	shards := []Shard{
 		{Seq: 0, Data: payloads[0]},
 		{Seq: 1, Data: payloads[1]},
@@ -102,7 +103,7 @@ func TestReconstructTooFewBlocks(t *testing.T) {
 func TestReconstructIgnoresDuplicates(t *testing.T) {
 	c, _ := NewCodec(2, 4)
 	data := []byte("duplicate shards must not fool the codec")
-	payloads, _ := c.Disperse(data)
+	payloads, _ := c.DisperseInto(data, nil)
 	shards := []Shard{
 		{Seq: 1, Data: payloads[1]},
 		{Seq: 1, Data: payloads[1]},
@@ -128,7 +129,7 @@ func TestReconstructRejectsBadSeq(t *testing.T) {
 func TestReconstructRejectsWrongSize(t *testing.T) {
 	c, _ := NewCodec(2, 4)
 	data := []byte("abcdef")
-	payloads, _ := c.Disperse(data)
+	payloads, _ := c.DisperseInto(data, nil)
 	shards := []Shard{
 		{Seq: 0, Data: payloads[0][:1]},
 		{Seq: 1, Data: payloads[1]},
@@ -138,10 +139,14 @@ func TestReconstructRejectsWrongSize(t *testing.T) {
 	}
 }
 
+// TestDisperseEmptyFile: every encode entry refuses an empty file.
 func TestDisperseEmptyFile(t *testing.T) {
 	c, _ := NewCodec(2, 4)
-	if _, err := c.Disperse(nil); err == nil {
-		t.Fatal("dispersing empty file succeeded")
+	if _, _, err := c.DisperseFramesRange(1, nil, 0, 4); !errors.Is(err, ErrEmptyFile) {
+		t.Fatalf("DisperseFramesRange: err = %v, want ErrEmptyFile", err)
+	}
+	if _, err := DisperseFile(1, []byte{}, 2, 4); !errors.Is(err, ErrEmptyFile) {
+		t.Fatalf("DisperseFile: err = %v, want ErrEmptyFile", err)
 	}
 }
 
@@ -153,7 +158,7 @@ func TestPaddingLengths(t *testing.T) {
 		for i := range data {
 			data[i] = byte(i + l)
 		}
-		payloads, err := c.Disperse(data)
+		payloads, err := c.DisperseInto(data, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +188,7 @@ func TestQuickRandomSubsets(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		payloads, err := c.Disperse(raw)
+		payloads, err := c.DisperseInto(raw, nil)
 		if err != nil {
 			return false
 		}
@@ -203,7 +208,7 @@ func TestQuickRandomSubsets(t *testing.T) {
 func TestInverseCache(t *testing.T) {
 	c, _ := NewCodec(3, 6)
 	data := []byte("cache the reconstruction matrices")
-	payloads, _ := c.Disperse(data)
+	payloads, _ := c.DisperseInto(data, nil)
 	shards := []Shard{
 		{Seq: 0, Data: payloads[0]},
 		{Seq: 2, Data: payloads[2]},
@@ -229,7 +234,7 @@ func TestInverseCache(t *testing.T) {
 func TestCodecConcurrentUse(t *testing.T) {
 	c, _ := NewCodec(4, 8)
 	data := []byte("concurrent reconstruction must be race-free and correct")
-	payloads, _ := c.Disperse(data)
+	payloads, _ := c.DisperseInto(data, nil)
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func(start int) {
@@ -270,7 +275,7 @@ func benchDisperse(b *testing.B, m, n, size int) {
 	b.SetBytes(int64(size))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Disperse(data); err != nil {
+		if _, err := c.DisperseInto(data, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -291,7 +296,7 @@ func benchReconstruct(b *testing.B, m, n, size int) {
 	}
 	data := make([]byte, size)
 	rand.New(rand.NewSource(1)).Read(data)
-	payloads, _ := c.Disperse(data)
+	payloads, _ := c.DisperseInto(data, nil)
 	shards := make([]Shard, m)
 	for i := 0; i < m; i++ {
 		shards[i] = Shard{Seq: n - 1 - i, Data: payloads[n-1-i]}
@@ -312,7 +317,7 @@ func BenchmarkReconstructColdCache(b *testing.B) {
 	data := make([]byte, 4096)
 	rand.New(rand.NewSource(1)).Read(data)
 	ref, _ := NewCodec(20, 40)
-	payloads, _ := ref.Disperse(data)
+	payloads, _ := ref.DisperseInto(data, nil)
 	shards := make([]Shard, 20)
 	for i := 0; i < 20; i++ {
 		shards[i] = Shard{Seq: 39 - i, Data: payloads[39-i]}
@@ -334,7 +339,7 @@ func BenchmarkReconstructWarmCache(b *testing.B) {
 	data := make([]byte, 4096)
 	rand.New(rand.NewSource(1)).Read(data)
 	c, _ := NewCodec(20, 40)
-	payloads, _ := c.Disperse(data)
+	payloads, _ := c.DisperseInto(data, nil)
 	shards := make([]Shard, 20)
 	for i := 0; i < 20; i++ {
 		shards[i] = Shard{Seq: 39 - i, Data: payloads[39-i]}

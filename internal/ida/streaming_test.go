@@ -19,7 +19,7 @@ func TestSystematicPrefix(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i + 1)
 	}
-	payloads, err := c.Disperse(data)
+	payloads, err := c.DisperseInto(data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,45 +30,7 @@ func TestSystematicPrefix(t *testing.T) {
 	}
 }
 
-// TestDisperseIntoMatchesDisperse asserts the streaming API is
-// byte-identical to the allocate-per-call path across shard counts and
-// lengths, including 0, 1, and non-multiple-of-8 sizes, and that buffer
-// reuse across calls cannot leak bytes between inputs.
-func TestDisperseIntoMatchesDisperse(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	params := []struct{ m, n int }{{1, 1}, {1, 4}, {2, 3}, {3, 6}, {5, 10}, {7, 13}, {8, 8}}
-	lengths := []int{1, 2, 3, 7, 8, 9, 15, 63, 64, 65, 100, 1000, 4093}
-	for _, p := range params {
-		c, err := NewCodec(p.m, p.n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var reused [][]byte
-		for _, l := range lengths {
-			data := make([]byte, l)
-			rng.Read(data)
-			want, err := c.Disperse(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reused, err = c.DisperseInto(data, reused)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(reused) != len(want) {
-				t.Fatalf("(%d,%d) len %d: got %d payloads, want %d", p.m, p.n, l, len(reused), len(want))
-			}
-			for i := range want {
-				if !bytes.Equal(reused[i], want[i]) {
-					t.Fatalf("(%d,%d) len %d: payload %d differs between DisperseInto and Disperse",
-						p.m, p.n, l, i)
-				}
-			}
-		}
-	}
-}
-
-// TestDisperseIntoZeroLength mirrors Disperse's empty-file contract.
+// TestDisperseIntoZeroLength: an empty file has no source blocks.
 func TestDisperseIntoZeroLength(t *testing.T) {
 	c, _ := NewCodec(2, 4)
 	if _, err := c.DisperseInto(nil, nil); err == nil {
@@ -96,7 +58,7 @@ func TestReconstructIntoMatchesReconstruct(t *testing.T) {
 		for _, l := range lengths {
 			data := make([]byte, l)
 			rng.Read(data)
-			payloads, err := c.Disperse(data)
+			payloads, err := c.DisperseInto(data, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +104,7 @@ func TestReconstructInPlace(t *testing.T) {
 		}
 		data := make([]byte, 13*p.m-5)
 		rng.Read(data)
-		payloads, err := c.Disperse(data)
+		payloads, err := c.DisperseInto(data, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +187,7 @@ func TestInverseCacheLRUEviction(t *testing.T) {
 	}
 	c.invLimit = 2
 	data := []byte("bounded inverse cache under client churn")
-	payloads, err := c.Disperse(data)
+	payloads, err := c.DisperseInto(data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,8 +366,8 @@ func TestUnmarshalIntoRejectsCorruption(t *testing.T) {
 // FuzzDisperseReconstruct round-trips arbitrary data through the
 // streaming codec under a shard subset derived from the fuzz input. The
 // code is R ranges of w blocks wide, each range encoded on its own as a
-// cluster's homes do: together they are the code DisperseInto writes,
-// and any m blocks of the union reconstruct.
+// cluster's homes do: together they are the reference code, and any m
+// blocks of the union reconstruct.
 func FuzzDisperseReconstruct(f *testing.F) {
 	f.Add([]byte("seed data for the codec"), uint8(3), uint8(2), uint16(0x2d))
 	f.Add([]byte{0}, uint8(1), uint8(1), uint16(1))
@@ -422,17 +384,14 @@ func FuzzDisperseReconstruct(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		whole, err := c.DisperseInto(data, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		whole := reference(c, data)
 		payloads := make([][]byte, 0, n)
 		for first := 0; first < n; first += w {
-			blocks, _, err := c.DisperseFramesRange([]uint32{1}, [][]byte{data}, first, first+w)
+			blocks, _, err := c.DisperseFramesRange(1, data, first, first+w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for k, b := range blocks[0] {
+			for k, b := range blocks {
 				if int(b.Seq) != first+k || int(b.N) != n || !bytes.Equal(b.Payload, whole[first+k]) {
 					t.Fatalf("block %d of range [%d,%d) is %d of %d, or not the block the whole code has there (m=%d)", k, first, first+w, b.Seq, b.N, m)
 				}

@@ -84,13 +84,9 @@ type Range struct{ Index, Of int }
 // array and length; contents are never mutated once handed over, so
 // identity is equality, checked in O(1)) — is carried over: the new
 // server shares that server's immutable blocks and frames. Only the
-// rest is encoded; with no from server (nil ones are skipped) that is
-// every file.
-//
-// Files sharing dispersal parameters are batch-encoded: one
-// coefficient-major pass per distinct (M, N) pair (ida.DisperseFramesRange)
-// streams each product table through the cache once for the whole
-// group instead of once per file.
+// rest is encoded, each file on its own straight into its frames
+// (ida.Codec.DisperseFramesRange); with no from server (nil ones are
+// skipped) that is every file.
 func New(prog *core.Program, contents map[string][]byte, from ...*Server) (*Server, error) {
 	return NewSplit(prog, contents, nil, from...)
 }
@@ -122,15 +118,6 @@ func NewSplit(prog *core.Program, contents map[string][]byte, ranges map[string]
 		blocks:   make([][]*ida.Block, len(prog.Files)),
 		payloads: make([][][]byte, len(prog.Files)),
 	}
-	// Group the files to encode by (M, N) and range, preserving table order
-	// within and across groups so dispersal failures attribute
-	// deterministically.
-	type group struct {
-		m, n int
-		r    Range
-	}
-	groups := make(map[group][]int) // indices into prog.Files
-	var order []group
 	for i, info := range prog.Files {
 		data, ok := contents[info.Name]
 		if s.ranges[i] = ranges[info.Name]; s.ranges[i].Of == 0 {
@@ -144,37 +131,19 @@ func NewSplit(prog *core.Program, contents map[string][]byte, ranges map[string]
 		if !ok {
 			return nil, fmt.Errorf("server: no contents for file %q: %w", info.Name, bcerr.ErrBadSpec)
 		}
-		if len(data) == 0 {
-			return nil, fmt.Errorf("server: dispersing %q: %w", info.Name, ida.ErrEmptyFile)
-		}
 		s.data[i] = data
 		if s.carry(i, from) {
 			continue
 		}
-		key := group{info.M, info.N, s.ranges[i]}
-		if groups[key] == nil {
-			order = append(order, key)
+		r := s.ranges[i]
+		codec, err := ida.Shared(info.M, r.Of*info.N)
+		if err == nil {
+			s.blocks[i], s.payloads[i], err = codec.DisperseFramesRange(ids[i], data, r.Index*info.N, (r.Index+1)*info.N)
 		}
-		groups[key] = append(groups[key], i)
-	}
-	for _, key := range order {
-		files := groups[key]
-		gids, datas := make([]uint32, len(files)), make([][]byte, len(files))
-		for k, i := range files {
-			gids[k], datas[k] = ids[i], s.data[i]
-		}
-		codec, err := ida.Shared(key.m, key.r.Of*key.n)
 		if err != nil {
-			return nil, fmt.Errorf("server: dispersing %q: %w", prog.Files[files[0]].Name, err)
+			return nil, fmt.Errorf("server: dispersing %q: %w", info.Name, err)
 		}
-		blocks, frames, err := codec.DisperseFramesRange(gids, datas, key.r.Index*key.n, (key.r.Index+1)*key.n)
-		if err != nil {
-			return nil, fmt.Errorf("server: dispersing %q: %w", prog.Files[files[0]].Name, err)
-		}
-		for k, i := range files {
-			s.blocks[i], s.payloads[i] = blocks[k], frames[k]
-		}
-		s.encoded += len(files)
+		s.encoded++
 	}
 	return s, nil
 }
