@@ -48,60 +48,102 @@ func reference(c *Codec, data []byte) [][]byte {
 	return out
 }
 
-// TestDisperseMatchesReference holds every entry of the encoder to the
-// reference over an (m, n) grid and lengths with whole, partial and
-// all-padding source blocks: DisperseInto with its buffers reused from
-// the previous file (no bytes leak between inputs), DisperseBatch, and
-// DisperseFramesRange for every range [first, end) — parity-only ones
-// reading a short tail from the file included.
-func TestDisperseMatchesReference(t *testing.T) {
+// encodeCases is the (m, n) grid and the file set of every encoder
+// test: batchFiles' lengths plus random files whose lengths are 1 to
+// past 4 KiB, so source blocks are whole, partial and all padding.
+func encodeCases(t *testing.T, each func(c *Codec, files [][]byte)) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	for _, mn := range [][2]int{{1, 1}, {1, 4}, {2, 3}, {3, 6}, {4, 4}, {5, 13}, {7, 13}, {8, 8}, {8, 12}} {
-		m, n := mn[0], mn[1]
-		c, err := NewCodec(m, n)
+		c, err := NewCodec(mn[0], mn[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		files := batchFiles(m)
+		files := batchFiles(mn[0])
 		for _, l := range []int{2, 3, 7, 8, 9, 15, 63, 64, 65, 1000, 4093} {
 			data := make([]byte, l)
 			rng.Read(data)
 			files = append(files, data)
 		}
-		batch, err := c.DisperseBatch(files, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		each(c, files)
+	}
+}
+
+// TestDisperseIntoMatchesDisperse holds DisperseInto to the dispersal
+// as defined (reference), with its buffers reused from the previous
+// file so that no bytes leak between inputs.
+func TestDisperseIntoMatchesDisperse(t *testing.T) {
+	encodeCases(t, func(c *Codec, files [][]byte) {
 		var reused [][]byte
-		for f, data := range files {
-			name := fmt.Sprintf("(%d,%d) file of %d bytes", m, n, len(data))
+		for _, data := range files {
 			want := reference(c, data)
+			var err error
 			if reused, err = c.DisperseInto(data, reused); err != nil {
 				t.Fatal(err)
 			}
+			if len(reused) != c.n {
+				t.Fatalf("(%d,%d) len %d: got %d payloads, want %d", c.m, c.n, len(data), len(reused), c.n)
+			}
 			for i := range want {
-				if !bytes.Equal(reused[i], want[i]) || !bytes.Equal(batch[f][i], want[i]) {
-					t.Fatalf("%s: payload %d of DisperseInto or DisperseBatch differs from the reference", name, i)
+				if !bytes.Equal(reused[i], want[i]) {
+					t.Fatalf("(%d,%d) len %d: payload %d of DisperseInto differs from the reference", c.m, c.n, len(data), i)
 				}
 			}
-			if len(reused) != n || len(batch[f]) != n {
-				t.Fatalf("%s: %d payloads from DisperseInto, %d from DisperseBatch, want %d", name, len(reused), len(batch[f]), n)
+		}
+	})
+}
+
+// TestDisperseBatchMatchesDisperse holds DisperseBatch to the
+// dispersal as defined (reference), file by file.
+func TestDisperseBatchMatchesDisperse(t *testing.T) {
+	encodeCases(t, func(c *Codec, files [][]byte) {
+		batch, err := c.DisperseBatch(files, nil)
+		if err != nil {
+			t.Fatalf("(%d,%d): DisperseBatch: %v", c.m, c.n, err)
+		}
+		if len(batch) != len(files) {
+			t.Fatalf("(%d,%d): got %d results, want %d", c.m, c.n, len(batch), len(files))
+		}
+		for f, data := range files {
+			want := reference(c, data)
+			if len(batch[f]) != len(want) {
+				t.Fatalf("(%d,%d) file %d: got %d payloads, want %d", c.m, c.n, f, len(batch[f]), len(want))
 			}
-			for first := 0; first < n; first++ {
-				for end := first + 1; end <= n; end++ {
+			for i := range want {
+				if !bytes.Equal(batch[f][i], want[i]) {
+					t.Fatalf("(%d,%d) file %d: payload %d of DisperseBatch differs from the reference", c.m, c.n, f, i)
+				}
+			}
+		}
+	})
+}
+
+// TestDisperseMatchesReference holds DisperseFramesRange to the
+// reference for every range [first, end), parity-only ones reading a
+// short tail from the file included.
+func TestDisperseMatchesReference(t *testing.T) {
+	encodeCases(t, func(c *Codec, files [][]byte) {
+		for _, data := range files {
+			want := reference(c, data)
+			for first := 0; first < c.n; first++ {
+				for end := first + 1; end <= c.n; end++ {
 					blocks, _, err := c.DisperseFramesRange(1, data, first, end)
 					if err != nil {
 						t.Fatal(err)
 					}
+					if len(blocks) != end-first {
+						t.Fatalf("(%d,%d) len %d: range [%d,%d) gave %d blocks", c.m, c.n, len(data), first, end, len(blocks))
+					}
 					for k, b := range blocks {
 						if int(b.Seq) != first+k || !bytes.Equal(b.Payload, want[first+k]) {
-							t.Fatalf("%s: block %d of range [%d,%d) is Seq %d or differs from the reference", name, k, first, end, b.Seq)
+							t.Fatalf("(%d,%d) len %d: block %d of range [%d,%d) is Seq %d or differs from the reference",
+								c.m, c.n, len(data), k, first, end, b.Seq)
 						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestDisperseBatchRoundTrip(t *testing.T) {
