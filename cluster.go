@@ -351,33 +351,37 @@ func (c *Cluster) replicaOnlyLocked() []map[string]bool {
 // cheapest-live-channel policy; pass it through WithTunerHomes.
 func (c *Cluster) FetchPlan() map[string][]int {
 	c.mu.Lock()
-	homes := make(map[string][]int, len(c.homes))
+	defer c.mu.Unlock()
+	out := make(map[string][]int, len(c.homes))
 	for name := range c.homes {
-		homes[name] = c.liveHomesLocked(name)
-	}
-	c.mu.Unlock()
-	out := make(map[string][]int, len(homes))
-	for name, live := range homes {
-		if len(live) == 0 {
-			continue
+		if live := c.liveHomesLocked(name); len(live) > 0 {
+			out[name], _, _ = c.rankHomes(name, live)
 		}
-		type chBound struct{ ch, bound int }
-		ranked := make([]chBound, 0, len(live))
-		for _, ch := range live {
-			b, err := c.stations[ch].fileBound(name)
-			if err != nil {
-				b = 1 << 30
-			}
-			ranked = append(ranked, chBound{ch, b})
-		}
-		sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].bound < ranked[j].bound })
-		order := make([]int, len(ranked))
-		for i, cb := range ranked {
-			order[i] = cb.ch
-		}
-		out[name] = order
 	}
 	return out
+}
+
+// rankHomes orders the live homes of a file by the bound each one's
+// station contracts for the file alone (Station.fileBound), cheapest
+// first, ties kept in the order given. It is FetchPlan's order; a
+// cluster contract's nominal bound is the first entry and its degraded
+// bound the last, and re-verification reads the first. A home whose
+// station cannot bound the file ranks last at 1<<30; err is the first
+// such failure.
+func (c *Cluster) rankHomes(file string, live []int) (homes, bounds []int, err error) {
+	homes, bounds = make([]int, len(live)), make([]int, len(live))
+	for i, ch := range live {
+		b, e := c.stations[ch].fileBound(file)
+		if e != nil {
+			b, err = 1<<30, cmp.Or(err, e)
+		}
+		j := i
+		for ; j > 0 && bounds[j-1] > b; j-- {
+			homes[j], bounds[j] = homes[j-1], bounds[j-1]
+		}
+		homes[j], bounds[j] = ch, b
+	}
+	return homes, bounds, err
 }
 
 // Serve starts every live channel's broadcast loop and returns one slot
@@ -424,7 +428,8 @@ func (c *Cluster) Serve(ctx context.Context) ([]<-chan Slot, error) {
 func (st *Station) fileBound(name string) (int, error) {
 	st.buildMu.Lock()
 	defer st.buildMu.Unlock()
-	bound, _, err := st.guaranteeBound(st.latest.Load(), Txn{Name: name, Reads: []string{name}, Deadline: 1 << 30})
+	gen := st.latest.Load()
+	bound, _, err := contractBound(gen.program, gen.files, Txn{Name: name, Reads: []string{name}, Deadline: 1 << 30})
 	return bound, err
 }
 
@@ -460,25 +465,11 @@ func (c *Cluster) Negotiate(x Txn) (ClusterContract, error) {
 		if len(live) == 0 {
 			return ClusterContract{}, fmt.Errorf("pinbcast: file %q has no live channel: %w", read, ErrDegraded)
 		}
-		best, worst := 1<<30, 0
-		for _, ch := range live {
-			b, err := c.stations[ch].fileBound(read)
-			if err != nil {
-				return ClusterContract{}, err
-			}
-			if b < best {
-				best = b
-			}
-			if b > worst {
-				worst = b
-			}
+		_, bounds, err := c.rankHomes(read, live)
+		if err != nil {
+			return ClusterContract{}, err
 		}
-		if best > nominal {
-			nominal = best
-		}
-		if worst > degraded {
-			degraded = worst
-		}
+		nominal, degraded = max(nominal, bounds[0]), max(degraded, bounds[len(bounds)-1])
 	}
 	if nominal > x.Deadline {
 		return ClusterContract{}, fmt.Errorf(
@@ -757,19 +748,8 @@ func (c *Cluster) reverifyLocked(e *clusterContractEntry) error {
 			return fmt.Errorf("pinbcast: contract %q: read %q has no live channel: %w",
 				e.txn.Name, read, ErrDegraded)
 		}
-		best := 1 << 30
-		for _, ch := range live {
-			b, err := c.stations[ch].fileBound(read)
-			if err != nil {
-				continue
-			}
-			if b < best {
-				best = b
-			}
-		}
-		if best > worst {
-			worst = best
-		}
+		_, bounds, _ := c.rankHomes(read, live)
+		worst = max(worst, bounds[0])
 	}
 	if worst > e.c.DegradedLatencySlots {
 		return fmt.Errorf(

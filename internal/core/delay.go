@@ -27,46 +27,19 @@ import "fmt"
 // D_r = r·τ for a program that transmits each block once per period τ,
 // Lemma 1.
 
-// AIDADelay returns D_r for file i of an AIDA program. It requires
-// M+r ≤ N (the program's dispersal width); beyond that consecutive
-// receptions repeat sequence numbers and the bound no longer applies.
+// AIDADelay returns D_r for file i of an AIDA program: the largest
+// distance from occurrence k+M−1 to occurrence k+M−1+r over every k,
+// which is the worst a walk of the occurrence index finds from the slot
+// after one occurrence to the r-th after it. It requires M+r ≤ N (the
+// program's dispersal width); beyond that consecutive receptions repeat
+// sequence numbers and the bound no longer applies.
 func AIDADelay(p *Program, file, r int) (int, error) {
-	info := p.Files[file]
-	if r < 0 {
-		return 0, fmt.Errorf("core: negative error count %d", r)
+	if err := p.tolerates(file, r); err != nil {
+		return 0, err
 	}
-	if info.M+r > info.N {
-		return 0, fmt.Errorf("core: file %q tolerates at most %d errors (N=%d, M=%d), got %d",
-			info.Name, info.N-info.M, info.N, info.M, r)
-	}
-	if r == 0 {
-		return 0, nil
-	}
-	gaps := p.Gaps(file)
-	if len(gaps) == 0 {
-		return 0, fmt.Errorf("core: file %q never scheduled", info.Name)
-	}
-	// Maximum sum of r consecutive cyclic gaps. r may exceed one
-	// period's worth of occurrences; whole extra turns each add the full
-	// period.
-	n := len(gaps)
-	fullTurns := r / n
-	rem := r % n
-	best := fullTurns * p.Period
-	if rem == 0 {
-		return best, nil
-	}
-	maxWindow := 0
-	for start := 0; start < n; start++ {
-		sum := 0
-		for k := 0; k < rem; k++ {
-			sum += gaps[(start+k)%n]
-		}
-		if sum > maxWindow {
-			maxWindow = sum
-		}
-	}
-	return best + maxWindow, nil
+	occ := p.occ[file]
+	_, d := walk(occ, p.Period, r-1, 0, len(occ))
+	return d, nil
 }
 
 // FlatDelay returns D_r for file i of a flat (non-dispersed) program,
@@ -91,9 +64,6 @@ func FlatDelay(p *Program, file, r int) (int, error) {
 		if f == file {
 			occ[seq] = append(occ[seq], t)
 		}
-	}
-	if len(occ) == 0 {
-		return 0, fmt.Errorf("core: file %q never scheduled", p.Files[file].Name)
 	}
 	worst := 0
 	for _, slots := range occ {

@@ -150,6 +150,15 @@ func TestDelayBoundsPropertyRandomPrograms(t *testing.T) {
 					t.Fatalf("trial %d file %d r=%d: AIDA delay %d > r·δ = %d",
 						trial, i, r, d, r*delta)
 				}
+				// D_r by its definition, max over s of C_r(s) − C_0(s),
+				// walked slot by slot.
+				want, m := 0, p.Files[i].M
+				for start := range p.Period {
+					want = max(want, scanLatency(p.Slots, i, m+r, start)-scanLatency(p.Slots, i, m, start))
+				}
+				if d != want {
+					t.Fatalf("trial %d file %d r=%d: AIDA delay %d, slot walk gives %d", trial, i, r, d, want)
+				}
 			}
 			for r := 0; r <= 3; r++ {
 				d, err := FlatDelay(p, i, r)

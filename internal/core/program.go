@@ -138,24 +138,16 @@ func (p *Program) Occurrences(i int) []int {
 	return out
 }
 
-// gap returns the cyclic distance from the occurrence before the k-th
-// of file i to the k-th.
-func (p *Program) gap(i, k int) int {
-	occ := p.occ[i]
-	if k == 0 {
-		return int(occ[0]) + p.Period - int(occ[len(occ)-1])
-	}
-	return int(occ[k] - occ[k-1])
-}
-
 // Gaps returns the cyclic distances between consecutive occurrences of
 // file i, in occurrence order starting from the first; the last entry
 // wraps around the period. Sum of gaps equals the period.
 func (p *Program) Gaps(i int) []int {
-	gaps := make([]int, len(p.occ[i]))
+	occ := p.occ[i]
+	gaps := make([]int, len(occ))
 	for k := range gaps {
-		gaps[k] = p.gap(i, (k+1)%len(gaps))
+		gaps[k] = int(occ[(k+1)%len(occ)] - occ[k])
 	}
+	gaps[len(gaps)-1] += p.Period
 	return gaps
 }
 
@@ -173,30 +165,82 @@ func (p *Program) DataCycle() int { return p.cycle }
 // latency of file i over every start slot: the time until the file's
 // reconstruction threshold of M occurrences has passed (AIDA rotation
 // makes consecutive occurrences distinct). The profile is periodic, so
-// one period of start slots covers the infinite broadcast; every start
-// in the gap before occurrence k completes on occurrence k+M−1, so each
-// gap's latencies sum in closed form: O(occurrences) in all.
+// one period of start slots covers the infinite broadcast: O(occurrences)
+// in all, read off the occurrence index by walk.
 func (p *Program) LatencyProfile(file int) (mean float64, worst int) {
 	occ := p.occ[file]
-	total := 0
-	for k := range occ {
-		last := k + p.Files[file].M - 1
-		// done is the wait from occurrence k to the completing one.
-		done := int(occ[last%len(occ)]) + last/len(occ)*p.Period - int(occ[k])
-		gap := p.gap(file, k)
-		total += gap*(done+1) + gap*(gap-1)/2
-		if done+gap > worst {
-			worst = done + gap
-		}
-	}
+	total, worst := walk(occ, p.Period, p.Files[file].M-1, 0, len(occ))
 	return float64(total) / float64(p.Period), worst
 }
 
-// WorstLatency returns the worst case of LatencyProfile: the longest
-// fault-free retrieval of the file over every start slot.
-func (p *Program) WorstLatency(file int) int {
-	_, worst := p.LatencyProfile(file)
-	return worst
+// WorstLatency returns the longest retrieval of the file over every
+// start slot while an adversary destroys the given number of its
+// receptions: with f faults a start completes f occurrences after the
+// fault-free one, since any M+f consecutive occurrences carry distinct
+// block numbers. It refuses faults outside 0…N−M, where numbers repeat.
+func (p *Program) WorstLatency(file, faults int) (int, error) {
+	if err := p.tolerates(file, faults); err != nil {
+		return 0, err
+	}
+	occ := p.occ[file]
+	_, worst := walk(occ, p.Period, p.Files[file].M-1+faults, 0, len(occ))
+	return worst, nil
+}
+
+// tolerates checks that file i stands r faults under AIDA rotation:
+// 0 ≤ r and M+r ≤ N, beyond which consecutive receptions repeat
+// sequence numbers and the closed form no longer applies.
+func (p *Program) tolerates(file, r int) error {
+	if info := p.Files[file]; r < 0 || info.M+r > info.N {
+		return fmt.Errorf("core: file %q tolerates 0 to %d errors (N=%d, M=%d), got %d",
+			info.Name, info.N-info.M, info.N, info.M, r)
+	}
+	return nil
+}
+
+// Latencies is the closed form of walk over an occurrence list the
+// caller keeps (the reclaim planner's filled table, or Occurrences):
+// total is the sum, over the start slots in the gaps before occurrences
+// lo … lo+n−1, of the slots to the m-th occurrence from each, worst
+// the largest of them.
+func Latencies[T int32 | int](occ []T, period, m, lo, n int) (total, worst int) {
+	return walk(occ, period, m-1, lo, n)
+}
+
+// walk is the one place that goes from a file's occurrence to the one
+// that completes a retrieval (§2.3, Lemma 2). occ lists the file's slot
+// offsets within one period in ascending order. Every start in the gap
+// before occurrence k — after occurrence k−1, through k — completes on
+// occurrence k+j, laps included: j is M−1 fault-free and M−1+f under f
+// faults. walk visits occurrences lo … lo+n−1 cyclically (lo ≥ −len(occ),
+// j ≥ −1) and returns the sum over those starts of their latencies and
+// the largest, the one from the first slot after occurrence k−1:
+// occurrence k+j less occurrence k−1.
+func walk[T int32 | int](occ []T, period, j, lo, n int) (total, worst int) {
+	c := len(occ)
+	// k is the occurrence, prev the one before it, last the one that
+	// completes a start before k, wrap how many slots of laps lie
+	// between k and last.
+	k := (lo + c) % c
+	prev, last := (k+c-1)%c, k+j+c
+	wrap := (last/c - 1) * period
+	last %= c
+	twice := 0
+	for ; n > 0; n-- {
+		gap, done := int(occ[k]-occ[prev]), int(occ[last]-occ[k])+wrap
+		if k == 0 {
+			gap += period
+		}
+		twice += gap * (2*done + gap + 1)
+		worst = max(worst, done+gap)
+		if prev, k = k, k+1; k == c {
+			k, wrap = 0, wrap-period
+		}
+		if last++; last == c {
+			last, wrap = 0, wrap+period
+		}
+	}
+	return twice / 2, worst
 }
 
 // WeightedMeanLatency returns the access-probability-weighted mean

@@ -97,7 +97,7 @@ func TestSparseIndexMatchesDenseReference(t *testing.T) {
 				total, worst = total+lat, max(worst, lat)
 			}
 			mean, gotWorst := p.LatencyProfile(i)
-			if mean != float64(total)/float64(period) || gotWorst != worst || p.WorstLatency(i) != worst {
+			if w, err := p.WorstLatency(i, 0); mean != float64(total)/float64(period) || gotWorst != worst || w != worst || err != nil {
 				t.Fatalf("trial %d: LatencyProfile(%d) = %v, %d, scan gives %d/%d, %d on %v (M=%d)",
 					trial, i, mean, gotWorst, total, period, worst, slots, info.M)
 			}

@@ -161,7 +161,7 @@ func place(prog *core.Program, specs []core.FileSpec, bandwidth int) (*Table, *c
 	}
 	for i, occ := range c.occ {
 		if occ != nil {
-			c.total[i] = sum(occ, prog.Files[i].M, prog.Period, 0, len(occ))
+			c.total[i], _ = core.Latencies(occ, prog.Period, prog.Files[i].M, 0, len(occ))
 		}
 	}
 	return t, c
@@ -241,13 +241,18 @@ func (c *coalescer) try(j, dir int) bool {
 
 // move takes file f's transmission at index q of occ[f] to the free
 // offset to, index p, and returns what that adds to total[f]. Term k of
-// the sum reads three entries of the list — its own, the one before (its
-// gap) and the one mᵢ−1 on (where its starts complete) — so the terms
-// that change are those reading an index lo…hi between q and p:
-// k = lo−mᵢ+1…hi−mᵢ+1 and lo…hi+1, one run where the two meet and the
-// whole list where that would lap it.
+// the sum (core.Latencies over the gap before occurrence k) reads three
+// entries of the list — its own, the one before (its gap) and the one
+// mᵢ−1 on (where its starts complete) — so the terms that change are
+// those reading an index lo…hi between q and p: k = lo−mᵢ+1…hi−mᵢ+1 and
+// lo…hi+1, one run where the two meet and the whole list where that
+// would lap it.
 func (c *coalescer) move(f, q int, to int32) (delta, p int) {
 	occ, m, period := c.occ[f], c.prog.Files[f].M, len(c.slots)
+	sum := func(lo, n int) int {
+		total, _ := core.Latencies(occ, period, m, lo, n)
+		return total
+	}
 	for p = q; p+1 < len(occ) && occ[p+1] < to; p++ {
 	}
 	for ; p > 0 && occ[p-1] > to; p-- {
@@ -255,13 +260,13 @@ func (c *coalescer) move(f, q int, to int32) (delta, p int) {
 	lo, hi := min(p, q), max(p, q)
 	if hi-lo+m+1 >= len(occ) {
 		shift(occ, q, p, to)
-		return sum(occ, m, period, 0, len(occ)) - c.total[f], p
+		return sum(0, len(occ)) - c.total[f], p
 	}
 	changing := func() int {
 		if hi-m+2 >= lo {
-			return sum(occ, m, period, lo-m+1, hi-lo+m+1)
+			return sum(lo-m+1, hi-lo+m+1)
 		}
-		return sum(occ, m, period, lo-m+1, hi-lo+1) + sum(occ, m, period, lo, hi-lo+2)
+		return sum(lo-m+1, hi-lo+1) + sum(lo, hi-lo+2)
 	}
 	delta = -changing()
 	shift(occ, q, p, to)
@@ -277,41 +282,6 @@ func shift(occ []int32, q, p int, to int32) {
 		copy(occ[p+1:q+1], occ[p:q])
 	}
 	occ[p] = to
-}
-
-// sum adds the terms of LatencyProfile's closed form for n occurrences
-// from index lo > −len(occ) of a file's list on, cyclically: every start
-// in the gap before occurrence k completes on occurrence k+m−1, less
-// than a lap on since a file that reclaims is sent more than Nᵢ ≥ mᵢ
-// times a period.
-func sum(occ []int32, m, period, lo, n int) int {
-	// k is the occurrence, prev the one before it, last the one that
-	// completes a retrieval begun before k, wrap slots into the next lap.
-	k, wrap, twice := lo, 0, 0
-	if k < 0 {
-		k += len(occ)
-	}
-	prev, last := k-1, k+m-1
-	if prev < 0 {
-		prev = len(occ) - 1
-	}
-	if last >= len(occ) {
-		last, wrap = last-len(occ), period
-	}
-	for ; n > 0; n-- {
-		gap, done := int(occ[k]-occ[prev]), int(occ[last]-occ[k])+wrap
-		if k == 0 {
-			gap += period
-		}
-		twice += gap * (2*done + gap + 1)
-		if prev, k = k, k+1; k == len(occ) {
-			k, wrap = 0, wrap-period
-		}
-		if last++; last == len(occ) {
-			last, wrap = 0, wrap+period
-		}
-	}
-	return twice / 2
 }
 
 // byKey is a min-heap of file indices ordered by key, ties to the lower

@@ -219,7 +219,8 @@ func TestShareIsLatencyProfile(t *testing.T) {
 					}
 					from := occ[q]
 					delta, p := c.move(f, q, to)
-					if want := sum(occ, cat.prog.Files[f].M, cat.prog.Period, 0, len(occ)) - c.total[f]; delta != want || !slices.IsSorted(occ) {
+					whole, _ := core.Latencies(occ, cat.prog.Period, cat.prog.Files[f].M, 0, len(occ))
+					if want := whole - c.total[f]; delta != want || !slices.IsSorted(occ) {
 						t.Fatalf("%s: file %d from offset %d to %d changes its total by %d, move says %d and leaves %v", cat.name, f, from, to, want, delta, occ)
 					}
 					shift(occ, p, q, from)

@@ -84,19 +84,15 @@ func maxOverReads(p *core.Program, x Txn, latency func(file int) (int, error)) (
 
 // TxnLatency returns the fault-free retrieval time of the transaction
 // when the client starts listening at the given slot: the time until
-// every read item's reconstruction threshold of blocks has passed.
+// every read item's reconstruction threshold of blocks has passed. A
+// listener catches the first occurrence at or after start and needs
+// M−1 more, as one who starts just after that occurrence does.
 func TxnLatency(p *core.Program, x Txn, start int) (int, error) {
 	return maxOverReads(p, x, func(file int) (int, error) {
-		need := p.Files[file].M
-		seen := 0
-		for t := start; t-start <= (need+2)*p.Period*4; t++ {
-			if p.FileAt(t) == file {
-				if seen++; seen == need {
-					return t - start + 1, nil
-				}
-			}
-		}
-		return 0, fmt.Errorf("rtdb: item %q starves on the program", p.Files[file].Name)
+		occ, off := p.Occurrences(file), start%p.Period
+		k, _ := slices.BinarySearch(occ, off) // len(occ): the next period's first
+		_, rest := core.Latencies(occ, p.Period, p.Files[file].M-1, k+1, 1)
+		return k/len(occ)*p.Period + occ[k%len(occ)] - off + 1 + rest, nil
 	})
 }
 
@@ -105,7 +101,7 @@ func TxnLatency(p *core.Program, x Txn, start int) (int, error) {
 // the maximum over starts of the maximum over reads is the maximum over
 // reads of each file's own worst case: no start-slot sweep.
 func TxnWorstLatency(p *core.Program, x Txn) (int, error) {
-	return maxOverReads(p, x, func(file int) (int, error) { return p.WorstLatency(file), nil })
+	return maxOverReads(p, x, func(file int) (int, error) { return p.WorstLatency(file, 0) })
 }
 
 // MaxStaleness bounds the age of item data a client holds right after

@@ -109,11 +109,29 @@ func TestTxnLatencyDominatedBySlowestRead(t *testing.T) {
 	}
 }
 
-// TestTxnWorstLatencyMatchesStartSweep holds TxnWorstLatency to what it
-// was before the occurrence index: TxnLatency — still a slot-by-slot
-// walk — maximized over every start slot of the period, on random
-// programs (idle slots, single-occurrence files) and multi-read
-// transactions.
+// slotWalk is the reference of TestTxnWorstLatencyMatchesStartSweep:
+// the fault-free retrieval time of x from start, the broadcast walked
+// slot by slot until each read's M-th slot.
+func slotWalk(p *core.Program, x Txn, start int) int {
+	worst := 0
+	for _, name := range x.Reads {
+		file := p.FileIndex(name)
+		for t, seen := start, 0; ; t++ {
+			if p.Slots[t%p.Period] == file {
+				if seen++; seen == p.Files[file].M {
+					worst = max(worst, t-start+1)
+					break
+				}
+			}
+		}
+	}
+	return worst
+}
+
+// TestTxnWorstLatencyMatchesStartSweep holds TxnLatency from every start
+// slot of two periods, and TxnWorstLatency, to slotWalk maximized over
+// those starts, on random programs (idle slots, single-occurrence files)
+// and multi-read transactions.
 func TestTxnWorstLatencyMatchesStartSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 3000; trial++ {
@@ -137,12 +155,13 @@ func TestTxnWorstLatencyMatchesStartSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := 0
-		for start := range slots {
-			lat, err := TxnLatency(p, x, start)
-			if err != nil {
-				t.Fatal(err)
+		for start := range 2 * len(slots) { // the second period checks the lap arithmetic
+			ref := slotWalk(p, x, start)
+			if lat, err := TxnLatency(p, x, start); err != nil || lat != ref {
+				t.Fatalf("trial %d: TxnLatency from %d = %d, %v; the slot walk gives %d (reads %v on %v)",
+					trial, start, lat, err, ref, x.Reads, slots)
 			}
-			want = max(want, lat)
+			want = max(want, ref)
 		}
 		if got, err := TxnWorstLatency(p, x); err != nil || got != want {
 			t.Fatalf("trial %d: TxnWorstLatency = %d, %v; start sweep gives %d (reads %v on %v)",

@@ -72,7 +72,7 @@ func (st *Station) AdmitTxn(x Txn) (Contract, error) {
 		return Contract{}, fmt.Errorf("pinbcast: contract %q already issued: %w", x.Name, ErrBadSpec)
 	}
 	base := st.latest.Load()
-	worst, refresh, err := st.guaranteeBound(base, x)
+	worst, refresh, err := contractBound(base.program, base.files, x)
 	if err != nil {
 		return Contract{}, err
 	}
@@ -114,7 +114,7 @@ func (st *Station) Negotiate(f FileSpec, contents []byte) (c Contract, err error
 	// staged program.
 	read := Txn{Name: f.Name, Reads: []string{f.Name}, Deadline: 1 << 30}
 	err = st.rebuild(change{add: []FileSpec{f}, contents: map[string][]byte{f.Name: contents}, accept: func(gen *generation) error {
-		worst, refresh, err := st.guaranteeBound(gen, read)
+		worst, refresh, err := contractBound(gen.program, gen.files, read)
 		c = Contract{
 			Name:              f.Name,
 			WorstLatencySlots: worst,
@@ -159,31 +159,33 @@ func (st *Station) Contracts() []Contract {
 	return out
 }
 
-// guaranteeBound returns the worst-case retrieval bound the station can
-// contract for the transaction on the generation's program: never below
-// the measured worst case over every start slot, and raised to the
-// analytic pinwheel window bound when the program was built at a known
-// bandwidth. For programs of the pinwheel construction the analytic
-// bound dominates (VerifyWindows certifies it), so the contract stays
-// valid across every future pinwheel rebuild of these specs; measuring
-// as the floor keeps contracts sound even for a custom layout that
-// stamps a bandwidth on an uncertified program. refresh is the slowest
-// refresh interval over the read set: that same window bound max B·Tᵢ,
-// or one program period when the bandwidth is unknown. Caller must hold
-// buildMu.
-func (st *Station) guaranteeBound(gen *generation, x Txn) (worst, refresh int, err error) {
-	worst, err = rtdb.TxnWorstLatency(gen.program, x)
-	if err != nil || gen.program.Bandwidth == 0 {
-		return worst, gen.program.Period, err
+// contractBound returns the worst-case retrieval bound a station
+// contracts for the transaction on a program built for files: never
+// below the measured worst case over every start slot, and raised to
+// the analytic pinwheel window bound when the program was built at a
+// known bandwidth. For programs of the pinwheel construction the
+// analytic bound dominates (VerifyWindows certifies it), so the contract
+// stays valid across every future pinwheel rebuild of these specs;
+// measuring as the floor keeps contracts sound even for a custom layout
+// that stamps a bandwidth on an uncertified program. refresh is the
+// slowest refresh interval over the read set: that same window bound
+// max B·Tᵢ, or one program period when the bandwidth is unknown. It is
+// what AdmitTxn and Negotiate issue, what verifyContracts holds every
+// later program to — the window part never exceeds an issued promise —
+// and what a cluster ranks a file's homes by (Station.fileBound).
+func contractBound(prog *Program, files []FileSpec, x Txn) (worst, refresh int, err error) {
+	worst, err = rtdb.TxnWorstLatency(prog, x)
+	if err != nil || prog.Bandwidth == 0 {
+		return worst, prog.Period, err
 	}
-	_, refresh, err = rtdb.GuaranteeTxn(gen.files, gen.program.Bandwidth, x)
+	_, refresh, err = rtdb.GuaranteeTxn(files, prog.Bandwidth, x)
 	return max(worst, refresh), refresh, err
 }
 
 // verifyContracts checks every issued contract against a candidate
-// generation's program, rejecting the change when any promised bound
-// would stretch. Caller must hold buildMu.
-func (st *Station) verifyContracts(prog *Program) error {
+// program for files, rejecting the change when any promised bound would
+// stretch. Caller must hold buildMu.
+func (st *Station) verifyContracts(prog *Program, files []FileSpec) error {
 	st.mu.Lock()
 	entries := make([]qosEntry, 0, len(st.qos))
 	for _, e := range st.qos {
@@ -191,7 +193,7 @@ func (st *Station) verifyContracts(prog *Program) error {
 	}
 	st.mu.Unlock()
 	for _, e := range entries {
-		worst, err := rtdb.TxnWorstLatency(prog, e.txn)
+		worst, _, err := contractBound(prog, files, e.txn)
 		if err != nil {
 			return fmt.Errorf("pinbcast: change would void contract %q (%w): %w",
 				e.c.Name, err, ErrAdmission)

@@ -187,7 +187,7 @@ func (st *Station) build(files []FileSpec, replicaOnly map[string]bool, contents
 	start := time.Now()
 	prog, err := buildProgram(files, st.bandwidth, st.layout, st.schedulers)
 	if err == nil {
-		err = st.verifyContracts(prog)
+		err = st.verifyContracts(prog, files)
 	}
 	if err != nil {
 		return nil, err
