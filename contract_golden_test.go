@@ -18,7 +18,13 @@ import (
 // issues has moved. It was regenerated once, when FailChannel came to
 // build one generation per survivor: every bound, staleness and failover
 // entry stayed, and the */cluster-after EffectiveAt values fell to the
-// one generation the failover now builds.
+// one generation the failover now builds. It was regenerated a second
+// time when contracts came to charge each read its rᵢ faults on every
+// layout: 18 contracts grew, all on the IVHS off-pinwheel layouts —
+// flat-sequential 56→57 and 51→52, flat-spread 50→57 (churn), 56→57 and
+// 51→52, tiered 71→72 (churn), 558→576 and 496→512 — each staleness by
+// the same amount; every pinwheel, random256, cluster, failover and
+// fetch-plan entry stayed.
 
 // goldenContracts negotiates on two catalogues — the IVHS scenario
 // under every built-in layout, and the 256-file random catalogue of

@@ -82,7 +82,7 @@ func main() {
 	fmt.Printf("contract %q: worst latency %d slots, staleness ≤ %d slots, generation %d\n",
 		contract.Name, contract.WorstLatencySlots, contract.StalenessSlots, contract.EffectiveAt)
 	if worst, err := pinbcast.TxnWorstLatency(station.Program(), intercept); err == nil {
-		fmt.Printf("measured worst case over every start slot: %d — within contract: %v\n",
+		fmt.Printf("measured worst case over every start slot, each read under its faults: %d — within contract: %v\n",
 			worst, worst <= contract.WorstLatencySlots)
 	}
 

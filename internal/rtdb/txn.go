@@ -96,12 +96,14 @@ func TxnLatency(p *core.Program, x Txn, start int) (int, error) {
 	})
 }
 
-// TxnWorstLatency maximizes TxnLatency over every start slot of one
-// period. The slowest read decides the transaction from any start, so
-// the maximum over starts of the maximum over reads is the maximum over
-// reads of each file's own worst case: no start-slot sweep.
+// TxnWorstLatency maximizes retrieval time over every start slot of one
+// period while each read loses the rᵢ = Demand − M receptions an
+// adversary picks. The slowest read decides the transaction from any
+// start, so this is the largest of the reads' own worst cases.
 func TxnWorstLatency(p *core.Program, x Txn) (int, error) {
-	return maxOverReads(p, x, func(file int) (int, error) { return p.WorstLatency(file, 0) })
+	return maxOverReads(p, x, func(file int) (int, error) {
+		return p.WorstLatency(file, p.Files[file].Demand-p.Files[file].M)
+	})
 }
 
 // MaxStaleness bounds the age of item data a client holds right after

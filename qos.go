@@ -25,10 +25,10 @@ type Contract struct {
 	// Name identifies the guaranteed party: the transaction name for
 	// AdmitTxn contracts, the file name for Negotiate contracts.
 	Name string
-	// WorstLatencySlots bounds the retrieval latency from any start slot,
-	// never below the fault-free worst case measured on the issuing program;
-	// on pinwheel-layout programs raised to the window bound max B·Tᵢ over
-	// the reads, kept despite rᵢ faults. Off that layout it assumes no faults.
+	// WorstLatencySlots bounds the retrieval latency from any start slot
+	// despite each read's rᵢ faults, never below that worst case measured
+	// on the issuing program; on pinwheel-layout programs raised to the
+	// window bound max B·Tᵢ over the reads.
 	WorstLatencySlots int
 	// StalenessSlots bounds the age of retrieved data, assuming the
 	// server refreshes each item at its latency cadence (the item's

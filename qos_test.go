@@ -32,24 +32,20 @@ func qosStation(t *testing.T, opts ...Option) *Station {
 
 // checkContract holds c to the station's served air through the oracle:
 // from every start slot of one data cycle, replayed round and round, each
-// of x's reads is retrieved within c.WorstLatencySlots — against its r
-// erasures when faults, fault-free otherwise. It returns the worst case
-// over the reads and starts.
-func checkContract(t *testing.T, st *Station, x Txn, c Contract, faults bool) (worst int) {
+// of x's reads is retrieved within c.WorstLatencySlots against its rᵢ
+// erasures, on every layout. It returns the worst case over the reads
+// and starts.
+func checkContract(t *testing.T, st *Station, x Txn, c Contract) (worst int) {
 	t.Helper()
 	cycle := cycleOnAir(t, st)
 	for _, f := range st.Files() {
 		if !slices.Contains(x.Reads, f.Name) {
 			continue
 		}
-		r := 0
-		if faults {
-			r = f.Faults
-		}
 		for start := range cycle {
-			got, ok := worstRetrieval(onAir(cycle), 1, start, c.WorstLatencySlots, f.Name, f.Blocks, r)
+			got, ok := worstRetrieval(onAir(cycle), 1, start, c.WorstLatencySlots, f.Name, f.Blocks, f.Faults)
 			if !ok {
-				t.Fatalf("%s from slot %d with %d faults: not retrieved within the contract's %d slots", f.Name, start, r, c.WorstLatencySlots)
+				t.Fatalf("%s from slot %d with %d faults: not retrieved within the contract's %d slots", f.Name, start, f.Faults, c.WorstLatencySlots)
 			}
 			worst = max(worst, got.slots)
 		}
@@ -76,7 +72,7 @@ func TestAdmitTxnIssuesHonoredContract(t *testing.T) {
 	}
 	// The contract is honored on the air from every start slot, each read
 	// against its r faults.
-	t.Logf("worst case %d slots with faults, contract %d", checkContract(t, st, x, c, true), c.WorstLatencySlots)
+	t.Logf("worst case %d slots with faults, contract %d", checkContract(t, st, x, c), c.WorstLatencySlots)
 	// Duplicate contract names are rejected.
 	if _, err := st.AdmitTxn(x); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("duplicate: err = %v", err)
@@ -231,7 +227,7 @@ func TestContractGuaranteeAcrossStrategies(t *testing.T) {
 				t.Fatalf("%s/chain%d: AdmitTxn: %v", layout, ci, err)
 			}
 			p := st.Program()
-			checkContract(t, st, x, c, layout == LayoutPinwheel) // off the pinwheel layout the bound assumes no faults
+			checkContract(t, st, x, c)
 			if layout == LayoutPinwheel {
 				// The analytic admission-time guarantee holds on the
 				// program the station actually broadcasts.
@@ -300,7 +296,7 @@ func TestContractNeverBelowMeasuredWorst(t *testing.T) {
 	if c.WorstLatencySlots < measured {
 		t.Fatalf("contract %d below measured worst %d", c.WorstLatencySlots, measured)
 	}
-	checkContract(t, st, x, c, false)
+	checkContract(t, st, x, c)
 }
 
 // TestContractsSurviveAdmissions checks the standing-obligation half of
@@ -318,7 +314,7 @@ func TestContractsSurviveAdmissions(t *testing.T) {
 	if err := st.Admit(FileSpec{Name: "note", Blocks: 1, Latency: 20}, []byte("n")); err != nil {
 		t.Fatal(err)
 	}
-	checkContract(t, st, x, c, true)
+	checkContract(t, st, x, c)
 	// Evicting a read item under contract is refused.
 	if err := st.Evict("hot"); !errors.Is(err, ErrAdmission) {
 		t.Fatalf("evict read item: err = %v", err)

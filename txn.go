@@ -23,9 +23,10 @@ func TxnLatency(p *Program, x Txn, start int) (int, error) {
 	return rtdb.TxnLatency(p, x, start)
 }
 
-// TxnWorstLatency maximizes TxnLatency over every start slot of one
-// period — the measured worst case of the transaction on this exact
-// program, whatever layout built it.
+// TxnWorstLatency maximizes the transaction's retrieval time over every
+// start slot of one period under each read's rᵢ worst faults — the
+// measured worst case of the transaction on this exact program, whatever
+// layout built it.
 func TxnWorstLatency(p *Program, x Txn) (int, error) {
 	return rtdb.TxnWorstLatency(p, x)
 }
