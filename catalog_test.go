@@ -1,6 +1,7 @@
 package pinbcast
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -19,13 +20,23 @@ func catalogCases(t *testing.T) map[string][]FileSpec {
 	}
 }
 
-// TestCatalogsBuildUnderEveryLayoutAndScheduler asserts the scenario
-// catalogs construct a broadcast program under every registered Layout
-// and — for the pinwheel construction, the only one that consults the
-// chain — under every registered Scheduler (chained with the portfolio,
-// exactly as a Station configured with that scheduler would fall back).
-func TestCatalogsBuildUnderEveryLayoutAndScheduler(t *testing.T) {
+// catalogProgram is one program of catalogPrograms.
+type catalogProgram struct {
+	name  string // catalogue × layout × scheduler
+	files []FileSpec
+	prog  *Program
+}
+
+// catalogPrograms builds the scenario catalogs under every registered
+// Layout and — for the pinwheel construction, the only one that consults
+// the chain — under every registered Scheduler (chained with the
+// portfolio, exactly as a Station configured with that scheduler would
+// fall back). A combination that fails to build is reported and left
+// out.
+func catalogPrograms(t *testing.T) []catalogProgram {
+	t.Helper()
 	portfolio, _ := LookupScheduler(SchedulerPortfolio)
+	var out []catalogProgram
 	for catName, files := range catalogCases(t) {
 		for _, layoutName := range LayoutNames() {
 			layout, ok := LookupLayout(layoutName)
@@ -45,24 +56,35 @@ func TestCatalogsBuildUnderEveryLayoutAndScheduler(t *testing.T) {
 					}
 					cfg.Schedulers = []Scheduler{s, portfolio}
 				}
+				name := fmt.Sprintf("%s × %s × %s", catName, layoutName, schedName)
 				prog, err := Build(cfg)
 				if err != nil {
-					t.Errorf("%s × %s × %s: %v", catName, layoutName, schedName, err)
+					t.Errorf("%s: %v", name, err)
 					continue
 				}
-				if prog.Period < 1 {
-					t.Errorf("%s × %s × %s: empty program", catName, layoutName, schedName)
-				}
-				for _, f := range files {
-					i := prog.FileIndex(f.Name)
-					if i < 0 {
-						t.Errorf("%s × %s × %s: %q not in program", catName, layoutName, schedName, f.Name)
-						continue
-					}
-					if prog.PerPeriod(i) < 1 {
-						t.Errorf("%s × %s × %s: %q never scheduled", catName, layoutName, schedName, f.Name)
-					}
-				}
+				out = append(out, catalogProgram{name, files, prog})
+			}
+		}
+	}
+	return out
+}
+
+// TestCatalogsBuildUnderEveryLayoutAndScheduler asserts the scenario
+// catalogs construct a broadcast program under every catalogPrograms
+// combination, carrying every file.
+func TestCatalogsBuildUnderEveryLayoutAndScheduler(t *testing.T) {
+	for _, c := range catalogPrograms(t) {
+		if c.prog.Period < 1 {
+			t.Errorf("%s: empty program", c.name)
+		}
+		for _, f := range c.files {
+			i := c.prog.FileIndex(f.Name)
+			if i < 0 {
+				t.Errorf("%s: %q not in program", c.name, f.Name)
+				continue
+			}
+			if c.prog.PerPeriod(i) < 1 {
+				t.Errorf("%s: %q never scheduled", c.name, f.Name)
 			}
 		}
 	}

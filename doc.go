@@ -64,16 +64,20 @@
 // nothing), and the "flat-spread"/"flat-sequential" baselines of
 // Figures 5–6 — passed by value per build (BuildConfig.Layout) or per
 // Station (WithLayout), chosen by name on the CLIs.
-// Program.LatencyProfile and Program.WeightedMeanLatency analyze any
-// layout's program.
+// Program.LatencyProfile, Program.WorstLatency and
+// Program.WeightedMeanLatency analyze any layout's program. Each is read
+// off the program's occurrence index in closed form (§2.3, Lemma 2): a
+// start in the gap before a file's k-th occurrence completes on
+// occurrence k+M−1, or k+M−1+f when an adversary destroys f receptions.
 //
 // Transactions make the paper's headline guarantee concrete: a Txn is
-// a read set with a firm deadline in slots, and
-// TxnLatency/TxnWorstLatency measure it exactly on any program. On a
-// live Station the guarantee is negotiated online — analytically from
-// the windows B·Tᵢ on the pinwheel layout, with retrieval and refresh
-// composed into a staleness bound for §1's absolute
-// temporal-consistency constraints:
+// a read set with a firm deadline in slots; TxnLatency measures it
+// exactly from a start slot, TxnWorstLatency over every start with each
+// read under its rᵢ worst faults, on any program. On a live Station the
+// guarantee is negotiated online — a contract charges every read its rᵢ
+// faults on every layout, and is raised to the windows B·Tᵢ on the
+// pinwheel layout, with retrieval and refresh composed into a staleness
+// bound for §1's absolute temporal-consistency constraints:
 //
 //	contract, err := station.AdmitTxn(pinbcast.Txn{
 //		Name: "trip", Reads: []string{"traffic-00", "route-map"}, Deadline: 1800,

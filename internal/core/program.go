@@ -174,22 +174,20 @@ func (p *Program) LatencyProfile(file int) (mean float64, worst int) {
 }
 
 // WorstLatency returns the longest retrieval of the file over every
-// start slot while an adversary destroys the given number of its
-// receptions: with f faults a start completes f occurrences after the
-// fault-free one, since any M+f consecutive occurrences carry distinct
-// block numbers. It refuses faults outside 0…N−M, where numbers repeat.
-func (p *Program) WorstLatency(file, faults int) (int, error) {
-	if err := p.tolerates(file, faults); err != nil {
+// start slot while an adversary destroys f of its receptions: a start
+// completes f occurrences after its fault-free one, any M+f consecutive
+// occurrences carrying distinct numbers. It refuses f outside 0…N−M.
+func (p *Program) WorstLatency(file, f int) (int, error) {
+	if err := p.tolerates(file, f); err != nil {
 		return 0, err
 	}
 	occ := p.occ[file]
-	_, worst := walk(occ, p.Period, p.Files[file].M-1+faults, 0, len(occ))
+	_, worst := walk(occ, p.Period, p.Files[file].M-1+f, 0, len(occ))
 	return worst, nil
 }
 
-// tolerates checks that file i stands r faults under AIDA rotation:
-// 0 ≤ r and M+r ≤ N, beyond which consecutive receptions repeat
-// sequence numbers and the closed form no longer applies.
+// tolerates refuses r faults outside 0…N−M: past N−M, M+r consecutive
+// receptions repeat numbers and the closed form no longer holds.
 func (p *Program) tolerates(file, r int) error {
 	if info := p.Files[file]; r < 0 || info.M+r > info.N {
 		return fmt.Errorf("core: file %q tolerates 0 to %d errors (N=%d, M=%d), got %d",
@@ -198,24 +196,19 @@ func (p *Program) tolerates(file, r int) error {
 	return nil
 }
 
-// Latencies is the closed form of walk over an occurrence list the
-// caller keeps (the reclaim planner's filled table, or Occurrences):
-// total is the sum, over the start slots in the gaps before occurrences
-// lo … lo+n−1, of the slots to the m-th occurrence from each, worst
-// the largest of them.
+// Latencies is walk with need m in place of offset j, over a list the
+// caller keeps (the reclaim planner's filled table, or Occurrences).
 func Latencies[T int32 | int](occ []T, period, m, lo, n int) (total, worst int) {
 	return walk(occ, period, m-1, lo, n)
 }
 
 // walk is the one place that goes from a file's occurrence to the one
-// that completes a retrieval (§2.3, Lemma 2). occ lists the file's slot
-// offsets within one period in ascending order. Every start in the gap
-// before occurrence k — after occurrence k−1, through k — completes on
-// occurrence k+j, laps included: j is M−1 fault-free and M−1+f under f
-// faults. walk visits occurrences lo … lo+n−1 cyclically (lo ≥ −len(occ),
-// j ≥ −1) and returns the sum over those starts of their latencies and
-// the largest, the one from the first slot after occurrence k−1:
-// occurrence k+j less occurrence k−1.
+// completing a retrieval (§2.3, Lemma 2). occ holds the file's offsets
+// in one period, ascending. A start in the gap before occurrence k —
+// after k−1, through k — completes on occurrence k+j, laps included (j
+// is M−1, plus f under f faults). Over occurrences lo … lo+n−1 (cyclic;
+// lo ≥ −len(occ), j ≥ −1) walk returns the sum of those starts'
+// latencies and the largest: occurrence k+j less occurrence k−1.
 func walk[T int32 | int](occ []T, period, j, lo, n int) (total, worst int) {
 	c := len(occ)
 	// k is the occurrence, prev the one before it, last the one that

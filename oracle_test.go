@@ -157,3 +157,43 @@ func TestOracleIsExact(t *testing.T) {
 	}
 	t.Logf("the oracle agrees with brute force on all %d cases", cases)
 }
+
+// TestWorstLatencyIsTheOracle holds the closed form to the oracle. For
+// every file of every catalogue × layout × scheduler program
+// (catalogPrograms) and every f in 0…N−M, Program.WorstLatency(file, f)
+// is the oracle's worst retrieval over the starts of one data cycle with
+// f receptions destroyed; f = N−M+1 is refused. The horizon assumes only
+// that a period carries the file: the (M+f)-th reception comes within
+// M+f periods.
+func TestWorstLatencyIsTheOracle(t *testing.T) {
+	programs, checked, most := catalogPrograms(t), 0, 0
+	for _, c := range programs {
+		p := c.prog
+		at := func(_, t int) (string, int) {
+			if f, seq := p.BlockAt(t); f != Idle {
+				return p.Files[f].Name, seq
+			}
+			return "", 0
+		}
+		for i, info := range p.Files {
+			for f := 0; f <= info.N-info.M; f++ {
+				want := 0
+				for start := range p.DataCycle() {
+					got, ok := worstRetrieval(at, 1, start, (info.M+f)*p.Period, info.Name, info.M, f)
+					if !ok {
+						t.Fatalf("%s: %s from slot %d with %d faults: no retrieval within %d periods", c.name, info.Name, start, f, info.M+f)
+					}
+					want = max(want, got.slots)
+				}
+				if got, err := p.WorstLatency(i, f); err != nil || got != want {
+					t.Fatalf("%s: %s with %d faults: WorstLatency %d (%v), the oracle %d", c.name, info.Name, f, got, err, want)
+				}
+				checked, most = checked+1, max(most, f)
+			}
+			if _, err := p.WorstLatency(i, info.N-info.M+1); err == nil {
+				t.Fatalf("%s: %s: %d faults, one past N−M, accepted", c.name, info.Name, info.N-info.M+1)
+			}
+		}
+	}
+	t.Logf("%d programs: WorstLatency equals the oracle on %d (file, f) pairs, f from 0 to %d", len(programs), checked, most)
+}

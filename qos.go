@@ -160,19 +160,17 @@ func (st *Station) Contracts() []Contract {
 }
 
 // contractBound returns the worst-case retrieval bound a station
-// contracts for the transaction on a program built for files: never
-// below the measured worst case over every start slot, and raised to
-// the analytic pinwheel window bound when the program was built at a
-// known bandwidth. For programs of the pinwheel construction the
-// analytic bound dominates (VerifyWindows certifies it), so the contract
-// stays valid across every future pinwheel rebuild of these specs;
-// measuring as the floor keeps contracts sound even for a custom layout
-// that stamps a bandwidth on an uncertified program. refresh is the
-// slowest refresh interval over the read set: that same window bound
-// max B·Tᵢ, or one program period when the bandwidth is unknown. It is
-// what AdmitTxn and Negotiate issue, what verifyContracts holds every
-// later program to — the window part never exceeds an issued promise —
-// and what a cluster ranks a file's homes by (Station.fileBound).
+// contracts for the transaction on a program built for files: the
+// measured worst case over every start slot, raised to the window bound
+// max B·Tᵢ over the reads when the program was built at a known
+// bandwidth. The pinwheel construction certifies that window
+// (VerifyWindows), so the contract survives every pinwheel rebuild of
+// these specs; the measured floor keeps it sound on a custom layout
+// that stamps a bandwidth it never certified. refresh is the window
+// bound, or one period when the bandwidth is unknown. AdmitTxn and
+// Negotiate issue it, verifyContracts holds later programs to it (its
+// window part never exceeds an issued promise), and Station.fileBound
+// ranks a cluster file's homes by it.
 func contractBound(prog *Program, files []FileSpec, x Txn) (worst, refresh int, err error) {
 	worst, err = rtdb.TxnWorstLatency(prog, x)
 	if err != nil || prog.Bandwidth == 0 {
