@@ -79,9 +79,7 @@ func buildProgram(files []FileSpec, bw int, layout Layout, chain []Scheduler) (*
 		// BuildProgramWith validates them before using the bandwidth.
 		bw = core.SufficientBandwidth(files)
 	}
-	return core.BuildProgramWith(files, bw, func(sys pinwheel.System) (*pinwheel.Schedule, error) {
-		return solveChain(sys, chain)
-	})
+	return core.BuildProgramWith(files, bw, chain)
 }
 
 // BuildGeneralizedProgram constructs a program for files with

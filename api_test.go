@@ -123,7 +123,7 @@ func TestFacadeRTDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := core.BuildProgram(files, core.SufficientBandwidth(files))
+	p, err := core.BuildProgramWith(files, core.SufficientBandwidth(files), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

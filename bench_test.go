@@ -154,7 +154,7 @@ func BenchmarkBuildProgramIVHS(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.BuildProgram(files, bw); err != nil {
+		if _, err := core.BuildProgramWith(files, bw, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

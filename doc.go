@@ -49,7 +49,8 @@
 // EDF, the two-distinct specialization, exact search) are found by
 // name (LookupScheduler) and selected per Station with WithSchedulers,
 // which takes an application's own Scheduler by value just as well.
-// Every schedule is re-verified against its task system before a
+// The portfolio is the default chain, and every chain runs through one
+// loop that re-verifies each schedule against its task system before a
 // program is built from it.
 //
 // # Workloads & QoS

@@ -21,6 +21,44 @@ func TestErrBadSpecFromCore(t *testing.T) {
 	}
 }
 
+// TestNilInputsAreBadSpecs: a nil scheduler, wherever a chain enters,
+// and a nil database are refused with ErrBadSpec, not dereferenced.
+func TestNilInputsAreBadSpecs(t *testing.T) {
+	files := []FileSpec{{Name: "A", Blocks: 2, Latency: 10, Faults: 1}}
+	contents := CatalogContents(files, 16, 1)
+	edf, _ := LookupScheduler(SchedulerEDF)
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Build", func() error {
+			_, err := Build(BuildConfig{Files: files, Schedulers: []Scheduler{nil}})
+			return err
+		}},
+		{"Build after a member that succeeds", func() error {
+			_, err := Build(BuildConfig{Files: files, Schedulers: []Scheduler{edf, nil}})
+			return err
+		}},
+		{"WithSchedulers", func() error {
+			_, err := New(WithFiles(files...), WithContents(contents), WithSchedulers(nil))
+			return err
+		}},
+		{"WithStationOptions", func() error {
+			_, err := NewCluster(WithClusterFiles(files...), WithClusterContents(contents),
+				WithStationOptions(WithSchedulers(nil)))
+			return err
+		}},
+		{"WithDatabase", func() error {
+			_, err := New(WithDatabase(nil, "combat"))
+			return err
+		}},
+	} {
+		if err := c.run(); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("%s: err = %v, want ErrBadSpec", c.name, err)
+		}
+	}
+}
+
 func TestErrBadSpecFromAlgebra(t *testing.T) {
 	// bc(i, 0, [5]) and a condition without a latency vector, through
 	// the generalized construction that converts them.

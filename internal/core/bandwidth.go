@@ -64,19 +64,17 @@ func MinBandwidth(files []FileSpec) (int, error) {
 		hi = lo
 	}
 	// Allow a margin above the Eq-1/Eq-2 value in case the portfolio
-	// needs it (it has not in any experiment so far). The scan uses a
+	// needs it (it has not in any experiment so far). The scan uses the
 	// budget-capped portfolio: near-infeasible bandwidths would
 	// otherwise burn the full EDF horizon and exact-search budget per
-	// candidate; at any bandwidth the capped portfolio schedules, the
-	// full portfolio trivially does too.
-	opts := &pinwheel.Options{EDFMaxSlots: 1 << 16, ExactMaxStates: -1}
+	// candidate.
 	ceiling := 2*hi + 1
 	for b := lo; b <= ceiling; b++ {
 		sys := TaskSystem(files, b)
 		if sys.Validate() != nil {
 			continue // window smaller than demand at this bandwidth
 		}
-		if _, err := pinwheel.Solve(sys, opts); err == nil {
+		if _, err := pinwheel.Solve(sys, pinwheel.Capped); err == nil {
 			return b, nil
 		}
 	}

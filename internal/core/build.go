@@ -8,25 +8,15 @@ import (
 	"pinbcast/internal/pinwheel"
 )
 
-// Solver turns a pinwheel system into a verified schedule. The default
-// solver is the portfolio (pinwheel.Solve); the facade injects custom
-// scheduler chains through this hook.
-type Solver func(pinwheel.System) (*pinwheel.Schedule, error)
-
-// BuildProgram constructs a fault-tolerant real-time broadcast program
-// for the files at bandwidth B blocks per time unit: it schedules the
-// pinwheel system {(mᵢ+rᵢ, B·Tᵢ)} with the scheduler portfolio and
-// wraps the schedule in a Program with AIDA block rotation. The
-// resulting program guarantees that every window of B·Tᵢ slots carries
-// at least mᵢ+rᵢ distinct blocks of file i, so a client meets latency
-// Tᵢ despite up to rᵢ block errors.
-func BuildProgram(files []FileSpec, bandwidth int) (*Program, error) {
-	return BuildProgramWith(files, bandwidth, nil)
-}
-
-// BuildProgramWith is BuildProgram with an injected solver; a nil
-// solver uses the scheduler portfolio.
-func BuildProgramWith(files []FileSpec, bandwidth int, solve Solver) (*Program, error) {
+// BuildProgramWith constructs a fault-tolerant real-time broadcast
+// program for the files at bandwidth B blocks per time unit: it
+// schedules the pinwheel system {(mᵢ+rᵢ, B·Tᵢ)} with the scheduler chain
+// (pinwheel.Solve; nil runs the paper's portfolio) and wraps the
+// schedule in a Program with AIDA block rotation. The resulting program
+// guarantees that every window of B·Tᵢ slots carries at least mᵢ+rᵢ
+// distinct blocks of file i, so a client meets latency Tᵢ despite up to
+// rᵢ block errors.
+func BuildProgramWith(files []FileSpec, bandwidth int, chain []pinwheel.Scheduler) (*Program, error) {
 	if err := ValidateAll(files); err != nil {
 		return nil, err
 	}
@@ -39,15 +29,9 @@ func BuildProgramWith(files []FileSpec, bandwidth int, solve Solver) (*Program, 
 		// is a window B·Tᵢ smaller than the demand mᵢ+rᵢ.
 		return nil, fmt.Errorf("core: bandwidth %d too low (%w): %w", bandwidth, err, bcerr.ErrBandwidth)
 	}
-	if solve == nil {
-		solve = func(s pinwheel.System) (*pinwheel.Schedule, error) { return pinwheel.Solve(s, nil) }
-	}
-	sch, err := solve(sys)
+	sch, err := pinwheel.Solve(sys, chain)
 	if err != nil {
 		return nil, fmt.Errorf("core: scheduling at bandwidth %d: %w", bandwidth, err)
-	}
-	if err := sch.Verify(sys); err != nil {
-		return nil, fmt.Errorf("core: solver returned an invalid schedule: %w", err)
 	}
 	infos := make([]FileInfo, len(files))
 	for i, f := range files {

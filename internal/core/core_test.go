@@ -215,7 +215,7 @@ func TestMinBandwidthAtMostSufficient(t *testing.T) {
 	if min > suf {
 		t.Fatalf("MinBandwidth %d exceeds Eq-1/2 bandwidth %d", min, suf)
 	}
-	if _, err := BuildProgram(files, min); err != nil {
+	if _, err := BuildProgramWith(files, min, nil); err != nil {
 		t.Fatalf("program at MinBandwidth failed: %v", err)
 	}
 }
@@ -226,7 +226,7 @@ func TestBuildProgramMeetsWindows(t *testing.T) {
 		{Name: "B", Blocks: 3, Latency: 6, Faults: 1},
 	}
 	b := SufficientBandwidth(files)
-	p, err := BuildProgram(files, b)
+	p, err := BuildProgramWith(files, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,10 +247,10 @@ func TestBuildProgramMeetsWindows(t *testing.T) {
 func TestBuildProgramRejectsLowBandwidth(t *testing.T) {
 	files := []FileSpec{{Name: "A", Blocks: 5, Latency: 1}}
 	// Bandwidth 1 gives window 1 < demand 5.
-	if _, err := BuildProgram(files, 1); err == nil {
+	if _, err := BuildProgramWith(files, 1, nil); err == nil {
 		t.Fatal("window < demand accepted")
 	}
-	if _, err := BuildProgram(files, 0); err == nil {
+	if _, err := BuildProgramWith(files, 0, nil); err == nil {
 		t.Fatal("zero bandwidth accepted")
 	}
 }
@@ -260,12 +260,34 @@ func TestBuildProgramAuto(t *testing.T) {
 		{Name: "A", Blocks: 2, Latency: 4},
 		{Name: "B", Blocks: 1, Latency: 3},
 	}
-	p, err := BuildProgram(files, SufficientBandwidth(files))
+	p, err := BuildProgramWith(files, SufficientBandwidth(files), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Bandwidth != SufficientBandwidth(files) {
 		t.Fatalf("auto bandwidth = %d", p.Bandwidth)
+	}
+}
+
+// TestProgramOriginNamesItsScheduler: a pinwheel program's Origin is
+// "pinwheel/" followed by the Origin of the schedule it was built on.
+func TestProgramOriginNamesItsScheduler(t *testing.T) {
+	files := []FileSpec{
+		{Name: "A", Blocks: 2, Latency: 4},
+		{Name: "B", Blocks: 1, Latency: 3},
+	}
+	// The two-distinct closed form takes unit tasks only: "" is a failure.
+	want := map[string]string{"sa": "pinwheel/Sa", "sx": "pinwheel/Sx(c=4)", "two-distinct": "",
+		"edf": "pinwheel/EDF", "exact": "pinwheel/Exact", "portfolio": "pinwheel/Sx(c=4)"}
+	for _, s := range pinwheel.Registered {
+		p, err := BuildProgramWith(files, SufficientBandwidth(files), []pinwheel.Scheduler{s})
+		origin := ""
+		if err == nil {
+			origin = p.Origin
+		}
+		if origin != want[s.Name()] {
+			t.Errorf("%s: Origin %q (%v), want %q", s.Name(), origin, err, want[s.Name()])
+		}
 	}
 }
 

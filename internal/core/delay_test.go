@@ -214,7 +214,7 @@ func BenchmarkBuildProgram(b *testing.B) {
 	bw := SufficientBandwidth(files)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildProgram(files, bw); err != nil {
+		if _, err := BuildProgramWith(files, bw, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

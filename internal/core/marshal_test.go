@@ -21,7 +21,7 @@ func TestProgramJSONRoundTrip(t *testing.T) {
 		{Name: "A", Blocks: 5, Latency: 10, Faults: 2},
 		{Name: "B", Blocks: 3, Latency: 6, Faults: 1},
 	}
-	p, err := BuildProgram(files, SufficientBandwidth(files))
+	p, err := BuildProgramWith(files, SufficientBandwidth(files), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,16 +84,13 @@ func SchedulerDeltaAblation() (*Table, error) {
 		Title:  "ablation — scheduler choice vs error-recovery spacing δ",
 		Header: []string{"scheduler", "period", "δ_A", "δ_B", "δ_C", "utilization"},
 	}
-	for _, ns := range pinwheel.Schedulers() {
-		sch, err := ns.Run(sys)
+	for _, s := range compared() {
+		sch, err := pinwheel.Solve(sys, []pinwheel.Scheduler{s})
 		if err != nil {
-			t.AddRow(ns.Name, "—", "—", "—", "—", "—")
+			t.AddRow(s.Name(), "—", "—", "—", "—", "—")
 			continue
 		}
-		if err := sch.Verify(sys); err != nil {
-			return nil, err
-		}
-		t.AddRow(ns.Name, sch.Period, sch.MaxGap(0), sch.MaxGap(1), sch.MaxGap(2),
+		t.AddRow(s.Name(), sch.Period, sch.MaxGap(0), sch.MaxGap(1), sch.MaxGap(2),
 			sch.Utilization())
 	}
 	t.Notes = append(t.Notes,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"pinbcast"
 	"pinbcast/internal/algebra"
 	"pinbcast/internal/pinwheel"
 )
@@ -91,10 +92,10 @@ func Examples2to6() (*Table, error) {
 // success rate of each scheduler. Holte et al. guarantee density ≤ 1/2
 // (Sa); Chan & Chin ≤ 7/10; the portfolio reaches further.
 func DensitySweep(densities []float64, trials int, seed int64) (*Table, error) {
-	schedulers := pinwheel.Schedulers()
+	schedulers := compared()
 	header := []string{"density"}
 	for _, s := range schedulers {
-		header = append(header, s.Name+" success")
+		header = append(header, s.Name()+" success")
 	}
 	t := &Table{
 		ID:     "E9",
@@ -107,12 +108,7 @@ func DensitySweep(densities []float64, trials int, seed int64) (*Table, error) {
 		for _, s := range schedulers {
 			ok := 0
 			for k := 0; k < trials; k++ {
-				sys := randomUnitSystem(rng, 3+k%6, d)
-				sch, err := s.Run(sys)
-				if err == nil {
-					if verr := sch.Verify(sys); verr != nil {
-						return nil, fmt.Errorf("exp: %s produced invalid schedule: %w", s.Name, verr)
-					}
+				if _, err := pinwheel.Solve(randomUnitSystem(rng, 3+k%6, d), []pinwheel.Scheduler{s}); err == nil {
 					ok++
 				}
 			}
@@ -124,6 +120,17 @@ func DensitySweep(densities []float64, trials int, seed int64) (*Table, error) {
 		"Sa is total up to density 0.5 (Holte et al.); the portfolio covers every",
 		"Chan–Chin-feasible (≤ 0.7) instance in these sweeps, matching the paper's usage")
 	return t, nil
+}
+
+// compared returns the registered schedulers E9 and E14 set side by
+// side.
+func compared() []pinwheel.Scheduler {
+	names := []string{pinbcast.SchedulerSa, pinbcast.SchedulerSx, pinbcast.SchedulerEDF, pinbcast.SchedulerPortfolio}
+	out := make([]pinwheel.Scheduler, len(names))
+	for i, name := range names {
+		out[i], _ = pinbcast.LookupScheduler(name)
+	}
+	return out
 }
 
 // randomUnitSystem builds a random unit-task system with total density

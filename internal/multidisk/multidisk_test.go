@@ -92,7 +92,7 @@ func TestMultidiskVsPinwheelTradeoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pw, err := core.BuildProgram(files, bw)
+	pw, err := core.BuildProgramWith(files, bw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

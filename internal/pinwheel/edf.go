@@ -3,6 +3,7 @@ package pinwheel
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // This file implements a greedy earliest-deadline-first scheduler with
@@ -20,20 +21,17 @@ import (
 //
 // EDF is not optimal for pinwheel systems, so failure here does not
 // prove infeasibility — but on realistic instances it succeeds well past
-// the 7/10 density bound, and every schedule it returns is verified.
+// the 7/10 density bound, and Solve verifies every schedule it returns.
 
-// EDFMaxSlots is the default simulation horizon for EDF.
-const EDFMaxSlots = 1 << 20
+// edfMaxSlots is the portfolio's simulation horizon for EDF.
+const edfMaxSlots = 1 << 20
 
-// EDF schedules the system by greedy earliest-deadline-first simulation,
-// returning the periodic part once the urgency state repeats. maxSlots
-// bounds the simulation; pass 0 for the default.
-func EDF(s System, maxSlots int) (*Schedule, error) {
+// edf schedules the system by greedy earliest-deadline-first simulation,
+// returning the periodic part once the urgency state repeats within
+// maxSlots slots.
+func edf(s System, maxSlots int) (*Schedule, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
-	}
-	if maxSlots <= 0 {
-		maxSlots = EDFMaxSlots
 	}
 	n := len(s)
 	// last[i] holds the times of the most recent s[i].A grants of task i,
@@ -57,12 +55,7 @@ func EDF(s System, maxSlots int) (*Schedule, error) {
 	for t := 0; t < maxSlots; t++ {
 		key := stateKey(last, t)
 		if start, ok := seen[key]; ok {
-			cycle := append([]int(nil), slots[start:]...)
-			sch := NewSchedule(cycle, "EDF")
-			if err := sch.Verify(s); err != nil {
-				return nil, fmt.Errorf("%w: cycle failed verification: %w", ErrSchedulerFailed, err)
-			}
-			return sch, nil
+			return NewSchedule(slices.Clone(slots[start:]), "EDF"), nil
 		}
 		seen[key] = t
 

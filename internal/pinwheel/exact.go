@@ -2,6 +2,7 @@ package pinwheel
 
 import (
 	"fmt"
+	"slices"
 )
 
 // This file implements an exact decision procedure for pinwheel
@@ -19,12 +20,12 @@ import (
 // the DFS stack exhibits such a cycle (a "lasso"); exhausting all
 // choices proves a state dead.
 //
-// The cost is exponential in the number of tasks, so Exact is only
+// The cost is exponential in the number of tasks, so exact is only
 // attempted below a configurable state budget; it is the ground truth
 // the tests use (e.g. the infeasible three-task system of Example 1).
 
-// ExactMaxStates is the default state budget for Exact.
-const ExactMaxStates = 1 << 19
+// exactMaxStates is the portfolio's state budget for exact.
+const exactMaxStates = 1 << 19
 
 type exactSearcher struct {
 	sys       System
@@ -41,19 +42,16 @@ const (
 	colorDead = 2
 )
 
-// Exact decides schedulability by exhaustive search. It returns a
-// verified schedule when the system is schedulable, ErrInfeasible when
-// it provably is not, and ErrTooLarge when the state budget (maxStates,
-// 0 for default) is exhausted before an answer is found.
-func Exact(s System, maxStates int) (*Schedule, error) {
+// exact decides schedulability by exhaustive search. It returns a
+// schedule when the system is schedulable, ErrInfeasible when it
+// provably is not, and ErrTooLarge when the state budget of maxStates
+// is exhausted before an answer is found.
+func exact(s System, maxStates int) (*Schedule, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	if s.Density() > 1.0+1e-12 {
 		return nil, fmt.Errorf("%w: density %.4f > 1", ErrInfeasible, s.Density())
-	}
-	if maxStates <= 0 {
-		maxStates = ExactMaxStates
 	}
 	es := &exactSearcher{
 		sys:    s,
@@ -77,14 +75,7 @@ func Exact(s System, maxStates int) (*Schedule, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: exhaustive search found no valid cycle", ErrInfeasible)
 	}
-	cycle := append([]int(nil), es.stack[es.cycleFrom:]...)
-	sch := NewSchedule(cycle, "Exact")
-	if err := sch.Verify(s); err != nil {
-		// The lasso cycle is valid by construction; failure here would be
-		// a bug in the search itself.
-		return nil, fmt.Errorf("pinwheel: internal error: exact cycle failed verification: %w", err)
-	}
-	return sch, nil
+	return NewSchedule(slices.Clone(es.stack[es.cycleFrom:]), "Exact"), nil
 }
 
 // search explores from the given grant-history state at time t. States

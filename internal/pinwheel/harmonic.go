@@ -40,9 +40,9 @@ func specialize(c, b int) (spec, pow int, err error) {
 	return spec, pow, nil
 }
 
-// SpecializedDensity returns the density of the system after windows are
+// specializedDensity returns the density of the system after windows are
 // specialized to the chain {c·2^k}, or +Inf if some window is below c.
-func SpecializedDensity(s System, c int) float64 {
+func specializedDensity(s System, c int) float64 {
 	d := 0.0
 	for _, t := range s {
 		spec, _, err := specialize(c, t.B)
@@ -61,17 +61,14 @@ type residueClass struct {
 	offset, modulus int
 }
 
-// ScheduleChain specializes every window to the chain {c·2^k} and
+// scheduleChain specializes every window to the chain {c·2^k} and
 // schedules by buddy allocation. It fails with ErrSchedulerFailed when
 // the specialized density exceeds 1 (the allocation runs out of
 // classes) and with ErrTooLarge when the resulting period would exceed
 // maxPeriod.
-func ScheduleChain(s System, c int, maxPeriod int) (*Schedule, error) {
+func scheduleChain(s System, c int, maxPeriod int) (*Schedule, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
-	}
-	if c < 1 {
-		return nil, fmt.Errorf("pinwheel: chain base %d < 1", c)
 	}
 	type specTask struct {
 		idx  int
@@ -113,7 +110,7 @@ func ScheduleChain(s System, c int, maxPeriod int) (*Schedule, error) {
 			cls, ok := takeClass(free, &moduli, tk.spec)
 			if !ok {
 				return nil, fmt.Errorf("%w: buddy allocation exhausted at task %d (specialized density %.4f)",
-					ErrSchedulerFailed, tk.idx, SpecializedDensity(s, c))
+					ErrSchedulerFailed, tk.idx, specializedDensity(s, c))
 			}
 			for t := cls.offset; t < period; t += cls.modulus {
 				slots[t] = tk.idx
@@ -153,17 +150,17 @@ func takeClass(free map[int][]int, moduli *[]int, want int) (residueClass, bool)
 	return residueClass{offset: off, modulus: want}, true
 }
 
-// DefaultMaxPeriod bounds the period of schedules produced by the chain
+// defaultMaxPeriod bounds the period of schedules produced by the chain
 // schedulers; beyond this the memory cost of materializing the cyclic
 // schedule outweighs its usefulness.
-const DefaultMaxPeriod = 1 << 22
+const defaultMaxPeriod = 1 << 22
 
-// Sa is Holte et al.'s single-number scheduler: windows are specialized
+// sa is Holte et al.'s single-number scheduler: windows are specialized
 // to powers of two. It is guaranteed to succeed whenever the system
 // density is at most 1/2, and succeeds more generally whenever the
 // power-of-two specialized density is at most 1.
-func Sa(s System) (*Schedule, error) {
-	sch, err := ScheduleChain(s, 1, DefaultMaxPeriod)
+func sa(s System) (*Schedule, error) {
+	sch, err := scheduleChain(s, 1, defaultMaxPeriod)
 	if err != nil {
 		return nil, err
 	}
@@ -171,12 +168,12 @@ func Sa(s System) (*Schedule, error) {
 	return sch, nil
 }
 
-// CandidateBases returns the chain bases worth trying for Sx: every
+// candidateBases returns the chain bases worth trying for Sx: every
 // value ⌊b/2^k⌋ that lies in (minB/2, minB], where minB is the smallest
 // window. Bases outside that half-open interval are either infeasible
 // (> minB) or equivalent to one inside it (a base c ≤ minB/2 specializes
 // every window ≥ minB exactly as base 2c does).
-func CandidateBases(s System) []int {
+func candidateBases(s System) []int {
 	minB := s.MinWindow()
 	lo := minB / 2 // exclusive
 	set := map[int]bool{}
@@ -196,24 +193,24 @@ func CandidateBases(s System) []int {
 	return bases
 }
 
-// Sx is the optimized-base integer-reduction scheduler: it evaluates
+// sx is the optimized-base integer-reduction scheduler: it evaluates
 // every candidate base and schedules with the one minimizing the
 // specialized density. It strictly dominates Sa on systems whose
 // windows cluster away from powers of two.
-func Sx(s System) (*Schedule, error) {
+func sx(s System) (*Schedule, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	bestC, bestD := 0, inf()
-	for _, c := range CandidateBases(s) {
-		if d := SpecializedDensity(s, c); d < bestD {
+	for _, c := range candidateBases(s) {
+		if d := specializedDensity(s, c); d < bestD {
 			bestC, bestD = c, d
 		}
 	}
 	if bestC == 0 || bestD > 1.0 {
 		return nil, fmt.Errorf("%w: best specialized density %.4f > 1", ErrSchedulerFailed, bestD)
 	}
-	sch, err := ScheduleChain(s, bestC, DefaultMaxPeriod)
+	sch, err := scheduleChain(s, bestC, defaultMaxPeriod)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -40,7 +41,7 @@ func TestSaSimpleSystems(t *testing.T) {
 		{{A: 1, B: 10}, {A: 1, B: 20}, {A: 1, B: 40}},
 	}
 	for _, s := range systems {
-		sch, err := Sa(s)
+		sch, err := sa(s)
 		if err != nil {
 			t.Fatalf("Sa(%v): %v", s, err)
 		}
@@ -58,7 +59,7 @@ func TestSaHalfDensityGuarantee(t *testing.T) {
 		if s.Density() > 0.5 {
 			continue
 		}
-		sch, err := Sa(s)
+		sch, err := sa(s)
 		if err != nil {
 			t.Fatalf("Sa failed on density-%.3f system %v: %v", s.Density(), s, err)
 		}
@@ -71,7 +72,7 @@ func TestSaHalfDensityGuarantee(t *testing.T) {
 func TestSaGeneralATasksNative(t *testing.T) {
 	// a > 1 tasks are placed as multiple residue classes without loss.
 	s := System{{A: 3, B: 8}, {A: 2, B: 4}}
-	sch, err := Sa(s)
+	sch, err := sa(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestSaGeneralATasksNative(t *testing.T) {
 
 func TestCandidateBases(t *testing.T) {
 	s := System{{A: 1, B: 7}, {A: 1, B: 10}}
-	bases := CandidateBases(s)
+	bases := candidateBases(s)
 	// minB = 7, interval (3, 7]: candidates include 7 and 10/2 = 5.
 	want := map[int]bool{7: true, 5: true}
 	for _, b := range bases {
@@ -100,10 +101,10 @@ func TestSxBeatsSaOnNonPowerWindows(t *testing.T) {
 	// Windows {7, 7, 14}: Sa specializes to {4, 4, 8} (density 5/8 from
 	// 3/7·…); Sx picks base 7 and loses nothing.
 	s := System{{A: 1, B: 7}, {A: 1, B: 7}, {A: 1, B: 14}}
-	if d := SpecializedDensity(s, 7); d != s.Density() {
+	if d := specializedDensity(s, 7); d != s.Density() {
 		t.Fatalf("base-7 specialized density = %v, want lossless %v", d, s.Density())
 	}
-	sch, err := Sx(s)
+	sch, err := sx(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,21 +114,21 @@ func TestSxBeatsSaOnNonPowerWindows(t *testing.T) {
 	// Density 5/14 + … = 1/7+1/7+1/14 = 5/14 ≈ 0.357: Sa also works, but
 	// a tight case: three tasks of window 3 with density 1 exactly.
 	tight := System{{A: 1, B: 3}, {A: 1, B: 3}, {A: 1, B: 3}}
-	sch, err = Sx(tight)
+	sch, err = sx(tight)
 	if err != nil {
 		t.Fatalf("Sx failed on density-1 harmonic system: %v", err)
 	}
 	if err := sch.Verify(tight); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Sa(tight); err == nil {
+	if _, err := sa(tight); err == nil {
 		t.Fatal("Sa unexpectedly scheduled density-1 window-3 system (specializes to 2)")
 	}
 }
 
 func TestScheduleChainPeriodLimit(t *testing.T) {
-	s := System{{A: 1, B: DefaultMaxPeriod * 4}}
-	_, err := ScheduleChain(s, 1, 1024)
+	s := System{{A: 1, B: defaultMaxPeriod * 4}}
+	_, err := scheduleChain(s, 1, 1024)
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
@@ -135,7 +136,7 @@ func TestScheduleChainPeriodLimit(t *testing.T) {
 
 func TestEDFPaperExample(t *testing.T) {
 	sys := System{{A: 1, B: 2}, {A: 1, B: 3}}
-	sch, err := EDF(sys, 0)
+	sch, err := edf(sys, edfMaxSlots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestEDFPaperExample(t *testing.T) {
 
 func TestEDFGeneralA(t *testing.T) {
 	sys := System{{A: 2, B: 5}, {A: 1, B: 3}}
-	sch, err := EDF(sys, 0)
+	sch, err := edf(sys, edfMaxSlots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestEDFHighDensity(t *testing.T) {
 	if sys.Density() <= 0.7 {
 		t.Fatal("test system density should exceed 0.7")
 	}
-	sch, err := EDF(sys, 0)
+	sch, err := edf(sys, edfMaxSlots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestEDFHighDensity(t *testing.T) {
 
 func TestExactFeasible(t *testing.T) {
 	sys := System{{A: 1, B: 2}, {A: 1, B: 3}}
-	sch, err := Exact(sys, 0)
+	sch, err := exact(sys, exactMaxStates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestExactInfeasibleExample1(t *testing.T) {
 	// scheduled for any finite n. Check a sample of n values.
 	for _, n := range []int{4, 7, 12, 20} {
 		sys := System{{A: 1, B: 2}, {A: 1, B: 3}, {A: 1, B: n}}
-		_, err := Exact(sys, 0)
+		_, err := exact(sys, exactMaxStates)
 		if !errors.Is(err, ErrInfeasible) {
 			t.Fatalf("n=%d: err = %v, want ErrInfeasible", n, err)
 		}
@@ -195,7 +196,7 @@ func TestExactInfeasibleExample1(t *testing.T) {
 
 func TestExactDensityAboveOne(t *testing.T) {
 	sys := System{{A: 1, B: 1}, {A: 1, B: 2}}
-	_, err := Exact(sys, 0)
+	_, err := exact(sys, exactMaxStates)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
@@ -203,7 +204,7 @@ func TestExactDensityAboveOne(t *testing.T) {
 
 func TestExactBudgetExhaustion(t *testing.T) {
 	sys := System{{A: 1, B: 9}, {A: 1, B: 10}, {A: 1, B: 11}, {A: 1, B: 12}}
-	_, err := Exact(sys, 8)
+	_, err := exact(sys, 8)
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
@@ -294,14 +295,48 @@ func randomSystem(rng *rand.Rand, n int, maxDensity float64) System {
 }
 
 func TestSchedulersListedInOrder(t *testing.T) {
-	names := []string{"Sa", "Sx", "EDF", "Portfolio"}
-	got := Schedulers()
-	if len(got) != len(names) {
-		t.Fatalf("got %d schedulers", len(got))
+	names := []string{"sa", "sx", "two-distinct", "edf", "exact", "portfolio"}
+	if len(Registered) != len(names) {
+		t.Fatalf("got %d schedulers", len(Registered))
 	}
-	for i, ns := range got {
-		if ns.Name != names[i] {
-			t.Fatalf("scheduler %d = %q, want %q", i, ns.Name, names[i])
+	for i, s := range Registered {
+		if s.Name() != names[i] {
+			t.Fatalf("scheduler %d = %q, want %q", i, s.Name(), names[i])
+		}
+	}
+}
+
+// TestSchedulersPrintTheirOrigin pins the Origin each registered
+// scheduler stamps on a system it schedules — bdiskgen, pinsched, bdsim
+// and the experiment tables print it — and the portfolio's, which is its
+// winning member's.
+func TestSchedulersPrintTheirOrigin(t *testing.T) {
+	cases := []struct {
+		name   string
+		sys    System
+		origin string
+	}{
+		{"sa", System{{A: 1, B: 2}, {A: 1, B: 4}}, "Sa"},
+		{"sx", System{{A: 1, B: 7}, {A: 1, B: 7}, {A: 1, B: 14}}, "Sx(c=7)"},
+		{"two-distinct", System{{A: 1, B: 3}, {A: 1, B: 5}}, "TwoDistinct"},
+		{"edf", System{{A: 1, B: 2}, {A: 1, B: 3}}, "EDF"},
+		{"exact", System{{A: 1, B: 2}, {A: 1, B: 3}}, "Exact"},
+		{"portfolio", System{{A: 1, B: 7}, {A: 1, B: 7}, {A: 1, B: 14}}, "Sx(c=7)"},
+		{"portfolio", System{{A: 1, B: 7}, {A: 1, B: 7}, {A: 1, B: 2}, {A: 1, B: 7}}, "TwoDistinct"},
+		{"portfolio", System{{A: 2, B: 7}, {A: 2, B: 8}, {A: 1, B: 5}, {A: 1, B: 7}}, "EDF"},
+		{"portfolio", System{{A: 1, B: 3}, {A: 1, B: 4}, {A: 2, B: 9}, {A: 1, B: 10}}, "Exact"},
+	}
+	for _, c := range cases {
+		i := slices.IndexFunc(Registered, func(s Scheduler) bool { return s.Name() == c.name })
+		if i < 0 {
+			t.Fatalf("%s is not registered", c.name)
+		}
+		sch, err := Solve(c.sys, Registered[i:i+1])
+		if err != nil {
+			t.Fatalf("%s on %v: %v", c.name, c.sys, err)
+		}
+		if sch.Origin != c.origin {
+			t.Errorf("%s on %v: Origin %q, want %q", c.name, c.sys, sch.Origin, c.origin)
 		}
 	}
 }
@@ -311,7 +346,7 @@ func BenchmarkSa20Tasks(b *testing.B) {
 	s := randomSystem(rng, 20, 0.5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Sa(s); err != nil {
+		if _, err := sa(s); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -319,13 +354,13 @@ func BenchmarkSa20Tasks(b *testing.B) {
 
 func BenchmarkEDF6Tasks(b *testing.B) {
 	s := System{{A: 1, B: 6}, {A: 1, B: 7}, {A: 1, B: 8}, {A: 1, B: 9}, {A: 1, B: 10}, {A: 1, B: 11}}
-	if _, err := EDF(s, 0); err != nil {
+	if _, err := edf(s, edfMaxSlots); err != nil {
 		b.Fatalf("bench workload not EDF-schedulable: %v", err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EDF(s, 0); err != nil {
+		if _, err := edf(s, edfMaxSlots); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,13 +9,16 @@
 // The package provides:
 //
 //   - an exact cyclic verifier (Verify) used to certify every schedule,
-//   - Sa: single-number (power-of-two) specialization with buddy
-//     allocation — schedules every system with density ≤ 1/2,
-//   - Sx: single-integer specialization with an optimized base in the
-//     style of Chan & Chin's integer-reduction schedulers,
-//   - EDF: greedy earliest-deadline scheduling with cycle detection,
-//   - Exact: complete search over urgency states for small systems,
-//   - Schedule: a portfolio driver combining all of the above,
+//   - the schedulers, under their registry names in Registered: sa,
+//     single-number (power-of-two) specialization with buddy allocation
+//     — schedules every system with density ≤ 1/2; sx, single-integer
+//     specialization with an optimized base in the style of Chan &
+//     Chin's integer-reduction schedulers; two-distinct, Holte et al.'s
+//     closed form; edf, greedy earliest-deadline scheduling with cycle
+//     detection; exact, complete search over urgency states for small
+//     systems; and the portfolio of §3.1,
+//   - Solve: the one loop that runs a chain of schedulers and certifies
+//     what it returns, the portfolio being its default chain,
 //   - DensityTestCC: Chan & Chin's sufficient schedulability condition
 //     (density ≤ 7/10) exactly as the paper uses it for bandwidth sizing.
 package pinwheel

@@ -5,7 +5,7 @@ import (
 	"sort"
 )
 
-// TwoDistinct schedules unit-task systems whose windows take at most
+// twoDistinct schedules unit-task systems whose windows take at most
 // two distinct values — the class solved completely by Holte, Rosier,
 // Tulchinsky & Varvel, "Pinwheel scheduling with two distinct numbers"
 // (TCS 1992), cited in §3.1 of the paper. With windows a < b and nₐ
@@ -20,7 +20,7 @@ import (
 //
 // For systems that are not unit or not two-valued, it returns
 // ErrSchedulerFailed so the portfolio can move on.
-func TwoDistinct(s System) (*Schedule, error) {
+func twoDistinct(s System) (*Schedule, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -78,9 +78,5 @@ func TwoDistinct(s System) (*Schedule, error) {
 		frame := j % k
 		slots[frame*a+offset] = task
 	}
-	sch := NewSchedule(slots, "TwoDistinct")
-	if err := sch.Verify(s); err != nil {
-		return nil, fmt.Errorf("pinwheel: internal error: two-distinct construction invalid: %w", err)
-	}
-	return sch, nil
+	return NewSchedule(slots, "TwoDistinct"), nil
 }

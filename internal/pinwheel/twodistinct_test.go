@@ -14,7 +14,7 @@ func TestTwoDistinctSimple(t *testing.T) {
 		{{A: 1, B: 3}, {A: 1, B: 7}, {A: 1, B: 7}, {A: 1, B: 7}}, // k = 2
 	}
 	for _, s := range systems {
-		sch, err := TwoDistinct(s)
+		sch, err := twoDistinct(s)
 		if err != nil {
 			t.Fatalf("TwoDistinct(%v): %v", s, err)
 		}
@@ -31,7 +31,7 @@ func TestTwoDistinctDensityOneTwoTasks(t *testing.T) {
 	for a := 2; a <= 8; a++ {
 		for b := a; b <= 4*a; b++ {
 			s := System{{A: 1, B: a}, {A: 1, B: b}}
-			sch, err := TwoDistinct(s)
+			sch, err := twoDistinct(s)
 			if err != nil {
 				// The frame condition 1/a + 1/(a⌊b/a⌋) ≤ 1 can only fail
 				// for a = 2, b < 4 (density near 1); verify that is the
@@ -49,10 +49,10 @@ func TestTwoDistinctDensityOneTwoTasks(t *testing.T) {
 }
 
 func TestTwoDistinctRejectsGeneralSystems(t *testing.T) {
-	if _, err := TwoDistinct(System{{A: 2, B: 5}}); !errors.Is(err, ErrSchedulerFailed) {
+	if _, err := twoDistinct(System{{A: 2, B: 5}}); !errors.Is(err, ErrSchedulerFailed) {
 		t.Fatal("non-unit task accepted")
 	}
-	if _, err := TwoDistinct(System{{A: 1, B: 2}, {A: 1, B: 3}, {A: 1, B: 5}}); !errors.Is(err, ErrSchedulerFailed) {
+	if _, err := twoDistinct(System{{A: 1, B: 2}, {A: 1, B: 3}, {A: 1, B: 5}}); !errors.Is(err, ErrSchedulerFailed) {
 		t.Fatal("three distinct windows accepted")
 	}
 }
@@ -60,7 +60,7 @@ func TestTwoDistinctRejectsGeneralSystems(t *testing.T) {
 func TestTwoDistinctOverloadRejected(t *testing.T) {
 	// Three tasks of window 2: density 1.5.
 	s := System{{A: 1, B: 2}, {A: 1, B: 2}, {A: 1, B: 2}}
-	if _, err := TwoDistinct(s); err == nil {
+	if _, err := twoDistinct(s); err == nil {
 		t.Fatal("overloaded system accepted")
 	}
 }
@@ -68,7 +68,7 @@ func TestTwoDistinctOverloadRejected(t *testing.T) {
 func TestTwoDistinctSpacingExact(t *testing.T) {
 	// Slow tasks must be served with spacing exactly a·k.
 	s := System{{A: 1, B: 3}, {A: 1, B: 6}, {A: 1, B: 6}}
-	sch, err := TwoDistinct(s)
+	sch, err := twoDistinct(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestPortfolioUsesTwoDistinct(t *testing.T) {
 	// Density-1 two-window system: Sa and Sx fail (specialization
 	// pushes density above 1), TwoDistinct succeeds.
 	s := System{{A: 1, B: 2}, {A: 1, B: 4}, {A: 1, B: 4}}
-	if _, err := Sx(s); err == nil {
+	if _, err := sx(s); err == nil {
 		t.Skip("Sx handles it on this instance; portfolio order untestable here")
 	}
 	sch, err := Solve(s, nil)
@@ -112,7 +112,7 @@ func TestTwoDistinctRandomized(t *testing.T) {
 		if len(s) == 0 {
 			continue
 		}
-		sch, err := TwoDistinct(s)
+		sch, err := twoDistinct(s)
 		if err != nil {
 			continue // construction infeasible for this draw
 		}

@@ -76,7 +76,7 @@ func planCatalogues(t testing.TB) (out []catalogue) {
 	for seed := int64(1); seed <= 12; seed++ {
 		files := workload.Random(8+int(seed)*4, 8, 10, 80, 2, seed)
 		bandwidth := core.SufficientBandwidth(files)
-		prog, err := core.BuildProgram(files, bandwidth)
+		prog, err := core.BuildProgramWith(files, bandwidth, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func daemonCatalogues(t testing.TB) (out []catalogue) {
 		t.Fatal(err)
 	}
 	for ch, carried := range asn.Channels {
-		prog, err := core.BuildProgram(carried, bandwidth)
+		prog, err := core.BuildProgramWith(carried, bandwidth, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func TestPlanPrefersTheTightestFile(t *testing.T) {
 		{Name: "small", Blocks: 1, Latency: 12, Faults: 1},
 		{Name: "large", Blocks: 5, Latency: 12, Faults: 1},
 	}
-	prog, err := core.BuildProgram(files, 2)
+	prog, err := core.BuildProgramWith(files, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func FuzzReclaim(f *testing.F) {
 			})
 		}
 		bandwidth := core.SufficientBandwidth(files) + int(raw[0])%4
-		prog, err := core.BuildProgram(files, bandwidth)
+		prog, err := core.BuildProgramWith(files, bandwidth, nil)
 		if err != nil {
 			return // not every catalogue has a program at every bandwidth
 		}
@@ -323,7 +323,7 @@ func BenchmarkPlan(b *testing.B) {
 		files[i].Faults = 1
 	}
 	bandwidth := core.SufficientBandwidth(files)
-	prog, err := core.BuildProgram(files, bandwidth)
+	prog, err := core.BuildProgramWith(files, bandwidth, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

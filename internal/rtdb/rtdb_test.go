@@ -112,7 +112,7 @@ func TestProgramConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := core.BuildProgram(files, core.SufficientBandwidth(files))
+	p, err := core.BuildProgramWith(files, core.SufficientBandwidth(files), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

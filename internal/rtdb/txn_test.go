@@ -61,7 +61,7 @@ func TestGuaranteeHoldsOnRealProgram(t *testing.T) {
 	// never exceeds its bound on the actual program, from any start.
 	files := txnFiles()
 	b := core.SufficientBandwidth(files)
-	p, err := core.BuildProgram(files, b)
+	p, err := core.BuildProgramWith(files, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestGuaranteeHoldsOnRealProgram(t *testing.T) {
 
 func TestTxnLatencyUnknownItem(t *testing.T) {
 	files := txnFiles()
-	p, err := core.BuildProgram(files, core.SufficientBandwidth(files))
+	p, err := core.BuildProgramWith(files, core.SufficientBandwidth(files), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestTxnLatencyUnknownItem(t *testing.T) {
 
 func TestTxnLatencyDominatedBySlowestRead(t *testing.T) {
 	files := txnFiles()
-	p, err := core.BuildProgram(files, core.SufficientBandwidth(files))
+	p, err := core.BuildProgramWith(files, core.SufficientBandwidth(files), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -291,7 +291,7 @@ func BenchmarkServerRebuild(b *testing.B) {
 	for i := range files {
 		files[i].Faults = 1
 	}
-	prog, err := core.BuildProgram(files, core.SufficientBandwidth(files))
+	prog, err := core.BuildProgramWith(files, core.SufficientBandwidth(files), nil)
 	if err != nil {
 		b.Fatal(err)
 	}

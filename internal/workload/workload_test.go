@@ -26,7 +26,7 @@ func TestIVHSReproducible(t *testing.T) {
 func TestIVHSSchedulable(t *testing.T) {
 	files := IVHS(8, 7)
 	bw := core.SufficientBandwidth(files)
-	if _, err := core.BuildProgram(files, bw); err != nil {
+	if _, err := core.BuildProgramWith(files, bw, nil); err != nil {
 		t.Fatalf("IVHS workload not schedulable at Eq-2 bandwidth: %v", err)
 	}
 }
@@ -41,7 +41,7 @@ func TestAWACSDatabase(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mode %s: %v", mode, err)
 		}
-		p, err := core.BuildProgram(files, core.SufficientBandwidth(files))
+		p, err := core.BuildProgramWith(files, core.SufficientBandwidth(files), nil)
 		if err != nil {
 			t.Fatalf("mode %s: %v", mode, err)
 		}

@@ -77,10 +77,7 @@ type pinwheelLayout struct{}
 
 func (pinwheelLayout) Name() string { return LayoutPinwheel }
 func (pinwheelLayout) Plan(files []FileSpec, bandwidth int) (*Program, error) {
-	if bandwidth == 0 {
-		bandwidth = core.SufficientBandwidth(files)
-	}
-	return core.BuildProgram(files, bandwidth)
+	return buildProgram(files, bandwidth, nil, nil)
 }
 
 // isBuiltinPinwheel reports whether l is the built-in pinwheel layout

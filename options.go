@@ -104,6 +104,9 @@ func WithLayout(l Layout) Option {
 // AIDA redundancy.
 func WithDatabase(db *RTDatabase, mode Mode) Option {
 	return func(c *stationConfig) error {
+		if db == nil {
+			return fmt.Errorf("pinbcast: nil database: %w", ErrBadSpec)
+		}
 		files, err := db.FileSpecs(mode)
 		if err != nil {
 			return err

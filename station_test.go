@@ -446,15 +446,19 @@ func TestStationSlotInterval(t *testing.T) {
 // checks that independent verification rejects its output and falls
 // through to the next chain member.
 func TestStationSchedulerChain(t *testing.T) {
-	broken := schedulerFunc{"broken", func(sys TaskSystem) (*Schedule, error) {
-		// An all-idle schedule satisfies nothing.
-		return &Schedule{Period: 4, Slots: []int{Idle, Idle, Idle, Idle}, Origin: "broken"}, nil
-	}}
 	edf, _ := LookupScheduler(SchedulerEDF)
-	st, _ := lifecycleStation(t, WithSchedulers(broken, edf))
+	st, _ := lifecycleStation(t, WithSchedulers(brokenScheduler{}, edf))
 	if origin := st.Program().Origin; origin != "pinwheel/EDF" {
 		t.Fatalf("program origin = %q, want the EDF fallback", origin)
 	}
+}
+
+// brokenScheduler returns an all-idle schedule, which satisfies nothing.
+type brokenScheduler struct{}
+
+func (brokenScheduler) Name() string { return "broken" }
+func (brokenScheduler) Schedule(TaskSystem) (*Schedule, error) {
+	return &Schedule{Period: 4, Slots: []int{Idle, Idle, Idle, Idle}, Origin: "broken"}, nil
 }
 
 func TestSchedulerRegistry(t *testing.T) {
