@@ -331,22 +331,6 @@ func TestVerifyWindowsCatchesViolation(t *testing.T) {
 	}
 }
 
-func TestGapsSumToPeriod(t *testing.T) {
-	p, err := FlatSpread(fig5Files())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range p.Files {
-		sum := 0
-		for _, g := range p.Gaps(i) {
-			sum += g
-		}
-		if sum != p.Period {
-			t.Fatalf("file %d gaps sum to %d, want %d", i, sum, p.Period)
-		}
-	}
-}
-
 func TestBuildGeneralizedProgram(t *testing.T) {
 	files := []GenFileSpec{
 		{Name: "A", Blocks: 2, Latencies: []int{8, 10}},

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"pinbcast/internal/pinwheel"
+)
 
 // Worst-case error-recovery delay analysis (§2.3, Lemmas 1 and 2,
 // Figure 7).
@@ -29,16 +33,15 @@ import "fmt"
 
 // AIDADelay returns D_r for file i of an AIDA program: the largest
 // distance from occurrence k+M−1 to occurrence k+M−1+r over every k,
-// which is the worst a walk of the occurrence index finds from the slot
-// after one occurrence to the r-th after it. It requires M+r ≤ N (the
-// program's dispersal width); beyond that consecutive receptions repeat
-// sequence numbers and the bound no longer applies.
+// the worst pinwheel.Latencies finds with need r. It requires M+r ≤ N
+// (the program's dispersal width); beyond that consecutive receptions
+// repeat sequence numbers and the bound no longer applies.
 func AIDADelay(p *Program, file, r int) (int, error) {
 	if err := p.tolerates(file, r); err != nil {
 		return 0, err
 	}
 	occ := p.occ[file]
-	_, d := walk(occ, p.Period, r-1, 0, len(occ))
+	_, d := pinwheel.Latencies(occ, p.Period, r, 0, len(occ))
 	return d, nil
 }
 
@@ -46,39 +49,15 @@ func AIDADelay(p *Program, file, r int) (int, error) {
 // in which the client must capture each of the file's M specific
 // blocks. The adversary's optimal strategy is to spend all r kills on
 // one block; the delay is r times the worst per-block recurrence
-// distance (r·τ when each block appears once per period τ).
+// distance (r·τ when each block appears once per period τ). Rotation
+// sends block k mod N on the file's k-th occurrence, so a block recurs
+// N occurrences on.
 func FlatDelay(p *Program, file, r int) (int, error) {
 	if r < 0 {
 		return 0, fmt.Errorf("core: negative error count %d", r)
 	}
-	if r == 0 {
-		return 0, nil
-	}
-	// Occurrences of each specific block of the file across one data
-	// cycle; the recurrence distance of a block is the maximum cyclic
-	// spacing between its transmissions.
-	cycle := p.DataCycle()
-	occ := make(map[int][]int) // block seq -> slots
-	for t := 0; t < cycle; t++ {
-		f, seq := p.BlockAt(t)
-		if f == file {
-			occ[seq] = append(occ[seq], t)
-		}
-	}
-	worst := 0
-	for _, slots := range occ {
-		for k := range slots {
-			var gap int
-			if k+1 < len(slots) {
-				gap = slots[k+1] - slots[k]
-			} else {
-				gap = slots[0] + cycle - slots[k]
-			}
-			if gap > worst {
-				worst = gap
-			}
-		}
-	}
+	occ := p.occ[file]
+	_, worst := pinwheel.Latencies(occ, p.Period, p.Files[file].N, 0, len(occ))
 	return r * worst, nil
 }
 

@@ -177,6 +177,75 @@ func TestDelayBoundsPropertyRandomPrograms(t *testing.T) {
 	}
 }
 
+// flatDelayScan is FlatDelay by its definition, the reference it is
+// held to: r times the longest cyclic spacing between transmissions of
+// one specific block of the file, over every slot of a data cycle.
+func flatDelayScan(p *Program, file, r int) int {
+	cycle := p.DataCycle()
+	occ := make(map[int][]int) // block seq -> slots
+	for t := 0; t < cycle; t++ {
+		if f, seq := p.BlockAt(t); f == file {
+			occ[seq] = append(occ[seq], t)
+		}
+	}
+	worst := 0
+	for _, slots := range occ {
+		for k := range slots {
+			gap := slots[0] + cycle - slots[k]
+			if k+1 < len(slots) {
+				gap = slots[k+1] - slots[k]
+			}
+			worst = max(worst, gap)
+		}
+	}
+	return r * worst
+}
+
+func TestFlatDelayMatchesDataCycleScan(t *testing.T) {
+	builders := []struct {
+		name  string
+		build func([]FileSpec) (*Program, error)
+	}{
+		{"flat-spread", FlatSpread},
+		{"flat-sequential", FlatSequential},
+		{"pinwheel", func(files []FileSpec) (*Program, error) {
+			return BuildProgramWith(files, SufficientBandwidth(files), nil)
+		}},
+	}
+	rng := rand.New(rand.NewSource(17))
+	checked := 0
+	for trial := 0; trial < 100; trial++ {
+		files := make([]FileSpec, 1+rng.Intn(4))
+		for i := range files {
+			m, r := 1+rng.Intn(5), rng.Intn(3)
+			files[i] = FileSpec{
+				Name:           string(rune('A' + i)),
+				Blocks:         m,
+				Latency:        1 + rng.Intn(4),
+				Faults:         r,
+				DispersalWidth: m + r + rng.Intn(3),
+			}
+		}
+		for _, b := range builders {
+			p, err := b.build(files)
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, b.name, err)
+			}
+			for i := range files {
+				for r := 0; r <= 3; r++ {
+					d, err := FlatDelay(p, i, r)
+					if want := flatDelayScan(p, i, r); err != nil || d != want {
+						t.Fatalf("trial %d %s file %d r=%d: FlatDelay %d (%v), the data-cycle scan %d on %v",
+							trial, b.name, i, r, d, err, want, p.Slots)
+					}
+					checked++
+				}
+			}
+		}
+	}
+	t.Logf("FlatDelay equals the data-cycle scan on %d (program, file, r) cases", checked)
+}
+
 func TestAIDADelayManyErrorsWrapsPeriods(t *testing.T) {
 	// With dispersal width much larger than demand, r can exceed the
 	// occurrences per period; each full wrap adds one period.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"pinbcast/internal/bcerr"
@@ -138,22 +137,12 @@ func (p *Program) Occurrences(i int) []int {
 	return out
 }
 
-// Gaps returns the cyclic distances between consecutive occurrences of
-// file i, in occurrence order starting from the first; the last entry
-// wraps around the period. Sum of gaps equals the period.
-func (p *Program) Gaps(i int) []int {
-	occ := p.occ[i]
-	gaps := make([]int, len(occ))
-	for k := range gaps {
-		gaps[k] = int(occ[(k+1)%len(occ)] - occ[k])
-	}
-	gaps[len(gaps)-1] += p.Period
-	return gaps
-}
-
 // MaxGap returns δ for file i (Lemma 2): the maximum spacing between
 // consecutive blocks of the file in the broadcast.
-func (p *Program) MaxGap(i int) int { return slices.Max(p.Gaps(i)) }
+func (p *Program) MaxGap(i int) int {
+	_, worst := pinwheel.Latencies(p.occ[i], p.Period, 1, 0, len(p.occ[i]))
+	return worst
+}
 
 // DataCycle returns the length in slots of the program data cycle
 // (§2.3): the smallest multiple of the period after which every file's
@@ -166,10 +155,10 @@ func (p *Program) DataCycle() int { return p.cycle }
 // reconstruction threshold of M occurrences has passed (AIDA rotation
 // makes consecutive occurrences distinct). The profile is periodic, so
 // one period of start slots covers the infinite broadcast: O(occurrences)
-// in all, read off the occurrence index by walk.
+// in all, read off the occurrence index by pinwheel.Latencies.
 func (p *Program) LatencyProfile(file int) (mean float64, worst int) {
 	occ := p.occ[file]
-	total, worst := walk(occ, p.Period, p.Files[file].M-1, 0, len(occ))
+	total, worst := pinwheel.Latencies(occ, p.Period, p.Files[file].M, 0, len(occ))
 	return float64(total) / float64(p.Period), worst
 }
 
@@ -182,7 +171,7 @@ func (p *Program) WorstLatency(file, f int) (int, error) {
 		return 0, err
 	}
 	occ := p.occ[file]
-	_, worst := walk(occ, p.Period, p.Files[file].M-1+f, 0, len(occ))
+	_, worst := pinwheel.Latencies(occ, p.Period, p.Files[file].M+f, 0, len(occ))
 	return worst, nil
 }
 
@@ -194,46 +183,6 @@ func (p *Program) tolerates(file, r int) error {
 			info.Name, info.N-info.M, info.N, info.M, r)
 	}
 	return nil
-}
-
-// Latencies is walk with need m in place of offset j, over a list the
-// caller keeps (the reclaim planner's filled table, or Occurrences).
-func Latencies[T int32 | int](occ []T, period, m, lo, n int) (total, worst int) {
-	return walk(occ, period, m-1, lo, n)
-}
-
-// walk is the one place that goes from a file's occurrence to the one
-// completing a retrieval (§2.3, Lemma 2). occ holds the file's offsets
-// in one period, ascending. A start in the gap before occurrence k —
-// after k−1, through k — completes on occurrence k+j, laps included (j
-// is M−1, plus f under f faults). Over occurrences lo … lo+n−1 (cyclic;
-// lo ≥ −len(occ), j ≥ −1) walk returns the sum of those starts'
-// latencies and the largest: occurrence k+j less occurrence k−1.
-func walk[T int32 | int](occ []T, period, j, lo, n int) (total, worst int) {
-	c := len(occ)
-	// k is the occurrence, prev the one before it, last the one that
-	// completes a start before k, wrap how many slots of laps lie
-	// between k and last.
-	k := (lo + c) % c
-	prev, last := (k+c-1)%c, k+j+c
-	wrap := (last/c - 1) * period
-	last %= c
-	twice := 0
-	for ; n > 0; n-- {
-		gap, done := int(occ[k]-occ[prev]), int(occ[last]-occ[k])+wrap
-		if k == 0 {
-			gap += period
-		}
-		twice += gap * (2*done + gap + 1)
-		worst = max(worst, done+gap)
-		if prev, k = k, k+1; k == c {
-			k, wrap = 0, wrap-period
-		}
-		if last++; last == c {
-			last, wrap = 0, wrap+period
-		}
-	}
-	return twice / 2, worst
 }
 
 // WeightedMeanLatency returns the access-probability-weighted mean

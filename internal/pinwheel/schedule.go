@@ -133,41 +133,75 @@ func IndexSlots(slots []int, n int) (occ [][]int32, rank []int32, err error) {
 // in occ (ascending offsets within one period). The sparsest window
 // always opens just after an occurrence — sliding a window's start back
 // over a slot that is not one can only lose an occurrence at the far
-// end — so it suffices to check, per occurrence k, that the need-th
-// next occurrence lies inside the window opened after k: O(len(occ)),
-// not one count per start slot. The error names one violating window;
-// any is a valid witness, and which one is unspecified. A window beyond
+// end — so it passes when no start waits longer than the window for its
+// need-th occurrence, the worst of Latencies: O(len(occ)), not one count
+// per start slot. The error names one violating window. A window beyond
 // the 32-bit slot index wraps ErrBadSpec.
 func CheckWindows(occ []int32, period, need, window int) error {
 	if period < 1 || window > math.MaxInt32 {
 		return fmt.Errorf("period %d, window %d outside the 32-bit slot index: %w", period, window, bcerr.ErrBadSpec)
 	}
-	// Every window holds c occurrences per full period it spans; the
-	// partial period of rem < period slots must supply the other q.
-	c := len(occ)
-	rem, q := window%period, need-window/period*c
-	if q <= 0 {
+	if need <= 0 {
 		return nil
 	}
 	short := func(start int) error {
 		return fmt.Errorf("fewer than %d in the %d-slot window at slot %d", need, window, start)
 	}
-	if c == 0 {
+	// No window holds more occurrences than slots; refusing need >
+	// window here also bounds Latencies' laps by the 32-bit window.
+	if len(occ) == 0 || need > window {
 		return short(0)
 	}
-	for k, at := range occ {
-		// The q-th occurrence after k must come within rem slots. The
-		// c-th is k itself one period on, so q ≥ c never fits — decided
-		// without reading past the list.
-		j, wrap := k+q, 0
-		if j >= c {
-			j, wrap = j-c, period
-		}
-		if q >= c || int(occ[j])+wrap-int(at) > rem {
-			return short((int(at) + 1) % period)
+	if _, worst := Latencies(occ, period, need, 0, len(occ)); worst <= window {
+		return nil
+	}
+	// Some gap holds a start that waits too long; the worst start of
+	// the gap before occurrence k is the slot after occurrence k−1.
+	k := 0
+	for ; k < len(occ)-1; k++ {
+		if _, worst := Latencies(occ, period, need, k, 1); worst > window {
+			break
 		}
 	}
-	return nil
+	return short((int(occ[(k+len(occ)-1)%len(occ)]) + 1) % period)
+}
+
+// Latencies is the one place that goes from an occurrence to the
+// need-th after it: the pinwheel window condition (§3), a retrieval
+// completing on its M-th distinct block (§2.3, Lemma 2) and the
+// recurrence of one rotated block (Lemma 1) are all this distance. occ
+// holds an entry's offsets in one period, ascending. A start in the gap
+// before occurrence k — after k−1, through k — is served by occurrence
+// k+need−1, laps included. Over occurrences lo … lo+n−1 (cyclic; lo ≥
+// −len(occ), need ≥ 0) it returns the sum of those starts' waits, each
+// through its serving slot, and the largest: occurrence k+need−1 less
+// occurrence k−1. With need 1 the largest is the longest gap, δ.
+func Latencies[T int32 | int](occ []T, period, need, lo, n int) (total, worst int) {
+	c := len(occ)
+	// k is the occurrence, before the offset of the one preceding it (a
+	// period back across the lap), last the one that serves a start
+	// before k, wrap how many slots of laps lie between k and last.
+	k := (lo + c) % c
+	before, last := int(occ[(k+c-1)%c]), k+need-1+c
+	if k == 0 {
+		before -= period
+	}
+	wrap := (last/c - 1) * period
+	last %= c
+	twice := 0
+	for ; n > 0; n-- {
+		at := int(occ[k])
+		gap, done := at-before, int(occ[last])-at+wrap
+		twice += gap * (2*done + gap + 1)
+		worst = max(worst, done+gap)
+		if before, k = at, k+1; k == c {
+			k, wrap, before = 0, wrap-period, before-period
+		}
+		if last++; last == c {
+			last, wrap = 0, wrap+period
+		}
+	}
+	return twice / 2, worst
 }
 
 // MaxGap returns, for task i, the maximum distance between consecutive
@@ -179,11 +213,6 @@ func (s *Schedule) MaxGap(i int) int {
 	if len(g) == 0 {
 		return 0
 	}
-	max := g[0] + s.Period - g[len(g)-1] // wrap-around gap
-	for j := 1; j < len(g); j++ {
-		if d := g[j] - g[j-1]; d > max {
-			max = d
-		}
-	}
-	return max
+	_, worst := Latencies(g, s.Period, 1, 0, len(g))
+	return worst
 }

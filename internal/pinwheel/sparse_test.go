@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"regexp"
+	"strconv"
 	"testing"
 
 	"pinbcast/internal/bcerr"
@@ -35,6 +37,21 @@ func denseWindowsOK(slots []int, entry, need, window int) bool {
 		}
 	}
 	return true
+}
+
+// witness reads the task and the window's first slot off a Verify error.
+var witness = regexp.MustCompile(`task (\d+) .* window at slot (\d+)$`)
+
+// denseCount counts the entry's grants in the cyclic window of `window`
+// slots opening at start.
+func denseCount(slots []int, entry, start, window int) int {
+	n := 0
+	for t := start; t < start+window; t++ {
+		if slots[t%len(slots)] == entry {
+			n++
+		}
+	}
+	return n
 }
 
 // randomSlots draws one period over n entries with idle slots mixed in;
@@ -81,12 +98,38 @@ func TestVerifyMatchesDenseReference(t *testing.T) {
 			sys[i] = Task{A: a, B: b}
 			want = want && denseWindowsOK(sch.Slots, i, a, b)
 		}
-		if got := sch.Verify(sys) == nil; got != want {
+		err := sch.Verify(sys)
+		if got := err == nil; got != want {
 			t.Fatalf("trial %d: slots %v system %v: sparse accepts=%v, dense accepts=%v",
 				trial, sch.Slots, sys, got, want)
 		}
 		if !want {
 			rejected++
+			// The named window must be a witness.
+			m := witness.FindStringSubmatch(err.Error())
+			if m == nil {
+				t.Fatalf("trial %d: %v names no task and window", trial, err)
+			}
+			i, _ := strconv.Atoi(m[1])
+			start, _ := strconv.Atoi(m[2])
+			if got := denseCount(sch.Slots, i, start, sys[i].B); got >= sys[i].A {
+				t.Fatalf("trial %d: slots %v system %v: %v, but that window holds %d", trial, sch.Slots, sys, err, got)
+			}
+		}
+		for i := range sys {
+			gap := 0 // the longest wait after a grant for the next
+			for t, v := range sch.Slots {
+				if v == i {
+					d := 1
+					for sch.Slots[(t+d)%sch.Period] != i {
+						d++
+					}
+					gap = max(gap, d)
+				}
+			}
+			if got := sch.MaxGap(i); got != gap {
+				t.Fatalf("trial %d: slots %v: MaxGap(%d) = %d, dense gaps give %d", trial, sch.Slots, i, got, gap)
+			}
 		}
 	}
 	if rejected < 5000 || rejected > 20000 {
@@ -104,7 +147,7 @@ func TestCheckWindowsEdges(t *testing.T) {
 	}
 	// Two occurrences per period of 4; a window of 9 spans two periods
 	// and one slot. need 7 leaves 3 for that slot: more than one period
-	// holds, so the check must fail without reading occ[3].
+	// holds, so the check must fail.
 	occ := []int32{0, 2}
 	if err := CheckWindows(occ, 4, 7, 9); err == nil {
 		t.Error("need − ⌊W/P⌋·c > c passed")

@@ -17,6 +17,7 @@ import (
 	"slices"
 
 	"pinbcast/internal/core"
+	"pinbcast/internal/pinwheel"
 )
 
 // Table is one program period with its idle offsets filled.
@@ -161,7 +162,7 @@ func place(prog *core.Program, specs []core.FileSpec, bandwidth int) (*Table, *c
 	}
 	for i, occ := range c.occ {
 		if occ != nil {
-			c.total[i], _ = core.Latencies(occ, prog.Period, prog.Files[i].M, 0, len(occ))
+			c.total[i], _ = pinwheel.Latencies(occ, prog.Period, prog.Files[i].M, 0, len(occ))
 		}
 	}
 	return t, c
@@ -241,16 +242,16 @@ func (c *coalescer) try(j, dir int) bool {
 
 // move takes file f's transmission at index q of occ[f] to the free
 // offset to, index p, and returns what that adds to total[f]. Term k of
-// the sum (core.Latencies over the gap before occurrence k) reads three
-// entries of the list — its own, the one before (its gap) and the one
-// mᵢ−1 on (where its starts complete) — so the terms that change are
+// the sum (pinwheel.Latencies over the gap before occurrence k) reads
+// three entries of the list — its own, the one before (its gap) and the
+// one mᵢ−1 on (where its starts complete) — so the terms that change are
 // those reading an index lo…hi between q and p: k = lo−mᵢ+1…hi−mᵢ+1 and
 // lo…hi+1, one run where the two meet and the whole list where that
 // would lap it.
 func (c *coalescer) move(f, q int, to int32) (delta, p int) {
 	occ, m, period := c.occ[f], c.prog.Files[f].M, len(c.slots)
 	sum := func(lo, n int) int {
-		total, _ := core.Latencies(occ, period, m, lo, n)
+		total, _ := pinwheel.Latencies(occ, period, m, lo, n)
 		return total
 	}
 	for p = q; p+1 < len(occ) && occ[p+1] < to; p++ {

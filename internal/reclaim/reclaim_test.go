@@ -9,6 +9,7 @@ import (
 
 	"pinbcast/internal/cluster"
 	"pinbcast/internal/core"
+	"pinbcast/internal/pinwheel"
 	"pinbcast/internal/workload"
 )
 
@@ -219,7 +220,7 @@ func TestShareIsLatencyProfile(t *testing.T) {
 					}
 					from := occ[q]
 					delta, p := c.move(f, q, to)
-					whole, _ := core.Latencies(occ, cat.prog.Period, cat.prog.Files[f].M, 0, len(occ))
+					whole, _ := pinwheel.Latencies(occ, cat.prog.Period, cat.prog.Files[f].M, 0, len(occ))
 					if want := whole - c.total[f]; delta != want || !slices.IsSorted(occ) {
 						t.Fatalf("%s: file %d from offset %d to %d changes its total by %d, move says %d and leaves %v", cat.name, f, from, to, want, delta, occ)
 					}

@@ -6,6 +6,7 @@ import (
 
 	"pinbcast/internal/bcerr"
 	"pinbcast/internal/core"
+	"pinbcast/internal/pinwheel"
 )
 
 // Read-only client transactions over broadcast data (§1: the paper's
@@ -91,7 +92,7 @@ func TxnLatency(p *core.Program, x Txn, start int) (int, error) {
 	return maxOverReads(p, x, func(file int) (int, error) {
 		occ, off := p.Occurrences(file), start%p.Period
 		k, _ := slices.BinarySearch(occ, off) // len(occ): the next period's first
-		_, rest := core.Latencies(occ, p.Period, p.Files[file].M-1, k+1, 1)
+		_, rest := pinwheel.Latencies(occ, p.Period, p.Files[file].M-1, k+1, 1)
 		return k/len(occ)*p.Period + occ[k%len(occ)] - off + 1 + rest, nil
 	})
 }

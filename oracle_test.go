@@ -1,6 +1,7 @@
 package pinbcast
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand/v2"
 	"slices"
@@ -169,22 +170,9 @@ func TestWorstLatencyIsTheOracle(t *testing.T) {
 	programs, checked, most := catalogPrograms(t), 0, 0
 	for _, c := range programs {
 		p := c.prog
-		at := func(_, t int) (string, int) {
-			if f, seq := p.BlockAt(t); f != Idle {
-				return p.Files[f].Name, seq
-			}
-			return "", 0
-		}
 		for i, info := range p.Files {
 			for f := 0; f <= info.N-info.M; f++ {
-				want := 0
-				for start := range p.DataCycle() {
-					got, ok := worstRetrieval(at, 1, start, (info.M+f)*p.Period, info.Name, info.M, f)
-					if !ok {
-						t.Fatalf("%s: %s from slot %d with %d faults: no retrieval within %d periods", c.name, info.Name, start, f, info.M+f)
-					}
-					want = max(want, got.slots)
-				}
+				want := oracleWorst(t, c.name, p, i, f)
 				if got, err := p.WorstLatency(i, f); err != nil || got != want {
 					t.Fatalf("%s: %s with %d faults: WorstLatency %d (%v), the oracle %d", c.name, info.Name, f, got, err, want)
 				}
@@ -196,4 +184,87 @@ func TestWorstLatencyIsTheOracle(t *testing.T) {
 		}
 	}
 	t.Logf("%d programs: WorstLatency equals the oracle on %d (file, f) pairs, f from 0 to %d", len(programs), checked, most)
+}
+
+// TestWorstLatencyIsTheOracleOnGeneralizedPrograms holds the §4 path to
+// the same oracle. On the generalized file sets the tree builds and on
+// seeded random latency vectors d⃗ (those that fail to build are
+// skipped and counted), each file's worst retrieval under j erasures is
+// WorstLatency(file, j) and meets its level-j latency d_j.
+func TestWorstLatencyIsTheOracleOnGeneralizedPrograms(t *testing.T) {
+	sets := [][]GenFileSpec{
+		{ // Examples 2 and 3 of §4
+			{Name: "E2", Blocks: 5, Latencies: []int{100, 105, 110, 115, 120}},
+			{Name: "E3", Blocks: 6, Latencies: []int{105, 110}},
+		},
+		{ // examples/faulttolerance and BenchmarkGeneralizedConstruction
+			{Name: "nav", Blocks: 3, Latencies: []int{10, 14, 18}},
+			{Name: "met", Blocks: 2, Latencies: []int{12, 16}},
+		},
+		{ // internal/core's TestBuildGeneralizedProgram
+			{Name: "A", Blocks: 2, Latencies: []int{8, 10}},
+			{Name: "B", Blocks: 1, Latencies: []int{6, 9}},
+		},
+		{{Name: "i", Blocks: 4, Latencies: []int{8, 9}}}, // TestFacadeAlgebra
+	}
+	fixed := len(sets)
+	rng := rand.New(rand.NewPCG(16, 41))
+	for range 60 {
+		files := make([]GenFileSpec, 1+rng.IntN(3))
+		for i := range files {
+			m := 1 + rng.IntN(4)
+			d := make([]int, 1+rng.IntN(3))
+			d[0] = m + rng.IntN(3*m+6)
+			for j := 1; j < len(d); j++ {
+				d[j] = d[j-1] + 1 + rng.IntN(m+3)
+			}
+			files[i] = GenFileSpec{Name: string(rune('a' + i)), Blocks: m, Latencies: d}
+		}
+		sets = append(sets, files)
+	}
+	built, checked := 0, 0
+	for n, files := range sets {
+		res, err := BuildGeneralizedProgram(files)
+		if err != nil {
+			if n < fixed {
+				t.Fatalf("set %d: %v", n, err)
+			}
+			continue
+		}
+		built++
+		p, name := res.Program, fmt.Sprintf("set %d (%s)", n, res.Program.Origin)
+		for _, g := range files {
+			i := p.FileIndex(g.Name)
+			for j, d := range g.Latencies {
+				want := oracleWorst(t, name, p, i, j)
+				if got, err := p.WorstLatency(i, j); err != nil || got != want || want > d {
+					t.Fatalf("%s: %s with %d faults: WorstLatency %d (%v), the oracle %d, d_%d = %d", name, g.Name, j, got, err, want, j, d)
+				}
+				checked++
+			}
+		}
+	}
+	t.Logf("%d generalized programs (%d of %d random vectors built): WorstLatency equals the oracle on %d (file, j) pairs, each within d_j",
+		built, built-fixed, len(sets)-fixed, checked)
+}
+
+// oracleWorst is the oracle's worst retrieval of file i of p with f
+// erasures, over every start slot of a data cycle.
+func oracleWorst(t *testing.T, name string, p *Program, i, f int) int {
+	t.Helper()
+	at := func(_, t int) (string, int) {
+		if g, seq := p.BlockAt(t); g != Idle {
+			return p.Files[g].Name, seq
+		}
+		return "", 0
+	}
+	info, worst := p.Files[i], 0
+	for start := range p.DataCycle() {
+		got, ok := worstRetrieval(at, 1, start, (info.M+f)*p.Period, info.Name, info.M, f)
+		if !ok {
+			t.Fatalf("%s: %s from slot %d with %d faults: no retrieval within %d periods", name, info.Name, start, f, info.M+f)
+		}
+		worst = max(worst, got.slots)
+	}
+	return worst
 }
