@@ -28,7 +28,10 @@ func AWACSCatalog() *RTDatabase { return workload.AWACS() }
 
 // CatalogContents fabricates deterministic file contents sized to the
 // specs (blockSize bytes per block) — the dispersal payloads the
-// examples and simulations broadcast.
+// examples and simulations broadcast. The bytes are the stream
+// rand.New(rand.NewSource(seed)).Read writes into each file in turn,
+// files in order and a draw's unused bytes opening the next file, so a
+// catalog is regenerated byte for byte from its specs and seed alone.
 func CatalogContents(files []FileSpec, blockSize int, seed int64) map[string][]byte {
 	return workload.Contents(files, blockSize, seed)
 }

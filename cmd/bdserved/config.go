@@ -16,6 +16,15 @@ import (
 // are refused on both ends of the wire.
 const maxBlockSize = transport.MaxFramePayload - 22
 
+// maxFileBlocks is the most blocks the synthetic catalog gives a file,
+// and maxContents the cap on the contents it can then generate at boot,
+// station.files × maxFileBlocks × station.block_size bytes: a catalog
+// past it is refused before anything is allocated.
+const (
+	maxFileBlocks = 6
+	maxContents   = 1 << 30
+)
+
 // Config is bdserved's runtime configuration, loaded from a
 // TOML-subset file. Zero values select the documented defaults.
 type Config struct {
@@ -166,6 +175,9 @@ func (c *Config) validate() error {
 	case c.BlockSize > maxBlockSize:
 		return fmt.Errorf("station.block_size %d: at most %d, or the block's frame exceeds the %d-byte limit (transport.MaxFramePayload) and every subscriber is evicted",
 			c.BlockSize, maxBlockSize, transport.MaxFramePayload)
+	case c.Files > maxContents/(maxFileBlocks*c.BlockSize):
+		return fmt.Errorf("station.files %d × station.block_size %d: a catalog of up to %d blocks a file may generate more than the %d-byte contents cap",
+			c.Files, c.BlockSize, maxFileBlocks, maxContents)
 	case c.SlotInterval <= 0:
 		return fmt.Errorf("station.slot_interval %s: a daemon needs a positive slot pace", c.SlotInterval)
 	case c.Channels < 1:

@@ -44,6 +44,22 @@ func TestMaxBlockSize(t *testing.T) {
 	}
 }
 
+// TestContentsCap: the largest catalog whose worst-case contents fit
+// maxContents passes, and one file more is refused naming both keys.
+func TestContentsCap(t *testing.T) {
+	for _, bs := range []int{1, 128, maxBlockSize} {
+		cfg := DefaultConfig()
+		cfg.BlockSize, cfg.Files = bs, maxContents/(maxFileBlocks*bs)
+		if err := cfg.validate(); err != nil {
+			t.Fatalf("block_size %d, files %d: %v", bs, cfg.Files, err)
+		}
+		cfg.Files++
+		if err := cfg.validate(); err == nil || !strings.Contains(err.Error(), "station.files") || !strings.Contains(err.Error(), "station.block_size") {
+			t.Fatalf("block_size %d, files %d: err = %v, want the contents cap naming both keys", bs, cfg.Files, err)
+		}
+	}
+}
+
 // FuzzParseConfig: the loader never panics, whatever it accepts passes
 // validate, and whatever it rejects says where — a line number, or the
 // key whose value is out of range.
@@ -51,6 +67,7 @@ func FuzzParseConfig(f *testing.F) {
 	f.Add([]byte(smokeConfig))
 	f.Add([]byte("[station]\nslot_interval = \"1ms\"  # pace\n"))
 	f.Add([]byte("[station]\nblock_size = 2000000\n"))
+	f.Add([]byte("[station]\nfiles = 1000000000000\nblock_size = 1048554\n"))
 	f.Add([]byte("[station\nfiles 3\n[nope]\n = \nshard = \"a#b\" # c \" d\n"))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		cfg, err := parseConfig(raw)

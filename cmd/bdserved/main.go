@@ -125,7 +125,7 @@ func expectedShare(p *pinbcast.Program, st *pinbcast.Station) (share float64) {
 // until a signal arrives, then drain each channel to its data-cycle
 // boundary.
 func serve(cfg Config, sigs <-chan os.Signal, stdout io.Writer) error {
-	files := workload.Random(cfg.Files, 6, 10, 80, 0, cfg.Seed)
+	files := workload.Random(cfg.Files, maxFileBlocks, 10, 80, 0, cfg.Seed)
 	for i := range files {
 		files[i].Faults = cfg.Faults
 	}

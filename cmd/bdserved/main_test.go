@@ -66,6 +66,8 @@ func TestLoadConfigErrors(t *testing.T) {
 		"open string":     "[station]\nshard = \"ha#sh\n",
 		// A block that cannot fit a frame would evict every subscriber.
 		"oversized block": "[station]\nblock_size = 2000000\n",
+		// Its contents would exhaust memory before the daemon could say so.
+		"oversized catalog": "[station]\nfiles = 1000000000000\n",
 	} {
 		path := filepath.Join(t.TempDir(), "bad.toml")
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
@@ -84,6 +86,16 @@ func TestMainRunUsage(t *testing.T) {
 	}
 	if code := mainRun([]string{"-config", "/does/not/exist.toml"}, nil, io.Discard, &errBuf); code != 2 {
 		t.Fatalf("missing config exited %d, want 2", code)
+	}
+	// files × 6 × block_size overflows int64 here: the cap divides, and
+	// the catalog is refused before workload.Random allocates it.
+	huge := filepath.Join(t.TempDir(), "huge.toml")
+	if err := os.WriteFile(huge, []byte("[station]\nfiles = 10000000000000\nblock_size = 1048554\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	errBuf.Reset()
+	if code := mainRun([]string{"-config", huge}, nil, io.Discard, &errBuf); code != 2 || !strings.Contains(errBuf.String(), "contents cap") {
+		t.Fatalf("oversized catalog exited %d (%q), want 2 and the contents cap", code, errBuf.String())
 	}
 }
 

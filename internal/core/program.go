@@ -27,7 +27,8 @@ type FileInfo struct {
 // dispersed block k mod Nᵢ, producing the program data cycle of §2.3.
 //
 // NewProgram builds one sparse occurrence index in a single O(Period)
-// pass (pinwheel.IndexSlots) and every query reads it: occ[i] is the
+// pass (pinwheel.IndexSlots; a pinwheel build adopts the one its
+// schedule's Verify built) and every query reads it: occ[i] is the
 // ascending list of file i's slot offsets within one period — all lists
 // are sub-slices of one []int32 slab — and rank[t] is slot t's position
 // in its file's list, so BlockAt is two loads and window verification,
@@ -52,20 +53,28 @@ type Program struct {
 
 // NewProgram assembles a program and precomputes its occurrence index.
 func NewProgram(files []FileInfo, slots []int, bandwidth int, origin string) (*Program, error) {
+	occ, rank, err := pinwheel.IndexSlots(slots, len(files))
+	if err != nil {
+		return nil, fmt.Errorf("core: program of %d files: %w", len(files), err)
+	}
+	return indexedProgram(files, slots, occ, rank, bandwidth, origin)
+}
+
+// indexedProgram assembles a program around an occurrence index already
+// built for its slots (pinwheel.IndexSlots over len(files) entries).
+func indexedProgram(files []FileInfo, slots []int, occ [][]int32, rank []int32, bandwidth int, origin string) (*Program, error) {
 	p := &Program{
 		Files:     files,
 		Period:    len(slots),
 		Slots:     slots,
 		Bandwidth: bandwidth,
 		Origin:    origin,
+		occ:       occ,
+		rank:      rank,
 		byName:    make(map[string]int, len(files)),
 	}
 	if p.Period == 0 {
 		return nil, fmt.Errorf("core: empty program")
-	}
-	var err error
-	if p.occ, p.rank, err = pinwheel.IndexSlots(slots, len(files)); err != nil {
-		return nil, fmt.Errorf("core: program of %d files: %w", len(files), err)
 	}
 	for i := len(files) - 1; i >= 0; i-- { // descending: the first of equal names wins
 		if len(p.occ[i]) == 0 {
@@ -79,6 +88,7 @@ func NewProgram(files []FileInfo, slots []int, bandwidth int, origin string) (*P
 	// cycle is the lcm over files — which adversarial specifications
 	// (large coprime dispersal widths) can push past the int range.
 	cycle := 1
+	var err error
 	for i := range files {
 		c, n := len(p.occ[i]), p.Files[i].N
 		rep := n / slotmath.GCD(c, n)

@@ -140,3 +140,50 @@ func TestVerifyWindowsBeyondIndex(t *testing.T) {
 		t.Fatalf("largest indexable window: %v", err)
 	}
 }
+
+// TestBuildAdoptsTheVerifiedIndex: a pinwheel build takes its
+// occurrence index from the schedule Solve verified instead of
+// indexing the slots again, and no longer re-checks its windows. Its
+// program must answer as one NewProgram indexes afresh, and meet every
+// file's (mᵢ+rᵢ, B·Tᵢ) window.
+func TestBuildAdoptsTheVerifiedIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	built := 0
+	for trial := 0; trial < 60; trial++ {
+		files := make([]FileSpec, 1+rng.Intn(8))
+		for i := range files {
+			files[i] = FileSpec{Name: string(rune('a' + i)), Blocks: 1 + rng.Intn(4), Latency: 5 + rng.Intn(40), Faults: rng.Intn(3)}
+		}
+		bw := SufficientBandwidth(files)
+		p, err := BuildProgramWith(files, bw, nil)
+		if err != nil {
+			continue
+		}
+		built++
+		fresh, err := NewProgram(p.Files, p.Slots, p.Bandwidth, p.Origin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for at := 0; at < 2*p.Period; at++ {
+			if f, seq := p.BlockAt(at); f != Idle {
+				if ff, fseq := fresh.BlockAt(at); ff != f || fseq != seq {
+					t.Fatalf("trial %d: BlockAt(%d) = (%d, %d), fresh index says (%d, %d)", trial, at, f, seq, ff, fseq)
+				}
+			}
+		}
+		for i, f := range files {
+			if !slices.Equal(p.Occurrences(i), fresh.Occurrences(i)) {
+				t.Fatalf("trial %d: file %d occurrences differ from a fresh index", trial, i)
+			}
+			if err := p.VerifyWindows(i, f.Demand(), bw*f.Latency); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+		}
+		if p.DataCycle() != fresh.DataCycle() {
+			t.Fatalf("trial %d: data cycle %d, fresh %d", trial, p.DataCycle(), fresh.DataCycle())
+		}
+	}
+	if built < 50 {
+		t.Fatalf("only %d of 60 random file sets built", built)
+	}
+}

@@ -52,7 +52,7 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 		cw.str("# HELP ")
 		cw.str(f.name)
 		cw.str(" ")
-		cw.str(escapeHelp(f.help))
+		cw.str(helpEscaper.Replace(f.help))
 		cw.str("\n# TYPE ")
 		cw.str(f.name)
 		cw.str(" ")

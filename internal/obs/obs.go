@@ -249,53 +249,20 @@ func signature(sorted []Label) string {
 		}
 		b.WriteString(l.Key)
 		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(l.Value))
+		b.WriteString(labelEscaper.Replace(l.Value))
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()
 }
 
-// escapeLabelValue escapes a label value per the Prometheus text
-// format: backslash, double quote and newline.
-func escapeLabelValue(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
-	}
-	var b strings.Builder
-	for _, r := range v {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
-}
-
-// escapeHelp escapes a HELP text: backslash and newline.
-func escapeHelp(v string) string {
-	if !strings.ContainsAny(v, "\\\n") {
-		return v
-	}
-	var b strings.Builder
-	for _, r := range v {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
-}
+// labelEscaper and helpEscaper escape per the Prometheus text format:
+// a label value's backslash, double quote and newline, a HELP text's
+// backslash and newline.
+var (
+	labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
 
 // validName reports whether name matches the Prometheus metric-name
 // grammar [a-zA-Z_:][a-zA-Z0-9_:]*.

@@ -21,6 +21,12 @@ type Schedule struct {
 	// Origin records which scheduler produced the schedule, for
 	// diagnostics and experiment tables.
 	Origin string
+	// Occ and Rank are the occurrence index of Slots (IndexSlots) that
+	// the last successful Verify built, so that a program built from a
+	// verified schedule need not index it again; nil before then. They
+	// go stale if Slots changes.
+	Occ  [][]int32
+	Rank []int32
 }
 
 // NewSchedule wraps a slot assignment in a Schedule.
@@ -75,12 +81,13 @@ func (s *Schedule) String() string {
 // are checked cyclically, which covers all windows of the infinite
 // repetition. It also checks that no slot index is out of range. The
 // cost is O(period + tasks): one pass builds the per-task grant lists,
-// then CheckWindows walks each list once.
+// then CheckWindows walks each list once. On success the lists are
+// kept in Occ and Rank.
 func (s *Schedule) Verify(sys System) error {
 	if s.Period < 1 || len(s.Slots) != s.Period {
 		return fmt.Errorf("pinwheel: malformed schedule (period %d, %d slots)", s.Period, len(s.Slots))
 	}
-	grants, _, err := IndexSlots(s.Slots, len(sys))
+	grants, rank, err := IndexSlots(s.Slots, len(sys))
 	if err != nil {
 		return fmt.Errorf("pinwheel: %w", err)
 	}
@@ -89,6 +96,7 @@ func (s *Schedule) Verify(sys System) error {
 			return fmt.Errorf("pinwheel: task %d %s: %w", i, task, err)
 		}
 	}
+	s.Occ, s.Rank = grants, rank
 	return nil
 }
 

@@ -6,6 +6,7 @@
 package workload
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"time"
@@ -117,13 +118,29 @@ func Random(n int, maxBlocks, minLatency, maxLatency, maxFaults int, seed int64)
 }
 
 // Contents fabricates deterministic file contents sized to the specs
-// (blockSize bytes per block), for end-to-end simulations.
+// (blockSize bytes per block), for end-to-end simulations: the stream
+// rand.New(rand.NewSource(seed)).Read writes into each file in turn, a
+// draw's unused bytes opening the next file. bdserved and bdload
+// regenerate a catalogue from its seed and rely on these exact bytes.
+// Read spends a loop pass per byte; here a draw is one 8-byte
+// little-endian store advancing 7 (its 7 bytes, low first; the next
+// store overwrites the 8th) while 8 remain, and only a carried head
+// and the tail go byte by byte.
 func Contents(files []core.FileSpec, blockSize int, seed int64) map[string][]byte {
-	rng := rand.New(rand.NewSource(seed))
+	src := rand.NewSource(seed)
 	out := make(map[string][]byte, len(files))
+	val, pos := int64(0), 0 // the last draw's pos unused bytes, lowest next
 	for _, f := range files {
 		data := make([]byte, f.Blocks*blockSize)
-		rng.Read(data)
+		for n := 0; n < len(data); n++ {
+			if pos == 0 {
+				for ; len(data)-n >= 8; n += 7 {
+					binary.LittleEndian.PutUint64(data[n:], uint64(src.Int63()))
+				}
+				val, pos = src.Int63(), 7
+			}
+			data[n], val, pos = byte(val), val>>8, pos-1
+		}
 		out[f.Name] = data
 	}
 	return out

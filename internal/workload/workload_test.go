@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"pinbcast/internal/core"
@@ -76,6 +79,53 @@ func TestContentsSizedToSpecs(t *testing.T) {
 		if got := len(data[f.Name]); got != f.Blocks*64 {
 			t.Fatalf("file %s: %d bytes, want %d", f.Name, got, f.Blocks*64)
 		}
+	}
+}
+
+// TestContentsIsMathRandStream holds Contents to the stream it
+// documents: each file, in order, is what one
+// rand.New(rand.NewSource(seed)).Read hands the next buffer. The small
+// random shapes (empty files, files shorter than a draw's carried
+// bytes, tails of every length) run every head, tail and carry path;
+// lossy-bulk's catalogue is the shape the benchmark generates.
+func TestContentsIsMathRandStream(t *testing.T) {
+	check := func(files []core.FileSpec, blockSize int, seed int64) {
+		t.Helper()
+		got := Contents(files, blockSize, seed)
+		ref := rand.New(rand.NewSource(seed))
+		for i, f := range files {
+			want := make([]byte, f.Blocks*blockSize)
+			ref.Read(want)
+			if !bytes.Equal(got[f.Name], want) {
+				t.Fatalf("seed %d, block size %d, file %d of %d (%d blocks): bytes differ from math/rand's stream",
+					seed, blockSize, i, len(files), f.Blocks)
+			}
+		}
+	}
+	shapes := rand.New(rand.NewSource(1))
+	for k := range 2000 {
+		files := make([]core.FileSpec, 1+shapes.Intn(6))
+		for i := range files {
+			files[i] = core.FileSpec{Name: fmt.Sprintf("f%d", i), Blocks: shapes.Intn(5)}
+		}
+		check(files, 1+shapes.Intn(20), int64(k))
+	}
+	check(lossyBulk(), 64<<10, 1)
+}
+
+// lossyBulk is the catalogue of bdload's lossy-bulk workload: 16 files
+// of up to 8 blocks, 64 KiB each.
+func lossyBulk() []core.FileSpec { return Random(16, 8, 10, 80, 0, 1) }
+
+func BenchmarkContents(b *testing.B) {
+	files := lossyBulk()
+	total := 0
+	for _, f := range files {
+		total += f.Blocks << 16
+	}
+	b.SetBytes(int64(total))
+	for b.Loop() {
+		Contents(files, 64<<10, 1)
 	}
 }
 
