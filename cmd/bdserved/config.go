@@ -17,11 +17,16 @@ import (
 const maxBlockSize = transport.MaxFramePayload - 22
 
 // maxFileBlocks is the most blocks the synthetic catalog gives a file,
-// and maxContents the cap on the contents it can then generate at boot,
-// station.files × maxFileBlocks × station.block_size bytes: a catalog
-// past it is refused before anything is allocated.
+// fileOverhead a bound on what booting one file costs beyond its
+// contents (its spec, name and contents entry, and its share of the
+// program's tables: ≈ 2.6 KB allocated a file at block_size 1, for 256
+// to 4 096 files), and maxContents the cap on what a catalog may then
+// need at boot, station.files × (maxFileBlocks × station.block_size +
+// fileOverhead) bytes: a catalog past it is refused before anything is
+// allocated.
 const (
 	maxFileBlocks = 6
+	fileOverhead  = 4 << 10
 	maxContents   = 1 << 30
 )
 
@@ -175,9 +180,9 @@ func (c *Config) validate() error {
 	case c.BlockSize > maxBlockSize:
 		return fmt.Errorf("station.block_size %d: at most %d, or the block's frame exceeds the %d-byte limit (transport.MaxFramePayload) and every subscriber is evicted",
 			c.BlockSize, maxBlockSize, transport.MaxFramePayload)
-	case c.Files > maxContents/(maxFileBlocks*c.BlockSize):
-		return fmt.Errorf("station.files %d × station.block_size %d: a catalog of up to %d blocks a file may generate more than the %d-byte contents cap",
-			c.Files, c.BlockSize, maxFileBlocks, maxContents)
+	case c.Files > maxContents/(maxFileBlocks*c.BlockSize+fileOverhead):
+		return fmt.Errorf("station.files %d × station.block_size %d: a catalog of up to %d blocks and %d bytes of bookkeeping a file may need more than the %d-byte contents cap",
+			c.Files, c.BlockSize, maxFileBlocks, fileOverhead, maxContents)
 	case c.SlotInterval <= 0:
 		return fmt.Errorf("station.slot_interval %s: a daemon needs a positive slot pace", c.SlotInterval)
 	case c.Channels < 1:

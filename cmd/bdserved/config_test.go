@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -44,18 +48,52 @@ func TestMaxBlockSize(t *testing.T) {
 	}
 }
 
-// TestContentsCap: the largest catalog whose worst-case contents fit
-// maxContents passes, and one file more is refused naming both keys.
+// TestContentsCap: the largest catalog whose worst-case contents and
+// per-file bookkeeping fit maxContents passes, and one file more is
+// refused naming both keys.
 func TestContentsCap(t *testing.T) {
 	for _, bs := range []int{1, 128, maxBlockSize} {
 		cfg := DefaultConfig()
-		cfg.BlockSize, cfg.Files = bs, maxContents/(maxFileBlocks*bs)
+		cfg.BlockSize, cfg.Files = bs, maxContents/(maxFileBlocks*bs+fileOverhead)
 		if err := cfg.validate(); err != nil {
 			t.Fatalf("block_size %d, files %d: %v", bs, cfg.Files, err)
 		}
 		cfg.Files++
 		if err := cfg.validate(); err == nil || !strings.Contains(err.Error(), "station.files") || !strings.Contains(err.Error(), "station.block_size") {
 			t.Fatalf("block_size %d, files %d: err = %v, want the contents cap naming both keys", bs, cfg.Files, err)
+		}
+	}
+}
+
+// TestContentsCapCountsEachFile: at block_size 1 a file's contents are
+// a few bytes but its spec and tables are not, so the 178 956 970 files
+// a contents-only cap admits are refused at boot (exit 2), while the CI
+// smoke config and a 16-file catalog still load. The daemon runs only
+// on a config LoadConfig has refused, so a broken cap fails here
+// without booting the catalog.
+func TestContentsCapCountsEachFile(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name, config string
+		ok           bool
+	}{
+		{"per-file", "[station]\nfiles = 178956970\nblock_size = 1\n", false},
+		{"smoke", smokeConfig, true},
+		{"16 files", "[station]\nfiles = 16\nblock_size = 1024\n", true},
+	} {
+		path := filepath.Join(dir, tc.name+".toml")
+		if err := os.WriteFile(path, []byte(tc.config), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadConfig(path); (err == nil) != tc.ok {
+			t.Errorf("%s: LoadConfig err = %v, want ok=%v", tc.name, err, tc.ok)
+			continue
+		} else if tc.ok {
+			continue
+		}
+		var errBuf bytes.Buffer
+		if code := mainRun([]string{"-config", path}, nil, io.Discard, &errBuf); code != 2 || !strings.Contains(errBuf.String(), "contents cap") {
+			t.Errorf("%s: exited %d (%q), want 2 and the contents cap", tc.name, code, errBuf.String())
 		}
 	}
 }

@@ -210,6 +210,109 @@ func TestExactBudgetExhaustion(t *testing.T) {
 	}
 }
 
+// TestEDFGrantsTheEarliestDeadline holds edf's schedules to its rule
+// from the outside. Each cycle is replayed until every task's last A
+// grants lie in the replay; through the next period, every slot must
+// then grant the task whose A-th most recent grant plus B is earliest,
+// ties going to the lower index.
+func TestEDFGrantsTheEarliestDeadline(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	cycles := 0
+	for trial := 0; trial < 2000; trial++ {
+		s := smallSystem(rng)
+		sch, err := edf(s, edfMaxSlots)
+		if err != nil {
+			continue
+		}
+		if slices.Contains(sch.Slots, Idle) {
+			t.Fatalf("%v: EDF's cycle %v leaves a slot idle", s, sch.Slots)
+		}
+		for i := range s { // else the replay below never ends
+			if !slices.Contains(sch.Slots, i) {
+				t.Fatalf("%v: EDF's cycle %v never grants task %d", s, sch.Slots, i)
+			}
+		}
+		grants := make([][]int, len(s)) // grant times in the replay
+		short := func() bool {
+			for i, g := range grants {
+				if len(g) < s[i].A {
+					return true
+				}
+			}
+			return false
+		}
+		from := 0
+		for ; short(); from += sch.Period {
+			for j, c := range sch.Slots {
+				grants[c] = append(grants[c], from+j)
+			}
+		}
+		for j, c := range sch.Slots {
+			want, due := 0, 0
+			for i, g := range grants {
+				if d := g[len(g)-s[i].A] + s[i].B; i == 0 || d < due {
+					want, due = i, d
+				}
+			}
+			if c != want {
+				t.Fatalf("%v: slot %d of %v grants task %d, but task %d is due no later, by slot %d", s, j, sch.Slots, c, want, due-from)
+			}
+			grants[c] = append(grants[c], from+j)
+		}
+		cycles++
+	}
+	if cycles < 200 {
+		t.Fatalf("only %d of the systems were EDF-schedulable", cycles)
+	}
+}
+
+// TestExactNeverRefutesAScheduledSystem: the exact search proves a
+// system infeasible only when no other member can schedule it.
+func TestExactNeverRefutesAScheduledSystem(t *testing.T) {
+	others := map[string]func(System) (*Schedule, error){"sa": sa, "sx": sx, "two-distinct": twoDistinct,
+		"edf": func(s System) (*Schedule, error) { return edf(s, edfMaxSlots) }}
+	rng := rand.New(rand.NewSource(47))
+	scheduled, refuted := 0, 0
+	for trial := 0; trial < 2000; trial++ {
+		s := smallSystem(rng)
+		_, err := exact(s, exactMaxStates)
+		if errors.Is(err, ErrInfeasible) {
+			refuted++
+		}
+		for name, run := range others {
+			if sch, serr := run(s); serr == nil && sch.Verify(s) == nil {
+				if errors.Is(err, ErrInfeasible) {
+					t.Fatalf("%s schedules %v as %v, but exact refutes it: %v", name, s, sch.Slots, err)
+				}
+				scheduled++
+				break
+			}
+		}
+	}
+	if scheduled < 200 || refuted < 20 {
+		t.Fatalf("%d systems scheduled and %d refuted: too few to hold exact to", scheduled, refuted)
+	}
+}
+
+// smallSystem draws a system of at most five tasks with windows of at
+// most 12 slots, A at most 2 and density in (0.6, 1]: tight enough to
+// refute some, small enough for exact to decide each within ~30 ms.
+func smallSystem(rng *rand.Rand) System {
+	for {
+		s := make(System, 1+rng.Intn(5))
+		for i := range s {
+			s[i].B = 2 + rng.Intn(11)
+			s[i].A = 1
+			if rng.Intn(4) == 0 {
+				s[i].A = 2
+			}
+		}
+		if d := s.Density(); d > 0.6 && d <= 1 {
+			return s
+		}
+	}
+}
+
 func TestPortfolioFeasibleSystems(t *testing.T) {
 	systems := []System{
 		{{A: 1, B: 2}, {A: 1, B: 3}},               // density 5/6
@@ -361,6 +464,19 @@ func BenchmarkEDF6Tasks(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := edf(s, edfMaxSlots); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExact runs the backtracking search on the portfolio's Exact
+// instance, the one TestSchedulersPrintTheirOrigin pins: no other
+// member schedules it.
+func BenchmarkExact(b *testing.B) {
+	s := System{{A: 1, B: 3}, {A: 1, B: 4}, {A: 2, B: 9}, {A: 1, B: 10}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := exact(s, exactMaxStates); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,9 +14,10 @@
 //     — schedules every system with density ≤ 1/2; sx, single-integer
 //     specialization with an optimized base in the style of Chan &
 //     Chin's integer-reduction schedulers; two-distinct, Holte et al.'s
-//     closed form; edf, greedy earliest-deadline scheduling with cycle
-//     detection; exact, complete search over urgency states for small
-//     systems; and the portfolio of §3.1,
+//     closed form; edf and exact, one walk over urgency states taken two
+//     ways: greedily, earliest deadline first, until a state repeats, and
+//     with backtracking, a complete search for small systems; and the
+//     portfolio of §3.1,
 //   - Solve: the one loop that runs a chain of schedulers and certifies
 //     what it returns, the portfolio being its default chain,
 //   - DensityTestCC: Chan & Chin's sufficient schedulability condition

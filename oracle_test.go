@@ -205,7 +205,9 @@ func TestWorstLatencyIsTheOracleOnGeneralizedPrograms(t *testing.T) {
 			{Name: "A", Blocks: 2, Latencies: []int{8, 10}},
 			{Name: "B", Blocks: 1, Latencies: []int{6, 9}},
 		},
-		{{Name: "i", Blocks: 4, Latencies: []int{8, 9}}}, // TestFacadeAlgebra
+		{{Name: "i", Blocks: 4, Latencies: []int{8, 9}}},     // Example 4 of §4, TestFacadeAlgebra's set
+		{{Name: "E5", Blocks: 2, Latencies: []int{5, 6, 6}}}, // Example 5
+		{{Name: "E6", Blocks: 1, Latencies: []int{2, 3}}},    // Example 6
 	}
 	fixed := len(sets)
 	rng := rand.New(rand.NewPCG(16, 41))
