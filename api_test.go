@@ -2,6 +2,8 @@ package pinbcast
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
 	"testing"
 	"time"
 
@@ -111,6 +113,59 @@ func TestFacadeGeneralized(t *testing.T) {
 	}
 	if res.Program.Period < 1 {
 		t.Fatal("empty program")
+	}
+}
+
+// TestConstantVectorTwinsMatchTheOrdinaryPath feeds each catalogue
+// through the §4 path as its constant-vector twin, d⃗ = (B·Tᵢ, …, B·Tᵢ)
+// with rᵢ + 1 levels, at the catalogue's minimum bandwidth and one
+// above it: the converted system is the ordinary one, pc(mᵢ + rᵢ, B·Tᵢ)
+// per file, and the twin builds wherever the ordinary catalogue does.
+func TestConstantVectorTwinsMatchTheOrdinaryPath(t *testing.T) {
+	catalogues := map[string][]FileSpec{}
+	for _, n := range []int{1, 4, 16, 64} {
+		catalogues[fmt.Sprintf("IVHS(%d)", n)] = IVHSCatalog(n, 1)
+	}
+	for _, mode := range []Mode{"combat", "landing"} {
+		files, err := AWACSCatalog().FileSpecs(mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		catalogues["AWACS "+string(mode)] = files
+	}
+	pairs := func(s TaskSystem) map[[2]int]int {
+		out := map[[2]int]int{}
+		for _, task := range s {
+			out[[2]int{task.A, task.B}]++
+		}
+		return out
+	}
+	for name, files := range catalogues {
+		min, err := MinBandwidth(files)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range []int{min, min + 1} {
+			twin := make([]GenFileSpec, len(files))
+			for i, f := range files {
+				d := make([]int, f.Faults+1)
+				for j := range d {
+					d[j] = b * f.Latency
+				}
+				twin[i] = GenFileSpec{Name: f.Name, Blocks: f.Blocks, Latencies: d}
+			}
+			_, ordErr := Build(BuildConfig{Files: files, Bandwidth: b})
+			res, err := BuildGeneralizedProgram(twin)
+			if err != nil {
+				if ordErr == nil {
+					t.Errorf("%s at b = %d: the ordinary path builds, the §4 twin fails: %v", name, b, err)
+				}
+				continue
+			}
+			if got, want := pairs(res.System), pairs(core.TaskSystem(files, b)); !maps.Equal(got, want) {
+				t.Errorf("%s at b = %d: §4 system %v, ordinary %v", name, b, res.System, core.TaskSystem(files, b))
+			}
+		}
 	}
 }
 

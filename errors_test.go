@@ -60,11 +60,19 @@ func TestNilInputsAreBadSpecs(t *testing.T) {
 }
 
 func TestErrBadSpecFromAlgebra(t *testing.T) {
-	// bc(i, 0, [5]) and a condition without a latency vector, through
-	// the generalized construction that converts them.
+	// bc(i, 0, [5]), a condition without a latency vector, two wider
+	// than GF(2⁸) can disperse (m + r = 300 and 269) and a latency past
+	// the converter's bound, through the generalized construction.
+	wide := make([]int, 70)
+	for j := range wide {
+		wide[j] = 300 + j
+	}
 	for _, bad := range []GenFileSpec{
 		{Name: "i", Blocks: 0, Latencies: []int{5}},
 		{Name: "A", Blocks: 2, Latencies: nil},
+		{Name: "B", Blocks: 300, Latencies: []int{600}},
+		{Name: "C", Blocks: 200, Latencies: wide},
+		{Name: "D", Blocks: 1, Latencies: []int{1<<22 + 1}},
 	} {
 		if _, err := BuildGeneralizedProgram([]GenFileSpec{bad}); !errors.Is(err, ErrBadSpec) {
 			t.Fatalf("%+v: err = %v, want ErrBadSpec", bad, err)

@@ -1,8 +1,9 @@
 // Package algebra implements the pinwheel algebra of §4 of Baruah &
 // Bestavros: broadcast-file conditions bc(i, m, d⃗), pinwheel-task
 // conditions pc(i, a, b), the transformation rules TR1 and TR2, and a
-// converter that searches for a minimum-density *nice* conjunct of
-// pinwheel conditions implying a given broadcast-file condition.
+// converter that walks one ladder of candidate *nice* conjuncts of
+// pinwheel conditions, weakest first, for a low-density one implying a
+// given broadcast-file condition; it stops at the density lower bound.
 //
 // The package is built around a "forcing engine" (forcing.go): a sound,
 // mechanical procedure that lower-bounds how many grants a conjunct of
@@ -77,9 +78,15 @@ func (b BC) String() string {
 	return fmt.Sprintf("bc(%s; %d, %s)", b.Task, b.M, v)
 }
 
+// maxLatency is the longest window a condition may name, in slots: the
+// chain schedulers' period bound. The forcing engine holds 2·D[j] + 2
+// counts per certification, so a latency past it would size the
+// converter's memory from its input alone.
+const maxLatency = 1 << 22
+
 // Validate checks that the condition is satisfiable in isolation:
 // M ≥ 1, at least one latency, and every window large enough to hold
-// the blocks it demands (D[j] ≥ M+j).
+// the blocks it demands (D[j] ≥ M+j) and no longer than maxLatency.
 func (b BC) Validate() error {
 	if b.M < 1 {
 		return fmt.Errorf("algebra: %s has M < 1: %w", b, bcerr.ErrBadSpec)
@@ -91,6 +98,10 @@ func (b BC) Validate() error {
 		if d < b.M+j {
 			return fmt.Errorf("algebra: %s demands %d blocks in a window of %d (level %d): %w",
 				b, b.M+j, d, j, bcerr.ErrBadSpec)
+		}
+		if d > maxLatency {
+			return fmt.Errorf("algebra: %s has a level-%d latency %d past %d slots: %w",
+				b, j, d, maxLatency, bcerr.ErrBadSpec)
 		}
 	}
 	return nil

@@ -2,81 +2,58 @@ package algebra
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
-// Convert searches for a low-density nice conjunct of pinwheel
-// conditions implying a broadcast-file condition — the paper's
-// "conversion to nice pinwheel" problem, which it conjectures NP-hard
-// and attacks with heuristics. The search space here generalizes the
-// paper's strategy (TR1, then Lemma 3 + rules R0–R5 + R4):
+// Convert converts a broadcast-file condition to a low-density nice
+// conjunct of pinwheel conditions implying it — the paper's "conversion
+// to nice pinwheel" problem, which it conjectures NP-hard and attacks
+// with heuristics (§4.2: TR1, then Lemma 3 + rules R0–R5 + R4).
 //
-//  1. the TR1 candidate (one unit condition);
-//  2. the TR2 candidate (primary + one unit helper per fault level);
-//  3. primary-only candidates pc(i, a₀, b₀): for each a₀, the largest
-//     b₀ whose closed-form forcing meets every fault level — this is
-//     where Example 5's optimal pc(2,3) and Example 6's pc(2,3) come
-//     from;
-//  4. primary + greedy unit helpers: the primary meets level 0 with the
-//     largest feasible window, then for each unmet level a unit helper
-//     with the largest window the forcing engine certifies — this is
-//     where Example 4's R1/R5-optimized pc(1,2) ∧ pc(1,10) comes from.
+// The search is one ladder, weakest candidate first. For a₀ from m + r
+// down to 1 it tries
 //
-// Every candidate is certified by ImpliesBC before being considered;
-// the minimum-density certified candidate wins. Conversion preserves
-// correctness by construction, and optimality is best-effort (the
-// paper's own rules are heuristic for the same reason).
-
-// maxPrimaryA caps the primary computation requirement explored by the
-// converter; beyond max(m+r)+2 larger values only lose density.
-const maxPrimaryA = 64
-
-func almostSame(a, b float64) bool {
-	d := a - b
-	return d < 1e-12 && d > -1e-12
-}
-
-// Convert returns the best nice conjunct found for the condition,
-// certified by the forcing engine.
+//  1. the primary alone, pc(i, a₀, b₀): the largest b₀ whose closed-form
+//     forcing meets every fault level — pc(m + r, d) for a constant
+//     vector, Example 4's pc(5,9) and Example 6's pc(2,3) at a₀ = m + r;
+//  2. the primary sized for level 0, plus for each unmet level a unit
+//     helper with the largest window the forcing engine certifies — the
+//     shape of TR2 and of the paper's R1/R5 conjunct for Example 4,
+//     pc(1,2) ∧ pc(1,10), at a₀ = 1.
+//
+// TR1 is the primary alone at a₀ = 1, so it is on the ladder. Every
+// candidate is certified by ImpliesBC. A later candidate replaces the
+// best only at strictly lower density, so of equal-density candidates
+// the weakest (largest a₀) is kept; the ladder stops at the first whose
+// density is the condition's DensityLowerBound, which nothing beats.
+// Conversion preserves correctness by construction, and optimality is
+// best-effort (the paper's own rules are heuristic for the same reason).
 func Convert(b BC) (NiceConjunct, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
 	var best NiceConjunct
-	consider := func(n NiceConjunct, err error) {
-		if err != nil || n == nil {
-			return
-		}
-		if n.Validate() != nil || !ImpliesBC(n, b) {
-			return
-		}
-		// Prefer lower density; at equal density prefer fewer scheduler
-		// tasks (a nice conjunct of one condition schedules more simply).
-		switch {
-		case best == nil,
-			n.Density() < best.Density()-1e-12,
-			almostSame(n.Density(), best.Density()) && len(n) < len(best):
-			best = n
+	for a0 := min(b.M+b.R(), maxPrimaryA); a0 >= 1; a0-- {
+		for _, candidate := range [...]func(BC, int) NiceConjunct{primaryOnly, primaryWithHelpers} {
+			n := candidate(b, a0)
+			if !ImpliesBC(n, b) || (best != nil && n.Density() >= best.Density()) {
+				continue
+			}
+			if best = n; best.Density() <= b.DensityLowerBound() {
+				return best, nil
+			}
 		}
 	}
-
-	consider(TR1(b))
-	consider(TR2(b))
-
-	aMax := b.M + b.R() + 2
-	if aMax > maxPrimaryA {
-		aMax = maxPrimaryA
-	}
-	for a0 := 1; a0 <= aMax; a0++ {
-		consider(primaryOnly(b, a0))
-		consider(primaryWithHelpers(b, a0))
-	}
-
 	if best == nil {
 		return nil, fmt.Errorf("algebra: no certified conversion found for %s", b)
 	}
 	return best, nil
 }
+
+// maxPrimaryA caps the a₀ the ladder starts from, bounding its length:
+// a file with m + r past it starts below pc(m + r, d).
+const maxPrimaryA = 64
 
 // maxWindowMeeting returns the largest b such that pc(a, b) alone forces
 // at least need grants into every window of w slots, or 0 if none does.
@@ -101,31 +78,25 @@ func maxWindowMeeting(a, need, w int) int {
 
 // primaryOnly builds the candidate consisting of the single condition
 // pc(i, a₀, b₀) with b₀ = min over fault levels of the largest window
-// meeting that level.
-func primaryOnly(b BC, a0 int) (NiceConjunct, error) {
-	b0 := 0
+// meeting that level, or nil when a level has none.
+func primaryOnly(b BC, a0 int) NiceConjunct {
+	b0 := math.MaxInt
 	for j, d := range b.D {
-		w := maxWindowMeeting(a0, b.M+j, d)
-		if w == 0 {
-			return nil, fmt.Errorf("algebra: a₀=%d cannot meet level %d of %s", a0, j, b)
-		}
-		if b0 == 0 || w < b0 {
-			b0 = w
-		}
+		b0 = min(b0, maxWindowMeeting(a0, b.M+j, d))
 	}
 	if b0 < a0 {
-		return nil, fmt.Errorf("algebra: primary window %d below a₀=%d", b0, a0)
+		return nil
 	}
-	return NiceConjunct{{PC: PC{Task: b.Task, A: a0, B: b0}, MapsTo: b.Task}}, nil
+	return NiceConjunct{{PC: PC{Task: b.Task, A: a0, B: b0}, MapsTo: b.Task}}
 }
 
 // primaryWithHelpers sizes the primary for fault level 0 only, then adds
 // one unit helper per uncovered level, each with the largest window the
-// forcing engine certifies.
-func primaryWithHelpers(b BC, a0 int) (NiceConjunct, error) {
+// forcing engine certifies, or nil when a level has none.
+func primaryWithHelpers(b BC, a0 int) NiceConjunct {
 	b0 := maxWindowMeeting(a0, b.M, b.D[0])
 	if b0 < a0 {
-		return nil, fmt.Errorf("algebra: a₀=%d cannot meet level 0 of %s", a0, b)
+		return nil
 	}
 	out := NiceConjunct{{PC: PC{Task: b.Task, A: a0, B: b0}, MapsTo: b.Task}}
 	for j := 1; j < len(b.D); j++ {
@@ -134,22 +105,20 @@ func primaryWithHelpers(b BC, a0 int) (NiceConjunct, error) {
 		}
 		c := maxHelperWindow(out, b, j)
 		if c == 0 {
-			return nil, fmt.Errorf("algebra: no helper window covers level %d of %s", j, b)
+			return nil
 		}
 		out = append(out, Mapped{
 			PC:     PC{Task: HelperName(b.Task, j), A: 1, B: c},
 			MapsTo: b.Task,
 		})
 	}
-	return out, nil
+	return out
 }
 
 // certifiesLevel reports whether the conjunct already forces level j of
 // the condition.
 func certifiesLevel(n NiceConjunct, b BC, j int) bool {
-	groups := groupByTask(n.ForFile(b.Task))
-	g := CombinedMinGrants(groups, maxWindowFor(groups, b.D))
-	return g[b.D[j]] >= b.M+j
+	return forcing(n, b)[b.D[j]] >= b.M+j
 }
 
 // maxHelperWindow binary-searches the largest unit-helper window c such

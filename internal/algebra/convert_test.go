@@ -3,6 +3,7 @@ package algebra
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -52,6 +53,9 @@ func TestBCValidate(t *testing.T) {
 		{BC{M: 3, D: []int{2}}, false},    // window too small for m
 		{BC{M: 2, D: []int{5, 2}}, false}, // window too small for m+1
 		{BC{M: 2, D: []int{5, 6, 6}}, true},
+		{BC{M: 1, D: []int{maxLatency}}, true},
+		{BC{M: 1, D: []int{maxLatency + 1}}, false}, // past the period bound
+		{BC{M: 1, D: []int{2, maxLatency + 1}}, false},
 	}
 	for i, c := range cases {
 		if err := c.b.Validate(); (err == nil) != c.ok {
@@ -177,7 +181,8 @@ func TestConvertExample4(t *testing.T) {
 
 func TestConvertExample5Optimal(t *testing.T) {
 	// Paper Example 5: bc(i, 2, [5, 6, 6]) ⇐ pc(i, 2, 3), optimal: the
-	// nice density equals the lower bound 2/3.
+	// nice density equals the lower bound 2/3. The ladder stops on the
+	// weakest conjunct at that density, which pc(i, 2, 3) implies.
 	b := BC{Task: "i", M: 2, D: []int{5, 6, 6}}
 	best, err := Convert(b)
 	if err != nil {
@@ -189,8 +194,8 @@ func TestConvertExample5Optimal(t *testing.T) {
 	if !almostEqual(best.Density(), b.DensityLowerBound()) {
 		t.Fatal("Example 5 conversion should meet the density lower bound")
 	}
-	if len(best) != 1 || best[0].A != 2 || best[0].B != 3 {
-		t.Fatalf("Convert = %v, want pc(i,2,3)", best)
+	if len(best) != 1 || !implies(PC{Task: "i", A: 2, B: 3}, best[0].PC) {
+		t.Fatalf("Convert = %v, want one condition pc(i,2,3) implies", best)
 	}
 }
 
@@ -260,6 +265,45 @@ func TestConvertAlwaysCertifiedAndAboveLowerBound(t *testing.T) {
 				b, best.Density(), b.DensityLowerBound())
 		}
 	}
+}
+
+// FuzzConvert: over conditions with m ≤ 8, r ≤ 5, d⁽⁰⁾ ≤ 512 and level
+// gaps up to 40, every conversion is certified by ImpliesBC and no
+// lower than the density lower bound, and a constant vector (d, …, d)
+// converts to exactly pc(m + r, d).
+func FuzzConvert(f *testing.F) {
+	f.Add(uint8(5), uint16(100), []byte{5, 5, 5, 5}) // Example 2
+	f.Add(uint8(6), uint16(105), []byte{5})          // Example 3
+	f.Add(uint8(4), uint16(8), []byte{1})            // Example 4
+	f.Add(uint8(2), uint16(5), []byte{1, 0})         // Example 5
+	f.Add(uint8(1), uint16(2), []byte{1})            // Example 6
+	f.Add(uint8(4), uint16(450), []byte{0})          // TR1's pc(1,90) ties pc(5,450)
+	f.Add(uint8(3), uint16(450), []byte{0, 0})       // IVHS(16)'s incident-01 at b = 5
+	f.Fuzz(func(t *testing.T, m8 uint8, d0 uint16, gaps []byte) {
+		m := max(int(m8)%9, 1)
+		d := []int{max(int(d0)%513, m)}
+		for j, g := range gaps[:min(len(gaps), 5)] {
+			d = append(d, max(d[j]+int(g)%41, m+j+1))
+		}
+		b := BC{Task: "i", M: m, D: d}
+		best, err := Convert(b)
+		if err != nil {
+			t.Fatalf("Convert(%v): %v", b, err)
+		}
+		if !ImpliesBC(best, b) {
+			t.Fatalf("Convert(%v) = %v, not certified", b, best)
+		}
+		if best.Density() < b.DensityLowerBound()-1e-9 {
+			t.Fatalf("Convert(%v) = %v at density %v, below the lower bound %v",
+				b, best, best.Density(), b.DensityLowerBound())
+		}
+		if slices.Min(d) == slices.Max(d) {
+			want := PC{Task: "i", A: m + b.R(), B: d[0]}
+			if len(best) != 1 || best[0].PC != want {
+				t.Fatalf("Convert(%v) = %v, want %v", b, best, want)
+			}
+		}
+	})
 }
 
 func TestConvertSystem(t *testing.T) {

@@ -157,17 +157,27 @@ func ImpliesBC(n NiceConjunct, b BC) bool {
 	if n.Validate() != nil || b.Validate() != nil {
 		return false
 	}
-	groups := groupByTask(n.ForFile(b.Task))
-	if len(groups) == 0 {
+	g := forcing(n, b)
+	if g == nil {
 		return false
 	}
-	g := CombinedMinGrants(groups, maxWindowFor(groups, b.D))
 	for j, d := range b.D {
 		if g[d] < b.M+j {
 			return false
 		}
 	}
 	return true
+}
+
+// forcing returns the combined forcing vector of the conjunct's members
+// serving the condition's file, up to the engine horizon for its
+// windows, or nil when no member serves it.
+func forcing(n NiceConjunct, b BC) []int {
+	groups := groupByTask(n.ForFile(b.Task))
+	if len(groups) == 0 {
+		return nil
+	}
+	return CombinedMinGrants(groups, maxWindowFor(groups, b.D))
 }
 
 // groupByTask buckets conditions by scheduler task, preserving order.

@@ -4,6 +4,8 @@ import "fmt"
 
 // Transformation rules TR1 and TR2 of §4.2: canned conversions from a
 // broadcast-file condition to a nice conjunct of pinwheel conditions.
+// Report prints their densities beside Convert's; Convert's ladder
+// reaches TR1 as the primary alone at a₀ = 1.
 
 // TR1 converts bc(i, m, d⃗) into the single unit condition
 // pc(i, 1, min_j ⌊d⁽ʲ⁾/(m+j)⌋). Adequate for files with low density

@@ -56,7 +56,7 @@ type GeneralizedResult struct {
 
 // BuildGeneralizedProgram constructs a broadcast program for
 // generalized fault-tolerant real-time files (§4): each file's
-// broadcast condition bc(i, mᵢ, d⃗ᵢ) is converted to a minimum-density
+// broadcast condition bc(i, mᵢ, d⃗ᵢ) is converted to a low-density
 // nice conjunct with the pinwheel algebra, the conjunct is scheduled as
 // a pinwheel system, and scheduler tasks are folded back onto their
 // files (the paper's map(i′, i) semantics: a helper task's slots carry

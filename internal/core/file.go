@@ -105,6 +105,9 @@ func (g GenFileSpec) Validate() error {
 	if len(g.Latencies) == 0 {
 		return fmt.Errorf("core: file %q has no latency vector: %w", g.Name, bcerr.ErrBadSpec)
 	}
+	if g.Blocks+g.Faults() > 256 {
+		return fmt.Errorf("core: file %q dispersal exceeds GF(2⁸) limit of 256: %w", g.Name, bcerr.ErrBadSpec)
+	}
 	for j, d := range g.Latencies {
 		if d < g.Blocks+j {
 			return fmt.Errorf("core: file %q level %d latency %d below %d blocks: %w",

@@ -83,7 +83,9 @@ func Examples2to6() (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"Ex. 4: the systematic converter finds pc(5,9) at density 5/9 ≈ 0.5556,",
-		"matching the lower bound and beating the paper's best of 0.6")
+		"matching the lower bound and beating the paper's best of 0.6",
+		"Ex. 5: at the paper's density 2/3 the converter keeps the weaker pc(4,6),",
+		"which the paper's pc(2,3) implies")
 	return t, nil
 }
 
