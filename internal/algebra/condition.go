@@ -6,12 +6,14 @@
 // given broadcast-file condition; it stops at the density lower bound.
 //
 // The package is built around a "forcing engine" (forcing.go): a sound,
-// mechanical procedure that lower-bounds how many grants a conjunct of
-// pinwheel conditions forces into every window of a given length. The
-// paper applies its manipulation rules R0–R5 (Figure 8) by hand; here
-// they are checkable consequences of the engine (rules_test.go certifies
-// every instance), and every conversion the converter emits is certified
-// by it.
+// mechanical procedure that lower-bounds how many grants the members of
+// a nice conjunct serving one file — one condition per scheduler task —
+// force into every window of a given length, splitting windows only at
+// the members' windows and their multiples, and stopping as soon as a
+// count proves the conjunct unsatisfiable. The paper applies its
+// manipulation rules R0–R5 (Figure 8) by hand; here they are checkable
+// consequences of the engine (rules_test.go certifies every instance),
+// and every conversion the converter emits is certified by it.
 package algebra
 
 import (

@@ -128,7 +128,7 @@ func certifiesLevel(n NiceConjunct, b BC, j int) bool {
 func maxHelperWindow(n NiceConjunct, b BC, j int) int {
 	try := func(c int) bool {
 		cand := append(append(NiceConjunct{}, n...), Mapped{
-			PC:     PC{Task: "probe", A: 1, B: c},
+			PC:     PC{Task: HelperName(b.Task, j), A: 1, B: c},
 			MapsTo: b.Task,
 		})
 		return certifiesLevel(cand, b, j)

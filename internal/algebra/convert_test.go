@@ -267,19 +267,56 @@ func TestConvertAlwaysCertifiedAndAboveLowerBound(t *testing.T) {
 	}
 }
 
+// renamed returns the conjunct of file from as the conjunct of file to:
+// the primary and every helper HelperName(from, j) renamed to match.
+func renamed(n NiceConjunct, from, to string) NiceConjunct {
+	out := slices.Clone(n)
+	for k := range out {
+		out[k].Task = to + strings.TrimPrefix(out[k].Task, from)
+		out[k].MapsTo = to
+	}
+	return out
+}
+
+func TestConvertIgnoresTheTaskName(t *testing.T) {
+	// A file named like a helper probe must convert as any other file:
+	// m 1–8, r 0–5, d⁽⁰⁾ ≤ m + 120, level gaps ≤ 40.
+	rng := rand.New(rand.NewSource(45))
+	for trial := 0; trial < 1000; trial++ {
+		m := 1 + rng.Intn(8)
+		d := []int{m + rng.Intn(121)}
+		for j, r := 1, rng.Intn(6); j <= r; j++ {
+			d = append(d, max(d[j-1]+rng.Intn(41), m+j))
+		}
+		want, err := Convert(BC{Task: "i", M: m, D: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Convert(BC{Task: "probe", M: m, D: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := renamed(got, "probe", "i"); !slices.Equal(got, want) {
+			t.Fatalf("bc(%d, %v) converts to %v as probe, %v as i", m, d, got, want)
+		}
+	}
+}
+
 // FuzzConvert: over conditions with m ≤ 8, r ≤ 5, d⁽⁰⁾ ≤ 512 and level
 // gaps up to 40, every conversion is certified by ImpliesBC and no
-// lower than the density lower bound, and a constant vector (d, …, d)
-// converts to exactly pc(m + r, d).
+// lower than the density lower bound, a constant vector (d, …, d)
+// converts to exactly pc(m + r, d), and the conjunct does not depend on
+// the file's task name.
 func FuzzConvert(f *testing.F) {
-	f.Add(uint8(5), uint16(100), []byte{5, 5, 5, 5}) // Example 2
-	f.Add(uint8(6), uint16(105), []byte{5})          // Example 3
-	f.Add(uint8(4), uint16(8), []byte{1})            // Example 4
-	f.Add(uint8(2), uint16(5), []byte{1, 0})         // Example 5
-	f.Add(uint8(1), uint16(2), []byte{1})            // Example 6
-	f.Add(uint8(4), uint16(450), []byte{0})          // TR1's pc(1,90) ties pc(5,450)
-	f.Add(uint8(3), uint16(450), []byte{0, 0})       // IVHS(16)'s incident-01 at b = 5
-	f.Fuzz(func(t *testing.T, m8 uint8, d0 uint16, gaps []byte) {
+	f.Add("i", uint8(5), uint16(100), []byte{5, 5, 5, 5}) // Example 2
+	f.Add("i", uint8(6), uint16(105), []byte{5})          // Example 3
+	f.Add("i", uint8(4), uint16(8), []byte{1})            // Example 4
+	f.Add("i", uint8(2), uint16(5), []byte{1, 0})         // Example 5
+	f.Add("i", uint8(1), uint16(2), []byte{1})            // Example 6
+	f.Add("i", uint8(4), uint16(450), []byte{0})          // TR1's pc(1,90) ties pc(5,450)
+	f.Add("i", uint8(3), uint16(450), []byte{0, 0})       // IVHS(16)'s incident-01 at b = 5
+	f.Add("probe", uint8(4), uint16(20), []byte{3, 7})    // the helper probe's old task name
+	f.Fuzz(func(t *testing.T, task string, m8 uint8, d0 uint16, gaps []byte) {
 		m := max(int(m8)%9, 1)
 		d := []int{max(int(d0)%513, m)}
 		for j, g := range gaps[:min(len(gaps), 5)] {
@@ -289,6 +326,13 @@ func FuzzConvert(f *testing.F) {
 		best, err := Convert(b)
 		if err != nil {
 			t.Fatalf("Convert(%v): %v", b, err)
+		}
+		named, err := Convert(BC{Task: task, M: m, D: d})
+		if err != nil {
+			t.Fatalf("Convert(%v) as %q: %v", b, task, err)
+		}
+		if named := renamed(named, task, "i"); !slices.Equal(named, best) {
+			t.Fatalf("Convert(%v) = %v, but %v as %q", b, best, named, task)
 		}
 		if !ImpliesBC(best, b) {
 			t.Fatalf("Convert(%v) = %v, not certified", b, best)

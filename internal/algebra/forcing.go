@@ -1,5 +1,10 @@
 package algebra
 
+import (
+	"math"
+	"slices"
+)
+
 // The forcing engine.
 //
 // For a single condition pc(a, b), the minimum number of grants that any
@@ -13,21 +18,28 @@ package algebra
 // contains at least a − (b − s) grants). The bound is tight: the
 // periodic schedule granting slots [0, a) mod b achieves it.
 //
-// For a conjunct of conditions serving one broadcast file — conditions
-// on the file's own scheduler task plus helper tasks mapped to it — the
-// engine combines per-condition forcing with three sound closure rules
-// over the total grant stream:
+// The members of a nice conjunct serving one broadcast file — the
+// condition on the file's own scheduler task plus the helper tasks
+// mapped to it — are one condition per task, so their grant streams are
+// disjoint. The engine combines their forcing with three sound closure
+// rules over the total grant stream:
 //
-//	sum:        g(w) ≥ Σ per-task forcing(w)        (streams are disjoint)
+//	sum:        g(w) ≥ Σ members' forcing(w)        (streams are disjoint)
 //	split:      g(w₁+w₂) ≥ g(w₁) + g(w₂)            (adjacent windows)
 //	shrink:     g(w) ≥ g(w+1) − 1                   (one slot, one grant)
 //
 // The shrink rule is what turns the paper's rule R5 into a mechanical
 // consequence: from pc(i,1,2) ∧ pc(i′,1,10) the engine derives five
 // grants in every 9-window by first counting six in every 10-window.
-// The fixpoint of these rules is a sound lower bound on true forcing
-// (it may under-approximate, never over-approximate), so every
-// implication the engine certifies is genuine.
+// The sum of tight closed forms is already superadditive, so a split
+// gains only where shrink has raised a count. The engine splits only at
+// the members' windows and their multiples; on every conjunct
+// forcing_test.go draws, that gives what splitting everywhere gives.
+// The fixpoint of these rules is a sound lower bound on true forcing (it
+// may under-approximate, never over-approximate), so every implication
+// the engine certifies is genuine. No window holds more grants than
+// slots, so a count above its window proves the conjunct unsatisfiable:
+// the engine stops there, and the conjunct vacuously forces everything.
 
 // MinGrants returns the closed-form minimum number of grants a schedule
 // satisfying pc(·, a, b) must place in any window of w ≥ 0 slots.
@@ -50,74 +62,47 @@ func implies(p, q PC) bool {
 	return MinGrants(p.A, p.B, q.B) >= q.A
 }
 
-// forcingSplitCap bounds the window length up to which the quadratic
-// exhaustive split search runs; beyond it only splits at structurally
-// interesting points (multiples of condition windows) are tried, keeping
-// the engine sound while taming cost on broadcast-scale windows.
-const forcingSplitCap = 4096
-
-// CombinedMinGrants returns g[0..maxW] where g[w] lower-bounds the
-// number of grants every schedule satisfying all conditions (grouped by
-// scheduler task) places in any window of w slots, for the union of the
-// tasks' grant streams.
-func CombinedMinGrants(groups [][]PC, maxW int) []int {
+// CombinedMinGrants returns g[0..maxW], where g[w] lower-bounds the
+// grants that every schedule satisfying all of members places in any
+// window of w slots, counted over the union of their grant streams.
+// members are a nice conjunct's members serving one file (ForFile):
+// each is the one condition of its own scheduler task. The base is the
+// sum of their closed forms; at every horizon w a split w₁ + (w − w₁)
+// is tried at each member window and multiple w₁ below w. When the
+// conjunct is unsatisfiable (some g(w) > w), every count from w = 1 on
+// is math.MaxInt.
+func CombinedMinGrants(members []PC, maxW int) []int {
 	g := make([]int, maxW+1)
-	// Base: sum over tasks of per-task forcing; per task, the max over
-	// its own conditions (one stream must satisfy all of them).
-	for w := 1; w <= maxW; w++ {
-		total := 0
-		for _, conds := range groups {
-			best := 0
-			for _, c := range conds {
-				if v := MinGrants(c.A, c.B, w); v > best {
-					best = v
-				}
-			}
-			total += best
+	var splits []int
+	for _, c := range members {
+		for w := 1; w <= maxW; w++ {
+			g[w] += MinGrants(c.A, c.B, w)
 		}
-		g[w] = total
-	}
-	// Candidate split points for large windows: condition windows and
-	// their multiples.
-	var splitPoints []int
-	if maxW > forcingSplitCap {
-		seen := map[int]bool{}
-		for _, conds := range groups {
-			for _, c := range conds {
-				for m := c.B; m <= maxW; m += c.B {
-					if !seen[m] {
-						seen[m] = true
-						splitPoints = append(splitPoints, m)
-					}
-				}
-			}
+		for w1 := c.B; w1 < maxW; w1 += c.B {
+			splits = append(splits, w1)
 		}
 	}
-	// Fixpoint of split and shrink closure.
+	slices.Sort(splits)
+	splits = slices.Compact(splits)
 	for changed := true; changed; {
 		changed = false
-		// split: ascending pass.
-		for w := 2; w <= maxW; w++ {
-			if maxW <= forcingSplitCap {
-				for w1 := 1; w1 <= w/2; w1++ {
-					if v := g[w1] + g[w-w1]; v > g[w] {
-						g[w] = v
-						changed = true
-					}
+		for w := 1; w <= maxW; w++ {
+			for _, w1 := range splits {
+				if w1 >= w {
+					break
 				}
-			} else {
-				for _, w1 := range splitPoints {
-					if w1 >= w {
-						break
-					}
-					if v := g[w1] + g[w-w1]; v > g[w] {
-						g[w] = v
-						changed = true
-					}
+				if v := g[w1] + g[w-w1]; v > g[w] {
+					g[w] = v
+					changed = true
 				}
 			}
+			if g[w] > w {
+				for k := 1; k <= maxW; k++ {
+					g[k] = math.MaxInt
+				}
+				return g
+			}
 		}
-		// shrink: descending pass.
 		for w := maxW - 1; w >= 1; w-- {
 			if v := g[w+1] - 1; v > g[w] {
 				g[w] = v
@@ -131,21 +116,12 @@ func CombinedMinGrants(groups [][]PC, maxW int) []int {
 // maxWindowFor returns the engine horizon for certifying a target
 // window: twice the largest window in play, so that shrink derivations
 // from just-larger windows (rule R5) are available.
-func maxWindowFor(groups [][]PC, targets []int) int {
-	max := 0
-	for _, conds := range groups {
-		for _, c := range conds {
-			if c.B > max {
-				max = c.B
-			}
-		}
+func maxWindowFor(members []PC, targets []int) int {
+	w := slices.Max(targets)
+	for _, c := range members {
+		w = max(w, c.B)
 	}
-	for _, t := range targets {
-		if t > max {
-			max = t
-		}
-	}
-	return 2*max + 2
+	return 2*w + 2
 }
 
 // ImpliesBC reports whether the nice conjunct certifiably implies the
@@ -173,24 +149,9 @@ func ImpliesBC(n NiceConjunct, b BC) bool {
 // serving the condition's file, up to the engine horizon for its
 // windows, or nil when no member serves it.
 func forcing(n NiceConjunct, b BC) []int {
-	groups := groupByTask(n.ForFile(b.Task))
-	if len(groups) == 0 {
+	members := n.ForFile(b.Task)
+	if len(members) == 0 {
 		return nil
 	}
-	return CombinedMinGrants(groups, maxWindowFor(groups, b.D))
-}
-
-// groupByTask buckets conditions by scheduler task, preserving order.
-func groupByTask(conds []PC) [][]PC {
-	idx := map[string]int{}
-	var groups [][]PC
-	for _, c := range conds {
-		if i, ok := idx[c.Task]; ok {
-			groups[i] = append(groups[i], c)
-		} else {
-			idx[c.Task] = len(groups)
-			groups = append(groups, []PC{c})
-		}
-	}
-	return groups
+	return CombinedMinGrants(members, maxWindowFor(members, b.D))
 }

@@ -1,6 +1,8 @@
 package algebra
 
 import (
+	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -142,11 +144,7 @@ func TestImpliesKnownCases(t *testing.T) {
 func TestCombinedMinGrantsR5Derivation(t *testing.T) {
 	// The paper's Example 4 manipulation: pc(i,1,2) ∧ pc(i′,1,10) forces
 	// 5 grants in every 9-window (6 in every 10-window, minus one slot).
-	groups := [][]PC{
-		{{Task: "i", A: 1, B: 2}},
-		{{Task: "i'", A: 1, B: 10}},
-	}
-	g := CombinedMinGrants(groups, 22)
+	g := CombinedMinGrants([]PC{{Task: "i", A: 1, B: 2}, {Task: "i'", A: 1, B: 10}}, 22)
 	if g[10] < 6 {
 		t.Fatalf("g[10] = %d, want ≥ 6", g[10])
 	}
@@ -161,18 +159,100 @@ func TestCombinedMinGrantsR5Derivation(t *testing.T) {
 	}
 }
 
-func TestCombinedMinGrantsSameStreamUsesMax(t *testing.T) {
-	// Two conditions on ONE task do not add up: one stream serves both.
-	groups := [][]PC{{{Task: "i", A: 1, B: 2}, {Task: "i", A: 2, B: 4}}}
-	g := CombinedMinGrants(groups, 8)
-	if g[4] != 2 {
-		t.Fatalf("g[4] = %d, want 2 (max of conditions, not sum)", g[4])
+// exhaustiveMinGrants is the forcing closure split at every point: the
+// members' closed forms summed, then every split w₁ + (w − w₁) with
+// w₁ ≤ w/2 and every shrink, to a fixpoint. It is the reference
+// CombinedMinGrants is held to.
+func exhaustiveMinGrants(members []PC, maxW int) []int {
+	g := make([]int, maxW+1)
+	for w := 1; w <= maxW; w++ {
+		for _, c := range members {
+			g[w] += MinGrants(c.A, c.B, w)
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for w := 2; w <= maxW; w++ {
+			for w1 := 1; w1 <= w/2; w1++ {
+				if v := g[w1] + g[w-w1]; v > g[w] {
+					g[w] = v
+					changed = true
+				}
+			}
+		}
+		for w := maxW - 1; w >= 1; w-- {
+			if v := g[w+1] - 1; v > g[w] {
+				g[w] = v
+				changed = true
+			}
+		}
+	}
+	return g
+}
+
+func TestCombinedMinGrantsMatchesExhaustiveSplits(t *testing.T) {
+	// Seeded conjuncts of density at most 1, which the engine never
+	// refutes: 1–5 members, windows up to 80, horizons up to 600. The
+	// first member is a primary of any height, the rest mostly unit
+	// helpers, the shape Convert builds.
+	rng := rand.New(rand.NewSource(45))
+	for held := 0; held < 5000; {
+		members := make([]PC, 1+rng.Intn(5))
+		density := new(big.Rat)
+		for k := range members {
+			b := 1 + rng.Intn(80)
+			a := 1 + rng.Intn(b)
+			if k > 0 && rng.Intn(2) == 0 {
+				a = 1
+			}
+			members[k] = PC{Task: HelperName("i", k), A: a, B: b}
+			density.Add(density, big.NewRat(int64(a), int64(b)))
+		}
+		if density.Cmp(big.NewRat(1, 1)) > 0 {
+			continue
+		}
+		maxW := 1 + rng.Intn(600)
+		got, ref := CombinedMinGrants(members, maxW), exhaustiveMinGrants(members, maxW)
+		for w := range got {
+			if got[w] != ref[w] {
+				t.Fatalf("%v up to %d: g[%d] = %d, exhaustive splits give %d", members, maxW, w, got[w], ref[w])
+			}
+		}
+		held++
+	}
+}
+
+func TestUnsatisfiableConjunctForcesEverything(t *testing.T) {
+	// Each conjunct asks for more grants than some window has slots. The
+	// fixpoint stops there, with no count near the edge of int64, and
+	// certifies every condition: the conjunct vacuously forces them all.
+	for _, members := range [][]PC{
+		{{Task: "i", A: 1, B: 1}, {Task: "i#1", A: 1, B: 1}},
+		{{Task: "i", A: 1, B: 2}, {Task: "i#1", A: 1, B: 1}},
+		{{Task: "i", A: 3, B: 4}, {Task: "i#1", A: 1, B: 2}},
+	} {
+		g := CombinedMinGrants(members, 64)
+		for w := 1; w < len(g); w++ {
+			if g[w] != math.MaxInt {
+				t.Fatalf("%v: g[%d] = %d, want math.MaxInt", members, w, g[w])
+			}
+		}
+		n := NiceConjunct{{PC: members[0], MapsTo: "i"}, {PC: members[1], MapsTo: "i"}}
+		for _, b := range []BC{
+			{Task: "i", M: 1, D: []int{1}},
+			{Task: "i", M: 4, D: []int{8, 9}},
+			{Task: "i", M: 2, D: []int{5, 6, 6}},
+			{Task: "i", M: 50, D: []int{60, 70}},
+		} {
+			if !ImpliesBC(n, b) {
+				t.Fatalf("unsatisfiable %v does not certify %v", n, b)
+			}
+		}
 	}
 }
 
 func TestCombinedMinGrantsSuperadditive(t *testing.T) {
-	groups := [][]PC{{{Task: "i", A: 2, B: 7}}}
-	g := CombinedMinGrants(groups, 40)
+	g := CombinedMinGrants([]PC{{Task: "i", A: 2, B: 7}}, 40)
 	for w1 := 1; w1 < 20; w1++ {
 		for w2 := 1; w2+w1 <= 40; w2++ {
 			if g[w1]+g[w2] > g[w1+w2] {
@@ -186,12 +266,8 @@ func TestCombinedMinGrantsSoundAgainstSchedules(t *testing.T) {
 	// Soundness: for concrete cyclic schedules satisfying the conjunct,
 	// every w-window must contain at least g[w] total grants.
 	rng := rand.New(rand.NewSource(9))
-	groups := [][]PC{
-		{{Task: "a", A: 1, B: 3}},
-		{{Task: "b", A: 1, B: 5}},
-	}
 	maxW := 30
-	g := CombinedMinGrants(groups, maxW)
+	g := CombinedMinGrants([]PC{{Task: "a", A: 1, B: 3}, {Task: "b", A: 1, B: 5}}, maxW)
 	// Build random valid period-15 schedules: task a on one residue
 	// mod 3, task b on one residue mod 5.
 	for trial := 0; trial < 20; trial++ {
@@ -265,18 +341,10 @@ func TestImpliesBC(t *testing.T) {
 	}
 }
 
-func TestGroupByTask(t *testing.T) {
-	gs := groupByTask([]PC{{Task: "x", A: 1, B: 2}, {Task: "y", A: 1, B: 3}, {Task: "x", A: 2, B: 5}})
-	if len(gs) != 2 || len(gs[0]) != 2 || len(gs[1]) != 1 {
-		t.Fatalf("groupByTask wrong: %v", gs)
-	}
-}
-
 func TestLargeWindowRestrictedSplits(t *testing.T) {
-	// Above forcingSplitCap the engine uses restricted split points but
+	// The engine splits only at member windows and their multiples, and
 	// must remain sound and still certify straightforward cases.
-	groups := [][]PC{{{Task: "i", A: 1, B: 1000}}}
-	g := CombinedMinGrants(groups, 6000)
+	g := CombinedMinGrants([]PC{{Task: "i", A: 1, B: 1000}}, 6000)
 	if g[5000] < 5 {
 		t.Fatalf("g[5000] = %d, want ≥ 5", g[5000])
 	}

@@ -12,8 +12,8 @@ import (
 // certifiesPair reports whether p together with a helper task's
 // condition h guarantees the file target (rules R4 and R5).
 func certifiesPair(p, h, target PC) bool {
-	groups := [][]PC{{p}, {h}}
-	g := CombinedMinGrants(groups, maxWindowFor(groups, []int{target.B}))
+	members := []PC{p, h}
+	g := CombinedMinGrants(members, maxWindowFor(members, []int{target.B}))
 	return g[target.B] >= target.A
 }
 

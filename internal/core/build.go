@@ -123,8 +123,13 @@ func BuildGeneralizedProgram(files []GenFileSpec) (*GeneralizedResult, error) {
 	// against the broadcast conditions.
 	for i, g := range files {
 		for j, d := range g.Latencies {
-			if err := p.VerifyWindows(i, g.Blocks+j, d); err != nil {
-				return nil, fmt.Errorf("core: internal error: generalized program violates level %d: %w", j, err)
+			worst, err := p.WorstLatency(i, j)
+			if err != nil {
+				return nil, fmt.Errorf("core: internal error: %w", err)
+			}
+			if worst > d {
+				return nil, fmt.Errorf("core: internal error: generalized program violates level %d: file %q waits up to %d slots for %d blocks, past %d",
+					j, g.Name, worst, g.Blocks+j, d)
 			}
 		}
 	}
