@@ -215,13 +215,16 @@
 // first m blocks of every file are verbatim source blocks, so encode
 // pays only for redundancy and a fault-free decode is a copy — at
 // multiple GB/s per core. Every encode, a station's included, runs one
-// loop: each file on its own, each redundant row one fused
-// gf256.MulSumSlice pass (see the Performance section of README.md for
-// the measured series and the buffer-ownership rules of the streaming
-// APIs). A file is encoded once: each block is written straight into
-// its wire frame (Block.Payload aliases the frame past its header) and
-// later generations carry unchanged files' frames over, so Admit, Evict
-// and Negotiate encode only what changed. Hence two rules: contents
+// loop, each redundant row one fused gf256.MulSumSlice pass (see the
+// Performance section of README.md for the measured series and the
+// buffer-ownership rules of the streaming APIs). A file is encoded
+// once, each block straight into its wire frame (Block.Payload aliases
+// the frame past its header), a station build's small files into one
+// slab and a large one (frames of 32 KiB or more) into its own. Later
+// builds carry unchanged files' frames over, so Admit, Evict and
+// Negotiate encode only what changed; a carried file keeps its build's
+// slab alive, so a station holds at most the frame bytes of the builds
+// its files came from. Hence two rules: contents
 // handed to WithFile, WithContents, Admit or Negotiate belong to the
 // station and must not be mutated; a Slot's Block and Payload are
 // shared — copy before mutating. Benchmarks: the MBps series in internal/ida,

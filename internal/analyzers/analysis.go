@@ -52,6 +52,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"iter"
 	"sort"
 )
 
@@ -178,4 +179,22 @@ var errorType = types.Universe.Lookup("error").Type().Underlying().(*types.Inter
 // interface.
 func implementsError(t types.Type) bool {
 	return types.Implements(t, errorType) || types.Implements(types.NewPointer(t), errorType)
+}
+
+// funcDecls yields every function declared with a body in files, with
+// the object info defines for its name.
+func funcDecls(files []*ast.File, info *types.Info) iter.Seq2[*ast.FuncDecl, *types.Func] {
+	return func(yield func(*ast.FuncDecl, *types.Func) bool) {
+		for _, file := range files {
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				if fn, ok := info.Defs[fd.Name].(*types.Func); ok && !yield(fd, fn) {
+					return
+				}
+			}
+		}
+	}
 }

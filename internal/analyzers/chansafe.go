@@ -186,23 +186,13 @@ func chanKey(e ast.Expr) (string, bool) {
 func runChanSafe(pass *Pass) error {
 	g := pass.Index.callGraph()
 	sums := pass.Index.chanSummaries()
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			if n := g.byKey[FuncKey(fn)]; n != nil {
-				reportCloseOwnership(pass, n, sums[n])
-			}
-			closedFlow(pass, g, sums, fd.Body)
-			for _, lit := range funcLits(fd.Body) {
-				closedFlow(pass, g, sums, lit.Body)
-			}
+	for fd, fn := range funcDecls(pass.Files, pass.TypesInfo) {
+		if n := g.byKey[FuncKey(fn)]; n != nil {
+			reportCloseOwnership(pass, n, sums[n])
+		}
+		closedFlow(pass, g, sums, fd.Body)
+		for _, lit := range funcLits(fd.Body) {
+			closedFlow(pass, g, sums, lit.Body)
 		}
 	}
 	return nil

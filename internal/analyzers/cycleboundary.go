@@ -1,9 +1,6 @@
 package analyzers
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // CycleBoundary enforces the mutation discipline of the broadcast
 // program: state swaps may only happen at data-cycle boundaries, which
@@ -45,34 +42,24 @@ var cycleSeams = map[string]bool{
 }
 
 func runCycleBoundary(pass *Pass) error {
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			caller, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			if pass.Index.Has(caller, "cycle-boundary") || cycleSeams[caller.Name()] {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				callee := calleeFunc(pass.TypesInfo, call)
-				if callee == nil || !pass.Index.Has(callee, "cycle-boundary") {
-					return true
-				}
-				pass.Reportf(call.Pos(),
-					"%s calls cycle-boundary mutator %s; program state may only change through the admission seams (Admit/Evict/Negotiate/AdmitTxn/ReleaseTxn/Release/FailChannel)",
-					caller.Name(), callee.Name())
-				return true
-			})
+	for fd, caller := range funcDecls(pass.Files, pass.TypesInfo) {
+		if pass.Index.Has(caller, "cycle-boundary") || cycleSeams[caller.Name()] {
+			continue
 		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			callee := calleeFunc(pass.TypesInfo, call)
+			if callee == nil || !pass.Index.Has(callee, "cycle-boundary") {
+				return true
+			}
+			pass.Reportf(call.Pos(),
+				"%s calls cycle-boundary mutator %s; program state may only change through the admission seams (Admit/Evict/Negotiate/AdmitTxn/ReleaseTxn/Release/FailChannel)",
+				caller.Name(), callee.Name())
+			return true
+		})
 	}
 	return nil
 }

@@ -38,14 +38,8 @@ var GoroLeak = &Analyzer{
 
 func runGoroLeak(pass *Pass) error {
 	decls := map[*types.Func]*ast.FuncDecl{}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-					decls[fn] = fd
-				}
-			}
-		}
+	for fd, fn := range funcDecls(pass.Files, pass.TypesInfo) {
+		decls[fn] = fd
 	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {

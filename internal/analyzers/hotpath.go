@@ -72,20 +72,13 @@ type hotRange struct {
 
 func runHotPath(pass *Pass) error {
 	var hot []hotRange
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok || !pass.Index.Has(fn, "hotpath") {
-				continue
-			}
-			checkHotFunc(pass, fd, fn)
-			from, to := pass.Fset.Position(fd.Pos()), pass.Fset.Position(fd.Body.End())
-			hot = append(hot, hotRange{file: from.Filename, from: from.Line, to: to.Line, name: fn.Name()})
+	for fd, fn := range funcDecls(pass.Files, pass.TypesInfo) {
+		if !pass.Index.Has(fn, "hotpath") {
+			continue
 		}
+		checkHotFunc(pass, fd, fn)
+		from, to := pass.Fset.Position(fd.Pos()), pass.Fset.Position(fd.Body.End())
+		hot = append(hot, hotRange{file: from.Filename, from: from.Line, to: to.Line, name: fn.Name()})
 	}
 	// Only packages that annotate hot paths pay the compile.
 	if len(hot) == 0 {

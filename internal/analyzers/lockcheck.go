@@ -42,29 +42,19 @@ func runLockCheck(pass *Pass) error {
 	if len(guards) == 0 {
 		return nil
 	}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			w := &lockChecker{
-				pass:    pass,
-				guards:  guards,
-				trusted: trustedMutexes(pass, fn),
-				local:   locallyConstructed(pass, fd.Body),
-			}
-			w.checkBody(fd.Body)
-			// Closures may run at any time; their bodies are analyzed
-			// lock-free (deferred closures are skipped — they run under
-			// unknown state).
-			for _, lit := range funcLits(fd.Body) {
-				w.checkBody(lit.Body)
-			}
+	for fd, fn := range funcDecls(pass.Files, pass.TypesInfo) {
+		w := &lockChecker{
+			pass:    pass,
+			guards:  guards,
+			trusted: trustedMutexes(pass, fn),
+			local:   locallyConstructed(pass, fd.Body),
+		}
+		w.checkBody(fd.Body)
+		// Closures may run at any time; their bodies are analyzed
+		// lock-free (deferred closures are skipped — they run under
+		// unknown state).
+		for _, lit := range funcLits(fd.Body) {
+			w.checkBody(lit.Body)
 		}
 	}
 	return nil

@@ -2,9 +2,7 @@ package analyzers
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
-	"go/types"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -120,34 +118,24 @@ func (ix *Index) lockOrderGraph() *lockGraph {
 }
 
 func collectLockEdges(pkg *Package, index *Index, g *lockGraph) {
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+	for fd, fn := range funcDecls(pkg.Files, pkg.TypesInfo) {
+		acquire := func(pos token.Pos, class string, held lockState) {
+			if class == "" {
+				return
 			}
-			fn, ok := pkg.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			acquire := func(pos token.Pos, class string, held lockState) {
-				if class == "" {
-					return
+			for _, heldClass := range held {
+				if heldClass == "" {
+					continue
 				}
-				for _, heldClass := range held {
-					if heldClass == "" {
-						continue
-					}
-					g.addEdge(lockEdge{from: heldClass, to: class, pos: pos, fn: fn.Name()})
-				}
+				g.addEdge(lockEdge{from: heldClass, to: class, pos: pos, fn: fn.Name()})
 			}
-			entry := callerHeldLocks(pkg, index, fd, fn)
-			lockFlow(pkg.TypesInfo, fd.Body, entry, lockHooks{acquire: acquire})
-			// Closure bodies hold nothing on entry (they run at an
-			// unknown time), but orderings inside them still count.
-			for _, lit := range funcLits(fd.Body) {
-				lockFlow(pkg.TypesInfo, lit.Body, lockState{}, lockHooks{acquire: acquire})
-			}
+		}
+		entry := callerHeldLocks(pkg, index, fd, fn)
+		lockFlow(pkg.TypesInfo, fd.Body, entry, lockHooks{acquire: acquire})
+		// Closure bodies hold nothing on entry (they run at an
+		// unknown time), but orderings inside them still count.
+		for _, lit := range funcLits(fd.Body) {
+			lockFlow(pkg.TypesInfo, lit.Body, lockState{}, lockHooks{acquire: acquire})
 		}
 	}
 }

@@ -56,7 +56,7 @@ func BlockSizeTradeoff(fileBytes int, levels []int) (*Table, error) {
 		start := time.Now()
 		const reps = 50
 		for k := 0; k < reps; k++ {
-			if _, err := codec.Reconstruct(shards, fileBytes); err != nil {
+			if _, err := codec.ReconstructInto(shards, fileBytes, nil); err != nil {
 				return nil, err
 			}
 		}

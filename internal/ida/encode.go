@@ -12,26 +12,27 @@ import (
 // length modulo 2³² bytes.
 var errTooLong = fmt.Errorf("%w: a file longer than %d bytes overflows a block's Length", ErrBadParams, uint32(math.MaxUint32))
 
-// payloadLen returns the length of each payload a file of n bytes
-// disperses into, or why it cannot be dispersed: an empty file has no
-// source blocks, and a block's Length is 32 bits wide. It depends on
-// the length alone, so every entry asks it before sizing a buffer.
+// FrameLen returns the length of each frame, header and payload, a
+// file of n bytes disperses into, or why it cannot be dispersed: an
+// empty file has no source blocks, and a block's Length is 32 bits
+// wide. Every entry asks it before sizing a buffer, and so does a
+// caller sizing the slab it hands DisperseFramesRange.
 //
 //pinlint:hotpath
-func (c *Codec) payloadLen(n int) (int, error) {
+func (c *Codec) FrameLen(n int) (int, error) {
 	if n == 0 {
 		return 0, ErrEmptyFile
 	}
 	if uint64(n) > math.MaxUint32 {
 		return 0, errTooLong
 	}
-	return c.shardLen(n), nil
+	return headerSize + c.shardLen(n), nil
 }
 
 // disperseRows is the codec's one encode loop: it writes rows [first,
 // first+len(out)) of data's dispersal into out, payload i − first being
 // Σⱼ mat[i][j]·sourceⱼ, the dispersal operation of Figure 3. Every
-// payload is payloadLen(len(data)) bytes, and payloads alias neither
+// payload is shardLen(len(data)) bytes, and payloads alias neither
 // data nor each other. The rows of a systematic Vandermonde matrix do
 // not depend on n, so a row range of a wide codec is a share of one
 // code that several senders split between them — any m blocks of the
@@ -97,11 +98,11 @@ func (c *Codec) disperseRows(data []byte, out [][]byte, first int) {
 //
 //pinlint:hotpath
 func (c *Codec) DisperseInto(data []byte, dst [][]byte) ([][]byte, error) {
-	l, err := c.payloadLen(len(data))
+	wire, err := c.FrameLen(len(data))
 	if err != nil {
 		return nil, err
 	}
-	dst = growPayloads(dst, c.n, l) //pinlint:allow hotpath — first-cycle growth; steady state passes capacity back in
+	dst = growPayloads(dst, c.n, wire-headerSize) //pinlint:allow hotpath — first-cycle growth; steady state passes capacity back in
 	c.disperseRows(data, dst, 0)
 	return dst, nil
 }
@@ -132,43 +133,40 @@ func (c *Codec) DisperseBatch(files [][]byte, dst [][][]byte) ([][][]byte, error
 
 // DisperseFramesRange disperses blocks [first, end) of data (0 ≤ first
 // < end ≤ n; the whole code is 0, n) under identifier id straight into
-// wire form: blocks[k] is block first+k, with its own number in Seq and
-// the codec's full width in N. It refuses the files DisperseInto does. A range that starts at or past m holds
-// no systematic block. The frames share one slab, back to back; the
-// payloads are encoded into the frames' payload regions and every
-// header and CRC-32 is then sealed in place, so each block exists once:
-// blocks[k].Payload aliases frames[k][headerSize:]. Blocks and frames
-// are meant to be shared from here on — copy before mutating either.
-func (c *Codec) DisperseFramesRange(id uint32, data []byte, first, end int) (blocks []*Block, frames [][]byte, err error) {
-	if first < 0 || first >= end || end > c.n {
-		return nil, nil, fmt.Errorf("%w (blocks [%d,%d) of %d)", ErrBadParams, first, end, c.n)
-	}
-	l, err := c.payloadLen(len(data))
+// wire form, in storage the caller gives it: blocks and frames hold
+// end − first entries, and slab that many frames of FrameLen(len(data))
+// bytes. blocks[k] becomes block first+k, with its own number in Seq
+// and the codec's full width in N, and frames[k] its frame, the k-th
+// frame of slab with its capacity cut at its end, so an append to one
+// frame cannot reach the next. It refuses the files FrameLen does, and
+// storage of any other size with ErrBadParams. A range that starts at
+// or past m holds no systematic block. The payloads are encoded into
+// the frames' payload regions and every header and CRC-32 is then
+// sealed in place, so each block exists once: blocks[k].Payload aliases
+// frames[k][headerSize:]. Blocks and frames are meant to be shared from
+// here on — copy before mutating either — and any one of them keeps the
+// whole slab alive: a server build hands one slab to all its small files
+// and a slab of its own to each large one (server.NewSplit).
+func (c *Codec) DisperseFramesRange(id uint32, data []byte, first, end int, slab []byte, blocks []Block, frames [][]byte) error {
+	wire, err := c.FrameLen(len(data))
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	rows, wire := end-first, headerSize+l
-	slab, store := make([]byte, rows*wire), make([]Block, rows)
-	blocks, frames = make([]*Block, rows), make([][]byte, rows)
-	payloads := make([][]byte, rows)
-	for i := range store {
-		frames[i] = slab[i*wire : (i+1)*wire : (i+1)*wire]
-		payloads[i] = frames[i][headerSize:]
-		store[i] = Block{
-			FileID:  id,
-			Seq:     uint16(first + i),
-			M:       uint16(c.m),
-			N:       uint16(c.n),
-			Length:  uint32(len(data)),
-			Payload: payloads[i],
-		}
-		blocks[i] = &store[i]
+	if rows := end - first; first < 0 || rows <= 0 || end > c.n || len(blocks) != rows || len(frames) != rows || len(slab) != rows*wire {
+		return fmt.Errorf("%w (blocks [%d,%d) of %d into %d blocks, %d frames, %d bytes)", ErrBadParams, first, end, c.n, len(blocks), len(frames), len(slab))
 	}
-	c.disperseRows(data, payloads, first)
-	for i, b := range blocks {
-		b.seal(frames[i])
+	// frames holds the payload regions while the rows are encoded, then
+	// the whole frames as they are sealed.
+	for k := range frames {
+		frames[k] = slab[k*wire+headerSize : (k+1)*wire : (k+1)*wire]
 	}
-	return blocks, frames, nil
+	c.disperseRows(data, frames, first)
+	for k := range frames {
+		frames[k] = slab[k*wire : (k+1)*wire : (k+1)*wire]
+		blocks[k] = Block{FileID: id, Seq: uint16(first + k), M: uint16(c.m), N: uint16(c.n), Length: uint32(len(data)), Payload: frames[k][headerSize:]}
+		blocks[k].seal(frames[k])
+	}
+	return nil
 }
 
 // growPayloads reslices dst to n payloads of l bytes each, reusing

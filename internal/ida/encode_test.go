@@ -48,6 +48,24 @@ func reference(c *Codec, data []byte) [][]byte {
 	return out
 }
 
+// disperseRange runs DisperseFramesRange on storage of its own, sized
+// by FrameLen.
+func disperseRange(c *Codec, id uint32, data []byte, first, end int) ([]*Block, [][]byte, error) {
+	wire, err := c.FrameLen(len(data))
+	if err != nil {
+		return nil, nil, err
+	}
+	rows := end - first
+	store, blocks, frames := make([]Block, rows), make([]*Block, rows), make([][]byte, rows)
+	if err := c.DisperseFramesRange(id, data, first, end, make([]byte, rows*wire), store, frames); err != nil {
+		return nil, nil, err
+	}
+	for k := range store {
+		blocks[k] = &store[k]
+	}
+	return blocks, frames, nil
+}
+
 // encodeCases is the (m, n) grid and the file set of every encoder
 // test: batchFiles' lengths plus random files whose lengths are 1 to
 // past 4 KiB, so source blocks are whole, partial and all padding.
@@ -127,7 +145,7 @@ func TestDisperseMatchesReference(t *testing.T) {
 			want := reference(c, data)
 			for first := 0; first < c.n; first++ {
 				for end := first + 1; end <= c.n; end++ {
-					blocks, _, err := c.DisperseFramesRange(1, data, first, end)
+					blocks, _, err := disperseRange(c, 1, data, first, end)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -221,15 +239,15 @@ func TestDisperseRefusesLengthPastUint32(t *testing.T) {
 		t.Fatal(err)
 	}
 	limit := uint64(math.MaxUint32)
-	if l, err := c.payloadLen(int(limit)); err != nil || l != int(limit/8+1) {
-		t.Fatalf("a file of 2³² − 1 bytes: payload %d, %v", l, err)
+	if l, err := c.FrameLen(int(limit)); err != nil || l != headerSize+int(limit/8+1) {
+		t.Fatalf("a file of 2³² − 1 bytes: frame %d, %v", l, err)
 	}
 	for _, k := range []uint64{1, 5, 1 << 20} {
-		if _, err := c.payloadLen(int(limit + k)); !errors.Is(err, ErrBadParams) {
+		if _, err := c.FrameLen(int(limit + k)); !errors.Is(err, ErrBadParams) {
 			t.Fatalf("a file of 2³² − 1 + %d bytes: err = %v, want ErrBadParams", k, err)
 		}
 	}
-	if _, err := c.payloadLen(0); !errors.Is(err, ErrEmptyFile) {
+	if _, err := c.FrameLen(0); !errors.Is(err, ErrEmptyFile) {
 		t.Fatalf("an empty file: err = %v, want ErrEmptyFile", err)
 	}
 }
@@ -315,7 +333,7 @@ func TestDisperseFramesMatchesMarshal(t *testing.T) {
 		}
 		for f, data := range batchFiles(mn[0]) {
 			id := uint32(1000 + f)
-			blocks, frames, err := c.DisperseFramesRange(id, data, 0, mn[1])
+			blocks, frames, err := disperseRange(c, id, data, 0, mn[1])
 			if err != nil {
 				t.Fatalf("(%d,%d): DisperseFramesRange: %v", mn[0], mn[1], err)
 			}
@@ -366,7 +384,7 @@ func TestDisperseRange(t *testing.T) {
 		for f, data := range files {
 			alone, whole := reference(narrow, data), reference(wide, data)
 			for j := 0; j < homes; j++ {
-				blocks, frames, err := wide.DisperseFramesRange(uint32(9+f), data, j*w, (j+1)*w)
+				blocks, frames, err := disperseRange(wide, uint32(9+f), data, j*w, (j+1)*w)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -401,12 +419,20 @@ func TestDisperseRange(t *testing.T) {
 	// part of the systematic prefix encodes from the file for the rest.
 	c, _ := Shared(2, 6)
 	whole := reference(c, data)
-	if part, _, err := c.DisperseFramesRange(9, data, 1, 4); err != nil || !bytes.Equal(part[2].Payload, whole[3]) {
+	if part, _, err := disperseRange(c, 9, data, 1, 4); err != nil || !bytes.Equal(part[2].Payload, whole[3]) {
 		t.Fatalf("blocks [1,4) of 6: block 3 differs from the whole code's (%v)", err)
 	}
+	wire, _ := c.FrameLen(len(data))
 	for _, r := range [][2]int{{-1, 3}, {3, 3}, {4, 7}} {
-		if _, _, err := c.DisperseFramesRange(9, data, r[0], r[1]); !errors.Is(err, ErrBadParams) {
+		rows := max(0, r[1]-r[0])
+		if err := c.DisperseFramesRange(9, data, r[0], r[1], make([]byte, rows*wire), make([]Block, rows), make([][]byte, rows)); !errors.Is(err, ErrBadParams) {
 			t.Fatalf("range [%d,%d) of 6 blocks: %v", r[0], r[1], err)
+		}
+	}
+	// So is storage of any other size than the range's frames.
+	for _, sz := range [][3]int{{3, 3, 3*wire - 1}, {3, 3, 3*wire + 1}, {2, 3, 3 * wire}, {3, 4, 3 * wire}} {
+		if err := c.DisperseFramesRange(9, data, 1, 4, make([]byte, sz[2]), make([]Block, sz[0]), make([][]byte, sz[1])); !errors.Is(err, ErrBadParams) {
+			t.Fatalf("blocks [1,4) into %d blocks, %d frames and %d bytes: %v", sz[0], sz[1], sz[2], err)
 		}
 	}
 }

@@ -27,8 +27,7 @@ import (
 // remains invertible — the any-m-of-n property of §2.1 is unchanged.
 //
 // DisperseInto and ReconstructInto write into caller-owned buffers, so
-// steady-state encode/decode loops run allocation-free; Reconstruct
-// allocates its result.
+// steady-state encode/decode loops run allocation-free.
 type Codec struct {
 	m, n int
 	mat  *gfmat.Matrix // n×m systematic dispersal matrix [x_ij]
@@ -170,18 +169,12 @@ func releaseRecon(sc *reconScratch) {
 	reconPool.Put(sc)
 }
 
-// Reconstruct recovers the original file of dataLen bytes from any m
-// shards with distinct sequence numbers. Extra shards beyond m are
-// ignored (the first m distinct, in ascending Seq order, are used). The
-// result is freshly allocated; use ReconstructInto to reuse a buffer.
-func (c *Codec) Reconstruct(shards []Shard, dataLen int) ([]byte, error) {
-	return c.ReconstructInto(shards, dataLen, nil)
-}
-
-// ReconstructInto recovers the original file of dataLen bytes into dst,
-// reusing dst's backing array when it has capacity for the padded file
-// (m·shardLen bytes), and returns the first dataLen bytes. A nil or
-// too-small dst grows as needed.
+// ReconstructInto recovers the original file of dataLen bytes from any
+// m shards with distinct sequence numbers into dst, reusing dst's
+// backing array when it has capacity for the padded file (m·shardLen
+// bytes), and returns the first dataLen bytes. Extra shards beyond m
+// are ignored (the first m distinct, in ascending Seq order, are used).
+// A nil or too-small dst grows as needed.
 //
 // Ownership: the returned slice aliases dst's backing array (or the
 // grown replacement); the codec retains no reference to it or to the
@@ -325,11 +318,21 @@ func packSubsetKey(b []byte, seqs []int) []byte {
 // process-wide shared one for (m, n).
 func DisperseFile(fileID uint32, data []byte, m, n int) ([]*Block, error) {
 	c, err := Shared(m, n)
+	wire := 0
+	if err == nil {
+		wire, err = c.FrameLen(len(data))
+	}
 	if err != nil {
 		return nil, err
 	}
-	blocks, _, err := c.DisperseFramesRange(fileID, data, 0, n)
-	return blocks, err
+	store, blocks := make([]Block, n), make([]*Block, n)
+	if err := c.DisperseFramesRange(fileID, data, 0, n, make([]byte, n*wire), store, make([][]byte, n)); err != nil {
+		return nil, err
+	}
+	for i := range store {
+		blocks[i] = &store[i]
+	}
+	return blocks, nil
 }
 
 // shardPool recycles the shard views assembled by ReconstructFileInto.

@@ -46,7 +46,7 @@ func TestDisperseReconstructAllBlocks(t *testing.T) {
 	for i, p := range payloads {
 		shards[i] = Shard{Seq: i, Data: p}
 	}
-	got, err := c.Reconstruct(shards, len(data))
+	got, err := c.ReconstructInto(shards, len(data), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestReconstructFromAnyMSubset(t *testing.T) {
 					{Seq: b, Data: payloads[b]},
 					{Seq: d, Data: payloads[d]},
 				}
-				got, err := c.Reconstruct(shards, len(data))
+				got, err := c.ReconstructInto(shards, len(data), nil)
 				if err != nil {
 					t.Fatalf("subset {%d,%d,%d}: %v", a, b, d, err)
 				}
@@ -95,7 +95,7 @@ func TestReconstructTooFewBlocks(t *testing.T) {
 		{Seq: 1, Data: payloads[1]},
 		{Seq: 2, Data: payloads[2]},
 	}
-	if _, err := c.Reconstruct(shards, len(data)); err == nil {
+	if _, err := c.ReconstructInto(shards, len(data), nil); err == nil {
 		t.Fatal("reconstruction with m-1 blocks succeeded")
 	}
 }
@@ -110,7 +110,7 @@ func TestReconstructIgnoresDuplicates(t *testing.T) {
 		{Seq: 1, Data: payloads[1]},
 		{Seq: 3, Data: payloads[3]},
 	}
-	got, err := c.Reconstruct(shards, len(data))
+	got, err := c.ReconstructInto(shards, len(data), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestReconstructIgnoresDuplicates(t *testing.T) {
 
 func TestReconstructRejectsBadSeq(t *testing.T) {
 	c, _ := NewCodec(2, 4)
-	if _, err := c.Reconstruct([]Shard{{Seq: 4, Data: []byte{0}}, {Seq: 0, Data: []byte{0}}}, 1); err == nil {
+	if _, err := c.ReconstructInto([]Shard{{Seq: 4, Data: []byte{0}}, {Seq: 0, Data: []byte{0}}}, 1, nil); err == nil {
 		t.Fatal("out-of-range seq accepted")
 	}
 }
@@ -134,7 +134,7 @@ func TestReconstructRejectsWrongSize(t *testing.T) {
 		{Seq: 0, Data: payloads[0][:1]},
 		{Seq: 1, Data: payloads[1]},
 	}
-	if _, err := c.Reconstruct(shards, len(data)); err == nil {
+	if _, err := c.ReconstructInto(shards, len(data), nil); err == nil {
 		t.Fatal("short shard accepted")
 	}
 }
@@ -142,7 +142,10 @@ func TestReconstructRejectsWrongSize(t *testing.T) {
 // TestDisperseEmptyFile: every encode entry refuses an empty file.
 func TestDisperseEmptyFile(t *testing.T) {
 	c, _ := NewCodec(2, 4)
-	if _, _, err := c.DisperseFramesRange(1, nil, 0, 4); !errors.Is(err, ErrEmptyFile) {
+	if _, err := c.FrameLen(0); !errors.Is(err, ErrEmptyFile) {
+		t.Fatalf("FrameLen: err = %v, want ErrEmptyFile", err)
+	}
+	if err := c.DisperseFramesRange(1, nil, 0, 4, nil, make([]Block, 4), make([][]byte, 4)); !errors.Is(err, ErrEmptyFile) {
 		t.Fatalf("DisperseFramesRange: err = %v, want ErrEmptyFile", err)
 	}
 	if _, err := DisperseFile(1, []byte{}, 2, 4); !errors.Is(err, ErrEmptyFile) {
@@ -166,7 +169,7 @@ func TestPaddingLengths(t *testing.T) {
 		for i := 0; i < 7; i++ {
 			shards[i] = Shard{Seq: i + 3, Data: payloads[i+3]}
 		}
-		got, err := c.Reconstruct(shards, l)
+		got, err := c.ReconstructInto(shards, l, nil)
 		if err != nil {
 			t.Fatalf("len %d: %v", l, err)
 		}
@@ -197,7 +200,7 @@ func TestQuickRandomSubsets(t *testing.T) {
 		for i, s := range idx {
 			shards[i] = Shard{Seq: s, Data: payloads[s]}
 		}
-		got, err := c.Reconstruct(shards, len(raw))
+		got, err := c.ReconstructInto(shards, len(raw), nil)
 		return err == nil && bytes.Equal(got, raw)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -217,13 +220,13 @@ func TestInverseCache(t *testing.T) {
 	if len(c.invCache) != 0 {
 		t.Fatal("cache not empty initially")
 	}
-	if _, err := c.Reconstruct(shards, len(data)); err != nil {
+	if _, err := c.ReconstructInto(shards, len(data), nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.invCache) != 1 {
 		t.Fatalf("cache size = %d, want 1", len(c.invCache))
 	}
-	if _, err := c.Reconstruct(shards, len(data)); err != nil {
+	if _, err := c.ReconstructInto(shards, len(data), nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.invCache) != 1 {
@@ -243,7 +246,7 @@ func TestCodecConcurrentUse(t *testing.T) {
 				s := (start + i*2) % 8
 				shards[i] = Shard{Seq: s, Data: payloads[s]}
 			}
-			got, err := c.Reconstruct(shards, len(data))
+			got, err := c.ReconstructInto(shards, len(data), nil)
 			if err == nil && !bytes.Equal(got, data) {
 				err = ErrInconsistent
 			}
@@ -304,7 +307,7 @@ func benchReconstruct(b *testing.B, m, n, size int) {
 	b.SetBytes(int64(size))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Reconstruct(shards, size); err != nil {
+		if _, err := c.ReconstructInto(shards, size, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -329,7 +332,7 @@ func BenchmarkReconstructColdCache(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := c.Reconstruct(shards, len(data)); err != nil {
+		if _, err := c.ReconstructInto(shards, len(data), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -344,13 +347,13 @@ func BenchmarkReconstructWarmCache(b *testing.B) {
 	for i := 0; i < 20; i++ {
 		shards[i] = Shard{Seq: 39 - i, Data: payloads[39-i]}
 	}
-	if _, err := c.Reconstruct(shards, len(data)); err != nil {
+	if _, err := c.ReconstructInto(shards, len(data), nil); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Reconstruct(shards, len(data)); err != nil {
+		if _, err := c.ReconstructInto(shards, len(data), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -41,10 +41,10 @@ func TestDisperseIntoZeroLength(t *testing.T) {
 	}
 }
 
-// TestReconstructIntoMatchesReconstruct drives both decode paths over
-// random fault patterns (random m-subsets of surviving shards) and
-// asserts identical output, with the destination buffer reused across
-// iterations.
+// TestReconstructIntoMatchesReconstruct drives a fresh decode and one
+// into a destination buffer reused across iterations over random fault
+// patterns (random m-subsets of surviving shards) and asserts identical
+// output.
 func TestReconstructIntoMatchesReconstruct(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	params := []struct{ m, n int }{{1, 3}, {2, 4}, {3, 6}, {5, 10}, {8, 12}}
@@ -68,7 +68,7 @@ func TestReconstructIntoMatchesReconstruct(t *testing.T) {
 				for i, s := range idx {
 					shards[i] = Shard{Seq: s, Data: payloads[s]}
 				}
-				want, err := c.Reconstruct(shards, l)
+				want, err := c.ReconstructInto(shards, l, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -77,7 +77,7 @@ func TestReconstructIntoMatchesReconstruct(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(dst, want) {
-					t.Fatalf("(%d,%d) len %d subset %v: ReconstructInto differs from Reconstruct",
+					t.Fatalf("(%d,%d) len %d subset %v: a reused buffer differs from a fresh one",
 						p.m, p.n, l, idx)
 				}
 				if !bytes.Equal(dst, data) {
@@ -387,7 +387,7 @@ func FuzzDisperseReconstruct(f *testing.F) {
 		whole := reference(c, data)
 		payloads := make([][]byte, 0, n)
 		for first := 0; first < n; first += w {
-			blocks, _, err := c.DisperseFramesRange(1, data, first, first+w)
+			blocks, _, err := disperseRange(c, 1, data, first, first+w)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -482,6 +482,19 @@ func BenchmarkExact(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveUndecided is what the default chain spends on a system
+// it cannot decide: on {(3,12),(1,9),(1,9),(3,11),(3,12)} (density
+// 0.995) every member fails and exact runs out of its state budget, so
+// Solve reports ErrSchedulerFailed. It asserts no verdict, so a search
+// that decides the system is measured by the same numbers.
+func BenchmarkSolveUndecided(b *testing.B) {
+	s := System{{A: 3, B: 12}, {A: 1, B: 9}, {A: 1, B: 9}, {A: 3, B: 11}, {A: 3, B: 12}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Solve(s, nil)
+	}
+}
+
 // BenchmarkVerify certifies a solved schedule: a small random system,
 // and the pinwheel system of cmd/bdload's admit-churn catalogue with its
 // churn file on (workload.Random(256, 8, 10, 80, 0, 1)'s draws, one

@@ -18,15 +18,20 @@ import (
 // never changes after New, so successive Servers share the blocks and
 // frames of the files that did not change between them.
 type Server struct {
-	prog     *core.Program
-	ids      []uint32 // per file: the stable broadcast identifier
-	names    map[uint32]string
-	data     [][]byte       // per file: the contents slice it was dispersed from
-	ranges   []Range        // per file: which N blocks of its code these are
-	blocks   [][]*ida.Block // per file: the N transmitted blocks, by rotation position
-	payloads [][][]byte     // per file: the wire form of each block; blocks alias their payload regions
-	encoded  int            // files New dispersed; the rest were carried over
+	prog    *core.Program
+	ids     []uint32 // per file: the stable broadcast identifier
+	names   map[uint32]string
+	data    [][]byte      // per file: the contents slice it was dispersed from
+	ranges  []Range       // per file: which N blocks of its code these are
+	blocks  [][]ida.Block // per file: the N transmitted blocks, by rotation position
+	frames  [][][]byte    // per file: the wire form of each block; blocks alias their payload regions
+	encoded int           // files New dispersed; the rest were carried over
 }
+
+// largeFrames is the runtime's small-object limit: a file whose frames
+// together reach it is a large object with a span of its own anyway, so
+// it gets a slab of its own rather than a share of its build's.
+const largeFrames = 32 << 10
 
 // FileID returns the stable broadcast identifier for a named file: the
 // FNV-32a hash of the name. Name-derived identifiers survive program
@@ -84,9 +89,13 @@ type Range struct{ Index, Of int }
 // array and length; contents are never mutated once handed over, so
 // identity is equality, checked in O(1)) — is carried over: the new
 // server shares that server's immutable blocks and frames. Only the
-// rest is encoded, each file on its own straight into its frames
-// (ida.Codec.DisperseFramesRange); with no from server (nil ones are
-// skipped) that is every file.
+// rest is encoded, straight into its frames (DisperseFramesRange); with
+// no from server (nil ones are skipped) that is every file. A build
+// sizes every frame it encodes first: the frames of its small files
+// share one slab, and a file whose frames reach largeFrames gets a slab
+// of its own. A carried small file keeps the slab of the build that
+// encoded it alive, so a server holds at most its large files' frames
+// and the slabs of the builds its small files came from.
 func New(prog *core.Program, contents map[string][]byte, from ...*Server) (*Server, error) {
 	return NewSplit(prog, contents, nil, from...)
 }
@@ -110,14 +119,18 @@ func NewSplit(prog *core.Program, contents map[string][]byte, ranges map[string]
 		return nil, err
 	}
 	s := &Server{
-		prog:     prog,
-		ids:      ids,
-		names:    names,
-		data:     make([][]byte, len(prog.Files)),
-		ranges:   make([]Range, len(prog.Files)),
-		blocks:   make([][]*ida.Block, len(prog.Files)),
-		payloads: make([][][]byte, len(prog.Files)),
+		prog:   prog,
+		ids:    ids,
+		names:  names,
+		data:   make([][]byte, len(prog.Files)),
+		ranges: make([]Range, len(prog.Files)),
+		blocks: make([][]ida.Block, len(prog.Files)),
+		frames: make([][][]byte, len(prog.Files)),
 	}
+	// Size the frames of every file not carried over, then encode them:
+	// the small files' frames back to back in one slab, their blocks in
+	// one store and one frame table; a large file has its own three.
+	codecs, packed, rows := make([]*ida.Codec, len(prog.Files)), 0, 0
 	for i, info := range prog.Files {
 		data, ok := contents[info.Name]
 		if s.ranges[i] = ranges[info.Name]; s.ranges[i].Of == 0 {
@@ -135,12 +148,32 @@ func NewSplit(prog *core.Program, contents map[string][]byte, ranges map[string]
 		if s.carry(i, from) {
 			continue
 		}
-		r := s.ranges[i]
-		codec, err := ida.Shared(info.M, r.Of*info.N)
-		if err == nil {
-			s.blocks[i], s.payloads[i], err = codec.DisperseFramesRange(ids[i], data, r.Index*info.N, (r.Index+1)*info.N)
+		wire := 0
+		if codecs[i], err = ida.Shared(info.M, s.ranges[i].Of*info.N); err == nil {
+			wire, err = codecs[i].FrameLen(len(data))
 		}
 		if err != nil {
+			return nil, fmt.Errorf("server: dispersing %q: %w", info.Name, err)
+		}
+		if size := wire * info.N; size < largeFrames {
+			packed, rows = packed+size, rows+info.N
+		}
+	}
+	slab, store, frames := make([]byte, packed), make([]ida.Block, rows), make([][]byte, rows)
+	for i, info := range prog.Files {
+		if codecs[i] == nil {
+			continue
+		}
+		wire, _ := codecs[i].FrameLen(len(s.data[i]))
+		n, own := info.N, slab
+		if size := wire * n; size >= largeFrames {
+			own, s.blocks[i], s.frames[i] = make([]byte, size), make([]ida.Block, n), make([][]byte, n)
+		} else {
+			own, slab = slab[:size], slab[size:]
+			s.blocks[i], s.frames[i], store, frames = store[:n:n], frames[:n:n], store[n:], frames[n:]
+		}
+		first := s.ranges[i].Index * n
+		if err := codecs[i].DisperseFramesRange(s.ids[i], s.data[i], first, first+n, own, s.blocks[i], s.frames[i]); err != nil {
 			return nil, fmt.Errorf("server: dispersing %q: %w", info.Name, err)
 		}
 		s.encoded++
@@ -162,7 +195,7 @@ func (s *Server) carry(i int, from []*Server) bool {
 			continue
 		}
 		if was := b.data[j]; len(was) == len(data) && &was[0] == &data[0] {
-			s.blocks[i], s.payloads[i] = b.blocks[j], b.payloads[j]
+			s.blocks[i], s.frames[i] = b.blocks[j], b.frames[j]
 			return true
 		}
 	}
@@ -203,7 +236,7 @@ func (s *Server) Names() map[uint32]string { return s.names }
 //
 //pinlint:hotpath
 func (s *Server) Block(file, seq int) (*ida.Block, []byte) {
-	return s.blocks[file][seq], s.payloads[file][seq]
+	return &s.blocks[file][seq], s.frames[file][seq]
 }
 
 // Emit returns the marshaled block transmitted in slot t, or nil for an
@@ -212,7 +245,7 @@ func (s *Server) Block(file, seq int) (*ida.Block, []byte) {
 //pinlint:hotpath
 func (s *Server) Emit(t int) []byte {
 	if file, seq := s.prog.BlockAt(t); file != core.Idle {
-		return s.payloads[file][seq]
+		return s.frames[file][seq]
 	}
 	return nil
 }
@@ -223,7 +256,7 @@ func (s *Server) Emit(t int) []byte {
 //pinlint:hotpath
 func (s *Server) EmitBlock(t int) *ida.Block {
 	if file, seq := s.prog.BlockAt(t); file != core.Idle {
-		return s.blocks[file][seq]
+		return &s.blocks[file][seq]
 	}
 	return nil
 }

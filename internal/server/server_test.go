@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"pinbcast/internal/bcerr"
 	"pinbcast/internal/core"
+	"pinbcast/internal/gf256"
+	"pinbcast/internal/gfmat"
 	"pinbcast/internal/ida"
 	"pinbcast/internal/workload"
 )
@@ -280,6 +285,215 @@ func mustSplit(t *testing.T, prog *core.Program, contents map[string][]byte, r R
 		t.Fatal(err)
 	}
 	return s
+}
+
+// referenceFrames is the wire form of the blocks a server sends of a
+// file, computed from the definition as internal/ida's reference encode
+// is — payload Seq = Σⱼ mat[Seq][j]·sourceⱼ over the m zero-padded
+// source blocks, byte by byte with gf256.MulSlow — and framed by
+// Block.MarshalInto: position p of range r is block r.Index·n+p of the
+// code of width r.Of·n.
+func referenceFrames(id uint32, data []byte, m, n int, r Range) [][]byte {
+	mat := gfmat.SystematicVandermonde(r.Of*n, m)
+	l := (len(data) + m - 1) / m
+	padded := make([]byte, m*l)
+	copy(padded, data)
+	frames := make([][]byte, n)
+	for p := range frames {
+		seq := r.Index*n + p
+		b := ida.Block{FileID: id, Seq: uint16(seq), M: uint16(m), N: uint16(r.Of * n), Length: uint32(len(data)), Payload: make([]byte, l)}
+		for j := 0; j < m; j++ {
+			for k := range b.Payload {
+				b.Payload[k] ^= gf256.MulSlow(mat.At(seq, j), padded[j*l+k])
+			}
+		}
+		frames[p] = b.MarshalInto(nil)
+	}
+	return frames
+}
+
+// span is the address range a byte slice covers.
+type span struct{ lo, hi uintptr }
+
+func spanOf(b []byte) span {
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return span{lo, lo + uintptr(len(b))}
+}
+
+// checkFrames holds every frame srv sends to the reference encode and
+// to ida.UnmarshalInto, its block's payload to the frame's tail, each
+// frame's capacity to its length, and no two frames of srv to a shared
+// byte. Of the files srv encoded itself (encoded[name]), the small
+// ones' frames must lie back to back in one slab and each large one's
+// back to back outside it.
+func checkFrames(t *testing.T, srv *Server, encoded map[string]bool) {
+	t.Helper()
+	var all, small []span
+	large := map[string][]span{}
+	for i, info := range srv.prog.Files {
+		want := referenceFrames(FileID(info.Name), srv.data[i], info.M, info.N, srv.ranges[i])
+		size := 0
+		for p := range want {
+			blk, frame := srv.Block(i, p)
+			if !bytes.Equal(frame, want[p]) {
+				t.Fatalf("%s position %d: frame differs from the reference encode", info.Name, p)
+			}
+			var back ida.Block
+			if err := ida.UnmarshalInto(frame, &back); err != nil {
+				t.Fatalf("%s position %d: %v", info.Name, p, err)
+			}
+			if cap(frame) != len(frame) || cap(blk.Payload) != len(blk.Payload) || spanOf(blk.Payload).hi != spanOf(frame).hi {
+				t.Fatalf("%s position %d: frame cap %d len %d, or its block's payload is not the frame's tail", info.Name, p, cap(frame), len(frame))
+			}
+			all, size = append(all, spanOf(frame)), size+len(frame)
+		}
+		if !encoded[info.Name] {
+			continue
+		}
+		if size < largeFrames {
+			small = append(small, all[len(all)-info.N:]...)
+		} else {
+			large[info.Name] = all[len(all)-info.N:]
+		}
+	}
+	byStart := func(a, b span) int { return int(a.lo) - int(b.lo) }
+	slices.SortFunc(all, byStart)
+	for k := 1; k < len(all); k++ {
+		if all[k].lo < all[k-1].hi {
+			t.Fatalf("two frames share bytes: [%#x, %#x) and [%#x, %#x)", all[k-1].lo, all[k-1].hi, all[k].lo, all[k].hi)
+		}
+	}
+	contiguous := func(what string, spans []span) span {
+		slices.SortFunc(spans, byStart)
+		for k := 1; k < len(spans); k++ {
+			if spans[k].lo != spans[k-1].hi {
+				t.Fatalf("%s: frames are not back to back in one slab", what)
+			}
+		}
+		return span{spans[0].lo, spans[len(spans)-1].hi}
+	}
+	var slab span
+	if len(small) > 0 {
+		slab = contiguous("small files", small)
+	}
+	for name, spans := range large {
+		if own := contiguous(name, spans); own.lo < slab.hi && slab.lo < own.hi {
+			t.Fatalf("%s: a large file's frames lie in the small files' slab", name)
+		}
+	}
+}
+
+// TestBuildFramesDoNotTouch builds a mixed catalogue — 1 KiB and
+// 64 KiB blocks, r from 0 to 3, the split ranges a Cluster uses, and
+// files on either side of largeFrames — from scratch and again with one
+// file changed, and checks every frame of both builds (checkFrames):
+// and that the rebuild's carried files alias the first build's frames.
+func TestBuildFramesDoNotTouch(t *testing.T) {
+	one, err := ida.Shared(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, _ := one.FrameLen(1)
+	header-- // a one-byte payload
+	rng := rand.New(rand.NewSource(46))
+	fill := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	specs := []core.FileSpec{
+		{Name: "k4r0", Blocks: 4, Faults: 0},
+		{Name: "k8r3", Blocks: 8, Faults: 3},
+		{Name: "k1r2", Blocks: 1, Faults: 2},
+		{Name: "k2r1/3", Blocks: 2, Faults: 1},
+		{Name: "below", Blocks: 1, Faults: 0},
+		{Name: "at", Blocks: 1, Faults: 0},
+		{Name: "w2r1", Blocks: 2, Faults: 1},
+		{Name: "w3r3/2", Blocks: 3, Faults: 3},
+		{Name: "w1r0/2", Blocks: 1, Faults: 0},
+	}
+	contents := map[string][]byte{
+		"k4r0": fill(4<<10 - 5), "k8r3": fill(8 << 10), "k1r2": fill(7), "k2r1/3": fill(2<<10 - 1),
+		"below": fill(largeFrames - header - 1), "at": fill(largeFrames - header),
+		"w2r1": fill(128 << 10), "w3r3/2": fill(192<<10 - 3), "w1r0/2": fill(64 << 10),
+	}
+	ranges := map[string]Range{"k2r1/3": {Index: 2, Of: 3}, "w3r3/2": {Index: 1, Of: 2}, "w1r0/2": {Index: 0, Of: 2}}
+	for i := range specs {
+		specs[i].Latency = 64
+	}
+	prog, err := core.FlatSpread(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := map[string]bool{}
+	for name := range contents {
+		all[name] = true
+	}
+	base, err := NewSplit(prog, contents, ranges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFrames(t, base, all)
+
+	changed := "k8r3"
+	next := map[string][]byte{}
+	for name, data := range contents {
+		next[name] = data
+	}
+	next[changed] = bytes.Clone(contents[changed])
+	next[changed][100] ^= 0xff
+	rebuilt, err := NewSplit(prog, next, ranges, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rebuilt.Encoded() != 1 {
+		t.Fatalf("rebuild encoded %d files, want 1", rebuilt.Encoded())
+	}
+	checkFrames(t, rebuilt, map[string]bool{changed: true})
+	for i, info := range prog.Files {
+		for p := 0; p < info.N; p++ {
+			b, frame := rebuilt.Block(i, p)
+			was, wasFrame := base.Block(i, p)
+			if carried := b == was && &frame[0] == &wasFrame[0]; carried != (info.Name != changed) {
+				t.Fatalf("%s position %d: shares the first build's block and frame: %v", info.Name, p, carried)
+			}
+		}
+	}
+}
+
+// allocSpread bounds how many more allocations a from-scratch build of
+// 256 small files makes than one of 16. Every table of a build — the
+// per-file ones, the directory's presized map, the slab, the block
+// store and the frame table — is allocated once whatever its length
+// (both builds make 14 on Go 1.24), so the bound is slack for a map
+// implementation that grows in pieces, far below one per file.
+const allocSpread = 2
+
+// TestBuildAllocatesPerBuild: a from-scratch build of admit-churn's
+// shape (workload.Random(n, 8, 10, 80, 0, 1), r = 1, 1 KiB blocks)
+// allocates per build, not per file.
+func TestBuildAllocatesPerBuild(t *testing.T) {
+	allocs := func(n int) float64 {
+		files := workload.Random(n, 8, 10, 80, 0, 1)
+		for i := range files {
+			files[i].Faults = 1
+		}
+		prog, err := core.BuildProgramWith(files, core.SufficientBandwidth(files), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		contents := workload.Contents(files, 1<<10, 1)
+		return testing.AllocsPerRun(20, func() {
+			if srv, err := New(prog, contents); err != nil || srv.Encoded() != n {
+				t.Fatalf("%d files: %v", n, err)
+			}
+		})
+	}
+	if few, many := allocs(16), allocs(256); many-few > allocSpread {
+		t.Fatalf("a build of 256 files makes %.0f allocations, one of 16 makes %.0f: more than %d apart", many, few, allocSpread)
+	} else {
+		t.Logf("a build of 16 files makes %.0f allocations, one of 256 makes %.0f", few, many)
+	}
 }
 
 // BenchmarkServerRebuild builds the 256-file admit-churn catalogue's
