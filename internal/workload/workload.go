@@ -122,26 +122,103 @@ func Random(n int, maxBlocks, minLatency, maxLatency, maxFaults int, seed int64)
 // rand.New(rand.NewSource(seed)).Read writes into each file in turn, a
 // draw's unused bytes opening the next file. bdserved and bdload
 // regenerate a catalogue from its seed and rely on these exact bytes.
-// Read spends a loop pass per byte; here a draw is one 8-byte
-// little-endian store advancing 7 (its 7 bytes, low first; the next
-// store overwrites the 8th) while 8 remain, and only a carried head
-// and the tail go byte by byte.
+// Read calls through rand.Source once per draw and stores a byte per
+// loop pass; here lagFib runs math/rand's own recurrence in place, 8
+// draws' low 7 bytes go out as 7 little-endian word stores, a draw short
+// of a group as one 8-byte store, and only a carried head and the tail
+// go byte by byte.
 func Contents(files []core.FileSpec, blockSize int, seed int64) map[string][]byte {
-	src := rand.NewSource(seed)
+	g := newLagFib(seed)
 	out := make(map[string][]byte, len(files))
-	val, pos := int64(0), 0 // the last draw's pos unused bytes, lowest next
+	val, pos := uint64(0), 0 // the last draw's pos unused bytes, lowest next
 	for _, f := range files {
 		data := make([]byte, f.Blocks*blockSize)
 		for n := 0; n < len(data); n++ {
 			if pos == 0 {
-				for ; len(data)-n >= 8; n += 7 {
-					binary.LittleEndian.PutUint64(data[n:], uint64(src.Int63()))
-				}
-				val, pos = src.Int63(), 7
+				n += g.fill(data[n:])
+				val, pos = g.step(1)[0], 7
 			}
 			data[n], val, pos = byte(val), val>>8, pos-1
 		}
 		out[f.Name] = data
 	}
 	return out
+}
+
+// A seeded math/rand source is an additive lagged-Fibonacci generator:
+// draw n is draw n−607 plus draw n−273, mod 2⁶⁴.
+const lagLong, lagShort = 607, 273
+
+// lagFib runs that recurrence in place: y[n mod 607] holds draw n once
+// it is drawn, and draw n−607 until then.
+type lagFib struct {
+	y [lagLong]uint64
+	k int // the next draw's index in y
+}
+
+// newLagFib seeds the table from math/rand itself: its first 607 draws,
+// run back once to the 607 before them. Int63 is what Read draws too:
+// an addition carries upward only, so bit 63 never reaches a byte. From
+// the top down, draw i−607 = draw i − draw i−273, and the latter sits at
+// (i+334) mod 607, already run back exactly when i < 273.
+func newLagFib(seed int64) lagFib {
+	g, src := lagFib{}, rand.NewSource(seed)
+	for i := range g.y {
+		g.y[i] = uint64(src.Int63())
+	}
+	for i := lagLong - 1; i >= 0; i-- {
+		g.y[i] -= g.y[(i+lagLong-lagShort)%lagLong]
+	}
+	return g
+}
+
+// step makes the next c draws, no further than y's end, and returns
+// them. It runs in two loops split where the short lag wraps: below 273
+// a draw reads the last turn's y[i+334], from 273 on this turn's
+// y[i−273], which the same loop may just have drawn.
+func (g *lagFib) step(c int) []uint64 {
+	k, end := g.k, g.k+c
+	if m := min(end, lagShort); k < m {
+		addLag(g.y[k:m], g.y[k+lagLong-lagShort:])
+	}
+	if m := max(k, lagShort); m < end {
+		addLag(g.y[m:end], g.y[m-lagShort:])
+	}
+	g.k = end % lagLong
+	return g.y[k:end]
+}
+
+// addLag adds b into a element by element, in order, so b may run into a.
+func addLag(a, b []uint64) {
+	for i, v := range b[:len(a)] {
+		a[i] += v
+	}
+}
+
+// fill writes whole draws into data, 7 bytes each, while 8 bytes remain,
+// leaving a tail of 1 to 7, and returns how many bytes it wrote: 8 draws
+// as 7 word stores while more than 56 remain and y has 8 draws left,
+// else one 8-byte store advancing 7 (the next overwrites its 8th byte).
+func (g *lagFib) fill(data []byte) int {
+	const low7 = 1<<56 - 1
+	n, le := 0, binary.LittleEndian
+	for len(data)-n >= 8 {
+		groups := min((len(data)-n-1)/56, (lagLong-g.k)/8)
+		if groups == 0 {
+			le.PutUint64(data[n:], g.step(1)[0])
+			n += 7
+			continue
+		}
+		for w := g.step(8 * groups); len(w) >= 8; w, n = w[8:], n+56 {
+			d := data[n : n+56]
+			le.PutUint64(d[0:], w[0]&low7|w[1]<<56)
+			le.PutUint64(d[8:], w[1]&low7>>8|w[2]<<48)
+			le.PutUint64(d[16:], w[2]&low7>>16|w[3]<<40)
+			le.PutUint64(d[24:], w[3]&low7>>24|w[4]<<32)
+			le.PutUint64(d[32:], w[4]&low7>>32|w[5]<<24)
+			le.PutUint64(d[40:], w[5]&low7>>40|w[6]<<16)
+			le.PutUint64(d[48:], w[6]&low7>>48|w[7]<<8)
+		}
+	}
+	return n
 }
