@@ -21,9 +21,6 @@ type (
 	GenFileSpec = core.GenFileSpec
 	// Program is a cyclic broadcast program with AIDA block rotation.
 	Program = core.Program
-	// GeneralizedResult carries a generalized construction's program,
-	// conjunct and scheduler system.
-	GeneralizedResult = core.GeneralizedResult
 )
 
 // Idle marks an unallocated slot in programs and schedules.
@@ -83,8 +80,8 @@ func buildProgram(files []FileSpec, bw int, layout Layout, chain []Scheduler) (*
 }
 
 // BuildGeneralizedProgram constructs a program for files with
-// per-fault-level latency vectors via the pinwheel algebra.
-func BuildGeneralizedProgram(files []GenFileSpec) (*GeneralizedResult, error) {
+// per-fault-level latency vectors (§4): WorstLatency(i, j) ≤ d⁽ʲ⁾.
+func BuildGeneralizedProgram(files []GenFileSpec) (*Program, error) {
 	return core.BuildGeneralizedProgram(files)
 }
 
@@ -109,7 +106,8 @@ func FileID(name string) uint32 { return server.FileID(name) }
 
 // Pinwheel scheduling (internal/pinwheel).
 type (
-	// Task is a pinwheel task (a, b): at least a slots of every b.
+	// Task is a pinwheel task (a, b): at least a slots of every b, and
+	// a + j slots of every Later[j−1] for each of its fault levels.
 	Task = pinwheel.Task
 	// TaskSystem is a set of pinwheel tasks sharing the channel.
 	TaskSystem = pinwheel.System

@@ -3,7 +3,7 @@ package pinbcast
 import (
 	"bytes"
 	"fmt"
-	"maps"
+	"slices"
 	"testing"
 	"time"
 
@@ -92,26 +92,27 @@ func TestFacadePinwheel(t *testing.T) {
 }
 
 func TestFacadeAlgebra(t *testing.T) {
-	// bc(i, 4, [8, 9]) through the §4 path that runs: the conjunct the
-	// generalized construction converts it to has density ≤ 5/9.
-	res, err := BuildGeneralizedProgram([]GenFileSpec{{Name: "i", Blocks: 4, Latencies: []int{8, 9}}})
+	// bc(i, 4, [8, 9]) through the §4 path: 5 blocks in every 9 slots
+	// imply 4 in every 8, so the file is the task (5, 9), and its share
+	// of the channel is the condition's density lower bound, 5/9.
+	p, err := BuildGeneralizedProgram([]GenFileSpec{{Name: "i", Blocks: 4, Latencies: []int{8, 9}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := res.Conjunct.Density(); d > 5.0/9.0+1e-9 {
-		t.Fatalf("density = %v", d)
+	if share := float64(p.PerPeriod(0)) / float64(p.Period); share > 5.0/9.0+1e-9 {
+		t.Fatalf("share = %v", share)
 	}
 }
 
 func TestFacadeGeneralized(t *testing.T) {
-	res, err := BuildGeneralizedProgram([]GenFileSpec{
+	p, err := BuildGeneralizedProgram([]GenFileSpec{
 		{Name: "A", Blocks: 2, Latencies: []int{8, 10}},
 		{Name: "B", Blocks: 1, Latencies: []int{6}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Program.Period < 1 {
+	if p.Period < 1 {
 		t.Fatal("empty program")
 	}
 }
@@ -119,8 +120,9 @@ func TestFacadeGeneralized(t *testing.T) {
 // TestConstantVectorTwinsMatchTheOrdinaryPath feeds each catalogue
 // through the §4 path as its constant-vector twin, d⃗ = (B·Tᵢ, …, B·Tᵢ)
 // with rᵢ + 1 levels, at the catalogue's minimum bandwidth and one
-// above it: the converted system is the ordinary one, pc(mᵢ + rᵢ, B·Tᵢ)
-// per file, and the twin builds wherever the ordinary catalogue does.
+// above it: a twin's file is the ordinary task (mᵢ + rᵢ, B·Tᵢ), so the
+// twin builds exactly where the ordinary catalogue does, into the
+// ordinary program slot for slot.
 func TestConstantVectorTwinsMatchTheOrdinaryPath(t *testing.T) {
 	catalogues := map[string][]FileSpec{}
 	for _, n := range []int{1, 4, 16, 64} {
@@ -132,13 +134,6 @@ func TestConstantVectorTwinsMatchTheOrdinaryPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		catalogues["AWACS "+string(mode)] = files
-	}
-	pairs := func(s TaskSystem) map[[2]int]int {
-		out := map[[2]int]int{}
-		for _, task := range s {
-			out[[2]int{task.A, task.B}]++
-		}
-		return out
 	}
 	for name, files := range catalogues {
 		min, err := MinBandwidth(files)
@@ -154,16 +149,13 @@ func TestConstantVectorTwinsMatchTheOrdinaryPath(t *testing.T) {
 				}
 				twin[i] = GenFileSpec{Name: f.Name, Blocks: f.Blocks, Latencies: d}
 			}
-			_, ordErr := Build(BuildConfig{Files: files, Bandwidth: b})
-			res, err := BuildGeneralizedProgram(twin)
-			if err != nil {
-				if ordErr == nil {
-					t.Errorf("%s at b = %d: the ordinary path builds, the §4 twin fails: %v", name, b, err)
-				}
-				continue
-			}
-			if got, want := pairs(res.System), pairs(core.TaskSystem(files, b)); !maps.Equal(got, want) {
-				t.Errorf("%s at b = %d: §4 system %v, ordinary %v", name, b, res.System, core.TaskSystem(files, b))
+			ord, ordErr := Build(BuildConfig{Files: files, Bandwidth: b})
+			p, err := BuildGeneralizedProgram(twin)
+			switch {
+			case (err == nil) != (ordErr == nil):
+				t.Errorf("%s at b = %d: the ordinary path returns %v, the §4 twin %v", name, b, ordErr, err)
+			case err == nil && !slices.Equal(p.Slots, ord.Slots):
+				t.Errorf("%s at b = %d: the §4 twin's slots differ from the ordinary program's (%s, %s)", name, b, p.Origin, ord.Origin)
 			}
 		}
 	}

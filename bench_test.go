@@ -441,17 +441,40 @@ func BenchmarkStationBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkGeneralizedConstruction builds §4 programs: examples/
+// faulttolerance's two files, and the constant-vector twins of IVHS(16)
+// at its minimum bandwidth, b = 5, and of IVHS(64) at b = 22, each
+// file's d⃗ = (b·T, …, b·T) — the ordinary task (m + r, b·T), with
+// windows up to 4 402 slots.
 func BenchmarkGeneralizedConstruction(b *testing.B) {
-	files := []core.GenFileSpec{
+	type set struct {
+		name  string
+		files []core.GenFileSpec
+	}
+	sets := []set{{"nav+met", []core.GenFileSpec{
 		{Name: "nav", Blocks: 3, Latencies: []int{10, 14, 18}},
 		{Name: "met", Blocks: 2, Latencies: []int{12, 16}},
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.BuildGeneralizedProgram(files); err != nil {
-			b.Fatal(err)
+	}}}
+	for _, c := range []struct{ files, bandwidth int }{{16, 5}, {64, 22}} {
+		var twin []core.GenFileSpec
+		for _, f := range workload.IVHS(c.files, 1) {
+			d := make([]int, f.Faults+1)
+			for j := range d {
+				d[j] = c.bandwidth * f.Latency
+			}
+			twin = append(twin, core.GenFileSpec{Name: f.Name, Blocks: f.Blocks, Latencies: d})
 		}
+		sets = append(sets, set{fmt.Sprintf("ivhs%d/b=%d", c.files, c.bandwidth), twin})
+	}
+	for _, set := range sets {
+		b.Run(set.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.BuildGeneralizedProgram(set.files); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -39,11 +39,7 @@ type spec struct {
 		Faults  int    `json:"faults"`
 		Width   int    `json:"width"`
 	} `json:"files"`
-	Generalized []struct {
-		Name      string `json:"name"`
-		Blocks    int    `json:"blocks"`
-		Latencies []int  `json:"latencies"`
-	} `json:"generalized"`
+	Generalized []pinbcast.GenFileSpec `json:"generalized"` // fields matched case-insensitively
 }
 
 func main() {
@@ -198,24 +194,24 @@ func runRegular(s spec, bandwidth int) error {
 }
 
 func runGeneralized(s spec) error {
-	files := make([]pinbcast.GenFileSpec, len(s.Generalized))
-	for i, f := range s.Generalized {
-		files[i] = pinbcast.GenFileSpec{Name: f.Name, Blocks: f.Blocks, Latencies: f.Latencies}
-	}
-	res, err := pinbcast.BuildGeneralizedProgram(files)
+	p, err := pinbcast.BuildGeneralizedProgram(s.Generalized)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("files:             %d\n", len(files))
-	fmt.Printf("nice conjunct:     %s\n", res.Conjunct)
-	fmt.Printf("conjunct density:  %.4f\n", res.Conjunct.Density())
-	fmt.Printf("program period:    %d slots (%s)\n", res.Program.Period, res.Program.Origin)
-	for i, f := range files {
-		fmt.Printf("  %-12s m=%d d⃗=%v slots/period=%d δ=%d\n",
-			f.Name, f.Blocks, f.Latencies, res.Program.PerPeriod(i), res.Program.MaxGap(i))
+	fmt.Printf("files:             %d\n", len(s.Generalized))
+	fmt.Printf("program period:    %d slots (%s)\n", p.Period, p.Origin)
+	for i, f := range s.Generalized {
+		worst := make([]int, len(f.Latencies))
+		for j := range worst {
+			if worst[j], err = p.WorstLatency(i, j); err != nil {
+				return err
+			}
+		}
+		fmt.Printf("  %-12s m=%d d⃗=%v worst=%v slots/period=%d δ=%d\n",
+			f.Name, f.Blocks, f.Latencies, worst, p.PerPeriod(i), p.MaxGap(i))
 	}
-	if res.Program.Period <= 64 {
-		fmt.Printf("program:           %s\n", res.Program)
+	if p.Period <= 64 {
+		fmt.Printf("program:           %s\n", p)
 	}
 	return nil
 }

@@ -15,9 +15,11 @@
 //     scheduled as the pinwheel task system {(mᵢ+rᵢ, B·Tᵢ)},
 //   - the channel bandwidth B is sized with the paper's Equations 1–2
 //     (at most 43% above the information-theoretic minimum), and
-//   - files with per-fault-level latency vectors are handled through
-//     the paper's pinwheel algebra (§4), mechanized here by a certifying
-//     forcing engine.
+//   - a file with a per-fault-level latency vector d⃗ (§4) is a pinwheel
+//     task with fault levels — mᵢ + j block slots in every d⁽ʲ⁾ — on the
+//     same one-builder path, scheduled directly, with the paper's
+//     pinwheel algebra (a certifying forcing engine) converting it to
+//     nice conjuncts as a fallback.
 //
 // # The Station service
 //

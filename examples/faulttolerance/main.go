@@ -77,14 +77,22 @@ func main() {
 
 	// Generalized files: a file that tolerates 10 slots fault-free but
 	// accepts 14 with one fault and 18 with two (§4).
-	res, err := pinbcast.BuildGeneralizedProgram([]pinbcast.GenFileSpec{
+	files := []pinbcast.GenFileSpec{
 		{Name: "nav", Blocks: 3, Latencies: []int{10, 14, 18}},
 		{Name: "met", Blocks: 2, Latencies: []int{12, 16}},
-	})
+	}
+	p, err := pinbcast.BuildGeneralizedProgram(files)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\ngeneralized files (§4): conjunct %s\n", res.Conjunct)
-	fmt.Printf("density %.4f, program period %d, origin %s\n",
-		res.Conjunct.Density(), res.Program.Period, res.Program.Origin)
+	fmt.Printf("\ngeneralized files (§4): program period %d, origin %s\n", p.Period, p.Origin)
+	for i, f := range files {
+		worst := make([]int, len(f.Latencies))
+		for j := range worst {
+			if worst[j], err = p.WorstLatency(i, j); err != nil {
+				log.Fatal(err)
+			}
+		}
+		fmt.Printf("  %-4s d⃗ = %v, worst retrieval with 0…%d faults %v\n", f.Name, f.Latencies, len(f.Latencies)-1, worst)
+	}
 }

@@ -3,7 +3,6 @@ package algebra
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Convert converts a broadcast-file condition to a low-density nice
@@ -180,31 +179,4 @@ func Report(b BC) (ConversionReport, error) {
 	rep.BestDensity = best.Density()
 	rep.WithinLowerBound = rep.BestDensity/rep.LowerBound - 1
 	return rep, nil
-}
-
-// ConvertSystem converts a set of broadcast-file conditions into a
-// single nice conjunct over distinct scheduler tasks, returning the
-// members sorted by task name for determinism.
-func ConvertSystem(bcs []BC) (NiceConjunct, error) {
-	seen := map[string]bool{}
-	var out NiceConjunct
-	for _, b := range bcs {
-		if b.Task == "" {
-			return nil, fmt.Errorf("algebra: file condition without a task name: %s", b)
-		}
-		if seen[b.Task] {
-			return nil, fmt.Errorf("algebra: duplicate task %q", b.Task)
-		}
-		seen[b.Task] = true
-		n, err := Convert(b)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, n...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Task < out[j].Task })
-	if err := out.Validate(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

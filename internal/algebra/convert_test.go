@@ -350,39 +350,6 @@ func FuzzConvert(f *testing.F) {
 	})
 }
 
-func TestConvertSystem(t *testing.T) {
-	bcs := []BC{
-		{Task: "A", M: 5, D: []int{100, 105, 110, 115, 120}},
-		{Task: "B", M: 6, D: []int{105, 110}},
-		{Task: "C", M: 1, D: []int{2, 3}},
-	}
-	n, err := ConvertSystem(bcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range bcs {
-		if !ImpliesBC(n, b) {
-			t.Fatalf("system conversion does not cover %v", b)
-		}
-	}
-}
-
-func TestConvertSystemRejectsDuplicates(t *testing.T) {
-	bcs := []BC{
-		{Task: "A", M: 1, D: []int{4}},
-		{Task: "A", M: 1, D: []int{5}},
-	}
-	if _, err := ConvertSystem(bcs); err == nil {
-		t.Fatal("duplicate task accepted")
-	}
-	if _, err := ConvertSystem([]BC{{M: 1, D: []int{4}}}); err == nil {
-		t.Fatal("unnamed task accepted")
-	}
-}
-
 func TestReport(t *testing.T) {
 	b := BC{Task: "i", M: 4, D: []int{8, 9}}
 	rep, err := Report(b)

@@ -336,20 +336,16 @@ func TestBuildGeneralizedProgram(t *testing.T) {
 		{Name: "A", Blocks: 2, Latencies: []int{8, 10}},
 		{Name: "B", Blocks: 1, Latencies: []int{6, 9}},
 	}
-	res, err := BuildGeneralizedProgram(files)
+	p, err := BuildGeneralizedProgram(files)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := res.Program
 	for i, g := range files {
 		for j, d := range g.Latencies {
 			if err := p.VerifyWindows(i, g.Blocks+j, d); err != nil {
 				t.Fatalf("level %d: %v", j, err)
 			}
 		}
-	}
-	if res.Conjunct.Density() > 1 {
-		t.Fatalf("conjunct density %v > 1", res.Conjunct.Density())
 	}
 }
 
@@ -360,15 +356,45 @@ func TestBuildGeneralizedProgramPaperExamples(t *testing.T) {
 		{Name: "E2", Blocks: 5, Latencies: []int{100, 105, 110, 115, 120}},
 		{Name: "E3", Blocks: 6, Latencies: []int{105, 110}},
 	}
-	res, err := BuildGeneralizedProgram(files)
+	p, err := BuildGeneralizedProgram(files)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, g := range files {
 		for j, d := range g.Latencies {
-			if err := res.Program.VerifyWindows(i, g.Blocks+j, d); err != nil {
+			if err := p.VerifyWindows(i, g.Blocks+j, d); err != nil {
 				t.Fatalf("file %s level %d: %v", g.Name, j, err)
 			}
+		}
+	}
+}
+
+// TestGeneralizedTaskDropsImpliedLevels pins the task a §4 file is: it
+// starts at the first level that no later level implies (d⁽ᵏ⁾ − k ≤
+// d⁽ʲ⁾ − j), keeps every level after it, and makes a constant vector
+// the ordinary task (m + r, d).
+func TestGeneralizedTaskDropsImpliedLevels(t *testing.T) {
+	cases := []struct {
+		m    int
+		d    []int
+		want string
+	}{
+		{4, []int{8, 9}, "(5, 9)"},                // Example 4: 5 in 9 holds 4 in every 8
+		{2, []int{5, 6, 6}, "(4, 6)"},             // Example 5
+		{1, []int{2, 3}, "(2, 3)"},                // Example 6
+		{3, []int{40, 40, 40}, "(5, 40)"},         // a constant vector
+		{1, []int{5, 9, 7}, "(3, 7)"},             // both earlier levels implied by the last
+		{3, []int{10, 14, 18}, "(3, [10 14 18])"}, // none implied
+		{2, []int{8, 10, 11}, "(2, [8 10 11])"},   // level 1 by level 2, but not level 0
+		{5, []int{100, 105, 110, 115, 120}, "(5, [100 105 110 115 120])"},
+		{1, []int{4, 9, 6}, "(3, 6)"}, // d − j ties: 3 in 6 holds 1 in every 4
+	}
+	for _, c := range cases {
+		g := GenFileSpec{Name: "f", Blocks: c.m, Latencies: c.d}
+		task := g.task()
+		task.Name = ""
+		if got := task.String(); got != c.want {
+			t.Errorf("bc(%d, %v) is the task %s, want %s", c.m, c.d, got, c.want)
 		}
 	}
 }

@@ -8,15 +8,18 @@
 // slots, where Tᵢ is the file's latency constraint and B the channel
 // bandwidth in blocks per time unit. That demand is exactly the
 // pinwheel task (mᵢ+rᵢ, B·Tᵢ) (§3.2); bandwidth sizing comes from
-// Chan & Chin's 7/10 density bound (Equations 1 and 2); and generalized
-// files with per-fault-level latency vectors go through the pinwheel
-// algebra (§4, package algebra).
+// Chan & Chin's 7/10 density bound (Equations 1 and 2); and a
+// generalized file with a per-fault-level latency vector d⃗ (§4) is a
+// pinwheel task with fault levels, mᵢ + j grants in every d⁽ʲ⁾ slots,
+// built by the same one builder: files → pinwheel.Solve → Program.
 package core
 
 import (
 	"fmt"
 
+	"pinbcast/internal/algebra"
 	"pinbcast/internal/bcerr"
+	"pinbcast/internal/pinwheel"
 )
 
 // FileSpec describes a regular fault-tolerant real-time broadcast file
@@ -94,28 +97,34 @@ type GenFileSpec struct {
 	Latencies []int // d⁽ʲ⁾ for j = 0..rᵢ, in slots
 }
 
-// Validate checks the specification.
+// Validate checks the specification: a name, a dispersal GF(2⁸) can
+// carry, and the broadcast condition's own checks (algebra.BC), which
+// bound every latency to the 2²² slots the schedulers' periods reach.
 func (g GenFileSpec) Validate() error {
 	if g.Name == "" {
 		return fmt.Errorf("core: generalized file needs a name: %w", bcerr.ErrBadSpec)
 	}
-	if g.Blocks < 1 {
-		return fmt.Errorf("core: file %q has %d blocks: %w", g.Name, g.Blocks, bcerr.ErrBadSpec)
-	}
-	if len(g.Latencies) == 0 {
-		return fmt.Errorf("core: file %q has no latency vector: %w", g.Name, bcerr.ErrBadSpec)
-	}
 	if g.Blocks+g.Faults() > 256 {
 		return fmt.Errorf("core: file %q dispersal exceeds GF(2⁸) limit of 256: %w", g.Name, bcerr.ErrBadSpec)
 	}
-	for j, d := range g.Latencies {
-		if d < g.Blocks+j {
-			return fmt.Errorf("core: file %q level %d latency %d below %d blocks: %w",
-				g.Name, j, d, g.Blocks+j, bcerr.ErrBadSpec)
-		}
-	}
-	return nil
+	return algebra.BC{Task: g.Name, M: g.Blocks, D: g.Latencies}.Validate()
 }
 
 // Faults returns the number of tolerated faults rᵢ.
 func (g GenFileSpec) Faults() int { return len(g.Latencies) - 1 }
+
+// task is the file's condition on its own stream: mᵢ + j grants in
+// every d⁽ʲ⁾ slots, distinct blocks under AIDA rotation over mᵢ + rᵢ. A
+// later level k implies level j when d⁽ᵏ⁾ − k ≤ d⁽ʲ⁾ − j (a d⁽ʲ⁾-slot
+// window holds a d⁽ᵏ⁾-slot one, or lies in one with at most d⁽ᵏ⁾ − d⁽ʲ⁾
+// grants outside it), so the task starts at the first level j₀ that no
+// later level implies: a constant vector is the ordinary (mᵢ + rᵢ, d).
+func (g GenFileSpec) task() pinwheel.Task {
+	d, j0 := g.Latencies, len(g.Latencies)-1
+	for j := j0 - 1; j >= 0; j-- { // d[j0] − j0 is the least d⁽ᵏ⁾ − k past j
+		if implied := d[j0]-j0 <= d[j]-j; !implied {
+			j0 = j
+		}
+	}
+	return pinwheel.Task{Name: g.Name, A: g.Blocks + j0, B: d[j0], Later: d[j0+1:]}
+}

@@ -62,10 +62,10 @@ type residueClass struct {
 }
 
 // scheduleChain specializes every window to the chain {c·2^k} and
-// schedules by buddy allocation. It fails with ErrSchedulerFailed when
-// the specialized density exceeds 1 (the allocation runs out of
-// classes) and with ErrTooLarge when the resulting period would exceed
-// maxPeriod.
+// schedules by buddy allocation. It fails with ErrSchedulerFailed on a
+// task with levels and when the specialized density exceeds 1 (the
+// allocation runs out of classes), and with ErrTooLarge when the
+// resulting period would exceed maxPeriod.
 func scheduleChain(s System, c int, maxPeriod int) (*Schedule, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -79,6 +79,9 @@ func scheduleChain(s System, c int, maxPeriod int) (*Schedule, error) {
 	period := c
 	for i, t := range s {
 		spec, _, err := specialize(c, t.B)
+		if err == nil && len(t.Later) > 0 {
+			err = fmt.Errorf("task %d has %d windows, the chain takes one", i, len(t.Later)+1)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrSchedulerFailed, err)
 		}

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 
+	"pinbcast/internal/algebra"
 	"pinbcast/internal/bcerr"
 )
 
@@ -38,10 +40,13 @@ var (
 	exactMember       = member{"exact", func(s System) (*Schedule, error) { return exact(s, exactMaxStates) }}
 )
 
-// portfolio is the paper's §3.1 portfolio and Solve's default chain: Sx
-// (which subsumes Sa), the two-distinct closed form, EDF, and the exact
-// search, the one member that can prove infeasibility.
-var portfolio = []Scheduler{sxMember, twoDistinctMember, edfMember, exactMember}
+// oneWindowPortfolio is the paper's §3.1 portfolio: Sx (which subsumes
+// Sa), two-distinct, EDF, and exact, the one member that can prove
+// infeasibility. Solve's default chain adds convert before exact.
+var (
+	oneWindowPortfolio = []Scheduler{sxMember, twoDistinctMember, edfMember, exactMember}
+	portfolio          = []Scheduler{sxMember, twoDistinctMember, edfMember, member{"convert", convert}, exactMember}
+)
 
 // Capped is the portfolio at the budgets a bandwidth scan can afford:
 // EDF stops at 2¹⁶ slots and there is no exact search, so a
@@ -67,6 +72,11 @@ func Solve(s System, chain []Scheduler) (*Schedule, error) {
 	if len(chain) == 0 {
 		chain = portfolio
 	}
+	return solve(s, chain)
+}
+
+// solve is Solve on a non-empty chain.
+func solve(s System, chain []Scheduler) (*Schedule, error) {
 	if slices.Contains(chain, nil) {
 		return nil, fmt.Errorf("pinwheel: nil scheduler in chain: %w", bcerr.ErrBadSpec)
 	}
@@ -93,4 +103,37 @@ func Solve(s System, chain []Scheduler) (*Schedule, error) {
 		}
 	}
 	return nil, fmt.Errorf("%w (first failure: %w)", ErrSchedulerFailed, firstErr)
+}
+
+// convert schedules a system with levels by §4.2's conversion: task i
+// is bc(i, A, [B, Later…]), algebra.Convert's nice conjuncts of them
+// are scheduled as one-window tasks, and each member's slots go to the
+// task it maps to. A conjunct is stronger than its task, so its
+// infeasibility proves nothing, and a one-window system is refused.
+func convert(s System) (*Schedule, error) {
+	if !slices.ContainsFunc(s, func(t Task) bool { return len(t.Later) > 0 }) {
+		return nil, fmt.Errorf("%w: no task has levels to convert", ErrSchedulerFailed)
+	}
+	var conj System
+	var owner []int // the task each conjunct member maps to
+	for i, t := range s {
+		n, err := algebra.Convert(algebra.BC{Task: strconv.Itoa(i), M: t.A, D: append([]int{t.B}, t.Later...)})
+		if err != nil {
+			return nil, fmt.Errorf("%w: task %d %s: %w", ErrSchedulerFailed, i, t, err)
+		}
+		for _, m := range n {
+			conj = append(conj, Task{Name: m.Task, A: m.A, B: m.B})
+			owner = append(owner, i)
+		}
+	}
+	sch, err := solve(conj, oneWindowPortfolio)
+	if err != nil {
+		return nil, fmt.Errorf("%w: conjunct %s: %v", ErrSchedulerFailed, conj, err) //pinlint:allow errwrap — the conjunct's infeasibility is not the tasks'; a proof must not reach Solve
+	}
+	for k, v := range sch.Slots {
+		if v != Idle {
+			sch.Slots[k] = owner[v]
+		}
+	}
+	return NewSchedule(sch.Slots, "convert/"+sch.Origin), nil
 }

@@ -77,12 +77,13 @@ func (s *Schedule) String() string {
 
 // Verify checks that the cyclic schedule satisfies every task of the
 // system: each task i must appear in at least sys[i].A slots of every
-// window of sys[i].B consecutive slots of the infinite schedule. Windows
+// window of sys[i].B consecutive slots of the infinite schedule, and in
+// A + j of every Later[j−1] slots for each of its later levels. Windows
 // are checked cyclically, which covers all windows of the infinite
 // repetition. It also checks that no slot index is out of range. The
 // cost is O(period + tasks): one pass builds the per-task grant lists,
-// then CheckWindows walks each list once. On success the lists are
-// kept in Occ and Rank.
+// then CheckWindows walks each list once a window. On success the lists
+// are kept in Occ and Rank.
 func (s *Schedule) Verify(sys System) error {
 	if s.Period < 1 || len(s.Slots) != s.Period {
 		return fmt.Errorf("pinwheel: malformed schedule (period %d, %d slots)", s.Period, len(s.Slots))
@@ -92,7 +93,11 @@ func (s *Schedule) Verify(sys System) error {
 		return fmt.Errorf("pinwheel: %w", err)
 	}
 	for i, task := range sys {
-		if err := CheckWindows(grants[i], s.Period, task.A, task.B); err != nil {
+		err := CheckWindows(grants[i], s.Period, task.A, task.B)
+		for j := 0; err == nil && j < len(task.Later); j++ {
+			err = CheckWindows(grants[i], s.Period, task.A+j+1, task.Later[j])
+		}
+		if err != nil {
 			return fmt.Errorf("pinwheel: task %d %s: %w", i, task, err)
 		}
 	}

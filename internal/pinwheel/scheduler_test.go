@@ -428,6 +428,9 @@ func TestSchedulersPrintTheirOrigin(t *testing.T) {
 		{"portfolio", System{{A: 1, B: 7}, {A: 1, B: 7}, {A: 1, B: 2}, {A: 1, B: 7}}, "TwoDistinct"},
 		{"portfolio", System{{A: 2, B: 7}, {A: 2, B: 8}, {A: 1, B: 5}, {A: 1, B: 7}}, "EDF"},
 		{"portfolio", System{{A: 1, B: 3}, {A: 1, B: 4}, {A: 2, B: 9}, {A: 1, B: 10}}, "Exact"},
+		{"portfolio", System{{A: 1, B: 4, Later: []int{6}}, {A: 1, B: 4}}, "EDF"},
+		{"portfolio", System{{A: 3, B: 15, Later: []int{20, 26}}, {A: 1, B: 8, Later: []int{10}},
+			{A: 4, B: 18}, {A: 3, B: 10, Later: []int{14, 16}}}, "convert/Exact"},
 	}
 	for _, c := range cases {
 		i := slices.IndexFunc(Registered, func(s Scheduler) bool { return s.Name() == c.name })

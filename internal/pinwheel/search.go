@@ -14,10 +14,11 @@ import (
 // "at least a grants in every b consecutive slots" is equivalent to
 // g_{j+a} ≤ g_j + b for all j (taking virtual grants at negative times
 // for the start-up transient), so the next grant is due by the a-th most
-// recent grant + b. A state holds every task's last a grant ages; they
-// fully determine the future and take finitely many values, so a walk
-// that misses no deadline enters some state twice, and the slots between
-// are a cyclic schedule.
+// recent grant + b, and a task with levels by the earliest (a + j)-th
+// most recent grant + b_j. A state holds every task's last a +
+// len(Later) grant ages; they fully determine the future and take
+// finitely many values, so a walk that misses no deadline enters some
+// state twice, and the slots between are a cyclic schedule.
 //
 // EDF grants each slot to the earliest deadline, ties to the lower
 // index. It is not optimal for pinwheel systems, so its failure proves
@@ -42,24 +43,25 @@ const (
 // graph. The current slot is len(slots).
 type walk struct {
 	sys     System
-	last    [][]int        // last[i]: task i's last A grant times, most recent first
+	last    [][]int        // last[i]: task i's last A + len(Later) grant times, most recent first
 	slots   []int          // the choice, a task or Idle, taken in each slot so far
 	entered map[string]int // each state reached: the slot it was entered at, or dead
 	key     []byte         // enter's buffer for the state's key
 }
 
 // newWalk starts at the saturated state: every task as if it had just
-// been served continuously, its history the virtual grants −1, −2, …, −A.
+// been served continuously, its history the virtual grants −1, −2, ….
 func newWalk(s System) *walk {
 	w := &walk{sys: s, last: make([][]int, len(s)), entered: make(map[string]int)}
 	total := 0
 	for _, t := range s {
-		total += t.A
+		total += t.A + len(t.Later)
 	}
 	hist := make([]int, total)
 	for i, t := range s {
-		h := hist[:t.A:t.A]
-		hist = hist[t.A:]
+		n := t.A + len(t.Later)
+		h := hist[:n:n]
+		hist = hist[n:]
 		for j := range h {
 			h[j] = -(j + 1)
 		}
@@ -91,7 +93,12 @@ func (w *walk) enter() (key string, at int, seen bool) {
 func (w *walk) scan() (pick, due, ties int) {
 	due = math.MaxInt
 	for i, h := range w.last {
-		switch d := h[len(h)-1] + w.sys[i].B; {
+		t := &w.sys[i]
+		d := h[t.A-1] + t.B
+		for j, b := range t.Later {
+			d = min(d, h[t.A+j]+b)
+		}
+		switch {
 		case d < due:
 			pick, due, ties = i, d, 1
 		case d == due:

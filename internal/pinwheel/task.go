@@ -6,7 +6,8 @@
 // Constraint). A system is a set of such tasks sharing one resource. The
 // ratio a/b is the task's density; the system density is the sum.
 //
-// The package provides:
+// A task may have fault levels (Task.Later), as a §4 file does on its
+// own stream. The package provides:
 //
 //   - an exact cyclic verifier (Verify) used to certify every schedule,
 //   - the schedulers, under their registry names in Registered: sa,
@@ -17,9 +18,10 @@
 //     closed form; edf and exact, one walk over urgency states taken two
 //     ways: greedily, earliest deadline first, until a state repeats, and
 //     with backtracking, a complete search for small systems; and the
-//     portfolio of §3.1,
+//     portfolio of §3.1. edf and exact alone take tasks with levels,
 //   - Solve: the one loop that runs a chain of schedulers and certifies
-//     what it returns, the portfolio being its default chain,
+//     what it returns. Its default chain is sx, two-distinct, edf,
+//     convert (§4.2's conversion of levels to nice conjuncts) and exact,
 //   - DensityTestCC: Chan & Chin's sufficient schedulability condition
 //     (density ≤ 7/10) exactly as the paper uses it for bandwidth sizing.
 package pinwheel
@@ -27,40 +29,60 @@ package pinwheel
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"pinbcast/internal/bcerr"
 )
 
 // Task is a pinwheel task: the resource must be allocated to it for at
-// least A out of every B consecutive slots.
+// least A out of every B consecutive slots, and, for a task with fault
+// levels (§4.1), A + j out of every Later[j−1] for each level j ≥ 1.
 type Task struct {
-	Name string // optional human-readable identity
-	A    int    // computation requirement (slots per window)
-	B    int    // window size (the real-time constraint)
+	Name  string // optional human-readable identity
+	A     int    // computation requirement (slots per window)
+	B     int    // window size (the real-time constraint)
+	Later []int  // the later levels' windows
 }
 
-// Density returns A/B.
-func (t Task) Density() float64 { return float64(t.A) / float64(t.B) }
-
-// String renders the task as in the paper, e.g. "(name; 2, 5)".
-func (t Task) String() string {
-	if t.Name == "" {
-		return fmt.Sprintf("(%d, %d)", t.A, t.B)
+// Density returns A/B, or for a task with levels the largest level
+// share (A + j)/B_j, the paper's density lower bound.
+func (t Task) Density() float64 {
+	d := float64(t.A) / float64(t.B)
+	for j, b := range t.Later {
+		d = max(d, float64(t.A+j+1)/float64(b))
 	}
-	return fmt.Sprintf("(%s; %d, %d)", t.Name, t.A, t.B)
+	return d
+}
+
+// String renders the task as in the paper, e.g. "(name; 2, 5)", or
+// with its windows in order, "(2, [5 7])".
+func (t Task) String() string {
+	w := fmt.Sprint(t.B)
+	if len(t.Later) > 0 {
+		w = fmt.Sprint(append([]int{t.B}, t.Later...))
+	}
+	if t.Name == "" {
+		return fmt.Sprintf("(%d, %s)", t.A, w)
+	}
+	return fmt.Sprintf("(%s; %d, %s)", t.Name, t.A, w)
 }
 
 // Validate checks that the task parameters are positive integers with
-// A ≤ B (a task with A > B is trivially infeasible).
+// A + j ≤ B_j (a task with A > B is trivially infeasible).
 func (t Task) Validate() error {
 	switch {
 	case t.A < 1:
 		return fmt.Errorf("pinwheel: task %s has A < 1: %w", t, bcerr.ErrBadSpec)
-	case t.B < 1:
-		return fmt.Errorf("pinwheel: task %s has B < 1: %w", t, bcerr.ErrBadSpec)
+	case t.B < 1 || slices.ContainsFunc(t.Later, func(b int) bool { return b < 1 }):
+		return fmt.Errorf("pinwheel: task %s has a window < 1: %w", t, bcerr.ErrBadSpec)
 	case t.A > t.B:
 		return fmt.Errorf("pinwheel: task %s has A > B: %w", t, bcerr.ErrInfeasible)
+	}
+	for j, b := range t.Later {
+		if t.A+j+1 > b {
+			return fmt.Errorf("pinwheel: task %s has A + %d > %d: %w", t, j+1, b, bcerr.ErrInfeasible)
+		}
 	}
 	return nil
 }

@@ -18,8 +18,8 @@ import (
 // b-window tasks share the remaining offsets in rotation, each being
 // served once every k = ⌊b/a⌋ frames (spacing exactly a·k ≤ b).
 //
-// For systems that are not unit or not two-valued, it returns
-// ErrSchedulerFailed so the portfolio can move on.
+// For systems that are not unit, not two-valued or with levels, it
+// returns ErrSchedulerFailed so the portfolio can move on.
 func twoDistinct(s System) (*Schedule, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -27,8 +27,8 @@ func twoDistinct(s System) (*Schedule, error) {
 	var windows []int
 	byWindow := map[int][]int{}
 	for i, t := range s {
-		if t.A != 1 {
-			return nil, fmt.Errorf("%w: TwoDistinct handles unit tasks only", ErrSchedulerFailed)
+		if t.A != 1 || len(t.Later) > 0 {
+			return nil, fmt.Errorf("%w: TwoDistinct handles unit one-window tasks only", ErrSchedulerFailed)
 		}
 		if _, seen := byWindow[t.B]; !seen {
 			windows = append(windows, t.B)

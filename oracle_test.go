@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -226,7 +227,7 @@ func TestWorstLatencyIsTheOracleOnGeneralizedPrograms(t *testing.T) {
 	}
 	built, checked := 0, 0
 	for n, files := range sets {
-		res, err := BuildGeneralizedProgram(files)
+		p, err := BuildGeneralizedProgram(files)
 		if err != nil {
 			if n < fixed {
 				t.Fatalf("set %d: %v", n, err)
@@ -234,20 +235,67 @@ func TestWorstLatencyIsTheOracleOnGeneralizedPrograms(t *testing.T) {
 			continue
 		}
 		built++
-		p, name := res.Program, fmt.Sprintf("set %d (%s)", n, res.Program.Origin)
-		for _, g := range files {
-			i := p.FileIndex(g.Name)
-			for j, d := range g.Latencies {
-				want := oracleWorst(t, name, p, i, j)
-				if got, err := p.WorstLatency(i, j); err != nil || got != want || want > d {
-					t.Fatalf("%s: %s with %d faults: WorstLatency %d (%v), the oracle %d, d_%d = %d", name, g.Name, j, got, err, want, j, d)
-				}
-				checked++
-			}
-		}
+		checked += holdToOracle(t, fmt.Sprintf("set %d (%s)", n, p.Origin), p, files)
 	}
 	t.Logf("%d generalized programs (%d of %d random vectors built): WorstLatency equals the oracle on %d (file, j) pairs, each within d_j",
 		built, built-fixed, len(sets)-fixed, checked)
+}
+
+// TestGeneralizedBuildsWhatConversionRefuses holds to the oracle three
+// sets that the conversion path alone refuses. On the first two it
+// reported ErrInfeasible: their conjuncts are infeasible, not the
+// files, and the walk schedules the files' own windows. The walk
+// leaves the third undecided, and the convert member builds it.
+func TestGeneralizedBuildsWhatConversionRefuses(t *testing.T) {
+	cases := []struct {
+		files   []GenFileSpec
+		convert bool // built by the convert member
+	}{
+		{[]GenFileSpec{
+			{Name: "a", Blocks: 1, Latencies: []int{3, 7, 11}},
+			{Name: "b", Blocks: 3, Latencies: []int{15, 18}},
+			{Name: "c", Blocks: 4, Latencies: []int{11, 16}},
+		}, false},
+		{[]GenFileSpec{
+			{Name: "a", Blocks: 1, Latencies: []int{2, 4}},
+			{Name: "b", Blocks: 1, Latencies: []int{7, 10, 14}},
+			{Name: "c", Blocks: 1, Latencies: []int{4}},
+		}, false},
+		{[]GenFileSpec{
+			{Name: "a", Blocks: 3, Latencies: []int{15, 20, 26}},
+			{Name: "b", Blocks: 1, Latencies: []int{8, 10}},
+			{Name: "c", Blocks: 3, Latencies: []int{17, 18}},
+			{Name: "d", Blocks: 3, Latencies: []int{10, 14, 16}},
+		}, true},
+	}
+	for _, c := range cases {
+		p, err := BuildGeneralizedProgram(c.files)
+		if err != nil {
+			t.Fatalf("%v: %v", c.files, err)
+		}
+		if got := strings.HasPrefix(p.Origin, "generalized/convert/"); got != c.convert {
+			t.Errorf("%v: Origin %q, built by convert %v, want %v", c.files, p.Origin, got, c.convert)
+		}
+		holdToOracle(t, fmt.Sprintf("%v (%s)", c.files, p.Origin), p, c.files)
+	}
+}
+
+// holdToOracle checks that each file's worst retrieval under j erasures
+// is WorstLatency(file, j), within its level-j latency d_j, and returns
+// how many (file, j) pairs it checked.
+func holdToOracle(t *testing.T, name string, p *Program, files []GenFileSpec) (checked int) {
+	t.Helper()
+	for _, g := range files {
+		i := p.FileIndex(g.Name)
+		for j, d := range g.Latencies {
+			want := oracleWorst(t, name, p, i, j)
+			if got, err := p.WorstLatency(i, j); err != nil || got != want || want > d {
+				t.Fatalf("%s: %s with %d faults: WorstLatency %d (%v), the oracle %d, d_%d = %d", name, g.Name, j, got, err, want, j, d)
+			}
+			checked++
+		}
+	}
+	return checked
 }
 
 // oracleWorst is the oracle's worst retrieval of file i of p with f
