@@ -56,27 +56,23 @@ type BuildConfig struct {
 
 // Build constructs a broadcast program under the configured layout
 // strategy (the paper's fault-tolerant real-time construction by
-// default). All failures wrap the package's typed errors: ErrBadSpec
-// for invalid files, ErrBandwidth when the bandwidth cannot carry the
-// file set, ErrInfeasible when scheduling is provably impossible.
+// default, the one a Station runs). All failures wrap the package's
+// typed errors: ErrBadSpec for invalid files, ErrBandwidth when the
+// bandwidth cannot carry the file set, ErrInfeasible when scheduling is
+// provably impossible.
 func Build(cfg BuildConfig) (*Program, error) {
-	return buildProgram(cfg.Files, cfg.Bandwidth, cfg.Layout, cfg.Schedulers)
-}
-
-// buildProgram is the one construction path behind Build and every
-// Station generation. The pinwheel construction — the default, and the
-// registered "pinwheel" layout when selected by name — composes with
-// the scheduler chain; any other layout owns construction entirely.
-func buildProgram(files []FileSpec, bw int, layout Layout, chain []Scheduler) (*Program, error) {
-	if !isBuiltinPinwheel(layout) {
-		return layout.Plan(files, bw)
+	// Only the built-in pinwheel layout composes with the chain; a
+	// custom layout that reuses its name is dispatched like any other.
+	if _, builtin := cfg.Layout.(pinwheelLayout); cfg.Layout != nil && !builtin {
+		return cfg.Layout.Plan(cfg.Files, cfg.Bandwidth)
 	}
+	bw := cfg.Bandwidth
 	if bw == 0 {
 		// Invalid files yield a meaningless sizing here, but
 		// BuildProgramWith validates them before using the bandwidth.
-		bw = core.SufficientBandwidth(files)
+		bw = core.SufficientBandwidth(cfg.Files)
 	}
-	return core.BuildProgramWith(files, bw, chain)
+	return core.BuildProgramWith(cfg.Files, bw, cfg.Schedulers)
 }
 
 // BuildGeneralizedProgram constructs a program for files with

@@ -18,8 +18,7 @@ import (
 
 // Shard is a catalog-partitioning policy: it maps each file of a
 // catalog to a primary broadcast channel in [0, K). Three policies ship
-// with the package, selected by name (WithShardName, LookupShard);
-// applications plug in their own by value with WithShard.
+// with the package, selected by name (WithShardName, LookupShard).
 type Shard = cluster.Shard
 
 // Built-in shard policy names.
@@ -428,9 +427,7 @@ func (c *Cluster) Serve(ctx context.Context) ([]<-chan Slot, error) {
 func (st *Station) fileBound(name string) (int, error) {
 	st.buildMu.Lock()
 	defer st.buildMu.Unlock()
-	gen := st.latest.Load()
-	bound, _, err := contractBound(gen.program, gen.files, Txn{Name: name, Reads: []string{name}, Deadline: 1 << 30})
-	return bound, err
+	return st.contractBound(st.latest.Load().files, Txn{Name: name, Reads: []string{name}, Deadline: 1 << 30})
 }
 
 // Negotiate admits a cluster-wide read transaction: every read file
@@ -588,11 +585,11 @@ type FailoverReport struct {
 // one generation, live at its next data-cycle boundary: its orphans,
 // frames carried over from channel i's, and on a paced station the
 // spare air of files channel i was first to carry. A survivor whose
-// build is refused all the same (a custom layout, a contract) takes none
-// of its orphans: they are planned again over the others, which build
-// again to take them, and lost when none admits them. Failing an unknown
-// or already-failed channel wraps ErrBadSpec; failing the last live
-// channel loses the catalog.
+// build is refused all the same (a contract, a system the portfolio
+// cannot schedule) takes none of its orphans: they are planned again
+// over the others, which build again to take them, and lost when none
+// admits them. Failing an unknown or already-failed channel wraps
+// ErrBadSpec; failing the last live channel loses the catalog.
 func (c *Cluster) FailChannel(i int) (*FailoverReport, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

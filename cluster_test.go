@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"pinbcast/internal/cluster"
 	"pinbcast/internal/workload"
 )
 
@@ -35,7 +34,7 @@ func testCluster(t *testing.T, opts ...ClusterOption) *Cluster {
 		WithChannels(3),
 		WithReplicas(2),
 		WithReplicateHottest(2),
-		WithShard(cluster.BalancedShard{}), // the by-value seam; the other tests go by name
+		WithShardName(ShardBalanced),
 		WithClusterBandwidth(2),
 		WithClusterFiles(files...),
 		WithClusterContents(CatalogContents(files, 64, 1)),
@@ -106,7 +105,6 @@ func TestClusterBuildValidation(t *testing.T) {
 		{"zero channels", []ClusterOption{WithChannels(0)}},
 		{"negative replicas", []ClusterOption{WithReplicas(0)}},
 		{"unknown shard", []ClusterOption{WithShardName("mystery")}},
-		{"nil shard", []ClusterOption{WithShard(nil)}},
 		{"replicas over channels", []ClusterOption{
 			WithChannels(2), WithReplicas(3),
 			WithClusterFiles(files...), WithClusterContents(CatalogContents(files, 64, 1)),

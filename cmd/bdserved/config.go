@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"pinbcast"
 	"pinbcast/internal/transport"
 )
 
@@ -193,6 +194,9 @@ func (c *Config) validate() error {
 		return fmt.Errorf("station.channels %d exceeds station.files %d (every channel needs a file)", c.Channels, c.Files)
 	case c.Timeout <= 0:
 		return fmt.Errorf("drain.timeout %s: need a positive drain deadline", c.Timeout)
+	}
+	if _, ok := pinbcast.LookupShard(c.Shard); !ok {
+		return fmt.Errorf("station.shard %q: unknown shard policy (registered: %v)", c.Shard, pinbcast.ShardNames())
 	}
 	return nil
 }

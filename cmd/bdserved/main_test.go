@@ -64,6 +64,7 @@ func TestLoadConfigErrors(t *testing.T) {
 		"bad range":       "[station]\nfiles = 0\n",
 		"bad replicas":    "[station]\nchannels = 2\nreplicas = 3\n",
 		"open string":     "[station]\nshard = \"ha#sh\n",
+		"unknown shard":   "[station]\nshard = \"mystery\"\n",
 		// A block that cannot fit a frame would evict every subscriber.
 		"oversized block": "[station]\nblock_size = 2000000\n",
 		// Its contents would exhaust memory before the daemon could say so.

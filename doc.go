@@ -47,13 +47,14 @@
 // further blocks of its files in the slots the program leaves idle:
 // Station.Emission is what it serves, and every bound still holds.
 //
-// Schedulers are pluggable: the paper's portfolio members (Sa, Sx,
-// EDF, the two-distinct specialization, exact search) are found by
-// name (LookupScheduler) and selected per Station with WithSchedulers,
-// which takes an application's own Scheduler by value just as well.
-// The portfolio is the default chain, and every chain runs through one
-// loop that re-verifies each schedule against its task system before a
-// program is built from it.
+// A station runs one construction: the §3 pinwheel program, scheduled
+// by the paper's portfolio and certified at the station's bandwidth.
+// The portfolio members (Sa, Sx, EDF, the two-distinct specialization,
+// exact search) are found by name (LookupScheduler) and ordered per
+// build with BuildConfig.Schedulers, which takes an application's own
+// Scheduler by value just as well. The portfolio is the default chain,
+// and every chain runs through one loop that re-verifies each schedule
+// against its task system before a program is built from it.
 //
 // # Workloads & QoS
 //
@@ -65,8 +66,9 @@
 // Acharya–Franklin–Zdonik "tiered" Broadcast-Disk layout it is argued
 // against in §1 (auto-tiered by latency, mean-latency optimal, bounds
 // nothing), and the "flat-spread"/"flat-sequential" baselines of
-// Figures 5–6 — passed by value per build (BuildConfig.Layout) or per
-// Station (WithLayout), chosen by name on the CLIs.
+// Figures 5–6 — passed by value per build (BuildConfig.Layout) and
+// chosen by name on the CLIs. A Station always builds the pinwheel
+// construction, the only one that bounds every worst case.
 // Program.LatencyProfile, Program.WorstLatency and
 // Program.WeightedMeanLatency analyze any layout's program. Each is read
 // off the program's occurrence index in closed form (§2.3, Lemma 2): a
@@ -77,10 +79,10 @@
 // a read set with a firm deadline in slots; TxnLatency measures it
 // exactly from a start slot, TxnWorstLatency over every start with each
 // read under its rᵢ worst faults, on any program. On a live Station the
-// guarantee is negotiated online — a contract charges every read its rᵢ
-// faults on every layout, and is raised to the windows B·Tᵢ on the
-// pinwheel layout, with retrieval and refresh composed into a staleness
-// bound for §1's absolute temporal-consistency constraints:
+// guarantee is negotiated online — a contract is the windows B·Tᵢ of
+// its reads, which the construction certified against each read's rᵢ
+// faults, with retrieval and refresh composed into a staleness bound
+// for §1's absolute temporal-consistency constraints:
 //
 //	contract, err := station.AdmitTxn(pinbcast.Txn{
 //		Name: "trip", Reads: []string{"traffic-00", "route-map"}, Deadline: 1800,

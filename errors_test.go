@@ -21,8 +21,9 @@ func TestErrBadSpecFromCore(t *testing.T) {
 	}
 }
 
-// TestNilInputsAreBadSpecs: a nil scheduler, wherever a chain enters,
-// and a nil database are refused with ErrBadSpec, not dereferenced.
+// TestNilInputsAreBadSpecs: a nil scheduler, wherever Build's chain
+// enters, and a nil database, wherever station options enter, are
+// refused with ErrBadSpec, not dereferenced.
 func TestNilInputsAreBadSpecs(t *testing.T) {
 	files := []FileSpec{{Name: "A", Blocks: 2, Latency: 10, Faults: 1}}
 	contents := CatalogContents(files, 16, 1)
@@ -39,13 +40,14 @@ func TestNilInputsAreBadSpecs(t *testing.T) {
 			_, err := Build(BuildConfig{Files: files, Schedulers: []Scheduler{edf, nil}})
 			return err
 		}},
-		{"WithSchedulers", func() error {
-			_, err := New(WithFiles(files...), WithContents(contents), WithSchedulers(nil))
+		{"Build with the pinwheel layout by name", func() error {
+			pinwheel, _ := LookupLayout(LayoutPinwheel)
+			_, err := Build(BuildConfig{Files: files, Schedulers: []Scheduler{nil}, Layout: pinwheel})
 			return err
 		}},
 		{"WithStationOptions", func() error {
 			_, err := NewCluster(WithClusterFiles(files...), WithClusterContents(contents),
-				WithStationOptions(WithSchedulers(nil)))
+				WithStationOptions(WithDatabase(nil, "combat")))
 			return err
 		}},
 		{"WithDatabase", func() error {

@@ -7,11 +7,12 @@
 // This example is the catalog → layout → negotiate → guarantee
 // pipeline end to end, on the public API alone: it sizes the downlink
 // with Equation 2, weighs the tiered Broadcast-Disk layout against the
-// pinwheel layout on the same catalog, brings up a live Station,
-// negotiates vehicle transaction contracts (accepting the feasible,
-// rejecting the unmeetable without disturbing the schedule), admits a
-// new segment with its own service contract, and finally simulates a
-// fleet joining mid-broadcast under bursty losses.
+// pinwheel layout on the same catalog, brings up a live Station (which
+// always runs the pinwheel construction), negotiates vehicle
+// transaction contracts (accepting the feasible, rejecting the
+// unmeetable without disturbing the schedule), admits a new segment
+// with its own service contract, and finally simulates a fleet joining
+// mid-broadcast under bursty losses.
 package main
 
 import (
@@ -61,8 +62,8 @@ func main() {
 		tieredProg.WeightedMeanLatency(uniform),
 		pinProg.WeightedMeanLatency(uniform))
 
-	// A live station on the pinwheel layout: only it can back contracts
-	// with construction-certified windows.
+	// A live station always runs the pinwheel construction: only it can
+	// back contracts with construction-certified windows.
 	contents := pinbcast.CatalogContents(files, 256, 11)
 	station, err := pinbcast.New(
 		pinbcast.WithFiles(files...),

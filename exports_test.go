@@ -15,11 +15,6 @@ import (
 // The list may only shrink — give a new export a caller instead of an
 // entry here.
 var uncalledExports = map[string]string{
-	"WithLayout":                     "the by-value seam custom layouts plug in through, now that nothing registers",
-	"WithSchedulers":                 "the by-value seam for custom scheduler chains",
-	"WithShard":                      "the by-value seam for custom shard policies",
-	"LookupShard":                    "the name → value half of the shard table, as LookupLayout and LookupScheduler are",
-	"ShardNames":                     "what an unknown -shard flag lists, as LayoutNames and SchedulerNames do",
 	"internal/slotmath.Shl":          "the helper the slotmath analyzer tells code to use",
 	"internal/ida.DisperseFile":      "the block fixture the tests of ida, client, cmd/bdserved and the root package build with",
 	"internal/ida.Block.MarshalInto": "the wire encoder those tests frame blocks (forged ones too) with; the server seals its frames in place",

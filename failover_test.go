@@ -67,8 +67,9 @@ func TestFailChannelPlacementIgnoresServing(t *testing.T) {
 // TestFailChannelBuildsOncePerSurvivor: a failover builds one generation
 // on each survivor it changes and none on the others, and an orphan the
 // failed channel sent whole keeps the frames it sent there. A survivor
-// whose build a layout refuses takes none of its orphans; they go to the
-// next survivor, and are lost only when no survivor takes them.
+// whose build a standing contract refuses takes none of its orphans;
+// they go to the next survivor, and are lost only when no survivor takes
+// them.
 func TestFailChannelBuildsOncePerSurvivor(t *testing.T) {
 	for _, paced := range []bool{false, true} {
 		var opts []ClusterOption
@@ -115,49 +116,44 @@ func TestFailChannelBuildsOncePerSurvivor(t *testing.T) {
 	}
 
 	// h0 lands on channel 0, h1 on channel 1 and the six cold files on
-	// channel 2; then the layout refuses more than limit files.
+	// channel 2. A survivor is refused any build by a planted contract
+	// no window meets.
 	files := []FileSpec{{Name: "h0", Blocks: 4, Latency: 10}, {Name: "h1", Blocks: 2, Latency: 10}}
 	for i := 0; i < 6; i++ {
 		files = append(files, FileSpec{Name: fmt.Sprintf("c%d", i), Blocks: 1, Latency: 100})
 	}
-	limit := len(files)
-	capped := layoutFunc{"capped", func(files []FileSpec, bw int) (*Program, error) {
-		if len(files) > limit {
-			return nil, fmt.Errorf("%d files, the layout takes %d: %w", len(files), limit, ErrAdmission)
-		}
-		return pinwheelLayout{}.Plan(files, bw)
-	}}
 	for _, tc := range []struct {
-		limit int
-		want  map[string]int // Readmitted; nil: h1 is lost
+		refuse []int
+		want   map[string]int // Readmitted; nil: h1 is lost
 	}{
-		{6, map[string]int{"h1": 0}}, // channel 2 has the headroom and is refused a seventh file
-		{1, nil},
+		{[]int{2}, map[string]int{"h1": 0}}, // channel 2 has the headroom and is refused
+		{[]int{0, 2}, nil},
 	} {
 		c, err := NewCluster(WithChannels(3), WithReplicas(1), WithClusterBandwidth(2),
-			WithClusterFiles(files...), WithClusterContents(CatalogContents(files, 16, 1)),
-			WithStationOptions(WithLayout(capped)))
+			WithClusterFiles(files...), WithClusterContents(CatalogContents(files, 16, 1)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if h := c.Assignment(); h["h0"][0] != 0 || h["h1"][0] != 1 || len(c.Station(2).Files()) != 6 {
 			t.Fatalf("the catalogue is sharded %v", h)
 		}
-		limit = tc.limit
+		for _, ch := range tc.refuse {
+			st := c.Station(ch)
+			st.qos["refuse"] = qosEntry{txn: Txn{Name: "refuse", Reads: []string{st.Files()[0].Name}, Deadline: 1}, c: Contract{Name: "refuse"}}
+		}
 		gens := []int{c.Station(0).Generation(), c.Station(2).Generation()}
 		rep, err := c.FailChannel(1)
-		limit = len(files)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !maps.Equal(rep.Readmitted, tc.want) || (tc.want == nil) != errors.Is(rep.Lost["h1"], ErrDegraded) {
-			t.Fatalf("limit %d: re-admitted %v, lost %v; want %v", tc.limit, rep.Readmitted, rep.Lost, tc.want)
+			t.Fatalf("refusing %v: re-admitted %v, lost %v; want %v", tc.refuse, rep.Readmitted, rep.Lost, tc.want)
 		}
 		if got := c.Station(2).Generation(); got != gens[1] || len(c.Station(2).latest.Load().files) != 6 {
-			t.Errorf("limit %d: the refused survivor moved from generation %d to %d", tc.limit, gens[1], got)
+			t.Errorf("refusing %v: the refused survivor moved from generation %d to %d", tc.refuse, gens[1], got)
 		}
 		if got, want := c.Station(0).Generation(), gens[0]+len(tc.want); got != want {
-			t.Errorf("limit %d: channel 0 is at generation %d, want %d", tc.limit, got, want)
+			t.Errorf("refusing %v: channel 0 is at generation %d, want %d", tc.refuse, got, want)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"io"
 	"runtime"
 	"sync/atomic"
-	"testing"
 )
 
 // Test shorthands for plural spellings the package does not export:
@@ -38,30 +37,6 @@ func recorded(rec *Recording) []Slot {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	return append([]Slot(nil), rec.slots...)
-}
-
-// mustLayout and mustSchedulers resolve registered strategies by name,
-// as every production caller does before passing them by value.
-func mustLayout(t testing.TB, name string) Layout {
-	t.Helper()
-	l, err := layouts.named(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l
-}
-
-func mustSchedulers(t testing.TB, names ...string) []Scheduler {
-	t.Helper()
-	out := make([]Scheduler, len(names))
-	for i, name := range names {
-		s, err := schedulers.named(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = s
-	}
-	return out
 }
 
 // LoopReplay replays recorded slots round and round, numbering them on

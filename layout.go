@@ -8,10 +8,9 @@ import (
 // Layout is a broadcast-program construction strategy: it turns a file
 // set and a channel bandwidth (blocks per time unit; 0 asks the layout
 // to size it, where sizing applies) into a cyclic broadcast program.
-// Layouts are the construction counterpart of the Scheduler seam: a
-// Scheduler orders pinwheel tasks inside the real-time construction,
-// while a Layout decides which construction runs at all. The package
-// registers four:
+// Layouts are what Build compares the paper's construction against; a
+// Station always runs the pinwheel construction, the only one that
+// bounds every file's worst case. The package registers four:
 //
 //   - "pinwheel" — the paper's fault-tolerant real-time construction:
 //     guarantees mᵢ+rᵢ block slots in every window of B·Tᵢ slots, so
@@ -25,8 +24,8 @@ import (
 //     Figures 5–6 (Bresenham spacing minimizes δ).
 //   - "flat-sequential" — the naive back-to-back flat baseline.
 //
-// LookupLayout finds them by name; applications plug in their own by
-// value, per Build (BuildConfig.Layout) or per Station (WithLayout).
+// LookupLayout finds them by name; BuildConfig.Layout takes any Layout
+// by value, an application's own included.
 type Layout interface {
 	// Name identifies the layout in registries and flags.
 	Name() string
@@ -69,23 +68,13 @@ const (
 )
 
 // pinwheelLayout is the registered "pinwheel" layout. It is a distinct
-// type (not a layoutFunc closure) so that Build and Station.plan can
-// recognize the built-in construction structurally and compose it with
-// the configured scheduler chain; a third-party layout that merely
-// reuses the name is dispatched like any other custom layout.
+// type (not a layoutFunc closure) so that Build can recognize the
+// built-in construction structurally and compose it with the configured
+// scheduler chain; a third-party layout that merely reuses the name is
+// dispatched like any other custom layout.
 type pinwheelLayout struct{}
 
 func (pinwheelLayout) Name() string { return LayoutPinwheel }
 func (pinwheelLayout) Plan(files []FileSpec, bandwidth int) (*Program, error) {
-	return buildProgram(files, bandwidth, nil, nil)
-}
-
-// isBuiltinPinwheel reports whether l is the built-in pinwheel layout
-// (or nil, the default that means the same construction).
-func isBuiltinPinwheel(l Layout) bool {
-	if l == nil {
-		return true
-	}
-	_, ok := l.(pinwheelLayout)
-	return ok
+	return Build(BuildConfig{Files: files, Bandwidth: bandwidth})
 }

@@ -3,7 +3,6 @@ package pinbcast
 import (
 	"errors"
 	"slices"
-	"strings"
 	"testing"
 )
 
@@ -91,34 +90,6 @@ func TestAutoTierFacade(t *testing.T) {
 	}
 	if hot, cold := p.PerPeriod(p.FileIndex("hot")), p.PerPeriod(p.FileIndex("cold")); hot != 8 || cold != 1 {
 		t.Fatalf("slots per major cycle: hot %d cold %d, want 8 and 1", hot, cold)
-	}
-}
-
-func TestStationWithLayout(t *testing.T) {
-	files := []FileSpec{
-		{Name: "hot", Blocks: 1, Latency: 2},
-		{Name: "cold", Blocks: 2, Latency: 16},
-	}
-	contents := map[string][]byte{"hot": []byte("h"), "cold": []byte("cold data")}
-	tiered, _ := LookupLayout(LayoutTiered)
-	st, err := New(WithFiles(files...), WithContents(contents), WithLayout(tiered))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Program().Origin != "multidisk" {
-		t.Fatalf("origin = %q", st.Program().Origin)
-	}
-	// The default station runs the pinwheel construction.
-	def, err := New(WithFiles(files...), WithContents(contents))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if origin := def.Program().Origin; !strings.HasPrefix(origin, "pinwheel/") {
-		t.Fatalf("default origin = %q", origin)
-	}
-	if _, err := New(WithFiles(files...), WithContents(contents),
-		WithLayout(nil)); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("nil layout: err = %v", err)
 	}
 }
 

@@ -9,13 +9,11 @@ import (
 
 // stationConfig collects the options a Station is built from.
 type stationConfig struct {
-	files      []FileSpec
-	contents   map[string][]byte
-	bandwidth  int // 0 = size with Equation 2
-	schedulers []Scheduler
-	layout     Layout // nil = the pinwheel construction
-	interval   time.Duration
-	buffer     int
+	files     []FileSpec
+	contents  map[string][]byte
+	bandwidth int // 0 = size with Equation 2
+	interval  time.Duration
+	buffer    int
 
 	replicaOnly map[string]bool         // NewCluster's alone: see generation.replicaOnly
 	ranges      map[string]server.Range // NewCluster's alone: the share of each replicated file's code (see Cluster)
@@ -67,33 +65,6 @@ func WithBandwidth(b int) Option {
 			return fmt.Errorf("pinbcast: negative bandwidth %d: %w", b, ErrBadSpec)
 		}
 		c.bandwidth = b
-		return nil
-	}
-}
-
-// WithSchedulers selects the schedulers the station tries, in order,
-// when constructing broadcast programs. Schedulers need not be
-// registered; every schedule is re-verified before use. Without this
-// option the station runs the paper's portfolio.
-func WithSchedulers(schedulers ...Scheduler) Option {
-	return func(c *stationConfig) error {
-		c.schedulers = append(c.schedulers, schedulers...)
-		return nil
-	}
-}
-
-// WithLayout selects the broadcast-program construction strategy the
-// station (re)builds its programs with — on construction and on every
-// Admit, Evict and Negotiate. Without this option (or with the
-// registered "pinwheel" layout) the station runs the paper's real-time
-// construction, composed with any WithSchedulers chain; any other
-// layout owns construction entirely and ignores the scheduler chain.
-func WithLayout(l Layout) Option {
-	return func(c *stationConfig) error {
-		if l == nil {
-			return fmt.Errorf("pinbcast: nil layout: %w", ErrBadSpec)
-		}
-		c.layout = l
 		return nil
 	}
 }
@@ -211,18 +182,6 @@ func WithReplicateHottest(n int) ClusterOption {
 	}
 }
 
-// WithShard selects the catalog-partitioning policy by value (default:
-// the ShardBalanced policy).
-func WithShard(s Shard) ClusterOption {
-	return func(c *clusterConfig) error {
-		if s == nil {
-			return fmt.Errorf("pinbcast: nil shard policy: %w", ErrBadSpec)
-		}
-		c.shard = s
-		return nil
-	}
-}
-
 // WithShardName selects a registered shard policy by name.
 func WithShardName(name string) ClusterOption {
 	return func(c *clusterConfig) error {
@@ -268,9 +227,8 @@ func WithClusterBandwidth(b int) ClusterOption {
 }
 
 // WithStationOptions appends Station options applied to every channel's
-// station — pacing (WithSlotInterval), buffering (WithSlotBuffer),
-// scheduler chains (WithSchedulers) and layouts (WithLayout) compose
-// with the cluster plan.
+// station: pacing (WithSlotInterval) and buffering (WithSlotBuffer)
+// compose with the cluster plan.
 func WithStationOptions(opts ...Option) ClusterOption {
 	return func(c *clusterConfig) error {
 		c.stationOpts = append(c.stationOpts, opts...)

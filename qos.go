@@ -26,9 +26,9 @@ type Contract struct {
 	// AdmitTxn contracts, the file name for Negotiate contracts.
 	Name string
 	// WorstLatencySlots bounds the retrieval latency from any start slot
-	// despite each read's rᵢ faults, never below that worst case measured
-	// on the issuing program; on pinwheel-layout programs raised to the
-	// window bound max B·Tᵢ over the reads.
+	// despite each read's rᵢ faults: the window bound max B·Tᵢ over the
+	// reads, which the pinwheel construction certifies on every program
+	// the station builds.
 	WorstLatencySlots int
 	// StalenessSlots bounds the age of retrieved data, assuming the
 	// server refreshes each item at its latency cadence (the item's
@@ -54,10 +54,8 @@ type qosEntry struct {
 
 // AdmitTxn negotiates a read-only transaction guarantee against the
 // current broadcast: the transaction is admitted only if every read
-// file's worst-case retrieval fits its deadline — analytically (the
-// pinwheel window bound B·Tᵢ) when the program was built by the
-// pinwheel layout, else by exact measurement on the program. On
-// success the returned Contract is recorded and every
+// file's worst-case retrieval, its pinwheel window bound B·Tᵢ, fits its
+// deadline. On success the returned Contract is recorded and every
 // future Admit, Evict and Negotiate is held to it. Rejections wrap
 // ErrAdmission (deadline unmeetable) or ErrBadSpec (malformed
 // transaction, unknown read item, duplicate contract name) and change
@@ -72,7 +70,7 @@ func (st *Station) AdmitTxn(x Txn) (Contract, error) {
 		return Contract{}, fmt.Errorf("pinbcast: contract %q already issued: %w", x.Name, ErrBadSpec)
 	}
 	base := st.latest.Load()
-	worst, refresh, err := contractBound(base.program, base.files, x)
+	worst, err := st.contractBound(base.files, x)
 	if err != nil {
 		return Contract{}, err
 	}
@@ -84,7 +82,7 @@ func (st *Station) AdmitTxn(x Txn) (Contract, error) {
 	c := Contract{
 		Name:              x.Name,
 		WorstLatencySlots: worst,
-		StalenessSlots:    rtdb.MaxStaleness(worst, refresh),
+		StalenessSlots:    rtdb.MaxStaleness(worst, worst),
 		EffectiveAt:       base.id,
 	}
 	st.storeContract(qosEntry{txn: x, c: c})
@@ -114,11 +112,11 @@ func (st *Station) Negotiate(f FileSpec, contents []byte) (c Contract, err error
 	// staged program.
 	read := Txn{Name: f.Name, Reads: []string{f.Name}, Deadline: 1 << 30}
 	err = st.rebuild(change{add: []FileSpec{f}, contents: map[string][]byte{f.Name: contents}, accept: func(gen *generation) error {
-		worst, refresh, err := contractBound(gen.program, gen.files, read)
+		worst, err := st.contractBound(gen.files, read)
 		c = Contract{
 			Name:              f.Name,
 			WorstLatencySlots: worst,
-			StalenessSlots:    rtdb.MaxStaleness(worst, refresh),
+			StalenessSlots:    rtdb.MaxStaleness(worst, worst),
 			EffectiveAt:       gen.id,
 		}
 		return err
@@ -160,30 +158,23 @@ func (st *Station) Contracts() []Contract {
 }
 
 // contractBound returns the worst-case retrieval bound a station
-// contracts for the transaction on a program built for files: the
-// measured worst case over every start slot, raised to the window bound
-// max B·Tᵢ over the reads when the program was built at a known
-// bandwidth. The pinwheel construction certifies that window
-// (VerifyWindows), so the contract survives every pinwheel rebuild of
-// these specs; the measured floor keeps it sound on a custom layout
-// that stamps a bandwidth it never certified. refresh is the window
-// bound, or one period when the bandwidth is unknown. AdmitTxn and
-// Negotiate issue it, verifyContracts holds later programs to it (its
-// window part never exceeds an issued promise), and Station.fileBound
-// ranks a cluster file's homes by it.
-func contractBound(prog *Program, files []FileSpec, x Txn) (worst, refresh int, err error) {
-	worst, err = rtdb.TxnWorstLatency(prog, x)
-	if err != nil || prog.Bandwidth == 0 {
-		return worst, prog.Period, err
-	}
-	_, refresh, err = rtdb.GuaranteeTxn(files, prog.Bandwidth, x)
-	return max(worst, refresh), refresh, err
+// contracts for the transaction over files: the window bound max B·Tᵢ
+// over the reads. Every program the station builds is certified to hold
+// each file's window at the station's bandwidth (Solve's Verify), so
+// the bound holds on it from every start slot despite each read's rᵢ
+// faults, and it survives every rebuild of these specs. It is also the
+// refresh interval of the staleness bound. AdmitTxn and Negotiate issue
+// it, verifyContracts holds later file sets to it, and
+// Station.fileBound ranks a cluster file's homes by it.
+func (st *Station) contractBound(files []FileSpec, x Txn) (int, error) {
+	_, worst, err := rtdb.GuaranteeTxn(files, st.bandwidth, x)
+	return worst, err
 }
 
 // verifyContracts checks every issued contract against a candidate
-// program for files, rejecting the change when any promised bound would
-// stretch. Caller must hold buildMu.
-func (st *Station) verifyContracts(prog *Program, files []FileSpec) error {
+// file set, rejecting the change when any promised bound would stretch.
+// Caller must hold buildMu.
+func (st *Station) verifyContracts(files []FileSpec) error {
 	st.mu.Lock()
 	entries := make([]qosEntry, 0, len(st.qos))
 	for _, e := range st.qos {
@@ -191,7 +182,7 @@ func (st *Station) verifyContracts(prog *Program, files []FileSpec) error {
 	}
 	st.mu.Unlock()
 	for _, e := range entries {
-		worst, _, err := contractBound(prog, files, e.txn)
+		worst, err := st.contractBound(files, e.txn)
 		if err != nil {
 			return fmt.Errorf("pinbcast: change would void contract %q (%w): %w",
 				e.c.Name, err, ErrAdmission)

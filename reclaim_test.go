@@ -192,9 +192,9 @@ func checkReclaimedEmission(t *testing.T, st *Station, gen *generation, slots []
 }
 
 // reclaimCatalogues returns what the reclamation tests run over: first a
-// small harmonic catalogue the searching schedulers solve themselves,
-// with a dispersal width that makes the data cycle five periods, then
-// seeded random ones of 8 to 64 files with r ∈ {0, 1, 2}.
+// small harmonic catalogue with a dispersal width that makes the data
+// cycle five periods, then seeded random ones of 8 to 64 files with
+// r ∈ {0, 1, 2}.
 func reclaimCatalogues() [][]FileSpec {
 	catalogues := [][]FileSpec{{
 		{Name: "a", Blocks: 2, Latency: 10, Faults: 1, DispersalWidth: 5},
@@ -208,55 +208,39 @@ func reclaimCatalogues() [][]FileSpec {
 }
 
 // TestReclaimedEmissionIsSupersetOfProgram is the correctness argument
-// of reclamation: over seeded random catalogues under every built-in
-// scheduler and layout, a paced station emits its program file for file
-// plus best-effort blocks in the idle slots, all of a file's on one
-// rotation, with the program's data cycle and every window the program
-// keeps; the same station without a slot interval emits the program and
-// nothing else.
+// of reclamation: over seeded random catalogues, a paced station emits
+// its program file for file plus best-effort blocks in the idle slots,
+// all of a file's on one rotation, with the program's data cycle and
+// every window the program keeps; the same station without a slot
+// interval emits the program and nothing else.
 func TestReclaimedEmissionIsSupersetOfProgram(t *testing.T) {
-	portfolio, _ := LookupScheduler(SchedulerPortfolio)
 	reclaimed := 0
 	for c, files := range reclaimCatalogues() {
-		base := []Option{WithFiles(files...), WithContents(workload.Contents(files, 16, int64(c))), WithSlotBuffer(256)}
-		for _, layoutName := range LayoutNames() {
-			schedulers := []string{SchedulerPortfolio}
-			if layoutName == LayoutPinwheel {
-				schedulers = SchedulerNames()
+		opts := []Option{WithFiles(files...), WithContents(workload.Contents(files, 16, int64(c))), WithSlotBuffer(256)}
+		paced := station(t, true, opts...)
+		gen := paced.onAir.Load()
+		prog := gen.program
+		n := (min(2*gen.cycle, reclaimTestSlots) + prog.Period - 1) / prog.Period * prog.Period
+		checkReclaimedEmission(t, paced, gen, air(t, paced, n))
+		reclaimed += reclaimedPerPeriod(gen)
+		for _, f := range files {
+			i, window := prog.FileIndex(f.Name), paced.bandwidth*f.Latency
+			if err := prog.VerifyWindows(i, f.Demand(), window); err != nil {
+				t.Fatalf("catalogue %d: the program misses its own window: %v", c, err)
 			}
-			for _, schedName := range schedulers {
-				if c > 0 && (schedName == SchedulerEDF || schedName == SchedulerExact) {
-					continue // seconds of search on a random catalogue, to fall back to the portfolio
-				}
-				sched, _ := LookupScheduler(schedName)
-				opts := append(base[:len(base):len(base)], WithLayout(mustLayout(t, layoutName)), WithSchedulers(sched, portfolio))
-				paced := station(t, true, opts...)
-				gen := paced.onAir.Load()
-				prog := gen.program
-				n := (min(2*gen.cycle, reclaimTestSlots) + prog.Period - 1) / prog.Period * prog.Period
-				checkReclaimedEmission(t, paced, gen, air(t, paced, n))
-				reclaimed += reclaimedPerPeriod(gen)
-				for _, f := range files {
-					i, window := prog.FileIndex(f.Name), paced.bandwidth*f.Latency
-					kept := prog.VerifyWindows(i, f.Demand(), window)
-					if kept != nil && layoutName == LayoutPinwheel {
-						t.Fatalf("catalogue %d %s/%s: the program misses its own window: %v", c, layoutName, schedName, kept)
-					}
-					if err := gen.emission.VerifyWindows(i, f.Demand(), window); err != nil && kept == nil {
-						t.Fatalf("catalogue %d %s/%s: the emission misses a window the program keeps: %v", c, layoutName, schedName, err)
-					}
-				}
+			if err := gen.emission.VerifyWindows(i, f.Demand(), window); err != nil {
+				t.Fatalf("catalogue %d: the emission misses a window the program keeps: %v", c, err)
+			}
+		}
 
-				for lt, slot := range air(t, station(t, false, opts...), n) {
-					file, seq := prog.BlockAt(lt)
-					if file == Idle && slot.Block == nil {
-						continue
-					}
-					if file == Idle || slot.File != prog.Files[file].Name || slot.Seq != seq {
-						t.Fatalf("catalogue %d %s/%s: unpaced slot %d carries %q/%d, not what the program says",
-							c, layoutName, schedName, lt, slot.File, slot.Seq)
-					}
-				}
+		for lt, slot := range air(t, station(t, false, opts...), n) {
+			file, seq := prog.BlockAt(lt)
+			if file == Idle && slot.Block == nil {
+				continue
+			}
+			if file == Idle || slot.File != prog.Files[file].Name || slot.Seq != seq {
+				t.Fatalf("catalogue %d: unpaced slot %d carries %q/%d, not what the program says",
+					c, lt, slot.File, slot.Seq)
 			}
 		}
 	}
@@ -549,19 +533,17 @@ func TestSimulateOnEmissionMatchesPacedStation(t *testing.T) {
 }
 
 // TestUnpacedEmissionIsTheProgram: with no slot interval there is no air
-// to plan, and Emission is Program — the same pointer, whatever the
-// layout; paced, it is a program of its own over the same file table.
+// to plan, and Emission is Program — the same pointer; paced, it is a
+// program of its own over the same file table.
 func TestUnpacedEmissionIsTheProgram(t *testing.T) {
 	files := reclaimCatalogues()[0]
-	for _, layoutName := range LayoutNames() {
-		opts := []Option{WithFiles(files...), WithContents(workload.Contents(files, 16, 0)), WithLayout(mustLayout(t, layoutName))}
-		if st := station(t, false, opts...); st.Emission() != st.Program() {
-			t.Fatalf("%s: an unpaced station serves %p, its program is %p", layoutName, st.Emission(), st.Program())
-		}
-		st := station(t, true, opts...)
-		if e, p := st.Emission(), st.Program(); e == p || e.Period != p.Period || &e.Files[0] != &p.Files[0] {
-			t.Fatalf("%s: a paced station serves %v for the program %v", layoutName, e, p)
-		}
+	opts := []Option{WithFiles(files...), WithContents(workload.Contents(files, 16, 0))}
+	if st := station(t, false, opts...); st.Emission() != st.Program() {
+		t.Fatalf("an unpaced station serves %p, its program is %p", st.Emission(), st.Program())
+	}
+	st := station(t, true, opts...)
+	if e, p := st.Emission(), st.Program(); e == p || e.Period != p.Period || &e.Files[0] != &p.Files[0] {
+		t.Fatalf("a paced station serves %v for the program %v", e, p)
 	}
 }
 

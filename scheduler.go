@@ -7,10 +7,11 @@ import "pinbcast/internal/pinwheel"
 // two-distinct specialization, EDF and the exact search — one walk over
 // urgency states, greedy and backtracking — and the combined portfolio)
 // under their names (LookupScheduler); applications plug in their own
-// implementations by value and select or order them per Station with
-// WithSchedulers. Every chain runs through one loop that re-verifies
-// each schedule against the system before use, so a buggy third-party
-// scheduler can fail a build but never corrupt a broadcast program.
+// implementations by value and select or order them per build with
+// BuildConfig.Schedulers. A Station runs the portfolio. Every chain
+// runs through one loop that re-verifies each schedule against the
+// system before use, so a buggy third-party scheduler can fail a build
+// but never corrupt a broadcast program.
 type Scheduler = pinwheel.Scheduler
 
 var schedulers = newRegistry("scheduler", pinwheel.Registered...)

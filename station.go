@@ -94,7 +94,8 @@ func (a airing) at(t int) (slot Slot, reclaimed bool) {
 }
 
 // Station is a long-lived broadcast-disk service: it owns schedule
-// construction (through a configurable scheduler chain), the dispersed
+// construction (the §3 pinwheel program, solved by the paper's
+// portfolio and certified at the station's bandwidth), the dispersed
 // file database, and a context-aware streaming broadcast loop. Files
 // can be admitted and evicted online; changes take effect at the next
 // data-cycle boundary (§2.3), where the outgoing program's block
@@ -106,12 +107,10 @@ func (a airing) at(t int) (slot Slot, reclaimed bool) {
 // A Station is safe for concurrent use: Admit and Evict may be called
 // while Serve streams.
 type Station struct {
-	bandwidth  int
-	schedulers []Scheduler
-	layout     Layout
-	interval   time.Duration
-	buffer     int
-	clock      clock // nil unless paced; the pacing tests swap in a fake
+	bandwidth int
+	interval  time.Duration
+	buffer    int
+	clock     clock // nil unless paced; the pacing tests swap in a fake
 
 	// latest is the generation mutations build on, stored by stage; the
 	// serve loop swaps it in at its next data-cycle boundary. onAir is
@@ -133,7 +132,8 @@ type Station struct {
 
 // New constructs a Station from functional options. At least one file
 // with contents is required; bandwidth defaults to the Equation-1/2
-// sizing; the scheduler chain defaults to the paper's portfolio.
+// sizing. Every generation is the pinwheel construction at that
+// bandwidth, scheduled by the paper's portfolio.
 //
 //	st, err := pinbcast.New(
 //		pinbcast.WithFile(pinbcast.FileSpec{Name: "traffic", Blocks: 4, Latency: 8, Faults: 1}, bulletin),
@@ -154,12 +154,10 @@ func New(opts ...Option) (*Station, error) {
 		bw = core.SufficientBandwidth(cfg.files)
 	}
 	st := &Station{
-		bandwidth:  bw,
-		schedulers: cfg.schedulers,
-		layout:     cfg.layout,
-		interval:   cfg.interval,
-		buffer:     cfg.buffer,
-		qos:        map[string]qosEntry{},
+		bandwidth: bw,
+		interval:  cfg.interval,
+		buffer:    cfg.buffer,
+		qos:       map[string]qosEntry{},
 	}
 	if st.interval > 0 {
 		st.clock = wallClock{time.NewTimer(st.interval)} // Serve is single-flight: one timer does
@@ -174,8 +172,8 @@ func New(opts ...Option) (*Station, error) {
 }
 
 // build constructs a new program generation for the file set at the
-// station's bandwidth, using its layout and scheduler chain, and
-// rejects a program that would stretch an issued contract. The files
+// station's bandwidth with the scheduler portfolio, after rejecting a
+// file set that would stretch an issued contract. The files
 // contents names are dispersed from it, sending their ranges of it
 // (server.NewSplit); every other file is sent as the first from server
 // sends it, its encoded blocks carried over. Caller must hold buildMu
@@ -185,10 +183,12 @@ func New(opts ...Option) (*Station, error) {
 //pinlint:holds buildMu
 func (st *Station) build(files []FileSpec, replicaOnly map[string]bool, contents map[string][]byte, ranges map[string]server.Range, from ...*server.Server) (*generation, error) {
 	start := time.Now()
-	prog, err := buildProgram(files, st.bandwidth, st.layout, st.schedulers)
-	if err == nil {
-		err = st.verifyContracts(prog, files)
+	// A contract is a window bound of the file set, so a change that
+	// would stretch one is refused before anything is solved.
+	if err := st.verifyContracts(files); err != nil {
+		return nil, err
 	}
+	prog, err := core.BuildProgramWith(files, st.bandwidth, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -241,9 +241,7 @@ func (st *Station) emission(prog *Program, files []FileSpec, replicaOnly map[str
 		return nil, fmt.Errorf("pinbcast: internal error: reclaimed emission: %w", err)
 	}
 	for _, f := range files {
-		i, window := prog.FileIndex(f.Name), st.bandwidth*f.Latency
-		// Every window prog keeps: a layout may bound nothing.
-		if err := emission.VerifyWindows(i, f.Demand(), window); err != nil && prog.VerifyWindows(i, f.Demand(), window) == nil {
+		if err := emission.VerifyWindows(prog.FileIndex(f.Name), f.Demand(), st.bandwidth*f.Latency); err != nil {
 			return nil, fmt.Errorf("pinbcast: internal error: reclaimed emission: %w", err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -442,14 +443,28 @@ func TestStationSlotInterval(t *testing.T) {
 	}
 }
 
-// TestStationSchedulerChain injects a custom broken scheduler and
-// checks that independent verification rejects its output and falls
-// through to the next chain member.
-func TestStationSchedulerChain(t *testing.T) {
+// TestBuildSchedulerChain injects a custom broken scheduler into
+// Build's chain and checks that independent verification rejects its
+// output and falls through to the next chain member. A station runs the
+// default chain: its program is Build's at the station's bandwidth.
+func TestBuildSchedulerChain(t *testing.T) {
+	st, _ := lifecycleStation(t)
+	cfg := BuildConfig{Files: st.Files(), Bandwidth: st.Bandwidth()}
+	def, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Program(); got.Origin != def.Origin || !slices.Equal(got.Slots, def.Slots) {
+		t.Fatalf("the station airs %s %v, Build's default chain gives %s %v", got.Origin, got.Slots, def.Origin, def.Slots)
+	}
 	edf, _ := LookupScheduler(SchedulerEDF)
-	st, _ := lifecycleStation(t, WithSchedulers(brokenScheduler{}, edf))
-	if origin := st.Program().Origin; origin != "pinwheel/EDF" {
-		t.Fatalf("program origin = %q, want the EDF fallback", origin)
+	cfg.Schedulers = []Scheduler{brokenScheduler{}, edf}
+	p, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Origin != "pinwheel/EDF" {
+		t.Fatalf("program origin = %q, want the EDF fallback", p.Origin)
 	}
 }
 

@@ -26,7 +26,9 @@ func TxnLatency(p *Program, x Txn, start int) (int, error) {
 // TxnWorstLatency maximizes the transaction's retrieval time over every
 // start slot of one period under each read's rᵢ worst faults — the
 // measured worst case of the transaction on this exact program, whatever
-// layout built it.
+// layout built it. A station's contract is the window bound instead,
+// which its construction certified; this measures what Build's other
+// layouts give.
 func TxnWorstLatency(p *Program, x Txn) (int, error) {
 	return rtdb.TxnWorstLatency(p, x)
 }
