@@ -35,10 +35,10 @@ func benchCluster(b *testing.B) *pinbcast.Cluster {
 		pinbcast.WithChannels(3),
 		pinbcast.WithReplicas(2),
 		pinbcast.WithReplicateHottest(3),
-		pinbcast.WithClusterBandwidth(2),
-		pinbcast.WithClusterFiles(files...),
-		pinbcast.WithClusterContents(pinbcast.CatalogContents(files, 256, 1)),
-		pinbcast.WithStationOptions(pinbcast.WithSlotBuffer(256)),
+		pinbcast.WithBandwidth(2),
+		pinbcast.WithFiles(files...),
+		pinbcast.WithContents(pinbcast.CatalogContents(files, 256, 1)),
+		pinbcast.WithSlotBuffer(256),
 	)
 	if err != nil {
 		b.Fatal(err)
@@ -97,7 +97,7 @@ func BenchmarkMultiTuner(b *testing.B) {
 	}
 	cancel()
 	mt, err := pinbcast.NewMultiTuner(srcs,
-		pinbcast.WithTunerDirectory(c.Directory()),
+		pinbcast.WithDirectory(c.Directory()),
 		pinbcast.WithTunerHomes(c.FetchPlan()),
 	)
 	if err != nil {

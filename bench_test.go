@@ -615,9 +615,9 @@ func BenchmarkControlPlane(b *testing.B) {
 				cl, err := pinbcast.NewCluster(
 					pinbcast.WithChannels(2),
 					pinbcast.WithReplicas(2),
-					pinbcast.WithClusterBandwidth(bw),
-					pinbcast.WithClusterFiles(sub...),
-					pinbcast.WithClusterContents(contents),
+					pinbcast.WithBandwidth(bw),
+					pinbcast.WithFiles(sub...),
+					pinbcast.WithContents(contents),
 				)
 				check(b, err)
 				_, err = cl.Negotiate(pinbcast.Txn{Name: "ctxn", Reads: []string{sub[0].Name}, Deadline: 1 << 30})

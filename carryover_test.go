@@ -79,7 +79,7 @@ func sameForms(t *testing.T, when string, prog *core.Program, got, want *server.
 
 // TestCarryOverMatchesFromScratch drives a station through random
 // control-plane steps and, after each, holds the latest generation to a
-// from-scratch server.New over the model's contents: every frame and
+// from-scratch server.NewSplit over the model's contents: every frame and
 // every Block field equal, and exactly the files that differ from the
 // previous generation dispersed. Each new program is then built once
 // more on top of an older generation, where a name the two share may
@@ -220,7 +220,7 @@ func TestCarryOverMatchesFromScratch(t *testing.T) {
 				if len(latest.program.Files) != len(model) {
 					t.Fatalf("step %d (%s): %d files on the air, model has %d", step, kind, len(latest.program.Files), len(model))
 				}
-				want, err := server.New(latest.program, contents)
+				want, err := server.NewSplit(latest.program, contents, nil)
 				if err != nil {
 					t.Fatalf("step %d (%s): from-scratch New: %v", step, kind, err)
 				}
@@ -235,7 +235,7 @@ func TestCarryOverMatchesFromScratch(t *testing.T) {
 				// generation: names it shares with this one may since have
 				// come back with other contents or another width.
 				old := history[rng.Intn(len(history))]
-				again, err := server.New(latest.program, contents, old.srv)
+				again, err := server.NewSplit(latest.program, contents, nil, old.srv)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -130,32 +131,27 @@ type ClusterContract struct {
 }
 
 // NewCluster plans and builds a sharded broadcast cluster from
-// functional options. At least WithClusterFiles, WithClusterContents
-// and WithChannels are needed; the shard policy defaults to
-// ShardBalanced, replication to min(2, K) copies of the hottest ¼ of
-// the catalog.
+// functional options: the catalogue and the channels' settings are
+// Station options (see ClusterOption), the plan is WithChannels and its
+// siblings. The shard policy defaults to ShardBalanced, replication to
+// min(2, K) copies of the hottest ¼ of the catalog.
 //
 //	c, err := pinbcast.NewCluster(
 //		pinbcast.WithChannels(3),
 //		pinbcast.WithReplicas(2),
-//		pinbcast.WithClusterFiles(files...),
-//		pinbcast.WithClusterContents(contents),
+//		pinbcast.WithFiles(files...),
+//		pinbcast.WithContents(contents),
 //	)
 func NewCluster(opts ...ClusterOption) (*Cluster, error) {
-	cfg := &clusterConfig{contents: map[string][]byte{}, channels: 2, replicas: -1, hottest: -1}
+	cfg := &clusterConfig{stationConfig: stationConfig{contents: map[string][]byte{}},
+		channels: 2, replicas: -1, hottest: -1, shard: cluster.BalancedShard{}}
 	for _, opt := range opts {
-		if err := opt(cfg); err != nil {
+		if err := opt.applyCluster(cfg); err != nil {
 			return nil, err
 		}
 	}
-	if cfg.shard == nil {
-		cfg.shard = cluster.BalancedShard{}
-	}
 	if cfg.replicas < 0 {
-		cfg.replicas = 2
-		if cfg.channels < 2 {
-			cfg.replicas = 1
-		}
+		cfg.replicas = min(2, cfg.channels)
 	}
 	if cfg.hottest < 0 {
 		cfg.hottest = (len(cfg.files) + 3) / 4
@@ -192,22 +188,16 @@ func NewCluster(opts ...ClusterOption) (*Cluster, error) {
 	c.stations = make([]*Station, len(asn.Channels))
 	replicaOnly := c.replicaOnlyLocked()
 	for ch, chFiles := range asn.Channels {
-		ranges, chContents := map[string]server.Range{}, make(map[string][]byte, len(chFiles))
+		sc := cfg.stationConfig
+		sc.files, sc.replicaOnly = chFiles, replicaOnly[ch]
+		sc.contents, sc.ranges = make(map[string][]byte, len(chFiles)), map[string]server.Range{}
 		for _, f := range chFiles {
-			chContents[f.Name] = cfg.contents[f.Name]
+			sc.contents[f.Name] = cfg.contents[f.Name]
 			if homes := asn.Homes[f.Name]; len(homes) > 1 {
-				ranges[f.Name] = server.Range{Index: slices.Index(homes, ch), Of: len(homes)}
+				sc.ranges[f.Name] = server.Range{Index: slices.Index(homes, ch), Of: len(homes)}
 			}
 		}
-		stOpts := []Option{WithFiles(chFiles...), WithContents(chContents), func(sc *stationConfig) error {
-			sc.replicaOnly, sc.ranges = replicaOnly[ch], ranges
-			return nil
-		}}
-		if cfg.bandwidth > 0 {
-			stOpts = append(stOpts, WithBandwidth(cfg.bandwidth))
-		}
-		stOpts = append(stOpts, cfg.stationOpts...)
-		st, err := New(stOpts...)
+		st, err := newStation(&sc)
 		if err != nil {
 			return nil, fmt.Errorf("pinbcast: building channel %d: %w", ch, err)
 		}
@@ -302,9 +292,7 @@ func (c *Cluster) Assignment() map[string][]int {
 func (c *Cluster) Directory() map[uint32]string {
 	out := map[uint32]string{}
 	for _, st := range c.stations {
-		for id, name := range st.Directory() {
-			out[id] = name
-		}
+		maps.Copy(out, st.Directory())
 	}
 	return out
 }

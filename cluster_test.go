@@ -35,9 +35,9 @@ func testCluster(t *testing.T, opts ...ClusterOption) *Cluster {
 		WithReplicas(2),
 		WithReplicateHottest(2),
 		WithShardName(ShardBalanced),
-		WithClusterBandwidth(2),
-		WithClusterFiles(files...),
-		WithClusterContents(CatalogContents(files, 64, 1)),
+		WithBandwidth(2),
+		WithFiles(files...),
+		WithContents(CatalogContents(files, 64, 1)),
 	}
 	c, err := NewCluster(append(base, opts...)...)
 	if err != nil {
@@ -101,13 +101,13 @@ func TestClusterBuildValidation(t *testing.T) {
 		name string
 		opts []ClusterOption
 	}{
-		{"no contents", []ClusterOption{WithChannels(2), WithClusterFiles(files...)}},
+		{"no contents", []ClusterOption{WithChannels(2), WithFiles(files...)}},
 		{"zero channels", []ClusterOption{WithChannels(0)}},
 		{"negative replicas", []ClusterOption{WithReplicas(0)}},
 		{"unknown shard", []ClusterOption{WithShardName("mystery")}},
 		{"replicas over channels", []ClusterOption{
 			WithChannels(2), WithReplicas(3),
-			WithClusterFiles(files...), WithClusterContents(CatalogContents(files, 64, 1)),
+			WithFiles(files...), WithContents(CatalogContents(files, 64, 1)),
 		}},
 		{"no files", []ClusterOption{WithChannels(2)}},
 	}
@@ -115,6 +115,42 @@ func TestClusterBuildValidation(t *testing.T) {
 		if _, err := NewCluster(tc.opts...); !errors.Is(err, ErrBadSpec) {
 			t.Errorf("%s: got %v, want ErrBadSpec", tc.name, err)
 		}
+	}
+}
+
+// TestClusterPlansEveryCatalogueFile holds a file given by WithFile to
+// the plan like the files of WithFiles: it is in the fetch plan, exactly
+// its planned homes carry it, and FailChannel re-homes it.
+func TestClusterPlansEveryCatalogueFile(t *testing.T) {
+	files := []FileSpec{
+		{Name: "a", Blocks: 2, Latency: 8, Faults: 1},
+		{Name: "b", Blocks: 3, Latency: 30, Faults: 1},
+	}
+	x := FileSpec{Name: "x", Blocks: 2, Latency: 60, Faults: 1}
+	c, err := NewCluster(WithChannels(2), WithBandwidth(SufficientBandwidth(append(files, x))),
+		WithFiles(files...), WithContents(CatalogContents(files, 64, 1)),
+		WithFile(x, bytes.Repeat([]byte("x"), 100)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	homes := c.Assignment()["x"]
+	if plan := c.FetchPlan()["x"]; len(plan) == 0 || !slices.Equal(slices.Sorted(slices.Values(plan)), slices.Sorted(slices.Values(homes))) {
+		t.Fatalf("fetch plan for x = %v, homes %v", plan, homes)
+	}
+	for ch := range c.Channels() {
+		carries := c.Station(ch).Program().FileIndex("x") >= 0
+		if carries != slices.Contains(homes, ch) {
+			t.Fatalf("channel %d carries x: %v, but x's homes are %v", ch, carries, homes)
+		}
+	}
+	if len(homes) != 1 {
+		t.Fatalf("x homes = %v, want one: only the hottest file is replicated", homes)
+	}
+	if _, err := c.FailChannel(homes[0]); err != nil {
+		t.Fatal(err)
+	}
+	if now := c.Assignment()["x"]; len(now) != 1 || now[0] == homes[0] {
+		t.Fatalf("after channel %d failed x is on %v, want the survivor", homes[0], now)
 	}
 }
 
@@ -215,10 +251,7 @@ func TestClusterNegotiateComposition(t *testing.T) {
 // data-cycle boundaries (contracts re-verified) and retrieved from
 // their new homes.
 func TestClusterKillChannelE2E(t *testing.T) {
-	c := testCluster(t, WithStationOptions(
-		WithSlotInterval(50*time.Microsecond),
-		WithSlotBuffer(256),
-	))
+	c := testCluster(t, WithSlotInterval(50*time.Microsecond), WithSlotBuffer(256))
 
 	// Contracts before the failure: two replicated reads and the warm
 	// file that lives only on the channel we will kill.
@@ -271,10 +304,10 @@ func TestClusterKillChannelE2E(t *testing.T) {
 	}
 	stalePlan := c.FetchPlan() // the pre-failure view a real tuner would hold
 	mt, err := NewMultiTuner(srcs,
-		WithTunerDirectory(c.Directory()),
+		WithDirectory(c.Directory()),
 		WithTunerHomes(stalePlan),
-		WithTunerRequest("hot-a", ca.DegradedLatencySlots),
-		WithTunerRequest("hot-b", cb.DegradedLatencySlots),
+		WithRequest("hot-a", ca.DegradedLatencySlots),
+		WithRequest("hot-b", cb.DegradedLatencySlots),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -459,8 +492,8 @@ func TestClusterFailoverLossAndRevocation(t *testing.T) {
 		WithChannels(2),
 		WithReplicateHottest(1), // big-a replicated on both channels
 		WithShardName(ShardBalanced),
-		WithClusterFiles(files...),
-		WithClusterContents(CatalogContents(files, 32, 1)),
+		WithFiles(files...),
+		WithContents(CatalogContents(files, 32, 1)),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -481,7 +514,7 @@ func TestClusterFailoverLossAndRevocation(t *testing.T) {
 	}
 	srcs := []Source{SlotSource(slots[0]), SlotSource(slots[1])}
 	plan := c.FetchPlan()
-	mt, err := NewMultiTuner(srcs, WithTunerDirectory(c.Directory()), WithTunerHomes(plan))
+	mt, err := NewMultiTuner(srcs, WithDirectory(c.Directory()), WithTunerHomes(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -681,7 +714,7 @@ func TestClusterReplicasCarryDisjointRanges(t *testing.T) {
 	wide := []FileSpec{{Name: "w", Blocks: 100, Latency: 300, Faults: 28}, {Name: "x", Blocks: 1, Latency: 300}}
 	for _, refused := range []bool{false, true} {
 		_, err = NewCluster(WithChannels(2), WithReplicas(2), WithReplicateHottest(1),
-			WithClusterFiles(wide...), WithClusterContents(CatalogContents(wide, 8, 1)))
+			WithFiles(wide...), WithContents(CatalogContents(wide, 8, 1)))
 		if errors.Is(err, ErrBadSpec) != refused || !refused && err != nil {
 			t.Fatalf("a rotation of %d blocks on two channels: %v", wide[0].Width(), err)
 		}

@@ -240,10 +240,10 @@ func buildChannels(ctx context.Context, cfg Config, files []pinbcast.FileSpec, c
 		pinbcast.WithChannels(cfg.Channels),
 		pinbcast.WithReplicas(replicas),
 		pinbcast.WithShardName(cfg.Shard),
-		pinbcast.WithClusterBandwidth(pinbcast.SufficientBandwidth(files)),
-		pinbcast.WithClusterFiles(files...),
-		pinbcast.WithClusterContents(contents),
-		pinbcast.WithStationOptions(pinbcast.WithSlotBuffer(256), pinbcast.WithSlotInterval(cfg.SlotInterval)),
+		pinbcast.WithBandwidth(pinbcast.SufficientBandwidth(files)),
+		pinbcast.WithFiles(files...),
+		pinbcast.WithContents(contents),
+		pinbcast.WithSlotBuffer(256), pinbcast.WithSlotInterval(cfg.SlotInterval),
 	)
 	if err != nil {
 		return nil, nil, err

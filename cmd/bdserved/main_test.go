@@ -323,9 +323,9 @@ func TestDaemonReclaimsIdleSlots(t *testing.T) {
 	}
 	cl, err := pinbcast.NewCluster(
 		pinbcast.WithChannels(cfg.Channels), pinbcast.WithReplicas(cfg.Replicas), pinbcast.WithShardName(cfg.Shard),
-		pinbcast.WithClusterBandwidth(pinbcast.SufficientBandwidth(files)),
-		pinbcast.WithClusterFiles(files...), pinbcast.WithClusterContents(workload.Contents(files, cfg.BlockSize, cfg.Seed)),
-		pinbcast.WithStationOptions(pinbcast.WithSlotInterval(cfg.SlotInterval)))
+		pinbcast.WithBandwidth(pinbcast.SufficientBandwidth(files)),
+		pinbcast.WithFiles(files...), pinbcast.WithContents(workload.Contents(files, cfg.BlockSize, cfg.Seed)),
+		pinbcast.WithSlotInterval(cfg.SlotInterval))
 	if err != nil {
 		t.Fatal(err)
 	}

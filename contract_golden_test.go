@@ -80,9 +80,9 @@ func goldenContracts(t *testing.T) map[string]any {
 		cl, err := pinbcast.NewCluster(
 			pinbcast.WithChannels(2),
 			pinbcast.WithReplicas(2),
-			pinbcast.WithClusterBandwidth(pinbcast.SufficientBandwidth(sub)),
-			pinbcast.WithClusterFiles(sub...),
-			pinbcast.WithClusterContents(contents),
+			pinbcast.WithBandwidth(pinbcast.SufficientBandwidth(sub)),
+			pinbcast.WithFiles(sub...),
+			pinbcast.WithContents(contents),
 		)
 		check(err)
 		var before []pinbcast.ClusterContract

@@ -155,8 +155,8 @@
 //
 //	c, err := pinbcast.NewCluster(
 //		pinbcast.WithChannels(3), pinbcast.WithReplicas(2),
-//		pinbcast.WithClusterFiles(files...),
-//		pinbcast.WithClusterContents(contents),
+//		pinbcast.WithFiles(files...),
+//		pinbcast.WithContents(contents),
 //	)
 //	cc, err := c.Negotiate(pinbcast.Txn{Name: "trip", Reads: reads, Deadline: d})
 //	rep, err := c.FailChannel(1) // failover: re-admit, re-verify, revoke

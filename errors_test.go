@@ -45,9 +45,9 @@ func TestNilInputsAreBadSpecs(t *testing.T) {
 			_, err := Build(BuildConfig{Files: files, Schedulers: []Scheduler{nil}, Layout: pinwheel})
 			return err
 		}},
-		{"WithStationOptions", func() error {
-			_, err := NewCluster(WithClusterFiles(files...), WithClusterContents(contents),
-				WithStationOptions(WithDatabase(nil, "combat")))
+		{"NewCluster WithDatabase", func() error {
+			_, err := NewCluster(WithFiles(files...), WithContents(contents),
+				WithDatabase(nil, "combat"))
 			return err
 		}},
 		{"WithDatabase", func() error {

@@ -43,9 +43,9 @@ func main() {
 		pinbcast.WithReplicas(2),
 		pinbcast.WithReplicateHottest(3),
 		pinbcast.WithShardName(pinbcast.ShardBalanced),
-		pinbcast.WithClusterBandwidth(bw),
-		pinbcast.WithClusterFiles(files...),
-		pinbcast.WithClusterContents(contents),
+		pinbcast.WithBandwidth(bw),
+		pinbcast.WithFiles(files...),
+		pinbcast.WithContents(contents),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -99,11 +99,11 @@ func main() {
 		loss[i] = pinbcast.BernoulliFaults(0.02, int64(7+i))
 	}
 	mt, err := pinbcast.NewMultiTuner(srcs,
-		pinbcast.WithTunerDirectory(c.Directory()),
+		pinbcast.WithDirectory(c.Directory()),
 		pinbcast.WithTunerHomes(stalePlan),
-		pinbcast.WithTunerFaults(loss...),
+		pinbcast.WithReceiverFaults(loss...),
 		pinbcast.WithMissThreshold(8),
-		pinbcast.WithTunerRequest("traffic-00", 0),
+		pinbcast.WithRequest("traffic-00", 0),
 	)
 	if err != nil {
 		log.Fatal(err)

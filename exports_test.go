@@ -2,6 +2,7 @@ package pinbcast
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -165,6 +166,43 @@ func TestExportsHaveCallers(t *testing.T) {
 	for name := range uncalledExports {
 		if exported[name] == nil {
 			t.Errorf("allow-list names %s, which the module does not export", name)
+		}
+	}
+}
+
+// TestMisplacedOptionsDoNotCompile holds the option vocabulary to its
+// constructors: an option shared by two constructors (an Option for a
+// Cluster, a ListenerOption for a MultiTuner) type-checks with both, and
+// one that configures a single constructor type-checks with no other.
+func TestMisplacedOptionsDoNotCompile(t *testing.T) {
+	pkgs, _, err := analyzers.Load(".", ".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := pkgs[0]
+	if pkg.PkgPath != "pinbcast" {
+		t.Fatalf("loaded %s, want pinbcast", pkg.PkgPath)
+	}
+	eval := func(expr string) error {
+		_, err := types.Eval(pkg.Fset, pkg.Types, token.NoPos, expr)
+		return err
+	}
+	for _, expr := range []string{
+		"New(WithChannels(2))",
+		"Subscribe(nil, WithTunerHomes(nil))",
+		"NewMultiTuner(nil, WithSchedule(nil))",
+	} {
+		if err := eval(expr); err == nil || !strings.Contains(err.Error(), "cannot use") {
+			t.Errorf("%s: %v, want an option the constructor cannot use", expr, err)
+		}
+	}
+	for _, expr := range []string{
+		"NewCluster(WithFiles(), WithSlotBuffer(1), WithChannels(2))",
+		"NewMultiTuner(nil, WithDirectory(nil), WithReceiverFaults(nil, nil), WithMissThreshold(4))",
+		"Subscribe(nil, WithDirectory(nil), WithReceiverFaults(nil), WithSchedule(nil))",
+	} {
+		if err := eval(expr); err != nil {
+			t.Errorf("%s: %v", expr, err)
 		}
 	}
 }

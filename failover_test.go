@@ -22,7 +22,7 @@ func failoverCluster(t *testing.T, opts ...ClusterOption) *Cluster {
 	}
 	c, err := NewCluster(append([]ClusterOption{
 		WithChannels(4), WithReplicas(2), WithReplicateHottest(2),
-		WithClusterFiles(files...), WithClusterContents(CatalogContents(files, 16, 1)),
+		WithFiles(files...), WithContents(CatalogContents(files, 16, 1)),
 	}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestFailChannelBuildsOncePerSurvivor(t *testing.T) {
 	for _, paced := range []bool{false, true} {
 		var opts []ClusterOption
 		if paced {
-			opts = append(opts, WithStationOptions(WithSlotInterval(pacerTestInterval)))
+			opts = append(opts, WithSlotInterval(pacerTestInterval))
 		}
 		for failed := 0; failed < 4; failed++ {
 			c := failoverCluster(t, opts...)
@@ -129,8 +129,8 @@ func TestFailChannelBuildsOncePerSurvivor(t *testing.T) {
 		{[]int{2}, map[string]int{"h1": 0}}, // channel 2 has the headroom and is refused
 		{[]int{0, 2}, nil},
 	} {
-		c, err := NewCluster(WithChannels(3), WithReplicas(1), WithClusterBandwidth(2),
-			WithClusterFiles(files...), WithClusterContents(CatalogContents(files, 16, 1)))
+		c, err := NewCluster(WithChannels(3), WithReplicas(1), WithBandwidth(2),
+			WithFiles(files...), WithContents(CatalogContents(files, 16, 1)))
 		if err != nil {
 			t.Fatal(err)
 		}

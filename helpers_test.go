@@ -10,15 +10,8 @@ import (
 // each is what a caller's loop over the singular option, or over the
 // Recording sink, comes to.
 
-func withRequests(reqs ...Request) ReceiverOption {
+func withRequests(reqs ...Request) ListenerOption {
 	return func(c *receiverConfig) error {
-		c.requests = append(c.requests, reqs...)
-		return nil
-	}
-}
-
-func withTunerRequests(reqs ...Request) MultiTunerOption {
-	return func(c *multiTunerConfig) error {
 		c.requests = append(c.requests, reqs...)
 		return nil
 	}

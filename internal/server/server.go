@@ -78,7 +78,12 @@ func directory(prog *core.Program) ([]uint32, map[uint32]string, error) {
 // width N.
 type Range struct{ Index, Of int }
 
-// New disperses contents (keyed by file name) according to the
+// New is NewSplit with nil ranges, for the benchmark harness (cmd/bdload).
+func New(prog *core.Program, contents map[string][]byte, from ...*Server) (*Server, error) {
+	return NewSplit(prog, contents, nil, from...)
+}
+
+// NewSplit disperses contents (keyed by file name) according to the
 // program's per-file (M, N) parameters. A file contents does not name
 // is sent as the first of the from servers that carries it sends it:
 // the same bytes and the same Range. Every file of the program must be
@@ -96,17 +101,14 @@ type Range struct{ Index, Of int }
 // of its own. A carried small file keeps the slab of the build that
 // encoded it alive, so a server holds at most its large files' frames
 // and the slabs of the builds its small files came from.
-func New(prog *core.Program, contents map[string][]byte, from ...*Server) (*Server, error) {
-	return NewSplit(prog, contents, nil, from...)
-}
-
-// NewSplit is New for a server that sends only its Range of the files
-// of contents that ranges names (the others of contents whole, and a
-// file contents lacks as its from server does), and carries a file over
-// only from a server that sent the same range of it. The numbering
-// rule: the program still counts a file's rotation in positions 0…N−1,
-// and position p is block Index·N+p of the code of width Of·N, its own
-// number in the block's Seq. The rows of the systematic code do not
+//
+// The server sends only its Range of the files of contents that ranges
+// names (the others of contents whole, and a file contents lacks as its
+// from server does; nil ranges send every file whole), and carries a
+// file over only from a server that sent the same range of it. The
+// numbering rule: the program still counts a file's rotation in
+// positions 0…N−1, and position p is block Index·N+p of the code of
+// width Of·N, its own number in the block's Seq. The rows of the systematic code do not
 // depend on its width, so range 0 holds the payloads an unsplit server
 // sends and the others parity only. Whatever its range a server sends
 // N distinct blocks of a code any M of which rebuild the file, so every

@@ -29,17 +29,17 @@ func testProgram(t *testing.T) *core.Program {
 }
 
 func TestNewRequiresAllContents(t *testing.T) {
-	if _, err := New(testProgram(t), map[string][]byte{"A": []byte("x")}); err == nil {
+	if _, err := NewSplit(testProgram(t), map[string][]byte{"A": []byte("x")}, nil); err == nil {
 		t.Fatal("missing file contents accepted")
 	}
 }
 
 func TestEmitFollowsProgram(t *testing.T) {
 	prog := testProgram(t)
-	srv, err := New(prog, map[string][]byte{
+	srv, err := NewSplit(prog, map[string][]byte{
 		"A": []byte("contents of file A for dispersal"),
 		"B": []byte("contents of B"),
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +60,10 @@ func TestEmitFollowsProgram(t *testing.T) {
 }
 
 func TestEmitMarshalRoundTrip(t *testing.T) {
-	srv, err := New(testProgram(t), map[string][]byte{
+	srv, err := NewSplit(testProgram(t), map[string][]byte{
 		"A": []byte("AAAA AAAA AAAA AAAA"),
 		"B": []byte("BBBB BBBB"),
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestServerBlocksReconstruct(t *testing.T) {
 		"A": []byte("any five of the ten blocks reconstruct this"),
 		"B": []byte("any three of six"),
 	}
-	srv, err := New(testProgram(t), data)
+	srv, err := NewSplit(testProgram(t), data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +142,9 @@ func TestFileIDCollisionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(prog, map[string][]byte{
+	if _, err := NewSplit(prog, map[string][]byte{
 		"costarring": []byte("x"), "liquid": []byte("y"),
-	}); err == nil {
+	}, nil); err == nil {
 		t.Fatal("colliding file IDs accepted")
 	} else if !errors.Is(err, bcerr.ErrBadSpec) {
 		t.Fatalf("err = %v, want ErrBadSpec", err)
@@ -163,7 +163,7 @@ func sameForms(t *testing.T, got, want *Server) {
 			g, gf := got.Block(i, seq)
 			w, wf := want.Block(i, seq)
 			if !bytes.Equal(gf, wf) {
-				t.Fatalf("file %d seq %d: frame differs from a from-scratch New", i, seq)
+				t.Fatalf("file %d seq %d: frame differs from a from-scratch NewSplit", i, seq)
 			}
 			if g.FileID != w.FileID || g.Seq != w.Seq || g.M != w.M || g.N != w.N ||
 				g.Length != w.Length || !bytes.Equal(g.Payload, w.Payload) {
@@ -176,12 +176,12 @@ func sameForms(t *testing.T, got, want *Server) {
 func TestNewCarriesUnchangedFiles(t *testing.T) {
 	prog := testProgram(t)
 	a, b := []byte("contents of file A for dispersal"), []byte("contents of B")
-	base, err := New(prog, map[string][]byte{"A": a, "B": b})
+	base, err := NewSplit(prog, map[string][]byte{"A": a, "B": b}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.Encoded() != 2 {
-		t.Fatalf("from-scratch New encoded %d files, want 2", base.Encoded())
+		t.Fatalf("from-scratch NewSplit encoded %d files, want 2", base.Encoded())
 	}
 	wider, err := core.FlatSpread([]core.FileSpec{
 		{Name: "A", Blocks: 5, Latency: 1, DispersalWidth: 10},
@@ -207,14 +207,14 @@ func TestNewCarriesUnchangedFiles(t *testing.T) {
 		{"N changed", wider, map[string][]byte{"A": a, "B": b}, []*Server{base}, 1},
 		{"second base has it", prog, map[string][]byte{"A": a, "B": b}, []*Server{nil, base}, 0},
 	} {
-		got, err := New(tc.prog, tc.contents, tc.from...)
+		got, err := NewSplit(tc.prog, tc.contents, nil, tc.from...)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if got.Encoded() != tc.encoded {
 			t.Errorf("%s: encoded %d files, want %d", tc.name, got.Encoded(), tc.encoded)
 		}
-		want, err := New(tc.prog, tc.contents)
+		want, err := NewSplit(tc.prog, tc.contents, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func TestNewCarriesUnchangedFiles(t *testing.T) {
 func TestNewSplitCarriesOnEqualRange(t *testing.T) {
 	prog := testProgram(t)
 	contents := map[string][]byte{"A": []byte("contents of file A for dispersal"), "B": []byte("contents of B")}
-	whole, err := New(prog, contents)
+	whole, err := NewSplit(prog, contents, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func TestBuildAllocatesPerBuild(t *testing.T) {
 		}
 		contents := workload.Contents(files, 1<<10, 1)
 		return testing.AllocsPerRun(20, func() {
-			if srv, err := New(prog, contents); err != nil || srv.Encoded() != n {
+			if srv, err := NewSplit(prog, contents, nil); err != nil || srv.Encoded() != n {
 				t.Fatalf("%d files: %v", n, err)
 			}
 		})
@@ -499,7 +499,7 @@ func TestBuildAllocatesPerBuild(t *testing.T) {
 // BenchmarkServerRebuild builds the 256-file admit-churn catalogue's
 // server on top of a previous one in which all, all but one, or none of
 // the contents slices are the ones being built from; changed=256 is a
-// from-scratch New.
+// from-scratch NewSplit.
 func BenchmarkServerRebuild(b *testing.B) {
 	files := workload.Random(256, 8, 10, 80, 0, 1)
 	for i := range files {
@@ -510,7 +510,7 @@ func BenchmarkServerRebuild(b *testing.B) {
 		b.Fatal(err)
 	}
 	contents := workload.Contents(files, 1<<10, 1)
-	base, err := New(prog, contents)
+	base, err := NewSplit(prog, contents, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -525,7 +525,7 @@ func BenchmarkServerRebuild(b *testing.B) {
 		b.Run(fmt.Sprintf("files=256/changed=%d", changed), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				srv, err := New(prog, next, base)
+				srv, err := NewSplit(prog, next, nil, base)
 				if err != nil {
 					b.Fatal(err)
 				}

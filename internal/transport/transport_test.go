@@ -75,7 +75,7 @@ func newBroadcast(t *testing.T) (*Fanout, *server.Server, map[string][]byte) {
 		"A": []byte("file A travels the network as dispersed blocks"),
 		"B": []byte("file B too"),
 	}
-	srv, err := server.New(prog, contents)
+	srv, err := server.NewSplit(prog, contents, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,9 +42,9 @@ import (
 // bounds each channel on its own.
 //
 //	mt, err := pinbcast.NewMultiTuner(srcs,
-//		pinbcast.WithTunerDirectory(c.Directory()),
+//		pinbcast.WithDirectory(c.Directory()),
 //		pinbcast.WithTunerHomes(c.FetchPlan()),
-//		pinbcast.WithTunerRequest("traffic-00", deadline),
+//		pinbcast.WithRequest("traffic-00", deadline),
 //	)
 //	results, err := mt.RunInto(ctx, nil) // reuse results[:0] next run
 //	// ... use results, then hand each Data buffer back:
@@ -129,7 +129,7 @@ type MultiTunerMetrics struct {
 	// DeadChannels lists the channels the detector has declared dead.
 	DeadChannels []int
 	// Injected counts corruptions introduced by the tuner's own fault
-	// models (WithTunerFaults) across all channels.
+	// models (WithReceiverFaults) across all channels.
 	Injected int
 	// Completed and Failed count finished requests by outcome; Pooled is
 	// how many of the completed were rebuilt from blocks of more than one
@@ -141,78 +141,47 @@ type MultiTunerMetrics struct {
 
 // multiTunerConfig collects the options a MultiTuner is built from.
 type multiTunerConfig struct {
-	names     map[uint32]string
-	homes     map[string][]int
-	requests  []Request
-	threshold int
-	faults    []FaultModel
+	receiverConfig // its faults: one model per source
+	homes          map[string][]int
+	threshold      int
 }
 
-// MultiTunerOption configures a MultiTuner under construction.
-type MultiTunerOption func(*multiTunerConfig) error
-
-// WithTunerDirectory supplies the merged id→name directory
-// (Cluster.Directory). Every channel's receiver starts from it, so a
-// file is resolvable whichever channel its blocks arrive on.
-func WithTunerDirectory(names map[uint32]string) MultiTunerOption {
-	return func(c *multiTunerConfig) error {
-		for id, name := range names {
-			c.names[id] = name
-		}
-		return nil
-	}
+// MultiTunerOption configures a MultiTuner under construction: a
+// ListenerOption, WithTunerHomes or WithMissThreshold.
+type MultiTunerOption interface {
+	applyTuner(*multiTunerConfig) error
 }
+
+func (o ListenerOption) applyTuner(c *multiTunerConfig) error { return o(&c.receiverConfig) }
+
+// tunerOption is a MultiTunerOption alone.
+type tunerOption func(*multiTunerConfig) error
+
+func (o tunerOption) applyTuner(c *multiTunerConfig) error { return o(c) }
 
 // WithTunerHomes supplies the fetch plan: for each file, the channels
 // carrying it, cheapest first (Cluster.FetchPlan). Every request made
-// without a plan of its own — WithTunerRequest, MultiTuner.Request —
-// follows it; requests for files absent from the plan scan every live
-// channel.
+// without a plan of its own — WithRequest, MultiTuner.Request — follows
+// it; requests for files absent from the plan scan every live channel.
 func WithTunerHomes(homes map[string][]int) MultiTunerOption {
-	return func(c *multiTunerConfig) error {
-		if c.homes == nil {
-			c.homes = make(map[string][]int, len(homes))
-		}
+	return tunerOption(func(c *multiTunerConfig) error {
 		for name, order := range homes {
-			c.homes[name] = append([]int(nil), order...)
+			c.homes[name] = slices.Clone(order)
 		}
 		return nil
-	}
-}
-
-// WithTunerRequest registers one file to retrieve by the given relative
-// deadline in slots (0 = none), clocked per attachment on the serving
-// channel.
-func WithTunerRequest(file string, deadline int) MultiTunerOption {
-	return func(c *multiTunerConfig) error {
-		c.requests = append(c.requests, Request{File: file, Deadline: deadline})
-		return nil
-	}
-}
-
-// WithTunerFaults injects one reception fault model per channel —
-// independent media have independent fault processes, so stateful
-// models (BurstFaults) must not be shared across channels. Slots a
-// model corrupts reach the channel's protocol as garbled blocks, which
-// the checksum rejects. The slice must have exactly one entry per
-// source (nil entries leave that channel fault-free).
-func WithTunerFaults(models ...FaultModel) MultiTunerOption {
-	return func(c *multiTunerConfig) error {
-		c.faults = append([]FaultModel(nil), models...)
-		return nil
-	}
+	})
 }
 
 // WithMissThreshold sets how many consecutive missed slots (numbering
 // gaps or read timeouts) mark a channel dead (default 4).
 func WithMissThreshold(n int) MultiTunerOption {
-	return func(c *multiTunerConfig) error {
+	return tunerOption(func(c *multiTunerConfig) error {
 		if n < 1 {
 			return fmt.Errorf("pinbcast: miss threshold %d < 1: %w", n, ErrBadSpec)
 		}
 		c.threshold = n
 		return nil
-	}
+	})
 }
 
 // NewMultiTuner subscribes a multi-channel tuner to one Source per
@@ -223,9 +192,9 @@ func NewMultiTuner(srcs []Source, opts ...MultiTunerOption) (*MultiTuner, error)
 	if len(srcs) == 0 {
 		return nil, fmt.Errorf("pinbcast: no sources: %w", ErrBadSpec)
 	}
-	cfg := &multiTunerConfig{names: map[uint32]string{}}
+	cfg := &multiTunerConfig{receiverConfig: receiverConfig{names: map[uint32]string{}}, homes: map[string][]int{}}
 	for _, opt := range opts {
-		if err := opt(cfg); err != nil {
+		if err := opt.applyTuner(cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -242,7 +211,7 @@ func NewMultiTuner(srcs []Source, opts ...MultiTunerOption) (*MultiTuner, error)
 	for i, src := range srcs {
 		rc := &receiverConfig{names: cfg.names}
 		if cfg.faults != nil {
-			rc.fault = cfg.faults[i]
+			rc.faults = cfg.faults[i : i+1]
 		}
 		rcv, err := newReceiver(src, rc)
 		if err != nil {

@@ -45,9 +45,9 @@ func TestMultiTunerHopOnEOF(t *testing.T) {
 		}
 	}
 	mt, err := NewMultiTuner(srcs,
-		WithTunerDirectory(c.Directory()),
+		WithDirectory(c.Directory()),
 		WithTunerHomes(map[string][]int{"hot-a": plan["hot-a"]}),
-		WithTunerRequest("hot-a", 0),
+		WithRequest("hot-a", 0),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestMultiTunerScanModeAndCancel(t *testing.T) {
 	}
 	// No fetch plan at all: every request scans all channels; the
 	// winning channel records the result and the losers are cancelled.
-	mt, err := NewMultiTuner(srcs, WithTunerDirectory(c.Directory()))
+	mt, err := NewMultiTuner(srcs, WithDirectory(c.Directory()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,6 +123,12 @@ func TestMultiTunerValidation(t *testing.T) {
 	rec := &Recording{}
 	if _, err := NewMultiTuner([]Source{rec.Source()}, WithMissThreshold(0)); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("zero threshold: %v", err)
+	}
+	if _, err := NewMultiTuner([]Source{rec.Source()}, WithReceiverFaults(nil, nil)); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("two fault models for one channel: %v", err)
+	}
+	if _, err := NewMultiTuner([]Source{rec.Source(), nil}, WithReceiverFaults(SlotFaults(1))); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("one fault model for two channels: %v", err)
 	}
 	mt, err := NewMultiTuner([]Source{rec.Source()})
 	if err != nil {
@@ -180,9 +186,9 @@ func TestMultiTunerMatchesReceiver(t *testing.T) {
 	}
 
 	mt, err := NewMultiTuner([]Source{&LoopReplay{Slots: rec, End: len(rec)}},
-		WithTunerDirectory(c.Directory()),
-		WithTunerFaults(SlotFaults(kill...)),
-		withTunerRequests(reqs...),
+		WithDirectory(c.Directory()),
+		WithReceiverFaults(SlotFaults(kill...)),
+		withRequests(reqs...),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +227,7 @@ func TestMultiTunerRunAfterClose(t *testing.T) {
 		for i, rec := range recs {
 			srcs[i] = &LoopReplay{Slots: rec}
 		}
-		mt, err := NewMultiTuner(srcs, WithTunerDirectory(c.Directory()))
+		mt, err := NewMultiTuner(srcs, WithDirectory(c.Directory()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +293,7 @@ func TestMultiTunerFlushRequestOrder(t *testing.T) {
 		for i, rec := range recs {
 			srcs[i] = &LoopReplay{Slots: rec, End: len(rec)}
 		}
-		mt, err := NewMultiTuner(srcs, WithTunerDirectory(c.Directory()), WithTunerHomes(plan))
+		mt, err := NewMultiTuner(srcs, WithDirectory(c.Directory()), WithTunerHomes(plan))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +355,7 @@ func TestMultiTunerRequestFollowsHomes(t *testing.T) {
 				srcs[i] = &LoopReplay{Slots: rec, End: len(rec)}
 			}
 		}
-		mt, err := NewMultiTuner(srcs, WithTunerDirectory(c.Directory()),
+		mt, err := NewMultiTuner(srcs, WithDirectory(c.Directory()),
 			WithTunerHomes(map[string][]int{"hot-a": hot}))
 		if err != nil {
 			t.Fatal(err)
@@ -438,7 +444,7 @@ func TestMultiTunerPoolsAcrossChannels(t *testing.T) {
 		pooled, sooner := 0, 0
 		for start := range cycles[0] {
 			srcs := sources(start)
-			mt, err := NewMultiTuner(srcs, WithTunerDirectory(c.Directory()), WithTunerRequest(f.Name, 0))
+			mt, err := NewMultiTuner(srcs, WithDirectory(c.Directory()), WithRequest(f.Name, 0))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -476,7 +482,7 @@ func TestMultiTunerPoolsAcrossChannels(t *testing.T) {
 		t.Fatal("the daemon cluster replicates nothing")
 	}
 
-	mt, err := NewMultiTuner(sources(0), WithTunerDirectory(c.Directory()))
+	mt, err := NewMultiTuner(sources(0), WithDirectory(c.Directory()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +523,7 @@ func TestMultiTunerHopKeepsBlocks(t *testing.T) {
 		first, second := plan[0], plan[1]
 		for k := 1; k < f.Blocks; k++ {
 			srcs := []Source{&LoopReplay{Slots: cycles[0]}, &LoopReplay{Slots: cycles[1]}}
-			mt, err := NewMultiTuner(srcs, WithTunerDirectory(c.Directory()), WithTunerHomes(c.FetchPlan()), WithTunerRequest(f.Name, 0))
+			mt, err := NewMultiTuner(srcs, WithDirectory(c.Directory()), WithTunerHomes(c.FetchPlan()), WithRequest(f.Name, 0))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -660,9 +666,9 @@ func TestMultiTunerRunEndsWithLastRequest(t *testing.T) {
 	ch1 := &oneReader{Source: gated}
 	ch0 := &startAfter{Source: &LoopReplay{Slots: cycle}, start: waiting, read: make(chan struct{}, 1)}
 	mt, err := NewMultiTuner([]Source{ch0, ch1},
-		WithTunerDirectory(c.Directory()),
+		WithDirectory(c.Directory()),
 		WithTunerHomes(map[string][]int{file: {0}, "only-on-1": {1}}),
-		WithTunerRequest(file, 0),
+		WithRequest(file, 0),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -740,7 +746,7 @@ func TestMultiTunerOneReaderPerSource(t *testing.T) {
 		readers[i] = &oneReader{Source: &LoopReplay{Slots: rec}}
 		srcs[i] = readers[i]
 	}
-	mt, err := NewMultiTuner(srcs, WithTunerDirectory(c.Directory()), WithTunerHomes(plan))
+	mt, err := NewMultiTuner(srcs, WithDirectory(c.Directory()), WithTunerHomes(plan))
 	if err != nil {
 		t.Fatal(err)
 	}

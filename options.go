@@ -2,6 +2,7 @@ package pinbcast
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"pinbcast/internal/server"
@@ -21,6 +22,7 @@ type stationConfig struct {
 
 // Option configures a Station under construction. Options are applied
 // in order; later options override earlier ones where they overlap.
+// Every Option also configures a Cluster (see ClusterOption).
 type Option func(*stationConfig) error
 
 // WithFiles appends broadcast file specifications to the station's
@@ -49,9 +51,7 @@ func WithFile(f FileSpec, contents []byte) Option {
 // copies: do not mutate them afterwards (see Station.Admit).
 func WithContents(contents map[string][]byte) Option {
 	return func(c *stationConfig) error {
-		for name, data := range contents {
-			c.contents[name] = data
-		}
+		maps.Copy(c.contents, contents)
 		return nil
 	}
 }
@@ -130,29 +130,43 @@ func WithSlotBuffer(n int) Option {
 
 // clusterConfig collects the options a Cluster is built from.
 type clusterConfig struct {
-	files       []FileSpec
-	contents    map[string][]byte
-	channels    int
-	replicas    int // -1 = default min(2, channels)
-	hottest     int // -1 = default ⌈len(files)/4⌉
-	bandwidth   int // 0 = per-channel Equation-2 sizing
-	shard       Shard
-	stationOpts []Option
+	stationConfig // the catalogue, and what every channel's station shares
+	channels      int
+	replicas      int // -1 = default min(2, channels)
+	hottest       int // -1 = default ⌈len(files)/4⌉
+	shard         Shard
 }
 
-// ClusterOption configures a Cluster under construction.
-type ClusterOption func(*clusterConfig) error
+// ClusterOption configures a Cluster under construction. Every Option
+// is one: WithFiles, WithFile, WithContents and WithDatabase make up the
+// catalogue the cluster shards, and WithBandwidth, WithSlotInterval and
+// WithSlotBuffer apply to every channel's station (a fixed bandwidth
+// instead of the per-channel Equation-2 sizing: over-provisioning, e.g.
+// the Equation-2 bandwidth of the whole catalogue, leaves the headroom
+// FailChannel needs to re-admit a dead channel's files onto the
+// survivors). WithChannels, WithReplicas, WithReplicateHottest and
+// WithShardName configure a Cluster alone.
+type ClusterOption interface {
+	applyCluster(*clusterConfig) error
+}
+
+func (o Option) applyCluster(c *clusterConfig) error { return o(&c.stationConfig) }
+
+// clusterOption is a ClusterOption alone.
+type clusterOption func(*clusterConfig) error
+
+func (o clusterOption) applyCluster(c *clusterConfig) error { return o(c) }
 
 // WithChannels sets K, the number of broadcast channels the catalog is
 // sharded across (default 2).
 func WithChannels(k int) ClusterOption {
-	return func(c *clusterConfig) error {
+	return clusterOption(func(c *clusterConfig) error {
 		if k < 1 {
 			return fmt.Errorf("pinbcast: need at least one channel, got %d: %w", k, ErrBadSpec)
 		}
 		c.channels = k
 		return nil
-	}
+	})
 }
 
 // WithReplicas sets R, the number of channels each replicated file is
@@ -160,78 +174,33 @@ func WithChannels(k int) ClusterOption {
 // still carry every replicated file, so the cluster withstands R−1
 // channel deaths without repair. The default is min(2, K).
 func WithReplicas(r int) ClusterOption {
-	return func(c *clusterConfig) error {
+	return clusterOption(func(c *clusterConfig) error {
 		if r < 1 {
 			return fmt.Errorf("pinbcast: need at least one replica, got %d: %w", r, ErrBadSpec)
 		}
 		c.replicas = r
 		return nil
-	}
+	})
 }
 
 // WithReplicateHottest sets how many of the catalog's hottest files (by
 // bandwidth share, the access-frequency proxy) are replicated. The
 // default replicates the hottest quarter of the catalog.
 func WithReplicateHottest(n int) ClusterOption {
-	return func(c *clusterConfig) error {
+	return clusterOption(func(c *clusterConfig) error {
 		if n < 0 {
 			return fmt.Errorf("pinbcast: negative replication count %d: %w", n, ErrBadSpec)
 		}
 		c.hottest = n
 		return nil
-	}
+	})
 }
 
 // WithShardName selects a registered shard policy by name.
 func WithShardName(name string) ClusterOption {
-	return func(c *clusterConfig) error {
+	return clusterOption(func(c *clusterConfig) error {
 		s, err := shards.named(name)
 		c.shard = s
 		return err
-	}
-}
-
-// WithClusterFiles appends broadcast file specifications to the cluster
-// catalog; supply contents through WithClusterContents.
-func WithClusterFiles(files ...FileSpec) ClusterOption {
-	return func(c *clusterConfig) error {
-		c.files = append(c.files, files...)
-		return nil
-	}
-}
-
-// WithClusterContents supplies catalog file contents keyed by name,
-// merged over any contents already configured.
-func WithClusterContents(contents map[string][]byte) ClusterOption {
-	return func(c *clusterConfig) error {
-		for name, data := range contents {
-			c.contents[name] = data
-		}
-		return nil
-	}
-}
-
-// WithClusterBandwidth fixes every channel's bandwidth in blocks per
-// time unit instead of the default per-channel Equation-2 sizing.
-// Over-provisioning (e.g. the Equation-2 bandwidth of the whole
-// catalog) leaves the headroom FailChannel needs to re-admit a dead
-// channel's files onto the survivors.
-func WithClusterBandwidth(b int) ClusterOption {
-	return func(c *clusterConfig) error {
-		if b < 0 {
-			return fmt.Errorf("pinbcast: negative bandwidth %d: %w", b, ErrBadSpec)
-		}
-		c.bandwidth = b
-		return nil
-	}
-}
-
-// WithStationOptions appends Station options applied to every channel's
-// station: pacing (WithSlotInterval) and buffering (WithSlotBuffer)
-// compose with the cluster plan.
-func WithStationOptions(opts ...Option) ClusterOption {
-	return func(c *clusterConfig) error {
-		c.stationOpts = append(c.stationOpts, opts...)
-		return nil
-	}
+	})
 }

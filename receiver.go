@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 
 	"pinbcast/internal/client"
 	"pinbcast/internal/obs"
@@ -83,45 +84,63 @@ type ReceiverMetrics struct {
 type receiverConfig struct {
 	names    map[uint32]string
 	requests []Request
-	fault    FaultModel
+	faults   []FaultModel // a Receiver's: at most one
 	schedule *Program
 }
 
-// ReceiverOption configures a Receiver under construction.
-type ReceiverOption func(*receiverConfig) error
+// ReceiverOption configures a Receiver under construction: a
+// ListenerOption, or WithSchedule.
+type ReceiverOption interface {
+	applyReceiver(*receiverConfig) error
+}
 
-// WithDirectory supplies the id→name broadcast directory. Over the
-// in-process transport the receiver also learns entries from the
-// stream itself; over TCP (where the wire carries only the paper's
-// self-identifying blocks) the directory is how requests by name are
-// resolved. Merged over any entries already configured.
-func WithDirectory(names map[uint32]string) ReceiverOption {
+// ListenerOption configures what a listener — a Receiver or a
+// MultiTuner — knows and asks for: its directory, its requests and its
+// reception faults. It is both a ReceiverOption and a MultiTunerOption.
+type ListenerOption func(*receiverConfig) error
+
+func (o ListenerOption) applyReceiver(c *receiverConfig) error { return o(c) }
+
+// receiverOption is a ReceiverOption alone.
+type receiverOption func(*receiverConfig) error
+
+func (o receiverOption) applyReceiver(c *receiverConfig) error { return o(c) }
+
+// WithDirectory supplies the id→name broadcast directory (a
+// MultiTuner's: Cluster.Directory). Over the in-process transport the
+// receiver also learns entries from the stream itself; over TCP (where
+// the wire carries only the paper's self-identifying blocks) the
+// directory is how requests by name are resolved. Merged over any
+// entries already configured.
+func WithDirectory(names map[uint32]string) ListenerOption {
 	return func(c *receiverConfig) error {
-		for id, name := range names {
-			c.names[id] = name
-		}
+		maps.Copy(c.names, names)
 		return nil
 	}
 }
 
 // WithRequest registers one file to retrieve by the given relative
 // deadline in slots (0 = none). Deadline clocks start at the first slot
-// the receiver observes.
-func WithRequest(file string, deadline int) ReceiverOption {
+// the receiver observes; a MultiTuner's run per attachment, on the
+// serving channel.
+func WithRequest(file string, deadline int) ListenerOption {
 	return func(c *receiverConfig) error {
 		c.requests = append(c.requests, Request{File: file, Deadline: deadline})
 		return nil
 	}
 }
 
-// WithReceiverFaults injects a reception fault model: slots the model
-// corrupts reach the protocol as garbled blocks, which the checksum
-// rejects — the client then simply waits for the next useful block
-// (§2.3). Use BernoulliFaults, BurstFaults or SlotFaults; nil is
-// fault-free.
-func WithReceiverFaults(fm FaultModel) ReceiverOption {
+// WithReceiverFaults injects reception fault models, one per source: a
+// Receiver takes one and refuses more with ErrBadSpec, a MultiTuner
+// exactly one per channel — independent media have independent fault
+// processes, so stateful models (BurstFaults) must not be shared across
+// channels. Slots a model corrupts reach the protocol as garbled blocks,
+// which the checksum rejects — the client then simply waits for the
+// next useful block (§2.3). Use BernoulliFaults, BurstFaults or
+// SlotFaults; a nil model leaves its source fault-free.
+func WithReceiverFaults(models ...FaultModel) ListenerOption {
 	return func(c *receiverConfig) error {
-		c.fault = fm
+		c.faults = append([]FaultModel(nil), models...)
 		return nil
 	}
 }
@@ -139,13 +158,13 @@ func WithReceiverFaults(fm FaultModel) ReceiverOption {
 // looks at the block: given a paced station's Program it sleeps through
 // the reclaimed blocks, given its Emission it wakes for them too.
 func WithSchedule(prog *Program) ReceiverOption {
-	return func(c *receiverConfig) error {
+	return receiverOption(func(c *receiverConfig) error {
 		if prog == nil {
 			return fmt.Errorf("pinbcast: nil schedule: %w", ErrBadSpec)
 		}
 		c.schedule = prog
 		return nil
-	}
+	})
 }
 
 // Subscribe tunes a new Receiver into a broadcast source at whatever
@@ -159,24 +178,30 @@ func Subscribe(src Source, opts ...ReceiverOption) (*Receiver, error) {
 	}
 	cfg := &receiverConfig{names: map[uint32]string{}}
 	for _, opt := range opts {
-		if err := opt(cfg); err != nil {
+		if err := opt.applyReceiver(cfg); err != nil {
 			return nil, err
 		}
+	}
+	if len(cfg.faults) > 1 {
+		return nil, fmt.Errorf("pinbcast: %d fault models for one source: %w", len(cfg.faults), ErrBadSpec)
 	}
 	return newReceiver(src, cfg)
 }
 
-// newReceiver builds a receiver from collected options. MultiTuner (a
-// nil src for a channel known dead) and Simulate (no source at all)
-// call it directly and drive observe themselves.
+// newReceiver builds a receiver from collected options, with the first
+// of its fault models, if any. MultiTuner (a nil src for a channel known
+// dead) and Simulate (no source at all) call it directly and drive
+// observe themselves.
 func newReceiver(src Source, cfg *receiverConfig) (*Receiver, error) {
 	r := &Receiver{
 		src:      src,
 		cli:      client.NewSubscriber(cfg.names),
-		fault:    cfg.fault,
 		channel:  -1,
 		schedule: cfg.schedule,
 		lastT:    -1,
+	}
+	if len(cfg.faults) > 0 {
+		r.fault = cfg.faults[0]
 	}
 	for _, req := range cfg.requests {
 		if err := r.Request(req.File, req.Deadline); err != nil {

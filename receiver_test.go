@@ -315,6 +315,12 @@ func TestSubscribeValidation(t *testing.T) {
 	if _, err := Subscribe(rec.Source(), WithRequest("A", 0), WithRequest("A", 0)); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("duplicate request: err = %v, want ErrBadSpec", err)
 	}
+	if _, err := Subscribe(rec.Source(), WithReceiverFaults(SlotFaults(1), SlotFaults(2))); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("two fault models for one source: err = %v, want ErrBadSpec", err)
+	}
+	if _, err := Subscribe(rec.Source(), WithReceiverFaults(), WithReceiverFaults(nil)); err != nil {
+		t.Fatalf("no fault model, then a nil one: %v", err)
+	}
 }
 
 // TestRecordingAsSink verifies the Sink half of Recording: a station

@@ -54,16 +54,16 @@ func daemonCluster(t testing.TB, paced bool, opts ...ClusterOption) (*Cluster, [
 	for i := range files {
 		files[i].Faults = 1
 	}
-	stOpts := []Option{WithSlotBuffer(256)}
-	if paced {
-		stOpts = append(stOpts, WithSlotInterval(pacerTestInterval))
-	}
-	c, err := NewCluster(append([]ClusterOption{
+	base := []ClusterOption{
 		WithChannels(2), WithReplicas(2), WithShardName(ShardBalanced),
-		WithClusterBandwidth(SufficientBandwidth(files)),
-		WithClusterFiles(files...), WithClusterContents(workload.Contents(files, 16, 1)),
-		WithStationOptions(stOpts...),
-	}, opts...)...)
+		WithBandwidth(SufficientBandwidth(files)),
+		WithFiles(files...), WithContents(workload.Contents(files, 16, 1)),
+		WithSlotBuffer(256),
+	}
+	if paced {
+		base = append(base, WithSlotInterval(pacerTestInterval))
+	}
+	c, err := NewCluster(append(base, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestReclaimAcrossGenerationSwap(t *testing.T) {
 // generation when paced, none when there is no air to plan.
 func TestClusterFailoverPromotesReclaim(t *testing.T) {
 	sent := func(p *Program, name string) int { return p.PerPeriod(p.FileIndex(name)) }
-	c, files := daemonCluster(t, true, WithStationOptions(WithSlotBuffer(0)))
+	c, files := daemonCluster(t, true, WithSlotBuffer(0))
 	homes, plan := c.Assignment(), c.FetchPlan()
 	var replicated []string
 	for _, f := range files {
@@ -500,7 +500,7 @@ func TestSimulateOnEmissionMatchesPacedStation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(st.Emission(), contents)
+	srv, err := server.NewSplit(st.Emission(), contents, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

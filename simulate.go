@@ -78,7 +78,7 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 	if horizon == 0 {
 		horizon = latest + 4*cfg.Program.DataCycle()
 	}
-	srv, err := server.New(cfg.Program, cfg.Contents)
+	srv, err := server.NewSplit(cfg.Program, cfg.Contents, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +93,7 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 		if len(cs.Requests) == 0 {
 			return nil, fmt.Errorf("pinbcast: simulated client %d has no requests: %w", i, ErrBadSpec)
 		}
-		rcvs[i], err = newReceiver(nil, &receiverConfig{names: names, requests: cs.Requests, fault: lost})
+		rcvs[i], err = newReceiver(nil, &receiverConfig{names: names, requests: cs.Requests, faults: []FaultModel{lost}})
 		if err != nil {
 			return nil, fmt.Errorf("pinbcast: simulated client %d: %w", i, err)
 		}

@@ -140,12 +140,20 @@ type Station struct {
 //		pinbcast.WithFile(pinbcast.FileSpec{Name: "map", Blocks: 8, Latency: 40}, tiles),
 //	)
 func New(opts ...Option) (*Station, error) {
-	cfg := &stationConfig{contents: map[string][]byte{}, ranges: map[string]server.Range{}}
+	cfg := &stationConfig{contents: map[string][]byte{}}
 	for _, opt := range opts {
 		if err := opt(cfg); err != nil {
 			return nil, err
 		}
 	}
+	return newStation(cfg)
+}
+
+// newStation builds a Station from collected options: New's, or one
+// channel's share of a Cluster's.
+//
+//pinlint:cycle-boundary
+func newStation(cfg *stationConfig) (*Station, error) {
 	if err := core.ValidateAll(cfg.files); err != nil {
 		return nil, err
 	}

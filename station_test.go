@@ -514,14 +514,13 @@ func TestSchedulerRegistry(t *testing.T) {
 func TestServedAirIsItsAirings(t *testing.T) {
 	files := clusterCatalog()
 	for _, paced := range []bool{false, true} {
-		stOpts := []Option{WithSlotBuffer(8)}
+		opts := []ClusterOption{WithChannels(3), WithReplicas(2), WithReplicateHottest(2),
+			WithBandwidth(SufficientBandwidth(files)),
+			WithFiles(files...), WithContents(CatalogContents(files, 16, 1)), WithSlotBuffer(8)}
 		if paced {
-			stOpts = append(stOpts, WithSlotInterval(pacerTestInterval))
+			opts = append(opts, WithSlotInterval(pacerTestInterval))
 		}
-		c, err := NewCluster(WithChannels(3), WithReplicas(2), WithReplicateHottest(2),
-			WithClusterBandwidth(SufficientBandwidth(files)),
-			WithClusterFiles(files...), WithClusterContents(CatalogContents(files, 16, 1)),
-			WithStationOptions(stOpts...))
+		c, err := NewCluster(opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
