@@ -1,6 +1,9 @@
 package pinbcast
 
 import (
+	"cmp"
+	"fmt"
+
 	"pinbcast/internal/channel"
 	"pinbcast/internal/client"
 	"pinbcast/internal/core"
@@ -37,42 +40,40 @@ func SufficientBandwidth(files []FileSpec) int { return core.SufficientBandwidth
 // portfolio constructs a program.
 func MinBandwidth(files []FileSpec) (int, error) { return core.MinBandwidth(files) }
 
-// BuildConfig describes a broadcast-program construction.
+// BuildConfig describes a broadcast-program construction by name.
 type BuildConfig struct {
 	// Files are the broadcast file specifications.
 	Files []FileSpec
 	// Bandwidth is the channel bandwidth in blocks per time unit; zero
 	// sizes it with Equation 1/2.
 	Bandwidth int
-	// Schedulers is the ordered scheduler chain to try; nil runs the
-	// paper's portfolio. Only the pinwheel construction consults it.
-	Schedulers []Scheduler
-	// Layout selects the construction strategy (see the Layout
-	// registry). Nil — or the registered "pinwheel" layout — runs the
-	// paper's fault-tolerant real-time construction, composed with the
-	// Schedulers chain; any other layout owns construction entirely.
-	Layout Layout
+	// Schedulers names the ordered scheduler chain to try
+	// (SchedulerNames lists the names); nil runs the paper's portfolio.
+	// Only the pinwheel construction runs it; every layout checks it.
+	Schedulers []string
+	// Layout names the construction (LayoutNames lists them). Empty
+	// means LayoutPinwheel, the paper's fault-tolerant real-time
+	// construction, composed with the Schedulers chain; any other layout
+	// owns construction entirely.
+	Layout string
 }
 
-// Build constructs a broadcast program under the configured layout
-// strategy (the paper's fault-tolerant real-time construction by
-// default, the one a Station runs). All failures wrap the package's
-// typed errors: ErrBadSpec for invalid files, ErrBandwidth when the
-// bandwidth cannot carry the file set, ErrInfeasible when scheduling is
-// provably impossible.
+// Build constructs a broadcast program under the named layout and
+// scheduler chain (the paper's fault-tolerant real-time construction by
+// the portfolio by default, the one a Station runs). All failures wrap
+// the package's typed errors: ErrBadSpec for invalid files or an
+// unknown name, ErrBandwidth when the bandwidth cannot carry the file
+// set, ErrInfeasible when scheduling is provably impossible.
 func Build(cfg BuildConfig) (*Program, error) {
-	// Only the built-in pinwheel layout composes with the chain; a
-	// custom layout that reuses its name is dispatched like any other.
-	if _, builtin := cfg.Layout.(pinwheelLayout); cfg.Layout != nil && !builtin {
-		return cfg.Layout.Plan(cfg.Files, cfg.Bandwidth)
+	chain, err := pinwheel.Named(cfg.Schedulers...)
+	if err != nil {
+		return nil, fmt.Errorf("%w (registered: %v)", err, SchedulerNames())
 	}
-	bw := cfg.Bandwidth
-	if bw == 0 {
-		// Invalid files yield a meaningless sizing here, but
-		// BuildProgramWith validates them before using the bandwidth.
-		bw = core.SufficientBandwidth(cfg.Files)
+	plan, err := layouts.named(cmp.Or(cfg.Layout, LayoutPinwheel))
+	if err != nil {
+		return nil, err
 	}
-	return core.BuildProgramWith(cfg.Files, bw, cfg.Schedulers)
+	return plan(cfg.Files, cfg.Bandwidth, chain)
 }
 
 // BuildGeneralizedProgram constructs a program for files with
@@ -80,10 +81,6 @@ func Build(cfg BuildConfig) (*Program, error) {
 func BuildGeneralizedProgram(files []GenFileSpec) (*Program, error) {
 	return core.BuildGeneralizedProgram(files)
 }
-
-// FlatSpread builds the uniformly-interleaved flat baseline program
-// (Figures 5–6).
-func FlatSpread(files []FileSpec) (*Program, error) { return core.FlatSpread(files) }
 
 // Information dispersal (internal/ida).
 type (

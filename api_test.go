@@ -9,6 +9,7 @@ import (
 
 	"pinbcast/internal/core"
 	"pinbcast/internal/ida"
+	"pinbcast/internal/pinwheel"
 	"pinbcast/internal/rtdb"
 )
 
@@ -78,8 +79,11 @@ func TestFacadeIDA(t *testing.T) {
 
 func TestFacadePinwheel(t *testing.T) {
 	sys := TaskSystem{{A: 1, B: 2}, {A: 1, B: 3}}
-	portfolio, _ := LookupScheduler(SchedulerPortfolio)
-	sch, err := portfolio.Schedule(sys)
+	chain, err := pinwheel.Named(SchedulerPortfolio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch, err := pinwheel.Solve(sys, chain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +195,11 @@ func TestFacadeFlatBaselines(t *testing.T) {
 		{Name: "A", Blocks: 5, Latency: 1, DispersalWidth: 10},
 		{Name: "B", Blocks: 3, Latency: 1, DispersalWidth: 6},
 	}
-	spread, err := FlatSpread(files)
+	spread, err := Build(BuildConfig{Files: files, Layout: LayoutFlatSpread})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := core.FlatSequential(files)
+	seq, err := Build(BuildConfig{Files: files, Layout: LayoutFlatSequential})
 	if err != nil {
 		t.Fatal(err)
 	}

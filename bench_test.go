@@ -9,8 +9,8 @@ package pinbcast_test
 //
 // and see cmd/experiments for the rendered tables.
 //
-// This file lives in the external test package: internal/exp drives
-// the public Layout seam, so benchmarking it from inside package
+// This file lives in the external test package: internal/exp builds
+// through the public Build, so benchmarking it from inside package
 // pinbcast would be an import cycle.
 
 import (
@@ -484,14 +484,10 @@ func BenchmarkGeneralizedConstruction(b *testing.B) {
 func benchmarkLayout(b *testing.B, name string) {
 	b.Helper()
 	files := workload.IVHS(6, 7)
-	layout, ok := pinbcast.LookupLayout(name)
-	if !ok {
-		b.Fatalf("layout %q not registered", name)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pinbcast.Build(pinbcast.BuildConfig{Files: files, Layout: layout}); err != nil {
+		if _, err := pinbcast.Build(pinbcast.BuildConfig{Files: files, Layout: name}); err != nil {
 			b.Fatal(err)
 		}
 	}

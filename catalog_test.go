@@ -28,35 +28,25 @@ type catalogProgram struct {
 }
 
 // catalogPrograms builds the scenario catalogs under every registered
-// Layout and — for the pinwheel construction, the only one that consults
-// the chain — under every registered Scheduler (chained with the
-// portfolio, exactly as a Station configured with that scheduler would
-// fall back). A combination that fails to build is reported and left
-// out.
+// layout and — for the pinwheel construction, the only one that runs
+// the chain — under every registered scheduler (chained with the
+// portfolio, so a scheduler that cannot take a catalogue falls back). A
+// combination that fails to build is reported and left out.
 func catalogPrograms(t *testing.T) []catalogProgram {
 	t.Helper()
-	portfolio, _ := LookupScheduler(SchedulerPortfolio)
 	var out []catalogProgram
 	for catName, files := range catalogCases(t) {
-		for _, layoutName := range LayoutNames() {
-			layout, ok := LookupLayout(layoutName)
-			if !ok {
-				t.Fatalf("registered layout %q not found", layoutName)
-			}
+		for _, layout := range LayoutNames() {
 			schedulers := []string{""}
-			if layoutName == LayoutPinwheel {
+			if layout == LayoutPinwheel {
 				schedulers = SchedulerNames()
 			}
-			for _, schedName := range schedulers {
+			for _, sched := range schedulers {
 				cfg := BuildConfig{Files: files, Layout: layout}
-				if schedName != "" {
-					s, ok := LookupScheduler(schedName)
-					if !ok {
-						t.Fatalf("registered scheduler %q not found", schedName)
-					}
-					cfg.Schedulers = []Scheduler{s, portfolio}
+				if sched != "" {
+					cfg.Schedulers = []string{sched, SchedulerPortfolio}
 				}
-				name := fmt.Sprintf("%s × %s × %s", catName, layoutName, schedName)
+				name := fmt.Sprintf("%s × %s × %s", catName, layout, sched)
 				prog, err := Build(cfg)
 				if err != nil {
 					t.Errorf("%s: %v", name, err)

@@ -17,12 +17,9 @@ import (
 	"pinbcast/internal/server"
 )
 
-// Shard is a catalog-partitioning policy: it maps each file of a
-// catalog to a primary broadcast channel in [0, K). Three policies ship
-// with the package, selected by name (WithShardName, LookupShard).
-type Shard = cluster.Shard
-
-// Built-in shard policy names.
+// Built-in shard policy names. A shard policy maps each file of a
+// catalog to a primary broadcast channel in [0, K); WithShardName
+// selects one.
 const (
 	// ShardHash is the stateless policy: FNV-32a of the file name modulo
 	// K, so a file's home is computable from its name alone.
@@ -40,11 +37,8 @@ const (
 	ShardBalanced = "balanced"
 )
 
-var shards = newRegistry[Shard]("shard policy",
-	cluster.HashShard{}, cluster.HotColdShard{}, cluster.BalancedShard{})
-
-// LookupShard returns the registered shard policy with the given name.
-func LookupShard(name string) (Shard, bool) { return shards.lookup(name) }
+var shards = registry[cluster.Shard]{"shard policy", map[string]cluster.Shard{
+	ShardHash: cluster.HashShard{}, ShardHotCold: cluster.HotColdShard{}, ShardBalanced: cluster.BalancedShard{}}}
 
 // ShardNames returns the names of all registered shard policies,
 // sorted.
@@ -52,7 +46,7 @@ func ShardNames() []string { return shards.names() }
 
 // Cluster is a sharded multi-channel broadcast deployment: a
 // coordinator that partitions one catalog across K Stations (one
-// broadcast channel each) under a pluggable Shard policy, replicates
+// broadcast channel each) under a shard policy chosen by name, replicates
 // the hottest files on R ≥ 2 channels (quorum-style: any K−R+1 live
 // channels still carry every replicated file, so the cluster withstands
 // R−1 channel deaths without repair), and keeps cluster-wide QoS:
@@ -81,7 +75,7 @@ func ShardNames() []string { return shards.names() }
 //
 // A Cluster is safe for concurrent use.
 type Cluster struct {
-	shard    Shard
+	shard    cluster.Shard
 	replicas int
 
 	stations []*Station

@@ -160,12 +160,14 @@ func TestShardRegistry(t *testing.T) {
 		t.Fatalf("ShardNames = %v, want %v", names, want)
 	}
 	for _, w := range want {
-		if s, ok := LookupShard(w); !ok || s.Name() != w {
-			t.Fatalf("LookupShard(%q) = %v, %v", w, s, ok)
+		if got := testCluster(t, WithShardName(w)).ShardPolicy(); got != w {
+			t.Fatalf("WithShardName(%q) runs %q", w, got)
 		}
 	}
-	if s, ok := LookupShard("mystery"); ok {
-		t.Fatalf("LookupShard of an unknown name found %v", s)
+	files := clusterCatalog()
+	_, err := NewCluster(WithFiles(files...), WithContents(CatalogContents(files, 64, 1)), WithShardName("mystery"))
+	if !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("WithShardName of an unknown name: err = %v, want ErrBadSpec", err)
 	}
 }
 

@@ -6,6 +6,9 @@
 //
 //	bdiskgen -spec files.json [-bandwidth 0] [-layout pinwheel] [-scheduler sx,edf] [-out prog.json]
 //
+// -layout and -scheduler take registered names (the flag help lists
+// them); an unknown name, like an invalid spec, exits with status 2.
+//
 // Specification format (latency in time units; faults optional):
 //
 //	{
@@ -15,12 +18,15 @@
 //	  ]
 //	}
 //
-// With -generalized the spec instead lists latency vectors in slots:
+// A §4 spec instead lists latency vectors in slots. It has one
+// construction, so it takes -out alone; -bandwidth, -layout or
+// -scheduler with it exits with status 2:
 //
 //	{"generalized": [{"name": "A", "blocks": 2, "latencies": [8, 10]}]}
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -58,24 +64,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bdiskgen: -spec is required")
 		os.Exit(2)
 	}
-	if *layoutName != "" {
-		l, ok := pinbcast.LookupLayout(strings.ToLower(strings.TrimSpace(*layoutName)))
-		if !ok {
-			fmt.Fprintf(os.Stderr, "bdiskgen: unknown layout %q (registered: %s)\n",
-				*layoutName, strings.Join(pinbcast.LayoutNames(), ", "))
-			os.Exit(2)
-		}
-		layout = l
-	}
+	cfg := pinbcast.BuildConfig{Bandwidth: *bandwidth, Layout: strings.ToLower(strings.TrimSpace(*layoutName))}
 	if *scheduler != "" {
 		for _, name := range strings.Split(*scheduler, ",") {
-			s, ok := pinbcast.LookupScheduler(strings.ToLower(strings.TrimSpace(name)))
-			if !ok {
-				fmt.Fprintf(os.Stderr, "bdiskgen: unknown scheduler %q (registered: %s)\n",
-					name, strings.Join(pinbcast.SchedulerNames(), ", "))
-				os.Exit(2)
-			}
-			chain = append(chain, s)
+			cfg.Schedulers = append(cfg.Schedulers, strings.ToLower(strings.TrimSpace(name)))
 		}
 	}
 	raw, err := os.ReadFile(*specPath)
@@ -91,9 +83,9 @@ func main() {
 
 	switch {
 	case len(s.Generalized) > 0:
-		fail(runGeneralized(s))
+		fail(runGeneralized(s, cfg))
 	case len(s.Files) > 0:
-		fail(runRegular(s, *bandwidth))
+		fail(runRegular(s, cfg))
 	default:
 		fmt.Fprintln(os.Stderr, "bdiskgen: spec lists no files")
 		os.Exit(1)
@@ -122,13 +114,9 @@ func fail(err error) {
 	}
 }
 
-// chain is the -scheduler flag; nil means the portfolio.
-var chain []pinbcast.Scheduler
-
-// layout is the -layout flag; nil means the pinwheel construction.
-var layout pinbcast.Layout
-
-func runRegular(s spec, bandwidth int) error {
+// runRegular builds the spec's files under cfg, the -bandwidth, -layout
+// and -scheduler flags, and reports the program.
+func runRegular(s spec, cfg pinbcast.BuildConfig) error {
 	files := make([]pinbcast.FileSpec, len(s.Files))
 	for i, f := range s.Files {
 		files[i] = pinbcast.FileSpec{
@@ -136,29 +124,23 @@ func runRegular(s spec, bandwidth int) error {
 			Faults: f.Faults, DispersalWidth: f.Width,
 		}
 	}
-	// Print the sizing diagnostics before building: when the chosen
-	// bandwidth turns out too low, the Eq-1/2 figure is the fix.
 	necessary := pinbcast.NecessaryBandwidth(files)
 	sufficient := pinbcast.SufficientBandwidth(files)
-	if bandwidth == 0 {
-		bandwidth = sufficient
+	if cfg.Bandwidth == 0 {
+		cfg.Bandwidth = sufficient
 	}
-	layoutLabel := pinbcast.LayoutPinwheel
-	if layout != nil {
-		layoutLabel = layout.Name()
+	cfg.Files = files
+	p, err := pinbcast.Build(cfg)
+	if errors.Is(err, pinbcast.ErrBadSpec) {
+		return err // an invalid file or name: no report
 	}
+	// A too-low bandwidth still gets the sizing: Eq-1/2 is the fix.
 	fmt.Printf("files:                %d\n", len(files))
-	fmt.Printf("layout:               %s\n", layoutLabel)
+	fmt.Printf("layout:               %s\n", cmp.Or(cfg.Layout, pinbcast.LayoutPinwheel))
 	fmt.Printf("necessary bandwidth:  %.4f blocks/unit\n", necessary)
 	fmt.Printf("Eq-1/2 bandwidth:     %d blocks/unit (overhead %.1f%%)\n",
 		sufficient, 100*(float64(sufficient)/necessary-1))
-	fmt.Printf("chosen bandwidth:     %d blocks/unit\n", bandwidth)
-	p, err := pinbcast.Build(pinbcast.BuildConfig{
-		Files:      files,
-		Bandwidth:  bandwidth,
-		Schedulers: chain,
-		Layout:     layout,
-	})
+	fmt.Printf("chosen bandwidth:     %d blocks/unit\n", cfg.Bandwidth)
 	if err != nil {
 		return err
 	}
@@ -178,14 +160,14 @@ func runRegular(s spec, bandwidth int) error {
 		if p.Bandwidth > 0 {
 			// The pinwheel construction certifies the window guarantee.
 			fmt.Printf("  %-12s m=%d r=%d window=%d slots/period=%d δ=%d\n",
-				f.Name, f.Blocks, f.Faults, bandwidth*f.Latency, p.PerPeriod(i), p.MaxGap(i))
+				f.Name, f.Blocks, f.Faults, cfg.Bandwidth*f.Latency, p.PerPeriod(i), p.MaxGap(i))
 			continue
 		}
 		// Other layouts bound nothing: report the measured profile
 		// against the window the pinwheel layout would have guaranteed.
 		mean, worst := p.LatencyProfile(i)
 		fmt.Printf("  %-12s m=%d r=%d mean=%.1f worst=%d (vs window %d) slots/period=%d δ=%d\n",
-			f.Name, f.Blocks, f.Faults, mean, worst, bandwidth*f.Latency, p.PerPeriod(i), p.MaxGap(i))
+			f.Name, f.Blocks, f.Faults, mean, worst, cfg.Bandwidth*f.Latency, p.PerPeriod(i), p.MaxGap(i))
 	}
 	if p.Period <= 64 {
 		fmt.Printf("program:              %s\n", p)
@@ -193,9 +175,17 @@ func runRegular(s spec, bandwidth int) error {
 	return nil
 }
 
-func runGeneralized(s spec) error {
+// runGeneralized builds a §4 spec's program. It has one construction,
+// so of the flags in cfg it takes none.
+func runGeneralized(s spec, cfg pinbcast.BuildConfig) error {
+	if cfg.Bandwidth != 0 || cfg.Layout != "" || cfg.Schedulers != nil {
+		return fmt.Errorf("a generalized spec takes no -bandwidth, -layout or -scheduler: %w", pinbcast.ErrBadSpec)
+	}
 	p, err := pinbcast.BuildGeneralizedProgram(s.Generalized)
 	if err != nil {
+		return err
+	}
+	if err := writeProgram(p); err != nil {
 		return err
 	}
 	fmt.Printf("files:             %d\n", len(s.Generalized))

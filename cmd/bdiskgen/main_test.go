@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"testing"
 
 	"pinbcast"
@@ -43,10 +47,10 @@ func TestRunRegular(t *testing.T) {
 	if err := json.Unmarshal(raw, &s); err != nil {
 		t.Fatal(err)
 	}
-	if err := runRegular(s, 0); err != nil {
+	if err := runRegular(s, pinbcast.BuildConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := runRegular(s, 2); err != nil {
+	if err := runRegular(s, pinbcast.BuildConfig{Bandwidth: 2, Schedulers: []string{pinbcast.SchedulerEDF}}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -60,18 +64,12 @@ func TestRunGeneralized(t *testing.T) {
 	if err := json.Unmarshal(raw, &s); err != nil {
 		t.Fatal(err)
 	}
-	if err := runGeneralized(s); err != nil {
+	if err := runGeneralized(s, pinbcast.BuildConfig{}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunRegularTieredLayout(t *testing.T) {
-	l, ok := pinbcast.LookupLayout(pinbcast.LayoutTiered)
-	if !ok {
-		t.Fatal("tiered layout not registered")
-	}
-	layout = l
-	defer func() { layout = nil }()
 	// Cold listed first: AutoTier reorders hottest-first, so the report
 	// path must resolve files by name rather than spec index.
 	var s spec
@@ -82,7 +80,7 @@ func TestRunRegularTieredLayout(t *testing.T) {
 	if err := json.Unmarshal(raw, &s); err != nil {
 		t.Fatal(err)
 	}
-	if err := runRegular(s, 0); err != nil {
+	if err := runRegular(s, pinbcast.BuildConfig{Layout: pinbcast.LayoutTiered}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -93,7 +91,101 @@ func TestRunRegularRejectsBadSpec(t *testing.T) {
 	if err := json.Unmarshal(raw, &s); err != nil {
 		t.Fatal(err)
 	}
-	if err := runRegular(s, 0); err == nil {
+	if err := runRegular(s, pinbcast.BuildConfig{}); err == nil {
 		t.Fatal("invalid spec accepted")
+	}
+}
+
+// TestMain runs the command itself when BDISKGEN_MAIN is set, so that a
+// test can run the test binary as bdiskgen and read its exit status.
+func TestMain(m *testing.M) {
+	if os.Getenv("BDISKGEN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// bdiskgen runs the command with args and returns its exit status.
+func bdiskgen(t *testing.T, args ...string) int {
+	t.Helper()
+	code, _ := bdiskgenOut(t, args...)
+	return code
+}
+
+// bdiskgenOut runs the command with args and returns its exit status
+// and what it wrote to stdout.
+func bdiskgenOut(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "BDISKGEN_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if _, exited := err.(*exec.ExitError); err != nil && !exited {
+		t.Fatal(err)
+	}
+	t.Logf("bdiskgen %v:\n%s%s", args, out, stderr.Bytes())
+	return cmd.ProcessState.ExitCode(), string(out)
+}
+
+// writeSpec writes a spec file into a fresh directory and returns its
+// path and the path of a program file beside it.
+func writeSpec(t *testing.T, raw string) (spec, out string) {
+	t.Helper()
+	dir := t.TempDir()
+	spec, out = filepath.Join(dir, "spec.json"), filepath.Join(dir, "out.json")
+	if err := os.WriteFile(spec, []byte(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return spec, out
+}
+
+// TestGeneralizedSpecTakesOutAlone: -out writes a §4 spec's program, and
+// -layout, -scheduler and -bandwidth, which it has no use for, are
+// refused with status 2 before anything is written.
+func TestGeneralizedSpecTakesOutAlone(t *testing.T) {
+	spec, out := writeSpec(t, `{"generalized": [{"name": "A", "blocks": 2, "latencies": [8, 10]}]}`)
+	if code := bdiskgen(t, "-spec", spec, "-out", out); code != 0 {
+		t.Fatalf("exit status %d", code)
+	}
+	var p struct {
+		Slots  []int  `json:"slots"`
+		Origin string `json:"origin"`
+	}
+	if raw, err := os.ReadFile(out); err != nil {
+		t.Fatalf("-out was not written: %v", err)
+	} else if err := json.Unmarshal(raw, &p); err != nil || len(p.Slots) == 0 || p.Origin != "generalized/EDF" {
+		t.Fatalf("-out holds no §4 program (%v): %s", err, raw)
+	}
+	for _, flags := range [][]string{{"-layout", "tiered"}, {"-scheduler", "sa"}, {"-bandwidth", "99"}} {
+		if err := os.Remove(out); err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		if code := bdiskgen(t, append([]string{"-spec", spec, "-out", out}, flags...)...); code != 2 {
+			t.Errorf("%v: exit status %d, want 2", flags, code)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("%v: a refused run wrote %s", flags, out)
+		}
+	}
+}
+
+// TestUnknownNamesExit2: an unregistered -layout or -scheduler name,
+// the empty one in a chain included, is an invalid specification: exit
+// status 2 and no report on stdout.
+func TestUnknownNamesExit2(t *testing.T) {
+	spec, _ := writeSpec(t, `{"files": [{"name": "a", "blocks": 2, "latency": 8, "faults": 1}]}`)
+	if code := bdiskgen(t, "-spec", spec, "-layout", "tiered", "-scheduler", "sa,edf"); code != 0 {
+		t.Fatalf("registered names: exit status %d", code)
+	}
+	for _, flags := range [][]string{{"-layout", "mystery"}, {"-scheduler", "mystery"}, {"-scheduler", "sx,"}} {
+		code, out := bdiskgenOut(t, append([]string{"-spec", spec}, flags...)...)
+		if code != 2 {
+			t.Errorf("%v: exit status %d, want 2", flags, code)
+		}
+		if out != "" {
+			t.Errorf("%v: a refused run printed a report:\n%s", flags, out)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -195,7 +196,7 @@ func (c *Config) validate() error {
 	case c.Timeout <= 0:
 		return fmt.Errorf("drain.timeout %s: need a positive drain deadline", c.Timeout)
 	}
-	if _, ok := pinbcast.LookupShard(c.Shard); !ok {
+	if !slices.Contains(pinbcast.ShardNames(), c.Shard) {
 		return fmt.Errorf("station.shard %q: unknown shard policy (registered: %v)", c.Shard, pinbcast.ShardNames())
 	}
 	return nil

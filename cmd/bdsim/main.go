@@ -9,9 +9,10 @@
 //
 //	bdsim [-files 8] [-clients 25] [-loss 0.05] [-burst] [-faults 1] [-seed 1] [-layout pinwheel] [-metrics-out FILE]
 //
-// -layout selects the program construction strategy (pinwheel, tiered,
+// -layout names the program construction (pinwheel, tiered,
 // flat-spread, flat-sequential); deadlines are always judged against
-// the pinwheel windows, so non-real-time layouts show their misses.
+// the pinwheel windows, so non-real-time layouts show their misses. An
+// unknown name, like an invalid workload, exits with status 2.
 //
 // -metrics-out writes a JSON snapshot of the metrics registry after
 // the run: the simulated clients are Receivers and count into the
@@ -19,6 +20,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -43,22 +45,15 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write a JSON snapshot of the metrics registry to this file after the run")
 	flag.Parse()
 
-	var layout pinbcast.Layout
-	if *layoutName != "" {
-		l, ok := pinbcast.LookupLayout(strings.ToLower(strings.TrimSpace(*layoutName)))
-		if !ok {
-			fmt.Fprintf(os.Stderr, "bdsim: unknown layout %q (registered: %s)\n",
-				*layoutName, strings.Join(pinbcast.LayoutNames(), ", "))
-			os.Exit(2)
-		}
-		layout = l
-	}
-	err := run(*nFiles, *nClients, *loss, *burst, *faults, *seed, layout)
+	err := run(*nFiles, *nClients, *loss, *burst, *faults, *seed, strings.ToLower(strings.TrimSpace(*layoutName)))
 	if err == nil && *metricsOut != "" {
 		err = writeMetricsOut(*metricsOut)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bdsim:", err)
+		if errors.Is(err, pinbcast.ErrBadSpec) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
@@ -78,7 +73,7 @@ func writeMetricsOut(path string) error {
 	return f.Close()
 }
 
-func run(nFiles, nClients int, loss float64, burst bool, faults int, seed int64, layout pinbcast.Layout) error {
+func run(nFiles, nClients int, loss float64, burst bool, faults int, seed int64, layout string) error {
 	files := workload.Random(nFiles, 6, 10, 80, 0, seed)
 	for i := range files {
 		files[i].Faults = faults

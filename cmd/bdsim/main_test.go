@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"testing"
 
@@ -10,24 +11,49 @@ import (
 )
 
 func TestRunSmoke(t *testing.T) {
-	if err := run(4, 6, 0.05, false, 1, 3, nil); err != nil {
+	if err := run(4, 6, 0.05, false, 1, 3, ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunBurstModel(t *testing.T) {
-	if err := run(3, 4, 0.04, true, 1, 5, nil); err != nil {
+	if err := run(3, 4, 0.04, true, 1, 5, ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunTieredLayout(t *testing.T) {
-	l, ok := pinbcast.LookupLayout(pinbcast.LayoutTiered)
-	if !ok {
-		t.Fatal("tiered layout not registered")
-	}
-	if err := run(4, 6, 0.05, false, 1, 3, l); err != nil {
+	if err := run(4, 6, 0.05, false, 1, 3, pinbcast.LayoutTiered); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMain runs the command itself when BDSIM_MAIN is set, so that a
+// test can run the test binary as bdsim and read its exit status.
+func TestMain(m *testing.M) {
+	if os.Getenv("BDSIM_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestUnknownLayoutExits2: an unregistered -layout name is an invalid
+// specification, refused with status 2 like a bad workload.
+func TestUnknownLayoutExits2(t *testing.T) {
+	for _, c := range []struct {
+		layout string
+		want   int
+	}{{"Tiered", 0}, {"mystery", 2}} {
+		cmd := exec.Command(os.Args[0], "-files", "3", "-clients", "2", "-layout", c.layout)
+		cmd.Env = append(os.Environ(), "BDSIM_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		if _, exited := err.(*exec.ExitError); err != nil && !exited {
+			t.Fatal(err)
+		}
+		if code := cmd.ProcessState.ExitCode(); code != c.want {
+			t.Errorf("-layout %s: exit status %d, want %d:\n%s", c.layout, code, c.want, out)
+		}
 	}
 }
 
@@ -69,7 +95,7 @@ func counterSnapshot(t *testing.T) map[string]int64 {
 // contribution is read as a difference.
 func TestSimModeMetricsOut(t *testing.T) {
 	before := counterSnapshot(t)
-	if err := run(4, 6, 0.05, false, 1, 3, nil); err != nil {
+	if err := run(4, 6, 0.05, false, 1, 3, ""); err != nil {
 		t.Fatal(err)
 	}
 	after := counterSnapshot(t)

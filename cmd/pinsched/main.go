@@ -1,6 +1,6 @@
 // Command pinsched schedules a pinwheel task system given as a/b pairs
-// and prints the verified schedule. Schedulers come from the pinbcast
-// scheduler registry.
+// and prints the verified schedule. -scheduler takes a registered name
+// (the flag help lists them); an unknown one exits with status 2.
 //
 // Usage:
 //
@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"pinbcast"
+	"pinbcast/internal/pinwheel"
 )
 
 func main() {
@@ -33,26 +34,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: pinsched [-scheduler name] a/b [a/b ...]")
 		os.Exit(2)
 	}
-	sched, ok := pinbcast.LookupScheduler(strings.ToLower(*scheduler))
-	if !ok {
-		fmt.Fprintf(os.Stderr, "pinsched: unknown scheduler %q (registered: %s)\n",
-			*scheduler, strings.Join(pinbcast.SchedulerNames(), ", "))
+	chain, err := pinwheel.Named(strings.ToLower(*scheduler))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pinsched: %v (registered: %s)\n", err, strings.Join(pinbcast.SchedulerNames(), ", "))
 		os.Exit(2)
 	}
 
 	fmt.Printf("system:  %s\n", sys)
 	fmt.Printf("density: %.4f (Chan–Chin 7/10 test: %v)\n", sys.Density(), pinbcast.DensityTestCC(sys))
-	sch, err := sched.Schedule(sys)
+	sch, err := pinwheel.Solve(sys, chain) // verifies the schedule it returns
 	if err != nil {
 		if errors.Is(err, pinbcast.ErrInfeasible) {
 			fmt.Println("result:  infeasible (proved)")
 			return
 		}
 		fmt.Fprintln(os.Stderr, "pinsched:", err)
-		os.Exit(1)
-	}
-	if err := sch.Verify(sys); err != nil {
-		fmt.Fprintln(os.Stderr, "pinsched: internal error: invalid schedule:", err)
 		os.Exit(1)
 	}
 	fmt.Printf("result:  schedulable by %s, period %d\n", sch.Origin, sch.Period)

@@ -50,25 +50,24 @@
 // A station runs one construction: the §3 pinwheel program, scheduled
 // by the paper's portfolio and certified at the station's bandwidth.
 // The portfolio members (Sa, Sx, EDF, the two-distinct specialization,
-// exact search) are found by name (LookupScheduler) and ordered per
-// build with BuildConfig.Schedulers, which takes an application's own
-// Scheduler by value just as well. The portfolio is the default chain,
-// and every chain runs through one loop that re-verifies each schedule
-// against its task system before a program is built from it.
+// exact search) are named (SchedulerNames) and ordered per build with
+// BuildConfig.Schedulers. The portfolio is the default chain, and every
+// chain runs through one loop that re-verifies each schedule against
+// its task system before a program is built from it.
 //
 // # Workloads & QoS
 //
 // The declarative QoS pipeline is catalog → layout → negotiate →
 // guarantee. Catalogs export the paper's motivating workloads
-// (IVHSCatalog, AWACSCatalog); a Layout decides how the broadcast
-// program is constructed — LookupLayout finds the paper's
-// worst-case-bounded "pinwheel" construction (§3, the default), the
+// (IVHSCatalog, AWACSCatalog); a layout, named per build
+// (BuildConfig.Layout, LayoutNames) and on the CLIs, decides how the
+// broadcast program is constructed: the paper's worst-case-bounded
+// "pinwheel" construction (§3, the default), the
 // Acharya–Franklin–Zdonik "tiered" Broadcast-Disk layout it is argued
 // against in §1 (auto-tiered by latency, mean-latency optimal, bounds
-// nothing), and the "flat-spread"/"flat-sequential" baselines of
-// Figures 5–6 — passed by value per build (BuildConfig.Layout) and
-// chosen by name on the CLIs. A Station always builds the pinwheel
-// construction, the only one that bounds every worst case.
+// nothing), or the "flat-spread"/"flat-sequential" baselines of
+// Figures 5–6. A Station always builds the pinwheel construction, the
+// only one that bounds every worst case.
 // Program.LatencyProfile, Program.WorstLatency and
 // Program.WeightedMeanLatency analyze any layout's program. Each is read
 // off the program's occurrence index in closed form (§2.3, Lemma 2): a
@@ -131,8 +130,8 @@
 //
 // One channel is one Station; a production deployment runs many. The
 // Cluster shards a catalog across K Stations (coordinator → K channels
-// → MultiTuner) under a pluggable Shard policy (ShardHash,
-// ShardHotCold, ShardBalanced by name, or your own by value),
+// → MultiTuner) under a shard policy named with WithShardName
+// (ShardHash, ShardHotCold, ShardBalanced),
 // replicates the hottest files (HottestFiles) on R ≥ 2 channels —
 // quorum-style:
 // any K−R+1 live channels still carry every replicated file, so R−1

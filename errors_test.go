@@ -3,6 +3,8 @@ package pinbcast
 import (
 	"errors"
 	"testing"
+
+	"pinbcast/internal/pinwheel"
 )
 
 // The typed error hierarchy must be classifiable with errors.Is from
@@ -21,28 +23,26 @@ func TestErrBadSpecFromCore(t *testing.T) {
 	}
 }
 
-// TestNilInputsAreBadSpecs: a nil scheduler, wherever Build's chain
-// enters, and a nil database, wherever station options enter, are
-// refused with ErrBadSpec, not dereferenced.
+// TestNilInputsAreBadSpecs: an unknown or empty name, wherever Build
+// resolves one, and a nil database, wherever station options enter, are
+// refused with ErrBadSpec, not run or dereferenced.
 func TestNilInputsAreBadSpecs(t *testing.T) {
 	files := []FileSpec{{Name: "A", Blocks: 2, Latency: 10, Faults: 1}}
 	contents := CatalogContents(files, 16, 1)
-	edf, _ := LookupScheduler(SchedulerEDF)
 	for _, c := range []struct {
 		name string
 		run  func() error
 	}{
-		{"Build", func() error {
-			_, err := Build(BuildConfig{Files: files, Schedulers: []Scheduler{nil}})
+		{"Build with an unknown scheduler", func() error {
+			_, err := Build(BuildConfig{Files: files, Schedulers: []string{"mystery"}})
 			return err
 		}},
-		{"Build after a member that succeeds", func() error {
-			_, err := Build(BuildConfig{Files: files, Schedulers: []Scheduler{edf, nil}})
+		{"Build with an empty scheduler name after a member that succeeds", func() error {
+			_, err := Build(BuildConfig{Files: files, Schedulers: []string{SchedulerEDF, ""}})
 			return err
 		}},
-		{"Build with the pinwheel layout by name", func() error {
-			pinwheel, _ := LookupLayout(LayoutPinwheel)
-			_, err := Build(BuildConfig{Files: files, Schedulers: []Scheduler{nil}, Layout: pinwheel})
+		{"Build with an unknown layout", func() error {
+			_, err := Build(BuildConfig{Files: files, Layout: "mystery"})
 			return err
 		}},
 		{"NewCluster WithDatabase", func() error {
@@ -83,8 +83,7 @@ func TestErrBadSpecFromAlgebra(t *testing.T) {
 }
 
 func TestErrBadSpecFromPinwheel(t *testing.T) {
-	portfolio, _ := LookupScheduler(SchedulerPortfolio)
-	_, err := portfolio.Schedule(TaskSystem{{A: 0, B: 3}})
+	_, err := pinwheel.Solve(TaskSystem{{A: 0, B: 3}}, nil)
 	if !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("err = %v, want ErrBadSpec", err)
 	}
@@ -119,14 +118,13 @@ func TestErrInfeasible(t *testing.T) {
 	}
 	// The same classification must hold through an explicit scheduler
 	// chain.
-	edf, _ := LookupScheduler(SchedulerEDF)
 	_, err = Build(BuildConfig{
 		Files: []FileSpec{
 			{Name: "A", Blocks: 3, Latency: 1},
 			{Name: "B", Blocks: 3, Latency: 1},
 		},
 		Bandwidth:  4,
-		Schedulers: []Scheduler{edf},
+		Schedulers: []string{SchedulerEDF},
 	})
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("chain: err = %v, want ErrInfeasible", err)
@@ -148,11 +146,10 @@ func TestErrBandwidthFromNegativeBandwidth(t *testing.T) {
 func TestErrSchedulerFailed(t *testing.T) {
 	// The two-distinct specialization handles unit tasks only; the task
 	// (2, 5) makes it fail without proving infeasibility.
-	td, _ := LookupScheduler(SchedulerTwoDistinct)
 	_, err := Build(BuildConfig{
 		Files:      []FileSpec{{Name: "A", Blocks: 2, Latency: 1}},
 		Bandwidth:  5,
-		Schedulers: []Scheduler{td},
+		Schedulers: []string{SchedulerTwoDistinct},
 	})
 	if !errors.Is(err, ErrSchedulerFailed) {
 		t.Fatalf("err = %v, want ErrSchedulerFailed", err)

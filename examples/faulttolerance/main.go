@@ -24,11 +24,11 @@ func main() {
 		{Name: "A", Blocks: 5, Latency: 1, DispersalWidth: 10},
 		{Name: "B", Blocks: 3, Latency: 1, DispersalWidth: 6},
 	}
-	flat, err := pinbcast.FlatSpread(flatFiles)
+	flat, err := pinbcast.Build(pinbcast.BuildConfig{Files: flatFiles, Layout: pinbcast.LayoutFlatSpread})
 	if err != nil {
 		log.Fatal(err)
 	}
-	aida, err := pinbcast.FlatSpread(aidaFiles)
+	aida, err := pinbcast.Build(pinbcast.BuildConfig{Files: aidaFiles, Layout: pinbcast.LayoutFlatSpread})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,8 +37,7 @@ func main() {
 	// Layout choice. The tiered layout spins hot files fast and wins on
 	// mean latency; the pinwheel layout is the one that can promise a
 	// worst case per file — the paper's argument, on this catalog.
-	tiered, _ := pinbcast.LookupLayout(pinbcast.LayoutTiered)
-	tieredProg, err := pinbcast.Build(pinbcast.BuildConfig{Files: files, Layout: tiered})
+	tieredProg, err := pinbcast.Build(pinbcast.BuildConfig{Files: files, Layout: pinbcast.LayoutTiered})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -125,12 +125,11 @@ func DensitySweep(densities []float64, trials int, seed int64) (*Table, error) {
 }
 
 // compared returns the registered schedulers E9 and E14 set side by
-// side.
+// side. The names are constants, so a lookup failure is a bug.
 func compared() []pinwheel.Scheduler {
-	names := []string{pinbcast.SchedulerSa, pinbcast.SchedulerSx, pinbcast.SchedulerEDF, pinbcast.SchedulerPortfolio}
-	out := make([]pinwheel.Scheduler, len(names))
-	for i, name := range names {
-		out[i], _ = pinbcast.LookupScheduler(name)
+	out, err := pinwheel.Named(pinbcast.SchedulerSa, pinbcast.SchedulerSx, pinbcast.SchedulerEDF, pinbcast.SchedulerPortfolio)
+	if err != nil {
+		panic(err)
 	}
 	return out
 }

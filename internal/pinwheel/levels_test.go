@@ -57,6 +57,20 @@ func TestSolveRefusesAMissedLevel(t *testing.T) {
 	}
 }
 
+// TestSolveFallsThroughAnInvalidSchedule: Solve verifies what each
+// member returns, so a member whose schedule satisfies nothing (all
+// idle) is passed over for the next one, and no caller sees it.
+func TestSolveFallsThroughAnInvalidSchedule(t *testing.T) {
+	sys := System{{A: 1, B: 2}, {A: 1, B: 4}}
+	sch, err := Solve(sys, []Scheduler{fixedSlots{Idle, Idle, Idle, Idle}, edfMember})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sch.Origin != "EDF" {
+		t.Fatalf("Origin %q, want the EDF fallback", sch.Origin)
+	}
+}
+
 // TestOneWindowSchedulersRefuseLevels: sa, sx and two-distinct take one
 // window per task, and the convert member only a system with levels;
 // each refusal lets the chain move on.

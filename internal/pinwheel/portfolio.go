@@ -11,9 +11,9 @@ import (
 )
 
 // Scheduler produces a cyclic schedule for a pinwheel task system.
-// Registered lists the built-in ones; applications plug in their own by
-// value. Solve certifies every schedule a Scheduler returns, so a buggy
-// one can fail a build but never corrupt a broadcast program.
+// Registered lists the built-in ones, and Named finds them by name.
+// Solve certifies every schedule a Scheduler returns, so a faulty one
+// can fail a build but never corrupt a broadcast program.
 type Scheduler interface {
 	// Name identifies the scheduler in registries, flags and tables.
 	Name() string
@@ -55,10 +55,26 @@ var (
 var Capped = []Scheduler{sxMember, twoDistinctMember,
 	member{"edf", func(s System) (*Schedule, error) { return edf(s, 1<<16) }}}
 
-// Registered lists the built-in schedulers under their registry names:
-// Holte et al.'s Sa, the portfolio's members, and the portfolio itself.
+// Registered lists the built-in schedulers under their names: Holte et
+// al.'s Sa, the portfolio's members, and the portfolio itself.
 var Registered = []Scheduler{member{"sa", sa}, sxMember, twoDistinctMember, edfMember, exactMember,
 	member{"portfolio", func(s System) (*Schedule, error) { return Solve(s, nil) }}}
+
+// Named returns the registered schedulers with the given names, in
+// order: a chain for Solve. No names is the nil chain, the portfolio.
+// An unknown name, the empty one included, wraps ErrBadSpec; the
+// caller that lists names to its user lists them beside it.
+func Named(names ...string) ([]Scheduler, error) {
+	var chain []Scheduler
+	for _, name := range names {
+		i := slices.IndexFunc(Registered, func(s Scheduler) bool { return s.Name() == name })
+		if i < 0 {
+			return nil, fmt.Errorf("pinwheel: unknown scheduler %q: %w", name, bcerr.ErrBadSpec)
+		}
+		chain = append(chain, Registered[i])
+	}
+	return chain, nil
+}
 
 // Solve runs the chain in order — the portfolio when it is empty — and
 // returns the first schedule that passes Verify; its Origin names the
@@ -67,7 +83,7 @@ var Registered = []Scheduler{member{"sa", sa}, sxMember, twoDistinctMember, edfM
 // The error wraps ErrInfeasible only when infeasibility is proved: a
 // density above 1, refused before any member runs, or a member's proof.
 // Otherwise it wraps ErrSchedulerFailed around the first failure and the
-// instance's feasibility is undecided. A nil member wraps ErrBadSpec.
+// instance's feasibility is undecided.
 func Solve(s System, chain []Scheduler) (*Schedule, error) {
 	if len(chain) == 0 {
 		chain = portfolio
@@ -77,9 +93,6 @@ func Solve(s System, chain []Scheduler) (*Schedule, error) {
 
 // solve is Solve on a non-empty chain.
 func solve(s System, chain []Scheduler) (*Schedule, error) {
-	if slices.Contains(chain, nil) {
-		return nil, fmt.Errorf("pinwheel: nil scheduler in chain: %w", bcerr.ErrBadSpec)
-	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"pinbcast/internal/bcerr"
 )
 
 func TestSpecialize(t *testing.T) {
@@ -409,6 +411,32 @@ func TestSchedulersListedInOrder(t *testing.T) {
 	}
 }
 
+// TestNamed: Named returns the registered schedulers in the order
+// named, no names is the nil chain (the portfolio), and a name that is
+// not registered, the empty one and the unregistered member convert
+// included, wraps ErrBadSpec.
+func TestNamed(t *testing.T) {
+	chain, err := Named("edf", "sa", "sx", "edf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, s := range chain {
+		got = append(got, s.Name())
+	}
+	if want := []string{"edf", "sa", "sx", "edf"}; !slices.Equal(got, want) {
+		t.Fatalf("Named(%v) = %v", want, got)
+	}
+	if chain, err := Named(); chain != nil || err != nil {
+		t.Fatalf("Named() = %v, %v; want the nil chain", chain, err)
+	}
+	for _, name := range []string{"mystery", "", "convert", "EDF"} {
+		if chain, err := Named("sx", name); !errors.Is(err, bcerr.ErrBadSpec) || chain != nil {
+			t.Errorf("Named(sx, %q) = %v, %v; want ErrBadSpec", name, chain, err)
+		}
+	}
+}
+
 // TestSchedulersPrintTheirOrigin pins the Origin each registered
 // scheduler stamps on a system it schedules — bdiskgen, pinsched, bdsim
 // and the experiment tables print it — and the portfolio's, which is its
@@ -433,11 +461,11 @@ func TestSchedulersPrintTheirOrigin(t *testing.T) {
 			{A: 4, B: 18}, {A: 3, B: 10, Later: []int{14, 16}}}, "convert/Exact"},
 	}
 	for _, c := range cases {
-		i := slices.IndexFunc(Registered, func(s Scheduler) bool { return s.Name() == c.name })
-		if i < 0 {
-			t.Fatalf("%s is not registered", c.name)
+		chain, err := Named(c.name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		sch, err := Solve(c.sys, Registered[i:i+1])
+		sch, err := Solve(c.sys, chain)
 		if err != nil {
 			t.Fatalf("%s on %v: %v", c.name, c.sys, err)
 		}

@@ -10,7 +10,7 @@
 // own stream. The package provides:
 //
 //   - an exact cyclic verifier (Verify) used to certify every schedule,
-//   - the schedulers, under their registry names in Registered: sa,
+//   - the schedulers, under their names in Registered (Named finds them): sa,
 //     single-number (power-of-two) specialization with buddy allocation
 //     — schedules every system with density ≤ 1/2; sx, single-integer
 //     specialization with an optimized base in the style of Chan &

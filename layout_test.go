@@ -7,17 +7,16 @@ import (
 )
 
 func TestLayoutRegistry(t *testing.T) {
-	for _, name := range []string{LayoutPinwheel, LayoutTiered, LayoutFlatSpread, LayoutFlatSequential} {
-		l, ok := LookupLayout(name)
-		if !ok {
-			t.Fatalf("layout %q not registered", name)
-		}
-		if l.Name() != name {
-			t.Fatalf("layout %q reports name %q", name, l.Name())
-		}
+	files := []FileSpec{{Name: "A", Blocks: 2, Latency: 4}, {Name: "B", Blocks: 1, Latency: 3}}
+	def, err := Build(BuildConfig{Files: files})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := LookupLayout("no-such-layout"); ok {
-		t.Fatal("unknown layout resolved")
+	if pw, err := Build(BuildConfig{Files: files, Layout: LayoutPinwheel}); err != nil || !slices.Equal(pw.Slots, def.Slots) {
+		t.Fatalf("the empty layout name is not %q: %v", LayoutPinwheel, err)
+	}
+	if _, err := Build(BuildConfig{Files: files, Layout: "no-such-layout"}); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("unknown layout: err = %v, want ErrBadSpec", err)
 	}
 	want := []string{LayoutFlatSequential, LayoutFlatSpread, LayoutPinwheel, LayoutTiered}
 	if names := LayoutNames(); !slices.Equal(names, want) {
@@ -32,8 +31,7 @@ func TestBuildWithEachLayout(t *testing.T) {
 		{Name: "cold", Blocks: 4, Latency: 24, Faults: 1},
 	}
 	for _, name := range LayoutNames() {
-		l, _ := LookupLayout(name)
-		p, err := Build(BuildConfig{Files: files, Layout: l})
+		p, err := Build(BuildConfig{Files: files, Layout: name})
 		if err != nil {
 			t.Fatalf("layout %q: %v", name, err)
 		}
@@ -55,8 +53,7 @@ func TestTieredLayoutFavorsHotFiles(t *testing.T) {
 		{Name: "hot", Blocks: 1, Latency: 2},
 		{Name: "cold", Blocks: 1, Latency: 16},
 	}
-	tiered, _ := LookupLayout(LayoutTiered)
-	p, err := Build(BuildConfig{Files: files, Layout: tiered})
+	p, err := Build(BuildConfig{Files: files, Layout: LayoutTiered})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +80,7 @@ func TestAutoTierFacade(t *testing.T) {
 		{Name: "hot", Blocks: 1, Latency: 2},
 		{Name: "cold", Blocks: 1, Latency: 16},
 	}
-	tiered, _ := LookupLayout(LayoutTiered)
-	p, err := tiered.Plan(files, 0)
+	p, err := Build(BuildConfig{Files: files, Layout: LayoutTiered})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,38 +89,15 @@ func TestAutoTierFacade(t *testing.T) {
 	}
 }
 
-func TestCustomLayoutNamedPinwheelIsHonored(t *testing.T) {
-	// Only the built-in pinwheel layout is special-cased; a custom
-	// layout that reuses the name must still be dispatched.
-	called := false
-	custom := layoutFunc{LayoutPinwheel, func(files []FileSpec, _ int) (*Program, error) {
-		called = true
-		return FlatSpread(files)
-	}}
-	files := []FileSpec{{Name: "A", Blocks: 2, Latency: 4}}
-	p, err := Build(BuildConfig{Files: files, Layout: custom})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !called {
-		t.Fatal("custom layout named pinwheel was silently bypassed")
-	}
-	if p.Origin != "flat-spread" {
-		t.Fatalf("origin = %q", p.Origin)
-	}
-}
-
 func TestBuildPinwheelLayoutComposesWithSchedulers(t *testing.T) {
 	// Selecting the pinwheel layout by name keeps the scheduler chain in
 	// force — the chain and the layout are orthogonal seams there.
 	files := []FileSpec{{Name: "A", Blocks: 2, Latency: 1}}
-	td, _ := LookupScheduler(SchedulerTwoDistinct)
-	pw, _ := LookupLayout(LayoutPinwheel)
 	_, err := Build(BuildConfig{
 		Files:      files,
 		Bandwidth:  5,
-		Schedulers: []Scheduler{td},
-		Layout:     pw,
+		Schedulers: []string{SchedulerTwoDistinct},
+		Layout:     LayoutPinwheel,
 	})
 	if !errors.Is(err, ErrSchedulerFailed) {
 		t.Fatalf("err = %v, want ErrSchedulerFailed (chain must stay in force)", err)

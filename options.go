@@ -5,6 +5,7 @@ import (
 	"maps"
 	"time"
 
+	"pinbcast/internal/cluster"
 	"pinbcast/internal/server"
 )
 
@@ -134,7 +135,7 @@ type clusterConfig struct {
 	channels      int
 	replicas      int // -1 = default min(2, channels)
 	hottest       int // -1 = default ⌈len(files)/4⌉
-	shard         Shard
+	shard         cluster.Shard
 }
 
 // ClusterOption configures a Cluster under construction. Every Option
@@ -196,7 +197,8 @@ func WithReplicateHottest(n int) ClusterOption {
 	})
 }
 
-// WithShardName selects a registered shard policy by name.
+// WithShardName selects a shard policy by name (ShardNames lists them;
+// the default is ShardBalanced). An unknown name wraps ErrBadSpec.
 func WithShardName(name string) ClusterOption {
 	return clusterOption(func(c *clusterConfig) error {
 		s, err := shards.named(name)

@@ -1,27 +1,22 @@
 package pinbcast
 
-import "pinbcast/internal/pinwheel"
+import (
+	"slices"
 
-// Scheduler produces a cyclic schedule for a pinwheel task system. The
-// package registers the paper's portfolio members (Sa, Sx, the
-// two-distinct specialization, EDF and the exact search — one walk over
-// urgency states, greedy and backtracking — and the combined portfolio)
-// under their names (LookupScheduler); applications plug in their own
-// implementations by value and select or order them per build with
-// BuildConfig.Schedulers. A Station runs the portfolio. Every chain
-// runs through one loop that re-verifies each schedule against the
-// system before use, so a buggy third-party scheduler can fail a build
-// but never corrupt a broadcast program.
-type Scheduler = pinwheel.Scheduler
+	"pinbcast/internal/pinwheel"
+)
 
-var schedulers = newRegistry("scheduler", pinwheel.Registered...)
-
-// LookupScheduler returns the registered scheduler with the given name.
-func LookupScheduler(name string) (Scheduler, bool) { return schedulers.lookup(name) }
-
-// SchedulerNames returns the names of all registered schedulers,
-// sorted.
-func SchedulerNames() []string { return schedulers.names() }
+// SchedulerNames returns the names of all registered schedulers, sorted:
+// the paper's portfolio members and the portfolio itself, the names
+// BuildConfig.Schedulers takes.
+func SchedulerNames() []string {
+	names := make([]string, len(pinwheel.Registered))
+	for i, s := range pinwheel.Registered {
+		names[i] = s.Name()
+	}
+	slices.Sort(names)
+	return names
+}
 
 // Built-in scheduler names.
 const (

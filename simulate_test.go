@@ -9,10 +9,10 @@ import (
 )
 
 func simFig6Program(t testing.TB) *Program {
-	p, err := FlatSpread([]FileSpec{
+	p, err := Build(BuildConfig{Layout: LayoutFlatSpread, Files: []FileSpec{
 		{Name: "A", Blocks: 5, Latency: 1, DispersalWidth: 10},
 		{Name: "B", Blocks: 3, Latency: 1, DispersalWidth: 6},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +112,10 @@ func TestAdversarialErrorWithinTolerance(t *testing.T) {
 func TestFlatProgramPaysFullPeriod(t *testing.T) {
 	// The same single fault against a non-dispersed flat program forces
 	// the client to wait for the block's retransmission next period.
-	prog, err := FlatSpread([]FileSpec{
+	prog, err := Build(BuildConfig{Layout: LayoutFlatSpread, Files: []FileSpec{
 		{Name: "A", Blocks: 5, Latency: 1},
 		{Name: "B", Blocks: 3, Latency: 1},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

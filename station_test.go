@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -443,10 +445,10 @@ func TestStationSlotInterval(t *testing.T) {
 	}
 }
 
-// TestBuildSchedulerChain injects a custom broken scheduler into
-// Build's chain and checks that independent verification rejects its
-// output and falls through to the next chain member. A station runs the
-// default chain: its program is Build's at the station's bandwidth.
+// TestBuildSchedulerChain: a station runs the default chain, so its
+// program is Build's at the station's bandwidth; a chain given by name
+// runs in the order given. (That the chain falls through a member whose
+// schedule fails verification is held in internal/pinwheel.)
 func TestBuildSchedulerChain(t *testing.T) {
 	st, _ := lifecycleStation(t)
 	cfg := BuildConfig{Files: st.Files(), Bandwidth: st.Bandwidth()}
@@ -457,48 +459,33 @@ func TestBuildSchedulerChain(t *testing.T) {
 	if got := st.Program(); got.Origin != def.Origin || !slices.Equal(got.Slots, def.Slots) {
 		t.Fatalf("the station airs %s %v, Build's default chain gives %s %v", got.Origin, got.Slots, def.Origin, def.Slots)
 	}
-	edf, _ := LookupScheduler(SchedulerEDF)
-	cfg.Schedulers = []Scheduler{brokenScheduler{}, edf}
+	cfg.Schedulers = []string{SchedulerEDF, SchedulerPortfolio}
 	p, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Origin != "pinwheel/EDF" {
-		t.Fatalf("program origin = %q, want the EDF fallback", p.Origin)
+		t.Fatalf("program origin = %q, want the chain's first member, EDF", p.Origin)
 	}
 }
 
-// brokenScheduler returns an all-idle schedule, which satisfies nothing.
-type brokenScheduler struct{}
-
-func (brokenScheduler) Name() string { return "broken" }
-func (brokenScheduler) Schedule(TaskSystem) (*Schedule, error) {
-	return &Schedule{Period: 4, Slots: []int{Idle, Idle, Idle, Idle}, Origin: "broken"}, nil
-}
-
+// TestSchedulerRegistry: every registered name builds through Build, and
+// an unknown one is a bad specification whose message lists the names.
 func TestSchedulerRegistry(t *testing.T) {
-	for _, name := range []string{SchedulerSa, SchedulerSx, SchedulerTwoDistinct, SchedulerEDF, SchedulerExact, SchedulerPortfolio} {
-		s, ok := LookupScheduler(name)
-		if !ok || s.Name() != name {
-			t.Fatalf("built-in scheduler %q not registered", name)
+	want := []string{SchedulerEDF, SchedulerExact, SchedulerPortfolio, SchedulerSa, SchedulerSx, SchedulerTwoDistinct}
+	if names := SchedulerNames(); !slices.Equal(names, want) {
+		t.Fatalf("registered schedulers: %v, want %v", names, want)
+	}
+	files := []FileSpec{{Name: "A", Blocks: 1, Latency: 2}, {Name: "B", Blocks: 1, Latency: 4}}
+	for _, name := range want {
+		if _, err := Build(BuildConfig{Files: files, Bandwidth: 1, Schedulers: []string{name}}); err != nil {
+			t.Errorf("scheduler %q: %v", name, err)
 		}
 	}
-	if len(SchedulerNames()) != 6 {
-		t.Fatalf("registered schedulers: %v, want the six built-ins", SchedulerNames())
-	}
-	if s, ok := LookupScheduler("no-such-scheduler"); ok {
-		t.Fatalf("unknown scheduler resolved to %v", s)
-	}
-	sys := TaskSystem{{A: 1, B: 2}, {A: 1, B: 4}}
-	for _, name := range SchedulerNames() {
-		s, _ := LookupScheduler(name)
-		sch, err := s.Schedule(sys)
-		if err != nil {
-			continue // not every specialization handles every system
-		}
-		if err := sch.Verify(sys); err != nil {
-			t.Fatalf("scheduler %q emitted an invalid schedule: %v", name, err)
-		}
+	if _, err := Build(BuildConfig{Files: files, Schedulers: []string{"no-such-scheduler"}}); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("unknown scheduler: err = %v, want ErrBadSpec", err)
+	} else if !strings.Contains(err.Error(), fmt.Sprint(want)) {
+		t.Fatalf("unknown scheduler: %q does not list %v", err, want)
 	}
 }
 
