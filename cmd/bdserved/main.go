@@ -29,9 +29,9 @@
 //	cluster disperses 4 replicated files 2x wide: each home sends its own blocks
 //
 // The ops listener serves Prometheus text-format metrics at /metrics
-// (station, fan-out, cluster and receiver families), expvar at
-// /debug/vars (including the full registry snapshot under the
-// "pinbcast" var), pprof at /debug/pprof, and at /debug/trace the last
+// (station, fan-out, cluster and receiver families; the registry's one
+// exposition), the process's expvar (memstats, cmdline) at
+// /debug/vars, pprof at /debug/pprof, and at /debug/trace the last
 // slot events (served, flushed, corrupted, hopped, …) as JSON Lines —
 // what happened just before now.
 //

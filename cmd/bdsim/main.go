@@ -14,9 +14,9 @@
 // the pinwheel windows, so non-real-time layouts show their misses. An
 // unknown name, like an invalid workload, exits with status 2.
 //
-// -metrics-out writes a JSON snapshot of the metrics registry after
-// the run: the simulated clients are Receivers and count into the
-// pin_receiver_* families.
+// -metrics-out writes the metrics registry after the run, in the
+// Prometheus text format bdserved serves at /metrics: the simulated
+// clients are Receivers and count into the pin_receiver_* families.
 package main
 
 import (
@@ -42,7 +42,7 @@ func main() {
 	layoutName := flag.String("layout", "",
 		"construction layout for the simulation (default: pinwheel; registered: "+
 			strings.Join(pinbcast.LayoutNames(), ", ")+")")
-	metricsOut := flag.String("metrics-out", "", "write a JSON snapshot of the metrics registry to this file after the run")
+	metricsOut := flag.String("metrics-out", "", "write the metrics registry in Prometheus text format to this file after the run")
 	flag.Parse()
 
 	err := run(*nFiles, *nClients, *loss, *burst, *faults, *seed, strings.ToLower(strings.TrimSpace(*layoutName)))
@@ -58,15 +58,15 @@ func main() {
 	}
 }
 
-// writeMetricsOut dumps the metrics registry as indented JSON — the
-// machine-readable twin of the /metrics exposition, for post-run
-// analysis of a simulation without standing up an ops listener.
+// writeMetricsOut dumps the metrics registry in the text exposition
+// /metrics serves, for post-run analysis of a simulation without
+// standing up an ops listener.
 func writeMetricsOut(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := obs.Default().WriteJSON(f); err != nil {
+	if _, err := obs.Default().WriteTo(f); err != nil {
 		f.Close()
 		return err
 	}

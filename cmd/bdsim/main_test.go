@@ -1,10 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"pinbcast"
@@ -57,11 +58,11 @@ func TestUnknownLayoutExits2(t *testing.T) {
 	}
 }
 
-// counterSnapshot writes a -metrics-out snapshot and returns the summed
-// value of each counter family in it.
-func counterSnapshot(t *testing.T) map[string]int64 {
+// counterSnapshot writes a -metrics-out dump and returns the summed
+// value of each counter family's sample lines in it.
+func counterSnapshot(t *testing.T) map[string]uint64 {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "metrics.json")
+	path := filepath.Join(t.TempDir(), "metrics.txt")
 	if err := writeMetricsOut(path); err != nil {
 		t.Fatal(err)
 	}
@@ -69,28 +70,35 @@ func counterSnapshot(t *testing.T) map[string]int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fams []struct {
-		Name   string `json:"name"`
-		Series []struct {
-			Value *int64 `json:"value"`
-		} `json:"series"`
-	}
-	if err := json.Unmarshal(raw, &fams); err != nil {
-		t.Fatalf("metrics-out is not a JSON family list: %v", err)
-	}
-	out := map[string]int64{}
-	for _, f := range fams {
-		for _, s := range f.Series {
-			if s.Value != nil {
-				out[f.Name] += *s.Value
+	out := map[string]uint64{}
+	counter := ""
+	for _, line := range strings.Split(string(raw), "\n") {
+		if typ, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, kind, _ := strings.Cut(typ, " ")
+			counter = ""
+			if kind == "counter" {
+				counter = name
 			}
+			continue
 		}
+		if counter == "" || line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		series, value, ok := strings.Cut(line, " ")
+		if name, _, _ := strings.Cut(series, "{"); !ok || name != counter {
+			t.Fatalf("metrics-out line %q is not a sample of %s", line, counter)
+		}
+		v, err := strconv.ParseUint(value, 10, 64)
+		if err != nil {
+			t.Fatalf("metrics-out line %q: %v", line, err)
+		}
+		out[counter] += v
 	}
 	return out
 }
 
 // TestSimModeMetricsOut: the default (simulation) mode runs Receivers,
-// so its -metrics-out snapshot carries what they consumed. The registry
+// so its -metrics-out dump carries what they consumed. The registry
 // is process-wide and other tests feed it, so the run's own
 // contribution is read as a difference.
 func TestSimModeMetricsOut(t *testing.T) {

@@ -230,10 +230,11 @@
 // its files came from. Hence two rules: contents
 // handed to WithFile, WithContents, Admit or Negotiate belong to the
 // station and must not be mutated; a Slot's Block and Payload are
-// shared — copy before mutating. Benchmarks: the MBps series in internal/ida,
-// BenchmarkStationServe, BenchmarkReceiverSlots, BenchmarkMultiTuner
-// and BenchmarkServeFanoutPipeline at the package root, each of which
-// fails by itself on a non-zero allocs/op (internal/zeroalloc).
+// shared — copy before mutating. The rule that holds these loops to
+// zero allocations is in the benchmarks themselves: every benchmark
+// that calls internal/zeroalloc.Start fails by itself on a non-zero
+// allocs/op, so the list of allocation-free loops is the list of its
+// callers.
 // Neither a Receiver nor a MultiTuner keeps a result history: RunInto
 // hands each run's results to the caller and forgets them, and a run
 // spawns its drivers from func values built once, allocating nothing.
@@ -256,11 +257,12 @@
 // Three consumers ship with the module. cmd/bdserved is the daemon
 // mode: a Station or Cluster broadcasting over TCP fan-out with the
 // registry served in Prometheus text format at /metrics (a hand-rolled,
-// golden-tested encoder — no client library), expvar at /debug/vars,
-// pprof at /debug/pprof, the trace ring's last events as JSON Lines at
+// golden-tested encoder — no client library, and the registry's only
+// exposition), the process's expvar at /debug/vars, pprof at
+// /debug/pprof, the trace ring's last events as JSON Lines at
 // /debug/trace, and a SIGTERM drain that stops each channel at its next
-// data-cycle boundary. cmd/bdsim -metrics-out writes the registry's
-// JSON snapshot after a simulation. In-process, Receiver.Metrics and
+// data-cycle boundary. cmd/bdsim -metrics-out writes the same text
+// after a simulation. In-process, Receiver.Metrics and
 // MultiTuner.Metrics return the stable per-instance snapshots
 // (ReceiverMetrics, MultiTunerMetrics) — per-instance counts for one
 // receiver's outcome, the registry for whole-process rates. See the

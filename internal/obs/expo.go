@@ -2,22 +2,15 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"io"
 	"sort"
 	"strconv"
 )
 
-// snapshot is an immutable copy of the registry's structure taken
-// under the read lock; instrument values are read lock-free afterward,
-// so a scrape holds the lock only for the family/series walk.
-type snapshot struct {
-	fams []*family
-}
-
-// snap copies the registry structure, families sorted by name and
-// series sorted by label signature, for deterministic exposition.
-func (r *Registry) snap() snapshot {
+// snap copies the registry's families under the read lock, sorted by
+// name for deterministic exposition; instrument values are read
+// lock-free afterward, so a scrape holds the lock only for the walk.
+func (r *Registry) snap() []*family {
 	r.mu.RLock()
 	fams := make([]*family, 0, len(r.fams))
 	for _, f := range r.fams {
@@ -25,7 +18,7 @@ func (r *Registry) snap() snapshot {
 	}
 	r.mu.RUnlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-	return snapshot{fams: fams}
+	return fams
 }
 
 // sortedSeries returns a family's series ordered by label signature.
@@ -48,7 +41,7 @@ func sortedSeries(f *family) []*series {
 // their count so the cumulative +Inf bucket never understates.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: bufio.NewWriter(w)}
-	for _, f := range r.snap().fams {
+	for _, f := range r.snap() {
 		cw.str("# HELP ")
 		cw.str(f.name)
 		cw.str(" ")
@@ -152,71 +145,4 @@ func (cw *countingWriter) gaugeSample(name, sig string, v int64) {
 	cw.str(" ")
 	cw.str(strconv.FormatInt(v, 10))
 	cw.str("\n")
-}
-
-// jsonSeries is one series in the JSON snapshot.
-type jsonSeries struct {
-	Labels map[string]string `json:"labels,omitempty"`
-	Value  *int64            `json:"value,omitempty"`
-	Count  *uint64           `json:"count,omitempty"`
-	Sum    *uint64           `json:"sum,omitempty"`
-	// Buckets maps the inclusive upper bound (decimal string) to the
-	// non-cumulative count of that power-of-two bucket.
-	Buckets map[string]uint64 `json:"buckets,omitempty"`
-}
-
-// jsonFamily is one metric family in the JSON snapshot.
-type jsonFamily struct {
-	Name   string       `json:"name"`
-	Type   string       `json:"type"`
-	Help   string       `json:"help"`
-	Series []jsonSeries `json:"series"`
-}
-
-// WriteJSON writes the registry as a JSON array of metric families,
-// deterministically ordered — the format behind the /debug/vars
-// "pinbcast" expvar and bdsim -metrics-out.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	fams := r.snap().fams
-	out := make([]jsonFamily, 0, len(fams))
-	for _, f := range fams {
-		jf := jsonFamily{Name: f.name, Type: f.kind.String(), Help: f.help}
-		for _, s := range sortedSeries(f) {
-			js := jsonSeries{}
-			if len(s.labels) > 0 {
-				js.Labels = make(map[string]string, len(s.labels))
-				for _, l := range s.labels {
-					js.Labels[l.Key] = l.Value
-				}
-			}
-			switch f.kind {
-			case kindCounter:
-				v := int64(s.c.Value())
-				js.Value = &v
-			case kindGauge:
-				v := s.g.Value()
-				js.Value = &v
-			case kindHistogram:
-				count, sum := s.h.Count(), s.h.Sum()
-				js.Count, js.Sum = &count, &sum
-				js.Buckets = map[string]uint64{}
-				for i := 0; i < histBuckets; i++ {
-					if c := s.h.Bucket(i); c != 0 {
-						le := "0"
-						if i > 0 && i < 64 {
-							le = strconv.FormatUint(1<<uint(i)-1, 10)
-						} else if i == 64 {
-							le = "18446744073709551615"
-						}
-						js.Buckets[le] = c
-					}
-				}
-			}
-			jf.Series = append(jf.Series, js)
-		}
-		out = append(out, jf)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

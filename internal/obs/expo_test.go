@@ -2,8 +2,8 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -70,45 +70,11 @@ func TestWriteToDeterministic(t *testing.T) {
 	}
 }
 
-func TestWriteJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := goldenRegistry().WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	var fams []struct {
-		Name   string `json:"name"`
-		Type   string `json:"type"`
-		Series []struct {
-			Labels  map[string]string `json:"labels"`
-			Value   *int64            `json:"value"`
-			Count   *uint64           `json:"count"`
-			Sum     *uint64           `json:"sum"`
-			Buckets map[string]uint64 `json:"buckets"`
-		} `json:"series"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &fams); err != nil {
-		t.Fatalf("snapshot is not valid JSON: %v", err)
-	}
-	byName := map[string]int{}
-	for i, f := range fams {
-		byName[f.Name] = i
-	}
-	slots := fams[byName["pin_test_slots_total"]]
-	if slots.Type != "counter" || len(slots.Series) != 2 || *slots.Series[0].Value != 42 {
-		t.Fatalf("slots family = %+v", slots)
-	}
-	lat := fams[byName["pin_test_latency_slots"]]
-	if lat.Type != "histogram" || *lat.Series[0].Count != 5 || *lat.Series[0].Sum != 1005 {
-		t.Fatalf("latency family = %+v", lat)
-	}
-	if lat.Series[0].Buckets["1023"] != 1 {
-		t.Fatalf("latency buckets = %v", lat.Series[0].Buckets)
-	}
-}
-
-// TestConcurrentScrape scrapes the /metrics handler while writers
-// pound every instrument kind; run under -race this is the
-// scrape-while-serving soundness proof.
+// TestConcurrentScrape scrapes /metrics on an ops mux over a fresh
+// registry while writers pound every instrument kind; run under -race
+// this is the scrape-while-serving soundness proof. The families it
+// reads exist only in that registry, so the mux serves the registry it
+// is given, not the process default.
 func TestConcurrentScrape(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("pin_test_busy_total", "busy")
@@ -134,10 +100,10 @@ func TestConcurrentScrape(t *testing.T) {
 			}
 		}(w)
 	}
-	srv := httptest.NewServer(Handler(r))
+	srv := httptest.NewServer(NewOpsMux(r))
 	defer srv.Close()
 	for i := 0; i < 50; i++ {
-		resp, err := srv.Client().Get(srv.URL)
+		resp, err := srv.Client().Get(srv.URL + "/metrics")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +113,14 @@ func TestConcurrentScrape(t *testing.T) {
 		if ct := resp.Header.Get("Content-Type"); ct != ContentType {
 			t.Fatalf("content type %q, want %q", ct, ContentType)
 		}
+		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(body, []byte("# TYPE pin_test_busy_total counter\n")) {
+			t.Fatalf("/metrics does not serve the mux's registry:\n%s", body)
+		}
 	}
 	close(stop)
 	wg.Wait()

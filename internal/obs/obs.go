@@ -1,9 +1,10 @@
 // Package obs is the observability plane: a stdlib-only, typed
 // registry of atomic counters, gauges and fixed-bucket histograms, a
 // lock-free ring buffer of slot trace events, and a hand-rolled
-// Prometheus text-format exposition encoder. Every hot-path operation
-// — Counter.Inc, Gauge.Set, Histogram.Observe, Ring.Emit — is a
-// handful of atomic words: no locks, no allocation, no formatting.
+// Prometheus text-format exposition encoder (Registry.WriteTo), the
+// registry's one exposition. Every hot-path operation — Counter.Inc,
+// Gauge.Set, Histogram.Observe, Ring.Emit — is a handful of atomic
+// words: no locks, no allocation, no formatting.
 // Locks and allocation exist only at registration and scrape time.
 //
 // The package-level Default registry and Trace ring are what the
@@ -16,8 +17,7 @@
 //
 // Metric and label names follow the Prometheus data model; invalid
 // names and mismatched re-registration (one name, two types) panic at
-// registration time — they are programming errors on cold paths, like
-// a duplicate expvar.Publish.
+// registration time — they are programming errors on cold paths.
 package obs
 
 import (
@@ -135,11 +135,10 @@ func (k metricKind) String() string {
 
 // series is one (family, label set) instrument.
 type series struct {
-	labels []Label // sorted by key
-	sig    string  // exposition fragment: `{k="v",...}` or ""
-	c      *Counter
-	g      *Gauge
-	h      *Histogram
+	sig string // exposition fragment: `{k="v",...}` or ""
+	c   *Counter
+	g   *Gauge
+	h   *Histogram
 }
 
 // family groups the series of one metric name.
@@ -153,7 +152,7 @@ type family struct {
 // Gauge, Histogram methods) takes a lock and may allocate; the
 // returned instruments are lock-free and allocation-free to operate.
 // A Registry is safe for concurrent use, including scraping (WriteTo,
-// WriteJSON) while instruments are updated.
+// its one encoder) while instruments are updated.
 type Registry struct {
 	mu   sync.RWMutex
 	fams map[string]*family
@@ -220,7 +219,7 @@ func (r *Registry) lookup(kind metricKind, name, help string, labels []Label) *s
 	}
 	s := f.series[sig]
 	if s == nil {
-		s = &series{labels: sorted, sig: sig}
+		s = &series{sig: sig}
 		switch kind {
 		case kindCounter:
 			s.c = new(Counter)

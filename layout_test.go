@@ -4,6 +4,8 @@ import (
 	"errors"
 	"slices"
 	"testing"
+
+	"pinbcast/internal/core"
 )
 
 func TestLayoutRegistry(t *testing.T) {
@@ -30,10 +32,25 @@ func TestBuildWithEachLayout(t *testing.T) {
 		{Name: "warm", Blocks: 3, Latency: 12},
 		{Name: "cold", Blocks: 4, Latency: 24, Faults: 1},
 	}
+	portfolio, err := core.BuildProgramWith(files, core.SufficientBandwidth(files), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each name runs its own construction, which its program's Origin
+	// names: a Build that ignored the name would print the portfolio's.
+	origin := map[string]string{
+		LayoutPinwheel:       portfolio.Origin,
+		LayoutTiered:         "multidisk",
+		LayoutFlatSpread:     "flat-spread",
+		LayoutFlatSequential: "flat-sequential",
+	}
 	for _, name := range LayoutNames() {
 		p, err := Build(BuildConfig{Files: files, Layout: name})
 		if err != nil {
 			t.Fatalf("layout %q: %v", name, err)
+		}
+		if p.Origin != origin[name] {
+			t.Fatalf("layout %q: program origin %q, want %q", name, p.Origin, origin[name])
 		}
 		if len(p.Files) != len(files) {
 			t.Fatalf("layout %q: %d files in program", name, len(p.Files))
