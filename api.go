@@ -3,6 +3,7 @@ package pinbcast
 import (
 	"cmp"
 	"fmt"
+	"slices"
 
 	"pinbcast/internal/channel"
 	"pinbcast/internal/client"
@@ -16,12 +17,10 @@ import (
 // Broadcast-disk specification and construction (internal/core).
 type (
 	// FileSpec describes a fault-tolerant real-time broadcast file:
-	// Blocks (m), Latency (T), Faults (r) and an optional AIDA
-	// DispersalWidth.
+	// Blocks (m), Latency (T), Faults (r), an optional AIDA
+	// DispersalWidth and an optional per-fault-level latency vector
+	// Latencies (§4).
 	FileSpec = core.FileSpec
-	// GenFileSpec describes a generalized file with a per-fault-level
-	// latency vector (§4).
-	GenFileSpec = core.GenFileSpec
 	// Program is a cyclic broadcast program with AIDA block rotation.
 	Program = core.Program
 )
@@ -44,8 +43,8 @@ func MinBandwidth(files []FileSpec) (int, error) { return core.MinBandwidth(file
 type BuildConfig struct {
 	// Files are the broadcast file specifications.
 	Files []FileSpec
-	// Bandwidth is the channel bandwidth in blocks per time unit; zero
-	// sizes it with Equation 1/2.
+	// Bandwidth is the channel bandwidth in blocks per time unit (at 1,
+	// latencies count slots); zero sizes it with Equation 1/2.
 	Bandwidth int
 	// Schedulers names the ordered scheduler chain to try
 	// (SchedulerNames lists the names); nil runs the paper's portfolio.
@@ -61,25 +60,29 @@ type BuildConfig struct {
 // Build constructs a broadcast program under the named layout and
 // scheduler chain (the paper's fault-tolerant real-time construction by
 // the portfolio by default, the one a Station runs). All failures wrap
-// the package's typed errors: ErrBadSpec for invalid files or an
-// unknown name, ErrBandwidth when the bandwidth cannot carry the file
-// set, ErrInfeasible when scheduling is provably impossible.
+// the package's typed errors: ErrBadSpec for invalid files, an unknown
+// name, or a latency vector under another layout or at bandwidth zero,
+// ErrBandwidth when the bandwidth cannot carry the file set,
+// ErrInfeasible when scheduling is provably impossible.
 func Build(cfg BuildConfig) (*Program, error) {
 	chain, err := pinwheel.Named(cfg.Schedulers...)
 	if err != nil {
 		return nil, fmt.Errorf("%w (registered: %v)", err, SchedulerNames())
 	}
-	plan, err := layouts.named(cmp.Or(cfg.Layout, LayoutPinwheel))
+	layout := cmp.Or(cfg.Layout, LayoutPinwheel)
+	plan, err := layouts.named(layout)
 	if err != nil {
 		return nil, err
 	}
+	if layout != LayoutPinwheel || cfg.Bandwidth == 0 {
+		// Only the pinwheel layout bounds a latency vector, and Equation 2
+		// sizes none.
+		if i := slices.IndexFunc(cfg.Files, func(f FileSpec) bool { return f.Latencies != nil }); i >= 0 {
+			return nil, fmt.Errorf("pinbcast: file %q has a latency vector, which only the pinwheel layout at a given bandwidth builds: %w",
+				cfg.Files[i].Name, ErrBadSpec)
+		}
+	}
 	return plan(cfg.Files, cfg.Bandwidth, chain)
-}
-
-// BuildGeneralizedProgram constructs a program for files with
-// per-fault-level latency vectors (§4): WorstLatency(i, j) ≤ d⁽ʲ⁾.
-func BuildGeneralizedProgram(files []GenFileSpec) (*Program, error) {
-	return core.BuildGeneralizedProgram(files)
 }
 
 // Information dispersal (internal/ida).

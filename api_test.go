@@ -99,7 +99,7 @@ func TestFacadeAlgebra(t *testing.T) {
 	// bc(i, 4, [8, 9]) through the §4 path: 5 blocks in every 9 slots
 	// imply 4 in every 8, so the file is the task (5, 9), and its share
 	// of the channel is the condition's density lower bound, 5/9.
-	p, err := BuildGeneralizedProgram([]GenFileSpec{{Name: "i", Blocks: 4, Latencies: []int{8, 9}}})
+	p, err := buildVectors([]FileSpec{vectorFile("i", 4, 8, 9)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +109,7 @@ func TestFacadeAlgebra(t *testing.T) {
 }
 
 func TestFacadeGeneralized(t *testing.T) {
-	p, err := BuildGeneralizedProgram([]GenFileSpec{
-		{Name: "A", Blocks: 2, Latencies: []int{8, 10}},
-		{Name: "B", Blocks: 1, Latencies: []int{6}},
-	})
+	p, err := buildVectors([]FileSpec{vectorFile("A", 2, 8, 10), vectorFile("B", 1, 6)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +118,12 @@ func TestFacadeGeneralized(t *testing.T) {
 	}
 }
 
-// TestConstantVectorTwinsMatchTheOrdinaryPath feeds each catalogue
-// through the §4 path as its constant-vector twin, d⃗ = (B·Tᵢ, …, B·Tᵢ)
-// with rᵢ + 1 levels, at the catalogue's minimum bandwidth and one
-// above it: a twin's file is the ordinary task (mᵢ + rᵢ, B·Tᵢ), so the
-// twin builds exactly where the ordinary catalogue does, into the
-// ordinary program slot for slot.
+// TestConstantVectorTwinsMatchTheOrdinaryPath builds each catalogue's
+// constant-vector twin, its own files with d⃗ = (Tᵢ, …, Tᵢ) of rᵢ + 1
+// levels, at the catalogue's minimum bandwidth and one above it: a
+// twin's file is the ordinary task (mᵢ + rᵢ, B·Tᵢ), so the twin builds
+// exactly where the ordinary catalogue does, into the ordinary program
+// slot for slot.
 func TestConstantVectorTwinsMatchTheOrdinaryPath(t *testing.T) {
 	catalogues := map[string][]FileSpec{}
 	for _, n := range []int{1, 4, 16, 64} {
@@ -145,16 +142,12 @@ func TestConstantVectorTwinsMatchTheOrdinaryPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, b := range []int{min, min + 1} {
-			twin := make([]GenFileSpec, len(files))
-			for i, f := range files {
-				d := make([]int, f.Faults+1)
-				for j := range d {
-					d[j] = b * f.Latency
-				}
-				twin[i] = GenFileSpec{Name: f.Name, Blocks: f.Blocks, Latencies: d}
+			twin := slices.Clone(files)
+			for i, f := range twin {
+				twin[i].Latencies = slices.Repeat([]int{f.Latency}, f.Faults+1)
 			}
 			ord, ordErr := Build(BuildConfig{Files: files, Bandwidth: b})
-			p, err := BuildGeneralizedProgram(twin)
+			p, err := Build(BuildConfig{Files: twin, Bandwidth: b})
 			switch {
 			case (err == nil) != (ordErr == nil):
 				t.Errorf("%s at b = %d: the ordinary path returns %v, the §4 twin %v", name, b, ordErr, err)

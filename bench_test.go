@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -442,35 +443,32 @@ func BenchmarkStationBuild(b *testing.B) {
 }
 
 // BenchmarkGeneralizedConstruction builds §4 programs: examples/
-// faulttolerance's two files, and the constant-vector twins of IVHS(16)
-// at its minimum bandwidth, b = 5, and of IVHS(64) at b = 22, each
-// file's d⃗ = (b·T, …, b·T) — the ordinary task (m + r, b·T), with
-// windows up to 4 402 slots.
+// faulttolerance's two files at bandwidth 1, and the constant-vector
+// twins of IVHS(16) at its minimum bandwidth, b = 5, and of IVHS(64) at
+// b = 22, each file's d⃗ = (T, …, T) — the ordinary task (m + r, b·T),
+// with windows up to 4 402 slots.
 func BenchmarkGeneralizedConstruction(b *testing.B) {
 	type set struct {
-		name  string
-		files []core.GenFileSpec
+		name      string
+		files     []core.FileSpec
+		bandwidth int
 	}
-	sets := []set{{"nav+met", []core.GenFileSpec{
-		{Name: "nav", Blocks: 3, Latencies: []int{10, 14, 18}},
-		{Name: "met", Blocks: 2, Latencies: []int{12, 16}},
-	}}}
+	sets := []set{{"nav+met", []core.FileSpec{
+		{Name: "nav", Blocks: 3, Latency: 18, Faults: 2, Latencies: []int{10, 14, 18}},
+		{Name: "met", Blocks: 2, Latency: 16, Faults: 1, Latencies: []int{12, 16}},
+	}, 1}}
 	for _, c := range []struct{ files, bandwidth int }{{16, 5}, {64, 22}} {
-		var twin []core.GenFileSpec
-		for _, f := range workload.IVHS(c.files, 1) {
-			d := make([]int, f.Faults+1)
-			for j := range d {
-				d[j] = c.bandwidth * f.Latency
-			}
-			twin = append(twin, core.GenFileSpec{Name: f.Name, Blocks: f.Blocks, Latencies: d})
+		twin := workload.IVHS(c.files, 1)
+		for i, f := range twin {
+			twin[i].Latencies = slices.Repeat([]int{f.Latency}, f.Faults+1)
 		}
-		sets = append(sets, set{fmt.Sprintf("ivhs%d/b=%d", c.files, c.bandwidth), twin})
+		sets = append(sets, set{fmt.Sprintf("ivhs%d/b=%d", c.files, c.bandwidth), twin, c.bandwidth})
 	}
 	for _, set := range sets {
 		b.Run(set.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.BuildGeneralizedProgram(set.files); err != nil {
+				if _, err := core.BuildProgramWith(set.files, set.bandwidth, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -18,14 +18,15 @@
 //	  ]
 //	}
 //
-// A §4 spec instead lists latency vectors in slots. It has one
-// construction, so it takes -out alone; -bandwidth, -layout or
-// -scheduler with it exits with status 2:
+// A §4 spec instead lists latency vectors d⃗ in slots, so its files are
+// built at bandwidth 1; -bandwidth or a layout but pinwheel with it, a
+// spec with both keys, or a key not named here exits with status 2:
 //
 //	{"generalized": [{"name": "A", "blocks": 2, "latencies": [8, 10]}]}
 package main
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"errors"
@@ -45,7 +46,11 @@ type spec struct {
 		Faults  int    `json:"faults"`
 		Width   int    `json:"width"`
 	} `json:"files"`
-	Generalized []pinbcast.GenFileSpec `json:"generalized"` // fields matched case-insensitively
+	Generalized []struct {
+		Name      string `json:"name"`
+		Blocks    int    `json:"blocks"`
+		Latencies []int  `json:"latencies"`
+	} `json:"generalized"`
 }
 
 func main() {
@@ -76,20 +81,12 @@ func main() {
 		os.Exit(1)
 	}
 	var s spec
-	if err := json.Unmarshal(raw, &s); err != nil {
-		fmt.Fprintln(os.Stderr, "bdiskgen: parsing spec:", err)
-		os.Exit(1)
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields() // a misspelt key would drop its value
+	if err := dec.Decode(&s); err != nil {
+		fail(fmt.Errorf("parsing spec: %w: %w", err, pinbcast.ErrBadSpec))
 	}
-
-	switch {
-	case len(s.Generalized) > 0:
-		fail(runGeneralized(s, cfg))
-	case len(s.Files) > 0:
-		fail(runRegular(s, cfg))
-	default:
-		fmt.Fprintln(os.Stderr, "bdiskgen: spec lists no files")
-		os.Exit(1)
-	}
+	fail(runRegular(s, cfg))
 }
 
 // fail reports a construction error with its typed-error class and
@@ -115,32 +112,49 @@ func fail(err error) {
 }
 
 // runRegular builds the spec's files under cfg, the -bandwidth, -layout
-// and -scheduler flags, and reports the program.
+// and -scheduler flags, and reports the program. A §4 file is one at
+// bandwidth 1 with its last level as Latency, and gets no Eq-1/2 sizing.
 func runRegular(s spec, cfg pinbcast.BuildConfig) error {
-	files := make([]pinbcast.FileSpec, len(s.Files))
-	for i, f := range s.Files {
-		files[i] = pinbcast.FileSpec{
+	var files []pinbcast.FileSpec
+	for _, f := range s.Files {
+		files = append(files, pinbcast.FileSpec{
 			Name: f.Name, Blocks: f.Blocks, Latency: f.Latency,
 			Faults: f.Faults, DispersalWidth: f.Width,
-		}
+		})
 	}
-	necessary := pinbcast.NecessaryBandwidth(files)
-	sufficient := pinbcast.SufficientBandwidth(files)
-	if cfg.Bandwidth == 0 {
-		cfg.Bandwidth = sufficient
+	for _, g := range s.Generalized {
+		f := pinbcast.FileSpec{Name: g.Name, Blocks: g.Blocks, Faults: len(g.Latencies) - 1, Latencies: g.Latencies}
+		if f.Faults >= 0 {
+			f.Latency = g.Latencies[f.Faults]
+		}
+		files = append(files, f)
+	}
+	generalized := len(s.Generalized) > 0
+	switch {
+	case generalized && len(s.Files) > 0:
+		return fmt.Errorf("spec lists files in time units and generalized files in slots; give one kind: %w", pinbcast.ErrBadSpec)
+	case generalized && cfg.Bandwidth != 0:
+		return fmt.Errorf("a generalized spec counts latencies in slots, at bandwidth 1: it takes no -bandwidth: %w", pinbcast.ErrBadSpec)
+	case generalized:
+		cfg.Bandwidth = 1
+	case cfg.Bandwidth == 0:
+		cfg.Bandwidth = pinbcast.SufficientBandwidth(files)
 	}
 	cfg.Files = files
 	p, err := pinbcast.Build(cfg)
 	if errors.Is(err, pinbcast.ErrBadSpec) {
 		return err // an invalid file or name: no report
 	}
-	// A too-low bandwidth still gets the sizing: Eq-1/2 is the fix.
 	fmt.Printf("files:                %d\n", len(files))
 	fmt.Printf("layout:               %s\n", cmp.Or(cfg.Layout, pinbcast.LayoutPinwheel))
-	fmt.Printf("necessary bandwidth:  %.4f blocks/unit\n", necessary)
-	fmt.Printf("Eq-1/2 bandwidth:     %d blocks/unit (overhead %.1f%%)\n",
-		sufficient, 100*(float64(sufficient)/necessary-1))
-	fmt.Printf("chosen bandwidth:     %d blocks/unit\n", cfg.Bandwidth)
+	if !generalized {
+		// A too-low bandwidth still gets the sizing: Eq-1/2 is the fix.
+		necessary, sufficient := pinbcast.NecessaryBandwidth(files), pinbcast.SufficientBandwidth(files)
+		fmt.Printf("necessary bandwidth:  %.4f blocks/unit\n", necessary)
+		fmt.Printf("Eq-1/2 bandwidth:     %d blocks/unit (overhead %.1f%%)\n",
+			sufficient, 100*(float64(sufficient)/necessary-1))
+		fmt.Printf("chosen bandwidth:     %d blocks/unit\n", cfg.Bandwidth)
+	}
 	if err != nil {
 		return err
 	}
@@ -157,51 +171,31 @@ func runRegular(s spec, cfg pinbcast.BuildConfig) error {
 		if i < 0 {
 			return fmt.Errorf("bdiskgen: file %q missing from program", f.Name)
 		}
-		if p.Bandwidth > 0 {
+		switch {
+		case f.Latencies != nil:
+			// A §4 file: its worst retrieval with j faults, each within d⁽ʲ⁾.
+			worst := make([]int, len(f.Latencies))
+			for j := range worst {
+				if worst[j], err = p.WorstLatency(i, j); err != nil {
+					return err
+				}
+			}
+			fmt.Printf("  %-12s m=%d d⃗=%v worst=%v slots/period=%d δ=%d\n",
+				f.Name, f.Blocks, f.Latencies, worst, p.PerPeriod(i), p.MaxGap(i))
+		case p.Bandwidth > 0:
 			// The pinwheel construction certifies the window guarantee.
 			fmt.Printf("  %-12s m=%d r=%d window=%d slots/period=%d δ=%d\n",
 				f.Name, f.Blocks, f.Faults, cfg.Bandwidth*f.Latency, p.PerPeriod(i), p.MaxGap(i))
-			continue
+		default:
+			// Other layouts bound nothing: report the measured profile
+			// against the window the pinwheel layout would have guaranteed.
+			mean, worst := p.LatencyProfile(i)
+			fmt.Printf("  %-12s m=%d r=%d mean=%.1f worst=%d (vs window %d) slots/period=%d δ=%d\n",
+				f.Name, f.Blocks, f.Faults, mean, worst, cfg.Bandwidth*f.Latency, p.PerPeriod(i), p.MaxGap(i))
 		}
-		// Other layouts bound nothing: report the measured profile
-		// against the window the pinwheel layout would have guaranteed.
-		mean, worst := p.LatencyProfile(i)
-		fmt.Printf("  %-12s m=%d r=%d mean=%.1f worst=%d (vs window %d) slots/period=%d δ=%d\n",
-			f.Name, f.Blocks, f.Faults, mean, worst, cfg.Bandwidth*f.Latency, p.PerPeriod(i), p.MaxGap(i))
 	}
 	if p.Period <= 64 {
 		fmt.Printf("program:              %s\n", p)
-	}
-	return nil
-}
-
-// runGeneralized builds a §4 spec's program. It has one construction,
-// so of the flags in cfg it takes none.
-func runGeneralized(s spec, cfg pinbcast.BuildConfig) error {
-	if cfg.Bandwidth != 0 || cfg.Layout != "" || cfg.Schedulers != nil {
-		return fmt.Errorf("a generalized spec takes no -bandwidth, -layout or -scheduler: %w", pinbcast.ErrBadSpec)
-	}
-	p, err := pinbcast.BuildGeneralizedProgram(s.Generalized)
-	if err != nil {
-		return err
-	}
-	if err := writeProgram(p); err != nil {
-		return err
-	}
-	fmt.Printf("files:             %d\n", len(s.Generalized))
-	fmt.Printf("program period:    %d slots (%s)\n", p.Period, p.Origin)
-	for i, f := range s.Generalized {
-		worst := make([]int, len(f.Latencies))
-		for j := range worst {
-			if worst[j], err = p.WorstLatency(i, j); err != nil {
-				return err
-			}
-		}
-		fmt.Printf("  %-12s m=%d d⃗=%v worst=%v slots/period=%d δ=%d\n",
-			f.Name, f.Blocks, f.Latencies, worst, p.PerPeriod(i), p.MaxGap(i))
-	}
-	if p.Period <= 64 {
-		fmt.Printf("program:           %s\n", p)
 	}
 	return nil
 }

@@ -64,7 +64,7 @@ func TestRunGeneralized(t *testing.T) {
 	if err := json.Unmarshal(raw, &s); err != nil {
 		t.Fatal(err)
 	}
-	if err := runGeneralized(s, pinbcast.BuildConfig{}); err != nil {
+	if err := runRegular(s, pinbcast.BuildConfig{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -141,24 +141,32 @@ func writeSpec(t *testing.T, raw string) (spec, out string) {
 	return spec, out
 }
 
-// TestGeneralizedSpecTakesOutAlone: -out writes a §4 spec's program, and
-// -layout, -scheduler and -bandwidth, which it has no use for, are
-// refused with status 2 before anything is written.
+// TestGeneralizedSpecTakesOutAlone: -out writes a §4 spec's program,
+// built at bandwidth 1 like any spec's, and -scheduler runs its chain on
+// it. -bandwidth, which its slot latencies fix at 1, and a layout that
+// bounds no latency vector are refused with status 2 before anything is
+// written.
 func TestGeneralizedSpecTakesOutAlone(t *testing.T) {
 	spec, out := writeSpec(t, `{"generalized": [{"name": "A", "blocks": 2, "latencies": [8, 10]}]}`)
-	if code := bdiskgen(t, "-spec", spec, "-out", out); code != 0 {
-		t.Fatalf("exit status %d", code)
-	}
 	var p struct {
-		Slots  []int  `json:"slots"`
-		Origin string `json:"origin"`
+		Slots     []int  `json:"slots"`
+		Bandwidth int    `json:"bandwidth"`
+		Origin    string `json:"origin"`
 	}
-	if raw, err := os.ReadFile(out); err != nil {
-		t.Fatalf("-out was not written: %v", err)
-	} else if err := json.Unmarshal(raw, &p); err != nil || len(p.Slots) == 0 || p.Origin != "generalized/EDF" {
-		t.Fatalf("-out holds no §4 program (%v): %s", err, raw)
+	for _, c := range []struct {
+		flags  []string
+		origin string
+	}{{nil, "pinwheel/EDF"}, {[]string{"-scheduler", "exact"}, "pinwheel/Exact"}} {
+		if code := bdiskgen(t, append([]string{"-spec", spec, "-out", out}, c.flags...)...); code != 0 {
+			t.Fatalf("%v: exit status %d", c.flags, code)
+		}
+		if raw, err := os.ReadFile(out); err != nil {
+			t.Fatalf("%v: -out was not written: %v", c.flags, err)
+		} else if err := json.Unmarshal(raw, &p); err != nil || len(p.Slots) == 0 || p.Bandwidth != 1 || p.Origin != c.origin {
+			t.Fatalf("%v: -out holds no §4 program by %s (%v): %s", c.flags, c.origin, err, raw)
+		}
 	}
-	for _, flags := range [][]string{{"-layout", "tiered"}, {"-scheduler", "sa"}, {"-bandwidth", "99"}} {
+	for _, flags := range [][]string{{"-layout", "tiered"}, {"-layout", "flat-spread"}, {"-bandwidth", "99"}} {
 		if err := os.Remove(out); err != nil && !os.IsNotExist(err) {
 			t.Fatal(err)
 		}
@@ -167,6 +175,27 @@ func TestGeneralizedSpecTakesOutAlone(t *testing.T) {
 		}
 		if _, err := os.Stat(out); !os.IsNotExist(err) {
 			t.Errorf("%v: a refused run wrote %s", flags, out)
+		}
+	}
+}
+
+// TestSpecDropsNothing: a spec that lists both kinds of file, whose
+// latencies count different units, or names a key the format does not
+// know is refused with status 2 and no report, not built in part.
+func TestSpecDropsNothing(t *testing.T) {
+	for _, raw := range []string{
+		`{"files": [{"name": "A", "blocks": 2, "latency": 8}], "generalized": [{"name": "B", "blocks": 1, "latencies": [4, 6]}]}`,
+		`{"files": [{"name": "A", "blocks": 2, "latency": 8, "fault": 1}]}`,
+		`{"file": [{"name": "A", "blocks": 2, "latency": 8}]}`,
+		`{"generalized": [{"name": "A", "blocks": 2, "latencies": [8, 10], "faults": 1}]}`,
+	} {
+		spec, _ := writeSpec(t, raw)
+		code, out := bdiskgenOut(t, "-spec", spec)
+		if code != 2 {
+			t.Errorf("%s: exit status %d, want 2", raw, code)
+		}
+		if out != "" {
+			t.Errorf("%s: a refused spec printed a report:\n%s", raw, out)
 		}
 	}
 }

@@ -273,10 +273,10 @@
 // with errors.Is regardless of the originating layer.
 //
 // One-shot construction (without a service lifecycle) goes through
-// Build and BuildGeneralizedProgram; Simulate runs a client population
-// as Receivers on a virtual clock — the program read through the
-// station's own emitter, no transport, no goroutines — so seeded runs
-// are exactly reproducible.
+// Build, §4 files with a latency vector (FileSpec.Latencies) included;
+// Simulate runs a client population as Receivers on a virtual clock —
+// the program read through the station's own emitter, no transport, no
+// goroutines — so seeded runs are exactly reproducible.
 //
 // The top-level package is a facade over the implementation packages:
 //

@@ -64,19 +64,19 @@ func TestNilInputsAreBadSpecs(t *testing.T) {
 func TestErrBadSpecFromAlgebra(t *testing.T) {
 	// bc(i, 0, [5]), a condition without a latency vector, two wider
 	// than GF(2⁸) can disperse (m + r = 300 and 269) and a latency past
-	// the converter's bound, through the generalized construction.
+	// the converter's bound, as §4 files at bandwidth 1.
 	wide := make([]int, 70)
 	for j := range wide {
 		wide[j] = 300 + j
 	}
-	for _, bad := range []GenFileSpec{
-		{Name: "i", Blocks: 0, Latencies: []int{5}},
-		{Name: "A", Blocks: 2, Latencies: nil},
-		{Name: "B", Blocks: 300, Latencies: []int{600}},
-		{Name: "C", Blocks: 200, Latencies: wide},
-		{Name: "D", Blocks: 1, Latencies: []int{1<<22 + 1}},
+	for _, bad := range []FileSpec{
+		vectorFile("i", 0, 5),
+		vectorFile("A", 2),
+		vectorFile("B", 300, 600),
+		vectorFile("C", 200, wide...),
+		vectorFile("D", 1, 1<<22+1),
 	} {
-		if _, err := BuildGeneralizedProgram([]GenFileSpec{bad}); !errors.Is(err, ErrBadSpec) {
+		if _, err := buildVectors([]FileSpec{bad}); !errors.Is(err, ErrBadSpec) {
 			t.Fatalf("%+v: err = %v, want ErrBadSpec", bad, err)
 		}
 	}
@@ -183,6 +183,89 @@ func TestErrorsAreDistinct(t *testing.T) {
 			if (i == j) != errors.Is(a, b) {
 				t.Fatalf("sentinel %d vs %d: unexpected identity", i, j)
 			}
+		}
+	}
+}
+
+// TestStationRefusesUnnamedFiles: a station names a file's blocks and
+// contents by the file's name, so it refuses a file without one rather
+// than air two under one FileID.
+func TestStationRefusesUnnamedFiles(t *testing.T) {
+	a, b := FileSpec{Blocks: 1, Latency: 4}, FileSpec{Blocks: 2, Latency: 8}
+	contents := map[string][]byte{"": []byte("unnamed"), "named": []byte("named")}
+	if _, err := New(WithFiles(a, b), WithContents(contents)); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("New with two unnamed files: err = %v, want ErrBadSpec", err)
+	}
+	st, err := New(WithFile(FileSpec{Name: "named", Blocks: 1, Latency: 4}, contents["named"]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Admit(b, contents[""]); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("Admit of an unnamed file: err = %v, want ErrBadSpec", err)
+	}
+	if len(st.Files()) != 1 {
+		t.Fatalf("a refused Admit changed the file set: %v", st.Files())
+	}
+}
+
+// TestLatencyVectorRefusals: a file with a latency vector builds only
+// under the pinwheel layout at a given bandwidth. Equation 2 sizes no
+// vector, the other layouts bound none, and a station does not admit
+// one, however it comes: New, NewCluster, Admit or Negotiate.
+func TestLatencyVectorRefusals(t *testing.T) {
+	vec := FileSpec{Name: "v", Blocks: 2, Latency: 10, Faults: 1, Latencies: []int{8, 10}}
+	plain := FileSpec{Name: "p", Blocks: 1, Latency: 6}
+	files := []FileSpec{plain, vec}
+	contents := CatalogContents(files, 16, 1)
+	if _, err := Build(BuildConfig{Files: files, Bandwidth: 2}); err != nil {
+		t.Fatalf("pinwheel at bandwidth 2: %v", err)
+	}
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"Build at bandwidth 0", func() error {
+			_, err := Build(BuildConfig{Files: files})
+			return err
+		}},
+		{"New", func() error {
+			_, err := New(WithFiles(files...), WithContents(contents), WithBandwidth(2))
+			return err
+		}},
+		{"NewCluster", func() error {
+			_, err := NewCluster(WithFiles(files...), WithContents(contents), WithBandwidth(4))
+			return err
+		}},
+		{"Admit", func() error {
+			st, err := New(WithFile(plain, contents[plain.Name]), WithBandwidth(2))
+			if err != nil {
+				return err
+			}
+			return st.Admit(vec, contents[vec.Name])
+		}},
+		{"Negotiate", func() error {
+			st, err := New(WithFile(plain, contents[plain.Name]), WithBandwidth(2))
+			if err != nil {
+				return err
+			}
+			_, err = st.Negotiate(vec, contents[vec.Name])
+			return err
+		}},
+	}
+	for _, layout := range LayoutNames() {
+		if layout != LayoutPinwheel {
+			cases = append(cases, struct {
+				name string
+				run  func() error
+			}{"Build under " + layout, func() error {
+				_, err := Build(BuildConfig{Files: files, Bandwidth: 2, Layout: layout})
+				return err
+			}})
+		}
+	}
+	for _, c := range cases {
+		if err := c.run(); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("%s: err = %v, want ErrBadSpec", c.name, err)
 		}
 	}
 }

@@ -76,12 +76,12 @@ func main() {
 	}
 
 	// Generalized files: a file that tolerates 10 slots fault-free but
-	// accepts 14 with one fault and 18 with two (§4).
-	files := []pinbcast.GenFileSpec{
-		{Name: "nav", Blocks: 3, Latencies: []int{10, 14, 18}},
-		{Name: "met", Blocks: 2, Latencies: []int{12, 16}},
+	// accepts 14 with one fault and 18 with two (§4), slots at bandwidth 1.
+	files := []pinbcast.FileSpec{
+		{Name: "nav", Blocks: 3, Latency: 18, Faults: 2, Latencies: []int{10, 14, 18}},
+		{Name: "met", Blocks: 2, Latency: 16, Faults: 1, Latencies: []int{12, 16}},
 	}
-	p, err := pinbcast.BuildGeneralizedProgram(files)
+	p, err := pinbcast.Build(pinbcast.BuildConfig{Files: files, Bandwidth: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,6 +17,21 @@ func withRequests(reqs ...Request) ListenerOption {
 	}
 }
 
+// vectorFile is the §4 file bc(name, m, d⃗): at bandwidth 1 its
+// latencies count slots.
+func vectorFile(name string, m int, d ...int) FileSpec {
+	f := FileSpec{Name: name, Blocks: m, Faults: len(d) - 1, Latencies: d}
+	if len(d) > 0 {
+		f.Latency = d[len(d)-1]
+	}
+	return f
+}
+
+// buildVectors builds §4 files at bandwidth 1 with the portfolio.
+func buildVectors(files []FileSpec) (*Program, error) {
+	return Build(BuildConfig{Files: files, Bandwidth: 1})
+}
+
 // tunerDone reports whether every request of the tuner has finished.
 func tunerDone(mt *MultiTuner) bool {
 	mt.mu.Lock()

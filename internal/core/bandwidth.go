@@ -32,11 +32,12 @@ func SufficientBandwidth(files []FileSpec) int {
 }
 
 // TaskSystem returns the pinwheel system of §3.2 for bandwidth B:
-// task i = (mᵢ+rᵢ, B·Tᵢ).
+// task i = (mᵢ+rᵢ, B·Tᵢ), or for a file with a latency vector the task
+// with fault levels of §4, its levels B·d⁽ʲ⁾ slots.
 func TaskSystem(files []FileSpec, b int) pinwheel.System {
 	sys := make(pinwheel.System, len(files))
 	for i, f := range files {
-		sys[i] = pinwheel.Task{Name: f.Name, A: f.Demand(), B: b * f.Latency}
+		sys[i] = f.task(b)
 	}
 	return sys
 }

@@ -3,9 +3,11 @@ package core
 import (
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"pinbcast/internal/bcerr"
 	"pinbcast/internal/pinwheel"
 )
 
@@ -332,11 +334,8 @@ func TestVerifyWindowsCatchesViolation(t *testing.T) {
 }
 
 func TestBuildGeneralizedProgram(t *testing.T) {
-	files := []GenFileSpec{
-		{Name: "A", Blocks: 2, Latencies: []int{8, 10}},
-		{Name: "B", Blocks: 1, Latencies: []int{6, 9}},
-	}
-	p, err := BuildGeneralizedProgram(files)
+	files := []FileSpec{vectorFile("A", 2, 8, 10), vectorFile("B", 1, 6, 9)}
+	p, err := buildVectors(files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,11 +351,11 @@ func TestBuildGeneralizedProgram(t *testing.T) {
 func TestBuildGeneralizedProgramPaperExamples(t *testing.T) {
 	// Example 2's file alongside Example 3's file: a real mixed workload
 	// through the full §4 pipeline.
-	files := []GenFileSpec{
-		{Name: "E2", Blocks: 5, Latencies: []int{100, 105, 110, 115, 120}},
-		{Name: "E3", Blocks: 6, Latencies: []int{105, 110}},
+	files := []FileSpec{
+		vectorFile("E2", 5, 100, 105, 110, 115, 120),
+		vectorFile("E3", 6, 105, 110),
 	}
-	p, err := BuildGeneralizedProgram(files)
+	p, err := buildVectors(files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,47 +371,76 @@ func TestBuildGeneralizedProgramPaperExamples(t *testing.T) {
 // TestGeneralizedTaskDropsImpliedLevels pins the task a §4 file is: it
 // starts at the first level that no later level implies (d⁽ᵏ⁾ − k ≤
 // d⁽ʲ⁾ − j), keeps every level after it, and makes a constant vector
-// the ordinary task (m + r, d).
+// the ordinary task (m + r, b·d). The rule counts slots, so at bandwidth
+// b it runs on b·d⃗, and a file is the task of its twin with b·d⃗ at
+// bandwidth 1: bc(1, (4, 5)) is (2, 5) at b = 1 but (1, [8 10]) at
+// b = 2, where the rule in time units would give (2, 10). The program
+// built at b meets every level b·d⁽ʲ⁾.
 func TestGeneralizedTaskDropsImpliedLevels(t *testing.T) {
 	cases := []struct {
-		m    int
+		m, b int
 		d    []int
 		want string
 	}{
-		{4, []int{8, 9}, "(5, 9)"},                // Example 4: 5 in 9 holds 4 in every 8
-		{2, []int{5, 6, 6}, "(4, 6)"},             // Example 5
-		{1, []int{2, 3}, "(2, 3)"},                // Example 6
-		{3, []int{40, 40, 40}, "(5, 40)"},         // a constant vector
-		{1, []int{5, 9, 7}, "(3, 7)"},             // both earlier levels implied by the last
-		{3, []int{10, 14, 18}, "(3, [10 14 18])"}, // none implied
-		{2, []int{8, 10, 11}, "(2, [8 10 11])"},   // level 1 by level 2, but not level 0
-		{5, []int{100, 105, 110, 115, 120}, "(5, [100 105 110 115 120])"},
-		{1, []int{4, 9, 6}, "(3, 6)"}, // d − j ties: 3 in 6 holds 1 in every 4
+		{4, 1, []int{8, 9}, "(5, 9)"},                // Example 4: 5 in 9 holds 4 in every 8
+		{2, 1, []int{5, 6, 6}, "(4, 6)"},             // Example 5
+		{1, 1, []int{2, 3}, "(2, 3)"},                // Example 6
+		{3, 1, []int{40, 40, 40}, "(5, 40)"},         // a constant vector
+		{1, 1, []int{5, 9, 7}, "(3, 7)"},             // both earlier levels implied by the last
+		{3, 1, []int{10, 14, 18}, "(3, [10 14 18])"}, // none implied
+		{2, 1, []int{8, 10, 11}, "(2, [8 10 11])"},   // level 1 by level 2, but not level 0
+		{5, 1, []int{100, 105, 110, 115, 120}, "(5, [100 105 110 115 120])"},
+		{1, 1, []int{4, 9, 6}, "(3, 6)"}, // d − j ties: 3 in 6 holds 1 in every 4
+		{1, 1, []int{4, 5}, "(2, 5)"},
+		{1, 2, []int{4, 5}, "(1, [8 10])"}, // scaled, level 0 is no longer implied
+		{1, 3, []int{4, 5}, "(1, [12 15])"},
+		{4, 2, []int{8, 9}, "(4, [16 18])"},
+		{2, 2, []int{5, 6, 6}, "(4, 12)"},
+		{3, 4, []int{40, 40, 40}, "(5, 160)"},
+		{1, 2, []int{4, 9, 6}, "(1, [8 18 12])"},
 	}
 	for _, c := range cases {
-		g := GenFileSpec{Name: "f", Blocks: c.m, Latencies: c.d}
-		task := g.task()
-		task.Name = ""
+		f := vectorFile("", c.m, c.d...)
+		task := f.task(c.b)
 		if got := task.String(); got != c.want {
-			t.Errorf("bc(%d, %v) is the task %s, want %s", c.m, c.d, got, c.want)
+			t.Errorf("bc(%d, %v) at b = %d is the task %s, want %s", c.m, c.d, c.b, got, c.want)
+		}
+		if twin := vectorFile("", c.m, f.levels(c.b)...).task(1); !reflect.DeepEqual(task, twin) {
+			t.Errorf("bc(%d, %v) at b = %d is the task %s, its twin with b·d⃗ at b = 1 %s", c.m, c.d, c.b, task, twin)
+		}
+		p, err := BuildProgramWith([]FileSpec{f}, c.b, nil)
+		if err != nil {
+			t.Fatalf("bc(%d, %v) at b = %d: %v", c.m, c.d, c.b, err)
+		}
+		for j, d := range c.d {
+			if err := p.VerifyWindows(0, c.m+j, c.b*d); err != nil {
+				t.Errorf("bc(%d, %v) at b = %d, level %d: %v", c.m, c.d, c.b, j, err)
+			}
 		}
 	}
 }
 
 func TestBuildGeneralizedRejects(t *testing.T) {
-	if _, err := BuildGeneralizedProgram(nil); err == nil {
+	if _, err := buildVectors(nil); err == nil {
 		t.Fatal("empty input accepted")
 	}
-	dup := []GenFileSpec{
-		{Name: "A", Blocks: 1, Latencies: []int{4}},
-		{Name: "A", Blocks: 1, Latencies: []int{5}},
-	}
-	if _, err := BuildGeneralizedProgram(dup); err == nil {
+	dup := []FileSpec{vectorFile("A", 1, 4), vectorFile("A", 1, 5)}
+	if _, err := buildVectors(dup); err == nil {
 		t.Fatal("duplicate names accepted")
 	}
-	bad := []GenFileSpec{{Name: "A", Blocks: 5, Latencies: []int{3}}}
-	if _, err := BuildGeneralizedProgram(bad); err == nil {
+	bad := []FileSpec{vectorFile("A", 5, 3)}
+	if _, err := buildVectors(bad); err == nil {
 		t.Fatal("latency below block count accepted")
+	}
+	// A vector has Faults + 1 levels and ends at Latency.
+	for _, f := range []FileSpec{
+		{Name: "A", Blocks: 1, Latency: 5, Latencies: []int{4, 5}},
+		{Name: "A", Blocks: 1, Latency: 6, Faults: 1, Latencies: []int{4, 5}},
+		{Name: "A", Blocks: 1, Latency: 5, Faults: 1, Latencies: []int{}},
+	} {
+		if _, err := buildVectors([]FileSpec{f}); !errors.Is(err, bcerr.ErrBadSpec) {
+			t.Errorf("%+v: err = %v, want ErrBadSpec", f, err)
+		}
 	}
 }
 

@@ -10,21 +10,20 @@
 // pinwheel task (mᵢ+rᵢ, B·Tᵢ) (§3.2); bandwidth sizing comes from
 // Chan & Chin's 7/10 density bound (Equations 1 and 2); and a
 // generalized file with a per-fault-level latency vector d⃗ (§4) is a
-// pinwheel task with fault levels, mᵢ + j grants in every d⁽ʲ⁾ slots,
+// pinwheel task with fault levels, mᵢ + j grants in every B·d⁽ʲ⁾ slots,
 // built by the same one builder: files → pinwheel.Solve → Program.
 package core
 
 import (
 	"fmt"
 
-	"pinbcast/internal/algebra"
 	"pinbcast/internal/bcerr"
 	"pinbcast/internal/pinwheel"
 )
 
-// FileSpec describes a regular fault-tolerant real-time broadcast file
-// (§3.2): a size in blocks, a latency constraint, and a uniform
-// fault-tolerance requirement.
+// FileSpec describes a fault-tolerant real-time broadcast file (§3.2):
+// a size in blocks, a latency constraint (one per fault level, §4.1, with
+// Latencies), and a uniform fault-tolerance requirement.
 type FileSpec struct {
 	Name    string
 	Blocks  int // mᵢ: blocks sufficient to reconstruct the file (dispersal threshold)
@@ -34,6 +33,11 @@ type FileSpec struct {
 	// server rotates through (the AIDA N). Zero means Blocks+Faults,
 	// the minimum that preserves per-retrieval distinctness.
 	DispersalWidth int
+	// Latencies is the §4 latency vector d⃗ = [d⁽⁰⁾, …, d⁽ʳ⁾] in
+	// Latency's time unit: d⁽ʲ⁾ is the worst-case latency tolerable in
+	// the presence of j faults. It has Faults+1 levels and ends at
+	// Latency; nil means Latency at every level.
+	Latencies []int
 }
 
 // Validate checks the specification.
@@ -50,8 +54,40 @@ func (f FileSpec) Validate() error {
 			f.Name, f.DispersalWidth, f.Blocks+f.Faults, bcerr.ErrBadSpec)
 	case f.DispersalWidth > 256 || f.Blocks+f.Faults > 256:
 		return fmt.Errorf("core: file %q dispersal exceeds GF(2⁸) limit of 256: %w", f.Name, bcerr.ErrBadSpec)
+	case f.Latencies != nil && (len(f.Latencies) != f.Faults+1 || f.Latencies[f.Faults] != f.Latency):
+		return fmt.Errorf("core: file %q latency vector %v does not have faults+1 = %d levels ending at latency %d: %w",
+			f.Name, f.Latencies, f.Faults+1, f.Latency, bcerr.ErrBadSpec)
 	}
 	return nil
+}
+
+// levels returns the file's latency vector in slots at bandwidth b.
+func (f FileSpec) levels(b int) []int {
+	d := make([]int, len(f.Latencies))
+	for j, dj := range f.Latencies {
+		d[j] = b * dj
+	}
+	return d
+}
+
+// task is the file's condition on its own stream at bandwidth b: mᵢ + j
+// grants in every b·d⁽ʲ⁾ slots, distinct blocks under AIDA rotation over
+// mᵢ + rᵢ. In slots, a later level k implies level j when d⁽ᵏ⁾ − k ≤
+// d⁽ʲ⁾ − j (a d⁽ʲ⁾-slot window holds a d⁽ᵏ⁾-slot one, or lies in one with
+// at most d⁽ᵏ⁾ − d⁽ʲ⁾ grants outside it), so after scaling the task
+// starts at the first level j₀ no later level implies: a nil or constant
+// vector is the ordinary task (mᵢ + rᵢ, b·Tᵢ).
+func (f FileSpec) task(b int) pinwheel.Task {
+	if f.Latencies == nil {
+		return pinwheel.Task{Name: f.Name, A: f.Demand(), B: b * f.Latency}
+	}
+	d, j0 := f.levels(b), f.Faults
+	for j := j0 - 1; j >= 0; j-- { // d[j0] − j0 is the least d⁽ᵏ⁾ − k past j
+		if implied := d[j0]-j0 <= d[j]-j; !implied {
+			j0 = j
+		}
+	}
+	return pinwheel.Task{Name: f.Name, A: f.Blocks + j0, B: d[j0], Later: d[j0+1:]}
 }
 
 // Width returns the effective dispersal width N.
@@ -84,47 +120,4 @@ func ValidateAll(files []FileSpec) error {
 		}
 	}
 	return nil
-}
-
-// GenFileSpec describes a generalized fault-tolerant real-time broadcast
-// file (§4.1): a size and a latency vector d⃗ = [d⁽⁰⁾, …, d⁽ʳ⁾], where
-// d⁽ʲ⁾ is the worst-case latency tolerable in the presence of j faults,
-// measured in slots (block-transmission times; §4.1 assumes bandwidth is
-// known, so latencies are already in slot units).
-type GenFileSpec struct {
-	Name      string
-	Blocks    int   // mᵢ
-	Latencies []int // d⁽ʲ⁾ for j = 0..rᵢ, in slots
-}
-
-// Validate checks the specification: a name, a dispersal GF(2⁸) can
-// carry, and the broadcast condition's own checks (algebra.BC), which
-// bound every latency to the 2²² slots the schedulers' periods reach.
-func (g GenFileSpec) Validate() error {
-	if g.Name == "" {
-		return fmt.Errorf("core: generalized file needs a name: %w", bcerr.ErrBadSpec)
-	}
-	if g.Blocks+g.Faults() > 256 {
-		return fmt.Errorf("core: file %q dispersal exceeds GF(2⁸) limit of 256: %w", g.Name, bcerr.ErrBadSpec)
-	}
-	return algebra.BC{Task: g.Name, M: g.Blocks, D: g.Latencies}.Validate()
-}
-
-// Faults returns the number of tolerated faults rᵢ.
-func (g GenFileSpec) Faults() int { return len(g.Latencies) - 1 }
-
-// task is the file's condition on its own stream: mᵢ + j grants in
-// every d⁽ʲ⁾ slots, distinct blocks under AIDA rotation over mᵢ + rᵢ. A
-// later level k implies level j when d⁽ᵏ⁾ − k ≤ d⁽ʲ⁾ − j (a d⁽ʲ⁾-slot
-// window holds a d⁽ᵏ⁾-slot one, or lies in one with at most d⁽ᵏ⁾ − d⁽ʲ⁾
-// grants outside it), so the task starts at the first level j₀ that no
-// later level implies: a constant vector is the ordinary (mᵢ + rᵢ, d).
-func (g GenFileSpec) task() pinwheel.Task {
-	d, j0 := g.Latencies, len(g.Latencies)-1
-	for j := j0 - 1; j >= 0; j-- { // d[j0] − j0 is the least d⁽ᵏ⁾ − k past j
-		if implied := d[j0]-j0 <= d[j]-j; !implied {
-			j0 = j
-		}
-	}
-	return pinwheel.Task{Name: g.Name, A: g.Blocks + j0, B: d[j0], Later: d[j0+1:]}
 }

@@ -10,16 +10,29 @@ import (
 	"pinbcast/internal/pinwheel"
 )
 
+// vectorFile is the §4 file bc(name, m, d⃗): at bandwidth 1 its
+// latencies count slots.
+func vectorFile(name string, m int, d ...int) FileSpec {
+	f := FileSpec{Name: name, Blocks: m, Faults: len(d) - 1, Latencies: d}
+	if len(d) > 0 {
+		f.Latency = d[len(d)-1]
+	}
+	return f
+}
+
+// buildVectors builds §4 files at bandwidth 1 with the portfolio.
+func buildVectors(files []FileSpec) (*Program, error) { return BuildProgramWith(files, 1, nil) }
+
 // genCorpus draws n seeded §4 file sets: 1–4 files, m from 1 to 4, one
 // to three levels, d⁽⁰⁾ from m to 4m + 5 and each later level 1 to
 // m + 3 slots past the one before — the generator of the root package's
 // TestWorstLatencyIsTheOracleOnGeneralizedPrograms, with up to four
 // files.
-func genCorpus(seed uint64, n int) [][]GenFileSpec {
+func genCorpus(seed uint64, n int) [][]FileSpec {
 	rng := rand.New(rand.NewPCG(seed, 41))
-	sets := make([][]GenFileSpec, n)
+	sets := make([][]FileSpec, n)
 	for k := range sets {
-		files := make([]GenFileSpec, 1+rng.IntN(4))
+		files := make([]FileSpec, 1+rng.IntN(4))
 		for i := range files {
 			m := 1 + rng.IntN(4)
 			d := make([]int, 1+rng.IntN(3))
@@ -27,7 +40,7 @@ func genCorpus(seed uint64, n int) [][]GenFileSpec {
 			for j := 1; j < len(d); j++ {
 				d[j] = d[j-1] + 1 + rng.IntN(m+3)
 			}
-			files[i] = GenFileSpec{Name: string(rune('a' + i)), Blocks: m, Latencies: d}
+			files[i] = vectorFile(string(rune('a'+i)), m, d...)
 		}
 		sets[k] = files
 	}
@@ -38,7 +51,7 @@ func genCorpus(seed uint64, n int) [][]GenFileSpec {
 // file's condition converted to a nice conjunct (algebra.Convert), the
 // conjuncts scheduled together as one-window tasks by the default
 // chain, and each member's slots folded onto the file it maps to.
-func referenceBuild(files []GenFileSpec) (*Program, error) {
+func referenceBuild(files []FileSpec) (*Program, error) {
 	var sys pinwheel.System
 	var owner []int
 	infos := make([]FileInfo, len(files))
@@ -51,7 +64,7 @@ func referenceBuild(files []GenFileSpec) (*Program, error) {
 			sys = append(sys, pinwheel.Task{Name: m.Task, A: m.A, B: m.B})
 			owner = append(owner, i)
 		}
-		infos[i] = FileInfo{Name: g.Name, M: g.Blocks, N: g.Blocks + g.Faults(), Demand: g.Blocks + g.Faults()}
+		infos[i] = FileInfo{Name: g.Name, M: g.Blocks, N: g.Width(), Demand: g.Demand()}
 	}
 	sch, err := pinwheel.Solve(sys, nil)
 	if err != nil {
@@ -67,7 +80,7 @@ func referenceBuild(files []GenFileSpec) (*Program, error) {
 
 // meetsLevels holds a program to every file's latency vector through
 // WorstLatency, independently of the schedule's own certificate.
-func meetsLevels(t *testing.T, name string, p *Program, files []GenFileSpec) {
+func meetsLevels(t *testing.T, name string, p *Program, files []FileSpec) {
 	t.Helper()
 	for i, g := range files {
 		for j, d := range g.Latencies {
@@ -94,7 +107,7 @@ func TestGeneralizedCorpus(t *testing.T) {
 		if refErr == nil {
 			reference++
 		}
-		p, err := BuildGeneralizedProgram(files)
+		p, err := buildVectors(files)
 		if err != nil {
 			if refErr == nil {
 				t.Fatalf("%s: the conversion path builds it, the one builder returns %v", name, err)
@@ -102,7 +115,7 @@ func TestGeneralizedCorpus(t *testing.T) {
 			continue
 		}
 		built++
-		if !strings.HasPrefix(p.Origin, "generalized/convert/") {
+		if !strings.HasPrefix(p.Origin, "pinwheel/convert/") {
 			walked++
 		}
 		meetsLevels(t, name, p, files)

@@ -39,7 +39,7 @@ type Program struct {
 	Files     []FileInfo
 	Period    int
 	Slots     []int // file index per slot, or Idle
-	Bandwidth int   // blocks per time unit; 0 when latencies were given in slots
+	Bandwidth int   // blocks per time unit the windows were built at; 0 for a layout that bounds none
 	Origin    string
 
 	occ    [][]int32

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pinbcast/internal/core"
@@ -18,7 +19,7 @@ func TestIVHSReproducible(t *testing.T) {
 		t.Fatalf("sizes %d, %d", len(a), len(b))
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if !reflect.DeepEqual(a[i], b[i]) {
 			t.Fatalf("seeded generator diverged at %d", i)
 		}
 	}

@@ -193,27 +193,27 @@ func TestWorstLatencyIsTheOracle(t *testing.T) {
 // skipped and counted), each file's worst retrieval under j erasures is
 // WorstLatency(file, j) and meets its level-j latency d_j.
 func TestWorstLatencyIsTheOracleOnGeneralizedPrograms(t *testing.T) {
-	sets := [][]GenFileSpec{
+	sets := [][]FileSpec{
 		{ // Examples 2 and 3 of §4
-			{Name: "E2", Blocks: 5, Latencies: []int{100, 105, 110, 115, 120}},
-			{Name: "E3", Blocks: 6, Latencies: []int{105, 110}},
+			vectorFile("E2", 5, 100, 105, 110, 115, 120),
+			vectorFile("E3", 6, 105, 110),
 		},
 		{ // examples/faulttolerance and BenchmarkGeneralizedConstruction
-			{Name: "nav", Blocks: 3, Latencies: []int{10, 14, 18}},
-			{Name: "met", Blocks: 2, Latencies: []int{12, 16}},
+			vectorFile("nav", 3, 10, 14, 18),
+			vectorFile("met", 2, 12, 16),
 		},
 		{ // internal/core's TestBuildGeneralizedProgram
-			{Name: "A", Blocks: 2, Latencies: []int{8, 10}},
-			{Name: "B", Blocks: 1, Latencies: []int{6, 9}},
+			vectorFile("A", 2, 8, 10),
+			vectorFile("B", 1, 6, 9),
 		},
-		{{Name: "i", Blocks: 4, Latencies: []int{8, 9}}},     // Example 4 of §4, TestFacadeAlgebra's set
-		{{Name: "E5", Blocks: 2, Latencies: []int{5, 6, 6}}}, // Example 5
-		{{Name: "E6", Blocks: 1, Latencies: []int{2, 3}}},    // Example 6
+		{vectorFile("i", 4, 8, 9)},     // Example 4 of §4, TestFacadeAlgebra's set
+		{vectorFile("E5", 2, 5, 6, 6)}, // Example 5
+		{vectorFile("E6", 1, 2, 3)},    // Example 6
 	}
 	fixed := len(sets)
 	rng := rand.New(rand.NewPCG(16, 41))
 	for range 60 {
-		files := make([]GenFileSpec, 1+rng.IntN(3))
+		files := make([]FileSpec, 1+rng.IntN(3))
 		for i := range files {
 			m := 1 + rng.IntN(4)
 			d := make([]int, 1+rng.IntN(3))
@@ -221,13 +221,13 @@ func TestWorstLatencyIsTheOracleOnGeneralizedPrograms(t *testing.T) {
 			for j := 1; j < len(d); j++ {
 				d[j] = d[j-1] + 1 + rng.IntN(m+3)
 			}
-			files[i] = GenFileSpec{Name: string(rune('a' + i)), Blocks: m, Latencies: d}
+			files[i] = vectorFile(string(rune('a'+i)), m, d...)
 		}
 		sets = append(sets, files)
 	}
 	built, checked := 0, 0
 	for n, files := range sets {
-		p, err := BuildGeneralizedProgram(files)
+		p, err := buildVectors(files)
 		if err != nil {
 			if n < fixed {
 				t.Fatalf("set %d: %v", n, err)
@@ -248,32 +248,32 @@ func TestWorstLatencyIsTheOracleOnGeneralizedPrograms(t *testing.T) {
 // leaves the third undecided, and the convert member builds it.
 func TestGeneralizedBuildsWhatConversionRefuses(t *testing.T) {
 	cases := []struct {
-		files   []GenFileSpec
+		files   []FileSpec
 		convert bool // built by the convert member
 	}{
-		{[]GenFileSpec{
-			{Name: "a", Blocks: 1, Latencies: []int{3, 7, 11}},
-			{Name: "b", Blocks: 3, Latencies: []int{15, 18}},
-			{Name: "c", Blocks: 4, Latencies: []int{11, 16}},
+		{[]FileSpec{
+			vectorFile("a", 1, 3, 7, 11),
+			vectorFile("b", 3, 15, 18),
+			vectorFile("c", 4, 11, 16),
 		}, false},
-		{[]GenFileSpec{
-			{Name: "a", Blocks: 1, Latencies: []int{2, 4}},
-			{Name: "b", Blocks: 1, Latencies: []int{7, 10, 14}},
-			{Name: "c", Blocks: 1, Latencies: []int{4}},
+		{[]FileSpec{
+			vectorFile("a", 1, 2, 4),
+			vectorFile("b", 1, 7, 10, 14),
+			vectorFile("c", 1, 4),
 		}, false},
-		{[]GenFileSpec{
-			{Name: "a", Blocks: 3, Latencies: []int{15, 20, 26}},
-			{Name: "b", Blocks: 1, Latencies: []int{8, 10}},
-			{Name: "c", Blocks: 3, Latencies: []int{17, 18}},
-			{Name: "d", Blocks: 3, Latencies: []int{10, 14, 16}},
+		{[]FileSpec{
+			vectorFile("a", 3, 15, 20, 26),
+			vectorFile("b", 1, 8, 10),
+			vectorFile("c", 3, 17, 18),
+			vectorFile("d", 3, 10, 14, 16),
 		}, true},
 	}
 	for _, c := range cases {
-		p, err := BuildGeneralizedProgram(c.files)
+		p, err := buildVectors(c.files)
 		if err != nil {
 			t.Fatalf("%v: %v", c.files, err)
 		}
-		if got := strings.HasPrefix(p.Origin, "generalized/convert/"); got != c.convert {
+		if got := strings.HasPrefix(p.Origin, "pinwheel/convert/"); got != c.convert {
 			t.Errorf("%v: Origin %q, built by convert %v, want %v", c.files, p.Origin, got, c.convert)
 		}
 		holdToOracle(t, fmt.Sprintf("%v (%s)", c.files, p.Origin), p, c.files)
@@ -283,7 +283,7 @@ func TestGeneralizedBuildsWhatConversionRefuses(t *testing.T) {
 // holdToOracle checks that each file's worst retrieval under j erasures
 // is WorstLatency(file, j), within its level-j latency d_j, and returns
 // how many (file, j) pairs it checked.
-func holdToOracle(t *testing.T, name string, p *Program, files []GenFileSpec) (checked int) {
+func holdToOracle(t *testing.T, name string, p *Program, files []FileSpec) (checked int) {
 	t.Helper()
 	for _, g := range files {
 		i := p.FileIndex(g.Name)

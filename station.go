@@ -157,6 +157,9 @@ func newStation(cfg *stationConfig) (*Station, error) {
 	if err := core.ValidateAll(cfg.files); err != nil {
 		return nil, err
 	}
+	if err := stationFiles(cfg.files); err != nil {
+		return nil, err
+	}
 	bw := cfg.bandwidth
 	if bw == 0 {
 		bw = core.SufficientBandwidth(cfg.files)
@@ -177,6 +180,21 @@ func newStation(cfg *stationConfig) (*Station, error) {
 	st.latest.Store(gen)
 	st.onAir.Store(gen)
 	return st, nil
+}
+
+// stationFiles refuses the files a station cannot carry: an unnamed one,
+// since a file's name is its FileID and its contents key, and one with
+// a latency vector, which admission control does not bound.
+func stationFiles(files []FileSpec) error {
+	for _, f := range files {
+		switch {
+		case f.Name == "":
+			return fmt.Errorf("pinbcast: a station's files need names: %w", ErrBadSpec)
+		case f.Latencies != nil:
+			return fmt.Errorf("pinbcast: file %q has a latency vector, which a station does not admit: %w", f.Name, ErrBadSpec)
+		}
+	}
+	return nil
 }
 
 // build constructs a new program generation for the file set at the
@@ -493,6 +511,9 @@ func (st *Station) rebuild(ch change) (err error) {
 	replicaOnly, files := base.replicaOnly, base.files
 	if ch.replicaOnly != nil && st.interval > 0 {
 		replicaOnly = ch.replicaOnly
+	}
+	if err := stationFiles(ch.add); err != nil {
+		return err
 	}
 	for _, f := range ch.add {
 		if slices.ContainsFunc(files, func(g FileSpec) bool { return g.Name == f.Name }) {
