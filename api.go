@@ -36,7 +36,7 @@ func NecessaryBandwidth(files []FileSpec) float64 { return core.NecessaryBandwid
 func SufficientBandwidth(files []FileSpec) int { return core.SufficientBandwidth(files) }
 
 // MinBandwidth returns the smallest bandwidth at which the scheduler
-// portfolio constructs a program.
+// portfolio constructs a program (ErrBadSpec for a latency vector).
 func MinBandwidth(files []FileSpec) (int, error) { return core.MinBandwidth(files) }
 
 // BuildConfig describes a broadcast-program construction by name.

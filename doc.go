@@ -230,11 +230,10 @@
 // its files came from. Hence two rules: contents
 // handed to WithFile, WithContents, Admit or Negotiate belong to the
 // station and must not be mutated; a Slot's Block and Payload are
-// shared — copy before mutating. The rule that holds these loops to
-// zero allocations is in the benchmarks themselves: every benchmark
-// that calls internal/zeroalloc.Start fails by itself on a non-zero
-// allocs/op, so the list of allocation-free loops is the list of its
-// callers.
+// shared — copy before mutating. The allocation-free loops are the
+// //pinlint:hotpath functions, and TestHotPathsRunAllocationFree
+// (internal/zeroalloc) runs each, bar a short allow-list, under a
+// benchmark that fails on a non-zero allocs/op (zeroalloc.Start).
 // Neither a Receiver nor a MultiTuner keeps a result history: RunInto
 // hands each run's results to the caller and forgets them, and a run
 // spawns its drivers from func values built once, allocating nothing.

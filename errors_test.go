@@ -209,9 +209,10 @@ func TestStationRefusesUnnamedFiles(t *testing.T) {
 }
 
 // TestLatencyVectorRefusals: a file with a latency vector builds only
-// under the pinwheel layout at a given bandwidth. Equation 2 sizes no
-// vector, the other layouts bound none, and a station does not admit
-// one, however it comes: New, NewCluster, Admit or Negotiate.
+// under the pinwheel layout at a given bandwidth. Neither Equation 2 nor
+// MinBandwidth sizes a vector, the other layouts bound none, and a
+// station does not admit one, however it comes: New, NewCluster, Admit
+// or Negotiate.
 func TestLatencyVectorRefusals(t *testing.T) {
 	vec := FileSpec{Name: "v", Blocks: 2, Latency: 10, Faults: 1, Latencies: []int{8, 10}}
 	plain := FileSpec{Name: "p", Blocks: 1, Latency: 6}
@@ -226,6 +227,10 @@ func TestLatencyVectorRefusals(t *testing.T) {
 	}{
 		{"Build at bandwidth 0", func() error {
 			_, err := Build(BuildConfig{Files: files})
+			return err
+		}},
+		{"MinBandwidth", func() error {
+			_, err := MinBandwidth(files)
 			return err
 		}},
 		{"New", func() error {

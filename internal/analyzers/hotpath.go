@@ -16,9 +16,9 @@ import (
 )
 
 // HotPath holds every //pinlint:hotpath function to its zero-allocation
-// claim. These are the serve/fanout/receive/codec paths whose
-// benchmarks assert 0 allocs/op; the analyzer fails the regression
-// before the benchmark does.
+// claim: the serve/fanout/receive/codec paths, which
+// TestHotPathsRunAllocationFree (internal/zeroalloc) runs under
+// zero-alloc benchmarks; the analyzer fails the regression first.
 //
 // The verdict on a value is the compiler's: each package that annotates
 // a hot path is compiled with `go tool compile -m` — dependencies

@@ -402,7 +402,7 @@ func (c *Client) Done() bool { return len(c.pending) == 0 }
 // for the client; callers that only care about completion may ignore it.
 //
 // Observe is the per-slot protocol step; slots that do not complete a
-// request must not allocate (BenchmarkReceiverSlots).
+// request must not allocate.
 //
 //pinlint:hotpath
 func (c *Client) Observe(t int, raw []byte) Outcome {

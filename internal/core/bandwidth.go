@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"pinbcast/internal/bcerr"
 	"pinbcast/internal/pinwheel"
@@ -14,6 +15,7 @@ import (
 
 // NecessaryBandwidth returns Σ (mᵢ+rᵢ)/Tᵢ, the clearly-necessary
 // bandwidth (the paper's lower bound; with all rᵢ = 0 it is Σ mᵢ/Tᵢ).
+// It sizes each file as (mᵢ+rᵢ, Tᵢ) only, whatever its Latencies.
 func NecessaryBandwidth(files []FileSpec) float64 {
 	total := 0.0
 	for _, f := range files {
@@ -26,7 +28,8 @@ func NecessaryBandwidth(files []FileSpec) float64 {
 // rᵢ = 0), Equation 2 (uniform r), and the per-file-rᵢ generalization,
 // which coincide in this form. At this bandwidth the pinwheel system has
 // density at most 7/10 and is schedulable by Chan & Chin's result; the
-// overhead above necessary is at most 43%.
+// overhead above necessary is at most 43%. Like NecessaryBandwidth it
+// sizes (mᵢ+rᵢ, Tᵢ) only, never a latency vector.
 func SufficientBandwidth(files []FileSpec) int {
 	return int(math.Ceil(10.0 / 7.0 * NecessaryBandwidth(files)))
 }
@@ -51,19 +54,17 @@ var ErrNoBandwidth = fmt.Errorf("core: no feasible bandwidth found: %w", bcerr.E
 // portfolio actually constructs a program, scanning upward from the
 // ceiling of the necessary bandwidth. SufficientBandwidth is always an
 // upper bound in the density-test sense; the scan measures how much of
-// the 43% sizing margin the constructive schedulers recover.
+// the 43% sizing margin the constructive schedulers recover. A file
+// with a latency vector is ErrBadSpec: both bounds ignore its levels.
 func MinBandwidth(files []FileSpec) (int, error) {
 	if err := ValidateAll(files); err != nil {
 		return 0, err
 	}
-	lo := int(math.Ceil(NecessaryBandwidth(files) - 1e-9))
-	if lo < 1 {
-		lo = 1
+	if i := slices.IndexFunc(files, func(f FileSpec) bool { return f.Latencies != nil }); i >= 0 {
+		return 0, fmt.Errorf("core: file %q has a latency vector, which no bandwidth search sizes: %w", files[i].Name, bcerr.ErrBadSpec)
 	}
-	hi := SufficientBandwidth(files)
-	if hi < lo {
-		hi = lo
-	}
+	lo := max(1, int(math.Ceil(NecessaryBandwidth(files)-1e-9)))
+	hi := max(lo, SufficientBandwidth(files))
 	// Allow a margin above the Eq-1/Eq-2 value in case the portfolio
 	// needs it (it has not in any experiment so far). The scan uses the
 	// budget-capped portfolio: near-infeasible bandwidths would

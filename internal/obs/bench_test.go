@@ -27,6 +27,15 @@ func BenchmarkObsGaugeSet(b *testing.B) {
 	check()
 }
 
+func BenchmarkObsGaugeAdd(b *testing.B) {
+	g := NewRegistry().Gauge("pin_bench_level", "bench")
+	check := zeroalloc.Start(b)
+	for i := 0; i < b.N; i++ {
+		g.Add(1)
+	}
+	check()
+}
+
 func BenchmarkObsHistogramObserve(b *testing.B) {
 	h := NewRegistry().Histogram("pin_bench_lat", "bench")
 	check := zeroalloc.Start(b)

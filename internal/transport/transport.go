@@ -59,9 +59,9 @@ func IsTimeout(err error) bool {
 }
 
 // AppendFrame appends the wire form of one slot frame to dst and
-// returns the extended slice. Pass dst[:0] of a reused buffer to build
-// frames allocation-free; the fan-out writer assembles header and
-// payload this way so each frame costs a single conn.Write.
+// returns the extended slice, allocation-free into dst[:0] of a reused
+// buffer. It is the tests' and cmd/bdload's frame encoder; the fan-out
+// writer sends appendHeader's header and the payload in one writev.
 //
 //pinlint:hotpath
 func AppendFrame(dst []byte, slot int, payload []byte) ([]byte, error) {
@@ -332,7 +332,7 @@ var laggardPool = sync.Pool{New: func() any { s := []*subscriber(nil); return &s
 // zero clients succeeds (the broadcast medium does not care who
 // listens); the only error is ErrClosed.
 //
-// Send is the per-frame fan-out path (BenchmarkServeFanoutPipeline).
+// Send is the per-frame fan-out path.
 //
 //pinlint:hotpath
 func (f *Fanout) Send(slot int, payload []byte) error {

@@ -233,8 +233,7 @@ func (r *Receiver) Request(file string, deadline int) error {
 // propagates as io.EOF (RunInto flushes the requests still pending then
 // as failures); Results hands over what completed.
 //
-// Step is the per-slot receive path; BenchmarkReceiverSlots asserts
-// 0 allocs/op in steady state.
+// Step is the per-slot receive path.
 //
 //pinlint:hotpath
 func (r *Receiver) Step() (done bool, err error) {

@@ -388,8 +388,7 @@ func (c wallClock) SleepUntil(ctx context.Context, due time.Time) (time.Duration
 	}
 }
 
-// serveLoop is the per-slot broadcast path; BenchmarkStationServe
-// asserts it streams at 0 allocs/op in steady state.
+// serveLoop is the per-slot broadcast path.
 //
 //pinlint:hotpath
 func (st *Station) serveLoop(ctx context.Context, out chan<- Slot) {
