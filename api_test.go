@@ -174,7 +174,7 @@ func TestFacadeRTDB(t *testing.T) {
 	if p.Period < 1 {
 		t.Fatal("empty program")
 	}
-	admitted, err := rtdb.Admit(nil, FileSpec{Name: "x", Blocks: 1, Latency: 10}, 1)
+	admitted, err := rtdb.Admit(nil, 1, FileSpec{Name: "x", Blocks: 1, Latency: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

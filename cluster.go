@@ -761,7 +761,7 @@ func (c *Cluster) planLocked(orphans []FileSpec, survivors []int, i int, rep *Fa
 		slices.SortFunc(ranked, func(a, b int) int { return cmp.Or(cmp.Compare(headroom(b), headroom(a)), a-b) })
 		placed := false
 		for _, ch := range ranked {
-			if next, err := rtdb.Admit(load[ch], f, c.stations[ch].Bandwidth()); err == nil {
+			if next, err := rtdb.Admit(load[ch], c.stations[ch].Bandwidth(), f); err == nil {
 				load[ch], batches[ch], placed = next, append(batches[ch], f), true
 				break
 			}

@@ -3,6 +3,8 @@ package pinwheel
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -26,18 +28,12 @@ import (
 // changes, in the spirit of Chan & Chin's integer-reduction schedulers,
 // and keeps whichever base minimizes the specialized density.
 
-// specialize returns the largest c·2^k ≤ b together with 2^k, or an
-// error if b < c.
-func specialize(c, b int) (spec, pow int, err error) {
+// specialize returns the largest c·2^k ≤ b, or an error if b < c.
+func specialize(c, b int) (int, error) {
 	if b < c {
-		return 0, 0, fmt.Errorf("pinwheel: window %d below chain base %d", b, c)
+		return 0, fmt.Errorf("pinwheel: window %d below chain base %d", b, c)
 	}
-	spec, pow = c, 1
-	for spec*2 <= b {
-		spec *= 2
-		pow *= 2
-	}
-	return spec, pow, nil
+	return c << (bits.Len(uint(b/c)) - 1), nil
 }
 
 // specializedDensity returns the density of the system after windows are
@@ -45,20 +41,13 @@ func specialize(c, b int) (spec, pow int, err error) {
 func specializedDensity(s System, c int) float64 {
 	d := 0.0
 	for _, t := range s {
-		spec, _, err := specialize(c, t.B)
+		spec, err := specialize(c, t.B)
 		if err != nil {
-			return inf()
+			return math.Inf(1)
 		}
 		d += float64(t.A) / float64(spec)
 	}
 	return d
-}
-
-func inf() float64 { return math.Inf(1) }
-
-// residueClass is a set of slots {t : t ≡ offset (mod modulus)}.
-type residueClass struct {
-	offset, modulus int
 }
 
 // scheduleChain specializes every window to the chain {c·2^k} and
@@ -70,15 +59,11 @@ func scheduleChain(s System, c int, maxPeriod int) (*Schedule, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	type specTask struct {
-		idx  int
-		a    int
-		spec int
-	}
+	type specTask struct{ idx, a, spec int }
 	tasks := make([]specTask, len(s))
 	period := c
 	for i, t := range s {
-		spec, _, err := specialize(c, t.B)
+		spec, err := specialize(c, t.B)
 		if err == nil && len(t.Later) > 0 {
 			err = fmt.Errorf("task %d has %d windows, the chain takes one", i, len(t.Later)+1)
 		}
@@ -95,12 +80,13 @@ func scheduleChain(s System, c int, maxPeriod int) (*Schedule, error) {
 	}
 	sort.Slice(tasks, func(i, j int) bool { return tasks[i].spec < tasks[j].spec })
 
-	// Free residue classes, grouped by modulus. Initially the c classes
-	// of modulus c partition the timeline.
-	free := make(map[int][]int) // modulus -> offsets
-	moduli := []int{c}
-	for o := 0; o < c; o++ {
-		free[c] = append(free[c], o)
+	// free[k] holds the offsets of the free residue classes of modulus
+	// c·2^k, an int, so k < 64. Initially the c classes of modulus c
+	// partition the timeline.
+	var free [64][]int
+	free[0] = make([]int, c)
+	for o := range free[0] {
+		free[0][o] = o
 	}
 
 	slots := make([]int, period)
@@ -109,13 +95,14 @@ func scheduleChain(s System, c int, maxPeriod int) (*Schedule, error) {
 	}
 
 	for _, tk := range tasks {
+		k := bits.Len(uint(tk.spec/c)) - 1
 		for grant := 0; grant < tk.a; grant++ {
-			cls, ok := takeClass(free, &moduli, tk.spec)
+			off, ok := takeClass(free[:], c, k)
 			if !ok {
 				return nil, fmt.Errorf("%w: buddy allocation exhausted at task %d (specialized density %.4f)",
 					ErrSchedulerFailed, tk.idx, specializedDensity(s, c))
 			}
-			for t := cls.offset; t < period; t += cls.modulus {
+			for t := off; t < period; t += tk.spec {
 				slots[t] = tk.idx
 			}
 		}
@@ -123,34 +110,26 @@ func scheduleChain(s System, c int, maxPeriod int) (*Schedule, error) {
 	return NewSchedule(slots, fmt.Sprintf("chain(c=%d)", c)), nil
 }
 
-// takeClass removes and returns a free residue class of modulus exactly
-// want, splitting a larger-density (smaller-modulus) class if needed.
-// Classes are chosen best-fit: the largest available modulus ≤ want.
-func takeClass(free map[int][]int, moduli *[]int, want int) (residueClass, bool) {
-	// Best fit: largest modulus ≤ want with a free offset.
-	best := 0
-	for _, m := range *moduli {
-		if m <= want && m > best && len(free[m]) > 0 {
-			best = m
-		}
+// takeClass removes a free residue class of modulus c·2^want from free
+// and returns its offset, splitting a smaller-modulus class if needed.
+// Classes are chosen best-fit: the free class of the largest modulus ≤
+// c·2^want, the last one freed first.
+func takeClass(free [][]int, c, want int) (int, bool) {
+	k := want
+	for k >= 0 && len(free[k]) == 0 {
+		k--
 	}
-	if best == 0 {
-		return residueClass{}, false
+	if k < 0 {
+		return 0, false
 	}
-	offs := free[best]
-	off := offs[len(offs)-1]
-	free[best] = offs[:len(offs)-1]
-	// Split (off, m) into (off, 2m) kept and (off+m, 2m) freed, until the
-	// modulus reaches want.
-	m := best
-	for m < want {
-		if _, seen := free[2*m]; !seen {
-			*moduli = append(*moduli, 2*m)
-		}
-		free[2*m] = append(free[2*m], off+m)
-		m *= 2
+	off := free[k][len(free[k])-1]
+	free[k] = free[k][:len(free[k])-1]
+	// Split (off, c·2^k) into (off, c·2^(k+1)) kept and (off+c·2^k,
+	// c·2^(k+1)) freed, until the modulus reaches c·2^want.
+	for ; k < want; k++ {
+		free[k+1] = append(free[k+1], off+c<<k)
 	}
-	return residueClass{offset: off, modulus: want}, true
+	return off, true
 }
 
 // defaultMaxPeriod bounds the period of schedules produced by the chain
@@ -171,28 +150,24 @@ func sa(s System) (*Schedule, error) {
 	return sch, nil
 }
 
-// candidateBases returns the chain bases worth trying for Sx: every
-// value ⌊b/2^k⌋ that lies in (minB/2, minB], where minB is the smallest
-// window. Bases outside that half-open interval are either infeasible
-// (> minB) or equivalent to one inside it (a base c ≤ minB/2 specializes
+// candidateBases returns the chain bases worth trying for Sx, in
+// increasing order: every value ⌊b/2^k⌋ that lies in (minB/2, minB],
+// where minB is the smallest window; each window halves into that
+// interval at most once. Bases outside it are either infeasible (>
+// minB) or equivalent to one inside it (a base c ≤ minB/2 specializes
 // every window ≥ minB exactly as base 2c does).
 func candidateBases(s System) []int {
 	minB := s.MinWindow()
-	lo := minB / 2 // exclusive
-	set := map[int]bool{}
+	bases := []int{minB}
 	for _, t := range s {
-		for b := t.B; b > lo; b /= 2 {
-			if b <= minB {
-				set[b] = true
-			}
+		b := t.B
+		for b > minB {
+			b /= 2
+		}
+		if i, found := slices.BinarySearch(bases, b); b > minB/2 && !found {
+			bases = slices.Insert(bases, i, b)
 		}
 	}
-	set[minB] = true
-	bases := make([]int, 0, len(set))
-	for c := range set {
-		bases = append(bases, c)
-	}
-	sort.Ints(bases)
 	return bases
 }
 
@@ -204,7 +179,7 @@ func sx(s System) (*Schedule, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	bestC, bestD := 0, inf()
+	bestC, bestD := 0, math.Inf(1)
 	for _, c := range candidateBases(s) {
 		if d := specializedDensity(s, c); d < bestD {
 			bestC, bestD = c, d

@@ -24,12 +24,12 @@ func TestSpecialize(t *testing.T) {
 		{5, 100, 80},
 	}
 	for _, cse := range cases {
-		got, _, err := specialize(cse.c, cse.b)
+		got, err := specialize(cse.c, cse.b)
 		if err != nil || got != cse.want {
 			t.Errorf("specialize(%d, %d) = %d, %v; want %d", cse.c, cse.b, got, err, cse.want)
 		}
 	}
-	if _, _, err := specialize(5, 4); err == nil {
+	if _, err := specialize(5, 4); err == nil {
 		t.Fatal("specialize below base did not error")
 	}
 }
@@ -133,6 +133,46 @@ func TestScheduleChainPeriodLimit(t *testing.T) {
 	_, err := scheduleChain(s, 1, 1024)
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
+	}
+}
+
+// TestChainTakesBestFit pins the slot tables of Sa and Sx on systems
+// where best fit (the free class of the largest modulus that divides
+// the wanted one) and smallest-modulus-first take different classes.
+// The tables were worked by hand: tasks go in nondecreasing specialized
+// window, each grant takes the last class freed at its level and
+// splits it down, freeing off+c·2^k at each level k it passes.
+func TestChainTakesBestFit(t *testing.T) {
+	const I = Idle
+	cases := []struct {
+		name   string
+		run    func(System) (*Schedule, error)
+		sys    System
+		origin string
+		slots  []int
+	}{
+		// Task 0 takes 0 and frees 1, 2 and 4; task 1 then takes 4,
+		// where smallest-modulus-first would split 1.
+		{"sa", sa, System{{A: 1, B: 8}, {A: 1, B: 8}}, "Sa",
+			[]int{0, I, I, I, 1, I, I, I}},
+		// Task 1 (window 4) takes 0 and frees 1 and 2; task 0 takes 2,
+		// freeing 6, then 6; task 2 splits 1 for window 16. Smallest
+		// first would give task 0 class 1.
+		{"sa", sa, System{{A: 2, B: 8}, {A: 1, B: 4}, {A: 1, B: 16}}, "Sa",
+			[]int{1, 2, 0, I, 1, I, 0, I, 1, I, 0, I, 1, I, 0, I}},
+		// Base 6: task 2 takes 5, task 0 splits 4 and frees 10, which
+		// task 1 takes; smallest first would split 3 for task 1.
+		{"sx", sx, System{{A: 1, B: 12}, {A: 1, B: 13}, {A: 1, B: 6}}, "Sx(c=6)",
+			[]int{I, I, I, I, 0, 2, I, I, I, I, 1, 2}},
+	}
+	for _, c := range cases {
+		sch, err := c.run(c.sys)
+		if err != nil {
+			t.Fatalf("%s on %v: %v", c.name, c.sys, err)
+		}
+		if sch.Origin != c.origin || !slices.Equal(sch.Slots, c.slots) {
+			t.Errorf("%s on %v: %s %v, want %s %v", c.name, c.sys, sch.Origin, sch.Slots, c.origin, c.slots)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ package rtdb
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"pinbcast/internal/bcerr"
@@ -151,13 +152,19 @@ func (db *Database) FileSpecs(mode Mode) ([]core.FileSpec, error) {
 // callers can classify rejections with errors.Is.
 var ErrRejected = fmt.Errorf("rtdb: density bound exceeded: %w", bcerr.ErrAdmission)
 
-// Admit checks whether candidate can join the already-admitted files at
-// bandwidth b and returns the extended file set on success.
-func Admit(admitted []core.FileSpec, candidate core.FileSpec, b int) ([]core.FileSpec, error) {
-	if err := candidate.Validate(); err != nil {
-		return nil, err
+// Admit returns admitted extended by the candidates, in a new slice, if
+// they can join it together at bandwidth b. It refuses every invalid
+// candidate first (ErrBadSpec), then a task infeasible at b
+// (ErrAdmission), then a set failing the Chan–Chin density test
+// (ErrRejected): the density sums positive terms in file order, so a
+// batch is refused exactly when admitting it one file at a time is.
+func Admit(admitted []core.FileSpec, b int, candidates ...core.FileSpec) ([]core.FileSpec, error) {
+	for _, c := range candidates {
+		if err := c.Validate(); err != nil {
+			return nil, err
+		}
 	}
-	next := append(append([]core.FileSpec(nil), admitted...), candidate)
+	next := slices.Concat(admitted, candidates)
 	sys := core.TaskSystem(next, b)
 	if err := sys.Validate(); err != nil {
 		return nil, fmt.Errorf("rtdb: candidate infeasible at bandwidth %d (%w): %w", b, err, bcerr.ErrAdmission)

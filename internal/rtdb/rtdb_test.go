@@ -2,9 +2,14 @@ package rtdb
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"pinbcast/internal/bcerr"
 	"pinbcast/internal/core"
 )
 
@@ -153,7 +158,7 @@ func TestAdmissionControl(t *testing.T) {
 	b := core.SufficientBandwidth(base)
 	// A small item fits.
 	small := core.FileSpec{Name: "S", Blocks: 1, Latency: 20}
-	admitted, err := Admit(base, small, b)
+	admitted, err := Admit(base, b, small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +167,7 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	// A heavy item breaks the density bound and is rejected.
 	huge := core.FileSpec{Name: "H", Blocks: 8, Latency: 10}
-	if _, err := Admit(admitted, huge, b); !errors.Is(err, ErrRejected) {
+	if _, err := Admit(admitted, b, huge); !errors.Is(err, ErrRejected) {
 		t.Fatalf("err = %v, want ErrRejected", err)
 	}
 	// The rejection must not have mutated the admitted set.
@@ -172,12 +177,98 @@ func TestAdmissionControl(t *testing.T) {
 }
 
 func TestAdmitValidatesCandidate(t *testing.T) {
-	if _, err := Admit(nil, core.FileSpec{Name: "bad"}, 1); err == nil {
+	if _, err := Admit(nil, 1, core.FileSpec{Name: "bad"}); err == nil {
 		t.Fatal("invalid candidate accepted")
 	}
 	// Window smaller than demand at this bandwidth.
 	c := core.FileSpec{Name: "c", Blocks: 5, Latency: 1}
-	if _, err := Admit(nil, c, 1); err == nil {
+	if _, err := Admit(nil, 1, c); err == nil {
 		t.Fatal("infeasible candidate accepted")
+	}
+}
+
+// TestAdmitBatch holds batch admission to its refusal order — every
+// candidate's validity, then the density of the whole set — and to
+// leaving the admitted slice, spare capacity included, as it was.
+func TestAdmitBatch(t *testing.T) {
+	f := func(name string, blocks int) core.FileSpec {
+		return core.FileSpec{Name: name, Blocks: blocks, Latency: 1}
+	}
+	// At bandwidth 10 a file of two blocks and latency 1 is density 0.2.
+	admitted := make([]core.FileSpec, 1, 8)
+	admitted[0] = f("A", 2)
+	spare := admitted[:cap(admitted)]
+	want := slices.Clone(spare)
+	untouched := func(when string) {
+		t.Helper()
+		if !reflect.DeepEqual(spare, want) {
+			t.Fatalf("%s: admitted slice written: %v", when, spare)
+		}
+	}
+
+	// 0.6 passes; the last candidate alone takes the batch to 0.8.
+	if _, err := Admit(admitted, 10, f("B", 2), f("C", 2)); err != nil {
+		t.Fatalf("a batch to density 0.6 refused: %v", err)
+	}
+	untouched("admitted batch")
+	if _, err := Admit(admitted, 10, f("B", 2), f("C", 2), f("D", 2)); !errors.Is(err, ErrRejected) {
+		t.Fatalf("a batch to density 0.8: err = %v, want ErrRejected", err)
+	}
+	untouched("batch over 7/10")
+
+	// The first candidate crosses 7/10 on its own, but validity comes
+	// first: an invalid last member makes the refusal ErrBadSpec. Its
+	// dispersal width is below its demand, which its task cannot show.
+	bad := f("bad", 2)
+	bad.DispersalWidth = 1
+	_, err := Admit(admitted, 10, f("H", 9), f("B", 1), bad)
+	if !errors.Is(err, bcerr.ErrBadSpec) || errors.Is(err, ErrRejected) {
+		t.Fatalf("a batch with an invalid member: err = %v, want ErrBadSpec alone", err)
+	}
+	untouched("batch with an invalid member")
+}
+
+// TestAdmitBatchIsTheFold checks on seeded batches that one Admit of a
+// batch refuses exactly when admitting its candidates one at a time
+// refuses one of them, and that both admit the same file set.
+func TestAdmitBatchIsTheFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	file := func(i int) core.FileSpec {
+		f := core.FileSpec{Name: fmt.Sprint("f", i), Blocks: 1 + rng.Intn(6), Latency: 1 + rng.Intn(40), Faults: rng.Intn(3)}
+		if rng.Intn(40) == 0 {
+			f.Blocks = 0 // invalid
+		}
+		return f
+	}
+	refused := 0
+	for trial := 0; trial < 10000; trial++ {
+		b := 1 + rng.Intn(12)
+		admitted := make([]core.FileSpec, rng.Intn(6))
+		for i := range admitted {
+			admitted[i] = file(i)
+		}
+		batch := make([]core.FileSpec, 1+rng.Intn(5))
+		for i := range batch {
+			batch[i] = file(len(admitted) + i)
+		}
+		got, err := Admit(admitted, b, batch...)
+		fold, foldErr := admitted, error(nil)
+		for _, c := range batch {
+			if fold, foldErr = Admit(fold, b, c); foldErr != nil {
+				break
+			}
+		}
+		if (err != nil) != (foldErr != nil) {
+			t.Fatalf("b=%d admitted %v batch %v: batch err %v, fold err %v", b, admitted, batch, err, foldErr)
+		}
+		if err != nil {
+			refused++
+		} else if !reflect.DeepEqual(got, fold) {
+			t.Fatalf("b=%d admitted %v batch %v: batch admits %v, fold %v", b, admitted, batch, got, fold)
+		}
+	}
+	t.Logf("%d of 10000 batches refused", refused)
+	if refused == 0 || refused == 10000 {
+		t.Fatalf("%d of 10000 batches refused: the seeds test one verdict only", refused)
 	}
 }

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"net"
+	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 )
@@ -72,4 +74,71 @@ func TestNextReuseAllocationFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Next allocates %v per frame, want 0", allocs)
 	}
+}
+
+// TestSendToFullQueueAllocationFree pins Send's backpressure path to
+// zero allocations: one subscriber's queue stays full, so every Send
+// gathers it as a laggard and starts the shared wait. Its writer is
+// gone (done is closed) while it is still subscribed, so each wait ends
+// at once, with no goroutine running beside the measurement.
+func TestSendToFullQueueAllocationFree(t *testing.T) {
+	if raceBuild() {
+		t.Skip("sync.Pool drops pooled values at random under the race detector")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewFanout(ln, time.Minute)
+	defer f.Close()
+	conn, peer := net.Pipe()
+	defer peer.Close()
+	s := &subscriber{conn: conn, ch: make(chan frame, 1), done: make(chan struct{})}
+	s.ch <- frame{}
+	s.stop()
+	f.mu.Lock()
+	f.subs[s] = true
+	f.mu.Unlock()
+
+	payload := make([]byte, 64)
+	slot := 0
+	allocs := testing.AllocsPerRun(500, func() {
+		if len(s.ch) != cap(s.ch) {
+			t.Fatal("the subscriber's queue has room: Send would not wait")
+		}
+		if err := f.Send(slot, payload); err != nil {
+			t.Fatal(err)
+		}
+		slot++
+	})
+	if allocs != 0 {
+		t.Fatalf("Send to a full queue allocates %v per call, want 0", allocs)
+	}
+	if f.Evicted() != 0 {
+		t.Fatalf("evicted = %d: the wait should end on done, not on the timer", f.Evicted())
+	}
+	// Send pools its timer stopped. The set Send put back is the next
+	// Get's unless the goroutine changed P in between: then try again.
+	for try := 0; try < 100; try++ {
+		if err := f.Send(slot, payload); err != nil {
+			t.Fatal(err)
+		}
+		lg := laggardPool.Get().(*laggards)
+		if lg.timer != nil {
+			if lg.timer.Stop() {
+				t.Fatal("Send pooled its laggard timer running")
+			}
+			return
+		}
+	}
+	t.Fatal("no pooled laggard set came back with its timer")
+}
+
+// raceBuild reports whether the test binary runs under the race
+// detector.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.ContainsFunc(bi.Settings, func(s debug.BuildSetting) bool {
+		return s.Key == "-race" && s.Value == "true"
+	})
 }

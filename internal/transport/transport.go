@@ -318,10 +318,17 @@ func (f *Fanout) Evicted() int {
 	return f.evicted
 }
 
-// laggardPool recycles the slice Send gathers full-queue subscribers
-// into: a receiver that paces the broadcast (bounded backpressure) hits
-// this path on every frame, and it must not allocate there.
-var laggardPool = sync.Pool{New: func() any { s := []*subscriber(nil); return &s }}
+// laggards is Send's slice of full-queue subscribers and the timer of
+// their shared wait, stopped between Sends (under go.mod's Go 1.23+
+// timer semantics a stopped timer holds no stale tick). A receiver that
+// paces the broadcast hits this path on every frame, and it must not
+// allocate there, so laggardPool recycles both.
+type laggards struct {
+	subs  []*subscriber
+	timer *time.Timer
+}
+
+var laggardPool = sync.Pool{New: func() any { return new(laggards) }}
 
 // Send queues one slot frame for every connected client. A client
 // whose queue has headroom costs one non-blocking enqueue; a client
@@ -337,12 +344,12 @@ var laggardPool = sync.Pool{New: func() any { s := []*subscriber(nil); return &s
 //pinlint:hotpath
 func (f *Fanout) Send(slot int, payload []byte) error {
 	fr := frame{slot: slot, payload: payload}
-	fp := laggardPool.Get().(*[]*subscriber)
-	full := (*fp)[:0]
+	lg := laggardPool.Get().(*laggards)
+	full := lg.subs[:0]
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
-		laggardPool.Put(fp)
+		laggardPool.Put(lg)
 		return ErrClosed
 	}
 	depth := 0
@@ -359,15 +366,18 @@ func (f *Fanout) Send(slot int, payload []byte) error {
 	f.mu.Unlock()
 	fanoutFrames.Inc()
 	fanoutQueueDepth.Set(int64(depth))
+	lg.subs = full
 	if len(full) == 0 {
-		*fp = full
-		laggardPool.Put(fp)
+		laggardPool.Put(lg)
 		return nil
 	}
 	// One write-timeout budget covers all laggards: each gets until the
 	// timer fires to free queue space; after that, space-or-eviction.
-	timer := time.NewTimer(f.timeout)
-	defer timer.Stop()
+	if lg.timer == nil {
+		lg.timer = time.NewTimer(f.timeout)
+	} else {
+		lg.timer.Reset(f.timeout)
+	}
 	expired := false
 	for _, s := range full {
 		if expired {
@@ -382,14 +392,14 @@ func (f *Fanout) Send(slot int, payload []byte) error {
 		select {
 		case s.ch <- fr:
 		case <-s.done:
-		case <-timer.C:
+		case <-lg.timer.C:
 			expired = true
 			f.drop(s) //pinlint:allow hotpath — eviction, at most once per subscriber
 		}
 	}
+	lg.timer.Stop()
 	clear(full)
-	*fp = full[:0]
-	laggardPool.Put(fp)
+	laggardPool.Put(lg)
 	return nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"pinbcast/internal/analyzers"
@@ -44,14 +45,41 @@ type hotFunc struct {
 // unbenchedHotPaths, and when an entry there runs or names no hot
 // function. The hot set is the one of the current GOOS, GOARCH and
 // build tags; assembly declarations have no body and are exempt.
+//
+// The check runs once per test binary: under -count or -cpu, later
+// runs replay the first one's failures and log.
 func TestHotPathsRunAllocationFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the module and runs its zero-alloc benchmarks")
 	}
+	hotPathVerdict.once.Do(func() {
+		hotPathVerdict.log, hotPathVerdict.failures = checkHotPaths()
+	})
+	for _, msg := range hotPathVerdict.failures {
+		t.Error(msg)
+	}
+	if hotPathVerdict.log != "" {
+		t.Log(hotPathVerdict.log)
+	}
+}
+
+// hotPathVerdict is the first TestHotPathsRunAllocationFree run's
+// result.
+var hotPathVerdict struct {
+	once     sync.Once
+	log      string
+	failures []string
+}
+
+// checkHotPaths runs TestHotPathsRunAllocationFree's check and returns
+// its summary line and its failures; a failure that stops the check
+// early leaves the summary empty.
+func checkHotPaths() (log string, failures []string) {
+	fail := func(format string, args ...any) { failures = append(failures, fmt.Sprintf(format, args...)) }
 	root := filepath.Join("..", "..")
 	pkgs, ix, err := analyzers.Load(root, "./...")
 	if err != nil {
-		t.Fatal(err)
+		return "", []string{err.Error()}
 	}
 
 	hot := map[string]hotFunc{}
@@ -82,7 +110,7 @@ func TestHotPathsRunAllocationFree(t *testing.T) {
 		}
 		names, err := zeroAllocBenchmarks(pkg.Dir)
 		if err != nil {
-			t.Fatal(err)
+			return "", []string{err.Error()}
 		}
 		if len(names) > 0 {
 			benchPkgs = append(benchPkgs, pkg.PkgPath)
@@ -90,10 +118,15 @@ func TestHotPathsRunAllocationFree(t *testing.T) {
 		}
 	}
 	if len(benches) == 0 {
-		t.Fatal("no benchmark in the module calls zeroalloc.Start")
+		return "", []string{"no benchmark in the module calls zeroalloc.Start"}
 	}
 
-	profile := filepath.Join(t.TempDir(), "cover.out")
+	dir, err := os.MkdirTemp("", "zeroalloc")
+	if err != nil {
+		return "", []string{err.Error()}
+	}
+	defer os.RemoveAll(dir)
+	profile := filepath.Join(dir, "cover.out")
 	args := append([]string{"test", "-run", "^$",
 		"-bench", "^(" + strings.Join(benches, "|") + ")$",
 		"-benchtime", fmt.Sprintf("%dx", minN),
@@ -103,11 +136,11 @@ func TestHotPathsRunAllocationFree(t *testing.T) {
 	cmd := exec.Command("go", args...)
 	cmd.Dir = root
 	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, out)
+		return "", []string{fmt.Sprintf("go %s: %v\n%s", strings.Join(args, " "), err, out)}
 	}
 	ran, err := ranBlocks(profile)
 	if err != nil {
-		t.Fatal(err)
+		return "", []string{err.Error()}
 	}
 
 	var keys []string
@@ -124,20 +157,20 @@ func TestHotPathsRunAllocationFree(t *testing.T) {
 		_, allowed := unbenchedHotPaths[key]
 		switch {
 		case runs && allowed:
-			t.Errorf("%s runs under a zero-alloc benchmark: delete its unbenchedHotPaths entry", key)
+			fail("%s runs under a zero-alloc benchmark: delete its unbenchedHotPaths entry", key)
 		case !runs && !allowed:
-			t.Errorf("%s (%s:%d) is //pinlint:hotpath, but no zero-alloc benchmark runs it", key, fn.start.Filename, fn.start.Line)
+			fail("%s (%s:%d) is //pinlint:hotpath, but no zero-alloc benchmark runs it", key, fn.start.Filename, fn.start.Line)
 		case runs:
 			covered++
 		}
 	}
 	for key := range unbenchedHotPaths {
 		if _, ok := hot[key]; !ok {
-			t.Errorf("unbenchedHotPaths names %s, which is no //pinlint:hotpath function with a body", key)
+			fail("unbenchedHotPaths names %s, which is no //pinlint:hotpath function with a body", key)
 		}
 	}
-	t.Logf("%d zero-alloc benchmarks in %d packages, allocation-free at %d iterations, ran %d of %d hot functions (%d allow-listed)",
-		len(benches), len(benchPkgs), minN, covered, len(hot), len(unbenchedHotPaths))
+	return fmt.Sprintf("%d zero-alloc benchmarks in %d packages, allocation-free at %d iterations, ran %d of %d hot functions (%d allow-listed)",
+		len(benches), len(benchPkgs), minN, covered, len(hot), len(unbenchedHotPaths)), failures
 }
 
 // zeroAllocBenchmarks returns the Benchmark functions of dir's test

@@ -493,15 +493,17 @@ type change struct {
 	accept      func(*generation) error // may refuse the built generation; nil accepts
 }
 
-// rebuild applies a change to the latest generation. Each added file
-// passes density-based admission at the station's bandwidth, and the new
-// file set is built (which holds it to every issued contract), put to
-// accept and staged; the files the latest generation carries keep its
-// contents, ranges and frames. A change of a paced station's
-// replica-only set alone keeps the latest program, frames and contracts
-// — no solve, no encode — and plans its emission anew; a change that
-// alters nothing on the air builds nothing. Nothing is written before
-// the stage, so a rejected change leaves the station as it was.
+// rebuild applies a change to the latest generation. A change adding a
+// name already broadcast, or one name twice, is refused; the added files
+// then pass density-based admission together (one rtdb.Admit at the
+// station's bandwidth), and the new file set is built (which holds it
+// to every issued contract), put to accept and staged; the files the
+// latest generation carries keep its contents, ranges and frames. A
+// change of a paced station's replica-only set alone keeps the latest
+// program, frames and contracts — no solve, no encode — and plans its
+// emission anew; a change that alters nothing on the air builds
+// nothing. Nothing is written before the stage, so a rejected change
+// leaves the station as it was.
 //
 //pinlint:cycle-boundary
 //pinlint:holds buildMu
@@ -514,11 +516,14 @@ func (st *Station) rebuild(ch change) (err error) {
 	if err := stationFiles(ch.add); err != nil {
 		return err
 	}
-	for _, f := range ch.add {
-		if slices.ContainsFunc(files, func(g FileSpec) bool { return g.Name == f.Name }) {
+	for i, f := range ch.add {
+		named := func(g FileSpec) bool { return g.Name == f.Name }
+		if slices.ContainsFunc(files, named) || slices.ContainsFunc(ch.add[:i], named) {
 			return fmt.Errorf("pinbcast: file %q already broadcast: %w", f.Name, ErrBadSpec)
 		}
-		if files, err = rtdb.Admit(files, f, st.bandwidth); err != nil {
+	}
+	if len(ch.add) > 0 {
+		if files, err = rtdb.Admit(files, st.bandwidth, ch.add...); err != nil {
 			return err
 		}
 	}
