@@ -38,7 +38,7 @@ const (
 )
 
 var shards = registry[cluster.Shard]{"shard policy", map[string]cluster.Shard{
-	ShardHash: cluster.HashShard{}, ShardHotCold: cluster.HotColdShard{}, ShardBalanced: cluster.BalancedShard{}}}
+	ShardHash: cluster.HashShard, ShardHotCold: cluster.HotColdShard, ShardBalanced: cluster.BalancedShard}}
 
 // ShardNames returns the names of all registered shard policies,
 // sorted.
@@ -75,12 +75,10 @@ func ShardNames() []string { return shards.names() }
 //
 // A Cluster is safe for concurrent use.
 type Cluster struct {
-	shard    cluster.Shard
+	shard    string
 	replicas int
 
 	stations []*Station
-	specs    map[string]FileSpec
-	widths   map[string]int // file -> channels it was planned on: its code is that many rotations wide
 
 	mu        sync.Mutex
 	homes     map[string][]int                 // file -> carrying channels, primary first; guarded by mu
@@ -138,7 +136,7 @@ type ClusterContract struct {
 //	)
 func NewCluster(opts ...ClusterOption) (*Cluster, error) {
 	cfg := &clusterConfig{stationConfig: stationConfig{contents: map[string][]byte{}},
-		channels: 2, replicas: -1, hottest: -1, shard: cluster.BalancedShard{}}
+		channels: 2, replicas: -1, hottest: -1, shard: ShardBalanced}
 	for _, opt := range opts {
 		if err := opt.applyCluster(cfg); err != nil {
 			return nil, err
@@ -153,7 +151,7 @@ func NewCluster(opts ...ClusterOption) (*Cluster, error) {
 	if err := core.ValidateAll(cfg.files); err != nil {
 		return nil, err
 	}
-	asn, err := cluster.Plan(cfg.files, cfg.channels, cfg.replicas, cfg.hottest, cfg.shard)
+	asn, err := cluster.Plan(cfg.files, cfg.channels, cfg.replicas, cfg.hottest, shards.byName[cfg.shard])
 	if err != nil {
 		return nil, err
 	}
@@ -161,20 +159,16 @@ func NewCluster(opts ...ClusterOption) (*Cluster, error) {
 	c := &Cluster{
 		shard:     cfg.shard,
 		replicas:  cfg.replicas,
-		specs:     map[string]FileSpec{},
-		widths:    map[string]int{},
 		homes:     asn.Homes,
 		dead:      map[int]bool{},
 		contracts: map[string]*clusterContractEntry{},
 		lost:      map[string]error{},
 	}
 	for _, f := range cfg.files {
-		c.specs[f.Name] = f
 		if _, ok := cfg.contents[f.Name]; !ok {
 			return nil, fmt.Errorf("pinbcast: no contents for file %q: %w", f.Name, ErrBadSpec)
 		}
-		w := len(asn.Homes[f.Name])
-		if c.widths[f.Name] = w; w*f.Width() > 256 {
+		if w := len(asn.Homes[f.Name]); w*f.Width() > 256 {
 			return nil, fmt.Errorf("pinbcast: file %q on %d channels needs a code %d blocks wide, more than 256: %w",
 				f.Name, w, w*f.Width(), ErrBadSpec)
 		}
@@ -240,7 +234,7 @@ func (c *Cluster) Replicas() int { return c.replicas }
 
 // ShardPolicy returns the name of the shard policy the cluster was
 // planned with.
-func (c *Cluster) ShardPolicy() string { return c.shard.Name() }
+func (c *Cluster) ShardPolicy() string { return c.shard }
 
 // Station returns the station serving channel i — the per-channel
 // service handle (its Program, Directory, QoS surface). The station
@@ -434,7 +428,7 @@ func (c *Cluster) Negotiate(x Txn) (ClusterContract, error) {
 
 	nominal, degraded := 0, 0
 	for _, read := range x.Reads {
-		if _, known := c.specs[read]; !known {
+		if _, known := c.homes[read]; !known {
 			return ClusterContract{}, fmt.Errorf("pinbcast: file %q not in cluster catalog: %w", read, ErrBadSpec)
 		}
 		if lostErr, lost := c.lost[read]; lost {
@@ -558,7 +552,11 @@ type FailoverReport struct {
 // FailChannel takes channel i out of the cluster: its broadcast loop is
 // stopped (if the cluster is serving), the files it alone carried are
 // re-admitted on the survivors, and every cluster contract is
-// re-verified: one whose re-computed bound still fits its promised
+// re-verified. The orphans are the catalogue files that channel i's
+// latest generation carries and no live channel does, each re-admitted
+// with that generation's spec, contents and code width: a file evicted
+// from channel i is not one, nor is a file admitted there outside the
+// catalogue. A contract whose re-computed bound still fits its promised
 // DegradedLatencySlots is kept, any other revoked with an error wrapping
 // ErrDegraded. The orphans are planned hottest first, each on the
 // survivor with the most bandwidth headroom over its latest file set
@@ -590,14 +588,16 @@ func (c *Cluster) FailChannel(i int) (*FailoverReport, error) {
 	clFailovers.Inc()
 	rep := &FailoverReport{Channel: i, Readmitted: map[string]int{}}
 
-	// Orphans: files whose every carrier is now dead.
+	// Orphans: the catalogue files on channel i whose every carrier is
+	// now dead.
 	var orphans []FileSpec
-	for name := range c.homes {
-		if c.lost[name] == nil && len(c.liveHomesLocked(name)) == 0 {
-			orphans = append(orphans, c.specs[name])
+	last := c.stations[i].latest.Load()
+	for _, f := range last.files {
+		if _, known := c.homes[f.Name]; known && c.lost[f.Name] == nil && len(c.liveHomesLocked(f.Name)) == 0 {
+			orphans = append(orphans, f)
 		}
 	}
-	replicaOnly, failed := c.replicaOnlyLocked(), []*server.Server{c.stations[i].latest.Load().srv}
+	replicaOnly, failed := c.replicaOnlyLocked(), []*server.Server{last.srv}
 	survivors := c.liveLocked()
 	for round := 0; round == 0 || len(orphans) > 0; round++ {
 		batches := c.planLocked(orphans, survivors, i, rep)
@@ -610,9 +610,9 @@ func (c *Cluster) FailChannel(i int) (*FailoverReport, error) {
 				replicaOnly: replicaOnly[ch], carry: failed}
 			for _, f := range chg.add {
 				// Channel i carried every orphan; none has a live home, so
-				// range 0 of its code is free.
-				chg.contents[f.Name], _, _ = failed[0].Source(f.Name)
-				chg.ranges[f.Name] = server.Range{Index: 0, Of: c.widths[f.Name]}
+				// range 0 of its code, as wide as channel i sent it, is free.
+				data, rng, _ := failed[0].Source(f.Name)
+				chg.contents[f.Name], chg.ranges[f.Name] = data, server.Range{Index: 0, Of: rng.Of}
 			}
 			// The spare-air change alone is best effort: an emission not
 			// planned anew still holds every bound.

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"maps"
 	"net"
 	"slices"
 	"testing"
 	"time"
 
+	"pinbcast/internal/cluster"
 	"pinbcast/internal/workload"
 )
 
@@ -110,6 +112,9 @@ func TestClusterBuildValidation(t *testing.T) {
 			WithFiles(files...), WithContents(CatalogContents(files, 64, 1)),
 		}},
 		{"no files", []ClusterOption{WithChannels(2)}},
+		{"duplicate file", []ClusterOption{
+			WithFiles(files...), WithFiles(files[0]), WithContents(CatalogContents(files, 64, 1)),
+		}},
 	}
 	for _, tc := range cases {
 		if _, err := NewCluster(tc.opts...); !errors.Is(err, ErrBadSpec) {
@@ -159,9 +164,19 @@ func TestShardRegistry(t *testing.T) {
 	if names := ShardNames(); !slices.Equal(names, want) {
 		t.Fatalf("ShardNames = %v, want %v", names, want)
 	}
+	policies := map[string]cluster.Shard{
+		ShardBalanced: cluster.BalancedShard, ShardHash: cluster.HashShard, ShardHotCold: cluster.HotColdShard}
 	for _, w := range want {
-		if got := testCluster(t, WithShardName(w)).ShardPolicy(); got != w {
+		c := testCluster(t, WithShardName(w))
+		if got := c.ShardPolicy(); got != w {
 			t.Fatalf("WithShardName(%q) runs %q", w, got)
+		}
+		asn, err := cluster.Plan(clusterCatalog(), 3, 2, 2, policies[w])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Assignment(); !maps.EqualFunc(got, asn.Homes, slices.Equal[[]int]) {
+			t.Fatalf("WithShardName(%q) plans %v, the policy %v", w, got, asn.Homes)
 		}
 	}
 	files := clusterCatalog()
@@ -600,7 +615,7 @@ func TestClusterFailoverLossAndRevocation(t *testing.T) {
 // from its first slot.
 func cycleOnAir(t *testing.T, st *Station) []Slot {
 	t.Helper()
-	return air(t, st, st.latest.Load().cycle)
+	return air(t, st, st.latest.Load().program.DataCycle())
 }
 
 // cyclesOnAir serves one data cycle of each channel of the cluster.
@@ -612,15 +627,26 @@ func cyclesOnAir(t *testing.T, c *Cluster) [][]Slot {
 	return cycles
 }
 
+// plannedWidths returns how many channels each file of a cluster not yet
+// failed over is planned on: its code is that many rotations wide.
+func plannedWidths(c *Cluster) map[string]int {
+	widths := map[string]int{}
+	for name, homes := range c.Assignment() {
+		widths[name] = len(homes)
+	}
+	return widths
+}
+
 // checkDisjointRanges holds what the live channels of a cluster put on
 // the air over one data cycle each to the numbering rule: every live
 // home of a file sends exactly its N rotation positions' worth of
 // distinct block numbers, all of one range of a code as many rotations
-// wide as the file was planned on channels, and no two live homes share
-// a number. On every home of a file planned on several channels a plain
-// Receiver tuning in at any slot of the cycle still has the file, byte
-// for byte, inside B·Tᵢ. It returns how many such files it saw.
-func checkDisjointRanges(t *testing.T, c *Cluster, files []FileSpec, contents map[string][]byte) (replicated int) {
+// wide as the file was planned on channels (widths), and no two live
+// homes share a number. On every home of a file planned on several
+// channels a plain Receiver tuning in at any slot of the cycle still has
+// the file, byte for byte, inside B·Tᵢ. It returns how many such files
+// it saw.
+func checkDisjointRanges(t *testing.T, c *Cluster, widths map[string]int, files []FileSpec, contents map[string][]byte) (replicated int) {
 	t.Helper()
 	cycles := make([][]Slot, c.Channels())
 	homes := c.Assignment()
@@ -635,9 +661,9 @@ func checkDisjointRanges(t *testing.T, c *Cluster, files []FileSpec, contents ma
 				if slot.File != f.Name {
 					continue
 				}
-				if b := slot.Block; slot.Seq != int(b.Seq) || int(b.M) != f.Blocks || int(b.N) != c.widths[f.Name]*f.Width() {
+				if b := slot.Block; slot.Seq != int(b.Seq) || int(b.M) != f.Blocks || int(b.N) != widths[f.Name]*f.Width() {
 					t.Fatalf("channel %d slot %d: %s/%d is block %d, m %d of %d; planned on %d channels, rotation %d",
-						ch, slot.T, f.Name, slot.Seq, b.Seq, b.M, b.N, c.widths[f.Name], f.Width())
+						ch, slot.T, f.Name, slot.Seq, b.Seq, b.M, b.N, widths[f.Name], f.Width())
 				}
 				switch held[slot.Seq] {
 				case 0:
@@ -651,7 +677,7 @@ func checkDisjointRanges(t *testing.T, c *Cluster, files []FileSpec, contents ma
 			if sent != f.Width() || len(ranges) != 1 {
 				t.Fatalf("channel %d sends %d distinct blocks of %q over ranges %v, want one range of %d", ch, sent, f.Name, ranges, f.Width())
 			}
-			if c.widths[f.Name] == 1 {
+			if widths[f.Name] == 1 {
 				continue
 			}
 			window := c.Station(ch).Bandwidth() * f.Latency
@@ -667,7 +693,7 @@ func checkDisjointRanges(t *testing.T, c *Cluster, files []FileSpec, contents ma
 				}
 			}
 		}
-		if c.widths[f.Name] > 1 && len(homes[f.Name]) > 0 {
+		if widths[f.Name] > 1 && len(homes[f.Name]) > 0 {
 			replicated++
 		}
 	}
@@ -683,20 +709,21 @@ func checkDisjointRanges(t *testing.T, c *Cluster, files []FileSpec, contents ma
 // is planned.
 func TestClusterReplicasCarryDisjointRanges(t *testing.T) {
 	daemon, daemonFiles := daemonCluster(t, true)
-	daemonContents := workload.Contents(daemonFiles, 16, 1)
-	if n := checkDisjointRanges(t, daemon, daemonFiles, daemonContents); n != 4 {
+	daemonContents, daemonWidths := workload.Contents(daemonFiles, 16, 1), plannedWidths(daemon)
+	if n := checkDisjointRanges(t, daemon, daemonWidths, daemonFiles, daemonContents); n != 4 {
 		t.Fatalf("the daemon cluster replicates %d files, want 4", n)
 	}
 	rep, err := daemon.FailChannel(0)
 	if err != nil || len(rep.Readmitted) == 0 {
 		t.Fatalf("failing channel 0 re-admitted %v (%v)", rep, err)
 	}
-	checkDisjointRanges(t, daemon, daemonFiles, daemonContents)
+	checkDisjointRanges(t, daemon, daemonWidths, daemonFiles, daemonContents)
 
 	files := clusterCatalog()
 	contents := CatalogContents(files, 64, 1)
 	c := testCluster(t)
-	if n := checkDisjointRanges(t, c, files, contents); n != 2 {
+	widths := plannedWidths(c)
+	if n := checkDisjointRanges(t, c, widths, files, contents); n != 2 {
 		t.Fatalf("the test cluster replicates %d files, want 2", n)
 	}
 	homes := c.Assignment()["hot-a"]
@@ -705,7 +732,7 @@ func TestClusterReplicasCarryDisjointRanges(t *testing.T) {
 		if err != nil || len(rep.Readmitted) == 0 {
 			t.Fatalf("failing channel %d re-admitted %+v (%v)", ch, rep, err)
 		}
-		checkDisjointRanges(t, c, files, contents)
+		checkDisjointRanges(t, c, widths, files, contents)
 	}
 	// hot-a lost both homes: the last channel sends range 0 of the code
 	// planned two rotations wide, which checkDisjointRanges has held it to.

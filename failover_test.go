@@ -10,16 +10,22 @@ import (
 	"testing"
 )
 
-// failoverCluster shards sixteen files of mixed width and latency over
-// four channels, the two hottest on two each, every station sized by
-// Equation 2 on its own files: each channel's orphans have more than
-// one survivor to land on.
-func failoverCluster(t *testing.T, opts ...ClusterOption) *Cluster {
-	t.Helper()
+// failoverCatalog is sixteen files of mixed width and latency, in name
+// order.
+func failoverCatalog() []FileSpec {
 	files := make([]FileSpec, 16)
 	for i := range files {
 		files[i] = FileSpec{Name: fmt.Sprintf("f%02d", i), Blocks: 2 + i%4, Latency: 20 + 7*i, Faults: 1}
 	}
+	return files
+}
+
+// failoverCluster shards failoverCatalog over four channels, the two
+// hottest on two each, every station sized by Equation 2 on its own
+// files: each channel's orphans have more than one survivor to land on.
+func failoverCluster(t *testing.T, opts ...ClusterOption) *Cluster {
+	t.Helper()
+	files := failoverCatalog()
 	c, err := NewCluster(append([]ClusterOption{
 		WithChannels(4), WithReplicas(2), WithReplicateHottest(2),
 		WithFiles(files...), WithContents(CatalogContents(files, 16, 1)),
@@ -158,6 +164,51 @@ func TestFailChannelBuildsOncePerSurvivor(t *testing.T) {
 	}
 }
 
+// TestFailChannelOrphansAreTheCatalogueFilesItCarries: a failed
+// channel's orphans are the catalogue files its latest generation
+// carries. Under the balanced policy at bandwidth 12, warm, cool-a,
+// cool-b and cold are on channel 2 alone, beside a replica of hot-a, and
+// channel 1 takes them all when channel 2 fails. A file evicted from
+// channel 2 first is no orphan (its contents went with it, and
+// re-admitting it would refuse the whole batch it rode in): it is
+// neither re-admitted nor lost, and has no live home. A file admitted on
+// channel 2 outside the catalogue is no orphan either.
+func TestFailChannelOrphansAreTheCatalogueFilesItCarries(t *testing.T) {
+	all := map[string]int{"warm": 1, "cool-a": 1, "cool-b": 1, "cold": 1}
+	for _, tc := range []struct {
+		name   string
+		change func(*Station) error
+		want   map[string]int // Readmitted
+	}{
+		{"unchanged", func(*Station) error { return nil }, all},
+		{"cold evicted", func(st *Station) error { return st.Evict("cold") },
+			map[string]int{"warm": 1, "cool-a": 1, "cool-b": 1}},
+		{"extra admitted", func(st *Station) error {
+			return st.Admit(FileSpec{Name: "extra", Blocks: 2, Latency: 120, Faults: 1}, []byte("outside the catalogue"))
+		}, all},
+	} {
+		c := testCluster(t, WithBandwidth(12))
+		if h := c.Assignment(); !slices.Equal(h["warm"], []int{2}) || !slices.Equal(h["cold"], []int{2}) || len(c.Station(2).Files()) != 5 {
+			t.Fatalf("%s: the catalogue is sharded %v", tc.name, h)
+		}
+		if err := tc.change(c.Station(2)); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := c.FailChannel(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !maps.Equal(rep.Readmitted, tc.want) || len(rep.Lost) != 0 {
+			t.Fatalf("%s: re-admitted %v, lost %v; want %v re-admitted and nothing lost", tc.name, rep.Readmitted, rep.Lost, tc.want)
+		}
+		if _, carried := tc.want["cold"]; !carried {
+			if _, err := c.Negotiate(Txn{Name: "cold", Reads: []string{"cold"}, Deadline: 1 << 20}); !errors.Is(err, ErrDegraded) {
+				t.Fatalf("%s: negotiating a read of cold: %v, want ErrDegraded", tc.name, err)
+			}
+		}
+	}
+}
+
 // TestClusterQuorum checks the quorum exhaustively: with the replicated
 // files on R = 3 of K = 4 channels, any K−R+1 live channels carry each of
 // them ("A Novel Quorum Protocol"). For every set of fewer than R
@@ -173,13 +224,14 @@ func TestClusterQuorum(t *testing.T) {
 			continue
 		}
 		c := failoverCluster(t, WithReplicas(r))
+		var replicated []FileSpec
 		var reads []string
-		for name, homes := range c.Assignment() {
-			if len(homes) == r {
-				reads = append(reads, name)
+		planned := c.Assignment()
+		for _, f := range failoverCatalog() {
+			if len(planned[f.Name]) == r {
+				replicated, reads = append(replicated, f), append(reads, f.Name)
 			}
 		}
-		slices.Sort(reads)
 		x := Txn{Name: "quorum", Reads: reads, Deadline: 1 << 20}
 		cc, err := c.Negotiate(x)
 		if err != nil || len(reads) == 0 {
@@ -197,8 +249,8 @@ func TestClusterQuorum(t *testing.T) {
 			t.Fatalf("dead set %04b: contract %+v (%v), negotiated %+v", set, got, err, cc)
 		}
 		worst, homes := 0, c.Assignment()
-		for _, name := range reads {
-			f := c.specs[name]
+		for _, f := range replicated {
+			name := f.Name
 			if len(homes[name]) == 0 {
 				t.Fatalf("dead set %04b: %q has no live home", set, name)
 			}

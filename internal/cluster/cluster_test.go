@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"pinbcast/internal/bcerr"
@@ -39,17 +40,18 @@ func TestPlanQuorumProperty(t *testing.T) {
 	files := workload.Random(12, 4, 8, 120, 1, 7)
 	for k := 2; k <= 4; k++ {
 		for r := 2; r <= k; r++ {
-			asn, err := Plan(files, k, r, 5, BalancedShard{})
+			asn, err := Plan(files, k, r, 5, BalancedShard)
 			if err != nil {
 				t.Fatalf("Plan(k=%d, r=%d): %v", k, r, err)
 			}
-			for name, rep := range asn.Replicated {
-				if !rep {
-					continue
+			hot := Hottest(files, 5)
+			for name, homes := range asn.Homes {
+				want := 1
+				if slices.Contains(hot, name) {
+					want = r
 				}
-				homes := asn.Homes[name]
-				if len(homes) != r {
-					t.Fatalf("k=%d r=%d: %q has %d homes, want %d", k, r, name, len(homes), r)
+				if len(homes) != want {
+					t.Fatalf("k=%d r=%d: %q has %d homes, want %d", k, r, name, len(homes), want)
 				}
 				seen := map[int]bool{}
 				for _, c := range homes {
@@ -69,16 +71,17 @@ func TestPlanQuorumProperty(t *testing.T) {
 }
 
 func TestPlanPrimaryFirstAndUnreplicatedSingleHome(t *testing.T) {
-	asn, err := Plan(catalog(), 3, 2, 2, BalancedShard{})
+	asn, err := Plan(catalog(), 3, 2, 2, BalancedShard)
 	if err != nil {
 		t.Fatal(err)
 	}
+	hot := Hottest(catalog(), 2)
 	for _, f := range catalog() {
 		homes := asn.Homes[f.Name]
 		if len(homes) == 0 {
 			t.Fatalf("%q has no home", f.Name)
 		}
-		if asn.Replicated[f.Name] {
+		if slices.Contains(hot, f.Name) {
 			if len(homes) != 2 {
 				t.Fatalf("replicated %q has homes %v", f.Name, homes)
 			}
@@ -100,7 +103,7 @@ func TestPlanPrimaryFirstAndUnreplicatedSingleHome(t *testing.T) {
 
 func TestBalancedShardLevelsHeat(t *testing.T) {
 	files := workload.Random(24, 4, 8, 120, 1, 3)
-	asn, err := Plan(files, 3, 1, 0, BalancedShard{})
+	asn, err := Plan(files, 3, 1, 0, BalancedShard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,21 +124,14 @@ func TestBalancedShardLevelsHeat(t *testing.T) {
 
 func TestHashShardDeterministic(t *testing.T) {
 	files := catalog()
-	a1, _ := HashShard{}.Assign(files, 3)
-	a2, _ := HashShard{}.Assign(files, 3)
-	for i := range a1 {
-		if a1[i] != a2[i] {
-			t.Fatal("hash shard not deterministic")
-		}
+	if a1, a2 := HashShard(files, 3), HashShard(files, 3); !slices.Equal(a1, a2) {
+		t.Fatal("hash shard not deterministic")
 	}
 }
 
 func TestHotColdShardSeparatesTiers(t *testing.T) {
 	files := catalog()
-	asn, err := HotColdShard{}.Assign(files, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	asn := HotColdShard(files, 4)
 	byName := map[string]int{}
 	for i, f := range files {
 		byName[f.Name] = asn[i]
@@ -159,18 +155,13 @@ func TestPlanValidation(t *testing.T) {
 		name string
 		run  func() error
 	}{
-		{"no files", func() error { _, err := Plan(nil, 2, 1, 0, HashShard{}); return err }},
-		{"zero channels", func() error { _, err := Plan(files, 0, 1, 0, HashShard{}); return err }},
-		{"more channels than files", func() error { _, err := Plan(files, 9, 1, 0, HashShard{}); return err }},
-		{"replicas over k", func() error { _, err := Plan(files, 2, 3, 1, HashShard{}); return err }},
-		{"replicas zero", func() error { _, err := Plan(files, 2, 0, 1, HashShard{}); return err }},
-		{"hottest negative", func() error { _, err := Plan(files, 2, 2, -1, HashShard{}); return err }},
-		{"nil shard", func() error { _, err := Plan(files, 2, 1, 0, nil); return err }},
-		{"duplicate file", func() error {
-			dup := append(append([]core.FileSpec{}, files...), files[0])
-			_, err := Plan(dup, 2, 1, 0, HashShard{})
-			return err
-		}},
+		{"no files", func() error { _, err := Plan(nil, 2, 1, 0, HashShard); return err }},
+		{"zero channels", func() error { _, err := Plan(files, 0, 1, 0, HashShard); return err }},
+		{"more channels than files", func() error { _, err := Plan(files, 9, 1, 0, HashShard); return err }},
+		{"replicas over k", func() error { _, err := Plan(files, 2, 3, 1, HashShard); return err }},
+		{"replicas zero", func() error { _, err := Plan(files, 2, 0, 1, HashShard); return err }},
+		{"hottest negative", func() error { _, err := Plan(files, 2, 2, -1, HashShard); return err }},
+		{"hash leaves a channel empty", func() error { _, err := Plan(files, 5, 1, 0, HashShard); return err }},
 	}
 	for _, tc := range cases {
 		if err := tc.run(); !errors.Is(err, bcerr.ErrBadSpec) {

@@ -1,6 +1,6 @@
 // Package cluster plans and tracks sharded multi-channel broadcast
 // deployments: a catalog is partitioned across K broadcast channels by
-// a pluggable Shard policy, the hottest files are replicated on R ≥ 2
+// a Shard policy, the hottest files are replicated on R ≥ 2
 // channels (quorum-style: any K−R+1 live channels still carry every
 // replicated file, so the deployment withstands R−1 channel deaths
 // without repair — the Goemans–Lynch–Saias regime), and a missed-slot
@@ -23,16 +23,10 @@ import (
 	"pinbcast/internal/core"
 )
 
-// Shard maps each file of a catalog to a primary broadcast channel.
-// Policies are deterministic so a deployment plan is reproducible from
-// its inputs.
-type Shard interface {
-	// Name identifies the policy in registries and flags.
-	Name() string
-	// Assign returns the primary channel index in [0, k) for each file,
-	// in input order.
-	Assign(files []core.FileSpec, k int) ([]int, error)
-}
+// Shard maps each file of a catalog to a primary broadcast channel in
+// [0, k), in input order. Policies are deterministic so a deployment
+// plan is reproducible from its inputs.
+type Shard func(files []core.FileSpec, k int) []int
 
 // Heat is the planner's access-frequency proxy for one file: its
 // bandwidth share (mᵢ+rᵢ)/Tᵢ. A file with a tight latency constraint
@@ -49,33 +43,21 @@ func Heat(f core.FileSpec) float64 {
 // HashShard assigns each file by FNV-32a of its name modulo k — the
 // stateless baseline: no balance guarantee, but a file's home is
 // computable from its name alone.
-type HashShard struct{}
-
-// Name returns "hash".
-func (HashShard) Name() string { return "hash" }
-
-// Assign hashes each file name to a channel.
-func (HashShard) Assign(files []core.FileSpec, k int) ([]int, error) {
+func HashShard(files []core.FileSpec, k int) []int {
 	out := make([]int, len(files))
 	for i, f := range files {
 		h := fnv.New32a()
 		h.Write([]byte(f.Name))
 		out[i] = int(h.Sum32() % uint32(k))
 	}
-	return out, nil
+	return out
 }
 
 // HotColdShard splits the catalog at the median Heat: hot files are
 // spread round-robin over the first ⌈k/2⌉ channels, cold files over the
 // rest — so hot channels carry few, frequently-spun files (short
 // periods, tight worst cases) and cold channels absorb the bulk.
-type HotColdShard struct{}
-
-// Name returns "hot-cold".
-func (HotColdShard) Name() string { return "hot-cold" }
-
-// Assign partitions by Heat and round-robins within each partition.
-func (HotColdShard) Assign(files []core.FileSpec, k int) ([]int, error) {
+func HotColdShard(files []core.FileSpec, k int) []int {
 	order := heatOrder(files)
 	hotChannels := (k + 1) / 2
 	coldChannels := k - hotChannels
@@ -88,7 +70,7 @@ func (HotColdShard) Assign(files []core.FileSpec, k int) ([]int, error) {
 			out[i] = hotChannels + (rank-hotFiles)%coldChannels
 		}
 	}
-	return out, nil
+	return out
 }
 
 // BalancedShard equalizes per-channel bandwidth demand: files are
@@ -97,13 +79,7 @@ func (HotColdShard) Assign(files []core.FileSpec, k int) ([]int, error) {
 // channel's Equation-2 bandwidth — and with it the per-channel latency
 // profile (core.Program.LatencyProfile) — as even as the catalog
 // allows, which is what a latency-balanced deployment wants.
-type BalancedShard struct{}
-
-// Name returns "balanced".
-func (BalancedShard) Name() string { return "balanced" }
-
-// Assign greedily levels accumulated Heat across channels.
-func (BalancedShard) Assign(files []core.FileSpec, k int) ([]int, error) {
+func BalancedShard(files []core.FileSpec, k int) []int {
 	out := make([]int, len(files))
 	load := make([]float64, k)
 	for _, i := range heatOrder(files) {
@@ -116,7 +92,7 @@ func (BalancedShard) Assign(files []core.FileSpec, k int) ([]int, error) {
 		out[i] = best
 		load[best] += Heat(files[i])
 	}
-	return out, nil
+	return out
 }
 
 // heatOrder returns file indices sorted by descending Heat, ties broken
@@ -159,10 +135,9 @@ type Assignment struct {
 	// Channels lists the files each channel broadcasts (primaries and
 	// replicas), in catalog order.
 	Channels [][]core.FileSpec
-	// Homes maps each file to the channels carrying it, primary first.
+	// Homes maps each file to the channels carrying it, primary first;
+	// a replicated file has more than one.
 	Homes map[string][]int
-	// Replicated marks the files carried by more than one channel.
-	Replicated map[string]bool
 }
 
 // Plan shards the catalog over k channels under the policy and
@@ -171,8 +146,9 @@ type Assignment struct {
 // least one live carrier for every replicated file (equivalently: every
 // k−replicas+1 live channels form a read quorum for them). Replica
 // channels are chosen coldest-first so redundancy rides on the spare
-// capacity. Every channel must end up with at least one file;
-// violations wrap bcerr.ErrBadSpec.
+// capacity. The files' names must be distinct (core.ValidateAll).
+// Every channel must end up with at least one file; violations wrap
+// bcerr.ErrBadSpec.
 func Plan(files []core.FileSpec, k, replicas, hottest int, shard Shard) (*Assignment, error) {
 	switch {
 	case len(files) == 0:
@@ -186,62 +162,32 @@ func Plan(files []core.FileSpec, k, replicas, hottest int, shard Shard) (*Assign
 		return nil, fmt.Errorf("cluster: replicas %d out of range [1, %d]: %w", replicas, k, bcerr.ErrBadSpec)
 	case hottest < 0 || hottest > len(files):
 		return nil, fmt.Errorf("cluster: hottest %d out of range [0, %d]: %w", hottest, len(files), bcerr.ErrBadSpec)
-	case shard == nil:
-		return nil, fmt.Errorf("cluster: nil shard policy: %w", bcerr.ErrBadSpec)
-	}
-	seen := map[string]bool{}
-	for _, f := range files {
-		if seen[f.Name] {
-			return nil, fmt.Errorf("cluster: duplicate file %q: %w", f.Name, bcerr.ErrBadSpec)
-		}
-		seen[f.Name] = true
 	}
 
-	primary, err := shard.Assign(files, k)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: shard %q: %w", shard.Name(), err)
-	}
-	if len(primary) != len(files) {
-		return nil, fmt.Errorf("cluster: shard %q returned %d assignments for %d files: %w",
-			shard.Name(), len(primary), len(files), bcerr.ErrBadSpec)
-	}
-	asn := &Assignment{
-		Channels:   make([][]core.FileSpec, k),
-		Homes:      make(map[string][]int, len(files)),
-		Replicated: map[string]bool{},
-	}
+	asn := &Assignment{Channels: make([][]core.FileSpec, k), Homes: make(map[string][]int, len(files))}
 	load := make([]float64, k)
-	for i, f := range files {
-		c := primary[i]
-		if c < 0 || c >= k {
-			return nil, fmt.Errorf("cluster: shard %q sent %q to channel %d of %d: %w",
-				shard.Name(), f.Name, c, k, bcerr.ErrBadSpec)
-		}
+	for i, c := range shard(files, k) {
+		f := files[i]
 		asn.Channels[c] = append(asn.Channels[c], f)
 		asn.Homes[f.Name] = []int{c}
 		load[c] += Heat(f)
 	}
 	for c, chFiles := range asn.Channels {
 		if len(chFiles) == 0 {
-			return nil, fmt.Errorf("cluster: shard %q left channel %d empty (use balanced, or fewer channels): %w",
-				shard.Name(), c, bcerr.ErrBadSpec)
+			return nil, fmt.Errorf("cluster: the shard policy left channel %d empty (use balanced, or fewer channels): %w",
+				c, bcerr.ErrBadSpec)
 		}
 	}
 
 	if replicas > 1 {
-		byName := make(map[string]core.FileSpec, len(files))
-		for _, f := range files {
-			byName[f.Name] = f
-		}
-		for _, name := range Hottest(files, hottest) {
-			f := byName[name]
-			for len(asn.Homes[name]) < replicas {
-				c := coldestAvoiding(load, asn.Homes[name])
+		for _, i := range heatOrder(files)[:hottest] {
+			f := files[i]
+			for len(asn.Homes[f.Name]) < replicas {
+				c := coldestAvoiding(load, asn.Homes[f.Name])
 				asn.Channels[c] = append(asn.Channels[c], f)
-				asn.Homes[name] = append(asn.Homes[name], c)
+				asn.Homes[f.Name] = append(asn.Homes[f.Name], c)
 				load[c] += Heat(f)
 			}
-			asn.Replicated[name] = true
 		}
 	}
 	return asn, nil

@@ -158,6 +158,8 @@ func (p *Program) MaxGap(i int) int {
 // (§2.3): the smallest multiple of the period after which every file's
 // block rotation re-aligns with its slots. The value is precomputed
 // (overflow-checked) by NewProgram.
+//
+//pinlint:hotpath
 func (p *Program) DataCycle() int { return p.cycle }
 
 // LatencyProfile reports the mean and worst-case fault-free retrieval

@@ -98,7 +98,7 @@ func daemonCatalogues(t testing.TB) (out []catalogue) {
 		files[i].Faults = 1
 	}
 	bandwidth := core.SufficientBandwidth(files)
-	asn, err := cluster.Plan(files, 2, 2, 4, cluster.BalancedShard{})
+	asn, err := cluster.Plan(files, 2, 2, 4, cluster.BalancedShard)
 	if err != nil {
 		t.Fatal(err)
 	}

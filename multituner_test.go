@@ -498,7 +498,8 @@ func TestMultiTunerPoolsAcrossChannels(t *testing.T) {
 			t.Fatalf("round %d: %d results (%v)", round, len(results), err)
 		}
 		for _, res := range results {
-			if !res.Completed || res.BlocksUsed != c.specs[res.File].Blocks || !bytes.Equal(res.Data, contents[res.File]) {
+			i := slices.IndexFunc(replicated, func(f FileSpec) bool { return f.Name == res.File })
+			if i < 0 || !res.Completed || res.BlocksUsed != replicated[i].Blocks || !bytes.Equal(res.Data, contents[res.File]) {
 				t.Fatalf("round %d: %+v", round, res)
 			}
 			mt.Recycle(res)

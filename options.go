@@ -5,7 +5,6 @@ import (
 	"maps"
 	"time"
 
-	"pinbcast/internal/cluster"
 	"pinbcast/internal/server"
 )
 
@@ -133,9 +132,9 @@ func WithSlotBuffer(n int) Option {
 type clusterConfig struct {
 	stationConfig // the catalogue, and what every channel's station shares
 	channels      int
-	replicas      int // -1 = default min(2, channels)
-	hottest       int // -1 = default ⌈len(files)/4⌉
-	shard         cluster.Shard
+	replicas      int    // -1 = default min(2, channels)
+	hottest       int    // -1 = default ⌈len(files)/4⌉
+	shard         string // a key of shards
 }
 
 // ClusterOption configures a Cluster under construction. Every Option
@@ -201,8 +200,8 @@ func WithReplicateHottest(n int) ClusterOption {
 // the default is ShardBalanced). An unknown name wraps ErrBadSpec.
 func WithShardName(name string) ClusterOption {
 	return clusterOption(func(c *clusterConfig) error {
-		s, err := shards.named(name)
-		c.shard = s
+		_, err := shards.named(name)
+		c.shard = name
 		return err
 	})
 }

@@ -132,9 +132,9 @@ func reclaimedPerPeriod(gen *generation) (n int) {
 func checkReclaimedEmission(t *testing.T, st *Station, gen *generation, slots []Slot) {
 	t.Helper()
 	prog := gen.program
-	if gen.emission == prog || gen.emission.DataCycle() != gen.cycle {
+	if gen.emission == prog || gen.emission.DataCycle() != gen.program.DataCycle() {
 		t.Fatalf("a paced generation serves %p with a data cycle of %d slots, its program is %p with %d",
-			gen.emission, gen.emission.DataCycle(), prog, gen.cycle)
+			gen.emission, gen.emission.DataCycle(), prog, gen.program.DataCycle())
 	}
 	minWidth := 1 << 30
 	for _, info := range prog.Files {
@@ -220,7 +220,7 @@ func TestReclaimedEmissionIsSupersetOfProgram(t *testing.T) {
 		paced := station(t, true, opts...)
 		gen := paced.onAir.Load()
 		prog := gen.program
-		n := (min(2*gen.cycle, reclaimTestSlots) + prog.Period - 1) / prog.Period * prog.Period
+		n := (min(2*gen.program.DataCycle(), reclaimTestSlots) + prog.Period - 1) / prog.Period * prog.Period
 		checkReclaimedEmission(t, paced, gen, air(t, paced, n))
 		reclaimed += reclaimedPerPeriod(gen)
 		for _, f := range files {
@@ -269,7 +269,7 @@ func TestReclaimedEmissionDominatesProgram(t *testing.T) {
 	}
 	for c, pair := range pairs {
 		paced, plain, files := pair[0], pair[1], pair[0].onAir.Load().files
-		starts := min(paced.onAir.Load().cycle, reclaimTestSlots)
+		starts := min(paced.onAir.Load().program.DataCycle(), reclaimTestSlots)
 		with, without := air(t, paced, 2*starts), air(t, plain, 2*starts)
 		for _, adversary := range []bool{false, true} {
 			var sumWith, sumWithout int
@@ -365,11 +365,11 @@ func TestReclaimAcrossGenerationSwap(t *testing.T) {
 		slot := <-stream
 		for ; slot.Generation == old.id; slot = <-stream {
 		}
-		if slot.T%old.cycle != 0 {
-			t.Fatalf("generation %d went live at slot %d, not on a %d-slot boundary", slot.Generation, slot.T, old.cycle)
+		if slot.T%old.program.DataCycle() != 0 {
+			t.Fatalf("generation %d went live at slot %d, not on a %d-slot boundary", slot.Generation, slot.T, old.program.DataCycle())
 		}
 		slots := []Slot{slot}
-		for len(slots) < 2*next.cycle {
+		for len(slots) < 2*next.program.DataCycle() {
 			slots = append(slots, <-stream)
 		}
 		checkReclaimedEmission(t, st, next, slots)
@@ -446,11 +446,11 @@ func TestClusterFailoverPromotesReclaim(t *testing.T) {
 	slot := <-stream
 	for ; slot.Generation == old.id; slot = <-stream {
 	}
-	if slot.Generation != next.id || slot.T%old.cycle != 0 {
-		t.Fatalf("generation %d went live at slot %d, want %d on a %d-slot boundary", slot.Generation, slot.T, next.id, old.cycle)
+	if slot.Generation != next.id || slot.T%old.program.DataCycle() != 0 {
+		t.Fatalf("generation %d went live at slot %d, want %d on a %d-slot boundary", slot.Generation, slot.T, next.id, old.program.DataCycle())
 	}
 	slots := []Slot{slot}
-	for n := (min(2*next.cycle, reclaimTestSlots) + next.program.Period - 1) / next.program.Period * next.program.Period; len(slots) < n; {
+	for n := (min(2*next.program.DataCycle(), reclaimTestSlots) + next.program.Period - 1) / next.program.Period * next.program.Period; len(slots) < n; {
 		slots = append(slots, <-stream)
 	}
 	checkReclaimedEmission(t, st, next, slots)

@@ -62,7 +62,6 @@ type generation struct {
 	program  *Program
 	emission *Program // what is served: the program itself unless paced (see Station.emission)
 	srv      *server.Server
-	cycle    int // data cycle of program and emission alike, the admission boundary
 	// replicaOnly names the files of a cluster station whose spare air
 	// another live channel plans (Cluster.replicaOnlyLocked).
 	replicaOnly map[string]bool
@@ -235,7 +234,6 @@ func (st *Station) build(files []FileSpec, replicaOnly map[string]bool, contents
 		program:     prog,
 		emission:    emission,
 		srv:         srv,
-		cycle:       prog.DataCycle(),
 		replicaOnly: replicaOnly,
 	}, nil
 }
@@ -416,7 +414,7 @@ func (st *Station) serveLoop(ctx context.Context, out chan<- Slot) {
 				st.onAir.Store(next)
 				stSwaps.Inc()
 			}
-			boundary += air.gen.cycle
+			boundary += air.gen.program.DataCycle()
 		}
 		slot, reclaimed := air.at(t)
 

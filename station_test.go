@@ -535,7 +535,7 @@ func TestServedAirIsItsAirings(t *testing.T) {
 			_, seen := staged[ch][gen.id]
 			staged[ch][gen.id] = gen
 			from := -1
-			for from < 0 || len(served[ch])-from < 2*gen.cycle {
+			for from < 0 || len(served[ch])-from < 2*gen.program.DataCycle() {
 				slot := <-streams[ch]
 				if from < 0 && slot.Generation == gen.id {
 					from = len(served[ch])
@@ -595,9 +595,9 @@ func TestServedAirIsItsAirings(t *testing.T) {
 					switch {
 					case next.gen == nil:
 						t.Fatalf("channel %d slot %d: generation %d is none a call staged", ch, T, slot.Generation)
-					case air.gen != nil && (next.from-air.from)%air.gen.cycle != 0:
+					case air.gen != nil && (next.from-air.from)%air.gen.program.DataCycle() != 0:
 						t.Fatalf("channel %d: generation %d went on the air at slot %d, %d slots into generation %d's %d-slot cycle",
-							ch, next.gen.id, T, (next.from-air.from)%air.gen.cycle, air.gen.id, air.gen.cycle)
+							ch, next.gen.id, T, (next.from-air.from)%air.gen.program.DataCycle(), air.gen.id, air.gen.program.DataCycle())
 					}
 					air = next
 				}
